@@ -1,6 +1,7 @@
 // poolown enforces the DESIGN §8 buffer-pool ownership contract on the
 // encode path: a pooled exact-size blob returned by
-// vformat.EncodeChunked (or drawn via getBuf inside vformat itself) must
+// vformat.EncodeChunked or detached from its encoder by
+// ChunkEncoder.Detach (or drawn via getBuf inside vformat itself) must
 // be released exactly once — vformat.ReleaseBuffer / putBuf — or have
 // its ownership transferred (sent, returned, stored, captured). The
 // historical bug class is PR 4's header-send-failure recovery: an error
@@ -30,6 +31,10 @@ var poolownRules = []*ownRule{
 		acquires: []callPattern{
 			{pkgPath: "viper/internal/vformat", funcName: "EncodeChunked", token: tokenResult},
 			{pkgPath: "viper/internal/vformat", funcName: "getBuf", token: tokenResult},
+			// Detach moves the blob out of its encoder: from here on it is
+			// the caller's to release or park, and the encoder's own
+			// Release is a no-op (the remote producer's retained blob).
+			{pkgPath: "viper/internal/vformat", typeName: "ChunkEncoder", funcName: "Detach", token: tokenResult},
 		},
 		releases: []callPattern{
 			{pkgPath: "viper/internal/vformat", funcName: "ReleaseBuffer", token: tokenArg},

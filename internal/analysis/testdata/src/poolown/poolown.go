@@ -254,3 +254,53 @@ func leakFromHelperAcquire(ctx context.Context, ckpt *vformat.Checkpoint) error 
 	vformat.ReleaseBuffer(blob)
 	return nil
 }
+
+// --- encoder → caller hand-over (ChunkEncoder.Detach) ------------------
+
+// retained mirrors the remote producer's retainedBlob: a struct that
+// parks a detached blob until a later owner releases it.
+type retained struct{ buf []byte }
+
+var parked *retained
+
+// detachLeak takes the blob out of the encoder and then loses it: the
+// deferred Release is a no-op after Detach, so nobody returns it.
+func detachLeak(ctx context.Context, ckpt *vformat.Checkpoint) error {
+	enc, err := vformat.NewChunkEncoder(ckpt, vformat.ChunkOptions{})
+	if err != nil {
+		return err
+	}
+	defer enc.Release()
+	if err := enc.EncodeStream(ctx, nil); err != nil {
+		return err
+	}
+	blob, err := enc.Detach()
+	if err != nil {
+		return err // refined: nothing was detached
+	}
+	if len(blob) == 0 {
+		return errSend // want "pooled blob blob leaks on this return path"
+	}
+	vformat.ReleaseBuffer(blob)
+	return nil
+}
+
+// detachParkClean is the producer's shape: the detached blob is parked
+// in a long-lived struct (ownership transferred), the encoder's deferred
+// Release stays as the error-path safety net.
+func detachParkClean(ctx context.Context, ckpt *vformat.Checkpoint) error {
+	enc, err := vformat.NewChunkEncoder(ckpt, vformat.ChunkOptions{})
+	if err != nil {
+		return err
+	}
+	defer enc.Release()
+	if err := enc.EncodeStream(ctx, nil); err != nil {
+		return err
+	}
+	blob, err := enc.Detach()
+	if err != nil {
+		return err
+	}
+	parked = &retained{buf: blob}
+	return nil
+}

@@ -435,9 +435,9 @@ func (h *WeightsHandler) encodeDelta(ckpt *vformat.Checkpoint, fullLen int) ([]b
 
 // encodeChunked is the chunked-pipeline encode: full checkpoints become
 // one wire-format-v2 blob built by the worker pool in a single pass over
-// the weights (precision conversion folded in), with per-chunk content
-// hashes computed in-stride. In incremental mode the versions between
-// full refreshes are encoded against the previous version's wire values
+// the weights (precision conversion folded in). In incremental mode the
+// per-chunk content hashes are read off the encoder (hashed once, on its
+// worker pool) and the versions between full refreshes are encoded against the previous version's wire values
 // (ChunkOptions.Base), so a chunk whose elements all stayed within
 // DeltaEps re-encodes byte-identically and its content hash matches the
 // previous version's; the payload is then a manifest-bearing "vrecon"
@@ -470,7 +470,7 @@ func (h *WeightsHandler) encodeChunked(ctx context.Context, ckpt *vformat.Checkp
 	// bounding how long a restarted consumer can be stuck reconciling
 	// against chunks it never cached.
 	recon := h.incremental && base != nil && len(prev) > 0 &&
-		(ckpt.Version-1)%uint64(h.fullEvery) != 0 && sameStructure(base, ckpt.Weights)
+		(ckpt.Version-1)%uint64(h.fullEvery) != 0 && vformat.SameStructure(base, ckpt.Weights)
 	if recon {
 		opts.Base, opts.BaseEps = base, h.deltaEps
 	}
@@ -478,21 +478,21 @@ func (h *WeightsHandler) encodeChunked(ctx context.Context, ckpt *vformat.Checkp
 	if err != nil {
 		return nil, "", 0, fmt.Errorf("core: chunked encode: %w", err)
 	}
+	// Returns the pooled blob on every path but the last, where Detach
+	// hands it to the caller first.
+	defer enc.Release()
 	if err := enc.EncodeStream(ctx, nil); err != nil {
-		enc.Release()
 		return nil, "", 0, fmt.Errorf("core: chunked encode: %w", err)
 	}
 	blob, err := enc.Blob()
 	if err != nil {
-		enc.Release()
 		return nil, "", 0, err
 	}
-	hashes, err := enc.Hashes()
-	if err != nil {
-		enc.Release()
-		return nil, "", 0, err
-	}
+	var hashes []vformat.ChunkHash
 	if h.incremental {
+		if hashes, err = enc.Hashes(); err != nil {
+			return nil, "", 0, err
+		}
 		h.mu.Lock()
 		h.pendingHashes = hashes
 		if recon {
@@ -509,15 +509,13 @@ func (h *WeightsHandler) encodeChunked(ctx context.Context, ckpt *vformat.Checkp
 		for _, ch := range prev {
 			have[ch] = true
 		}
-		delta, _, _, elided, err := vformat.BuildManifestBlob(blob, func(ch vformat.ChunkHash) bool { return have[ch] })
+		delta, _, elided, err := vformat.BuildManifestBlobHashed(blob, hashes, func(ch vformat.ChunkHash) bool { return have[ch] })
 		if err != nil {
-			enc.Release()
 			return nil, "", 0, fmt.Errorf("core: building manifest blob: %w", err)
 		}
 		if elided > 0 && len(delta) < len(blob) {
 			// The manifest blob is freshly allocated, so the pooled full
-			// blob can go back (the hashes outlive it by contract).
-			enc.Release()
+			// blob goes back (the hashes outlive it by contract).
 			size := int64(float64(baseSize) * float64(len(delta)) / float64(physFull))
 			if size < 1 {
 				size = 1
@@ -537,22 +535,10 @@ func (h *WeightsHandler) encodeChunked(ctx context.Context, ckpt *vformat.Checkp
 	} else {
 		size = int64(len(blob))
 	}
-	//lint:ignore poolown the blob's ownership transfers to the storage tiers/links below; Release here would double-issue the pooled buffer
+	if blob, err = enc.Detach(); err != nil {
+		return nil, "", 0, err
+	}
 	return blob, "vchunk", size, nil
-}
-
-// sameStructure reports whether two snapshots share tensor names and
-// sizes — the prerequisite for base-suppressed chunk encoding.
-func sameStructure(a, b nn.Snapshot) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name || len(a[i].Data) != len(b[i].Data) {
-			return false
-		}
-	}
-	return true
 }
 
 // Save checkpoints the given snapshot taken at iteration with the

@@ -318,17 +318,17 @@ func waitHaveLists(prod *remote.Producer, n int64) error {
 // staged blob (the delta elided chunks, never changed them), and may
 // deviate from the raw training snapshot by at most DeltaEps.
 func checkInstall(ctx context.Context, kv *kvstore.Client, model string, version uint64, ckpt *vformat.Checkpoint, raw nn.Snapshot, res *DeltaDedupResult) error {
-	staged, err := kv.Get(core.StagingKey(model, version))
+	staged, err := kv.GetBytes(core.StagingKey(model, version))
 	if err != nil {
 		return fmt.Errorf("staged blob v%d: %w", version, err)
 	}
 	if res.ModelBytes == 0 {
 		res.ModelBytes = int64(len(staged))
-		if layout, _, _, err := vformat.ParseChunkHeader([]byte(staged)); err == nil {
+		if layout, _, _, err := vformat.ParseChunkHeader(staged); err == nil {
 			res.Chunks = layout.NumChunks
 		}
 	}
-	full, err := vformat.DecodeAuto(ctx, []byte(staged), 0)
+	full, err := vformat.DecodeAuto(ctx, staged, 0)
 	if err != nil {
 		return fmt.Errorf("staged decode v%d: %w", version, err)
 	}

@@ -4,11 +4,11 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"viper/internal/retry"
 )
@@ -160,8 +160,21 @@ func (c *Client) Ping() error {
 
 // Set assigns value to key on the server.
 func (c *Client) Set(key, value string) error {
+	// The string's bytes are viewed, not copied: SetBytes only reads them.
+	return c.SetBytes(key, unsafe.Slice(unsafe.StringData(value), len(value)))
+}
+
+// SetBytes is Set for a value already held as bytes: the command line,
+// the caller's slice and the terminator go to the connection with no
+// intermediate payload-sized buffer. The slice is only read, and only
+// until SetBytes returns; a retry after a connection fault re-sends it
+// whole.
+func (c *Client) SetBytes(key string, value []byte) error {
 	return c.do(true, func() error {
-		fmt.Fprintf(c.w, "SET %s %d\r\n%s\r\n", key, len(value), value)
+		c.w.WriteString("SET ")
+		c.w.WriteString(key)
+		writeLenLine(c.w, " ", len(value))
+		writeValue(c.w, value)
 		if err := c.w.Flush(); err != nil {
 			return err
 		}
@@ -178,9 +191,18 @@ func (c *Client) Set(key, value string) error {
 
 // Get fetches key; ErrNotFound if missing.
 func (c *Client) Get(key string) (string, error) {
-	var out string
+	v, err := c.GetBytes(key)
+	return string(v), err
+}
+
+// GetBytes is Get returning the value in the one buffer it was read
+// into, which the caller owns.
+func (c *Client) GetBytes(key string) ([]byte, error) {
+	var out []byte
 	err := c.do(true, func() error {
-		fmt.Fprintf(c.w, "GET %s\r\n", key)
+		c.w.WriteString("GET ")
+		c.w.WriteString(key)
+		c.w.WriteString("\r\n")
 		if err := c.w.Flush(); err != nil {
 			return err
 		}
@@ -252,13 +274,13 @@ func (c *Client) Keys(prefix string) ([]string, error) {
 		if err != nil {
 			return fmt.Errorf("kvstore: bad array length %q", line)
 		}
-		keys := make([]string, 0, n)
+		var keys []string // grown as keys arrive: n is the peer's claim
 		for i := 0; i < n; i++ {
 			k, err := c.readBulk()
 			if err != nil {
 				return err
 			}
-			keys = append(keys, k)
+			keys = append(keys, string(k))
 		}
 		out = keys
 		return nil
@@ -285,26 +307,25 @@ func (c *Client) readLine() (string, error) {
 	return strings.TrimRight(line, "\r\n"), nil
 }
 
-func (c *Client) readBulk() (string, error) {
+// readBulk reads one "$<len>"-framed value. A length over MaxValueBytes
+// or a missing terminator means the stream cannot be trusted; both are
+// ordinary (retryable) errors, so do() drops the connection.
+func (c *Client) readBulk() ([]byte, error) {
 	line, err := c.readLine()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if !strings.HasPrefix(line, "$") {
-		return "", asProtocolErr(fmt.Errorf("kvstore: unexpected bulk reply %q", line), line)
+		return nil, asProtocolErr(fmt.Errorf("kvstore: unexpected bulk reply %q", line), line)
 	}
 	n, err := strconv.Atoi(line[1:])
 	if err != nil {
-		return "", fmt.Errorf("kvstore: bad bulk length %q", line)
+		return nil, fmt.Errorf("kvstore: bad bulk length %q", line)
 	}
 	if n < 0 {
-		return "", retry.Permanent(ErrNotFound)
+		return nil, retry.Permanent(ErrNotFound)
 	}
-	buf := make([]byte, n+2)
-	if _, err := io.ReadFull(c.r, buf); err != nil {
-		return "", err
-	}
-	return string(buf[:n]), nil
+	return readValue(c.r, n)
 }
 
 func (c *Client) readInt() (int64, error) {

@@ -2,8 +2,8 @@ package kvstore
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -19,7 +19,12 @@ import (
 //	KEYS <prefix>                        → *<n> then $-framed keys
 //	PING                                 → +PONG
 //
-// Values are length-prefixed so they may contain spaces and newlines.
+// Values are length-prefixed, so they are binary-safe: any byte,
+// including CR and LF, may appear. An announced length above
+// MaxValueBytes is refused ("-ERR value too large") and the connection
+// closed, since the unread value would desynchronize the stream; a value
+// not followed by CRLF is a protocol error ("-ERR protocol: ...") that
+// also closes the connection, and the value is not stored.
 type Server struct {
 	store *Store
 
@@ -64,6 +69,15 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			}
 		}
 		s.mu.Lock()
+		select {
+		case <-s.done:
+			// Accepted as Close was sweeping s.conns: nobody else would
+			// close this connection, and Close would wait on it forever.
+			s.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
@@ -90,10 +104,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		if line == "" {
 			continue
 		}
-		if err := s.dispatch(line, r, w); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
+		// Flush even when dispatch failed: a protocol refusal carries an
+		// -ERR reply the peer should see before the connection closes.
+		err = s.dispatch(line, r, w)
+		if ferr := w.Flush(); err != nil || ferr != nil {
 			return
 		}
 	}
@@ -115,23 +129,32 @@ func (s *Server) dispatch(line string, r *bufio.Reader, w *bufio.Writer) error {
 			fmt.Fprint(w, "-ERR bad length\r\n")
 			return nil
 		}
-		buf := make([]byte, n+2) // payload + trailing \r\n
-		if _, err := io.ReadFull(r, buf); err != nil {
+		value, err := readValue(r, n)
+		switch {
+		case errors.Is(err, errValueTooLarge):
+			fmt.Fprint(w, "-ERR value too large\r\n")
+			return err
+		case errors.Is(err, errBadTerminator):
+			fmt.Fprint(w, "-ERR protocol: value not terminated by CRLF\r\n")
+			return err
+		case err != nil:
 			return err
 		}
-		s.store.Set(parts[1], string(buf[:n]))
+		// The store keeps the buffer the value was read into.
+		s.store.setBytes(parts[1], value)
 		fmt.Fprint(w, "+OK\r\n")
 	case "GET":
 		if len(parts) < 2 {
 			fmt.Fprint(w, "-ERR usage: GET key\r\n")
 			return nil
 		}
-		v, err := s.store.Get(parts[1])
+		v, err := s.store.getBytes(parts[1])
 		if err != nil {
 			fmt.Fprint(w, "$-1\r\n")
 			return nil
 		}
-		fmt.Fprintf(w, "$%d\r\n%s\r\n", len(v), v)
+		writeLenLine(w, "$", len(v))
+		writeValue(w, v)
 	case "DEL":
 		if len(parts) < 2 {
 			fmt.Fprint(w, "-ERR usage: DEL key\r\n")

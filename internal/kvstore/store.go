@@ -44,21 +44,27 @@ var inst = struct {
 	version: registry.Gauge("version"),
 }
 
-// Store is an in-memory string key/value store with atomic counters,
-// safe for concurrent use.
+// Store is an in-memory key/value store with atomic counters, safe for
+// concurrent use. Values are held as bytes and never mutated once
+// stored, so a checkpoint-sized value costs no copy on its way in
+// (setBytes) or out (getBytes).
 type Store struct {
 	mu      sync.RWMutex
-	data    map[string]string
+	data    map[string][]byte
 	version uint64 // bumps on every mutation, for cheap change detection
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{data: make(map[string]string)}
+	return &Store{data: make(map[string][]byte)}
 }
 
 // Set assigns value to key.
-func (s *Store) Set(key, value string) {
+func (s *Store) Set(key, value string) { s.setBytes(key, []byte(value)) }
+
+// setBytes assigns value to key without copying: the store retains the
+// slice, so the caller must not modify it afterwards.
+func (s *Store) setBytes(key string, value []byte) {
 	s.mu.Lock()
 	s.data[key] = value
 	s.version++
@@ -76,13 +82,20 @@ func (s *Store) syncGaugesLocked() {
 
 // Get returns the value for key or ErrNotFound.
 func (s *Store) Get(key string) (string, error) {
+	v, err := s.getBytes(key)
+	return string(v), err
+}
+
+// getBytes returns the stored value for key (or ErrNotFound) without
+// copying; the slice is shared with the store and must not be modified.
+func (s *Store) getBytes(key string) ([]byte, error) {
 	s.mu.RLock()
 	v, ok := s.data[key]
 	s.mu.RUnlock()
 	inst.gets.Inc()
 	if !ok {
 		inst.misses.Inc()
-		return "", ErrNotFound
+		return nil, ErrNotFound
 	}
 	return v, nil
 }
@@ -108,14 +121,14 @@ func (s *Store) Incr(key string) (int64, error) {
 	defer s.mu.Unlock()
 	cur := int64(0)
 	if v, ok := s.data[key]; ok {
-		n, err := strconv.ParseInt(v, 10, 64)
+		n, err := strconv.ParseInt(string(v), 10, 64)
 		if err != nil {
 			return 0, errors.New("kvstore: value is not an integer")
 		}
 		cur = n
 	}
 	cur++
-	s.data[key] = strconv.FormatInt(cur, 10)
+	s.data[key] = strconv.AppendInt(nil, cur, 10)
 	s.version++
 	s.syncGaugesLocked()
 	inst.incrs.Inc()
@@ -155,7 +168,7 @@ func (s *Store) Version() uint64 {
 func (s *Store) SetMulti(kv map[string]string) {
 	s.mu.Lock()
 	for k, v := range kv {
-		s.data[k] = v
+		s.data[k] = []byte(v)
 	}
 	s.version++
 	s.syncGaugesLocked()
@@ -170,7 +183,7 @@ func (s *Store) GetMulti(keys []string) map[string]string {
 	s.mu.RLock()
 	for _, k := range keys {
 		if v, ok := s.data[k]; ok {
-			out[k] = v
+			out[k] = string(v)
 		}
 	}
 	s.mu.RUnlock()

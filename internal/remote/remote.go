@@ -222,14 +222,12 @@ type Producer struct {
 	// pump replaces the map wholesale, so a snapshot taken under mu is
 	// safe to read lock-free afterwards.
 	peerHave map[vformat.ChunkHash]bool
-	// lastBlob/lastKey/lastTags remember the newest published chunked
-	// blob so need-lists for it can be answered after the encoder is
-	// released. Only the latest version is answerable: a need-list for a
-	// superseded build is ignored (latest-wins; the receiver's build is
-	// superseded moments later anyway).
-	lastBlob []byte
-	lastKey  string
-	lastTags map[string]string
+	// lastBlob is the newest published chunked blob, kept so need-lists
+	// for it can be answered after the publish returns. Only the latest
+	// version is answerable: a need-list for a superseded build is
+	// ignored (latest-wins; the receiver's build is superseded moments
+	// later anyway).
+	lastBlob *retainedBlob
 	// lastSnap is the previous publish's wire values, the comparison
 	// base for DeltaEps suppression. putElemsBase mutates it in place
 	// to each new version's wire values, keeping producer-side
@@ -401,57 +399,86 @@ func (p *Producer) pump() {
 	}
 }
 
+// retainedBlob is a published chunked blob the producer keeps — the
+// encoder's pooled buffer itself (ChunkEncoder.Detach), not a copy. refs
+// counts Producer.lastBlob's own reference plus every reader in flight
+// (the publish that installed it, a need answer); whoever drops it to
+// zero returns buf to the pool, so the buffer can never be re-issued
+// under a reader. refs and buf's lifetime are guarded by Producer.mu.
+type retainedBlob struct {
+	buf  []byte
+	key  string
+	tags map[string]string
+	refs int
+}
+
+// retainBlob takes over enc's finished blob as the answerable latest
+// version, superseding the previous one. The returned blob carries one
+// reference for the caller (the publish still has to stage it), to be
+// dropped with unref.
+func (p *Producer) retainBlob(enc *vformat.ChunkEncoder, key string, tags map[string]string) (*retainedBlob, error) {
+	buf, err := enc.Detach()
+	if err != nil {
+		return nil, err
+	}
+	r := &retainedBlob{buf: buf, key: key, tags: tags, refs: 2}
+	p.mu.Lock()
+	prev := p.lastBlob
+	p.lastBlob = r
+	p.unrefLocked(prev)
+	p.mu.Unlock()
+	return r, nil
+}
+
+// unref drops one reference to r.
+func (p *Producer) unref(r *retainedBlob) {
+	p.mu.Lock()
+	p.unrefLocked(r)
+	p.mu.Unlock()
+}
+
+// unrefLocked drops one reference to r (nil is a no-op), returning the
+// buffer to the pool with the last one; p.mu must be held.
+func (p *Producer) unrefLocked(r *retainedBlob) {
+	if r == nil {
+		return
+	}
+	if r.refs--; r.refs == 0 {
+		vformat.ReleaseBuffer(r.buf)
+		r.buf = nil
+	}
+}
+
 // answerNeed re-sends the requested chunk records of the latest
-// published version. Requests for anything else are dropped: the
-// receiver's partial build is about to be superseded by a newer push.
+// published version, holding a reference to its blob for the whole walk
+// so a concurrent publish or Close cannot return it to the pool under
+// the sends. Requests for anything else are dropped: the receiver's
+// partial build is about to be superseded by a newer push.
 func (p *Producer) answerNeed(f transport.Frame) {
 	key, hashes, err := transport.ParseNeedFrame(f)
 	if err != nil {
 		return
 	}
 	p.mu.Lock()
-	blob, lastKey, tags := p.lastBlob, p.lastKey, p.lastTags
-	p.mu.Unlock()
-	if blob == nil || key != lastKey {
+	r := p.lastBlob
+	if r == nil || r.key != key {
+		p.mu.Unlock()
 		return
 	}
+	r.refs++
+	p.mu.Unlock()
+	defer p.unref(r)
 	need := make(map[vformat.ChunkHash]bool, len(hashes))
 	for _, h := range hashes {
 		need[h] = true
 	}
-	conn := transport.WithMeta(p.link, tags)
-	_ = vformat.WalkChunkRecords(blob, func(rec []byte) error {
+	conn := transport.WithMeta(p.link, r.tags)
+	_ = vformat.WalkChunkRecords(r.buf, func(rec []byte) error {
 		if need[vformat.HashChunkRecord(rec)] {
 			return conn.Send(transport.ChunkRecordFrame(key, rec, 0))
 		}
 		return nil
 	})
-}
-
-// sameShape reports whether two snapshots share tensor names and sizes
-// — the prerequisite for base-suppressed encoding (a restart or
-// reshape falls back to a clean full encode).
-func sameShape(a, b nn.Snapshot) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name || len(a[i].Data) != len(b[i].Data) {
-			return false
-		}
-	}
-	return true
-}
-
-// rememberBlob retains a copy of the newest published chunked blob (and
-// its frame tags) for answering need-lists; blob aliases the encoder's
-// pooled buffer, so the copy must not.
-func (p *Producer) rememberBlob(key string, tags map[string]string, blob []byte) {
-	cp := make([]byte, len(blob))
-	copy(cp, blob)
-	p.mu.Lock()
-	p.lastBlob, p.lastKey, p.lastTags = cp, key, tags
-	p.mu.Unlock()
 }
 
 // Publish serializes and ships a checkpoint: frame(s) over the direct
@@ -525,6 +552,11 @@ func (p *Producer) attachRelayMeta(tags map[string]string, ckpt *vformat.Checkpo
 // is on the wire, and the completed blob (one buffer-pool allocation)
 // doubles as the KV staging copy.
 func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint, key string, tags map[string]string) (*core.ModelMeta, error) {
+	p.mu.Lock()
+	have := p.peerHave
+	base := p.lastSnap
+	p.mu.Unlock()
+	delta := p.recon && len(have) > 0
 	opts := vformat.ChunkOptions{
 		ChunkBytes:  p.chunkSize,
 		Parallelism: p.workers,
@@ -537,10 +569,7 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 	// sends: the first full stream seeds the hashes later deltas elide
 	// against.
 	if p.recon && p.deltaEps > 0 {
-		p.mu.Lock()
-		base := p.lastSnap
-		p.mu.Unlock()
-		if base != nil && sameShape(base, ckpt.Weights) {
+		if base != nil && vformat.SameStructure(base, ckpt.Weights) {
 			opts.Base, opts.BaseEps = base, p.deltaEps
 		} else {
 			base = ckpt.Weights.Clone()
@@ -553,6 +582,9 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 	if err != nil {
 		return nil, err
 	}
+	// A no-op on the delta-mode paths, where retainBlob takes the blob
+	// over; everywhere else (and on their error returns before the
+	// hand-over) it returns the blob to the pool.
 	defer enc.Release()
 	if p.recon {
 		// Mark the stream delta-capable so the receiver advertises its
@@ -560,10 +592,7 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 		tags[transport.MetaReconcile] = "1"
 	}
 	p.attachRelayMeta(tags, ckpt, key, int64(enc.EncodedSize()), "vchunk")
-	p.mu.Lock()
-	have := p.peerHave
-	p.mu.Unlock()
-	if p.recon && len(have) > 0 {
+	if delta {
 		return p.publishDelta(ctx, enc, ckpt, key, tags, have)
 	}
 	sendErr := transport.SendChunked(ctx, transport.WithMeta(p.link, tags), key, enc, 0)
@@ -582,15 +611,22 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 		return nil, err
 	}
 	if p.recon {
-		p.rememberBlob(key, tags, blob)
+		r, err := p.retainBlob(enc, key, tags)
+		if err != nil {
+			return nil, err
+		}
+		defer p.unref(r)
 	}
+	// Staging reads the pooled blob in place: the deferred Release/unref
+	// above run only after finishPublish's Set has returned.
 	return p.finishPublish(ctx, ckpt, key, blob, "vchunk", sendErr)
 }
 
 // publishDelta ships ckpt as a manifest plus only the chunk records the
-// receiver's advertised store lacks. The staging copy and metadata are
-// unchanged — they carry the complete blob — so the staging fallback
-// and late-joining consumers are oblivious to how the link frames were
+// receiver's advertised store lacks, planned from the encoder's hashes
+// (each record hashed once, on its worker pool). The staging copy and metadata are unchanged
+// — they carry the complete blob — so the staging fallback and
+// late-joining consumers are oblivious to how the link frames were
 // elided.
 func (p *Producer) publishDelta(ctx context.Context, enc *vformat.ChunkEncoder, ckpt *vformat.Checkpoint, key string, tags map[string]string, have map[vformat.ChunkHash]bool) (*core.ModelMeta, error) {
 	if err := enc.EncodeStream(ctx, nil); err != nil {
@@ -600,13 +636,21 @@ func (p *Producer) publishDelta(ctx context.Context, enc *vformat.ChunkEncoder, 
 	if err != nil {
 		return nil, err
 	}
-	manifest, records, hashes, _, err := vformat.PlanDelta(blob, func(h vformat.ChunkHash) bool { return have[h] })
+	hashes, err := enc.Hashes()
 	if err != nil {
 		return nil, err
 	}
-	// Remember before sending: the receiver's need-list can arrive while
+	manifest, records, _, err := vformat.PlanDeltaHashed(blob, hashes, func(h vformat.ChunkHash) bool { return have[h] })
+	if err != nil {
+		return nil, err
+	}
+	// Retain before sending: the receiver's need-list can arrive while
 	// the tail of this stream is still leaving.
-	p.rememberBlob(key, tags, blob)
+	r, err := p.retainBlob(enc, key, tags)
+	if err != nil {
+		return nil, err
+	}
+	defer p.unref(r)
 	p.mu.Lock()
 	p.stats.DeltaSends++
 	p.mu.Unlock()
@@ -645,7 +689,7 @@ func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, 
 		return nil, err
 	}
 	if p.stage || sendErr != nil {
-		if err := p.kv.Set(core.StagingKey(p.model, version), string(payload)); err != nil {
+		if err := p.kv.SetBytes(core.StagingKey(p.model, version), payload); err != nil {
 			if sendErr != nil {
 				return nil, fmt.Errorf("remote: link send failed (%w) and staging failed: %w", sendErr, err)
 			}
@@ -748,6 +792,10 @@ func (p *Producer) Close() {
 	}
 	p.link.Close()
 	p.wg.Wait()
+	p.mu.Lock()
+	p.unrefLocked(p.lastBlob)
+	p.lastBlob = nil
+	p.mu.Unlock()
 	p.ps.Close()
 	p.kv.Close()
 	if p.store != nil {
@@ -1240,14 +1288,14 @@ func (c *Consumer) decodeFrame(f *transport.Frame, meta *core.ModelMeta) *vforma
 // staged payload is whatever the producer shipped — monolithic vformat
 // or a chunked v2 blob — so decoding dispatches on the magic.
 func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vformat.Checkpoint, error) {
-	raw, err := c.kv.Get(core.StagingKey(c.model, meta.Version))
+	raw, err := c.kv.GetBytes(core.StagingKey(c.model, meta.Version))
 	if errors.Is(err, kvstore.ErrNotFound) {
 		return nil, nil // lost on both paths
 	}
 	if err != nil {
 		return nil, fmt.Errorf("remote: staged fetch: %w", err)
 	}
-	ckpt, err := vformat.DecodeAuto(ctx, []byte(raw), 0)
+	ckpt, err := vformat.DecodeAuto(ctx, raw, 0)
 	if err != nil {
 		return nil, fmt.Errorf("remote: staged checkpoint: %w", err)
 	}
@@ -1258,7 +1306,7 @@ func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vfor
 	if c.cache != nil {
 		// A chunked staging blob replenishes the reconciliation cache
 		// (monolithic blobs carry no records; the error is expected).
-		_ = c.cache.PutAll([]byte(raw))
+		_ = c.cache.PutAll(raw)
 	}
 	c.bump(func(s *ConsumerStats) { s.StagedLoads++ })
 	return ckpt, nil

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"viper/internal/nn"
 )
@@ -413,8 +414,9 @@ func (r *headerReader) str() (string, error) {
 }
 
 // ParseChunkHeader parses a v2 stream header, returning the layout, the
-// checkpoint skeleton (metadata set, weights preallocated to the
-// directory's shapes), and the header's encoded length.
+// checkpoint skeleton (metadata set; Weights lists every tensor's name
+// and shape with nil Data — only a ChunkAssembler allocates the model),
+// and the header's encoded length.
 func ParseChunkHeader(b []byte) (*ChunkLayout, *Checkpoint, int, error) {
 	if len(b) < len(chunkMagic) || string(b[:len(chunkMagic)]) != chunkMagic {
 		return nil, nil, 0, fmt.Errorf("vformat: bad chunk-stream magic")
@@ -502,7 +504,7 @@ func ParseChunkHeader(b []byte) (*ChunkLayout, *Checkpoint, int, error) {
 				ErrCorruptChunk, i, elems, l.TotalElems)
 		}
 		l.Tensors[i] = ChunkTensor{Name: name, Shape: shape, Elems: elems, Start: off}
-		c.Weights[i] = nn.NamedTensor{Name: name, Shape: shape, Data: make([]float64, elems)}
+		c.Weights[i] = nn.NamedTensor{Name: name, Shape: shape}
 		off += elems
 	}
 	if off != l.TotalElems {
@@ -532,9 +534,9 @@ type ChunkEncoder struct {
 	opts   ChunkOptions
 	layout *ChunkLayout
 	header []byte
-	blob   []byte // header + records, pool-owned
-	offs   []int  // record offsets within blob
-	hashes []ChunkHash
+	blob   []byte      // header + records, pool-owned
+	offs   []int       // record offsets within blob
+	hashes []ChunkHash // nil until the first Hashes call
 	done   bool
 }
 
@@ -544,7 +546,7 @@ func NewChunkEncoder(ckpt *Checkpoint, opts ChunkOptions) (*ChunkEncoder, error)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Base != nil && !baseMatches(ckpt.Weights, opts.Base) {
+	if opts.Base != nil && !SameStructure(ckpt.Weights, opts.Base) {
 		opts.Base = nil // restart or reshape: fall back to a clean full encode
 	}
 	layout := planLayout(ckpt.Weights, opts)
@@ -560,18 +562,18 @@ func NewChunkEncoder(ckpt *Checkpoint, opts ChunkOptions) (*ChunkEncoder, error)
 	return &ChunkEncoder{
 		ckpt: ckpt, opts: opts, layout: layout,
 		header: blob[:len(header)], blob: blob, offs: offs,
-		hashes: make([]ChunkHash, layout.NumChunks),
 	}, nil
 }
 
-// baseMatches reports whether base has the same tensor structure as
-// weights (a prerequisite for per-element suppression).
-func baseMatches(weights, base nn.Snapshot) bool {
-	if len(base) != len(weights) {
+// SameStructure reports whether two snapshots share tensor names and
+// element counts — the prerequisite for base-suppressed encoding (a
+// restart or reshape falls back to a clean full encode).
+func SameStructure(a, b nn.Snapshot) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for i := range weights {
-		if base[i].Name != weights[i].Name || len(base[i].Data) != len(weights[i].Data) {
+	for i := range a {
+		if a[i].Name != b[i].Name || len(a[i].Data) != len(b[i].Data) {
 			return false
 		}
 	}
@@ -594,6 +596,13 @@ func (e *ChunkEncoder) EncodedSize() int { return len(e.blob) }
 // record returns chunk idx's encoded record (valid after it is encoded).
 func (e *ChunkEncoder) record(idx int) []byte {
 	return e.blob[e.offs[idx] : e.offs[idx]+e.layout.recordSize(idx)]
+}
+
+// encodeRecord encodes chunk idx into its slot of the blob. Distinct
+// chunks touch disjoint blob and base slots, so workers run it
+// concurrently.
+func (e *ChunkEncoder) encodeRecord(idx int) {
+	e.layout.encodeChunkInto(e.record(idx), e.ckpt.Weights, e.opts.Base, e.opts.BaseEps, idx)
 }
 
 // EncodeStream encodes every chunk and calls emit(idx, record) in strict
@@ -626,8 +635,7 @@ func (e *ChunkEncoder) EncodeStream(ctx context.Context, emit func(idx int, reco
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			e.layout.encodeChunkInto(e.record(i), e.ckpt.Weights, e.opts.Base, e.opts.BaseEps, i)
-			e.hashes[i] = HashChunkRecord(e.record(i))
+			e.encodeRecord(i)
 			doEmit(i)
 		}
 		e.done = true
@@ -644,10 +652,7 @@ func (e *ChunkEncoder) EncodeStream(ctx context.Context, emit func(idx int, reco
 				if ctx.Err() != nil {
 					continue // drain remaining jobs without encoding
 				}
-				e.layout.encodeChunkInto(e.record(idx), e.ckpt.Weights, e.opts.Base, e.opts.BaseEps, idx)
-				// Content hash in-stride with the CRC, while the record is
-				// hot in cache and other workers keep encoding.
-				e.hashes[idx] = HashChunkRecord(e.record(idx))
+				e.encodeRecord(idx)
 				completions <- idx // buffered to n: never blocks
 			}
 		}()
@@ -692,12 +697,47 @@ func (e *ChunkEncoder) EncodeStream(ctx context.Context, emit func(idx int, reco
 
 // Hashes returns the per-chunk content hashes (index order) after a
 // successful EncodeStream; unlike records they do not alias the blob
-// and stay valid past Release.
+// and stay valid past Release. Encoding never hashes: the first call
+// hashes every record once on the encoder's worker pool — so a publish
+// nobody plans a delta for pays no SHA-256 pass — and must therefore
+// come before Release or Detach. Not safe for concurrent use.
 func (e *ChunkEncoder) Hashes() ([]ChunkHash, error) {
 	if !e.done {
 		return nil, ErrIncompleteStream
 	}
-	return e.hashes, nil
+	if e.hashes != nil {
+		return e.hashes, nil
+	}
+	if e.blob == nil {
+		return nil, errors.New("vformat: encoder already released")
+	}
+	n := e.layout.NumChunks
+	hashes := make([]ChunkHash, n)
+	workers := e.opts.Parallelism
+	if workers > n {
+		workers = n
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.hashFrom(&next, hashes)
+		}()
+	}
+	e.hashFrom(&next, hashes) // the caller is the first (or only) worker
+	wg.Wait()
+	e.hashes = hashes
+	return hashes, nil
+}
+
+// hashFrom claims record indices off next until none are left, hashing
+// each into its own slot.
+func (e *ChunkEncoder) hashFrom(next *atomic.Int64, hashes []ChunkHash) {
+	for i := int(next.Add(1)) - 1; i < len(hashes); i = int(next.Add(1)) - 1 {
+		hashes[i] = HashChunkRecord(e.record(i))
+	}
 }
 
 // Blob returns the complete chunked container (header + every record)
@@ -710,6 +750,20 @@ func (e *ChunkEncoder) Blob() ([]byte, error) {
 		return nil, ErrIncompleteStream
 	}
 	return e.blob, nil
+}
+
+// Detach hands the complete blob to the caller, who now owns the pooled
+// buffer (ReleaseBuffer it exactly once, or let the GC have it). The
+// encoder is left released: a later Release is a no-op, Header and
+// emitted records stay valid exactly as long as the caller keeps the
+// blob.
+func (e *ChunkEncoder) Detach() ([]byte, error) {
+	blob, err := e.Blob()
+	if err != nil {
+		return nil, err
+	}
+	e.blob, e.header = nil, nil
+	return blob, nil
 }
 
 // Release returns the encoder's blob to the buffer pool. The header,
@@ -729,18 +783,11 @@ func EncodeChunked(ctx context.Context, ckpt *Checkpoint, opts ChunkOptions) ([]
 	if err != nil {
 		return nil, err
 	}
+	defer enc.Release() // a no-op once Detach has handed the blob over
 	if err := enc.EncodeStream(ctx, nil); err != nil {
-		enc.Release()
 		return nil, err
 	}
-	blob, err := enc.Blob()
-	if err != nil {
-		enc.Release()
-		return nil, err
-	}
-	// Ownership of the blob transfers to the caller; do not Release.
-	//lint:ignore poolown Blob() handed the pooled buffer to the caller; Release here would double-issue it
-	return blob, nil
+	return enc.Detach()
 }
 
 // ChunkAssembler is the consumer side of the pipeline: seeded with the
@@ -750,23 +797,28 @@ func EncodeChunked(ctx context.Context, ckpt *Checkpoint, opts ChunkOptions) ([]
 // assembled while later chunks are still on the wire. Duplicate chunks
 // (e.g. resent after a link reconnect) are ignored.
 type ChunkAssembler struct {
-	layout *ChunkLayout
-	ckpt   *Checkpoint
+	layout    *ChunkLayout
+	ckpt      *Checkpoint
+	headerLen int
 
 	mu        sync.Mutex
 	got       []bool
 	remaining int
 }
 
-// NewChunkAssembler parses the v2 stream header and prepares the
-// assembly target.
+// NewChunkAssembler parses the v2 stream header and allocates the
+// assembly target — the one place a header parse leads to a model-sized
+// allocation.
 func NewChunkAssembler(header []byte) (*ChunkAssembler, error) {
-	layout, ckpt, _, err := ParseChunkHeader(header)
+	layout, ckpt, headerLen, err := ParseChunkHeader(header)
 	if err != nil {
 		return nil, err
 	}
+	for i := range ckpt.Weights {
+		ckpt.Weights[i].Data = make([]float64, layout.Tensors[i].Elems)
+	}
 	return &ChunkAssembler{
-		layout: layout, ckpt: ckpt,
+		layout: layout, ckpt: ckpt, headerLen: headerLen,
 		got: make([]bool, layout.NumChunks), remaining: layout.NumChunks,
 	}, nil
 }
@@ -850,15 +902,11 @@ func DecodeChunked(ctx context.Context, blob []byte, parallelism int) (*Checkpoi
 	if err != nil {
 		return nil, err
 	}
-	_, _, headerLen, err := ParseChunkHeader(blob)
-	if err != nil {
-		return nil, err
-	}
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	if parallelism <= 1 || asm.layout.NumChunks <= 1 {
-		err = splitRecords(asm.layout, blob, headerLen, func(rec []byte) error {
+		err = splitRecords(asm.layout, blob, asm.headerLen, func(rec []byte) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -890,7 +938,7 @@ func DecodeChunked(ctx context.Context, blob []byte, parallelism int) (*Checkpoi
 			}
 		}()
 	}
-	feedErr := splitRecords(asm.layout, blob, headerLen, func(rec []byte) error {
+	feedErr := splitRecords(asm.layout, blob, asm.headerLen, func(rec []byte) error {
 		select {
 		case recs <- rec:
 			return nil

@@ -170,25 +170,42 @@ func ParseManifest(b []byte) (*ChunkManifest, error) {
 // keeps every record). The returned records alias blob. elided is the
 // byte total of the records left out.
 func PlanDelta(blob []byte, have func(ChunkHash) bool) (manifest []byte, records [][]byte, hashes []ChunkHash, elided int64, err error) {
-	layout, _, headerLen, err := ParseChunkHeader(blob)
+	if hashes, err = ChunkHashesOf(blob); err != nil {
+		return nil, nil, nil, 0, err
+	}
+	manifest, records, elided, err = PlanDeltaHashed(blob, hashes, have)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	hashes = make([]ChunkHash, 0, layout.NumChunks)
+	return manifest, records, hashes, elided, nil
+}
+
+// PlanDeltaHashed is PlanDelta for a caller that already holds the
+// blob's record hashes in index order (ChunkEncoder.Hashes), so no
+// payload byte is hashed a second time. The hashes are trusted to be
+// this blob's; only their count is checked against the header.
+func PlanDeltaHashed(blob []byte, hashes []ChunkHash, have func(ChunkHash) bool) (manifest []byte, records [][]byte, elided int64, err error) {
+	layout, _, headerLen, err := ParseChunkHeader(blob)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if len(hashes) != layout.NumChunks {
+		return nil, nil, 0, fmt.Errorf("vformat: %d hashes supplied for %d chunks", len(hashes), layout.NumChunks)
+	}
+	i := 0
 	err = splitRecords(layout, blob, headerLen, func(rec []byte) error {
-		h := HashChunkRecord(rec)
-		hashes = append(hashes, h)
-		if have != nil && have(h) {
+		if have != nil && have(hashes[i]) {
 			elided += int64(len(rec))
 		} else {
 			records = append(records, rec)
 		}
+		i++
 		return nil
 	})
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, 0, err
 	}
-	return EncodeManifest(blob[:headerLen], hashes), records, hashes, elided, nil
+	return EncodeManifest(blob[:headerLen], hashes), records, elided, nil
 }
 
 // BuildManifestBlob assembles a manifest-bearing blob from a plain
@@ -197,9 +214,22 @@ func PlanDelta(blob []byte, have func(ChunkHash) bool) (manifest []byte, records
 // (a full, self-contained blob). It returns the blob, the per-chunk
 // hashes, the number of records carried, and the bytes elided.
 func BuildManifestBlob(blob []byte, have func(ChunkHash) bool) (delta []byte, hashes []ChunkHash, carried int, elided int64, err error) {
-	manifest, keep, hashes, elided, err := PlanDelta(blob, have)
+	if hashes, err = ChunkHashesOf(blob); err != nil {
+		return nil, nil, 0, 0, err
+	}
+	delta, carried, elided, err = BuildManifestBlobHashed(blob, hashes, have)
 	if err != nil {
 		return nil, nil, 0, 0, err
+	}
+	return delta, hashes, carried, elided, nil
+}
+
+// BuildManifestBlobHashed is BuildManifestBlob over hashes the caller
+// already holds (see PlanDeltaHashed).
+func BuildManifestBlobHashed(blob []byte, hashes []ChunkHash, have func(ChunkHash) bool) (delta []byte, carried int, elided int64, err error) {
+	manifest, keep, elided, err := PlanDeltaHashed(blob, hashes, have)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	size := len(manifest)
 	for _, rec := range keep {
@@ -210,7 +240,7 @@ func BuildManifestBlob(blob []byte, have func(ChunkHash) bool) (delta []byte, ha
 	for _, rec := range keep {
 		delta = append(delta, rec...)
 	}
-	return delta, hashes, len(keep), elided, nil
+	return delta, len(keep), elided, nil
 }
 
 // WalkChunkRecords walks the packed chunk records of a plain chunked
