@@ -93,6 +93,7 @@ func TestGoldenPairBalance(t *testing.T) {
 	runGolden(t, PairBalance, "testdata/src/pairbalance/pin", "viper/internal/relay")
 	runGolden(t, PairBalance, "testdata/src/pairbalance/credit", "viper/internal/core")
 	runGolden(t, PairBalance, "testdata/src/pairbalance/chunkref", "viper/internal/relay")
+	runGolden(t, PairBalance, "testdata/src/pairbalance/storewriter", "viper/internal/relay")
 }
 
 func TestGoldenCtxFlow(t *testing.T) {

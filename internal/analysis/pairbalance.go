@@ -17,7 +17,16 @@
 //     strands their refcounts above zero and the store never evicts
 //     the records (leak-on-supersede).
 //
-// All three rules ride the ownership engine in dataflow.go;
+//   - store write handle Begin/Commit|Abort (DESIGN §12): a
+//     chunkstore.Writer pins every entry it appended or deduplicated
+//     against until it finishes, so a handle dropped on an early return
+//     keeps its segments out of reclaim for the life of the process,
+//     and a handle finished twice hides a path that believed it still
+//     held pins. Parking the handle on a build (a building/version
+//     field or literal) hands the obligation to whoever drops the
+//     build.
+//
+// All four rules ride the ownership engine in dataflow.go;
 // selector-field receivers (c.link) are untracked by design — false
 // negatives over false positives.
 
@@ -81,12 +90,31 @@ var pairbalanceRules = []*ownRule{
 		useAfterMsg:      "chunk entry %s used after release: the store may already have evicted its record (DESIGN §11)",
 		unacquiredMsg:    "chunk entry %s released without a dominating retain: it was created in this function and never retained, so the refcount goes negative (DESIGN §11)",
 	},
+	{
+		key:  "storewriter",
+		what: "store write handle",
+		acquires: []callPattern{
+			{pkgPath: "viper/internal/chunkstore", typeName: "Store", funcName: "Begin", token: tokenResult},
+		},
+		releases: []callPattern{
+			{pkgPath: "viper/internal/chunkstore", typeName: "Writer", funcName: "Commit", token: tokenRecv},
+			{pkgPath: "viper/internal/chunkstore", typeName: "Writer", funcName: "Abort", token: tokenRecv},
+		},
+		scope: map[string]bool{
+			"viper/internal/relay":      true,
+			"viper/internal/chunkstore": true,
+		},
+		handleToken: true,
+		leakMsg:     "store write handle %s is neither committed, aborted nor parked on this return path: the entries it pinned are never reclaimed (DESIGN §12)",
+		doubleMsg:   "store write handle %s finished twice: the second Commit/Abort is dead code on a path that thinks it still holds pins (DESIGN §12)",
+		useAfterMsg: "store write handle %s used after Commit/Abort: it holds no pins and refuses further appends (DESIGN §12)",
+	},
 }
 
 // PairBalance flags unbalanced acquire/release protocol pairs.
 var PairBalance = &Analyzer{
 	Name: "pairbalance",
-	Doc:  "relay pin/unpin, credit Recv/Grant, and chunk retain/release pairs must balance on every path",
+	Doc:  "relay pin/unpin, credit Recv/Grant, chunk retain/release, and store write handle Begin/Commit|Abort pairs must balance on every path",
 	Run: func(pass *Pass) {
 		runOwnership(pass, pairbalanceRules)
 	},

@@ -65,7 +65,10 @@ func TestKillMidAppend(t *testing.T) {
 		t.Fatalf("PutBlob err = %v, want injected fault", err)
 	}
 	// The crashed store refuses further work.
-	if _, aerr := s.AppendChunk(blob1); !errors.Is(aerr, ErrFailed) {
+	w := s.Begin()
+	aerr := w.Append(vformat.HashChunkRecord(blob1), blob1)
+	w.Abort()
+	if !errors.Is(aerr, ErrFailed) {
 		t.Fatalf("post-crash append err = %v, want ErrFailed", aerr)
 	}
 	s.Close()

@@ -18,9 +18,12 @@
 // are compacted by copying live entries forward — a crash at any point
 // leaves either the old copy, a harmless duplicate, or both.
 //
-// Writers (AppendChunk/Commit/Put*/Retire/GC) must be a single
-// goroutine, matching the one-ingest-loop shape of every caller;
-// readers may be concurrent with each other and with the writer.
+// Writes go through a Writer handle (Begin → Append… → Commit or
+// Abort): every entry a handle appended or deduplicated against is
+// pinned against reclaim until the handle finishes, so any number of
+// handles — and Put*/Retire/GC calls — may interleave from any number
+// of goroutines. One handle belongs to one goroutine. Readers may be
+// concurrent with each other and with every writer.
 package chunkstore
 
 import (
@@ -58,6 +61,9 @@ var (
 	// ErrMissingChunk is returned when a commit references a hash the
 	// store does not hold.
 	ErrMissingChunk = errors.New("chunkstore: commit references unknown chunk")
+	// ErrWriterFinished is returned by Append and Commit on a Writer that
+	// already committed or aborted.
+	ErrWriterFinished = errors.New("chunkstore: write handle already finished")
 )
 
 // Retention bounds how much history a store keeps per model. Zero
@@ -555,7 +561,6 @@ func (s *Store) appendBodyLocked(kind byte, body []byte, op string) (*chunkLoc, 
 	seg.size += int64(len(buf))
 	seg.total += int64(len(body))
 	seg.dirty = true
-	seg.pinned = true
 	return loc, nil
 }
 
@@ -598,44 +603,107 @@ func (s *Store) syncSegmentsLocked() error {
 	return nil
 }
 
-// AppendChunk stores one v2 chunk record, deduplicating by content
-// hash. The record is durable (and referenced) only after a following
-// Commit.
-func (s *Store) AppendChunk(rec []byte) (vformat.ChunkHash, error) {
-	var zero vformat.ChunkHash
+// Writer is one version's write handle: Begin opens it, Append adds the
+// version's chunk records as they become available, and Commit binds
+// them to a model/version (or Abort gives up). Every entry the handle
+// appended or deduplicated against — a dead (refs == 0) entry in an old
+// segment included — is pinned: its segment is neither deleted nor
+// compacted until the handle finishes, whatever other handles commit
+// and reclaim in the meantime. An aborted (or abandoned) handle leaves
+// only dead bytes for the reclaimer, the state a crash between append
+// and commit leaves. A Writer is used by one goroutine; its fields are
+// guarded by the store's mutex.
+type Writer struct {
+	s *Store
+	// pins holds one element per Append: the segment whose pending
+	// count this handle raised.
+	pins []*segmentFile
+	done bool
+}
+
+// Begin opens a write handle. The caller must finish it with exactly
+// one Commit or Abort (see viper-vet's pairbalance storewriter rule).
+func (s *Store) Begin() *Writer { return &Writer{s: s} }
+
+// Append stores one v2 chunk record under its content hash h,
+// deduplicating against what the index already holds, and pins the
+// entry for this handle. h must be HashChunkRecord(rec): the caller has
+// just computed it from the same bytes in the same process, and the
+// store uses it only as the index key. A record that will be written is
+// checksum-verified first, so corrupt input never reaches disk. The
+// record is durable (and referenced) only after Commit.
+func (w *Writer) Append(h vformat.ChunkHash, rec []byte) error {
+	s := w.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if w.done {
+		return ErrWriterFinished
+	}
 	if err := s.usableLocked(); err != nil {
-		return zero, err
+		return err
 	}
-	if !vformat.VerifyChunkRecord(rec) {
-		return zero, fmt.Errorf("%w: refusing corrupt input record", ErrCorrupt)
-	}
-	h := vformat.HashChunkRecord(rec)
-	if _, ok := s.index[h]; ok {
+	loc, ok := s.index[h]
+	if ok {
 		s.st.DedupedChunks++
 		inst.deduped.Inc()
-		return h, nil
+	} else {
+		if !vformat.VerifyChunkRecord(rec) {
+			return fmt.Errorf("%w: refusing corrupt input record", ErrCorrupt)
+		}
+		var err error
+		if loc, err = s.appendBodyLocked(entryChunk, rec, "chunkstore/append"); err != nil {
+			return err
+		}
+		s.index[h] = loc
 	}
-	loc, err := s.appendBodyLocked(entryChunk, rec, "chunkstore/append")
-	if err != nil {
-		return zero, err
-	}
-	s.index[h] = loc
-	return h, nil
+	loc.seg.pins++
+	w.pins = append(w.pins, loc.seg)
+	return nil
 }
 
-// Commit durably binds model/version to an ordered chunk hash list
-// (all previously appended), fsyncing segments, then the commit
-// record. On return the version survives any crash. Retention is
-// enforced afterwards.
-func (s *Store) Commit(model string, version uint64, key string, header []byte, hashes []vformat.ChunkHash) error {
+// Commit durably binds model/version to an ordered chunk hash list,
+// fsyncing segments, then the commit record. On a nil return the
+// version survives any crash. The version's references are taken before
+// the handle's pins drop, and retention and reclaim run only after
+// that. Commit finishes the handle whether or not it succeeds.
+func (w *Writer) Commit(model string, version uint64, key string, header []byte, hashes []vformat.ChunkHash) error {
+	s := w.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.commitLocked(model, version, key, header, hashes, false)
+	if w.done {
+		return ErrWriterFinished
+	}
+	err := s.writeCommitLocked(model, version, key, header, hashes, false)
+	w.finishLocked()
+	if err != nil {
+		return err
+	}
+	return s.afterCommitLocked(model)
 }
 
-func (s *Store) commitLocked(model string, version uint64, key string, header []byte, hashes []vformat.ChunkHash, monolithic bool) error {
+// Abort finishes the handle without committing: its pins drop and what
+// it appended stays on disk as dead bytes until a later commit or GC
+// reclaims the segments. Abort after Commit (or a second Abort) is a
+// no-op.
+func (w *Writer) Abort() {
+	w.s.mu.Lock()
+	w.finishLocked()
+	w.s.mu.Unlock()
+}
+
+// finishLocked drops the handle's pins and marks it finished.
+func (w *Writer) finishLocked() {
+	for _, seg := range w.pins {
+		seg.pins--
+	}
+	w.pins = nil
+	w.done = true
+}
+
+// writeCommitLocked runs the two commit barriers — dirty segments, then
+// the commit record — and installs the version in the catalog, taking
+// its chunk references.
+func (s *Store) writeCommitLocked(model string, version uint64, key string, header []byte, hashes []vformat.ChunkHash, monolithic bool) error {
 	if err := s.usableLocked(); err != nil {
 		return err
 	}
@@ -673,9 +741,12 @@ func (s *Store) commitLocked(model string, version uint64, key string, header []
 	s.applyCommitLocked(model, vr)
 	s.st.Committed++
 	inst.committed.Inc()
-	for _, seg := range s.segs {
-		seg.pinned = false
-	}
+	return nil
+}
+
+// afterCommitLocked enforces model's retention policy and reclaims
+// whatever storage that (or an earlier abort) freed.
+func (s *Store) afterCommitLocked(model string) error {
 	if err := s.enforceRetentionLocked(model); err != nil {
 		return err
 	}
@@ -703,7 +774,10 @@ func (s *Store) PutMonolithic(model string, version uint64, key string, payload 
 		}
 		s.index[h] = loc
 	}
-	return s.commitLocked(model, version, key, nil, []vformat.ChunkHash{h}, true)
+	if err := s.writeCommitLocked(model, version, key, nil, []vformat.ChunkHash{h}, true); err != nil {
+		return err
+	}
+	return s.afterCommitLocked(model)
 }
 
 // PutBlob stores a published checkpoint blob under model/version,
@@ -712,47 +786,54 @@ func (s *Store) PutMonolithic(model string, version uint64, key string, payload 
 // carried records and resolves elided ones against chunks already on
 // disk, and anything else is stored monolithically.
 func (s *Store) PutBlob(model string, version uint64, key string, blob []byte) error {
+	var header []byte
+	var hashes []vformat.ChunkHash // a manifest's own list; nil for a plain chunked blob
+	var recs [][]byte
+	collect := func(rec []byte) error { recs = append(recs, rec); return nil }
 	switch {
 	case vformat.IsChunked(blob):
 		_, _, headerLen, err := vformat.ParseChunkHeader(blob)
 		if err != nil {
 			return fmt.Errorf("chunkstore: %w", err)
 		}
-		var hashes []vformat.ChunkHash
-		err = vformat.WalkChunkRecords(blob, func(rec []byte) error {
-			h, aerr := s.AppendChunk(rec)
-			if aerr != nil {
-				return aerr
-			}
-			hashes = append(hashes, h)
-			return nil
-		})
-		if err != nil {
+		header = blob[:headerLen]
+		if err := vformat.WalkChunkRecords(blob, collect); err != nil {
 			return err
 		}
-		return s.Commit(model, version, key, blob[:headerLen], hashes)
 	case vformat.IsManifest(blob):
 		man, err := vformat.ParseManifest(blob)
 		if err != nil {
 			return fmt.Errorf("chunkstore: %w", err)
 		}
-		err = vformat.SplitManifestRecords(blob, func(rec []byte) error {
-			_, aerr := s.AppendChunk(rec)
-			return aerr
-		})
-		if err != nil {
+		header, hashes = man.Header, man.Hashes
+		if err := vformat.SplitManifestRecords(blob, collect); err != nil {
 			return err
 		}
-		return s.Commit(model, version, key, man.Header, man.Hashes)
 	default:
 		return s.PutMonolithic(model, version, key, blob)
 	}
+	w := s.Begin()
+	carried := make([]vformat.ChunkHash, len(recs))
+	for i, rec := range recs {
+		carried[i] = vformat.HashChunkRecord(rec)
+		if err := w.Append(carried[i], rec); err != nil {
+			w.Abort()
+			return err
+		}
+	}
+	if !vformat.IsManifest(blob) {
+		// A plain chunked blob's hash list is its records', in order; a
+		// manifest's elided chunks resolve against the index at Commit.
+		hashes = carried
+	}
+	return w.Commit(model, version, key, header, hashes)
 }
 
 // Chunk returns a copy of the stored record for h, verifying its
-// checksum so a corrupt entry is never served. Every hit is by
-// definition a memory-cache miss at the caller and counts as a
-// fallthrough.
+// checksum so a corrupt entry is never served. The slice is freshly
+// allocated and the store keeps no reference to it: the caller owns it.
+// Every hit is by definition a memory-cache miss at the caller and
+// counts as a fallthrough.
 func (s *Store) Chunk(h vformat.ChunkHash) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -985,7 +1066,7 @@ func (s *Store) enforceRetentionLocked(model string) error {
 // leftover old copies as dead duplicates.
 func (s *Store) reclaimLocked() error {
 	for _, seg := range append([]*segmentFile(nil), s.segs...) {
-		if seg == s.active || seg.pinned {
+		if seg == s.active || seg.pins > 0 {
 			continue
 		}
 		switch {
@@ -1083,9 +1164,6 @@ func (s *Store) compactSegmentLocked(seg *segmentFile) error {
 	// The copies must be durable before the originals disappear.
 	if err := s.syncSegmentsLocked(); err != nil {
 		return err
-	}
-	for _, sg := range s.segs {
-		sg.pinned = false
 	}
 	return s.deleteSegmentLocked(seg)
 }

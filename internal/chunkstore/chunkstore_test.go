@@ -3,7 +3,6 @@ package chunkstore
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -462,45 +461,77 @@ func TestFailedStoreRefusesWrites(t *testing.T) {
 	}
 }
 
-// TestInterleavedCommitUnpinsPendingAppends documents why a caller with
-// multiple logical writers (the relay's per-connection ingest
-// goroutines) must serialize whole AppendChunk…Commit sequences behind
-// one lock: Commit clears the pinned flag on *every* segment, not just
-// the committing writer's, so a commit interleaved into another
-// writer's append-then-commit window unpins that writer's
-// not-yet-referenced chunks and the reclaim pass deletes them — the
-// interrupted writer's own Commit then fails with ErrMissingChunk. If
-// pin clearing ever becomes writer-scoped, this test will fail and
-// relay.persistVersion's storeMu serialization can be revisited.
-func TestInterleavedCommitUnpinsPendingAppends(t *testing.T) {
-	// 512-byte segments with 1 KiB chunks: every record rotates, so
-	// writer A's pending chunks sit in sealed (reclaimable) segments.
-	s := mustOpen(t, t.TempDir(), Options{SegmentBytes: 512})
-	defer s.Close()
-
-	// Writer A appends its chunks but has not committed yet.
-	blobA := testBlob(t, 30, 2048, 1)
-	_, _, headerLen, err := vformat.ParseChunkHeader(blobA)
+// appendBlob appends every record of a chunked blob through w and
+// returns the blob's header and ordered hash list, ready for Commit.
+func appendBlob(t *testing.T, w *Writer, blob []byte) (header []byte, hashes []vformat.ChunkHash) {
+	t.Helper()
+	_, _, headerLen, err := vformat.ParseChunkHeader(blob)
 	if err != nil {
 		t.Fatalf("ParseChunkHeader: %v", err)
 	}
-	var hashesA []vformat.ChunkHash
-	err = vformat.WalkChunkRecords(blobA, func(rec []byte) error {
-		h, aerr := s.AppendChunk(rec)
-		hashesA = append(hashesA, h)
-		return aerr
+	err = vformat.WalkChunkRecords(blob, func(rec []byte) error {
+		h := vformat.HashChunkRecord(rec)
+		hashes = append(hashes, h)
+		return w.Append(h, rec)
 	})
 	if err != nil {
-		t.Fatalf("AppendChunk: %v", err)
+		t.Fatalf("Append: %v", err)
+	}
+	return blob[:headerLen], hashes
+}
+
+// TestInterleavedCommitKeepsPendingAppends is the multi-writer contract:
+// pins are owned by the write handle, so a whole put (append, commit,
+// retention, reclaim) landing inside another handle's append window
+// leaves that handle's not-yet-referenced chunks alone. Before handles,
+// Commit cleared one store-wide pin flag and writer A's Commit below
+// failed with ErrMissingChunk — which is why the relay used to serialize
+// every store write behind a mutex.
+func TestInterleavedCommitKeepsPendingAppends(t *testing.T) {
+	// 512-byte segments with 1 KiB chunks: every record rotates, so
+	// writer A's pending chunks sit in sealed (reclaimable) segments.
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 512, Retention: Retention{MaxVersions: 1}}
+	s := mustOpen(t, dir, opts)
+
+	// Writer A appends its chunks but has not committed yet.
+	blobA := testBlob(t, 30, 2048, 1)
+	wa := s.Begin()
+	headerA, hashesA := appendBlob(t, wa, blobA)
+
+	// Writer B's whole puts land inside A's window; the second retires
+	// the first, so B's reclaim pass has dead segments to delete.
+	blobB := testBlob(t, 31, 2048, 2)
+	if err := s.PutBlob("b", 1, "kb1", testBlob(t, 32, 2048, 1)); err != nil {
+		t.Fatalf("PutBlob b v1: %v", err)
+	}
+	if err := s.PutBlob("b", 2, "kb2", blobB); err != nil {
+		t.Fatalf("PutBlob b v2: %v", err)
+	}
+	if st := s.Stats(); st.ReclaimedBytes == 0 {
+		t.Fatalf("B's reclaim pass never ran (stats %+v): the window is not exercised", st)
 	}
 
-	// Writer B's whole put lands inside A's window. Its commit clears
-	// A's segment pins and its reclaim removes A's refs==0 chunks.
-	if err := s.PutBlob("b", 1, "kb", testBlob(t, 31, 2048, 1)); err != nil {
-		t.Fatalf("PutBlob b: %v", err)
+	if err := wa.Commit("a", 1, "ka", headerA, hashesA); err != nil {
+		t.Fatalf("Commit after interleaved commits: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 
-	if err := s.Commit("a", 1, "ka", blobA[:headerLen], hashesA); !errors.Is(err, ErrMissingChunk) {
-		t.Fatalf("Commit after interleaved commit: err = %v, want ErrMissingChunk (pin clearing now writer-scoped?)", err)
+	s2 := mustOpen(t, dir, opts)
+	defer s2.Close()
+	for _, c := range []struct {
+		model   string
+		version uint64
+		want    []byte
+	}{{"a", 1, blobA}, {"b", 2, blobB}} {
+		got, err := s2.LoadVersion(c.model, c.version)
+		if err != nil {
+			t.Fatalf("LoadVersion %s v%d after reopen: %v", c.model, c.version, err)
+		}
+		if !bytes.Equal(got, c.want) {
+			t.Fatalf("%s v%d differs after reopen", c.model, c.version)
+		}
 	}
 }

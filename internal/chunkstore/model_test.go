@@ -1,0 +1,431 @@
+package chunkstore
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+
+	"viper/internal/faults"
+	"viper/internal/vformat"
+)
+
+// recordPool returns n distinct valid chunk records (each over 1 KiB, so
+// with 512-byte segments every record rotates into a segment of its own)
+// and their content hashes.
+func recordPool(t *testing.T, n int) (recs [][]byte, hashes []vformat.ChunkHash) {
+	t.Helper()
+	for seed := int64(500); len(recs) < n; seed++ {
+		err := vformat.WalkChunkRecords(testBlob(t, seed, 512, 1), func(rec []byte) error {
+			if len(recs) < n {
+				recs = append(recs, append([]byte(nil), rec...))
+				hashes = append(hashes, vformat.HashChunkRecord(rec))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return recs, hashes
+}
+
+// modelHandle is one open Writer in the model run and the version it is
+// building.
+type modelHandle struct {
+	w       *Writer
+	model   string
+	version uint64
+	plan    []int // record-pool indices, in order
+	done    int   // how many of plan are appended
+}
+
+// modelRun drives one store through a seeded random schedule of
+// interleaved write handles, retires, GCs and injected crashes, checking
+// it against an in-memory reference after every catalog change.
+type modelRun struct {
+	t      *testing.T
+	rng    *rand.Rand
+	dir    string
+	opts   Options
+	s      *Store
+	recs   [][]byte
+	hashes []vformat.ChunkHash
+
+	ref     map[string]map[uint64][]byte // committed versions → expected LoadVersion bytes
+	nextVer map[string]uint64
+	open    []*modelHandle
+	crashes int
+}
+
+const modelKeep = 3 // Retention.MaxVersions in the model run
+
+func (m *modelRun) reopen() {
+	m.opts.Injector = faults.New(faults.Config{Seed: m.rng.Int63(), FailRate: 0.03, SkipFirst: 3})
+	m.s = mustOpen(m.t, m.dir, m.opts)
+}
+
+// want builds the bytes LoadVersion must return for a version made of
+// the given pool records.
+func (m *modelRun) want(header []byte, plan []int) []byte {
+	out := append([]byte(nil), header...)
+	for _, i := range plan {
+		out = append(out, m.recs[i]...)
+	}
+	return out
+}
+
+// victims lists the versions of model that retention retires when it
+// keeps the newest modelKeep of the reference's versions plus extra
+// (0 = none).
+func (m *modelRun) victims(model string, extra uint64) []uint64 {
+	var vs []uint64
+	if extra != 0 {
+		vs = append(vs, extra)
+	}
+	for v := range m.ref[model] {
+		vs = append(vs, v)
+	}
+	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	if len(vs) <= modelKeep {
+		return nil
+	}
+	return vs[:len(vs)-modelKeep]
+}
+
+// retain applies the retention policy to the reference.
+func (m *modelRun) retain(model string) {
+	for _, v := range m.victims(model, 0) {
+		delete(m.ref[model], v)
+	}
+}
+
+// versionKey names one committed version.
+type versionKey struct {
+	model   string
+	version uint64
+}
+
+// committed lists the reference's versions in a fixed order, so a
+// seeded pick reproduces.
+func (m *modelRun) committed() []versionKey {
+	var out []versionKey
+	for model, versions := range m.ref {
+		for v := range versions {
+			out = append(out, versionKey{model, v})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].model != out[j].model {
+			return out[i].model < out[j].model
+		}
+		return out[i].version < out[j].version
+	})
+	return out
+}
+
+// check compares every version the store holds with the reference, both
+// ways.
+func (m *modelRun) check(when string) {
+	m.t.Helper()
+	for model, versions := range m.ref {
+		for v, want := range versions {
+			got, err := m.s.LoadVersion(model, v)
+			if err != nil {
+				m.t.Fatalf("%s: LoadVersion %s v%d: %v", when, model, v, err)
+			}
+			if !bytes.Equal(got, want) {
+				m.t.Fatalf("%s: %s v%d differs from the reference", when, model, v)
+			}
+		}
+	}
+	for _, model := range m.s.Models() {
+		for _, v := range m.s.Versions(model) {
+			if _, ok := m.ref[model][v]; !ok {
+				m.t.Fatalf("%s: store holds %s v%d, the reference does not", when, model, v)
+			}
+		}
+	}
+	if st := m.s.Stats(); st.CorruptChunks != 0 {
+		m.t.Fatalf("%s: CorruptChunks = %d", when, st.CorruptChunks)
+	}
+}
+
+// crash handles an injected fault: the store died mid-op. Every open
+// handle is abandoned, the directory is reopened, and the reference
+// adopts whichever side of the interrupted op the disk landed on —
+// maybeAdded (a commit whose record may or may not have become durable)
+// and maybeGone (versions the op may or may not have retired) are the
+// only differences allowed.
+func (m *modelRun) crash(err error, maybeAdded *modelHandle, maybeGone map[string][]uint64) {
+	m.t.Helper()
+	if !errors.Is(err, faults.ErrInjected) {
+		m.t.Fatalf("store op failed without an injected fault: %v", err)
+	}
+	m.crashes++
+	m.open = nil
+	m.s.Close()
+	m.reopen()
+	if h := maybeAdded; h != nil {
+		if _, ok := m.s.Meta(h.model, h.version); ok {
+			m.commitRef(h)
+		}
+	}
+	for model, vs := range maybeGone {
+		for _, v := range vs {
+			if _, ok := m.s.Meta(model, v); !ok {
+				delete(m.ref[model], v)
+			}
+		}
+	}
+	m.check("after crash recovery")
+}
+
+func (m *modelRun) commitRef(h *modelHandle) {
+	if m.ref[h.model] == nil {
+		m.ref[h.model] = make(map[uint64][]byte)
+	}
+	m.ref[h.model][h.version] = m.want(m.header(h), h.plan[:h.done])
+}
+
+func (m *modelRun) header(h *modelHandle) []byte {
+	return []byte(fmt.Sprintf("header %s v%d", h.model, h.version))
+}
+
+func (m *modelRun) drop(h *modelHandle) {
+	for i, o := range m.open {
+		if o == h {
+			m.open = append(m.open[:i], m.open[i+1:]...)
+			return
+		}
+	}
+}
+
+func (m *modelRun) step() {
+	switch op := m.rng.Intn(10); {
+	case op < 2 && len(m.open) < 4: // Begin
+		model := []string{"a", "b"}[m.rng.Intn(2)]
+		m.nextVer[model]++
+		h := &modelHandle{w: m.s.Begin(), model: model, version: m.nextVer[model]}
+		for n := 1 + m.rng.Intn(4); n > 0; n-- {
+			// A small pool, so handles keep deduping against each
+			// other's pending entries and against retired versions'.
+			h.plan = append(h.plan, m.rng.Intn(len(m.recs)))
+		}
+		m.open = append(m.open, h)
+	case op < 6 && len(m.open) > 0: // Append
+		h := m.open[m.rng.Intn(len(m.open))]
+		if h.done == len(h.plan) {
+			return
+		}
+		i := h.plan[h.done]
+		if err := h.w.Append(m.hashes[i], m.recs[i]); err != nil {
+			m.crash(err, nil, nil)
+			return
+		}
+		h.done++
+	case op < 8 && len(m.open) > 0: // Commit (whatever prefix is appended)
+		h := m.open[m.rng.Intn(len(m.open))]
+		if h.done == 0 {
+			return
+		}
+		m.drop(h)
+		hashes := make([]vformat.ChunkHash, h.done)
+		for j, i := range h.plan[:h.done] {
+			hashes[j] = m.hashes[i]
+		}
+		// Never ErrMissingChunk: every hash was appended through this
+		// handle, so it is pinned whatever the other handles did — crash
+		// accepts an injected fault only.
+		if err := h.w.Commit(h.model, h.version, "k", m.header(h), hashes); err != nil {
+			m.crash(err, h, map[string][]uint64{h.model: m.victims(h.model, h.version)})
+			return
+		}
+		m.commitRef(h)
+		m.retain(h.model)
+		m.check("after commit")
+	case op == 8 && len(m.open) > 0: // Abort
+		h := m.open[m.rng.Intn(len(m.open))]
+		m.drop(h)
+		h.w.Abort()
+	default: // Retire or GC
+		if c := m.committed(); len(c) > 0 && m.rng.Intn(2) == 0 {
+			pick := c[m.rng.Intn(len(c))]
+			if err := m.s.Retire(pick.model, pick.version); err != nil {
+				m.crash(err, nil, map[string][]uint64{pick.model: {pick.version}})
+				return
+			}
+			delete(m.ref[pick.model], pick.version)
+			m.check("after retire")
+			return
+		}
+		if err := m.s.GC(); err != nil {
+			gone := make(map[string][]uint64)
+			for model := range m.ref {
+				gone[model] = m.victims(model, 0)
+			}
+			m.crash(err, nil, gone)
+			return
+		}
+		for model := range m.ref {
+			m.retain(model)
+		}
+		m.check("after GC")
+	}
+}
+
+// TestWriterModel is the model check of the write handles: N handles
+// doing random Begin/Append/Commit/Abort interleaved with Retire, GC and
+// retention, every record in a segment of its own (so every pending
+// entry sits in a sealed, reclaimable segment), the store killed at
+// random fault taps and reopened. Every committed version must equal
+// the in-memory reference at every step, no Commit may miss a chunk its
+// handle appended — including one it only deduplicated against, dead or
+// alive — and once every handle has finished, the bytes of aborted and
+// abandoned handles must all have been reclaimed.
+func TestWriterModel(t *testing.T) {
+	recs, hashes := recordPool(t, 10)
+	totalCrashes := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		m := &modelRun{
+			t: t, rng: rand.New(rand.NewSource(seed)), dir: t.TempDir(),
+			opts:   Options{SegmentBytes: 512, Retention: Retention{MaxVersions: modelKeep}},
+			recs:   recs,
+			hashes: hashes,
+			ref:    make(map[string]map[uint64][]byte), nextVer: make(map[string]uint64),
+		}
+		m.reopen()
+		for i := 0; i < 400; i++ {
+			m.step()
+		}
+		for _, h := range m.open {
+			h.w.Abort()
+		}
+		totalCrashes += m.crashes
+
+		// With every handle finished, one fault-free put seals the last
+		// segment and a GC reclaims: nothing dead may be left behind.
+		m.s.Close()
+		m.opts.Injector = nil
+		m.s = mustOpen(t, m.dir, m.opts)
+		m.check("final reopen")
+		sentinel := testBlob(t, 900+seed, 256, 1)
+		if err := m.s.PutBlob("sentinel", 1, "k", sentinel); err != nil {
+			t.Fatalf("seed %d: sentinel put: %v", seed, err)
+		}
+		m.ref["sentinel"] = map[uint64][]byte{1: sentinel}
+		if err := m.s.GC(); err != nil {
+			t.Fatalf("seed %d: final GC: %v", seed, err)
+		}
+		for model := range m.ref {
+			m.retain(model)
+		}
+		m.check("end")
+		if st := m.s.Stats(); st.DeadBytes != 0 {
+			t.Fatalf("seed %d: %d dead bytes survive after every handle finished (stats %+v)", seed, st.DeadBytes, st)
+		}
+		m.s.Close()
+	}
+	if totalCrashes == 0 {
+		t.Fatal("no fault tap ever fired: the kill points were not exercised")
+	}
+}
+
+// TestWriterPinsDedupedDeadEntry: a handle that only deduplicated
+// against an entry — here one no version references and whose appender
+// has aborted — keeps it on disk until it finishes, and the entry is
+// reclaimed once nobody pins it.
+func TestWriterPinsDedupedDeadEntry(t *testing.T) {
+	recs, hashes := recordPool(t, 2)
+	s := mustOpen(t, t.TempDir(), Options{SegmentBytes: 512, Retention: Retention{MaxVersions: 1}})
+	defer s.Close()
+
+	w1, w2 := s.Begin(), s.Begin()
+	if err := w1.Append(hashes[0], recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.Append(hashes[0], recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.DedupedChunks != 1 {
+		t.Fatalf("DedupedChunks = %d, want w2's append to dedupe against w1's pending entry", st.DedupedChunks)
+	}
+	w1.Abort()
+
+	// Other writers commit, retire and reclaim; the entry's segment is
+	// sealed, holds nothing live, and only w2's pin protects it.
+	for v := uint64(1); v <= 2; v++ {
+		if err := s.PutBlob("other", v, "k", testBlob(t, 700+int64(v), 256, v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.Contains(hashes[0]) {
+		t.Fatal("entry reclaimed while a handle that deduplicated against it was still open")
+	}
+	if err := w2.Commit("m", 1, "k", []byte("hdr"), hashes[:1]); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	if got, err := s.LoadVersion("m", 1); err != nil || !bytes.Equal(got, append([]byte("hdr"), recs[0]...)) {
+		t.Fatalf("LoadVersion after commit (err=%v)", err)
+	}
+
+	// An aborted handle's bytes go once their segment seals and the next
+	// reclaim pass runs.
+	w3 := s.Begin()
+	if err := w3.Append(hashes[1], recs[1]); err != nil {
+		t.Fatal(err)
+	}
+	w3.Abort()
+	if err := w3.Append(hashes[1], recs[1]); !errors.Is(err, ErrWriterFinished) {
+		t.Fatalf("Append on a finished handle: err = %v, want ErrWriterFinished", err)
+	}
+	if err := s.PutBlob("other", 3, "k", testBlob(t, 710, 256, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if s.Contains(hashes[1]) {
+		t.Fatal("aborted handle's entry survived a reclaim pass after its segment sealed")
+	}
+}
+
+// TestConcurrentWriters drives whole puts from several goroutines at
+// once (run under -race): each keeps one version, so every commit
+// retires, reclaims and compacts around the other writers' pending
+// appends.
+func TestConcurrentWriters(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 512, Retention: Retention{MaxVersions: 1}}
+	s := mustOpen(t, dir, opts)
+	const writers, versions = 4, 12
+	last := make([][]byte, writers)
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			model := fmt.Sprintf("m%d", g)
+			for v := uint64(1); v <= versions; v++ {
+				blob := testBlob(t, int64(1000*g)+int64(v), 512, v)
+				if err := s.PutBlob(model, v, "k", blob); err != nil {
+					t.Errorf("%s v%d: %v", model, v, err)
+					return
+				}
+				last[g] = blob
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir, opts)
+	defer s2.Close()
+	for g := 0; g < writers; g++ {
+		got, err := s2.LoadVersion(fmt.Sprintf("m%d", g), versions)
+		if err != nil || !bytes.Equal(got, last[g]) {
+			t.Fatalf("m%d v%d after reopen (err=%v)", g, versions, err)
+		}
+	}
+}

@@ -140,10 +140,12 @@ type segmentFile struct {
 	live int64
 	// dirty marks bytes written since the last fsync.
 	dirty bool
-	// pinned marks appends since the last commit: the entries may
-	// belong to a version still being assembled, so GC must not touch
-	// the file until the next commit seals them.
-	pinned bool
+	// pins counts the entries in the file that an unfinished Writer
+	// appended or deduplicated against: they may belong to a version
+	// still being assembled (possibly with no committed reference yet),
+	// so reclaim must not delete or compact the file until every such
+	// handle has committed or aborted.
+	pins int
 }
 
 // segName renders a segment file name for an id.

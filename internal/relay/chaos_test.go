@@ -2,6 +2,7 @@ package relay
 
 import (
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,10 +11,11 @@ import (
 	"viper/internal/remote"
 )
 
-// converge drains c.Next until it installs target, failing the test if
-// the deadline passes first. Every installed checkpoint must be
-// byte-identical to what the producer published.
-func converge(t *testing.T, c *remote.Consumer, published map[uint64]nn.Snapshot, target uint64, deadline time.Duration) {
+// converge drains c.Next until it installs target, reporting an error
+// if the deadline passes first. Every installed checkpoint must be
+// byte-identical to what the producer published. It reports through
+// t.Errorf and its result, so it may run off the test goroutine.
+func converge(t *testing.T, c *remote.Consumer, published map[uint64]nn.Snapshot, target uint64, deadline time.Duration) bool {
 	t.Helper()
 	stop := time.Now().Add(deadline)
 	var last uint64
@@ -21,19 +23,23 @@ func converge(t *testing.T, c *remote.Consumer, published map[uint64]nn.Snapshot
 		ckpt, err := c.Next(2 * time.Second)
 		if err != nil {
 			if time.Now().After(stop) {
-				t.Fatalf("stuck at v%d: %v (stats %+v)", last, err, c.Stats())
+				t.Errorf("stuck at v%d: %v (stats %+v)", last, err, c.Stats())
+				return false
 			}
 			continue
 		}
 		want, ok := published[ckpt.Version]
 		if !ok {
-			t.Fatalf("installed never-published v%d", ckpt.Version)
+			t.Errorf("installed never-published v%d", ckpt.Version)
+			return false
 		}
 		if !snapshotsEqual(ckpt.Weights, want) {
-			t.Fatalf("v%d corrupted in flight", ckpt.Version)
+			t.Errorf("v%d corrupted in flight", ckpt.Version)
+			return false
 		}
 		last = ckpt.Version
 	}
+	return true
 }
 
 // TestChaosRelayKillMidFanout kills the relay while versions are still
@@ -104,12 +110,22 @@ func TestChaosRelayKillMidFanout(t *testing.T) {
 	if ps := prod.Stats(); ps.LinkFailures == 0 {
 		t.Fatalf("relay kill never surfaced as a link failure: %+v", ps)
 	}
+	// The consumers converge side by side: each pays LinkWait per version
+	// it backfills, and none of them waits on another.
+	var wg sync.WaitGroup
 	for i, c := range consumers {
-		converge(t, c, published, 15, 90*time.Second)
-		if st := c.Stats(); st.StagedLoads == 0 {
-			t.Fatalf("consumer %d converged without touching staging after relay death: %+v", i, st)
-		}
+		wg.Add(1)
+		go func(i int, c *remote.Consumer) {
+			defer wg.Done()
+			if !converge(t, c, published, 15, 90*time.Second) {
+				return
+			}
+			if st := c.Stats(); st.StagedLoads == 0 {
+				t.Errorf("consumer %d converged without touching staging after relay death: %+v", i, st)
+			}
+		}(i, c)
 	}
+	wg.Wait()
 }
 
 // TestChaosRelayPipelineFaults injects >=10% connection failures and
@@ -179,7 +195,9 @@ func TestChaosRelayPipelineFaults(t *testing.T) {
 	}
 
 	for _, c := range consumers {
-		converge(t, c, published, versions, 90*time.Second)
+		if !converge(t, c, published, versions, 90*time.Second) {
+			t.FailNow()
+		}
 	}
 
 	injected := ingestInj.Stats().Failures + serveInj.Stats().Failures +

@@ -382,6 +382,11 @@ type building struct {
 	covered  []bool
 	missing  map[vformat.ChunkHash]int // uncovered positions by hash (delta)
 	needSent bool
+	// w is the build's store write handle: records are appended as they
+	// arrive, so commit is only the barrier. Nil without a store, and
+	// after the first failed append (the version then serves from memory
+	// only). The build owns it: whoever drops the build aborts it.
+	w *chunkstore.Writer
 }
 
 // tokenBucket is one model's ingest admission state (guarded by
@@ -408,15 +413,6 @@ type Relay struct {
 	wg     sync.WaitGroup
 	closed chan struct{}
 	once   sync.Once
-
-	// storeMu serializes store writes. The chunkstore requires a single
-	// writer goroutine, but persistVersion runs on per-producer ingest
-	// goroutines: with two producers pushing concurrently, writer B's
-	// Commit would clear the segment pins protecting writer A's
-	// appended-but-uncommitted chunks and GC could reclaim them, failing
-	// A's Commit with ErrMissingChunk. Held without r.mu (persistVersion
-	// runs before the catalog insert), so lock order is never an issue.
-	storeMu sync.Mutex
 
 	mu         sync.Mutex
 	models     map[string]*modelCache
@@ -591,33 +587,49 @@ func (r *Relay) versionFromStoreLocked(m chunkstore.VersionMeta) *version {
 	return v
 }
 
-// persistVersion writes a freshly committed version through to the
-// attached store: every chunk record first, then the commit record
-// that makes the version durable (the store's fsync barriers order the
-// two). Persistence failure degrades to memory-only caching — the
-// version still serves, it just will not survive a restart.
-func (r *Relay) persistVersion(v *version) {
+// beginStore opens b's store write handle. There is none without a
+// store, nor for a version with no chunks (persistVersion writes that
+// one whole).
+func (r *Relay) beginStore(b *building) {
+	if r.store != nil && len(b.v.hashes) > 0 {
+		b.w = r.store.Begin()
+	}
+}
+
+// storeAppend writes one of b's records through to the store while the
+// rest of the stream is still arriving. The first failure aborts the
+// handle and counts one StoreError; later records skip the store and
+// the version commits to memory only.
+func (r *Relay) storeAppend(b *building, h vformat.ChunkHash, rec []byte) {
+	if b.w == nil {
+		return
+	}
+	if err := b.w.Append(h, rec); err != nil {
+		b.w.Abort()
+		b.w = nil
+		r.bump(func(s *Stats) { s.StoreErrors++ })
+	}
+}
+
+// persistVersion makes a completed version durable: a chunked version's
+// records were appended as they arrived, so only the commit barrier is
+// left (segment fsync, commit record, log fsync); a monolithic version
+// is written whole. Persistence failure degrades to memory-only caching
+// — the version still serves, it just will not survive a restart. w is
+// nil for a monolithic version and for a build whose appends already
+// failed (and were counted).
+func (r *Relay) persistVersion(v *version, w *chunkstore.Writer) {
 	if r.store == nil {
 		return
 	}
-	// One producer connection persists at a time: the store's
-	// append-then-commit sequence is not safe under concurrent writers
-	// (see storeMu).
-	r.storeMu.Lock()
-	defer r.storeMu.Unlock()
 	var err error
-	if len(v.hashes) > 0 {
-		for _, e := range v.held {
-			if _, aerr := r.store.AppendChunk(e.payload); aerr != nil {
-				err = aerr
-				break
-			}
-		}
-		if err == nil {
-			err = r.store.Commit(v.model, v.vnum, v.key, v.frames[0].Payload, v.hashes)
-		}
-	} else {
+	switch {
+	case len(v.hashes) == 0:
 		err = r.store.PutMonolithic(v.model, v.vnum, v.key, v.frames[0].Payload)
+	case w == nil:
+		return
+	default:
+		err = w.Commit(v.model, v.vnum, v.key, v.frames[0].Payload, v.hashes)
 	}
 	if err != nil {
 		r.bump(func(s *Stats) { s.StoreErrors++ })
@@ -761,16 +773,17 @@ func (r *Relay) releaseChunk(e *chunkEntry) {
 	}
 }
 
-// internChunkLocked interns one verified chunk record into the
-// content-addressed store and takes a reference on the caller's behalf
-// (the caller parks the returned entry in its version's held list). An
-// already-resident record costs no new storage and is counted as
-// deduped against v. Callers hold r.mu.
-func (r *Relay) internChunkLocked(rec []byte, v *version) *chunkEntry {
-	h := vformat.HashChunkRecord(rec)
+// internChunkLocked interns one verified chunk record under its content
+// hash h and takes a reference on the caller's behalf (the caller parks
+// the returned entry in its version's held list). The store takes
+// ownership of rec — callers pass a slice nobody else holds
+// (TCPLink.Recv payloads, chunkstore.Store.Chunk results) and compute h
+// outside the lock. An already-resident record costs no new storage and
+// is counted as deduped against v. Callers hold r.mu.
+func (r *Relay) internChunkLocked(h vformat.ChunkHash, rec []byte, v *version) *chunkEntry {
 	e := r.chunks[h]
 	if e == nil {
-		e = &chunkEntry{hash: h, payload: append([]byte(nil), rec...)}
+		e = &chunkEntry{hash: h, payload: rec}
 		r.chunks[h] = e
 		r.cacheBytes += int64(len(e.payload))
 	} else {
@@ -894,35 +907,62 @@ func (r *Relay) acceptIngest() {
 	}
 }
 
-// handleIngest drains one producer connection, assembling version
-// streams frame by frame and committing them to the cache as they
-// complete. Partial streams die with the connection (the producer's
-// staging fallback covers the loss).
+// ingestDepth is how many received frames may wait between an ingest
+// connection's reader and its handler: enough for the socket read of the
+// next few frames to overlap the verify/hash/intern/append of this one
+// (8 frames = 2 MiB at the default 256 KiB chunk size), small enough
+// that a slow handler still closes the producer's TCP window.
+const ingestDepth = 8
+
+// readIngest is the first ingest stage: it pulls frames off the link
+// (socket read, allocation, frame CRC) and queues them for handleIngest.
+// It exits — closing frames — when the link fails or the relay closes.
+func (r *Relay) readIngest(link *transport.TCPLink, frames chan<- transport.Frame) {
+	defer r.wg.Done()
+	defer close(frames)
+	for {
+		f, err := link.Recv()
+		if err != nil {
+			return
+		}
+		select {
+		case frames <- f:
+		case <-r.closed:
+			return
+		}
+	}
+}
+
+// handleIngest is the second ingest stage of one producer connection: it
+// assembles version streams frame by frame — verify, hash, intern, store
+// append — and commits them to the cache as they complete. All
+// per-connection state lives on this goroutine. Partial streams die with
+// the connection (the producer's staging fallback covers the loss).
 func (r *Relay) handleIngest(link *transport.TCPLink) {
 	defer r.wg.Done()
+	frames := make(chan transport.Frame, ingestDepth)
+	r.wg.Add(1)
+	go r.readIngest(link, frames)
 	pending := make(map[string]*building)
 	// rejected maps model → frame key of a version the rate limiter
 	// refused at its header, so the stream's trailing chunks are dropped
 	// silently instead of counting as strays.
 	rejected := make(map[string]string)
 	defer func() {
+		// Closing the link fails the reader's Recv; draining frames frees
+		// it if it was parked on a full queue, and ends when it has exited.
 		link.Close()
+		for range frames {
+		}
+		for _, b := range pending {
+			r.releaseBuild(b)
+		}
 		r.mu.Lock()
 		delete(r.ingests, link)
 		r.stats.AbandonedBuilds += int64(len(pending))
-		for _, b := range pending {
-			for _, e := range b.v.held {
-				r.releaseChunk(e)
-			}
-			b.v.held = nil
-		}
 		r.mu.Unlock()
 	}()
-	for {
-		f, err := link.Recv()
-		if err != nil {
-			return
-		}
+	for f := range frames {
 		r.bump(func(s *Stats) { s.IngestFrames++ })
 		switch f.Key {
 		case InventoryKey:
@@ -982,10 +1022,12 @@ func (r *Relay) handleFrame(link *transport.TCPLink, f transport.Frame, pending 
 			reconcile: f.Meta[transport.MetaReconcile] == "1",
 		}
 		if want == 0 {
-			r.commit(link, v)
+			r.commit(link, v, nil)
 			return
 		}
-		pending[model] = &building{v: v, want: want, left: want, covered: make([]bool, want)}
+		b := &building{v: v, want: want, left: want, covered: make([]bool, want)}
+		r.beginStore(b)
+		pending[model] = b
 	case transport.IsChunkFrame(f):
 		if rejected[model] == f.Key {
 			return
@@ -1018,17 +1060,20 @@ func (r *Relay) handleFrame(link *transport.TCPLink, f transport.Frame, pending 
 			bytes:  int64(len(f.Payload)), resident: int64(len(f.Payload)),
 			crcOK: true,
 		}
-		r.commit(link, v)
+		r.commit(link, v, nil)
 	}
 }
 
 // startDeltaBuild opens a build from a manifest frame: the version's
 // hash list comes from the manifest, positions whose chunks are already
-// resident are prefilled from the store, and only the rest wait on
-// record frames. A manifest that prefills completely commits on the
-// spot; one whose sender will push nothing (want == 0) but that still
-// has gaps — the producer planned against a have-list the relay has
-// since evicted — asks for the gaps immediately.
+// resident are prefilled from the cache (or read through from the
+// store), and only the rest wait on record frames. Prefilled records go
+// to the build's store handle like received ones — dedupe hits there,
+// which pin the entries until the version commits. A manifest that
+// prefills completely commits on the spot; one whose sender will push
+// nothing (want == 0) but that still has gaps — the producer planned
+// against a have-list the relay has since evicted — asks for the gaps
+// immediately.
 func (r *Relay) startDeltaBuild(link *transport.TCPLink, f transport.Frame, model string, vnum uint64, want int, pending map[string]*building) {
 	man, err := vformat.ParseManifest(f.Payload)
 	if err != nil {
@@ -1066,6 +1111,10 @@ func (r *Relay) startDeltaBuild(link *transport.TCPLink, f transport.Frame, mode
 		}
 	}
 	r.mu.Unlock()
+	r.beginStore(b)
+	for _, e := range v.held {
+		r.storeAppend(b, e.hash, e.payload)
+	}
 	if r.store != nil && b.left > 0 {
 		// Advertised-but-demoted chunks read through from the store, so a
 		// delta push right after a restart (or against a demoted shell)
@@ -1076,16 +1125,17 @@ func (r *Relay) startDeltaBuild(link *transport.TCPLink, f transport.Frame, mode
 				continue
 			}
 			r.mu.Lock()
-			e := r.internChunkLocked(rec, v)
+			e := r.internChunkLocked(h, rec, v)
 			v.held = append(v.held, e)
 			r.mu.Unlock()
+			r.storeAppend(b, h, rec)
 			delete(b.missing, h)
 			b.covered[i] = true
 			b.left--
 		}
 	}
 	if b.left == 0 {
-		r.commit(link, v)
+		r.commit(link, v, b.w)
 		return
 	}
 	pending[model] = b
@@ -1094,15 +1144,18 @@ func (r *Relay) startDeltaBuild(link *transport.TCPLink, f transport.Frame, mode
 	}
 }
 
-// addRecord folds one verified chunk record into its build, interning
-// the bytes into the content-addressed store, and commits the version
-// once every position is covered. On a delta build that received every
-// announced record and still has gaps, the missing hashes are requested
-// from the producer (the relay evicted them after advertising).
+// addRecord folds one verified chunk record into its build — hashing it
+// once, outside the catalog lock, interning the bytes into the
+// content-addressed store and appending them to the durable one — and
+// commits the version once every position is covered. On a delta build
+// that received every announced record and still has gaps, the missing
+// hashes are requested from the producer (the relay evicted them after
+// advertising).
 func (r *Relay) addRecord(link *transport.TCPLink, f transport.Frame, b *building, pending map[string]*building) {
+	var h vformat.ChunkHash
 	pos := -1
 	if b.v.delta {
-		h := vformat.HashChunkRecord(f.Payload)
+		h = vformat.HashChunkRecord(f.Payload)
 		p, ok := b.missing[h]
 		if !ok {
 			// A record the manifest does not miss (duplicate or stale):
@@ -1120,18 +1173,20 @@ func (r *Relay) addRecord(link *transport.TCPLink, f transport.Frame, b *buildin
 			r.bump(func(s *Stats) { s.StrayFrames++ })
 			return
 		}
+		h = vformat.HashChunkRecord(f.Payload)
 	}
 	b.got++
 	b.covered[pos] = true
 	b.left--
 	r.mu.Lock()
-	e := r.internChunkLocked(f.Payload, b.v)
+	e := r.internChunkLocked(h, f.Payload, b.v)
 	b.v.held = append(b.v.held, e)
-	b.v.hashes[pos] = e.hash
+	b.v.hashes[pos] = h
 	r.mu.Unlock()
+	r.storeAppend(b, h, f.Payload)
 	if b.left == 0 {
 		delete(pending, b.v.model)
-		r.commit(link, b.v)
+		r.commit(link, b.v, b.w)
 		return
 	}
 	r.maybeNeed(link, b)
@@ -1159,7 +1214,8 @@ func (r *Relay) sendNeedList(link *transport.TCPLink, b *building) {
 }
 
 // releaseBuild returns an abandoned build's chunk references to the
-// store.
+// cache and aborts its store handle: what it appended stays on disk as
+// dead bytes for the store's reclaimer.
 func (r *Relay) releaseBuild(b *building) {
 	r.mu.Lock()
 	for _, e := range b.v.held {
@@ -1167,6 +1223,10 @@ func (r *Relay) releaseBuild(b *building) {
 	}
 	b.v.held = nil
 	r.mu.Unlock()
+	if b.w != nil {
+		b.w.Abort()
+		b.w = nil
+	}
 }
 
 // recordIndex reads the chunk index embedded in an encoded record (-1
@@ -1182,8 +1242,9 @@ func recordIndex(rec []byte) int {
 // consumer session, advertises the version's chunk hashes upstream (so
 // the producer can push the next version as a delta), and — when the
 // version is the model's newest — records relay-served metadata and
-// republishes the update channel.
-func (r *Relay) commit(link *transport.TCPLink, v *version) {
+// republishes the update channel. w is the build's store handle (nil
+// for a monolithic version or after a failed append); commit finishes it.
+func (r *Relay) commit(link *transport.TCPLink, v *version, w *chunkstore.Writer) {
 	if len(v.hashes) > 0 || v.chunks > 0 {
 		// A chunked version's logical size is the header plus every
 		// record; only the header (plus the derived manifest) is charged
@@ -1198,8 +1259,19 @@ func (r *Relay) commit(link *transport.TCPLink, v *version) {
 	v.meta = r.metaFor(v)
 	// Persist before the catalog insert: once consumers can discover the
 	// version its durability status is already settled, and the store's
-	// own retention has run so the delegation below sees fresh state.
-	r.persistVersion(v)
+	// own retention has run so the delegation below sees fresh state. The
+	// store's version set is snapshotted here, not under r.mu: the call
+	// can wait behind another connection's fsync, and every serve session
+	// needs the catalog lock. A version retired in the gap is released at
+	// the next commit.
+	r.persistVersion(v, w)
+	var storeHas map[uint64]bool
+	if r.store != nil {
+		storeHas = make(map[uint64]bool)
+		for _, vn := range r.store.Versions(v.model) {
+			storeHas[vn] = true
+		}
+	}
 	r.mu.Lock()
 	mc := r.models[v.model]
 	if mc == nil {
@@ -1227,10 +1299,6 @@ func (r *Relay) commit(link *transport.TCPLink, v *version) {
 		// fully resident window. Older versions the store still holds are
 		// demoted to disk-backed shells (and keep serving); versions the
 		// store's own retention retired leave the catalog entirely.
-		storeHas := make(map[uint64]bool)
-		for _, vn := range r.store.Versions(v.model) {
-			storeHas[vn] = true
-		}
 		lo := len(mc.versions) - r.retained
 		if lo < 0 {
 			lo = 0

@@ -3,6 +3,7 @@ package relay
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -364,17 +365,33 @@ func TestMonolithicRestartReload(t *testing.T) {
 	}
 }
 
-// TestConcurrentProducersPersist: persistVersion runs on per-connection
-// ingest goroutines, so two producers pushing at once are two
-// concurrent store writers. The chunkstore's writer contract is
-// single-goroutine — without the relay's storeMu serialization, writer
-// B's Commit clears the segment pins protecting writer A's
-// appended-but-uncommitted chunks, GC reclaims them, and A's Commit
+// TestConcurrentProducersPersist: every ingest connection streams its
+// version into the store through a write handle of its own, so two
+// producers pushing at once are two concurrent store writers with no
+// relay-level serialization. Each handle pins what it appended, so
+// writer B's commit (retention, reclaim, compaction) cannot delete
+// writer A's appended-but-uncommitted chunks — without that, A's Commit
 // fails with ErrMissingChunk: a StoreErrors tick and a cached version
 // that is silently not durable. The producer link sheds frames under
 // backpressure, so not every publish reaches the relay — the invariant
 // is that every version the relay *commits* also persists.
 func TestConcurrentProducersPersist(t *testing.T) {
+	concurrentProducersPersist(t, []int64{100, 200})
+}
+
+// TestConcurrentProducersPersistOverlapping has both producers publish
+// the same weights under different model names, so their records are
+// the same chunks: each handle's appends dedupe against the other's
+// pending or committed entries, and retention on one model keeps
+// killing entries the other model's open handle has only pinned.
+func TestConcurrentProducersPersistOverlapping(t *testing.T) {
+	concurrentProducersPersist(t, []int64{100, 100})
+}
+
+// concurrentProducersPersist runs one producer per seed, concurrently,
+// against one store-backed relay; producer i publishes testModel(seed+v)
+// as model i's version v.
+func concurrentProducersPersist(t *testing.T, seeds []int64) {
 	metaAddr, notifyAddr := testServices(t)
 	r := New2(t, Config{
 		IngestAddr: "127.0.0.1:0", ServeAddr: "127.0.0.1:0",
@@ -390,9 +407,8 @@ func TestConcurrentProducersPersist(t *testing.T) {
 	})
 
 	const versions = 40
-	models := []string{"ma", "mb"}
-	errs := make(chan error, len(models))
-	for i, model := range models {
+	errs := make(chan error, len(seeds))
+	for i, seed := range seeds {
 		go func(seed int64, model string) {
 			prod, err := remote.NewProducer(remote.ProducerConfig{
 				Model: model, MetaAddr: metaAddr, NotifyAddr: notifyAddr,
@@ -413,19 +429,22 @@ func TestConcurrentProducersPersist(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 			errs <- nil
-		}(int64(100*(i+1)), model)
+		}(seed, fmt.Sprintf("m%d", i))
 	}
-	for range models {
+	for range seeds {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Producers are closed; wait for the ingest pipeline to drain.
+	// Producers are closed; wait for the ingest pipeline to drain. A
+	// commit counts its store write before its catalog insert, so a
+	// snapshot with more stored than cached versions is mid-commit, not
+	// drained.
 	var st Stats
 	waitFor(t, 20*time.Second, func() bool {
 		prev := st
 		st = r.Stats()
-		return st.CachedVersions > int64(len(models)) && st == prev
+		return st.CachedVersions > int64(len(seeds)) && st == prev && st.StoredVersions <= st.CachedVersions
 	}, "ingest pipeline drained")
 	if st.StoreErrors != 0 || st.StoredVersions != st.CachedVersions {
 		t.Fatalf("concurrent persists lost durability: StoredVersions=%d CachedVersions=%d StoreErrors=%d (stats %+v)",

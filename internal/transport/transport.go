@@ -832,7 +832,9 @@ func frameChecksum(key string, payload []byte) uint32 {
 
 const maxFrameField = 8 << 30
 
-// Recv implements Conn.
+// Recv implements Conn. The returned frame's Payload is freshly
+// allocated per call and the link keeps no reference to it: the
+// receiver owns the bytes (the relay interns them without a copy).
 func (t *TCPLink) Recv() (Frame, error) {
 	t.readMu.Lock()
 	defer t.readMu.Unlock()
