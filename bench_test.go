@@ -189,37 +189,6 @@ func BenchmarkAblationNotify(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDelta measures incremental-checkpoint payload ratios
-// across suppression thresholds.
-func BenchmarkAblationDelta(b *testing.B) {
-	var res *experiments.DeltaAblationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunDeltaAblation(20, nil, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.PayloadRatio, "ratio_eps_"+trimExp(row.Eps))
-	}
-}
-
-func trimExp(eps float64) string {
-	switch {
-	case eps == 0:
-		return "0"
-	case eps >= 1e-2:
-		return "1e-2"
-	case eps >= 1e-3:
-		return "1e-3"
-	case eps >= 1e-4:
-		return "1e-4"
-	default:
-		return "1e-5"
-	}
-}
-
 // BenchmarkAblationQuant measures update latency and serving accuracy
 // across wire precisions.
 func BenchmarkAblationQuant(b *testing.B) {

@@ -17,11 +17,12 @@ if [ -n "$unformatted" ]; then
 fi
 
 echo "==> viper-vet ./..."
-# The full analyzer suite must be registered: a refactor that silently
-# drops an analyzer from All() would otherwise pass this gate forever.
-analyzer_count=$(go run ./cmd/viper-vet -list | wc -l)
-if [ "$analyzer_count" -ne 16 ]; then
-    echo "ci.sh: viper-vet registers $analyzer_count analyzers, expected 16" >&2
+# The registered analyzers must be exactly the checked-in list: a
+# refactor that silently drops one from All() would otherwise pass this
+# gate forever, and retiring one on purpose is a reviewed one-line diff
+# to cmd/viper-vet/analyzers.txt.
+if ! go run ./cmd/viper-vet -list | awk '{ print $1 }' | diff -u cmd/viper-vet/analyzers.txt -; then
+    echo "ci.sh: viper-vet -list does not match cmd/viper-vet/analyzers.txt" >&2
     exit 1
 fi
 go run ./cmd/viper-vet ./...
@@ -51,8 +52,17 @@ go test -race -count=1 \
 echo "==> alloc budget gate (-count=1, no -race)"
 go test -count=1 -run AllocBudget ./internal/remote/
 
+# ISSUE 15: the dispatcher every staged or stored blob reaches is fuzzed
+# on every run — no panic, no allocation out of proportion to the input,
+# only structurally sound checkpoints. The seed corpus (three formats,
+# their truncations and the regression inputs under testdata/fuzz) runs
+# as part of the plain test pass above; this adds ten seconds of
+# mutation on top. A failing input lands in testdata/fuzz for the fix.
+echo "==> fuzz DecodeAuto (10s)"
+go test -run '^$' -fuzz FuzzDecodeAuto -fuzztime 10s ./internal/vformat
+
 # PR 7's visibility smoke, hardened in PR 8 into a hard gate: one timed
-# pass of the full 16-analyzer suite (and the dataflow subset) over the
+# pass of the full analyzer suite (and the dataflow subset) over the
 # repository. The dataflow analyzers run a per-function fixpoint and the
 # PR 8 summary layer adds a bottom-up pass over the module call graph,
 # so a pathological slowdown should fail CI as a number, not surface as
@@ -200,13 +210,14 @@ fi
 # PR 6's gates. First: the metrics layer must be ~free on the per-frame
 # hot path. Link.Send batches its instrument flushes precisely so that
 # metrics-on stays within noise of metrics-off; the hard floor rejects a
-# >5% regression. Comparing the MINIMUM across 10 runs (not the mean)
-# filters scheduler noise on a loaded runner — the minimum is the run
-# with the least interference, which is the cost being gated. The runs
-# are INTERLEAVED (one On + one Off per invocation of a prebuilt test
-# binary) rather than `-count 10`: with -count every On run executes
-# before every Off run, so minutes of machine-load drift between the
-# two blocks shows up as phantom overhead (or phantom wins).
+# >5% regression. The runs are INTERLEAVED (one On + one Off per
+# invocation of a prebuilt test binary) rather than `-count 10`: with
+# -count every On run executes before every Off run, so minutes of
+# machine-load drift between the two blocks shows up as phantom overhead
+# (or phantom wins). The gated figure is the MEDIAN of the ten
+# per-invocation on/off ratios: drift cancels inside a pair, which it
+# does not between two independent minima (that form read 0.97–1.14 on
+# an unchanged tree). The minima are still recorded.
 echo "==> metrics overhead bench (Link.Send on vs off, 10 interleaved runs)"
 bench6_bin=$(mktemp)
 go test -c -o "$bench6_bin" ./internal/transport/
@@ -222,7 +233,12 @@ echo "$bench6_out"
 
 on_ns=$(echo "$bench6_out" | awk '$1 ~ /LinkSendMetricsOn/ { if (!m || $3 < m) m = $3 } END { print m }')
 off_ns=$(echo "$bench6_out" | awk '$1 ~ /LinkSendMetricsOff/ { if (!m || $3 < m) m = $3 } END { print m }')
-if [ -z "$on_ns" ] || [ -z "$off_ns" ]; then
+send_overhead=$(echo "$bench6_out" | awk '
+    $1 ~ /LinkSendMetricsOn/ { on[++i] = $3 }
+    $1 ~ /LinkSendMetricsOff/ { off[++j] = $3 }
+    END { if (i && i == j) for (k = 1; k <= i; k++) printf "%.4f\n", on[k] / off[k] }' |
+    sort -n | awk '{ v[NR] = $1 } END { if (NR) print (v[int((NR + 1) / 2)] + v[int(NR / 2) + 1]) / 2 }')
+if [ -z "$on_ns" ] || [ -z "$off_ns" ] || [ -z "$send_overhead" ]; then
     echo "ci.sh: missing Link.Send metrics benchmark results" >&2
     exit 1
 fi
@@ -252,16 +268,16 @@ fi
     echo "{"
     echo "  \"send_metrics_on_ns\": $on_ns,"
     echo "  \"send_metrics_off_ns\": $off_ns,"
-    awk "BEGIN { printf \"  \\\"send_metrics_overhead\\\": %.3f,\\n\", $on_ns / $off_ns }"
+    echo "  \"send_metrics_overhead\": $send_overhead,"
     echo "  \"slowconsumer\":"
     sed 's/^/  /' BENCH_6.json
     echo "}"
 } > BENCH_6.json.tmp && mv BENCH_6.json.tmp BENCH_6.json
-echo "wrote BENCH_6.json (Send on ${on_ns}ns / off ${off_ns}ns, credit torn ${credit_torn}, converged ${converged})"
+echo "wrote BENCH_6.json (Send on/off median ratio ${send_overhead}, minima ${on_ns}ns / ${off_ns}ns, credit torn ${credit_torn}, converged ${converged})"
 
-if ! awk "BEGIN { exit !($on_ns <= $off_ns * 1.05) }"; then
+if ! awk "BEGIN { exit !($send_overhead <= 1.05) }"; then
     echo "ci.sh: metrics-enabled Link.Send regressed >5% vs metrics-off" >&2
-    echo "       (on ${on_ns}ns/op, off ${off_ns}ns/op)" >&2
+    echo "       (median of per-invocation on/off ratios ${send_overhead}; minima on ${on_ns}ns/op, off ${off_ns}ns/op)" >&2
     exit 1
 fi
 if [ "$credit_torn" != "0" ]; then
@@ -322,9 +338,12 @@ fi
 # budget — 2 s is ~50x the measured replay cost, so the bound rejects
 # accidental O(history²) recovery without flaking on a loaded runner.
 # Late joiner: a consumer served from demoted disk shells after a relay
-# restart must install within 25% of one served from the resident cache
-# (measured ratio is ~1.0 — the TCP transfer dominates; minima across
-# trials filter dial jitter). Chaos: with ≥10% of store writes failing
+# restart must install within 10 ms of one served from the resident
+# cache — the read-through cost itself (disk_ns - cache_ns, minima across
+# trials; measured -4..+7 ms on the 8 MiB model). It was a ratio
+# (disk/cache <= 1.25) until ISSUE 13 halved the denominator and the
+# unchanged numerator started failing it: an unrelated speed-up of the
+# shared path must not fail the gate on what read-through adds. Chaos: with ≥10% of store writes failing
 # mid-append/mid-commit/mid-GC, every post-crash reopen must serve zero
 # corrupt chunks — exact, not a threshold — and every surviving version
 # must reload byte-identically (the experiment errors out otherwise).
@@ -333,23 +352,24 @@ go run ./cmd/viper-bench -exp storerecovery -json > BENCH_8.json
 go run ./cmd/viper-bench -exp storerecovery
 
 recovery_ns=$(awk -F': *|,' '/"recovery_ns"/ { print $2; exit }' BENCH_8.json)
-disk_over_cache=$(awk -F': *|,' '/"disk_over_cache"/ { print $2; exit }' BENCH_8.json)
+cache_ns=$(awk -F': *|,' '/"cache_ns"/ { print $2; exit }' BENCH_8.json)
+disk_ns=$(awk -F': *|,' '/"disk_ns"/ { print $2; exit }' BENCH_8.json)
 store_identical=$(awk -F': *|,' '/"identical"/ { print $2; exit }' BENCH_8.json)
 store_faults=$(awk -F': *|,' '/"faults_injected"/ { print $2; exit }' BENCH_8.json)
 store_corrupt=$(awk -F': *|,' '/"corrupt_chunks"/ { print $2; exit }' BENCH_8.json)
-if [ -z "$recovery_ns" ] || [ -z "$disk_over_cache" ] || [ -z "$store_identical" ] \
+if [ -z "$recovery_ns" ] || [ -z "$cache_ns" ] || [ -z "$disk_ns" ] || [ -z "$store_identical" ] \
     || [ -z "$store_faults" ] || [ -z "$store_corrupt" ]; then
     echo "ci.sh: BENCH_8.json missing store-recovery gate fields" >&2
     exit 1
 fi
-echo "wrote BENCH_8.json (recovery ${recovery_ns}ns, disk/cache ${disk_over_cache}, faults ${store_faults}, corrupt ${store_corrupt})"
+echo "wrote BENCH_8.json (recovery ${recovery_ns}ns, cache ${cache_ns}ns, disk ${disk_ns}ns, faults ${store_faults}, corrupt ${store_corrupt})"
 
 if ! awk "BEGIN { exit !($recovery_ns <= 2000000000) }"; then
     echo "ci.sh: 64-version warm-restart recovery took ${recovery_ns}ns; budget is 2s" >&2
     exit 1
 fi
-if ! awk "BEGIN { exit !($disk_over_cache <= 1.25) }"; then
-    echo "ci.sh: disk-served late-joiner install is ${disk_over_cache}x the cache-served install; gate is 1.25x" >&2
+if ! awk "BEGIN { exit !($disk_ns - $cache_ns <= 10000000) }"; then
+    echo "ci.sh: disk-served late-joiner install (${disk_ns}ns) costs more than 10ms over the cache-served install (${cache_ns}ns)" >&2
     exit 1
 fi
 if [ "$store_identical" != "true" ]; then

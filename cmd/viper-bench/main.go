@@ -183,15 +183,6 @@ func runAblations(quick bool) error {
 		return err
 	}
 	fmt.Println(notify.Format())
-	interval := 50
-	if quick {
-		interval = 15
-	}
-	delta, err := experiments.RunDeltaAblation(interval, nil, 2)
-	if err != nil {
-		return err
-	}
-	fmt.Println(delta.Format())
 	quant, err := experiments.RunQuantAblation(3)
 	if err != nil {
 		return err

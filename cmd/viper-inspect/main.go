@@ -1,8 +1,8 @@
 // Command viper-inspect dumps the contents of a serialized Viper
-// checkpoint file in any of the reproduction's wire formats: the lean
-// vformat, quantized (vquant), delta (vdelta), chunked v2 (vchunk),
-// manifest-bearing chunk-reconciliation blobs (vrecon), or the h5lite
-// baseline container. It auto-detects the format from the file's magic.
+// checkpoint file: chunked v2 (vchunk), its manifest-bearing
+// chunk-reconciliation form (vrecon), or one of the simulator's
+// reference baselines — the lean v1 vformat and the h5lite container.
+// It auto-detects the format from the file's magic.
 //
 // Usage:
 //
@@ -109,9 +109,6 @@ type jsonSummary struct {
 	ChunkElems int    `json:"chunk_elems,omitempty"`
 	TotalElems int64  `json:"total_elems,omitempty"`
 	NumChunks  int    `json:"num_chunks,omitempty"`
-	// Delta fields (format "vdelta" only).
-	BaseVersion uint64 `json:"base_version,omitempty"`
-	Changed     int    `json:"changed_elements,omitempty"`
 	// Reconciliation fields (format "vrecon" only): how many chunk
 	// records the blob carries vs. elides as deduplicated against a
 	// previously published version.
@@ -164,25 +161,10 @@ func inspect(blob []byte, stats, jsonOut bool) error {
 			fmt.Printf("format:    vformat (lean full checkpoint)\n")
 		}
 		e.checkpoint(ckpt, jsonSummary{Format: "vformat"})
-	case "VPRQ0001":
-		ckpt, prec, err := vformat.DecodeQuantized(blob)
-		if err != nil {
-			return err
-		}
-		if !e.json {
-			fmt.Printf("format:    vquant (wire precision %s)\n", prec)
-		}
-		e.checkpoint(ckpt, jsonSummary{Format: "vquant", Precision: prec.String()})
 	case "VPRC0002":
 		return e.chunked(blob)
 	case "VPRM0001":
 		return e.manifest(blob)
-	case "VPRD0001":
-		delta, err := vformat.DecodeDelta(blob)
-		if err != nil {
-			return err
-		}
-		return e.delta(delta)
 	case "H5LT0001":
 		f, err := h5lite.Decode(blob)
 		if err != nil {
@@ -244,9 +226,6 @@ func inspectRelay(addr string, jsonOut bool) error {
 			status = "CORRUPT"
 		}
 		chunks := fmt.Sprintf("%d chunks", v.Chunks)
-		if v.Chunks == 0 {
-			chunks = "monolithic"
-		}
 		extra := ""
 		if v.Deduped > 0 {
 			extra = fmt.Sprintf("  %d deduped", v.Deduped)
@@ -278,15 +257,14 @@ type jsonStore struct {
 // jsonStoreVersion is one committed-version NDJSON line of a -store
 // dump.
 type jsonStoreVersion struct {
-	Kind       string   `json:"kind"` // "store-version"
-	Model      string   `json:"model"`
-	Version    uint64   `json:"version"`
-	Key        string   `json:"key"`
-	Chunks     int      `json:"chunks"`
-	Bytes      int64    `json:"bytes"`
-	Monolithic bool     `json:"monolithic,omitempty"`
-	SavedAt    string   `json:"saved_at,omitempty"`
-	Hashes     []string `json:"hashes,omitempty"`
+	Kind    string   `json:"kind"` // "store-version"
+	Model   string   `json:"model"`
+	Version uint64   `json:"version"`
+	Key     string   `json:"key"`
+	Chunks  int      `json:"chunks"`
+	Bytes   int64    `json:"bytes"`
+	SavedAt string   `json:"saved_at,omitempty"`
+	Hashes  []string `json:"hashes,omitempty"`
 }
 
 // inspectStore opens a durable chunk-store directory (running its
@@ -317,18 +295,15 @@ func inspectStore(dir string, jsonOut bool) error {
 					continue
 				}
 				hashes := make([]string, 0, len(meta.Hashes))
-				if !meta.Monolithic {
-					for _, h := range meta.Hashes {
-						hashes = append(hashes, h.String())
-					}
+				for _, h := range meta.Hashes {
+					hashes = append(hashes, h.String())
 				}
 				enc.Encode(jsonStoreVersion{
 					Kind: "store-version", Model: meta.Model,
 					Version: meta.Version, Key: meta.Key,
 					Chunks: len(hashes), Bytes: meta.Bytes,
-					Monolithic: meta.Monolithic,
-					SavedAt:    meta.SavedAt.UTC().Format("2006-01-02T15:04:05Z"),
-					Hashes:     hashes,
+					SavedAt: meta.SavedAt.UTC().Format("2006-01-02T15:04:05Z"),
+					Hashes:  hashes,
 				})
 			}
 		}
@@ -348,12 +323,8 @@ func inspectStore(dir string, jsonOut bool) error {
 			if !ok {
 				continue
 			}
-			chunks := fmt.Sprintf("%d chunks", len(meta.Hashes))
-			if meta.Monolithic {
-				chunks = "monolithic"
-			}
 			fmt.Printf("  %s v%-6d %-14s %10d bytes  %s  (%s)\n",
-				m, v, chunks, meta.Bytes,
+				m, v, fmt.Sprintf("%d chunks", len(meta.Hashes)), meta.Bytes,
 				meta.SavedAt.UTC().Format("2006-01-02T15:04:05Z"), meta.Key)
 		}
 	}
@@ -477,42 +448,6 @@ func (e *emitter) manifest(blob []byte) error {
 			origin = "deduped"
 		}
 		fmt.Printf("  chunk %-4d hash %s  %s\n", i, h, origin)
-	}
-	return nil
-}
-
-func (e *emitter) delta(delta *vformat.DeltaCheckpoint) error {
-	if e.json {
-		e.enc.Encode(jsonSummary{
-			Kind: "checkpoint", Format: "vdelta",
-			Model: delta.ModelName, Version: delta.Version,
-			Iteration: delta.Iteration, Loss: delta.TrainLoss,
-			Tensors: len(delta.Deltas), BaseVersion: delta.BaseVersion,
-			Changed: delta.ChangedElements(),
-		})
-		for _, td := range delta.Deltas {
-			n := len(td.Indices)
-			if td.Dense != nil {
-				n = len(td.Dense)
-			}
-			e.enc.Encode(jsonTensor{Kind: "tensor", Name: td.Name, Elements: n})
-		}
-		return nil
-	}
-	fmt.Printf("format:    vdelta (incremental checkpoint)\n")
-	fmt.Printf("model:     %s\n", delta.ModelName)
-	fmt.Printf("version:   %d (applies to v%d)\n", delta.Version, delta.BaseVersion)
-	fmt.Printf("iteration: %d\n", delta.Iteration)
-	fmt.Printf("loss:      %g\n", delta.TrainLoss)
-	fmt.Printf("tensors:   %d, changed elements: %d\n", len(delta.Deltas), delta.ChangedElements())
-	if e.stats {
-		for _, td := range delta.Deltas {
-			if td.Dense != nil {
-				fmt.Printf("  %-32s dense replacement of %d elements\n", td.Name, len(td.Dense))
-			} else {
-				fmt.Printf("  %-32s sparse update of %d elements\n", td.Name, len(td.Indices))
-			}
-		}
 	}
 	return nil
 }

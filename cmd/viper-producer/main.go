@@ -42,7 +42,7 @@ func main() {
 	warmup := flag.Int("warmup", 2, "warm-up epochs before adaptive checkpointing")
 	seed := flag.Int64("seed", 1, "training seed")
 	chunk := flag.Int("chunk", vformat.DefaultChunkBytes,
-		"chunk size in bytes for the streamed wire format (0 = legacy monolithic frames)")
+		"chunk size in bytes for the streamed wire format (0 = the default)")
 	deltaEps := flag.Float64("delta-eps", 1e-6,
 		"base-suppression threshold for chunk-level delta publishing: elements that move less re-encode their previous wire value so unchanged chunks dedup (0 = exact-match dedup only)")
 	flag.Parse()

@@ -43,13 +43,10 @@ func main() {
 	net := models.TC1(rng, 32)
 	task := &train.ClassificationTask{Net: net, Data: trainSet, Eval: testSet, Opt: nn.NewSGD(0.005, 0.5)}
 
-	// Deliberately on the deprecated config shim: this example doubles as
-	// the migration reference for pre-options callers.
-	producer, err := viper.NewProducerFromConfig(env, viper.ProducerConfig{
-		Model:       "tc1",
-		Strategy:    viper.Strategy{Route: viper.RouteGPU, Mode: viper.ModeAsync},
-		VirtualSize: 47 << 30 / 10,
-	})
+	producer, err := viper.NewProducer(env, "tc1",
+		viper.WithStrategy(viper.Strategy{Route: viper.RouteGPU, Mode: viper.ModeAsync}),
+		viper.WithVirtualSize(47<<30/10),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,7 @@ type pipelineFixture struct {
 	trainer  *train.Trainer
 }
 
-func newPipeline(t *testing.T, cfg ProducerConfig) *pipelineFixture {
+func newPipeline(t *testing.T, opts ...Option) *pipelineFixture {
 	t.Helper()
 	data, err := dataset.SynthesizeClassification(dataset.ClassificationConfig{
 		Samples: 96, Length: 32, Classes: models.NT3Classes, Noise: 0.4, Seed: 1,
@@ -39,13 +39,11 @@ func newPipeline(t *testing.T, cfg ProducerConfig) *pipelineFixture {
 	rng := rand.New(rand.NewSource(2))
 	net := models.NT3(rng, 32)
 	serving := models.NT3(rand.New(rand.NewSource(3)), 32)
-	// The deprecated config shim is exercised on purpose: these fixtures
-	// double as back-compat coverage for pre-options callers.
-	producer, err := NewProducerFromConfig(env, cfg)
+	producer, err := NewProducer(env, "nt3", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	consumer, err := NewConsumer(env, cfg.Model, WithServing(serving))
+	consumer, err := NewConsumer(env, "nt3", WithServing(serving))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +90,7 @@ func (p *pipelineFixture) runAndServe(t *testing.T, sched Schedule, epochs int) 
 }
 
 func TestPipelineFixedScheduleEndToEnd(t *testing.T) {
-	p := newPipeline(t, ProducerConfig{
-		Model:    "nt3",
-		Strategy: Strategy{Route: RouteGPU, Mode: ModeAsync},
-	})
+	p := newPipeline(t, WithStrategy(Strategy{Route: RouteGPU, Mode: ModeAsync}))
 	applied := p.runAndServe(t, NewFixedSchedule(6, 0), 6)
 	if applied == 0 {
 		t.Fatal("no updates reached the consumer")
@@ -107,12 +102,10 @@ func TestPipelineFixedScheduleEndToEnd(t *testing.T) {
 }
 
 func TestPipelineIncrementalEndToEnd(t *testing.T) {
-	p := newPipeline(t, ProducerConfig{
-		Model:       "nt3",
-		Strategy:    Strategy{Route: RouteGPU, Mode: ModeSync},
-		Incremental: true,
-		FullEvery:   5,
-	})
+	// Small chunks, so the NT3 stand-in spans many and a version between
+	// full refreshes really ships as a manifest plus the changed chunks.
+	p := newPipeline(t, WithStrategy(Strategy{Route: RouteGPU, Mode: ModeSync}),
+		WithIncremental(0, 5), WithChunkSize(1<<10))
 	applied := p.runAndServe(t, NewFixedSchedule(4, 0), 6)
 	if applied < 3 {
 		t.Fatalf("applied %d updates, want several (ordered delta chain)", applied)
@@ -142,11 +135,8 @@ func TestPipelineIncrementalEndToEnd(t *testing.T) {
 }
 
 func TestPipelineQuantizedEndToEnd(t *testing.T) {
-	p := newPipeline(t, ProducerConfig{
-		Model:     "nt3",
-		Strategy:  Strategy{Route: RouteHost, Mode: ModeAsync},
-		Precision: PrecFloat16,
-	})
+	p := newPipeline(t, WithStrategy(Strategy{Route: RouteHost, Mode: ModeAsync}),
+		WithPrecision(PrecFloat16))
 	applied := p.runAndServe(t, NewFixedSchedule(8, 0), 6)
 	if applied == 0 {
 		t.Fatal("no updates applied")
@@ -159,12 +149,9 @@ func TestPipelineQuantizedEndToEnd(t *testing.T) {
 }
 
 func TestPipelineMultiConsumer(t *testing.T) {
-	p := newPipeline(t, ProducerConfig{
-		Model:    "nt3",
-		Strategy: Strategy{Route: RouteGPU, Mode: ModeSync},
-	})
+	p := newPipeline(t, WithStrategy(Strategy{Route: RouteGPU, Mode: ModeSync}))
 	extraServing := models.NT3(rand.New(rand.NewSource(9)), 32)
-	extra, err := NewExtraConsumer(p.env, "nt3", extraServing)
+	extra, err := NewConsumer(p.env, "nt3", WithExtra(), WithServing(extraServing))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +190,7 @@ func TestPipelineMultiConsumer(t *testing.T) {
 func TestPipelinePlanThenExecute(t *testing.T) {
 	// The paper's full loop: warm-up, fit, plan with Algorithm 2, then
 	// fine-tune on the planned schedule.
-	p := newPipeline(t, ProducerConfig{
-		Model:    "nt3",
-		Strategy: Strategy{Route: RouteGPU, Mode: ModeAsync},
-	})
+	p := newPipeline(t, WithStrategy(Strategy{Route: RouteGPU, Mode: ModeAsync}))
 	rec := &train.LossRecorder{}
 	p.trainer.Callbacks = []train.Callback{rec}
 	if _, err := p.trainer.Run(2); err != nil {

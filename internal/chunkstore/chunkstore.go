@@ -64,6 +64,10 @@ var (
 	// ErrWriterFinished is returned by Append and Commit on a Writer that
 	// already committed or aborted.
 	ErrWriterFinished = errors.New("chunkstore: write handle already finished")
+	// ErrNotChunked is returned by PutBlob for a blob that is neither a
+	// chunked (v2) nor a manifest-bearing checkpoint: every stored body is
+	// a self-verifying chunk record.
+	ErrNotChunked = errors.New("chunkstore: blob is neither chunked nor manifest-bearing")
 )
 
 // Retention bounds how much history a store keeps per model. Zero
@@ -104,14 +108,10 @@ type VersionMeta struct {
 	// Key is the transport frame key the version was published under,
 	// preserved so a relay can rehydrate serving state verbatim.
 	Key string
-	// Header is the v2 stream header for chunked versions (nil for
-	// monolithic ones).
+	// Header is the v2 stream header.
 	Header []byte
-	// Hashes is the ordered chunk hash list (one synthetic hash for
-	// monolithic versions).
+	// Hashes is the ordered chunk hash list.
 	Hashes []vformat.ChunkHash
-	// Monolithic marks a version stored as one opaque payload.
-	Monolithic bool
 	// Bytes is the reassembled payload size.
 	Bytes int64
 	// SavedAt is the commit time.
@@ -178,7 +178,6 @@ type chunkLoc struct {
 	seg  *segmentFile
 	off  int64
 	size int
-	kind byte
 	// refs counts retained versions referencing the entry. A dead
 	// entry (refs == 0) stays indexed — and resurrectable by a later
 	// commit — until its segment is reclaimed.
@@ -187,13 +186,12 @@ type chunkLoc struct {
 
 // versionRec is one retained version in the in-memory catalog.
 type versionRec struct {
-	version    uint64
-	key        string
-	monolithic bool
-	savedAt    time.Time
-	bytes      int64
-	header     []byte
-	hashes     []vformat.ChunkHash
+	version uint64
+	key     string
+	savedAt time.Time
+	bytes   int64
+	header  []byte
+	hashes  []vformat.ChunkHash
 }
 
 // Store is a durable content-addressed chunk store rooted at one
@@ -320,15 +318,18 @@ func (s *Store) recoverSegment(id uint64) error {
 		return nil
 	}
 	valid, err := scanEntries(f, size, func(kind byte, bodyOff int64, body []byte) error {
-		if kind != entryChunk && kind != entryBlob {
+		switch {
+		case kind == entryBlob:
+			// Reserved kind: an older store's opaque payload. Dead weight
+			// for the reclaimer, never indexed — and never a reason to
+			// truncate the valid chunk entries behind it.
+		case kind != entryChunk || !vformat.VerifyChunkRecord(body):
 			return errors.New("stop") // wrong file type entry: treat as torn
-		}
-		if kind == entryChunk && !vformat.VerifyChunkRecord(body) {
-			return errors.New("stop")
-		}
-		h := vformat.HashChunkRecord(body)
-		if _, dup := s.index[h]; !dup {
-			s.index[h] = &chunkLoc{seg: seg, off: bodyOff, size: len(body), kind: kind}
+		default:
+			h := vformat.HashChunkRecord(body)
+			if _, dup := s.index[h]; !dup {
+				s.index[h] = &chunkLoc{seg: seg, off: bodyOff, size: len(body)}
+			}
 		}
 		// Duplicates (crash mid-compaction) count as dead weight here.
 		seg.total += int64(len(body))
@@ -395,6 +396,14 @@ func (s *Store) recoverLog() error {
 			vr, model, err := decodeCommit(body)
 			if err != nil {
 				return errors.New("stop")
+			}
+			if vr == nil {
+				// An older store's opaque-payload version: its body is a
+				// reserved entry this store does not index.
+				s.st.DroppedVersions++
+				inst.dropped.Inc()
+				s.logDead++
+				return nil
 			}
 			s.applyCommitLocked(model, vr)
 		case entryRetire:
@@ -536,14 +545,14 @@ func (s *Store) ensureActiveLocked(need int64) (*segmentFile, error) {
 // appendBodyLocked appends one envelope to the active segment. When
 // the injector fires, a torn prefix lands on disk and the store fails,
 // simulating a crash mid-append.
-func (s *Store) appendBodyLocked(kind byte, body []byte, op string) (*chunkLoc, error) {
+func (s *Store) appendBodyLocked(body []byte, op string) (*chunkLoc, error) {
 	seg, err := s.ensureActiveLocked(int64(entryOverhead) + int64(len(body)))
 	if err != nil {
 		return nil, err
 	}
 	buf := getBuf(entryOverhead + len(body))
 	defer func() { putBuf(buf) }()
-	buf = appendEntry(buf, kind, body)
+	buf = appendEntry(buf, entryChunk, body)
 	if s.inj != nil {
 		if ferr := s.inj.Op(op); ferr != nil {
 			if tear := len(buf) / 2; tear > 0 {
@@ -557,7 +566,7 @@ func (s *Store) appendBodyLocked(kind byte, body []byte, op string) (*chunkLoc, 
 		s.failed = true
 		return nil, fmt.Errorf("chunkstore: %w", err)
 	}
-	loc := &chunkLoc{seg: seg, off: seg.size + entryHeaderLen, size: len(body), kind: kind}
+	loc := &chunkLoc{seg: seg, off: seg.size + entryHeaderLen, size: len(body)}
 	seg.size += int64(len(buf))
 	seg.total += int64(len(body))
 	seg.dirty = true
@@ -651,7 +660,7 @@ func (w *Writer) Append(h vformat.ChunkHash, rec []byte) error {
 			return fmt.Errorf("%w: refusing corrupt input record", ErrCorrupt)
 		}
 		var err error
-		if loc, err = s.appendBodyLocked(entryChunk, rec, "chunkstore/append"); err != nil {
+		if loc, err = s.appendBodyLocked(rec, "chunkstore/append"); err != nil {
 			return err
 		}
 		s.index[h] = loc
@@ -673,7 +682,7 @@ func (w *Writer) Commit(model string, version uint64, key string, header []byte,
 	if w.done {
 		return ErrWriterFinished
 	}
-	err := s.writeCommitLocked(model, version, key, header, hashes, false)
+	err := s.writeCommitLocked(model, version, key, header, hashes)
 	w.finishLocked()
 	if err != nil {
 		return err
@@ -703,7 +712,7 @@ func (w *Writer) finishLocked() {
 // writeCommitLocked runs the two commit barriers — dirty segments, then
 // the commit record — and installs the version in the catalog, taking
 // its chunk references.
-func (s *Store) writeCommitLocked(model string, version uint64, key string, header []byte, hashes []vformat.ChunkHash, monolithic bool) error {
+func (s *Store) writeCommitLocked(model string, version uint64, key string, header []byte, hashes []vformat.ChunkHash) error {
 	if err := s.usableLocked(); err != nil {
 		return err
 	}
@@ -722,13 +731,12 @@ func (s *Store) writeCommitLocked(model string, version uint64, key string, head
 		return err
 	}
 	vr := &versionRec{
-		version:    version,
-		key:        key,
-		monolithic: monolithic,
-		savedAt:    s.clock.Now(),
-		bytes:      bytes,
-		header:     append([]byte(nil), header...),
-		hashes:     append([]vformat.ChunkHash(nil), hashes...),
+		version: version,
+		key:     key,
+		savedAt: s.clock.Now(),
+		bytes:   bytes,
+		header:  append([]byte(nil), header...),
+		hashes:  append([]vformat.ChunkHash(nil), hashes...),
 	}
 	body := encodeCommit(model, vr)
 	if err := s.appendLogLocked(entryCommit, body, "chunkstore/commit"); err != nil {
@@ -755,36 +763,11 @@ func (s *Store) afterCommitLocked(model string) error {
 	return err
 }
 
-// PutMonolithic stores an opaque checkpoint payload as a single blob
-// entry and commits it.
-func (s *Store) PutMonolithic(model string, version uint64, key string, payload []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.usableLocked(); err != nil {
-		return err
-	}
-	h := vformat.HashChunkRecord(payload)
-	if _, ok := s.index[h]; ok {
-		s.st.DedupedChunks++
-		inst.deduped.Inc()
-	} else {
-		loc, err := s.appendBodyLocked(entryBlob, payload, "chunkstore/append")
-		if err != nil {
-			return err
-		}
-		s.index[h] = loc
-	}
-	if err := s.writeCommitLocked(model, version, key, nil, []vformat.ChunkHash{h}, true); err != nil {
-		return err
-	}
-	return s.afterCommitLocked(model)
-}
-
 // PutBlob stores a published checkpoint blob under model/version,
 // dispatching on its encoding: a plain chunked (v2) blob is split into
 // content-addressed records, a manifest-bearing blob stores its
 // carried records and resolves elided ones against chunks already on
-// disk, and anything else is stored monolithically.
+// disk, and anything else is refused with ErrNotChunked.
 func (s *Store) PutBlob(model string, version uint64, key string, blob []byte) error {
 	var header []byte
 	var hashes []vformat.ChunkHash // a manifest's own list; nil for a plain chunked blob
@@ -810,7 +793,7 @@ func (s *Store) PutBlob(model string, version uint64, key string, blob []byte) e
 			return err
 		}
 	default:
-		return s.PutMonolithic(model, version, key, blob)
+		return ErrNotChunked
 	}
 	w := s.Begin()
 	carried := make([]vformat.ChunkHash, len(recs))
@@ -848,7 +831,7 @@ func (s *Store) Chunk(h vformat.ChunkHash) ([]byte, bool) {
 	if _, err := loc.seg.f.ReadAt(body, loc.off); err != nil {
 		return nil, false
 	}
-	if loc.kind == entryChunk && !vformat.VerifyChunkRecord(body) {
+	if !vformat.VerifyChunkRecord(body) {
 		s.st.CorruptChunks++
 		inst.corrupt.Inc()
 		return nil, false
@@ -867,9 +850,8 @@ func (s *Store) Contains(h vformat.ChunkHash) bool {
 }
 
 // LoadVersion reassembles the stored payload for model/version: the
-// v2 header followed by every chunk record in manifest order (or the
-// monolithic payload verbatim). Each chunk is checksum-verified on the
-// way out.
+// v2 header followed by every chunk record in manifest order. Each
+// chunk is checksum-verified on the way out.
 func (s *Store) LoadVersion(model string, version uint64) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -892,7 +874,7 @@ func (s *Store) LoadVersion(model string, version uint64) ([]byte, error) {
 		if _, err := loc.seg.f.ReadAt(out[n:], loc.off); err != nil {
 			return nil, fmt.Errorf("chunkstore: %w", err)
 		}
-		if loc.kind == entryChunk && !vformat.VerifyChunkRecord(out[n:]) {
+		if !vformat.VerifyChunkRecord(out[n:]) {
 			s.st.CorruptChunks++
 			inst.corrupt.Inc()
 			return nil, fmt.Errorf("%w: %s", ErrCorrupt, h)
@@ -927,14 +909,13 @@ func (s *Store) Latest(model string) (VersionMeta, bool) {
 
 func (s *Store) metaLocked(model string, vr *versionRec) VersionMeta {
 	return VersionMeta{
-		Model:      model,
-		Version:    vr.version,
-		Key:        vr.key,
-		Header:     append([]byte(nil), vr.header...),
-		Hashes:     append([]vformat.ChunkHash(nil), vr.hashes...),
-		Monolithic: vr.monolithic,
-		Bytes:      vr.bytes,
-		SavedAt:    vr.savedAt,
+		Model:   model,
+		Version: vr.version,
+		Key:     vr.key,
+		Header:  append([]byte(nil), vr.header...),
+		Hashes:  append([]vformat.ChunkHash(nil), vr.hashes...),
+		Bytes:   vr.bytes,
+		SavedAt: vr.savedAt,
 	}
 }
 
@@ -1152,7 +1133,7 @@ func (s *Store) compactSegmentLocked(seg *segmentFile) error {
 			s.failed = true
 			return fmt.Errorf("chunkstore: %w", err)
 		}
-		newLoc, err := s.appendBodyLocked(m.loc.kind, body, "chunkstore/gc")
+		newLoc, err := s.appendBodyLocked(body, "chunkstore/gc")
 		if err != nil {
 			return err
 		}
@@ -1293,16 +1274,14 @@ func (s *Store) closeFiles() {
 //
 //	modelLen u16 | model | version u64 | flags u8 | savedAt i64 |
 //	keyLen u16 | key | headerLen u32 | header | numHashes u32 | hash…
+//
+// flags is written as zero; bit 0 is reserved (see decodeCommit).
 func encodeCommit(model string, vr *versionRec) []byte {
 	b := make([]byte, 0, 2+len(model)+8+1+8+2+len(vr.key)+4+len(vr.header)+4+len(vr.hashes)*vformat.ChunkHashLen)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(model)))
 	b = append(b, model...)
 	b = binary.LittleEndian.AppendUint64(b, vr.version)
-	var flags byte
-	if vr.monolithic {
-		flags |= 1
-	}
-	b = append(b, flags)
+	b = append(b, 0)
 	b = binary.LittleEndian.AppendUint64(b, uint64(vr.savedAt.UnixNano()))
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(vr.key)))
 	b = append(b, vr.key...)
@@ -1312,14 +1291,15 @@ func encodeCommit(model string, vr *versionRec) []byte {
 	return vformat.AppendHashes(b, vr.hashes)
 }
 
-// decodeCommit parses a commit record body.
+// decodeCommit parses a commit record body. A well-formed record with
+// the reserved flag bit 0 set — an older store's opaque-payload version
+// — parses to a nil record and a nil error.
 func decodeCommit(b []byte) (*versionRec, string, error) {
 	r := recReader{b: b}
 	model := r.str16()
 	vr := &versionRec{}
 	vr.version = r.u64()
 	flags := r.u8()
-	vr.monolithic = flags&1 != 0
 	vr.savedAt = time.Unix(0, int64(r.u64()))
 	vr.key = r.str16()
 	vr.header = r.bytes32()
@@ -1335,6 +1315,9 @@ func decodeCommit(b []byte) (*versionRec, string, error) {
 	}
 	if r.err != nil {
 		return nil, "", r.err
+	}
+	if flags&1 != 0 {
+		return nil, model, nil
 	}
 	return vr, model, nil
 }

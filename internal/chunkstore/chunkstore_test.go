@@ -3,6 +3,7 @@ package chunkstore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -81,7 +82,7 @@ func TestPutLoadRoundTrip(t *testing.T) {
 		t.Fatalf("decoded checkpoint wrong: v%d, %d tensors", ckpt.Version, len(ckpt.Weights))
 	}
 	meta, ok := s.Meta("m", 1)
-	if !ok || meta.Key != "m/v00000001" || meta.Monolithic {
+	if !ok || meta.Key != "m/v00000001" {
 		t.Fatalf("Meta = %+v, ok=%v", meta, ok)
 	}
 	if _, err := s.LoadVersion("m", 99); err == nil {
@@ -89,31 +90,106 @@ func TestPutLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMonolithicRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
+// TestPutBlobRefusesUnchunked: every stored body is a self-verifying
+// chunk record, so a v1 blob is refused with a typed error, writes
+// nothing, and leaves the store usable.
+func TestPutBlobRefusesUnchunked(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{})
 	defer s.Close()
 
-	blob, err := testCheckpoint(2, 512, 3).Encode()
+	v1, err := testCheckpoint(2, 512, 3).Encode()
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	if err := s.PutBlob("m", 3, "m/v00000003", blob); err != nil {
+	if err := s.PutBlob("m", 3, "m/v00000003", v1); !errors.Is(err, ErrNotChunked) {
+		t.Fatalf("PutBlob(v1 blob) = %v, want ErrNotChunked", err)
+	}
+	if st := s.Stats(); st.Versions != 0 || st.Chunks != 0 || st.LiveBytes+st.DeadBytes != 0 {
+		t.Fatalf("refused blob left state behind: %+v", st)
+	}
+	if err := s.PutBlob("m", 3, "m/v00000003", testBlob(t, 2, 512, 3)); err != nil {
+		t.Fatalf("PutBlob after refusal: %v", err)
+	}
+}
+
+// TestReservedBlobEntriesOpenSafely opens a directory an older store
+// wrote: an opaque-payload entry (kind 2) sits between two chunk
+// entries, and the log holds its commit (flag bit 0) next to a chunked
+// version's. Nothing is truncated, the chunked version loads bit for
+// bit, the old version is dropped and counted, and the opaque bytes are
+// dead weight that compaction reclaims.
+func TestReservedBlobEntriesOpenSafely(t *testing.T) {
+	dir := t.TempDir()
+	blob := testBlob(t, 11, 256, 1) // two 1 KiB chunks
+	_, _, headerLen, err := vformat.ParseChunkHeader(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs [][]byte
+	var hashes []vformat.ChunkHash
+	if err := vformat.WalkChunkRecords(blob, func(rec []byte) error {
+		recs = append(recs, rec)
+		hashes = append(hashes, vformat.HashChunkRecord(rec))
+		return nil
+	}); err != nil || len(recs) != 2 {
+		t.Fatalf("want a two-record blob, got %d (err=%v)", len(recs), err)
+	}
+	opaque := bytes.Repeat([]byte("old monolithic payload "), 400) // outweighs both chunks
+	seg := []byte(segMagic)
+	seg = appendEntry(seg, entryChunk, recs[0])
+	seg = appendEntry(seg, entryBlob, opaque)
+	seg = appendEntry(seg, entryChunk, recs[1])
+	oldCommit := encodeCommit("m", &versionRec{version: 1, key: "old",
+		hashes: []vformat.ChunkHash{vformat.HashChunkRecord(opaque)}})
+	oldCommit[2+len("m")+8] |= 1 // the reserved flag bit
+	log := []byte(logMagic)
+	log = appendEntry(log, entryCommit, oldCommit)
+	log = appendEntry(log, entryCommit, encodeCommit("m", &versionRec{version: 2, key: "k2",
+		header: blob[:headerLen], hashes: hashes}))
+	for name, data := range map[string][]byte{segName(0): seg, "manifest.log": log} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Small segments: the next put rotates, so segment 0 stops being the
+	// active one and becomes eligible for compaction.
+	opts := Options{SegmentBytes: 2048}
+	s := mustOpen(t, dir, opts)
+	st := s.Stats()
+	if st.TruncatedTails != 0 || st.DroppedVersions != 1 || st.Chunks != 2 {
+		t.Fatalf("open stats = %+v, want no truncation, one dropped version, two chunks", st)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, segName(0))); err != nil || fi.Size() != int64(len(seg)) {
+		t.Fatalf("segment 0 is %v bytes (err=%v), want the %d written", fi, err, len(seg))
+	}
+	if st.DeadBytes != int64(len(opaque)) {
+		t.Fatalf("DeadBytes = %d, want the %d opaque bytes", st.DeadBytes, len(opaque))
+	}
+	if vs := s.Versions("m"); len(vs) != 1 || vs[0] != 2 {
+		t.Fatalf("Versions = %v, want [2]", vs)
+	}
+	if got, err := s.LoadVersion("m", 2); err != nil || !bytes.Equal(got, blob) {
+		t.Fatalf("v2 not bit-identical after open (err=%v)", err)
+	}
+	if _, ok := s.Chunk(vformat.HashChunkRecord(opaque)); ok {
+		t.Fatal("the reserved entry must never be indexed")
+	}
+
+	blob3 := testBlob(t, 12, 256, 3)
+	if err := s.PutBlob("m", 3, "k3", blob3); err != nil {
 		t.Fatalf("PutBlob: %v", err)
 	}
-	meta, ok := s.Meta("m", 3)
-	if !ok || !meta.Monolithic {
-		t.Fatalf("expected monolithic meta, got %+v ok=%v", meta, ok)
+	if st := s.Stats(); st.DeadBytes != 0 || st.ReclaimedBytes < int64(len(opaque)) {
+		t.Fatalf("after compaction stats = %+v, want the opaque bytes reclaimed", st)
 	}
-	got, err := s.LoadVersion("m", 3)
-	if err != nil {
-		t.Fatalf("LoadVersion: %v", err)
-	}
-	if !bytes.Equal(got, blob) {
-		t.Fatal("monolithic round-trip mismatch")
-	}
-	if _, err := vformat.DecodeAuto(context.Background(), got, 0); err != nil {
-		t.Fatalf("DecodeAuto: %v", err)
+	s.Close()
+	s = mustOpen(t, dir, opts)
+	defer s.Close()
+	for vn, want := range map[uint64][]byte{2: blob, 3: blob3} {
+		if got, err := s.LoadVersion("m", vn); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("v%d not bit-identical after compaction and reopen (err=%v)", vn, err)
+		}
 	}
 }
 

@@ -19,19 +19,19 @@ import (
 //
 //	kind u8 | bodyLen u32 LE | body | crc u32 LE
 //
-// with the CRC (IEEE) covering kind, bodyLen, and body. Segment entries
-// carry chunk or blob payloads verbatim — a chunk entry's body is the
-// exact v2 wire record (VCHK…), so serving it back is an io.Copy of the
-// body span with no re-encode. The manifest log carries commit and
-// retire records binding model/version to an ordered hash list. Both
-// files are append-only between compactions; a torn final write fails
-// its CRC and is truncated away on Open.
+// with the CRC (IEEE) covering kind, bodyLen, and body. A segment
+// entry's body is the exact v2 wire record (VCHK…), so serving it back
+// is an io.Copy of the body span with no re-encode, and every read
+// re-verifies the record's own checksum. The manifest log carries
+// commit and retire records binding model/version to an ordered hash
+// list. Both files are append-only between compactions; a torn final
+// write fails its CRC and is truncated away on Open.
 const (
 	segMagic = "VSEG0001"
 	logMagic = "VLOG0001"
 
 	entryChunk  = 1 // segment: verbatim v2 chunk record
-	entryBlob   = 2 // segment: monolithic checkpoint payload
+	entryBlob   = 2 // segment: reserved — an older store's opaque payload; never written, dead bytes on scan
 	entryCommit = 3 // manifest log: version commit record
 	entryRetire = 4 // manifest log: version retire tombstone
 

@@ -18,7 +18,7 @@ func newCallbackFixture(t *testing.T, sched ipp.Schedule) (*CheckpointCallback, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := NewConsumer(env, "m", nil)
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

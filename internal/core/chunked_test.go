@@ -20,7 +20,7 @@ func chunkedHandlerConsumer(t *testing.T, cfg HandlerConfig) (*Env, *WeightsHand
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewConsumer(env, cfg.Model, nil)
+	c, err := NewConsumerOpts(env, cfg.Model, ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestChunkedReconColdCacheErrors(t *testing.T) {
 	}
 
 	// A late joiner with its own links misses v1 entirely.
-	c2, err := NewExtraConsumer(env, "tc1", nil)
+	c2, err := NewConsumerOpts(env, "tc1", ConsumerOptions{ExtraLinks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestSaveChunkedFlushRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A fresh consumer (post-crash) recovers from the PFS copy alone.
-	fresh, err := NewConsumer(env, "tc1", nil)
+	fresh, err := NewConsumerOpts(env, "tc1", ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,19 +147,6 @@ func NewConsumerOpts(env *Env, model string, o ConsumerOptions) (*Consumer, erro
 	return c, nil
 }
 
-// NewConsumer constructs a consumer for the named model. serving may be
-// nil; if set, every installed checkpoint is restored into it.
-func NewConsumer(env *Env, model string, serving nn.Model) (*Consumer, error) {
-	return NewConsumerOpts(env, model, ConsumerOptions{Serving: serving})
-}
-
-// NewExtraConsumer constructs an additional consumer with its own
-// dedicated link pair (env.AddConsumerLinks), enabling the
-// multi-consumer broadcast pattern the paper lists as future work.
-func NewExtraConsumer(env *Env, model string, serving nn.Model) (*Consumer, error) {
-	return NewConsumerOpts(env, model, ConsumerOptions{Serving: serving, ExtraLinks: true})
-}
-
 // Buffer exposes the double buffer (for inspection and serving).
 func (c *Consumer) Buffer() *DoubleBuffer { return c.buf }
 
@@ -374,7 +361,7 @@ func (c *Consumer) RecoverFromPFS() (*LoadReport, error) {
 		if err != nil {
 			continue
 		}
-		if meta.Format == "vdelta" || meta.Format == "vrecon" || !c.env.Cluster.PFS.Has(meta.Path) {
+		if meta.Format == "vrecon" || !c.env.Cluster.PFS.Has(meta.Path) {
 			continue
 		}
 		recovered := *meta
@@ -437,17 +424,13 @@ func (c *Consumer) recvVia(link *transport.Link, local *memsim.Device, meta *Mod
 	return payload, nil
 }
 
-// decodePayload parses a checkpoint in any supported wire format. Delta
-// payloads are applied to the currently active checkpoint (the chain
-// base); a broken chain is reported as an error so the caller can fall
-// back to a full pull.
+// decodePayload parses a checkpoint in the format its metadata names:
+// chunked v2 ("vchunk", or its manifest form "vrecon"), or one of the
+// whole-file reference baselines ("vformat", "h5").
 func (c *Consumer) decodePayload(ctx context.Context, meta *ModelMeta, payload []byte) (*vformat.Checkpoint, error) {
 	switch meta.Format {
 	case "vformat":
 		return vformat.Decode(payload)
-	case "vquant":
-		ckpt, _, err := vformat.DecodeQuantized(payload)
-		return ckpt, err
 	case "vchunk":
 		// Chunked v2 blob: per-chunk CRC verification and decode fan out
 		// over the worker pool, writing straight into the preallocated
@@ -462,37 +445,12 @@ func (c *Consumer) decodePayload(ctx context.Context, meta *ModelMeta, payload [
 		// are pulled from the cache seeded by earlier installs (which
 		// ReconcileBlob also keeps current with the records carried
 		// here). A cold cache — restarted consumer mid-chain — is an
-		// error, like a broken vdelta chain; the next scheduled full
-		// refresh repairs it.
+		// error; the next scheduled full refresh repairs it.
 		ckpt, _, err := vformat.ReconcileBlob(ctx, payload, c.cache)
 		if err != nil {
 			return nil, fmt.Errorf("core: reconciling chunked delta v%d: %w", meta.Version, err)
 		}
 		return ckpt, nil
-	case "vdelta":
-		delta, err := vformat.DecodeDelta(payload)
-		if err != nil {
-			return nil, err
-		}
-		base := c.buf.Active()
-		if base == nil {
-			return nil, fmt.Errorf("core: delta v%d arrived before any full checkpoint", delta.Version)
-		}
-		if base.Version != delta.BaseVersion {
-			return nil, fmt.Errorf("core: delta chain broken: delta v%d applies to v%d, active is v%d",
-				delta.Version, delta.BaseVersion, base.Version)
-		}
-		weights, err := delta.Apply(base.Weights)
-		if err != nil {
-			return nil, fmt.Errorf("core: applying delta v%d: %w", delta.Version, err)
-		}
-		return &vformat.Checkpoint{
-			ModelName: delta.ModelName,
-			Version:   delta.Version,
-			Iteration: delta.Iteration,
-			TrainLoss: delta.TrainLoss,
-			Weights:   weights,
-		}, nil
 	case "h5":
 		return decodeH5(meta, payload)
 	default:

@@ -102,7 +102,7 @@ func endToEnd(t *testing.T, strat Strategy, virtualSize int64) (*SaveReport, *Lo
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := NewConsumer(env, "m", testModel(2))
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{Serving: testModel(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestLoadedWeightsMatchSaved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := NewConsumer(env, "m", dst)
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{Serving: dst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestBaselineH5RoundTripWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := NewConsumer(env, "m", dst)
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{Serving: dst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestVersionsIncrement(t *testing.T) {
 func TestConsumerPollSkipsStaleVersions(t *testing.T) {
 	env, _ := newTestEnv()
 	h, _ := NewWeightsHandler(env, HandlerConfig{Model: "m", Strategy: Strategy{Route: RoutePFS}})
-	cons, _ := NewConsumer(env, "m", nil)
+	cons, _ := NewConsumerOpts(env, "m", ConsumerOptions{})
 	if _, ok, err := cons.Poll(); err != nil || ok {
 		t.Fatalf("Poll before any save = %v, %v", ok, err)
 	}
@@ -323,7 +323,7 @@ func TestGPUCapacityFallbackToHost(t *testing.T) {
 		Strategy:    Strategy{Route: RouteGPU, Mode: ModeSync},
 		VirtualSize: 60 << 30, // exceeds the 40GB A100 tier
 	})
-	cons, _ := NewConsumer(env, "m", nil)
+	cons, _ := NewConsumerOpts(env, "m", ConsumerOptions{})
 	sub := cons.Subscribe()
 	defer sub.Close()
 	model := testModel(10)
@@ -380,10 +380,10 @@ func TestHandlerConfigValidation(t *testing.T) {
 	if _, err := NewWeightsHandler(env, HandlerConfig{Model: "m", Strategy: Strategy{Route: RoutePFS}, VirtualSize: -1}); err == nil {
 		t.Fatal("negative size must be rejected")
 	}
-	if _, err := NewConsumer(env, "", nil); err == nil {
+	if _, err := NewConsumerOpts(env, "", ConsumerOptions{}); err == nil {
 		t.Fatal("empty consumer model must be rejected")
 	}
-	if _, err := NewConsumer(nil, "m", nil); err == nil {
+	if _, err := NewConsumerOpts(nil, "m", ConsumerOptions{}); err == nil {
 		t.Fatal("nil consumer env must be rejected")
 	}
 }
@@ -391,7 +391,7 @@ func TestHandlerConfigValidation(t *testing.T) {
 func TestBaselineDoesNotNotify(t *testing.T) {
 	env, _ := newTestEnv()
 	h, _ := NewWeightsHandler(env, HandlerConfig{Model: "m", Strategy: Strategy{Route: RoutePFS, Baseline: true}})
-	cons, _ := NewConsumer(env, "m", nil)
+	cons, _ := NewConsumerOpts(env, "m", ConsumerOptions{})
 	sub := cons.Subscribe()
 	defer sub.Close()
 	model := testModel(12)

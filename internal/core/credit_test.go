@@ -25,7 +25,7 @@ func TestLoadReplenishesLinkCredits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := NewConsumer(env, "m", testModel(2))
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{Serving: testModel(2)})
 	if err != nil {
 		t.Fatal(err)
 	}

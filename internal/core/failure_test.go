@@ -26,7 +26,7 @@ func TestSaveFailsAfterLinkClosed(t *testing.T) {
 
 func TestLoadUnknownLocation(t *testing.T) {
 	env, _ := newTestEnv()
-	cons, err := NewConsumer(env, "m", nil)
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestLoadUnknownFormat(t *testing.T) {
 	if err := env.Cluster.PFS.Write("m/v1", []byte("payload"), 0); err != nil {
 		t.Fatal(err)
 	}
-	cons, err := NewConsumer(env, "m", nil)
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestLoadUnknownFormat(t *testing.T) {
 
 func TestLoadMissingPFSKey(t *testing.T) {
 	env, _ := newTestEnv()
-	cons, err := NewConsumer(env, "m", nil)
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestLoadCorruptPayload(t *testing.T) {
 	if err := env.Cluster.PFS.Write("m/v1", []byte("not a checkpoint"), 0); err != nil {
 		t.Fatal(err)
 	}
-	cons, err := NewConsumer(env, "m", nil)
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestLoadCorruptPayload(t *testing.T) {
 
 func TestHandleNotificationBadPayload(t *testing.T) {
 	env, _ := newTestEnv()
-	cons, err := NewConsumer(env, "m", nil)
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestRestoreIntoMismatchedServingModel(t *testing.T) {
 	// Serving model with a different architecture cannot absorb the
 	// snapshot: the load must fail loudly rather than half-apply.
 	wrong := nn.NewSequential("other", nn.NewDense("other", 3, 3, newRng(1)))
-	cons, err := NewConsumer(env, "m", wrong)
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{Serving: wrong})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestStaleFrameRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := NewConsumer(env, "m", nil)
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

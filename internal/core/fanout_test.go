@@ -24,9 +24,9 @@ func TestMultiConsumerBroadcast(t *testing.T) {
 	for i := range consumers {
 		servings[i] = testModel(int64(210 + i))
 		if i == 0 {
-			consumers[i], err = NewConsumer(env, "m", servings[i])
+			consumers[i], err = NewConsumerOpts(env, "m", ConsumerOptions{Serving: servings[i]})
 		} else {
-			consumers[i], err = NewExtraConsumer(env, "m", servings[i])
+			consumers[i], err = NewConsumerOpts(env, "m", ConsumerOptions{Serving: servings[i], ExtraLinks: true})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +89,7 @@ func TestRecoverFromPFSAfterConsumerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First consumer applies v1 and v2, then "crashes".
-	first, err := NewConsumer(env, "m", nil)
+	first, err := NewConsumerOpts(env, "m", ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRecoverFromPFSAfterConsumerRestart(t *testing.T) {
 	// Replacement consumer: the memory frames are long gone, but the PFS
 	// flush history has every version.
 	serving := testModel(242)
-	second, err := NewConsumer(env, "m", serving)
+	second, err := NewConsumerOpts(env, "m", ConsumerOptions{Serving: serving})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +131,12 @@ func TestRecoverFromPFSSkipsDeltas(t *testing.T) {
 	src := testModel(250)
 	h, err := NewWeightsHandler(env, HandlerConfig{
 		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync},
-		FlushHistory: true, Incremental: true, FullEvery: 10,
+		FlushHistory: true, Incremental: true, FullEvery: 10, ChunkSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := NewConsumer(env, "m", nil)
+	live, err := NewConsumerOpts(env, "m", ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestRecoverFromPFSSkipsDeltas(t *testing.T) {
 	if env.Cluster.PFS.Has(CheckpointKey("m", 2)) || env.Cluster.PFS.Has(CheckpointKey("m", 3)) {
 		t.Fatal("delta checkpoints must not be flushed to the PFS")
 	}
-	fresh, err := NewConsumer(env, "m", nil)
+	fresh, err := NewConsumerOpts(env, "m", ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRecoverFromPFSWithoutHistory(t *testing.T) {
 	if _, err := h.Save(nn.TakeSnapshot(testModel(260)), 1, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	cons, err := NewConsumer(env, "m", nil)
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,12 +190,12 @@ func TestProducerResumeFrom(t *testing.T) {
 	env, _ := newTestEnv()
 	src := testModel(270)
 	h1, err := NewWeightsHandler(env, HandlerConfig{
-		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync}, Incremental: true,
+		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync}, Incremental: true, ChunkSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := NewConsumer(env, "m", nil)
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestProducerResumeFrom(t *testing.T) {
 	// Restarted producer resumes the version sequence; its first save is
 	// full (no delta base survives).
 	h2, err := NewWeightsHandler(env, HandlerConfig{
-		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync}, Incremental: true,
+		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync}, Incremental: true, ChunkSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestProducerResumeFrom(t *testing.T) {
 	if rep.Meta.Version != 3 {
 		t.Fatalf("resumed version = %d, want 3", rep.Meta.Version)
 	}
-	if rep.Meta.Format != "vformat" {
+	if rep.Meta.Format != "vchunk" {
 		t.Fatalf("first post-restart save format = %q, want full", rep.Meta.Format)
 	}
 	if _, ok, err := pollViaMeta(cons); err != nil || !ok {

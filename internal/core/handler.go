@@ -151,13 +151,15 @@ type WeightsHandler struct {
 	// store is caller-owned; the handler never closes it.
 	store *chunkstore.Store
 
-	mu       sync.Mutex
-	version  uint64
-	stats    HandlerStats
-	lastSent nn.Snapshot // previous published weights (incremental mode)
+	mu      sync.Mutex
+	version uint64
+	stats   HandlerStats
+	// lastSent holds the previous published version's wire values, the
+	// comparison base for DeltaEps suppression (incremental mode).
+	lastSent nn.Snapshot
 	// lastHashes are the per-chunk content hashes of the last published
-	// chunked checkpoint — the set a "vrecon" manifest may elide against
-	// (chunked incremental mode only).
+	// checkpoint — the set a "vrecon" manifest may elide against
+	// (incremental mode).
 	lastHashes []vformat.ChunkHash
 	// pendingBase/pendingHashes stage the incremental state computed by
 	// encodeChunked until SaveContext commits the save; a failed save
@@ -173,39 +175,43 @@ type HandlerConfig struct {
 	// Strategy selects route/mode/baseline.
 	Strategy Strategy
 	// VirtualSize is the accounted checkpoint size in bytes (e.g.
-	// models.SizeTC1); 0 accounts the real payload size. Delta and
+	// models.SizeTC1); 0 accounts the real payload size. Reconciled and
 	// quantized transfers scale it by their actual payload ratio.
 	VirtualSize int64
 	// FlushHistory enables background PFS flushes of every checkpoint.
 	FlushHistory bool
-	// Precision selects the wire precision for memory-route transfers
-	// (PrecFloat64 = lossless default). Mutually exclusive with
-	// Incremental and ignored for the baseline strategy.
+	// Precision selects the wire precision (PrecFloat64 = lossless
+	// default); the conversion is folded into the chunk encoding, so
+	// anything else requires ChunkSize. Mutually exclusive with
+	// Incremental.
 	Precision vformat.Precision
-	// Incremental enables delta checkpointing (Check-N-Run style): only
-	// elements changed since the previous checkpoint are shipped, with a
-	// full refresh every FullEvery versions. Incremental transfers use
-	// ordered (non-dropping) delivery, so the consumer must keep up.
+	// Incremental enables delta checkpointing (Check-N-Run style) at
+	// chunk granularity: between full refreshes (every FullEvery
+	// versions) a checkpoint ships as a manifest plus only the chunks
+	// whose content changed ("vrecon"). Requires ChunkSize. Incremental
+	// transfers use ordered (non-dropping) delivery, so the consumer must
+	// keep up.
 	Incremental bool
 	// DeltaEps suppresses element changes with |Δ| <= eps (0 = exact).
 	DeltaEps float64
 	// FullEvery is the full-refresh cadence for incremental mode
 	// (default 10).
 	FullEvery int
-	// ChunkSize enables the chunked pipeline (wire format v2): full
-	// checkpoints are split into ChunkSize-byte chunks encoded by a
-	// worker pool into one pooled blob, with precision conversion folded
-	// into the chunk encoding. 0 keeps the legacy monolithic formats
-	// ("vformat"/"vquant"); the functional-options public API defaults to
-	// vformat.DefaultChunkBytes. Ignored for the baseline strategy.
+	// ChunkSize selects Viper's one encoding, chunked v2: checkpoints
+	// are split into ChunkSize-byte chunks encoded by a worker pool into
+	// one pooled blob. 0 is the simulator's reference baseline — the lean
+	// v1 format Figure 8 compares against h5 — and carries none of
+	// Precision, Incremental or Store; the functional-options public API
+	// defaults to vformat.DefaultChunkBytes. Ignored for the baseline
+	// strategy.
 	ChunkSize int
-	// Parallelism bounds the encode worker pool and parallel delta
-	// computation (0 = GOMAXPROCS).
+	// Parallelism bounds the encode worker pool (0 = GOMAXPROCS).
 	Parallelism int
 	// Store, when non-nil, attaches a durable time-travel store: every
-	// self-contained checkpoint (not "vdelta"/"vrecon" increments, which
-	// cannot replay alone) is written through at save time. The caller
-	// owns the store's lifecycle.
+	// self-contained checkpoint (not "vrecon" increments, which cannot
+	// replay alone) is written through at save time. The store holds
+	// chunk records only, so it requires ChunkSize. The caller owns the
+	// store's lifecycle.
 	Store *chunkstore.Store
 }
 
@@ -231,8 +237,11 @@ func NewWeightsHandler(env *Env, cfg HandlerConfig) (*WeightsHandler, error) {
 	if cfg.Incremental && cfg.Precision != vformat.PrecFloat64 {
 		return nil, errors.New("core: incremental and quantized transfer are mutually exclusive")
 	}
-	if cfg.Incremental && cfg.Strategy.Baseline {
-		return nil, errors.New("core: incremental transfer is not available for the baseline strategy")
+	if (cfg.ChunkSize == 0 || cfg.Strategy.Baseline) &&
+		(cfg.Incremental || cfg.Precision != vformat.PrecFloat64 || cfg.Store != nil) {
+		// The v1 and h5 baselines are whole-file references: precision,
+		// deltas and the chunk store live in the chunked encoding only.
+		return nil, errors.New("core: Incremental, Precision and Store need the chunked encoding: set ChunkSize > 0 on a non-baseline strategy")
 	}
 	if cfg.DeltaEps < 0 {
 		return nil, fmt.Errorf("core: negative delta threshold %v", cfg.DeltaEps)
@@ -346,10 +355,9 @@ func (h *WeightsHandler) Rollback(ctx context.Context, version uint64) (*vformat
 }
 
 // encode serializes the checkpoint in the strategy's format and returns
-// (payload, format, accounted size). Depending on configuration this is
-// the lean full format, the h5 baseline, a quantized encoding, the
-// chunked v2 pipeline output, or — in incremental mode — a delta against
-// the previously published weights.
+// (payload, format, accounted size): the chunked v2 pipeline output, or
+// one of the two whole-file reference baselines — h5, or lean v1 when
+// ChunkSize is 0.
 func (h *WeightsHandler) encode(ctx context.Context, ckpt *vformat.Checkpoint) ([]byte, string, int64, error) {
 	if h.strategy.Baseline {
 		payload, err := encodeH5(ckpt)
@@ -371,66 +379,11 @@ func (h *WeightsHandler) encode(ctx context.Context, ckpt *vformat.Checkpoint) (
 	if err != nil {
 		return nil, "", 0, err
 	}
-	baseSize := h.virtualSize
-	if baseSize <= 0 {
-		baseSize = int64(len(full))
+	size := h.virtualSize
+	if size <= 0 {
+		size = int64(len(full))
 	}
-	scale := func(payloadLen int) int64 {
-		s := int64(float64(baseSize) * float64(payloadLen) / float64(len(full)))
-		if s < 1 {
-			s = 1
-		}
-		return s
-	}
-	if payload, ok, err := h.encodeDelta(ckpt, len(full)); err != nil {
-		return nil, "", 0, err
-	} else if ok {
-		return payload, "vdelta", scale(len(payload)), nil
-	}
-	if h.precision != vformat.PrecFloat64 {
-		payload, err := vformat.EncodeQuantized(ckpt, h.precision)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		return payload, "vquant", scale(len(payload)), nil
-	}
-	return full, "vformat", baseSize, nil
-}
-
-// encodeDelta attempts the incremental encoding: when a base exists and
-// this version is not a scheduled full refresh, it computes the delta
-// (fanned over the handler's worker budget) and reports whether the
-// sparse form actually beats a full encode of fullLen bytes.
-func (h *WeightsHandler) encodeDelta(ckpt *vformat.Checkpoint, fullLen int) ([]byte, bool, error) {
-	if !h.incremental {
-		return nil, false, nil
-	}
-	h.mu.Lock()
-	last := h.lastSent
-	h.mu.Unlock()
-	// Full refresh on the first version and every fullEvery-th one,
-	// bounding how long a consumer can be stuck on a broken chain.
-	if last == nil || (ckpt.Version-1)%uint64(h.fullEvery) == 0 {
-		return nil, false, nil
-	}
-	delta, err := vformat.ComputeDeltaParallel(last, ckpt.Weights, h.deltaEps, h.parallelism)
-	if err != nil {
-		return nil, false, fmt.Errorf("core: computing delta: %w", err)
-	}
-	delta.ModelName = ckpt.ModelName
-	delta.Version = ckpt.Version
-	delta.BaseVersion = ckpt.Version - 1
-	delta.Iteration = ckpt.Iteration
-	delta.TrainLoss = ckpt.TrainLoss
-	payload, err := delta.Encode()
-	if err != nil {
-		return nil, false, err
-	}
-	if len(payload) >= fullLen {
-		// Dense changes: the delta saves nothing, ship the full.
-		return nil, false, nil
-	}
-	return payload, true, nil
+	return full, "vformat", size, nil
 }
 
 // encodeChunked is the chunked-pipeline encode: full checkpoints become
@@ -619,10 +572,10 @@ func (h *WeightsHandler) SaveContext(ctx context.Context, snapshot nn.Snapshot, 
 		}
 		// Fault-tolerance flush to PFS in the background: it consumes
 		// PFS time but does not stall training; account it separately.
-		// Deltas and reconciled chunk subsets are not flushed — a
-		// recovery cannot replay a chain — so the PFS history holds only
-		// self-contained checkpoints.
-		if h.flushHistory && location != RoutePFS && format != "vdelta" && format != "vrecon" {
+		// Reconciled chunk subsets are not flushed — a recovery cannot
+		// replay a chain — so the PFS history holds only self-contained
+		// checkpoints.
+		if h.flushHistory && location != RoutePFS && format != "vrecon" {
 			if err := h.env.Cluster.PFS.Put(key, payload, size); err == nil {
 				flushTime = h.env.Cluster.PFS.WriteTime(size)
 				h.mu.Lock()
@@ -660,11 +613,10 @@ func (h *WeightsHandler) SaveContext(ctx context.Context, snapshot nn.Snapshot, 
 		h.env.Notify.Publish(UpdateChannel(h.model), encoded)
 	}
 
-	// Time-travel write-through: deltas and reconciled subsets are
-	// skipped for the same reason the PFS flush skips them — a replay
-	// cannot reconstruct a chain — so the store holds only
-	// self-contained versions.
-	if h.store != nil && format != "vdelta" && format != "vrecon" {
+	// Time-travel write-through: reconciled subsets are skipped for the
+	// same reason the PFS flush skips them — a replay cannot reconstruct
+	// a chain — so the store holds only self-contained versions.
+	if h.store != nil && format != "vrecon" {
 		err := h.store.PutBlob(h.model, version, key, payload)
 		h.mu.Lock()
 		if err == nil {
@@ -684,14 +636,10 @@ func (h *WeightsHandler) SaveContext(ctx context.Context, snapshot nn.Snapshot, 
 	h.stats.Saves++
 	h.stats.TotalStall += stall
 	if h.incremental {
-		if h.chunkSize > 0 {
-			// encodeChunked staged this version's wire-value base and
-			// chunk hashes; commit them only now that the save landed.
-			h.lastSent, h.lastHashes = h.pendingBase, h.pendingHashes
-			h.pendingBase, h.pendingHashes = nil, nil
-		} else {
-			h.lastSent = snapshot.Clone()
-		}
+		// encodeChunked staged this version's wire-value base and chunk
+		// hashes; commit them only now that the save landed.
+		h.lastSent, h.lastHashes = h.pendingBase, h.pendingHashes
+		h.pendingBase, h.pendingHashes = nil, nil
 	}
 	h.mu.Unlock()
 	h.env.Trace.Record(trace.Event{

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"viper/internal/chunkstore"
 	"viper/internal/nn"
 	"viper/internal/tensor"
 	"viper/internal/trace"
@@ -27,6 +29,10 @@ func perturb(m nn.Model, rng *rand.Rand, fraction, scale float64) {
 	}
 }
 
+// incrementalChunk is small enough that the 212-parameter test model
+// spans 27 chunks, so a sparse perturbation leaves most of them alone.
+const incrementalChunk = 64
+
 // incrementalPair builds a producer/consumer wired for delta transfer.
 func incrementalPair(t *testing.T, fullEvery int, virtualSize int64) (*WeightsHandler, *Consumer, *nn.Sequential, *nn.Sequential, *Env) {
 	t.Helper()
@@ -39,11 +45,12 @@ func incrementalPair(t *testing.T, fullEvery int, virtualSize int64) (*WeightsHa
 		Incremental: true,
 		FullEvery:   fullEvery,
 		VirtualSize: virtualSize,
+		ChunkSize:   incrementalChunk,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := NewConsumer(env, "m", dst)
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{Serving: dst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +63,7 @@ func TestIncrementalFirstSaveIsFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Meta.Format != "vformat" {
+	if rep.Meta.Format != "vchunk" {
 		t.Fatalf("first save format = %q, want full", rep.Meta.Format)
 	}
 	if _, ok, err := pollViaMeta(cons); err != nil || !ok {
@@ -89,9 +96,9 @@ func TestIncrementalDeltaChainRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantFormat := "vdelta"
+		wantFormat := "vrecon"
 		if v == 1 {
-			wantFormat = "vformat"
+			wantFormat = "vchunk"
 		}
 		if rep.Meta.Format != wantFormat {
 			t.Fatalf("save %d format = %q, want %q", v, rep.Meta.Format, wantFormat)
@@ -121,15 +128,20 @@ func TestIncrementalDeltaSmallerAccountedSize(t *testing.T) {
 	if rep1.Meta.Size != full {
 		t.Fatalf("full size = %d, want %d", rep1.Meta.Size, full)
 	}
-	perturb(src, rng, 0.02, 0.1)
+	// A local change: deltas are chunk-granular, so what shrinks the
+	// payload is how few chunks moved, not how few elements.
+	for i, d := 0, src.Params()[0].Value.Data(); i < 4; i++ {
+		d[i] += 0.1 * rng.NormFloat64()
+	}
 	rep2, err := h.Save(nn.TakeSnapshot(src), 2, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Meta.Format != "vdelta" {
+	if rep2.Meta.Format != "vrecon" {
 		t.Fatalf("format = %q", rep2.Meta.Format)
 	}
-	if rep2.Meta.Size >= full/4 {
+	// Chunk-granular: the changed chunks plus the manifest's hash list.
+	if rep2.Meta.Size >= full/2 {
 		t.Fatalf("delta accounted size %d not much smaller than full %d", rep2.Meta.Size, full)
 	}
 	// Smaller payload → smaller stall.
@@ -154,35 +166,34 @@ func TestIncrementalFullRefreshCadence(t *testing.T) {
 		}
 	}
 	// FullEvery=3: versions 1, 4, 7 are full.
-	want := []string{"vformat", "vdelta", "vdelta", "vformat", "vdelta", "vdelta", "vformat"}
+	want := []string{"vchunk", "vrecon", "vrecon", "vchunk", "vrecon", "vrecon", "vchunk"}
 	if strings.Join(formats, ",") != strings.Join(want, ",") {
 		t.Fatalf("formats = %v, want %v", formats, want)
 	}
 }
 
 func TestIncrementalChainBreakDetected(t *testing.T) {
-	h, cons, src, _, _ := incrementalPair(t, 100, 0)
-	rng := rand.New(rand.NewSource(10))
+	h, cons, src, _, env := incrementalPair(t, 100, 0)
 	if _, err := h.Save(nn.TakeSnapshot(src), 1, 0.9); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := pollViaMeta(cons); err != nil {
 		t.Fatal(err)
 	}
-	// Publish v2 and v3 but have the consumer skip v2's frame by loading
-	// with v3's metadata while v2's delta is still queued: the drain is
-	// disabled for deltas, so it applies v2's frame against v1 fine; to
-	// force a break we instead drop v2 entirely from the consumer side.
-	perturb(src, rng, 0.05, 0.1)
+	// v2 changes the first chunk; its frame is dropped behind the
+	// consumer's back.
+	params := src.Params()
+	params[0].Value.Data()[0] += 0.5
 	if _, err := h.Save(nn.TakeSnapshot(src), 2, 0.8); err != nil {
 		t.Fatal(err)
 	}
-	// Discard v2's frame behind the consumer's back.
-	env := h.env
 	if _, ok := env.GPULink.TryRecv(); !ok {
 		t.Fatal("expected v2 frame queued")
 	}
-	perturb(src, rng, 0.05, 0.1)
+	// v3 changes the last chunk only, so its manifest elides v2's first
+	// chunk — which this consumer never received.
+	last := params[len(params)-1].Value.Data()
+	last[len(last)-1] += 0.5
 	if _, err := h.Save(nn.TakeSnapshot(src), 3, 0.7); err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +201,8 @@ func TestIncrementalChainBreakDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cons.Load(meta); err == nil || !strings.Contains(err.Error(), "chain broken") {
-		t.Fatalf("err = %v, want chain-broken", err)
+	if _, err := cons.Load(meta); !errors.Is(err, vformat.ErrMissingChunk) {
+		t.Fatalf("err = %v, want ErrMissingChunk for the broken chain", err)
 	}
 }
 
@@ -203,11 +214,12 @@ func TestQuantizedTransferFloat32(t *testing.T) {
 		Model:     "m",
 		Strategy:  Strategy{Route: RouteGPU, Mode: ModeSync},
 		Precision: vformat.PrecFloat32,
+		ChunkSize: incrementalChunk,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := NewConsumer(env, "m", dst)
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{Serving: dst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +227,7 @@ func TestQuantizedTransferFloat32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Meta.Format != "vquant" {
+	if rep.Meta.Format != "vchunk" {
 		t.Fatalf("format = %q", rep.Meta.Format)
 	}
 	if _, _, err := pollViaMeta(cons); err != nil {
@@ -234,7 +246,7 @@ func TestQuantizedHalvesAccountedSize(t *testing.T) {
 		env, _ := newTestEnv()
 		h, err := NewWeightsHandler(env, HandlerConfig{
 			Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync},
-			Precision: p, VirtualSize: full,
+			Precision: p, VirtualSize: full, ChunkSize: incrementalChunk,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -251,8 +263,8 @@ func TestQuantizedHalvesAccountedSize(t *testing.T) {
 	if !(s16 < s32 && s32 < s64) {
 		t.Fatalf("accounted sizes %d/%d/%d must shrink with precision", s64, s32, s16)
 	}
-	if ratio := float64(s64) / float64(s32); ratio < 1.6 {
-		t.Fatalf("f64/f32 accounted ratio = %.2f", ratio)
+	if s32 != full/2 || s16 != full/4 {
+		t.Fatalf("accounted sizes %d/%d, want exactly half and a quarter of %d", s32, s16, full)
 	}
 }
 
@@ -260,9 +272,30 @@ func TestHandlerConfigRejectsConflictingModes(t *testing.T) {
 	env, _ := newTestEnv()
 	if _, err := NewWeightsHandler(env, HandlerConfig{
 		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync},
-		Incremental: true, Precision: vformat.PrecFloat16,
+		Incremental: true, Precision: vformat.PrecFloat16, ChunkSize: incrementalChunk,
 	}); err == nil {
 		t.Fatal("incremental + quantized must be rejected")
+	}
+	// Precision, deltas and the store live in the chunked encoding: asking
+	// for one on a whole-file baseline (v1 at ChunkSize 0, or h5) is a
+	// construction error that names the missing setting.
+	store, err := chunkstore.Open(t.TempDir(), chunkstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	memory := Strategy{Route: RouteGPU, Mode: ModeSync}
+	for name, cfg := range map[string]HandlerConfig{
+		"incremental, unchunked": {Strategy: memory, Incremental: true},
+		"quantized, unchunked":   {Strategy: memory, Precision: vformat.PrecFloat32},
+		"store, unchunked":       {Strategy: memory, Store: store},
+		"quantized, baseline":    {Strategy: Strategy{Route: RoutePFS, Baseline: true}, Precision: vformat.PrecFloat32, ChunkSize: incrementalChunk},
+		"store, baseline":        {Strategy: Strategy{Route: RoutePFS, Baseline: true}, Store: store, ChunkSize: incrementalChunk},
+	} {
+		cfg.Model = "m"
+		if _, err := NewWeightsHandler(env, cfg); err == nil || !strings.Contains(err.Error(), "ChunkSize") {
+			t.Fatalf("%s: err = %v, want a construction error naming ChunkSize", name, err)
+		}
 	}
 	if _, err := NewWeightsHandler(env, HandlerConfig{
 		Model: "m", Strategy: Strategy{Route: RoutePFS, Baseline: true},
@@ -278,7 +311,7 @@ func TestHandlerConfigRejectsConflictingModes(t *testing.T) {
 	}
 	if _, err := NewWeightsHandler(env, HandlerConfig{
 		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync},
-		Incremental: true, DeltaEps: -0.5,
+		Incremental: true, DeltaEps: -0.5, ChunkSize: incrementalChunk,
 	}); err == nil {
 		t.Fatal("negative delta threshold must be rejected")
 	}
@@ -289,7 +322,7 @@ func TestTraceRecordsTimeline(t *testing.T) {
 	rec := newTraceRecorder()
 	env.Trace = rec
 	h, _ := NewWeightsHandler(env, HandlerConfig{Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync}})
-	cons, _ := NewConsumer(env, "m", nil)
+	cons, _ := NewConsumerOpts(env, "m", ConsumerOptions{})
 	if _, err := h.Save(nn.TakeSnapshot(testModel(40)), 1, 0.5); err != nil {
 		t.Fatal(err)
 	}

@@ -106,8 +106,9 @@ type ModelMeta struct {
 	Path string `json:"path"`
 	// Size is the accounted (virtual) checkpoint size in bytes.
 	Size int64 `json:"size"`
-	// Format is the serialization ("vformat", "vquant", "vdelta",
-	// "vchunk", "h5").
+	// Format is the serialization: "vchunk" (chunked v2, Viper's one
+	// encoding) or its manifest form "vrecon"; "vformat" (lean v1) and
+	// "h5" appear only on the in-process simulator's reference baselines.
 	Format string `json:"format"`
 	// Incremental marks checkpoints from an incremental (delta-chain)
 	// producer: consumers must consume frames strictly in order instead

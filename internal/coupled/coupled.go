@@ -71,7 +71,7 @@ func MeasureTiming(strategy core.Strategy, virtualSize int64, snapshot nn.Snapsh
 	if err != nil {
 		return 0, 0, err
 	}
-	cons, err := core.NewConsumer(env, "probe", nil)
+	cons, err := core.NewConsumerOpts(env, "probe", core.ConsumerOptions{})
 	if err != nil {
 		return 0, 0, err
 	}

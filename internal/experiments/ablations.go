@@ -93,132 +93,7 @@ func (r *NotifyAblationResult) Format() string {
 }
 
 // ---------------------------------------------------------------------
-// Ablation 2: incremental (delta) checkpointing payload vs threshold.
-// ---------------------------------------------------------------------
-
-// DeltaRow is one row of the delta ablation.
-type DeltaRow struct {
-	// Eps is the suppression threshold.
-	Eps float64
-	// PayloadRatio is delta bytes / full checkpoint bytes.
-	PayloadRatio float64
-	// Density is changed elements / total elements.
-	Density float64
-	// MaxWeightErr is the largest absolute weight deviation introduced
-	// by suppression.
-	MaxWeightErr float64
-}
-
-// DeltaAblationResult reports payload savings vs precision for delta
-// checkpoints between adjacent training checkpoints.
-type DeltaAblationResult struct {
-	// Rows are ordered by ascending eps.
-	Rows []DeltaRow
-	// IntervalIters is the training gap between the two snapshots.
-	IntervalIters int
-}
-
-// RunDeltaAblation trains TC1 briefly, snapshots two checkpoints a fixed
-// interval apart, and measures the delta payload across suppression
-// thresholds — quantifying when Check-N-Run-style incremental transfer
-// pays off for dense DNN training.
-func RunDeltaAblation(intervalIters int, epsList []float64, seed int64) (*DeltaAblationResult, error) {
-	if intervalIters <= 0 {
-		return nil, fmt.Errorf("experiments: interval %d must be positive", intervalIters)
-	}
-	if len(epsList) == 0 {
-		epsList = []float64{0, 1e-5, 1e-4, 1e-3, 1e-2}
-	}
-	data, err := ds.SynthesizeClassification(ds.ClassificationConfig{
-		Samples: 128, Length: 32, Classes: models.TC1Classes, Noise: 0.3, Seed: seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	net := models.TC1(rng, 32)
-	task := &train.ClassificationTask{Net: net, Data: data, Eval: data, Opt: nn.NewSGD(0.002, 0.5)}
-	tr := &train.Trainer{Task: task, BatchSize: 8, Seed: seed + 1}
-	// Warm the model a little, snapshot, train the interval, snapshot.
-	if _, err := tr.Run(2); err != nil {
-		return nil, err
-	}
-	base := nn.TakeSnapshot(net)
-	steps := 0
-	for steps < intervalIters {
-		if _, err := tr.Run(1); err != nil {
-			return nil, err
-		}
-		steps = tr.Iterations() // counts from the warm-up too; fine for a gap
-		if steps >= intervalIters+2*tr.IterationsPerEpoch() {
-			break
-		}
-	}
-	next := nn.TakeSnapshot(net)
-	fullBytes, err := (&vformat.Checkpoint{ModelName: "tc1", Weights: next}).Encode()
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, nt := range base {
-		total += len(nt.Data)
-	}
-	res := &DeltaAblationResult{IntervalIters: intervalIters}
-	for _, eps := range epsList {
-		delta, err := vformat.ComputeDelta(base, next, eps)
-		if err != nil {
-			return nil, err
-		}
-		enc, err := delta.Encode()
-		if err != nil {
-			return nil, err
-		}
-		applied, err := delta.Apply(base)
-		if err != nil {
-			return nil, err
-		}
-		maxErr := 0.0
-		for i := range next {
-			for j := range next[i].Data {
-				if d := abs(next[i].Data[j] - applied[i].Data[j]); d > maxErr {
-					maxErr = d
-				}
-			}
-		}
-		res.Rows = append(res.Rows, DeltaRow{
-			Eps:          eps,
-			PayloadRatio: float64(len(enc)) / float64(len(fullBytes)),
-			Density:      delta.Density(total),
-			MaxWeightErr: maxErr,
-		})
-	}
-	return res, nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// Format renders the delta ablation table.
-func (r *DeltaAblationResult) Format() string {
-	rows := make([][]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0e", row.Eps),
-			fmt.Sprintf("%.3f", row.PayloadRatio),
-			fmt.Sprintf("%.3f", row.Density),
-			fmt.Sprintf("%.2e", row.MaxWeightErr),
-		})
-	}
-	return fmt.Sprintf("Ablation: delta checkpoint payload vs threshold (interval ≈ %d iters)\n", r.IntervalIters) +
-		Table([]string{"eps", "payload_ratio", "density", "max_weight_err"}, rows)
-}
-
-// ---------------------------------------------------------------------
-// Ablation 3: quantized transfer precision vs serving accuracy.
+// Ablation 2: quantized transfer precision vs serving accuracy.
 // ---------------------------------------------------------------------
 
 // QuantRow is one row of the quantization ablation.
@@ -264,12 +139,13 @@ func RunQuantAblation(seed int64) (*QuantAblationResult, error) {
 		h, err := core.NewWeightsHandler(env, core.HandlerConfig{
 			Model: "tc1", Strategy: core.Strategy{Route: core.RouteGPU, Mode: core.ModeSync},
 			Precision: p, VirtualSize: models.SizeTC1,
+			ChunkSize: vformat.DefaultChunkBytes,
 		})
 		if err != nil {
 			return nil, err
 		}
 		serving := models.TC1(rand.New(rand.NewSource(seed+2)), 32)
-		cons, err := core.NewConsumer(env, "tc1", serving)
+		cons, err := core.NewConsumerOpts(env, "tc1", core.ConsumerOptions{Serving: serving})
 		if err != nil {
 			return nil, err
 		}
@@ -315,7 +191,7 @@ func (r *QuantAblationResult) Format() string {
 }
 
 // ---------------------------------------------------------------------
-// Ablation 4: broadcast fan-out cost vs consumer count.
+// Ablation 3: broadcast fan-out cost vs consumer count.
 // ---------------------------------------------------------------------
 
 // FanoutRow is one row of the fan-out ablation.

@@ -43,36 +43,6 @@ func TestNotifyAblationPushBeatsPolling(t *testing.T) {
 	}
 }
 
-func TestDeltaAblationThresholdShrinksPayload(t *testing.T) {
-	res, err := RunDeltaAblation(20, []float64{0, 1e-4, 1e-2}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	// Higher eps → smaller payload, lower density, larger weight error.
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i].PayloadRatio > res.Rows[i-1].PayloadRatio+1e-9 {
-			t.Fatalf("payload ratio must not grow with eps: %+v", res.Rows)
-		}
-		if res.Rows[i].Density > res.Rows[i-1].Density+1e-9 {
-			t.Fatalf("density must not grow with eps: %+v", res.Rows)
-		}
-	}
-	exact := res.Rows[0]
-	if exact.MaxWeightErr != 0 {
-		t.Fatalf("eps=0 weight error = %v, want 0", exact.MaxWeightErr)
-	}
-	coarse := res.Rows[2]
-	if coarse.MaxWeightErr == 0 || coarse.MaxWeightErr > 1e-2 {
-		t.Fatalf("eps=1e-2 weight error = %v, want (0, 1e-2]", coarse.MaxWeightErr)
-	}
-	if _, err := RunDeltaAblation(0, nil, 1); err == nil {
-		t.Fatal("zero interval must error")
-	}
-}
-
 func TestQuantAblationAccuracyAndLatency(t *testing.T) {
 	res, err := RunQuantAblation(5)
 	if err != nil {

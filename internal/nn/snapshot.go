@@ -145,11 +145,20 @@ func UnmarshalSnapshot(b []byte) (Snapshot, error) {
 	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
 		return nil, fmt.Errorf("nn: snapshot count: %w", err)
 	}
+	// Every length field below is checked against the bytes actually left
+	// before it sizes an allocation: the input may come off a socket.
+	const minTensorBytes = 4 + 4 + 8 // name length, rank, element count
+	if uint64(count)*minTensorBytes > uint64(r.Len()) {
+		return nil, fmt.Errorf("nn: snapshot: implausible tensor count %d", count)
+	}
 	out := make(Snapshot, 0, count)
 	for i := uint32(0); i < count; i++ {
 		var nameLen uint32
 		if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
 			return nil, fmt.Errorf("nn: snapshot tensor %d name length: %w", i, err)
+		}
+		if uint64(nameLen) > uint64(r.Len()) {
+			return nil, fmt.Errorf("nn: snapshot tensor %d: implausible name length %d", i, nameLen)
 		}
 		name := make([]byte, nameLen)
 		if _, err := io.ReadFull(r, name); err != nil {
@@ -158,6 +167,9 @@ func UnmarshalSnapshot(b []byte) (Snapshot, error) {
 		var rank uint32
 		if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
 			return nil, fmt.Errorf("nn: snapshot tensor %d rank: %w", i, err)
+		}
+		if uint64(rank)*8 > uint64(r.Len()) {
+			return nil, fmt.Errorf("nn: snapshot tensor %d: implausible rank %d", i, rank)
 		}
 		shape := make([]int, rank)
 		n := 1

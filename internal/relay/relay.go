@@ -321,18 +321,16 @@ type chunkEntry struct {
 	refs    int
 }
 
-// version is one cached (model, version). A monolithic version keeps
-// its single frame verbatim; a chunked version keeps only its header
-// frame plus the ordered content hashes of its records — the bytes live
-// in the relay's refcounted chunk store, shared with every other
-// version holding the same content (held carries one reference per
-// hash position). Frames and store payloads are immutable once the
-// version is committed; sessions borrow them read-only after pinning.
-// Eviction releases the version's chunk references (returning
-// no-longer-shared bytes to the cache budget) — but never while a
-// session holds a pin: the release is deferred to the last unpin, so a
-// mid-fanout borrow can never observe freed storage. pins/evicted/
-// released/held are guarded by Relay.mu.
+// version is one cached (model, version): its header frame plus the
+// ordered content hashes of its records — the bytes live in the relay's
+// refcounted chunk store, shared with every other version holding the
+// same content (held carries one reference per hash position). Frames
+// and store payloads are immutable once the version is committed;
+// sessions borrow them read-only after pinning. Eviction releases the
+// version's chunk references (returning no-longer-shared bytes to the
+// cache budget) — but never while a session holds a pin: the release is
+// deferred to the last unpin, so a mid-fanout borrow can never observe
+// freed storage. pins/evicted/released/held are guarded by Relay.mu.
 type version struct {
 	model     string
 	vnum      uint64
@@ -341,7 +339,6 @@ type version struct {
 	hashes    []vformat.ChunkHash
 	held      []*chunkEntry
 	manifest  []byte
-	chunks    int
 	bytes     int64 // logical payload size (header + every record)
 	resident  int64 // bytes charged to the cache beyond shared chunks
 	deduped   int   // chunks that were already resident at ingest
@@ -426,15 +423,6 @@ type Relay struct {
 	synced     Stats // last values pushed to the metrics registry
 }
 
-// policyClock extracts the retry policy's injected clock, falling back
-// to the wall clock (see viper-vet's simclockpurity analyzer).
-func policyClock(p retry.Policy) simclock.Clock {
-	if p.Clock != nil {
-		return p.Clock
-	}
-	return simclock.NewWall()
-}
-
 // New binds the ingest and serve listeners, connects to the metadata
 // and notification services (when configured), and starts serving.
 func New(cfg Config) (*Relay, error) {
@@ -455,7 +443,7 @@ func New(cfg Config) (*Relay, error) {
 		maxSessions: cfg.MaxSessions,
 		rate:        cfg.IngestRate,
 		burst:       float64(burst),
-		clock:       policyClock(pol),
+		clock:       pol.ClockOrWall(),
 		closed:      make(chan struct{}),
 		models:      make(map[string]*modelCache),
 		chunks:      make(map[vformat.ChunkHash]*chunkEntry),
@@ -527,12 +515,10 @@ func (r *Relay) closeClients() {
 }
 
 // hydrateFromStore rebuilds the in-memory catalog from the attached
-// store's recovered inventory. Chunked versions come back as
-// header-resident shells — the records stay on disk and are read
-// through on demand — and monolithic versions reload their payload
-// lazily at first serve. Hydration never announces: the KV/notify
-// state either already reflects these versions or the producer's next
-// push refreshes it.
+// store's recovered inventory. Versions come back as header-resident
+// shells — the records stay on disk and are read through on demand.
+// Hydration never announces: the KV/notify state either already
+// reflects these versions or the producer's next push refreshes it.
 func (r *Relay) hydrateFromStore() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -556,42 +542,35 @@ func (r *Relay) hydrateFromStore() {
 }
 
 // versionFromStoreLocked builds the catalog shell for a store-backed
-// version: the header frame (and manifest) resident for a chunked
-// version, nothing resident for a monolithic one. Callers hold r.mu.
+// version: only the header frame (and manifest) is resident. Callers
+// hold r.mu.
 func (r *Relay) versionFromStoreLocked(m chunkstore.VersionMeta) *version {
+	head := transport.Frame{Key: m.Key, Payload: m.Header, Meta: map[string]string{
+		"model":                  m.Model,
+		"version":                strconv.FormatUint(m.Version, 10),
+		transport.MetaChunkRole:  transport.ChunkRoleHeader,
+		transport.MetaChunkCount: strconv.Itoa(len(m.Hashes)),
+	}}
 	v := &version{
 		model: m.Model, vnum: m.Version, key: m.Key,
 		bytes: m.Bytes, stored: true, crcOK: true,
+		frames:   []transport.Frame{head},
+		hashes:   m.Hashes,
+		resident: int64(len(m.Header)),
+		manifest: vformat.EncodeManifest(m.Header, m.Hashes),
+		meta: &core.ModelMeta{
+			Name: m.Model, Version: m.Version, Path: m.Key,
+			Size: m.Bytes, Format: "vchunk", SavedAt: m.SavedAt,
+			Location: core.RouteRelay, Relay: r.ServeAddr(),
+		},
 	}
-	format := "vformat"
-	if !m.Monolithic {
-		head := transport.Frame{Key: m.Key, Payload: m.Header, Meta: map[string]string{
-			"model":                  m.Model,
-			"version":                strconv.FormatUint(m.Version, 10),
-			transport.MetaChunkRole:  transport.ChunkRoleHeader,
-			transport.MetaChunkCount: strconv.Itoa(len(m.Hashes)),
-		}}
-		v.frames = []transport.Frame{head}
-		v.hashes = m.Hashes
-		v.chunks = len(m.Hashes)
-		v.resident = int64(len(m.Header))
-		v.manifest = vformat.EncodeManifest(m.Header, m.Hashes)
-		r.cacheBytes += v.resident
-		format = "vchunk"
-	}
-	v.meta = &core.ModelMeta{
-		Name: m.Model, Version: m.Version, Path: m.Key,
-		Size: m.Bytes, Format: format, SavedAt: m.SavedAt,
-		Location: core.RouteRelay, Relay: r.ServeAddr(),
-	}
+	r.cacheBytes += v.resident
 	return v
 }
 
-// beginStore opens b's store write handle. There is none without a
-// store, nor for a version with no chunks (persistVersion writes that
-// one whole).
+// beginStore opens b's store write handle (none without a store).
 func (r *Relay) beginStore(b *building) {
-	if r.store != nil && len(b.v.hashes) > 0 {
+	if r.store != nil {
 		b.w = r.store.Begin()
 	}
 }
@@ -611,27 +590,18 @@ func (r *Relay) storeAppend(b *building, h vformat.ChunkHash, rec []byte) {
 	}
 }
 
-// persistVersion makes a completed version durable: a chunked version's
-// records were appended as they arrived, so only the commit barrier is
-// left (segment fsync, commit record, log fsync); a monolithic version
-// is written whole. Persistence failure degrades to memory-only caching
-// — the version still serves, it just will not survive a restart. w is
-// nil for a monolithic version and for a build whose appends already
-// failed (and were counted).
+// persistVersion makes a completed version durable: its records were
+// appended as they arrived, so only the commit barrier is left (segment
+// fsync, commit record, log fsync). Persistence failure degrades to
+// memory-only caching — the version still serves, it just will not
+// survive a restart. w is nil without a store, for a build whose appends
+// already failed (and were counted), and for a version with no chunks,
+// which has nothing to make durable and stays memory-only.
 func (r *Relay) persistVersion(v *version, w *chunkstore.Writer) {
-	if r.store == nil {
+	if w == nil {
 		return
 	}
-	var err error
-	switch {
-	case len(v.hashes) == 0:
-		err = r.store.PutMonolithic(v.model, v.vnum, v.key, v.frames[0].Payload)
-	case w == nil:
-		return
-	default:
-		err = w.Commit(v.model, v.vnum, v.key, v.frames[0].Payload, v.hashes)
-	}
-	if err != nil {
+	if err := w.Commit(v.model, v.vnum, v.key, v.frames[0].Payload, v.hashes); err != nil {
 		r.bump(func(s *Stats) { s.StoreErrors++ })
 		return
 	}
@@ -640,17 +610,12 @@ func (r *Relay) persistVersion(v *version, w *chunkstore.Writer) {
 }
 
 // demoteLocked strips a store-backed version down to its serve shell:
-// a chunked version keeps only its header frame and manifest (records
-// read through from disk at fan-out), a monolithic version drops its
-// payload entirely and reloads at first serve. A pinned version is
-// skipped — an active fan-out is borrowing the payloads — and retried
-// at the next commit. Callers hold r.mu.
+// the header frame and manifest stay, the records read through from
+// disk at fan-out. A pinned version is skipped — an active fan-out is
+// borrowing the payloads — and retried at the next commit. Callers hold
+// r.mu.
 func (r *Relay) demoteLocked(v *version) {
-	if !v.stored || v.released {
-		return
-	}
-	resident := len(v.held) > 0 || (len(v.hashes) == 0 && v.frames != nil)
-	if !resident {
+	if !v.stored || v.released || len(v.held) == 0 {
 		return
 	}
 	if v.pins > 0 {
@@ -661,11 +626,6 @@ func (r *Relay) demoteLocked(v *version) {
 		r.releaseChunk(e)
 	}
 	v.held = nil
-	if len(v.hashes) == 0 {
-		v.frames = nil
-		r.cacheBytes -= v.resident
-		v.resident = 0
-	}
 	r.stats.DemotedVersions++
 }
 
@@ -1016,9 +976,9 @@ func (r *Relay) handleFrame(link *transport.TCPLink, f transport.Frame, pending 
 		}
 		v := &version{
 			model: model, vnum: vnum, key: f.Key,
-			frames: []transport.Frame{f},
-			hashes: make([]vformat.ChunkHash, want),
-			chunks: want, crcOK: true,
+			frames:    []transport.Frame{f},
+			hashes:    make([]vformat.ChunkHash, want),
+			crcOK:     true,
 			reconcile: f.Meta[transport.MetaReconcile] == "1",
 		}
 		if want == 0 {
@@ -1048,19 +1008,9 @@ func (r *Relay) handleFrame(link *transport.TCPLink, f transport.Frame, pending 
 		}
 		r.addRecord(link, f, b, pending)
 	default:
-		// A monolithic (non-chunked) frame is a complete single-frame
-		// version; the frame-level CRC already vouched for it.
-		if !r.admitVersion(model) {
-			link.Send(rejectFrame(rejectReasonRate, model, f.Meta["version"]))
-			return
-		}
-		v := &version{
-			model: model, vnum: vnum, key: f.Key,
-			frames: []transport.Frame{f},
-			bytes:  int64(len(f.Payload)), resident: int64(len(f.Payload)),
-			crcOK: true,
-		}
-		r.commit(link, v, nil)
+		// Neither a stream header nor a chunk record: nothing the relay
+		// caches, stores or serves.
+		r.bump(func(s *Stats) { s.StrayFrames++ })
 	}
 }
 
@@ -1090,7 +1040,7 @@ func (r *Relay) startDeltaBuild(link *transport.TCPLink, f transport.Frame, mode
 		model: model, vnum: vnum, key: f.Key,
 		frames: []transport.Frame{hf},
 		hashes: man.Hashes,
-		chunks: len(man.Hashes), delta: true, reconcile: true, crcOK: true,
+		delta:  true, reconcile: true, crcOK: true,
 	}
 	b := &building{
 		v: v, want: want, left: len(man.Hashes),
@@ -1243,19 +1193,17 @@ func recordIndex(rec []byte) int {
 // the producer can push the next version as a delta), and — when the
 // version is the model's newest — records relay-served metadata and
 // republishes the update channel. w is the build's store handle (nil
-// for a monolithic version or after a failed append); commit finishes it.
+// without a store or after a failed append); commit finishes it.
 func (r *Relay) commit(link *transport.TCPLink, v *version, w *chunkstore.Writer) {
-	if len(v.hashes) > 0 || v.chunks > 0 {
-		// A chunked version's logical size is the header plus every
-		// record; only the header (plus the derived manifest) is charged
-		// to the cache beyond the shared chunk store.
-		v.bytes = int64(len(v.frames[0].Payload))
-		for _, e := range v.held {
-			v.bytes += int64(len(e.payload))
-		}
-		v.resident = int64(len(v.frames[0].Payload))
-		v.manifest = vformat.EncodeManifest(v.frames[0].Payload, v.hashes)
+	// The version's logical size is the header plus every record; only
+	// the header (plus the derived manifest) is charged to the cache
+	// beyond the shared chunk store.
+	v.bytes = int64(len(v.frames[0].Payload))
+	for _, e := range v.held {
+		v.bytes += int64(len(e.payload))
 	}
+	v.resident = int64(len(v.frames[0].Payload))
+	v.manifest = vformat.EncodeManifest(v.frames[0].Payload, v.hashes)
 	v.meta = r.metaFor(v)
 	// Persist before the catalog insert: once consumers can discover the
 	// version its durability status is already settled, and the store's
@@ -1357,13 +1305,9 @@ func (r *Relay) metaFor(v *version) *core.ModelMeta {
 		}
 	}
 	if meta == nil {
-		format := "vformat"
-		if v.chunks > 0 || transport.IsChunkHeader(v.frames[0]) {
-			format = "vchunk"
-		}
 		meta = &core.ModelMeta{
 			Name: v.model, Version: v.vnum, Path: v.key,
-			Size: v.bytes, Format: format, SavedAt: r.clock.Now(),
+			Size: v.bytes, Format: "vchunk", SavedAt: r.clock.Now(),
 		}
 	}
 	meta.Location = core.RouteRelay
@@ -1687,9 +1631,8 @@ func (s *session) send(v *version) bool {
 }
 
 // framesFor builds the frame sequence that serves v to this consumer:
-// the verbatim frame for a monolithic version; a rebuilt header plus
-// every record for a chunked version; or — when the consumer advertised
-// a have-set overlapping v — a manifest frame plus only the records the
+// the header plus every record, or — when the consumer advertised a
+// have-set overlapping v — a manifest frame plus only the records the
 // consumer lacks. The snapshot happens under the relay lock; the caller
 // holds a pin, so the referenced store payloads cannot be freed or
 // mutated while the borrow lasts. Reports whether the sequence is a
@@ -1699,28 +1642,6 @@ func (s *session) framesFor(v *version) ([]transport.Frame, bool) {
 	have := s.have
 	s.mu.Unlock()
 	s.r.mu.Lock()
-	if len(v.hashes) == 0 {
-		frames := v.frames
-		stored := v.stored
-		s.r.mu.Unlock()
-		if frames != nil {
-			return frames, false
-		}
-		if !stored || s.r.store == nil {
-			return nil, false
-		}
-		// Demoted or hydrated monolithic shell: reload the payload from
-		// the store for this borrow.
-		blob, err := s.r.store.LoadVersion(v.model, v.vnum)
-		if err != nil {
-			s.r.bump(func(st *Stats) { st.StoreErrors++ })
-			return nil, false
-		}
-		return []transport.Frame{{Key: v.key, Payload: blob, Meta: map[string]string{
-			"model":   v.model,
-			"version": strconv.FormatUint(v.vnum, 10),
-		}}}, false
-	}
 	head := v.frames[0]
 	stored := v.stored
 	var missing [][]byte
@@ -1789,20 +1710,20 @@ type VersionInfo struct {
 	Version uint64 `json:"version"`
 	// Key is the frame key the version travels under.
 	Key string `json:"key"`
-	// Chunks is the chunk-frame count (0 for a monolithic version).
+	// Chunks is the chunk-frame count.
 	Chunks int `json:"chunks"`
 	// Bytes is the logical payload size across all frames (what a full
 	// fan-out of this version ships).
 	Bytes int64 `json:"bytes"`
 	// Deduped is how many of the version's chunks were already resident
 	// in the content-addressed store when it arrived (cross-version
-	// dedup; 0 for a monolithic version).
+	// dedup).
 	Deduped int `json:"deduped"`
 	// Delta reports whether the version was ingested as a
 	// manifest+missing delta stream rather than a full push.
 	Delta bool `json:"delta"`
 	// Hashes lists the version's per-chunk content hashes (hex, chunk
-	// order; empty for a monolithic version).
+	// order).
 	Hashes []string `json:"hashes,omitempty"`
 	// CRCOK reports whether every chunk record passed CRC verification
 	// at ingest.
@@ -1820,7 +1741,7 @@ func (r *Relay) Inventory() []VersionInfo {
 		for _, v := range mc.versions {
 			vi := VersionInfo{
 				Model: v.model, Version: v.vnum, Key: v.key,
-				Chunks: v.chunks, Bytes: v.bytes,
+				Chunks: len(v.hashes), Bytes: v.bytes,
 				Deduped: v.deduped, Delta: v.delta, CRCOK: v.crcOK,
 				Stored: v.stored,
 			}

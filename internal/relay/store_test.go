@@ -321,9 +321,9 @@ func TestDeltaAfterRestartPrefillsFromStore(t *testing.T) {
 	}
 }
 
-// TestMonolithicRestartReload: a monolithic version survives a relay
-// restart as a payload-free shell and reloads from the store at first
-// serve, byte-identically.
+// TestMonolithicRestartReload: a plain (non-chunked) frame pushed at a
+// store-backed relay is a counted stray — nothing reaches the store, so
+// a restart on the same directory hydrates nothing and serves nothing.
 func TestMonolithicRestartReload(t *testing.T) {
 	dir := t.TempDir()
 	r1 := storeRelay(t, dir, 4, chunkstore.Retention{})
@@ -343,25 +343,53 @@ func TestMonolithicRestartReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return r1.Stats().StoredVersions == 1 }, "monolithic stored")
+	waitFor(t, 5*time.Second, func() bool { return r1.Stats().StrayFrames == 1 }, "stray frame counted")
+	if st := r1.Stats(); st.CachedVersions != 0 || st.StoredVersions != 0 || st.StoreErrors != 0 {
+		t.Fatalf("plain frame reached the cache or the store: %+v", st)
+	}
 	link.Close()
 	r1.Close()
 
 	r2 := storeRelay(t, dir, 4, chunkstore.Retention{})
-	cons, err := transport.DialTCP(r2.ServeAddr())
+	inv, err := FetchInventory(r2.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cons.Close()
+	if st := r2.Stats(); st.HydratedVersions != 0 || len(inv) != 0 {
+		t.Fatalf("restart found something to serve: inventory %+v, stats %+v", inv, st)
+	}
+}
+
+// TestHeaderOnlyVersionStaysMemoryOnly: a stream announcing zero chunks
+// (an empty model) has nothing to make durable. It is cached and served
+// from memory, costs no store write and no store error, and a restart
+// does not bring it back.
+func TestHeaderOnlyVersionStaysMemoryOnly(t *testing.T) {
+	dir := t.TempDir()
+	r1 := storeRelay(t, dir, 4, chunkstore.Retention{})
+	link, err := transport.DialTCP(r1.IngestAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushChunked(t, link, "m", 1, nn.Snapshot{}, 128)
+	waitFor(t, 5*time.Second, func() bool { return r1.Stats().CachedVersions == 1 }, "header-only version cached")
+	if st := r1.Stats(); st.StoredVersions != 0 || st.StoreErrors != 0 {
+		t.Fatalf("header-only version touched the store: %+v", st)
+	}
+	cons, err := transport.DialTCP(r1.ServeAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := cons.Recv()
-	if err != nil {
-		t.Fatal(err)
+	cons.Close()
+	if err != nil || !transport.IsChunkHeader(f) || f.Meta[transport.MetaChunkCount] != "0" {
+		t.Fatalf("served frame %+v (err=%v), want the zero-chunk header", f.Meta, err)
 	}
-	if f.Key != "m/v00000001" || !bytes.Equal(f.Payload, payload) {
-		t.Fatalf("reloaded monolithic frame key=%q bytes equal=%v, want the original payload", f.Key, bytes.Equal(f.Payload, payload))
-	}
-	if st := r2.Stats(); st.HydratedVersions != 1 {
-		t.Fatalf("stats after monolithic restart: %+v", st)
+	link.Close()
+	r1.Close()
+
+	if r2 := storeRelay(t, dir, 4, chunkstore.Retention{}); r2.Stats().HydratedVersions != 0 {
+		t.Fatalf("header-only version survived the restart: %+v", r2.Stats())
 	}
 }
 

@@ -39,11 +39,11 @@ func TestBackoffDefaults(t *testing.T) {
 // reconnect backoff sleeps on the policy's clock, so a virtual clock
 // makes retry storms simulable instead of wall-clock-slow.
 func TestPolicyClockInjection(t *testing.T) {
-	if _, ok := policyClock(retry.Policy{}).(simclock.Wall); !ok {
+	if _, ok := (retry.Policy{}).ClockOrWall().(simclock.Wall); !ok {
 		t.Fatal("nil policy clock must default to the wall clock")
 	}
 	v := simclock.NewVirtualManual()
-	if got := policyClock(retry.Policy{Clock: v}); got != simclock.Clock(v) {
-		t.Fatalf("policyClock ignored the injected clock: %v", got)
+	if got := (retry.Policy{Clock: v}).ClockOrWall(); got != simclock.Clock(v) {
+		t.Fatalf("ClockOrWall ignored the injected clock: %v", got)
 	}
 }

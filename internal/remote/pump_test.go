@@ -26,7 +26,7 @@ func TestPumpBackoffInterruptedByClose(t *testing.T) {
 		model:  "m",
 		link:   transport.NewReconnectLink(func() (*transport.TCPLink, error) { return nil, errors.New("producer down") }, pol),
 		policy: pol,
-		clock:  policyClock(pol),
+		clock:  pol.ClockOrWall(),
 		frames: make(chan transport.Frame, 1),
 		closed: make(chan struct{}),
 	}

@@ -75,29 +75,27 @@ type ProducerConfig struct {
 	// Retry bounds reconnect/resend attempts on the networked paths.
 	// The zero value selects retry.Default over the wall clock.
 	Retry retry.Policy
-	// DisableStaging turns off the KV staging copies, leaving the
-	// direct link as the only delivery path (the pre-fault-tolerance
-	// behaviour).
+	// DisableStaging turns off the redundant KV staging copy of a
+	// checkpoint the link carried. A checkpoint the link could not carry
+	// is staged regardless — staging is then its only delivery path.
 	DisableStaging bool
 	// LinkWrap, if set, decorates each accepted link connection (fault
 	// injection hooks in here).
 	LinkWrap func(net.Conn) net.Conn
-	// ChunkSize, when positive, publishes checkpoints through the chunked
-	// pipeline: the payload travels the direct link as a header frame plus
-	// one frame per chunk (chunk N on the wire while N+1 is still being
-	// encoded), the staging copy holds the chunked blob, and metadata
-	// reports the "vchunk" format. Zero keeps the legacy monolithic
-	// "vformat" frames.
+	// ChunkSize is the chunk granularity in bytes (0 selects
+	// vformat.DefaultChunkBytes). Every checkpoint travels the link as a
+	// header frame plus one frame per chunk (chunk N on the wire while
+	// N+1 is still being encoded), the staging copy holds the chunked
+	// blob, and metadata reports the "vchunk" format.
 	ChunkSize int
 	// Parallelism bounds the chunk-encode worker pool (0 = GOMAXPROCS).
-	// Only meaningful with ChunkSize set.
 	Parallelism int
 	// DisableDeltaReconcile turns off chunk-level delta publishing. By
-	// default (with ChunkSize set) the producer reads have-lists the
-	// receiver sends back, ships subsequent versions as manifest+missing
-	// delta streams, and answers need-lists for chunks the receiver
-	// advertised but lost. Disabling restores the always-full chunked
-	// streams (and the producer never reads its link).
+	// default the producer reads have-lists the receiver sends back,
+	// ships subsequent versions as manifest+missing delta streams, and
+	// answers need-lists for chunks the receiver advertised but lost.
+	// Disabling restores the always-full chunked streams (and the
+	// producer never reads its link).
 	DisableDeltaReconcile bool
 	// DeltaEps, when positive (and delta publishing is on), enables
 	// base-suppressed encoding: an element that moved less than
@@ -244,17 +242,6 @@ func policyOrDefault(p retry.Policy) retry.Policy {
 	return p
 }
 
-// policyClock extracts the retry policy's injected clock, falling back
-// to the wall clock. Every latency-bearing wait in this package charges
-// against it, so chaos tests that inject a virtual clock never burn
-// wall time in backoffs (see viper-vet's simclockpurity analyzer).
-func policyClock(p retry.Policy) simclock.Clock {
-	if p.Clock != nil {
-		return p.Clock
-	}
-	return simclock.NewWall()
-}
-
 // NewProducer connects to the metadata and notification services, then
 // blocks until the consumer establishes the direct link.
 func NewProducer(cfg ProducerConfig) (*Producer, error) {
@@ -266,6 +253,9 @@ func NewProducer(cfg ProducerConfig) (*Producer, error) {
 	}
 	if cfg.Parallelism < 0 {
 		return nil, fmt.Errorf("remote: negative parallelism %d", cfg.Parallelism)
+	}
+	if cfg.ChunkSize == 0 {
+		cfg.ChunkSize = vformat.DefaultChunkBytes
 	}
 	pol := policyOrDefault(cfg.Retry)
 	kv, err := kvstore.DialOptions(cfg.MetaAddr, kvstore.Options{Retry: pol})
@@ -318,7 +308,7 @@ func NewProducer(cfg ProducerConfig) (*Producer, error) {
 	if cfg.StoreDir != "" {
 		store, err = chunkstore.Open(cfg.StoreDir, chunkstore.Options{
 			Retention: cfg.StoreRetention,
-			Clock:     policyClock(pol),
+			Clock:     pol.ClockOrWall(),
 		})
 		if err != nil {
 			kv.Close()
@@ -336,9 +326,9 @@ func NewProducer(cfg ProducerConfig) (*Producer, error) {
 	lifeCtx, lifeCancel := context.WithCancel(cfg.BaseContext)
 	p := &Producer{
 		model: cfg.Model, kv: kv, ps: ps, ln: ln, link: link, store: store,
-		policy: pol, clock: policyClock(pol), stage: !cfg.DisableStaging,
+		policy: pol, clock: pol.ClockOrWall(), stage: !cfg.DisableStaging,
 		relay: cfg.RelayAddr != "", chunkSize: cfg.ChunkSize, workers: cfg.Parallelism,
-		recon:    cfg.ChunkSize > 0 && !cfg.DisableDeltaReconcile,
+		recon:    !cfg.DisableDeltaReconcile,
 		deltaEps: cfg.DeltaEps,
 		closed:   make(chan struct{}),
 		lifeCtx:  lifeCtx, lifeCancel: lifeCancel,
@@ -511,23 +501,14 @@ func (p *Producer) PublishContext(ctx context.Context, snapshot nn.Snapshot, ite
 	}
 	key := core.CheckpointKey(p.model, version)
 	tags := map[string]string{"model": p.model, "version": strconv.FormatUint(version, 10)}
-	if p.chunkSize > 0 {
-		return p.publishChunked(ctx, ckpt, key, tags)
-	}
-	payload, err := ckpt.Encode()
-	if err != nil {
-		return nil, err
-	}
-	p.attachRelayMeta(tags, ckpt, key, int64(len(payload)), "vformat")
-	sendErr := p.link.Send(transport.Frame{Key: key, Payload: payload, Meta: tags})
-	return p.finishPublish(ctx, ckpt, key, payload, "vformat", sendErr)
+	return p.publishChunked(ctx, ckpt, key, tags)
 }
 
 // attachRelayMeta adds the encoded checkpoint metadata to a relay-mode
 // stream's frame tags (core.RelayMetaTag), so the relay can record and
 // republish full metadata — iteration, loss, size — without decoding
 // payloads. The relay stamps its own serve address in before writing.
-func (p *Producer) attachRelayMeta(tags map[string]string, ckpt *vformat.Checkpoint, key string, size int64, format string) {
+func (p *Producer) attachRelayMeta(tags map[string]string, ckpt *vformat.Checkpoint, key string, size int64) {
 	if !p.relay {
 		return
 	}
@@ -539,7 +520,7 @@ func (p *Producer) attachRelayMeta(tags map[string]string, ckpt *vformat.Checkpo
 		Location:  core.RouteRelay,
 		Path:      key,
 		Size:      size,
-		Format:    format,
+		Format:    "vchunk",
 		SavedAt:   p.clock.Now(),
 	}
 	if encoded, err := meta.Encode(); err == nil {
@@ -591,7 +572,7 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 		// chunk store back for the next version's planning.
 		tags[transport.MetaReconcile] = "1"
 	}
-	p.attachRelayMeta(tags, ckpt, key, int64(enc.EncodedSize()), "vchunk")
+	p.attachRelayMeta(tags, ckpt, key, int64(enc.EncodedSize()))
 	if delta {
 		return p.publishDelta(ctx, enc, ckpt, key, tags, have)
 	}
@@ -619,7 +600,7 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 	}
 	// Staging reads the pooled blob in place: the deferred Release/unref
 	// above run only after finishPublish's Set has returned.
-	return p.finishPublish(ctx, ckpt, key, blob, "vchunk", sendErr)
+	return p.finishPublish(ctx, ckpt, key, blob, sendErr)
 }
 
 // publishDelta ships ckpt as a manifest plus only the chunk records the
@@ -659,13 +640,13 @@ func (p *Producer) publishDelta(ctx context.Context, enc *vformat.ChunkEncoder, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return p.finishPublish(ctx, ckpt, key, blob, "vchunk", sendErr)
+	return p.finishPublish(ctx, ckpt, key, blob, sendErr)
 }
 
 // finishPublish completes a publish after the link attempt: delivery
 // stats, the KV staging copy (mandatory when the link failed), then
 // metadata and the push notification.
-func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, key string, payload []byte, format string, sendErr error) (*core.ModelMeta, error) {
+func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, key string, payload []byte, sendErr error) (*core.ModelMeta, error) {
 	version := ckpt.Version
 	p.mu.Lock()
 	if sendErr != nil {
@@ -704,8 +685,6 @@ func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, 
 				_, _ = p.kv.Del(core.StagingKey(p.model, version-stagedHistory))
 			}
 		}
-	} else if sendErr != nil {
-		return nil, fmt.Errorf("remote: link send: %w", sendErr)
 	}
 	if p.store != nil {
 		// The payload here is always the complete self-contained blob
@@ -734,7 +713,7 @@ func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, 
 		Location:  location,
 		Path:      key,
 		Size:      int64(len(payload)),
-		Format:    format,
+		Format:    "vchunk",
 		SavedAt:   p.clock.Now(),
 	}
 	encoded, err := meta.Encode()
@@ -960,7 +939,7 @@ func NewConsumer(cfg ConsumerConfig) (*Consumer, error) {
 	c := &Consumer{
 		model: cfg.Model, kv: kv, ps: ps, link: link,
 		events: events, serving: cfg.Serving,
-		linkWait: linkWait, policy: pol, clock: policyClock(pol),
+		linkWait: linkWait, policy: pol, clock: pol.ClockOrWall(),
 		frames:  make(chan transport.Frame, frameBuf),
 		closed:  make(chan struct{}),
 		lifeCtx: lifeCtx, lifeCancel: lifeCancel,
@@ -1011,11 +990,11 @@ func (c *Consumer) pump() {
 			// A full buffer must never stall the pump: this Recv loop is
 			// what drives link reconnection, and a producer blocked in
 			// re-accept waits on the consumer to redial — a pump parked
-			// on a full channel deadlocks both sides (seen with chunked
-			// streams, whose many frames per version overflow the buffer
-			// far sooner than monolithic ones). Frames are superseding
-			// model updates, so shed the oldest buffered frame; a torn
-			// chunk stream or lost version backfills from KV staging.
+			// on a full channel deadlocks both sides (a version is many
+			// frames, so the buffer overflows quickly). Frames are
+			// superseding model updates, so shed the oldest buffered
+			// frame; a torn chunk stream or lost version backfills from
+			// KV staging.
 			select {
 			case <-c.frames:
 			default:
@@ -1191,11 +1170,11 @@ func (c *Consumer) fetch(ctx context.Context, meta *core.ModelMeta) (*vformat.Ch
 }
 
 // resolveFrame turns a link frame addressed to meta into a checkpoint:
-// a chunk-stream header pulls the remaining chunk frames from the pump
-// and assembles them as they arrive, a monolithic frame decodes
-// directly. A nil checkpoint means the frame (or its stream) was
-// unusable and the caller should backfill from staging; a non-nil
-// foreign frame interrupted the chunk stream and still needs handling.
+// a stream header pulls the remaining chunk frames from the pump and
+// assembles them as they arrive. A nil checkpoint means the frame opens
+// no stream, or its stream was unusable, and the caller should backfill
+// from staging; a non-nil foreign frame interrupted the chunk stream and
+// still needs handling.
 func (c *Consumer) resolveFrame(ctx context.Context, f *transport.Frame, meta *core.ModelMeta) (*vformat.Checkpoint, *transport.Frame) {
 	if transport.IsManifestHeader(*f) {
 		return c.collectDeltaStream(ctx, f, meta)
@@ -1203,7 +1182,7 @@ func (c *Consumer) resolveFrame(ctx context.Context, f *transport.Frame, meta *c
 	if transport.IsChunkHeader(*f) {
 		return c.collectChunkStream(ctx, f, meta)
 	}
-	return c.decodeFrame(f, meta), nil
+	return nil, nil
 }
 
 // streamRecv builds the collect loops' receive function: frames come
@@ -1270,23 +1249,8 @@ func (c *Consumer) collectDeltaStream(ctx context.Context, header *transport.Fra
 	return ckpt, nil
 }
 
-// decodeFrame validates and decodes a monolithic link frame against its
-// metadata, returning nil on any mismatch (the caller falls back to
-// staging).
-func (c *Consumer) decodeFrame(f *transport.Frame, meta *core.ModelMeta) *vformat.Checkpoint {
-	ckpt, err := vformat.Decode(f.Payload)
-	if err != nil {
-		return nil
-	}
-	if ckpt.ModelName != c.model || ckpt.Version != meta.Version {
-		return nil
-	}
-	return ckpt
-}
-
-// fetchStaged backfills a checkpoint from the KV staging area. The
-// staged payload is whatever the producer shipped — monolithic vformat
-// or a chunked v2 blob — so decoding dispatches on the magic.
+// fetchStaged backfills a checkpoint from the KV staging area, where
+// the producer left the complete chunked blob.
 func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vformat.Checkpoint, error) {
 	raw, err := c.kv.GetBytes(core.StagingKey(c.model, meta.Version))
 	if errors.Is(err, kvstore.ErrNotFound) {
@@ -1304,8 +1268,8 @@ func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vfor
 			ckpt.ModelName, ckpt.Version, c.model, meta.Version)
 	}
 	if c.cache != nil {
-		// A chunked staging blob replenishes the reconciliation cache
-		// (monolithic blobs carry no records; the error is expected).
+		// The staged chunk records replenish the reconciliation cache
+		// (best-effort: the install does not depend on it).
 		_ = c.cache.PutAll(raw)
 	}
 	c.bump(func(s *ConsumerStats) { s.StagedLoads++ })

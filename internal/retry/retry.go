@@ -52,6 +52,17 @@ func Default(clock simclock.Clock) Policy {
 	}
 }
 
+// ClockOrWall returns the policy's injected clock, falling back to the
+// wall clock. Every latency-bearing wait in the networked layers charges
+// against it, so chaos tests that inject a virtual clock never burn wall
+// time in backoffs (see viper-vet's simclockpurity analyzer).
+func (p Policy) ClockOrWall() simclock.Clock {
+	if p.Clock != nil {
+		return p.Clock
+	}
+	return simclock.NewWall()
+}
+
 // ErrExhausted marks errors returned after the attempt budget ran out.
 var ErrExhausted = errors.New("retry: attempts exhausted")
 
@@ -104,10 +115,7 @@ func (p Policy) Do(op func(attempt int) error) error {
 	if attempts < 1 {
 		attempts = 1
 	}
-	clock := p.Clock
-	if clock == nil {
-		clock = simclock.NewWall()
-	}
+	clock := p.ClockOrWall()
 	mult := p.Multiplier
 	if mult < 1 {
 		mult = 2

@@ -73,37 +73,3 @@ func BenchmarkH5Encode(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkComputeDelta(b *testing.B) {
-	ckpt := benchCheckpoint(b)
-	base := ckpt.Weights
-	next := base.Clone()
-	rng := rand.New(rand.NewSource(2))
-	for i := range next {
-		for j := range next[i].Data {
-			if rng.Float64() < 0.05 {
-				next[i].Data[j] += 0.1
-			}
-		}
-	}
-	b.SetBytes(base.NumBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ComputeDelta(base, next, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEncodeQuantizedF16(b *testing.B) {
-	ckpt := benchCheckpoint(b)
-	b.SetBytes(ckpt.Weights.NumBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeQuantized(ckpt, PrecFloat16); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -471,7 +471,9 @@ func ParseChunkHeader(b []byte) (*ChunkLayout, *Checkpoint, int, error) {
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if tc > 1<<20 {
+	// A directory entry is at least a name length and a rank, so the bytes
+	// left bound the count before it sizes the directory.
+	if tc > 1<<20 || int(tc)*8 > len(b)-r.off {
 		return nil, nil, 0, fmt.Errorf("%w: implausible tensor count %d", ErrCorruptChunk, tc)
 	}
 	l.Tensors = make([]ChunkTensor, tc)
@@ -967,11 +969,11 @@ func IsChunked(blob []byte) bool {
 	return len(blob) >= len(chunkMagic) && string(blob[:len(chunkMagic)]) == chunkMagic
 }
 
-// DecodeAuto decodes a self-contained checkpoint blob in any full-model
-// wire format — lean v1 (VPRF), quantized (VPRQ), chunked v2 (VPRC), or
-// a manifest-bearing blob (VPRM) that carries its full record set —
-// dispatching on the magic. Delta blobs are not self-contained and are
-// rejected; a manifest-bearing blob missing records (a wire delta that
+// DecodeAuto decodes a self-contained checkpoint blob — lean v1 (VPRF,
+// the simulator's baseline), chunked v2 (VPRC), or a manifest-bearing
+// blob (VPRM) that carries its full record set — dispatching on the
+// magic; anything else is rejected. A manifest-bearing blob missing
+// records (a wire delta that
 // needs a chunk cache) fails with ErrMissingChunk rather than decoding
 // a torn checkpoint. The VPRM case is what keeps KV-staged recovery
 // working when delta distribution is on: producers stage the full
@@ -984,9 +986,6 @@ func DecodeAuto(ctx context.Context, blob []byte, parallelism int) (*Checkpoint,
 	switch string(blob[:8]) {
 	case magic:
 		return Decode(blob)
-	case quantMagic:
-		ckpt, _, err := DecodeQuantized(blob)
-		return ckpt, err
 	case chunkMagic:
 		return DecodeChunked(ctx, blob, parallelism)
 	case manifestMagic:

@@ -118,10 +118,11 @@ func TestChunkedRoundTripMatrix(t *testing.T) {
 	}
 }
 
-// TestChunkedWithDeltaChain checks the incremental route: a delta
-// computed between two snapshots, applied on the consumer side, then
-// shipped chunked at every precision must still round-trip within
-// tolerance of the true next snapshot.
+// TestChunkedWithDeltaChain checks the incremental route at every
+// precision: a version encoded against the previous one's wire values
+// (with and without a suppression threshold) must round-trip within
+// precision tolerance of the true next snapshot, and stay within eps of
+// it where changes were suppressed.
 func TestChunkedWithDeltaChain(t *testing.T) {
 	base := chunkTestSnapshot(1, 5000)
 	next := base.Clone()
@@ -134,26 +135,21 @@ func TestChunkedWithDeltaChain(t *testing.T) {
 		}
 	}
 	for _, eps := range []float64{0, 1e-6} {
-		delta, err := ComputeDelta(base, next, eps)
-		if err != nil {
-			t.Fatalf("ComputeDelta: %v", err)
-		}
-		par, err := ComputeDeltaParallel(base, next, eps, 4)
-		if err != nil {
-			t.Fatalf("ComputeDeltaParallel: %v", err)
-		}
-		if delta.ChangedElements() != par.ChangedElements() {
-			t.Fatalf("parallel delta changed %d elements, serial %d",
-				par.ChangedElements(), delta.ChangedElements())
-		}
-		applied, err := par.Apply(base)
-		if err != nil {
-			t.Fatalf("Apply: %v", err)
-		}
 		for _, p := range []Precision{PrecFloat64, PrecFloat32, PrecFloat16} {
-			ckpt := &Checkpoint{ModelName: "delta", Version: 2, Iteration: 10, Weights: applied}
-			blob, err := EncodeChunked(context.Background(), ckpt,
+			// The previous version's wire values at this precision.
+			prev, err := EncodeChunked(context.Background(), &Checkpoint{ModelName: "delta", Version: 1, Weights: base},
 				ChunkOptions{Precision: p, ChunkBytes: 1024})
+			if err != nil {
+				t.Fatalf("EncodeChunked base: %v", err)
+			}
+			wire, err := DecodeChunked(context.Background(), prev, 2)
+			ReleaseBuffer(prev)
+			if err != nil {
+				t.Fatalf("DecodeChunked base: %v", err)
+			}
+			ckpt := &Checkpoint{ModelName: "delta", Version: 2, Iteration: 10, Weights: next}
+			blob, err := EncodeChunked(context.Background(), ckpt,
+				ChunkOptions{Precision: p, ChunkBytes: 1024, Base: wire.Weights, BaseEps: eps})
 			if err != nil {
 				t.Fatalf("EncodeChunked: %v", err)
 			}
@@ -162,9 +158,18 @@ func TestChunkedWithDeltaChain(t *testing.T) {
 			if err != nil {
 				t.Fatalf("DecodeChunked: %v", err)
 			}
-			// eps-dropped changes are below every precision tolerance, so
-			// compare against the exactly-applied snapshot.
-			assertWeightsMatch(t, p, applied, got.Weights)
+			// eps-suppressed changes are below every precision tolerance.
+			if p == PrecFloat64 && eps > 0 {
+				for i := range next {
+					for j, v := range next[i].Data {
+						if math.Abs(got.Weights[i].Data[j]-v) > eps {
+							t.Fatalf("tensor %d[%d]: suppression error exceeds eps", i, j)
+						}
+					}
+				}
+				continue
+			}
+			assertWeightsMatch(t, p, next, got.Weights)
 		}
 	}
 }
@@ -348,15 +353,12 @@ func TestEncodeStreamEmitError(t *testing.T) {
 	assertWeightsMatch(t, PrecFloat64, ckpt.Weights, got.Weights)
 }
 
-// TestDecodeAuto dispatches on all three self-contained magics and
-// rejects delta blobs.
+// TestDecodeAuto dispatches on the self-contained magics (v1 and v2
+// here; TestDecodeAutoManifestBlob covers the manifest form) and rejects
+// everything else, the retired quantized and delta containers included.
 func TestDecodeAuto(t *testing.T) {
 	ckpt := chunkTestCheckpoint(8, 500)
 	lean, err := ckpt.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	quant, err := EncodeQuantized(ckpt, PrecFloat32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +367,7 @@ func TestDecodeAuto(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ReleaseBuffer(chunked)
-	for name, blob := range map[string][]byte{"lean": lean, "quant": quant, "chunked": chunked} {
+	for name, blob := range map[string][]byte{"lean": lean, "chunked": chunked} {
 		got, err := DecodeAuto(context.Background(), blob, 0)
 		if err != nil {
 			t.Fatalf("DecodeAuto(%s): %v", name, err)
@@ -374,16 +376,11 @@ func TestDecodeAuto(t *testing.T) {
 			t.Fatalf("DecodeAuto(%s): metadata mismatch %+v", name, got)
 		}
 	}
-	delta, err := ComputeDelta(ckpt.Weights, ckpt.Weights, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := delta.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeAuto(context.Background(), db, 0); err == nil {
-		t.Fatal("DecodeAuto accepted a delta blob")
+	for _, retired := range []string{"VPRQ0001", "VPRD0001", "H5LT0001"} {
+		blob := append([]byte(retired), lean[8:]...)
+		if _, err := DecodeAuto(context.Background(), blob, 0); err == nil {
+			t.Fatalf("DecodeAuto accepted a %s blob", retired)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package vformat_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -32,28 +33,33 @@ func ExampleCheckpoint_Encode() {
 	// tc1 v7 at iteration 1512, 2 tensors
 }
 
-// ExampleComputeDelta builds an incremental checkpoint holding only the
-// changed weights.
-func ExampleComputeDelta() {
+// ExamplePlanDelta ships a new version as a manifest plus only the
+// chunks the receiver does not already hold.
+func ExamplePlanDelta() {
+	ctx := context.Background()
+	opts := vformat.ChunkOptions{ChunkBytes: 32} // 4 elements per chunk
 	base := demoSnapshot()
+	v1, _ := vformat.EncodeChunked(ctx, &vformat.Checkpoint{ModelName: "tc1", Version: 1, Weights: base}, opts)
+	held := map[vformat.ChunkHash]bool{}
+	receiverHas, _ := vformat.ChunkHashesOf(v1)
+	for _, h := range receiverHas {
+		held[h] = true
+	}
+
 	next := base.Clone()
 	next[0].Data[3] += 1.5 // one weight changed
-
-	delta, _ := vformat.ComputeDelta(base, next, 0)
-	fmt.Printf("changed elements: %d\n", delta.ChangedElements())
-
-	restored, _ := delta.Apply(base)
-	fmt.Printf("restored matches: %v\n", restored[0].Data[3] == next[0].Data[3])
+	v2, _ := vformat.EncodeChunked(ctx, &vformat.Checkpoint{ModelName: "tc1", Version: 2, Weights: next}, opts)
+	_, records, hashes, _, _ := vformat.PlanDelta(v2, func(h vformat.ChunkHash) bool { return held[h] })
+	fmt.Printf("chunks on the wire: %d of %d\n", len(records), len(hashes))
 	// Output:
-	// changed elements: 1
-	// restored matches: true
+	// chunks on the wire: 1 of 5
 }
 
-// ExampleEncodeQuantized ships a checkpoint at half precision.
-func ExampleEncodeQuantized() {
+// ExampleEncodeChunked ships a checkpoint at half precision.
+func ExampleEncodeChunked() {
 	ckpt := &vformat.Checkpoint{ModelName: "tc1", Weights: demoSnapshot()}
-	full, _ := ckpt.Encode()
-	half, _ := vformat.EncodeQuantized(ckpt, vformat.PrecFloat16)
+	full, _ := vformat.EncodeChunked(context.Background(), ckpt, vformat.ChunkOptions{})
+	half, _ := vformat.EncodeChunked(context.Background(), ckpt, vformat.ChunkOptions{Precision: vformat.PrecFloat16})
 	fmt.Printf("float16 payload is smaller: %v\n", len(half) < len(full))
 	// Output:
 	// float16 payload is smaller: true

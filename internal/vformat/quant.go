@@ -1,20 +1,13 @@
 package vformat
 
-import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
-	"io"
-	"math"
-
-	"viper/internal/nn"
-)
+import "math"
 
 // Quantized transfer: inference replicas rarely need full float64
-// precision, so Viper can ship checkpoints at float32 or float16,
-// halving or quartering the wire size (and thus stall/transfer time) at
-// a bounded precision cost. Quantization applies to the transfer
-// encoding only — the consumer re-expands to float64 weights.
+// precision, so the chunk codec (ChunkOptions.Precision) can ship
+// checkpoints at float32 or float16, halving or quartering the wire size
+// (and thus stall/transfer time) at a bounded precision cost.
+// Quantization applies to the transfer encoding only — the consumer
+// re-expands to float64 weights.
 
 // Precision selects the on-wire element encoding.
 type Precision uint8
@@ -52,132 +45,6 @@ func (p Precision) String() string {
 	default:
 		return "float64"
 	}
-}
-
-const quantMagic = "VPRQ0001"
-
-// EncodeQuantized serializes a checkpoint with weights stored at the
-// given precision.
-func EncodeQuantized(c *Checkpoint, p Precision) ([]byte, error) {
-	switch p {
-	case PrecFloat64, PrecFloat32, PrecFloat16:
-	default:
-		return nil, fmt.Errorf("vformat: unknown precision %d", p)
-	}
-	var buf bytes.Buffer
-	buf.WriteString(quantMagic)
-	buf.WriteByte(byte(p))
-	writeString(&buf, c.ModelName)
-	_ = binary.Write(&buf, binary.LittleEndian, c.Version)
-	_ = binary.Write(&buf, binary.LittleEndian, c.Iteration)
-	_ = binary.Write(&buf, binary.LittleEndian, c.TrainLoss)
-	_ = binary.Write(&buf, binary.LittleEndian, uint32(len(c.Weights)))
-	for _, nt := range c.Weights {
-		writeString(&buf, nt.Name)
-		_ = binary.Write(&buf, binary.LittleEndian, uint32(len(nt.Shape)))
-		for _, d := range nt.Shape {
-			_ = binary.Write(&buf, binary.LittleEndian, uint64(d))
-		}
-		_ = binary.Write(&buf, binary.LittleEndian, uint64(len(nt.Data)))
-		stride := p.BytesPerElement()
-		payload := make([]byte, stride*len(nt.Data))
-		for i, v := range nt.Data {
-			switch p {
-			case PrecFloat32:
-				binary.LittleEndian.PutUint32(payload[4*i:], math.Float32bits(float32(v)))
-			case PrecFloat16:
-				binary.LittleEndian.PutUint16(payload[2*i:], Float16FromFloat64(v))
-			default:
-				binary.LittleEndian.PutUint64(payload[8*i:], math.Float64bits(v))
-			}
-		}
-		buf.Write(payload)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeQuantized parses a checkpoint serialized by EncodeQuantized,
-// re-expanding the weights to float64.
-func DecodeQuantized(b []byte) (*Checkpoint, Precision, error) {
-	r := bytes.NewReader(b)
-	head := make([]byte, len(quantMagic))
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, 0, fmt.Errorf("vformat: quant header: %w", err)
-	}
-	if string(head) != quantMagic {
-		return nil, 0, fmt.Errorf("vformat: bad quant magic %q", head)
-	}
-	pb := make([]byte, 1)
-	if _, err := io.ReadFull(r, pb); err != nil {
-		return nil, 0, fmt.Errorf("vformat: quant precision: %w", err)
-	}
-	p := Precision(pb[0])
-	switch p {
-	case PrecFloat64, PrecFloat32, PrecFloat16:
-	default:
-		return nil, 0, fmt.Errorf("vformat: unknown precision byte %d", pb[0])
-	}
-	var c Checkpoint
-	var err error
-	if c.ModelName, err = readString(r); err != nil {
-		return nil, 0, fmt.Errorf("vformat: quant model name: %w", err)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &c.Version); err != nil {
-		return nil, 0, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &c.Iteration); err != nil {
-		return nil, 0, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &c.TrainLoss); err != nil {
-		return nil, 0, err
-	}
-	var count uint32
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return nil, 0, err
-	}
-	for i := uint32(0); i < count; i++ {
-		var nt nn.NamedTensor
-		if nt.Name, err = readString(r); err != nil {
-			return nil, 0, fmt.Errorf("vformat: quant tensor %d name: %w", i, err)
-		}
-		var rank uint32
-		if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
-			return nil, 0, err
-		}
-		nt.Shape = make([]int, rank)
-		for j := range nt.Shape {
-			var d uint64
-			if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-				return nil, 0, err
-			}
-			nt.Shape[j] = int(d)
-		}
-		var n uint64
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return nil, 0, err
-		}
-		stride := p.BytesPerElement()
-		if n > uint64(r.Len()) {
-			return nil, 0, fmt.Errorf("vformat: quant tensor %d implausible length %d", i, n)
-		}
-		payload := make([]byte, stride*int(n))
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, 0, fmt.Errorf("vformat: quant tensor %d payload: %w", i, err)
-		}
-		nt.Data = make([]float64, n)
-		for j := range nt.Data {
-			switch p {
-			case PrecFloat32:
-				nt.Data[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[4*j:])))
-			case PrecFloat16:
-				nt.Data[j] = Float16ToFloat64(binary.LittleEndian.Uint16(payload[2*j:]))
-			default:
-				nt.Data[j] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*j:]))
-			}
-		}
-		c.Weights = append(c.Weights, nt)
-	}
-	return &c, p, nil
 }
 
 // Float16FromFloat64 converts to IEEE 754 binary16 (round-to-nearest,

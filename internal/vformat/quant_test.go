@@ -1,24 +1,38 @@
 package vformat
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// The quantized-transfer properties, on the codec that carries them:
+// ChunkOptions.Precision inside the chunked encoding.
+
+// quantized ships ckpt through the chunk codec at precision p, returning
+// the blob and what a receiver decodes from it.
+func quantized(t *testing.T, ckpt *Checkpoint, p Precision) ([]byte, *Checkpoint) {
+	t.Helper()
+	blob, err := EncodeChunked(context.Background(), ckpt, ChunkOptions{Precision: p, ChunkBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, _, _, err := ParseChunkHeader(blob)
+	if err != nil || layout.Precision != p {
+		t.Fatalf("header precision = %v (err=%v), want %v", layout, err, p)
+	}
+	got, err := DecodeChunked(context.Background(), blob, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob, got
+}
+
 func TestQuantizedRoundTripFloat64Lossless(t *testing.T) {
 	ckpt := &Checkpoint{ModelName: "m", Version: 2, Iteration: 30, TrainLoss: 0.5, Weights: sampleSnapshot(1)}
-	blob, err := EncodeQuantized(ckpt, PrecFloat64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, p, err := DecodeQuantized(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != PrecFloat64 {
-		t.Fatalf("precision = %v", p)
-	}
+	_, got := quantized(t, ckpt, PrecFloat64)
 	for i := range ckpt.Weights {
 		for j := range ckpt.Weights[i].Data {
 			if got.Weights[i].Data[j] != ckpt.Weights[i].Data[j] {
@@ -33,14 +47,7 @@ func TestQuantizedRoundTripFloat64Lossless(t *testing.T) {
 
 func TestQuantizedFloat32BoundedError(t *testing.T) {
 	ckpt := &Checkpoint{ModelName: "m", Weights: sampleSnapshot(2)}
-	blob, err := EncodeQuantized(ckpt, PrecFloat32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, p, err := DecodeQuantized(blob)
-	if err != nil || p != PrecFloat32 {
-		t.Fatalf("decode: %v, %v", p, err)
-	}
+	_, got := quantized(t, ckpt, PrecFloat32)
 	for i := range ckpt.Weights {
 		for j, v := range ckpt.Weights[i].Data {
 			rel := math.Abs(got.Weights[i].Data[j]-v) / math.Max(1e-9, math.Abs(v))
@@ -53,14 +60,7 @@ func TestQuantizedFloat32BoundedError(t *testing.T) {
 
 func TestQuantizedFloat16BoundedError(t *testing.T) {
 	ckpt := &Checkpoint{ModelName: "m", Weights: sampleSnapshot(3)}
-	blob, err := EncodeQuantized(ckpt, PrecFloat16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, p, err := DecodeQuantized(blob)
-	if err != nil || p != PrecFloat16 {
-		t.Fatalf("decode: %v, %v", p, err)
-	}
+	_, got := quantized(t, ckpt, PrecFloat16)
 	for i := range ckpt.Weights {
 		for j, v := range ckpt.Weights[i].Data {
 			rel := math.Abs(got.Weights[i].Data[j]-v) / math.Max(1e-3, math.Abs(v))
@@ -73,9 +73,9 @@ func TestQuantizedFloat16BoundedError(t *testing.T) {
 
 func TestQuantizedSizeScaling(t *testing.T) {
 	ckpt := &Checkpoint{ModelName: "m", Weights: sampleSnapshot(4)}
-	b64, _ := EncodeQuantized(ckpt, PrecFloat64)
-	b32, _ := EncodeQuantized(ckpt, PrecFloat32)
-	b16, _ := EncodeQuantized(ckpt, PrecFloat16)
+	b64, _ := quantized(t, ckpt, PrecFloat64)
+	b32, _ := quantized(t, ckpt, PrecFloat32)
+	b16, _ := quantized(t, ckpt, PrecFloat16)
 	if !(len(b16) < len(b32) && len(b32) < len(b64)) {
 		t.Fatalf("sizes %d/%d/%d must shrink with precision", len(b64), len(b32), len(b16))
 	}
@@ -89,16 +89,19 @@ func TestQuantizedSizeScaling(t *testing.T) {
 }
 
 func TestQuantizedErrors(t *testing.T) {
+	ctx := context.Background()
 	ckpt := &Checkpoint{ModelName: "m", Weights: sampleSnapshot(5)}
-	if _, err := EncodeQuantized(ckpt, Precision(9)); err == nil {
+	if _, err := EncodeChunked(ctx, ckpt, ChunkOptions{Precision: Precision(9)}); err == nil {
 		t.Fatal("unknown precision must error")
 	}
-	if _, _, err := DecodeQuantized([]byte("nope")); err == nil {
-		t.Fatal("garbage must error")
-	}
-	blob, _ := EncodeQuantized(ckpt, PrecFloat16)
-	if _, _, err := DecodeQuantized(blob[:len(blob)-3]); err == nil {
+	blob, _ := quantized(t, ckpt, PrecFloat16)
+	if _, err := DecodeChunked(ctx, blob[:len(blob)-3], 0); err == nil {
 		t.Fatal("truncated must error")
+	}
+	// The retired VPRQ container is no longer a checkpoint format.
+	if _, err := DecodeAuto(ctx, append([]byte("VPRQ0001"), blob[8:]...), 0); err == nil ||
+		!strings.Contains(err.Error(), "unknown checkpoint magic") {
+		t.Fatalf("DecodeAuto(VPRQ…) = %v, want the unknown-magic error", err)
 	}
 }
 

@@ -49,10 +49,21 @@ func TestOptionsDefaultIsChunked(t *testing.T) {
 	}
 }
 
-// TestOptionsChunkSizeZeroIsMonolithic: WithChunkSize(0) restores the
-// legacy monolithic wire format, as does the deprecated config shim's
-// zero value.
+// TestOptionsChunkSizeZeroIsMonolithic: WithChunkSize(0) selects the
+// simulator's lean v1 reference baseline — and nothing that lives in
+// the chunked encoding can be asked of it.
 func TestOptionsChunkSizeZeroIsMonolithic(t *testing.T) {
+	env := NewEnv(NewVirtualClock())
+	for name, opt := range map[string]Option{
+		"WithPrecision":   WithPrecision(PrecFloat16),
+		"WithIncremental": WithIncremental(0, 0),
+		"WithTimeTravel":  WithTimeTravel(t.TempDir(), 0),
+	} {
+		if _, err := NewProducer(env, "nt3", WithChunkSize(0), opt); err == nil {
+			t.Fatalf("WithChunkSize(0) + %s must be a construction error", name)
+		}
+	}
+
 	prod, cons := optionsPair(t, WithChunkSize(0))
 	sub := cons.Subscribe()
 	defer sub.Close()

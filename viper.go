@@ -25,9 +25,13 @@
 //	prod.SaveWeights(nn.TakeSnapshot(model), iter, loss)
 //	report, _ := cons.HandleNotification(<-sub.C)
 //
-// Producers built this way ship checkpoints through the chunked
-// pipeline (fixed-size chunks, per-chunk CRC, pooled buffers) by
-// default; WithChunkSize(0) restores the monolithic wire format.
+// Producers ship checkpoints in Viper's one encoding, the chunked v2
+// format (fixed-size chunks, per-chunk CRC and content hash, pooled
+// buffers); precision conversion (WithPrecision), chunk-level deltas
+// (WithIncremental) and the durable store (WithTimeTravel) all live
+// inside it. WithChunkSize(0) selects the lean v1 format instead, which
+// survives only as the simulator's Figure-8 reference baseline and
+// supports none of the three.
 package viper
 
 import (
@@ -108,9 +112,8 @@ const (
 // WithChunkSize is not given (vformat.DefaultChunkBytes).
 const DefaultChunkSize = vformat.DefaultChunkBytes
 
-// ProducerConfig configures a Producer built through the deprecated
-// NewProducerFromConfig shim. New code should use NewProducer with
-// functional options instead.
+// ProducerConfig is the option set NewProducer assembles; callers set it
+// through the With… options.
 type ProducerConfig struct {
 	// Model names the model (keys, channels).
 	Model string
@@ -124,19 +127,17 @@ type ProducerConfig struct {
 	FlushHistory bool
 	// Precision selects the wire precision (default lossless float64).
 	Precision Precision
-	// Incremental enables Check-N-Run-style delta checkpoints with a
-	// full refresh every FullEvery versions; DeltaEps suppresses element
-	// changes below the threshold (0 = exact).
+	// Incremental enables Check-N-Run-style chunk-granular delta
+	// checkpoints with a full refresh every FullEvery versions; DeltaEps
+	// suppresses element changes below the threshold (0 = exact).
 	Incremental bool
 	// DeltaEps is the delta suppression threshold.
 	DeltaEps float64
 	// FullEvery is the incremental full-refresh cadence (default 10).
 	FullEvery int
-	// ChunkSize, when positive, encodes checkpoints through the chunked
-	// pipeline in ChunkSize-byte chunks ("vchunk"); zero keeps the
-	// legacy monolithic formats. NewProducer defaults this to
-	// DefaultChunkSize; the zero-value config stays monolithic for
-	// backward compatibility.
+	// ChunkSize is the chunk granularity in bytes (NewProducer defaults
+	// it to DefaultChunkSize). Zero selects the lean v1 reference
+	// baseline, which carries no Precision, Incremental or TimeTravelDir.
 	ChunkSize int
 	// Parallelism bounds the chunk-encode/decode worker pool
 	// (0 = GOMAXPROCS).
@@ -161,14 +162,18 @@ func WithStrategy(s Strategy) Option {
 }
 
 // WithPrecision selects the wire precision (default lossless float64).
+// The conversion is folded into the chunk encoding, so a reduced
+// precision cannot be combined with WithChunkSize(0).
 func WithPrecision(p Precision) Option {
 	return func(c *ProducerConfig) { c.Precision = p }
 }
 
-// WithIncremental enables Check-N-Run-style delta checkpoints: element
-// changes below eps are suppressed (0 = exact) and a self-contained
-// full refresh is forced every fullEvery versions (0 = the default
-// cadence).
+// WithIncremental enables Check-N-Run-style delta checkpoints at chunk
+// granularity: element changes below eps are suppressed (0 = exact), a
+// version ships as a manifest plus only the chunks whose content
+// changed, and a self-contained full refresh is forced every fullEvery
+// versions (0 = the default cadence). Delivery is ordered rather than
+// latest-wins. Cannot be combined with WithChunkSize(0).
 func WithIncremental(eps float64, fullEvery int) Option {
 	return func(c *ProducerConfig) {
 		c.Incremental = true
@@ -190,9 +195,10 @@ func WithFlushHistory() Option {
 	return func(c *ProducerConfig) { c.FlushHistory = true }
 }
 
-// WithChunkSize sets the chunked pipeline's chunk granularity in bytes.
-// Zero disables chunking and restores the legacy monolithic wire
-// format; unset, NewProducer uses DefaultChunkSize.
+// WithChunkSize sets the chunk granularity in bytes; unset, NewProducer
+// uses DefaultChunkSize. Zero selects the lean v1 format — the
+// simulator's reference baseline only: NewProducer rejects it together
+// with WithPrecision, WithIncremental or WithTimeTravel.
 func WithChunkSize(bytes int) Option {
 	return func(c *ProducerConfig) { c.ChunkSize = bytes }
 }
@@ -208,7 +214,8 @@ func WithParallelism(n int) Option {
 // chunks (shared bytes dedup across versions), the newest keep versions
 // are retained (0 = unbounded), and Producer.LoadVersion/Rollback
 // travel the retained history. The store recovers its full inventory
-// across producer restarts, resuming the version lineage.
+// across producer restarts, resuming the version lineage. Cannot be
+// combined with WithChunkSize(0): the store holds chunk records only.
 func WithTimeTravel(dir string, keep int) Option {
 	return func(c *ProducerConfig) {
 		c.TimeTravelDir = dir
@@ -235,19 +242,6 @@ func NewProducer(env *Env, model string, opts ...Option) (*Producer, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return newProducer(env, cfg)
-}
-
-// NewProducerFromConfig constructs a producer from a ProducerConfig.
-//
-// Deprecated: use NewProducer with functional options. This shim keeps
-// pre-options callers compiling; note its zero-value ChunkSize selects
-// the legacy monolithic wire format, unlike NewProducer.
-func NewProducerFromConfig(env *Env, cfg ProducerConfig) (*Producer, error) {
-	return newProducer(env, cfg)
-}
-
-func newProducer(env *Env, cfg ProducerConfig) (*Producer, error) {
 	var store *chunkstore.Store
 	if cfg.TimeTravelDir != "" {
 		var err error
@@ -390,28 +384,6 @@ func NewConsumer(env *Env, model string, opts ...ConsumerOption) (*Consumer, err
 		opt(&o)
 	}
 	return core.NewConsumerOpts(env, model, o)
-}
-
-// NewServingConsumer constructs a consumer that restores every update
-// into serving.
-//
-// Deprecated: use NewConsumer with WithServing. This shim keeps
-// pre-options callers compiling.
-func NewServingConsumer(env *Env, model string, serving nn.Model) (*Consumer, error) {
-	return NewConsumer(env, model, WithServing(serving))
-}
-
-// NewExtraConsumer constructs an additional consumer with its own
-// dedicated broadcast links (the multi-consumer pattern).
-//
-// Deprecated: use NewConsumer with WithExtra (plus WithServing for a
-// live model). This shim keeps pre-options callers compiling.
-func NewExtraConsumer(env *Env, model string, serving nn.Model) (*Consumer, error) {
-	opts := []ConsumerOption{WithExtra()}
-	if serving != nil {
-		opts = append(opts, WithServing(serving))
-	}
-	return NewConsumer(env, model, opts...)
 }
 
 // Schedules (paper §4.3).

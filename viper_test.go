@@ -134,8 +134,7 @@ func TestTraceRecorderThroughFacade(t *testing.T) {
 	env.Trace = rec
 	rng := rand.New(rand.NewSource(50))
 	m := models.NT3(rng, 32)
-	// Stays on the deprecated config shim as back-compat coverage.
-	prod, err := NewProducerFromConfig(env, ProducerConfig{Model: "nt3", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync}})
+	prod, err := NewProducer(env, "nt3", WithStrategy(Strategy{Route: RouteGPU, Mode: ModeSync}))
 	if err != nil {
 		t.Fatal(err)
 	}
