@@ -45,6 +45,16 @@ go test -race -count=1 \
     ./internal/kvstore/ ./internal/coupled/ ./internal/relay/ \
     ./internal/metrics/ ./internal/chunkstore/
 
+# ISSUE 16: the consumer's builder and the producer's stage flusher are
+# ordered by notifications, gates and reference counts rather than by one
+# goroutine's program order. The rerun above executes each of their
+# ordering, fallback-window and blob-ownership tests once; one pass under
+# -race sees one interleaving, so these run five more times.
+echo "==> builder + stage flusher ordering/ownership (-race -count=5)"
+go test -race -count=5 -run \
+    'TestParkedBuildWaitsForItsNotification|TestInterruptedStreamNeverInstalls|TestStalledStreamIsAbandoned|TestStagePendingWindow|TestDefaultConsumerBuildsBigStreams|TestBacklogInstallsInOrderFromTheLink|TestPublishErrorPathsBalanceTheBlob|TestNeedAnswerRacesNextPublish' \
+    ./internal/remote/
+
 # The publish path's allocation budget (ISSUE 13) reruns uncached and
 # WITHOUT the race detector: under -race sync.Pool drops buffers at
 # random, so the test skips itself there, and a cached 'ok' from the

@@ -4,7 +4,11 @@
 // renders every registry the relay process exposes: transport link and
 // TCP counters, relay cache/session/admission state, the durable chunk
 // store (when the relay runs with -store), and whichever of
-// remote/pubsub/kvstore are linked into the node.
+// remote/pubsub/kvstore are linked into the node — the remote panel
+// carries the delivery-path counters of every producer and consumer in
+// the process, the stage flusher's (producer_stage_flushes,
+// producer_stage_superseded, producer_stage_flush_ms) and the builder's
+// (consumer_prebuilt_installs, consumer_abandoned_builds) among them.
 //
 // Usage:
 //

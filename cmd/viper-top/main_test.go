@@ -12,6 +12,7 @@ import (
 
 	"viper/internal/nn"
 	"viper/internal/relay"
+	_ "viper/internal/remote" // a node that links remote exposes its registry too
 	"viper/internal/transport"
 	"viper/internal/vformat"
 )
@@ -64,6 +65,27 @@ func TestRenderText(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{"viper-top", "cache: 1 versions", "[relay]", "[transport]", "cached_versions"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("text output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRenderRemotePanel: a node with internal/remote linked in renders
+// the [remote] registry, including the stage-flusher and builder
+// instruments.
+func TestRenderRemotePanel(t *testing.T) {
+	r := liveRelay(t)
+	var buf bytes.Buffer
+	if err := render(&buf, r.IngestAddr(), 1, false); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"[remote]", "producer_staged",
+		"producer_stage_flushes", "producer_stage_superseded", "producer_stage_flush_ms",
+		"consumer_prebuilt_installs", "consumer_abandoned_builds",
+	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text output missing %q:\n%s", want, out)
 		}

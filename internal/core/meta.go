@@ -118,6 +118,11 @@ type ModelMeta struct {
 	// (Location == "relay" only; filled in by the relay itself, empty in
 	// the producer's optimistic pre-send copy).
 	Relay string `json:"relay,omitempty"`
+	// StagePending marks a version announced while its KV staging copy
+	// was still being flushed behind the link stream: a consumer that
+	// finds no staged copy yet should retry for a bounded time instead of
+	// counting the version lost. Absent, a missing copy is final.
+	StagePending bool `json:"stage_pending,omitempty"`
 	// SavedAt is the clock time the save completed.
 	SavedAt time.Time `json:"saved_at"`
 }

@@ -206,10 +206,6 @@ func runDedupPhase(ctx context.Context, cfg DeltaDedupConfig, snaps []nn.Snapsho
 		Model: model, MetaAddr: metaAddr, NotifyAddr: notifyAddr,
 		ProducerAddr:          <-linkAddr,
 		DisableDeltaReconcile: !deltaOn,
-		// A full checkpoint stream must fit the pump buffer whole: the
-		// producer streams before it notifies, so Next starts draining
-		// only after every frame is in flight.
-		FrameBuffer: 4096,
 	})
 	if err != nil {
 		<-prodErr
@@ -252,10 +248,8 @@ func runDedupPhase(ctx context.Context, cfg DeltaDedupConfig, snaps []nn.Snapsho
 			wireBefore = wire.Value()
 			sentBefore, dedupBefore, savedBefore = sent.Value(), deduped.Value(), saved.Value()
 		}
-		// Receive concurrently with the publish: a full checkpoint
-		// spans more frames than the consumer's pump buffer holds, so
-		// a consumer that only starts draining after Publish returns
-		// forces the pump to shed the stream and backfill from staging.
+		// Receive concurrently with the publish, as a serving consumer
+		// would.
 		type nextResult struct {
 			ckpt *vformat.Checkpoint
 			err  error
@@ -277,6 +271,11 @@ func runDedupPhase(ctx context.Context, cfg DeltaDedupConfig, snaps []nn.Snapsho
 			return 0, fmt.Errorf("installed v%d, want v%d", ckpt.Version, version)
 		}
 		if deltaOn {
+			// The staging copy is flushed behind the notification; the
+			// ground truth below reads it, so wait for this version's.
+			if err := waitStaged(prod, int64(version)); err != nil {
+				return 0, err
+			}
 			if err := checkInstall(ctx, kv, model, version, ckpt, snap, res); err != nil {
 				return 0, err
 			}
@@ -300,12 +299,24 @@ func runDedupPhase(ctx context.Context, cfg DeltaDedupConfig, snaps []nn.Snapsho
 // waitHaveLists blocks until the producer has absorbed at least n chunk
 // advertisements from the receiver.
 func waitHaveLists(prod *remote.Producer, n int64) error {
-	//lint:ignore simclockpurity the replay loop paces a real TCP deployment; the advert turnaround being waited out is wall-clock time
+	return waitProducer(prod, "have-lists absorbed", n, func(s remote.ProducerStats) int64 { return s.HaveLists })
+}
+
+// waitStaged blocks until the producer's stage flusher has written at
+// least n staging copies (one per version in this closed loop, where no
+// flush is ever superseded).
+func waitStaged(prod *remote.Producer, n int64) error {
+	return waitProducer(prod, "versions staged", n, func(s remote.ProducerStats) int64 { return s.Staged })
+}
+
+// waitProducer polls the live producer until counter reaches n.
+func waitProducer(prod *remote.Producer, what string, n int64, counter func(remote.ProducerStats) int64) error {
+	//lint:ignore simclockpurity the replay loop paces a real TCP deployment; the turnaround being waited out is wall-clock time
 	deadline := time.Now().Add(10 * time.Second)
-	for prod.Stats().HaveLists < n {
+	for counter(prod.Stats()) < n {
 		//lint:ignore simclockpurity same: real wall-clock polling of a live producer
 		if time.Now().After(deadline) {
-			return fmt.Errorf("producer absorbed %d have-lists, want %d", prod.Stats().HaveLists, n)
+			return fmt.Errorf("producer: %d %s, want %d", counter(prod.Stats()), what, n)
 		}
 		//lint:ignore simclockpurity same: real wall-clock polling of a live producer
 		time.Sleep(time.Millisecond)

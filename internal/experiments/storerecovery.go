@@ -301,7 +301,6 @@ func timeJoins(cfg StoreRecoveryConfig, metaAddr, notifyAddr, serveAddr string, 
 		cons, err := remote.NewConsumer(remote.ConsumerConfig{
 			Model: "bench8", MetaAddr: metaAddr, NotifyAddr: notifyAddr,
 			ProducerAddr: serveAddr, LinkWait: 2 * time.Second,
-			FrameBuffer: 4096,
 		})
 		if err != nil {
 			return 0, err

@@ -29,7 +29,7 @@ func TestBytesRoundTrip(t *testing.T) {
 		if s, err := c.Get(name); err != nil || s != string(value) {
 			t.Fatalf("%s: Get = %d bytes, %v", name, len(s), err)
 		}
-		if held, err := store.getBytes(name); err != nil || !bytes.Equal(held, value) {
+		if held, err := store.Get(name); err != nil || held != string(value) {
 			t.Fatalf("%s: store holds %d bytes, %v", name, len(held), err)
 		}
 	}
@@ -65,7 +65,8 @@ func TestSetBytesDroppedMidValue(t *testing.T) {
 	for i := 1; i <= 60; i++ {
 		value := bytes.Repeat([]byte{byte(i)}, size)
 		err := c.SetBytes("blob", value)
-		held, gerr := store.getBytes("blob")
+		got, gerr := store.Get("blob")
+		held := []byte(got)
 		switch {
 		case err == nil:
 			if gerr != nil || !bytes.Equal(held, value) {
@@ -77,5 +78,86 @@ func TestSetBytesDroppedMidValue(t *testing.T) {
 	}
 	if s := inj.Stats(); s.Failures == 0 {
 		t.Fatalf("fault injector never fired (stats %+v); test proves nothing", s)
+	}
+}
+
+// The server reads a large value into the buffer of the last large value
+// the store retired, instead of allocating a fresh one — but never into
+// a buffer a reply is still being written from.
+func TestLargeValueBuffersAreRecycled(t *testing.T) {
+	store, c := newServerClient(t)
+	const size = 2 * recycleMin
+	value := func(b byte) []byte { return bytes.Repeat([]byte{b}, size) }
+	backing := func(key string) *byte {
+		t.Helper()
+		store.mu.RLock()
+		defer store.mu.RUnlock()
+		e := store.data[key]
+		if e == nil || len(e.buf) != size {
+			t.Fatalf("%s: not stored whole", key)
+		}
+		return &e.buf[0]
+	}
+	mustSet := func(key string, b byte) {
+		t.Helper()
+		if err := c.SetBytes(key, value(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The staging rotation: write version N, trim version N-2.
+	mustSet("v1", 1)
+	mustSet("v2", 2)
+	first := backing("v1")
+	if _, err := c.Del("v1"); err != nil {
+		t.Fatal(err)
+	}
+	mustSet("v3", 3)
+	if backing("v3") != first {
+		t.Fatal("v3 was not read into v1's retired buffer")
+	}
+	if got, err := c.GetBytes("v3"); err != nil || !bytes.Equal(got, value(3)) {
+		t.Fatalf("v3 reads back wrong (%v)", err)
+	}
+	if got, err := c.GetBytes("v2"); err != nil || !bytes.Equal(got, value(2)) {
+		t.Fatalf("v2 was disturbed (%v)", err)
+	}
+
+	// A pinned buffer (a GET reply in flight) survives its key's deletion
+	// untouched and is recycled only by the unpin.
+	e, err := store.pin("v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Del("v2"); err != nil {
+		t.Fatal(err)
+	}
+	mustSet("v4", 4)
+	if backing("v4") == &e.buf[0] {
+		t.Fatal("v4 was read into a pinned buffer")
+	}
+	if !bytes.Equal(e.buf, value(2)) {
+		t.Fatal("pinned buffer changed under its reader")
+	}
+	store.unpin(e)
+	mustSet("v5", 5)
+	if backing("v5") != &e.buf[0] {
+		t.Fatal("v5 was not read into the buffer the unpin released")
+	}
+
+	// Overwriting retires the old buffer too; a small value never takes
+	// (and so never wastes) the large spare.
+	spareCap := func() int {
+		store.mu.RLock()
+		defer store.mu.RUnlock()
+		return cap(store.spare)
+	}
+	mustSet("v5", 6)
+	spare := spareCap()
+	if err := c.Set("meta", "small"); err != nil {
+		t.Fatal(err)
+	}
+	if spare < size || spareCap() != spare {
+		t.Fatalf("spare is %d bytes after a small SET, was %d", spareCap(), spare)
 	}
 }

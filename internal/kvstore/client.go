@@ -325,7 +325,14 @@ func (c *Client) readBulk() ([]byte, error) {
 	if n < 0 {
 		return nil, retry.Permanent(ErrNotFound)
 	}
-	return readValue(c.r, n)
+	if err := checkValueLen(n); err != nil {
+		return nil, err
+	}
+	buf := make([]byte, n)
+	if err := readValue(c.r, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 func (c *Client) readInt() (int64, error) {

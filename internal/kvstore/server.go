@@ -129,18 +129,20 @@ func (s *Server) dispatch(line string, r *bufio.Reader, w *bufio.Writer) error {
 			fmt.Fprint(w, "-ERR bad length\r\n")
 			return nil
 		}
-		value, err := readValue(r, n)
-		switch {
-		case errors.Is(err, errValueTooLarge):
+		if err := checkValueLen(n); err != nil {
 			fmt.Fprint(w, "-ERR value too large\r\n")
 			return err
-		case errors.Is(err, errBadTerminator):
-			fmt.Fprint(w, "-ERR protocol: value not terminated by CRLF\r\n")
-			return err
-		case err != nil:
+		}
+		// The value is read into a buffer of the store's choosing — the
+		// last large one it retired, when that fits — and the store keeps
+		// it. A value that fails to arrive whole just drops the buffer.
+		value := s.store.buffer(n)
+		if err := readValue(r, value); err != nil {
+			if errors.Is(err, errBadTerminator) {
+				fmt.Fprint(w, "-ERR protocol: value not terminated by CRLF\r\n")
+			}
 			return err
 		}
-		// The store keeps the buffer the value was read into.
 		s.store.setBytes(parts[1], value)
 		fmt.Fprint(w, "+OK\r\n")
 	case "GET":
@@ -148,13 +150,16 @@ func (s *Server) dispatch(line string, r *bufio.Reader, w *bufio.Writer) error {
 			fmt.Fprint(w, "-ERR usage: GET key\r\n")
 			return nil
 		}
-		v, err := s.store.getBytes(parts[1])
+		e, err := s.store.pin(parts[1])
 		if err != nil {
 			fmt.Fprint(w, "$-1\r\n")
 			return nil
 		}
-		writeLenLine(w, "$", len(v))
-		writeValue(w, v)
+		// bufio copies what it does not write through, so once writeValue
+		// returns nothing refers to the buffer any more.
+		writeLenLine(w, "$", len(e.buf))
+		writeValue(w, e.buf)
+		s.store.unpin(e)
 	case "DEL":
 		if len(parts) < 2 {
 			fmt.Fprint(w, "-ERR usage: DEL key\r\n")

@@ -44,33 +44,96 @@ var inst = struct {
 	version: registry.Gauge("version"),
 }
 
+// recycleMin is the smallest value buffer the store keeps for reuse.
+// Metadata-sized values are cheaper to allocate than to track.
+const recycleMin = 64 << 10
+
 // Store is an in-memory key/value store with atomic counters, safe for
-// concurrent use. Values are held as bytes and never mutated once
+// concurrent use. Values are held as bytes and never mutated while
 // stored, so a checkpoint-sized value costs no copy on its way in
-// (setBytes) or out (getBytes).
+// (setBytes) or out (pin).
+//
+// The buffer of a large value that was deleted or overwritten is kept as
+// the one spare and handed to the next large value on its way in
+// (buffer): a producer that stages a checkpoint per version and trims the
+// oldest copy behind it makes the server fill the same few buffers in
+// turn, instead of allocating and zeroing a checkpoint-sized one per
+// version. A buffer a reply is still being written from is pinned and
+// becomes the spare only when the last pin drops.
 type Store struct {
 	mu      sync.RWMutex
-	data    map[string][]byte
+	data    map[string]*entry
 	version uint64 // bumps on every mutation, for cheap change detection
+	spare   []byte // nil, or a retired buffer of at least recycleMin bytes
+}
+
+// entry is one stored value. pins and gone are guarded by Store.mu.
+type entry struct {
+	buf  []byte
+	pins int  // replies being written from buf
+	gone bool // deleted or overwritten: no longer in Store.data
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{data: make(map[string][]byte)}
+	return &Store{data: make(map[string]*entry)}
 }
 
 // Set assigns value to key.
 func (s *Store) Set(key, value string) { s.setBytes(key, []byte(value)) }
 
-// setBytes assigns value to key without copying: the store retains the
-// slice, so the caller must not modify it afterwards.
+// setBytes assigns value to key without copying: the store takes the
+// slice over, so the caller must not touch it afterwards.
 func (s *Store) setBytes(key string, value []byte) {
 	s.mu.Lock()
-	s.data[key] = value
+	s.putLocked(key, value)
 	s.version++
 	s.syncGaugesLocked()
 	s.mu.Unlock()
 	inst.sets.Inc()
+}
+
+// putLocked stores buf under key, retiring the value it replaces.
+func (s *Store) putLocked(key string, buf []byte) {
+	s.retireLocked(s.data[key])
+	s.data[key] = &entry{buf: buf}
+}
+
+// retireLocked marks e (nil is a no-op) as out of the map; its buffer is
+// recycled now, or by the unpin that drops its last pin.
+func (s *Store) retireLocked(e *entry) {
+	if e == nil {
+		return
+	}
+	e.gone = true
+	if e.pins == 0 {
+		s.recycleLocked(e.buf)
+	}
+}
+
+// recycleLocked keeps buf as the spare if it is large enough to be worth
+// it and larger than the spare already held.
+func (s *Store) recycleLocked(buf []byte) {
+	if cap(buf) >= recycleMin && cap(buf) > cap(s.spare) {
+		s.spare = buf[:0]
+	}
+}
+
+// buffer returns an n-byte buffer for a value on its way into setBytes:
+// the spare when it fits without wasting more than half of itself,
+// otherwise a fresh one. The contents are unspecified; the caller
+// overwrites all n bytes or drops the buffer.
+func (s *Store) buffer(n int) []byte {
+	if n >= recycleMin {
+		s.mu.Lock()
+		if b := s.spare; cap(b) >= n && cap(b)/2 <= n {
+			s.spare = nil
+			s.mu.Unlock()
+			return b[:n]
+		}
+		s.mu.Unlock()
+	}
+	return make([]byte, n)
 }
 
 // syncGaugesLocked refreshes the registry gauges from the store state.
@@ -82,30 +145,55 @@ func (s *Store) syncGaugesLocked() {
 
 // Get returns the value for key or ErrNotFound.
 func (s *Store) Get(key string) (string, error) {
-	v, err := s.getBytes(key)
-	return string(v), err
+	s.mu.RLock()
+	e, ok := s.data[key]
+	var v string
+	if ok {
+		v = string(e.buf) // copied under the lock: the buffer cannot be recycled meanwhile
+	}
+	s.mu.RUnlock()
+	inst.gets.Inc()
+	if !ok {
+		inst.misses.Inc()
+		return "", ErrNotFound
+	}
+	return v, nil
 }
 
-// getBytes returns the stored value for key (or ErrNotFound) without
-// copying; the slice is shared with the store and must not be modified.
-func (s *Store) getBytes(key string) ([]byte, error) {
-	s.mu.RLock()
-	v, ok := s.data[key]
-	s.mu.RUnlock()
+// pin returns key's entry (or ErrNotFound) for a reply to be written
+// straight from its buffer, which must not be modified. The buffer stays
+// out of reuse, whatever happens to the key, until the matching unpin.
+func (s *Store) pin(key string) (*entry, error) {
+	s.mu.Lock()
+	e, ok := s.data[key]
+	if ok {
+		e.pins++
+	}
+	s.mu.Unlock()
 	inst.gets.Inc()
 	if !ok {
 		inst.misses.Inc()
 		return nil, ErrNotFound
 	}
-	return v, nil
+	return e, nil
+}
+
+// unpin drops one pin taken by pin.
+func (s *Store) unpin(e *entry) {
+	s.mu.Lock()
+	if e.pins--; e.pins == 0 && e.gone {
+		s.recycleLocked(e.buf)
+	}
+	s.mu.Unlock()
 }
 
 // Del removes key, reporting whether it existed.
 func (s *Store) Del(key string) bool {
 	s.mu.Lock()
-	_, ok := s.data[key]
+	e, ok := s.data[key]
 	if ok {
 		delete(s.data, key)
+		s.retireLocked(e)
 		s.version++
 		s.syncGaugesLocked()
 	}
@@ -120,15 +208,15 @@ func (s *Store) Incr(key string) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := int64(0)
-	if v, ok := s.data[key]; ok {
-		n, err := strconv.ParseInt(string(v), 10, 64)
+	if e, ok := s.data[key]; ok {
+		n, err := strconv.ParseInt(string(e.buf), 10, 64)
 		if err != nil {
 			return 0, errors.New("kvstore: value is not an integer")
 		}
 		cur = n
 	}
 	cur++
-	s.data[key] = strconv.AppendInt(nil, cur, 10)
+	s.putLocked(key, strconv.AppendInt(nil, cur, 10))
 	s.version++
 	s.syncGaugesLocked()
 	inst.incrs.Inc()
@@ -168,7 +256,7 @@ func (s *Store) Version() uint64 {
 func (s *Store) SetMulti(kv map[string]string) {
 	s.mu.Lock()
 	for k, v := range kv {
-		s.data[k] = []byte(v)
+		s.putLocked(k, []byte(v))
 	}
 	s.version++
 	s.syncGaugesLocked()
@@ -182,8 +270,8 @@ func (s *Store) GetMulti(keys []string) map[string]string {
 	out := make(map[string]string, len(keys))
 	s.mu.RLock()
 	for _, k := range keys {
-		if v, ok := s.data[k]; ok {
-			out[k] = string(v)
+		if e, ok := s.data[k]; ok {
+			out[k] = string(e.buf)
 		}
 	}
 	s.mu.RUnlock()

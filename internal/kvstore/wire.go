@@ -41,22 +41,27 @@ func writeValue(w *bufio.Writer, value []byte) {
 	w.WriteString("\r\n")
 }
 
-// readValue reads an n-byte value and its CRLF terminator into one
-// exact-size buffer, which the caller owns.
-func readValue(r *bufio.Reader, n int) ([]byte, error) {
+// checkValueLen refuses an announced value length over MaxValueBytes,
+// before anything is allocated for it.
+func checkValueLen(n int) error {
 	if n > MaxValueBytes {
-		return nil, fmt.Errorf("%w: %d bytes announced, cap is %d", errValueTooLarge, n, MaxValueBytes)
+		return fmt.Errorf("%w: %d bytes announced, cap is %d", errValueTooLarge, n, MaxValueBytes)
 	}
-	buf := make([]byte, n)
+	return nil
+}
+
+// readValue fills buf — one exact-size buffer the caller picked — with a
+// value and consumes its CRLF terminator.
+func readValue(r *bufio.Reader, buf []byte) error {
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+		return err
 	}
 	var term [2]byte
 	if _, err := io.ReadFull(r, term[:]); err != nil {
-		return nil, err
+		return err
 	}
 	if term != [2]byte{'\r', '\n'} {
-		return nil, errBadTerminator
+		return errBadTerminator
 	}
-	return buf, nil
+	return nil
 }

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -12,19 +13,11 @@ import (
 // advertisement of at least n hashes from the receiver.
 func waitPeerHave(t *testing.T, prod *Producer, n int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, fmt.Sprintf("a have-list of ≥%d hashes", n), func() bool {
 		prod.mu.Lock()
-		got := len(prod.peerHave)
-		prod.mu.Unlock()
-		if got >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("producer never saw a have-list of ≥%d hashes (got %d)", n, got)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		defer prod.mu.Unlock()
+		return len(prod.peerHave) >= n
+	})
 }
 
 // TestPublishDeltaAndReceive: after the consumer installs v1 and

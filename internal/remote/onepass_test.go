@@ -2,7 +2,9 @@ package remote
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -34,7 +36,7 @@ func flatSnapshot(seed int64, elems int) nn.Snapshot {
 // startProducerWithPeer starts a delta-capable chunked producer whose
 // direct link is held by a raw TCP peer instead of a Consumer, so a test
 // can script the have-lists and need-lists the producer sees.
-func startProducerWithPeer(t *testing.T, metaAddr, notifyAddr string, chunkSize int) (*Producer, *transport.TCPLink) {
+func startProducerWithPeer(t *testing.T, metaAddr, notifyAddr string, chunkSize int, linkWrap func(net.Conn) net.Conn) (*Producer, *transport.TCPLink) {
 	t.Helper()
 	linkAddr := make(chan string, 1)
 	var prod *Producer
@@ -46,7 +48,7 @@ func startProducerWithPeer(t *testing.T, metaAddr, notifyAddr string, chunkSize 
 		prod, prodErr = NewProducer(ProducerConfig{
 			Model: "m", MetaAddr: metaAddr, NotifyAddr: notifyAddr,
 			ListenAddr: "127.0.0.1:0", OnListen: func(a string) { linkAddr <- a },
-			Retry: chaosPolicy(31), ChunkSize: chunkSize,
+			Retry: chaosPolicy(31), ChunkSize: chunkSize, LinkWrap: linkWrap,
 		})
 	}()
 	peer, err := transport.DialTCP(<-linkAddr)
@@ -71,13 +73,43 @@ func (p *Producer) retained() (*retainedBlob, int) {
 	return p.lastBlob, p.lastBlob.refs
 }
 
+// refsOf returns r's reference count.
+func (p *Producer) refsOf(r *retainedBlob) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return r.refs
+}
+
+// released reports whether r went back to the pool (exactly once: a
+// second release would have driven refs below zero).
+func (p *Producer) released(r *retainedBlob) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return r.refs == 0 && r.buf == nil
+}
+
+// drainPeer reads and drops everything the producer sends, so link sends
+// never block.
+func drainPeer(peer *transport.TCPLink) {
+	go func() {
+		for {
+			if _, err := peer.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+}
+
 // TestNeedAnswerRacesNextPublish drives the producer from a raw link
 // peer: need-lists for version N are fired while version N+1 (and N+2)
 // publish, which supersedes — and must not recycle — the blob the
-// answer is walking. Every chunk record that arrives under a version's
-// key must be an intact record of exactly that version; under -race the
-// detector additionally sees any encoder write into a buffer a need
-// answer still reads.
+// answer is walking. Every third version's staging flush is held at a
+// gated KV connection until the next publish has returned, so that blob
+// is held by a need answer, the stage flusher and (as lastBlob, until it
+// is superseded) the next publish all at once. Every chunk record that
+// arrives under a version's key must be an intact record of exactly
+// that version; under -race the detector additionally sees any encoder
+// write into a buffer a need answer or the flusher still reads.
 func TestNeedAnswerRacesNextPublish(t *testing.T) {
 	const (
 		chunkSize = 1 << 10
@@ -85,7 +117,9 @@ func TestNeedAnswerRacesNextPublish(t *testing.T) {
 		versions  = 24
 	)
 	metaAddr, notifyAddr := testServices(t)
-	prod, peer := startProducerWithPeer(t, metaAddr, notifyAddr, chunkSize)
+	prod, peer := startProducerWithPeer(t, metaAddr, notifyAddr, chunkSize, nil)
+	gate := newConnGate()
+	swapStageKV(t, prod, metaAddr, gate.wrap)
 
 	// What each version's records must hash to: the producer's encode of
 	// a snapshot is deterministic (no base suppression here), and record
@@ -143,20 +177,50 @@ func TestNeedAnswerRacesNextPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitPeerHave(t, prod, 1)
+	var blobs []*retainedBlob
+	var held *retainedBlob // the blob whose flush is parked at the gate
 	for v := 2; v <= versions; v++ {
 		need := transport.NewNeedFrame(core.CheckpointKey("m", uint64(v-1)), hashesOf[v-1])
 		if err := peer.Send(need); err != nil {
 			t.Fatal(err)
 		}
+		if v%3 == 0 {
+			// Only once the flusher is idle — it has let go of the previous
+			// blob, and flushes run in order — so the write the gate parks
+			// is v's own and no later flush can supersede it.
+			if len(blobs) > 0 {
+				prev := blobs[len(blobs)-1]
+				waitFor(t, "the previous flush", func() bool { return prod.refsOf(prev) == 1 })
+			}
+			gate.hold()
+		}
 		if _, err := prod.Publish(snaps[v], uint64(v), 0.5); err != nil {
 			t.Fatalf("publish v%d: %v", v, err)
 		}
-		if r, refs := prod.retained(); r == nil || r.key != core.CheckpointKey("m", uint64(v)) {
+		r, refs := prod.retained()
+		if r == nil || r.key != core.CheckpointKey("m", uint64(v)) {
 			t.Fatalf("after v%d the retained blob is %+v", v, r)
 		} else if refs < 1 || refs > 2 {
-			t.Fatalf("after v%d the retained blob has %d references, want 1 (+1 while a need answer runs)", v, refs)
+			t.Fatalf("after v%d the retained blob has %d references, want 1 (+1 while its flush waits or runs)", v, refs)
+		}
+		blobs = append(blobs, r)
+		switch {
+		case v%3 == 0:
+			gate.waitBlocked(t)
+			held = r
+		case held != nil:
+			// v-1's flush is still parked inside its staging write and its
+			// need-list was answered while this publish superseded it: the
+			// flusher's reference alone must have kept the buffer out of
+			// the pool.
+			if n := prod.refsOf(held); n < 1 || held.buf == nil {
+				t.Fatalf("v%d's blob was recycled under its flush (refs %d)", v-1, n)
+			}
+			held = nil
+			gate.release()
 		}
 	}
+	gate.release()
 	last, _ := prod.retained()
 	prod.Close()
 	peer.Close()
@@ -167,77 +231,293 @@ func TestNeedAnswerRacesNextPublish(t *testing.T) {
 	if min := versions * len(hashesOf[1]); records <= min {
 		t.Fatalf("%d records arrived, no more than the %d the streams alone carry: no need-list was answered", records, min)
 	}
-	if r, _ := prod.retained(); r != nil || last.refs != 0 || last.buf != nil {
+	if r, _ := prod.retained(); r != nil || !prod.released(last) {
 		t.Fatalf("Close left the retained blob referenced (lastBlob %v, refs %d)", r, last.refs)
+	}
+	for i, r := range blobs {
+		if !prod.released(r) {
+			t.Fatalf("v%d's blob is still referenced after Close (refs %d)", i+2, r.refs)
+		}
 	}
 }
 
-// TestPublishErrorPathsBalanceTheBlob: a publish that fails after the
-// blob was retained (here: the metadata server is gone, so staging and
-// the metadata write both fail) must drop its own reference, leaving
-// exactly the producer's, and Close must drop that one.
+// TestPublishErrorPathsBalanceTheBlob: whatever path a publish takes,
+// every reference to its blob is dropped exactly once — by the publish
+// itself, by the stage flusher (in flight at Close, superseded before it
+// starts, or failing in the background), and by Close for the
+// producer's own.
 func TestPublishErrorPathsBalanceTheBlob(t *testing.T) {
-	kvSrv := kvstore.NewServer(kvstore.NewStore())
-	metaAddr, err := kvSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer kvSrv.Close()
-	psSrv := pubsub.NewServer(pubsub.NewBroker(64))
-	notifyAddr, err := psSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer psSrv.Close()
-	prod, peer := startProducerWithPeer(t, metaAddr, notifyAddr, 1<<10)
-	defer peer.Close()
-	go func() { // drain the link so sends never block
-		for {
-			if _, err := peer.Recv(); err != nil {
-				return
-			}
+	// stagedCopy reports whether the KV store holds version's staging copy.
+	stagedCopy := func(t *testing.T, metaAddr string, version uint64) bool {
+		t.Helper()
+		kv, err := kvstore.Dial(metaAddr)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	defer prod.Close()
+		defer kv.Close()
+		_, err = kv.GetBytes(core.StagingKey("m", version))
+		if err != nil && !errors.Is(err, kvstore.ErrNotFound) {
+			t.Fatal(err)
+		}
+		return err == nil
+	}
 
-	if _, err := prod.Publish(flatSnapshot(1, 4<<10), 1, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	first, refs := prod.retained()
-	if first == nil || refs != 1 {
-		t.Fatalf("after a clean publish the retained blob has %d references, want 1", refs)
-	}
-	// Both the full-stream and the delta path must balance on failure.
-	for _, delta := range []bool{false, true} {
-		if delta {
-			if err := peer.Send(transport.NewHaveFrame("m", 1, []vformat.ChunkHash{{0xff}})); err != nil {
+	// A publish that fails after the blob was retained (the metadata
+	// server is gone, so the metadata write fails) must drop its own
+	// reference, leaving exactly the producer's, and Close must drop
+	// that one.
+	t.Run("metadata server down", func(t *testing.T) {
+		kvSrv := kvstore.NewServer(kvstore.NewStore())
+		metaAddr, err := kvSrv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer kvSrv.Close()
+		psSrv := pubsub.NewServer(pubsub.NewBroker(64))
+		notifyAddr, err := psSrv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer psSrv.Close()
+		prod, peer := startProducerWithPeer(t, metaAddr, notifyAddr, 1<<10, nil)
+		defer peer.Close()
+		drainPeer(peer)
+
+		if _, err := prod.Publish(flatSnapshot(1, 4<<10), 1, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		first, _ := prod.retained()
+		if first == nil {
+			t.Fatal("a clean publish retained no blob")
+		}
+		waitFor(t, "the flusher to drop its reference", func() bool { return prod.refsOf(first) == 1 })
+		// Both the full-stream and the delta path must balance on failure.
+		for _, delta := range []bool{false, true} {
+			if delta {
+				if err := peer.Send(transport.NewHaveFrame("m", 1, []vformat.ChunkHash{{0xff}})); err != nil {
+					t.Fatal(err)
+				}
+				waitPeerHave(t, prod, 1)
+			} else {
+				kvSrv.Close()
+			}
+			if _, err := prod.Publish(flatSnapshot(2, 4<<10), 2, 0.5); err == nil {
+				t.Fatal("publish with the metadata server down succeeded")
+			}
+			r, refs := prod.retained()
+			if r == nil || r == first || refs != 1 {
+				t.Fatalf("delta=%v: after a failed publish the retained blob has %d references, want a new blob with 1", delta, refs)
+			}
+			if !prod.released(first) {
+				t.Fatalf("delta=%v: the superseded blob still has %d references", delta, first.refs)
+			}
+			first = r
+		}
+		// A publish cancelled before it starts touches nothing.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := prod.PublishContext(ctx, flatSnapshot(3, 4<<10), 3, 0.5); err == nil {
+			t.Fatal("cancelled publish succeeded")
+		}
+		if r, refs := prod.retained(); r != first || refs != 1 {
+			t.Fatalf("a cancelled publish moved the retained blob (refs %d)", refs)
+		}
+		prod.Close()
+		if !prod.released(first) {
+			t.Fatalf("Close left the retained blob with %d references", first.refs)
+		}
+	})
+
+	// Close waits for the flush it finds in flight, and the copy lands.
+	t.Run("flush in flight at Close", func(t *testing.T) {
+		metaAddr, notifyAddr := testServices(t)
+		prod, peer := startProducerWithPeer(t, metaAddr, notifyAddr, 1<<10, nil)
+		defer peer.Close()
+		drainPeer(peer)
+		gate := newConnGate()
+		swapStageKV(t, prod, metaAddr, gate.wrap)
+		gate.hold()
+		if _, err := prod.Publish(flatSnapshot(1, 4<<10), 1, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		gate.waitBlocked(t)
+		r, refs := prod.retained()
+		if refs != 2 {
+			t.Fatalf("with its flush in flight the blob has %d references, want the producer's and the flusher's", refs)
+		}
+		closed := make(chan struct{})
+		go func() {
+			prod.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+			t.Fatal("Close returned with the staging write still in flight")
+		case <-time.After(20 * time.Millisecond):
+		}
+		gate.release()
+		<-closed
+		if !prod.released(r) {
+			t.Fatalf("Close left the blob with %d references", r.refs)
+		}
+		if s := prod.Stats(); s.Staged != 1 || !stagedCopy(t, metaAddr, 1) {
+			t.Fatalf("producer stats %+v: the flush in flight at Close must still land", s)
+		}
+	})
+
+	// Latest wins: a flush that is still waiting when the next version is
+	// announced never runs, and its blob goes back at once.
+	t.Run("flush superseded before it starts", func(t *testing.T) {
+		metaAddr, notifyAddr := testServices(t)
+		prod, peer := startProducerWithPeer(t, metaAddr, notifyAddr, 1<<10, nil)
+		defer peer.Close()
+		drainPeer(peer)
+		gate := newConnGate()
+		swapStageKV(t, prod, metaAddr, gate.wrap)
+		superseded := Metrics().Counter("producer_stage_superseded")
+		before := superseded.Value()
+		gate.hold()
+		var blobs [4]*retainedBlob
+		for v := 1; v <= 3; v++ {
+			if _, err := prod.Publish(flatSnapshot(int64(v), 4<<10), uint64(v), 0.5); err != nil {
 				t.Fatal(err)
 			}
-			waitPeerHave(t, prod, 1)
-		} else {
-			kvSrv.Close()
+			blobs[v], _ = prod.retained()
+			if v == 1 {
+				gate.waitBlocked(t) // v1's flush is in flight; v2's and v3's can only wait
+			}
 		}
-		if _, err := prod.Publish(flatSnapshot(2, 4<<10), 2, 0.5); err == nil {
-			t.Fatal("publish with the metadata server down succeeded")
+		if !prod.released(blobs[2]) {
+			t.Fatalf("the superseded flush still holds its blob (refs %d)", blobs[2].refs)
 		}
-		r, refs := prod.retained()
-		if r == nil || r == first || refs != 1 {
-			t.Fatalf("delta=%v: after a failed publish the retained blob has %d references, want a new blob with 1", delta, refs)
+		if n := prod.refsOf(blobs[1]); n != 1 {
+			t.Fatalf("the blob in flight has %d references, want the flusher's only", n)
 		}
-		if first.refs != 0 || first.buf != nil {
-			t.Fatalf("delta=%v: the superseded blob still has %d references", delta, first.refs)
+		if n := prod.refsOf(blobs[3]); n != 2 {
+			t.Fatalf("the waiting blob has %d references, want the producer's and the flusher's", n)
 		}
-		first = r
-	}
-	// A publish cancelled before it starts touches nothing.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := prod.PublishContext(ctx, flatSnapshot(3, 4<<10), 3, 0.5); err == nil {
-		t.Fatal("cancelled publish succeeded")
-	}
-	if r, refs := prod.retained(); r != first || refs != 1 {
-		t.Fatalf("a cancelled publish moved the retained blob (refs %d)", refs)
-	}
+		if d := superseded.Value() - before; d != 1 {
+			t.Fatalf("producer_stage_superseded moved by %d, want 1", d)
+		}
+		gate.release()
+		waitFor(t, "both surviving flushes", func() bool { return prod.Stats().Staged == 2 })
+		if !stagedCopy(t, metaAddr, 1) || stagedCopy(t, metaAddr, 2) || !stagedCopy(t, metaAddr, 3) {
+			t.Fatal("want staging copies of v1 and v3 and none of the superseded v2")
+		}
+		prod.Close()
+		for v := 1; v <= 3; v++ {
+			if !prod.released(blobs[v]) {
+				t.Fatalf("v%d's blob has %d references after Close", v, blobs[v].refs)
+			}
+		}
+	})
+
+	// A publish cancelled once its whole stream has left announces
+	// nothing and stages nothing.
+	t.Run("cancelled after the stream", func(t *testing.T) {
+		metaAddr, notifyAddr := testServices(t)
+		var mu sync.Mutex
+		var total, cancelAt int64
+		var cancel context.CancelFunc
+		wrap := func(c net.Conn) net.Conn {
+			return &byteCounter{Conn: c, onWrite: func(n int64) {
+				mu.Lock()
+				defer mu.Unlock()
+				total = n
+				if cancel != nil && n >= cancelAt {
+					cancel()
+				}
+			}}
+		}
+		prod, peer := startProducerWithPeer(t, metaAddr, notifyAddr, 1<<10, wrap)
+		defer peer.Close()
+		frames := make(chan string, 256) // key of every frame the peer reads
+		go func() {
+			for {
+				f, err := peer.Recv()
+				if err != nil {
+					return
+				}
+				frames <- f.Key
+			}
+		}()
+		if _, err := prod.Publish(flatSnapshot(1, 4<<10), 1, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		first, _ := prod.retained()
+		waitFor(t, "v1's flush", func() bool { return prod.Stats().Staged == 1 })
+		// v2 is the same size frame for frame, so its last byte leaves in
+		// the write that brings the link's total to twice v1's.
+		ctx, stop := context.WithCancel(context.Background())
+		defer stop()
+		mu.Lock()
+		streamBytes := total
+		cancelAt, cancel = 2*streamBytes, stop
+		mu.Unlock()
+		if _, err := prod.PublishContext(ctx, flatSnapshot(2, 4<<10), 1, 0.5); !errors.Is(err, context.Canceled) {
+			t.Fatalf("PublishContext = %v, want context.Canceled", err)
+		}
+		perKey := make(map[string]int)
+		for perKey[core.CheckpointKey("m", 2)] < perKey[core.CheckpointKey("m", 1)] || perKey[core.CheckpointKey("m", 1)] == 0 {
+			select {
+			case k := <-frames:
+				perKey[k]++
+			case <-time.After(10 * time.Second):
+				t.Fatalf("the cancelled stream did not leave whole: frames per key %v", perKey)
+			}
+		}
+		kv, err := kvstore.Dial(metaAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer kv.Close()
+		raw, err := kv.Get(core.MetaKey("m"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta, err := core.DecodeMeta(raw); err != nil || meta.Version != 1 {
+			t.Fatalf("latest metadata is %+v (%v), want v1: the cancelled publish must not be announced", meta, err)
+		}
+		if s := prod.Stats(); s.Staged != 1 || s.LinkSends != 1 || stagedCopy(t, metaAddr, 2) {
+			t.Fatalf("producer stats %+v: the cancelled publish must not be staged or counted", s)
+		}
+		if r, refs := prod.retained(); r != first || refs != 1 {
+			t.Fatalf("the cancelled publish moved the retained blob (refs %d)", refs)
+		}
+		prod.Close()
+		if !prod.released(first) {
+			t.Fatalf("Close left the blob with %d references", first.refs)
+		}
+	})
+
+	// The link carried the version, so a staging write that fails in the
+	// background costs only redundancy: the publish succeeded, Staged
+	// stays flat, and the flusher still drops its reference.
+	t.Run("background staging fails", func(t *testing.T) {
+		metaAddr, notifyAddr := testServices(t)
+		prod, peer := startProducerWithPeer(t, metaAddr, notifyAddr, 1<<10, nil)
+		defer peer.Close()
+		drainPeer(peer)
+		swapStageKV(t, prod, metaAddr, failWrites)
+		flushes := Metrics().Counter("producer_stage_flushes")
+		before := flushes.Value()
+		meta, err := prod.Publish(flatSnapshot(1, 4<<10), 1, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !meta.StagePending {
+			t.Fatalf("meta %+v: a version announced ahead of its staging copy must say so", meta)
+		}
+		r, _ := prod.retained()
+		waitFor(t, "the flusher to give up", func() bool { return prod.refsOf(r) == 1 })
+		if s := prod.Stats(); s.LinkSends != 1 || s.Staged != 0 || flushes.Value() != before || stagedCopy(t, metaAddr, 1) {
+			t.Fatalf("producer stats %+v, flushes +%d: only Staged may stay flat", s, flushes.Value()-before)
+		}
+		prod.Close()
+		if !prod.released(r) {
+			t.Fatalf("Close left the blob with %d references", r.refs)
+		}
+	})
 }
 
 // allocPerPayloadByte runs ops publish→install round trips and returns

@@ -146,6 +146,11 @@ var inst = struct {
 	deltaSends         *metrics.Counter
 	storedVersions     *metrics.Counter
 	storeErrors        *metrics.Counter
+	stageFlushes       *metrics.Counter
+	stageSuperseded    *metrics.Counter
+	stageFlushMS       *metrics.Histogram
+	prebuiltInstalls   *metrics.Counter
+	abandonedBuilds    *metrics.Counter
 }{
 	linkSends:          registry.Counter("producer_link_sends"),
 	linkFailures:       registry.Counter("producer_link_failures"),
@@ -161,6 +166,11 @@ var inst = struct {
 	deltaSends:         registry.Counter("producer_delta_sends"),
 	storedVersions:     registry.Counter("producer_stored_versions"),
 	storeErrors:        registry.Counter("producer_store_errors"),
+	stageFlushes:       registry.Counter("producer_stage_flushes"),
+	stageSuperseded:    registry.Counter("producer_stage_superseded"),
+	stageFlushMS:       registry.Histogram("producer_stage_flush_ms"),
+	prebuiltInstalls:   registry.Counter("consumer_prebuilt_installs"),
+	abandonedBuilds:    registry.Counter("consumer_abandoned_builds"),
 }
 
 // ProducerStats counts producer-side delivery activity.
@@ -189,8 +199,12 @@ type ProducerStats struct {
 
 // Producer publishes checkpoints to a remote consumer.
 type Producer struct {
-	model     string
-	kv        *kvstore.Client
+	model string
+	kv    *kvstore.Client
+	// stageKV is the stage flusher's own connection, so a metadata Set
+	// never queues behind a checkpoint-sized staging write on kv's
+	// request mutex.
+	stageKV   *kvstore.Client
 	ps        *pubsub.Client
 	ln        *transport.Listener // nil in relay target mode
 	link      *transport.ReconnectLink
@@ -231,6 +245,22 @@ type Producer struct {
 	// to each new version's wire values, keeping producer-side
 	// comparisons aligned with what receivers actually hold.
 	lastSnap nn.Snapshot
+	// pendingFlush is the staging write waiting for the flusher (at most
+	// one: a newer publish supersedes it); it owns one reference to its
+	// blob. flushWake nudges the flusher after pendingFlush is set.
+	pendingFlush *stageFlush
+	flushWake    chan struct{}
+	closing      bool // Close has begun: no further flush is queued
+	// stagedVersions lists the versions whose staging copy is in the KV
+	// store, oldest first, so trimming to stagedHistory survives the gaps
+	// superseded flushes leave.
+	stagedVersions []uint64
+}
+
+// stageFlush is one deferred staging write.
+type stageFlush struct {
+	blob    *retainedBlob
+	version uint64
 }
 
 // policyOrDefault substitutes the standard wall-clock schedule for a
@@ -262,9 +292,15 @@ func NewProducer(cfg ProducerConfig) (*Producer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("remote: metadata: %w", err)
 	}
+	stageKV, err := kvstore.DialOptions(cfg.MetaAddr, kvstore.Options{Retry: pol})
+	if err != nil {
+		kv.Close()
+		return nil, fmt.Errorf("remote: metadata: %w", err)
+	}
 	ps, err := pubsub.DialClient(cfg.NotifyAddr)
 	if err != nil {
 		kv.Close()
+		stageKV.Close()
 		return nil, fmt.Errorf("remote: notify: %w", err)
 	}
 	var ln *transport.Listener
@@ -287,6 +323,7 @@ func NewProducer(cfg ProducerConfig) (*Producer, error) {
 		ln, err = transport.Listen(cfg.ListenAddr)
 		if err != nil {
 			kv.Close()
+			stageKV.Close()
 			ps.Close()
 			return nil, fmt.Errorf("remote: link: %w", err)
 		}
@@ -298,6 +335,7 @@ func NewProducer(cfg ProducerConfig) (*Producer, error) {
 	}
 	if err := link.Connect(); err != nil {
 		kv.Close()
+		stageKV.Close()
 		ps.Close()
 		if ln != nil {
 			ln.Close()
@@ -312,6 +350,7 @@ func NewProducer(cfg ProducerConfig) (*Producer, error) {
 		})
 		if err != nil {
 			kv.Close()
+			stageKV.Close()
 			ps.Close()
 			link.Close()
 			if ln != nil {
@@ -325,18 +364,21 @@ func NewProducer(cfg ProducerConfig) (*Producer, error) {
 	}
 	lifeCtx, lifeCancel := context.WithCancel(cfg.BaseContext)
 	p := &Producer{
-		model: cfg.Model, kv: kv, ps: ps, ln: ln, link: link, store: store,
+		model: cfg.Model, kv: kv, stageKV: stageKV, ps: ps, ln: ln, link: link, store: store,
 		policy: pol, clock: pol.ClockOrWall(), stage: !cfg.DisableStaging,
 		relay: cfg.RelayAddr != "", chunkSize: cfg.ChunkSize, workers: cfg.Parallelism,
 		recon:    !cfg.DisableDeltaReconcile,
 		deltaEps: cfg.DeltaEps,
 		closed:   make(chan struct{}),
 		lifeCtx:  lifeCtx, lifeCancel: lifeCancel,
+		flushWake: make(chan struct{}, 1),
 	}
 	if p.recon {
 		p.wg.Add(1)
 		go p.pump()
 	}
+	p.wg.Add(1)
+	go p.flusher()
 	return p, nil
 }
 
@@ -389,12 +431,14 @@ func (p *Producer) pump() {
 	}
 }
 
-// retainedBlob is a published chunked blob the producer keeps — the
-// encoder's pooled buffer itself (ChunkEncoder.Detach), not a copy. refs
-// counts Producer.lastBlob's own reference plus every reader in flight
-// (the publish that installed it, a need answer); whoever drops it to
-// zero returns buf to the pool, so the buffer can never be re-issued
-// under a reader. refs and buf's lifetime are guarded by Producer.mu.
+// retainedBlob is a published chunked blob — the encoder's pooled buffer
+// itself (ChunkEncoder.Detach), not a copy. refs counts every holder: the
+// publish that encoded it (until it returns), Producer.lastBlob while it
+// is the answerable latest version (delta mode), a need answer walking
+// it, and the stage flusher from hand-off until its staging write has
+// returned. Whoever drops it to zero returns buf to the pool, so the
+// buffer can never be re-issued under a reader. refs and buf's lifetime
+// are guarded by Producer.mu.
 type retainedBlob struct {
 	buf  []byte
 	key  string
@@ -402,21 +446,24 @@ type retainedBlob struct {
 	refs int
 }
 
-// retainBlob takes over enc's finished blob as the answerable latest
-// version, superseding the previous one. The returned blob carries one
-// reference for the caller (the publish still has to stage it), to be
-// dropped with unref.
+// retainBlob takes over enc's finished blob. The returned blob carries
+// one reference for the caller (the publish), to be dropped with unref;
+// in delta mode it also becomes the answerable latest version,
+// superseding the previous one.
 func (p *Producer) retainBlob(enc *vformat.ChunkEncoder, key string, tags map[string]string) (*retainedBlob, error) {
 	buf, err := enc.Detach()
 	if err != nil {
 		return nil, err
 	}
-	r := &retainedBlob{buf: buf, key: key, tags: tags, refs: 2}
-	p.mu.Lock()
-	prev := p.lastBlob
-	p.lastBlob = r
-	p.unrefLocked(prev)
-	p.mu.Unlock()
+	r := &retainedBlob{buf: buf, key: key, tags: tags, refs: 1}
+	if p.recon {
+		p.mu.Lock()
+		r.refs++
+		prev := p.lastBlob
+		p.lastBlob = r
+		p.unrefLocked(prev)
+		p.mu.Unlock()
+	}
 	return r, nil
 }
 
@@ -472,10 +519,11 @@ func (p *Producer) answerNeed(f transport.Frame) {
 }
 
 // Publish serializes and ships a checkpoint: frame(s) over the direct
-// link (reconnecting and retrying on faults), a staging copy plus
-// metadata into the KV store, then a push notification. If the link
-// stays dead the checkpoint still reaches the consumer through the
-// staging copy, with the metadata marking the degraded PFS-style route.
+// link (reconnecting and retrying on faults), then metadata and a push
+// notification; the KV staging copy is flushed behind them by the stage
+// flusher, and the metadata says so (StagePending). If the link stays
+// dead the checkpoint is staged before it is announced instead, with the
+// metadata marking the degraded PFS-style route.
 func (p *Producer) Publish(snapshot nn.Snapshot, iteration uint64, loss float64) (*core.ModelMeta, error) {
 	return p.PublishContext(p.lifeCtx, snapshot, iteration, loss)
 }
@@ -521,7 +569,10 @@ func (p *Producer) attachRelayMeta(tags map[string]string, ckpt *vformat.Checkpo
 		Path:      key,
 		Size:      size,
 		Format:    "vchunk",
-		SavedAt:   p.clock.Now(),
+		// A stream the relay republishes is one the link carried, so its
+		// staging copy is flushed behind it.
+		StagePending: p.stage,
+		SavedAt:      p.clock.Now(),
 	}
 	if encoded, err := meta.Encode(); err == nil {
 		tags[core.RelayMetaTag] = encoded
@@ -563,9 +614,8 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 	if err != nil {
 		return nil, err
 	}
-	// A no-op on the delta-mode paths, where retainBlob takes the blob
-	// over; everywhere else (and on their error returns before the
-	// hand-over) it returns the blob to the pool.
+	// A no-op once retainBlob has taken the blob over; on the error
+	// returns before that it returns the blob to the pool.
 	defer enc.Release()
 	if p.recon {
 		// Mark the stream delta-capable so the receiver advertises its
@@ -580,27 +630,19 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	blob, err := enc.Blob()
-	if errors.Is(err, vformat.ErrIncompleteStream) {
+	if _, err := enc.Blob(); errors.Is(err, vformat.ErrIncompleteStream) {
 		// The header frame never left, so the stream encode never ran;
 		// finish it for the staging copy and the metadata size.
-		if err = enc.EncodeStream(ctx, nil); err == nil {
-			blob, err = enc.Blob()
+		if err := enc.EncodeStream(ctx, nil); err != nil {
+			return nil, err
 		}
 	}
+	r, err := p.retainBlob(enc, key, tags)
 	if err != nil {
 		return nil, err
 	}
-	if p.recon {
-		r, err := p.retainBlob(enc, key, tags)
-		if err != nil {
-			return nil, err
-		}
-		defer p.unref(r)
-	}
-	// Staging reads the pooled blob in place: the deferred Release/unref
-	// above run only after finishPublish's Set has returned.
-	return p.finishPublish(ctx, ckpt, key, blob, sendErr)
+	defer p.unref(r)
+	return p.finishPublish(ctx, ckpt, r, sendErr)
 }
 
 // publishDelta ships ckpt as a manifest plus only the chunk records the
@@ -640,13 +682,15 @@ func (p *Producer) publishDelta(ctx context.Context, enc *vformat.ChunkEncoder, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return p.finishPublish(ctx, ckpt, key, blob, sendErr)
+	return p.finishPublish(ctx, ckpt, r, sendErr)
 }
 
 // finishPublish completes a publish after the link attempt: delivery
-// stats, the KV staging copy (mandatory when the link failed), then
-// metadata and the push notification.
-func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, key string, payload []byte, sendErr error) (*core.ModelMeta, error) {
+// stats, then metadata and the push notification, then the hand-off of
+// the staging copy to the flusher. A checkpoint the link could not carry
+// is staged first, synchronously — staging is then its only delivery
+// path, and it is never announced before it can be fetched.
+func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, r *retainedBlob, sendErr error) (*core.ModelMeta, error) {
 	version := ckpt.Version
 	p.mu.Lock()
 	if sendErr != nil {
@@ -661,36 +705,22 @@ func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, 
 	if p.relay {
 		location = core.RouteRelay
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if sendErr != nil {
 		// Degrade to the staging path, as the in-process engine falls
 		// back from memory tiers to the PFS.
 		location = core.RoutePFS
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if p.stage || sendErr != nil {
-		if err := p.kv.SetBytes(core.StagingKey(p.model, version), payload); err != nil {
-			if sendErr != nil {
-				return nil, fmt.Errorf("remote: link send failed (%w) and staging failed: %w", sendErr, err)
-			}
-			// The link carried the frame; a failed staging copy only
-			// costs redundancy.
-		} else {
-			p.mu.Lock()
-			p.stats.Staged++
-			inst.staged.Inc()
-			p.mu.Unlock()
-			if version > stagedHistory {
-				_, _ = p.kv.Del(core.StagingKey(p.model, version-stagedHistory))
-			}
+		if err := p.stageBlob(p.kv, r, version); err != nil {
+			return nil, fmt.Errorf("remote: link send failed (%w) and staging failed: %w", sendErr, err)
 		}
 	}
 	if p.store != nil {
 		// The payload here is always the complete self-contained blob
 		// (delta publishes stage and store the full encode), so the
 		// durable history never holds an unreplayable fragment.
-		if err := p.store.PutBlob(p.model, version, key, payload); err == nil {
+		if err := p.store.PutBlob(p.model, version, r.key, r.buf); err == nil {
 			p.mu.Lock()
 			p.stats.StoredVersions++
 			p.mu.Unlock()
@@ -705,16 +735,18 @@ func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, 
 			inst.storeErrors.Inc()
 		}
 	}
+	flushBehind := p.stage && sendErr == nil
 	meta := core.ModelMeta{
-		Name:      p.model,
-		Version:   version,
-		Iteration: ckpt.Iteration,
-		TrainLoss: ckpt.TrainLoss,
-		Location:  location,
-		Path:      key,
-		Size:      int64(len(payload)),
-		Format:    "vchunk",
-		SavedAt:   p.clock.Now(),
+		Name:         p.model,
+		Version:      version,
+		Iteration:    ckpt.Iteration,
+		TrainLoss:    ckpt.TrainLoss,
+		Location:     location,
+		Path:         r.key,
+		Size:         int64(len(r.buf)),
+		Format:       "vchunk",
+		StagePending: flushBehind,
+		SavedAt:      p.clock.Now(),
 	}
 	encoded, err := meta.Encode()
 	if err != nil {
@@ -726,7 +758,93 @@ func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, 
 	if _, err := p.ps.Publish(core.UpdateChannel(p.model), encoded); err != nil {
 		return nil, fmt.Errorf("remote: notify: %w", err)
 	}
+	if flushBehind {
+		p.queueFlush(r, version)
+	}
 	return &meta, nil
+}
+
+// stageBlob writes r as version's staging copy through kv and trims the
+// staging area to stagedHistory copies. The caller holds a reference to
+// r, so r.buf is stable for the whole write.
+func (p *Producer) stageBlob(kv *kvstore.Client, r *retainedBlob, version uint64) error {
+	if err := kv.SetBytes(core.StagingKey(p.model, version), r.buf); err != nil {
+		return err
+	}
+	p.mu.Lock()
+	p.stats.Staged++
+	p.stagedVersions = append(p.stagedVersions, version)
+	var trim []uint64
+	if n := len(p.stagedVersions) - stagedHistory; n > 0 {
+		trim = append(trim, p.stagedVersions[:n]...)
+		p.stagedVersions = append(p.stagedVersions[:0], p.stagedVersions[n:]...)
+	}
+	p.mu.Unlock()
+	inst.staged.Inc()
+	for _, v := range trim {
+		_, _ = kv.Del(core.StagingKey(p.model, v)) // best-effort: a leftover copy only costs memory
+	}
+	return nil
+}
+
+// queueFlush hands r to the stage flusher as version's staging copy,
+// latest-wins: a flush still waiting is superseded (its version keeps
+// the link delivery it already had and a consumer that lost it skips to
+// this one).
+func (p *Producer) queueFlush(r *retainedBlob, version uint64) {
+	p.mu.Lock()
+	if p.closing {
+		p.mu.Unlock()
+		return // the flusher may already have made its final sweep
+	}
+	r.refs++
+	if old := p.pendingFlush; old != nil {
+		p.unrefLocked(old.blob)
+		inst.stageSuperseded.Inc()
+	}
+	p.pendingFlush = &stageFlush{blob: r, version: version}
+	p.mu.Unlock()
+	select {
+	case p.flushWake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+}
+
+// takeFlush claims the waiting flush, if any.
+func (p *Producer) takeFlush() *stageFlush {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f := p.pendingFlush
+	p.pendingFlush = nil
+	return f
+}
+
+// flusher is the background stage flusher: one staging write at a time
+// on its own KV connection, never under p.mu. A failed write only costs
+// redundancy — the link carried the version. On Close it finishes the
+// flush that is waiting, so every announced version that was not
+// superseded has its copy.
+func (p *Producer) flusher() {
+	defer p.wg.Done()
+	for {
+		select {
+		case <-p.flushWake:
+		case <-p.closed:
+		}
+		for f := p.takeFlush(); f != nil; f = p.takeFlush() {
+			start := p.clock.Now()
+			if err := p.stageBlob(p.stageKV, f.blob, f.version); err == nil {
+				inst.stageFlushes.Inc()
+				inst.stageFlushMS.Observe(p.clock.Now().Sub(start).Milliseconds())
+			}
+			p.unref(f.blob)
+		}
+		select {
+		case <-p.closed:
+			return
+		default:
+		}
+	}
 }
 
 // LoadVersion reloads an older published payload from the attached
@@ -761,11 +879,20 @@ func (p *Producer) Stats() ProducerStats {
 	return p.stats
 }
 
-// Close cancels the lifecycle context and tears down all connections,
-// then waits for the reader pump (if any) to drain.
+// Close cancels the lifecycle context and tears down the link, waits for
+// the reader pump (if any) and for the stage flusher to finish the write
+// it has in hand or waiting, then closes the service connections.
 func (p *Producer) Close() {
 	p.lifeCancel()
-	p.closeOnce.Do(func() { close(p.closed) })
+	p.closeOnce.Do(func() {
+		// closing flips under mu before closed wakes the flusher, so a
+		// publish racing Close either queued its flush ahead of the
+		// flusher's final sweep or sees closing and queues nothing.
+		p.mu.Lock()
+		p.closing = true
+		p.mu.Unlock()
+		close(p.closed)
+	})
 	if p.ln != nil {
 		p.ln.Close()
 	}
@@ -777,6 +904,7 @@ func (p *Producer) Close() {
 	p.mu.Unlock()
 	p.ps.Close()
 	p.kv.Close()
+	p.stageKV.Close()
 	if p.store != nil {
 		p.store.Close()
 	}
@@ -798,8 +926,10 @@ type ConsumerConfig struct {
 	// zero value selects retry.Default over the wall clock.
 	Retry retry.Policy
 	// LinkWait bounds how long Next waits for a notified checkpoint on
-	// the direct link before backfilling from the KV staging area
-	// (default 2s).
+	// the direct link before backfilling from the KV staging area, how
+	// long a stream may stall between frames before its build is
+	// abandoned, and how long a staging copy announced as still being
+	// flushed is polled for (default 2s).
 	LinkWait time.Duration
 	// LinkDial, if set, replaces the direct-link dial (fault injection
 	// hooks in here).
@@ -819,12 +949,10 @@ type ConsumerConfig struct {
 	// (0 selects the vformat default). Only meaningful while delta
 	// reconciliation is enabled.
 	ChunkHashCache int
-	// FrameBuffer sizes the pump's frame buffer, in frames (default 32).
-	// A stream longer than the buffer is shed if Next is not draining
-	// concurrently, converging through staging instead of the link;
-	// receivers that expect whole multi-chunk checkpoints on the link
-	// (e.g. a delta-off baseline of a large model) need room for a full
-	// stream.
+	// FrameBuffer is the depth, in frames, of the hand-off between the
+	// link reader and the builder that assembles streams as they land
+	// (default 32). The builder drains it without waiting for Next, so a
+	// full hand-off is plain TCP back-pressure, never a shed stream.
 	FrameBuffer int
 	// BaseContext is the root of the consumer's lifecycle context: the
 	// context-free Next runs under it, and Close cancels it, so a
@@ -845,12 +973,31 @@ type ConsumerStats struct {
 	// StaleNotifications counts redelivered/out-of-date notifications
 	// that were ignored.
 	StaleNotifications int64
-	// DiscardedFrames counts link frames superseded before installation.
+	// DiscardedFrames counts link frames that never reached an install:
+	// stray or stale frames, and the frames of builds that were torn or
+	// superseded before their notification.
 	DiscardedFrames int64
 	// DeltaLoads counts link loads that arrived as manifest delta
 	// streams reconciled against the chunk cache (a subset of
 	// LinkLoads).
 	DeltaLoads int64
+}
+
+// parkedBudget bounds, in bytes of decoded weights, the complete builds
+// kept for notifications Next has not processed yet (the newest build is
+// always kept, whatever its size). It is what a consumer that stopped
+// calling Next can pin; older builds are dropped first and their
+// versions come from staging or are skipped as superseded.
+const parkedBudget = 64 << 20
+
+// build is one link stream assembled by the builder.
+type build struct {
+	key     string
+	version uint64
+	delta   bool  // arrived as a manifest delta stream
+	frames  int64 // link frames the stream took
+	bytes   int64 // decoded weight bytes, once complete
+	ckpt    *vformat.Checkpoint
 }
 
 // Consumer receives checkpoints pushed by a remote producer.
@@ -866,13 +1013,13 @@ type Consumer struct {
 	clock    simclock.Clock
 	// cache is the content-addressed record cache delta reconciliation
 	// runs against (nil when disabled). Its own lock makes it safe to
-	// fill from the collect loop and snapshot for advertisements.
+	// fill from the builder and snapshot for advertisements.
 	cache *vformat.ChunkCache
 
-	frames    chan transport.Frame
-	stash     *transport.Frame // link frame that overshot its notification
+	frames    chan transport.Frame // link reader → builder
 	closed    chan struct{}
 	closeOnce sync.Once
+	wg        sync.WaitGroup // reader + builder
 
 	// lifeCtx is the lifecycle context minted from
 	// ConsumerConfig.BaseContext; lifeCancel fires in Close.
@@ -884,6 +1031,19 @@ type Consumer struct {
 	loads   int64
 	applied uint64
 	stats   ConsumerStats
+	// Builder state. linkVersion is the newest version the link has
+	// reached (or an install has overtaken): the link only moves forward,
+	// so a version at or below it that is neither being built nor parked
+	// will not arrive there any more. building is the version under
+	// assembly (0 = none). parked holds complete, verified builds awaiting
+	// their notification, oldest first, and parkedBytes their summed
+	// size. changed is closed and replaced on every change to the first
+	// three.
+	linkVersion uint64
+	building    uint64
+	parked      []*build
+	parkedBytes int64
+	changed     chan struct{}
 }
 
 // NewConsumer connects to all services and subscribes to the model's
@@ -942,21 +1102,33 @@ func NewConsumer(cfg ConsumerConfig) (*Consumer, error) {
 		linkWait: linkWait, policy: pol, clock: pol.ClockOrWall(),
 		frames:  make(chan transport.Frame, frameBuf),
 		closed:  make(chan struct{}),
+		changed: make(chan struct{}),
 		lifeCtx: lifeCtx, lifeCancel: lifeCancel,
 	}
 	if !cfg.DisableDeltaReconcile {
 		c.cache = vformat.NewChunkCache(cfg.ChunkHashCache)
 	}
-	go c.pump()
+	c.wg.Add(2)
+	go func() {
+		defer c.wg.Done()
+		c.pump()
+	}()
+	go func() {
+		defer c.wg.Done()
+		c.build()
+	}()
 	return c, nil
 }
 
-// pump moves frames from the (reconnecting) link into c.frames until
+// pump moves frames from the (reconnecting) link to the builder until
 // the consumer closes. When the link is persistently unavailable it
 // backs off on the retry policy's schedule — charged against the
 // injected clock, so virtual-time tests cover the full backoff curve
 // without burning wall time — and keeps trying; deliveries continue
-// through the staging fallback meanwhile.
+// through the staging fallback meanwhile. The hand-off may block: the
+// builder drains it without ever waiting for Next, so a full channel is
+// back-pressure on the sender, and this Recv loop — which is also what
+// drives link reconnection — is never parked for long.
 func (c *Consumer) pump() {
 	backoff := initialBackoff(c.policy)
 	for {
@@ -986,25 +1158,157 @@ func (c *Consumer) pump() {
 		case c.frames <- f:
 		case <-c.closed:
 			return
-		default:
-			// A full buffer must never stall the pump: this Recv loop is
-			// what drives link reconnection, and a producer blocked in
-			// re-accept waits on the consumer to redial — a pump parked
-			// on a full channel deadlocks both sides (a version is many
-			// frames, so the buffer overflows quickly). Frames are
-			// superseding model updates, so shed the oldest buffered
-			// frame; a torn chunk stream or lost version backfills from
-			// KV staging.
+		}
+	}
+}
+
+// build is the builder: it assembles every stream the link carries as
+// its frames land — per-record CRC check and decode, reconciliation
+// cache fill, need-list backchannel — and parks each complete, verified
+// build for Next, which installs it only once the matching notification
+// arrives. It never waits for Next.
+func (c *Consumer) build() {
+	var next *transport.Frame // the frame that interrupted the last stream
+	for {
+		var f transport.Frame
+		if next != nil {
+			f, next = *next, nil
+		} else {
 			select {
-			case <-c.frames:
-			default:
+			case f = <-c.frames:
+			case <-c.closed:
+				return
 			}
+		}
+		opens := transport.IsChunkHeader(f) || transport.IsManifestHeader(f)
+		v := frameVersion(&f)
+		if !c.advance(v, opens) {
+			c.bump(func(s *ConsumerStats) { s.DiscardedFrames++ })
+			continue
+		}
+		next = c.assemble(f, v)
+	}
+}
+
+// advance moves the link position to version v and reports whether the
+// builder should assemble the stream the frame opens. A frame at or
+// below the position is stale (superseded, redelivered after a
+// reconnect, or the tail of an abandoned build). A newer frame that
+// opens no stream still moves the position: the link has reached v
+// without a usable stream for it, so v can only come from staging.
+func (c *Consumer) advance(v uint64, opens bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v <= c.linkVersion {
+		return false
+	}
+	c.linkVersion = v
+	if opens {
+		c.building = v
+	}
+	c.signalLocked()
+	return opens
+}
+
+// signalLocked wakes every Next waiting on the builder; c.mu must be
+// held.
+func (c *Consumer) signalLocked() {
+	close(c.changed)
+	c.changed = make(chan struct{})
+}
+
+// dropLocked accounts a build that will never be installed; c.mu must be
+// held.
+func (c *Consumer) dropLocked(b *build) {
+	c.stats.DiscardedFrames += b.frames
+	inst.discardedFrames.Add(b.frames)
+	inst.abandonedBuilds.Inc()
+}
+
+// popParkedLocked removes and returns the oldest parked build, leaving
+// no reference to it behind in the slice; c.mu must be held.
+func (c *Consumer) popParkedLocked() *build {
+	b := c.parked[0]
+	n := copy(c.parked, c.parked[1:])
+	c.parked[n] = nil
+	c.parked = c.parked[:n]
+	c.parkedBytes -= b.bytes
+	return b
+}
+
+// assemble builds the stream opened by header (version v) from the
+// frames that follow it and parks the result. The build is dropped as a
+// group — never parked partially — when a foreign frame (typically a
+// newer stream's header) interrupts it, when a record fails its CRC,
+// when the link delivers nothing for a whole LinkWait period, or when
+// the assembled checkpoint is not the model and version the frames
+// claimed. The interrupting
+// frame, if any, is returned for the builder to handle next.
+func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.Frame) {
+	b := &build{key: header.Key, version: v, frames: 1, delta: transport.IsManifestHeader(header)}
+	// One timer per LinkWait period, not per frame: when it fires the
+	// stream is abandoned only if no frame arrived since it was armed.
+	stall, progressed := c.clock.After(c.linkWait), false
+	recv := func() (transport.Frame, error) {
+		for {
 			select {
-			case c.frames <- f:
-			default:
+			case f := <-c.frames:
+				b.frames++
+				progressed = true
+				// Every chunk record of the stream is mirrored into the
+				// reconciliation cache as it passes (a corrupted record keys
+				// itself under the hash of its corrupted bytes, which no
+				// manifest will ever reference, so caching before CRC
+				// verification is safe).
+				if c.cache != nil && f.Key == b.key && transport.IsChunkFrame(f) {
+					c.cache.Put(vformat.HashChunkRecord(f.Payload), f.Payload)
+				}
+				return f, nil
+			case <-stall:
+				if !progressed {
+					return transport.Frame{}, ErrTimeout
+				}
+				stall, progressed = c.clock.After(c.linkWait), false
+			case <-c.closed:
+				return transport.Frame{}, errors.New("remote: consumer closed")
 			}
 		}
 	}
+	var err error
+	switch {
+	case !b.delta:
+		b.ckpt, next, err = transport.CollectChunked(c.lifeCtx, header, recv)
+	case c.cache == nil:
+		// Reconciliation disabled: nothing advertised, so a manifest
+		// stream is unexpected; let the staging path carry the version.
+		err = errors.New("remote: manifest stream with reconciliation disabled")
+	default:
+		// Advertised chunks are reused in place, the missing records
+		// arrive from the link, and a chunk the cache lost since
+		// advertising is need-listed back to the sender.
+		b.ckpt, next, _, err = transport.CollectChunkedDelta(c.lifeCtx, header, recv, c.link.Send, c.cache)
+	}
+	if next != nil {
+		b.frames-- // the interrupting frame is accounted on its own
+	}
+	if err == nil && (b.ckpt.ModelName != c.model || b.ckpt.Version != v) {
+		err = fmt.Errorf("remote: stream %q assembled %s/v%d", b.key, b.ckpt.ModelName, b.ckpt.Version)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.building = 0
+	if err != nil {
+		c.dropLocked(b)
+	} else {
+		b.bytes = b.ckpt.Weights.NumBytes()
+		c.parked = append(c.parked, b)
+		c.parkedBytes += b.bytes
+		for len(c.parked) > 1 && c.parkedBytes > parkedBudget {
+			c.dropLocked(c.popParkedLocked())
+		}
+	}
+	c.signalLocked()
+	return next
 }
 
 // initialBackoff is the pump's first retry delay under policy.
@@ -1038,17 +1342,20 @@ func frameVersion(f *transport.Frame) uint64 {
 }
 
 // Next blocks until the next pushed model update, obtains the
-// checkpoint (direct link first, KV staging backfill when the link
-// lost it), installs it, and returns it. Notifications for versions at
-// or below the installed one (e.g. redelivered after a broker
-// reconnect) are ignored; notified versions that are unrecoverable on
-// both paths are skipped, since a newer update supersedes them.
+// checkpoint (the builder's parked build of the direct-link stream
+// first, KV staging backfill when the link lost it), installs it, and
+// returns it. Nothing is installed before its notification: a stream the
+// producer never announced (a cancelled publish) stays parked until a
+// newer announcement drops it. Notifications for versions at or below
+// the installed one (e.g. redelivered after a broker reconnect) are
+// ignored; notified versions that are unrecoverable on both paths are
+// skipped, since a newer update supersedes them.
 func (c *Consumer) Next(timeout time.Duration) (*vformat.Checkpoint, error) {
 	return c.NextContext(c.lifeCtx, timeout)
 }
 
 // NextContext is Next bounded by a context: cancellation aborts the
-// wait, a chunk-stream assembly in progress, and the staging backfill.
+// wait for a notification or for the builder, and the staging backfill.
 func (c *Consumer) NextContext(ctx context.Context, timeout time.Duration) (*vformat.Checkpoint, error) {
 	deadline := c.clock.After(timeout)
 	for {
@@ -1106,59 +1413,33 @@ func (c *Consumer) bump(f func(*ConsumerStats)) {
 	inst.deltaLoads.Add(after.DeltaLoads - before.DeltaLoads)
 }
 
-// fetch obtains the checkpoint for meta from the direct link, falling
-// back to the KV staging area. A nil, nil return means the version is
-// lost on both paths (superseded updates may legitimately be).
+// fetch obtains the checkpoint for meta from the builder, falling back
+// to the KV staging area. A nil, nil return means the version is lost
+// on both paths (superseded updates may legitimately be).
 func (c *Consumer) fetch(ctx context.Context, meta *core.ModelMeta) (*vformat.Checkpoint, error) {
-	// A frame stashed by an earlier overshoot may already be the one.
-	if c.stash != nil {
-		f := c.stash
-		switch v := frameVersion(f); {
-		case f.Key == meta.Path:
-			c.stash = nil
-			ckpt, foreign := c.resolveFrame(ctx, f, meta)
-			if ckpt != nil {
-				c.bump(func(s *ConsumerStats) { s.LinkLoads++ })
-				return ckpt, nil
+	var timer <-chan time.Time // armed on the first wait: a prebuilt install needs none
+	for first := true; ; first = false {
+		b, lost, changed := c.claim(meta)
+		if b != nil {
+			if first {
+				inst.prebuiltInstalls.Inc()
 			}
-			if foreign != nil && frameVersion(foreign) > meta.Version {
-				c.stash = foreign
-				return c.fetchStaged(ctx, meta)
-			}
-		case v > meta.Version:
-			// The link is already past this version; its frame will
-			// never arrive. Keep the stash for its own notification.
-			return c.fetchStaged(ctx, meta)
-		default:
-			c.stash = nil
-			c.bump(func(s *ConsumerStats) { s.DiscardedFrames++ })
+			c.bump(func(s *ConsumerStats) {
+				s.LinkLoads++
+				if b.delta {
+					s.DeltaLoads++
+				}
+			})
+			return b.ckpt, nil
 		}
-	}
-	timer := c.clock.After(c.linkWait)
-	for {
+		if lost {
+			return c.fetchStaged(ctx, meta)
+		}
+		if timer == nil {
+			timer = c.clock.After(c.linkWait)
+		}
 		select {
-		case f := <-c.frames:
-			if f.Key == meta.Path {
-				ckpt, foreign := c.resolveFrame(ctx, &f, meta)
-				if ckpt != nil {
-					c.bump(func(s *ConsumerStats) { s.LinkLoads++ })
-					return ckpt, nil
-				}
-				if foreign != nil && frameVersion(foreign) > meta.Version {
-					// A newer stream tore this one mid-assembly; its
-					// opening frame serves the next notification.
-					c.stash = foreign
-				}
-				// Undecodable or torn for our version: backfill.
-				return c.fetchStaged(ctx, meta)
-			}
-			if frameVersion(&f) > meta.Version {
-				c.stash = &f
-				return c.fetchStaged(ctx, meta)
-			}
-			// An older, superseded frame (its notification was
-			// processed or skipped already): discard.
-			c.bump(func(s *ConsumerStats) { s.DiscardedFrames++ })
+		case <-changed:
 		case <-timer:
 			return c.fetchStaged(ctx, meta)
 		case <-ctx.Done():
@@ -1169,90 +1450,60 @@ func (c *Consumer) fetch(ctx context.Context, meta *core.ModelMeta) (*vformat.Ch
 	}
 }
 
-// resolveFrame turns a link frame addressed to meta into a checkpoint:
-// a stream header pulls the remaining chunk frames from the pump and
-// assembles them as they arrive. A nil checkpoint means the frame opens
-// no stream, or its stream was unusable, and the caller should backfill
-// from staging; a non-nil foreign frame interrupted the chunk stream and
-// still needs handling.
-func (c *Consumer) resolveFrame(ctx context.Context, f *transport.Frame, meta *core.ModelMeta) (*vformat.Checkpoint, *transport.Frame) {
-	if transport.IsManifestHeader(*f) {
-		return c.collectDeltaStream(ctx, f, meta)
+// claim matches the notification meta against the builder's state. It
+// returns the parked build for exactly that version and stream key, or
+// lost when the link will not deliver it (the stream was torn, never
+// opened, or the link is already past the version), or neither — the
+// build is still in progress or its stream has not begun — with the
+// channel that signals the builder's next change. Parked builds older
+// than the announced version were superseded before their own
+// notification was processed and are dropped.
+func (c *Consumer) claim(meta *core.ModelMeta) (b *build, lost bool, changed <-chan struct{}) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.parked) > 0 && c.parked[0].version < meta.Version {
+		c.dropLocked(c.popParkedLocked())
 	}
-	if transport.IsChunkHeader(*f) {
-		return c.collectChunkStream(ctx, f, meta)
-	}
-	return nil, nil
-}
-
-// streamRecv builds the collect loops' receive function: frames come
-// from the pump under the link-wait bound, and every chunk record of
-// the stream is mirrored into the reconciliation cache as it passes (a
-// corrupted record keys itself under the hash of its corrupted bytes,
-// which no manifest will ever reference, so caching before CRC
-// verification is safe).
-func (c *Consumer) streamRecv(ctx context.Context, key string) func() (transport.Frame, error) {
-	timer := c.clock.After(c.linkWait)
-	return func() (transport.Frame, error) {
-		select {
-		case f := <-c.frames:
-			if c.cache != nil && f.Key == key && transport.IsChunkFrame(f) {
-				c.cache.Put(vformat.HashChunkRecord(f.Payload), f.Payload)
-			}
-			return f, nil
-		case <-timer:
-			return transport.Frame{}, ErrTimeout
-		case <-ctx.Done():
-			return transport.Frame{}, ctx.Err()
-		case <-c.closed:
-			return transport.Frame{}, errors.New("remote: consumer closed")
+	if len(c.parked) > 0 && c.parked[0].version == meta.Version {
+		if b = c.popParkedLocked(); b.key == meta.Path {
+			return b, false, nil
 		}
+		c.dropLocked(b)
+		return nil, true, nil
 	}
-}
-
-// collectChunkStream assembles the chunk stream opened by header,
-// receiving successive frames from the pump under the link-wait bound.
-// Decode and CRC verification happen per chunk as frames arrive.
-func (c *Consumer) collectChunkStream(ctx context.Context, header *transport.Frame, meta *core.ModelMeta) (*vformat.Checkpoint, *transport.Frame) {
-	ckpt, foreign, err := transport.CollectChunked(ctx, *header, c.streamRecv(ctx, header.Key))
-	if err != nil {
-		return nil, foreign
+	if c.building == meta.Version {
+		return nil, false, c.changed
 	}
-	if ckpt.ModelName != c.model || ckpt.Version != meta.Version {
-		return nil, nil
-	}
-	return ckpt, nil
-}
-
-// collectDeltaStream reconciles the manifest delta stream opened by
-// header against the chunk cache: advertised chunks are reused in
-// place, the missing records arrive from the pump, and a chunk the
-// cache lost since advertising is need-listed back to the sender over
-// the link. Any failure (including an off-stream refusal of the
-// need-list) surfaces as an unusable stream — the caller backfills from
-// staging rather than assembling torn.
-func (c *Consumer) collectDeltaStream(ctx context.Context, header *transport.Frame, meta *core.ModelMeta) (*vformat.Checkpoint, *transport.Frame) {
-	if c.cache == nil {
-		// Reconciliation disabled: nothing advertised, so a manifest
-		// stream is unexpected; let the staging path carry the version.
-		return nil, nil
-	}
-	send := func(f transport.Frame) error { return c.link.Send(f) }
-	ckpt, foreign, _, err := transport.CollectChunkedDelta(ctx, *header, c.streamRecv(ctx, header.Key), send, c.cache)
-	if err != nil {
-		return nil, foreign
-	}
-	if ckpt.ModelName != c.model || ckpt.Version != meta.Version {
-		return nil, nil
-	}
-	c.bump(func(s *ConsumerStats) { s.DeltaLoads++ })
-	return ckpt, nil
+	return nil, c.linkVersion >= meta.Version, c.changed
 }
 
 // fetchStaged backfills a checkpoint from the KV staging area, where
-// the producer left the complete chunked blob.
+// the producer leaves the complete chunked blob. A copy the notification
+// announced as still being flushed (StagePending) is polled for on the
+// retry schedule for up to LinkWait — unless a newer notification is
+// already waiting, which supersedes this version anyway; without the
+// flag a missing copy is final.
 func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vformat.Checkpoint, error) {
-	raw, err := c.kv.GetBytes(core.StagingKey(c.model, meta.Version))
+	key := core.StagingKey(c.model, meta.Version)
+	raw, err := c.kv.GetBytes(key)
+	if meta.StagePending {
+		budget := c.clock.After(c.linkWait)
+		backoff := initialBackoff(c.policy)
+	poll:
+		for errors.Is(err, kvstore.ErrNotFound) && len(c.events) == 0 {
+			select {
+			case <-c.clock.After(backoff):
+			case <-budget:
+				break poll
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-c.closed:
+				return nil, errors.New("remote: consumer closed")
+			}
+			backoff = nextBackoff(c.policy, backoff)
+			raw, err = c.kv.GetBytes(key)
+		}
+	}
 	if errors.Is(err, kvstore.ErrNotFound) {
 		return nil, nil // lost on both paths
 	}
@@ -1286,6 +1537,11 @@ func (c *Consumer) install(ckpt *vformat.Checkpoint) error {
 	c.active = ckpt
 	c.loads++
 	c.applied = ckpt.Version
+	if c.linkVersion < ckpt.Version {
+		// Installed from staging ahead of the link: a stream of this
+		// version arriving late is stale.
+		c.linkVersion = ckpt.Version
+	}
 	c.mu.Unlock()
 	inst.installs.Inc()
 	if c.serving != nil {
@@ -1332,13 +1588,15 @@ func (c *Consumer) LatestMeta() (*core.ModelMeta, error) {
 	return core.DecodeMeta(raw)
 }
 
-// Close cancels the lifecycle context and tears down all connections.
-// It is idempotent and safe to call concurrently: only the first call
-// closes the shutdown channel.
+// Close cancels the lifecycle context, tears down all connections and
+// waits for the link reader and the builder to exit. It is idempotent
+// and safe to call concurrently: only the first call closes the shutdown
+// channel.
 func (c *Consumer) Close() {
 	c.lifeCancel()
 	c.closeOnce.Do(func() { close(c.closed) })
 	c.link.Close()
+	c.wg.Wait()
 	c.ps.Close()
 	c.kv.Close()
 }

@@ -86,15 +86,23 @@ func (r *ReconnectLink) acquire() (*TCPLink, error) {
 	return link, nil
 }
 
-// invalidate discards link if it is still current, so the next acquire
-// reconnects.
-func (r *ReconnectLink) invalidate(link *TCPLink) {
+// invalidate discards link after err failed an operation on it, so the
+// next acquire reconnects, and returns the error to report: permanent
+// once the ReconnectLink itself is closed — the failure is then Close
+// tearing the connection down, and backing off before a retry that can
+// only fail would just delay the owner's shutdown.
+func (r *ReconnectLink) invalidate(link *TCPLink, err error) error {
 	r.mu.Lock()
 	if r.cur == link {
 		r.cur = nil
 	}
+	closed := r.closed
 	r.mu.Unlock()
 	link.Close()
+	if closed {
+		return retry.Permanent(ErrClosed)
+	}
+	return err
 }
 
 // Send implements Conn, reconnecting and retrying on failure.
@@ -112,8 +120,7 @@ func (r *ReconnectLink) Send(f Frame) error {
 			return err
 		}
 		if err := link.Send(f); err != nil {
-			r.invalidate(link)
-			return err
+			return r.invalidate(link, err)
 		}
 		return nil
 	})
@@ -138,8 +145,7 @@ func (r *ReconnectLink) Recv() (Frame, error) {
 		}
 		f, err := link.Recv()
 		if err != nil {
-			r.invalidate(link)
-			return err
+			return r.invalidate(link, err)
 		}
 		out = f
 		return nil
