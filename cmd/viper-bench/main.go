@@ -12,8 +12,8 @@
 //
 // The slowconsumer experiment compares the blind drop-oldest shedding
 // baseline against credit-based flow control with whole-group shedding
-// on a mixed fast/slow consumer fleet; with -json it emits the
-// machine-readable comparison ci.sh records as BENCH_6.json.
+// on a mixed fast/slow consumer fleet (the exact-arithmetic model in
+// internal/coupled, whose tests assert what the table shows).
 //
 // The deltadedup experiment measures content-addressed delta
 // distribution: a steady-state training run is replayed through the
@@ -45,7 +45,7 @@ var jsonOut *bool
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: fig5|fig6|fig8|fig9|fig10|table1|ablations|slowconsumer|deltadedup|storerecovery|all")
 	quick := flag.Bool("quick", false, "run reduced-scale configurations")
-	jsonOut = flag.Bool("json", false, "emit machine-readable JSON (slowconsumer and deltadedup only)")
+	jsonOut = flag.Bool("json", false, "emit machine-readable JSON (deltadedup and storerecovery only)")
 	flag.Parse()
 
 	runners := map[string]func(bool) error{
@@ -196,56 +196,18 @@ func runAblations(quick bool) error {
 	return nil
 }
 
-// bench6 is the machine-readable slowconsumer comparison (BENCH_6.json).
-// The flat gate fields at the end are what ci.sh extracts: credits must
-// tear nothing, converge every consumer, and leave the fast consumer's
-// tail latency no worse than the drop-oldest baseline's.
-type bench6 struct {
-	Results          []*coupled.SlowConsumerResult `json:"results"`
-	CreditTornTotal  int                           `json:"credit_torn_total"`
-	CreditConverged  bool                          `json:"credit_converged"`
-	BaselineSlowTorn int                           `json:"baseline_slow_torn"`
-	BaselineFastP99  int64                         `json:"baseline_fast_p99_ns"`
-	CreditFastP99    int64                         `json:"credit_fast_p99_ns"`
-}
-
 func runSlowConsumer(quick bool) error {
 	cfg := coupled.DefaultSlowConsumerConfig()
 	if quick {
 		cfg.Versions = 16
 	}
-	baseline, err := coupled.RunSlowConsumer(cfg, coupled.PolicyDropOldest)
-	if err != nil {
-		return err
-	}
-	credit, err := coupled.RunSlowConsumer(cfg, coupled.PolicyCreditGroup)
-	if err != nil {
-		return err
-	}
-	out := bench6{
-		Results:          []*coupled.SlowConsumerResult{baseline, credit},
-		CreditConverged:  true,
-		BaselineSlowTorn: baseline.Outcome("slow").TornStreams,
-		BaselineFastP99:  int64(baseline.Outcome("fast").P99),
-		CreditFastP99:    int64(credit.Outcome("fast").P99),
-	}
-	for _, o := range credit.Outcomes {
-		out.CreditTornTotal += o.TornStreams
-		if o.FinalVersion != cfg.Versions {
-			out.CreditConverged = false
-		}
-	}
-	if *jsonOut {
-		blob, err := json.MarshalIndent(out, "", "  ")
+	fmt.Printf("slow-consumer fleet: %d versions x %d frames, publish %v, wire %v/frame, depth %d, window %d\n",
+		cfg.Versions, cfg.Frames, cfg.PublishEvery, cfg.FrameTime, cfg.Depth, cfg.Window)
+	for _, policy := range []coupled.Policy{coupled.PolicyDropOldest, coupled.PolicyCreditGroup} {
+		res, err := coupled.RunSlowConsumer(cfg, policy)
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(blob))
-		return nil
-	}
-	fmt.Printf("slow-consumer fleet: %d versions x %d frames, publish %v, wire %v/frame, depth %d, window %d\n",
-		cfg.Versions, cfg.Frames, cfg.PublishEvery, cfg.FrameTime, cfg.Depth, cfg.Window)
-	for _, res := range out.Results {
 		fmt.Printf("  policy %s:\n", res.Policy)
 		for _, o := range res.Outcomes {
 			fmt.Printf("    %-6s torn=%-4d completed=%-4d final=v%-4d p50=%-10v p99=%v\n",

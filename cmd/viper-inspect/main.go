@@ -20,8 +20,9 @@
 //
 // With -relay, instead of reading a file the tool queries a running
 // viper-relay node (its ingest address) and dumps the cached version
-// inventory: one line per (model, version) with chunk count, byte size,
-// and CRC status; with -json, one "relay-version" NDJSON object each.
+// inventory: one line per (model, version) with chunk count and byte
+// size (a record that fails its CRC never reaches the cache); with
+// -json, one "relay-version" NDJSON object each.
 //
 // With -store, the tool opens a durable chunk-store directory (the
 // -store dir of a viper-relay, or a producer's WithTimeTravel dir) and
@@ -197,7 +198,6 @@ type jsonRelayVersion struct {
 	Deduped int      `json:"deduped,omitempty"`
 	Delta   bool     `json:"delta,omitempty"`
 	Hashes  []string `json:"hashes,omitempty"`
-	CRCOK   bool     `json:"crc_ok"`
 }
 
 // inspectRelay queries a running relay node's cached version inventory
@@ -214,17 +214,12 @@ func inspectRelay(addr string, jsonOut bool) error {
 				Kind: "relay-version", Model: v.Model, Version: v.Version,
 				Key: v.Key, Chunks: v.Chunks, Bytes: v.Bytes,
 				Deduped: v.Deduped, Delta: v.Delta, Hashes: v.Hashes,
-				CRCOK: v.CRCOK,
 			})
 		}
 		return nil
 	}
 	fmt.Printf("relay:     %s, cached versions: %d\n", addr, len(inv))
 	for _, v := range inv {
-		status := "ok"
-		if !v.CRCOK {
-			status = "CORRUPT"
-		}
 		chunks := fmt.Sprintf("%d chunks", v.Chunks)
 		extra := ""
 		if v.Deduped > 0 {
@@ -233,8 +228,8 @@ func inspectRelay(addr string, jsonOut bool) error {
 		if v.Delta {
 			extra += "  delta-ingested"
 		}
-		fmt.Printf("  %s v%-6d %-14s %10d bytes  crc %s%s  (%s)\n",
-			v.Model, v.Version, chunks, v.Bytes, status, extra, v.Key)
+		fmt.Printf("  %s v%-6d %-14s %10d bytes%s  (%s)\n",
+			v.Model, v.Version, chunks, v.Bytes, extra, v.Key)
 	}
 	return nil
 }

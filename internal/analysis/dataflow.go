@@ -64,18 +64,18 @@ type callPattern struct {
 // ownRule is one acquire/release protocol.
 type ownRule struct {
 	// key is the rule's short identifier in //vet:summary directives
-	// ("blob", "encoder", "pin", "credit").
+	// ("blob", "encoder", "pin", "storewriter").
 	key string
 	// what names the tracked resource in diagnostics ("pooled blob",
-	// "pin", "credit").
+	// "pin", "store write handle").
 	what     string
 	acquires []callPattern
 	releases []callPattern
 	// scope restricts the rule to these import paths; nil means every
 	// package the analyzer visits.
 	scope map[string]bool
-	// handleToken marks rules whose token is a long-lived handle (the
-	// link a credit was drawn against): method calls on the token are
+	// handleToken marks rules whose token is a long-lived handle (a
+	// chunk encoder, a store write handle): method calls on the token are
 	// ordinary uses, not ownership transfers. Value tokens (a pooled
 	// blob, a pinned version) escape when they reach any untabled call.
 	handleToken bool
@@ -943,8 +943,7 @@ func (e *ownEngine) call(x *ast.CallExpr, st *flowState) {
 			e.scanExpr(a, st)
 		}
 		// Expression-form acquire: receiver and argument tokens bind here
-		// (r.pin(v) returns nothing; l.Recv() with the frame discarded
-		// still owes the credit). Discarded result tokens are ignored —
+		// (r.pin(v) returns nothing). Discarded result tokens are ignored —
 		// silence.
 		if p.token == tokenRecv || p.token == tokenArg {
 			if tok := callToken(e.pass.Info, x, p); tok != nil && e.tracked[tok] {

@@ -91,7 +91,6 @@ func TestGoldenPoolOwn(t *testing.T) {
 
 func TestGoldenPairBalance(t *testing.T) {
 	runGolden(t, PairBalance, "testdata/src/pairbalance/pin", "viper/internal/relay")
-	runGolden(t, PairBalance, "testdata/src/pairbalance/credit", "viper/internal/core")
 	runGolden(t, PairBalance, "testdata/src/pairbalance/chunkref", "viper/internal/relay")
 	runGolden(t, PairBalance, "testdata/src/pairbalance/storewriter", "viper/internal/relay")
 }

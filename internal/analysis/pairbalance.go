@@ -1,15 +1,11 @@
 // pairbalance enforces table-driven acquire/release pairing on the
-// protocol pairs PRs 5–6 and 9 introduced:
+// protocol pairs PRs 5, 9 and 14 introduced:
 //
-//   - relay pin/unpin: a cache version pinned for a send must be
-//     unpinned on every path, or eviction blocks forever; and a version
-//     born in-function (composite literal) must not be unpinned without
-//     a dominating pin — the pre-PR-6 unpinned-eviction bug class.
-//   - credit Recv/Grant (DESIGN §10): a consumer that receives frames
-//     over a windowed link must re-mint the spent credit via Grant
-//     before returning, or the producer's Send/Grant window drains and
-//     stalls. The link handle is the token, so an initial
-//     Grant(window) with no prior Recv is deliberately not flagged.
+//   - relay pin/unpin: a cache version pinned for a send (Relay.pin,
+//     reached through next()) must be unpinned on every path, or
+//     eviction blocks forever; and a version born in-function
+//     (composite literal) must not be unpinned without a dominating
+//     pin — the pre-PR-6 unpinned-eviction bug class.
 //   - chunk refcount retain/release (DESIGN §11): a content-addressed
 //     store entry retained for a version build must be parked in a
 //     held list (ownership transfer) or released on every path — a
@@ -26,8 +22,8 @@
 //     field or literal) hands the obligation to whoever drops the
 //     build.
 //
-// All four rules ride the ownership engine in dataflow.go;
-// selector-field receivers (c.link) are untracked by design — false
+// All three rules ride the ownership engine in dataflow.go;
+// selector-field receivers (b.w) are untracked by design — false
 // negatives over false positives.
 
 package analysis
@@ -50,27 +46,6 @@ var pairbalanceRules = []*ownRule{
 		doubleMsg:        "version %s unpinned twice: the pin count goes negative and eviction may free it while still in use",
 		useAfterMsg:      "version %s used after unpin: eviction may have freed it already",
 		unacquiredMsg:    "version %s unpinned without a dominating pin: it was created in this function and never pinned",
-	},
-	{
-		key:  "credit",
-		what: "credit",
-		acquires: []callPattern{
-			{pkgPath: "viper/internal/transport", typeName: "Link", funcName: "Recv", token: tokenRecv},
-			{pkgPath: "viper/internal/transport", typeName: "Link", funcName: "TryRecv", token: tokenRecv},
-		},
-		releases: []callPattern{
-			{pkgPath: "viper/internal/transport", typeName: "Link", funcName: "Grant", token: tokenRecv},
-		},
-		scope: map[string]bool{
-			"viper/internal/core":    true,
-			"viper/internal/relay":   true,
-			"viper/internal/remote":  true,
-			"viper/internal/coupled": true,
-		},
-		handleToken: true,
-		leakMsg:     "frames received on %s but no credit granted back on this return path: a windowed producer stalls once the credit window drains (DESIGN §10)",
-		doubleMsg:   "credit granted twice on %s for a single receive: the window inflates past its cap",
-		useAfterMsg: "link %s used after its credit was granted back", // unreachable for handle tokens; kept for the template contract
 	},
 	{
 		key:  "chunkref",
@@ -114,7 +89,7 @@ var pairbalanceRules = []*ownRule{
 // PairBalance flags unbalanced acquire/release protocol pairs.
 var PairBalance = &Analyzer{
 	Name: "pairbalance",
-	Doc:  "relay pin/unpin, credit Recv/Grant, chunk retain/release, and store write handle Begin/Commit|Abort pairs must balance on every path",
+	Doc:  "relay pin/unpin, chunk retain/release, and store write handle Begin/Commit|Abort pairs must balance on every path",
 	Run: func(pass *Pass) {
 		runOwnership(pass, pairbalanceRules)
 	},

@@ -204,22 +204,32 @@ func live(ctx context.Context, ckpt *vformat.Checkpoint) error {
 	return errSend
 }
 `},
-		{PairBalance, "viper/internal/core", `package fix
+		{PairBalance, "viper/internal/relay", `package fix
 
-import "viper/internal/transport"
+import (
+	"errors"
 
-func waived(link *transport.Link) error {
-	if _, err := link.Recv(); err != nil {
-		return err
+	"viper/internal/chunkstore"
+)
+
+var errSuperseded = errors.New("superseded")
+
+func waived(s *chunkstore.Store, superseded bool) error {
+	w := s.Begin()
+	if superseded {
+		//lint:ignore pairbalance reviewed: the leak is intentional in this fixture
+		return errSuperseded
 	}
-	//lint:ignore pairbalance reviewed: grant happens at the call site
+	w.Abort()
 	return nil
 }
 
-func live(link *transport.Link) error {
-	if _, err := link.Recv(); err != nil {
-		return err
+func live(s *chunkstore.Store, superseded bool) error {
+	w := s.Begin()
+	if superseded {
+		return errSuperseded
 	}
+	w.Abort()
 	return nil
 }
 `},

@@ -392,24 +392,17 @@ func (c *Consumer) recvVia(link *transport.Link, local *memsim.Device, meta *Mod
 	// deltas between them) that must be consumed one frame per
 	// notification; otherwise full checkpoints are superseding, so drain
 	// to the newest.
-	acked := 1
 	if !meta.Incremental {
 		for {
 			next, ok := link.TryRecv()
 			if !ok {
 				break
 			}
-			acked++
 			if next.Key > frame.Key {
 				frame = next
 			}
 		}
 	}
-	// Re-mint every consumed frame's credit before any validation can
-	// bail out: the frames are off the wire either way, and a windowed
-	// producer stalls once the unacked count reaches the window
-	// (DESIGN §10).
-	link.Grant(acked)
 	if frame.Key < meta.Path {
 		return nil, fmt.Errorf("core: received stale frame %q, expected at least %q", frame.Key, meta.Path)
 	}

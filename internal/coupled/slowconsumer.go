@@ -1,18 +1,32 @@
-// slowconsumer models the flow-control question the credit/window link
-// answers: with a mixed fleet of fast and slow consumers behind
-// bounded per-consumer queues, what does each shedding policy do to
-// stream integrity and delivery latency?
+// slowconsumer is the repository's one statement of the slow-consumer
+// argument: with a mixed fleet of fast and slow consumers behind bounded
+// per-consumer queues, what does each shedding policy do to stream
+// integrity and delivery latency? It is self-contained exact arithmetic
+// on a discrete timeline — it imports no transport — and it is why
+// multi-frame streams are shed whole, never per frame (DESIGN.md §10).
 //
-// Two policies are compared on an exact discrete timeline. Drop-oldest
-// is the blind baseline: the producer never blocks, and a full queue
-// evicts its head frame regardless of kind — so a chunk stream's header
-// can vanish while its chunks survive, and the consumer observes torn
-// streams. Credit/group is the transport.Link policy: the producer
-// spends one credit per frame (the consumer grants credits as it
-// drains), a full-or-spent link blocks the producer, and only whole
-// superseded version groups are ever shed — never a frame out of the
-// middle of a stream — so a slow consumer skips intermediate versions
-// cleanly and a torn stream is structurally impossible.
+// Two policies are compared. Drop-oldest is the blind baseline: the
+// producer never blocks, and a full queue evicts its head frame
+// regardless of kind — so a chunk stream's header can vanish while its
+// chunks survive, and the consumer observes torn streams. Credit/group
+// has two halves, each implemented once on the TCP path:
+//
+//   - the producer is paced by what the consumer has drained (one credit
+//     per frame here): TCP back-pressure. transport.TCPLink.Send blocks
+//     in the socket write once the receiver's pump (remote.Consumer.pump,
+//     feeding the builder through the bounded ConsumerConfig.FrameBuffer
+//     hand-off) stops reading; nothing is dropped on the wire.
+//   - only whole superseded versions are shed, never a frame out of the
+//     middle of a stream: the consumer's builder drops an interrupted
+//     build as a group (remote.Consumer.assemble), and a relay session
+//     abandons the fan-out of a version a newer commit superseded
+//     (relay session.send, counted as AbandonedFanouts) and restarts on
+//     the newer one — so a slow consumer skips intermediate versions
+//     cleanly and never installs a torn one.
+//
+// The simulator's in-process link (transport.Link) carries one whole
+// checkpoint per frame, so for it "the group" is the frame and its
+// SendLatest is latest-wins per frame.
 package coupled
 
 import (
@@ -99,26 +113,26 @@ func (c SlowConsumerConfig) Validate() error {
 // ConsumerOutcome is one consumer's measured behaviour under one policy.
 type ConsumerOutcome struct {
 	// Name is the consumer's label.
-	Name string `json:"name"`
+	Name string
 	// TornStreams counts collect attempts aborted by a frame that did
 	// not belong to the stream being assembled.
-	TornStreams int `json:"torn_streams"`
+	TornStreams int
 	// Completed counts versions collected intact.
-	Completed int `json:"completed"`
+	Completed int
 	// FinalVersion is the newest version collected intact (0 if none).
-	FinalVersion int `json:"final_version"`
+	FinalVersion int
 	// P50 and P99 are publish-to-ready latency quantiles over the
 	// completed versions.
-	P50 time.Duration `json:"p50"`
-	P99 time.Duration `json:"p99"`
+	P50 time.Duration
+	P99 time.Duration
 }
 
 // SlowConsumerResult is one policy's outcome across the fleet.
 type SlowConsumerResult struct {
 	// Policy is the shedding discipline that produced these outcomes.
-	Policy Policy `json:"policy"`
+	Policy Policy
 	// Outcomes holds one entry per configured consumer, in order.
-	Outcomes []ConsumerOutcome `json:"outcomes"`
+	Outcomes []ConsumerOutcome
 }
 
 // Outcome returns the named consumer's outcome (zero value if absent).
@@ -353,8 +367,8 @@ func durationQuantile(ds []time.Duration, q float64) time.Duration {
 	return sorted[idx]
 }
 
-// DefaultSlowConsumerConfig is the scenario viper-bench records into
-// BENCH_6.json: one fast consumer keeping pace with the wire and one
+// DefaultSlowConsumerConfig is the scenario viper-bench -exp slowconsumer
+// prints and TestSlowConsumerPoliciesDiverge asserts: one fast consumer keeping pace with the wire and one
 // slow consumer an order of magnitude behind it, behind a queue shorter
 // than one version's stream.
 func DefaultSlowConsumerConfig() SlowConsumerConfig {

@@ -335,7 +335,7 @@ type version struct {
 	model     string
 	vnum      uint64
 	key       string
-	frames    []transport.Frame
+	head      transport.Frame // the stream's header frame
 	hashes    []vformat.ChunkHash
 	held      []*chunkEntry
 	manifest  []byte
@@ -344,8 +344,7 @@ type version struct {
 	deduped   int   // chunks that were already resident at ingest
 	delta     bool  // ingested as manifest+missing rather than a full stream
 	reconcile bool  // sender is delta-capable: advertise hashes back
-	crcOK     bool
-	stored    bool // persisted in (or hydrated from) the attached chunkstore
+	stored    bool  // persisted in (or hydrated from) the attached chunkstore
 	meta      *core.ModelMeta
 
 	pins     int
@@ -553,8 +552,8 @@ func (r *Relay) versionFromStoreLocked(m chunkstore.VersionMeta) *version {
 	}}
 	v := &version{
 		model: m.Model, vnum: m.Version, key: m.Key,
-		bytes: m.Bytes, stored: true, crcOK: true,
-		frames:   []transport.Frame{head},
+		bytes: m.Bytes, stored: true,
+		head:     head,
 		hashes:   m.Hashes,
 		resident: int64(len(m.Header)),
 		manifest: vformat.EncodeManifest(m.Header, m.Hashes),
@@ -601,7 +600,7 @@ func (r *Relay) persistVersion(v *version, w *chunkstore.Writer) {
 	if w == nil {
 		return
 	}
-	if err := w.Commit(v.model, v.vnum, v.key, v.frames[0].Payload, v.hashes); err != nil {
+	if err := w.Commit(v.model, v.vnum, v.key, v.head.Payload, v.hashes); err != nil {
 		r.bump(func(s *Stats) { s.StoreErrors++ })
 		return
 	}
@@ -754,6 +753,11 @@ func (r *Relay) internChunkLocked(h vformat.ChunkHash, rec []byte, v *version) *
 	return e
 }
 
+// pin takes a fan-out's borrow of v: until the matching unpin, eviction
+// defers freeing v's storage. Callers hold r.mu. Named (not a bare
+// v.pins++) so viper-vet's pairbalance pin rule has an acquire site.
+func (r *Relay) pin(v *version) { v.pins++ }
+
 // unpin releases a fan-out's borrow (taken by next() under the catalog
 // lock), freeing the frames of a version whose eviction was deferred
 // while pinned.
@@ -787,7 +791,7 @@ func (r *Relay) freeLocked(v *version) {
 		return
 	}
 	v.released = true
-	v.frames = nil
+	v.head = transport.Frame{}
 	v.manifest = nil
 	for _, e := range v.held {
 		r.releaseChunk(e)
@@ -795,6 +799,43 @@ func (r *Relay) freeLocked(v *version) {
 	v.held = nil
 	r.cacheBytes -= v.resident
 	r.stats.ReleasedVersions++
+}
+
+// resolve returns the record bytes of hashes in order, leaving out the
+// ones in skip (a consumer's have-set): the resident copy where the chunk
+// table has one, else a read through the durable store. A chunk in
+// neither tier leaves a nil entry and counts as unresolved — a serving
+// caller then refuses the request whole rather than ship a short stream.
+// The lookup snapshots payloads under r.mu and reads the store outside
+// it: interned payloads are immutable, and the store read may be slow.
+func (r *Relay) resolve(hashes []vformat.ChunkHash, skip map[vformat.ChunkHash]bool) (recs [][]byte, unresolved int) {
+	recs = make([][]byte, 0, len(hashes))
+	var disk []vformat.ChunkHash
+	var diskAt []int
+	r.mu.Lock()
+	for _, h := range hashes {
+		if skip[h] {
+			continue
+		}
+		if e := r.chunks[h]; e != nil {
+			recs = append(recs, e.payload)
+			continue
+		}
+		diskAt = append(diskAt, len(recs))
+		recs = append(recs, nil)
+		disk = append(disk, h)
+	}
+	r.mu.Unlock()
+	unresolved = len(disk)
+	if r.store != nil {
+		for j, h := range disk {
+			if rec, ok := r.store.Chunk(h); ok {
+				recs[diskAt[j]] = rec
+				unresolved--
+			}
+		}
+	}
+	return recs, unresolved
 }
 
 // chunkFrame rebuilds one record frame for fan-out: the wire shape a
@@ -976,9 +1017,8 @@ func (r *Relay) handleFrame(link *transport.TCPLink, f transport.Frame, pending 
 		}
 		v := &version{
 			model: model, vnum: vnum, key: f.Key,
-			frames:    []transport.Frame{f},
+			head:      f,
 			hashes:    make([]vformat.ChunkHash, want),
-			crcOK:     true,
 			reconcile: f.Meta[transport.MetaReconcile] == "1",
 		}
 		if want == 0 {
@@ -1038,51 +1078,35 @@ func (r *Relay) startDeltaBuild(link *transport.TCPLink, f transport.Frame, mode
 	hf.Meta[transport.MetaChunkCount] = strconv.Itoa(len(man.Hashes))
 	v := &version{
 		model: model, vnum: vnum, key: f.Key,
-		frames: []transport.Frame{hf},
+		head:   hf,
 		hashes: man.Hashes,
-		delta:  true, reconcile: true, crcOK: true,
+		delta:  true, reconcile: true,
 	}
 	b := &building{
 		v: v, want: want, left: len(man.Hashes),
 		covered: make([]bool, len(man.Hashes)),
 		missing: make(map[vformat.ChunkHash]int, len(man.Hashes)),
 	}
+	// Whatever the relay already holds covers its position now — resident
+	// chunks are shared, demoted ones read through from the store — so a
+	// delta push right after a restart (or against a demoted shell)
+	// completes without a need-list round trip.
+	recs, _ := r.resolve(man.Hashes, nil)
 	r.mu.Lock()
 	for i, h := range man.Hashes {
-		if e := r.chunks[h]; e != nil {
-			r.retainChunk(e)
-			v.held = append(v.held, e)
-			b.covered[i] = true
-			b.left--
-			v.deduped++
-			r.stats.DedupedChunks++
-		} else {
+		if recs[i] == nil {
 			b.missing[h] = i
+			continue
 		}
+		e := r.internChunkLocked(h, recs[i], v)
+		v.held = append(v.held, e)
+		b.covered[i] = true
+		b.left--
 	}
 	r.mu.Unlock()
 	r.beginStore(b)
 	for _, e := range v.held {
 		r.storeAppend(b, e.hash, e.payload)
-	}
-	if r.store != nil && b.left > 0 {
-		// Advertised-but-demoted chunks read through from the store, so a
-		// delta push right after a restart (or against a demoted shell)
-		// completes without a need-list round trip.
-		for h, i := range b.missing {
-			rec, ok := r.store.Chunk(h)
-			if !ok {
-				continue
-			}
-			r.mu.Lock()
-			e := r.internChunkLocked(h, rec, v)
-			v.held = append(v.held, e)
-			r.mu.Unlock()
-			r.storeAppend(b, h, rec)
-			delete(b.missing, h)
-			b.covered[i] = true
-			b.left--
-		}
 	}
 	if b.left == 0 {
 		r.commit(link, v, b.w)
@@ -1118,7 +1142,7 @@ func (r *Relay) addRecord(link *transport.TCPLink, f transport.Frame, b *buildin
 		delete(b.missing, h)
 		pos = p
 	} else {
-		pos = recordIndex(f.Payload)
+		pos = transport.ChunkRecordIndex(f.Payload)
 		if pos < 0 || pos >= len(b.covered) || b.covered[pos] {
 			r.bump(func(s *Stats) { s.StrayFrames++ })
 			return
@@ -1179,15 +1203,6 @@ func (r *Relay) releaseBuild(b *building) {
 	}
 }
 
-// recordIndex reads the chunk index embedded in an encoded record (-1
-// if the record is too short to carry one).
-func recordIndex(rec []byte) int {
-	if len(rec) < 8 {
-		return -1
-	}
-	return int(uint32(rec[4]) | uint32(rec[5])<<8 | uint32(rec[6])<<16 | uint32(rec[7])<<24)
-}
-
 // commit inserts a completed version into the cache, wakes every
 // consumer session, advertises the version's chunk hashes upstream (so
 // the producer can push the next version as a delta), and — when the
@@ -1198,12 +1213,12 @@ func (r *Relay) commit(link *transport.TCPLink, v *version, w *chunkstore.Writer
 	// The version's logical size is the header plus every record; only
 	// the header (plus the derived manifest) is charged to the cache
 	// beyond the shared chunk store.
-	v.bytes = int64(len(v.frames[0].Payload))
+	v.bytes = int64(len(v.head.Payload))
 	for _, e := range v.held {
 		v.bytes += int64(len(e.payload))
 	}
-	v.resident = int64(len(v.frames[0].Payload))
-	v.manifest = vformat.EncodeManifest(v.frames[0].Payload, v.hashes)
+	v.resident = int64(len(v.head.Payload))
+	v.manifest = vformat.EncodeManifest(v.head.Payload, v.hashes)
 	v.meta = r.metaFor(v)
 	// Persist before the catalog insert: once consumers can discover the
 	// version its durability status is already settled, and the store's
@@ -1299,7 +1314,7 @@ func (r *Relay) commit(link *transport.TCPLink, v *version, w *chunkstore.Writer
 // either case.
 func (r *Relay) metaFor(v *version) *core.ModelMeta {
 	var meta *core.ModelMeta
-	if raw := v.frames[0].Meta[core.RelayMetaTag]; raw != "" {
+	if raw := v.head.Meta[core.RelayMetaTag]; raw != "" {
 		if m, err := core.DecodeMeta(raw); err == nil {
 			meta = m
 		}
@@ -1349,11 +1364,19 @@ func (r *Relay) newestVnum(model string) uint64 {
 	return 0
 }
 
+// wakeChan returns the channel the next commit closes. A session takes
+// it before it looks for work (next), so a commit that lands after the
+// lookup closes the channel the session then parks on: none is missed.
+func (r *Relay) wakeChan() <-chan struct{} {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.wake
+}
+
 // next finds a model whose newest complete version is ahead of what the
-// session already fanned out, or parks the caller on the wake channel
-// current at lookup time (returned under the same lock acquisition, so
-// a commit between the lookup and the select cannot be missed).
-func (r *Relay) next(sent map[string]uint64) (*version, <-chan struct{}) {
+// session already fanned out and returns it pinned; ok is false when
+// there is none.
+func (r *Relay) next(sent map[string]uint64) (v *version, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for model, mc := range r.models {
@@ -1362,11 +1385,11 @@ func (r *Relay) next(sent map[string]uint64) (*version, <-chan struct{}) {
 			// catalog: there is no window in which eviction could free
 			// the frames before the session's borrow begins. The
 			// session's send owns the pin and releases it.
-			v.pins++
-			return v, nil
+			r.pin(v)
+			return v, true
 		}
 	}
-	return nil, r.wake
+	return nil, false
 }
 
 // acceptServe accepts successive consumer connections.
@@ -1494,8 +1517,9 @@ func (s *session) run() {
 		if !s.drainNeeds() {
 			return
 		}
-		v, wake := s.r.next(sent)
-		if v == nil {
+		wake := s.r.wakeChan()
+		v, ok := s.r.next(sent)
+		if !ok {
 			select {
 			case nf := <-s.needs:
 				if !s.answerNeed(nf) {
@@ -1509,10 +1533,10 @@ func (s *session) run() {
 			}
 			continue
 		}
+		sent[v.model] = v.vnum // before send: send drops the pin
 		if !s.send(v) {
 			return
 		}
-		sent[v.model] = v.vnum
 	}
 }
 
@@ -1544,36 +1568,8 @@ func (s *session) answerNeed(nf transport.Frame) bool {
 		s.r.bump(func(st *Stats) { st.StrayFrames++ })
 		return true
 	}
-	recs := make([][]byte, 0, len(hashes))
-	var disk []vformat.ChunkHash
-	var diskAt []int
-	s.r.mu.Lock()
-	for _, h := range hashes {
-		if e := s.r.chunks[h]; e != nil {
-			recs = append(recs, e.payload)
-			continue
-		}
-		diskAt = append(diskAt, len(recs))
-		recs = append(recs, nil)
-		disk = append(disk, h)
-	}
-	s.r.mu.Unlock()
-	// Chunks that left memory read through from the durable store; only
-	// a chunk in neither tier refuses the request.
-	complete := true
-	if len(disk) > 0 && s.r.store == nil {
-		complete = false
-	} else {
-		for j, h := range disk {
-			rec, ok := s.r.store.Chunk(h)
-			if !ok {
-				complete = false
-				break
-			}
-			recs[diskAt[j]] = rec
-		}
-	}
-	if !complete {
+	recs, unresolved := s.r.resolve(hashes, nil)
+	if unresolved > 0 {
 		return s.link.Send(rejectFrame(rejectReasonResend, "", "")) == nil
 	}
 	for _, rec := range recs {
@@ -1641,44 +1637,17 @@ func (s *session) framesFor(v *version) ([]transport.Frame, bool) {
 	s.mu.Lock()
 	have := s.have
 	s.mu.Unlock()
-	s.r.mu.Lock()
-	head := v.frames[0]
-	stored := v.stored
-	var missing [][]byte
-	var disk []vformat.ChunkHash
-	var diskAt []int
-	overlap := 0
-	for _, h := range v.hashes {
-		if have[h] {
-			overlap++
-			continue
+	// v is pinned, so its header, manifest and hash list are immutable
+	// and its chunk references are held for the whole borrow.
+	head, manifest := v.head, v.manifest
+	missing, unresolved := s.r.resolve(v.hashes, have)
+	if unresolved > 0 {
+		if v.stored && s.r.store != nil {
+			s.r.bump(func(st *Stats) { st.StoreErrors++ })
 		}
-		if e := s.r.chunks[h]; e != nil {
-			missing = append(missing, e.payload)
-			continue
-		}
-		diskAt = append(diskAt, len(missing))
-		missing = append(missing, nil)
-		disk = append(disk, h)
+		return nil, false
 	}
-	manifest := v.manifest
-	s.r.mu.Unlock()
-	// Chunk payloads are immutable once interned and the snapshot above
-	// happened under the lock, so releasing it before the (possibly
-	// slow) store reads is safe.
-	if len(disk) > 0 {
-		if !stored || s.r.store == nil {
-			return nil, false
-		}
-		for j, h := range disk {
-			rec, ok := s.r.store.Chunk(h)
-			if !ok {
-				s.r.bump(func(st *Stats) { st.StoreErrors++ })
-				return nil, false
-			}
-			missing[diskAt[j]] = rec
-		}
-	}
+	overlap := len(v.hashes) - len(missing)
 	if overlap == 0 {
 		// Nothing to elide: classic full fan-out, header plus all records.
 		frames := make([]transport.Frame, 0, len(missing)+1)
@@ -1725,9 +1694,6 @@ type VersionInfo struct {
 	// Hashes lists the version's per-chunk content hashes (hex, chunk
 	// order).
 	Hashes []string `json:"hashes,omitempty"`
-	// CRCOK reports whether every chunk record passed CRC verification
-	// at ingest.
-	CRCOK bool `json:"crc_ok"`
 	// Stored reports whether the version is persisted in the relay's
 	// durable chunk store (and so survives a relay restart).
 	Stored bool `json:"stored,omitempty"`
@@ -1742,8 +1708,7 @@ func (r *Relay) Inventory() []VersionInfo {
 			vi := VersionInfo{
 				Model: v.model, Version: v.vnum, Key: v.key,
 				Chunks: len(v.hashes), Bytes: v.bytes,
-				Deduped: v.deduped, Delta: v.delta, CRCOK: v.crcOK,
-				Stored: v.stored,
+				Deduped: v.deduped, Delta: v.delta, Stored: v.stored,
 			}
 			for _, h := range v.hashes {
 				vi.Hashes = append(vi.Hashes, h.String())

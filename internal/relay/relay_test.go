@@ -146,7 +146,7 @@ func TestIngestCacheAndInventory(t *testing.T) {
 		t.Fatalf("inventory after eviction: %+v", inv)
 	}
 	for _, vi := range inv {
-		if vi.Model != "m" || vi.Chunks < 2 || !vi.CRCOK || vi.Bytes <= 0 {
+		if vi.Model != "m" || vi.Chunks < 2 || vi.Bytes <= 0 {
 			t.Fatalf("bad inventory entry: %+v", vi)
 		}
 		if vi.Key != fmt.Sprintf("m/v%08d", vi.Version) {

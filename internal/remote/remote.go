@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"viper/internal/chunkstore"
 	"viper/internal/core"
 	"viper/internal/kvstore"
 	"viper/internal/metrics"
@@ -111,15 +110,6 @@ type ProducerConfig struct {
 	// in-flight publish aborts instead of outliving the producer. Nil
 	// defaults to context.Background().
 	BaseContext context.Context
-	// StoreDir, when non-empty, attaches a durable content-addressed
-	// store at that directory: every published payload (always the
-	// complete self-contained blob, even when the link carried a delta)
-	// is written through, so the publish history survives producer
-	// restarts and stays reloadable with LoadVersion.
-	StoreDir string
-	// StoreRetention bounds the attached store's history (zero value =
-	// unbounded). Only meaningful with StoreDir.
-	StoreRetention chunkstore.Retention
 }
 
 // registry is the package's metrics surface: delivery-path counters for
@@ -144,8 +134,6 @@ var inst = struct {
 	deltaLoads         *metrics.Counter
 	haveLists          *metrics.Counter
 	deltaSends         *metrics.Counter
-	storedVersions     *metrics.Counter
-	storeErrors        *metrics.Counter
 	stageFlushes       *metrics.Counter
 	stageSuperseded    *metrics.Counter
 	stageFlushMS       *metrics.Histogram
@@ -164,8 +152,6 @@ var inst = struct {
 	deltaLoads:         registry.Counter("consumer_delta_loads"),
 	haveLists:          registry.Counter("producer_have_lists"),
 	deltaSends:         registry.Counter("producer_delta_sends"),
-	storedVersions:     registry.Counter("producer_stored_versions"),
-	storeErrors:        registry.Counter("producer_store_errors"),
 	stageFlushes:       registry.Counter("producer_stage_flushes"),
 	stageSuperseded:    registry.Counter("producer_stage_superseded"),
 	stageFlushMS:       registry.Histogram("producer_stage_flush_ms"),
@@ -188,13 +174,6 @@ type ProducerStats struct {
 	// DeltaSends counts publishes that left as manifest delta streams
 	// rather than full chunk streams (a subset of LinkSends).
 	DeltaSends int64
-	// StoredVersions counts payloads written through to the attached
-	// durable store.
-	StoredVersions int64
-	// StoreErrors counts failed durable-store writes. The store's
-	// failure mode is sticky until reopen, so a non-zero count with
-	// StoredVersions flat means history silently stopped accruing.
-	StoreErrors int64
 }
 
 // Producer publishes checkpoints to a remote consumer.
@@ -214,9 +193,8 @@ type Producer struct {
 	relay     bool
 	chunkSize int
 	workers   int
-	recon     bool              // chunk-level delta publishing enabled
-	deltaEps  float64           // base-suppression threshold (0 = exact dedup only)
-	store     *chunkstore.Store // durable publish history (nil without StoreDir)
+	recon     bool    // chunk-level delta publishing enabled
+	deltaEps  float64 // base-suppression threshold (0 = exact dedup only)
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -342,29 +320,12 @@ func NewProducer(cfg ProducerConfig) (*Producer, error) {
 		}
 		return nil, fmt.Errorf("remote: link: %w", err)
 	}
-	var store *chunkstore.Store
-	if cfg.StoreDir != "" {
-		store, err = chunkstore.Open(cfg.StoreDir, chunkstore.Options{
-			Retention: cfg.StoreRetention,
-			Clock:     pol.ClockOrWall(),
-		})
-		if err != nil {
-			kv.Close()
-			stageKV.Close()
-			ps.Close()
-			link.Close()
-			if ln != nil {
-				ln.Close()
-			}
-			return nil, fmt.Errorf("remote: store: %w", err)
-		}
-	}
 	if cfg.BaseContext == nil {
 		cfg.BaseContext = context.Background()
 	}
 	lifeCtx, lifeCancel := context.WithCancel(cfg.BaseContext)
 	p := &Producer{
-		model: cfg.Model, kv: kv, stageKV: stageKV, ps: ps, ln: ln, link: link, store: store,
+		model: cfg.Model, kv: kv, stageKV: stageKV, ps: ps, ln: ln, link: link,
 		policy: pol, clock: pol.ClockOrWall(), stage: !cfg.DisableStaging,
 		relay: cfg.RelayAddr != "", chunkSize: cfg.ChunkSize, workers: cfg.Parallelism,
 		recon:    !cfg.DisableDeltaReconcile,
@@ -716,25 +677,6 @@ func (p *Producer) finishPublish(ctx context.Context, ckpt *vformat.Checkpoint, 
 			return nil, fmt.Errorf("remote: link send failed (%w) and staging failed: %w", sendErr, err)
 		}
 	}
-	if p.store != nil {
-		// The payload here is always the complete self-contained blob
-		// (delta publishes stage and store the full encode), so the
-		// durable history never holds an unreplayable fragment.
-		if err := p.store.PutBlob(p.model, version, r.key, r.buf); err == nil {
-			p.mu.Lock()
-			p.stats.StoredVersions++
-			p.mu.Unlock()
-			inst.storedVersions.Inc()
-		} else {
-			// Publication already succeeded; a failed write-through only
-			// degrades this version to memory-resident history, but the
-			// counter keeps the degradation observable.
-			p.mu.Lock()
-			p.stats.StoreErrors++
-			p.mu.Unlock()
-			inst.storeErrors.Inc()
-		}
-	}
 	flushBehind := p.stage && sendErr == nil
 	meta := core.ModelMeta{
 		Name:         p.model,
@@ -847,24 +789,6 @@ func (p *Producer) flusher() {
 	}
 }
 
-// LoadVersion reloads an older published payload from the attached
-// durable store (ErrNotFound-wrapping error without one).
-func (p *Producer) LoadVersion(version uint64) ([]byte, error) {
-	if p.store == nil {
-		return nil, errors.New("remote: no durable store attached")
-	}
-	return p.store.LoadVersion(p.model, version)
-}
-
-// StoredVersions lists the versions the attached durable store retains,
-// oldest first (nil without a store).
-func (p *Producer) StoredVersions() []uint64 {
-	if p.store == nil {
-		return nil
-	}
-	return p.store.Versions(p.model)
-}
-
 // Version returns the latest published version.
 func (p *Producer) Version() uint64 {
 	p.mu.Lock()
@@ -905,9 +829,6 @@ func (p *Producer) Close() {
 	p.ps.Close()
 	p.kv.Close()
 	p.stageKV.Close()
-	if p.store != nil {
-		p.store.Close()
-	}
 }
 
 // ConsumerConfig configures a remote consumer.

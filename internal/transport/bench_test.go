@@ -32,38 +32,6 @@ func BenchmarkLinkSendRecv(b *testing.B) {
 	wg.Wait()
 }
 
-// benchLinkSend measures the Send hot path on a zero-cost link (no
-// modelled transfer charge), isolating the queue and accounting
-// machinery. The on/off pair is ci.sh's metrics-overhead gate: the
-// instrumented path must stay within 5% of the instrument-free one.
-func benchLinkSend(b *testing.B, opts LinkOptions) {
-	l := NewLinkWithOptions(LinkSpec{Name: "bench"}, simclock.NewVirtual(), 16, opts)
-	defer l.Close()
-	payload := make([]byte, 64<<10)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < b.N; i++ {
-			if _, err := l.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := l.SendShared(Frame{Key: "k", Payload: payload}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	wg.Wait()
-}
-
-func BenchmarkLinkSendMetricsOn(b *testing.B)  { benchLinkSend(b, LinkOptions{}) }
-func BenchmarkLinkSendMetricsOff(b *testing.B) { benchLinkSend(b, LinkOptions{NoMetrics: true}) }
-
 func BenchmarkTCPLinkRoundTrip(b *testing.B) {
 	addrCh := make(chan string, 1)
 	var server *TCPLink

@@ -1,136 +1,81 @@
 package transport
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"strconv"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"viper/internal/memsim"
 	"viper/internal/simclock"
-	"viper/internal/vformat"
 )
 
-// vframe builds a version-tagged frame of a chunk stream (role "" makes
-// a plain monolithic frame).
-func vframe(model string, version int, role string, idx int, size int) Frame {
-	f := Frame{
-		Key:     fmt.Sprintf("%s/v%d", model, version),
+// mframe builds a frame carrying one whole version of model.
+func mframe(model string, version, size int) Frame {
+	return Frame{
+		Key:     fmt.Sprintf("%s/v%06d", model, version),
 		Payload: make([]byte, size),
-		Meta: map[string]string{
-			MetaModel:   model,
-			MetaVersion: strconv.Itoa(version),
-		},
+		Meta:    map[string]string{MetaModel: model},
 	}
-	switch role {
-	case ChunkRoleHeader:
-		f.Meta[MetaChunkRole] = ChunkRoleHeader
-		f.Meta[MetaChunkCount] = strconv.Itoa(idx)
-	case ChunkRoleChunk:
-		f.Meta[MetaChunkRole] = ChunkRoleChunk
-		f.Meta[MetaChunkIndex] = strconv.Itoa(idx)
-	}
-	return f
 }
 
-// Regression (blind-shedding bug): the old SendLatest evicted the
-// oldest queued frame regardless of kind, so a superseding send could
-// orphan a mid-stream chunk. Shedding must evict whole version groups.
-func TestSendLatestShedsWholeVersionGroups(t *testing.T) {
+// SendLatest's unit is the frame: on a full queue it evicts every queued
+// frame a later frame of the same model supersedes — queued or incoming —
+// and nothing else, so each model's newest frame survives another
+// model's burst.
+func TestSendLatestShedsSupersededFrames(t *testing.T) {
 	l := NewLink(LinkSpec{Name: "t"}, simclock.NewVirtual(), 4)
 	defer l.Close()
-	// v1 fills the queue: header + 3 chunks.
-	if err := l.SendLatest(vframe("m", 1, ChunkRoleHeader, 3, 10)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := l.SendLatest(vframe("m", 1, ChunkRoleChunk, i, 100)); err != nil {
+	for _, f := range []Frame{mframe("a", 1, 10), mframe("b", 1, 20), mframe("a", 2, 30), mframe("b", 2, 40)} {
+		if err := l.SendLatest(f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// v2 arrives with no consumer: the whole v1 group must be evicted,
-	// never a prefix of it.
-	if err := l.SendLatest(vframe("m", 2, ChunkRoleHeader, 3, 10)); err != nil {
+	// a/v3 supersedes a/v1 and a/v2; b/v1 goes too, superseded by the
+	// queued b/v2, which nothing supersedes.
+	if err := l.SendLatest(mframe("a", 3, 50)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := l.SendLatest(vframe("m", 2, ChunkRoleChunk, i, 100)); err != nil {
-			t.Fatal(err)
+	for _, want := range []string{"b/v000002", "a/v000003"} {
+		if f, ok := l.TryRecv(); !ok || f.Key != want {
+			t.Fatalf("drained %+v, want %s", f, want)
 		}
 	}
-	var got []Frame
-	for {
-		f, ok := l.TryRecv()
-		if !ok {
-			break
-		}
-		got = append(got, f)
-	}
-	if len(got) != 4 {
-		t.Fatalf("queue held %d frames, want exactly the 4-frame v2 group", len(got))
-	}
-	for i, f := range got {
-		if f.Meta[MetaVersion] != "2" {
-			t.Fatalf("frame %d belongs to version %q; v1 was partially shed", i, f.Meta[MetaVersion])
-		}
-	}
-	if !IsChunkHeader(got[0]) {
-		t.Fatalf("first delivered frame is not the v2 header: %+v", got[0])
+	if f, ok := l.TryRecv(); ok {
+		t.Fatalf("superseded frame %s survived the shed", f.Key)
 	}
 	s := l.Stats()
-	if s.FramesSent != 8 || s.FramesDropped != 4 {
-		t.Fatalf("stats = %+v, want 8 sent / 4 dropped", s)
+	if s.FramesSent != 5 || s.FramesDropped != 3 {
+		t.Fatalf("stats = %+v, want 5 sent / 3 dropped", s)
 	}
-	if s.BytesSent != 2*310 || s.BytesDropped != 310 {
-		t.Fatalf("byte accounting = sent %d dropped %d, want 620/310", s.BytesSent, s.BytesDropped)
+	if s.BytesSent != 150 || s.BytesDropped != 60 {
+		t.Fatalf("byte accounting = sent %d dropped %d, want 150/60", s.BytesSent, s.BytesDropped)
 	}
 }
 
-// Regression (torn in-flight stream): once the consumer has dequeued a
-// stream's header, the remaining queued chunks are in flight and must
-// never be evicted — a superseding send blocks until the consumer makes
-// room instead. The old implementation evicted the oldest chunk here,
-// handing the consumer ErrTornStream.
-func TestSendLatestNeverTearsInFlightChunkStream(t *testing.T) {
-	l := NewLink(LinkSpec{Name: "t"}, simclock.NewVirtual(), 3)
+// When every queued frame is its model's newest and the incoming frame
+// is of yet another model, nothing is superseded: SendLatest blocks like
+// Send until the consumer makes room, and drops nothing.
+func TestSendLatestBlocksWhenNothingIsSuperseded(t *testing.T) {
+	l := NewLink(LinkSpec{Name: "t"}, simclock.NewVirtual(), 2)
 	defer l.Close()
-	if err := l.SendLatest(vframe("m", 1, ChunkRoleHeader, 3, 10)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := l.SendLatest(vframe("m", 1, ChunkRoleChunk, i, 100)); err != nil {
+	for _, f := range []Frame{mframe("a", 1, 1), mframe("b", 1, 1)} {
+		if err := l.SendLatest(f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Consumer starts collecting v1: header dequeued.
-	h, ok := l.TryRecv()
-	if !ok || !IsChunkHeader(h) {
-		t.Fatalf("expected v1 header, got %+v", h)
-	}
-	// Last v1 chunk lands in the freed slot; queue is full of bare chunks.
-	if err := l.SendLatest(vframe("m", 1, ChunkRoleChunk, 2, 100)); err != nil {
-		t.Fatal(err)
-	}
-	// v2 must now block: the only queued group is in flight.
 	done := make(chan error, 1)
-	go func() { done <- l.SendLatest(vframe("m", 2, ChunkRoleHeader, 0, 10)) }()
+	go func() { done <- l.SendLatest(mframe("c", 1, 1)) }()
 	select {
 	case err := <-done:
-		t.Fatalf("superseding send completed by tearing an in-flight stream (err=%v)", err)
+		t.Fatalf("SendLatest completed on a full queue with nothing to supersede (err=%v)", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	// Consumer finishes v1; every chunk must still be there, in order.
-	for i := 0; i < 3; i++ {
-		f, err := l.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !IsChunkFrame(f) || f.Meta[MetaChunkIndex] != strconv.Itoa(i) {
-			t.Fatalf("chunk %d missing or out of order: %+v", i, f)
-		}
+	if f, err := l.Recv(); err != nil || f.Key != "a/v000001" {
+		t.Fatalf("recv = %+v, %v", f, err)
 	}
 	select {
 	case err := <-done:
@@ -138,46 +83,10 @@ func TestSendLatestNeverTearsInFlightChunkStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("superseding send still blocked after the consumer drained")
-	}
-	if f, err := l.Recv(); err != nil || f.Meta[MetaVersion] != "2" {
-		t.Fatalf("v2 header not delivered: %+v, %v", f, err)
+		t.Fatal("SendLatest still blocked after the consumer made room")
 	}
 	if d := l.Stats().FramesDropped; d != 0 {
-		t.Fatalf("dropped %d frames; an in-flight stream was torn", d)
-	}
-}
-
-// A chunk arriving after its group's header was evicted unseen can
-// never be assembled; it must be dropped on arrival instead of queueing
-// as an unsheddable orphan that wedges the link.
-func TestSendLatestDropsStaleChunksOfShedGroup(t *testing.T) {
-	l := NewLink(LinkSpec{Name: "t"}, simclock.NewVirtual(), 1)
-	defer l.Close()
-	if err := l.SendLatest(vframe("m", 1, ChunkRoleHeader, 1, 10)); err != nil {
-		t.Fatal(err)
-	}
-	// v2's header sheds the unseen v1 header.
-	if err := l.SendLatest(vframe("m", 2, ChunkRoleHeader, 0, 10)); err != nil {
-		t.Fatal(err)
-	}
-	// A straggler v1 chunk must be dropped immediately, not enqueued.
-	if err := l.SendLatest(vframe("m", 1, ChunkRoleChunk, 0, 100)); err != nil {
-		t.Fatal(err)
-	}
-	f, ok := l.TryRecv()
-	if !ok || f.Meta[MetaVersion] != "2" {
-		t.Fatalf("queue holds %+v, want only the v2 header", f)
-	}
-	if _, ok := l.TryRecv(); ok {
-		t.Fatal("stale v1 chunk was enqueued")
-	}
-	s := l.Stats()
-	if s.FramesSent != 3 || s.FramesDropped != 2 {
-		t.Fatalf("stats = %+v, want 3 sent / 2 dropped", s)
-	}
-	if s.BytesSent != 120 || s.BytesDropped != 110 {
-		t.Fatalf("byte accounting = sent %d dropped %d, want 120/110", s.BytesSent, s.BytesDropped)
+		t.Fatalf("dropped %d frames, want 0", d)
 	}
 }
 
@@ -231,243 +140,111 @@ func TestCloseInterruptsModeledTransfer(t *testing.T) {
 	}
 }
 
-func TestCreditWindowBlocksSendUntilGrant(t *testing.T) {
-	l := NewLinkWithOptions(LinkSpec{Name: "t"}, simclock.NewVirtual(), 8, LinkOptions{Window: 2})
+// The registry does not lag a link: every instrument moves under the
+// link's lock beside the Stats field it mirrors, with no flush and no
+// Stats() call in between.
+func TestLinkMetricsRecordSendsAndDrops(t *testing.T) {
+	get := func(name string) int64 { return Metrics().Snapshot().Get(name).Value }
+	sent0, drop0, depth0 := get("link_frames_sent"), get("link_frames_dropped"), get("link_queue_depth")
+	l := NewLink(LinkSpec{Name: "t"}, simclock.NewVirtual(), 1)
 	defer l.Close()
-	if got := l.Window(); got != 2 {
-		t.Fatalf("Window = %d", got)
-	}
-	for i := 0; i < 2; i++ {
-		if err := l.Send(Frame{Key: fmt.Sprintf("f%d", i)}); err != nil {
+	for i, send := range []func(Frame) error{l.SendLatest, l.SendLatest, l.SendLatestShared} {
+		if err := send(Frame{Key: fmt.Sprintf("f%d", i), Payload: []byte("x")}); err != nil {
 			t.Fatal(err)
 		}
+		if got := get("link_frames_sent") - sent0; got != int64(i+1) {
+			t.Fatalf("after send %d: link_frames_sent delta = %d, want %d", i, got, i+1)
+		}
+		if got := get("link_frames_dropped") - drop0; got != int64(i) {
+			t.Fatalf("after send %d: link_frames_dropped delta = %d, want %d", i, got, i)
+		}
+		if got := get("link_queue_depth") - depth0; got != 1 {
+			t.Fatalf("after send %d: link_queue_depth delta = %d, want 1", i, got)
+		}
 	}
-	if got := l.Credits(); got != 0 {
-		t.Fatalf("credits after window-filling sends = %d, want 0", got)
-	}
-	done := make(chan error, 1)
-	go func() { done <- l.Send(Frame{Key: "f2"}) }()
-	select {
-	case err := <-done:
-		t.Fatalf("send beyond the credit window completed (err=%v)", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	// Consumer acknowledges one frame.
 	if _, ok := l.TryRecv(); !ok {
 		t.Fatal("no frame queued")
 	}
-	l.Grant(1)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
+	if got := get("link_queue_depth") - depth0; got != 0 {
+		t.Fatalf("after drain: link_queue_depth delta = %d, want 0", got)
+	}
+}
+
+// Property: two producers, one per model, interleave SendLatest and
+// plain Send against a consumer that drains in bursts, at several queue
+// depths. At quiescence both Stats invariants hold to the unit, each
+// model's keys reached the consumer strictly increasing, each model's
+// last frame was delivered (nothing supersedes it), and nobody spun or
+// deadlocked (the watchdog; ci.sh reruns this under -race -count=10).
+func TestPropLatestWinsQueue(t *testing.T) {
+	const versions = 400
+	models := []string{"a", "b"}
+	for _, depth := range []int{1, 2, 3, 8} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("depth%d/seed%d", depth, seed), func(t *testing.T) {
+				l := NewLink(LinkSpec{Name: "t"}, simclock.NewVirtual(), depth)
+				var producers sync.WaitGroup
+				for i, model := range models {
+					producers.Add(1)
+					go func(model string, rng *rand.Rand) {
+						defer producers.Done()
+						for v := 1; v <= versions; v++ {
+							send := l.SendLatest
+							if rng.Intn(4) == 0 {
+								send = l.Send
+							}
+							if err := send(mframe(model, v, 1+rng.Intn(64))); err != nil {
+								t.Errorf("%s/v%d: %v", model, v, err)
+								return
+							}
+						}
+					}(model, rand.New(rand.NewSource(seed*10+int64(i))))
+				}
+				go func() {
+					producers.Wait()
+					l.Close()
+				}()
+				watchdog := time.AfterFunc(20*time.Second, func() {
+					t.Error("link wedged: producers or consumer still running after 20s")
+					l.Close()
+				})
+				defer watchdog.Stop()
+
+				rng := rand.New(rand.NewSource(seed))
+				last := map[string]string{}
+				var frames, bytes int64
+				for {
+					if rng.Intn(3) == 0 {
+						runtime.Gosched() // let the queue fill so sends evict or block
+					}
+					f, err := l.Recv()
+					if errors.Is(err, ErrClosed) {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					model := f.Meta[MetaModel]
+					if f.Key <= last[model] {
+						t.Fatalf("model %s: %s delivered after %s", model, f.Key, last[model])
+					}
+					last[model] = f.Key
+					frames++
+					bytes += int64(len(f.Payload))
+				}
+				for _, model := range models {
+					if want := mframe(model, versions, 0).Key; last[model] != want {
+						t.Fatalf("model %s converged to %q, want its last frame %s", model, last[model], want)
+					}
+				}
+				s := l.Stats()
+				if s.FramesSent != 2*versions || s.FramesSent != frames+s.FramesDropped {
+					t.Fatalf("frames: sent %d, delivered %d + dropped %d, want %d sent", s.FramesSent, frames, s.FramesDropped, 2*versions)
+				}
+				if s.BytesSent != bytes+s.BytesDropped {
+					t.Fatalf("bytes: sent %d != delivered %d + dropped %d", s.BytesSent, bytes, s.BytesDropped)
+				}
+			})
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Grant did not unblock the producer")
-	}
-}
-
-func TestGrantCapsAtWindowAndIgnoresDisabledLinks(t *testing.T) {
-	l := NewLinkWithOptions(LinkSpec{Name: "t"}, simclock.NewVirtual(), 4, LinkOptions{Window: 3})
-	defer l.Close()
-	l.Grant(100)
-	if got := l.Credits(); got != 3 {
-		t.Fatalf("credits = %d, want the window cap 3", got)
-	}
-	plain := NewLink(LinkSpec{Name: "t"}, simclock.NewVirtual(), 4)
-	defer plain.Close()
-	plain.Grant(5)
-	if got := plain.Credits(); got != 0 {
-		t.Fatalf("credit-disabled link reports %d credits", got)
-	}
-}
-
-// Shedding a queued group must refund its credits: the frames were
-// never delivered, so they cannot permanently consume window.
-func TestSendLatestRefundsCreditsOnShed(t *testing.T) {
-	l := NewLinkWithOptions(LinkSpec{Name: "t"}, simclock.NewVirtual(), 8, LinkOptions{Window: 2})
-	defer l.Close()
-	if err := l.SendLatest(Frame{Key: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.SendLatest(Frame{Key: "b"}); err != nil {
-		t.Fatal(err)
-	}
-	// Credits spent. The next SendLatest must shed the superseded
-	// backlog, reclaim its credits, and land without any Grant.
-	if err := l.SendLatest(Frame{Key: "c"}); err != nil {
-		t.Fatal(err)
-	}
-	f, ok := l.TryRecv()
-	if !ok || f.Key != "c" {
-		t.Fatalf("drained %+v, want only the newest frame", f)
-	}
-	if _, ok := l.TryRecv(); ok {
-		t.Fatal("superseded frames survived the shed")
-	}
-	if got := l.Credits(); got != 1 {
-		t.Fatalf("credits = %d, want 1 (2 refunded, 1 respent)", got)
-	}
-	s := l.Stats()
-	if s.FramesSent != 3 || s.FramesDropped != 2 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestLinkMetricsRecordSendsAndDrops(t *testing.T) {
-	sent0 := Metrics().Snapshot().Get("link_frames_sent").Value
-	drop0 := Metrics().Snapshot().Get("link_frames_dropped").Value
-	l := NewLink(LinkSpec{Name: "t"}, simclock.NewVirtual(), 1)
-	defer l.Close()
-	_ = l.SendLatest(Frame{Key: "a", Payload: []byte("x")})
-	_ = l.SendLatest(Frame{Key: "b", Payload: []byte("y")})
-	_ = l.Stats() // flush the link's pending registry deltas
-	s := Metrics().Snapshot()
-	if got := s.Get("link_frames_sent").Value - sent0; got != 2 {
-		t.Fatalf("link_frames_sent delta = %d, want 2", got)
-	}
-	if got := s.Get("link_frames_dropped").Value - drop0; got != 1 {
-		t.Fatalf("link_frames_dropped delta = %d, want 1", got)
-	}
-
-	// A NoMetrics link must leave the registry untouched.
-	sent1 := Metrics().Snapshot().Get("link_frames_sent").Value
-	q := NewLinkWithOptions(LinkSpec{Name: "t"}, simclock.NewVirtual(), 1, LinkOptions{NoMetrics: true})
-	defer q.Close()
-	_ = q.Send(Frame{Key: "quiet"})
-	st := q.Stats() // flush is a no-op on a detached link
-	if got := Metrics().Snapshot().Get("link_frames_sent").Value; got != sent1 {
-		t.Fatalf("NoMetrics link recorded into the registry (%d -> %d)", sent1, got)
-	}
-	if st.FramesSent != 1 {
-		t.Fatalf("NoMetrics link lost its local stats: %+v", st)
-	}
-}
-
-// propCheckpoint builds a small distinct checkpoint for version v.
-func propCheckpoint(v int, bytes int) *vformat.Checkpoint {
-	ckpt := streamTestCheckpoint(int64(v), bytes)
-	ckpt.ModelName = "prop"
-	ckpt.Version = uint64(v)
-	return ckpt
-}
-
-// Property (credit-based flow control): a producer streaming chunked
-// versions to a mixed fast/slow consumer fleet must never tear a
-// stream — every consumer sees only complete version groups — and every
-// consumer converges to the latest version once the producer finishes.
-// Holds with credits enabled or disabled (depth-bounded).
-func TestPropCreditedFleetNeverTornAndConverges(t *testing.T) {
-	cases := []struct {
-		name      string
-		depth     int
-		window    int
-		versions  int
-		consumers int
-	}{
-		{name: "windowed", depth: 4, window: 6, versions: 8, consumers: 3},
-		{name: "tight-window", depth: 2, window: 3, versions: 10, consumers: 2},
-		{name: "depth-only", depth: 3, window: 0, versions: 8, consumers: 2},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			clock := simclock.NewVirtual()
-			links := make([]*Link, tc.consumers)
-			for i := range links {
-				links[i] = NewLinkWithOptions(LinkSpec{Name: "t"}, clock, tc.depth, LinkOptions{Window: tc.window})
-			}
-			type outcome struct {
-				torn      int
-				collected int
-				final     uint64
-				err       error
-			}
-			results := make([]outcome, tc.consumers)
-			var wg sync.WaitGroup
-			for i := range links {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					link := links[i]
-					slow := i%2 == 1
-					recv := func() (Frame, error) {
-						f, err := link.Recv()
-						if err == nil {
-							if slow {
-								time.Sleep(200 * time.Microsecond)
-							}
-							link.Grant(1)
-						}
-						return f, err
-					}
-					for {
-						f, err := recv()
-						if errors.Is(err, ErrClosed) {
-							return
-						}
-						if err != nil {
-							results[i].err = err
-							return
-						}
-						if !IsChunkHeader(f) {
-							// A bare chunk outside a collect is a torn
-							// stream's debris.
-							results[i].torn++
-							continue
-						}
-						ckpt, foreign, err := CollectChunked(context.Background(), f, recv)
-						if err != nil {
-							if errors.Is(err, ErrTornStream) {
-								results[i].torn++
-								_ = foreign
-								continue
-							}
-							results[i].err = err
-							return
-						}
-						results[i].collected++
-						if ckpt.Version > results[i].final {
-							results[i].final = ckpt.Version
-						}
-					}
-				}(i)
-			}
-			for v := 1; v <= tc.versions; v++ {
-				ckpt := propCheckpoint(v, 32<<10)
-				enc, err := vformat.NewChunkEncoder(ckpt, vformat.ChunkOptions{ChunkBytes: 4 << 10})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, link := range links {
-					conn := WithMeta(link.Latest(), map[string]string{
-						MetaModel:   "prop",
-						MetaVersion: strconv.Itoa(v),
-					})
-					if err := SendChunked(context.Background(), conn, fmt.Sprintf("prop/v%d", v), enc, 0); err != nil {
-						t.Errorf("version %d: %v", v, err)
-					}
-				}
-				enc.Release()
-			}
-			for _, l := range links {
-				l.Close()
-			}
-			wg.Wait()
-			for i, r := range results {
-				if r.err != nil {
-					t.Fatalf("consumer %d failed: %v", i, r.err)
-				}
-				if r.torn != 0 {
-					t.Fatalf("consumer %d observed %d torn streams, want 0", i, r.torn)
-				}
-				if r.collected == 0 {
-					t.Fatalf("consumer %d assembled no version at all", i)
-				}
-				if r.final != uint64(tc.versions) {
-					t.Fatalf("consumer %d converged to v%d, want v%d", i, r.final, tc.versions)
-				}
-			}
-		})
 	}
 }

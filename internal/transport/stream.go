@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -245,21 +246,26 @@ func SendChunkedDelta(ctx context.Context, conn Conn, key string, manifest []byt
 	return nil
 }
 
+// ChunkRecordIndex reads the chunk index embedded in an encoded chunk
+// record (-1 if the record is too short to carry one).
+func ChunkRecordIndex(rec []byte) int {
+	if len(rec) < 8 {
+		return -1
+	}
+	return int(binary.LittleEndian.Uint32(rec[4:]))
+}
+
 // ChunkRecordFrame wraps one encoded chunk record as a stream frame,
 // reading the chunk index out of the record bytes. The relay uses it to
 // rebuild record frames from its content-addressed chunk store.
 func ChunkRecordFrame(key string, rec []byte, virtual int64) Frame {
-	idx := 0
-	if len(rec) >= 8 {
-		idx = int(uint32(rec[4]) | uint32(rec[5])<<8 | uint32(rec[6])<<16 | uint32(rec[7])<<24)
-	}
 	return Frame{
 		Key:         key,
 		Payload:     rec,
 		VirtualSize: virtual,
 		Meta: map[string]string{
 			MetaChunkRole:  ChunkRoleChunk,
-			MetaChunkIndex: strconv.Itoa(idx),
+			MetaChunkIndex: strconv.Itoa(max(ChunkRecordIndex(rec), 0)),
 		},
 	}
 }

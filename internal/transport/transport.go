@@ -4,9 +4,14 @@
 //   - Link: an in-process, bandwidth-modelled channel whose transfer time
 //     is charged against a pluggable clock. It stands in for the paper's
 //     MPI_Send/MPI_Recv over GPUDirect RDMA (GPU-to-GPU) or InfiniBand
-//     host memory (Host-to-Host); see the calibrated specs below.
-//   - TCPLink: a real TCP connection carrying the same frames, used by the
-//     two-process producer/consumer demo.
+//     host memory (Host-to-Host); see the calibrated specs below. It is a
+//     depth-bounded queue that carries one whole checkpoint per frame,
+//     with blocking sends and latest-wins sends whose unit is the frame.
+//   - TCPLink: a real TCP connection carrying the same frames — and the
+//     multi-frame chunk streams of stream.go — used by the relay and the
+//     multi-process producer/consumer. Flow control for those streams is
+//     TCP back-pressure plus whole-group drops at the receivers
+//     (DESIGN.md §10), not anything in this package.
 //
 // Frames carry a key, opaque payload, a virtual payload size (so scaled
 // experiments can account full checkpoint sizes) and a small metadata map.
@@ -30,51 +35,24 @@ import (
 
 // registry is the package's metrics surface: every Link and TCPLink
 // feeds these aggregate instruments (see DESIGN.md §10 for the naming
-// scheme). Instrument pointers are resolved once here, so the per-frame
-// cost is a handful of atomic adds.
+// scheme). Instrument pointers are resolved once here.
 var registry = metrics.NewRegistry("transport")
 
 // Metrics returns the package's metrics registry (rendered by
-// cmd/viper-top and snapshot-tested by the flow-control suite).
+// cmd/viper-top and snapshot-tested by the link suite).
 func Metrics() *metrics.Registry { return registry }
 
-// instruments caches the resolved instrument pointers a Link records
-// through. A zero instruments value (all nil) disables recording —
-// metrics instruments are nil-safe no-ops — which LinkOptions.NoMetrics
-// uses to measure the hot path's metrics overhead (ci.sh BENCH_6 gate).
-//
-// Links do not touch these per frame: the hot path only bumps the
-// link-local Stats it already maintains under l.mu, and deltas are
-// flushed to the registry every flushEvery frames plus on every rare
-// event (drop, shed, grant, close, Stats read). The registry may
-// therefore lag a busy link by up to flushEvery-1 frames, which keeps
-// the instrumented Send within the CI overhead budget.
-type instruments struct {
-	framesSent   *metrics.Counter
-	bytesSent    *metrics.Counter
-	framesDrop   *metrics.Counter
-	bytesDrop    *metrics.Counter
-	groupSheds   *metrics.Counter
-	sendWaits    *metrics.Counter
-	creditGrants *metrics.Counter
-	queueDepth   *metrics.Gauge
-	shedFrames   *metrics.Histogram
-}
-
-var linkInstruments = instruments{
-	framesSent:   registry.Counter("link_frames_sent"),
-	bytesSent:    registry.Counter("link_bytes_sent"),
-	framesDrop:   registry.Counter("link_frames_dropped"),
-	bytesDrop:    registry.Counter("link_bytes_dropped"),
-	groupSheds:   registry.Counter("link_group_sheds"),
-	sendWaits:    registry.Counter("link_send_waits"),
-	creditGrants: registry.Counter("link_credit_grants"),
-	queueDepth:   registry.Gauge("link_queue_depth"),
-	shedFrames:   registry.Histogram("link_shed_group_frames"),
-}
-
-// flushEvery is the registry flush cadence in enqueued frames.
-const flushEvery = 64
+// The link_* instruments aggregate over every Link in the process. A
+// Link records into them under l.mu, beside the Stats field each one
+// mirrors, so the registry never lags a link.
+var (
+	linkFramesSent    = registry.Counter("link_frames_sent")
+	linkBytesSent     = registry.Counter("link_bytes_sent")
+	linkFramesDropped = registry.Counter("link_frames_dropped")
+	linkBytesDropped  = registry.Counter("link_bytes_dropped")
+	linkSendWaits     = registry.Counter("link_send_waits")
+	linkQueueDepth    = registry.Gauge("link_queue_depth")
+)
 
 var tcpFramesSent = registry.Counter("tcp_frames_sent")
 var tcpBytesSent = registry.Counter("tcp_bytes_sent")
@@ -148,8 +126,9 @@ type LinkSpec struct {
 
 // Meta keys tagging a frame with the model version it carries. Producers
 // that stream versioned updates stamp these (WithMeta does it for whole
-// chunk streams); SendLatest uses them to shed superseded versions as
-// whole groups instead of evicting arbitrary frames.
+// chunk streams) so receivers can order, stash and discard frames
+// uniformly; SendLatest reads MetaModel to tell one model's frames from
+// another's.
 const (
 	// MetaModel names the model a frame belongs to.
 	MetaModel = "model"
@@ -177,94 +156,40 @@ type Stats struct {
 	BusyTime time.Duration
 }
 
-// Link is an in-process bandwidth-modelled connection. Both endpoints
-// share the Link; the producer calls Send, the consumer Recv.
-//
-// With LinkOptions.Window > 0 the link runs credit-based flow control:
-// every enqueued frame consumes one credit, and only the consumer's
-// explicit Grant calls mint new ones — so a producer can have at most
-// Window frames outstanding beyond what the consumer has acknowledged,
-// and a stalled consumer stalls (Send) or sheds whole superseded
-// version groups (SendLatest) instead of piling up unbounded work.
+// Link is an in-process bandwidth-modelled connection: a depth-bounded
+// queue of frames whose sender first pays the modelled transfer time.
+// Both endpoints share the Link; the producer calls Send or SendLatest,
+// the consumer Recv. It carries what the simulator sends over it — one
+// whole checkpoint per frame — and nothing else: flow control for
+// multi-frame streams lives on the TCP path (DESIGN.md §10).
 type Link struct {
-	spec   LinkSpec
-	clock  simclock.Clock
-	depth  int
-	window int
-	inst   instruments
+	spec  LinkSpec
+	clock simclock.Clock
+	depth int
 
 	mu       sync.Mutex
-	sendable sync.Cond // space or credits freed, or link closed
+	sendable sync.Cond // space freed, or link closed
 	recvable sync.Cond // frame enqueued, or link closed
 	queue    []Frame
-	credits  int
 	down     bool
 	stats    Stats
-	// shed remembers chunk-stream groups whose header was evicted before
-	// any consumer saw it: trailing chunks of those groups are dropped on
-	// arrival (they could never be assembled) instead of queueing as an
-	// unsheddable orphan group. shedFIFO bounds the memory.
-	shed     map[string]bool
-	shedFIFO []string
-	// flushed/flushedDepth/sinceFlush track what has been pushed to the
-	// package registry (see the instruments doc).
-	flushed      Stats
-	flushedDepth int64
-	sinceFlush   int
 
 	closed chan struct{}
 	once   sync.Once
-}
-
-// shedMemory bounds how many evicted group identities a link remembers.
-const shedMemory = 256
-
-// LinkOptions tunes a link beyond spec/clock/depth.
-type LinkOptions struct {
-	// Window enables credit-based flow control when positive: at most
-	// Window frames may be outstanding (enqueued but not yet re-granted
-	// by the consumer via Grant). 0 disables credits; sends are then
-	// bounded by queue depth alone.
-	Window int
-	// NoMetrics detaches the link from the package metrics registry.
-	// It exists so the CI benchmark can measure the metrics overhead of
-	// the send hot path against an instrument-free baseline.
-	NoMetrics bool
 }
 
 // NewLink builds a link with the given spec and clock. depth bounds the
 // number of in-flight frames (sends beyond it block after their modelled
 // transfer time).
 func NewLink(spec LinkSpec, clock simclock.Clock, depth int) *Link {
-	return NewLinkWithOptions(spec, clock, depth, LinkOptions{})
-}
-
-// NewLinkWithOptions builds a link with explicit flow-control options.
-func NewLinkWithOptions(spec LinkSpec, clock simclock.Clock, depth int, opts LinkOptions) *Link {
 	if depth < 1 {
 		depth = 1
 	}
-	if opts.Window < 0 {
-		opts.Window = 0
-	}
-	l := &Link{
-		spec:    spec,
-		clock:   clock,
-		depth:   depth,
-		window:  opts.Window,
-		credits: opts.Window,
-		closed:  make(chan struct{}),
-	}
-	if !opts.NoMetrics {
-		l.inst = linkInstruments
-	}
+	l := &Link{spec: spec, clock: clock, depth: depth, closed: make(chan struct{})}
 	l.sendable.L = &l.mu
 	l.recvable.L = &l.mu
 	return l
 }
-
-// Spec returns the link's spec.
-func (l *Link) Spec() LinkSpec { return l.spec }
 
 // TransferTime reports the modelled duration for size bytes.
 func (l *Link) TransferTime(size int64) time.Duration { return l.spec.Model.Time(size) }
@@ -284,9 +209,11 @@ func cloneFrame(f Frame) Frame {
 }
 
 // Send implements Conn: it sleeps for the modelled transfer time, then
-// enqueues a deep copy of the frame.
+// enqueues a deep copy of the frame, blocking while the queue is full.
+// Send drops nothing, so an ordered multi-frame stream sent with it alone
+// (SendChunked) arrives whole.
 func (l *Link) Send(f Frame) error {
-	return l.send(cloneFrame(f))
+	return l.send(cloneFrame(f), false)
 }
 
 // SendShared is Send without the defensive deep copy: the enqueued
@@ -296,13 +223,30 @@ func (l *Link) Send(f Frame) error {
 // costs one encode regardless of link count, where per-link Send would
 // deep-copy (and so re-touch) the full payload per consumer.
 func (l *Link) SendShared(f Frame) error {
-	return l.send(f)
+	return l.send(f, false)
+}
+
+// SendLatest behaves like Send, but with latest-wins semantics whose
+// unit is the frame: when the queue is full it evicts every queued frame
+// that a later frame of the same model (MetaModel; queued, or the one
+// arriving) supersedes, and blocks only when nothing can go. It is meant
+// for frames that each carry a whole version — a slow consumer then
+// observes skipped versions, mirroring the paper's "only buffer the
+// latest model" policy. A multi-frame stream must use Send: SendLatest
+// would evict its earlier frames.
+func (l *Link) SendLatest(f Frame) error {
+	return l.send(cloneFrame(f), true)
+}
+
+// SendLatestShared is SendLatest without the defensive deep copy; the
+// same aliasing contract as SendShared applies.
+func (l *Link) SendLatestShared(f Frame) error {
+	return l.send(f, true)
 }
 
 // charge spends the modelled transfer time for size bytes. The wait is
 // interruptible: closing the link aborts it with ErrClosed instead of
-// leaving the sender stuck inside an unbounded modelled sleep (the
-// pre-rewrite Sleep could not be cancelled).
+// leaving the sender stuck inside an unbounded modelled sleep.
 func (l *Link) charge(size int64) (time.Duration, error) {
 	select {
 	case <-l.closed:
@@ -321,59 +265,78 @@ func (l *Link) charge(size int64) (time.Duration, error) {
 	}
 }
 
-// flushMetricsLocked pushes the link-local accounting deltas to the
-// package registry. Caller holds l.mu.
-func (l *Link) flushMetricsLocked() {
-	l.sinceFlush = 0
-	d := l.stats
-	l.inst.framesSent.Add(d.FramesSent - l.flushed.FramesSent)
-	l.inst.bytesSent.Add(d.BytesSent - l.flushed.BytesSent)
-	l.inst.framesDrop.Add(d.FramesDropped - l.flushed.FramesDropped)
-	l.inst.bytesDrop.Add(d.BytesDropped - l.flushed.BytesDropped)
-	l.inst.queueDepth.Add(int64(len(l.queue)) - l.flushedDepth)
-	l.flushedDepth = int64(len(l.queue))
-	l.flushed = d
-}
-
-// enqueueLocked appends f and does the send-side accounting. Caller
-// holds l.mu and has verified space and credits.
-func (l *Link) enqueueLocked(f Frame, size int64, cost time.Duration) {
-	l.queue = append(l.queue, f)
-	if l.window > 0 {
-		l.credits--
-	}
-	l.stats.FramesSent++
-	l.stats.BytesSent += size
-	l.stats.BusyTime += cost
-	l.sinceFlush++
-	if l.sinceFlush >= flushEvery {
-		l.flushMetricsLocked()
-	}
-	l.recvable.Signal()
-}
-
-// send charges the modelled transfer time and enqueues f as given,
-// blocking while the queue is full or (window mode) credits are spent.
-func (l *Link) send(f Frame) error {
+// send charges the modelled transfer time and enqueues f as given. A
+// full queue blocks the sender until the consumer drains or the link
+// closes; with latest set, superseded frames are evicted first and the
+// sender blocks only when none is left to evict.
+func (l *Link) send(f Frame, latest bool) error {
 	size := f.accountedSize()
 	cost, err := l.charge(size)
 	if err != nil {
 		return err
 	}
 	l.mu.Lock()
-	if !l.down && (len(l.queue) >= l.depth || (l.window > 0 && l.credits <= 0)) {
-		l.inst.sendWaits.Inc()
-	}
-	for !l.down && (len(l.queue) >= l.depth || (l.window > 0 && l.credits <= 0)) {
+	defer l.mu.Unlock()
+	waited := false
+	for !l.down && len(l.queue) >= l.depth {
+		if latest && l.evictSupersededLocked(f.Meta[MetaModel]) {
+			continue
+		}
+		if !waited {
+			waited = true
+			linkSendWaits.Inc()
+		}
 		l.sendable.Wait()
 	}
 	if l.down {
-		l.mu.Unlock()
 		return ErrClosed
 	}
-	l.enqueueLocked(f, size, cost)
-	l.mu.Unlock()
+	l.queue = append(l.queue, f)
+	l.stats.FramesSent++
+	l.stats.BytesSent += size
+	l.stats.BusyTime += cost
+	linkFramesSent.Inc()
+	linkBytesSent.Add(size)
+	linkQueueDepth.Add(1)
+	l.recvable.Signal()
 	return nil
+}
+
+// evictSupersededLocked drops every queued frame that a later frame of
+// the same model supersedes — later in the queue, or the incoming frame
+// of model incoming — and reports whether anything was freed. Each
+// model's newest queued frame survives unless the incoming frame is of
+// that model. Caller holds l.mu.
+func (l *Link) evictSupersededLocked(incoming string) bool {
+	seen := map[string]bool{incoming: true}
+	// Walk newest to oldest so a frame's successors are seen before it,
+	// packing the survivors against the tail.
+	kept := len(l.queue)
+	for i := len(l.queue) - 1; i >= 0; i-- {
+		f := l.queue[i]
+		if model := f.Meta[MetaModel]; !seen[model] {
+			seen[model] = true
+			kept--
+			l.queue[kept] = f
+			continue
+		}
+		size := f.accountedSize()
+		l.stats.FramesDropped++
+		l.stats.BytesDropped += size
+		linkFramesDropped.Inc()
+		linkBytesDropped.Add(size)
+	}
+	if kept == 0 {
+		return false
+	}
+	n := copy(l.queue, l.queue[kept:])
+	for i := n; i < len(l.queue); i++ {
+		l.queue[i] = Frame{} // drop the payload reference
+	}
+	l.queue = l.queue[:n]
+	linkQueueDepth.Add(-int64(kept))
+	l.sendable.Broadcast() // freed slots may unblock other senders
+	return true
 }
 
 // dequeueLocked pops the head frame. Caller holds l.mu and has verified
@@ -383,6 +346,7 @@ func (l *Link) dequeueLocked() Frame {
 	copy(l.queue, l.queue[1:])
 	l.queue[len(l.queue)-1] = Frame{} // drop the payload reference
 	l.queue = l.queue[:len(l.queue)-1]
+	linkQueueDepth.Add(-1)
 	l.sendable.Signal()
 	return f
 }
@@ -391,203 +355,14 @@ func (l *Link) dequeueLocked() Frame {
 // until the link drains, then ErrClosed.
 func (l *Link) Recv() (Frame, error) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	for len(l.queue) == 0 && !l.down {
 		l.recvable.Wait()
 	}
 	if len(l.queue) == 0 {
-		l.mu.Unlock()
 		return Frame{}, ErrClosed
 	}
-	f := l.dequeueLocked()
-	l.mu.Unlock()
-	return f, nil
-}
-
-// SendLatest behaves like Send, but with latest-wins semantics: when
-// the queue is full (or credits are spent), it shrinks the backlog by
-// evicting superseded version groups — each group being one monolithic
-// frame or one whole chunk stream (header plus chunks), identified by
-// the model/version Meta tags when present and by Key otherwise. A
-// group the consumer has started receiving is never torn: if only
-// in-flight frames remain, SendLatest blocks until the consumer makes
-// room. A slow consumer therefore observes skipped versions, never a
-// half-delivered one (mirroring the paper's "only buffer the latest
-// model" policy without its torn-stream failure mode).
-func (l *Link) SendLatest(f Frame) error {
-	return l.sendLatest(cloneFrame(f))
-}
-
-// SendLatestShared is SendLatest without the defensive deep copy; the
-// same aliasing contract as SendShared applies.
-func (l *Link) SendLatestShared(f Frame) error {
-	return l.sendLatest(f)
-}
-
-// groupOf returns the version-group identity of a frame and the model
-// it belongs to. Version-tagged frames form one group per
-// (model, version) — a chunk stream's header and chunks all share it —
-// while untagged frames group by key, preserving per-frame drop-oldest
-// behaviour for plain monolithic updates.
-func groupOf(f *Frame) (model, group string) {
-	model = f.Meta[MetaModel]
-	if v := f.Meta[MetaVersion]; v != "" {
-		return model, "v\x00" + model + "\x00" + v
-	}
-	return model, "k\x00" + model + "\x00" + f.Key
-}
-
-// sendLatest charges the modelled transfer time and enqueues f as
-// given, shedding superseded version groups instead of blocking where
-// it safely can.
-func (l *Link) sendLatest(f Frame) error {
-	size := f.accountedSize()
-	cost, err := l.charge(size)
-	if err != nil {
-		return err
-	}
-	model, group := groupOf(&f)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if IsChunkFrame(f) && l.shed[group] {
-		// A chunk of a version whose header was already evicted unseen:
-		// the consumer could never assemble it, so account it as sent and
-		// immediately dropped rather than queueing a poisoned orphan.
-		l.stats.FramesSent++
-		l.stats.BytesSent += size
-		l.stats.BusyTime += cost
-		l.stats.FramesDropped++
-		l.stats.BytesDropped += size
-		l.flushMetricsLocked()
-		return nil
-	}
-	waited := false
-	for {
-		if l.down {
-			return ErrClosed
-		}
-		if len(l.queue) < l.depth && (l.window == 0 || l.credits > 0) {
-			l.enqueueLocked(f, size, cost)
-			return nil
-		}
-		if l.shedSupersededLocked(model, group) {
-			continue
-		}
-		// Only in-flight work (or a spent credit window) remains: block
-		// until the consumer drains, grants, or the link closes.
-		if !waited {
-			waited = true
-			l.inst.sendWaits.Inc()
-		}
-		l.sendable.Wait()
-	}
-}
-
-// shedSupersededLocked evicts whole superseded version groups from the
-// queue, reporting whether anything was freed. A queued group is
-// superseded when a later group of the same model exists — later in the
-// queue, or arriving as the incoming frame (inModel/inGroup). It is
-// sheddable only while the consumer has not started receiving it: its
-// first queued frame must open a stream (a monolithic frame or a chunk
-// header). A group whose first queued frame is a bare chunk is in
-// flight — the consumer holds its header — and is never torn, unless
-// the header was itself evicted unseen (a remnant of an earlier shed).
-func (l *Link) shedSupersededLocked(inModel, inGroup string) bool {
-	if len(l.queue) == 0 {
-		return false
-	}
-	type groupState struct {
-		group     string
-		model     string
-		opens     bool // first queued frame opens a stream
-		remnant   bool // header already evicted: frames are garbage
-		hasHeader bool
-	}
-	var order []*groupState
-	byGroup := make(map[string]*groupState)
-	for i := range l.queue {
-		m, g := groupOf(&l.queue[i])
-		gs := byGroup[g]
-		if gs == nil {
-			gs = &groupState{
-				group:   g,
-				model:   m,
-				opens:   IsChunkHeader(l.queue[i]) || !IsChunkFrame(l.queue[i]),
-				remnant: l.shed[g],
-			}
-			byGroup[g] = gs
-			order = append(order, gs)
-		}
-		if IsChunkHeader(l.queue[i]) {
-			gs.hasHeader = true
-		}
-	}
-	doomed := make(map[string]bool)
-	for idx, gs := range order {
-		if gs.remnant && !gs.opens {
-			doomed[gs.group] = true
-			continue
-		}
-		if !gs.opens {
-			continue // consumer is mid-collect: never tear it
-		}
-		superseded := inModel == gs.model && inGroup != gs.group
-		for _, later := range order[idx+1:] {
-			if later.model == gs.model && later.group != gs.group {
-				superseded = true
-				break
-			}
-		}
-		if superseded {
-			doomed[gs.group] = true
-		}
-	}
-	if len(doomed) == 0 {
-		return false
-	}
-	kept := make([]Frame, 0, len(l.queue))
-	evicted := 0
-	for i := range l.queue {
-		f := l.queue[i]
-		_, g := groupOf(&f)
-		if !doomed[g] {
-			kept = append(kept, f)
-			continue
-		}
-		evicted++
-		l.stats.FramesDropped++
-		l.stats.BytesDropped += f.accountedSize()
-		if l.window > 0 {
-			l.credits++ // refund: the frame will never be delivered
-		}
-	}
-	l.queue = kept
-	for g := range doomed {
-		if byGroup[g].hasHeader {
-			l.rememberShedLocked(g)
-		}
-	}
-	l.inst.groupSheds.Add(int64(len(doomed)))
-	l.inst.shedFrames.Observe(int64(evicted))
-	l.flushMetricsLocked()
-	l.sendable.Broadcast() // freed slots/credits may unblock other senders
-	return true
-}
-
-// rememberShedLocked records that group g's chunk-stream header was
-// evicted before any consumer saw it, bounded to shedMemory entries.
-func (l *Link) rememberShedLocked(g string) {
-	if l.shed[g] {
-		return
-	}
-	if l.shed == nil {
-		l.shed = make(map[string]bool)
-	}
-	l.shed[g] = true
-	l.shedFIFO = append(l.shedFIFO, g)
-	if len(l.shedFIFO) > shedMemory {
-		delete(l.shed, l.shedFIFO[0])
-		l.shedFIFO = l.shedFIFO[1:]
-	}
+	return l.dequeueLocked(), nil
 }
 
 // TryRecv returns a pending frame without blocking.
@@ -600,63 +375,12 @@ func (l *Link) TryRecv() (Frame, bool) {
 	return l.dequeueLocked(), true
 }
 
-// Grant returns n delivery credits to the producer side of a windowed
-// link, capped at the configured window. Recv deliberately does not
-// mint credits: the consumer acknowledges frames it has actually
-// processed, so the window tracks consumer progress rather than queue
-// occupancy. Grant on a credit-disabled link is a no-op.
-func (l *Link) Grant(n int) {
-	if n <= 0 {
-		return
-	}
-	l.mu.Lock()
-	if l.window > 0 && !l.down {
-		l.credits += n
-		if l.credits > l.window {
-			l.credits = l.window
-		}
-		l.inst.creditGrants.Add(int64(n))
-		l.sendable.Broadcast()
-	}
-	l.mu.Unlock()
-}
-
-// Window reports the configured credit window (0: credits disabled).
-func (l *Link) Window() int { return l.window }
-
-// Credits reports the producer's remaining credits (always 0 when
-// credits are disabled).
-func (l *Link) Credits() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.credits
-}
-
-// QueueLen reports the number of frames awaiting the consumer.
-func (l *Link) QueueLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.queue)
-}
-
-// Latest returns a Conn view of the link whose Send applies SendLatest
-// semantics, so chunk streams (SendChunked) ride the version-group
-// shedding and credit machinery without changing the streaming code.
-func (l *Link) Latest() Conn { return latestConn{l} }
-
-type latestConn struct{ link *Link }
-
-func (c latestConn) Send(f Frame) error   { return c.link.SendLatest(f) }
-func (c latestConn) Recv() (Frame, error) { return c.link.Recv() }
-func (c latestConn) Close() error         { return c.link.Close() }
-
 // Close implements Conn.
 func (l *Link) Close() error {
 	l.once.Do(func() {
 		close(l.closed)
 		l.mu.Lock()
 		l.down = true
-		l.flushMetricsLocked()
 		l.sendable.Broadcast()
 		l.recvable.Broadcast()
 		l.mu.Unlock()
@@ -664,12 +388,10 @@ func (l *Link) Close() error {
 	return nil
 }
 
-// Stats returns a snapshot of the link counters (and flushes the
-// link's pending deltas to the package metrics registry).
+// Stats returns a snapshot of the link counters.
 func (l *Link) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.flushMetricsLocked()
 	return l.stats
 }
 
@@ -766,6 +488,14 @@ func writeBytes(w *bufio.Writer, b []byte) error {
 	return err
 }
 
+// eagerFieldBytes is the largest frame field Recv allocates on the
+// strength of its length prefix alone. It sits above a default chunk
+// record (vformat.DefaultChunkBytes plus its header), so every frame of
+// a default stream still costs one exact-size allocation; a larger field
+// grows as its bytes arrive, so a peer cannot make Recv allocate more
+// than a small multiple of what it actually sent.
+const eagerFieldBytes = 1 << 20
+
 func readBytes(r *bufio.Reader, maxLen uint64) ([]byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -775,11 +505,19 @@ func readBytes(r *bufio.Reader, maxLen uint64) ([]byte, error) {
 	if n > maxLen {
 		return nil, fmt.Errorf("transport: frame field of %d bytes exceeds limit %d", n, maxLen)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	buf := make([]byte, min(n, eagerFieldBytes))
+	for filled := 0; ; {
+		if _, err := io.ReadFull(r, buf[filled:]); err != nil {
+			return nil, err
+		}
+		if uint64(len(buf)) == n {
+			return buf, nil
+		}
+		// Double, but never past n: the finished field is exact-size.
+		grown := make([]byte, min(n, 2*uint64(len(buf))))
+		filled = copy(grown, buf)
+		buf = grown
 	}
-	return buf, nil
 }
 
 // Send implements Conn.
@@ -852,7 +590,7 @@ func (t *TCPLink) Recv() (Frame, error) {
 	}
 	var meta map[string]string
 	if n > 0 {
-		meta = make(map[string]string, n)
+		meta = make(map[string]string, min(n, 16)) // n is a claim until the entries arrive
 		for i := uint64(0); i < n; i++ {
 			k, err := readBytes(t.r, 1<<20)
 			if err != nil {
@@ -917,17 +655,4 @@ func (m metaConn) Send(f Frame) error {
 		f.Meta[k] = v
 	}
 	return m.Conn.Send(f)
-}
-
-// Broadcast sends one frame over several connections (the documented
-// extension point toward the paper's future multi-consumer topology).
-// It returns the first error encountered, after attempting every conn.
-func Broadcast(conns []Conn, f Frame) error {
-	var firstErr error
-	for _, c := range conns {
-		if err := c.Send(f); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }

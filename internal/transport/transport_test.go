@@ -211,39 +211,6 @@ func TestTCPLinkRecvAfterPeerClose(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	clock := simclock.NewVirtual()
-	l1 := NewLink(GPUDirectSpec, clock, 2)
-	l2 := NewLink(GPUDirectSpec, clock, 2)
-	defer l1.Close()
-	defer l2.Close()
-	if err := Broadcast([]Conn{l1, l2}, Frame{Key: "k", Payload: []byte("v")}); err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range []*Link{l1, l2} {
-		f, err := l.Recv()
-		if err != nil || f.Key != "k" {
-			t.Fatalf("recv = %+v, %v", f, err)
-		}
-	}
-}
-
-func TestBroadcastReportsError(t *testing.T) {
-	clock := simclock.NewVirtual()
-	ok := NewLink(GPUDirectSpec, clock, 2)
-	defer ok.Close()
-	closed := NewLink(GPUDirectSpec, clock, 2)
-	closed.Close()
-	err := Broadcast([]Conn{closed, ok}, Frame{Key: "k"})
-	if !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-	// The healthy conn must still have received the frame.
-	if _, got := ok.TryRecv(); !got {
-		t.Fatal("healthy conn must receive despite sibling failure")
-	}
-}
-
 func TestPropTCPRoundTripArbitraryPayload(t *testing.T) {
 	client, server := tcpPair(t)
 	i := 0
