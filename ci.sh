@@ -47,28 +47,36 @@ go test -race -count=1 \
 
 # Code ordered by notifications, gates and reference counts, not by one
 # goroutine's program order: one -race pass sees one interleaving, so
-# the consumer's builder and the producer's stage flusher (ISSUE 16) run
-# five more times and the in-process link's latest-wins queue (ISSUE 17) ten.
-echo "==> builder + stage flusher + link queue interleavings (-race -count=5/10)"
+# the consumer's builder and the producer's stage flusher (ISSUE 16), the
+# consumer's cache filler, the relay's streamed read-through and the
+# store's pinned reads (ISSUE 18) run five more times and the in-process
+# link's latest-wins queue (ISSUE 17) ten.
+echo "==> builder + stage flusher + cache filler + read-through + link queue interleavings (-race -count=5/10)"
 go test -race -count=5 -run \
-    'TestParkedBuildWaitsForItsNotification|TestInterruptedStreamNeverInstalls|TestStalledStreamIsAbandoned|TestStagePendingWindow|TestDefaultConsumerBuildsBigStreams|TestBacklogInstallsInOrderFromTheLink|TestPublishErrorPathsBalanceTheBlob|TestNeedAnswerRacesNextPublish' \
+    'TestParkedBuildWaitsForItsNotification|TestInterruptedStreamNeverInstalls|TestStalledStreamIsAbandoned|TestStagePendingWindow|TestDefaultConsumerBuildsBigStreams|TestBacklogInstallsInOrderFromTheLink|TestPublishErrorPathsBalanceTheBlob|TestNeedAnswerRacesNextPublish|TestFillRunsBehindTheInstall|TestDroppedParkedBuildIsNeverHashed|TestWaitingFillIsSuperseded|TestCloseAbandonsTheFill|TestStagedInstallFillsBehind|TestLateHaveListCostsOneFullStream|TestOnlyVerifiedRecordsAreCached|TestParkedBudgetCountsWireRecords' \
     ./internal/remote/
+go test -race -count=5 -run \
+    'TestStoreReadFailsMidStream|TestChunkInNeitherTierRefusedBeforeFirstFrame|TestNewerCommitAbortsReadThrough|TestConcurrentJoinersReadThrough|TestMixedResidentAndDiskRecordsServeInOrder|TestReadThroughInstruments' \
+    ./internal/relay/
+go test -race -count=5 -run 'TestWriterModel|TestReadChunkHoldsNoLockAcrossTheRead' ./internal/chunkstore/
 go test -race -count=10 -run TestPropLatestWinsQueue ./internal/transport/
 
-# The publish path's allocation budget (ISSUE 13) reruns uncached and
-# WITHOUT the race detector: under -race sync.Pool drops buffers at
-# random, so the test skips itself there, and a cached 'ok' from the
-# plain run would not prove the budget holds on this tree.
-echo "==> alloc budget gate (-count=1, no -race)"
-go test -count=1 -run AllocBudget ./internal/remote/
+# The allocation budgets — publish path (ISSUE 13) and cold join (ISSUE
+# 18) — rerun uncached and WITHOUT the race detector: under -race
+# sync.Pool drops buffers at random, so the publish-path test skips itself
+# there, and a cached 'ok' from the plain run would not prove the budgets
+# hold on this tree.
+echo "==> alloc budget gates (-count=1, no -race)"
+go test -count=1 -run AllocBudget ./internal/remote/ ./internal/relay/
 
 # The socket- and disk-fed parsers are fuzzed on every run: no panic, no
 # allocation out of proportion to the input, only sound results. Seeds and
 # testdata/fuzz regressions already ran in the test pass above; this adds
 # one budget of mutation shared by the targets (failures land in testdata/fuzz).
-echo "==> fuzz DecodeAuto + TCPLinkRecv (20s in all)"
-go test -run '^$' -fuzz FuzzDecodeAuto -fuzztime 10s ./internal/vformat
-go test -run '^$' -fuzz FuzzTCPLinkRecv -fuzztime 10s ./internal/transport
+echo "==> fuzz DecodeAuto + ManifestAssembler + TCPLinkRecv (20s in all)"
+go test -run '^$' -fuzz FuzzDecodeAuto -fuzztime 7s ./internal/vformat
+go test -run '^$' -fuzz FuzzManifestAssembler -fuzztime 6s ./internal/vformat
+go test -run '^$' -fuzz FuzzTCPLinkRecv -fuzztime 7s ./internal/transport
 
 # PR 7's visibility smoke, hardened in PR 8 into a hard gate: one timed
 # pass of the full analyzer suite (and the dataflow subset) over the

@@ -7,8 +7,12 @@
 // remote/pubsub/kvstore are linked into the node — the remote panel
 // carries the delivery-path counters of every producer and consumer in
 // the process, the stage flusher's (producer_stage_flushes,
-// producer_stage_superseded, producer_stage_flush_ms) and the builder's
-// (consumer_prebuilt_installs, consumer_abandoned_builds) among them.
+// producer_stage_superseded, producer_stage_flush_ms), the builder's
+// (consumer_prebuilt_installs, consumer_abandoned_builds) and the cache
+// filler's (consumer_cache_fill_ms, consumer_have_list_lag_ms,
+// consumer_fill_superseded) among them; the relay panel carries the
+// streamed read-through's (read_through_first_byte_ms, and
+// read_ahead_waits — the send loop waited for the disk, not the link).
 //
 // Usage:
 //

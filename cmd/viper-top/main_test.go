@@ -56,7 +56,8 @@ func liveRelay(t *testing.T) *relay.Relay {
 }
 
 // TestRenderText: the text surface names the relay and transport
-// registries and the cached version summary.
+// registries, the cached version summary and the read-through
+// instruments.
 func TestRenderText(t *testing.T) {
 	r := liveRelay(t)
 	var buf bytes.Buffer
@@ -64,7 +65,10 @@ func TestRenderText(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"viper-top", "cache: 1 versions", "[relay]", "[transport]", "cached_versions"} {
+	for _, want := range []string{
+		"viper-top", "cache: 1 versions", "[relay]", "[transport]", "cached_versions",
+		"read_through_first_byte_ms", "read_ahead_waits",
+	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text output missing %q:\n%s", want, out)
 		}
@@ -72,8 +76,8 @@ func TestRenderText(t *testing.T) {
 }
 
 // TestRenderRemotePanel: a node with internal/remote linked in renders
-// the [remote] registry, including the stage-flusher and builder
-// instruments.
+// the [remote] registry, including the stage-flusher, builder and cache
+// filler instruments.
 func TestRenderRemotePanel(t *testing.T) {
 	r := liveRelay(t)
 	var buf bytes.Buffer
@@ -85,6 +89,7 @@ func TestRenderRemotePanel(t *testing.T) {
 		"[remote]", "producer_staged",
 		"producer_stage_flushes", "producer_stage_superseded", "producer_stage_flush_ms",
 		"consumer_prebuilt_installs", "consumer_abandoned_builds",
+		"consumer_cache_fill_ms", "consumer_have_list_lag_ms", "consumer_fill_superseded",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text output missing %q:\n%s", want, out)

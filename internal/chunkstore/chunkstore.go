@@ -58,9 +58,9 @@ var (
 	// ErrCorrupt is returned when a chunk read back from disk fails its
 	// record checksum; the corrupt bytes are never served.
 	ErrCorrupt = errors.New("chunkstore: corrupt chunk on disk")
-	// ErrMissingChunk is returned when a commit references a hash the
-	// store does not hold.
-	ErrMissingChunk = errors.New("chunkstore: commit references unknown chunk")
+	// ErrMissingChunk is returned when a commit references, or a read
+	// asks for, a hash the store does not hold.
+	ErrMissingChunk = errors.New("chunkstore: unknown chunk")
 	// ErrWriterFinished is returned by Append and Commit on a Writer that
 	// already committed or aborted.
 	ErrWriterFinished = errors.New("chunkstore: write handle already finished")
@@ -97,7 +97,10 @@ type Options struct {
 	// ops "chunkstore/append", "chunkstore/commit", and
 	// "chunkstore/gc". An injected failure simulates the process dying
 	// mid-write: a torn prefix of the entry lands on disk and the store
-	// fails (ErrFailed) until reopened.
+	// fails (ErrFailed) until reopened. ReadChunk consults it with
+	// "chunkstore/read" between pinning the segment and reading it: an
+	// injected failure is a read error (the store stays usable), an
+	// injected delay holds the read — and its pin — in flight.
 	Injector *faults.Injector
 }
 
@@ -812,33 +815,63 @@ func (s *Store) PutBlob(model string, version uint64, key string, blob []byte) e
 	return w.Commit(model, version, key, header, hashes)
 }
 
-// Chunk returns a copy of the stored record for h, verifying its
-// checksum so a corrupt entry is never served. The slice is freshly
-// allocated and the store keeps no reference to it: the caller owns it.
-// Every hit is by definition a memory-cache miss at the caller and
-// counts as a fallthrough.
-func (s *Store) Chunk(h vformat.ChunkHash) ([]byte, bool) {
+// ReadChunk reads the stored record for h into buf — reallocated only
+// when its capacity is too small — and returns the slice holding it, so a
+// caller streaming many records recycles one buffer and a caller that
+// wants to keep the bytes passes nil. The store holds no reference to the
+// result. The index lookup runs under the store's lock and pins the
+// entry's segment against reclaim; the disk read and the record checksum
+// run outside it, so readers proceed in parallel with each other and with
+// every writer, and the pin is dropped before ReadChunk returns on every
+// path. A record that fails its checksum is ErrCorrupt and never
+// returned; a hash the index does not hold is ErrMissingChunk. Every hit
+// is by definition a memory-cache miss at the caller and counts as a
+// fallthrough.
+func (s *Store) ReadChunk(h vformat.ChunkHash, buf []byte) ([]byte, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
-		return nil, false
+		s.mu.Unlock()
+		return nil, ErrClosed
 	}
 	loc, ok := s.index[h]
 	if !ok {
-		return nil, false
+		s.mu.Unlock()
+		return nil, fmt.Errorf("%w: %s", ErrMissingChunk, h)
 	}
-	body := make([]byte, loc.size)
-	if _, err := loc.seg.f.ReadAt(body, loc.off); err != nil {
-		return nil, false
+	seg, off, size := loc.seg, loc.off, loc.size
+	seg.pins++
+	s.mu.Unlock()
+
+	if cap(buf) < size {
+		buf = make([]byte, size)
 	}
-	if !vformat.VerifyChunkRecord(body) {
+	buf = buf[:size]
+	err := s.inj.Op("chunkstore/read")
+	if err == nil {
+		_, err = seg.f.ReadAt(buf, off)
+	}
+	switch {
+	case err != nil:
+		err = fmt.Errorf("chunkstore: read %s: %w", h, err)
+	case !vformat.VerifyChunkRecord(buf):
+		err = fmt.Errorf("%w: %s", ErrCorrupt, h)
+	}
+
+	s.mu.Lock()
+	seg.pins--
+	switch {
+	case err == nil:
+		s.st.FallthroughHits++
+		inst.fallthroughs.Inc()
+	case errors.Is(err, ErrCorrupt):
 		s.st.CorruptChunks++
 		inst.corrupt.Inc()
-		return nil, false
 	}
-	s.st.FallthroughHits++
-	inst.fallthroughs.Inc()
-	return body, true
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // Contains reports whether h is on disk (live or resurrectable).

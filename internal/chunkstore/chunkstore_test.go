@@ -172,8 +172,8 @@ func TestReservedBlobEntriesOpenSafely(t *testing.T) {
 	if got, err := s.LoadVersion("m", 2); err != nil || !bytes.Equal(got, blob) {
 		t.Fatalf("v2 not bit-identical after open (err=%v)", err)
 	}
-	if _, ok := s.Chunk(vformat.HashChunkRecord(opaque)); ok {
-		t.Fatal("the reserved entry must never be indexed")
+	if _, err := s.ReadChunk(vformat.HashChunkRecord(opaque), nil); !errors.Is(err, ErrMissingChunk) {
+		t.Fatalf("reading the reserved entry: err = %v, want ErrMissingChunk (it must never be indexed)", err)
 	}
 
 	blob3 := testBlob(t, 12, 256, 3)
@@ -499,9 +499,26 @@ func TestChunkServeVerifiesCRC(t *testing.T) {
 		t.Fatalf("PutBlob: %v", err)
 	}
 	hashes, _ := vformat.ChunkHashesOf(blob)
-	rec, ok := s.Chunk(hashes[0])
-	if !ok || !vformat.VerifyChunkRecord(rec) {
-		t.Fatal("stored chunk unreadable")
+	var want [][]byte
+	if err := vformat.WalkChunkRecords(blob, func(rec []byte) error { want = append(want, rec); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s.ReadChunk(hashes[0], nil)
+	if err != nil || !bytes.Equal(rec, want[0]) {
+		t.Fatalf("ReadChunk(nil buffer): err = %v, exact bytes = %v", err, bytes.Equal(rec, want[0]))
+	}
+	// A caller's buffer is filled in place when it is big enough and
+	// replaced when it is not; either way the result is the exact record.
+	buf := make([]byte, 0, len(want[1])+64)
+	rec, err = s.ReadChunk(hashes[1], buf)
+	if err != nil || !bytes.Equal(rec, want[1]) || &rec[0] != &buf[:1][0] {
+		t.Fatalf("ReadChunk(roomy buffer): err = %v, exact = %v, in place = %v", err, bytes.Equal(rec, want[1]), err == nil && &rec[0] == &buf[:1][0])
+	}
+	if rec, err = s.ReadChunk(hashes[2], make([]byte, 8)); err != nil || !bytes.Equal(rec, want[2]) {
+		t.Fatalf("ReadChunk(short buffer): err = %v, exact = %v", err, bytes.Equal(rec, want[2]))
+	}
+	if _, err := s.ReadChunk(vformat.ChunkHash{1}, nil); !errors.Is(err, ErrMissingChunk) {
+		t.Fatalf("ReadChunk(unknown hash): err = %v, want ErrMissingChunk", err)
 	}
 
 	// Flip one payload byte on disk under the store's feet: the store
@@ -513,8 +530,8 @@ func TestChunkServeVerifiesCRC(t *testing.T) {
 		t.Fatalf("corrupt write: %v", err)
 	}
 	s.mu.Unlock()
-	if _, ok := s.Chunk(hashes[0]); ok {
-		t.Fatal("corrupt chunk served")
+	if got, err := s.ReadChunk(hashes[0], nil); !errors.Is(err, ErrCorrupt) || got != nil {
+		t.Fatalf("ReadChunk of a flipped record: %d bytes, err = %v; want none and ErrCorrupt", len(got), err)
 	}
 	if _, err := s.LoadVersion("m", 1); err == nil {
 		t.Fatal("LoadVersion served a corrupt chunk")

@@ -8,10 +8,63 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"viper/internal/faults"
+	"viper/internal/simclock"
 	"viper/internal/vformat"
 )
+
+// opGate is the clock of a fault injector whose every op is "delayed":
+// the delay is nothing, except that the one op that follows arm parks
+// inside it until release — for ReadChunk that is after the segment is
+// pinned and before it is read, outside the store's lock.
+type opGate struct {
+	simclock.Clock
+	mu      sync.Mutex
+	armed   bool
+	entered chan struct{}
+	resume  chan struct{}
+}
+
+func newOpGate() *opGate {
+	return &opGate{Clock: simclock.NewWall(), entered: make(chan struct{}), resume: make(chan struct{})}
+}
+
+func (g *opGate) Sleep(time.Duration) {
+	g.mu.Lock()
+	armed := g.armed
+	g.armed = false
+	g.mu.Unlock()
+	if armed {
+		g.entered <- struct{}{}
+		<-g.resume
+	}
+}
+
+// hold runs op on a goroutine of its own and returns once it is parked at
+// the gate; the returned func lets it go and waits for it to finish.
+func (g *opGate) hold(op func()) (release func()) {
+	g.mu.Lock()
+	g.armed = true
+	g.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		op()
+	}()
+	<-g.entered
+	return func() {
+		g.resume <- struct{}{}
+		<-done
+	}
+}
+
+// gated returns injector settings that route every op through g.
+func (g *opGate) gated(cfg faults.Config) faults.Config {
+	cfg.DelayRate, cfg.Delay, cfg.Clock = 1, time.Nanosecond, g
+	return cfg
+}
 
 // recordPool returns n distinct valid chunk records (each over 1 KiB, so
 // with 512-byte segments every record rotates into a segment of its own)
@@ -59,13 +112,95 @@ type modelRun struct {
 	nextVer map[string]uint64
 	open    []*modelHandle
 	crashes int
+
+	gate *opGate
+	held *heldRead // the read parked between its pin and its pread, if any
+	// reads counts ReadChunk outcomes: hits, misses, and held reads that
+	// returned after the version holding their record was gone.
+	hits, misses, outlived int
+}
+
+// heldRead is one ReadChunk parked at the gate.
+type heldRead struct {
+	idx     int // record-pool index
+	release func()
+	got     []byte
+	err     error
+	crashed bool // the store it reads from was killed while it was parked
 }
 
 const modelKeep = 3 // Retention.MaxVersions in the model run
 
 func (m *modelRun) reopen() {
-	m.opts.Injector = faults.New(faults.Config{Seed: m.rng.Int63(), FailRate: 0.03, SkipFirst: 3})
+	m.opts.Injector = faults.New(m.gate.gated(faults.Config{Seed: m.rng.Int63(), FailRate: 0.03, SkipFirst: 3}))
 	m.s = mustOpen(m.t, m.dir, m.opts)
+}
+
+// mustHold reports whether the store owes a hit for pool record i: a
+// committed version or an open handle's appended prefix includes it.
+func (m *modelRun) mustHold(i int) bool {
+	for _, versions := range m.ref {
+		for _, want := range versions {
+			if bytes.Contains(want, m.recs[i]) {
+				return true
+			}
+		}
+	}
+	for _, h := range m.open {
+		for _, j := range h.plan[:h.done] {
+			if j == i {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// checkRead judges one ReadChunk result for pool record i: the exact
+// stored bytes, a miss or an injected read fault — never other bytes, a
+// checksum failure, or a miss of a record the store owes.
+func (m *modelRun) checkRead(when string, i int, owed bool, got []byte, err error) {
+	m.t.Helper()
+	switch {
+	case err == nil:
+		if !bytes.Equal(got, m.recs[i]) {
+			m.t.Fatalf("%s: ReadChunk(record %d) returned other bytes", when, i)
+		}
+		m.hits++
+	case errors.Is(err, faults.ErrInjected):
+	case errors.Is(err, ErrMissingChunk) && !owed:
+		m.misses++
+	default:
+		m.t.Fatalf("%s: ReadChunk(record %d), owed = %v: %v", when, i, owed, err)
+	}
+}
+
+// finishHeld lets the parked read go and judges it. Its segment was
+// pinned when it parked, so unless the store was killed since, whatever
+// was committed, retired, reclaimed and compacted around it, it returns
+// the record.
+func (m *modelRun) finishHeld() {
+	m.t.Helper()
+	h := m.held
+	if h == nil {
+		return
+	}
+	m.held = nil
+	owed := m.mustHold(h.idx)
+	h.release()
+	switch {
+	case h.crashed:
+		if h.err == nil && !bytes.Equal(h.got, m.recs[h.idx]) {
+			m.t.Fatalf("held read of record %d outlived a crash and returned other bytes", h.idx)
+		}
+	case errors.Is(h.err, ErrMissingChunk):
+		m.t.Fatalf("held read of record %d missed: its pinned segment was reclaimed under it", h.idx)
+	default:
+		m.checkRead("held read", h.idx, true, h.got, h.err)
+		if h.err == nil && !owed {
+			m.outlived++
+		}
+	}
 }
 
 // want builds the bytes LoadVersion must return for a version made of
@@ -167,6 +302,9 @@ func (m *modelRun) crash(err error, maybeAdded *modelHandle, maybeGone map[strin
 	}
 	m.crashes++
 	m.open = nil
+	if m.held != nil {
+		m.held.crashed = true
+	}
 	m.s.Close()
 	m.reopen()
 	if h := maybeAdded; h != nil {
@@ -205,7 +343,24 @@ func (m *modelRun) drop(h *modelHandle) {
 }
 
 func (m *modelRun) step() {
-	switch op := m.rng.Intn(10); {
+	switch op := m.rng.Intn(12); {
+	case op == 10: // ReadChunk, start to finish
+		i := m.rng.Intn(len(m.recs))
+		owed := m.mustHold(i)
+		got, err := m.s.ReadChunk(m.hashes[i], make([]byte, 0, m.rng.Intn(2)*len(m.recs[i])))
+		m.checkRead("read", i, owed, got, err)
+	case op == 11: // park a ReadChunk between its pin and its pread, or let the parked one go
+		if m.held != nil {
+			m.finishHeld()
+			return
+		}
+		i := m.rng.Intn(len(m.recs))
+		if !m.s.Contains(m.hashes[i]) {
+			return
+		}
+		h, s := &heldRead{idx: i}, m.s
+		h.release = m.gate.hold(func() { h.got, h.err = s.ReadChunk(m.hashes[i], nil) })
+		m.held = h
 	case op < 2 && len(m.open) < 4: // Begin
 		model := []string{"a", "b"}[m.rng.Intn(2)]
 		m.nextVer[model]++
@@ -285,10 +440,14 @@ func (m *modelRun) step() {
 // the in-memory reference at every step, no Commit may miss a chunk its
 // handle appended — including one it only deduplicated against, dead or
 // alive — and once every handle has finished, the bytes of aborted and
-// abandoned handles must all have been reclaimed.
+// abandoned handles must all have been reclaimed. ReadChunk steps run
+// between the writes, some parked between their pin and their pread while
+// the schedule goes on: a read returns the exact stored bytes, a miss of
+// a record nothing references, or an injected fault — and a parked read's
+// segment is neither deleted nor compacted until it returns.
 func TestWriterModel(t *testing.T) {
 	recs, hashes := recordPool(t, 10)
-	totalCrashes := 0
+	totalCrashes, hits, misses, outlived := 0, 0, 0, 0
 	for seed := int64(1); seed <= 12; seed++ {
 		m := &modelRun{
 			t: t, rng: rand.New(rand.NewSource(seed)), dir: t.TempDir(),
@@ -296,15 +455,25 @@ func TestWriterModel(t *testing.T) {
 			recs:   recs,
 			hashes: hashes,
 			ref:    make(map[string]map[uint64][]byte), nextVer: make(map[string]uint64),
+			gate: newOpGate(),
 		}
 		m.reopen()
 		for i := 0; i < 400; i++ {
 			m.step()
 		}
+		m.finishHeld()
 		for _, h := range m.open {
 			h.w.Abort()
 		}
+		m.s.mu.Lock()
+		for _, seg := range m.s.segs {
+			if seg.pins != 0 {
+				t.Errorf("seed %d: segment %d keeps %d pins with every handle finished and every read returned", seed, seg.id, seg.pins)
+			}
+		}
+		m.s.mu.Unlock()
 		totalCrashes += m.crashes
+		hits, misses, outlived = hits+m.hits, misses+m.misses, outlived+m.outlived
 
 		// With every handle finished, one fault-free put seals the last
 		// segment and a GC reclaims: nothing dead may be left behind.
@@ -331,6 +500,58 @@ func TestWriterModel(t *testing.T) {
 	}
 	if totalCrashes == 0 {
 		t.Fatal("no fault tap ever fired: the kill points were not exercised")
+	}
+	if hits == 0 || misses == 0 || outlived == 0 {
+		t.Fatalf("reads: %d hits, %d misses, %d parked reads that outlived their record's last reference; the schedule must exercise all three", hits, misses, outlived)
+	}
+}
+
+// TestReadChunkHoldsNoLockAcrossTheRead parks one ReadChunk between its
+// pin and its pread and runs a second read, a whole put (append, both
+// fsyncs, commit) and a retire + reclaim to completion beside it: none of
+// them may wait for the parked read, and the parked read still returns
+// its record although the only version referencing it is gone.
+func TestReadChunkHoldsNoLockAcrossTheRead(t *testing.T) {
+	recs, hashes := recordPool(t, 2)
+	gate := newOpGate()
+	s := mustOpen(t, t.TempDir(), Options{
+		SegmentBytes: 512,
+		Injector:     faults.New(gate.gated(faults.Config{})),
+	})
+	defer s.Close()
+	for i := range recs {
+		w := s.Begin()
+		if err := w.Append(hashes[i], recs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit("m", uint64(i+1), "k", []byte("hdr"), hashes[i:i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []byte
+	var err error
+	release := gate.hold(func() { got, err = s.ReadChunk(hashes[0], nil) })
+	if other, oerr := s.ReadChunk(hashes[1], nil); oerr != nil || !bytes.Equal(other, recs[1]) {
+		t.Fatalf("a second read beside the parked one: err = %v", oerr)
+	}
+	if perr := s.PutBlob("other", 1, "k", testBlob(t, 720, 256, 1)); perr != nil {
+		t.Fatalf("a put beside the parked read: %v", perr)
+	}
+	if rerr := s.Retire("m", 1); rerr != nil {
+		t.Fatalf("retiring the parked read's version: %v", rerr)
+	}
+	if !s.Contains(hashes[0]) {
+		t.Fatal("the segment a read had pinned was reclaimed under it")
+	}
+	release()
+	if err != nil || !bytes.Equal(got, recs[0]) {
+		t.Fatalf("the parked read: err = %v, exact bytes = %v", err, bytes.Equal(got, recs[0]))
+	}
+	if gerr := s.GC(); gerr != nil {
+		t.Fatal(gerr)
+	}
+	if s.Contains(hashes[0]) {
+		t.Fatal("the record survived a reclaim pass after its last reader returned")
 	}
 }
 

@@ -141,10 +141,11 @@ type segmentFile struct {
 	// dirty marks bytes written since the last fsync.
 	dirty bool
 	// pins counts the entries in the file that an unfinished Writer
-	// appended or deduplicated against: they may belong to a version
-	// still being assembled (possibly with no committed reference yet),
-	// so reclaim must not delete or compact the file until every such
-	// handle has committed or aborted.
+	// appended or deduplicated against — they may belong to a version
+	// still being assembled (possibly with no committed reference yet) —
+	// plus the ReadChunk calls reading from the file right now. Reclaim
+	// must not delete or compact the file until every such handle has
+	// committed or aborted and every such read has returned.
 	pins int
 }
 

@@ -79,10 +79,12 @@ const RejectKey = "viper/relay/reject"
 const (
 	rejectReasonSessions = "sessions"
 	rejectReasonRate     = "rate"
-	// rejectReasonResend marks a need-list the relay could not satisfy
-	// (the chunks left the store): the off-stream notice tears the
-	// consumer's collect cleanly so it falls back to a full fetch rather
-	// than waiting for records that will never come.
+	// rejectReasonResend marks records the consumer is waiting for and the
+	// relay cannot deliver — a need-list it could not satisfy (the chunks
+	// left the store), or a store read that failed in the middle of a
+	// fan-out: the off-stream notice tears the consumer's collect cleanly
+	// so it falls back to a full fetch rather than waiting for records
+	// that will never come.
 	rejectReasonResend = "resend"
 )
 
@@ -126,7 +128,9 @@ func RejectionError(f transport.Frame) error {
 // registry is the package's metrics surface. Every Relay in the process
 // feeds the counters (they aggregate, like transport's link counters);
 // gauges reflect the most recently synced node. Counters mirror Stats
-// and are synced on commit and on every Stats/MetricsSnapshots read.
+// and are synced on commit and on every Stats/MetricsSnapshots read; the
+// read-through instruments (read_ahead_waits, read_through_first_byte_ms)
+// have no Stats field and are recorded where they happen.
 var registry = metrics.NewRegistry("relay")
 
 // Metrics returns the package's metrics registry.
@@ -155,6 +159,8 @@ var inst = struct {
 	hydratedVersions  *metrics.Counter
 	demotedVersions   *metrics.Counter
 	storeErrors       *metrics.Counter
+	readAheadWaits    *metrics.Counter
+	readFirstByteMS   *metrics.Histogram // a session picked a version with records on disk → its first frame was written
 	cacheBytes        *metrics.Gauge
 	openSessions      *metrics.Gauge
 	modelCount        *metrics.Gauge
@@ -182,6 +188,8 @@ var inst = struct {
 	hydratedVersions:  registry.Counter("hydrated_versions"),
 	demotedVersions:   registry.Counter("demoted_versions"),
 	storeErrors:       registry.Counter("store_errors"),
+	readAheadWaits:    registry.Counter("read_ahead_waits"),
+	readFirstByteMS:   registry.Histogram("read_through_first_byte_ms"),
 	cacheBytes:        registry.Gauge("cache_bytes"),
 	openSessions:      registry.Gauge("open_sessions"),
 	modelCount:        registry.Gauge("models"),
@@ -736,9 +744,10 @@ func (r *Relay) releaseChunk(e *chunkEntry) {
 // hash h and takes a reference on the caller's behalf (the caller parks
 // the returned entry in its version's held list). The store takes
 // ownership of rec — callers pass a slice nobody else holds
-// (TCPLink.Recv payloads, chunkstore.Store.Chunk results) and compute h
-// outside the lock. An already-resident record costs no new storage and
-// is counted as deduped against v. Callers hold r.mu.
+// (TCPLink.Recv payloads, chunkstore.Store.ReadChunk results read into a
+// nil buffer) and compute h outside the lock. An already-resident record
+// costs no new storage and is counted as deduped against v. Callers hold
+// r.mu.
 func (r *Relay) internChunkLocked(h vformat.ChunkHash, rec []byte, v *version) *chunkEntry {
 	e := r.chunks[h]
 	if e == nil {
@@ -801,39 +810,51 @@ func (r *Relay) freeLocked(v *version) {
 	r.stats.ReleasedVersions++
 }
 
-// resolve returns the record bytes of hashes in order, leaving out the
-// ones in skip (a consumer's have-set): the resident copy where the chunk
-// table has one, else a read through the durable store. A chunk in
-// neither tier leaves a nil entry and counts as unresolved — a serving
-// caller then refuses the request whole rather than ship a short stream.
-// The lookup snapshots payloads under r.mu and reads the store outside
-// it: interned payloads are immutable, and the store read may be slow.
-func (r *Relay) resolve(hashes []vformat.ChunkHash, skip map[vformat.ChunkHash]bool) (recs [][]byte, unresolved int) {
+// plan snapshots, under r.mu, where the records of hashes — leaving out
+// the ones in skip (a consumer's have-set) — can be served from: want
+// lists them in order and recs holds each one's resident payload, nil
+// where the chunk table has none (the record is then on disk, or
+// nowhere). Interned payloads are immutable, so the snapshot stays
+// readable after the lock drops; no store call is made under it.
+func (r *Relay) plan(hashes []vformat.ChunkHash, skip map[vformat.ChunkHash]bool) (want []vformat.ChunkHash, recs [][]byte) {
+	want = make([]vformat.ChunkHash, 0, len(hashes))
 	recs = make([][]byte, 0, len(hashes))
-	var disk []vformat.ChunkHash
-	var diskAt []int
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	for _, h := range hashes {
 		if skip[h] {
 			continue
 		}
+		var rec []byte
 		if e := r.chunks[h]; e != nil {
-			recs = append(recs, e.payload)
+			rec = e.payload
+		}
+		want = append(want, h)
+		recs = append(recs, rec)
+	}
+	return want, recs
+}
+
+// resolve returns the record bytes of hashes in order, whole: the
+// resident copy where the chunk table has one, else a read through the
+// durable store into a buffer of its own (the caller may keep it). A
+// chunk in neither tier — or one the store could not read back — leaves a
+// nil entry and counts as unresolved. This is the eager form, for the
+// handful of records a need-list or a delta prefill asks for; a version
+// fan-out streams its read-through instead (session.send).
+func (r *Relay) resolve(hashes []vformat.ChunkHash) (recs [][]byte, unresolved int) {
+	want, recs := r.plan(hashes, nil)
+	for i, rec := range recs {
+		if rec != nil {
 			continue
 		}
-		diskAt = append(diskAt, len(recs))
-		recs = append(recs, nil)
-		disk = append(disk, h)
-	}
-	r.mu.Unlock()
-	unresolved = len(disk)
-	if r.store != nil {
-		for j, h := range disk {
-			if rec, ok := r.store.Chunk(h); ok {
-				recs[diskAt[j]] = rec
-				unresolved--
+		if r.store != nil {
+			if got, err := r.store.ReadChunk(want[i], nil); err == nil {
+				recs[i] = got
+				continue
 			}
 		}
+		unresolved++
 	}
 	return recs, unresolved
 }
@@ -1091,7 +1112,7 @@ func (r *Relay) startDeltaBuild(link *transport.TCPLink, f transport.Frame, mode
 	// chunks are shared, demoted ones read through from the store — so a
 	// delta push right after a restart (or against a demoted shell)
 	// completes without a need-list round trip.
-	recs, _ := r.resolve(man.Hashes, nil)
+	recs, _ := r.resolve(man.Hashes)
 	r.mu.Lock()
 	for i, h := range man.Hashes {
 		if recs[i] == nil {
@@ -1446,6 +1467,11 @@ type session struct {
 
 	mu   sync.Mutex
 	have map[vformat.ChunkHash]bool
+
+	// readBufs are the read-through buffers of the fan-out in progress
+	// (see readAhead): two, so the store fills one while the link drains
+	// the other. Grown on first use and kept for the session.
+	readBufs [2][]byte
 }
 
 // setHave replaces the session's advertised chunk set (the consumer
@@ -1568,7 +1594,7 @@ func (s *session) answerNeed(nf transport.Frame) bool {
 		s.r.bump(func(st *Stats) { st.StrayFrames++ })
 		return true
 	}
-	recs, unresolved := s.r.resolve(hashes, nil)
+	recs, unresolved := s.r.resolve(hashes)
 	if unresolved > 0 {
 		return s.link.Send(rejectFrame(rejectReasonResend, "", "")) == nil
 	}
@@ -1581,28 +1607,97 @@ func (s *session) answerNeed(nf transport.Frame) bool {
 	return true
 }
 
-// send fans one cached version out to the consumer. The version is
-// pinned for the duration of the borrow: eviction (or a same-vnum
-// replacement) concurrent with the fan-out defers its storage release
-// to the unpin — and pinned versions keep their chunk references, so
-// every store payload framesFor snapshots stays immutable and resident
-// for the whole borrow. A newer complete version superseding v
+// fanout is the plan of one version's fan-out to one consumer, fixed
+// before the first frame leaves: the opening frame — the header, or a
+// manifest when the consumer advertised a have-set overlapping the
+// version — and the records to ship behind it, in order.
+type fanout struct {
+	open  transport.Frame
+	delta bool
+	// recs holds each record's resident payload; nil marks a record that
+	// lives only in the store and is read through as the send loop
+	// reaches it. disk lists those records' hashes, in the same order.
+	recs [][]byte
+	disk []vformat.ChunkHash
+}
+
+// planFanout plans serving v (pinned by the caller, so its header,
+// manifest and hash list are immutable) to this consumer. It reports
+// false when a record is in neither tier: the version is then refused
+// whole rather than opened as a stream that cannot finish. The catalog
+// snapshot is taken under r.mu; the store's index is asked outside it.
+func (s *session) planFanout(v *version) (fanout, bool) {
+	s.mu.Lock()
+	have := s.have
+	s.mu.Unlock()
+	want, recs := s.r.plan(v.hashes, have)
+	p := fanout{open: v.head, delta: len(want) < len(v.hashes), recs: recs}
+	for i, rec := range recs {
+		if rec != nil {
+			continue
+		}
+		if s.r.store == nil || !s.r.store.Contains(want[i]) {
+			return fanout{}, false
+		}
+		p.disk = append(p.disk, want[i])
+	}
+	if p.delta {
+		p.open = transport.Frame{Key: v.head.Key, Payload: v.manifest, Meta: make(map[string]string, len(v.head.Meta))}
+		for k, mv := range v.head.Meta {
+			p.open.Meta[k] = mv
+		}
+		p.open.Meta[transport.MetaChunkRole] = transport.ChunkRoleManifest
+		p.open.Meta[transport.MetaChunkCount] = strconv.Itoa(len(want))
+	}
+	return p, true
+}
+
+// send fans one cached version out to the consumer under its plan
+// (planFanout). Resident records go out from the plan's snapshot; records
+// that live only in the store are read through as the loop reaches them,
+// one record ahead (readAhead), so nothing waits for a whole version to
+// come off disk and nothing is added to the cache. A store read that
+// fails once frames have left cannot be taken back: the consumer gets the
+// off-stream notice (rejectReasonResend), drops its build as a group and
+// turns to the staging copy, never installing a short stream.
+//
+// The version is pinned for the duration of the borrow: eviction (or a
+// same-vnum replacement) concurrent with the fan-out defers its storage
+// release to the unpin — and pinned versions keep their chunk
+// references, so every payload the plan snapshots stays immutable and
+// resident for the whole borrow. A newer complete version superseding v
 // mid-stream still aborts the fan-out (latest-wins); the consumer's
 // torn-stream handling copes with the cut, and the outer loop
 // immediately starts on the newer version. Returns false when the
 // connection is gone.
 func (s *session) send(v *version) bool {
 	defer s.r.unpin(v) // next() pinned v under the catalog lock
-	frames, delta := s.framesFor(v)
-	if frames == nil {
-		// The version could not be assembled (store read failure or a
-		// chunk in neither tier): abandon this fan-out rather than ship a
-		// short stream; the session moves on to the next commit.
-		s.r.bump(func(st *Stats) { st.AbandonedFanouts++ })
+	picked := s.r.clock.Now()
+	p, ok := s.planFanout(v)
+	if !ok {
+		// Abandon this fan-out; the session moves on to the next commit.
+		lostByStore := v.stored && s.r.store != nil
+		s.r.bump(func(st *Stats) {
+			if lostByStore {
+				st.StoreErrors++
+			}
+			st.AbandonedFanouts++
+		})
 		return true
 	}
-	for i, f := range frames {
-		if i > 0 && s.r.newestVnum(v.model) > v.vnum {
+	var ra *readAhead
+	if len(p.disk) > 0 {
+		ra = s.startReadAhead(p.disk)
+		defer ra.stop()
+	}
+	if s.link.Send(p.open) != nil {
+		return false
+	}
+	if ra != nil {
+		inst.readFirstByteMS.Observe(s.r.clock.Now().Sub(picked).Milliseconds())
+	}
+	for _, rec := range p.recs {
+		if s.r.newestVnum(v.model) > v.vnum {
 			s.r.bump(func(st *Stats) { st.AbandonedFanouts++ })
 			return true
 		}
@@ -1613,62 +1708,98 @@ func (s *session) send(v *version) bool {
 			return false
 		default:
 		}
-		if s.link.Send(f) != nil {
+		if rec == nil {
+			var err error
+			if rec, err = ra.next(); err != nil {
+				s.r.bump(func(st *Stats) {
+					st.StoreErrors++
+					if errors.Is(err, chunkstore.ErrCorrupt) {
+						st.CorruptChunks++
+					}
+					st.AbandonedFanouts++
+				})
+				return s.link.Send(rejectFrame(rejectReasonResend, v.model, strconv.FormatUint(v.vnum, 10))) == nil
+			}
+		}
+		if s.link.Send(chunkFrame(v.head, rec)) != nil {
 			return false
 		}
 	}
 	s.r.bump(func(st *Stats) {
 		st.ServedVersions++
-		if delta {
+		if p.delta {
 			st.DeltaFanouts++
 		}
 	})
 	return true
 }
 
-// framesFor builds the frame sequence that serves v to this consumer:
-// the header plus every record, or — when the consumer advertised a
-// have-set overlapping v — a manifest frame plus only the records the
-// consumer lacks. The snapshot happens under the relay lock; the caller
-// holds a pin, so the referenced store payloads cannot be freed or
-// mutated while the borrow lasts. Reports whether the sequence is a
-// delta.
-func (s *session) framesFor(v *version) ([]transport.Frame, bool) {
-	s.mu.Lock()
-	have := s.have
-	s.mu.Unlock()
-	// v is pinned, so its header, manifest and hash list are immutable
-	// and its chunk references are held for the whole borrow.
-	head, manifest := v.head, v.manifest
-	missing, unresolved := s.r.resolve(v.hashes, have)
-	if unresolved > 0 {
-		if v.stored && s.r.store != nil {
-			s.r.bump(func(st *Stats) { st.StoreErrors++ })
+// readAhead reads a fan-out's on-disk records in the order the send loop
+// wants them, one record ahead of it, alternating between the session's
+// two buffers. The hand-off is unbuffered and the loop takes a record
+// only after it has sent the previous one (TCPLink.Send has written the
+// payload when it returns), so by the time a hand-off completes the other
+// buffer is free to be overwritten. The reader stops at the first failed
+// read, after handing the error over.
+type readAhead struct {
+	out   chan diskRecord
+	quit  chan struct{}
+	done  chan struct{}
+	taken int
+}
+
+type diskRecord struct {
+	rec []byte
+	err error
+}
+
+// startReadAhead starts reading disk in order. The caller must stop the
+// reader on every path.
+func (s *session) startReadAhead(disk []vformat.ChunkHash) *readAhead {
+	ra := &readAhead{out: make(chan diskRecord), quit: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(ra.done)
+		for i, h := range disk {
+			buf := &s.readBufs[i%len(s.readBufs)]
+			rec, err := s.r.store.ReadChunk(h, *buf)
+			if err == nil {
+				*buf = rec // a buffer that had to grow stays grown
+			}
+			select {
+			case ra.out <- diskRecord{rec, err}:
+			case <-ra.quit:
+				return
+			}
+			if err != nil {
+				return
+			}
 		}
-		return nil, false
+	}()
+	return ra
+}
+
+// next returns the next record; the slice is the reader's again once the
+// following call returns. Having to wait for any record but the first
+// means the store, not the link, is what the fan-out is waiting for.
+func (ra *readAhead) next() ([]byte, error) {
+	ra.taken++
+	select {
+	case d := <-ra.out:
+		return d.rec, d.err
+	default:
 	}
-	overlap := len(v.hashes) - len(missing)
-	if overlap == 0 {
-		// Nothing to elide: classic full fan-out, header plus all records.
-		frames := make([]transport.Frame, 0, len(missing)+1)
-		frames = append(frames, head)
-		for _, rec := range missing {
-			frames = append(frames, chunkFrame(head, rec))
-		}
-		return frames, false
+	if ra.taken > 1 {
+		inst.readAheadWaits.Inc()
 	}
-	mf := transport.Frame{Key: head.Key, Payload: manifest, Meta: make(map[string]string, len(head.Meta))}
-	for k, mv := range head.Meta {
-		mf.Meta[k] = mv
-	}
-	mf.Meta[transport.MetaChunkRole] = transport.ChunkRoleManifest
-	mf.Meta[transport.MetaChunkCount] = strconv.Itoa(len(missing))
-	frames := make([]transport.Frame, 0, len(missing)+1)
-	frames = append(frames, mf)
-	for _, rec := range missing {
-		frames = append(frames, chunkFrame(head, rec))
-	}
-	return frames, true
+	d := <-ra.out
+	return d.rec, d.err
+}
+
+// stop ends the reader and waits for it: once it returns no read is in
+// flight, so no segment is pinned and the buffers are idle.
+func (ra *readAhead) stop() {
+	close(ra.quit)
+	<-ra.done
 }
 
 // VersionInfo is one cached version's inventory entry.

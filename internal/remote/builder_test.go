@@ -3,6 +3,7 @@ package remote
 import (
 	"context"
 	"errors"
+	"net"
 	"strconv"
 	"testing"
 	"time"
@@ -85,7 +86,11 @@ type script struct {
 	clock *signalClock
 }
 
-func startScript(t *testing.T) *script {
+func startScript(t *testing.T) *script { return startScriptDial(t, nil) }
+
+// startScriptDial is startScript with the consumer's link dialled through
+// linkDial (nil = plain TCP).
+func startScriptDial(t *testing.T, linkDial func(addr string) (net.Conn, error)) *script {
 	t.Helper()
 	metaAddr, notifyAddr := testServices(t)
 	ln, err := transport.Listen("127.0.0.1:0")
@@ -100,6 +105,7 @@ func startScript(t *testing.T) *script {
 		// clock nobody advances; BaseDelay still paces the staging poll.
 		Retry:    retry.Policy{MaxAttempts: 1, BaseDelay: scriptBackoff, MaxDelay: scriptBackoff, Clock: clock},
 		LinkWait: scriptLinkWait,
+		LinkDial: linkDial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,9 +144,15 @@ func (s *frameSink) Close() error                   { return nil }
 // first) plus the complete blob it would stage.
 func (s *script) stream(version uint64, snap nn.Snapshot) (frames []transport.Frame, blob []byte) {
 	s.t.Helper()
+	return s.streamChunks(version, snap, 1<<10)
+}
+
+// streamChunks is stream at a chosen chunk size.
+func (s *script) streamChunks(version uint64, snap nn.Snapshot, chunkBytes int) (frames []transport.Frame, blob []byte) {
+	s.t.Helper()
 	enc, err := vformat.NewChunkEncoder(
 		&vformat.Checkpoint{ModelName: "m", Version: version, Weights: snap},
-		vformat.ChunkOptions{ChunkBytes: 1 << 10})
+		vformat.ChunkOptions{ChunkBytes: chunkBytes})
 	if err != nil {
 		s.t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,11 +13,13 @@ import (
 
 // connGate holds the writes of the connections it wraps while it is
 // held, so a test can park the producer's stage flusher inside a staging
-// write and script what happens around it.
+// write — or the consumer's cache filler inside a have-list write — and
+// script what happens around it.
 type connGate struct {
 	mu      sync.Mutex
 	open    chan struct{} // closed while writes may pass
 	blocked chan struct{} // one token per write that had to wait
+	passed  atomic.Int64  // bytes forwarded so far
 }
 
 func newConnGate() *connGate {
@@ -73,7 +76,17 @@ func (c *gatedConn) Write(b []byte) (int, error) {
 		}
 		<-open
 	}
+	c.gate.passed.Add(int64(len(b)))
 	return c.Conn.Write(b)
+}
+
+// dial is a dial hook whose connections pass through the gate.
+func (g *connGate) dial(addr string) (net.Conn, error) {
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return g.wrap(c), nil
 }
 
 // failWrites wraps a connection whose every write fails.

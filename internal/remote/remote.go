@@ -139,6 +139,9 @@ var inst = struct {
 	stageFlushMS       *metrics.Histogram
 	prebuiltInstalls   *metrics.Counter
 	abandonedBuilds    *metrics.Counter
+	fillSuperseded     *metrics.Counter
+	cacheFillMS        *metrics.Histogram
+	haveListLagMS      *metrics.Histogram // install → its have-list written
 }{
 	linkSends:          registry.Counter("producer_link_sends"),
 	linkFailures:       registry.Counter("producer_link_failures"),
@@ -157,6 +160,9 @@ var inst = struct {
 	stageFlushMS:       registry.Histogram("producer_stage_flush_ms"),
 	prebuiltInstalls:   registry.Counter("consumer_prebuilt_installs"),
 	abandonedBuilds:    registry.Counter("consumer_abandoned_builds"),
+	fillSuperseded:     registry.Counter("consumer_fill_superseded"),
+	cacheFillMS:        registry.Histogram("consumer_cache_fill_ms"),
+	haveListLagMS:      registry.Histogram("consumer_have_list_lag_ms"),
 }
 
 // ProducerStats counts producer-side delivery activity.
@@ -859,8 +865,8 @@ type ConsumerConfig struct {
 	MetaDial func(addr string) (net.Conn, error)
 	// DisableDeltaReconcile turns off chunk-level delta reconciliation.
 	// By default the consumer keeps a content-addressed cache of the
-	// chunk records it has seen, advertises it to the sender after every
-	// install (transport.HaveKey), and accepts manifest delta streams
+	// chunk records it has installed, advertises it to the sender behind
+	// every install (transport.HaveKey), and accepts manifest delta streams
 	// that ship only the chunks that changed — recovering
 	// advertised-but-evicted chunks with a need-list, and falling back
 	// to the staging path rather than ever assembling a torn
@@ -904,9 +910,10 @@ type ConsumerStats struct {
 	DeltaLoads int64
 }
 
-// parkedBudget bounds, in bytes of decoded weights, the complete builds
-// kept for notifications Next has not processed yet (the newest build is
-// always kept, whatever its size). It is what a consumer that stopped
+// parkedBudget bounds, in bytes, the complete builds kept for
+// notifications Next has not processed yet (the newest build is always
+// kept, whatever its size): their decoded weights plus the wire records
+// they hold for the cache filler. It is what a consumer that stopped
 // calling Next can pin; older builds are dropped first and their
 // versions come from staging or are skipped as superseded.
 const parkedBudget = 64 << 20
@@ -917,8 +924,27 @@ type build struct {
 	version uint64
 	delta   bool  // arrived as a manifest delta stream
 	frames  int64 // link frames the stream took
-	bytes   int64 // decoded weight bytes, once complete
+	bytes   int64 // decoded weights plus recs, once complete
 	ckpt    *vformat.Checkpoint
+	// recs are a full stream's wire records, kept — with reconciliation on
+	// — for the cache filler to hash once the build is installed. They
+	// are TCPLink.Recv payloads: the consumer owns them, and the cache
+	// adopts them without a copy.
+	recs [][]byte
+}
+
+// cacheFill is what one install leaves for the cache filler: the records
+// that came with the version and are not in the cache yet, and the
+// version to advertise once they are.
+type cacheFill struct {
+	version   uint64
+	installed time.Time
+	// recs passed the assembler's per-record check. A delta stream has
+	// none: its records were cached as they were added.
+	recs [][]byte
+	// owned marks recs as buffers nobody else holds (a parked build's),
+	// which the cache adopts; sub-slices of a staged blob are copied in.
+	owned bool
 }
 
 // Consumer receives checkpoints pushed by a remote producer.
@@ -934,13 +960,14 @@ type Consumer struct {
 	clock    simclock.Clock
 	// cache is the content-addressed record cache delta reconciliation
 	// runs against (nil when disabled). Its own lock makes it safe to
-	// fill from the builder and snapshot for advertisements.
+	// read and fill from the builder (delta streams) while the filler
+	// fills and snapshots it.
 	cache *vformat.ChunkCache
 
 	frames    chan transport.Frame // link reader → builder
 	closed    chan struct{}
 	closeOnce sync.Once
-	wg        sync.WaitGroup // reader + builder
+	wg        sync.WaitGroup // reader + builder + cache filler
 
 	// lifeCtx is the lifecycle context minted from
 	// ConsumerConfig.BaseContext; lifeCancel fires in Close.
@@ -965,6 +992,11 @@ type Consumer struct {
 	parked      []*build
 	parkedBytes int64
 	changed     chan struct{}
+	// pendingFill is the fill waiting for the cache filler (at most one:
+	// a newer install supersedes it); fillWake nudges the filler after it
+	// is set.
+	pendingFill *cacheFill
+	fillWake    chan struct{}
 }
 
 // NewConsumer connects to all services and subscribes to the model's
@@ -1025,9 +1057,15 @@ func NewConsumer(cfg ConsumerConfig) (*Consumer, error) {
 		closed:  make(chan struct{}),
 		changed: make(chan struct{}),
 		lifeCtx: lifeCtx, lifeCancel: lifeCancel,
+		fillWake: make(chan struct{}, 1),
 	}
 	if !cfg.DisableDeltaReconcile {
 		c.cache = vformat.NewChunkCache(cfg.ChunkHashCache)
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			c.filler()
+		}()
 	}
 	c.wg.Add(2)
 	go func() {
@@ -1084,10 +1122,11 @@ func (c *Consumer) pump() {
 }
 
 // build is the builder: it assembles every stream the link carries as
-// its frames land — per-record CRC check and decode, reconciliation
-// cache fill, need-list backchannel — and parks each complete, verified
-// build for Next, which installs it only once the matching notification
-// arrives. It never waits for Next.
+// its frames land — per-record CRC check and decode, need-list
+// backchannel — and parks each complete, verified build for Next, which
+// installs it only once the matching notification arrives. It never
+// waits for Next, and it hashes nothing but the records a delta stream
+// ships (the manifest assembler needs those hashes to place them).
 func (c *Consumer) build() {
 	var next *transport.Frame // the frame that interrupted the last stream
 	for {
@@ -1170,19 +1209,20 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 	// One timer per LinkWait period, not per frame: when it fires the
 	// stream is abandoned only if no frame arrived since it was armed.
 	stall, progressed := c.clock.After(c.linkWait), false
+	keep := c.cache != nil && !b.delta
 	recv := func() (transport.Frame, error) {
 		for {
 			select {
 			case f := <-c.frames:
 				b.frames++
 				progressed = true
-				// Every chunk record of the stream is mirrored into the
-				// reconciliation cache as it passes (a corrupted record keys
-				// itself under the hash of its corrupted bytes, which no
-				// manifest will ever reference, so caching before CRC
-				// verification is safe).
-				if c.cache != nil && f.Key == b.key && transport.IsChunkFrame(f) {
-					c.cache.Put(vformat.HashChunkRecord(f.Payload), f.Payload)
+				if keep {
+					// Unverified here. CollectChunked hands every frame it
+					// takes to the assembler and fails on the first one that
+					// is foreign or does not verify, so b.recs means anything
+					// only when it returns nil — and then every entry passed
+					// the per-record check.
+					b.recs = append(b.recs, f.Payload)
 				}
 				return f, nil
 			case <-stall:
@@ -1222,6 +1262,9 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 		c.dropLocked(b)
 	} else {
 		b.bytes = b.ckpt.Weights.NumBytes()
+		for _, rec := range b.recs {
+			b.bytes += int64(len(rec))
+		}
 		c.parked = append(c.parked, b)
 		c.parkedBytes += b.bytes
 		for len(c.parked) > 1 && c.parkedBytes > parkedBudget {
@@ -1296,7 +1339,7 @@ func (c *Consumer) NextContext(ctx context.Context, timeout time.Duration) (*vfo
 				c.bump(func(s *ConsumerStats) { s.StaleNotifications++ })
 				continue
 			}
-			ckpt, err := c.fetch(ctx, meta)
+			ckpt, fill, err := c.fetch(ctx, meta)
 			if err != nil {
 				return nil, err
 			}
@@ -1305,7 +1348,7 @@ func (c *Consumer) NextContext(ctx context.Context, timeout time.Duration) (*vfo
 				c.bump(func(s *ConsumerStats) { s.SkippedVersions++ })
 				continue
 			}
-			if err := c.install(ckpt); err != nil {
+			if err := c.install(ckpt, fill); err != nil {
 				return nil, err
 			}
 			return ckpt, nil
@@ -1335,9 +1378,10 @@ func (c *Consumer) bump(f func(*ConsumerStats)) {
 }
 
 // fetch obtains the checkpoint for meta from the builder, falling back
-// to the KV staging area. A nil, nil return means the version is lost
-// on both paths (superseded updates may legitimately be).
-func (c *Consumer) fetch(ctx context.Context, meta *core.ModelMeta) (*vformat.Checkpoint, error) {
+// to the KV staging area, along with the records it leaves for the cache
+// filler. A nil checkpoint and nil error mean the version is lost on
+// both paths (superseded updates may legitimately be).
+func (c *Consumer) fetch(ctx context.Context, meta *core.ModelMeta) (*vformat.Checkpoint, *cacheFill, error) {
 	var timer <-chan time.Time // armed on the first wait: a prebuilt install needs none
 	for first := true; ; first = false {
 		b, lost, changed := c.claim(meta)
@@ -1351,7 +1395,7 @@ func (c *Consumer) fetch(ctx context.Context, meta *core.ModelMeta) (*vformat.Ch
 					s.DeltaLoads++
 				}
 			})
-			return b.ckpt, nil
+			return b.ckpt, &cacheFill{recs: b.recs, owned: true}, nil
 		}
 		if lost {
 			return c.fetchStaged(ctx, meta)
@@ -1364,9 +1408,9 @@ func (c *Consumer) fetch(ctx context.Context, meta *core.ModelMeta) (*vformat.Ch
 		case <-timer:
 			return c.fetchStaged(ctx, meta)
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		case <-c.closed:
-			return nil, errors.New("remote: consumer closed")
+			return nil, nil, errors.New("remote: consumer closed")
 		}
 	}
 }
@@ -1404,7 +1448,7 @@ func (c *Consumer) claim(meta *core.ModelMeta) (b *build, lost bool, changed <-c
 // retry schedule for up to LinkWait — unless a newer notification is
 // already waiting, which supersedes this version anyway; without the
 // flag a missing copy is final.
-func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vformat.Checkpoint, error) {
+func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vformat.Checkpoint, *cacheFill, error) {
 	key := core.StagingKey(c.model, meta.Version)
 	raw, err := c.kv.GetBytes(key)
 	if meta.StagePending {
@@ -1417,43 +1461,47 @@ func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vfor
 			case <-budget:
 				break poll
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return nil, nil, ctx.Err()
 			case <-c.closed:
-				return nil, errors.New("remote: consumer closed")
+				return nil, nil, errors.New("remote: consumer closed")
 			}
 			backoff = nextBackoff(c.policy, backoff)
 			raw, err = c.kv.GetBytes(key)
 		}
 	}
 	if errors.Is(err, kvstore.ErrNotFound) {
-		return nil, nil // lost on both paths
+		return nil, nil, nil // lost on both paths
 	}
 	if err != nil {
-		return nil, fmt.Errorf("remote: staged fetch: %w", err)
+		return nil, nil, fmt.Errorf("remote: staged fetch: %w", err)
 	}
 	ckpt, err := vformat.DecodeAuto(ctx, raw, 0)
 	if err != nil {
-		return nil, fmt.Errorf("remote: staged checkpoint: %w", err)
+		return nil, nil, fmt.Errorf("remote: staged checkpoint: %w", err)
 	}
 	if ckpt.ModelName != c.model || ckpt.Version != meta.Version {
-		return nil, fmt.Errorf("remote: staged checkpoint is %s/v%d, want %s/v%d",
+		return nil, nil, fmt.Errorf("remote: staged checkpoint is %s/v%d, want %s/v%d",
 			ckpt.ModelName, ckpt.Version, c.model, meta.Version)
 	}
+	fill := &cacheFill{}
 	if c.cache != nil {
-		// The staged chunk records replenish the reconciliation cache
-		// (best-effort: the install does not depend on it).
-		_ = c.cache.PutAll(raw)
+		// The staged chunk records replenish the reconciliation cache,
+		// behind the install like a link stream's (best-effort: a blob that
+		// does not split into records leaves the cache as it is).
+		_ = vformat.WalkChunkRecords(raw, func(rec []byte) error {
+			fill.recs = append(fill.recs, rec)
+			return nil
+		})
 	}
 	c.bump(func(s *ConsumerStats) { s.StagedLoads++ })
-	return ckpt, nil
+	return ckpt, fill, nil
 }
 
-// install makes ckpt the active checkpoint, restores the serving
-// model, and (with reconciliation on) advertises the chunk cache back
-// to the sender so the next version can travel as a delta. The
-// advertisement is best-effort: a lost have-list only costs one full
-// stream.
-func (c *Consumer) install(ckpt *vformat.Checkpoint) error {
+// install makes ckpt the active checkpoint and restores the serving
+// model; with reconciliation on it then hands fill to the cache filler,
+// which caches the version's records and advertises the cache back to the
+// sender behind the install, so the next version can travel as a delta.
+func (c *Consumer) install(ckpt *vformat.Checkpoint, fill *cacheFill) error {
 	c.mu.Lock()
 	c.active = ckpt
 	c.loads++
@@ -1471,11 +1519,81 @@ func (c *Consumer) install(ckpt *vformat.Checkpoint) error {
 		}
 	}
 	if c.cache != nil {
-		if hs := c.cache.Hashes(); len(hs) > 0 {
-			_ = c.link.Send(transport.NewHaveFrame(c.model, ckpt.Version, hs))
-		}
+		fill.version, fill.installed = ckpt.Version, c.clock.Now()
+		c.queueFill(fill)
 	}
 	return nil
+}
+
+// queueFill hands f to the cache filler, latest-wins: a fill still
+// waiting is superseded — its records are never hashed, and the newer
+// version's advertisement covers whatever the cache holds by then.
+func (c *Consumer) queueFill(f *cacheFill) {
+	c.mu.Lock()
+	if c.pendingFill != nil {
+		inst.fillSuperseded.Inc()
+	}
+	c.pendingFill = f
+	c.mu.Unlock()
+	select {
+	case c.fillWake <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+}
+
+// takeFill claims the waiting fill, if any.
+func (c *Consumer) takeFill() *cacheFill {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f := c.pendingFill
+	c.pendingFill = nil
+	return f
+}
+
+// filler is the background cache filler: one fill at a time, never under
+// c.mu. Close abandons the fill in hand between two records and the one
+// waiting altogether; the cache dies with the consumer.
+func (c *Consumer) filler() {
+	for {
+		select {
+		case <-c.fillWake:
+		case <-c.closed:
+			return
+		}
+		for f := c.takeFill(); f != nil; f = c.takeFill() {
+			if !c.fill(f) {
+				return
+			}
+		}
+	}
+}
+
+// fill hashes f's records into the cache and only then advertises the
+// cache, so a have-list never names a chunk the cache does not hold. The
+// consumer computes every key itself, from bytes its assembler verified.
+// The advertisement is best-effort: a late or lost have-list only costs
+// one full stream. It reports false when the consumer closed under it.
+func (c *Consumer) fill(f *cacheFill) bool {
+	start := c.clock.Now()
+	for _, rec := range f.recs {
+		select {
+		case <-c.closed:
+			return false
+		default:
+		}
+		if h := vformat.HashChunkRecord(rec); f.owned {
+			c.cache.Adopt(h, rec)
+		} else {
+			c.cache.Put(h, rec)
+		}
+	}
+	inst.cacheFillMS.Observe(c.clock.Now().Sub(start).Milliseconds())
+	if hs := c.cache.Hashes(); len(hs) > 0 {
+		if c.link.Send(transport.NewHaveFrame(c.model, f.version, hs)) == nil {
+			inst.haveListLagMS.Observe(c.clock.Now().Sub(f.installed).Milliseconds())
+		}
+	}
+	return true
 }
 
 // Active returns the currently installed checkpoint (nil before the
@@ -1510,9 +1628,9 @@ func (c *Consumer) LatestMeta() (*core.ModelMeta, error) {
 }
 
 // Close cancels the lifecycle context, tears down all connections and
-// waits for the link reader and the builder to exit. It is idempotent
-// and safe to call concurrently: only the first call closes the shutdown
-// channel.
+// waits for the link reader, the builder and the cache filler to exit. It
+// is idempotent and safe to call concurrently: only the first call closes
+// the shutdown channel.
 func (c *Consumer) Close() {
 	c.lifeCancel()
 	c.closeOnce.Do(func() { close(c.closed) })

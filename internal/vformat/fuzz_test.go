@@ -2,6 +2,8 @@ package vformat
 
 import (
 	"context"
+	"encoding/binary"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -68,6 +70,123 @@ func FuzzDecodeAuto(f *testing.F) {
 			}
 			if n != len(nt.Data) {
 				t.Fatalf("tensor %q: shape %v holds %d elements, data has %d", nt.Name, nt.Shape, n, len(nt.Data))
+			}
+		}
+	})
+}
+
+// manifestFuzzInput frames what a delta stream's receiver is fed as one
+// blob: the manifest section, then each record behind a u32 length — the
+// Add sequence, in the order given.
+func manifestFuzzInput(manifest []byte, recs ...[]byte) []byte {
+	in := append([]byte(nil), manifest...)
+	for _, rec := range recs {
+		in = binary.LittleEndian.AppendUint32(in, uint32(len(rec)))
+		in = append(in, rec...)
+	}
+	return in
+}
+
+// FuzzManifestAssembler feeds the delta stream's receiving side a
+// manifest and an arbitrary sequence of records cut from the same input —
+// in any order, repeated, truncated, foreign. It must never panic, never
+// allocate out of proportion to its input (beyond the model the header's
+// own checksummed directory declares, which the target caps), and
+// whenever the assembly completes, it must hold exactly what DecodeAuto
+// decodes from the header and the records the assembler accepted.
+func FuzzManifestAssembler(f *testing.F) {
+	ckpt := chunkTestCheckpoint(3, 300)
+	blob, err := EncodeChunked(context.Background(), ckpt, ChunkOptions{Precision: PrecFloat16, ChunkBytes: 128})
+	if err != nil {
+		f.Fatal(err)
+	}
+	manifest, recs, _, _, err := PlanDelta(blob, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	other := chunkTestCheckpoint(4, 300) // same layout, other content: its records are foreign to the manifest
+	otherBlob, err := EncodeChunked(context.Background(), other, ChunkOptions{Precision: PrecFloat16, ChunkBytes: 128})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var foreign [][]byte
+	if err := WalkChunkRecords(otherBlob, func(rec []byte) error { foreign = append(foreign, rec); return nil }); err != nil {
+		f.Fatal(err)
+	}
+	reversed := make([][]byte, len(recs))
+	for i, rec := range recs {
+		reversed[len(recs)-1-i] = rec
+	}
+	whole := manifestFuzzInput(manifest, recs...)
+	f.Add(whole)
+	f.Add(manifestFuzzInput(manifest, reversed...))
+	f.Add(manifestFuzzInput(manifest, recs[:len(recs)-1]...))
+	f.Add(manifestFuzzInput(manifest, append([][]byte{recs[1], foreign[1], recs[1]}, recs...)...))
+	f.Add(manifestFuzzInput(manifest))
+	f.Add(whole[:len(whole)-3])
+	f.Add(whole[:len(manifest)/2])
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		man, err := ParseManifest(in)
+		if err != nil {
+			return
+		}
+		if man.Layout.TotalElems > 1<<16 {
+			return // the assembler allocates the model its header declares
+		}
+		asm, err := NewManifestAssembler(in[:man.Len], NewChunkCache(0))
+		if err != nil {
+			t.Fatalf("a manifest ParseManifest accepts failed to seed an assembler: %v", err)
+		}
+		accepted := make([][]byte, man.Layout.NumChunks) // by index, last one wins — as the assembler decodes
+		for tail := in[man.Len:]; len(tail) >= 4; {
+			n := min(int(binary.LittleEndian.Uint32(tail)), len(tail)-4)
+			rec := tail[4 : 4+n]
+			tail = tail[4+n:]
+			if _, err := asm.Add(rec); err == nil {
+				accepted[binary.LittleEndian.Uint32(rec[4:])] = rec
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(in)+1<<20); grew > limit {
+			t.Fatalf("assembling %d bytes allocated %d, limit %d", len(in), grew, limit)
+		}
+		got, err := asm.Checkpoint()
+		if !asm.Complete() {
+			if err == nil {
+				t.Fatal("an incomplete assembly handed out a checkpoint")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("complete assembly: %v", err)
+		}
+		plain := append([]byte(nil), man.Header...)
+		for i, rec := range accepted {
+			if rec == nil {
+				t.Fatalf("assembly complete without a record for chunk %d", i)
+			}
+			plain = append(plain, rec...)
+		}
+		want, err := DecodeAuto(context.Background(), plain, 1)
+		if err != nil {
+			t.Fatalf("DecodeAuto rejects the records the assembler accepted: %v", err)
+		}
+		if got.ModelName != want.ModelName || got.Version != want.Version || len(got.Weights) != len(want.Weights) {
+			t.Fatalf("assembled %s/v%d with %d tensors, DecodeAuto gives %s/v%d with %d",
+				got.ModelName, got.Version, len(got.Weights), want.ModelName, want.Version, len(want.Weights))
+		}
+		for i := range got.Weights {
+			g, w := got.Weights[i].Data, want.Weights[i].Data
+			if len(g) != len(w) {
+				t.Fatalf("tensor %d: %d elements assembled, %d decoded", i, len(g), len(w))
+			}
+			for j := range g {
+				if math.Float64bits(g[j]) != math.Float64bits(w[j]) {
+					t.Fatalf("tensor %d element %d: assembled %v, DecodeAuto gives %v", i, j, g[j], w[j])
+				}
 			}
 		}
 	})

@@ -297,9 +297,10 @@ func ChunkHashesOf(blob []byte) ([]ChunkHash, error) {
 }
 
 // ChunkCache retains recently seen chunk records keyed by content hash,
-// the consumer-side half of delta reconciliation. Entries are copied in
-// and evicted least-recently-used by entry count. All methods are safe
-// for concurrent use.
+// the consumer-side half of delta reconciliation. Entries are evicted
+// least-recently-used by entry count. Bytes enter by copy (Put, PutAll)
+// or by ownership transfer (Adopt); either way the cache is their only
+// writer afterwards. All methods are safe for concurrent use.
 type ChunkCache struct {
 	mu  sync.Mutex
 	max int
@@ -321,17 +322,32 @@ func NewChunkCache(max int) *ChunkCache {
 	return &ChunkCache{max: max, m: make(map[ChunkHash]*list.Element), ll: list.New()}
 }
 
-// Put copies rec into the cache under its content hash.
-func (c *ChunkCache) Put(h ChunkHash, rec []byte) {
+// Put copies rec into the cache under its content hash. It is the insert
+// for borrowed bytes: a sub-slice of a blob, or a payload whose buffer
+// the sender will reuse (an in-process transport.Link frame aliases the
+// producer's pooled blob).
+func (c *ChunkCache) Put(h ChunkHash, rec []byte) { c.insert(h, rec, true) }
+
+// Adopt caches rec itself under its content hash: ownership of the slice
+// passes to the cache, and the caller must neither write to it nor hand
+// it to anyone who will. Only a buffer nobody else holds qualifies — a
+// transport.TCPLink.Recv payload, which is allocated per frame and owned
+// by the receiver. Everything else goes through Put.
+func (c *ChunkCache) Adopt(h ChunkHash, rec []byte) { c.insert(h, rec, false) }
+
+func (c *ChunkCache) insert(h ChunkHash, rec []byte, copyIn bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[h]; ok {
 		c.ll.MoveToFront(el)
 		return
 	}
-	cp := make([]byte, len(rec))
-	copy(cp, rec)
-	c.m[h] = c.ll.PushFront(&chunkCacheEntry{hash: h, rec: cp})
+	if copyIn {
+		cp := make([]byte, len(rec))
+		copy(cp, rec)
+		rec = cp
+	}
+	c.m[h] = c.ll.PushFront(&chunkCacheEntry{hash: h, rec: rec})
 	for c.ll.Len() > c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -382,8 +398,9 @@ func (c *ChunkCache) Hashes() []ChunkHash {
 	return hashes
 }
 
-// PutAll hashes and caches every record of a plain chunked blob —
-// how a consumer seeds its cache from a full-snapshot install.
+// PutAll hashes and caches every record of a plain chunked blob — how a
+// consumer seeds its cache from a full-snapshot install. The records are
+// sub-slices of blob, so they are copied in (Put).
 func (c *ChunkCache) PutAll(blob []byte) error {
 	return WalkChunkRecords(blob, func(rec []byte) error {
 		c.Put(HashChunkRecord(rec), rec)
@@ -485,7 +502,10 @@ func (a *ManifestAssembler) Reused() int {
 }
 
 // Add verifies and decodes one wire record, caching it for future
-// reconciliations, and reports whether assembly is now complete.
+// reconciliations, and reports whether assembly is now complete. Only a
+// record that verified is hashed and cached, and it is cached by copy
+// (Put): rec may be a sub-slice of a manifest-bearing blob (addPacked) or
+// of a buffer its sender still owns.
 func (a *ManifestAssembler) Add(rec []byte) (complete bool, err error) {
 	done, err := a.asm.Add(rec)
 	if err != nil {
