@@ -49,11 +49,13 @@ go test -race -count=1 \
 # goroutine's program order: one -race pass sees one interleaving, so
 # the consumer's builder and the producer's stage flusher (ISSUE 16), the
 # consumer's cache filler, the relay's streamed read-through and the
-# store's pinned reads (ISSUE 18) run five more times and the in-process
+# store's pinned reads (ISSUE 18), the span source — who offers it, who
+# reads it while a serving thread holds the same checkpoint, what still
+# takes the need-list (ISSUE 19) — run five more times and the in-process
 # link's latest-wins queue (ISSUE 17) ten.
-echo "==> builder + stage flusher + cache filler + read-through + link queue interleavings (-race -count=5/10)"
+echo "==> builder + stage flusher + cache filler + span source + read-through + link queue interleavings (-race -count=5/10)"
 go test -race -count=5 -run \
-    'TestParkedBuildWaitsForItsNotification|TestInterruptedStreamNeverInstalls|TestStalledStreamIsAbandoned|TestStagePendingWindow|TestDefaultConsumerBuildsBigStreams|TestBacklogInstallsInOrderFromTheLink|TestPublishErrorPathsBalanceTheBlob|TestNeedAnswerRacesNextPublish|TestFillRunsBehindTheInstall|TestDroppedParkedBuildIsNeverHashed|TestWaitingFillIsSuperseded|TestCloseAbandonsTheFill|TestStagedInstallFillsBehind|TestLateHaveListCostsOneFullStream|TestOnlyVerifiedRecordsAreCached|TestParkedBudgetCountsWireRecords' \
+    'TestParkedBuildWaitsForItsNotification|TestInterruptedStreamNeverInstalls|TestStalledStreamIsAbandoned|TestStagePendingWindow|TestDefaultConsumerBuildsBigStreams|TestBacklogInstallsInOrderFromTheLink|TestPublishErrorPathsBalanceTheBlob|TestNeedAnswerRacesNextPublish|TestFillRunsBehindTheInstall|TestDroppedParkedBuildIsNeverHashed|TestWaitingFillIsSuperseded|TestCloseAbandonsTheFill|TestStagedInstallFillsBehind|TestLateHaveListCostsOneFullStream|TestOnlyVerifiedRecordsAreCached|TestParkedBudgetCountsWireRecords|TestDeltaCacheEvictionRecovers|TestABADrillKeepsTheNeedListPath|TestSupersededFillOffersNoSource|TestReaderHoldsActiveWhileBuilderInherits' \
     ./internal/remote/
 go test -race -count=5 -run \
     'TestStoreReadFailsMidStream|TestChunkInNeitherTierRefusedBeforeFirstFrame|TestNewerCommitAbortsReadThrough|TestConcurrentJoinersReadThrough|TestMixedResidentAndDiskRecordsServeInOrder|TestReadThroughInstruments' \
@@ -65,9 +67,11 @@ go test -race -count=10 -run TestPropLatestWinsQueue ./internal/transport/
 # 18) — rerun uncached and WITHOUT the race detector: under -race
 # sync.Pool drops buffers at random, so the publish-path test skips itself
 # there, and a cached 'ok' from the plain run would not prove the budgets
-# hold on this tree.
-echo "==> alloc budget gates (-count=1, no -race)"
-go test -count=1 -run AllocBudget ./internal/remote/ ./internal/relay/
+# hold on this tree. The delta count gate (ISSUE 19: records hashed per
+# steady delta publish == chunks that moved, cached records decoded per
+# steady delta install == 0, exactly) rides along.
+echo "==> alloc budget + delta count gates (-count=1, no -race)"
+go test -count=1 -run 'AllocBudget|DeltaCountGate' ./internal/remote/ ./internal/relay/
 
 # The socket- and disk-fed parsers are fuzzed on every run: no panic, no
 # allocation out of proportion to the input, only sound results. Seeds and

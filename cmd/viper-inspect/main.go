@@ -402,7 +402,7 @@ func (e *emitter) manifest(blob []byte) error {
 	}
 	// Assemble against an empty cache: whatever stays missing is exactly
 	// the elided (deduplicated) chunk set.
-	asm, err := vformat.NewManifestAssembler(blob, nil)
+	asm, err := vformat.NewManifestAssembler(blob, nil, nil)
 	if err != nil {
 		return err
 	}

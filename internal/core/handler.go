@@ -155,8 +155,12 @@ type WeightsHandler struct {
 	version uint64
 	stats   HandlerStats
 	// lastSent holds the previous published version's wire values, the
-	// comparison base for DeltaEps suppression (incremental mode).
+	// comparison base for DeltaEps suppression (incremental mode). lineage
+	// is passed with it into every encode, so only the records of chunks
+	// that moved are hashed again (vformat.BaseLineage); unlike lastHashes
+	// it follows the base object, not what was published.
 	lastSent nn.Snapshot
+	lineage  vformat.BaseLineage
 	// lastHashes are the per-chunk content hashes of the last published
 	// checkpoint — the set a "vrecon" manifest may elide against
 	// (incremental mode).
@@ -389,8 +393,9 @@ func (h *WeightsHandler) encode(ctx context.Context, ckpt *vformat.Checkpoint) (
 // encodeChunked is the chunked-pipeline encode: full checkpoints become
 // one wire-format-v2 blob built by the worker pool in a single pass over
 // the weights (precision conversion folded in). In incremental mode the
-// per-chunk content hashes are read off the encoder (hashed once, on its
-// worker pool) and the versions between full refreshes are encoded against the previous version's wire values
+// per-chunk content hashes are read off the encoder (hashed at most once, on
+// its worker pool; a chunk that did not move since the previous encode
+// inherits its hash) and the versions between full refreshes are encoded against the previous version's wire values
 // (ChunkOptions.Base), so a chunk whose elements all stayed within
 // DeltaEps re-encodes byte-identically and its content hash matches the
 // previous version's; the payload is then a manifest-bearing "vrecon"
@@ -426,6 +431,9 @@ func (h *WeightsHandler) encodeChunked(ctx context.Context, ckpt *vformat.Checkp
 		(ckpt.Version-1)%uint64(h.fullEvery) != 0 && vformat.SameStructure(base, ckpt.Weights)
 	if recon {
 		opts.Base, opts.BaseEps = base, h.deltaEps
+	}
+	if h.incremental {
+		opts.Lineage = &h.lineage
 	}
 	enc, err := vformat.NewChunkEncoder(ckpt, opts)
 	if err != nil {

@@ -294,7 +294,11 @@ func TestNewerCommitAbortsReadThrough(t *testing.T) {
 	}
 	defer link.Close()
 	pushChunked(t, link, "m", 2, snap2, 128)
-	waitFor(t, 10*time.Second, func() bool { return r.Stats().StoredVersions == 1 }, "v2 committed")
+	// CachedVersions moves under the catalog lock together with v2's
+	// insert (the hydrated v1 counts as HydratedVersions). StoredVersions
+	// moves earlier, when the store has committed: a session thawed in that
+	// gap would still find v1 the newest and stream on.
+	waitFor(t, 10*time.Second, func() bool { return r.Stats().CachedVersions == 1 }, "v2 in the catalog")
 	close(gate.release)
 
 	var v1Frames int

@@ -128,7 +128,9 @@ func TestStoreRetentionDelegation(t *testing.T) {
 	for v := uint64(1); v <= 4; v++ {
 		pushChunked(t, link, "m", v, nn.TakeSnapshot(testModel(int64(300+v))), 128)
 	}
-	waitFor(t, 10*time.Second, func() bool { return r.Stats().StoredVersions == 4 }, "4 stored versions")
+	// The catalog is what the inventory lists, and a version enters it
+	// (CachedVersions) only after the store has committed it.
+	waitFor(t, 10*time.Second, func() bool { return r.Stats().CachedVersions == 4 }, "4 versions stored and catalogued")
 
 	inv, err := FetchInventory(r.IngestAddr())
 	if err != nil {

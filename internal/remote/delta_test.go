@@ -90,11 +90,17 @@ func TestDeltaDisabledKeepsFullStreams(t *testing.T) {
 
 // TestDeltaCacheEvictionRecovers is the chaos drill at the remote
 // layer: the consumer advertises its cache, then loses every entry
-// before the delta arrives. The collect must need-list the gaps back to
-// the producer — which re-sends from its retained blob — and the
-// version still installs byte-identically, never torn.
+// before the delta arrives. The unchanged chunks need no record — the
+// builder copies them out of the version it installed, whose hashes it
+// knows position by position — so the version installs byte-identically
+// with no need-list and no re-send: the consumer's side of the link is
+// held shut throughout, and a need-list would have parked the build there.
+// (A chunk the installed version does not hold either still takes the
+// need-list path: TestABADrillKeepsTheNeedListPath.)
 func TestDeltaCacheEvictionRecovers(t *testing.T) {
-	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: 64})
+	gate := newConnGate()
+	defer gate.release() // before the pair's cleanup: Close joins a filler that may be parked there
+	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: 64, linkDial: gate.dial})
 	snap1 := nn.TakeSnapshot(testModel(91))
 	if _, err := prod.Publish(snap1, 1, 0.9); err != nil {
 		t.Fatal(err)
@@ -105,9 +111,13 @@ func TestDeltaCacheEvictionRecovers(t *testing.T) {
 	waitPeerHave(t, prod, 2)
 
 	// Evict everything the consumer just advertised.
-	for _, h := range cons.cache.Hashes() {
+	advertised := cons.cache.Hashes()
+	for _, h := range advertised {
 		cons.cache.Drop(h)
 	}
+	gate.hold()
+	written := gate.passed.Load()
+	before := sampleDeltaCounters()
 
 	snap2 := nn.TakeSnapshot(testModel(91))
 	snap2[0].Data[0] += 1
@@ -122,8 +132,14 @@ func TestDeltaCacheEvictionRecovers(t *testing.T) {
 		t.Fatalf("recovered install delivered v%d (equal=%v), want byte-identical v2",
 			ckpt.Version, snapshotsEqual(ckpt.Weights, snap2))
 	}
-	if s := cons.Stats(); s.DeltaLoads != 1 {
+	if s := cons.Stats(); s.DeltaLoads != 1 || s.StagedLoads != 0 {
 		t.Fatalf("stats = %+v, want the recovery to finish as a delta load", s)
+	}
+	if n := gate.passed.Load() - written; n != 0 {
+		t.Fatalf("the consumer wrote %d bytes on the link before v2 installed: a need-list went out", n)
+	}
+	if got, want := sampleDeltaCounters().since(before), (deltaCounters{inherited: int64(len(advertised) - 1)}); got != want {
+		t.Fatalf("v2: %+v, want %+v — every unchanged chunk inherited, no cached record decoded", got, want)
 	}
 }
 

@@ -638,3 +638,71 @@ func TestAllocBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestDeltaCountGate is the count gate beside the allocation budget: the
+// delta_steady shape (every element drifts within eps, 1 of 16 chunks
+// really moves) over loopback TCP, counted by the program's own registry.
+// The first delta has nothing to inherit from on the producer — the
+// seeding publish streamed whole and hashed nothing — so from the second
+// delta on, every publish hashes exactly the one record that moved and
+// inherits the other 15 hashes, and every install copies exactly 15
+// positions from the span source and CRC-decodes no cached record. The
+// counts are exact: they do not depend on timing.
+func TestDeltaCountGate(t *testing.T) {
+	const (
+		elems     = 16 << 10 // 128 KiB of float64
+		chunkSize = 8 << 10  // → 16 chunks
+		eps       = 1e-3
+	)
+	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: chunkSize, deltaEps: eps, frameBuf: 64})
+	snap := flatSnapshot(9, elems)
+	counters := []string{"producer_hashed_chunks", "producer_inherited_hashes", "consumer_inherited_chunks", "consumer_cache_decoded_chunks"}
+	sample := func() (v [4]int64) {
+		for i, name := range counters {
+			v[i] = Metrics().Counter(name).Value()
+		}
+		return v
+	}
+	for op := 1; op <= 8; op++ {
+		drift := eps / 5 // sub-eps, back and forth: it never adds up to a move
+		if op%2 == 0 {
+			drift = -drift
+		}
+		for _, nt := range snap {
+			for i := range nt.Data {
+				nt.Data[i] += drift
+			}
+		}
+		// Chunk 9 really moves (tensor "b" begins at element elems/3).
+		moved := snap[1].Data[9*chunkSize/8-elems/3:][:chunkSize/8]
+		for i := range moved {
+			moved[i] += float64(op)
+		}
+		before := sample()
+		if _, err := prod.Publish(snap, uint64(op), 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cons.Next(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the have-list", func() bool { return prod.Stats().HaveLists >= int64(op) })
+		after := sample()
+		var got [4]int64
+		for i := range got {
+			got[i] = after[i] - before[i]
+		}
+		want := [4]int64{1, 15, 15, 0}
+		switch op {
+		case 1: // the seeding version: a full stream, no hashes, no manifest
+			want = [4]int64{0, 0, 0, 0}
+		case 2: // the first delta: the producer has no lineage yet
+			want = [4]int64{16, 0, 15, 0}
+		}
+		if got != want {
+			t.Fatalf("op %d: %v = %v, want %v", op, counters, got, want)
+		}
+	}
+	if s := cons.Stats(); s.DeltaLoads != 7 || s.StagedLoads != 0 {
+		t.Fatalf("consumer stats %+v, want seven delta loads from the link", s)
+	}
+}

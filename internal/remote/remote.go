@@ -142,6 +142,13 @@ var inst = struct {
 	fillSuperseded     *metrics.Counter
 	cacheFillMS        *metrics.Histogram
 	haveListLagMS      *metrics.Histogram // install → its have-list written
+	// Per delta publish: records the encoder hashed, and hashes it
+	// inherited from the previous encode. Per delta install: positions
+	// copied from the span source, and cached records CRC-checked and decoded.
+	hashedChunks       *metrics.Counter
+	inheritedHashes    *metrics.Counter
+	inheritedChunks    *metrics.Counter
+	cacheDecodedChunks *metrics.Counter
 }{
 	linkSends:          registry.Counter("producer_link_sends"),
 	linkFailures:       registry.Counter("producer_link_failures"),
@@ -163,6 +170,10 @@ var inst = struct {
 	fillSuperseded:     registry.Counter("consumer_fill_superseded"),
 	cacheFillMS:        registry.Histogram("consumer_cache_fill_ms"),
 	haveListLagMS:      registry.Histogram("consumer_have_list_lag_ms"),
+	hashedChunks:       registry.Counter("producer_hashed_chunks"),
+	inheritedHashes:    registry.Counter("producer_inherited_hashes"),
+	inheritedChunks:    registry.Counter("consumer_inherited_chunks"),
+	cacheDecodedChunks: registry.Counter("consumer_cache_decoded_chunks"),
 }
 
 // ProducerStats counts producer-side delivery activity.
@@ -227,8 +238,11 @@ type Producer struct {
 	// lastSnap is the previous publish's wire values, the comparison
 	// base for DeltaEps suppression. putElemsBase mutates it in place
 	// to each new version's wire values, keeping producer-side
-	// comparisons aligned with what receivers actually hold.
+	// comparisons aligned with what receivers actually hold. lineage
+	// travels with it into every encode, so a delta publish hashes only
+	// the records of chunks that moved (vformat.BaseLineage).
 	lastSnap nn.Snapshot
+	lineage  vformat.BaseLineage
 	// pendingFlush is the staging write waiting for the flusher (at most
 	// one: a newer publish supersedes it); it owns one reference to its
 	// blob. flushWake nudges the flusher after pendingFlush is set.
@@ -568,6 +582,7 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 	// sends: the first full stream seeds the hashes later deltas elide
 	// against.
 	if p.recon && p.deltaEps > 0 {
+		opts.Lineage = &p.lineage
 		if base != nil && vformat.SameStructure(base, ckpt.Weights) {
 			opts.Base, opts.BaseEps = base, p.deltaEps
 		} else {
@@ -614,7 +629,8 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 
 // publishDelta ships ckpt as a manifest plus only the chunk records the
 // receiver's advertised store lacks, planned from the encoder's hashes
-// (each record hashed once, on its worker pool). The staging copy and metadata are unchanged
+// (a record is hashed at most once, on its worker pool, and not at all when
+// its chunk did not move since the previous publish). The staging copy and metadata are unchanged
 // — they carry the complete blob — so the staging fallback and
 // late-joining consumers are oblivious to how the link frames were
 // elided.
@@ -630,6 +646,8 @@ func (p *Producer) publishDelta(ctx context.Context, enc *vformat.ChunkEncoder, 
 	if err != nil {
 		return nil, err
 	}
+	inst.hashedChunks.Add(int64(enc.HashedRecords()))
+	inst.inheritedHashes.Add(int64(len(hashes) - enc.HashedRecords()))
 	manifest, records, _, err := vformat.PlanDeltaHashed(blob, hashes, func(h vformat.ChunkHash) bool { return have[h] })
 	if err != nil {
 		return nil, err
@@ -915,7 +933,9 @@ type ConsumerStats struct {
 // kept, whatever its size): their decoded weights plus the wire records
 // they hold for the cache filler. It is what a consumer that stopped
 // calling Next can pin; older builds are dropped first and their
-// versions come from staging or are skipped as superseded.
+// versions come from staging or are skipped as superseded. Beyond active
+// and parked the consumer pins at most one more checkpoint: the span
+// source, when the build it came from has since been dropped or replaced.
 const parkedBudget = 64 << 20
 
 // build is one link stream assembled by the builder.
@@ -929,8 +949,13 @@ type build struct {
 	// recs are a full stream's wire records, kept — with reconciliation on
 	// — for the cache filler to hash once the build is installed. They
 	// are TCPLink.Recv payloads: the consumer owns them, and the cache
-	// adopts them without a copy.
-	recs [][]byte
+	// adopts them without a copy. header is the stream header they arrived
+	// under, kept with them so the hashes can become a span source.
+	recs   [][]byte
+	header []byte
+	// inherited and reused count a delta build's positions copied from the
+	// span source and decoded from cached records.
+	inherited, reused int
 }
 
 // cacheFill is what one install leaves for the cache filler: the records
@@ -945,6 +970,11 @@ type cacheFill struct {
 	// owned marks recs as buffers nobody else holds (a parked build's),
 	// which the cache adopts; sub-slices of a staged blob are copied in.
 	owned bool
+	// header (the v2 stream header recs belong to; a plain chunked blob
+	// serves) and weights (what they were decoded into) let a finished
+	// fill offer the install as the span source. Nil header: no offer.
+	header  []byte
+	weights nn.Snapshot
 }
 
 // Consumer receives checkpoints pushed by a remote producer.
@@ -992,6 +1022,14 @@ type Consumer struct {
 	parked      []*build
 	parkedBytes int64
 	changed     chan struct{}
+	// source is the span source the builder hands the next manifest
+	// assembler: the newest complete build, parked or installed, whose
+	// per-position hashes are known — a delta build's as soon as it is
+	// parked (the manifest's), a full-stream or staged install's once the
+	// filler has hashed its records. It shares the weights of a checkpoint
+	// Next hands out, hence the read-only contract there.
+	source        *vformat.SpanSource
+	sourceVersion uint64
 	// pendingFill is the fill waiting for the cache filler (at most one:
 	// a newer install supersedes it); fillWake nudges the filler after it
 	// is set.
@@ -1210,6 +1248,9 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 	// stream is abandoned only if no frame arrived since it was armed.
 	stall, progressed := c.clock.After(c.linkWait), false
 	keep := c.cache != nil && !b.delta
+	if keep {
+		b.header = header.Payload
+	}
 	recv := func() (transport.Frame, error) {
 		for {
 			select {
@@ -1236,6 +1277,7 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 		}
 	}
 	var err error
+	var source *vformat.SpanSource // what this build offers the next one
 	switch {
 	case !b.delta:
 		b.ckpt, next, err = transport.CollectChunked(c.lifeCtx, header, recv)
@@ -1244,10 +1286,20 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 		// stream is unexpected; let the staging path carry the version.
 		err = errors.New("remote: manifest stream with reconciliation disabled")
 	default:
-		// Advertised chunks are reused in place, the missing records
-		// arrive from the link, and a chunk the cache lost since
-		// advertising is need-listed back to the sender.
-		b.ckpt, next, _, err = transport.CollectChunkedDelta(c.lifeCtx, header, recv, c.link.Send, c.cache)
+		// Positions the span source holds decoded under the same hash are
+		// copied from it, other advertised chunks are decoded from the
+		// cache, the missing records arrive from the link, and a chunk the
+		// cache lost since advertising is need-listed back to the sender.
+		c.mu.Lock()
+		from := c.source
+		c.mu.Unlock()
+		var asm *vformat.ManifestAssembler
+		if asm, err = vformat.NewManifestAssembler(header.Payload, c.cache, from); err == nil {
+			b.ckpt, next, err = transport.CollectChunkedDeltaInto(c.lifeCtx, header, asm, recv, c.link.Send)
+		}
+		if err == nil {
+			source, b.inherited, b.reused = asm.Source(), asm.Inherited(), asm.Reused()
+		}
 	}
 	if next != nil {
 		b.frames-- // the interrupting frame is accounted on its own
@@ -1267,12 +1319,21 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 		}
 		c.parked = append(c.parked, b)
 		c.parkedBytes += b.bytes
+		c.offerSourceLocked(b.version, source)
 		for len(c.parked) > 1 && c.parkedBytes > parkedBudget {
 			c.dropLocked(c.popParkedLocked())
 		}
 	}
 	c.signalLocked()
 	return next
+}
+
+// offerSourceLocked makes src the span source if it is of a newer version
+// than the current one (nil offers nothing); c.mu must be held.
+func (c *Consumer) offerSourceLocked(version uint64, src *vformat.SpanSource) {
+	if src != nil && version > c.sourceVersion {
+		c.source, c.sourceVersion = src, version
+	}
 }
 
 // initialBackoff is the pump's first retry delay under policy.
@@ -1314,6 +1375,11 @@ func frameVersion(f *transport.Frame) uint64 {
 // the installed one (e.g. redelivered after a broker reconnect) are
 // ignored; notified versions that are unrecoverable on both paths are
 // skipped, since a newer update supersedes them.
+//
+// The returned checkpoint is shared and read-only: Active returns the same
+// object, and with reconciliation on the builder copies the chunks the
+// next version leaves unchanged straight out of its weights. Copy what
+// you need to change (nn.RestoreSnapshot copies into the serving model).
 func (c *Consumer) Next(timeout time.Duration) (*vformat.Checkpoint, error) {
 	return c.NextContext(c.lifeCtx, timeout)
 }
@@ -1395,7 +1461,9 @@ func (c *Consumer) fetch(ctx context.Context, meta *core.ModelMeta) (*vformat.Ch
 					s.DeltaLoads++
 				}
 			})
-			return b.ckpt, &cacheFill{recs: b.recs, owned: true}, nil
+			inst.inheritedChunks.Add(int64(b.inherited))
+			inst.cacheDecodedChunks.Add(int64(b.reused))
+			return b.ckpt, &cacheFill{recs: b.recs, owned: true, header: b.header, weights: b.ckpt.Weights}, nil
 		}
 		if lost {
 			return c.fetchStaged(ctx, meta)
@@ -1488,10 +1556,13 @@ func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vfor
 		// The staged chunk records replenish the reconciliation cache,
 		// behind the install like a link stream's (best-effort: a blob that
 		// does not split into records leaves the cache as it is).
-		_ = vformat.WalkChunkRecords(raw, func(rec []byte) error {
+		err := vformat.WalkChunkRecords(raw, func(rec []byte) error {
 			fill.recs = append(fill.recs, rec)
 			return nil
 		})
+		if err == nil {
+			fill.header, fill.weights = raw, ckpt.Weights
+		}
 	}
 	c.bump(func(s *ConsumerStats) { s.StagedLoads++ })
 	return ckpt, fill, nil
@@ -1571,23 +1642,40 @@ func (c *Consumer) filler() {
 // fill hashes f's records into the cache and only then advertises the
 // cache, so a have-list never names a chunk the cache does not hold. The
 // consumer computes every key itself, from bytes its assembler verified.
+// A fill that ran to its end has the hash of every record the install was
+// decoded from, by position, and offers the install as the span source.
 // The advertisement is best-effort: a late or lost have-list only costs
 // one full stream. It reports false when the consumer closed under it.
 func (c *Consumer) fill(f *cacheFill) bool {
 	start := c.clock.Now()
+	hashes := make([]vformat.ChunkHash, len(f.recs))
 	for _, rec := range f.recs {
 		select {
 		case <-c.closed:
 			return false
 		default:
 		}
-		if h := vformat.HashChunkRecord(rec); f.owned {
+		h := vformat.HashChunkRecord(rec)
+		if f.owned {
 			c.cache.Adopt(h, rec)
 		} else {
 			c.cache.Put(h, rec)
 		}
+		if i := transport.ChunkRecordIndex(rec); i >= 0 && i < len(hashes) {
+			hashes[i] = h
+		}
 	}
 	inst.cacheFillMS.Observe(c.clock.Now().Sub(start).Milliseconds())
+	if f.header != nil {
+		// One record per chunk of a complete build means one per position;
+		// anything else (a duplicate frame) fails the count check and
+		// offers nothing — the next delta then reconciles from the cache.
+		if src, err := vformat.NewSpanSource(f.header, hashes, f.weights); err == nil {
+			c.mu.Lock()
+			c.offerSourceLocked(f.version, src)
+			c.mu.Unlock()
+		}
+	}
 	if hs := c.cache.Hashes(); len(hs) > 0 {
 		if c.link.Send(transport.NewHaveFrame(c.model, f.version, hs)) == nil {
 			inst.haveListLagMS.Observe(c.clock.Now().Sub(f.installed).Milliseconds())
@@ -1597,7 +1685,8 @@ func (c *Consumer) fill(f *cacheFill) bool {
 }
 
 // Active returns the currently installed checkpoint (nil before the
-// first update).
+// first update). It is shared and read-only, like the one Next returned
+// (the same object).
 func (c *Consumer) Active() *vformat.Checkpoint {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -309,32 +309,42 @@ func CollectChunked(ctx context.Context, header Frame, recv func() (Frame, error
 	return ckpt, nil, nil
 }
 
-// CollectChunkedDelta reconciles the delta stream opened by manifest:
-// chunks already held locally (per cache) are reused, missing-chunk
-// frames are collected from recv, and — if the stream ends with gaps
-// because this receiver advertised chunks it has since evicted — a
-// need-list is sent back through send and assembly continues with the
-// re-sent records. The checkpoint is only ever returned complete and
-// CRC-verified: a stream that cannot be finished fails with
-// ErrTornStream or ErrMissingChunk, never a torn install. send may be
-// nil when the link has no backchannel; evicted chunks then fail the
-// collect and the caller falls back to a full fetch.
+// CollectChunkedDelta reconciles the delta stream opened by manifest
+// against cache alone: CollectChunkedDeltaInto on a fresh assembler with
+// no span source. It also returns how many chunks the cache supplied.
 func CollectChunkedDelta(ctx context.Context, manifest Frame, recv func() (Frame, error), send func(Frame) error, cache *vformat.ChunkCache) (*vformat.Checkpoint, *Frame, int, error) {
-	if !IsManifestHeader(manifest) {
-		return nil, nil, 0, fmt.Errorf("transport: frame %q is not a delta-stream manifest", manifest.Key)
-	}
-	asm, err := vformat.NewManifestAssembler(manifest.Payload, cache)
+	asm, err := vformat.NewManifestAssembler(manifest.Payload, cache, nil)
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	ckpt, foreign, err := CollectChunkedDeltaInto(ctx, manifest, asm, recv, send)
+	return ckpt, foreign, asm.Reused(), err
+}
+
+// CollectChunkedDeltaInto finishes asm — the assembler the caller seeded
+// from manifest's payload, its chunk cache and, if it has one, a span
+// source — over the delta stream manifest opens: chunks already held
+// locally were placed when asm was built, missing-chunk frames are
+// collected from recv, and — if the stream ends with gaps because this
+// receiver advertised chunks it has since evicted — a need-list is sent
+// back through send and assembly continues with the re-sent records. The
+// checkpoint is only ever returned complete and CRC-verified: a stream
+// that cannot be finished fails with ErrTornStream or ErrMissingChunk,
+// never a torn install. send may be nil when the link has no backchannel;
+// evicted chunks then fail the collect and the caller falls back to a
+// full fetch.
+func CollectChunkedDeltaInto(ctx context.Context, manifest Frame, asm *vformat.ManifestAssembler, recv func() (Frame, error), send func(Frame) error) (*vformat.Checkpoint, *Frame, error) {
+	if !IsManifestHeader(manifest) {
+		return nil, nil, fmt.Errorf("transport: frame %q is not a delta-stream manifest", manifest.Key)
+	}
 	expected, err := strconv.Atoi(manifest.Meta[MetaChunkCount])
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("transport: delta manifest chunk count: %w", err)
+		return nil, nil, fmt.Errorf("transport: delta manifest chunk count: %w", err)
 	}
 	received, needSent := 0, false
 	for !asm.Complete() {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, asm.Reused(), err
+			return nil, nil, err
 		}
 		if received >= expected && !needSent {
 			// Everything the sender planned to ship arrived, yet chunks
@@ -342,31 +352,31 @@ func CollectChunkedDelta(ctx context.Context, manifest Frame, recv func() (Frame
 			// Ask for a re-send rather than assembling torn.
 			missing := asm.MissingHashes()
 			if send == nil {
-				return nil, nil, asm.Reused(), fmt.Errorf("%w: %d chunks evicted since advertisement and no backchannel",
+				return nil, nil, fmt.Errorf("%w: %d chunks evicted since advertisement and no backchannel",
 					vformat.ErrMissingChunk, len(missing))
 			}
 			if err := send(NewNeedFrame(manifest.Key, missing)); err != nil {
-				return nil, nil, asm.Reused(), fmt.Errorf("transport: need-list send: %w", err)
+				return nil, nil, fmt.Errorf("transport: need-list send: %w", err)
 			}
 			needSent = true
 		}
 		f, err := recv()
 		if err != nil {
-			return nil, nil, asm.Reused(), fmt.Errorf("transport: delta stream after %d received: %w", received, err)
+			return nil, nil, fmt.Errorf("transport: delta stream after %d received: %w", received, err)
 		}
 		if !IsChunkFrame(f) || f.Key != manifest.Key {
 			foreign := f
-			return nil, &foreign, asm.Reused(), fmt.Errorf("%w: got frame %q mid-delta-stream",
+			return nil, &foreign, fmt.Errorf("%w: got frame %q mid-delta-stream",
 				ErrTornStream, f.Key)
 		}
 		if _, err := asm.Add(f.Payload); err != nil {
-			return nil, nil, asm.Reused(), err
+			return nil, nil, err
 		}
 		received++
 	}
 	ckpt, err := asm.Checkpoint()
 	if err != nil {
-		return nil, nil, asm.Reused(), err
+		return nil, nil, err
 	}
-	return ckpt, nil, asm.Reused(), nil
+	return ckpt, nil, nil
 }

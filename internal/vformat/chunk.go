@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -83,6 +84,11 @@ type ChunkOptions struct {
 	// BaseEps is the suppression threshold used with Base (0 = exact
 	// match only).
 	BaseEps float64
+	// Lineage, when non-nil, is the value the caller keeps beside Base and
+	// passes with every encode against it: it lets Hashes inherit the hash
+	// of each chunk this encode left untouched instead of hashing the
+	// record again (see BaseLineage). Without it every record is hashed.
+	Lineage *BaseLineage
 }
 
 // normalized returns opts with defaults applied, validating Precision.
@@ -182,6 +188,49 @@ func (l *ChunkLayout) tensorAt(pos int64) int {
 	return i
 }
 
+// walkChunk calls fn for each tensor sub-span chunk idx covers, in
+// stream order: elements [lo, lo+n) of tensor ti.
+func (l *ChunkLayout) walkChunk(idx int, fn func(ti int, lo, n int64)) {
+	pos, count := l.chunkSpan(idx)
+	end := pos + int64(count)
+	ti := l.tensorAt(pos)
+	for pos < end {
+		t := &l.Tensors[ti]
+		lo := pos - t.Start
+		if lo >= t.Elems { // zero-length or exhausted tensor
+			ti++
+			continue
+		}
+		n := t.Elems - lo
+		if n > end-pos {
+			n = end - pos
+		}
+		fn(ti, lo, n)
+		pos += n
+		ti++
+	}
+}
+
+// equal reports whether o splits the same tensor directory into the same
+// chunks at the same precision — the condition under which a record of
+// one layout is a record of the other, index for index.
+func (l *ChunkLayout) equal(o *ChunkLayout) bool {
+	if l == o {
+		return true
+	}
+	if l.Precision != o.Precision || l.ChunkElems != o.ChunkElems ||
+		l.TotalElems != o.TotalElems || len(l.Tensors) != len(o.Tensors) {
+		return false
+	}
+	for i := range l.Tensors {
+		a, b := &l.Tensors[i], &o.Tensors[i]
+		if a.Name != b.Name || a.Elems != b.Elems || !slices.Equal(a.Shape, b.Shape) {
+			return false
+		}
+	}
+	return true
+}
+
 // putElems encodes vals into dst at precision p (len(dst) must be
 // len(vals) × stride).
 func putElems(dst []byte, p Precision, vals []float64) {
@@ -209,13 +258,15 @@ func putElems(dst []byte, p Precision, vals []float64) {
 // is mutated in place so the caller can hand the same snapshot to the
 // next version's encode and keep comparisons aligned with what
 // consumers actually hold (error stays bounded by eps, it does not
-// accumulate).
-func putElemsBase(dst []byte, p Precision, vals, base []float64, eps float64) {
+// accumulate). It reports whether any element moved: when none did, dst
+// holds exactly what the previous encode against base wrote for the span.
+func putElemsBase(dst []byte, p Precision, vals, base []float64, eps float64) (moved bool) {
 	switch p {
 	case PrecFloat32:
 		for i, v := range vals {
 			if d := v - base[i]; d > eps || d < -eps {
 				base[i] = float64(float32(v))
+				moved = true
 			}
 			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(float32(base[i])))
 		}
@@ -223,6 +274,7 @@ func putElemsBase(dst []byte, p Precision, vals, base []float64, eps float64) {
 		for i, v := range vals {
 			if d := v - base[i]; d > eps || d < -eps {
 				base[i] = Float16ToFloat64(Float16FromFloat64(v))
+				moved = true
 			}
 			binary.LittleEndian.PutUint16(dst[2*i:], Float16FromFloat64(base[i]))
 		}
@@ -230,10 +282,12 @@ func putElemsBase(dst []byte, p Precision, vals, base []float64, eps float64) {
 		for i, v := range vals {
 			if d := v - base[i]; d > eps || d < -eps {
 				base[i] = v
+				moved = true
 			}
 			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(base[i]))
 		}
 	}
+	return moved
 }
 
 // getElems decodes src at precision p into dst, re-expanding to float64.
@@ -257,8 +311,10 @@ func getElems(dst []float64, p Precision, src []byte) {
 // encodeChunkInto writes chunk idx's full record into dst (whose length
 // must be recordSize(idx)) in a single pass over the weights. A non-nil
 // base enables dedup suppression (see putElemsBase); distinct chunks
-// touch disjoint base spans, so concurrent workers are safe.
-func (l *ChunkLayout) encodeChunkInto(dst []byte, weights, base nn.Snapshot, eps float64, idx int) {
+// touch disjoint base spans, so concurrent workers are safe. It reports
+// whether the chunk is dirty: encoded without a base, or some element of
+// it moved.
+func (l *ChunkLayout) encodeChunkInto(dst []byte, weights, base nn.Snapshot, eps float64, idx int) (dirty bool) {
 	start, count := l.chunkSpan(idx)
 	copy(dst, chunkRecMagic)
 	binary.LittleEndian.PutUint32(dst[4:], uint32(idx))
@@ -266,30 +322,18 @@ func (l *ChunkLayout) encodeChunkInto(dst []byte, weights, base nn.Snapshot, eps
 	binary.LittleEndian.PutUint32(dst[16:], uint32(count))
 	stride := l.Precision.BytesPerElement()
 	off := chunkRecHeaderLen
-	pos := start
-	end := start + int64(count)
-	ti := l.tensorAt(pos)
-	for pos < end {
-		t := &l.Tensors[ti]
-		lo := pos - t.Start
-		if lo >= t.Elems { // zero-length or exhausted tensor
-			ti++
-			continue
+	dirty = base == nil
+	l.walkChunk(idx, func(ti int, lo, n int64) {
+		out := dst[off : off+int(n)*stride]
+		if base == nil {
+			putElems(out, l.Precision, weights[ti].Data[lo:lo+n])
+		} else if putElemsBase(out, l.Precision, weights[ti].Data[lo:lo+n], base[ti].Data[lo:lo+n], eps) {
+			dirty = true
 		}
-		n := t.Elems - lo
-		if n > end-pos {
-			n = end - pos
-		}
-		if base != nil {
-			putElemsBase(dst[off:off+int(n)*stride], l.Precision, weights[ti].Data[lo:lo+n], base[ti].Data[lo:lo+n], eps)
-		} else {
-			putElems(dst[off:off+int(n)*stride], l.Precision, weights[ti].Data[lo:lo+n])
-		}
-		off += int(n) * stride
-		pos += n
-		ti++
-	}
+		off += len(out)
+	})
 	binary.LittleEndian.PutUint32(dst[off:], crc32.ChecksumIEEE(dst[:off]))
+	return dirty
 }
 
 // decodeChunkInto verifies rec against the layout and decodes its
@@ -319,25 +363,10 @@ func (l *ChunkLayout) decodeChunkInto(weights nn.Snapshot, rec []byte) (int, err
 		return 0, fmt.Errorf("%w: chunk %d checksum mismatch", ErrCorruptChunk, idx)
 	}
 	off := chunkRecHeaderLen
-	pos := start
-	end := start + int64(count)
-	ti := l.tensorAt(pos)
-	for pos < end {
-		t := &l.Tensors[ti]
-		lo := pos - t.Start
-		if lo >= t.Elems {
-			ti++
-			continue
-		}
-		n := t.Elems - lo
-		if n > end-pos {
-			n = end - pos
-		}
+	l.walkChunk(idx, func(ti int, lo, n int64) {
 		getElems(weights[ti].Data[lo:lo+n], l.Precision, rec[off:off+int(n)*stride])
 		off += int(n) * stride
-		pos += n
-		ti++
-	}
+	})
 	return idx, nil
 }
 
@@ -540,6 +569,15 @@ type ChunkEncoder struct {
 	offs   []int       // record offsets within blob
 	hashes []ChunkHash // nil until the first Hashes call
 	done   bool
+	// Hash inheritance (opts.Lineage): dirty[i] is set once chunk i was
+	// encoded without a base or with an element that moved, and never
+	// cleared, so a second EncodeStream pass cannot launder it; inherited
+	// are the hashes EncodeStream took from the lineage under ticket gen;
+	// hashed counts the records Hashes hashed itself.
+	dirty     []bool
+	inherited []ChunkHash
+	gen       uint64
+	hashed    int
 }
 
 // NewChunkEncoder plans the chunk layout for ckpt.
@@ -564,6 +602,7 @@ func NewChunkEncoder(ckpt *Checkpoint, opts ChunkOptions) (*ChunkEncoder, error)
 	return &ChunkEncoder{
 		ckpt: ckpt, opts: opts, layout: layout,
 		header: blob[:len(header)], blob: blob, offs: offs,
+		dirty: make([]bool, layout.NumChunks),
 	}, nil
 }
 
@@ -604,7 +643,9 @@ func (e *ChunkEncoder) record(idx int) []byte {
 // chunks touch disjoint blob and base slots, so workers run it
 // concurrently.
 func (e *ChunkEncoder) encodeRecord(idx int) {
-	e.layout.encodeChunkInto(e.record(idx), e.ckpt.Weights, e.opts.Base, e.opts.BaseEps, idx)
+	if e.layout.encodeChunkInto(e.record(idx), e.ckpt.Weights, e.opts.Base, e.opts.BaseEps, idx) {
+		e.dirty[idx] = true
+	}
 }
 
 // EncodeStream encodes every chunk and calls emit(idx, record) in strict
@@ -618,6 +659,11 @@ func (e *ChunkEncoder) encodeRecord(idx int) {
 func (e *ChunkEncoder) EncodeStream(ctx context.Context, emit func(idx int, record []byte) error) error {
 	if e.blob == nil {
 		return errors.New("vformat: encoder already released")
+	}
+	if e.opts.Lineage != nil {
+		// Before the first element of the base can move: from here on the
+		// lineage is empty until Hashes refills it.
+		e.inherited, e.gen = e.opts.Lineage.take(e.opts.Base, e.layout)
 	}
 	n := e.layout.NumChunks
 	workers := e.opts.Parallelism
@@ -700,9 +746,12 @@ func (e *ChunkEncoder) EncodeStream(ctx context.Context, emit func(idx int, reco
 // Hashes returns the per-chunk content hashes (index order) after a
 // successful EncodeStream; unlike records they do not alias the blob
 // and stay valid past Release. Encoding never hashes: the first call
-// hashes every record once on the encoder's worker pool — so a publish
-// nobody plans a delta for pays no SHA-256 pass — and must therefore
-// come before Release or Detach. Not safe for concurrent use.
+// hashes on the encoder's worker pool — so a publish nobody plans a
+// delta for pays no SHA-256 pass — and must therefore come before Release
+// or Detach. With ChunkOptions.Lineage it hashes only the records of
+// dirty chunks and inherits the rest from the previous encode against the
+// same base, then leaves the result in the lineage for the next one. Not
+// safe for concurrent use.
 func (e *ChunkEncoder) Hashes() ([]ChunkHash, error) {
 	if !e.done {
 		return nil, ErrIncompleteStream
@@ -715,31 +764,112 @@ func (e *ChunkEncoder) Hashes() ([]ChunkHash, error) {
 	}
 	n := e.layout.NumChunks
 	hashes := make([]ChunkHash, n)
-	workers := e.opts.Parallelism
-	if workers > n {
-		workers = n
+	recs := make([][]byte, n)
+	for i := range recs {
+		if e.inherited != nil && !e.dirty[i] {
+			hashes[i] = e.inherited[i]
+		} else {
+			recs[i] = e.record(i)
+			e.hashed++
+		}
+	}
+	hashRecords(hashes, recs, e.opts.Parallelism)
+	e.hashes = hashes
+	if e.opts.Lineage != nil && e.opts.Base != nil {
+		e.opts.Lineage.put(e.gen, e.opts.Base, e.layout, hashes)
+	}
+	return hashes, nil
+}
+
+// HashedRecords returns how many records Hashes hashed itself; it
+// inherited the others (0 before Hashes).
+func (e *ChunkEncoder) HashedRecords() int { return e.hashed }
+
+// hashRecords fills hashes[i] with the content hash of every non-nil
+// recs[i], on up to workers goroutines (the caller is one of them).
+func hashRecords(hashes []ChunkHash, recs [][]byte, workers int) {
+	if workers > len(recs) {
+		workers = len(recs)
 	}
 	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(recs); i = int(next.Add(1)) - 1 {
+			if recs[i] != nil {
+				hashes[i] = HashChunkRecord(recs[i])
+			}
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.hashFrom(&next, hashes)
+			work()
 		}()
 	}
-	e.hashFrom(&next, hashes) // the caller is the first (or only) worker
+	work()
 	wg.Wait()
-	e.hashes = hashes
-	return hashes, nil
 }
 
-// hashFrom claims record indices off next until none are left, hashing
-// each into its own slot.
-func (e *ChunkEncoder) hashFrom(next *atomic.Int64, hashes []ChunkHash) {
-	for i := int(next.Add(1)) - 1; i < len(hashes); i = int(next.Add(1)) - 1 {
-		hashes[i] = HashChunkRecord(e.record(i))
+// BaseLineage carries one fact from an encode to the next encode against
+// the same Base: the content hash of every record the earlier one
+// produced. A chunk none of whose elements moved re-encodes the base's
+// values — the very bytes the previous encode against that base wrote for
+// it — so its hash is the previous one and Hashes does not compute it
+// again. The caller keeps one BaseLineage beside each base snapshot it
+// keeps and passes both with every encode against that base
+// (ChunkOptions.Base, ChunkOptions.Lineage); the zero value is ready.
+//
+// Beyond that pairing, validity does not rest on the caller. EncodeStream
+// takes the hashes out before it touches the base and only Hashes puts a
+// set back — and only if no other encode has started on the lineage since
+// — so an encode that was cancelled, failed or never asked for hashes
+// leaves nothing for the next one to inherit. What is put back is bound to
+// the base's backing arrays and to the chunk layout: a base that was
+// replaced (even by an equal clone), a reshaped tensor, another precision
+// or chunk size inherit nothing. Not safe for concurrent use — encodes
+// against one base mutate it and are sequential anyway.
+type BaseLineage struct {
+	gen    uint64 // bumped by every take: put honours only the latest ticket
+	base   nn.Snapshot
+	layout *ChunkLayout
+	hashes []ChunkHash
+}
+
+// take empties the lineage and returns what it held if that describes an
+// encode against this very base under an equal layout, with the ticket
+// put must present.
+func (l *BaseLineage) take(base nn.Snapshot, layout *ChunkLayout) ([]ChunkHash, uint64) {
+	hashes := l.hashes
+	if hashes != nil && !(sameArrays(l.base, base) && l.layout.equal(layout)) {
+		hashes = nil
 	}
+	l.gen++
+	l.base, l.layout, l.hashes = nil, nil, nil
+	return hashes, l.gen
+}
+
+// put records hashes as those of the encode that took ticket gen, unless
+// a later encode has begun — the base has moved on from these records.
+func (l *BaseLineage) put(gen uint64, base nn.Snapshot, layout *ChunkLayout, hashes []ChunkHash) {
+	if gen == l.gen {
+		l.base, l.layout, l.hashes = base, layout, hashes
+	}
+}
+
+// sameArrays reports whether a and b are the same tensors in memory, not
+// merely equal ones.
+func sameArrays(a, b nn.Snapshot) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i].Data, b[i].Data
+		if len(x) != len(y) || (len(x) > 0 && &x[0] != &y[0]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Blob returns the complete chunked container (header + every record)
@@ -832,17 +962,37 @@ func (a *ChunkAssembler) Layout() *ChunkLayout { return a.layout }
 // stream is now complete. Records may arrive in any order and from
 // concurrent goroutines; duplicates are ignored.
 func (a *ChunkAssembler) Add(rec []byte) (complete bool, err error) {
-	idx, err := a.layout.decodeChunkInto(a.ckpt.Weights, rec)
+	_, complete, err = a.add(rec)
+	return complete, err
+}
+
+// add is Add that also returns the index the record was decoded at.
+func (a *ChunkAssembler) add(rec []byte) (idx int, complete bool, err error) {
+	idx, err = a.layout.decodeChunkInto(a.ckpt.Weights, rec)
 	if err != nil {
-		return false, err
+		return 0, false, err
 	}
+	return idx, a.mark(idx), nil
+}
+
+// inherit fills chunk idx by copying its element span from src, a
+// snapshot decoded under an equal layout, instead of decoding a record.
+func (a *ChunkAssembler) inherit(idx int, src nn.Snapshot) {
+	a.layout.walkChunk(idx, func(ti int, lo, n int64) {
+		copy(a.ckpt.Weights[ti].Data[lo:lo+n], src[ti].Data[lo:lo+n])
+	})
+	a.mark(idx)
+}
+
+// mark records chunk idx as assembled and reports whether all are.
+func (a *ChunkAssembler) mark(idx int) (complete bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !a.got[idx] {
 		a.got[idx] = true
 		a.remaining--
 	}
-	return a.remaining == 0, nil
+	return a.remaining == 0
 }
 
 // Complete reports whether every chunk has been assembled.

@@ -3,6 +3,7 @@ package vformat
 import (
 	"context"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"runtime"
 	"strings"
@@ -93,7 +94,13 @@ func manifestFuzzInput(manifest []byte, recs ...[]byte) []byte {
 // allocate out of proportion to its input (beyond the model the header's
 // own checksummed directory declares, which the target caps), and
 // whenever the assembly completes, it must hold exactly what DecodeAuto
-// decodes from the header and the records the assembler accepted.
+// decodes from the header and the records the assembler accepted. A
+// completed assembly is then run again over a span source cut from the
+// input — the weights just assembled under the hashes of the records
+// accepted, a checksum of the input choosing which positions keep their
+// hash and which get one that matches nothing — and must inherit exactly
+// the positions whose hash the manifest shares, within the same allocation
+// bound, to the same bits.
 func FuzzManifestAssembler(f *testing.F) {
 	ckpt := chunkTestCheckpoint(3, 300)
 	blob, err := EncodeChunked(context.Background(), ckpt, ChunkOptions{Precision: PrecFloat16, ChunkBytes: 128})
@@ -136,7 +143,7 @@ func FuzzManifestAssembler(f *testing.F) {
 		if man.Layout.TotalElems > 1<<16 {
 			return // the assembler allocates the model its header declares
 		}
-		asm, err := NewManifestAssembler(in[:man.Len], NewChunkCache(0))
+		asm, err := NewManifestAssembler(in[:man.Len], NewChunkCache(0), nil)
 		if err != nil {
 			t.Fatalf("a manifest ParseManifest accepts failed to seed an assembler: %v", err)
 		}
@@ -178,16 +185,58 @@ func FuzzManifestAssembler(f *testing.F) {
 			t.Fatalf("assembled %s/v%d with %d tensors, DecodeAuto gives %s/v%d with %d",
 				got.ModelName, got.Version, len(got.Weights), want.ModelName, want.Version, len(want.Weights))
 		}
-		for i := range got.Weights {
-			g, w := got.Weights[i].Data, want.Weights[i].Data
-			if len(g) != len(w) {
-				t.Fatalf("tensor %d: %d elements assembled, %d decoded", i, len(g), len(w))
-			}
-			for j := range g {
-				if math.Float64bits(g[j]) != math.Float64bits(w[j]) {
-					t.Fatalf("tensor %d element %d: assembled %v, DecodeAuto gives %v", i, j, g[j], w[j])
+		sameBits := func(what string, got, want *Checkpoint) {
+			for i := range got.Weights {
+				g, w := got.Weights[i].Data, want.Weights[i].Data
+				if len(g) != len(w) {
+					t.Fatalf("tensor %d: %d elements assembled, %s has %d", i, len(g), what, len(w))
+				}
+				for j := range g {
+					if math.Float64bits(g[j]) != math.Float64bits(w[j]) {
+						t.Fatalf("tensor %d element %d: assembled %v, %s gives %v", i, j, g[j], what, w[j])
+					}
 				}
 			}
 		}
+		sameBits("DecodeAuto", got, want)
+
+		mask := crc32.ChecksumIEEE(in)
+		srcHashes := make([]ChunkHash, len(accepted))
+		shared := 0
+		for i, rec := range accepted {
+			if mask>>(i%32)&1 == 0 {
+				srcHashes[i] = ChunkHash{0xd1, byte(i)} // no record hashes to this
+				continue
+			}
+			if srcHashes[i] = HashChunkRecord(rec); srcHashes[i] == man.Hashes[i] {
+				shared++
+			}
+		}
+		src, err := NewSpanSource(man.Header, srcHashes, got.Weights)
+		if err != nil {
+			t.Fatalf("the assembled weights do not fit their own header: %v", err)
+		}
+		runtime.ReadMemStats(&before)
+		asm2, err := NewManifestAssembler(in[:man.Len], NewChunkCache(0), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if asm2.Inherited() != shared {
+			t.Fatalf("inherited %d positions, the source shares %d hashes with the manifest", asm2.Inherited(), shared)
+		}
+		for tail := in[man.Len:]; len(tail) >= 4; {
+			n := min(int(binary.LittleEndian.Uint32(tail)), len(tail)-4)
+			asm2.Add(tail[4 : 4+n]) // the same sequence: accepted and rejected alike
+			tail = tail[4+n:]
+		}
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(in)+1<<20); grew > limit {
+			t.Fatalf("assembling %d bytes over a source allocated %d, limit %d", len(in), grew, limit)
+		}
+		got2, err := asm2.Checkpoint()
+		if err != nil {
+			t.Fatalf("the assembly over a source did not complete: %v", err)
+		}
+		sameBits("the cache-only assembly", got2, got)
 	})
 }

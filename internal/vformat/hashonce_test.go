@@ -3,8 +3,12 @@ package vformat
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -12,7 +16,9 @@ import (
 // chunk size × parallelism: the hashes the encoder's worker pool fills on
 // the first Hashes call equal a fresh ChunkHashesOf pass over the blob
 // (and a second call returns them without hashing again), and a plan
-// built from them is byte-identical to PlanDelta's.
+// built from them is byte-identical to PlanDelta's. Then, per eps, the
+// same holds along a lineage (lineageWalk): hashes inherited through a
+// BaseLineage are the blob's, whatever happened between two encodes.
 func TestHashOncePlanProperty(t *testing.T) {
 	ckpt := chunkTestCheckpoint(7, 20_000)
 	for _, prec := range []Precision{PrecFloat64, PrecFloat32, PrecFloat16} {
@@ -82,9 +88,198 @@ func TestHashOncePlanProperty(t *testing.T) {
 					if _, _, _, err := PlanDeltaHashed(blob, append(hashes[:len(hashes):len(hashes)], ChunkHash{}), have); err == nil {
 						t.Fatal("a hash count that does not match the chunk count was accepted")
 					}
+					for _, eps := range []float64{0, 1.0 / 1024} {
+						lineageWalk(t, prec, chunkBytes, workers, eps)
+					}
 				})
 			}
 		}
+	}
+}
+
+// lineageWalk drives one training snapshot, one base and one BaseLineage
+// through a seeded random interleaving of everything that can happen
+// between two encodes — an encode that hashes, one that does not, one
+// cancelled mid-stream, one whose Hashes call comes only after a later
+// encode, the base replaced by an equal clone, a tensor reshaped, the
+// precision or chunk size changed, elements put exactly on ±eps — and
+// checks after every Hashes call that the result is ChunkHashesOf(blob)
+// hash for hash, and that the encoder hashed exactly the dirty chunks
+// whenever the previous completed, hashed encode was against the same
+// base object under the same layout (and every chunk otherwise).
+func lineageWalk(t *testing.T, prec Precision, chunkBytes, workers int, eps float64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(prec)<<40 ^ int64(chunkBytes)<<8 ^ int64(workers)<<1 ^ int64(math.Float64bits(eps)>>52)))
+	ckpt := chunkTestCheckpoint(11, 6_000)
+	weights := ckpt.Weights
+	base := weights.Clone()
+	var lineage BaseLineage
+	precisions := []Precision{PrecFloat64, PrecFloat32, PrecFloat16}
+	chunkSizes := []int{1 << 9, 1 << 12, 1 << 20}
+
+	// The oracle's view of the lineage: the layout of the last encode that
+	// completed and hashed against the current base object, if no other
+	// encode has touched that base since.
+	type layoutKey struct {
+		prec       Precision
+		chunkBytes int
+		shape      string
+	}
+	key := func() layoutKey { return layoutKey{prec, chunkBytes, fmt.Sprint(weights[2].Shape)} }
+	var inheritable bool
+	var inheritedKey layoutKey
+
+	opts := func() ChunkOptions {
+		return ChunkOptions{
+			Precision: prec, ChunkBytes: chunkBytes, Parallelism: workers,
+			Base: base, BaseEps: eps, Lineage: &lineage,
+		}
+	}
+	// dirtyChunks applies putElemsBase's predicate to the flat element
+	// stream: the chunks holding an element further than eps from its base.
+	dirtyChunks := func() int {
+		chunkElems := max(chunkBytes/prec.BytesPerElement(), 1)
+		dirty := make(map[int]bool)
+		flat := 0
+		for ti, nt := range weights {
+			for i, v := range nt.Data {
+				if d := v - base[ti].Data[i]; d > eps || d < -eps {
+					dirty[flat/chunkElems] = true
+				}
+				flat++
+			}
+		}
+		return len(dirty)
+	}
+	// step mutates the training snapshot: a few real moves, sub-eps drift
+	// on one tensor, and a few elements put exactly eps from their base.
+	onEps := 0
+	step := func() {
+		for k := rng.Intn(4); k > 0; k-- {
+			nt := weights[2+rng.Intn(3)]
+			nt.Data[rng.Intn(len(nt.Data))] += 3*eps + 0.5
+		}
+		if eps > 0 {
+			for i := range weights[3].Data {
+				weights[3].Data[i] = base[3].Data[i] + eps/8
+			}
+		}
+		for k := 0; k < 3; k++ {
+			ti := 2 + rng.Intn(3)
+			i := rng.Intn(len(weights[ti].Data))
+			v := base[ti].Data[i] + eps
+			if k%2 == 1 {
+				v = base[ti].Data[i] - eps
+			}
+			if d := v - base[ti].Data[i]; d == eps || d == -eps {
+				weights[ti].Data[i] = v
+				onEps++
+			}
+		}
+	}
+	type pending struct {
+		enc    *ChunkEncoder
+		hashed int // records its Hashes call must hash
+	}
+	// encode runs one whole encode and returns it with the oracle's count.
+	encode := func() pending {
+		want := dirtyChunks()
+		if !inheritable || inheritedKey != key() {
+			want = -1 // every chunk; the count is known once the layout is
+		}
+		enc, err := NewChunkEncoder(ckpt, opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.EncodeStream(context.Background(), nil); err != nil {
+			t.Fatal(err)
+		}
+		if want < 0 {
+			want = enc.NumChunks()
+		}
+		inheritable = false // until its Hashes call
+		return pending{enc, want}
+	}
+	// check makes p's Hashes call and holds it against the blob.
+	check := func(what string, p pending) {
+		blob, err := p.enc.Blob()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.enc.Hashes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ChunkHashesOf(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s (eps %g): Hashes differ from ChunkHashesOf(blob)", what, eps)
+		}
+		if p.enc.HashedRecords() != p.hashed {
+			t.Fatalf("%s (eps %g): hashed %d of %d records, want %d", what, eps, p.enc.HashedRecords(), len(got), p.hashed)
+		}
+	}
+
+	for i := 0; i < 40; i++ {
+		step()
+		switch op := rng.Intn(10); op {
+		default: // encode + Hashes, the steady state
+			p := encode()
+			check("encode+Hashes", p)
+			p.enc.Release()
+			inheritable, inheritedKey = true, key()
+		case 3: // encode without Hashes (a full stream in delta mode)
+			encode().enc.Release()
+		case 4: // encode cancelled mid-stream: part of the base has moved
+			ctx, cancel := context.WithCancel(context.Background())
+			enc, err := NewChunkEncoder(ckpt, opts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			stopAt := rng.Intn(enc.NumChunks())
+			err = enc.EncodeStream(ctx, func(idx int, _ []byte) error {
+				if idx == stopAt {
+					cancel()
+				}
+				return nil
+			})
+			// The last chunk's emit has nothing left to cancel.
+			if !errors.Is(err, context.Canceled) && stopAt != enc.NumChunks()-1 {
+				t.Fatalf("cancelled encode returned %v", err)
+			}
+			cancel()
+			enc.Release()
+			inheritable = false
+		case 5: // Hashes asked only after a later encode has come and gone
+			late := encode()
+			step()
+			p := encode()
+			check("encode+Hashes after an unhashed one", p)
+			p.enc.Release()
+			inheritable, inheritedKey = true, key()
+			check("late Hashes", late) // right for its own blob, and not put back
+			late.enc.Release()
+		case 6: // base replaced by an equal clone
+			base = base.Clone()
+			inheritable = false
+		case 7: // a tensor reshaped, element count kept
+			if n := len(weights[2].Data); len(weights[2].Shape) == 1 {
+				weights[2].Shape, base[2].Shape = []int{1, n}, []int{1, n}
+			} else {
+				weights[2].Shape, base[2].Shape = []int{n}, []int{n}
+			}
+		case 8: // precision or chunk size changed
+			if rng.Intn(2) == 0 {
+				prec = precisions[rng.Intn(len(precisions))]
+			} else {
+				chunkBytes = chunkSizes[rng.Intn(len(chunkSizes))]
+			}
+		}
+	}
+	if onEps == 0 {
+		t.Fatalf("eps %g: no element ever sat exactly on ±eps", eps)
 	}
 }
 

@@ -9,7 +9,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"sync"
+
+	"viper/internal/nn"
 )
 
 // Content-addressed manifests (wire format v2.1, magic VPRM0001): every
@@ -283,16 +286,19 @@ func SplitManifestRecords(blob []byte, fn func(rec []byte) error) error {
 }
 
 // ChunkHashesOf returns the ordered content hashes of every record in a
-// plain chunked blob.
+// plain chunked blob, hashed on the worker pool ChunkEncoder.Hashes uses
+// (GOMAXPROCS workers).
 func ChunkHashesOf(blob []byte) ([]ChunkHash, error) {
-	var hashes []ChunkHash
+	var recs [][]byte
 	err := WalkChunkRecords(blob, func(rec []byte) error {
-		hashes = append(hashes, HashChunkRecord(rec))
+		recs = append(recs, rec)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	hashes := make([]ChunkHash, len(recs))
+	hashRecords(hashes, recs, runtime.GOMAXPROCS(0))
 	return hashes, nil
 }
 
@@ -368,6 +374,20 @@ func (c *ChunkCache) Get(h ChunkHash) ([]byte, bool) {
 	return el.Value.(*chunkCacheEntry).rec, true
 }
 
+// Touch refreshes the recency of every hash in hashes the cache holds, in
+// order, under one lock acquisition and without reading a record: how a
+// reconciliation that did not need the bytes still tells the LRU — and so
+// the next have-list — that the chunks are in use.
+func (c *ChunkCache) Touch(hashes []ChunkHash) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, h := range hashes {
+		if el, ok := c.m[h]; ok {
+			c.ll.MoveToFront(el)
+		}
+	}
+}
+
 // Drop removes h from the cache if present (chaos drills use this to
 // simulate eviction between advertisement and delivery).
 func (c *ChunkCache) Drop(h ChunkHash) {
@@ -408,27 +428,72 @@ func (c *ChunkCache) PutAll(blob []byte) error {
 	})
 }
 
-// ManifestAssembler reconciles one manifest against locally held
-// chunks: cached records are decoded immediately, wire records are
-// added as they arrive, and the set of hashes still outstanding is
-// reported so the receiver can ask the sender to re-send chunks it
-// advertised but no longer holds. Add may be called concurrently.
-type ManifestAssembler struct {
-	man    *ChunkManifest
-	asm    *ChunkAssembler
-	cache  *ChunkCache
-	byHash map[ChunkHash]int // record bytes embed the index, so hashes are position-unique
+// SpanSource is a complete decoded checkpoint whose record hashes are
+// known position by position: what a ManifestAssembler copies unchanged
+// chunks out of instead of fetching, checking and decoding their records
+// again. Weights and hashes are shared, not copied, and must not change
+// once the source exists.
+type SpanSource struct {
+	layout  *ChunkLayout
+	hashes  []ChunkHash
+	weights nn.Snapshot
+}
 
-	mu      sync.Mutex
-	covered []bool
-	reused  int
+// NewSpanSource pairs weights with the content hashes of the records they
+// were decoded from: header is the v2 stream header those records
+// travelled under (bytes behind it are ignored, so a plain chunked blob
+// serves), hashes[i] the hash of the record at chunk index i. It fails if
+// the three do not describe the same model.
+func NewSpanSource(header []byte, hashes []ChunkHash, weights nn.Snapshot) (*SpanSource, error) {
+	layout, _, _, err := ParseChunkHeader(header)
+	if err != nil {
+		return nil, err
+	}
+	if len(hashes) != layout.NumChunks {
+		return nil, fmt.Errorf("vformat: %d hashes supplied for %d chunks", len(hashes), layout.NumChunks)
+	}
+	if len(weights) != len(layout.Tensors) {
+		return nil, fmt.Errorf("vformat: %d tensors decoded, the header lists %d", len(weights), len(layout.Tensors))
+	}
+	for i, t := range layout.Tensors {
+		if int64(len(weights[i].Data)) != t.Elems {
+			return nil, fmt.Errorf("vformat: tensor %d holds %d elements, the header says %d", i, len(weights[i].Data), t.Elems)
+		}
+	}
+	return &SpanSource{layout: layout, hashes: hashes, weights: weights}, nil
+}
+
+// ManifestAssembler reconciles one manifest against what is held locally:
+// positions a span source already holds decoded are copied from it, cached
+// records are decoded immediately, wire records are added as they arrive,
+// and the set of hashes still outstanding is reported so the receiver can
+// ask the sender to re-send chunks it advertised but no longer holds. Add
+// may be called concurrently.
+type ManifestAssembler struct {
+	man   *ChunkManifest
+	asm   *ChunkAssembler
+	cache *ChunkCache
+
+	mu sync.Mutex
+	// covered[i]: position i holds the record the manifest names there
+	// (record bytes embed the index, so a hash belongs to one position).
+	covered   []bool
+	inherited int
+	reused    int
 }
 
 // NewManifestAssembler parses the manifest section of blob (a bare
 // manifest payload or a manifest-bearing blob) and seeds the assembly
-// from cache (nil = no local chunks). Records carried by the blob
-// itself are added too.
-func NewManifestAssembler(blob []byte, cache *ChunkCache) (*ManifestAssembler, error) {
+// from what is held locally. Every position whose hash equals src's at the
+// same index under an equal layout is inherited: its element span is
+// copied out of src's decoded weights and no record is read — hash
+// equality at the index plus layout equality stand in for the record's
+// framing and CRC checks, which ran when the span being copied was decoded
+// (or inherited, inductively, from one that was). A nil src, or one laid
+// out differently, inherits nothing. Every other position is looked up in
+// cache (nil = no local chunks) and decoded through the per-record checks;
+// records carried by the blob itself are added too.
+func NewManifestAssembler(blob []byte, cache *ChunkCache, src *SpanSource) (*ManifestAssembler, error) {
 	man, err := ParseManifest(blob)
 	if err != nil {
 		return nil, err
@@ -439,26 +504,43 @@ func NewManifestAssembler(blob []byte, cache *ChunkCache) (*ManifestAssembler, e
 	}
 	a := &ManifestAssembler{
 		man: man, asm: asm, cache: cache,
-		byHash:  make(map[ChunkHash]int, len(man.Hashes)),
 		covered: make([]bool, man.Layout.NumChunks),
 	}
-	for i, h := range man.Hashes {
-		a.byHash[h] = i
+	if src != nil && src.layout.equal(man.Layout) {
+		var touched []ChunkHash
+		for i, h := range man.Hashes {
+			if h != src.hashes[i] {
+				continue
+			}
+			asm.inherit(i, src.weights)
+			a.covered[i] = true
+			a.inherited++
+			touched = append(touched, h)
+		}
+		if cache != nil {
+			// An inherited position needs no record, but the cache must see
+			// the use or the next have-list would stop naming the chunk.
+			cache.Touch(touched)
+		}
 	}
-	// Cached chunks first: decode straight into the target snapshot.
+	// Cached chunks next: decode straight into the target snapshot.
 	if cache != nil {
 		for i, h := range man.Hashes {
+			if a.covered[i] {
+				continue
+			}
 			rec, ok := cache.Get(h)
 			if !ok {
 				continue
 			}
-			if _, err := asm.Add(rec); err != nil {
+			idx, _, err := asm.add(rec)
+			if err != nil {
 				// A cached record that no longer verifies is treated as
 				// absent: the wire copy (or a re-send) will cover it.
 				cache.Drop(h)
 				continue
 			}
-			a.covered[i] = true
+			a.place(idx, h)
 			a.reused++
 		}
 	}
@@ -494,12 +576,15 @@ func (a *ManifestAssembler) addPacked(tail []byte) error {
 // Manifest returns the parsed manifest.
 func (a *ManifestAssembler) Manifest() *ChunkManifest { return a.man }
 
-// Reused returns how many chunks were satisfied from the local cache.
+// Reused returns how many chunks were decoded from cached records.
 func (a *ManifestAssembler) Reused() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.reused
 }
+
+// Inherited returns how many positions were copied from the span source.
+func (a *ManifestAssembler) Inherited() int { return a.inherited }
 
 // Add verifies and decodes one wire record, caching it for future
 // reconciliations, and reports whether assembly is now complete. Only a
@@ -507,20 +592,45 @@ func (a *ManifestAssembler) Reused() int {
 // (Put): rec may be a sub-slice of a manifest-bearing blob (addPacked) or
 // of a buffer its sender still owns.
 func (a *ManifestAssembler) Add(rec []byte) (complete bool, err error) {
-	done, err := a.asm.Add(rec)
+	idx, done, err := a.asm.add(rec)
 	if err != nil {
 		return false, err
 	}
 	h := HashChunkRecord(rec)
 	a.mu.Lock()
-	if idx, ok := a.byHash[h]; ok {
-		a.covered[idx] = true
-	}
+	a.place(idx, h)
 	a.mu.Unlock()
 	if a.cache != nil {
 		a.cache.Put(h, rec)
 	}
 	return done, nil
+}
+
+// place notes that the record hashing to h was decoded at position idx.
+// covered is assigned, not only set: a record other than the manifest's
+// landing on a covered position uncovers it, so MissingHashes and Source
+// describe what the weights hold now. a.mu must be held (or a still
+// private to its constructor).
+func (a *ManifestAssembler) place(idx int, h ChunkHash) {
+	a.covered[idx] = h == a.man.Hashes[idx]
+}
+
+// Source returns the finished assembly as a span source for the next
+// manifest — the manifest's hashes over the assembled weights — or nil
+// while chunks are outstanding or if any position holds a record other
+// than the one the manifest names.
+func (a *ManifestAssembler) Source() *SpanSource {
+	if !a.asm.Complete() {
+		return nil
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, c := range a.covered {
+		if !c {
+			return nil
+		}
+	}
+	return &SpanSource{layout: a.man.Layout, hashes: a.man.Hashes, weights: a.asm.ckpt.Weights}
 }
 
 // Complete reports whether every chunk has been assembled.
@@ -553,7 +663,7 @@ func ReconcileBlob(ctx context.Context, blob []byte, cache *ChunkCache) (*Checkp
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	a, err := NewManifestAssembler(blob, cache)
+	a, err := NewManifestAssembler(blob, cache, nil)
 	if err != nil {
 		return nil, 0, err
 	}

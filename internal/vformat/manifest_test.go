@@ -104,7 +104,9 @@ func TestDecodeAutoManifestBlob(t *testing.T) {
 
 // TestReconcileProperty sweeps chunk size × precision × edit distance
 // and asserts the reconciled checkpoint is byte-identical to the full
-// decode of the same version — the tentpole's correctness invariant.
+// decode of the same version — the tentpole's correctness invariant —
+// whether the unchanged chunks were decoded from cached records or
+// inherited from a span source, down a chain of versions.
 func TestReconcileProperty(t *testing.T) {
 	for _, chunkBytes := range []int{512, 4 << 10, 64 << 10} {
 		for _, prec := range []Precision{PrecFloat64, PrecFloat32, PrecFloat16} {
@@ -156,17 +158,246 @@ func TestReconcileProperty(t *testing.T) {
 					}
 					// Byte identity: both decodes must match exactly, no
 					// precision tolerance — they decode the same wire bytes.
-					for i := range full.Weights {
-						if !bytes.Equal(f64bytes(full.Weights[i].Data), f64bytes(rec.Weights[i].Data)) {
-							t.Fatalf("tensor %s: reconciled weights differ from full decode", full.Weights[i].Name)
-						}
-					}
+					assertSameBits(t, "reconciled v2 vs full decode", full.Weights, rec.Weights)
 					if rec.Version != v2.Version || rec.Iteration != v2.Iteration {
 						t.Fatalf("metadata mismatch: %+v", rec)
 					}
+
+					// The same delta over a span source — v1 as decoded, under
+					// its record hashes — and a cache that has lost every
+					// record: each elided position is inherited, none decoded.
+					full1, err := DecodeChunked(context.Background(), blob1, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					hashes1, err := ChunkHashesOf(blob1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					src, err := NewSpanSource(blob1, hashes1, full1.Weights)
+					if err != nil {
+						t.Fatal(err)
+					}
+					asm, err := NewManifestAssembler(delta, NewChunkCache(0), src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if asm.Inherited() != len(hashes2)-carried || asm.Reused() != 0 || !asm.Complete() {
+						t.Fatalf("over a source: inherited %d, cache-decoded %d, complete %v; want %d, 0, true",
+							asm.Inherited(), asm.Reused(), asm.Complete(), len(hashes2)-carried)
+					}
+					inherited, err := asm.Checkpoint()
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameBits(t, "inherited v2 vs cache-only v2", rec.Weights, inherited.Weights)
+
+					// Down the chain: v3 over the source the v2 assembly leaves.
+					v3 := &Checkpoint{
+						ModelName: v1.ModelName, Version: v2.Version + 1,
+						Weights: mutateElems(v2.Weights, edits, int64(edits)+4),
+					}
+					blob3, hashes3 := encodeFull(t, v3, opts)
+					held2 := map[ChunkHash]bool{}
+					for _, h := range hashes2 {
+						held2[h] = true
+					}
+					delta3, _, carried3, _, err := BuildManifestBlob(blob3, func(h ChunkHash) bool { return held2[h] })
+					if err != nil {
+						t.Fatal(err)
+					}
+					src2 := asm.Source()
+					if src2 == nil {
+						t.Fatal("a complete assembly of the manifest's own records offers no source")
+					}
+					asm3, err := NewManifestAssembler(delta3, nil, src2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if asm3.Inherited() != len(hashes3)-carried3 {
+						t.Fatalf("v3 inherited %d positions, want %d", asm3.Inherited(), len(hashes3)-carried3)
+					}
+					got3, err := asm3.Checkpoint()
+					if err != nil {
+						t.Fatal(err)
+					}
+					full3, err := DecodeChunked(context.Background(), blob3, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameBits(t, "v3 inherited from v2's assembly vs full decode", full3.Weights, got3.Weights)
 				})
 			}
 		}
+	}
+}
+
+// assertSameBits fails unless two snapshots hold bit-identical data.
+func assertSameBits(t *testing.T, what string, want, got nn.Snapshot) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d tensors vs %d", what, len(want), len(got))
+	}
+	for i := range want {
+		if !bytes.Equal(f64bytes(want[i].Data), f64bytes(got[i].Data)) {
+			t.Fatalf("%s: tensor %s differs", what, want[i].Name)
+		}
+	}
+}
+
+// TestSpanSourceFallsBack: a source the manifest cannot be matched against
+// — none, another precision, another chunk size, another tensor directory
+// — inherits nothing, and one whose hash differs at a position inherits
+// all but that position; what is not inherited comes from the cache as it
+// always did, and the assembly is bit-identical either way. A source
+// never completes a position by itself being wrong: hashes decide.
+func TestSpanSourceFallsBack(t *testing.T) {
+	opts := ChunkOptions{Precision: PrecFloat32, ChunkBytes: 1 << 10}
+	v1 := chunkTestCheckpoint(8, 5_000)
+	blob1, hashes1 := encodeFull(t, v1, opts)
+	v2 := &Checkpoint{ModelName: v1.ModelName, Version: v1.Version + 1, Weights: mutateElems(v1.Weights, 3, 5)}
+	blob2, hashes2 := encodeFull(t, v2, opts)
+	held := map[ChunkHash]bool{}
+	for _, h := range hashes1 {
+		held[h] = true
+	}
+	delta, _, carried, _, err := BuildManifestBlob(blob2, func(h ChunkHash) bool { return held[h] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	elided := len(hashes2) - carried
+	want, err := DecodeChunked(context.Background(), blob2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// sourceOf decodes ckpt's encoding under o into a span source.
+	sourceOf := func(ckpt *Checkpoint, o ChunkOptions) *SpanSource {
+		t.Helper()
+		blob, hashes := encodeFull(t, ckpt, o)
+		dec, err := DecodeChunked(context.Background(), blob, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := NewSpanSource(blob, hashes, dec.Weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	renamed := &Checkpoint{ModelName: v1.ModelName, Version: v1.Version, Weights: v1.Weights.Clone()}
+	renamed.Weights[2].Name = "other"
+	reshaped := &Checkpoint{ModelName: v1.ModelName, Version: v1.Version, Weights: v1.Weights.Clone()}
+	reshaped.Weights[2].Shape = []int{1, len(reshaped.Weights[2].Data)}
+	// Same layout, but position 0's hash is another record's: the span
+	// there is v1's all the same, and must not be taken on that say-so.
+	offByOne := sourceOf(v1, opts)
+	offByOne.hashes = append([]ChunkHash{{0xee}}, offByOne.hashes[1:]...)
+	if hashes2[0] != hashes1[0] {
+		t.Fatal("set-up: chunk 0 was meant to be unchanged")
+	}
+
+	for _, tc := range []struct {
+		name      string
+		src       *SpanSource
+		inherited int
+	}{
+		{"matching source", sourceOf(v1, opts), elided},
+		{"nil source", nil, 0},
+		{"other precision", sourceOf(v1, ChunkOptions{Precision: PrecFloat64, ChunkBytes: 2 << 10}), 0},
+		{"other chunk size", sourceOf(v1, ChunkOptions{Precision: PrecFloat32, ChunkBytes: 2 << 10}), 0},
+		{"tensor renamed", sourceOf(renamed, opts), 0},
+		{"tensor reshaped", sourceOf(reshaped, opts), 0},
+		{"hash differs at one position", offByOne, elided - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := NewChunkCache(0)
+			if err := cache.PutAll(blob1); err != nil {
+				t.Fatal(err)
+			}
+			asm, err := NewManifestAssembler(delta, cache, tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if asm.Inherited() != tc.inherited || asm.Reused() != elided-tc.inherited || !asm.Complete() {
+				t.Fatalf("inherited %d, cache-decoded %d, complete %v; want %d, %d, true",
+					asm.Inherited(), asm.Reused(), asm.Complete(), tc.inherited, elided-tc.inherited)
+			}
+			got, err := asm.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameBits(t, tc.name, want.Weights, got.Weights)
+			// Inherited or decoded, the cache saw every chunk of v2 used:
+			// they are the most recent entries, whatever the order among them.
+			recent := map[ChunkHash]bool{}
+			for _, h := range cache.Hashes()[:len(hashes2)] {
+				recent[h] = true
+			}
+			for i, h := range hashes2 {
+				if !recent[h] {
+					t.Fatalf("chunk %d of v2 is not among the cache's %d most recent entries", i, len(hashes2))
+				}
+			}
+		})
+	}
+
+	if _, err := NewSpanSource(blob1, hashes1[1:], want.Weights); err == nil {
+		t.Fatal("a source with a hash short was accepted")
+	}
+	if _, err := NewSpanSource(blob1, hashes1, want.Weights[1:]); err == nil {
+		t.Fatal("a source with a tensor short was accepted")
+	}
+}
+
+// TestForeignRecordWithdrawsTheSource: a well-formed record of the same
+// layout but other content, landing on a position the manifest names
+// another record for, leaves that position uncovered — the assembly no
+// longer vouches for its weights and offers no span source, so the foreign
+// span cannot be inherited into later versions under the manifest's hash.
+func TestForeignRecordWithdrawsTheSource(t *testing.T) {
+	opts := ChunkOptions{ChunkBytes: 1 << 10}
+	v1 := chunkTestCheckpoint(9, 2_000)
+	blob1, _ := encodeFull(t, v1, opts)
+	other := chunkTestCheckpoint(10, 2_000)
+	otherBlob, _ := encodeFull(t, other, opts)
+	manifest, recs, _, _, err := PlanDelta(blob1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var foreign [][]byte
+	if err := WalkChunkRecords(otherBlob, func(rec []byte) error { foreign = append(foreign, rec); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	asm, err := NewManifestAssembler(manifest, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asm.Source() != nil {
+		t.Fatal("an assembly with every chunk outstanding offers a source")
+	}
+	for _, rec := range recs {
+		if _, err := asm.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if asm.Source() == nil {
+		t.Fatal("a complete assembly of the manifest's records offers no source")
+	}
+	if _, err := asm.Add(foreign[1]); err != nil {
+		t.Fatal(err)
+	}
+	if asm.Source() != nil {
+		t.Fatal("the assembly still offers a source with a foreign record decoded at position 1")
+	}
+	if missing := asm.MissingHashes(); len(missing) != 1 || missing[0] != HashChunkRecord(recs[1]) {
+		t.Fatalf("missing = %v, want position 1's hash back on the need-list", missing)
+	}
+	if _, err := asm.Add(recs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if asm.Source() == nil {
+		t.Fatal("re-adding the manifest's record did not restore the source")
 	}
 }
 
@@ -274,7 +505,7 @@ func TestManifestAssemblerChaosResend(t *testing.T) {
 		t.Skip("not enough reused chunks to evict")
 	}
 
-	asm, err := NewManifestAssembler(delta, cache)
+	asm, err := NewManifestAssembler(delta, cache, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
