@@ -45,23 +45,37 @@ go test -race -count=1 \
     ./internal/kvstore/ ./internal/coupled/ ./internal/relay/ \
     ./internal/metrics/ ./internal/chunkstore/
 
-# Code ordered by notifications, gates and reference counts, not by one
+# Code ordered by notifications, gates and snapshots, not by one
 # goroutine's program order: one -race pass sees one interleaving, so
 # the consumer's builder and the producer's stage flusher (ISSUE 16), the
 # consumer's cache filler, the relay's streamed read-through and the
 # store's pinned reads (ISSUE 18), the span source — who offers it, who
 # reads it while a serving thread holds the same checkpoint, what still
-# takes the need-list (ISSUE 19) — run five more times and the in-process
-# link's latest-wins queue (ISSUE 17) ten.
-echo "==> builder + stage flusher + cache filler + span source + read-through + link queue interleavings (-race -count=5/10)"
-go test -race -count=5 -run \
-    'TestParkedBuildWaitsForItsNotification|TestInterruptedStreamNeverInstalls|TestStalledStreamIsAbandoned|TestStagePendingWindow|TestDefaultConsumerBuildsBigStreams|TestBacklogInstallsInOrderFromTheLink|TestPublishErrorPathsBalanceTheBlob|TestNeedAnswerRacesNextPublish|TestFillRunsBehindTheInstall|TestDroppedParkedBuildIsNeverHashed|TestWaitingFillIsSuperseded|TestCloseAbandonsTheFill|TestStagedInstallFillsBehind|TestLateHaveListCostsOneFullStream|TestOnlyVerifiedRecordsAreCached|TestParkedBudgetCountsWireRecords|TestDeltaCacheEvictionRecovers|TestABADrillKeepsTheNeedListPath|TestSupersededFillOffersNoSource|TestReaderHoldsActiveWhileBuilderInherits' \
-    ./internal/remote/
-go test -race -count=5 -run \
-    'TestStoreReadFailsMidStream|TestChunkInNeitherTierRefusedBeforeFirstFrame|TestNewerCommitAbortsReadThrough|TestConcurrentJoinersReadThrough|TestMixedResidentAndDiskRecordsServeInOrder|TestReadThroughInstruments' \
-    ./internal/relay/
-go test -race -count=5 -run 'TestWriterModel|TestReadChunkHoldsNoLockAcrossTheRead' ./internal/chunkstore/
-go test -race -count=10 -run TestPropLatestWinsQueue ./internal/transport/
+# takes the need-list (ISSUE 19) — and the relay's lock-free readers of
+# committed versions: fan-outs frozen across replacement, eviction and
+# demotion, and the seeded sequence (ISSUE 20) — run five more times and
+# the in-process link's latest-wins queue (ISSUE 17) ten.
+#
+# The lists are kept by hand, so a name that matches no test — a rename,
+# a deletion — fails the gate instead of silently rerunning one test fewer.
+rerun() {
+    count=$1 pkg=$2 names=$3
+    tests=$(go test -list . "$pkg")
+    for name in $(echo "$names" | tr '|' ' '); do
+        if ! echo "$tests" | grep -Eq "$name"; then
+            echo "ci.sh: the rerun list for $pkg names $name, which matches no test" >&2
+            exit 1
+        fi
+    done
+    go test -race -count="$count" -run "$names" "$pkg"
+}
+echo "==> builder + stage flusher + cache filler + span source + read-through + immutable versions + link queue interleavings (-race -count=5/10)"
+rerun 5 ./internal/remote/ \
+    'TestParkedBuildWaitsForItsNotification|TestInterruptedStreamNeverInstalls|TestStalledStreamIsAbandoned|TestStagePendingWindow|TestDefaultConsumerBuildsBigStreams|TestBacklogInstallsInOrderFromTheLink|TestPublishErrorPathsBalanceTheBlob|TestNeedAnswerRacesNextPublish|TestFillRunsBehindTheInstall|TestDroppedParkedBuildIsNeverHashed|TestWaitingFillIsSuperseded|TestCloseAbandonsTheFill|TestStagedInstallFillsBehind|TestLateHaveListCostsOneFullStream|TestOnlyVerifiedRecordsAreCached|TestParkedBudgetCountsWireRecords|TestDeltaCacheEvictionRecovers|TestABADrillKeepsTheNeedListPath|TestSupersededFillOffersNoSource|TestReaderHoldsActiveWhileBuilderInherits'
+rerun 5 ./internal/relay/ \
+    'TestStoreReadFailsMidStream|TestChunkInNeitherTierRefusedBeforeFirstFrame|TestNewerCommitAbortsReadThrough|TestConcurrentJoinersReadThrough|TestMixedResidentAndDiskRecordsServeInOrder|TestReadThroughInstruments|TestFrozenFanoutSurvivesSameVnumReplacement|TestFrozenFanoutAcrossEviction|TestFrozenFanoutAcrossDemotion|TestSeededSequenceKeepsInvariants'
+rerun 5 ./internal/chunkstore/ 'TestWriterModel|TestReadChunkHoldsNoLockAcrossTheRead'
+rerun 10 ./internal/transport/ TestPropLatestWinsQueue
 
 # The allocation budgets — publish path (ISSUE 13) and cold join (ISSUE
 # 18) — rerun uncached and WITHOUT the race detector: under -race

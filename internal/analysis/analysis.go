@@ -104,7 +104,6 @@ func All() []*Analyzer {
 		PoolOwn,
 		SimclockPurity,
 		SpinLoop,
-		SummaryDrift,
 		WaitMisuse,
 	}
 }

@@ -63,12 +63,14 @@ type callPattern struct {
 
 // ownRule is one acquire/release protocol.
 type ownRule struct {
-	// key is the rule's short identifier in //vet:summary directives
-	// ("blob", "encoder", "pin", "storewriter").
+	// key is the rule's short identifier ("blob", "encoder",
+	// "storewriter").
 	key string
 	// what names the tracked resource in diagnostics ("pooled blob",
-	// "pin", "store write handle").
-	what     string
+	// "store write handle").
+	what string
+	// acquires yield the token as their first result (tokenResult);
+	// releases take it as first argument or receiver.
 	acquires []callPattern
 	releases []callPattern
 	// scope restricts the rule to these import paths; nil means every
@@ -77,16 +79,11 @@ type ownRule struct {
 	// handleToken marks rules whose token is a long-lived handle (a
 	// chunk encoder, a store write handle): method calls on the token are
 	// ordinary uses, not ownership transfers. Value tokens (a pooled
-	// blob, a pinned version) escape when they reach any untabled call.
+	// blob) escape when they reach any untabled call.
 	handleToken bool
-	// reportUnacquired enables the release-without-dominating-acquire
-	// check for locals provably born in this function (composite
-	// literal / new); releasing those cannot be balancing an acquire
-	// made elsewhere.
-	reportUnacquired bool
 
 	// Diagnostic templates; each receives the variable name.
-	leakMsg, doubleMsg, useAfterMsg, unacquiredMsg string
+	leakMsg, doubleMsg, useAfterMsg string
 	// rebindMsg, when non-empty, enables the defer-capture check:
 	// reassigning a variable whose release is pending via a direct
 	// `defer release(v)` (argument already evaluated) is reported.
@@ -288,7 +285,6 @@ type ownEngine struct {
 	pass    *Pass
 	rule    *ownRule
 	tracked map[*types.Var]bool
-	fresh   map[*types.Var]bool
 	// sums are the per-function ownership summaries (DESIGN §7c) the
 	// engine consults at call sites so a tracked token survives helper
 	// calls; nil disables the inter-procedural layer.
@@ -356,9 +352,6 @@ func analyzeOwnership(pass *Pass, rule *ownRule, scope ast.Node, body *ast.Block
 		return
 	}
 	e.exempt = acquireContractParams(pass, scope, sums)
-	if rule.reportUnacquired {
-		e.fresh = findFreshLocals(pass.Info, body)
-	}
 	e.reporting = true
 	e.runFlow(body)
 }
@@ -435,11 +428,7 @@ func (e *ownEngine) collectTracked(scope ast.Node, body *ast.BlockStmt) map[*typ
 			if !matchCall(e.pass.Info, call, p) {
 				continue
 			}
-			if p.token == tokenResult {
-				consider(assignedVar(e.pass.Info, body, call))
-			} else {
-				consider(callToken(e.pass.Info, call, p))
-			}
+			consider(assignedVar(e.pass.Info, body, call))
 		}
 		for _, p := range e.rule.releases {
 			if matchCall(e.pass.Info, call, p) {
@@ -504,69 +493,6 @@ func assignedVar(info *types.Info, body *ast.BlockStmt, call *ast.CallExpr) *typ
 		return true
 	})
 	return found
-}
-
-// findFreshLocals returns variables assigned exactly once, from a
-// composite literal or new(): objects born here, which no other
-// function can have acquired on our behalf.
-func findFreshLocals(info *types.Info, body *ast.BlockStmt) map[*types.Var]bool {
-	writes := map[*types.Var]int{}
-	fresh := map[*types.Var]bool{}
-	note := func(lhs, rhs ast.Expr) {
-		v := identVar(info, lhs)
-		if v == nil {
-			return
-		}
-		writes[v]++
-		if rhs != nil && isFreshExpr(rhs) {
-			fresh[v] = true
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, lh := range n.Lhs {
-				var rh ast.Expr
-				if len(n.Rhs) == len(n.Lhs) {
-					rh = n.Rhs[i]
-				}
-				note(lh, rh)
-			}
-		case *ast.ValueSpec:
-			for i, name := range n.Names {
-				var rh ast.Expr
-				if i < len(n.Values) {
-					rh = n.Values[i]
-				}
-				note(name, rh)
-			}
-		}
-		return true
-	})
-	out := map[*types.Var]bool{}
-	for v := range fresh {
-		if writes[v] == 1 {
-			out[v] = true
-		}
-	}
-	return out
-}
-
-func isFreshExpr(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			_, ok := ast.Unparen(e.X).(*ast.CompositeLit)
-			return ok
-		}
-	case *ast.CallExpr:
-		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
-			return id.Name == "new"
-		}
-	}
-	return false
 }
 
 // --- transfer function -------------------------------------------------
@@ -865,16 +791,9 @@ func (e *ownEngine) applyRelease(v *types.Var, pos token.Pos, st *flowState) {
 				return
 			}
 		}
-		if e.rule.reportUnacquired && e.fresh[v] {
-			if e.reporting {
-				e.pass.Reportf(pos, e.rule.unacquiredMsg, v.Name())
-			}
-			st.vals[v] = stReleased
-		} else {
-			// Probably acquired by whoever handed it to us; not ours to
-			// judge intra-procedurally.
-			st.vals[v] = stEscaped
-		}
+		// Probably acquired by whoever handed it to us; not ours to
+		// judge intra-procedurally.
+		st.vals[v] = stEscaped
 	}
 }
 
@@ -938,18 +857,12 @@ func (e *ownEngine) call(x *ast.CallExpr, st *flowState) {
 			return
 		}
 	}
-	if p, ok := e.matchAny(x, e.rule.acquires); ok {
+	if _, ok := e.matchAny(x, e.rule.acquires); ok {
 		for _, a := range x.Args {
 			e.scanExpr(a, st)
 		}
-		// Expression-form acquire: receiver and argument tokens bind here
-		// (r.pin(v) returns nothing). Discarded result tokens are ignored —
+		// Expression-form acquire: the result token is discarded —
 		// silence.
-		if p.token == tokenRecv || p.token == tokenArg {
-			if tok := callToken(e.pass.Info, x, p); tok != nil && e.tracked[tok] {
-				st.vals[tok] = stHeld
-			}
-		}
 		return
 	}
 	// Reading builtins and string conversions copy out of the value;

@@ -90,8 +90,6 @@ func TestGoldenPoolOwn(t *testing.T) {
 }
 
 func TestGoldenPairBalance(t *testing.T) {
-	runGolden(t, PairBalance, "testdata/src/pairbalance/pin", "viper/internal/relay")
-	runGolden(t, PairBalance, "testdata/src/pairbalance/chunkref", "viper/internal/relay")
 	runGolden(t, PairBalance, "testdata/src/pairbalance/storewriter", "viper/internal/relay")
 }
 
@@ -197,8 +195,4 @@ func TestGoldenLockOrder(t *testing.T) {
 
 func TestGoldenChanLife(t *testing.T) {
 	runGolden(t, ChanLife, "testdata/src/chanlife", "viper/internal/pubsub")
-}
-
-func TestGoldenSummaryDrift(t *testing.T) {
-	runGolden(t, SummaryDrift, "testdata/src/summarydrift", "viper/internal/metrics")
 }

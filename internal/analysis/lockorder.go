@@ -12,8 +12,7 @@
 //
 // Each edge that participates in a cycle is reported in the package
 // that created it, so a cross-package cycle surfaces once per
-// contributing site. //lint:ignore lockorder waivers apply per site;
-// //vet:summary locks directives adjust a helper's propagated set.
+// contributing site. //lint:ignore lockorder waivers apply per site.
 
 package analysis
 

@@ -22,8 +22,7 @@
 // intersection joins (must-held: silence over noise), a silent fixpoint,
 // and a single recording replay. Bodies the CFG cannot model (goto)
 // fall back to a flow-free scan that keeps the acquire set sound but
-// records no edges. A //vet:summary locks directive replaces a
-// function's propagated acquire set; summarydrift keeps it honest.
+// records no edges.
 
 package analysis
 
@@ -48,11 +47,8 @@ type lockEdge struct {
 // lockGraph is the module-wide acquisition-order graph.
 type lockGraph struct {
 	edges []lockEdge
-	// acquires is the consumption set per function: declared (//vet:summary
-	// locks) when present, inferred otherwise.
+	// acquires is the inferred acquire set per function.
 	acquires map[*types.Func]map[string]bool
-	// inferred keeps the inference-only sets for summarydrift.
-	inferred map[*types.Func]map[string]bool
 	// cycleEdges are the edges participating in an acquisition-order
 	// cycle (two-lock SCCs and self-loops): each is a potential deadlock.
 	cycleEdges []lockEdge
@@ -75,34 +71,18 @@ func (prog *Program) lockGraphInfo() *lockGraph {
 	}
 	prog.lockBuilt = true
 	prog.build()
-	g := &lockGraph{
-		acquires: make(map[*types.Func]map[string]bool),
-		inferred: make(map[*types.Func]map[string]bool),
-	}
+	g := &lockGraph{acquires: make(map[*types.Func]map[string]bool)}
 	for _, pf := range prog.order {
 		if !lockorderScope[pf.pkg.ImportPath] {
 			continue
 		}
 		acq, edges := lockFlowRun(pf, g.acquires)
 		g.edges = append(g.edges, edges...)
-		g.inferred[pf.fn] = acq
-		if d := prog.declaredLocks(pf.fn); d != nil {
-			acq = d.lockSet()
-		}
 		g.acquires[pf.fn] = acq
 	}
 	g.findCycles()
 	prog.lockInfo = g
 	return g
-}
-
-// lockSet materializes a declared locks summary as an identity set.
-func (d *declaredSummary) lockSet() map[string]bool {
-	set := make(map[string]bool, len(d.lockIDs))
-	for _, id := range d.lockIDs {
-		set[id] = true
-	}
-	return set
 }
 
 // lockIDOf resolves a mutex receiver expression to its global identity,

@@ -51,10 +51,7 @@ type Program struct {
 	// all functions it (transitively) calls, except within its own SCC.
 	order []*progFunc
 
-	ownSums  map[*ownRule]map[*types.Func]*ownSummary
-	ownInfs  map[*ownRule]map[*types.Func]*ownSummary
-	declSums map[*types.Func][]declaredSummary
-	declErrs []Diagnostic
+	ownSums map[*ownRule]map[*types.Func]*ownSummary
 
 	lockBuilt bool
 	lockInfo  *lockGraph
@@ -110,7 +107,6 @@ func (prog *Program) build() {
 		}
 	}
 	prog.computeSCCs()
-	prog.parseDeclaredSummaries()
 }
 
 // calleesOf collects the module-local functions pf's body calls

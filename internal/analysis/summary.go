@@ -10,7 +10,7 @@
 //	            retains the token; the caller's obligation survives the
 //	            call (this is the v3 blind spot the layer removes)
 //	acquires  — the callee creates an obligation the caller now owes
-//	            (param: pin-style; result: returns a held token)
+//	            (result: returns a held token)
 //	releases  — the callee discharges the caller's obligation
 //	transfers — the callee retains/aliases the token; the caller must
 //	            stop tracking (store, send, return, closure capture)
@@ -18,21 +18,11 @@
 // Summaries are inferred bottom-up in SCC order by running the same
 // CFG+fixpoint engine as the analyzers with reporting disabled, seeding
 // token-typed parameters and recording their joined state at every
-// exit. Recursive functions and unsupported CFGs stay opaque. A
-// function may instead declare its summary by hand with a
-// //vet:summary directive (consumed in preference to inference); the
-// summarydrift analyzer keeps such declarations honest.
+// exit. Recursive functions and unsupported CFGs stay opaque.
 
 package analysis
 
-import (
-	"fmt"
-	"go/ast"
-	"go/token"
-	"go/types"
-	"strconv"
-	"strings"
-)
+import "go/types"
 
 type ownEffect uint8
 
@@ -56,20 +46,6 @@ func (e ownEffect) String() string {
 		return "transfers"
 	}
 	return "opaque"
-}
-
-func effectFromString(s string) (ownEffect, bool) {
-	switch s {
-	case "none":
-		return effNone, true
-	case "acquires":
-		return effAcquires, true
-	case "releases":
-		return effReleases, true
-	case "transfers":
-		return effTransfers, true
-	}
-	return effOpaque, false
 }
 
 // ownSummary is one function's per-rule ownership effects.
@@ -110,23 +86,6 @@ func (s *ownSummary) interesting() bool {
 		}
 	}
 	return false
-}
-
-// allOwnRules returns every ownership rule the summary layer serves.
-func allOwnRules() []*ownRule {
-	var all []*ownRule
-	all = append(all, poolownRules...)
-	all = append(all, pairbalanceRules...)
-	return all
-}
-
-func ownRuleByKey(key string) *ownRule {
-	for _, r := range allOwnRules() {
-		if r.key == key {
-			return r
-		}
-	}
-	return nil
 }
 
 // tokenTypesOf resolves the rule's acquire/release patterns against the
@@ -222,13 +181,11 @@ func typeMatchesToken(t types.Type, toks []types.Type) bool {
 	return false
 }
 
-// ownSummariesFor returns the consumption summaries (declared preferred
-// over inferred) for every function in the batch, computing and caching
-// them on first use.
+// ownSummariesFor returns the inferred summaries worth consuming for
+// every function in the batch, computing and caching them on first use.
 func (prog *Program) ownSummariesFor(rule *ownRule) map[*types.Func]*ownSummary {
 	if prog.ownSums == nil {
 		prog.ownSums = make(map[*ownRule]map[*types.Func]*ownSummary)
-		prog.ownInfs = make(map[*ownRule]map[*types.Func]*ownSummary)
 	}
 	if sums, ok := prog.ownSums[rule]; ok {
 		return sums
@@ -236,30 +193,16 @@ func (prog *Program) ownSummariesFor(rule *ownRule) map[*types.Func]*ownSummary 
 	prog.build()
 	toks := prog.tokenTypesOf(rule)
 	sums := make(map[*types.Func]*ownSummary)
-	infs := make(map[*types.Func]*ownSummary)
 	for _, pf := range prog.order {
-		var inferred *ownSummary
-		if !pf.recursive() {
-			inferred = inferOwnSummary(pf, rule, toks, sums)
+		if pf.recursive() {
+			continue
 		}
-		if inferred != nil {
-			infs[pf.fn] = inferred
-		}
-		if d := prog.declaredOwn(pf.fn, rule.key); d != nil {
-			sums[pf.fn] = d.toOwnSummary(pf.fn)
-		} else if inferred.interesting() {
+		if inferred := inferOwnSummary(pf, rule, toks, sums); inferred.interesting() {
 			sums[pf.fn] = inferred
 		}
 	}
 	prog.ownSums[rule] = sums
-	prog.ownInfs[rule] = infs
 	return sums
-}
-
-// inferredOwnFor exposes the inference-only results for summarydrift.
-func (prog *Program) inferredOwnFor(rule *ownRule) map[*types.Func]*ownSummary {
-	prog.ownSummariesFor(rule)
-	return prog.ownInfs[rule]
 }
 
 // ownInference accumulates per-exit facts while the engine replays a
@@ -398,174 +341,4 @@ func paramEffect(exit ownState, deferReleased, exitSeen bool) ownEffect {
 		return effReleases
 	}
 	return effTransfers
-}
-
-// --- declared summaries (//vet:summary) --------------------------------
-
-// declaredSummary is one parsed //vet:summary directive.
-type declaredSummary struct {
-	pos    token.Pos
-	domain string // "own" or "locks"
-
-	// own domain
-	ruleKey string
-	slots   map[string]ownEffect // "recv", "result", "param<N>"
-
-	// locks domain
-	lockIDs   []string // nil with locksNone=false never happens post-parse
-	locksNone bool
-}
-
-const summaryDirective = "//vet:summary"
-
-// parseSummaryDirectives extracts the //vet:summary directives from one
-// function's doc comment. Malformed directives come back as error
-// strings paired with their positions so summarydrift can report them.
-func parseSummaryDirectives(doc *ast.CommentGroup) (decls []declaredSummary, errs []summaryParseError) {
-	if doc == nil {
-		return nil, nil
-	}
-	for _, c := range doc.List {
-		rest, ok := strings.CutPrefix(c.Text, summaryDirective)
-		if !ok {
-			continue
-		}
-		if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-			continue
-		}
-		d, err := parseSummaryText(strings.TrimSpace(rest))
-		if err != "" {
-			errs = append(errs, summaryParseError{pos: c.Pos(), msg: err})
-			continue
-		}
-		d.pos = c.Pos()
-		decls = append(decls, d)
-	}
-	return decls, errs
-}
-
-type summaryParseError struct {
-	pos token.Pos
-	msg string
-}
-
-func parseSummaryText(text string) (declaredSummary, string) {
-	const usage = "malformed //vet:summary (want `own:<rule> slot=effect ...` or `locks none|acquires=id,...`)"
-	fields := strings.Fields(text)
-	if len(fields) == 0 {
-		return declaredSummary{}, usage
-	}
-	if key, ok := strings.CutPrefix(fields[0], "own:"); ok {
-		if ownRuleByKey(key) == nil {
-			return declaredSummary{}, fmt.Sprintf("//vet:summary names unknown ownership rule %q", key)
-		}
-		d := declaredSummary{domain: "own", ruleKey: key, slots: map[string]ownEffect{}}
-		if len(fields) < 2 {
-			return declaredSummary{}, usage
-		}
-		for _, f := range fields[1:] {
-			slot, val, ok := strings.Cut(f, "=")
-			if !ok {
-				return declaredSummary{}, usage
-			}
-			eff, ok := effectFromString(val)
-			if !ok {
-				return declaredSummary{}, fmt.Sprintf("//vet:summary has unknown effect %q (want none/acquires/releases/transfers)", val)
-			}
-			switch {
-			case slot == "recv":
-			case slot == "result":
-				if eff != effNone && eff != effAcquires {
-					return declaredSummary{}, "//vet:summary result effect must be none or acquires"
-				}
-			case strings.HasPrefix(slot, "param"):
-				if _, err := strconv.Atoi(strings.TrimPrefix(slot, "param")); err != nil {
-					return declaredSummary{}, usage
-				}
-			default:
-				return declaredSummary{}, fmt.Sprintf("//vet:summary has unknown slot %q (want recv, result, or param<N>)", slot)
-			}
-			if _, dup := d.slots[slot]; dup {
-				return declaredSummary{}, fmt.Sprintf("//vet:summary repeats slot %q", slot)
-			}
-			d.slots[slot] = eff
-		}
-		return d, ""
-	}
-	if fields[0] == "locks" {
-		if len(fields) != 2 {
-			return declaredSummary{}, usage
-		}
-		if fields[1] == "none" {
-			return declaredSummary{domain: "locks", locksNone: true}, ""
-		}
-		ids, ok := strings.CutPrefix(fields[1], "acquires=")
-		if !ok || ids == "" {
-			return declaredSummary{}, usage
-		}
-		return declaredSummary{domain: "locks", lockIDs: strings.Split(ids, ",")}, ""
-	}
-	return declaredSummary{}, usage
-}
-
-// toOwnSummary sizes a declared own-domain summary to fn's signature;
-// undeclared slots stay opaque (v3 behavior).
-func (d *declaredSummary) toOwnSummary(fn *types.Func) *ownSummary {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	sum := &ownSummary{params: make([]ownEffect, sig.Params().Len())}
-	if sig.Results().Len() >= 2 {
-		last := sig.Results().At(sig.Results().Len() - 1).Type()
-		sum.resultErrPaired = types.Identical(last, types.Universe.Lookup("error").Type())
-	}
-	for slot, eff := range d.slots {
-		switch {
-		case slot == "recv":
-			sum.recv = eff
-		case slot == "result":
-			sum.result = eff
-		default:
-			if i, err := strconv.Atoi(strings.TrimPrefix(slot, "param")); err == nil && i >= 0 && i < len(sum.params) {
-				sum.params[i] = eff
-			}
-		}
-	}
-	return sum
-}
-
-// parseDeclaredSummaries indexes every function's well-formed
-// directives; malformed ones are summarydrift's to report (it re-parses
-// the files of its own package).
-func (prog *Program) parseDeclaredSummaries() {
-	prog.declSums = make(map[*types.Func][]declaredSummary)
-	for fn, pf := range prog.fns {
-		decls, _ := parseSummaryDirectives(pf.decl.Doc)
-		if len(decls) > 0 {
-			prog.declSums[fn] = decls
-		}
-	}
-}
-
-// declaredOwn returns fn's declared summary for the given rule key.
-func (prog *Program) declaredOwn(fn *types.Func, key string) *declaredSummary {
-	for i := range prog.declSums[fn] {
-		d := &prog.declSums[fn][i]
-		if d.domain == "own" && d.ruleKey == key {
-			return d
-		}
-	}
-	return nil
-}
-
-// declaredLocks returns fn's declared lock summary, if any.
-func (prog *Program) declaredLocks(fn *types.Func) *declaredSummary {
-	for i := range prog.declSums[fn] {
-		d := &prog.declSums[fn][i]
-		if d.domain == "locks" {
-			return d
-		}
-	}
-	return nil
 }

@@ -6,12 +6,12 @@ import (
 )
 
 // TestInferredSummariesOverRepo pins the inter-procedural layer to real
-// in-tree functions under the pin rule. The relay's fan-out loop pins a
-// version in next() and hands it to session.send, which discharges the
-// pin through `defer s.r.unpin(v)`. v3's escape-on-any-call heuristic
-// went blind at the `s.send(v)` call site — the pin/unpin pairing
-// crossed a function boundary it could not see — while the v4 summary
-// proves param0=releases and carries the obligation through the call.
+// in-tree functions under the storewriter rule. The relay's commit hands
+// the finished build's store write handle to persistVersion, which
+// discharges it through w.Commit. An escape-on-any-call heuristic goes
+// blind at the `r.persistVersion(v, w)` call site — the Begin/Commit
+// pairing crosses a function boundary it cannot see — while the summary
+// proves param1=releases and carries the obligation through the call.
 func TestInferredSummariesOverRepo(t *testing.T) {
 	l := sharedLoader(t)
 	pkgs, err := l.Load(filepath.Join(l.ModuleRoot(), "..."))
@@ -19,25 +19,24 @@ func TestInferredSummariesOverRepo(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := newProgram(pkgs)
-	rule := ownRuleByKey("pin")
-	if rule == nil {
-		t.Fatal("pin rule missing")
+	rule := pairbalanceRules[0]
+	if rule.key != "storewriter" {
+		t.Fatalf("pairbalance's rule is %q, want storewriter", rule.key)
 	}
-	infs := prog.inferredOwnFor(rule)
 	found := false
-	for fn, sum := range infs {
-		if fn.Pkg() == nil || fn.Pkg().Path() != "viper/internal/relay" || fn.Name() != "send" {
+	for fn, sum := range prog.ownSummariesFor(rule) {
+		if fn.Pkg() == nil || fn.Pkg().Path() != "viper/internal/relay" || fn.Name() != "persistVersion" {
 			continue
 		}
 		found = true
-		if got := sum.paramEffect(0); got != effReleases {
-			t.Errorf("relay session.send param0 inferred %v, want releases (deferred unpin)", got)
+		if got := sum.paramEffect(1); got != effReleases {
+			t.Errorf("relay Relay.persistVersion param1 inferred %v, want releases (w.Commit)", got)
 		}
 		if !prog.hasCaller(fn) {
-			t.Errorf("session.send has no recorded module-local caller; the fan-out loop calls it")
+			t.Errorf("Relay.persistVersion has no recorded module-local caller; commit calls it")
 		}
 	}
 	if !found {
-		t.Fatal("no inferred pin summary for the relay's session.send")
+		t.Fatal("no inferred storewriter summary for the relay's persistVersion")
 	}
 }

@@ -232,7 +232,7 @@ func doubleViaHelper(ctx context.Context, ckpt *vformat.Checkpoint) {
 
 // encodeOwned acquires through its result (inferred result=acquires
 // with the error-pair refinement): callers inherit the obligation with
-// no //vet:summary needed.
+// nothing declared.
 func encodeOwned(ctx context.Context, ckpt *vformat.Checkpoint) ([]byte, error) {
 	blob, err := vformat.EncodeChunked(ctx, ckpt, vformat.ChunkOptions{})
 	if err != nil {

@@ -58,7 +58,7 @@ func TestChaosRelayKillMidFanout(t *testing.T) {
 	relayClosed := false
 	defer func() {
 		if !relayClosed {
-			r.Close()
+			closeChecked(t, r)
 		}
 	}()
 
@@ -150,7 +150,7 @@ func TestChaosRelayPipelineFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
+	defer closeChecked(t, r)
 
 	prod, err := remote.NewProducer(remote.ProducerConfig{
 		Model: "m", MetaAddr: metaAddr, NotifyAddr: notifyAddr,
@@ -221,7 +221,7 @@ func TestChaosConsumerChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
+	defer closeChecked(t, r)
 
 	prod, err := remote.NewProducer(remote.ProducerConfig{
 		Model: "m", MetaAddr: metaAddr, NotifyAddr: notifyAddr,

@@ -12,6 +12,7 @@ import (
 	"viper/internal/nn"
 	"viper/internal/simclock"
 	"viper/internal/transport"
+	"viper/internal/vformat"
 )
 
 // gatedConn lets the first Write through and blocks every later one
@@ -46,19 +47,16 @@ func (g *gatedConn) isBlocked() bool {
 	return g.blocked
 }
 
-// TestServePinsBorrowedVersionAcrossRelease is the regression for the
-// serve-during-eviction race: a session fanning a version out borrows
-// its cached frames, and ingest churn (here a same-vnum re-push, which
-// releases the replaced object exactly like an eviction) must not free
-// the borrowed storage mid-stream. The pin defers the release to the
-// end of the fan-out, so the consumer collects the original version
-// bit-for-bit even though the cache replaced it while the stream was
-// frozen after frame one.
-func TestServePinsBorrowedVersionAcrossRelease(t *testing.T) {
-	gate := &gatedConn{release: make(chan struct{})}
+// freezeFanout starts a relay (store-backed when dir is set) whose serve
+// side is gated, pushes v1 of snap, dials a consumer and waits until the
+// session has sent v1's header and is frozen on its first record — the
+// snapshot of v1 taken, nothing but the header delivered.
+func freezeFanout(t *testing.T, dir string, snap nn.Snapshot) (r *Relay, gate *gatedConn, prod, cons *transport.TCPLink) {
+	t.Helper()
+	gate = &gatedConn{release: make(chan struct{})}
 	r, err := New(Config{
 		IngestAddr: "127.0.0.1:0", ServeAddr: "127.0.0.1:0",
-		Retained: 1, Retry: quickPolicy(7),
+		Retained: 1, Retry: quickPolicy(7), StoreDir: dir,
 		ServeWrap: func(c net.Conn) net.Conn {
 			gate.Conn = c
 			return gate
@@ -67,58 +65,142 @@ func TestServePinsBorrowedVersionAcrossRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(r.Close)
-
-	prod, err := transport.DialTCP(r.IngestAddr())
-	if err != nil {
+	t.Cleanup(func() { closeChecked(t, r) })
+	if prod, err = transport.DialTCP(r.IngestAddr()); err != nil {
 		t.Fatal(err)
 	}
-	defer prod.Close()
-	snapA := nn.TakeSnapshot(testModel(70))
-	pushChunked(t, prod, "m", 1, snapA, 128)
+	t.Cleanup(func() { prod.Close() })
+	pushChunked(t, prod, "m", 1, snap, 128)
 	waitFor(t, 5*time.Second, func() bool { return r.Stats().CachedVersions == 1 }, "v1 cached")
-
-	cons, err := transport.DialTCP(r.ServeAddr())
-	if err != nil {
+	if cons, err = transport.DialTCP(r.ServeAddr()); err != nil {
 		t.Fatal(err)
 	}
-	defer cons.Close()
-
-	// The session sends the header (write one) and freezes on chunk one.
+	t.Cleanup(func() { cons.Close() })
 	waitFor(t, 5*time.Second, gate.isBlocked, "fan-out frozen mid-stream")
-
-	// Re-push version 1 with different weights: the cache replaces the
-	// borrowed object and wants its storage back — while it is pinned.
-	snapB := nn.TakeSnapshot(testModel(71))
-	pushChunked(t, prod, "m", 1, snapB, 128)
-	waitFor(t, 5*time.Second, func() bool { return r.Stats().CachedVersions == 2 }, "replacement cached")
-	if got := r.Stats(); got.PinnedEvictions != 1 || got.ReleasedVersions != 0 {
-		t.Fatalf("release not deferred while pinned: %+v", got)
-	}
-
-	// Thaw the stream. The session must finish serving the *borrowed*
-	// frames (snapA), not the replacement, and not freed storage.
-	close(gate.release)
-	first, err := cons.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !transport.IsChunkHeader(first) {
-		t.Fatalf("first frame %q is not a chunk header", first.Key)
-	}
-	ckpt, _, err := transport.CollectChunked(context.Background(), first, cons.Recv)
-	if err != nil {
-		t.Fatalf("frozen fan-out did not survive the release: %v", err)
-	}
-	if !snapshotsEqual(ckpt.Weights, snapA) {
-		t.Fatal("borrowed version mutated mid-fanout")
-	}
-	// The deferred release lands at unpin, once the fan-out ends.
-	waitFor(t, 5*time.Second, func() bool { return r.Stats().ReleasedVersions == 1 }, "deferred release at unpin")
+	return r, gate, prod, cons
 }
 
-// TestEvictionReleasesUnpinnedVersions: normal retention churn frees
-// the evicted versions' storage immediately, and the cache-bytes gauge
+// collectNext assembles the next version stream off cons, opened by
+// first when the previous collect already read its header (the foreign
+// frame of a torn stream). The error is the collect's; anything else
+// fails the test.
+func collectNext(t *testing.T, cons *transport.TCPLink, first *transport.Frame) (*vformat.Checkpoint, *transport.Frame, error) {
+	t.Helper()
+	if first == nil {
+		f, err := cons.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		first = &f
+	}
+	if !transport.IsChunkHeader(*first) {
+		t.Fatalf("stream opens with %q, not a chunk header", first.Key)
+	}
+	return transport.CollectChunked(context.Background(), *first, cons.Recv)
+}
+
+// TestFrozenFanoutSurvivesSameVnumReplacement is the regression for the
+// serve-during-eviction race: a session fanning a version out reads its
+// header, manifest and resident records, and ingest churn — here a
+// same-vnum re-push, which replaces the catalogue entry and unlists its
+// chunks — must not disturb the stream. The session's borrow is the
+// snapshot it took when it picked the version, and the version object is
+// never written again, so the consumer collects the original bit-for-bit
+// even though the cache replaced it while the stream was frozen after
+// frame one.
+func TestFrozenFanoutSurvivesSameVnumReplacement(t *testing.T) {
+	snapA := nn.TakeSnapshot(testModel(70))
+	r, gate, prod, cons := freezeFanout(t, "", snapA)
+
+	// Re-push version 1 with different weights: the cache replaces the
+	// object the session is serving and drops its chunks at once.
+	snapB := nn.TakeSnapshot(testModel(71))
+	_, hashesB := encodeVersion(t, "m", 1, snapB, 128)
+	pushChunked(t, prod, "m", 1, snapB, 128)
+	waitFor(t, 5*time.Second, func() bool { return r.Stats().CachedVersions == 2 }, "replacement cached")
+	if got := r.Stats(); got.ReleasedVersions != 1 {
+		t.Fatalf("replaced version not released on the spot: %+v", got)
+	}
+	r.mu.Lock()
+	resident := len(r.chunks)
+	r.mu.Unlock()
+	if resident != len(hashesB) {
+		t.Fatalf("%d chunks resident with the fan-out frozen, want exactly the replacement's %d", resident, len(hashesB))
+	}
+
+	// Thaw the stream. The session must finish serving the version it
+	// picked (snapA), not the replacement and not a mix.
+	close(gate.release)
+	ckpt, _, err := collectNext(t, cons, nil)
+	if err != nil {
+		t.Fatalf("frozen fan-out did not survive the replacement: %v", err)
+	}
+	if !snapshotsEqual(ckpt.Weights, snapA) {
+		t.Fatal("picked version changed mid-fanout")
+	}
+	if st := r.Stats(); st.CorruptChunks != 0 {
+		t.Fatalf("corrupt chunks: %+v", st)
+	}
+}
+
+// TestFrozenFanoutAcrossEviction and ...AcrossDemotion freeze a fan-out
+// of v1 and commit Retained newer versions behind it: without a store v1
+// is evicted — gone from the catalogue, its chunks out of the table — and
+// with one it is demoted to a disk shell. After the thaw the consumer
+// sees either v1 whole or a torn v1 stream (latest-wins cuts it at the
+// next record) followed by the newest version whole; never a mix, never a
+// short install.
+func TestFrozenFanoutAcrossEviction(t *testing.T) { frozenFanoutAcrossRetention(t, "") }
+
+func TestFrozenFanoutAcrossDemotion(t *testing.T) { frozenFanoutAcrossRetention(t, t.TempDir()) }
+
+func frozenFanoutAcrossRetention(t *testing.T, dir string) {
+	snaps := map[uint64]nn.Snapshot{1: nn.TakeSnapshot(testModel(73))}
+	r, gate, prod, cons := freezeFanout(t, dir, snaps[1])
+	for v := uint64(2); v <= 3; v++ {
+		snaps[v] = nn.TakeSnapshot(testModel(int64(72 + v)))
+		pushChunked(t, prod, "m", v, snaps[v], 128)
+	}
+	waitFor(t, 10*time.Second, func() bool { return r.Stats().CachedVersions == 3 }, "newer versions cached")
+	st := r.Stats()
+	if dir == "" && st.ReleasedVersions != 2 {
+		t.Fatalf("v1 and v2 not evicted behind the frozen fan-out: %+v", st)
+	}
+	if dir != "" && (st.DemotedVersions != 2 || st.ReleasedVersions != 0) {
+		t.Fatalf("v1 and v2 not demoted behind the frozen fan-out: %+v", st)
+	}
+	_, hashes3 := encodeVersion(t, "m", 3, snaps[3], 128)
+	r.mu.Lock()
+	resident := len(r.chunks)
+	r.mu.Unlock()
+	if resident != len(hashes3) {
+		t.Fatalf("%d chunks resident with the fan-out frozen, want exactly v3's %d", resident, len(hashes3))
+	}
+
+	close(gate.release)
+	ckpt, foreign, err := collectNext(t, cons, nil)
+	if err != nil {
+		// The v1 stream was cut; the newest version follows, whole.
+		if !errors.Is(err, transport.ErrTornStream) {
+			t.Fatalf("v1 stream ended with %v, want whole or torn", err)
+		}
+		if ckpt, _, err = collectNext(t, cons, foreign); err != nil {
+			t.Fatalf("stream after the torn one: %v", err)
+		}
+		if ckpt.Version != 3 {
+			t.Fatalf("torn v1 stream followed by v%d, want the newest (v3)", ckpt.Version)
+		}
+	}
+	if !snapshotsEqual(ckpt.Weights, snaps[ckpt.Version]) {
+		t.Fatalf("v%d installed with bytes that are not v%d's", ckpt.Version, ckpt.Version)
+	}
+	if st := r.Stats(); st.CorruptChunks != 0 {
+		t.Fatalf("corrupt chunks: %+v", st)
+	}
+}
+
+// TestEvictionReleasesUnpinnedVersions: retention churn frees the
+// evicted versions' storage immediately, and the cache-bytes gauge
 // tracks what is actually resident — with content-addressed chunk
 // storage, identical chunks shared by the retained versions are charged
 // once, so residency lands strictly below the logical inventory total
@@ -136,7 +218,7 @@ func TestEvictionReleasesUnpinnedVersions(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, func() bool { return r.Stats().CachedVersions == 5 }, "5 versions cached")
 	st := r.Stats()
-	if st.ReleasedVersions != 3 || st.PinnedEvictions != 0 {
+	if st.ReleasedVersions != 3 {
 		t.Fatalf("eviction accounting: %+v", st)
 	}
 	inv, err := FetchInventory(r.IngestAddr())
@@ -183,7 +265,7 @@ func TestMaxSessionsAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(r.Close)
+	t.Cleanup(func() { closeChecked(t, r) })
 
 	first, err := transport.DialTCP(r.ServeAddr())
 	if err != nil {
@@ -256,7 +338,7 @@ func TestIngestRateLimitRefusesWholeVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(r.Close)
+	t.Cleanup(func() { closeChecked(t, r) })
 
 	prod, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {

@@ -1,0 +1,434 @@
+package relay
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"viper/internal/chunkstore"
+	"viper/internal/nn"
+	"viper/internal/transport"
+	"viper/internal/vformat"
+)
+
+// checkInvariants recomputes, under r.mu, what the chunk table must be
+// from the catalogue alone and compares: every chunk's count is the
+// number of times the resident windows' versions list its hash (so no
+// chunk sits at zero and no listed hash is absent), each payload still
+// hashes to its key, cacheBytes is the resident payloads plus every
+// catalogued header, every window fits Retained, only store-backed
+// versions sit below one, and the gauges say the same after a sync. It
+// holds whenever r.mu is free — a session frozen mid-fan-out or a build
+// half arrived changes nothing it reads — so tests call it at any point.
+func (r *Relay) checkInvariants() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	listed := make(map[vformat.ChunkHash]int)
+	var bytes int64
+	for model, mc := range r.models {
+		if mc.lo < 0 || mc.lo > len(mc.versions) || len(mc.versions)-mc.lo > r.retained {
+			return fmt.Errorf("model %q: window [%d:%d] with Retained %d", model, mc.lo, len(mc.versions), r.retained)
+		}
+		for i, v := range mc.versions {
+			if i > 0 && mc.versions[i-1].vnum >= v.vnum {
+				return fmt.Errorf("model %q: catalogue not ascending at v%d", model, v.vnum)
+			}
+			bytes += int64(len(v.head.Payload))
+			switch {
+			case i >= mc.lo:
+				for _, h := range v.hashes {
+					listed[h]++
+				}
+			case !v.stored || r.store == nil:
+				return fmt.Errorf("model %q: v%d is below the window but not in a store", model, v.vnum)
+			}
+		}
+	}
+	for h, e := range r.chunks {
+		if e.listed != listed[h] || e.listed == 0 {
+			return fmt.Errorf("chunk %s: count %d, the windows list it %d times", h, e.listed, listed[h])
+		}
+		if vformat.HashChunkRecord(e.payload) != h {
+			return fmt.Errorf("chunk %s: resident payload no longer hashes to its key", h)
+		}
+		bytes += int64(len(e.payload))
+	}
+	if len(r.chunks) != len(listed) {
+		return fmt.Errorf("%d chunks resident, the windows list %d distinct hashes", len(r.chunks), len(listed))
+	}
+	if r.cacheBytes != bytes {
+		return fmt.Errorf("cacheBytes %d, resident payloads + catalogued headers are %d", r.cacheBytes, bytes)
+	}
+	r.syncMetricsLocked()
+	if g, u := inst.cacheBytes.Value(), inst.uniqueChunks.Value(); g != r.cacheBytes || u != int64(len(r.chunks)) {
+		return fmt.Errorf("gauges cache_bytes=%d unique_chunks=%d after a sync, state is %d / %d", g, u, r.cacheBytes, len(r.chunks))
+	}
+	return nil
+}
+
+// closeChecked is the relay tests' cleanup: it closes r — every
+// goroutine gone, every unfinished build abandoned — and asserts the
+// invariants on the state the test left behind.
+func closeChecked(t *testing.T, r *Relay) {
+	t.Helper()
+	r.Close()
+	if err := r.checkInvariants(); err != nil {
+		t.Errorf("relay invariants after close: %v", err)
+	}
+}
+
+// TestIngestHeaderCountBomb: a header frame's chunk count is a claim, not
+// a size. A ~100-byte frame announcing 2^31 or 2^40 records must cost the
+// relay nothing until records actually land — build state is keyed by
+// arrivals — so the node stays up, its heap does not move, and a normal
+// push on the same connection supersedes the claim, commits and serves.
+func TestIngestHeaderCountBomb(t *testing.T) {
+	for _, claim := range []string{"2147483648", "1099511627776"} {
+		t.Run(claim, func(t *testing.T) {
+			r := testRelay(t, 2)
+			link, err := transport.DialTCP(r.IngestAddr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer link.Close()
+
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			sendFrames(t, link, transport.Frame{Key: "m/v00000001", Payload: []byte{0}, Meta: map[string]string{
+				"model": "m", "version": "1",
+				transport.MetaChunkRole:  transport.ChunkRoleHeader,
+				transport.MetaChunkCount: claim,
+			}})
+			waitFor(t, 5*time.Second, func() bool { return r.Stats().IngestFrames == 1 }, "the claim ingested")
+			// A record the claim covers costs only its own bytes.
+			_, recs, _ := streamFrames(t, "m", 1, wideSnapshot(90))
+			sendFrames(t, link, recs[3])
+			waitFor(t, 5*time.Second, func() bool { return r.Stats().IngestFrames == 2 }, "a record ingested")
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
+				t.Fatalf("heap grew %d bytes after a header claiming %s records", grew, claim)
+			}
+
+			snap := wideSnapshot(91)
+			pushChunked(t, link, "m", 2, snap, 128)
+			waitFor(t, 5*time.Second, func() bool { return r.Stats().CachedVersions == 1 }, "the push behind the claim cached")
+			if st := r.Stats(); st.SupersededBuilds != 1 {
+				t.Fatalf("the claim's build was not superseded: %+v", st)
+			}
+			if ckpt := collectVersion(t, r); ckpt.Version != 2 || !snapshotsEqual(ckpt.Weights, snap) {
+				t.Fatalf("served v%d after the claim, want v2 bit for bit", ckpt.Version)
+			}
+		})
+	}
+}
+
+// sequence drives one relay through a seeded series of ingest and serve
+// events, keeping just enough of a model — the newest version and its
+// bytes — to check what joiners are served; checkInvariants runs after
+// every step.
+type sequence struct {
+	t   *testing.T
+	r   *Relay
+	rng *rand.Rand
+
+	link     *transport.TCPLink // ingest connection, drained in the background
+	drained  sync.WaitGroup
+	nextVnum uint64
+	newest   uint64      // newest catalogued vnum (0: none)
+	weights  nn.Snapshot // its bytes
+	cached   int64       // commits so far
+	builds   int64       // builds superseded or abandoned so far
+
+	arm    atomic.Pointer[gatedConn] // set: the next serve connection is gated
+	live   []*transport.TCPLink      // joined consumers
+	frozen *frozenSession
+}
+
+// frozenSession is a consumer whose session froze after the header of
+// the version it picked.
+type frozenSession struct {
+	cons    *transport.TCPLink
+	gate    *gatedConn
+	picked  uint64
+	weights nn.Snapshot
+}
+
+func (q *sequence) dialIngest() {
+	link, err := transport.DialTCP(q.r.IngestAddr())
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	q.link = link
+	// Commits answer delta-capable pushes with have-lists: read them off
+	// so the relay's ingest goroutine never blocks on this side.
+	q.drained.Add(1)
+	go func() {
+		defer q.drained.Done()
+		for {
+			if _, err := link.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+}
+
+// drift returns the newest weights with a few elements moved, so most
+// chunks of the next version dedupe against the resident ones.
+func (q *sequence) drift() nn.Snapshot {
+	snap := q.weights.Clone()
+	for i := 0; i < 1+q.rng.Intn(3); i++ {
+		ts := snap[q.rng.Intn(len(snap))]
+		ts.Data[q.rng.Intn(len(ts.Data))] += 1 + q.rng.Float64()
+	}
+	return snap
+}
+
+// committed waits for the push of (vnum, snap) to commit and updates the
+// model.
+func (q *sequence) committed(vnum uint64, snap nn.Snapshot) {
+	q.cached++
+	waitFor(q.t, 10*time.Second, func() bool { return q.r.Stats().CachedVersions == q.cached }, fmt.Sprintf("v%d cached", vnum))
+	if vnum >= q.newest {
+		q.newest, q.weights = vnum, snap
+	}
+}
+
+func (q *sequence) fullPush(vnum uint64) {
+	snap := q.drift()
+	pushChunked(q.t, q.link, "m", vnum, snap, 128)
+	q.committed(vnum, snap)
+}
+
+// deltaPush ships the next version as manifest + the records the relay
+// has in neither tier — planned against its real state, so it prefills
+// without a need-list round trip.
+func (q *sequence) deltaPush() {
+	vnum := q.nextVnum
+	q.nextVnum++
+	snap := q.drift()
+	blob, hashes := encodeVersion(q.t, "m", vnum, snap, 128)
+	manifest, records, _, _, err := vformat.PlanDelta(blob, func(h vformat.ChunkHash) bool {
+		q.r.mu.Lock()
+		defer q.r.mu.Unlock()
+		return q.r.chunks[h] != nil || (q.r.store != nil && q.r.store.Contains(h))
+	})
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	conn := transport.WithMeta(q.link, ingestTags(q.t, "m", vnum, int64(len(blob)), true))
+	if err := transport.SendChunkedDelta(context.Background(), conn, fmt.Sprintf("m/v%08d", vnum), manifest, records, len(hashes), len(blob), 0); err != nil {
+		q.t.Fatal(err)
+	}
+	q.committed(vnum, snap)
+}
+
+// halfPush opens the next version's stream and stops part-way; the
+// frames are ingested when it returns.
+func (q *sequence) halfPush() {
+	head, recs, _ := streamFrames(q.t, "m", q.nextVnum, q.drift())
+	q.nextVnum++
+	n := 1 + q.rng.Intn(len(recs)-1)
+	want := q.r.Stats().IngestFrames + int64(1+n)
+	sendFrames(q.t, q.link, head)
+	sendFrames(q.t, q.link, recs[:n]...)
+	waitFor(q.t, 10*time.Second, func() bool { return q.r.Stats().IngestFrames == want }, "half a version ingested")
+}
+
+func (q *sequence) buildDropped() {
+	q.builds++
+	waitFor(q.t, 10*time.Second, func() bool {
+		st := q.r.Stats()
+		return st.SupersededBuilds+st.AbandonedBuilds == q.builds
+	}, "the half-built version dropped")
+}
+
+func (q *sequence) sessionsOpen(n int) {
+	waitFor(q.t, 10*time.Second, func() bool {
+		q.r.mu.Lock()
+		defer q.r.mu.Unlock()
+		return len(q.r.sessions) == n
+	}, fmt.Sprintf("%d sessions open", n))
+}
+
+func (q *sequence) open() int {
+	n := len(q.live)
+	if q.frozen != nil {
+		n++
+	}
+	return n
+}
+
+// join dials a consumer, which must be caught up on exactly the newest
+// version.
+func (q *sequence) join() {
+	cons, err := transport.DialTCP(q.r.ServeAddr())
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	q.live = append(q.live, cons)
+	q.sessionsOpen(q.open())
+	if q.newest == 0 {
+		return
+	}
+	ckpt, _, err := collectNext(q.t, cons, nil)
+	if err != nil {
+		q.t.Fatalf("joiner's catch-up: %v", err)
+	}
+	if ckpt.Version != q.newest || !snapshotsEqual(ckpt.Weights, q.weights) {
+		q.t.Fatalf("joiner caught up on v%d, want the newest (v%d) bit for bit", ckpt.Version, q.newest)
+	}
+}
+
+func (q *sequence) leave() {
+	q.live[0].Close()
+	q.live = q.live[1:]
+	q.sessionsOpen(q.open())
+}
+
+// freeze dials a consumer whose session stops after the header of the
+// newest version.
+func (q *sequence) freeze() {
+	f := &frozenSession{gate: &gatedConn{release: make(chan struct{})}, picked: q.newest, weights: q.weights}
+	q.arm.Store(f.gate)
+	cons, err := transport.DialTCP(q.r.ServeAddr())
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	f.cons, q.frozen = cons, f
+	waitFor(q.t, 10*time.Second, f.gate.isBlocked, "fan-out frozen mid-stream")
+}
+
+// thaw lets the frozen session run on: the consumer sees the version the
+// session picked, whole and bit for bit whatever was committed since, or
+// that stream torn (latest-wins) and the newest version whole behind it.
+func (q *sequence) thaw() {
+	f := q.frozen
+	close(f.gate.release)
+	ckpt, foreign, err := collectNext(q.t, f.cons, nil)
+	want, weights := f.picked, f.weights
+	if err != nil {
+		if !errors.Is(err, transport.ErrTornStream) || q.newest == f.picked {
+			q.t.Fatalf("thawed v%d stream (newest v%d): %v", f.picked, q.newest, err)
+		}
+		if ckpt, _, err = collectNext(q.t, f.cons, foreign); err != nil {
+			q.t.Fatalf("stream behind the torn one: %v", err)
+		}
+		want, weights = q.newest, q.weights
+	}
+	if ckpt.Version != want || !snapshotsEqual(ckpt.Weights, weights) {
+		q.t.Fatalf("thawed consumer installed v%d, want v%d bit for bit", ckpt.Version, want)
+	}
+	f.cons.Close()
+	q.frozen = nil
+	q.sessionsOpen(q.open())
+}
+
+func (q *sequence) step() string {
+	switch op := q.rng.Intn(10); {
+	case q.newest == 0 || op == 0:
+		q.nextVnum++
+		q.fullPush(q.nextVnum - 1)
+		return "full push"
+	case op == 1:
+		q.deltaPush()
+		return "delta push"
+	case op == 2:
+		q.fullPush(q.newest)
+		return "re-push of the newest version"
+	case op == 3:
+		q.fullPush(1 + uint64(q.rng.Int63n(int64(q.nextVnum-1))))
+		return "re-push of an older version"
+	case op == 4:
+		q.halfPush()
+		q.nextVnum++
+		q.fullPush(q.nextVnum - 1)
+		q.buildDropped()
+		return "half push, superseded"
+	case op == 5:
+		q.halfPush()
+		q.link.Close()
+		q.buildDropped()
+		q.dialIngest()
+		return "connection dropped mid-stream"
+	case op == 6 && len(q.live) < 3:
+		q.join()
+		return "session joins"
+	case op == 7 && len(q.live) > 0:
+		q.leave()
+		return "session leaves"
+	case op == 8 && q.frozen == nil:
+		q.freeze()
+		return "session frozen mid-fan-out"
+	case q.frozen != nil:
+		q.thaw()
+		return "frozen session thawed"
+	}
+	q.deltaPush()
+	return "delta push"
+}
+
+// TestSeededSequenceKeepsInvariants runs seeded event sequences against
+// a memory-only and a store-backed relay and asserts the invariants
+// after every step: a failure names the seed and the step, and replays.
+func TestSeededSequenceKeepsInvariants(t *testing.T) {
+	for _, withStore := range []bool{false, true} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("store=%v/seed=%d", withStore, seed), func(t *testing.T) {
+				q := &sequence{t: t, rng: rand.New(rand.NewSource(seed)), nextVnum: 1, weights: wideSnapshot(seed)}
+				cfg := Config{
+					IngestAddr: "127.0.0.1:0", ServeAddr: "127.0.0.1:0", Retained: 2, Retry: quickPolicy(seed),
+					ServeWrap: func(c net.Conn) net.Conn {
+						if g := q.arm.Swap(nil); g != nil {
+							g.Conn = c
+							return g
+						}
+						return c
+					},
+				}
+				if withStore {
+					cfg.StoreDir, cfg.StoreRetention = t.TempDir(), chunkstore.Retention{MaxVersions: 4}
+				}
+				q.r = New2(t, cfg)
+				q.dialIngest()
+				t.Cleanup(func() {
+					// Runs before the relay closes: nothing may stay parked on
+					// a gate or a link.
+					if q.frozen != nil {
+						close(q.frozen.gate.release)
+						q.frozen.cons.Close()
+					}
+					for _, c := range q.live {
+						c.Close()
+					}
+					q.link.Close()
+					q.drained.Wait()
+				})
+				steps := make(map[string]int)
+				for i := 0; i < 150; i++ {
+					what := q.step()
+					steps[what]++
+					if err := q.r.checkInvariants(); err != nil {
+						t.Fatalf("seed %d step %d (%s): %v", seed, i, what, err)
+					}
+				}
+				t.Logf("steps: %v; stats: %+v", steps, q.r.Stats())
+				if q.frozen != nil {
+					q.thaw()
+				}
+				inv := q.r.Inventory()
+				if len(inv) == 0 || inv[len(inv)-1].Version != q.newest {
+					t.Fatalf("inventory %+v, want it to end at v%d", inv, q.newest)
+				}
+			})
+		}
+	}
+}

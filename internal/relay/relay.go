@@ -17,10 +17,14 @@
 // bounded number of versions is retained per model (oldest evicted
 // first).
 //
-// Storage is keyed by chunk content hash (vformat.ChunkHash) and
-// refcounted: a chunk shared by several cached versions is resident
-// once, and is freed when the last version referencing it is released.
-// The same hashes drive delta distribution in both directions. Upstream,
+// Storage is keyed by chunk content hash (vformat.ChunkHash): a chunk
+// shared by several cached versions is resident once. Nothing in it is
+// balanced by hand. A committed version is an immutable value that
+// sessions read without a lock; an ingest build owns its records until
+// commit; and the chunk table is a function of the catalogue — it counts,
+// per hash, how often the versions of the resident window list it, and
+// only a version entering or leaving that window moves a count (DESIGN
+// §11). The same hashes drive delta distribution in both directions. Upstream,
 // the relay advertises a committed version's hashes to the producer
 // (transport.HaveKey), which then pushes the next version as a manifest
 // frame plus only the records the relay lacks; advertised-but-evicted
@@ -130,7 +134,10 @@ func RejectionError(f transport.Frame) error {
 // gauges reflect the most recently synced node. Counters mirror Stats
 // and are synced on commit and on every Stats/MetricsSnapshots read; the
 // read-through instruments (read_ahead_waits, read_through_first_byte_ms)
-// have no Stats field and are recorded where they happen.
+// have no Stats field and are recorded where they happen. cache_bytes and
+// unique_chunks describe the catalogue: the chunks the resident window
+// lists plus every catalogued header. A build still arriving is its
+// connection's own and shows in neither until it commits.
 var registry = metrics.NewRegistry("relay")
 
 // Metrics returns the package's metrics registry.
@@ -149,7 +156,6 @@ var inst = struct {
 	metaErrors        *metrics.Counter
 	admissionRejected *metrics.Counter
 	rejectedVersions  *metrics.Counter
-	pinnedEvictions   *metrics.Counter
 	releasedVersions  *metrics.Counter
 	dedupedChunks     *metrics.Counter
 	deltaVersions     *metrics.Counter
@@ -178,7 +184,6 @@ var inst = struct {
 	metaErrors:        registry.Counter("meta_errors"),
 	admissionRejected: registry.Counter("admission_rejected"),
 	rejectedVersions:  registry.Counter("rejected_versions"),
-	pinnedEvictions:   registry.Counter("pinned_evictions"),
 	releasedVersions:  registry.Counter("released_versions"),
 	dedupedChunks:     registry.Counter("deduped_chunks"),
 	deltaVersions:     registry.Counter("delta_versions"),
@@ -285,14 +290,12 @@ type Stats struct {
 	// RejectedVersions counts version pushes refused by the per-model
 	// ingest rate limiter.
 	RejectedVersions int64
-	// PinnedEvictions counts evictions whose storage release was
-	// deferred because a session held the version pinned mid-fanout.
-	PinnedEvictions int64
-	// ReleasedVersions counts versions whose cached frames were freed.
+	// ReleasedVersions counts versions that left the catalogue: evicted,
+	// retired by the store's retention, or replaced by a re-push.
 	ReleasedVersions int64
-	// DedupedChunks counts ingested chunks that were already resident in
-	// the content-addressed store (manifest prefills and identical
-	// records alike) and so cost no new storage.
+	// DedupedChunks counts chunks of committed versions that were already
+	// resident when their version entered the window (manifest prefills
+	// and identical records alike) and so cost no new storage.
 	DedupedChunks int64
 	// DeltaVersions counts versions committed from a manifest (delta)
 	// ingest stream.
@@ -318,51 +321,49 @@ type Stats struct {
 	StoreErrors int64
 }
 
-// chunkEntry is one resident chunk record in the content-addressed
-// store: the encoded record bytes (index, span, payload, CRC — exactly
-// as a producer sent them) plus a reference count of the cached
-// versions (and pending builds) that include it. Guarded by Relay.mu;
-// payload is immutable once interned.
+// chunkEntry is one resident chunk record: the encoded record bytes
+// (index, span, payload, CRC — exactly as a producer sent them) and how
+// often the versions of the resident window list its hash. Guarded by
+// Relay.mu. payload is a GC-owned slice, immutable from the moment it is
+// entered, so whoever copied the slice header out under the lock may keep
+// reading it after the entry is gone. listed is written by
+// enterWindowLocked and leaveWindowLocked and nowhere else.
 type chunkEntry struct {
-	hash    vformat.ChunkHash
 	payload []byte
-	refs    int
+	listed  int
 }
 
-// version is one cached (model, version): its header frame plus the
-// ordered content hashes of its records — the bytes live in the relay's
-// refcounted chunk store, shared with every other version holding the
-// same content (held carries one reference per hash position). Frames
-// and store payloads are immutable once the version is committed;
-// sessions borrow them read-only after pinning. Eviction releases the
-// version's chunk references (returning no-longer-shared bytes to the
-// cache budget) — but never while a session holds a pin: the release is
-// deferred to the last unpin, so a mid-fanout borrow can never observe
-// freed storage. pins/evicted/released/held are guarded by Relay.mu.
+// version is one catalogued (model, version): its header frame plus the
+// ordered content hashes of its records. It is an immutable value: the
+// build that gathered it fills every field before commit inserts it into
+// the catalogue, and nothing is written afterwards — eviction, demotion
+// and same-vnum replacement move or remove the catalogue's pointer and
+// never touch the object — so a session reads head, manifest and hashes
+// with no lock. The record bytes are not the version's: they live in the
+// chunk table while the version is in the resident window, and in the
+// store (if at all) otherwise.
 type version struct {
 	model     string
 	vnum      uint64
 	key       string
 	head      transport.Frame // the stream's header frame
 	hashes    []vformat.ChunkHash
-	held      []*chunkEntry
 	manifest  []byte
 	bytes     int64 // logical payload size (header + every record)
-	resident  int64 // bytes charged to the cache beyond shared chunks
-	deduped   int   // chunks that were already resident at ingest
+	deduped   int   // chunks that were already resident when it entered the window
 	delta     bool  // ingested as manifest+missing rather than a full stream
 	reconcile bool  // sender is delta-capable: advertise hashes back
 	stored    bool  // persisted in (or hydrated from) the attached chunkstore
 	meta      *core.ModelMeta
-
-	pins     int
-	evicted  bool
-	released bool
 }
 
-// modelCache holds one model's retained versions, ascending by vnum.
+// modelCache is one model's catalogue, ascending by vnum. versions[lo:]
+// is the resident window — at most Retained versions, each listed in the
+// chunk table; versions[:lo] are disk shells (store-backed relays only)
+// whose records read through from the store.
 type modelCache struct {
 	versions []*version
+	lo       int
 }
 
 func (mc *modelCache) newest() *version {
@@ -372,25 +373,48 @@ func (mc *modelCache) newest() *version {
 	return mc.versions[len(mc.versions)-1]
 }
 
+// record is one verified chunk record in a build: its content hash
+// (computed once, on arrival) and the bytes.
+type record struct {
+	hash    vformat.ChunkHash
+	payload []byte
+}
+
 // building is one in-progress stream assembly on an ingest connection.
-// want counts the record frames the sender announced; left counts the
-// chunk positions still uncovered (for a delta stream the two differ:
-// positions prefilled from the store are covered before any record
-// arrives, and a stale have-list can leave left > 0 after all want
-// records landed — recovered via a need-list to the producer).
+// It owns what it gathers — the version under construction, the records,
+// the store write handle — until commit enters the finished version into
+// the catalogue; a build that will not commit (superseded, poisoned by a
+// corrupt record, orphaned by its connection) is abandoned: its slices
+// are simply dropped and its handle aborted. State is keyed by what has
+// arrived, never sized from the count a sender announces. want counts
+// the record frames the sender announced and size the chunk positions
+// the version has (for a delta stream the two differ: positions
+// prefilled from the cache or the store are covered before any record
+// arrives, and a stale have-list can leave positions uncovered after all
+// want records landed — recovered via a need-list to the producer).
 type building struct {
 	v        *version
 	want     int
 	got      int
-	left     int
-	covered  []bool
+	size     int
+	recs     map[int]record            // covered positions
 	missing  map[vformat.ChunkHash]int // uncovered positions by hash (delta)
 	needSent bool
 	// w is the build's store write handle: records are appended as they
 	// arrive, so commit is only the barrier. Nil without a store, and
 	// after the first failed append (the version then serves from memory
-	// only). The build owns it: whoever drops the build aborts it.
+	// only).
 	w *chunkstore.Writer
+}
+
+// abandon drops a build that will not commit. Its records were never
+// anyone else's, so there is nothing to give back; what its handle
+// appended stays on disk as dead bytes for the store's reclaimer.
+func (b *building) abandon() {
+	if b.w != nil {
+		b.w.Abort()
+		b.w = nil
+	}
 }
 
 // tokenBucket is one model's ingest admission state (guarded by
@@ -544,6 +568,7 @@ func (r *Relay) hydrateFromStore() {
 			mc.versions = append(mc.versions, r.versionFromStoreLocked(m))
 			r.stats.HydratedVersions++
 		}
+		mc.lo = len(mc.versions)
 	}
 	r.syncMetricsLocked()
 }
@@ -563,7 +588,6 @@ func (r *Relay) versionFromStoreLocked(m chunkstore.VersionMeta) *version {
 		bytes: m.Bytes, stored: true,
 		head:     head,
 		hashes:   m.Hashes,
-		resident: int64(len(m.Header)),
 		manifest: vformat.EncodeManifest(m.Header, m.Hashes),
 		meta: &core.ModelMeta{
 			Name: m.Model, Version: m.Version, Path: m.Key,
@@ -571,7 +595,7 @@ func (r *Relay) versionFromStoreLocked(m chunkstore.VersionMeta) *version {
 			Location: core.RouteRelay, Relay: r.ServeAddr(),
 		},
 	}
-	r.cacheBytes += v.resident
+	r.cacheBytes += int64(len(m.Header))
 	return v
 }
 
@@ -601,39 +625,15 @@ func (r *Relay) storeAppend(b *building, h vformat.ChunkHash, rec []byte) {
 // appended as they arrived, so only the commit barrier is left (segment
 // fsync, commit record, log fsync). Persistence failure degrades to
 // memory-only caching — the version still serves, it just will not
-// survive a restart. w is nil without a store, for a build whose appends
-// already failed (and were counted), and for a version with no chunks,
-// which has nothing to make durable and stays memory-only.
+// survive a restart. It finishes w on every path. v is still the build's
+// own here: stored is settled before the catalogue insert.
 func (r *Relay) persistVersion(v *version, w *chunkstore.Writer) {
-	if w == nil {
-		return
-	}
 	if err := w.Commit(v.model, v.vnum, v.key, v.head.Payload, v.hashes); err != nil {
 		r.bump(func(s *Stats) { s.StoreErrors++ })
 		return
 	}
 	v.stored = true
 	r.bump(func(s *Stats) { s.StoredVersions++ })
-}
-
-// demoteLocked strips a store-backed version down to its serve shell:
-// the header frame and manifest stay, the records read through from
-// disk at fan-out. A pinned version is skipped — an active fan-out is
-// borrowing the payloads — and retried at the next commit. Callers hold
-// r.mu.
-func (r *Relay) demoteLocked(v *version) {
-	if !v.stored || v.released || len(v.held) == 0 {
-		return
-	}
-	if v.pins > 0 {
-		r.stats.PinnedEvictions++
-		return
-	}
-	for _, e := range v.held {
-		r.releaseChunk(e)
-	}
-	v.held = nil
-	r.stats.DemotedVersions++
 }
 
 // IngestAddr returns the bound producer-push address.
@@ -669,7 +669,6 @@ func (r *Relay) syncMetricsLocked() {
 	inst.metaErrors.Add(cur.MetaErrors - prev.MetaErrors)
 	inst.admissionRejected.Add(cur.AdmissionRejected - prev.AdmissionRejected)
 	inst.rejectedVersions.Add(cur.RejectedVersions - prev.RejectedVersions)
-	inst.pinnedEvictions.Add(cur.PinnedEvictions - prev.PinnedEvictions)
 	inst.releasedVersions.Add(cur.ReleasedVersions - prev.ReleasedVersions)
 	inst.dedupedChunks.Add(cur.DedupedChunks - prev.DedupedChunks)
 	inst.deltaVersions.Add(cur.DeltaVersions - prev.DeltaVersions)
@@ -723,104 +722,53 @@ func (r *Relay) admitVersion(model string) bool {
 	return true
 }
 
-// retainChunk takes one reference on a store entry. Callers hold r.mu
-// and must park the entry somewhere releaseChunk will find it (a
-// version's held list): every retain must be balanced by exactly one
-// release (see viper-vet's pairbalance chunkref rule).
-func (r *Relay) retainChunk(e *chunkEntry) { e.refs++ }
+// enterWindowLocked lists a version that joins the resident window in
+// the chunk table: every position raises its hash's count, and a hash the
+// table did not know becomes resident with the build's copy recs[i]. It
+// returns how many positions found their record already resident — the
+// version's dedup count; the build's duplicate bytes are dropped here.
+// O(len(hashes)). Callers hold r.mu.
+func (r *Relay) enterWindowLocked(hashes []vformat.ChunkHash, recs [][]byte) (deduped int) {
+	for i, h := range hashes {
+		e := r.chunks[h]
+		if e == nil {
+			e = &chunkEntry{payload: recs[i]}
+			r.chunks[h] = e
+			r.cacheBytes += int64(len(recs[i]))
+		} else {
+			deduped++
+		}
+		e.listed++
+	}
+	return deduped
+}
 
-// releaseChunk drops one reference; the last release evicts the entry
-// from the store and returns its bytes to the cache budget. Callers
-// hold r.mu.
-func (r *Relay) releaseChunk(e *chunkEntry) {
-	e.refs--
-	if e.refs <= 0 {
-		delete(r.chunks, e.hash)
-		r.cacheBytes -= int64(len(e.payload))
+// leaveWindowLocked is the inverse, for a version that leaves the window
+// — evicted, demoted to a disk shell, or replaced by a re-push: every
+// position lowers its hash's count and a chunk nobody in the window lists
+// any more leaves the table. The payload slice itself is not touched: a
+// fan-out that snapshotted it keeps it alive and intact. O(len(hashes)).
+// Callers hold r.mu.
+func (r *Relay) leaveWindowLocked(hashes []vformat.ChunkHash) {
+	for _, h := range hashes {
+		e := r.chunks[h]
+		if e.listed--; e.listed == 0 {
+			delete(r.chunks, h)
+			r.cacheBytes -= int64(len(e.payload))
+		}
 	}
 }
 
-// internChunkLocked interns one verified chunk record under its content
-// hash h and takes a reference on the caller's behalf (the caller parks
-// the returned entry in its version's held list). The store takes
-// ownership of rec — callers pass a slice nobody else holds
-// (TCPLink.Recv payloads, chunkstore.Store.ReadChunk results read into a
-// nil buffer) and compute h outside the lock. An already-resident record
-// costs no new storage and is counted as deduped against v. Callers hold
-// r.mu.
-func (r *Relay) internChunkLocked(h vformat.ChunkHash, rec []byte, v *version) *chunkEntry {
-	e := r.chunks[h]
-	if e == nil {
-		e = &chunkEntry{hash: h, payload: rec}
-		r.chunks[h] = e
-		r.cacheBytes += int64(len(e.payload))
-	} else {
-		r.stats.DedupedChunks++
-		v.deduped++
-	}
-	r.retainChunk(e)
-	return e
-}
-
-// pin takes a fan-out's borrow of v: until the matching unpin, eviction
-// defers freeing v's storage. Callers hold r.mu. Named (not a bare
-// v.pins++) so viper-vet's pairbalance pin rule has an acquire site.
-func (r *Relay) pin(v *version) { v.pins++ }
-
-// unpin releases a fan-out's borrow (taken by next() under the catalog
-// lock), freeing the frames of a version whose eviction was deferred
-// while pinned.
-func (r *Relay) unpin(v *version) {
-	r.mu.Lock()
-	v.pins--
-	if v.pins == 0 && v.evicted && !v.released {
-		r.freeLocked(v)
-	}
-	r.mu.Unlock()
-}
-
-// releaseLocked retires an evicted (or replaced) version: immediately
-// when unpinned, deferred to the last unpin otherwise. Callers hold
-// r.mu.
-func (r *Relay) releaseLocked(v *version) {
-	v.evicted = true
-	if v.pins > 0 {
-		r.stats.PinnedEvictions++
-		return
-	}
-	r.freeLocked(v)
-}
-
-// freeLocked drops v's frame storage, releases its chunk references
-// (evicting chunks no other version shares), and returns v's resident
-// bytes to the cache accounting. Callers hold r.mu and have ensured
-// pins == 0.
-func (r *Relay) freeLocked(v *version) {
-	if v.released {
-		return
-	}
-	v.released = true
-	v.head = transport.Frame{}
-	v.manifest = nil
-	for _, e := range v.held {
-		r.releaseChunk(e)
-	}
-	v.held = nil
-	r.cacheBytes -= v.resident
-	r.stats.ReleasedVersions++
-}
-
-// plan snapshots, under r.mu, where the records of hashes — leaving out
-// the ones in skip (a consumer's have-set) — can be served from: want
-// lists them in order and recs holds each one's resident payload, nil
-// where the chunk table has none (the record is then on disk, or
-// nowhere). Interned payloads are immutable, so the snapshot stays
-// readable after the lock drops; no store call is made under it.
-func (r *Relay) plan(hashes []vformat.ChunkHash, skip map[vformat.ChunkHash]bool) (want []vformat.ChunkHash, recs [][]byte) {
+// planLocked snapshots where the records of hashes — leaving out the ones
+// in skip (a consumer's have-set) — can be served from: want lists them in
+// order and recs holds each one's resident payload, nil where the chunk
+// table has none (the record is then on disk, or nowhere). The snapshot
+// holds the payload slices themselves, which are immutable and GC-owned,
+// so it stays readable after the lock drops whatever the catalogue does
+// next; no store call is made under the lock. Callers hold r.mu.
+func (r *Relay) planLocked(hashes []vformat.ChunkHash, skip map[vformat.ChunkHash]bool) (want []vformat.ChunkHash, recs [][]byte) {
 	want = make([]vformat.ChunkHash, 0, len(hashes))
 	recs = make([][]byte, 0, len(hashes))
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, h := range hashes {
 		if skip[h] {
 			continue
@@ -843,13 +791,15 @@ func (r *Relay) plan(hashes []vformat.ChunkHash, skip map[vformat.ChunkHash]bool
 // handful of records a need-list or a delta prefill asks for; a version
 // fan-out streams its read-through instead (session.send).
 func (r *Relay) resolve(hashes []vformat.ChunkHash) (recs [][]byte, unresolved int) {
-	want, recs := r.plan(hashes, nil)
+	r.mu.Lock()
+	_, recs = r.planLocked(hashes, nil)
+	r.mu.Unlock()
 	for i, rec := range recs {
 		if rec != nil {
 			continue
 		}
 		if r.store != nil {
-			if got, err := r.store.ReadChunk(want[i], nil); err == nil {
+			if got, err := r.store.ReadChunk(hashes[i], nil); err == nil {
 				recs[i] = got
 				continue
 			}
@@ -931,7 +881,7 @@ func (r *Relay) acceptIngest() {
 
 // ingestDepth is how many received frames may wait between an ingest
 // connection's reader and its handler: enough for the socket read of the
-// next few frames to overlap the verify/hash/intern/append of this one
+// next few frames to overlap the verify/hash/append of this one
 // (8 frames = 2 MiB at the default 256 KiB chunk size), small enough
 // that a slow handler still closes the producer's TCP window.
 const ingestDepth = 8
@@ -956,10 +906,11 @@ func (r *Relay) readIngest(link *transport.TCPLink, frames chan<- transport.Fram
 }
 
 // handleIngest is the second ingest stage of one producer connection: it
-// assembles version streams frame by frame — verify, hash, intern, store
-// append — and commits them to the cache as they complete. All
-// per-connection state lives on this goroutine. Partial streams die with
-// the connection (the producer's staging fallback covers the loss).
+// assembles version streams frame by frame — verify, hash, store append —
+// and commits them to the cache as they complete. All per-connection
+// state, the builds' records included, lives on this goroutine. Partial
+// streams die with the connection (the producer's staging fallback covers
+// the loss).
 func (r *Relay) handleIngest(link *transport.TCPLink) {
 	defer r.wg.Done()
 	frames := make(chan transport.Frame, ingestDepth)
@@ -977,7 +928,7 @@ func (r *Relay) handleIngest(link *transport.TCPLink) {
 		for range frames {
 		}
 		for _, b := range pending {
-			r.releaseBuild(b)
+			b.abandon()
 		}
 		r.mu.Lock()
 		delete(r.ingests, link)
@@ -1023,7 +974,7 @@ func (r *Relay) handleFrame(link *transport.TCPLink, f transport.Frame, pending 
 		}
 		if old := pending[model]; old != nil {
 			delete(pending, model)
-			r.releaseBuild(old)
+			old.abandon()
 			r.bump(func(s *Stats) { s.SupersededBuilds++ })
 		}
 		delete(rejected, model)
@@ -1036,17 +987,17 @@ func (r *Relay) handleFrame(link *transport.TCPLink, f transport.Frame, pending 
 			r.startDeltaBuild(link, f, model, vnum, want, pending)
 			return
 		}
-		v := &version{
+		// want is only what the sender claims: nothing is sized by it until
+		// that many records have actually landed (commit).
+		b := &building{want: want, size: want, recs: make(map[int]record), v: &version{
 			model: model, vnum: vnum, key: f.Key,
 			head:      f,
-			hashes:    make([]vformat.ChunkHash, want),
 			reconcile: f.Meta[transport.MetaReconcile] == "1",
-		}
+		}}
 		if want == 0 {
-			r.commit(link, v, nil)
+			r.commit(link, b)
 			return
 		}
-		b := &building{v: v, want: want, left: want, covered: make([]bool, want)}
 		r.beginStore(b)
 		pending[model] = b
 	case transport.IsChunkFrame(f):
@@ -1063,7 +1014,7 @@ func (r *Relay) handleFrame(link *transport.TCPLink, f transport.Frame, pending 
 			// build rather than cache (and fan out) a stream consumers
 			// would reject chunk-by-chunk.
 			delete(pending, model)
-			r.releaseBuild(b)
+			b.abandon()
 			r.bump(func(s *Stats) { s.CorruptChunks++ })
 			return
 		}
@@ -1076,15 +1027,15 @@ func (r *Relay) handleFrame(link *transport.TCPLink, f transport.Frame, pending 
 }
 
 // startDeltaBuild opens a build from a manifest frame: the version's
-// hash list comes from the manifest, positions whose chunks are already
-// resident are prefilled from the cache (or read through from the
-// store), and only the rest wait on record frames. Prefilled records go
-// to the build's store handle like received ones — dedupe hits there,
-// which pin the entries until the version commits. A manifest that
-// prefills completely commits on the spot; one whose sender will push
-// nothing (want == 0) but that still has gaps — the producer planned
-// against a have-list the relay has since evicted — asks for the gaps
-// immediately.
+// hash list comes from the manifest (so it is bounded by the payload),
+// positions whose chunks the relay already has are prefilled — the
+// resident slice looked up, or the record read through from the store —
+// and only the rest wait on record frames. Prefilled records go to the
+// build's store handle like received ones — dedupe hits there, which pin
+// the entries until the version commits. A manifest that prefills
+// completely commits on the spot; one whose sender will push nothing
+// (want == 0) but that still has gaps — the producer planned against a
+// have-list the relay has since evicted — asks for the gaps immediately.
 func (r *Relay) startDeltaBuild(link *transport.TCPLink, f transport.Frame, model string, vnum uint64, want int, pending map[string]*building) {
 	man, err := vformat.ParseManifest(f.Payload)
 	if err != nil {
@@ -1097,40 +1048,35 @@ func (r *Relay) startDeltaBuild(link *transport.TCPLink, f transport.Frame, mode
 	}
 	hf.Meta[transport.MetaChunkRole] = transport.ChunkRoleHeader
 	hf.Meta[transport.MetaChunkCount] = strconv.Itoa(len(man.Hashes))
-	v := &version{
-		model: model, vnum: vnum, key: f.Key,
-		head:   hf,
-		hashes: man.Hashes,
-		delta:  true, reconcile: true,
-	}
 	b := &building{
-		v: v, want: want, left: len(man.Hashes),
-		covered: make([]bool, len(man.Hashes)),
-		missing: make(map[vformat.ChunkHash]int, len(man.Hashes)),
+		want: want, size: len(man.Hashes),
+		recs:    make(map[int]record),
+		missing: make(map[vformat.ChunkHash]int),
+		v: &version{
+			model: model, vnum: vnum, key: f.Key,
+			head:   hf,
+			hashes: man.Hashes,
+			delta:  true, reconcile: true,
+		},
 	}
-	// Whatever the relay already holds covers its position now — resident
-	// chunks are shared, demoted ones read through from the store — so a
+	// Whatever the relay already has covers its position now — resident
+	// chunks are looked up, demoted ones read through from the store — so a
 	// delta push right after a restart (or against a demoted shell)
-	// completes without a need-list round trip.
+	// completes without a need-list round trip. A resident chunk that
+	// leaves the table before this build commits stays covered: the build
+	// has the slice.
 	recs, _ := r.resolve(man.Hashes)
-	r.mu.Lock()
+	r.beginStore(b)
 	for i, h := range man.Hashes {
 		if recs[i] == nil {
 			b.missing[h] = i
 			continue
 		}
-		e := r.internChunkLocked(h, recs[i], v)
-		v.held = append(v.held, e)
-		b.covered[i] = true
-		b.left--
+		b.recs[i] = record{h, recs[i]}
+		r.storeAppend(b, h, recs[i])
 	}
-	r.mu.Unlock()
-	r.beginStore(b)
-	for _, e := range v.held {
-		r.storeAppend(b, e.hash, e.payload)
-	}
-	if b.left == 0 {
-		r.commit(link, v, b.w)
+	if len(b.recs) == b.size {
+		r.commit(link, b)
 		return
 	}
 	pending[model] = b
@@ -1140,15 +1086,15 @@ func (r *Relay) startDeltaBuild(link *transport.TCPLink, f transport.Frame, mode
 }
 
 // addRecord folds one verified chunk record into its build — hashing it
-// once, outside the catalog lock, interning the bytes into the
-// content-addressed store and appending them to the durable one — and
-// commits the version once every position is covered. On a delta build
-// that received every announced record and still has gaps, the missing
-// hashes are requested from the producer (the relay evicted them after
-// advertising).
+// once and appending it to the durable store; the catalogue lock is not
+// taken — and commits the version once every position is covered. A
+// full-stream record whose index is past the announced count, or already
+// covered, is a stray. On a delta build that received every announced
+// record and still has gaps, the missing hashes are requested from the
+// producer (the relay evicted them after advertising).
 func (r *Relay) addRecord(link *transport.TCPLink, f transport.Frame, b *building, pending map[string]*building) {
 	var h vformat.ChunkHash
-	pos := -1
+	var pos int
 	if b.v.delta {
 		h = vformat.HashChunkRecord(f.Payload)
 		p, ok := b.missing[h]
@@ -1164,24 +1110,18 @@ func (r *Relay) addRecord(link *transport.TCPLink, f transport.Frame, b *buildin
 		pos = p
 	} else {
 		pos = transport.ChunkRecordIndex(f.Payload)
-		if pos < 0 || pos >= len(b.covered) || b.covered[pos] {
+		if _, dup := b.recs[pos]; dup || pos < 0 || pos >= b.size {
 			r.bump(func(s *Stats) { s.StrayFrames++ })
 			return
 		}
 		h = vformat.HashChunkRecord(f.Payload)
 	}
 	b.got++
-	b.covered[pos] = true
-	b.left--
-	r.mu.Lock()
-	e := r.internChunkLocked(h, f.Payload, b.v)
-	b.v.held = append(b.v.held, e)
-	b.v.hashes[pos] = h
-	r.mu.Unlock()
+	b.recs[pos] = record{h, f.Payload}
 	r.storeAppend(b, h, f.Payload)
-	if b.left == 0 {
+	if len(b.recs) == b.size {
 		delete(pending, b.v.model)
-		r.commit(link, b.v, b.w)
+		r.commit(link, b)
 		return
 	}
 	r.maybeNeed(link, b)
@@ -1191,13 +1131,13 @@ func (r *Relay) addRecord(link *transport.TCPLink, f transport.Frame, b *buildin
 // the announced record count has fully landed (delta builds only; sent
 // at most once per build).
 func (r *Relay) maybeNeed(link *transport.TCPLink, b *building) {
-	if b.v.delta && !b.needSent && b.got >= b.want && b.left > 0 {
+	if b.v.delta && !b.needSent && b.got >= b.want && len(b.recs) < b.size {
 		r.sendNeedList(link, b)
 	}
 }
 
 // sendNeedList asks the producer to re-send the chunks a manifest
-// advertised as held but the store no longer has.
+// advertised as present but the relay no longer has.
 func (r *Relay) sendNeedList(link *transport.TCPLink, b *building) {
 	need := make([]vformat.ChunkHash, 0, len(b.missing))
 	for h := range b.missing {
@@ -1208,37 +1148,28 @@ func (r *Relay) sendNeedList(link *transport.TCPLink, b *building) {
 	link.Send(transport.NewNeedFrame(b.v.key, need))
 }
 
-// releaseBuild returns an abandoned build's chunk references to the
-// cache and aborts its store handle: what it appended stays on disk as
-// dead bytes for the store's reclaimer.
-func (r *Relay) releaseBuild(b *building) {
-	r.mu.Lock()
-	for _, e := range b.v.held {
-		r.releaseChunk(e)
+// commit publishes a finished build: it completes the version (the last
+// writes the object ever sees), makes it durable, and then — under one
+// acquisition of r.mu — enters it into the chunk table and the catalogue
+// and slides the resident window. After that it wakes every consumer
+// session, advertises the version's chunk hashes upstream (so the
+// producer can push the next version as a delta), and — when the version
+// is the model's newest — records relay-served metadata and republishes
+// the update channel.
+func (r *Relay) commit(link *transport.TCPLink, b *building) {
+	v := b.v
+	// Every position is covered, so b.size records really arrived: this is
+	// the first allocation the announced count sizes. The version's logical
+	// size is the header plus every record.
+	recs := make([][]byte, b.size)
+	if !v.delta {
+		v.hashes = make([]vformat.ChunkHash, b.size)
 	}
-	b.v.held = nil
-	r.mu.Unlock()
-	if b.w != nil {
-		b.w.Abort()
-		b.w = nil
-	}
-}
-
-// commit inserts a completed version into the cache, wakes every
-// consumer session, advertises the version's chunk hashes upstream (so
-// the producer can push the next version as a delta), and — when the
-// version is the model's newest — records relay-served metadata and
-// republishes the update channel. w is the build's store handle (nil
-// without a store or after a failed append); commit finishes it.
-func (r *Relay) commit(link *transport.TCPLink, v *version, w *chunkstore.Writer) {
-	// The version's logical size is the header plus every record; only
-	// the header (plus the derived manifest) is charged to the cache
-	// beyond the shared chunk store.
 	v.bytes = int64(len(v.head.Payload))
-	for _, e := range v.held {
-		v.bytes += int64(len(e.payload))
+	for pos, rc := range b.recs {
+		recs[pos], v.hashes[pos] = rc.payload, rc.hash
+		v.bytes += int64(len(rc.payload))
 	}
-	v.resident = int64(len(v.head.Payload))
 	v.manifest = vformat.EncodeManifest(v.head.Payload, v.hashes)
 	v.meta = r.metaFor(v)
 	// Persist before the catalog insert: once consumers can discover the
@@ -1246,9 +1177,14 @@ func (r *Relay) commit(link *transport.TCPLink, v *version, w *chunkstore.Writer
 	// own retention has run so the delegation below sees fresh state. The
 	// store's version set is snapshotted here, not under r.mu: the call
 	// can wait behind another connection's fsync, and every serve session
-	// needs the catalog lock. A version retired in the gap is released at
-	// the next commit.
-	r.persistVersion(v, w)
+	// needs the catalog lock. A version retired in the gap leaves the
+	// catalogue at the next commit. There is no handle without a store, for
+	// a build whose appends already failed (and were counted), and for a
+	// version with no chunks, which has nothing to make durable: those stay
+	// memory-only.
+	if b.w != nil {
+		r.persistVersion(v, b.w)
+	}
 	var storeHas map[uint64]bool
 	if r.store != nil {
 		storeHas = make(map[uint64]bool)
@@ -1262,50 +1198,62 @@ func (r *Relay) commit(link *transport.TCPLink, v *version, w *chunkstore.Writer
 		mc = &modelCache{}
 		r.models[v.model] = mc
 	}
-	// Insert sorted by version; a re-pushed version replaces its entry
-	// (the replaced object is released like an eviction — a session may
-	// still be fanning it out, so the pin protocol applies).
+	// v is listed before anything leaves, so what it shares with a version
+	// it replaces or pushes out is counted as dedup and never re-entered.
+	// Only the header is charged to the cache beyond the chunk table.
+	v.deduped = r.enterWindowLocked(v.hashes, recs)
+	r.stats.DedupedChunks += int64(v.deduped)
+	r.cacheBytes += int64(len(v.head.Payload))
+	// Insert sorted by version; a re-pushed version replaces its entry. The
+	// replaced object is only unlisted: a session still fanning it out
+	// serves on from its snapshot.
 	i := sort.Search(len(mc.versions), func(i int) bool { return mc.versions[i].vnum >= v.vnum })
 	if i < len(mc.versions) && mc.versions[i].vnum == v.vnum {
-		r.releaseLocked(mc.versions[i])
-		mc.versions[i] = v
+		old := mc.versions[i]
+		if i >= mc.lo {
+			r.leaveWindowLocked(old.hashes)
+		}
+		r.cacheBytes -= int64(len(old.head.Payload))
+		r.stats.ReleasedVersions++
 	} else {
 		mc.versions = append(mc.versions, nil)
 		copy(mc.versions[i+1:], mc.versions[i:])
-		mc.versions[i] = v
+		if i < mc.lo {
+			mc.lo++
+		}
 	}
-	r.cacheBytes += v.resident
+	mc.versions[i] = v
+	// Slide the window: it is the newest Retained versions above the disk
+	// shells. What is listed right now is the old window plus v (which may
+	// have landed among the shells); whatever of that falls below the new
+	// edge is unlisted and then shares the shells' fate.
+	// Retention is delegated to the store: a shell stays in the catalogue,
+	// serving from disk, as long as the store holds it; a version the
+	// store's own retention retired, or never had, leaves entirely.
+	lo := len(mc.versions) - r.retained
+	if lo < mc.lo {
+		lo = mc.lo
+	}
+	kept := make([]*version, 0, len(mc.versions))
+	for j, old := range mc.versions[:lo] {
+		listed := j >= mc.lo || old == v
+		if listed {
+			r.leaveWindowLocked(old.hashes)
+		}
+		if !old.stored || !storeHas[old.vnum] {
+			r.cacheBytes -= int64(len(old.head.Payload))
+			r.stats.ReleasedVersions++
+			continue
+		}
+		if listed {
+			r.stats.DemotedVersions++
+		}
+		kept = append(kept, old)
+	}
+	mc.lo = len(kept)
+	mc.versions = append(kept, mc.versions[lo:]...)
 	if v.delta {
 		r.stats.DeltaVersions++
-	}
-	if r.store != nil {
-		// Retention is delegated to the store: Retained bounds only the
-		// fully resident window. Older versions the store still holds are
-		// demoted to disk-backed shells (and keep serving); versions the
-		// store's own retention retired leave the catalog entirely.
-		lo := len(mc.versions) - r.retained
-		if lo < 0 {
-			lo = 0
-		}
-		kept := mc.versions[:0]
-		for i, old := range mc.versions {
-			switch {
-			case i >= lo:
-				kept = append(kept, old)
-			case storeHas[old.vnum]:
-				r.demoteLocked(old)
-				kept = append(kept, old)
-			default:
-				r.releaseLocked(old)
-			}
-		}
-		mc.versions = kept
-	} else if len(mc.versions) > r.retained {
-		evict := len(mc.versions) - r.retained
-		for _, old := range mc.versions[:evict] {
-			r.releaseLocked(old)
-		}
-		mc.versions = append(mc.versions[:0:0], mc.versions[evict:]...)
 	}
 	newest := mc.newest() == v
 	r.stats.CachedVersions++
@@ -1395,22 +1343,22 @@ func (r *Relay) wakeChan() <-chan struct{} {
 }
 
 // next finds a model whose newest complete version is ahead of what the
-// session already fanned out and returns it pinned; ok is false when
-// there is none.
-func (r *Relay) next(sent map[string]uint64) (v *version, ok bool) {
+// session already fanned out and returns it with the snapshot of where
+// its records — the ones not in have, the session's advertised set — can
+// be served from (planLocked); v is nil when there is none. The snapshot
+// is taken under the same lock acquisition that picked v, so there is no
+// window between pick and borrow: whatever the catalogue does to v next,
+// the session serves the version it picked.
+func (r *Relay) next(sent map[string]uint64, have map[vformat.ChunkHash]bool) (v *version, want []vformat.ChunkHash, recs [][]byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for model, mc := range r.models {
 		if v := mc.newest(); v != nil && v.vnum > sent[model] {
-			// Pin under the same lock acquisition that found v in the
-			// catalog: there is no window in which eviction could free
-			// the frames before the session's borrow begins. The
-			// session's send owns the pin and releases it.
-			r.pin(v)
-			return v, true
+			want, recs = r.planLocked(v.hashes, have)
+			return v, want, recs
 		}
 	}
-	return nil, false
+	return nil, nil, nil
 }
 
 // acceptServe accepts successive consumer connections.
@@ -1543,9 +1491,14 @@ func (s *session) run() {
 		if !s.drainNeeds() {
 			return
 		}
+		// The have-set is read before the catalogue lock is taken, never
+		// under it: s.mu and r.mu do not nest.
+		s.mu.Lock()
+		have := s.have
+		s.mu.Unlock()
 		wake := s.r.wakeChan()
-		v, ok := s.r.next(sent)
-		if !ok {
+		v, want, recs := s.r.next(sent, have)
+		if v == nil {
 			select {
 			case nf := <-s.needs:
 				if !s.answerNeed(nf) {
@@ -1559,8 +1512,8 @@ func (s *session) run() {
 			}
 			continue
 		}
-		sent[v.model] = v.vnum // before send: send drops the pin
-		if !s.send(v) {
+		sent[v.model] = v.vnum
+		if !s.send(v, want, recs) {
 			return
 		}
 	}
@@ -1621,16 +1574,13 @@ type fanout struct {
 	disk []vformat.ChunkHash
 }
 
-// planFanout plans serving v (pinned by the caller, so its header,
-// manifest and hash list are immutable) to this consumer. It reports
-// false when a record is in neither tier: the version is then refused
-// whole rather than opened as a stream that cannot finish. The catalog
-// snapshot is taken under r.mu; the store's index is asked outside it.
-func (s *session) planFanout(v *version) (fanout, bool) {
-	s.mu.Lock()
-	have := s.have
-	s.mu.Unlock()
-	want, recs := s.r.plan(v.hashes, have)
+// planFanout turns the snapshot next took of v — want, the records this
+// consumer lacks, and recs, their resident payloads — into the fan-out's
+// plan. It reports false when a record is in neither tier: the version is
+// then refused whole rather than opened as a stream that cannot finish.
+// No lock is taken: v is immutable, and the store's index is asked here,
+// outside the catalogue lock.
+func (s *session) planFanout(v *version, want []vformat.ChunkHash, recs [][]byte) (fanout, bool) {
 	p := fanout{open: v.head, delta: len(want) < len(v.hashes), recs: recs}
 	for i, rec := range recs {
 		if rec != nil {
@@ -1653,27 +1603,25 @@ func (s *session) planFanout(v *version) (fanout, bool) {
 }
 
 // send fans one cached version out to the consumer under its plan
-// (planFanout). Resident records go out from the plan's snapshot; records
-// that live only in the store are read through as the loop reaches them,
-// one record ahead (readAhead), so nothing waits for a whole version to
-// come off disk and nothing is added to the cache. A store read that
-// fails once frames have left cannot be taken back: the consumer gets the
+// (planFanout). Resident records go out from the snapshot; records that
+// live only in the store are read through as the loop reaches them, one
+// record ahead (readAhead), so nothing waits for a whole version to come
+// off disk and nothing is added to the cache. A store read that fails
+// once frames have left cannot be taken back: the consumer gets the
 // off-stream notice (rejectReasonResend), drops its build as a group and
 // turns to the staging copy, never installing a short stream.
 //
-// The version is pinned for the duration of the borrow: eviction (or a
-// same-vnum replacement) concurrent with the fan-out defers its storage
-// release to the unpin — and pinned versions keep their chunk
-// references, so every payload the plan snapshots stays immutable and
-// resident for the whole borrow. A newer complete version superseding v
-// mid-stream still aborts the fan-out (latest-wins); the consumer's
-// torn-stream handling copes with the cut, and the outer loop
-// immediately starts on the newer version. Returns false when the
-// connection is gone.
-func (s *session) send(v *version) bool {
-	defer s.r.unpin(v) // next() pinned v under the catalog lock
+// The borrow is the snapshot: v is immutable and the snapshot holds the
+// resident payload slices themselves, so eviction, demotion or a
+// same-vnum replacement concurrent with the fan-out changes nothing the
+// loop reads — the consumer gets, bit for bit, the version that was
+// picked. A newer complete version superseding v mid-stream still aborts
+// the fan-out (latest-wins); the consumer's torn-stream handling copes
+// with the cut, and the outer loop immediately starts on the newer
+// version. Returns false when the connection is gone.
+func (s *session) send(v *version, want []vformat.ChunkHash, recs [][]byte) bool {
 	picked := s.r.clock.Now()
-	p, ok := s.planFanout(v)
+	p, ok := s.planFanout(v, want, recs)
 	if !ok {
 		// Abandon this fan-out; the session moves on to the next commit.
 		lostByStore := v.stored && s.r.store != nil

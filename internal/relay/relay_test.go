@@ -78,7 +78,7 @@ func testRelay(t *testing.T, retained int) *Relay {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(r.Close)
+	t.Cleanup(func() { closeChecked(t, r) })
 	return r
 }
 
@@ -291,7 +291,7 @@ func TestRelayAnnouncesMetadataAndNotification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(r.Close)
+	t.Cleanup(func() { closeChecked(t, r) })
 
 	ps, err := pubsub.DialClient(notifyAddr)
 	if err != nil {
@@ -358,7 +358,7 @@ func TestEndToEndFanOut32Consumers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(r.Close)
+	t.Cleanup(func() { closeChecked(t, r) })
 
 	prod, err := remote.NewProducer(remote.ProducerConfig{
 		Model: "m", MetaAddr: metaAddr, NotifyAddr: notifyAddr,

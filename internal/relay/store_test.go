@@ -25,7 +25,7 @@ func storeRelay(t *testing.T, dir string, retained int, ret chunkstore.Retention
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(r.Close)
+	t.Cleanup(func() { closeChecked(t, r) })
 	return r
 }
 
@@ -149,21 +149,14 @@ func TestStoreRetentionDelegation(t *testing.T) {
 		t.Fatalf("no version was demoted to a disk-backed shell: %+v", st)
 	}
 
-	// The demoted version still serves: v3's records come back whole.
+	// v3 is a disk shell: catalogued below the resident window, which
+	// holds v4 alone.
 	r.mu.Lock()
-	var v3 *version
-	for _, v := range r.models["m"].versions {
-		if v.vnum == 3 {
-			v3 = v
-		}
-	}
-	held := 0
-	if v3 != nil {
-		held = len(v3.held)
-	}
+	mc := r.models["m"]
+	lo, below := mc.lo, mc.versions[0].vnum
 	r.mu.Unlock()
-	if v3 == nil || held != 0 {
-		t.Fatalf("v3 shell: present=%v heldChunks=%d, want a demoted shell", v3 != nil, held)
+	if lo != 1 || below != 3 {
+		t.Fatalf("window starts at %d above v%d, want v3 as the one shell below it", lo, below)
 	}
 }
 
@@ -489,6 +482,6 @@ func New2(t *testing.T, cfg Config) *Relay {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(r.Close)
+	t.Cleanup(func() { closeChecked(t, r) })
 	return r
 }

@@ -81,14 +81,20 @@ func TestSendCollectChunkedDelta(t *testing.T) {
 			recvErr = err
 			return
 		}
-		got, _, reused, recvErr = CollectChunkedDelta(context.Background(), mf, link.Recv, nil, cache)
+		asm, err := vformat.NewManifestAssembler(mf.Payload, cache, nil)
+		if err != nil {
+			recvErr = err
+			return
+		}
+		got, _, recvErr = CollectChunkedDeltaInto(context.Background(), mf, asm, link.Recv, nil)
+		reused = asm.Reused()
 	}()
 	if err := SendChunkedDelta(context.Background(), link, "stream/v4", manifest, records, len(hashes2), len(blob2), 0); err != nil {
 		t.Fatalf("SendChunkedDelta: %v", err)
 	}
 	wg.Wait()
 	if recvErr != nil {
-		t.Fatalf("CollectChunkedDelta: %v", recvErr)
+		t.Fatalf("CollectChunkedDeltaInto: %v", recvErr)
 	}
 	if reused != len(hashes2)-len(records) {
 		t.Fatalf("reused %d chunks, want %d", reused, len(hashes2)-len(records))
@@ -160,7 +166,12 @@ func TestCollectChunkedDeltaNeedResend(t *testing.T) {
 				recvErr = err
 				return
 			}
-			_, _, _, recvErr = CollectChunkedDelta(context.Background(), mf, link.Recv, nil, c2)
+			asm, err := vformat.NewManifestAssembler(mf.Payload, c2, nil)
+			if err != nil {
+				recvErr = err
+				return
+			}
+			_, _, recvErr = CollectChunkedDeltaInto(context.Background(), mf, asm, link.Recv, nil)
 		}()
 		if err := SendChunkedDelta(context.Background(), link, "k", manifest, records, len(hashes2), len(blob2), 0); err != nil {
 			t.Fatal(err)
@@ -188,8 +199,13 @@ func TestCollectChunkedDeltaNeedResend(t *testing.T) {
 			recvErr = err
 			return
 		}
+		asm, err := vformat.NewManifestAssembler(mf.Payload, cache, nil)
+		if err != nil {
+			recvErr = err
+			return
+		}
 		send := func(f Frame) error { needC <- f; return nil }
-		got, _, _, recvErr = CollectChunkedDelta(context.Background(), mf, down.Recv, send, cache)
+		got, _, recvErr = CollectChunkedDeltaInto(context.Background(), mf, asm, down.Recv, send)
 	}()
 	if err := SendChunkedDelta(context.Background(), down, "k", manifest, records, len(hashes2), len(blob2), 0); err != nil {
 		t.Fatal(err)

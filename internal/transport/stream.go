@@ -309,18 +309,6 @@ func CollectChunked(ctx context.Context, header Frame, recv func() (Frame, error
 	return ckpt, nil, nil
 }
 
-// CollectChunkedDelta reconciles the delta stream opened by manifest
-// against cache alone: CollectChunkedDeltaInto on a fresh assembler with
-// no span source. It also returns how many chunks the cache supplied.
-func CollectChunkedDelta(ctx context.Context, manifest Frame, recv func() (Frame, error), send func(Frame) error, cache *vformat.ChunkCache) (*vformat.Checkpoint, *Frame, int, error) {
-	asm, err := vformat.NewManifestAssembler(manifest.Payload, cache, nil)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	ckpt, foreign, err := CollectChunkedDeltaInto(ctx, manifest, asm, recv, send)
-	return ckpt, foreign, asm.Reused(), err
-}
-
 // CollectChunkedDeltaInto finishes asm — the assembler the caller seeded
 // from manifest's payload, its chunk cache and, if it has one, a span
 // source — over the delta stream manifest opens: chunks already held
