@@ -43,7 +43,7 @@ echo "==> leakcheck packages (-race -count=1)"
 go test -race -count=1 \
     ./internal/transport/ ./internal/pubsub/ ./internal/remote/ \
     ./internal/kvstore/ ./internal/coupled/ ./internal/relay/ \
-    ./internal/metrics/ ./internal/chunkstore/
+    ./internal/metrics/ ./internal/chunkstore/ ./internal/debugsrv/
 
 # Code ordered by notifications, gates and snapshots, not by one
 # goroutine's program order: one -race pass sees one interleaving, so
@@ -54,7 +54,10 @@ go test -race -count=1 \
 # takes the need-list (ISSUE 19) — and the relay's lock-free readers of
 # committed versions: fan-outs frozen across replacement, eviction and
 # demotion, and the seeded sequence (ISSUE 20) — run five more times and
-# the in-process link's latest-wins queue (ISSUE 17) ten.
+# the in-process link's latest-wins queue (ISSUE 17) ten. So do the
+# receive pool's hand-back points — every one of these packages' tests runs
+# with released buffers poisoned, these drive each point on purpose — and
+# the per-hop corruption drills (ISSUE 22).
 #
 # The lists are kept by hand, so a name that matches no test — a rename,
 # a deletion — fails the gate instead of silently rerunning one test fewer.
@@ -71,26 +74,31 @@ rerun() {
 }
 echo "==> builder + stage flusher + cache filler + span source + read-through + immutable versions + link queue interleavings (-race -count=5/10)"
 rerun 5 ./internal/remote/ \
-    'TestParkedBuildWaitsForItsNotification|TestInterruptedStreamNeverInstalls|TestStalledStreamIsAbandoned|TestStagePendingWindow|TestDefaultConsumerBuildsBigStreams|TestBacklogInstallsInOrderFromTheLink|TestPublishErrorPathsBalanceTheBlob|TestNeedAnswerRacesNextPublish|TestFillRunsBehindTheInstall|TestDroppedParkedBuildIsNeverHashed|TestWaitingFillIsSuperseded|TestCloseAbandonsTheFill|TestStagedInstallFillsBehind|TestLateHaveListCostsOneFullStream|TestOnlyVerifiedRecordsAreCached|TestParkedBudgetCountsWireRecords|TestDeltaCacheEvictionRecovers|TestABADrillKeepsTheNeedListPath|TestSupersededFillOffersNoSource|TestReaderHoldsActiveWhileBuilderInherits'
+    'TestParkedBuildWaitsForItsNotification|TestInterruptedStreamNeverInstalls|TestStalledStreamIsAbandoned|TestStagePendingWindow|TestDefaultConsumerBuildsBigStreams|TestBacklogInstallsInOrderFromTheLink|TestPublishErrorPathsBalanceTheBlob|TestNeedAnswerRacesNextPublish|TestFillRunsBehindTheInstall|TestDroppedParkedBuildIsNeverHashed|TestWaitingFillIsSuperseded|TestCloseAbandonsTheFill|TestStagedInstallFillsBehind|TestLateHaveListCostsOneFullStream|TestOnlyVerifiedRecordsAreCached|TestParkedBudgetCountsWireRecords|TestDeltaCacheEvictionRecovers|TestABADrillKeepsTheNeedListPath|TestSupersededFillOffersNoSource|TestReaderHoldsActiveWhileBuilderInherits|TestDroppedBuildReleasesItsRecordsOnly|TestStaleFramesAreReleased|TestSupersededFillReleasesItsRecords|TestCloseWithFramesInFlight|TestCorruptionDrillDirectLink'
 rerun 5 ./internal/relay/ \
-    'TestStoreReadFailsMidStream|TestChunkInNeitherTierRefusedBeforeFirstFrame|TestNewerCommitAbortsReadThrough|TestConcurrentJoinersReadThrough|TestMixedResidentAndDiskRecordsServeInOrder|TestReadThroughInstruments|TestFrozenFanoutSurvivesSameVnumReplacement|TestFrozenFanoutAcrossEviction|TestFrozenFanoutAcrossDemotion|TestSeededSequenceKeepsInvariants'
+    'TestStoreReadFailsMidStream|TestChunkInNeitherTierRefusedBeforeFirstFrame|TestNewerCommitAbortsReadThrough|TestConcurrentJoinersReadThrough|TestMixedResidentAndDiskRecordsServeInOrder|TestReadThroughInstruments|TestFrozenFanoutSurvivesSameVnumReplacement|TestFrozenFanoutAcrossEviction|TestFrozenFanoutAcrossDemotion|TestSeededSequenceKeepsInvariants|TestCorruptionDrillRelayHops'
 rerun 5 ./internal/chunkstore/ 'TestWriterModel|TestReadChunkHoldsNoLockAcrossTheRead'
 rerun 10 ./internal/transport/ TestPropLatestWinsQueue
+rerun 5 ./internal/transport/ 'TestRecvPoolContract|TestPooledRecvDrawsRecordsOnly|TestRecvErrorPathsReturnTheBuffer'
 
 # The allocation budgets — publish path (ISSUE 13) and cold join (ISSUE
 # 18) — rerun uncached and WITHOUT the race detector: under -race
 # sync.Pool drops buffers at random, so the publish-path test skips itself
 # there, and a cached 'ok' from the plain run would not prove the budgets
-# hold on this tree. The delta count gate (ISSUE 19: records hashed per
-# steady delta publish == chunks that moved, cached records decoded per
-# steady delta install == 0, exactly) rides along.
-echo "==> alloc budget + delta count gates (-count=1, no -race)"
-go test -count=1 -run 'AllocBudget|DeltaCountGate' ./internal/remote/ ./internal/relay/
+# hold on this tree. The count gates ride along: records hashed per steady
+# delta publish == chunks that moved and cached records decoded per steady
+# delta install == 0, exactly (ISSUE 19); bytes through the frame CRC per
+# full-stream Publish → Next, both sides, < 1 % of the payload (ISSUE 22).
+echo "==> alloc budget + count gates (-count=1, no -race)"
+go test -count=1 -run 'AllocBudget|CountGate' ./internal/remote/ ./internal/relay/
 
 # The socket- and disk-fed parsers are fuzzed on every run: no panic, no
-# allocation out of proportion to the input, only sound results. Seeds and
-# testdata/fuzz regressions already ran in the test pass above; this adds
-# one budget of mutation shared by the targets (failures land in testdata/fuzz).
+# allocation out of proportion to the input, only sound results. Seeds,
+# testdata/fuzz regressions and a few thousand deterministic mutants per
+# target (internal/mutate, TestMutated*) already ran in the test pass above —
+# that is where the mutation coverage comes from on a machine where the
+# native engine barely runs; this adds one budget of it, shared by the
+# targets (failures land in testdata/fuzz).
 echo "==> fuzz DecodeAuto + ManifestAssembler + TCPLinkRecv (20s in all)"
 go test -run '^$' -fuzz FuzzDecodeAuto -fuzztime 7s ./internal/vformat
 go test -run '^$' -fuzz FuzzManifestAssembler -fuzztime 6s ./internal/vformat

@@ -19,6 +19,8 @@ import (
 	"time"
 
 	"viper/internal/dataset"
+	"viper/internal/debugsrv"
+	"viper/internal/metrics"
 	"viper/internal/models"
 	"viper/internal/nn"
 	"viper/internal/remote"
@@ -33,9 +35,20 @@ func main() {
 	seed := flag.Int64("seed", 1, "inference-data seed")
 	noDelta := flag.Bool("no-delta", false, "disable chunk-delta reconciliation (always pull full streams)")
 	chunkCache := flag.Int("chunk-cache", 0, "chunk hash cache entries (0 = default)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and a /metrics JSON dump of every registry on this address (empty = off)")
 	flag.Parse()
 
-	if err := run(*metaAddr, *notifyAddr, *producerAddr, *updates, *timeout, *seed, *noDelta, *chunkCache); err != nil {
+	dbg, err := debugsrv.Start(*debugAddr, metrics.AllSnapshots)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "viper-consumer: %v\n", err)
+		os.Exit(1)
+	}
+	if dbg != nil {
+		fmt.Printf("viper-consumer: debug endpoint on http://%s/debug/pprof/\n", dbg.Addr())
+	}
+	err = run(*metaAddr, *notifyAddr, *producerAddr, *updates, *timeout, *seed, *noDelta, *chunkCache)
+	dbg.Close()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "viper-consumer: %v\n", err)
 		os.Exit(1)
 	}

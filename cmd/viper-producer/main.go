@@ -25,7 +25,9 @@ import (
 	"os"
 
 	"viper/internal/dataset"
+	"viper/internal/debugsrv"
 	"viper/internal/ipp"
+	"viper/internal/metrics"
 	"viper/internal/models"
 	"viper/internal/nn"
 	"viper/internal/remote"
@@ -45,9 +47,20 @@ func main() {
 		"chunk size in bytes for the streamed wire format (0 = the default)")
 	deltaEps := flag.Float64("delta-eps", 1e-6,
 		"base-suppression threshold for chunk-level delta publishing: elements that move less re-encode their previous wire value so unchanged chunks dedup (0 = exact-match dedup only)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and a /metrics JSON dump of every registry on this address (empty = off)")
 	flag.Parse()
 
-	if err := run(*metaAddr, *notifyAddr, *listenAddr, *relayAddr, *epochs, *warmup, *seed, *chunk, *deltaEps); err != nil {
+	dbg, err := debugsrv.Start(*debugAddr, metrics.AllSnapshots)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "viper-producer: %v\n", err)
+		os.Exit(1)
+	}
+	if dbg != nil {
+		fmt.Printf("viper-producer: debug endpoint on http://%s/debug/pprof/\n", dbg.Addr())
+	}
+	err = run(*metaAddr, *notifyAddr, *listenAddr, *relayAddr, *epochs, *warmup, *seed, *chunk, *deltaEps)
+	dbg.Close()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "viper-producer: %v\n", err)
 		os.Exit(1)
 	}

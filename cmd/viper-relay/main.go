@@ -28,6 +28,7 @@ import (
 	"syscall"
 
 	"viper/internal/chunkstore"
+	"viper/internal/debugsrv"
 	"viper/internal/relay"
 )
 
@@ -41,6 +42,7 @@ func main() {
 	storeKeep := flag.Int("store-keep", 0, "stored versions kept per model (0 = unbounded; requires -store)")
 	storeBytes := flag.Int64("store-bytes", 0, "stored payload bytes kept per model (0 = unbounded; requires -store)")
 	storeAge := flag.Duration("store-age", 0, "maximum stored version age (0 = unbounded; requires -store)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and a /metrics JSON dump of every registry on this address (empty = off)")
 	flag.Parse()
 
 	r, err := relay.New(relay.Config{
@@ -61,12 +63,25 @@ func main() {
 		os.Exit(1)
 	}
 
+	// The relay's counters reach its registry when they are read, so the
+	// endpoint's /metrics goes through the relay's own flush-then-snapshot.
+	dbg, err := debugsrv.Start(*debugAddr, r.MetricsSnapshots)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "viper-relay: %v\n", err)
+		r.Close()
+		os.Exit(1)
+	}
+	defer dbg.Close()
+
 	fmt.Printf("viper-relay: ingest on %s, serving consumers on %s (retaining %d versions/model)\n",
 		r.IngestAddr(), r.ServeAddr(), *retain)
 	if *storeDir != "" {
 		st := r.Stats()
 		fmt.Printf("viper-relay: durable store at %s (%d versions recovered)\n",
 			*storeDir, st.HydratedVersions)
+	}
+	if dbg != nil {
+		fmt.Printf("viper-relay: debug endpoint on http://%s/debug/pprof/\n", dbg.Addr())
 	}
 	fmt.Println("viper-relay: press Ctrl-C to stop")
 

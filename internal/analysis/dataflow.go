@@ -66,9 +66,6 @@ type ownRule struct {
 	// key is the rule's short identifier ("blob", "encoder",
 	// "storewriter").
 	key string
-	// what names the tracked resource in diagnostics ("pooled blob",
-	// "store write handle").
-	what string
 	// acquires yield the token as their first result (tokenResult);
 	// releases take it as first argument or receiver.
 	acquires []callPattern

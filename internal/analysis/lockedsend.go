@@ -1,7 +1,7 @@
 // lockedsend flags blocking operations reachable while a sync.Mutex or
 // sync.RWMutex is held: blocking channel sends and receives, selects
 // without a default case, time/clock sleeps, and direct net.Conn
-// reads/writes. This is the PR-1 pubsub bug class — Broker.Publish once
+// reads/writes (a net.Buffers.WriteTo gathered write included). This is the PR-1 pubsub bug class — Broker.Publish once
 // performed channel sends while holding b.mu, able to stall every
 // publisher and subscriber behind one slow consumer.
 //
@@ -279,6 +279,12 @@ func (w *lockWalker) mutexOp(call *ast.CallExpr) (string, string) {
 	return exprString(sel.X), op
 }
 
+// isConn reports whether e's static type implements net.Conn.
+func (w *lockWalker) isConn(e ast.Expr) bool {
+	tv, ok := w.pass.Info.Types[e]
+	return ok && tv.Type != nil && types.Implements(tv.Type, w.conn)
+}
+
 // checkExpr reports blocking operations inside an expression evaluated
 // under the current lock set.
 func (w *lockWalker) checkExpr(e ast.Expr) {
@@ -312,10 +318,14 @@ func (w *lockWalker) inspectExprNode(n ast.Node) bool {
 			w.pass.Reportf(n.Pos(), "%s.Sleep while holding %s; sleeping under a lock stalls every other critical section", exprString(sel.X), mu)
 			return true
 		}
-		if w.conn != nil && (sel.Sel.Name == "Read" || sel.Sel.Name == "Write") {
-			if tv, ok := w.pass.Info.Types[sel.X]; ok && tv.Type != nil && types.Implements(tv.Type, w.conn) {
-				w.pass.Reportf(n.Pos(), "net.Conn %s on %s while holding %s; network I/O under a lock couples peer latency into the critical section", sel.Sel.Name, exprString(sel.X), mu)
-			}
+		if w.conn != nil && (sel.Sel.Name == "Read" || sel.Sel.Name == "Write") && w.isConn(sel.X) {
+			w.pass.Reportf(n.Pos(), "net.Conn %s on %s while holding %s; network I/O under a lock couples peer latency into the critical section", sel.Sel.Name, exprString(sel.X), mu)
+		}
+		// net.Buffers.WriteTo(conn) is a conn write (a writev): a gathered
+		// write must not hide from the rule what a plain one would show it.
+		if w.conn != nil && sel.Sel.Name == "WriteTo" && len(n.Args) == 1 && w.isConn(n.Args[0]) &&
+			methodOnType(w.pass.Info.Uses[sel.Sel], "net", "Buffers") {
+			w.pass.Reportf(n.Pos(), "net.Conn Write on %s while holding %s; network I/O under a lock couples peer latency into the critical section", exprString(n.Args[0]), mu)
 		}
 	}
 	return true

@@ -17,8 +17,7 @@ package analysis
 
 var pairbalanceRules = []*ownRule{
 	{
-		key:  "storewriter",
-		what: "store write handle",
+		key: "storewriter",
 		acquires: []callPattern{
 			{pkgPath: "viper/internal/chunkstore", typeName: "Store", funcName: "Begin", token: tokenResult},
 		},

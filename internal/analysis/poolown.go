@@ -26,8 +26,7 @@ var poolownScope = map[string]bool{
 
 var poolownRules = []*ownRule{
 	{
-		key:  "blob",
-		what: "pooled blob",
+		key: "blob",
 		acquires: []callPattern{
 			{pkgPath: "viper/internal/vformat", funcName: "EncodeChunked", token: tokenResult},
 			{pkgPath: "viper/internal/vformat", funcName: "getBuf", token: tokenResult},
@@ -51,8 +50,7 @@ var poolownRules = []*ownRule{
 		// exactly-once contract: getBuf buffers back entry assembly, log
 		// replay, and compaction reads, and a buffer that escapes putBuf
 		// on an error return grows the heap on every crash-recovery pass.
-		key:  "scratch",
-		what: "pooled scratch buffer",
+		key: "scratch",
 		acquires: []callPattern{
 			{pkgPath: "viper/internal/chunkstore", funcName: "getBuf", token: tokenResult},
 		},
@@ -66,8 +64,7 @@ var poolownRules = []*ownRule{
 		rebindMsg:   "pooled scratch buffer %s reassigned after defer captured it for putBuf: the deferred call pools the old value, double-pooling it or leaking the new one — defer a closure instead (DESIGN §12)",
 	},
 	{
-		key:  "encoder",
-		what: "chunk encoder",
+		key: "encoder",
 		acquires: []callPattern{
 			{pkgPath: "viper/internal/vformat", funcName: "NewChunkEncoder", token: tokenResult},
 		},

@@ -13,14 +13,18 @@
 //     a failing op tears the connection down, mimicking a peer reset.
 //   - WrapDial: wrap a dial function so connection establishment itself
 //     can fail and every resulting conn is fault-wrapped.
+//   - Flipper: flip one chosen byte of one chosen frame, once, for the
+//     per-hop corruption drills.
 package faults
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"viper/internal/simclock"
@@ -197,4 +201,42 @@ func WrapDial(dial func(addr string) (net.Conn, error), inj *Injector) func(addr
 		}
 		return WrapConn(c, inj), nil
 	}
+}
+
+// Flipper corrupts exactly one byte of the traffic it is wrapped around,
+// at a place chosen by content rather than by dice: the first Write that
+// carries marker has the byte offset bytes past the marker's first byte
+// inverted (on a copy; the writer's buffer is untouched). It is how a
+// drill aims at one field of one frame — a meta tag, the middle of a
+// chunk record — on one hop. One Flipper may wrap every incarnation of a
+// reconnecting link: it fires once in all.
+type Flipper struct {
+	marker []byte
+	offset int
+	fired  atomic.Bool
+}
+
+// NewFlipper builds a Flipper for marker and offset.
+func NewFlipper(marker string, offset int) *Flipper {
+	return &Flipper{marker: []byte(marker), offset: offset}
+}
+
+// Fired reports whether the byte has been flipped.
+func (f *Flipper) Fired() bool { return f.fired.Load() }
+
+// Wrap returns c with the flip armed on its writes.
+func (f *Flipper) Wrap(c net.Conn) net.Conn { return &flipConn{Conn: c, f: f} }
+
+type flipConn struct {
+	net.Conn
+	f *Flipper
+}
+
+func (c *flipConn) Write(p []byte) (int, error) {
+	if at := bytes.Index(p, c.f.marker); at >= 0 && at+c.f.offset < len(p) && c.f.fired.CompareAndSwap(false, true) {
+		cp := append([]byte(nil), p...)
+		cp[at+c.f.offset] ^= 0xFF
+		return c.Conn.Write(cp)
+	}
+	return c.Conn.Write(p)
 }

@@ -1333,32 +1333,26 @@ func (r *Relay) newestVnum(model string) uint64 {
 	return 0
 }
 
-// wakeChan returns the channel the next commit closes. A session takes
-// it before it looks for work (next), so a commit that lands after the
-// lookup closes the channel the session then parks on: none is missed.
-func (r *Relay) wakeChan() <-chan struct{} {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.wake
-}
-
 // next finds a model whose newest complete version is ahead of what the
 // session already fanned out and returns it with the snapshot of where
 // its records — the ones not in have, the session's advertised set — can
-// be served from (planLocked); v is nil when there is none. The snapshot
-// is taken under the same lock acquisition that picked v, so there is no
-// window between pick and borrow: whatever the catalogue does to v next,
-// the session serves the version it picked.
-func (r *Relay) next(sent map[string]uint64, have map[vformat.ChunkHash]bool) (v *version, want []vformat.ChunkHash, recs [][]byte) {
+// be served from (planLocked). The snapshot is taken under the same lock
+// acquisition that picked v, so there is no window between pick and
+// borrow: whatever the catalogue does to v next, the session serves the
+// version it picked. When there is no such version v is nil and wake is
+// the channel the next commit closes — read under the very acquisition
+// that found nothing, so a commit that lands after the lookup closes the
+// channel the session then parks on: none is missed.
+func (r *Relay) next(sent map[string]uint64, have map[vformat.ChunkHash]bool) (v *version, want []vformat.ChunkHash, recs [][]byte, wake <-chan struct{}) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for model, mc := range r.models {
 		if v := mc.newest(); v != nil && v.vnum > sent[model] {
 			want, recs = r.planLocked(v.hashes, have)
-			return v, want, recs
+			return v, want, recs, nil
 		}
 	}
-	return nil, nil, nil
+	return nil, nil, nil, r.wake
 }
 
 // acceptServe accepts successive consumer connections.
@@ -1496,8 +1490,7 @@ func (s *session) run() {
 		s.mu.Lock()
 		have := s.have
 		s.mu.Unlock()
-		wake := s.r.wakeChan()
-		v, want, recs := s.r.next(sent, have)
+		v, want, recs, wake := s.r.next(sent, have)
 		if v == nil {
 			select {
 			case nf := <-s.needs:

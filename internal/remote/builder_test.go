@@ -92,6 +92,13 @@ func startScript(t *testing.T) *script { return startScriptDial(t, nil) }
 // linkDial (nil = plain TCP).
 func startScriptDial(t *testing.T, linkDial func(addr string) (net.Conn, error)) *script {
 	t.Helper()
+	return startScriptWith(t, func(cfg *ConsumerConfig) { cfg.LinkDial = linkDial })
+}
+
+// startScriptWith is startScript with the consumer's configuration
+// adjusted by tweak before it is built.
+func startScriptWith(t *testing.T, tweak func(cfg *ConsumerConfig)) *script {
+	t.Helper()
 	metaAddr, notifyAddr := testServices(t)
 	ln, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
@@ -99,14 +106,15 @@ func startScriptDial(t *testing.T, linkDial func(addr string) (net.Conn, error))
 	}
 	defer ln.Close()
 	clock := &signalClock{Virtual: simclock.NewVirtualManual(), afters: make(chan time.Duration, 4096)}
-	cons, err := NewConsumer(ConsumerConfig{
+	cfg := ConsumerConfig{
 		Model: "m", MetaAddr: metaAddr, NotifyAddr: notifyAddr, ProducerAddr: ln.Addr(),
 		// One attempt: nothing ever sleeps inside a retry loop on the
 		// clock nobody advances; BaseDelay still paces the staging poll.
 		Retry:    retry.Policy{MaxAttempts: 1, BaseDelay: scriptBackoff, MaxDelay: scriptBackoff, Clock: clock},
 		LinkWait: scriptLinkWait,
-		LinkDial: linkDial,
-	})
+	}
+	tweak(&cfg)
+	cons, err := NewConsumer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -328,8 +328,9 @@ func TestParkedBudgetCountsWireRecords(t *testing.T) {
 	}
 }
 
-// corrupted returns f with one payload byte flipped: the frame CRC the
-// sender computes still matches, the chunk record's own CRC does not.
+// corrupted returns f with one payload byte flipped: the link delivers it
+// (a record frame's payload is the record CRC's to vouch for, not the
+// frame's), and the chunk record's own CRC does not match.
 func corrupted(f transport.Frame) transport.Frame {
 	f.Payload = append([]byte(nil), f.Payload...)
 	f.Payload[len(f.Payload)/2] ^= 0xff

@@ -568,11 +568,13 @@ func allocPerPayloadByte(t *testing.T, prod *Producer, cons *Consumer, snap nn.S
 // TestAllocBudget is the in-tree gate on the publish path's copies: a
 // 4 MiB / 16-chunk model goes Publish → Next over loopback TCP with
 // staging on, and the whole process (producer, consumer, KV server) may
-// allocate at most 2.6 bytes per payload byte on the full-stream path
-// and 1.6 in delta steady state. The tree measures ~2.2 / ~1.3: one
+// allocate at most 1.5 bytes per payload byte on the full-stream path
+// and 1.6 in delta steady state. The tree measures ~1.15 / ~1.3: one
 // payload-sized allocation each for the KV server's staged value and the
-// installed weights, plus — full stream only — the received frames; the
-// tree before the one-pass work spent 6.6 / 8.5. (The cold-join path has
+// installed weights, and no received frames — a full stream's records
+// land in the consumer's receive pool and go back as they are decoded
+// (the budget was 2.6 while every record was a fresh slice; the tree
+// before the one-pass work spent 6.6 / 8.5). (The cold-join path has
 // its own case beside the relay: TestAllocBudgetColdJoin.)
 func TestAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -590,7 +592,7 @@ func TestAllocBudget(t *testing.T) {
 		budget float64
 		next   func(snap nn.Snapshot, op int)
 	}{
-		{"full_stream", false, 2.6, func(snap nn.Snapshot, op int) {
+		{"full_stream", false, 1.5, func(snap nn.Snapshot, op int) {
 			for _, nt := range snap { // every element changes
 				for i := range nt.Data {
 					nt.Data[i] += 0.5
@@ -705,4 +707,51 @@ func TestDeltaCountGate(t *testing.T) {
 	if s := cons.Stats(); s.DeltaLoads != 7 || s.StagedLoads != 0 {
 		t.Fatalf("consumer stats %+v, want seven delta loads from the link", s)
 	}
+}
+
+// TestChecksumCountGate is the count gate on the link's checksum passes,
+// beside the allocation budget: the full-stream shape of TestAllocBudget,
+// counted by the transport's own registry. A chunk record is checksummed
+// by its encoder and verified by its assembler — once per side — and the
+// link adds nothing to that: the frame CRC runs over frame headers and the
+// stream header only, so per Publish → Next the bytes it covers, sender
+// and receiver together, stay under 1 % of the payload (they were 200 %
+// while it covered every record on both sides). The count is exact: the
+// same frames cost the same bytes on every op.
+func TestChecksumCountGate(t *testing.T) {
+	const (
+		elems     = 512 << 10 // 4 MiB of float64
+		chunkSize = 256 << 10 // → 16 chunks
+	)
+	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: chunkSize, noDelta: true, frameBuf: 64})
+	summed := transport.Metrics().Counter("tcp_checksum_bytes")
+	snap := flatSnapshot(9, elems)
+	var perOp int64
+	for op := 1; op <= 6; op++ {
+		for _, nt := range snap {
+			for i := range nt.Data {
+				nt.Data[i] += 0.5
+			}
+		}
+		before := summed.Value()
+		if _, err := prod.Publish(snap, uint64(op), 0.5); err != nil {
+			t.Fatal(err)
+		}
+		ckpt, err := cons.Next(10 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !snapshotsEqual(ckpt.Weights, snap) || cons.Stats().StagedLoads != 0 {
+			t.Fatalf("op %d: not a bit-identical install from the link (%+v)", op, cons.Stats())
+		}
+		got := summed.Value() - before
+		if op == 1 {
+			perOp = got
+		}
+		if got != perOp || got <= 0 || got*100 >= snap.NumBytes() {
+			t.Fatalf("op %d: the frame CRC covered %d bytes of a %d-byte stream (op 1: %d); want the same small count every op, under 1 %% of the payload",
+				op, got, snap.NumBytes(), perOp)
+		}
+	}
+	t.Logf("frame CRC bytes per full-stream op, both sides: %d (%.3f %% of the payload)", perOp, 100*float64(perOp)/float64(snap.NumBytes()))
 }

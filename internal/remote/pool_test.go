@@ -1,0 +1,282 @@
+package remote
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"viper/internal/faults"
+	"viper/internal/nn"
+	"viper/internal/transport"
+)
+
+// The tests below hold the consumer to the receive pool's ownership
+// contract (transport.RecvPool): every link payload goes back at most
+// once, and only when nothing can read it any more. TestMain arms the
+// pool's test switch for the whole package, so a payload handed back too
+// early reads 0xDB wherever it is still used — a record CRC, a cached
+// record, a header — and one handed back twice panics; here each hand-back
+// point is driven on purpose and counted.
+
+var (
+	poolReleased = transport.Metrics().Counter("tcp_recv_pool_released")
+	abandoned    = Metrics().Counter("consumer_abandoned_builds")
+)
+
+// bothKinds runs body on a consumer that keeps a full stream's records for
+// its chunk cache and on one that does not (reconciliation off).
+func bothKinds(t *testing.T, body func(t *testing.T, s *script, kept bool)) {
+	for _, kept := range []bool{true, false} {
+		name := map[bool]string{true: "records kept", false: "records not kept"}[kept]
+		t.Run(name, func(t *testing.T) {
+			body(t, startScriptWith(t, func(cfg *ConsumerConfig) { cfg.DisableDeltaReconcile = !kept }), kept)
+		})
+	}
+}
+
+func poisoned(b []byte) bool { return len(b) > 0 && bytes.Count(b, []byte{0xDB}) == len(b) }
+
+// TestDroppedBuildReleasesItsRecordsOnly: a build a newer stream's header
+// interrupts hands back exactly the records it received — and not the
+// interrupting frame, which the collector had already passed through the
+// builder's hands (it sat in the dropped build's record list once) and
+// which still has to open the next build. A foreign record frame that
+// interrupts a build is handed back once, as the stale frame it is.
+func TestDroppedBuildReleasesItsRecordsOnly(t *testing.T) {
+	bothKinds(t, func(t *testing.T, s *script, kept bool) {
+		snaps := []nn.Snapshot{nil, flatSnapshot(1, 4<<10), flatSnapshot(2, 4<<10), flatSnapshot(3, 4<<10)}
+		v1, _ := s.stream(1, snaps[1])
+		v2, _ := s.stream(2, snaps[2])
+		v3, _ := s.stream(3, snaps[3])
+		before, torn := poolReleased.Value(), abandoned.Value()
+
+		s.send(v1[:len(v1)-1]...) // all of v1 but its last record
+		s.send(v2...)             // v2's header interrupts it
+		s.waitBuilder("v2 parked over the torn v1", parkedAre(2))
+		records := int64(len(v1) - 2)
+		if !kept {
+			records += int64(len(v2) - 1) // v2's own went back as they were decoded
+		}
+		if got := poolReleased.Value() - before; got != records || abandoned.Value() != torn+1 {
+			t.Fatalf("the pool took %d payloads back (%d builds abandoned), want v1's %d records and nothing else", got, abandoned.Value()-torn, records)
+		}
+		res := s.next()
+		s.notify(2, true)
+		s.install(res, 2, snaps[2]) // from the link: the interrupting header was intact
+
+		// v3 is interrupted by a record of a stream that never opened.
+		before = poolReleased.Value()
+		s.send(v3[:3]...)
+		foreign := v1[len(v1)-1]
+		foreign.Meta = map[string]string{"model": "m", "version": "4", transport.MetaChunkRole: transport.ChunkRoleChunk, transport.MetaChunkIndex: "0"}
+		foreign.Key = "m/v4"
+		s.send(foreign)
+		s.waitBuilder("v3 torn by the stray record", func(c *Consumer) bool { return c.linkVersion == 4 && c.building == 0 })
+		// The builder hands the stray back right after it moved the link
+		// position; a second hand-back of anything would panic (TestMain).
+		waitFor(t, "v3's 2 records and the stray one handed back", func() bool { return poolReleased.Value()-before == 2+1 })
+		if got := s.cons.Stats(); got.LinkLoads != 1 || got.StagedLoads != 0 {
+			t.Fatalf("consumer stats %+v, want v2 installed from the link", got)
+		}
+	})
+}
+
+// TestStaleFramesAreReleased: frames at or below the link position — the
+// tail of a stream whose build was abandoned, a redelivery — are handed
+// back as the builder discards them, once each, and cost the parked build
+// above them nothing.
+func TestStaleFramesAreReleased(t *testing.T) {
+	bothKinds(t, func(t *testing.T, s *script, kept bool) {
+		snap1, snap2 := flatSnapshot(1, 4<<10), flatSnapshot(2, 4<<10)
+		v1, _ := s.stream(1, snap1)
+		v2, _ := s.stream(2, snap2)
+		s.send(v2...)
+		s.waitBuilder("v2 parked", parkedAre(2))
+		before, discarded := poolReleased.Value(), s.cons.Stats().DiscardedFrames
+		s.send(v1...)     // a whole stale stream: header and records alike
+		s.send(v2[1:]...) // and the parked build's own records, redelivered
+		s.send(stray(3))  // the builder has seen everything before this one
+		stale := int64(len(v1) + len(v2) - 1)
+		waitFor(t, "the stale frames and the stray discarded", func() bool { return s.cons.Stats().DiscardedFrames-discarded == stale+1 })
+		// Every stale payload is handed back; the pool counts those of its
+		// sizes, which headers and records are and the stray's 12 bytes are not.
+		if got := poolReleased.Value() - before; got != stale {
+			t.Fatalf("the pool took %d payloads back, want the %d stale frames'", got, stale)
+		}
+		res := s.next()
+		s.notify(2, true)
+		s.install(res, 2, snap2)
+	})
+}
+
+// TestSupersededFillReleasesItsRecords: the records of an install whose
+// fill a newer install replaces before the filler reached it go back to
+// the pool unhashed; the records the filler did adopt stay the cache's —
+// the bytes it serves are the ones that were sent, whatever the pool has
+// recycled since — and a record that is cached already (the same version
+// delivered again under a higher number) is handed back, not held twice.
+func TestSupersededFillReleasesItsRecords(t *testing.T) {
+	gate := newConnGate()
+	s := startScriptDial(t, gate.dial)
+	s.parkFiller(gate, 1)
+	snap2 := flatSnapshot(2, 4<<10)
+	v2frames, _ := s.stream(2, snap2)
+	v2 := s.deliver(2, snap2)
+	s.cons.mu.Lock()
+	waiting := s.cons.pendingFill.recs
+	s.cons.mu.Unlock()
+	if len(waiting) != len(v2) || poisoned(waiting[0]) {
+		t.Fatalf("v2's fill waits with %d of its %d records (handed back already: %v)", len(waiting), len(v2), poisoned(waiting[0]))
+	}
+	before := poolReleased.Value()
+	snap3 := flatSnapshot(3, 4<<10)
+	v3frames, _ := s.stream(3, snap3)
+	v3 := s.deliver(3, snap3)
+	if got := poolReleased.Value() - before; got != int64(len(v2)) {
+		t.Fatalf("superseding v2's fill handed %d payloads back, want its %d records", got, len(v2))
+	}
+	for i, rec := range waiting {
+		if !poisoned(rec) {
+			t.Fatalf("record %d of the superseded fill was not handed back", i)
+		}
+	}
+	gate.release()
+	s.recvHave()
+	if v, covers := s.recvHave(v2, v3); v != 3 || covers[0] || !covers[1] {
+		t.Fatalf("have-list after v3: version %d, names v2 %v, v3 %v", v, covers[0], covers[1])
+	}
+	// Traffic to churn the pool: v2 again, as v4. Its records are not cached
+	// (v2's fill never ran), so the filler adopts them.
+	snap4 := flatSnapshot(2, 4<<10)
+	s.deliver(4, snap4)
+	s.recvHave()
+	for i, f := range v3frames[1:] {
+		if got, ok := s.cons.cache.Get(v3[i]); !ok || !bytes.Equal(got, f.Payload) {
+			t.Fatalf("the cache's copy of v3 record %d is not the bytes that were sent (cached: %v)", i, ok)
+		}
+	}
+	// And once more, as v5: now every record is cached already.
+	before = poolReleased.Value()
+	s.deliver(5, snap4)
+	s.recvHave()
+	if got := poolReleased.Value() - before; got != int64(len(v2)) {
+		t.Fatalf("a fill of %d records the cache already holds handed %d back", len(v2), got)
+	}
+	for i, f := range v2frames[1:] {
+		if got, ok := s.cons.cache.Get(v2[i]); !ok || !bytes.Equal(got, f.Payload) {
+			t.Fatalf("the cache's copy of v2 record %d is not the bytes that were sent (cached: %v)", i, ok)
+		}
+	}
+}
+
+// TestCloseWithFramesInFlight: Close while the link is mid-stream, a
+// complete build is parked with its records and a fill is waiting hands
+// nothing back that something could still read: what the consumer
+// returned before stays bit-identical, and whatever was in flight is
+// simply let go — releasing is an optimisation, not a duty.
+func TestCloseWithFramesInFlight(t *testing.T) {
+	bothKinds(t, func(t *testing.T, s *script, kept bool) {
+		snaps := []nn.Snapshot{nil, flatSnapshot(1, 4<<10), flatSnapshot(2, 4<<10), flatSnapshot(3, 4<<10)}
+		v1, _ := s.stream(1, snaps[1])
+		s.send(v1...)
+		res := s.next()
+		s.notify(1, true)
+		r := <-res
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		v2, _ := s.stream(2, snaps[2])
+		v3, _ := s.stream(3, snaps[3])
+		s.send(v2...)
+		s.waitBuilder("v2 parked", parkedAre(2))
+		done := make(chan struct{})
+		go func() { // the rest of v3 races Close
+			defer close(done)
+			for _, f := range v3 {
+				if s.peer.Send(f) != nil {
+					return
+				}
+			}
+		}()
+		s.cons.Close()
+		s.peer.Close()
+		<-done
+		if r.ckpt.Version != 1 || !snapshotsEqual(r.ckpt.Weights, snaps[1]) || s.cons.Active() != r.ckpt {
+			t.Fatal("the checkpoint installed before Close changed under it")
+		}
+	})
+}
+
+// The per-hop corruption drills, direct link. One byte is flipped in
+// flight, once: (a) inside a chunk record's payload, which the frame CRC
+// leaves to the record's own — the link delivers the frame, the assembler
+// refuses the record, the build is dropped as a group and the version
+// comes from staging at its notification, without waiting out LinkWait and
+// without the link being torn down; (b) inside a meta tag, which the frame
+// CRC covers (nothing did before) — Recv fails with ErrCorruptFrame, the
+// link is redialled, and the version comes from staging once its build has
+// stalled for LinkWait. Either way what
+// is installed is bit-identical to what was published, and the next
+// version travels the link again.
+func TestCorruptionDrillDirectLink(t *testing.T) {
+	corrupt := transport.Metrics().Counter("tcp_corrupt_frames")
+	for _, tc := range []struct {
+		name     string
+		marker   string
+		offset   int
+		frameCRC bool // the flip is one the frame CRC catches
+	}{
+		{"record payload", "VCHK", 1000, false},
+		{"meta tag", transport.MetaChunkIndex, 3, true},
+	} {
+		for _, noDelta := range []bool{false, true} {
+			t.Run(tc.name+map[bool]string{false: ", records kept", true: ", records not kept"}[noDelta], func(t *testing.T) {
+				flip := faults.NewFlipper(tc.marker, tc.offset)
+				// A damaged record must never make the consumer sit out LinkWait;
+				// a torn connection leaves its build waiting for frames that will
+				// not come, which is what LinkWait is for.
+				linkWait := time.Minute
+				if tc.frameCRC {
+					linkWait = 200 * time.Millisecond
+				}
+				prod, cons := startChunkedPair(t, nil, chunkedPairConfig{
+					chunkSize: 4 << 10, linkWrap: flip.Wrap, noDelta: noDelta, linkWait: linkWait,
+				})
+				torn, rejected := abandoned.Value(), corrupt.Value()
+				for v := uint64(1); v <= 3; v++ {
+					snap := flatSnapshot(int64(v), 4<<10)
+					if _, err := prod.Publish(snap, v, 0.5); err != nil {
+						t.Fatal(err)
+					}
+					start := time.Now()
+					ckpt, err := cons.Next(20 * time.Second)
+					if err != nil {
+						t.Fatalf("v%d: %v (consumer %+v)", v, err, cons.Stats())
+					}
+					if ckpt.Version != v || !snapshotsEqual(ckpt.Weights, snap) {
+						t.Fatalf("v%d installed as v%d, bit-identical: %v", v, ckpt.Version, snapshotsEqual(ckpt.Weights, snap))
+					}
+					if d := time.Since(start); d > 10*time.Second {
+						t.Fatalf("v%d took %v to install: the consumer waited for a build that was already lost", v, d)
+					}
+				}
+				if !flip.Fired() {
+					t.Fatal("the drill never flipped its byte")
+				}
+				s, l := cons.Stats(), cons.link.Stats()
+				if s.StagedLoads != 1 || s.LinkLoads != 2 {
+					t.Fatalf("consumer stats %+v, want the damaged version from staging and the others from the link", s)
+				}
+				if got := corrupt.Value() - rejected; (got == 1) != tc.frameCRC {
+					t.Fatalf("tcp_corrupt_frames moved by %d", got)
+				}
+				if tc.frameCRC && l.Connects < 2 {
+					t.Fatalf("link stats %+v: a frame that failed its CRC must cost the connection", l)
+				}
+				if !tc.frameCRC && (l.Connects != 1 || abandoned.Value() == torn) {
+					t.Fatalf("link stats %+v, %d builds abandoned: a damaged record costs its build, not the connection", l, abandoned.Value()-torn)
+				}
+			})
+		}
+	}
+}

@@ -948,8 +948,9 @@ type build struct {
 	ckpt    *vformat.Checkpoint
 	// recs are a full stream's wire records, kept — with reconciliation on
 	// — for the cache filler to hash once the build is installed. They
-	// are TCPLink.Recv payloads: the consumer owns them, and the cache
-	// adopts them without a copy. header is the stream header they arrived
+	// are the link's pooled payloads (transport.RecvPool): the consumer
+	// owns them, the cache adopts them without a copy, and a build that is
+	// dropped hands them back. header is the stream header they arrived
 	// under, kept with them so the hashes can become a span source.
 	recs   [][]byte
 	header []byte
@@ -967,8 +968,9 @@ type cacheFill struct {
 	// recs passed the assembler's per-record check. A delta stream has
 	// none: its records were cached as they were added.
 	recs [][]byte
-	// owned marks recs as buffers nobody else holds (a parked build's),
-	// which the cache adopts; sub-slices of a staged blob are copied in.
+	// owned marks recs as buffers nobody else holds (a parked build's
+	// pooled payloads), which the cache adopts and the filler otherwise
+	// hands back to the pool; sub-slices of a staged blob are copied in.
 	owned bool
 	// header (the v2 stream header recs belong to; a plain chunked blob
 	// serves) and weights (what they were decoded into) let a finished
@@ -979,10 +981,18 @@ type cacheFill struct {
 
 // Consumer receives checkpoints pushed by a remote producer.
 type Consumer struct {
-	model    string
-	kv       *kvstore.Client
-	ps       *pubsub.Client
-	link     *transport.ReconnectLink
+	model string
+	kv    *kvstore.Client
+	ps    *pubsub.Client
+	link  *transport.ReconnectLink
+	// pool is where the link's chunk-record payloads come from. The consumer
+	// owns every payload the link delivers and hands each back at most once,
+	// when nothing can read it any more: a record that is not kept, as soon
+	// as the assembler has decoded it; a kept build's records when the build
+	// is dropped or the filler finds them cached already; a frame the builder
+	// discards. The records the cache adopts leave the pool for good, and
+	// whatever is simply let go (Close with frames in flight) is collected.
+	pool     *transport.RecvPool
 	events   <-chan pubsub.Message
 	serving  nn.Model
 	linkWait time.Duration
@@ -1063,12 +1073,15 @@ func NewConsumer(cfg ConsumerConfig) (*Consumer, error) {
 	if dial == nil {
 		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
+	pool := transport.NewRecvPool()
 	link := transport.NewReconnectLink(func() (*transport.TCPLink, error) {
 		conn, err := dial(cfg.ProducerAddr)
 		if err != nil {
 			return nil, err
 		}
-		return transport.WrapTCP(conn), nil
+		link := transport.WrapTCP(conn)
+		link.SetRecvPool(pool)
+		return link, nil
 	}, pol)
 	if err := link.Connect(); err != nil {
 		kv.Close()
@@ -1088,7 +1101,7 @@ func NewConsumer(cfg ConsumerConfig) (*Consumer, error) {
 		frameBuf = 32
 	}
 	c := &Consumer{
-		model: cfg.Model, kv: kv, ps: ps, link: link,
+		model: cfg.Model, kv: kv, ps: ps, link: link, pool: pool,
 		events: events, serving: cfg.Serving,
 		linkWait: linkWait, policy: pol, clock: pol.ClockOrWall(),
 		frames:  make(chan transport.Frame, frameBuf),
@@ -1182,6 +1195,7 @@ func (c *Consumer) build() {
 		v := frameVersion(&f)
 		if !c.advance(v, opens) {
 			c.bump(func(s *ConsumerStats) { s.DiscardedFrames++ })
+			c.pool.Release(f.Payload) // typically the tail of an abandoned stream
 			continue
 		}
 		next = c.assemble(f, v)
@@ -1215,12 +1229,21 @@ func (c *Consumer) signalLocked() {
 	c.changed = make(chan struct{})
 }
 
-// dropLocked accounts a build that will never be installed; c.mu must be
-// held.
+// dropLocked accounts a build that will never be installed and hands the
+// records it kept back to the pool; c.mu must be held.
 func (c *Consumer) dropLocked(b *build) {
 	c.stats.DiscardedFrames += b.frames
 	inst.discardedFrames.Add(b.frames)
 	inst.abandonedBuilds.Inc()
+	c.releaseAll(b.recs)
+	b.recs = nil
+}
+
+// releaseAll hands link payloads nothing reads any more back to the pool.
+func (c *Consumer) releaseAll(recs [][]byte) {
+	for _, rec := range recs {
+		c.pool.Release(rec)
+	}
 }
 
 // popParkedLocked removes and returns the oldest parked build, leaving
@@ -1251,20 +1274,35 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 	if keep {
 		b.header = header.Payload
 	}
+	// handed is the payload of the frame the collector was given last. It
+	// asks for the next frame only when it is done with that one — decoded
+	// by the assembler (which keeps no reference to a record), or failed —
+	// and that is when the payload is settled: kept for the cache filler, or
+	// handed straight back to the pool. A frame the collector returns as
+	// foreign is not this stream's and is never settled here.
+	//
+	// b.recs holds unverified bytes until the collector returns nil: it
+	// fails on the first frame that does not verify, so only then did every
+	// entry pass the per-record check.
+	var handed []byte
+	settle := func() {
+		switch {
+		case handed == nil:
+		case keep:
+			b.recs = append(b.recs, handed)
+		default:
+			c.pool.Release(handed)
+		}
+		handed = nil
+	}
 	recv := func() (transport.Frame, error) {
+		settle()
 		for {
 			select {
 			case f := <-c.frames:
 				b.frames++
 				progressed = true
-				if keep {
-					// Unverified here. CollectChunked hands every frame it
-					// takes to the assembler and fails on the first one that
-					// is foreign or does not verify, so b.recs means anything
-					// only when it returns nil — and then every entry passed
-					// the per-record check.
-					b.recs = append(b.recs, f.Payload)
-				}
+				handed = f.Payload
 				return f, nil
 			case <-stall:
 				if !progressed {
@@ -1302,7 +1340,9 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 		}
 	}
 	if next != nil {
-		b.frames-- // the interrupting frame is accounted on its own
+		b.frames-- // the interrupting frame is accounted, and owned, on its own
+	} else {
+		settle()
 	}
 	if err == nil && (b.ckpt.ModelName != c.model || b.ckpt.Version != v) {
 		err = fmt.Errorf("remote: stream %q assembled %s/v%d", b.key, b.ckpt.ModelName, b.ckpt.Version)
@@ -1597,12 +1637,16 @@ func (c *Consumer) install(ckpt *vformat.Checkpoint, fill *cacheFill) error {
 }
 
 // queueFill hands f to the cache filler, latest-wins: a fill still
-// waiting is superseded — its records are never hashed, and the newer
-// version's advertisement covers whatever the cache holds by then.
+// waiting is superseded — its records are never hashed (they go back to
+// the pool), and the newer version's advertisement covers whatever the
+// cache holds by then.
 func (c *Consumer) queueFill(f *cacheFill) {
 	c.mu.Lock()
-	if c.pendingFill != nil {
+	if old := c.pendingFill; old != nil {
 		inst.fillSuperseded.Inc()
+		if old.owned {
+			c.releaseAll(old.recs)
+		}
 	}
 	c.pendingFill = f
 	c.mu.Unlock()
@@ -1656,13 +1700,13 @@ func (c *Consumer) fill(f *cacheFill) bool {
 		default:
 		}
 		h := vformat.HashChunkRecord(rec)
-		if f.owned {
-			c.cache.Adopt(h, rec)
-		} else {
-			c.cache.Put(h, rec)
-		}
 		if i := transport.ChunkRecordIndex(rec); i >= 0 && i < len(hashes) {
 			hashes[i] = h
+		}
+		if !f.owned {
+			c.cache.Put(h, rec)
+		} else if !c.cache.Adopt(h, rec) {
+			c.pool.Release(rec) // cached already: the bytes are not needed twice
 		}
 	}
 	inst.cacheFillMS.Observe(c.clock.Now().Sub(start).Milliseconds())

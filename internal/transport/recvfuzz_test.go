@@ -7,8 +7,10 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
+	"viper/internal/mutate"
 	"viper/internal/vformat"
 )
 
@@ -37,12 +39,18 @@ func wireBytes(tb testing.TB, frames ...Frame) []byte {
 	return conn.out.Bytes()
 }
 
-// recvOnce parses one frame from input, reporting how many input bytes
-// the frame spanned and what Recv allocated on the way (the link's own
-// two bufio buffers are excluded).
+// recvOnce parses one frame from input on a link with no receive pool,
+// reporting how many input bytes the frame spanned and what Recv allocated
+// on the way (the link's own header buffer is excluded).
 func recvOnce(input []byte) (f Frame, consumed int, alloc uint64, err error) {
+	return recvOnceFrom(input, nil)
+}
+
+// recvOnceFrom is recvOnce on a link drawing from pool (nil = none).
+func recvOnceFrom(input []byte, pool *RecvPool) (f Frame, consumed int, alloc uint64, err error) {
 	conn := &memConn{in: bytes.NewReader(input)}
 	link := WrapTCP(conn)
+	link.SetRecvPool(pool)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f, err = link.Recv()
@@ -82,6 +90,14 @@ func TestTCPRecvAllocationBoundedByInput(t *testing.T) {
 		big[i] = byte(i * 7)
 	}
 	whole := wireBytes(t, Frame{Key: "big", Payload: big})
+	record := map[string]string{MetaChunkRole: ChunkRoleChunk}
+	// A record frame is what a pooled link draws a buffer for: the claim
+	// must be no more of a licence there.
+	recordClaim := func(payloadLen uint64) []byte {
+		whole := wireBytes(t, Frame{Key: "r", Meta: record, Payload: make([]byte, 8)})
+		prefix := whole[:len(whole)-8-4-8] // up to the payload length field
+		return binary.LittleEndian.AppendUint64(append([]byte(nil), prefix...), payloadLen)
+	}
 	metaBomb := binary.LittleEndian.AppendUint64(claim("", 1<<16, 0), 1<<20) // 65536 entries; first key claims 1 MiB
 	for _, tc := range []struct {
 		name  string
@@ -91,17 +107,22 @@ func TestTCPRecvAllocationBoundedByInput(t *testing.T) {
 		{"payload claims 2 GiB then EOF", claim("", 0, 2<<30), false},
 		{"payload claims 64 MiB, sends 2 MiB", append(claim("k", 0, 64<<20), make([]byte, 2<<20)...), false},
 		{"65536 meta entries claimed, none sent", metaBomb, false},
+		{"record claims 2 GiB then EOF", recordClaim(2 << 30), false},
+		{"record claims 1 MiB, sends 100 bytes", append(recordClaim(eagerFieldBytes), make([]byte, 100)...), false},
 		{"3 MiB payload sent whole", whole, true},
+		{"3 MiB record sent whole", wireBytes(t, Frame{Key: "big", Meta: record, Payload: big}), true},
 	} {
-		f, _, alloc, err := recvOnce(tc.input)
-		if limit := recvAllocLimit(tc.input); alloc > limit {
-			t.Errorf("%s: Recv allocated %d bytes for %d input bytes, limit %d", tc.name, alloc, len(tc.input), limit)
-		}
-		if (err == nil) != tc.ok {
-			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
-		}
-		if tc.ok && (!bytes.Equal(f.Payload, big) || cap(f.Payload) != len(big)) {
-			t.Errorf("%s: grown payload differs from what was sent (len %d cap %d, want %d exact)", tc.name, len(f.Payload), cap(f.Payload), len(big))
+		for _, pool := range []*RecvPool{nil, NewRecvPool()} {
+			f, _, alloc, err := recvOnceFrom(tc.input, pool)
+			if limit := recvAllocLimit(tc.input); alloc > limit {
+				t.Errorf("%s (pool %v): Recv allocated %d bytes for %d input bytes, limit %d", tc.name, pool != nil, alloc, len(tc.input), limit)
+			}
+			if (err == nil) != tc.ok {
+				t.Errorf("%s (pool %v): err = %v, want ok=%v", tc.name, pool != nil, err, tc.ok)
+			}
+			if tc.ok && (!bytes.Equal(f.Payload, big) || cap(f.Payload) != len(big)) {
+				t.Errorf("%s (pool %v): grown payload differs from what was sent (len %d cap %d, want %d exact)", tc.name, pool != nil, len(f.Payload), cap(f.Payload), len(big))
+			}
 		}
 	}
 }
@@ -145,12 +166,73 @@ func fuzzRecvSeeds(tb testing.TB) [][]byte {
 	}
 }
 
-// FuzzTCPLinkRecv feeds arbitrary bytes to the frame reader behind every
-// relay and producer port. It must never panic, never allocate out of
-// proportion to its input, and a frame it accepts must be one Send can
-// write back: re-sending it yields bytes that parse to the same frame,
-// and — unless its meta entries were reordered or collapsed by the map —
-// the very bytes it was read from.
+// checkRecv is the property FuzzTCPLinkRecv and the mutator pass hold the
+// frame reader behind every relay and producer port to, on a link with or
+// without a receive pool. Whatever the bytes, it must never panic and never
+// allocate out of proportion to its input; and every frame it accepts
+//
+//   - is one Send can write back: re-sending it yields bytes that parse to
+//     the same frame, and — unless its meta entries were reordered or
+//     collapsed by the map — the very bytes it was read from;
+//   - is, when sent says what was sent, bit-identical to one of those
+//     frames, or else a chunk-record frame whose payload fails its own CRC:
+//     the only bytes the frame CRC does not vouch for are the ones the
+//     record CRC does (sent is nil under the native fuzzer, whose inputs
+//     have no pedigree).
+//
+// Accepted payloads are handed back to the pool as a receiver would, so
+// with a pool that outlives the call later inputs land in recycled buffers.
+func checkRecv(t *testing.T, input []byte, pool *RecvPool, sent []Frame) {
+	t.Helper()
+	conn := &memConn{in: bytes.NewReader(input)}
+	link := WrapTCP(conn)
+	link.SetRecvPool(pool)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var accepted []Frame
+	for {
+		f, err := link.Recv()
+		if err != nil {
+			break
+		}
+		accepted = append(accepted, f)
+	}
+	runtime.ReadMemStats(&after)
+	// Each accepted frame may have cost a meta map and a Frame on top of its
+	// bytes; the constant of recvAllocLimit covers one, the rest is per frame.
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, recvAllocLimit(input)+uint64(len(accepted))<<10; alloc > limit {
+		t.Fatalf("Recv allocated %d bytes for %d input bytes (%d frames), limit %d", alloc, len(input), len(accepted), limit)
+	}
+	offset := 0
+	for i, got := range accepted {
+		resent := wireBytes(t, got)
+		if len(accepted) == 1 && len(got.Meta) <= 1 && !bytes.HasPrefix(input, resent) {
+			t.Fatalf("accepted frame re-sends to different bytes:\n in  %x\n out %x", input, resent)
+		}
+		offset += len(resent)
+		again, _, _, err := recvOnce(resent)
+		if err != nil {
+			t.Fatalf("frame %d: re-sent frame does not parse: %v", i, err)
+		}
+		if !reflect.DeepEqual(again, got) {
+			t.Fatalf("frame %d: re-sent frame parses differently:\n first  %+v\n second %+v", i, got, again)
+		}
+		if sent != nil && !slices.ContainsFunc(sent, func(s Frame) bool { return reflect.DeepEqual(s, got) }) {
+			if !IsChunkFrame(got) || vformat.VerifyChunkRecord(got.Payload) {
+				t.Fatalf("frame %d: accepted a frame nobody sent, and no record CRC stands in for the frame's:\n %+v", i, got)
+			}
+		}
+		if pool != nil {
+			pool.Release(got.Payload)
+		}
+	}
+	if offset > len(input) {
+		t.Fatalf("accepted %d frames spanning %d bytes from %d input bytes", len(accepted), offset, len(input))
+	}
+}
+
+// FuzzTCPLinkRecv feeds arbitrary bytes to the frame reader (checkRecv),
+// on a pooled and an unpooled link.
 func FuzzTCPLinkRecv(f *testing.F) {
 	for _, seed := range fuzzRecvSeeds(f) {
 		f.Add(seed)
@@ -160,23 +242,44 @@ func FuzzTCPLinkRecv(f *testing.F) {
 	}
 	f.Add(claim("", 0, 2<<30))
 	f.Fuzz(func(t *testing.T, input []byte) {
-		got, consumed, alloc, err := recvOnce(input)
-		if limit := recvAllocLimit(input); alloc > limit {
-			t.Fatalf("Recv allocated %d bytes for %d input bytes, limit %d", alloc, len(input), limit)
-		}
+		checkRecv(t, input, nil, nil)
+		checkRecv(t, input, NewRecvPool(), nil)
+	})
+}
+
+// TestMutatedFramesRecv is FuzzTCPLinkRecv's property under the
+// deterministic mutator, inside the plain test pass: a few thousand
+// mutants of the seed frames — flipped, truncated, spliced, duplicated,
+// reordered — on a pooled and an unpooled link, and because every input
+// descends from frames that were really sent, with the pedigree property
+// on: nothing is accepted that was not sent, except a record frame whose
+// own CRC rejects it.
+func TestMutatedFramesRecv(t *testing.T) {
+	seeds := fuzzRecvSeeds(t)
+	var sent []Frame
+	for _, seed := range seeds {
+		f, _, _, err := recvOnce(seed)
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-		resent := wireBytes(t, got)
-		if len(got.Meta) <= 1 && len(resent) == consumed && !bytes.Equal(resent, input[:consumed]) {
-			t.Fatalf("accepted frame re-sends to different bytes:\n in  %x\n out %x", input[:consumed], resent)
-		}
-		again, _, _, err := recvOnce(resent)
-		if err != nil {
-			t.Fatalf("re-sent frame does not parse: %v", err)
-		}
-		if !reflect.DeepEqual(again, got) {
-			t.Fatalf("re-sent frame parses differently:\n first  %+v\n second %+v", got, again)
+		sent = append(sent, f)
+	}
+	PoisonReleasedBuffers(true)
+	defer PoisonReleasedBuffers(false)
+	pool := NewRecvPool()
+	records, rejected := 0, 0
+	mutate.Each(22, 3000, seeds, func(input []byte) {
+		checkRecv(t, input, nil, sent)
+		before := tcpCorruptFrames.Value()
+		checkRecv(t, input, pool, sent)
+		rejected += int(tcpCorruptFrames.Value() - before)
+		if f, _, _, err := recvOnce(input); err == nil && IsChunkFrame(f) && !vformat.VerifyChunkRecord(f.Payload) {
+			records++
 		}
 	})
+	// The pass means something only if it reached both outcomes.
+	if records == 0 || rejected == 0 {
+		t.Fatalf("%d damaged records delivered, %d frames rejected: the mutants missed a path", records, rejected)
+	}
+	t.Logf("%d mutants delivered a damaged record to the record CRC, %d frames failed the frame CRC", records, rejected)
 }

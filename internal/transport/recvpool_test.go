@@ -1,0 +1,220 @@
+package transport
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"net"
+	"testing"
+
+	"viper/internal/vformat"
+)
+
+// recordFrame returns a chunk-record frame carrying a valid record of
+// about size bytes, and the frame as Send writes it.
+func recordFrame(t *testing.T, size int) (Frame, []byte) {
+	t.Helper()
+	enc, err := vformat.NewChunkEncoder(streamTestCheckpoint(5, size), vformat.ChunkOptions{ChunkBytes: size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer enc.Release()
+	var frames []Frame // copies: the encoder's blob goes back to its pool
+	sink := connFunc{send: func(f Frame) error {
+		f.Payload = append([]byte(nil), f.Payload...)
+		frames = append(frames, f)
+		return nil
+	}}
+	if err := SendChunked(t.Context(), WithMeta(sink, map[string]string{MetaModel: "m", MetaVersion: "7"}), "m/v7", enc, 0); err != nil {
+		t.Fatal(err)
+	}
+	f := frames[1]
+	if !IsChunkFrame(f) || !vformat.VerifyChunkRecord(f.Payload) {
+		t.Fatalf("frame 1 of the stream is not a sound chunk record: %+v", f.Meta)
+	}
+	return f, wireBytes(t, f)
+}
+
+// sameArray reports whether a and b share a backing array.
+func sameArray(a, b []byte) bool { return &a[:1][0] == &b[:1][0] }
+
+// recycle releases b and draws buffers of n bytes, releasing each, until
+// one drawn was released before — sync.Pool may drop a Put (it does at
+// random under the race detector), but not every one. It returns that
+// buffer, which the caller owns again.
+func recycle(t *testing.T, pool *RecvPool, b []byte, n int) []byte {
+	t.Helper()
+	released := make(map[*byte]bool)
+	for try := 0; try < 64; try++ {
+		released[&b[:1][0]] = true
+		pool.Release(b)
+		if b = pool.get(n); released[&b[0]] {
+			return b
+		}
+	}
+	t.Fatal("no released buffer ever came back from the pool")
+	return nil
+}
+
+// TestRecvPoolContract is RecvPool's contract as code: a released buffer
+// comes back for a record of the same class and is dropped for one it does
+// not fit; with the test switch on, release overwrites the bytes (so a read
+// after release cannot go unnoticed) and a second release panics; and a
+// buffer of a size the pool does not serve passes through untouched.
+func TestRecvPoolContract(t *testing.T) {
+	pool := NewRecvPool()
+	first := pool.get(1000)
+	if len(first) != 1000 || cap(first) != 1000 {
+		t.Fatalf("a miss allocated len %d cap %d, want the exact size", len(first), cap(first))
+	}
+	again := recycle(t, pool, first, 900) // same class (512, 1024], and it fits
+	if len(again) != 900 || cap(again) > 1000 {
+		t.Fatalf("a recycled buffer has len %d cap %d, want 900 of at most 1000", len(again), cap(again))
+	}
+	pool.Release(again)
+	if b := pool.get(1024); cap(b) != 1024 {
+		t.Fatalf("a 1000-byte buffer was issued for a 1024-byte record (cap %d)", cap(b))
+	}
+
+	PoisonReleasedBuffers(true)
+	defer PoisonReleasedBuffers(false)
+	rec := pool.get(300)
+	copy(rec, "VCHK-some-record-bytes")
+	pool.Release(rec)
+	if !bytes.Equal(rec, bytes.Repeat([]byte{poisonByte}, 300)) {
+		t.Fatalf("a released buffer still reads %q…", rec[:8])
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the second release of one buffer went unnoticed")
+			}
+		}()
+		pool.Release(rec)
+	}()
+	for _, n := range []int{0, minPooledBytes - 1, eagerFieldBytes + 1} {
+		odd := bytes.Repeat([]byte{1}, n)
+		pool.Release(odd)
+		if bytes.IndexByte(odd, poisonByte) >= 0 {
+			t.Fatalf("a %d-byte buffer, outside the pooled sizes, was taken by the pool", n)
+		}
+	}
+}
+
+// TestPooledRecvDrawsRecordsOnly: on a pooled link a chunk record lands in
+// a pooled buffer that a release makes available to the next record;
+// headers, have-lists and records past eagerFieldBytes keep their plain
+// exact-size allocation — and so does everything on a link with no pool.
+func TestPooledRecvDrawsRecordsOnly(t *testing.T) {
+	rec, wire := recordFrame(t, 2<<10)
+	other := wireBytes(t, NewHaveFrame("m", 1, make([]vformat.ChunkHash, 40)))
+	pool := NewRecvPool()
+	// Sixty-two more records: sync.Pool may drop a Put (it does at random
+	// under the race detector), never that many in a row.
+	link := WrapTCP(&memConn{in: bytes.NewReader(append(append(append([]byte(nil), wire...), other...), bytes.Repeat(wire, 62)...))})
+	link.SetRecvPool(pool)
+	first, err := link.Recv()
+	if err != nil || !bytes.Equal(first.Payload, rec.Payload) {
+		t.Fatalf("record frame: %v", err)
+	}
+	have, err := link.Recv()
+	if err != nil || !IsHaveFrame(have) {
+		t.Fatalf("have-list: %v", err)
+	}
+	// The have-list is the receiver's like any payload, and the pool would
+	// take it if asked; what matters is that Recv did not draw it from there.
+	released := map[*byte]bool{&first.Payload[0]: true}
+	pool.Release(first.Payload)
+	for try := 0; ; try++ {
+		again, err := link.Recv()
+		if err != nil {
+			t.Fatalf("no released record buffer ever served a later record in %d tries", try)
+		}
+		if !bytes.Equal(again.Payload, rec.Payload) {
+			t.Fatal("a record read into a recycled buffer differs from what was sent")
+		}
+		if released[&again.Payload[0]] {
+			break
+		}
+		released[&again.Payload[0]] = true
+		pool.Release(again.Payload)
+	}
+}
+
+// TestRecvErrorPathsReturnTheBuffer: a record frame that ends short, or
+// whose frame CRC does not match, costs the pool nothing — the buffer Recv
+// drew for it is back before the error is.
+func TestRecvErrorPathsReturnTheBuffer(t *testing.T) {
+	_, wire := recordFrame(t, 2<<10)
+	PoisonReleasedBuffers(true)
+	defer PoisonReleasedBuffers(false)
+	badSum := append([]byte(nil), wire...)
+	badSum[len(badSum)-1] ^= 0xFF
+	for name, input := range map[string][]byte{"short payload": wire[:len(wire)-100], "short trailer": wire[:len(wire)-2], "bad frame CRC": badSum} {
+		pool := NewRecvPool()
+		drawn := 0
+		for try := 0; try < 64 && drawn == 0; try++ { // a dropped Put (race detector) is retried
+			link := WrapTCP(&memConn{in: bytes.NewReader(input)})
+			link.SetRecvPool(pool)
+			if _, err := link.Recv(); err == nil {
+				t.Fatalf("%s: Recv accepted the frame", name)
+			} else if short := errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF); short == errors.Is(err, ErrCorruptFrame) || short == (name == "bad frame CRC") {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i := range pool.classes {
+				if v := pool.classes[i].Get(); v != nil {
+					drawn++
+					if b := v.([]byte)[:8]; !bytes.Equal(b, bytes.Repeat([]byte{poisonByte}, 8)) {
+						t.Fatalf("%s: the pool holds a buffer that was not released through Release: %q", name, b)
+					}
+				}
+			}
+		}
+		if drawn != 1 {
+			t.Fatalf("%s: the pool holds %d buffers after the failed Recv, want the one it drew", name, drawn)
+		}
+	}
+}
+
+// countingConn records the size of every Write and the slice of the last
+// large one.
+type countingConn struct {
+	net.Conn
+	writes []int
+	large  []byte
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, len(p))
+	if len(p) > coalesceBytes {
+		c.large = p
+	}
+	return len(p), nil
+}
+
+// TestSendWritesEachByteOnce: a frame leaves as header, payload, CRC — the
+// payload being the caller's own slice, not a staged copy — and a small
+// frame as one Write. (On a *net.TCPConn the three parts are one writev;
+// a wrapped conn sees one Write per part.)
+func TestSendWritesEachByteOnce(t *testing.T) {
+	conn := &countingConn{}
+	link := WrapTCP(conn)
+	payload := bytes.Repeat([]byte{7}, 256<<10)
+	if err := link.Send(Frame{Key: "m/v1", Payload: payload, Meta: map[string]string{MetaChunkRole: ChunkRoleChunk}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(conn.writes) != 3 || conn.writes[1] != len(payload) || conn.writes[2] != 4 || !sameArray(conn.large, payload) {
+		t.Fatalf("a 256 KiB frame left as writes of %v bytes (payload passed through: %v), want header, the payload itself, CRC",
+			conn.writes, conn.large != nil && sameArray(conn.large, payload))
+	}
+	conn.writes = nil
+	if err := link.Send(NewNeedFrame("m/v1", make([]vformat.ChunkHash, 3))); err != nil {
+		t.Fatal(err)
+	}
+	if len(conn.writes) != 1 {
+		t.Fatalf("a small frame left as writes of %v bytes, want one", conn.writes)
+	}
+	if link.iov[1] != nil {
+		t.Fatal("the link still references the last large payload after Send returned")
+	}
+}

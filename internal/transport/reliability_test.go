@@ -11,6 +11,7 @@ import (
 	"viper/internal/faults"
 	"viper/internal/retry"
 	"viper/internal/simclock"
+	"viper/internal/vformat"
 )
 
 // Regression for the SendLatest busy-spin: with a racing consumer
@@ -165,27 +166,6 @@ func TestLinkCloseRaces(t *testing.T) {
 	}
 }
 
-// flipConn flips one byte at a fixed stream offset, modelling wire
-// corruption inside the payload region of a frame.
-type flipConn struct {
-	net.Conn
-	offset  int
-	written int
-}
-
-func (f *flipConn) Write(p []byte) (int, error) {
-	if f.offset >= f.written && f.offset < f.written+len(p) {
-		cp := make([]byte, len(p))
-		copy(cp, p)
-		cp[f.offset-f.written] ^= 0xFF
-		f.written += len(p)
-		n, err := f.Conn.Write(cp)
-		return n, err
-	}
-	f.written += len(p)
-	return f.Conn.Write(p)
-}
-
 // acceptedPair spawns a listener, accepts one link, and dials the raw
 // client side, registering shutdown for all three via t.Cleanup: these
 // tests Fatal mid-flight, and anything closed only by a trailing
@@ -217,9 +197,8 @@ func acceptedPair(t *testing.T) (server *TCPLink, clientConn net.Conn) {
 
 func TestTCPRecvRejectsCorruptFrame(t *testing.T) {
 	server, conn := acceptedPair(t)
-	// Wire layout for key "k", no meta: keylen(8) key(1) metacount(8)
-	// vsize(8) payloadlen(8) payload... — offset 40 is payload byte 7.
-	faulty := WrapTCP(&flipConn{Conn: conn, offset: 40})
+	// One byte inside the payload of a frame that is not a chunk record.
+	faulty := WrapTCP(faults.NewFlipper("weights-blob", 7).Wrap(conn))
 	t.Cleanup(func() { faulty.Close() })
 	if err := faulty.Send(Frame{Key: "k", Payload: []byte("weights-blob-weights-blob")}); err != nil {
 		t.Fatal(err)
@@ -248,6 +227,46 @@ func TestTCPRecvNeverDeliversCorruptedBytes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEveryFlippedByteIsCaught flips each byte of a stream's frames in turn
+// — a header frame, a chunk-record frame, a have-list — and holds Recv to
+// the coverage rule: a damaged frame is refused (ErrCorruptFrame, or a
+// framing error when a length was hit), the one exception being a byte
+// inside a chunk record's payload, which is delivered for the record's own
+// CRC to refuse. Nothing else gets through: not a key byte, not a length,
+// and — the hole this closed — not a meta tag, which no checksum covered
+// while the frame CRC was key + payload.
+func TestEveryFlippedByteIsCaught(t *testing.T) {
+	rec, recWire := recordFrame(t, 1<<10)
+	seeds := fuzzRecvSeeds(t)
+	for name, wire := range map[string][]byte{"header": seeds[0], "record": recWire, "have-list": seeds[2]} {
+		payloadAt := len(wire) // where the record payload starts: flips from there to the CRC are the exception
+		if name == "record" {
+			payloadAt = len(wire) - 4 - len(rec.Payload)
+		}
+		delivered := 0
+		for i := range wire {
+			damaged := append([]byte(nil), wire...)
+			damaged[i] ^= 0x40
+			before := tcpCorruptFrames.Value()
+			f, _, _, err := recvOnce(damaged)
+			switch {
+			case err != nil && errors.Is(err, ErrCorruptFrame) != (tcpCorruptFrames.Value() == before+1):
+				t.Fatalf("%s byte %d: %v, but tcp_corrupt_frames moved by %d", name, i, err, tcpCorruptFrames.Value()-before)
+			case err != nil:
+			case i < payloadAt || i >= len(wire)-4:
+				t.Fatalf("%s byte %d of %d flipped and the frame was delivered: %+v", name, i, len(wire), f.Meta)
+			case vformat.VerifyChunkRecord(f.Payload):
+				t.Fatalf("record payload byte %d flipped and the record still verifies", i-payloadAt)
+			default:
+				delivered++
+			}
+		}
+		if name == "record" && delivered != len(rec.Payload) {
+			t.Fatalf("%d of %d payload flips reached the record CRC", delivered, len(rec.Payload))
+		}
 	}
 }
 

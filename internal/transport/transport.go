@@ -11,7 +11,10 @@
 //     multi-frame chunk streams of stream.go — used by the relay and the
 //     multi-process producer/consumer. Flow control for those streams is
 //     TCP back-pressure plus whole-group drops at the receivers
-//     (DESIGN.md §10), not anything in this package.
+//     (DESIGN.md §10), not anything in this package. A received byte is
+//     touched once: read from the socket into the buffer it is delivered
+//     in (a pooled one, for a receiver that attached a RecvPool) and
+//     checksummed by whoever verifies the record it belongs to.
 //
 // Frames carry a key, opaque payload, a virtual payload size (so scaled
 // experiments can account full checkpoint sizes) and a small metadata map.
@@ -60,6 +63,12 @@ var tcpFramesRecv = registry.Counter("tcp_frames_recv")
 var tcpBytesRecv = registry.Counter("tcp_bytes_recv")
 var tcpCorruptFrames = registry.Counter("tcp_corrupt_frames")
 
+// tcpChecksumBytes counts the bytes run through the frame CRC, on send and
+// on receive: frame headers, and the payloads of frames that are not chunk
+// records. A full stream's count is a fraction of a percent of its payload;
+// a gate beside the allocation budget holds it there.
+var tcpChecksumBytes = registry.Counter("tcp_checksum_bytes")
+
 // Frame is one transferred message.
 type Frame struct {
 	// Key identifies the payload (e.g. "tc1/v7").
@@ -94,9 +103,11 @@ type Conn interface {
 var ErrClosed = errors.New("transport: connection closed")
 
 // ErrCorruptFrame is returned by TCPLink.Recv when a frame's checksum
-// does not match its contents (wire corruption or a desynchronized
-// stream after a mid-frame connection fault). The connection should be
-// torn down and re-established; ReconnectLink does this automatically.
+// does not match what it covers — the frame's header, and its payload
+// unless the frame is a chunk record (see TCPLink) — through wire
+// corruption or a desynchronized stream after a mid-frame connection
+// fault. The connection should be torn down and re-established;
+// ReconnectLink does this automatically.
 var ErrCorruptFrame = errors.New("transport: corrupt frame")
 
 // Calibrated link specs (ratios matching the paper's Figure 8; see
@@ -395,18 +406,40 @@ func (l *Link) Stats() Stats {
 	return l.stats
 }
 
-// TCPLink is a Conn over a real TCP connection. Frames are length-
-// prefixed: key, meta (count + k/v strings), virtual size, payload,
-// then a CRC32 (IEEE) of key+payload so corrupted or desynchronized
-// frames are rejected instead of silently installed.
+// TCPLink is a Conn over a real TCP connection. A frame on the wire is
+//
+//	key | meta count | (k, v)* | virtual size | payload length | payload | CRC-32
+//
+// with every string and the payload behind a u64 length (DESIGN.md, "Wire
+// format v2 framing"). The CRC-32 (IEEE) trailer covers the frame header
+// as written — everything before the payload, meta pairs in wire order —
+// and the payload of every frame except a chunk-record frame
+// (MetaChunkRole == ChunkRoleChunk): a record ends in its own CRC-32,
+// which every receiver checks before it uses a byte of it, so the link
+// does not read those bytes a second time on either side.
+//
+// Send writes a frame with one writev; Recv parses the header through a
+// small buffered reader and reads the payload from the connection straight
+// into the buffer the frame is returned with.
 type TCPLink struct {
 	conn net.Conn
-	r    *bufio.Reader
 
-	writeMu sync.Mutex
-	w       *bufio.Writer
-	readMu  sync.Mutex
+	readMu sync.Mutex
+	r      *bufio.Reader // serves frame headers and CRC trailers only
+	pool   *RecvPool     // nil: every payload is an exact-size allocation
+
+	writeMu sync.Mutex // serialises one conn's frames
+	hdr     []byte     // header scratch, reused frame to frame
+	sum     [4]byte
+	iov     [3][]byte // backing of bufs, so a Send allocates nothing
+	bufs    net.Buffers
 }
+
+// headerBufBytes sizes the buffered reader under Recv: room for a frame
+// header in one read, small enough that what it pulls in of the payload
+// behind the header — copied once more on its way out — stays a percent
+// of a default chunk record.
+const headerBufBytes = 4 << 10
 
 // DialTCP connects to a listening peer.
 func DialTCP(addr string) (*TCPLink, error) {
@@ -419,8 +452,16 @@ func DialTCP(addr string) (*TCPLink, error) {
 
 // WrapTCP builds a TCPLink over an established connection.
 func WrapTCP(conn net.Conn) *TCPLink {
-	return &TCPLink{conn: conn, r: bufio.NewReaderSize(conn, 1<<16), w: bufio.NewWriterSize(conn, 1<<16)}
+	return &TCPLink{conn: conn, r: bufio.NewReaderSize(conn, headerBufBytes)}
 }
+
+// SetRecvPool makes Recv draw chunk-record payloads from pool, which hands
+// their ownership to the receiver under RecvPool's contract. It must be
+// called before the first Recv. A link without a pool — the default —
+// allocates every payload at its exact size and the garbage collector owns
+// it, which suits a receiver that keeps what it receives (the relay's
+// chunk table) or receives little (a back-channel).
+func (t *TCPLink) SetRecvPool(pool *RecvPool) { t.pool = pool }
 
 // Listener accepts successive peer connections on one bound address,
 // letting a producer survive consumer disconnects: after a link fault,
@@ -478,36 +519,155 @@ func ListenTCP(addr string, ready func(boundAddr string)) (*TCPLink, error) {
 	return WrapTCP(conn), nil
 }
 
-func writeBytes(w *bufio.Writer, b []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
-	return err
-}
-
 // eagerFieldBytes is the largest frame field Recv allocates on the
 // strength of its length prefix alone. It sits above a default chunk
 // record (vformat.DefaultChunkBytes plus its header), so every frame of
-// a default stream still costs one exact-size allocation; a larger field
-// grows as its bytes arrive, so a peer cannot make Recv allocate more
-// than a small multiple of what it actually sent.
+// a default stream still costs one exact-size allocation (or one pooled
+// buffer); a larger field grows as its bytes arrive, so a peer cannot make
+// Recv allocate more than a small multiple of what it actually sent.
 const eagerFieldBytes = 1 << 20
 
-func readBytes(r *bufio.Reader, maxLen uint64) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+const (
+	maxHeaderField = 1 << 20 // key, meta key, meta value
+	maxFrameField  = 8 << 30 // payload
+	maxMetaCount   = 1 << 16
+	// coalesceBytes is the largest payload Send copies behind its header so
+	// the frame leaves in one Write whatever the conn is.
+	coalesceBytes = 2 << 10
+	// maxHeaderScratch is the largest header scratch a link keeps between
+	// frames.
+	maxHeaderScratch = 64 << 10
+)
+
+func appendField(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// Send implements Conn. The frame leaves in one writev on a TCP conn (one
+// Write per part on a wrapped conn): header, payload and CRC are never
+// staged through a copy, except that a payload of a couple of KiB rides in
+// the header's buffer. The payload is fully written when Send returns.
+func (t *TCPLink) Send(f Frame) error {
+	t.writeMu.Lock()
+	defer t.writeMu.Unlock()
+	hdr := appendField(t.hdr[:0], f.Key)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(f.Meta)))
+	for k, v := range f.Meta {
+		hdr = appendField(appendField(hdr, k), v)
 	}
-	n := binary.LittleEndian.Uint64(hdr[:])
-	if n > maxLen {
-		return nil, fmt.Errorf("transport: frame field of %d bytes exceeds limit %d", n, maxLen)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(f.VirtualSize))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(f.Payload)))
+	sum, summed := crc32.ChecksumIEEE(hdr), len(hdr)
+	if !IsChunkFrame(f) { // a record's payload is its own CRC's to vouch for
+		sum = crc32.Update(sum, crc32.IEEETable, f.Payload)
+		summed += len(f.Payload)
 	}
-	buf := make([]byte, min(n, eagerFieldBytes))
+	tcpChecksumBytes.Add(int64(summed))
+	if len(f.Payload) <= coalesceBytes {
+		hdr = binary.LittleEndian.AppendUint32(append(hdr, f.Payload...), sum)
+		t.iov[0], t.bufs = hdr, t.iov[:1]
+	} else {
+		binary.LittleEndian.PutUint32(t.sum[:], sum)
+		t.iov = [3][]byte{hdr, f.Payload, t.sum[:]}
+		t.bufs = t.iov[:]
+	}
+	if cap(hdr) <= maxHeaderScratch {
+		t.hdr = hdr[:0]
+	}
+	// The one write of the link, and it blocks on the peer's receive window
+	// while holding writeMu by design:
+	//lint:ignore lockedsend writeMu exists to serialise one conn's frames; nothing else is ever done under it, so there is no other critical section for the peer's latency to leak into
+	_, err := t.bufs.WriteTo(t.conn)
+	t.iov[1] = nil // the payload is the caller's again
+	if err != nil {
+		return err
+	}
+	tcpFramesSent.Inc()
+	tcpBytesSent.Add(f.accountedSize())
+	return nil
+}
+
+// frameHeader reads a frame header through the link's buffered reader,
+// folding every byte it reads into sum, the frame CRC so far.
+type frameHeader struct {
+	r    *bufio.Reader
+	sum  uint32
+	read int // bytes folded into sum
+}
+
+func (h *frameHeader) fold(b []byte) {
+	h.sum = crc32.Update(h.sum, crc32.IEEETable, b)
+	h.read += len(b)
+}
+
+func (h *frameHeader) u64() (uint64, error) {
+	var b [8]byte
+	if _, err := io.ReadFull(h.r, b[:]); err != nil {
+		return 0, err
+	}
+	h.fold(b[:])
+	return binary.LittleEndian.Uint64(b[:]), nil
+}
+
+// str reads one length-prefixed string of at most maxHeaderField bytes.
+// One that fits the reader's buffer — every one a delivery path sends —
+// is copied exactly once, out of that buffer into the string.
+func (h *frameHeader) str() (string, error) {
+	n, err := h.u64()
+	if err != nil {
+		return "", err
+	}
+	if n > maxHeaderField {
+		return "", fmt.Errorf("transport: frame field of %d bytes exceeds limit %d", n, maxHeaderField)
+	}
+	if int(n) <= h.r.Size() {
+		b, err := h.r.Peek(int(n))
+		if err != nil {
+			return "", err
+		}
+		h.fold(b)
+		s := string(b)
+		_, err = h.r.Discard(int(n))
+		return s, err
+	}
+	b := make([]byte, n) // n <= maxHeaderField == eagerFieldBytes
+	if _, err := io.ReadFull(h.r, b); err != nil {
+		return "", err
+	}
+	h.fold(b)
+	return string(b), nil
+}
+
+// readFull fills dst with the next len(dst) bytes of the stream: first
+// what the buffered reader already pulled in behind the header, then the
+// rest from the conn itself, with no staging copy in between.
+func (t *TCPLink) readFull(dst []byte) error {
+	if n := min(len(dst), t.r.Buffered()); n > 0 {
+		if _, err := io.ReadFull(t.r, dst[:n]); err != nil {
+			return err
+		}
+		dst = dst[n:]
+	}
+	_, err := io.ReadFull(t.conn, dst)
+	return err
+}
+
+// readPayload reads a payload of n bytes. Nothing is sized by n beyond
+// eagerFieldBytes before the bytes arrive: a larger payload grows by
+// doubling as it lands and ends exact-size. A chunk record that fits a
+// size class comes from the link's pool, if it has one, and the buffer is
+// back there if the read fails.
+func (t *TCPLink) readPayload(n uint64, record bool) ([]byte, error) {
+	var buf []byte
+	if t.pool != nil && record && n >= minPooledBytes && n <= eagerFieldBytes {
+		buf = t.pool.get(int(n))
+	} else {
+		buf = make([]byte, min(n, eagerFieldBytes))
+	}
 	for filled := 0; ; {
-		if _, err := io.ReadFull(r, buf[filled:]); err != nil {
+		if err := t.readFull(buf[filled:]); err != nil {
+			t.pool.Release(buf)
 			return nil, err
 		}
 		if uint64(len(buf)) == n {
@@ -520,111 +680,81 @@ func readBytes(r *bufio.Reader, maxLen uint64) ([]byte, error) {
 	}
 }
 
-// Send implements Conn.
-func (t *TCPLink) Send(f Frame) error {
-	t.writeMu.Lock()
-	defer t.writeMu.Unlock()
-	if err := writeBytes(t.w, []byte(f.Key)); err != nil {
-		return err
-	}
-	var meta [8]byte
-	binary.LittleEndian.PutUint64(meta[:], uint64(len(f.Meta)))
-	if _, err := t.w.Write(meta[:]); err != nil {
-		return err
-	}
-	for k, v := range f.Meta {
-		if err := writeBytes(t.w, []byte(k)); err != nil {
-			return err
-		}
-		if err := writeBytes(t.w, []byte(v)); err != nil {
-			return err
-		}
-	}
-	var vs [8]byte
-	binary.LittleEndian.PutUint64(vs[:], uint64(f.VirtualSize))
-	if _, err := t.w.Write(vs[:]); err != nil {
-		return err
-	}
-	if err := writeBytes(t.w, f.Payload); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], frameChecksum(f.Key, f.Payload))
-	if _, err := t.w.Write(sum[:]); err != nil {
-		return err
-	}
-	if err := t.w.Flush(); err != nil {
-		return err
-	}
-	tcpFramesSent.Inc()
-	tcpBytesSent.Add(f.accountedSize())
-	return nil
-}
-
-// frameChecksum covers the fields whose corruption would poison a
-// restored model: the routing key and the checkpoint payload.
-func frameChecksum(key string, payload []byte) uint32 {
-	sum := crc32.ChecksumIEEE([]byte(key))
-	return crc32.Update(sum, crc32.IEEETable, payload)
-}
-
-const maxFrameField = 8 << 30
-
-// Recv implements Conn. The returned frame's Payload is freshly
-// allocated per call and the link keeps no reference to it: the
-// receiver owns the bytes (the relay interns them without a copy).
+// Recv implements Conn. The link keeps no reference to the returned
+// frame's Payload: the receiver owns the bytes. On a link with no receive
+// pool the payload is a fresh exact-size allocation and that is all there
+// is to say (the relay interns it without a copy). On a link with a pool
+// (SetRecvPool) a chunk record's payload is a pooled buffer the receiver
+// may hand back once, under RecvPool's contract.
+//
+// A frame whose CRC does not match fails with ErrCorruptFrame and is never
+// delivered. The CRC vouches for the header of every frame — key, every
+// meta tag, both sizes — and for the payload of every frame but a
+// chunk-record frame, whose payload is delivered as it arrived: the
+// receiver's per-record check (vformat.VerifyChunkRecord, or the
+// assembler's) is what rejects a damaged one.
 func (t *TCPLink) Recv() (Frame, error) {
 	t.readMu.Lock()
 	defer t.readMu.Unlock()
-	key, err := readBytes(t.r, 1<<20)
+	h := frameHeader{r: t.r}
+	key, err := h.str()
 	if err != nil {
 		return Frame{}, err
 	}
-	var cnt [8]byte
-	if _, err := io.ReadFull(t.r, cnt[:]); err != nil {
+	n, err := h.u64()
+	if err != nil {
 		return Frame{}, err
 	}
-	n := binary.LittleEndian.Uint64(cnt[:])
-	if n > 1<<16 {
+	if n > maxMetaCount {
 		return Frame{}, fmt.Errorf("transport: implausible meta count %d", n)
 	}
 	var meta map[string]string
 	if n > 0 {
 		meta = make(map[string]string, min(n, 16)) // n is a claim until the entries arrive
 		for i := uint64(0); i < n; i++ {
-			k, err := readBytes(t.r, 1<<20)
+			k, err := h.str()
 			if err != nil {
 				return Frame{}, err
 			}
-			v, err := readBytes(t.r, 1<<20)
+			v, err := h.str()
 			if err != nil {
 				return Frame{}, err
 			}
-			meta[string(k)] = string(v)
+			meta[k] = v
 		}
 	}
-	var vs [8]byte
-	if _, err := io.ReadFull(t.r, vs[:]); err != nil {
-		return Frame{}, err
-	}
-	payload, err := readBytes(t.r, maxFrameField)
+	virtual, err := h.u64()
 	if err != nil {
 		return Frame{}, err
 	}
-	var sum [4]byte
-	if _, err := io.ReadFull(t.r, sum[:]); err != nil {
+	size, err := h.u64()
+	if err != nil {
 		return Frame{}, err
 	}
-	if got := binary.LittleEndian.Uint32(sum[:]); got != frameChecksum(string(key), payload) {
+	if size > maxFrameField {
+		return Frame{}, fmt.Errorf("transport: frame field of %d bytes exceeds limit %d", size, maxFrameField)
+	}
+	record := IsChunkFrame(Frame{Meta: meta})
+	payload, err := t.readPayload(size, record)
+	if err != nil {
+		return Frame{}, err
+	}
+	want, summed := h.sum, h.read
+	if !record {
+		want = crc32.Update(want, crc32.IEEETable, payload)
+		summed += len(payload)
+	}
+	tcpChecksumBytes.Add(int64(summed))
+	var sum [4]byte
+	if _, err = io.ReadFull(t.r, sum[:]); err == nil && binary.LittleEndian.Uint32(sum[:]) != want {
 		tcpCorruptFrames.Inc()
-		return Frame{}, fmt.Errorf("%w: key %q, %d payload bytes", ErrCorruptFrame, key, len(payload))
+		err = fmt.Errorf("%w: key %q, %d payload bytes", ErrCorruptFrame, key, len(payload))
 	}
-	f := Frame{
-		Key:         string(key),
-		Payload:     payload,
-		VirtualSize: int64(binary.LittleEndian.Uint64(vs[:])),
-		Meta:        meta,
+	if err != nil {
+		t.pool.Release(payload)
+		return Frame{}, err
 	}
+	f := Frame{Key: key, Payload: payload, VirtualSize: int64(virtual), Meta: meta}
 	tcpFramesRecv.Inc()
 	tcpBytesRecv.Add(f.accountedSize())
 	return f, nil

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"viper/internal/mutate"
 )
 
 // fuzzSeeds returns one blob per format DecodeAuto accepts: lean v1,
@@ -44,36 +46,45 @@ func FuzzDecodeAuto(f *testing.F) {
 		f.Add(seed[:len(seed)-1])
 		f.Add(seed[:9])
 	}
-	f.Fuzz(func(t *testing.T, blob []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		ckpt, err := DecodeAuto(context.Background(), blob, 2)
-		runtime.ReadMemStats(&after)
-		// Reduced-precision payloads expand 4x into float64s, through one
-		// intermediate copy; the constant covers the worker pool.
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(blob)+1<<20); grew > limit {
-			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(blob), grew, limit)
+	f.Fuzz(checkDecodeAuto)
+}
+
+// TestMutatedDecodeAuto is FuzzDecodeAuto's property over a few thousand
+// deterministic mutants of its seeds, inside the plain test pass (see
+// internal/mutate for why).
+func TestMutatedDecodeAuto(t *testing.T) {
+	mutate.Each(22, 3000, fuzzSeeds(t), func(blob []byte) { checkDecodeAuto(t, blob) })
+}
+
+func checkDecodeAuto(t *testing.T, blob []byte) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ckpt, err := DecodeAuto(context.Background(), blob, 2)
+	runtime.ReadMemStats(&after)
+	// Reduced-precision payloads expand 4x into float64s, through one
+	// intermediate copy; the constant covers the worker pool.
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(blob)+1<<20); grew > limit {
+		t.Fatalf("decoding %d bytes allocated %d, limit %d", len(blob), grew, limit)
+	}
+	known := len(blob) >= 8 && (string(blob[:8]) == magic || IsChunked(blob) || IsManifest(blob))
+	if !known && len(blob) >= 8 && (err == nil || !strings.Contains(err.Error(), "unknown checkpoint magic")) {
+		t.Fatalf("magic %q: err = %v, want the unknown-magic error", blob[:8], err)
+	}
+	if err != nil {
+		return
+	}
+	if ckpt == nil {
+		t.Fatal("nil checkpoint with nil error")
+	}
+	for _, nt := range ckpt.Weights {
+		n := 1
+		for _, d := range nt.Shape {
+			n *= d
 		}
-		known := len(blob) >= 8 && (string(blob[:8]) == magic || IsChunked(blob) || IsManifest(blob))
-		if !known && len(blob) >= 8 && (err == nil || !strings.Contains(err.Error(), "unknown checkpoint magic")) {
-			t.Fatalf("magic %q: err = %v, want the unknown-magic error", blob[:8], err)
+		if n != len(nt.Data) {
+			t.Fatalf("tensor %q: shape %v holds %d elements, data has %d", nt.Name, nt.Shape, n, len(nt.Data))
 		}
-		if err != nil {
-			return
-		}
-		if ckpt == nil {
-			t.Fatal("nil checkpoint with nil error")
-		}
-		for _, nt := range ckpt.Weights {
-			n := 1
-			for _, d := range nt.Shape {
-				n *= d
-			}
-			if n != len(nt.Data) {
-				t.Fatalf("tensor %q: shape %v holds %d elements, data has %d", nt.Name, nt.Shape, n, len(nt.Data))
-			}
-		}
-	})
+	}
 }
 
 // manifestFuzzInput frames what a delta stream's receiver is fed as one
@@ -102,141 +113,161 @@ func manifestFuzzInput(manifest []byte, recs ...[]byte) []byte {
 // the positions whose hash the manifest shares, within the same allocation
 // bound, to the same bits.
 func FuzzManifestAssembler(f *testing.F) {
+	for _, seed := range manifestFuzzSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(checkManifestAssembler)
+}
+
+// TestMutatedManifestAssembler is FuzzManifestAssembler's property over a
+// few thousand deterministic mutants of its seeds, inside the plain test
+// pass.
+func TestMutatedManifestAssembler(t *testing.T) {
+	mutate.Each(22, 3000, manifestFuzzSeeds(t), func(in []byte) { checkManifestAssembler(t, in) })
+}
+
+// manifestFuzzSeeds returns delta streams as a receiver is fed them: whole,
+// reversed, one record short, with repeats and a foreign record, bare, and
+// cut short.
+func manifestFuzzSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
 	ckpt := chunkTestCheckpoint(3, 300)
 	blob, err := EncodeChunked(context.Background(), ckpt, ChunkOptions{Precision: PrecFloat16, ChunkBytes: 128})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	manifest, recs, _, _, err := PlanDelta(blob, nil)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	other := chunkTestCheckpoint(4, 300) // same layout, other content: its records are foreign to the manifest
 	otherBlob, err := EncodeChunked(context.Background(), other, ChunkOptions{Precision: PrecFloat16, ChunkBytes: 128})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	var foreign [][]byte
 	if err := WalkChunkRecords(otherBlob, func(rec []byte) error { foreign = append(foreign, rec); return nil }); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	reversed := make([][]byte, len(recs))
 	for i, rec := range recs {
 		reversed[len(recs)-1-i] = rec
 	}
 	whole := manifestFuzzInput(manifest, recs...)
-	f.Add(whole)
-	f.Add(manifestFuzzInput(manifest, reversed...))
-	f.Add(manifestFuzzInput(manifest, recs[:len(recs)-1]...))
-	f.Add(manifestFuzzInput(manifest, append([][]byte{recs[1], foreign[1], recs[1]}, recs...)...))
-	f.Add(manifestFuzzInput(manifest))
-	f.Add(whole[:len(whole)-3])
-	f.Add(whole[:len(manifest)/2])
+	return [][]byte{
+		whole,
+		manifestFuzzInput(manifest, reversed...),
+		manifestFuzzInput(manifest, recs[:len(recs)-1]...),
+		manifestFuzzInput(manifest, append([][]byte{recs[1], foreign[1], recs[1]}, recs...)...),
+		manifestFuzzInput(manifest),
+		whole[:len(whole)-3],
+		whole[:len(manifest)/2],
+	}
+}
 
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		man, err := ParseManifest(in)
-		if err != nil {
-			return
+func checkManifestAssembler(t *testing.T, in []byte) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	man, err := ParseManifest(in)
+	if err != nil {
+		return
+	}
+	if man.Layout.TotalElems > 1<<16 {
+		return // the assembler allocates the model its header declares
+	}
+	asm, err := NewManifestAssembler(in[:man.Len], NewChunkCache(0), nil)
+	if err != nil {
+		t.Fatalf("a manifest ParseManifest accepts failed to seed an assembler: %v", err)
+	}
+	accepted := make([][]byte, man.Layout.NumChunks) // by index, last one wins — as the assembler decodes
+	for tail := in[man.Len:]; len(tail) >= 4; {
+		n := min(int(binary.LittleEndian.Uint32(tail)), len(tail)-4)
+		rec := tail[4 : 4+n]
+		tail = tail[4+n:]
+		if _, err := asm.Add(rec); err == nil {
+			accepted[binary.LittleEndian.Uint32(rec[4:])] = rec
 		}
-		if man.Layout.TotalElems > 1<<16 {
-			return // the assembler allocates the model its header declares
+	}
+	runtime.ReadMemStats(&after)
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(in)+1<<20); grew > limit {
+		t.Fatalf("assembling %d bytes allocated %d, limit %d", len(in), grew, limit)
+	}
+	got, err := asm.Checkpoint()
+	if !asm.Complete() {
+		if err == nil {
+			t.Fatal("an incomplete assembly handed out a checkpoint")
 		}
-		asm, err := NewManifestAssembler(in[:man.Len], NewChunkCache(0), nil)
-		if err != nil {
-			t.Fatalf("a manifest ParseManifest accepts failed to seed an assembler: %v", err)
+		return
+	}
+	if err != nil {
+		t.Fatalf("complete assembly: %v", err)
+	}
+	plain := append([]byte(nil), man.Header...)
+	for i, rec := range accepted {
+		if rec == nil {
+			t.Fatalf("assembly complete without a record for chunk %d", i)
 		}
-		accepted := make([][]byte, man.Layout.NumChunks) // by index, last one wins — as the assembler decodes
-		for tail := in[man.Len:]; len(tail) >= 4; {
-			n := min(int(binary.LittleEndian.Uint32(tail)), len(tail)-4)
-			rec := tail[4 : 4+n]
-			tail = tail[4+n:]
-			if _, err := asm.Add(rec); err == nil {
-				accepted[binary.LittleEndian.Uint32(rec[4:])] = rec
+		plain = append(plain, rec...)
+	}
+	want, err := DecodeAuto(context.Background(), plain, 1)
+	if err != nil {
+		t.Fatalf("DecodeAuto rejects the records the assembler accepted: %v", err)
+	}
+	if got.ModelName != want.ModelName || got.Version != want.Version || len(got.Weights) != len(want.Weights) {
+		t.Fatalf("assembled %s/v%d with %d tensors, DecodeAuto gives %s/v%d with %d",
+			got.ModelName, got.Version, len(got.Weights), want.ModelName, want.Version, len(want.Weights))
+	}
+	sameBits := func(what string, got, want *Checkpoint) {
+		for i := range got.Weights {
+			g, w := got.Weights[i].Data, want.Weights[i].Data
+			if len(g) != len(w) {
+				t.Fatalf("tensor %d: %d elements assembled, %s has %d", i, len(g), what, len(w))
 			}
-		}
-		runtime.ReadMemStats(&after)
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(in)+1<<20); grew > limit {
-			t.Fatalf("assembling %d bytes allocated %d, limit %d", len(in), grew, limit)
-		}
-		got, err := asm.Checkpoint()
-		if !asm.Complete() {
-			if err == nil {
-				t.Fatal("an incomplete assembly handed out a checkpoint")
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("complete assembly: %v", err)
-		}
-		plain := append([]byte(nil), man.Header...)
-		for i, rec := range accepted {
-			if rec == nil {
-				t.Fatalf("assembly complete without a record for chunk %d", i)
-			}
-			plain = append(plain, rec...)
-		}
-		want, err := DecodeAuto(context.Background(), plain, 1)
-		if err != nil {
-			t.Fatalf("DecodeAuto rejects the records the assembler accepted: %v", err)
-		}
-		if got.ModelName != want.ModelName || got.Version != want.Version || len(got.Weights) != len(want.Weights) {
-			t.Fatalf("assembled %s/v%d with %d tensors, DecodeAuto gives %s/v%d with %d",
-				got.ModelName, got.Version, len(got.Weights), want.ModelName, want.Version, len(want.Weights))
-		}
-		sameBits := func(what string, got, want *Checkpoint) {
-			for i := range got.Weights {
-				g, w := got.Weights[i].Data, want.Weights[i].Data
-				if len(g) != len(w) {
-					t.Fatalf("tensor %d: %d elements assembled, %s has %d", i, len(g), what, len(w))
+			for j := range g {
+				if math.Float64bits(g[j]) != math.Float64bits(w[j]) {
+					t.Fatalf("tensor %d element %d: assembled %v, %s gives %v", i, j, g[j], what, w[j])
 				}
-				for j := range g {
-					if math.Float64bits(g[j]) != math.Float64bits(w[j]) {
-						t.Fatalf("tensor %d element %d: assembled %v, %s gives %v", i, j, g[j], what, w[j])
-					}
-				}
 			}
 		}
-		sameBits("DecodeAuto", got, want)
+	}
+	sameBits("DecodeAuto", got, want)
 
-		mask := crc32.ChecksumIEEE(in)
-		srcHashes := make([]ChunkHash, len(accepted))
-		shared := 0
-		for i, rec := range accepted {
-			if mask>>(i%32)&1 == 0 {
-				srcHashes[i] = ChunkHash{0xd1, byte(i)} // no record hashes to this
-				continue
-			}
-			if srcHashes[i] = HashChunkRecord(rec); srcHashes[i] == man.Hashes[i] {
-				shared++
-			}
+	mask := crc32.ChecksumIEEE(in)
+	srcHashes := make([]ChunkHash, len(accepted))
+	shared := 0
+	for i, rec := range accepted {
+		if mask>>(i%32)&1 == 0 {
+			srcHashes[i] = ChunkHash{0xd1, byte(i)} // no record hashes to this
+			continue
 		}
-		src, err := NewSpanSource(man.Header, srcHashes, got.Weights)
-		if err != nil {
-			t.Fatalf("the assembled weights do not fit their own header: %v", err)
+		if srcHashes[i] = HashChunkRecord(rec); srcHashes[i] == man.Hashes[i] {
+			shared++
 		}
-		runtime.ReadMemStats(&before)
-		asm2, err := NewManifestAssembler(in[:man.Len], NewChunkCache(0), src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if asm2.Inherited() != shared {
-			t.Fatalf("inherited %d positions, the source shares %d hashes with the manifest", asm2.Inherited(), shared)
-		}
-		for tail := in[man.Len:]; len(tail) >= 4; {
-			n := min(int(binary.LittleEndian.Uint32(tail)), len(tail)-4)
-			asm2.Add(tail[4 : 4+n]) // the same sequence: accepted and rejected alike
-			tail = tail[4+n:]
-		}
-		runtime.ReadMemStats(&after)
-		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(in)+1<<20); grew > limit {
-			t.Fatalf("assembling %d bytes over a source allocated %d, limit %d", len(in), grew, limit)
-		}
-		got2, err := asm2.Checkpoint()
-		if err != nil {
-			t.Fatalf("the assembly over a source did not complete: %v", err)
-		}
-		sameBits("the cache-only assembly", got2, got)
-	})
+	}
+	src, err := NewSpanSource(man.Header, srcHashes, got.Weights)
+	if err != nil {
+		t.Fatalf("the assembled weights do not fit their own header: %v", err)
+	}
+	runtime.ReadMemStats(&before)
+	asm2, err := NewManifestAssembler(in[:man.Len], NewChunkCache(0), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asm2.Inherited() != shared {
+		t.Fatalf("inherited %d positions, the source shares %d hashes with the manifest", asm2.Inherited(), shared)
+	}
+	for tail := in[man.Len:]; len(tail) >= 4; {
+		n := min(int(binary.LittleEndian.Uint32(tail)), len(tail)-4)
+		asm2.Add(tail[4 : 4+n]) // the same sequence: accepted and rejected alike
+		tail = tail[4+n:]
+	}
+	runtime.ReadMemStats(&after)
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(in)+1<<20); grew > limit {
+		t.Fatalf("assembling %d bytes over a source allocated %d, limit %d", len(in), grew, limit)
+	}
+	got2, err := asm2.Checkpoint()
+	if err != nil {
+		t.Fatalf("the assembly over a source did not complete: %v", err)
+	}
+	sameBits("the cache-only assembly", got2, got)
 }

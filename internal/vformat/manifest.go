@@ -334,19 +334,23 @@ func NewChunkCache(max int) *ChunkCache {
 // producer's pooled blob).
 func (c *ChunkCache) Put(h ChunkHash, rec []byte) { c.insert(h, rec, true) }
 
-// Adopt caches rec itself under its content hash: ownership of the slice
-// passes to the cache, and the caller must neither write to it nor hand
-// it to anyone who will. Only a buffer nobody else holds qualifies — a
-// transport.TCPLink.Recv payload, which is allocated per frame and owned
-// by the receiver. Everything else goes through Put.
-func (c *ChunkCache) Adopt(h ChunkHash, rec []byte) { c.insert(h, rec, false) }
+// Adopt caches rec itself under its content hash and reports whether it
+// did. On true, ownership of the slice has passed to the cache for good:
+// the caller must neither write to it, nor hand it to anyone who will,
+// nor return it to a pool it came from — for a transport.RecvPool payload
+// this is the one place a buffer leaves its pool. On false the hash was
+// already cached and rec is still the caller's, to release or drop. Only
+// a buffer nobody else holds qualifies — a transport.TCPLink.Recv
+// payload, which the receiver owns. Everything else goes through Put.
+func (c *ChunkCache) Adopt(h ChunkHash, rec []byte) bool { return c.insert(h, rec, false) }
 
-func (c *ChunkCache) insert(h ChunkHash, rec []byte, copyIn bool) {
+// insert reports whether rec (or its copy) entered the cache.
+func (c *ChunkCache) insert(h ChunkHash, rec []byte, copyIn bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[h]; ok {
 		c.ll.MoveToFront(el)
-		return
+		return false
 	}
 	if copyIn {
 		cp := make([]byte, len(rec))
@@ -359,6 +363,7 @@ func (c *ChunkCache) insert(h ChunkHash, rec []byte, copyIn bool) {
 		c.ll.Remove(oldest)
 		delete(c.m, oldest.Value.(*chunkCacheEntry).hash)
 	}
+	return true
 }
 
 // Get returns the cached record for h, refreshing its recency. The

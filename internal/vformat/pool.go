@@ -15,7 +15,7 @@ import "sync"
 // released.
 
 // bufPool holds byte buffers of any capacity; getBuf re-slices a pooled
-// buffer when it is large enough and discards (to GC) ones that are not.
+// buffer when it is large enough and drops (to GC) one that is not.
 var bufPool = sync.Pool{}
 
 // getBuf returns a zeroed-length buffer with capacity at least n.
@@ -25,9 +25,10 @@ func getBuf(n int) []byte {
 		if cap(b) >= n {
 			return b[:n]
 		}
-		// Too small for this request: return it for a smaller consumer
-		// rather than dropping it, then allocate fresh.
-		bufPool.Put(v)
+		// Too small for this request: dropped, not put back. A buffer that
+		// is put back is as good as new to the pool, so one left by a
+		// smaller model would keep being drawn — and keep costing the
+		// larger one a fresh allocation — for as long as the process lives.
 	}
 	return make([]byte, n)
 }
