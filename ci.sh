@@ -55,9 +55,11 @@ go test -race -count=1 \
 # committed versions: fan-outs frozen across replacement, eviction and
 # demotion, and the seeded sequence (ISSUE 20) — run five more times and
 # the in-process link's latest-wins queue (ISSUE 17) ten. So do the
-# receive pool's hand-back points — every one of these packages' tests runs
-# with released buffers poisoned, these drive each point on purpose — and
-# the per-hop corruption drills (ISSUE 22).
+# buffer pools' hand-back points — every one of these packages' tests runs
+# with the pools' ownership contract armed (internal/poolcheck), these
+# drive each point, and the bugs the check exists for, on purpose — the
+# per-hop corruption drills (ISSUE 22) and the store's counted write
+# handles (ISSUE 23).
 #
 # The lists are kept by hand, so a name that matches no test — a rename,
 # a deletion — fails the gate instead of silently rerunning one test fewer.
@@ -76,8 +78,8 @@ echo "==> builder + stage flusher + cache filler + span source + read-through + 
 rerun 5 ./internal/remote/ \
     'TestParkedBuildWaitsForItsNotification|TestInterruptedStreamNeverInstalls|TestStalledStreamIsAbandoned|TestStagePendingWindow|TestDefaultConsumerBuildsBigStreams|TestBacklogInstallsInOrderFromTheLink|TestPublishErrorPathsBalanceTheBlob|TestNeedAnswerRacesNextPublish|TestFillRunsBehindTheInstall|TestDroppedParkedBuildIsNeverHashed|TestWaitingFillIsSuperseded|TestCloseAbandonsTheFill|TestStagedInstallFillsBehind|TestLateHaveListCostsOneFullStream|TestOnlyVerifiedRecordsAreCached|TestParkedBudgetCountsWireRecords|TestDeltaCacheEvictionRecovers|TestABADrillKeepsTheNeedListPath|TestSupersededFillOffersNoSource|TestReaderHoldsActiveWhileBuilderInherits|TestDroppedBuildReleasesItsRecordsOnly|TestStaleFramesAreReleased|TestSupersededFillReleasesItsRecords|TestCloseWithFramesInFlight|TestCorruptionDrillDirectLink'
 rerun 5 ./internal/relay/ \
-    'TestStoreReadFailsMidStream|TestChunkInNeitherTierRefusedBeforeFirstFrame|TestNewerCommitAbortsReadThrough|TestConcurrentJoinersReadThrough|TestMixedResidentAndDiskRecordsServeInOrder|TestReadThroughInstruments|TestFrozenFanoutSurvivesSameVnumReplacement|TestFrozenFanoutAcrossEviction|TestFrozenFanoutAcrossDemotion|TestSeededSequenceKeepsInvariants|TestCorruptionDrillRelayHops'
-rerun 5 ./internal/chunkstore/ 'TestWriterModel|TestReadChunkHoldsNoLockAcrossTheRead'
+    'TestStoreReadFailsMidStream|TestChunkInNeitherTierRefusedBeforeFirstFrame|TestNewerCommitAbortsReadThrough|TestConcurrentJoinersReadThrough|TestMixedResidentAndDiskRecordsServeInOrder|TestReadThroughInstruments|TestFrozenFanoutSurvivesSameVnumReplacement|TestFrozenFanoutAcrossEviction|TestFrozenFanoutAcrossDemotion|TestSeededSequenceKeepsInvariants|TestCorruptionDrillRelayHops|TestDroppedStoreHandleFailsTheInvariant'
+rerun 5 ./internal/chunkstore/ 'TestWriterModel|TestReadChunkHoldsNoLockAcrossTheRead|TestScratchPoolContract|TestPutBlobLeavesNoWriterOpen'
 rerun 10 ./internal/transport/ TestPropLatestWinsQueue
 rerun 5 ./internal/transport/ 'TestRecvPoolContract|TestPooledRecvDrawsRecordsOnly|TestRecvErrorPathsReturnTheBuffer'
 
@@ -98,22 +100,29 @@ go test -count=1 -run 'AllocBudget|CountGate' ./internal/remote/ ./internal/rela
 # target (internal/mutate, TestMutated*) already ran in the test pass above —
 # that is where the mutation coverage comes from on a machine where the
 # native engine barely runs; this adds one budget of it, shared by the
-# targets (failures land in testdata/fuzz).
+# targets (failures land in testdata/fuzz). The parsers with no native
+# target — kvstore and pubsub wire protocols, the store's segment scan and
+# log replay — are covered by their mutant passes alone.
+#
+# First, the decoder's one concurrent path three times over: a blob that
+# carries one chunk index at two positions used to have two workers
+# decoding into the same span (ISSUE 23) — red two runs in three.
+echo "==> vformat under the race detector (-race -count=3)"
+go test -race -count=3 ./internal/vformat
 echo "==> fuzz DecodeAuto + ManifestAssembler + TCPLinkRecv (20s in all)"
 go test -run '^$' -fuzz FuzzDecodeAuto -fuzztime 7s ./internal/vformat
 go test -run '^$' -fuzz FuzzManifestAssembler -fuzztime 6s ./internal/vformat
 go test -run '^$' -fuzz FuzzTCPLinkRecv -fuzztime 7s ./internal/transport
 
-# PR 7's visibility smoke, hardened in PR 8 into a hard gate: one timed
-# pass of the full analyzer suite (and the dataflow subset) over the
-# repository. The dataflow analyzers run a per-function fixpoint and the
-# PR 8 summary layer adds a bottom-up pass over the module call graph,
-# so a pathological slowdown should fail CI as a number, not surface as
-# a mysteriously slow viper-vet gate. 250 ms is ~10x the measured cost
-# of a full pass, so the bound rejects accidental quadratic blowups
-# without flaking on a loaded runner.
-echo "==> analysis suite bench smoke (full suite + dataflow subset, 1x)"
-bench7_out=$(go test -run '^$' -bench 'BenchmarkSuite' -benchtime 1x \
+# One timed pass of the full analyzer suite over the repository.
+# chanlife and lockorder run a per-function fixpoint and lockorder a
+# bottom-up pass over the module call graph, so a pathological slowdown
+# should fail CI as a number, not surface as a mysteriously slow
+# viper-vet gate. 250 ms is ~10x the measured cost of a full pass, so
+# the bound rejects accidental quadratic blowups without flaking on a
+# loaded runner.
+echo "==> analysis suite bench smoke (full suite, 1x)"
+bench7_out=$(go test -run '^$' -bench 'BenchmarkSuiteFull' -benchtime 1x \
     ./internal/analysis/)
 echo "$bench7_out"
 suite_ns=$(echo "$bench7_out" | awk '$1 ~ /SuiteFull/ { print $3; exit }')

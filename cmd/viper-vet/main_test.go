@@ -163,7 +163,7 @@ func TestListAndAnalyzerSelection(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list: exit %d", code)
 	}
-	for _, name := range []string{"poolown", "pairbalance", "ctxflow", "erroreq", "metricreg", "lockedsend"} {
+	for _, name := range []string{"chanlife", "lockorder", "ctxflow", "erroreq", "metricreg", "lockedsend"} {
 		if !strings.Contains(stdout, name) {
 			t.Fatalf("-list output missing %q:\n%s", name, stdout)
 		}

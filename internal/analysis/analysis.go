@@ -53,7 +53,7 @@ type Pass struct {
 	// to probe path-scoped analyzers).
 	ImportPath string
 	// Prog is the batch-wide inter-procedural index (call graph and
-	// summaries, DESIGN §7c). Nil in direct single-analyzer harnesses;
+	// lock summaries, DESIGN §7). Nil in direct single-analyzer harnesses;
 	// analyzers must degrade to intra-procedural behavior without it.
 	Prog *Program
 
@@ -95,13 +95,10 @@ func All() []*Analyzer {
 		CtxFlow,
 		ErrorEq,
 		FloatEq,
-		GoLeak,
 		Layering,
 		LockedSend,
 		LockOrder,
 		MetricReg,
-		PairBalance,
-		PoolOwn,
 		SimclockPurity,
 		SpinLoop,
 		WaitMisuse,

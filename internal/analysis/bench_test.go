@@ -1,8 +1,8 @@
-// Benchmarks for the analysis suite itself. ci.sh smoke-runs these so
-// the reported wall-time of a full 13-analyzer pass over the repository
-// stays visible: the dataflow analyzers (poolown, pairbalance) do
-// per-function fixpoint iteration, and a pathological regression there
-// would otherwise only show up as a mysteriously slow CI gate.
+// Benchmark for the analysis suite itself. ci.sh smoke-runs it so the
+// wall-time of a full pass over the repository stays visible: lockorder
+// and chanlife iterate a per-function fixpoint, and a pathological
+// regression there would otherwise only show up as a mysteriously slow
+// CI gate.
 
 package analysis
 
@@ -32,17 +32,6 @@ func loadRepo(b *testing.B) []*Package {
 func BenchmarkSuiteFull(b *testing.B) {
 	pkgs := loadRepo(b)
 	analyzers := All()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RunAll(pkgs, analyzers)
-	}
-}
-
-// BenchmarkSuiteDataflow isolates the CFG+fixpoint analyzers, the only
-// ones whose cost is superlinear in function size.
-func BenchmarkSuiteDataflow(b *testing.B) {
-	pkgs := loadRepo(b)
-	analyzers := []*Analyzer{PoolOwn, PairBalance}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		RunAll(pkgs, analyzers)

@@ -1,14 +1,14 @@
-// Intra-procedural control-flow graph construction for the dataflow
-// analyzers (poolown, pairbalance). The CFG is deliberately small: basic
-// blocks hold statements (and the condition expressions evaluated on the
-// way out) in source order, and edges carry the branch condition that
-// selects them so the ownership engine can refine state along err/ok
-// guards. See DESIGN.md §7b for the model and its limits.
+// Intra-procedural control-flow graph construction for the flow-
+// sensitive analyzers (chanlife's close states, lockorder's held sets).
+// The CFG is deliberately small: basic blocks hold statements (and the
+// condition expressions evaluated on the way out) in source order, and
+// an edge says only that control may pass — no analyzer refines state
+// along a branch condition.
 //
-// Constructs the builder cannot model soundly (goto, fallthrough into a
-// labeled mess) mark the graph unsupported; clients must then skip the
-// function entirely rather than analyze a wrong graph — viper-vet
-// prefers false negatives over false positives throughout.
+// Constructs the builder cannot model soundly (goto) mark the graph
+// unsupported; clients must then skip the function entirely rather than
+// analyze a wrong graph — viper-vet prefers false negatives over false
+// positives throughout.
 
 package analysis
 
@@ -16,22 +16,13 @@ import (
 	"go/ast"
 )
 
-// cfgEdge is one directed edge. When cond is non-nil the edge is taken
-// only when cond evaluates to condVal; a nil cond means the edge may
-// always be taken.
-type cfgEdge struct {
-	to      *cfgBlock
-	cond    ast.Expr
-	condVal bool
-}
-
 // cfgBlock is a basic block: nodes execute in order, then control
-// follows exactly one successor edge. Blocks with no successors end the
+// follows exactly one successor. Blocks with no successors end the
 // function (return, panic, or the tail of the body falling off the end).
 type cfgBlock struct {
 	index int
 	nodes []ast.Node
-	succs []cfgEdge
+	succs []*cfgBlock
 }
 
 // funcCFG is the graph for one function body.
@@ -75,11 +66,11 @@ func (b *cfgBuilder) newBlock() *cfgBlock {
 	return blk
 }
 
-func (b *cfgBuilder) edge(from, to *cfgBlock, cond ast.Expr, val bool) {
+func (b *cfgBuilder) edge(from, to *cfgBlock) {
 	if from == nil || to == nil {
 		return
 	}
-	from.succs = append(from.succs, cfgEdge{to: to, cond: cond, condVal: val})
+	from.succs = append(from.succs, to)
 }
 
 // stmts threads the statement list through cur and returns the block
@@ -109,17 +100,17 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *cfgBlock) *cfgBlock {
 		}
 		cur.nodes = append(cur.nodes, s.Cond)
 		thenBlk := b.newBlock()
-		b.edge(cur, thenBlk, s.Cond, true)
+		b.edge(cur, thenBlk)
 		after := b.newBlock()
 		thenEnd := b.stmts(s.Body.List, thenBlk)
-		b.edge(thenEnd, after, nil, false)
+		b.edge(thenEnd, after)
 		if s.Else != nil {
 			elseBlk := b.newBlock()
-			b.edge(cur, elseBlk, s.Cond, false)
+			b.edge(cur, elseBlk)
 			elseEnd := b.stmt(s.Else, elseBlk)
-			b.edge(elseEnd, after, nil, false)
+			b.edge(elseEnd, after)
 		} else {
-			b.edge(cur, after, s.Cond, false)
+			b.edge(cur, after)
 		}
 		return after
 
@@ -129,27 +120,27 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *cfgBlock) *cfgBlock {
 			cur.nodes = append(cur.nodes, s.Init)
 		}
 		head := b.newBlock()
-		b.edge(cur, head, nil, false)
+		b.edge(cur, head)
 		if s.Cond != nil {
 			head.nodes = append(head.nodes, s.Cond)
 		}
 		body := b.newBlock()
 		after := b.newBlock()
-		b.edge(head, body, s.Cond, true)
+		b.edge(head, body)
 		if s.Cond != nil {
-			b.edge(head, after, s.Cond, false)
+			b.edge(head, after)
 		}
 		// continue re-evaluates Post then the condition.
 		post := head
 		if s.Post != nil {
 			post = b.newBlock()
 			post.nodes = append(post.nodes, s.Post)
-			b.edge(post, head, nil, false)
+			b.edge(post, head)
 		}
 		b.loops = append(b.loops, loopCtx{label: label, breakTo: after, continueTo: post})
 		bodyEnd := b.stmts(s.Body.List, body)
 		b.loops = b.loops[:len(b.loops)-1]
-		b.edge(bodyEnd, post, nil, false)
+		b.edge(bodyEnd, post)
 		return after
 
 	case *ast.RangeStmt:
@@ -158,15 +149,15 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *cfgBlock) *cfgBlock {
 		// The RangeStmt node carries the ranged-over expression and the
 		// key/value bindings; the engine scans it like an assignment.
 		head.nodes = append(head.nodes, s)
-		b.edge(cur, head, nil, false)
+		b.edge(cur, head)
 		body := b.newBlock()
 		after := b.newBlock()
-		b.edge(head, body, nil, false)
-		b.edge(head, after, nil, false)
+		b.edge(head, body)
+		b.edge(head, after)
 		b.loops = append(b.loops, loopCtx{label: label, breakTo: after, continueTo: head})
 		bodyEnd := b.stmts(s.Body.List, body)
 		b.loops = b.loops[:len(b.loops)-1]
-		b.edge(bodyEnd, head, nil, false)
+		b.edge(bodyEnd, head)
 		return after
 
 	case *ast.SwitchStmt:
@@ -201,18 +192,18 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *cfgBlock) *cfgBlock {
 				continue
 			}
 			blk := b.newBlock()
-			b.edge(cur, blk, nil, false)
+			b.edge(cur, blk)
 			if comm.Comm != nil {
 				blk.nodes = append(blk.nodes, comm.Comm)
 			}
 			end := b.stmts(comm.Body, blk)
-			b.edge(end, after, nil, false)
+			b.edge(end, after)
 		}
 		b.loops = b.loops[:len(b.loops)-1]
 		// A select with no default still can't be proven to block
 		// forever by this builder; give it a bail-out edge so state at
 		// after stays a join of all arms.
-		b.edge(cur, after, nil, false)
+		b.edge(cur, after)
 		return after
 
 	case *ast.LabeledStmt:
@@ -229,12 +220,12 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *cfgBlock) *cfgBlock {
 		switch s.Tok.String() {
 		case "break":
 			if t := b.findLoop(labelName(s.Label)); t != nil && t.breakTo != nil {
-				b.edge(cur, t.breakTo, nil, false)
+				b.edge(cur, t.breakTo)
 			}
 			return nil
 		case "continue":
 			if t := b.findContinue(labelName(s.Label)); t != nil && t.continueTo != nil {
-				b.edge(cur, t.continueTo, nil, false)
+				b.edge(cur, t.continueTo)
 			}
 			return nil
 		case "goto":
@@ -289,7 +280,7 @@ func (b *cfgBuilder) switchBody(body *ast.BlockStmt, cur *cfgBlock, label string
 			continue
 		}
 		blk := b.newBlock()
-		b.edge(cur, blk, nil, false)
+		b.edge(cur, blk)
 		if cc.List == nil {
 			hasDefault = true
 		} else if caseExprs != nil {
@@ -300,14 +291,14 @@ func (b *cfgBuilder) switchBody(body *ast.BlockStmt, cur *cfgBlock, label string
 	for i, c := range clauses {
 		end := b.stmts(c.list, c.blk)
 		if end != nil && fallsThrough(c.list) && i+1 < len(clauses) {
-			b.edge(end, clauses[i+1].blk, nil, false)
+			b.edge(end, clauses[i+1].blk)
 		} else {
-			b.edge(end, after, nil, false)
+			b.edge(end, after)
 		}
 	}
 	if !hasDefault {
 		// No default: the switch may match nothing and skip every clause.
-		b.edge(cur, after, nil, false)
+		b.edge(cur, after)
 	}
 	b.loops = b.loops[:len(b.loops)-1]
 	return after

@@ -1,7 +1,7 @@
 // Unit tests for the CFG builder: block/edge structure for the
 // supported control constructs, termination handling, and the
-// unsupported-construct bail-out that keeps the dataflow engine from
-// analyzing graphs it cannot model.
+// unsupported-construct bail-out that keeps the flow-sensitive
+// analyzers from walking graphs the builder cannot model.
 
 package analysis
 
@@ -34,7 +34,7 @@ func reachable(g *funcCFG) map[*cfgBlock]bool {
 		}
 		seen[b] = true
 		for _, e := range b.succs {
-			walk(e.to)
+			walk(e)
 		}
 	}
 	walk(g.entry)
@@ -57,25 +57,15 @@ func TestCFGStraightLine(t *testing.T) {
 	}
 }
 
-func TestCFGIfCarriesConditionOnBothEdges(t *testing.T) {
+func TestCFGIfWithoutElseHasSkipEdge(t *testing.T) {
 	g := buildFromSource(t, "x := 1\nif x > 0 {\n\tx = 2\n}\n_ = x")
-	// entry --(cond=true)--> then --> after; entry --(cond=false)--> after.
+	// entry --> then --> after; entry --> after.
 	if len(g.entry.succs) != 2 {
 		t.Fatalf("if head has %d successors, want 2", len(g.entry.succs))
 	}
-	var sawTrue, sawFalse bool
-	for _, e := range g.entry.succs {
-		if e.cond == nil {
-			t.Fatal("if edge lost its condition")
-		}
-		if e.condVal {
-			sawTrue = true
-		} else {
-			sawFalse = true
-		}
-	}
-	if !sawTrue || !sawFalse {
-		t.Fatalf("if edges: true=%v false=%v, want both", sawTrue, sawFalse)
+	then, after := g.entry.succs[0], g.entry.succs[1]
+	if len(then.succs) != 1 || then.succs[0] != after {
+		t.Fatal("the then block must flow into the block the if head skips to")
 	}
 }
 
@@ -97,7 +87,7 @@ func TestCFGForLoopBackEdge(t *testing.T) {
 	hasBack := false
 	for _, blk := range g.blocks {
 		for _, e := range blk.succs {
-			if e.to.index <= blk.index && blk != g.entry {
+			if e.index <= blk.index && blk != g.entry {
 				hasBack = true
 			}
 		}
@@ -154,7 +144,7 @@ func TestCFGFallthroughChainsClauses(t *testing.T) {
 	if len(clause1.succs) != 1 {
 		t.Fatalf("case-1 clause has %d successors, want 1", len(clause1.succs))
 	}
-	next := clause1.succs[0].to
+	next := clause1.succs[0]
 	hasAssign := false
 	for _, n := range next.nodes {
 		if _, ok := n.(*ast.AssignStmt); ok {
@@ -256,7 +246,7 @@ func TestCFGContinueTargetsPost(t *testing.T) {
 	preds := 0
 	for _, blk := range g.blocks {
 		for _, e := range blk.succs {
-			if e.to == post {
+			if e == post {
 				preds++
 			}
 		}
@@ -315,7 +305,7 @@ func TestCFGEmptyForLoopHasNoExit(t *testing.T) {
 	hasBack := false
 	for blk := range seen {
 		for _, e := range blk.succs {
-			if e.to.index <= blk.index && blk != g.entry {
+			if e.index <= blk.index && blk != g.entry {
 				hasBack = true
 			}
 		}

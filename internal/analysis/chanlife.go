@@ -9,8 +9,8 @@
 //
 // Two layers:
 //
-//   - A CFG dataflow (same graph and silent-fixpoint-then-replay shape
-//     as dataflow.go) tracks, per syntactic channel key ("ch",
+//   - A dataflow over the CFG in cfg.go (silent fixpoint, then one
+//     reporting replay) tracks, per syntactic channel key ("ch",
 //     "s.done"), where the channel is definitely closed (intersection
 //     joins) and possibly closed (union joins). Definite re-close and
 //     sends on a possibly-closed channel are reported; reassignment
@@ -32,6 +32,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"regexp"
 	"strings"
 )
 
@@ -53,8 +54,12 @@ var chanlifeScope = map[string]bool{
 	"viper/internal/vformat":   true,
 }
 
+// shutdownChanName matches channel identifiers conventionally used as
+// shutdown signals.
+var shutdownChanName = regexp.MustCompile(`(?i)^(done|closed?|quit|stop(ped)?|exit|shutdown|dying)$`)
+
 // lastKeyElem returns the final component of a dotted channel key
-// ("s.done" → "done"), matched against goleak.go's shutdownChanName.
+// ("s.done" → "done"), matched against shutdownChanName.
 func lastKeyElem(key string) string {
 	if i := strings.LastIndexByte(key, '.'); i >= 0 {
 		return key[i+1:]
@@ -261,12 +266,12 @@ func runChanFlow(pass *Pass, body *ast.BlockStmt) {
 		for _, n := range blk.nodes {
 			step(n, st)
 		}
-		for _, edge := range blk.succs {
-			if in[edge.to.index] == nil {
-				in[edge.to.index] = st.clone()
-				work = append(work, edge.to)
-			} else if in[edge.to.index].joinFrom(st) {
-				work = append(work, edge.to)
+		for _, next := range blk.succs {
+			if in[next.index] == nil {
+				in[next.index] = st.clone()
+				work = append(work, next)
+			} else if in[next.index].joinFrom(st) {
+				work = append(work, next)
 			}
 		}
 	}

@@ -62,14 +62,6 @@ func TestGoldenLayering(t *testing.T) {
 	runGolden(t, Layering, "testdata/src/layering/clean", "viper/cmd/demo")
 }
 
-func TestGoldenGoLeak(t *testing.T) {
-	// inscope is loaded under a long-lived delivery path where unstoppable
-	// goroutines are findings; outscope holds the same shape under a path
-	// goleak does not police.
-	runGolden(t, GoLeak, "testdata/src/goleak/inscope", "viper/internal/transport")
-	runGolden(t, GoLeak, "testdata/src/goleak/outscope", "fixture/goleakout")
-}
-
 func TestGoldenCloseLeak(t *testing.T) {
 	runGolden(t, CloseLeak, "testdata/src/closeleak", "fixture/closeleak")
 }
@@ -83,14 +75,6 @@ func TestGoldenFloatEq(t *testing.T) {
 	// curvefit entered the scope in PR 7; the same fixture flags there.
 	runGolden(t, FloatEq, "testdata/src/floateq/scoped", "viper/internal/curvefit")
 	runGolden(t, FloatEq, "testdata/src/floateq/unscoped", "viper/internal/trace")
-}
-
-func TestGoldenPoolOwn(t *testing.T) {
-	runGolden(t, PoolOwn, "testdata/src/poolown", "viper/internal/core")
-}
-
-func TestGoldenPairBalance(t *testing.T) {
-	runGolden(t, PairBalance, "testdata/src/pairbalance/storewriter", "viper/internal/relay")
 }
 
 func TestGoldenCtxFlow(t *testing.T) {

@@ -1,5 +1,5 @@
 // Lock-set summaries and the module-wide lock-acquisition-order graph
-// (DESIGN §7c). For every function of the scoped delivery packages the
+// (DESIGN §7). For every function of the scoped delivery packages the
 // layer computes, bottom-up over the Program's SCC order:
 //
 //   - the set of global lock identities the function (transitively)
@@ -18,9 +18,9 @@
 // instance-crossed acquisition (lock a.mu then b.mu of the same type)
 // is itself the classic AB-BA hazard.
 //
-// Held sets flow over the same CFG as the ownership engine with
-// intersection joins (must-held: silence over noise), a silent fixpoint,
-// and a single recording replay. Bodies the CFG cannot model (goto)
+// Held sets flow over the CFG in cfg.go with intersection joins
+// (must-held: silence over noise), a silent fixpoint, and a single
+// recording replay. Bodies the CFG cannot model (goto)
 // fall back to a flow-free scan that keeps the acquire set sound but
 // records no edges.
 
@@ -259,13 +259,13 @@ func lockFlowRun(pf *progFunc, acquires map[*types.Func]map[string]bool) (map[st
 		for _, n := range blk.nodes {
 			step(n, st, false)
 		}
-		for _, edge := range blk.succs {
-			if in[edge.to.index] == nil {
-				in[edge.to.index] = copyHeld(st)
-				work = append(work, edge.to)
-			} else if next := intersectHeld(in[edge.to.index], st); len(next) != len(in[edge.to.index]) {
-				in[edge.to.index] = next
-				work = append(work, edge.to)
+		for _, to := range blk.succs {
+			if in[to.index] == nil {
+				in[to.index] = copyHeld(st)
+				work = append(work, to)
+			} else if next := intersectHeld(in[to.index], st); len(next) != len(in[to.index]) {
+				in[to.index] = next
+				work = append(work, to)
 			}
 		}
 	}

@@ -1,13 +1,11 @@
-// Program: the inter-procedural layer under the v4 analyzers (DESIGN
-// §7c). A Program indexes every function declared in the packages of
-// one Run batch, resolves a same-module call graph through go/types,
-// and orders it bottom-up by strongly connected components so that
-// per-function summaries (ownership effects in summary.go, lock sets in
-// locksummary.go) can be computed callees-first in one pass. Mutual
-// recursion collapses into one SCC; summary clients treat every member
-// of a multi-function SCC conservatively (unknown effects) rather than
-// iterating to a fixpoint — false negatives over false positives, as
-// everywhere else in the suite.
+// Program: the inter-procedural layer under lockorder (DESIGN §7). A
+// Program indexes every function declared in the packages of one Run
+// batch, resolves a same-module call graph through go/types, and orders
+// it bottom-up by strongly connected components so that per-function
+// lock sets (locksummary.go) can be computed callees-first in one pass.
+// Mutual recursion collapses into one SCC, whose members see each
+// other's sets only as far as source order allows — false negatives
+// over false positives, as everywhere else in the suite.
 //
 // The Program is built lazily: RunAll attaches one to every Pass, but
 // the function index and SCC order are only computed the first time an
@@ -31,10 +29,6 @@ type progFunc struct {
 	// excluding calls made inside nested function literals (a literal's
 	// body does not run when this function is called).
 	callees []*types.Func
-	// sccSize is the size of the function's SCC; >1 (or a self-loop)
-	// means recursion, which the summary layers refuse to model.
-	sccSize  int
-	selfLoop bool
 }
 
 // Program spans every package of one RunAll batch.
@@ -43,15 +37,9 @@ type Program struct {
 
 	built bool
 	fns   map[*types.Func]*progFunc
-	// called marks functions with at least one module-local caller
-	// (self-recursion excluded): only those can rely on a caller to
-	// inherit a summary-declared obligation.
-	called map[*types.Func]bool
 	// order lists every progFunc bottom-up: each function appears after
 	// all functions it (transitively) calls, except within its own SCC.
 	order []*progFunc
-
-	ownSums map[*ownRule]map[*types.Func]*ownSummary
 
 	lockBuilt bool
 	lockInfo  *lockGraph
@@ -59,19 +47,6 @@ type Program struct {
 
 func newProgram(pkgs []*Package) *Program {
 	return &Program{pkgs: pkgs}
-}
-
-// hasCaller reports whether some other function in the batch calls fn.
-func (prog *Program) hasCaller(fn *types.Func) bool {
-	prog.build()
-	return prog.called[fn]
-}
-
-// funcOf resolves fn to its progFunc, or nil when fn has no body in the
-// batch (declared in an unloaded package, or body-less).
-func (prog *Program) funcOf(fn *types.Func) *progFunc {
-	prog.build()
-	return prog.fns[fn]
 }
 
 // build indexes the batch's function declarations and computes the
@@ -97,14 +72,8 @@ func (prog *Program) build() {
 			}
 		}
 	}
-	prog.called = make(map[*types.Func]bool)
 	for _, pf := range prog.fns {
 		pf.callees = prog.calleesOf(pf)
-		for _, c := range pf.callees {
-			if c != pf.fn {
-				prog.called[c] = true
-			}
-		}
 	}
 	prog.computeSCCs()
 }
@@ -178,7 +147,6 @@ func (prog *Program) computeSCCs() {
 				continue
 			}
 			if w == v {
-				v.selfLoop = true
 				continue
 			}
 			if _, seen := index[w]; !seen {
@@ -201,9 +169,6 @@ func (prog *Program) computeSCCs() {
 					break
 				}
 			}
-			for _, m := range scc {
-				m.sccSize = len(scc)
-			}
 			// Within one SCC, keep source order for determinism.
 			sort.Slice(scc, func(i, j int) bool { return scc[i].decl.Pos() < scc[j].decl.Pos() })
 			prog.order = append(prog.order, scc...)
@@ -214,10 +179,4 @@ func (prog *Program) computeSCCs() {
 			strongconnect(pf)
 		}
 	}
-}
-
-// recursive reports whether pf participates in recursion (multi-member
-// SCC or a direct self-call); summaries refuse to model such functions.
-func (pf *progFunc) recursive() bool {
-	return pf.sccSize > 1 || pf.selfLoop
 }

@@ -164,8 +164,7 @@ func send(b *box, ch chan int) {
 }
 
 // TestSuppressAndRunAllDataflowAnalyzers covers the waiver + RunAll
-// (-json) contract for every analyzer added in the dataflow wave: each
-// snippet contains the same finding twice, one under a lint:ignore
+// (-json) contract for ctxflow, erroreq and metricreg: each snippet contains the same finding twice, one under a lint:ignore
 // directive. Run must return only the live one; RunAll must return both
 // with exactly the waived one marked Suppressed.
 func TestSuppressAndRunAllDataflowAnalyzers(t *testing.T) {
@@ -174,65 +173,6 @@ func TestSuppressAndRunAllDataflowAnalyzers(t *testing.T) {
 		importPath string
 		src        string
 	}{
-		{PoolOwn, "viper/internal/core", `package fix
-
-import (
-	"context"
-	"errors"
-
-	"viper/internal/vformat"
-)
-
-var errSend = errors.New("send failed")
-
-func waived(ctx context.Context, ckpt *vformat.Checkpoint) error {
-	blob, err := vformat.EncodeChunked(ctx, ckpt, vformat.ChunkOptions{})
-	if err != nil {
-		return err
-	}
-	_ = blob[0]
-	//lint:ignore poolown reviewed: the leak is intentional in this fixture
-	return errSend
-}
-
-func live(ctx context.Context, ckpt *vformat.Checkpoint) error {
-	blob, err := vformat.EncodeChunked(ctx, ckpt, vformat.ChunkOptions{})
-	if err != nil {
-		return err
-	}
-	_ = blob[0]
-	return errSend
-}
-`},
-		{PairBalance, "viper/internal/relay", `package fix
-
-import (
-	"errors"
-
-	"viper/internal/chunkstore"
-)
-
-var errSuperseded = errors.New("superseded")
-
-func waived(s *chunkstore.Store, superseded bool) error {
-	w := s.Begin()
-	if superseded {
-		//lint:ignore pairbalance reviewed: the leak is intentional in this fixture
-		return errSuperseded
-	}
-	w.Abort()
-	return nil
-}
-
-func live(s *chunkstore.Store, superseded bool) error {
-	w := s.Begin()
-	if superseded {
-		return errSuperseded
-	}
-	w.Abort()
-	return nil
-}
-`},
 		{CtxFlow, "viper/internal/ctxfix", `package fix
 
 import "context"

@@ -110,6 +110,34 @@ func pkgFunc(info *types.Info, call *ast.CallExpr, pkgPath string, names map[str
 	return fn.Name(), true
 }
 
+// calleeFunc resolves the called *types.Func, or nil for indirect calls,
+// conversions, and builtins.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var obj types.Object
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		obj = info.Uses[f]
+	case *ast.SelectorExpr:
+		obj = info.Uses[f.Sel]
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+// identVar resolves a plain (possibly parenthesised) identifier to the
+// variable it names, or nil for any other expression.
+func identVar(info *types.Info, e ast.Expr) *types.Var {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	v, _ := info.Uses[id].(*types.Var)
+	if v == nil {
+		v, _ = info.Defs[id].(*types.Var)
+	}
+	return v
+}
+
 // lastPathElem returns the final element of an import path.
 func lastPathElem(path string) string {
 	if i := strings.LastIndexByte(path, '/'); i >= 0 {

@@ -6,8 +6,7 @@
 //     races with Wait: the owner can observe the counter at zero and
 //     return before the goroutine has registered itself, so the join
 //     silently stops joining. Add must happen before the launch, in the
-//     spawning goroutine (which is exactly what goleak's join rule
-//     credits). The hierarchical idiom is exempt: when the spawning
+//     spawning goroutine. The hierarchical idiom is exempt: when the spawning
 //     scope itself did a wg.Add on the same WaitGroup before the go
 //     statement, the spawned goroutine holds a counter unit for its
 //     whole lifetime, so the counter cannot be zero while it registers

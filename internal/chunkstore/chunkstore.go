@@ -138,6 +138,10 @@ type Stats struct {
 	DroppedVersions int64
 	DedupedChunks   int64
 	Recovery        time.Duration
+	// OpenWriters is the number of write handles begun and not yet
+	// finished. Each pins segments, so whoever holds handles can account
+	// for this number, and it is 0 when nobody does.
+	OpenWriters int
 }
 
 var registry = metrics.NewRegistry("chunkstore")
@@ -633,9 +637,15 @@ type Writer struct {
 	done bool
 }
 
-// Begin opens a write handle. The caller must finish it with exactly
-// one Commit or Abort (see viper-vet's pairbalance storewriter rule).
-func (s *Store) Begin() *Writer { return &Writer{s: s} }
+// Begin opens a write handle. The caller must finish it with a Commit or
+// an Abort: until then it counts in Stats.OpenWriters and what it pins
+// cannot be reclaimed.
+func (s *Store) Begin() *Writer {
+	s.mu.Lock()
+	s.st.OpenWriters++
+	s.mu.Unlock()
+	return &Writer{s: s}
+}
 
 // Append stores one v2 chunk record under its content hash h,
 // deduplicating against what the index already holds, and pins the
@@ -705,6 +715,10 @@ func (w *Writer) Abort() {
 
 // finishLocked drops the handle's pins and marks it finished.
 func (w *Writer) finishLocked() {
+	if w.done {
+		return
+	}
+	w.s.st.OpenWriters--
 	for _, seg := range w.pins {
 		seg.pins--
 	}

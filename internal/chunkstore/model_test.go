@@ -460,10 +460,19 @@ func TestWriterModel(t *testing.T) {
 		m.reopen()
 		for i := 0; i < 400; i++ {
 			m.step()
+			// The store's count of open handles is the schedule's own: a
+			// crash reopens the store and abandons them all.
+			if n := m.s.Stats().OpenWriters; n != len(m.open) {
+				t.Fatalf("seed %d step %d: OpenWriters = %d, the schedule holds %d handles", seed, i, n, len(m.open))
+			}
 		}
 		m.finishHeld()
 		for _, h := range m.open {
 			h.w.Abort()
+			h.w.Abort() // a second Abort is a no-op, for the count too
+		}
+		if n := m.s.Stats().OpenWriters; n != 0 {
+			t.Fatalf("seed %d: OpenWriters = %d with every handle finished", seed, n)
 		}
 		m.s.mu.Lock()
 		for _, seg := range m.s.segs {
@@ -503,6 +512,58 @@ func TestWriterModel(t *testing.T) {
 	}
 	if hits == 0 || misses == 0 || outlived == 0 {
 		t.Fatalf("reads: %d hits, %d misses, %d parked reads that outlived their record's last reference; the schedule must exercise all three", hits, misses, outlived)
+	}
+}
+
+// TestPutBlobLeavesNoWriterOpen kills PutBlob at each of its fault taps in
+// turn — every Append, then the commit — and refuses it a corrupt record
+// and a blob that is not chunked: whichever way it returns, the handle it
+// began is finished. A handle dropped on the floor is what the count is
+// for: it shows, and stays until the handle is finished.
+func TestPutBlobLeavesNoWriterOpen(t *testing.T) {
+	blob := testBlob(t, 840, 512, 1)
+	put := func(what string, inj *faults.Injector, blob []byte) error {
+		t.Helper()
+		s := mustOpen(t, t.TempDir(), Options{SegmentBytes: 512, Injector: inj})
+		defer s.Close()
+		err := s.PutBlob("m", 1, "k", blob)
+		if n := s.Stats().OpenWriters; n != 0 {
+			t.Fatalf("%s: PutBlob returned %v with %d write handles open", what, err, n)
+		}
+		return err
+	}
+	died := make(map[string]int)
+	for skip := 0; ; skip++ {
+		err := put(fmt.Sprintf("fault at op %d", skip), faults.New(faults.Config{Seed: 1, FailRate: 1, SkipFirst: skip}), blob)
+		if err == nil {
+			break // every op of the put was exempt
+		}
+		if !errors.Is(err, faults.ErrInjected) {
+			t.Fatalf("fault at op %d: %v", skip, err)
+		}
+		died[err.Error()]++
+	}
+	if len(died) != 2 || died["chunkstore: "+faults.ErrInjected.Error()+": chunkstore/commit"] != 1 {
+		t.Fatalf("PutBlob died at %v, want several appends and the one commit", died)
+	}
+	torn := append([]byte(nil), blob...)
+	torn[len(torn)-9] ^= 0xFF // inside the last record's payload
+	if err := put("corrupt record", nil, torn); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt record: %v", err)
+	}
+	if err := put("not chunked", nil, []byte("VPRF0001 lean")); !errors.Is(err, ErrNotChunked) {
+		t.Fatalf("not chunked: %v", err)
+	}
+
+	s := mustOpen(t, t.TempDir(), Options{})
+	defer s.Close()
+	w := s.Begin()
+	if n := s.Stats().OpenWriters; n != 1 {
+		t.Fatalf("OpenWriters = %d with one handle begun and dropped", n)
+	}
+	w.Abort()
+	if n := s.Stats().OpenWriters; n != 0 {
+		t.Fatalf("OpenWriters = %d after the handle was aborted", n)
 	}
 }
 

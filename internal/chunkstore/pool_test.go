@@ -1,0 +1,43 @@
+package chunkstore
+
+import (
+	"bytes"
+	"testing"
+
+	"viper/internal/poolcheck"
+)
+
+// TestScratchPoolContract runs the scratch pool's contract (DESIGN.md §8;
+// the check is on for the whole package, see TestMain) and brings back the
+// bug it was written down for: a plain `defer putBuf(b)` captures the
+// array b names at the defer, growBuf hands that array back when it
+// replaces it, and the deferred call hands it back again — one array in
+// the pool twice, issued to two owners. scanEntries and compactSegment
+// shipped that shape once; they defer a closure now.
+func TestScratchPoolContract(t *testing.T) {
+	b := getBuf(100)
+	b = append(b, "an entry being assembled"...)
+	kept := b
+	putBuf(b)
+	if !bytes.Equal(kept[:cap(kept)], bytes.Repeat([]byte{poolcheck.Poison}, cap(kept))) {
+		t.Fatal("a scratch buffer still reads as what it held after putBuf")
+	}
+
+	grown := getBuf(0)
+	if same := growBuf(grown, cap(grown)); &same[:1][0] != &grown[:1][0] {
+		t.Fatal("growBuf replaced a buffer that was large enough")
+	}
+	putBuf(grown)
+
+	caught := func() (caught bool) {
+		defer func() { caught = recover() != nil }()
+		b := getBuf(0)
+		defer putBuf(b)
+		b = growBuf(b, cap(b)+1)
+		_ = b
+		return false
+	}()
+	if !caught {
+		t.Fatal("a stale deferred putBuf after growBuf handed one array back twice, unnoticed")
+	}
+}

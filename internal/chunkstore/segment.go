@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"os"
 	"sync"
+
+	"viper/internal/poolcheck"
 )
 
 // On-disk layout.
@@ -44,13 +46,17 @@ const (
 )
 
 // bufPool recycles scratch buffers for entry assembly and compaction
-// reads. Callers acquire with getBuf and must release with putBuf.
+// reads. Ownership is the contract all three pools share (DESIGN.md §8):
+// a buffer from getBuf or growBuf is its holder's, to hand back with
+// putBuf at most once after its last read, or to let go; a second
+// hand-back and a read after it are the only two bugs, and test binaries
+// run with both checked (poolcheck).
 var bufPool = sync.Pool{New: func() interface{} { return make([]byte, 0, 64<<10) }}
 
 // getBuf returns a zero-length scratch buffer with at least n capacity.
-// The caller owns it until putBuf.
 func getBuf(n int) []byte {
 	b := bufPool.Get().([]byte)
+	poolcheck.Drawn(b)
 	if cap(b) < n {
 		putBuf(b)
 		return make([]byte, 0, n)
@@ -58,9 +64,8 @@ func getBuf(n int) []byte {
 	return b[:0]
 }
 
-// growBuf returns a scratch buffer with at least n capacity, recycling
-// b when it is too small. Ownership of b transfers in; the caller owns
-// the result until putBuf.
+// growBuf returns a scratch buffer with at least n capacity, handing b
+// back when it is too small: the caller holds the result, and no longer b.
 func growBuf(b []byte, n int) []byte {
 	if cap(b) >= n {
 		return b
@@ -69,8 +74,9 @@ func growBuf(b []byte, n int) []byte {
 	return getBuf(n)
 }
 
-// putBuf returns a buffer acquired by getBuf to the pool.
+// putBuf hands a buffer acquired by getBuf back to the pool.
 func putBuf(b []byte) {
+	poolcheck.HandBack(b)
 	bufPool.Put(b[:0]) //nolint:staticcheck // []byte header alloc is fine here
 }
 

@@ -1,5 +1,4 @@
-// Package leakcheck is the runtime half of the goroutine-lifecycle gate
-// (the static half is viper-vet's goleak analyzer): a goleak-style
+// Package leakcheck is the goroutine-lifecycle gate: a goleak-style
 // verifier that fails a test binary whose goroutines outlive its tests.
 //
 // Usage, from a package's TestMain:

@@ -13,9 +13,38 @@
 package mutate
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"net"
+	"runtime"
 )
+
+// Conn is a net.Conn over byte slices, for running the code behind a
+// socket on a recorded or mutated stream with no socket: Read serves In
+// and then reports io.EOF, Write lands in Out, Close does nothing. No
+// other method is reachable.
+type Conn struct {
+	net.Conn
+	In  *bytes.Reader
+	Out bytes.Buffer
+}
+
+// NewConn returns a Conn that reads input.
+func NewConn(input []byte) *Conn { return &Conn{In: bytes.NewReader(input)} }
+
+func (c *Conn) Read(p []byte) (int, error)  { return c.In.Read(p) }
+func (c *Conn) Write(p []byte) (int, error) { return c.Out.Write(p) }
+func (c *Conn) Close() error                { return nil }
+
+// Allocated returns how many bytes the process allocated while fn ran.
+func Allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
 
 // boundaries are the values a length or count field breaks at.
 var boundaries = []uint64{

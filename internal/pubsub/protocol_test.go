@@ -2,10 +2,14 @@ package pubsub
 
 import (
 	"bufio"
+	"fmt"
+	"math"
 	"net"
 	"strings"
 	"testing"
 	"time"
+
+	"viper/internal/mutate"
 )
 
 func rawPubSubConn(t *testing.T) (net.Conn, *bufio.Reader) {
@@ -141,5 +145,56 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// oversize are announced lengths no notification has: the largest int (n+2
+// wrapped negative and the make panicked), one the allocator would really
+// try for, and the first one over the cap.
+var oversize = []int{math.MaxInt64, 1 << 40, MaxPayloadBytes + 1}
+
+// TestOversizePubRefused: one such PUB line used to panic the connection
+// goroutine — and with it the process, viper-metasrv — in makeslice. It is
+// refused before anything is allocated and the connection is served on.
+func TestOversizePubRefused(t *testing.T) {
+	conn, r := rawPubSubConn(t)
+	for _, n := range oversize {
+		psSend(t, conn, fmt.Sprintf("PUB m %d", n))
+		if got := psRead(t, r); got != "-ERR payload too large" {
+			t.Fatalf("PUB announcing %d bytes: reply = %q", n, got)
+		}
+		psSend(t, conn, "PING")
+		if got := psRead(t, r); got != "+PONG" {
+			t.Fatalf("after the refusal, PING = %q", got)
+		}
+	}
+	psSend(t, conn, fmt.Sprintf("PUB m %d\r\n%s", MaxPayloadBytes, strings.Repeat("x", MaxPayloadBytes)))
+	if got := psRead(t, r); got != ":0" {
+		t.Fatalf("PUB of exactly the cap: reply = %q", got)
+	}
+}
+
+// TestOversizeMsgDropsTheConnection is the same line from the other side:
+// a broker that pushes it used to kill every consumer process subscribed
+// to it. The client gives the connection up — it cannot skip a payload of
+// that length, so it reads nothing that follows — and its caller sees an
+// error, not a crash.
+func TestOversizeMsgDropsTheConnection(t *testing.T) {
+	for _, n := range oversize {
+		c := newClient(mutate.NewConn([]byte(fmt.Sprintf("MSG m %d\r\n+PONG\r\n", n))))
+		<-c.closed
+		if len(c.replies) != 0 {
+			t.Fatalf("MSG announcing %d bytes: the client read on past it", n)
+		}
+		if err := c.Ping(); err == nil {
+			t.Fatal("Ping on a dropped connection succeeded")
+		}
+	}
+	pub, _ := newServerPair(t)
+	if _, err := pub.Publish("m", strings.Repeat("x", MaxPayloadBytes+1)); err == nil {
+		t.Fatal("Publish sent a payload over the cap")
+	}
+	if err := pub.Ping(); err != nil {
+		t.Fatalf("after the refused Publish: %v", err)
 	}
 }

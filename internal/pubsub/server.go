@@ -19,6 +19,10 @@ import (
 //	PING\r\n                           → +PONG
 //
 // Pushed frame: MSG <channel> <len>\r\n<payload>\r\n
+//
+// A PUB that announces more than MaxPayloadBytes is answered "-ERR payload
+// too large" before anything is allocated for it, and the connection is
+// served on.
 type Server struct {
 	broker *Broker
 
@@ -29,6 +33,12 @@ type Server struct {
 	once     sync.Once
 	wg       sync.WaitGroup
 }
+
+// MaxPayloadBytes caps the length a peer may announce for one payload, in
+// either direction. It is far above any notification the system publishes
+// (an encoded ModelMeta, under 1 KiB) and far below what an unchecked
+// length could make the other side allocate.
+const MaxPayloadBytes = 64 << 10
 
 // NewServer wraps broker in a TCP server (not yet listening).
 func NewServer(broker *Broker) *Server {
@@ -136,6 +146,12 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 				continue
 			}
+			if n > MaxPayloadBytes {
+				if reply("-ERR payload too large\r\n") != nil {
+					return
+				}
+				continue
+			}
 			buf := make([]byte, n+2)
 			if _, err := io.ReadFull(r, buf); err != nil {
 				return
@@ -192,6 +208,11 @@ func DialClient(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pubsub: dial %s: %w", addr, err)
 	}
+	return newClient(conn), nil
+}
+
+// newClient starts a client's reader loop over conn.
+func newClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
 		r:       bufio.NewReader(conn),
@@ -201,7 +222,7 @@ func DialClient(addr string) (*Client, error) {
 		closed:  make(chan struct{}),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 func (c *Client) readLoop() {
@@ -218,7 +239,7 @@ func (c *Client) readLoop() {
 				return
 			}
 			n, err := strconv.Atoi(parts[2])
-			if err != nil || n < 0 {
+			if err != nil || n < 0 || n > MaxPayloadBytes {
 				return
 			}
 			buf := make([]byte, n+2)
@@ -289,8 +310,12 @@ func (c *Client) Subscribe(channel string) (<-chan Message, error) {
 }
 
 // Publish sends payload on channel, returning the server-side receiver
-// count.
+// count. A payload over MaxPayloadBytes is refused here: the server would
+// refuse its length and read the payload it was not sent for as commands.
 func (c *Client) Publish(channel, payload string) (int, error) {
+	if len(payload) > MaxPayloadBytes {
+		return 0, fmt.Errorf("pubsub: %d-byte payload is over the %d-byte cap", len(payload), MaxPayloadBytes)
+	}
 	line, err := c.request("PUB %s %d\r\n%s\r\n", channel, len(payload), payload)
 	if err != nil {
 		return 0, err

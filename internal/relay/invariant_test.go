@@ -27,7 +27,19 @@ import (
 // versions sit below one, and the gauges say the same after a sync. It
 // holds whenever r.mu is free — a session frozen mid-fan-out or a build
 // half arrived changes nothing it reads — so tests call it at any point.
-func (r *Relay) checkInvariants() error {
+//
+// The store's write handles are counted, not paired by hand: building is
+// how many ingest builds the caller knows to be in flight with a handle
+// (0 once the relay is closed, and between the steps of a sequence that
+// leaves no stream half sent), and the store must count exactly that many
+// handles open — a build dropped without abandon, or a commit path that
+// forgets its handle, leaves one behind and pins its segments for good.
+func (r *Relay) checkInvariants(building int) error {
+	if r.store != nil {
+		if open := r.store.Stats().OpenWriters; open != building {
+			return fmt.Errorf("the store counts %d write handles open, %d ingest builds hold one", open, building)
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	listed := make(map[vformat.ChunkHash]int)
@@ -79,8 +91,34 @@ func (r *Relay) checkInvariants() error {
 func closeChecked(t *testing.T, r *Relay) {
 	t.Helper()
 	r.Close()
-	if err := r.checkInvariants(); err != nil {
+	if err := r.checkInvariants(0); err != nil {
 		t.Errorf("relay invariants after close: %v", err)
+	}
+}
+
+// TestDroppedStoreHandleFailsTheInvariant drops a begun write handle on
+// purpose — what a build discarded without abandon would do — and the
+// invariant says so until the handle is finished; a push through the same
+// relay, handle begun, appended to and committed, leaves the count at 0.
+func TestDroppedStoreHandleFailsTheInvariant(t *testing.T) {
+	r := storeRelay(t, t.TempDir(), 2, chunkstore.Retention{})
+	link, err := transport.DialTCP(r.IngestAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+	pushChunked(t, link, "m", 1, wideSnapshot(77), 128)
+	waitFor(t, 5*time.Second, func() bool { return r.Stats().StoredVersions == 1 }, "the push stored")
+	if err := r.checkInvariants(0); err != nil {
+		t.Fatalf("after a committed push: %v", err)
+	}
+	w := r.store.Begin()
+	if err := r.checkInvariants(0); err == nil {
+		t.Fatal("a write handle begun and dropped went unnoticed")
+	}
+	w.Abort()
+	if err := r.checkInvariants(0); err != nil {
+		t.Fatalf("after the handle was aborted: %v", err)
 	}
 }
 
@@ -241,6 +279,11 @@ func (q *sequence) halfPush() {
 	sendFrames(q.t, q.link, head)
 	sendFrames(q.t, q.link, recs[:n]...)
 	waitFor(q.t, 10*time.Second, func() bool { return q.r.Stats().IngestFrames == want }, "half a version ingested")
+	// The one moment of a step a build is in flight: its handle was begun
+	// at the header, frames ago, and is the only one open.
+	if err := q.r.checkInvariants(1); err != nil {
+		q.t.Fatalf("half a version ingested: %v", err)
+	}
 }
 
 func (q *sequence) buildDropped() {
@@ -416,7 +459,7 @@ func TestSeededSequenceKeepsInvariants(t *testing.T) {
 				for i := 0; i < 150; i++ {
 					what := q.step()
 					steps[what]++
-					if err := q.r.checkInvariants(); err != nil {
+					if err := q.r.checkInvariants(0); err != nil {
 						t.Fatalf("seed %d step %d (%s): %v", seed, i, what, err)
 					}
 				}

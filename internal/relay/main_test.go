@@ -5,19 +5,19 @@ import (
 	"testing"
 
 	"viper/internal/leakcheck"
-	"viper/internal/transport"
+	"viper/internal/poolcheck"
 )
 
 // TestMain gates the package on goroutine leaks: the relay spawns accept
 // loops, per-ingest handlers, and two goroutines per consumer session —
 // all of which must be gone after every test's Close.
 //
-// Every test also runs with the receive pool's ownership contract armed
-// (transport.RecvPool): the consumers these tests attach overwrite each
-// payload they hand back, so a read after release breaks a record CRC or a
-// bit-identity assertion instead of passing by luck. The relay's own links
-// attach no pool.
+// Every test also runs with the pools' ownership contract armed
+// (poolcheck): the consumers these tests attach, the encoders that feed
+// them and the store under the relay overwrite each buffer they hand
+// back, so a read after it breaks a record CRC or a bit-identity
+// assertion instead of passing by luck, and a second hand-back panics.
 func TestMain(m *testing.M) {
-	transport.PoisonReleasedBuffers(true)
+	poolcheck.Enable()
 	os.Exit(leakcheck.Main(m))
 }

@@ -128,6 +128,15 @@ func TestPublishChunkedMultipleInOrder(t *testing.T) {
 // TestChunkedDegradesToStaging: with the link dead, a chunked publish
 // still reaches the consumer through the staged chunked blob, which
 // DecodeAuto recognises by its magic.
+//
+// It is also the encoder-blob side of the pools' contract (DESIGN.md §8)
+// on the path that once broke it: the link dies under the header frame,
+// so the stream encode runs only afterwards, for the staging copy, and the
+// blob changes hands twice (encoder → retained blob → KV client) on error
+// returns. With the check armed (TestMain) a blob handed back before the
+// staging write would stage 0xDB — the install below is bit-identical — a
+// second hand-back on any of those returns would panic, and the one
+// hand-back there is, Close's, is seen to have happened.
 func TestChunkedDegradesToStaging(t *testing.T) {
 	dead := faults.New(faults.Config{Seed: 9, FailRate: 1})
 	src := testModel(51)
@@ -153,6 +162,15 @@ func TestChunkedDegradesToStaging(t *testing.T) {
 	}
 	if s := cons.Stats(); s.StagedLoads != 1 {
 		t.Fatalf("stats = %+v, want exactly one staged load", s)
+	}
+	r, refs := prod.retained()
+	if r == nil || refs != 1 || poisoned(r.buf) {
+		t.Fatalf("after the publish the producer holds %d references to its blob (handed back: %v), want its own one", refs, r != nil && poisoned(r.buf))
+	}
+	blob := r.buf
+	prod.Close()
+	if !prod.released(r) || !poisoned(blob[:cap(blob)]) {
+		t.Fatal("Close did not hand the retained blob back")
 	}
 }
 

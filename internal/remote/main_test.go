@@ -5,19 +5,19 @@ import (
 	"testing"
 
 	"viper/internal/leakcheck"
-	"viper/internal/transport"
+	"viper/internal/poolcheck"
 )
 
 // TestMain gates the package on goroutine hygiene: producer/consumer
 // pumps and their reconnect loops — including the chaos tests' killed
 // and redialed links — must not outlive the tests that started them.
 //
-// Every test also runs with the receive pool's ownership contract armed
-// (transport.RecvPool): a payload the consumer hands back is overwritten
-// on the spot and a second release panics, so a read after release breaks
-// a record CRC or one of the suite's bit-identity assertions instead of
-// passing by luck.
+// Every test also runs with the pools' ownership contract armed
+// (poolcheck): a receive payload or an encoder blob that is handed back
+// is overwritten on the spot and a second hand-back panics, so a read
+// after it breaks a record CRC or one of the suite's bit-identity
+// assertions instead of passing by luck.
 func TestMain(m *testing.M) {
-	transport.PoisonReleasedBuffers(true)
+	poolcheck.Enable()
 	os.Exit(leakcheck.Main(m))
 }

@@ -7,13 +7,14 @@ import (
 
 	"viper/internal/faults"
 	"viper/internal/nn"
+	"viper/internal/poolcheck"
 	"viper/internal/transport"
 )
 
 // The tests below hold the consumer to the receive pool's ownership
-// contract (transport.RecvPool): every link payload goes back at most
-// once, and only when nothing can read it any more. TestMain arms the
-// pool's test switch for the whole package, so a payload handed back too
+// contract (transport.RecvPool; DESIGN.md §8): every link payload goes back
+// at most once, and only when nothing can read it any more. TestMain arms
+// the pools' check for the whole package, so a payload handed back too
 // early reads 0xDB wherever it is still used — a record CRC, a cached
 // record, a header — and one handed back twice panics; here each hand-back
 // point is driven on purpose and counted.
@@ -34,7 +35,9 @@ func bothKinds(t *testing.T, body func(t *testing.T, s *script, kept bool)) {
 	}
 }
 
-func poisoned(b []byte) bool { return len(b) > 0 && bytes.Count(b, []byte{0xDB}) == len(b) }
+func poisoned(b []byte) bool {
+	return len(b) > 0 && bytes.Count(b, []byte{poolcheck.Poison}) == len(b)
+}
 
 // TestDroppedBuildReleasesItsRecordsOnly: a build a newer stream's header
 // interrupts hands back exactly the records it received — and not the

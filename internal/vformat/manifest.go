@@ -538,7 +538,7 @@ func NewManifestAssembler(blob []byte, cache *ChunkCache, src *SpanSource) (*Man
 			if !ok {
 				continue
 			}
-			idx, _, err := asm.add(rec)
+			idx, _, _, err := asm.add(rec)
 			if err != nil {
 				// A cached record that no longer verifies is treated as
 				// absent: the wire copy (or a re-send) will cover it.
@@ -595,11 +595,12 @@ func (a *ManifestAssembler) Inherited() int { return a.inherited }
 // reconciliations, and reports whether assembly is now complete. Only a
 // record that verified is hashed and cached, and it is cached by copy
 // (Put): rec may be a sub-slice of a manifest-bearing blob (addPacked) or
-// of a buffer its sender still owns.
+// of a buffer its sender still owns. A record that arrives while another
+// goroutine is decoding the same chunk was not written and is not noted.
 func (a *ManifestAssembler) Add(rec []byte) (complete bool, err error) {
-	idx, done, err := a.asm.add(rec)
-	if err != nil {
-		return false, err
+	idx, wrote, done, err := a.asm.add(rec)
+	if err != nil || !wrote {
+		return done, err
 	}
 	h := HashChunkRecord(rec)
 	a.mu.Lock()
