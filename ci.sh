@@ -46,42 +46,15 @@ go test -race -count=1 \
     ./internal/metrics/ ./internal/chunkstore/ ./internal/debugsrv/
 
 # Code ordered by notifications, gates and snapshots, not by one
-# goroutine's program order: one -race pass sees one interleaving, so
-# the consumer's builder and the producer's stage flusher (ISSUE 16), the
-# consumer's cache filler, the relay's streamed read-through and the
-# store's pinned reads (ISSUE 18), the span source — who offers it, who
-# reads it while a serving thread holds the same checkpoint, what still
-# takes the need-list (ISSUE 19) — and the relay's lock-free readers of
-# committed versions: fan-outs frozen across replacement, eviction and
-# demotion, and the seeded sequence (ISSUE 20) — run five more times and
-# the in-process link's latest-wins queue (ISSUE 17) ten. So do the
-# buffer pools' hand-back points — every one of these packages' tests runs
-# with the pools' ownership contract armed (internal/poolcheck), these
-# drive each point, and the bugs the check exists for, on purpose — the
-# per-hop corruption drills (ISSUE 22) and the store's counted write
-# handles (ISSUE 23).
-#
-# The lists are kept by hand, so a name that matches no test — a rename,
-# a deletion — fails the gate instead of silently rerunning one test fewer.
-rerun() {
-    count=$1 pkg=$2 names=$3
-    tests=$(go test -list . "$pkg")
-    for name in $(echo "$names" | tr '|' ' '); do
-        if ! echo "$tests" | grep -Eq "$name"; then
-            echo "ci.sh: the rerun list for $pkg names $name, which matches no test" >&2
-            exit 1
-        fi
-    done
-    go test -race -count="$count" -run "$names" "$pkg"
-}
-echo "==> builder + stage flusher + cache filler + span source + read-through + immutable versions + link queue interleavings (-race -count=5/10)"
-rerun 5 ./internal/remote/ \
-    'TestParkedBuildWaitsForItsNotification|TestInterruptedStreamNeverInstalls|TestStalledStreamIsAbandoned|TestStagePendingWindow|TestDefaultConsumerBuildsBigStreams|TestBacklogInstallsInOrderFromTheLink|TestPublishErrorPathsBalanceTheBlob|TestNeedAnswerRacesNextPublish|TestFillRunsBehindTheInstall|TestDroppedParkedBuildIsNeverHashed|TestWaitingFillIsSuperseded|TestCloseAbandonsTheFill|TestStagedInstallFillsBehind|TestLateHaveListCostsOneFullStream|TestOnlyVerifiedRecordsAreCached|TestParkedBudgetCountsWireRecords|TestDeltaCacheEvictionRecovers|TestABADrillKeepsTheNeedListPath|TestSupersededFillOffersNoSource|TestReaderHoldsActiveWhileBuilderInherits|TestDroppedBuildReleasesItsRecordsOnly|TestStaleFramesAreReleased|TestSupersededFillReleasesItsRecords|TestCloseWithFramesInFlight|TestCorruptionDrillDirectLink'
-rerun 5 ./internal/relay/ \
-    'TestStoreReadFailsMidStream|TestChunkInNeitherTierRefusedBeforeFirstFrame|TestNewerCommitAbortsReadThrough|TestConcurrentJoinersReadThrough|TestMixedResidentAndDiskRecordsServeInOrder|TestReadThroughInstruments|TestFrozenFanoutSurvivesSameVnumReplacement|TestFrozenFanoutAcrossEviction|TestFrozenFanoutAcrossDemotion|TestSeededSequenceKeepsInvariants|TestCorruptionDrillRelayHops|TestDroppedStoreHandleFailsTheInvariant'
-rerun 5 ./internal/chunkstore/ 'TestWriterModel|TestReadChunkHoldsNoLockAcrossTheRead|TestScratchPoolContract|TestPutBlobLeavesNoWriterOpen'
-rerun 10 ./internal/transport/ TestPropLatestWinsQueue
-rerun 5 ./internal/transport/ 'TestRecvPoolContract|TestPooledRecvDrawsRecordsOnly|TestRecvErrorPathsReturnTheBuffer'
+# goroutine's program order sees one interleaving per -race pass, so each
+# package lists the tests that exercise such code in its TestInterleavings
+# (interleavings_test.go: function values, so a renamed or deleted test
+# stops compiling) and it runs five more times here. It skips itself in
+# every other pass. Every one of these packages' tests runs with the buffer
+# pools' ownership contract armed (internal/poolcheck).
+echo "==> interleaving reruns (-race -count=5)"
+go test -race -count=5 -run '^TestInterleavings$' \
+    ./internal/remote/ ./internal/relay/ ./internal/chunkstore/ ./internal/transport/
 
 # The allocation budgets — publish path (ISSUE 13) and cold join (ISSUE
 # 18) — rerun uncached and WITHOUT the race detector: under -race
@@ -259,8 +232,7 @@ fi
 # training seed, exact byte counts off the transport counters), so the
 # 3x floor does not flake with runner load.
 echo "==> delta dedup scenario (full snapshots vs chunk-addressed deltas)"
-go run ./cmd/viper-bench -exp deltadedup -json > BENCH_7.json
-go run ./cmd/viper-bench -exp deltadedup
+go run ./cmd/viper-bench -exp deltadedup -json > BENCH_7.json # the table goes to stderr
 
 dedup_reduction=$(awk -F': *|,' '/"reduction"/ { print $2; exit }' BENCH_7.json)
 dedup_torn=$(awk -F': *|,' '/"torn_streams"/ { print $2; exit }' BENCH_7.json)
@@ -301,8 +273,7 @@ fi
 # corrupt chunks — exact, not a threshold — and every surviving version
 # must reload byte-identically (the experiment errors out otherwise).
 echo "==> store recovery scenario (warm restart + late joiner + chaos)"
-go run ./cmd/viper-bench -exp storerecovery -json > BENCH_8.json
-go run ./cmd/viper-bench -exp storerecovery
+go run ./cmd/viper-bench -exp storerecovery -json > BENCH_8.json # the table goes to stderr
 
 recovery_ns=$(awk -F': *|,' '/"recovery_ns"/ { print $2; exit }' BENCH_8.json)
 cache_ns=$(awk -F': *|,' '/"cache_ns"/ { print $2; exit }' BENCH_8.json)

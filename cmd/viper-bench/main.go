@@ -19,7 +19,8 @@
 // distribution: a steady-state training run is replayed through the
 // remote producer → consumer pair over real TCP with reconciliation
 // off and on, and the two phases' wire bytes give the dedup ratio;
-// with -json it emits the comparison ci.sh records as BENCH_7.json.
+// with -json it emits the comparison ci.sh records as BENCH_7.json (the
+// table then goes to stderr).
 //
 // The storerecovery experiment measures the durable chunk store: a
 // 64-version warm-restart recovery, a cache-served vs. disk-served
@@ -33,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -42,11 +44,19 @@ import (
 
 var jsonOut *bool
 
+// human is where tables and timing banners go: stdout, or — with -json,
+// when stdout is the machine-readable document — stderr, so one run
+// yields both.
+var human io.Writer = os.Stdout
+
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: fig5|fig6|fig8|fig9|fig10|table1|ablations|slowconsumer|deltadedup|storerecovery|all")
 	quick := flag.Bool("quick", false, "run reduced-scale configurations")
 	jsonOut = flag.Bool("json", false, "emit machine-readable JSON (deltadedup and storerecovery only)")
 	flag.Parse()
+	if *jsonOut {
+		human = os.Stderr
+	}
 
 	runners := map[string]func(bool) error{
 		"fig5":          runFig5,
@@ -68,13 +78,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "viper-bench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		// With -json, stdout is the machine-readable document; keep the
-		// human timing banner off it.
-		banner := os.Stdout
-		if *jsonOut {
-			banner = os.Stderr
-		}
-		fmt.Fprintf(banner, "[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(human, "[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
 	if *exp == "all" {
@@ -233,15 +237,14 @@ func runDeltaDedup(quick bool) error {
 			return err
 		}
 		fmt.Println(string(blob))
-		return nil
 	}
-	fmt.Printf("delta dedup: %d steady-state versions of a %.1f MiB / %d-chunk model (eps %g)\n",
+	fmt.Fprintf(human, "delta dedup: %d steady-state versions of a %.1f MiB / %d-chunk model (eps %g)\n",
 		res.Versions, float64(res.ModelBytes)/(1<<20), res.Chunks, cfg.DeltaEps)
-	fmt.Printf("  full snapshots : %10d wire bytes\n", res.FullWireBytes)
-	fmt.Printf("  delta streams  : %10d wire bytes  (%.1fx reduction)\n", res.DeltaWireBytes, res.Reduction)
-	fmt.Printf("  chunks sent=%d deduped=%d bytes_saved=%d delta_sends=%d\n",
+	fmt.Fprintf(human, "  full snapshots : %10d wire bytes\n", res.FullWireBytes)
+	fmt.Fprintf(human, "  delta streams  : %10d wire bytes  (%.1fx reduction)\n", res.DeltaWireBytes, res.Reduction)
+	fmt.Fprintf(human, "  chunks sent=%d deduped=%d bytes_saved=%d delta_sends=%d\n",
 		res.ChunksSent, res.ChunksDeduped, res.BytesSaved, res.DeltaSends)
-	fmt.Printf("  torn=%d identical=%v max_suppression_err=%.3g\n",
+	fmt.Fprintf(human, "  torn=%d identical=%v max_suppression_err=%.3g\n",
 		res.TornStreams, res.Identical, res.MaxSuppressionErr)
 	return nil
 }
@@ -269,13 +272,12 @@ func runStoreRecovery(quick bool) error {
 			return err
 		}
 		fmt.Println(string(blob))
-		return nil
 	}
-	fmt.Printf("store recovery: %d versions / %d unique chunks / %d bytes recovered in %v\n",
+	fmt.Fprintf(human, "store recovery: %d versions / %d unique chunks / %d bytes recovered in %v\n",
 		res.Versions, res.Chunks, res.StoreBytes, time.Duration(res.RecoveryNS))
-	fmt.Printf("  late joiner  : cache %v, disk %v  (%.2fx, identical=%v)\n",
+	fmt.Fprintf(human, "  late joiner  : cache %v, disk %v  (%.2fx, identical=%v)\n",
 		time.Duration(res.CacheNS), time.Duration(res.DiskNS), res.DiskOverCache, res.Identical)
-	fmt.Printf("  chaos        : %d/%d ops failed, %d crashes, %d versions survived, %d loads verified, corrupt=%d\n",
+	fmt.Fprintf(human, "  chaos        : %d/%d ops failed, %d crashes, %d versions survived, %d loads verified, corrupt=%d\n",
 		res.FaultsInjected, res.FaultOps, res.Crashes, res.ChaosVersions, res.VerifiedLoads, res.CorruptChunks)
 	return nil
 }

@@ -20,7 +20,6 @@ import (
 
 	"viper/internal/dataset"
 	"viper/internal/debugsrv"
-	"viper/internal/metrics"
 	"viper/internal/models"
 	"viper/internal/nn"
 	"viper/internal/remote"
@@ -38,7 +37,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and a /metrics JSON dump of every registry on this address (empty = off)")
 	flag.Parse()
 
-	dbg, err := debugsrv.Start(*debugAddr, metrics.AllSnapshots)
+	dbg, err := debugsrv.Start(*debugAddr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "viper-consumer: %v\n", err)
 		os.Exit(1)

@@ -63,9 +63,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The relay's counters reach its registry when they are read, so the
-	// endpoint's /metrics goes through the relay's own flush-then-snapshot.
-	dbg, err := debugsrv.Start(*debugAddr, r.MetricsSnapshots)
+	dbg, err := debugsrv.Start(*debugAddr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "viper-relay: %v\n", err)
 		r.Close()

@@ -2,7 +2,7 @@
 // first-class observability surface over internal/metrics. It dials the
 // relay's ingest address (the same wire viper-inspect -relay uses) and
 // renders every registry the relay process exposes: transport link and
-// TCP counters, relay cache/session/admission state, the durable chunk
+// TCP counters, relay cache and session state, the durable chunk
 // store (when the relay runs with -store), and whichever of
 // remote/pubsub/kvstore are linked into the node — the remote panel
 // carries the delivery-path counters of every producer and consumer in

@@ -2,14 +2,19 @@
 // names are lower_snake constants, and instruments are resolved once —
 // at package or struct init — not re-resolved (a registry lock plus a
 // map lookup) or, worse, dynamically named inside hot loops, which
-// grows the registry without bound and defeats register-once flushing.
+// grows the registry without bound. A name declared as a `metric:"…"`
+// struct tag (metrics.Bind resolves those, once per instance) is held to
+// the same rule where it is declared; the metrics package itself, whose
+// binder is the one caller that resolves names it was handed, is exempt.
 
 package analysis
 
 import (
 	"go/ast"
 	"go/constant"
+	"reflect"
 	"regexp"
+	"strconv"
 )
 
 var metricNameRx = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
@@ -28,6 +33,9 @@ var MetricReg = &Analyzer{
 }
 
 func runMetricReg(pass *Pass) {
+	if pass.ImportPath == "viper/internal/metrics" {
+		return
+	}
 	for _, file := range pass.Files {
 		var loopDepth int
 		var stack []ast.Node
@@ -47,6 +55,14 @@ func runMetricReg(pass *Pass) {
 				loopDepth++
 			case *ast.CallExpr:
 				checkMetricCall(pass, n, loopDepth > 0)
+			case *ast.Field:
+				if n.Tag == nil {
+					break
+				}
+				tag, _ := strconv.Unquote(n.Tag.Value)
+				if name, ok := reflect.StructTag(tag).Lookup("metric"); ok && !metricNameRx.MatchString(name) {
+					pass.Reportf(n.Tag.Pos(), "metric name %q violates the lower_snake convention (DESIGN §10)", name)
+				}
 			}
 			return true
 		})

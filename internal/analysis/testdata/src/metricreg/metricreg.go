@@ -17,6 +17,13 @@ var (
 	sendNanos  = reg.Histogram("send_nanos")
 )
 
+// stats declares instrument names as tags (metrics.Bind resolves them).
+type stats struct {
+	Sent    int64 `metric:"frames_sent_total"`
+	Dropped int64 `metric:"framesDropped"` // want `metric name "framesDropped" violates the lower_snake convention`
+	Queue   int   // untagged state
+}
+
 func clean(n int) {
 	for i := 0; i < n; i++ {
 		sendTotal.Add(1) // reusing a resolved instrument in a loop is fine

@@ -121,22 +121,23 @@ type VersionMeta struct {
 	SavedAt time.Time
 }
 
-// Stats is a point-in-time snapshot of store state and lifetime
-// counters.
+// Stats is a point-in-time snapshot of store state — the untagged
+// fields, read under the store's lock — and a view of its lifetime
+// counters, which also feed the registry counters their tags name.
 type Stats struct {
 	Segments        int
 	LiveBytes       int64
 	DeadBytes       int64
 	Versions        int
 	Chunks          int
-	Committed       int64
-	Retired         int64
-	ReclaimedBytes  int64
-	FallthroughHits int64
-	CorruptChunks   int64
-	TruncatedTails  int64
-	DroppedVersions int64
-	DedupedChunks   int64
+	Committed       int64 `metric:"committed_versions"`
+	Retired         int64 `metric:"retired_versions"`
+	ReclaimedBytes  int64 `metric:"gc_reclaimed_bytes"`
+	FallthroughHits int64 `metric:"fallthrough_hits"`
+	CorruptChunks   int64 `metric:"corrupt_chunks"`
+	TruncatedTails  int64 `metric:"truncated_tails"`
+	DroppedVersions int64 `metric:"dropped_versions"`
+	DedupedChunks   int64 `metric:"deduped_chunks"`
 	Recovery        time.Duration
 	// OpenWriters is the number of write handles begun and not yet
 	// finished. Each pins segments, so whoever holds handles can account
@@ -144,41 +145,28 @@ type Stats struct {
 	OpenWriters int
 }
 
+// counters are one store's event counters, named field for field after
+// the tagged fields of Stats (metrics.Bind).
+type counters struct {
+	Committed, Retired, ReclaimedBytes, FallthroughHits,
+	CorruptChunks, TruncatedTails, DroppedVersions, DedupedChunks metrics.Counter
+}
+
 var registry = metrics.NewRegistry("chunkstore")
 
-// inst holds the package metrics. Gauges reflect the most recently
-// synced store in the process; counters aggregate across stores.
-var inst = struct {
-	segments     *metrics.Gauge
-	liveBytes    *metrics.Gauge
-	deadBytes    *metrics.Gauge
-	versions     *metrics.Gauge
-	chunks       *metrics.Gauge
-	committed    *metrics.Counter
-	retired      *metrics.Counter
-	reclaimed    *metrics.Counter
-	fallthroughs *metrics.Counter
-	corrupt      *metrics.Counter
-	truncated    *metrics.Counter
-	dropped      *metrics.Counter
-	deduped      *metrics.Counter
-	recoveryNS   *metrics.Histogram
-}{
-	segments:     registry.Gauge("segments"),
-	liveBytes:    registry.Gauge("live_bytes"),
-	deadBytes:    registry.Gauge("dead_bytes"),
-	versions:     registry.Gauge("versions"),
-	chunks:       registry.Gauge("chunks"),
-	committed:    registry.Counter("committed_versions"),
-	retired:      registry.Counter("retired_versions"),
-	reclaimed:    registry.Counter("gc_reclaimed_bytes"),
-	fallthroughs: registry.Counter("fallthrough_hits"),
-	corrupt:      registry.Counter("corrupt_chunks"),
-	truncated:    registry.Counter("truncated_tails"),
-	dropped:      registry.Counter("dropped_versions"),
-	deduped:      registry.Counter("deduped_chunks"),
-	recoveryNS:   registry.Histogram("recovery_ns"),
-}
+// The instruments no counter of Stats reports. The gauges reflect the
+// store in the process that changed last.
+var (
+	segmentsGauge  = registry.Gauge("segments")
+	liveBytesGauge = registry.Gauge("live_bytes")
+	deadBytesGauge = registry.Gauge("dead_bytes")
+	versionsGauge  = registry.Gauge("versions")
+	chunksGauge    = registry.Gauge("chunks")
+	recoveryNS     = registry.Histogram("recovery_ns")
+)
+
+// The registry lists every counter from start-up.
+func init() { metrics.Bind[Stats](registry, new(counters)) }
 
 // chunkLoc locates one stored entry body.
 type chunkLoc struct {
@@ -220,7 +208,11 @@ type Store struct {
 	logDead int // superseded or retired records in the log
 	index   map[vformat.ChunkHash]*chunkLoc
 	models  map[string][]*versionRec // ascending version
-	st      Stats
+	// recovery and openWriters are the state Stats reports beside n, the
+	// event counters (which need no lock).
+	recovery    time.Duration
+	openWriters int
+	n           counters
 }
 
 // Open opens (creating if needed) the store rooted at dir, replaying
@@ -247,13 +239,14 @@ func Open(dir string, opts Options) (*Store, error) {
 		index:  make(map[vformat.ChunkHash]*chunkLoc),
 		models: make(map[string][]*versionRec),
 	}
+	metrics.Bind[Stats](registry, &s.n)
 	start := clock.Now()
 	if err := s.recover(); err != nil {
 		s.closeFiles()
 		return nil, err
 	}
-	s.st.Recovery = clock.Now().Sub(start)
-	inst.recoveryNS.Observe(s.st.Recovery.Nanoseconds())
+	s.recovery = clock.Now().Sub(start)
+	recoveryNS.Observe(s.recovery.Nanoseconds())
 	s.syncGaugesLocked()
 	return s, nil
 }
@@ -355,8 +348,7 @@ func (s *Store) recoverSegment(id uint64) error {
 			f.Close()
 			return fmt.Errorf("chunkstore: %w", serr)
 		}
-		s.st.TruncatedTails++
-		inst.truncated.Inc()
+		s.n.TruncatedTails.Inc()
 	}
 	seg.size = valid
 	s.segs = append(s.segs, seg)
@@ -407,8 +399,7 @@ func (s *Store) recoverLog() error {
 			if vr == nil {
 				// An older store's opaque-payload version: its body is a
 				// reserved entry this store does not index.
-				s.st.DroppedVersions++
-				inst.dropped.Inc()
+				s.n.DroppedVersions.Inc()
 				s.logDead++
 				return nil
 			}
@@ -436,8 +427,7 @@ func (s *Store) recoverLog() error {
 		if err := f.Sync(); err != nil {
 			return fmt.Errorf("chunkstore: %w", err)
 		}
-		s.st.TruncatedTails++
-		inst.truncated.Inc()
+		s.n.TruncatedTails.Inc()
 	}
 	s.logSize = valid
 	return nil
@@ -452,8 +442,7 @@ func (s *Store) applyCommitLocked(model string, vr *versionRec) {
 			// commit's first fsync barrier — possible only for commits
 			// that themselves never fully landed, or cross-file
 			// corruption). Drop the version.
-			s.st.DroppedVersions++
-			inst.dropped.Inc()
+			s.n.DroppedVersions.Inc()
 			s.logDead++
 			return
 		}
@@ -642,7 +631,7 @@ type Writer struct {
 // cannot be reclaimed.
 func (s *Store) Begin() *Writer {
 	s.mu.Lock()
-	s.st.OpenWriters++
+	s.openWriters++
 	s.mu.Unlock()
 	return &Writer{s: s}
 }
@@ -666,8 +655,7 @@ func (w *Writer) Append(h vformat.ChunkHash, rec []byte) error {
 	}
 	loc, ok := s.index[h]
 	if ok {
-		s.st.DedupedChunks++
-		inst.deduped.Inc()
+		s.n.DedupedChunks.Inc()
 	} else {
 		if !vformat.VerifyChunkRecord(rec) {
 			return fmt.Errorf("%w: refusing corrupt input record", ErrCorrupt)
@@ -718,7 +706,7 @@ func (w *Writer) finishLocked() {
 	if w.done {
 		return
 	}
-	w.s.st.OpenWriters--
+	w.s.openWriters--
 	for _, seg := range w.pins {
 		seg.pins--
 	}
@@ -764,8 +752,7 @@ func (s *Store) writeCommitLocked(model string, version uint64, key string, head
 		return fmt.Errorf("chunkstore: %w", err)
 	}
 	s.applyCommitLocked(model, vr)
-	s.st.Committed++
-	inst.committed.Inc()
+	s.n.Committed.Inc()
 	return nil
 }
 
@@ -873,18 +860,14 @@ func (s *Store) ReadChunk(h vformat.ChunkHash, buf []byte) ([]byte, error) {
 
 	s.mu.Lock()
 	seg.pins--
-	switch {
-	case err == nil:
-		s.st.FallthroughHits++
-		inst.fallthroughs.Inc()
-	case errors.Is(err, ErrCorrupt):
-		s.st.CorruptChunks++
-		inst.corrupt.Inc()
-	}
 	s.mu.Unlock()
 	if err != nil {
+		if errors.Is(err, ErrCorrupt) {
+			s.n.CorruptChunks.Inc()
+		}
 		return nil, err
 	}
+	s.n.FallthroughHits.Inc()
 	return buf, nil
 }
 
@@ -922,13 +905,11 @@ func (s *Store) LoadVersion(model string, version uint64) ([]byte, error) {
 			return nil, fmt.Errorf("chunkstore: %w", err)
 		}
 		if !vformat.VerifyChunkRecord(out[n:]) {
-			s.st.CorruptChunks++
-			inst.corrupt.Inc()
+			s.n.CorruptChunks.Inc()
 			return nil, fmt.Errorf("%w: %s", ErrCorrupt, h)
 		}
 	}
-	s.st.FallthroughHits++
-	inst.fallthroughs.Inc()
+	s.n.FallthroughHits.Inc()
 	return out, nil
 }
 
@@ -1025,8 +1006,7 @@ func (s *Store) retireLocked(model string, vs []*versionRec) error {
 	for _, vr := range vs {
 		s.dropVersionLocked(model, vr)
 		s.logDead += 2
-		s.st.Retired++
-		inst.retired.Inc()
+		s.n.Retired.Inc()
 	}
 	return nil
 }
@@ -1148,8 +1128,7 @@ func (s *Store) deleteSegmentLocked(seg *segmentFile) error {
 			break
 		}
 	}
-	s.st.ReclaimedBytes += seg.total
-	inst.reclaimed.Add(seg.total)
+	s.n.ReclaimedBytes.Add(seg.total)
 	return nil
 }
 
@@ -1254,31 +1233,32 @@ func (s *Store) compactLogLocked() error {
 
 // Stats returns a snapshot of store state and counters.
 func (s *Store) Stats() Stats {
+	st := metrics.View[Stats](&s.n)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.st
-	st.Segments = len(s.segs)
+	s.stateLocked(&st)
+	return st
+}
+
+// stateLocked fills the state fields of st.
+func (s *Store) stateLocked(st *Stats) {
+	st.Recovery, st.OpenWriters = s.recovery, s.openWriters
+	st.Segments, st.Versions, st.Chunks = len(s.segs), s.liveCommitsLocked(), len(s.index)
 	for _, seg := range s.segs {
 		st.LiveBytes += seg.live
 		st.DeadBytes += seg.total - seg.live
 	}
-	st.Versions = s.liveCommitsLocked()
-	st.Chunks = len(s.index)
-	return st
 }
 
 // syncGaugesLocked publishes current state to the process metrics.
 func (s *Store) syncGaugesLocked() {
-	var live, dead int64
-	for _, seg := range s.segs {
-		live += seg.live
-		dead += seg.total - seg.live
-	}
-	inst.segments.Set(int64(len(s.segs)))
-	inst.liveBytes.Set(live)
-	inst.deadBytes.Set(dead)
-	inst.versions.Set(int64(s.liveCommitsLocked()))
-	inst.chunks.Set(int64(len(s.index)))
+	var st Stats
+	s.stateLocked(&st)
+	segmentsGauge.Set(int64(st.Segments))
+	liveBytesGauge.Set(st.LiveBytes)
+	deadBytesGauge.Set(st.DeadBytes)
+	versionsGauge.Set(int64(st.Versions))
+	chunksGauge.Set(int64(st.Chunks))
 }
 
 // Metrics returns the package metrics registry (for tests and tools).

@@ -30,12 +30,12 @@ type Server struct {
 }
 
 // Start serves the debug endpoint on addr ("127.0.0.1:0" picks a free port;
-// see Addr), with /metrics answering what snapshots returns at that moment
-// — metrics.AllSnapshots, or a node's own flush-then-snapshot
-// (relay.Relay.MetricsSnapshots). An empty addr starts nothing and returns
-// a nil Server, whose Close is a no-op — so a binary can defer Close
-// whatever its flag says.
-func Start(addr string, snapshots func() []metrics.Snapshot) (*Server, error) {
+// see Addr), with /metrics answering metrics.AllSnapshots at that moment:
+// every registry is current whenever it is read, so no node has a flush
+// to run first. An empty addr starts nothing and returns a nil Server,
+// whose Close is a no-op — so a binary can defer Close whatever its flag
+// says.
+func Start(addr string) (*Server, error) {
 	if addr == "" {
 		return nil, nil
 	}
@@ -51,7 +51,7 @@ func Start(addr string, snapshots func() []metrics.Snapshot) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(snapshots()) // a failed write is the client's loss
+		_ = json.NewEncoder(w).Encode(metrics.AllSnapshots()) // a failed write is the client's loss
 	})
 	s := &Server{addr: ln.Addr().String(), done: make(chan struct{})}
 	// A connection is counted by the accept loop (StateNew fires there, so

@@ -37,7 +37,7 @@ func get(t *testing.T, client *http.Client, url string) (status int, body []byte
 func TestServesPprofAndMetrics(t *testing.T) {
 	reg := metrics.NewRegistry("debugsrv_test")
 	reg.Counter("pings").Add(3)
-	s, err := Start("127.0.0.1:0", metrics.AllSnapshots)
+	s, err := Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestServesPprofAndMetrics(t *testing.T) {
 
 // TestEmptyAddrStartsNothing: the flag's default.
 func TestEmptyAddrStartsNothing(t *testing.T) {
-	s, err := Start("", metrics.AllSnapshots)
+	s, err := Start("")
 	if s != nil || err != nil {
 		t.Fatalf("Start(\"\") = %v, %v", s, err)
 	}

@@ -300,11 +300,7 @@ func asProtocolErr(err error, line string) error {
 }
 
 func (c *Client) readLine() (string, error) {
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(line, "\r\n"), nil
+	return readLineCapped(c.r)
 }
 
 // readBulk reads one "$<len>"-framed value. A length over MaxValueBytes
@@ -328,11 +324,7 @@ func (c *Client) readBulk() ([]byte, error) {
 	if err := checkValueLen(n); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, n)
-	if err := readValue(c.r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return readValue(c.r, make([]byte, eagerLen(n)), n)
 }
 
 func (c *Client) readInt() (int64, error) {

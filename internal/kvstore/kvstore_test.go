@@ -82,15 +82,6 @@ func TestStoreVersionBumps(t *testing.T) {
 	}
 }
 
-func TestStoreMulti(t *testing.T) {
-	s := NewStore()
-	s.SetMulti(map[string]string{"a": "1", "b": "2"})
-	got := s.GetMulti([]string{"a", "b", "c"})
-	if len(got) != 2 || got["a"] != "1" || got["b"] != "2" {
-		t.Fatalf("GetMulti = %v", got)
-	}
-}
-
 func TestStoreConcurrentIncr(t *testing.T) {
 	s := NewStore()
 	var wg sync.WaitGroup

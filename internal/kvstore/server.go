@@ -24,7 +24,10 @@ import (
 // MaxValueBytes is refused ("-ERR value too large") and the connection
 // closed, since the unread value would desynchronize the stream; a value
 // not followed by CRLF is a protocol error ("-ERR protocol: ...") that
-// also closes the connection, and the value is not stored.
+// also closes the connection, and the value is not stored. Nothing is
+// sized by a claim beyond a bound before the bytes arrive: a value past
+// eagerValueBytes allocates as it lands, and a line longer than
+// maxLineBytes is refused ("-ERR line too long", connection closed).
 type Server struct {
 	store *Store
 
@@ -96,11 +99,14 @@ func (s *Server) serveConn(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	for {
-		line, err := r.ReadString('\n')
+		line, err := readLineCapped(r)
 		if err != nil {
+			if errors.Is(err, errLineTooLong) {
+				fmt.Fprint(w, "-ERR line too long\r\n")
+				w.Flush()
+			}
 			return
 		}
-		line = strings.TrimRight(line, "\r\n")
 		if line == "" {
 			continue
 		}
@@ -136,8 +142,8 @@ func (s *Server) dispatch(line string, r *bufio.Reader, w *bufio.Writer) error {
 		// The value is read into a buffer of the store's choosing — the
 		// last large one it retired, when that fits — and the store keeps
 		// it. A value that fails to arrive whole just drops the buffer.
-		value := s.store.buffer(n)
-		if err := readValue(r, value); err != nil {
+		value, err := readValue(r, s.store.buffer(n), n)
+		if err != nil {
 			if errors.Is(err, errBadTerminator) {
 				fmt.Fprint(w, "-ERR protocol: value not terminated by CRLF\r\n")
 			}

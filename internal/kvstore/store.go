@@ -119,10 +119,11 @@ func (s *Store) recycleLocked(buf []byte) {
 	}
 }
 
-// buffer returns an n-byte buffer for a value on its way into setBytes:
-// the spare when it fits without wasting more than half of itself,
-// otherwise a fresh one. The contents are unspecified; the caller
-// overwrites all n bytes or drops the buffer.
+// buffer returns the buffer a value of n bytes on its way into setBytes
+// starts in (readValue): the spare, n bytes of it, when it fits without
+// wasting more than half of itself; otherwise a fresh one of at most
+// eagerValueBytes, for readValue to grow. The contents are unspecified;
+// the caller overwrites them or drops the buffer.
 func (s *Store) buffer(n int) []byte {
 	if n >= recycleMin {
 		s.mu.Lock()
@@ -133,7 +134,7 @@ func (s *Store) buffer(n int) []byte {
 		}
 		s.mu.Unlock()
 	}
-	return make([]byte, n)
+	return make([]byte, eagerLen(n))
 }
 
 // syncGaugesLocked refreshes the registry gauges from the store state.
@@ -250,30 +251,4 @@ func (s *Store) Version() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.version
-}
-
-// SetMulti sets several key/value pairs atomically (one version bump).
-func (s *Store) SetMulti(kv map[string]string) {
-	s.mu.Lock()
-	for k, v := range kv {
-		s.putLocked(k, []byte(v))
-	}
-	s.version++
-	s.syncGaugesLocked()
-	s.mu.Unlock()
-	inst.sets.Add(int64(len(kv)))
-}
-
-// GetMulti fetches several keys atomically; missing keys are omitted from
-// the result.
-func (s *Store) GetMulti(keys []string) map[string]string {
-	out := make(map[string]string, len(keys))
-	s.mu.RLock()
-	for _, k := range keys {
-		if e, ok := s.data[k]; ok {
-			out[k] = string(e.buf)
-		}
-	}
-	s.mu.RUnlock()
-	return out
 }

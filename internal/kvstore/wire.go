@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 )
 
 // Wire framing shared by Client and Server. A value travels as
@@ -19,10 +20,51 @@ import (
 // (tens of MiB) and far below what an unchecked length could claim.
 const MaxValueBytes = 1 << 30
 
+// eagerValueBytes is the largest value a reader allocates on the strength
+// of its announced length alone — transport.TCPLink's bound and rule: a
+// larger one grows by doubling as its bytes arrive and ends exact-size, so
+// a peer cannot make the other side allocate more than a small multiple of
+// what it actually sent.
+const eagerValueBytes = 1 << 20
+
+// eagerLen is the size of the buffer an n-byte value starts in
+// (readValue): n when that is within eagerValueBytes, else n halved until
+// it is, so the doubling steps land on n exactly — a checkpoint a header's
+// length over a power of two is not copied once more when all but that
+// header has arrived.
+func eagerLen(n int) int {
+	for n > eagerValueBytes {
+		n = (n + 1) / 2
+	}
+	return n
+}
+
+// maxLineBytes caps one protocol line (a command, a length line, a
+// reply): the server answers a longer one "-ERR line too long" and closes,
+// the client drops the connection.
+const maxLineBytes = 64 << 10
+
 var (
 	errValueTooLarge = errors.New("kvstore: value too large")
 	errBadTerminator = errors.New("kvstore: value not terminated by CRLF")
+	errLineTooLong   = errors.New("kvstore: line too long")
 )
+
+// readLineCapped reads one line of at most maxLineBytes, without its CRLF.
+// Only a line that outgrows r's buffer is accumulated, and never past the
+// cap: a longer one is errLineTooLong with the rest of it unread.
+func readLineCapped(r *bufio.Reader) (string, error) {
+	var line []byte
+	for {
+		part, err := r.ReadSlice('\n')
+		if len(line)+len(part) > maxLineBytes {
+			return "", errLineTooLong
+		}
+		if line = append(line, part...); !errors.Is(err, bufio.ErrBufferFull) {
+			return strings.TrimRight(string(line), "\r\n"), err
+		}
+	}
+}
 
 // writeLenLine writes prefix, the decimal n and CRLF. Errors stick to w
 // and surface at Flush.
@@ -50,18 +92,29 @@ func checkValueLen(n int) error {
 	return nil
 }
 
-// readValue fills buf — one exact-size buffer the caller picked — with a
-// value and consumes its CRLF terminator.
-func readValue(r *bufio.Reader, buf []byte) error {
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
+// readValue reads an n-byte value and consumes its CRLF terminator. It
+// starts in buf, which the caller picked: a buffer of n bytes is simply
+// filled; a shorter one (eagerLen(n) bytes: no more than eagerValueBytes
+// is allocated for a claim) grows by doubling as the bytes arrive, never
+// past n, so the finished buffer is exact-size.
+func readValue(r *bufio.Reader, buf []byte, n int) ([]byte, error) {
+	for filled := 0; ; {
+		if _, err := io.ReadFull(r, buf[filled:]); err != nil {
+			return nil, err
+		}
+		if len(buf) == n {
+			break
+		}
+		grown := make([]byte, min(n, 2*len(buf)))
+		filled = copy(grown, buf)
+		buf = grown
 	}
 	var term [2]byte
 	if _, err := io.ReadFull(r, term[:]); err != nil {
-		return err
+		return nil, err
 	}
 	if term != [2]byte{'\r', '\n'} {
-		return errBadTerminator
+		return nil, errBadTerminator
 	}
-	return nil
+	return buf, nil
 }

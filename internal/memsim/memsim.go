@@ -139,9 +139,6 @@ func NewDevice(spec TierSpec, clock simclock.Clock) *Device {
 	return &Device{spec: spec, clock: clock, blobs: make(map[string]blob)}
 }
 
-// Spec returns the device's tier specification.
-func (d *Device) Spec() TierSpec { return d.spec }
-
 // Name returns the tier name.
 func (d *Device) Name() string { return d.spec.Name }
 
@@ -157,11 +154,6 @@ func (d *Device) effective(m BandwidthModel, size int64) BandwidthModel {
 // performing a write).
 func (d *Device) WriteTime(size int64) time.Duration {
 	return d.effective(d.spec.Write, size).Time(size)
-}
-
-// ReadTime reports how long reading size bytes would take.
-func (d *Device) ReadTime(size int64) time.Duration {
-	return d.effective(d.spec.Read, size).Time(size)
 }
 
 // Write stores a copy of data under key, charging time for virtualSize

@@ -1,19 +1,35 @@
-// Package metrics is Viper's unified observability surface: stdlib-only
+// Package metrics is Viper's one statistics surface: stdlib-only
 // counters, gauges, and histograms grouped into named registries, with
 // lock-free atomic hot paths and JSON-able snapshots.
 //
-// Every delivery package (transport, relay, remote, pubsub, kvstore)
-// owns one package-level Registry and exposes it through a Metrics()
-// accessor; cmd/viper-top and the relay's metrics endpoint render the
-// snapshots live. The design splits the two speeds apart:
+// Every delivery package (transport, relay, remote, chunkstore, pubsub,
+// kvstore) owns one package-level Registry and exposes it through a
+// Metrics() accessor; cmd/viper-top, the relay's metrics endpoint and the
+// debug server render AllSnapshots live. The two speeds are split apart:
 //
-//   - Recording is a single atomic add on a pre-resolved instrument
-//     pointer. Instruments are looked up once (typically in a package
-//     init or a constructor) and cached; the Send/Recv hot paths never
-//     touch a map or a lock.
+//   - Recording is an atomic add on a pre-resolved instrument. Instruments
+//     are looked up once (in a package init or a constructor); the hot
+//     paths never touch a map, a lock or reflection.
 //   - Reading walks the registry under its mutex and copies values out,
-//     which only monitoring paths (viper-top refresh, the relay metrics
-//     endpoint, tests) pay for.
+//     which only monitoring paths pay for.
+//
+// Instance and registry. A component that reports per-instance Stats (a
+// Relay, a Producer, a Link, a Store) owns a struct of Counter values,
+// one per event it counts, which Bind parents to the package registry's
+// same-named counters: the one statement c.Inc() moves the instance's
+// count and the process-wide sum together, so the registry never lags an
+// instance, sums every instance that ever lived (Close takes nothing
+// back) and needs no flush. The component's Stats() is a view — View
+// loads the counters into the exported struct — and a gauge is set where
+// the state it reports changes, last writer wins. An event is recorded by
+// that one statement and nowhere else: no Stats field written beside an
+// instrument, no shadow copy, no counter under a mutex.
+//
+// Write order. Counters are independent atomics, so a Stats() read is not
+// a consistent cut. An event that moves several counters moves the one
+// observers wait on last (served_versions after delta_fanouts,
+// link_loads after delta_loads, cached_versions after everything commit
+// counts): whoever has seen that counter move may assert the others.
 //
 // Naming convention (DESIGN.md §10): snake_case, <noun>_<unit> for
 // counters and gauges (frames_sent, bytes_dropped, cache_bytes),
@@ -31,16 +47,18 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
 // Counter is a monotonically increasing count. The zero value is ready
-// to use, but instruments should normally come from a Registry so they
-// appear in snapshots.
+// to use; one that came from a Registry appears in its snapshots, and one
+// that Bind parented to such a counter feeds it with every add.
 type Counter struct {
-	v atomic.Int64
+	v      atomic.Int64
+	parent *Counter
 }
 
 // Add increments the counter by n (negative n is ignored: counters are
@@ -50,15 +68,13 @@ func (c *Counter) Add(n int64) {
 		return
 	}
 	c.v.Add(n)
+	if c.parent != nil {
+		c.parent.v.Add(n)
+	}
 }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.v.Add(1)
-}
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 {
@@ -66,6 +82,60 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
+}
+
+// validName is the instrument naming rule, ^[a-z][a-z0-9_]*$ (viper-vet's
+// metricreg checks the same one where names are written).
+func validName(s string) bool {
+	for i, c := range s {
+		if (c < 'a' || c > 'z') && (i == 0 || c != '_' && (c < '0' || c > '9')) {
+			return false
+		}
+	}
+	return s != ""
+}
+
+// Bind makes counters — a pointer to a component instance's struct of
+// Counter values — feed reg. S is the component's exported Stats struct:
+// each of its fields tagged `metric:"name"` must be an int64 and names,
+// in order, the field of counters called the same, which is parented to
+// reg's counter of that name. Untagged fields of S are state the
+// component reports from under its own lock. It panics on a mismatch, so
+// a Stats field that nothing counts cannot be declared.
+func Bind[S any](reg *Registry, counters any) {
+	cs, st := reflect.ValueOf(counters).Elem(), reflect.TypeOf((*S)(nil)).Elem()
+	var tagged []int
+	for i := 0; i < st.NumField(); i++ {
+		f, n := st.Field(i), len(tagged)
+		name, ok := f.Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		if n >= cs.NumField() || cs.Type().Field(n).Name != f.Name || f.Type.Kind() != reflect.Int64 || !validName(name) {
+			panic(fmt.Sprintf("metrics: cannot bind %s.%s (metric %q) to counter %d of %s", st, f.Name, name, n, cs.Type()))
+		}
+		cs.Field(n).Addr().Interface().(*Counter).parent = reg.Counter(name)
+		tagged = append(tagged, i)
+	}
+	if len(tagged) != cs.NumField() {
+		panic(fmt.Sprintf("metrics: %s has %d counters, %s tags %d fields", cs.Type(), cs.NumField(), st, len(tagged)))
+	}
+	taggedFields.Store(st, tagged)
+}
+
+// taggedFields maps a Stats type Bind has seen to the indices of its
+// tagged fields, so a View reads no tag.
+var taggedFields sync.Map
+
+// View loads counters, bound with Bind[S], into the tagged fields of an S.
+func View[S any](counters any) S {
+	var out S
+	cs, ov := reflect.ValueOf(counters).Elem(), reflect.ValueOf(&out).Elem()
+	tagged, _ := taggedFields.Load(ov.Type())
+	for n, i := range tagged.([]int) {
+		ov.Field(i).SetInt(cs.Field(n).Addr().Interface().(*Counter).Value())
+	}
+	return out
 }
 
 // Gauge is an instantaneous level that can move both ways.

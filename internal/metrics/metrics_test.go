@@ -189,3 +189,69 @@ func TestConcurrentRecording(t *testing.T) {
 		t.Fatalf("observations = %d, want %d", got, workers*perWorker)
 	}
 }
+
+// boundStats is a component's exported statistics: two event counts and a
+// piece of state the binder leaves alone.
+type boundStats struct {
+	Sent    int64 `metric:"frames_sent"`
+	Open    int   // state, reported from under the component's own lock
+	Dropped int64 `metric:"frames_dropped"`
+}
+
+type boundCounters struct{ Sent, Dropped Counter }
+
+// TestBindParentsInstanceCountersToTheRegistry: each instance counts its
+// own events, the registry the sum of every instance that ever lived, and
+// View loads an instance's counters into the tagged fields only.
+func TestBindParentsInstanceCountersToTheRegistry(t *testing.T) {
+	reg := NewRegistry("bind")
+	var a, b boundCounters
+	Bind[boundStats](reg, &a)
+	Bind[boundStats](reg, &b)
+	a.Sent.Inc()
+	a.Sent.Add(2)
+	b.Sent.Inc()
+	b.Dropped.Add(5)
+	if got := View[boundStats](&a); got != (boundStats{Sent: 3}) {
+		t.Fatalf("a's view = %+v, want its own 3 sends", got)
+	}
+	if got := View[boundStats](&b); got != (boundStats{Sent: 1, Dropped: 5}) {
+		t.Fatalf("b's view = %+v, want its own send and 5 drops", got)
+	}
+	if s, d := reg.Counter("frames_sent").Value(), reg.Counter("frames_dropped").Value(); s != 4 || d != 5 {
+		t.Fatalf("registry counts %d sent, %d dropped; the instances sum to 4 and 5", s, d)
+	}
+	if n := len(reg.Snapshot().Points); n != 2 {
+		t.Fatalf("registry holds %d instruments, want the two the tags name", n)
+	}
+}
+
+// TestBindRefusesWhatItCannotBind: a tagged field with no counter of its
+// name, a counter no tag names, a tag on a non-int64 field and a name off
+// the convention each panic at construction.
+func TestBindRefusesWhatItCannotBind(t *testing.T) {
+	for name, bind := range map[string]func(*Registry){
+		"missing counter": func(r *Registry) { Bind[boundStats](r, &struct{ Sent Counter }{}) },
+		"extra counter":   func(r *Registry) { Bind[boundStats](r, &struct{ Sent, Dropped, Lost Counter }{}) },
+		"misnamed":        func(r *Registry) { Bind[boundStats](r, &struct{ Dropped, Sent Counter }{}) },
+		"not an int64": func(r *Registry) {
+			Bind[struct {
+				Sent int `metric:"frames_sent"`
+			}](r, &struct{ Sent Counter }{})
+		},
+		"bad name": func(r *Registry) {
+			Bind[struct {
+				Sent int64 `metric:"FramesSent"`
+			}](r, &struct{ Sent Counter }{})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Bind accepted it")
+				}
+			}()
+			bind(NewRegistry("bindbad"))
+		})
+	}
+}

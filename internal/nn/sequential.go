@@ -36,9 +36,6 @@ func NewSequential(name string, layers ...Layer) *Sequential {
 // Name implements Model.
 func (s *Sequential) Name() string { return s.name }
 
-// Layers returns the layer list.
-func (s *Sequential) Layers() []Layer { return s.layers }
-
 // Params implements Model.
 func (s *Sequential) Params() []*Param {
 	var out []*Param

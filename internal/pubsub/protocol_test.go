@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"math"
 	"net"
@@ -196,5 +197,40 @@ func TestOversizeMsgDropsTheConnection(t *testing.T) {
 	}
 	if err := pub.Ping(); err != nil {
 		t.Fatalf("after the refused Publish: %v", err)
+	}
+}
+
+// TestLineTooLong: a line is capped at maxLineBytes on both sides. The
+// server answers -ERR and closes — the rest of the line cannot be skipped
+// safely — without buffering what it was sent; the client closes.
+func TestLineTooLong(t *testing.T) {
+	long := append(bytes.Repeat([]byte("c"), 8<<20), "\r\nPING\r\n"...)
+	srv := NewServer(NewBroker(4))
+	conn := mutate.NewConn(append([]byte("SUB "), long...))
+	alloc := mutate.Allocated(func() {
+		srv.wg.Add(1)
+		srv.serveConn(conn)
+		srv.wg.Wait()
+	})
+	if out := conn.Out.String(); out != "-ERR line too long\r\n" {
+		t.Fatalf("an 8 MiB line was answered %q", out)
+	}
+	if alloc > 4*maxLineBytes {
+		t.Fatalf("the server allocated %d bytes reading a line capped at %d", alloc, maxLineBytes)
+	}
+
+	var c *Client
+	conn = mutate.NewConn(append([]byte("+"), long...))
+	alloc = mutate.Allocated(func() {
+		c = newClient(conn)
+		<-c.closed
+	})
+	if alloc > 4*maxLineBytes {
+		t.Fatalf("the client allocated %d bytes reading a line capped at %d", alloc, maxLineBytes)
+	}
+	select {
+	case line := <-c.replies:
+		t.Fatalf("the client took an 8 MiB line for a reply (%d bytes)", len(line))
+	default:
 	}
 }

@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -22,7 +23,8 @@ import (
 //
 // A PUB that announces more than MaxPayloadBytes is answered "-ERR payload
 // too large" before anything is allocated for it, and the connection is
-// served on.
+// served on. A line longer than maxLineBytes is answered "-ERR line too
+// long" and the connection closed.
 type Server struct {
 	broker *Broker
 
@@ -32,6 +34,26 @@ type Server struct {
 	done     chan struct{}
 	once     sync.Once
 	wg       sync.WaitGroup
+}
+
+// maxLineBytes caps one protocol line: the server answers a longer one
+// "-ERR line too long" and closes, the client closes.
+const maxLineBytes = 64 << 10
+
+// readLineCapped reads one line of at most maxLineBytes, without its CRLF.
+// Only a line that outgrows r's buffer is accumulated, and never past the
+// cap; ok is false, with err nil, for a longer one.
+func readLineCapped(r *bufio.Reader) (line string, ok bool, err error) {
+	var b []byte
+	for {
+		part, err := r.ReadSlice('\n')
+		if len(b)+len(part) > maxLineBytes {
+			return "", false, nil
+		}
+		if b = append(b, part...); !errors.Is(err, bufio.ErrBufferFull) {
+			return strings.TrimRight(string(b), "\r\n"), err == nil, err
+		}
+	}
 }
 
 // MaxPayloadBytes caps the length a peer may announce for one payload, in
@@ -95,11 +117,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		return w.Flush()
 	}
 	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
+		line, ok, err := readLineCapped(r)
+		if !ok {
+			if err == nil {
+				reply("-ERR line too long\r\n")
+			}
 			return
 		}
-		line = strings.TrimRight(line, "\r\n")
 		if line == "" {
 			continue
 		}
@@ -228,11 +252,10 @@ func newClient(conn net.Conn) *Client {
 func (c *Client) readLoop() {
 	defer c.Close()
 	for {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
+		line, ok, _ := readLineCapped(c.r)
+		if !ok {
 			return
 		}
-		line = strings.TrimRight(line, "\r\n")
 		if strings.HasPrefix(line, "MSG ") {
 			parts := strings.SplitN(line, " ", 3)
 			if len(parts) != 3 {

@@ -100,8 +100,8 @@ func recvHave(t *testing.T, link *transport.TCPLink) (string, uint64, []vformat.
 func waitSessionHave(t *testing.T, r *Relay, n int) {
 	t.Helper()
 	waitFor(t, 5*time.Second, func() bool {
-		r.mu.Lock()
-		defer r.mu.Unlock()
+		r.life.Lock()
+		defer r.life.Unlock()
 		for s := range r.sessions {
 			s.mu.Lock()
 			got := len(s.have)

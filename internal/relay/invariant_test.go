@@ -18,71 +18,21 @@ import (
 	"viper/internal/vformat"
 )
 
-// checkInvariants recomputes, under r.mu, what the chunk table must be
-// from the catalogue alone and compares: every chunk's count is the
-// number of times the resident windows' versions list its hash (so no
-// chunk sits at zero and no listed hash is absent), each payload still
-// hashes to its key, cacheBytes is the resident payloads plus every
-// catalogued header, every window fits Retained, only store-backed
-// versions sit below one, and the gauges say the same after a sync. It
-// holds whenever r.mu is free — a session frozen mid-fan-out or a build
-// half arrived changes nothing it reads — so tests call it at any point.
-//
-// The store's write handles are counted, not paired by hand: building is
-// how many ingest builds the caller knows to be in flight with a handle
-// (0 once the relay is closed, and between the steps of a sequence that
-// leaves no stream half sent), and the store must count exactly that many
-// handles open — a build dropped without abandon, or a commit path that
-// forgets its handle, leaves one behind and pins its segments for good.
+// checkInvariants is catalogue.check on a live relay, plus the one thing
+// the catalogue cannot see. The store's write handles are counted, not
+// paired by hand: building is how many ingest builds the caller knows to
+// be in flight with a handle (0 once the relay is closed, and between the
+// steps of a sequence that leaves no stream half sent), and the store must
+// count exactly that many handles open — a build dropped without abandon,
+// or a commit path that forgets its handle, leaves one behind and pins its
+// segments for good.
 func (r *Relay) checkInvariants(building int) error {
 	if r.store != nil {
 		if open := r.store.Stats().OpenWriters; open != building {
 			return fmt.Errorf("the store counts %d write handles open, %d ingest builds hold one", open, building)
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	listed := make(map[vformat.ChunkHash]int)
-	var bytes int64
-	for model, mc := range r.models {
-		if mc.lo < 0 || mc.lo > len(mc.versions) || len(mc.versions)-mc.lo > r.retained {
-			return fmt.Errorf("model %q: window [%d:%d] with Retained %d", model, mc.lo, len(mc.versions), r.retained)
-		}
-		for i, v := range mc.versions {
-			if i > 0 && mc.versions[i-1].vnum >= v.vnum {
-				return fmt.Errorf("model %q: catalogue not ascending at v%d", model, v.vnum)
-			}
-			bytes += int64(len(v.head.Payload))
-			switch {
-			case i >= mc.lo:
-				for _, h := range v.hashes {
-					listed[h]++
-				}
-			case !v.stored || r.store == nil:
-				return fmt.Errorf("model %q: v%d is below the window but not in a store", model, v.vnum)
-			}
-		}
-	}
-	for h, e := range r.chunks {
-		if e.listed != listed[h] || e.listed == 0 {
-			return fmt.Errorf("chunk %s: count %d, the windows list it %d times", h, e.listed, listed[h])
-		}
-		if vformat.HashChunkRecord(e.payload) != h {
-			return fmt.Errorf("chunk %s: resident payload no longer hashes to its key", h)
-		}
-		bytes += int64(len(e.payload))
-	}
-	if len(r.chunks) != len(listed) {
-		return fmt.Errorf("%d chunks resident, the windows list %d distinct hashes", len(r.chunks), len(listed))
-	}
-	if r.cacheBytes != bytes {
-		return fmt.Errorf("cacheBytes %d, resident payloads + catalogued headers are %d", r.cacheBytes, bytes)
-	}
-	r.syncMetricsLocked()
-	if g, u := inst.cacheBytes.Value(), inst.uniqueChunks.Value(); g != r.cacheBytes || u != int64(len(r.chunks)) {
-		return fmt.Errorf("gauges cache_bytes=%d unique_chunks=%d after a sync, state is %d / %d", g, u, r.cacheBytes, len(r.chunks))
-	}
-	return nil
+	return r.cat.check(r.store != nil)
 }
 
 // closeChecked is the relay tests' cleanup: it closes r — every
@@ -255,9 +205,7 @@ func (q *sequence) deltaPush() {
 	snap := q.drift()
 	blob, hashes := encodeVersion(q.t, "m", vnum, snap, 128)
 	manifest, records, _, _, err := vformat.PlanDelta(blob, func(h vformat.ChunkHash) bool {
-		q.r.mu.Lock()
-		defer q.r.mu.Unlock()
-		return q.r.chunks[h] != nil || (q.r.store != nil && q.r.store.Contains(h))
+		return q.r.cat.resolve([]vformat.ChunkHash{h})[0] != nil || (q.r.store != nil && q.r.store.Contains(h))
 	})
 	if err != nil {
 		q.t.Fatal(err)
@@ -296,8 +244,8 @@ func (q *sequence) buildDropped() {
 
 func (q *sequence) sessionsOpen(n int) {
 	waitFor(q.t, 10*time.Second, func() bool {
-		q.r.mu.Lock()
-		defer q.r.mu.Unlock()
+		q.r.life.Lock()
+		defer q.r.life.Unlock()
 		return len(q.r.sessions) == n
 	}, fmt.Sprintf("%d sessions open", n))
 }

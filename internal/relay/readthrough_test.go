@@ -113,10 +113,10 @@ func TestStoreReadFailsMidStream(t *testing.T) {
 		breakIt func(t *testing.T, r *Relay, dir string, recK []byte)
 	}{
 		{"injected read fault", 0, func(t *testing.T, r *Relay, dir string, _ []byte) {
-			// No connection exists yet; r.mu orders the swap before every
+			// No connection exists yet; r.life orders the swap before every
 			// session the accept loop goes on to start.
-			r.mu.Lock()
-			defer r.mu.Unlock()
+			r.life.Lock()
+			defer r.life.Unlock()
 			r.store.Close()
 			faulty, err := chunkstore.Open(dir, chunkstore.Options{
 				SegmentBytes: 512,
@@ -382,9 +382,7 @@ func TestConcurrentJoinersReadThrough(t *testing.T) {
 	if st := r.Stats(); st.StoreErrors != 0 || st.AbandonedFanouts != 0 {
 		t.Fatalf("relay stats %+v, want two clean read-through serves", st)
 	}
-	r.mu.Lock()
-	resident := len(r.chunks)
-	r.mu.Unlock()
+	resident := r.cat.residentChunks()
 	if resident != 0 {
 		t.Fatalf("%d records became resident by serving a cold version, want none", resident)
 	}
@@ -411,14 +409,12 @@ func TestMixedResidentAndDiskRecordsServeInOrder(t *testing.T) {
 	pushChunked(t, link, "n", 1, snapN, 128)
 	waitFor(t, 10*time.Second, func() bool { return r.Stats().StoredVersions == 1 }, "n stored")
 	_, _, hashesM := streamFrames(t, "m", 1, snapM)
-	r.mu.Lock()
 	onDisk := 0
-	for _, h := range hashesM {
-		if r.chunks[h] == nil {
+	for _, rec := range r.cat.resolve(hashesM) {
+		if rec == nil {
 			onDisk++
 		}
 	}
-	r.mu.Unlock()
 	if onDisk == 0 || onDisk == len(hashesM) {
 		t.Fatalf("set-up: %d of m's %d records are on disk only, want a mix", onDisk, len(hashesM))
 	}
@@ -573,7 +569,7 @@ func TestReadThroughInstruments(t *testing.T) {
 	seedStore(t, dir, "", "", snap)
 	r := reopenRelay(t, Config{StoreDir: dir})
 	gate := &nthOp{Clock: simclock.NewWall(), n: 2, parked: make(chan struct{}), resume: make(chan struct{})}
-	r.mu.Lock() // no session exists yet; see TestStoreReadFailsMidStream
+	r.life.Lock() // no session exists yet; see TestStoreReadFailsMidStream
 	r.store.Close()
 	slow, err := chunkstore.Open(dir, chunkstore.Options{
 		SegmentBytes: 512,
@@ -582,7 +578,7 @@ func TestReadThroughInstruments(t *testing.T) {
 	if err == nil {
 		r.store = slow
 	}
-	r.mu.Unlock()
+	r.life.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -390,6 +390,8 @@ func TestEndToEndFanOut32Consumers(t *testing.T) {
 	}
 
 	const versions = 5
+	notified := pubsub.Metrics().Counter("published")
+	notifiedBefore := notified.Value()
 	published := make(map[uint64]nn.Snapshot, versions)
 	for v := 1; v <= versions; v++ {
 		snap := nn.TakeSnapshot(testModel(int64(100 + v)))
@@ -430,7 +432,11 @@ func TestEndToEndFanOut32Consumers(t *testing.T) {
 	}
 
 	// Late joiner: the producer is gone; the newest version must come
-	// straight from the relay cache — link only, zero staged loads.
+	// straight from the relay cache — link only, zero staged loads. The
+	// relay republishes each version behind the producer's own
+	// notification: once its last one is out, the retained notification
+	// is the final version's whichever of the two came second.
+	waitFor(t, 10*time.Second, func() bool { return notified.Value()-notifiedBefore >= 2*versions }, "the relay's last notification")
 	prod.Close()
 	prodClosed = true
 	late, err := remote.NewConsumer(remote.ConsumerConfig{

@@ -151,10 +151,10 @@ func TestStoreRetentionDelegation(t *testing.T) {
 
 	// v3 is a disk shell: catalogued below the resident window, which
 	// holds v4 alone.
-	r.mu.Lock()
-	mc := r.models["m"]
+	r.cat.mu.Lock()
+	mc := r.cat.models["m"]
 	lo, below := mc.lo, mc.versions[0].vnum
-	r.mu.Unlock()
+	r.cat.mu.Unlock()
 	if lo != 1 || below != 3 {
 		t.Fatalf("window starts at %d above v%d, want v3 as the one shell below it", lo, below)
 	}
@@ -181,14 +181,12 @@ func TestEvictedVersionServedFromDisk(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return r.Stats().DemotedVersions == 1 }, "v1 demoted")
 
 	// v1's chunks are disjoint from v2's and gone from memory now.
-	r.mu.Lock()
 	inMemory := 0
-	for _, h := range hashes1 {
-		if r.chunks[h] != nil {
+	for _, rec := range r.cat.resolve(hashes1) {
+		if rec != nil {
 			inMemory++
 		}
 	}
-	r.mu.Unlock()
 	if inMemory != 0 {
 		t.Fatalf("%d of v1's chunks still resident, want all on disk only", inMemory)
 	}

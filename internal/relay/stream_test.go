@@ -203,9 +203,9 @@ func TestStoreFaultMidBuildServesFromMemory(t *testing.T) {
 	dir := t.TempDir()
 	r := storeRelay(t, dir, 4, chunkstore.Retention{})
 	// Swap in a store that consults an injector, before any connection
-	// exists (under r.mu, which orders the write before every ingest
+	// exists (under r.life, which orders the write before every ingest
 	// goroutine the accept loop goes on to start).
-	r.mu.Lock()
+	r.life.Lock()
 	r.store.Close()
 	faulty, err := chunkstore.Open(dir, chunkstore.Options{
 		Injector: faults.New(faults.Config{Seed: 1, FailRate: 1, SkipFirst: 6}),
@@ -213,7 +213,7 @@ func TestStoreFaultMidBuildServesFromMemory(t *testing.T) {
 	if err == nil {
 		r.store = faulty
 	}
-	r.mu.Unlock()
+	r.life.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -457,7 +457,7 @@ func TestStagePendingWindow(t *testing.T) {
 		s := startScript(t)
 		tornV1(s)
 		res := s.next()
-		s.notify(1, false) // e.g. a DisableStaging producer: no copy is coming
+		s.notify(1, false) // no copy is coming
 		thenV2(s, res)
 		if s.clock.armed(scriptBackoff) {
 			t.Fatal("the consumer polled for a staging copy nobody announced")

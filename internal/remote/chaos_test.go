@@ -196,6 +196,11 @@ func TestProducerDegradesToStagingWhenLinkDead(t *testing.T) {
 	if string(meta.Location) != "pfs" {
 		t.Fatalf("degraded publish recorded location %q, want pfs", meta.Location)
 	}
+	// The copy was staged before Publish returned: it is the version's only
+	// delivery path.
+	if ps := prod.Stats(); ps.Staged != 1 {
+		t.Fatalf("producer stats = %+v, want the failed send staged synchronously", ps)
+	}
 	ckpt, err := cons.Next(10 * time.Second)
 	if err != nil {
 		t.Fatal(err)

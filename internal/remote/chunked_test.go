@@ -24,7 +24,6 @@ type chunkedPairConfig struct {
 	noDelta   bool    // disable delta reconciliation on both ends
 	deltaEps  float64 // producer-side base-suppression threshold
 	frameBuf  int     // consumer FrameBuffer (0 = default)
-	noStaging bool    // producer DisableStaging
 }
 
 // startChunkedPair wires a chunked-pipeline producer and a consumer
@@ -47,7 +46,6 @@ func startChunkedPair(t *testing.T, serving nn.Model, cfg chunkedPairConfig) (*P
 			ChunkSize:             cfg.chunkSize,
 			DisableDeltaReconcile: cfg.noDelta,
 			DeltaEps:              cfg.deltaEps,
-			DisableStaging:        cfg.noStaging,
 		})
 	}()
 	cons, err := NewConsumer(ConsumerConfig{
@@ -201,33 +199,6 @@ func TestPlainLinkFrameBackfillsFromStaging(t *testing.T) {
 	}
 	if s := cons.Stats(); s.StagedLoads != 1 || s.LinkLoads != 0 || !snapshotsEqual(ckpt.Weights, snap) {
 		t.Fatalf("stats = %+v, want one bit-identical staged install and no link load", s)
-	}
-}
-
-// TestDisableStagingStillStagesFailedSend pins what DisableStaging
-// means: it drops the redundant copy of a checkpoint the link carried,
-// never the only copy of one it could not carry.
-func TestDisableStagingStillStagesFailedSend(t *testing.T) {
-	dead := faults.New(faults.Config{Seed: 9, FailRate: 1})
-	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{
-		chunkSize: 64,
-		linkWrap:  func(c net.Conn) net.Conn { return faults.WrapConn(c, dead) },
-		linkWait:  100 * time.Millisecond,
-		noStaging: true,
-	})
-	snap := nn.TakeSnapshot(testModel(52))
-	if _, err := prod.Publish(snap, 5, 0.5); err != nil {
-		t.Fatalf("publish over dead link must degrade, not fail: %v", err)
-	}
-	if s := prod.Stats(); s.Staged != 1 || s.LinkFailures != 1 {
-		t.Fatalf("producer stats = %+v, want the failed send staged", s)
-	}
-	ckpt, err := cons.Next(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snapshotsEqual(ckpt.Weights, snap) || cons.Stats().StagedLoads != 1 {
-		t.Fatalf("consumer stats = %+v, want one bit-identical staged install", cons.Stats())
 	}
 }
 

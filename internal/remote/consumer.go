@@ -1,0 +1,838 @@
+package remote
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"strconv"
+	"sync"
+	"time"
+
+	"viper/internal/core"
+	"viper/internal/kvstore"
+	"viper/internal/metrics"
+	"viper/internal/nn"
+	"viper/internal/pubsub"
+	"viper/internal/retry"
+	"viper/internal/simclock"
+	"viper/internal/transport"
+	"viper/internal/vformat"
+)
+
+// defaultLinkWait bounds how long the consumer waits for a notified
+// checkpoint to arrive on the direct link before backfilling it from
+// the KV staging area.
+const defaultLinkWait = 2 * time.Second
+
+// ConsumerConfig configures a remote consumer.
+type ConsumerConfig struct {
+	// Model names the model to follow.
+	Model string
+	// MetaAddr is the kvstore server address.
+	MetaAddr string
+	// NotifyAddr is the pubsub server address.
+	NotifyAddr string
+	// ProducerAddr is the producer's direct-link address.
+	ProducerAddr string
+	// Serving, if non-nil, is kept restored to the latest checkpoint.
+	Serving nn.Model
+	// Retry bounds redial/retry attempts on the networked paths. The
+	// zero value selects retry.Default over the wall clock.
+	Retry retry.Policy
+	// LinkWait bounds how long Next waits for a notified checkpoint on
+	// the direct link before backfilling from the KV staging area, how
+	// long a stream may stall between frames before its build is
+	// abandoned, and how long a staging copy announced as still being
+	// flushed is polled for (default 2s).
+	LinkWait time.Duration
+	// LinkDial, if set, replaces the direct-link dial (fault injection
+	// hooks in here).
+	LinkDial func(addr string) (net.Conn, error)
+	// MetaDial, if set, replaces the metadata client dial.
+	MetaDial func(addr string) (net.Conn, error)
+	// DisableDeltaReconcile turns off chunk-level delta reconciliation.
+	// By default the consumer keeps a content-addressed cache of the
+	// chunk records it has installed, advertises it to the sender behind
+	// every install (transport.HaveKey), and accepts manifest delta streams
+	// that ship only the chunks that changed — recovering
+	// advertised-but-evicted chunks with a need-list, and falling back
+	// to the staging path rather than ever assembling a torn
+	// checkpoint. Disabling restores the always-full streams.
+	DisableDeltaReconcile bool
+	// ChunkHashCache bounds the reconciliation chunk cache, in entries
+	// (0 selects the vformat default). Only meaningful while delta
+	// reconciliation is enabled.
+	ChunkHashCache int
+	// FrameBuffer is the depth, in frames, of the hand-off between the
+	// link reader and the builder that assembles streams as they land
+	// (default 32). The builder drains it without waiting for Next, so a
+	// full hand-off is plain TCP back-pressure, never a shed stream.
+	FrameBuffer int
+	// BaseContext is the root of the consumer's lifecycle context: the
+	// context-free Next runs under it, and Close cancels it, so a
+	// blocked wait aborts instead of outliving the consumer. Nil
+	// defaults to context.Background().
+	BaseContext context.Context
+}
+
+// ConsumerStats counts consumer-side delivery activity: a view of the
+// consumer's own counters, which move independently (DeltaLoads before the
+// LinkLoads of the same install).
+type ConsumerStats struct {
+	// LinkLoads counts updates received over the direct link.
+	LinkLoads int64 `metric:"consumer_link_loads"`
+	// StagedLoads counts updates backfilled from the KV staging area.
+	StagedLoads int64 `metric:"consumer_staged_loads"`
+	// SkippedVersions counts notified updates that were unrecoverable
+	// on both paths (superseded by a newer version instead).
+	SkippedVersions int64 `metric:"consumer_skipped_versions"`
+	// StaleNotifications counts redelivered/out-of-date notifications
+	// that were ignored.
+	StaleNotifications int64 `metric:"consumer_stale_notifications"`
+	// DiscardedFrames counts link frames that never reached an install:
+	// stray or stale frames, and the frames of builds that were torn or
+	// superseded before their notification.
+	DiscardedFrames int64 `metric:"consumer_discarded_frames"`
+	// DeltaLoads counts link loads that arrived as manifest delta
+	// streams reconciled against the chunk cache (a subset of
+	// LinkLoads).
+	DeltaLoads int64 `metric:"consumer_delta_loads"`
+}
+
+// consumerCounters are one consumer's event counters, named field for
+// field after ConsumerStats (metrics.Bind); each also feeds the registry.
+type consumerCounters struct {
+	LinkLoads, StagedLoads, SkippedVersions, StaleNotifications, DiscardedFrames, DeltaLoads metrics.Counter
+}
+
+// parkedBudget bounds, in bytes, the complete builds kept for
+// notifications Next has not processed yet (the newest build is always
+// kept, whatever its size): their decoded weights plus the wire records
+// they hold for the cache filler. It is what a consumer that stopped
+// calling Next can pin; older builds are dropped first and their
+// versions come from staging or are skipped as superseded. Beyond active
+// and parked the consumer pins at most one more checkpoint: the span
+// source, when the build it came from has since been dropped or replaced.
+const parkedBudget = 64 << 20
+
+// build is one link stream assembled by the builder.
+type build struct {
+	key     string
+	version uint64
+	delta   bool  // arrived as a manifest delta stream
+	frames  int64 // link frames the stream took
+	bytes   int64 // decoded weights plus recs, once complete
+	ckpt    *vformat.Checkpoint
+	// recs are a full stream's wire records, kept — with reconciliation on
+	// — for the cache filler to hash once the build is installed. They
+	// are the link's pooled payloads (transport.RecvPool): the consumer
+	// owns them, the cache adopts them without a copy, and a build that is
+	// dropped hands them back. header is the stream header they arrived
+	// under, kept with them so the hashes can become a span source.
+	recs   [][]byte
+	header []byte
+	// inherited and reused count a delta build's positions copied from the
+	// span source and decoded from cached records.
+	inherited, reused int
+}
+
+// cacheFill is what one install leaves for the cache filler: the records
+// that came with the version and are not in the cache yet, and the
+// version to advertise once they are.
+type cacheFill struct {
+	version   uint64
+	installed time.Time
+	// recs passed the assembler's per-record check. A delta stream has
+	// none: its records were cached as they were added.
+	recs [][]byte
+	// owned marks recs as buffers nobody else holds (a parked build's
+	// pooled payloads), which the cache adopts and the filler otherwise
+	// hands back to the pool; sub-slices of a staged blob are copied in.
+	owned bool
+	// header (the v2 stream header recs belong to; a plain chunked blob
+	// serves) and weights (what they were decoded into) let a finished
+	// fill offer the install as the span source. Nil header: no offer.
+	header  []byte
+	weights nn.Snapshot
+}
+
+// Consumer receives checkpoints pushed by a remote producer.
+type Consumer struct {
+	model string
+	kv    *kvstore.Client
+	ps    *pubsub.Client
+	link  *transport.ReconnectLink
+	// pool is where the link's chunk-record payloads come from. The consumer
+	// owns every payload the link delivers and hands each back at most once,
+	// when nothing can read it any more: a record that is not kept, as soon
+	// as the assembler has decoded it; a kept build's records when the build
+	// is dropped or the filler finds them cached already; a frame the builder
+	// discards. The records the cache adopts leave the pool for good, and
+	// whatever is simply let go (Close with frames in flight) is collected.
+	pool     *transport.RecvPool
+	events   <-chan pubsub.Message
+	serving  nn.Model
+	linkWait time.Duration
+	policy   retry.Policy
+	clock    simclock.Clock
+	n        consumerCounters
+	// cache is the content-addressed record cache delta reconciliation
+	// runs against (nil when disabled). Its own lock makes it safe to
+	// read and fill from the builder (delta streams) while the filler
+	// fills and snapshots it.
+	cache *vformat.ChunkCache
+
+	frames    chan transport.Frame // link reader → builder
+	closed    chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup // reader + builder + cache filler
+	// fills hands installs to the cache filler (at most one waits: a
+	// newer install supersedes it).
+	fills *latest[cacheFill]
+
+	// lifeCtx is the lifecycle context minted from
+	// ConsumerConfig.BaseContext; lifeCancel fires in Close.
+	lifeCtx    context.Context
+	lifeCancel context.CancelFunc
+
+	mu      sync.Mutex
+	active  *vformat.Checkpoint
+	loads   int64
+	applied uint64
+	// Builder state. linkVersion is the newest version the link has
+	// reached (or an install has overtaken): the link only moves forward,
+	// so a version at or below it that is neither being built nor parked
+	// will not arrive there any more. building is the version under
+	// assembly (0 = none). parked holds complete, verified builds awaiting
+	// their notification, oldest first, and parkedBytes their summed
+	// size. changed is closed and replaced on every change to the first
+	// three.
+	linkVersion uint64
+	building    uint64
+	parked      []*build
+	parkedBytes int64
+	changed     chan struct{}
+	// source is the span source the builder hands the next manifest
+	// assembler: the newest complete build, parked or installed, whose
+	// per-position hashes are known — a delta build's as soon as it is
+	// parked (the manifest's), a full-stream or staged install's once the
+	// filler has hashed its records. It shares the weights of a checkpoint
+	// Next hands out, hence the read-only contract there.
+	source        *vformat.SpanSource
+	sourceVersion uint64
+}
+
+// NewConsumer connects to all services and subscribes to the model's
+// update channel.
+func NewConsumer(cfg ConsumerConfig) (*Consumer, error) {
+	if cfg.Model == "" {
+		return nil, errors.New("remote: empty model name")
+	}
+	pol := policyOrDefault(cfg.Retry)
+	var o opened
+	kv, err := kvstore.DialOptions(cfg.MetaAddr, kvstore.Options{Retry: pol, DialFunc: cfg.MetaDial})
+	if err := o.step("metadata", kv, err); err != nil {
+		return nil, err
+	}
+	ps, err := pubsub.DialClient(cfg.NotifyAddr)
+	if err := o.step("notify", ps, err); err != nil {
+		return nil, err
+	}
+	events, err := ps.Subscribe(core.UpdateChannel(cfg.Model))
+	if err := o.step("subscribe", nil, err); err != nil {
+		return nil, err
+	}
+	pool := transport.NewRecvPool()
+	link := dialedLink(cfg.ProducerAddr, cfg.LinkDial, pol, pool)
+	if err := o.step("link", link, link.Connect()); err != nil {
+		return nil, err
+	}
+	linkWait := cfg.LinkWait
+	if linkWait <= 0 {
+		linkWait = defaultLinkWait
+	}
+	if cfg.BaseContext == nil {
+		cfg.BaseContext = context.Background()
+	}
+	lifeCtx, lifeCancel := context.WithCancel(cfg.BaseContext)
+	frameBuf := cfg.FrameBuffer
+	if frameBuf <= 0 {
+		frameBuf = 32
+	}
+	c := &Consumer{
+		model: cfg.Model, kv: kv, ps: ps, link: link, pool: pool,
+		events: events, serving: cfg.Serving,
+		linkWait: linkWait, policy: pol, clock: pol.ClockOrWall(),
+		frames:  make(chan transport.Frame, frameBuf),
+		closed:  make(chan struct{}),
+		changed: make(chan struct{}),
+		lifeCtx: lifeCtx, lifeCancel: lifeCancel,
+	}
+	c.fills = newLatest[cacheFill](c.closed)
+	metrics.Bind[ConsumerStats](registry, &c.n)
+	if !cfg.DisableDeltaReconcile {
+		c.cache = vformat.NewChunkCache(cfg.ChunkHashCache)
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			c.filler()
+		}()
+	}
+	c.wg.Add(2)
+	go func() {
+		defer c.wg.Done()
+		c.pump()
+	}()
+	go func() {
+		defer c.wg.Done()
+		c.build()
+	}()
+	return c, nil
+}
+
+// pump moves frames from the (reconnecting) link to the builder until
+// the consumer closes (recvLoop); deliveries continue through the staging
+// fallback while the link is down. The hand-off may block: the builder
+// drains it without ever waiting for Next, so a full channel is
+// back-pressure on the sender, and the Recv loop — which is also what
+// drives link reconnection — is never parked for long.
+func (c *Consumer) pump() {
+	recvLoop(c.link, c.policy, c.clock, c.closed, func(f transport.Frame) bool {
+		select {
+		case c.frames <- f:
+			return true
+		case <-c.closed:
+			return false
+		}
+	})
+}
+
+// build is the builder: it assembles every stream the link carries as
+// its frames land — per-record CRC check and decode, need-list
+// backchannel — and parks each complete, verified build for Next, which
+// installs it only once the matching notification arrives. It never
+// waits for Next, and it hashes nothing but the records a delta stream
+// ships (the manifest assembler needs those hashes to place them).
+func (c *Consumer) build() {
+	var next *transport.Frame // the frame that interrupted the last stream
+	for {
+		var f transport.Frame
+		if next != nil {
+			f, next = *next, nil
+		} else {
+			select {
+			case f = <-c.frames:
+			case <-c.closed:
+				return
+			}
+		}
+		opens := transport.IsChunkHeader(f) || transport.IsManifestHeader(f)
+		v := frameVersion(&f)
+		if !c.advance(v, opens) {
+			c.n.DiscardedFrames.Inc()
+			c.pool.Release(f.Payload) // typically the tail of an abandoned stream
+			continue
+		}
+		next = c.assemble(f, v)
+	}
+}
+
+// advance moves the link position to version v and reports whether the
+// builder should assemble the stream the frame opens. A frame at or
+// below the position is stale (superseded, redelivered after a
+// reconnect, or the tail of an abandoned build). A newer frame that
+// opens no stream still moves the position: the link has reached v
+// without a usable stream for it, so v can only come from staging.
+func (c *Consumer) advance(v uint64, opens bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v <= c.linkVersion {
+		return false
+	}
+	c.linkVersion = v
+	if opens {
+		c.building = v
+	}
+	c.signalLocked()
+	return opens
+}
+
+// signalLocked wakes every Next waiting on the builder; c.mu must be
+// held.
+func (c *Consumer) signalLocked() {
+	close(c.changed)
+	c.changed = make(chan struct{})
+}
+
+// drop accounts a build that will never be installed and hands the
+// records it kept back to the pool. The build is the caller's alone by
+// then, so no lock is needed.
+func (c *Consumer) drop(b *build) {
+	c.n.DiscardedFrames.Add(b.frames)
+	abandonedBuilds.Inc()
+	c.releaseAll(b.recs)
+	b.recs = nil
+}
+
+// releaseAll hands link payloads nothing reads any more back to the pool.
+func (c *Consumer) releaseAll(recs [][]byte) {
+	for _, rec := range recs {
+		c.pool.Release(rec)
+	}
+}
+
+// popParkedLocked removes and returns the oldest parked build, leaving
+// no reference to it behind in the slice; c.mu must be held.
+func (c *Consumer) popParkedLocked() *build {
+	b := c.parked[0]
+	n := copy(c.parked, c.parked[1:])
+	c.parked[n] = nil
+	c.parked = c.parked[:n]
+	c.parkedBytes -= b.bytes
+	return b
+}
+
+// assemble builds the stream opened by header (version v) from the
+// frames that follow it and parks the result. The build is dropped as a
+// group — never parked partially — when a foreign frame (typically a
+// newer stream's header) interrupts it, when a record fails its CRC,
+// when the link delivers nothing for a whole LinkWait period, or when
+// the assembled checkpoint is not the model and version the frames
+// claimed. The interrupting
+// frame, if any, is returned for the builder to handle next.
+func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.Frame) {
+	b := &build{key: header.Key, version: v, frames: 1, delta: transport.IsManifestHeader(header)}
+	// One timer per LinkWait period, not per frame: when it fires the
+	// stream is abandoned only if no frame arrived since it was armed.
+	stall, progressed := c.clock.After(c.linkWait), false
+	keep := c.cache != nil && !b.delta
+	if keep {
+		b.header = header.Payload
+	}
+	// handed is the payload of the frame the collector was given last. It
+	// asks for the next frame only when it is done with that one — decoded
+	// by the assembler (which keeps no reference to a record), or failed —
+	// and that is when the payload is settled: kept for the cache filler, or
+	// handed straight back to the pool. A frame the collector returns as
+	// foreign is not this stream's and is never settled here.
+	//
+	// b.recs holds unverified bytes until the collector returns nil: it
+	// fails on the first frame that does not verify, so only then did every
+	// entry pass the per-record check.
+	var handed []byte
+	settle := func() {
+		switch {
+		case handed == nil:
+		case keep:
+			b.recs = append(b.recs, handed)
+		default:
+			c.pool.Release(handed)
+		}
+		handed = nil
+	}
+	recv := func() (transport.Frame, error) {
+		settle()
+		for {
+			select {
+			case f := <-c.frames:
+				b.frames++
+				progressed = true
+				handed = f.Payload
+				return f, nil
+			case <-stall:
+				if !progressed {
+					return transport.Frame{}, ErrTimeout
+				}
+				stall, progressed = c.clock.After(c.linkWait), false
+			case <-c.closed:
+				return transport.Frame{}, errors.New("remote: consumer closed")
+			}
+		}
+	}
+	var err error
+	var source *vformat.SpanSource // what this build offers the next one
+	switch {
+	case !b.delta:
+		b.ckpt, next, err = transport.CollectChunked(c.lifeCtx, header, recv)
+	case c.cache == nil:
+		// Reconciliation disabled: nothing advertised, so a manifest
+		// stream is unexpected; let the staging path carry the version.
+		err = errors.New("remote: manifest stream with reconciliation disabled")
+	default:
+		// Positions the span source holds decoded under the same hash are
+		// copied from it, other advertised chunks are decoded from the
+		// cache, the missing records arrive from the link, and a chunk the
+		// cache lost since advertising is need-listed back to the sender.
+		c.mu.Lock()
+		from := c.source
+		c.mu.Unlock()
+		var asm *vformat.ManifestAssembler
+		if asm, err = vformat.NewManifestAssembler(header.Payload, c.cache, from); err == nil {
+			b.ckpt, next, err = transport.CollectChunkedDeltaInto(c.lifeCtx, header, asm, recv, c.link.Send)
+		}
+		if err == nil {
+			source, b.inherited, b.reused = asm.Source(), asm.Inherited(), asm.Reused()
+		}
+	}
+	if next != nil {
+		b.frames-- // the interrupting frame is accounted, and owned, on its own
+	} else {
+		settle()
+	}
+	if err == nil && (b.ckpt.ModelName != c.model || b.ckpt.Version != v) {
+		err = fmt.Errorf("remote: stream %q assembled %s/v%d", b.key, b.ckpt.ModelName, b.ckpt.Version)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.building = 0
+	if err != nil {
+		c.drop(b)
+	} else {
+		b.bytes = b.ckpt.Weights.NumBytes()
+		for _, rec := range b.recs {
+			b.bytes += int64(len(rec))
+		}
+		c.parked = append(c.parked, b)
+		c.parkedBytes += b.bytes
+		c.offerSourceLocked(b.version, source)
+		for len(c.parked) > 1 && c.parkedBytes > parkedBudget {
+			c.drop(c.popParkedLocked())
+		}
+	}
+	c.signalLocked()
+	return next
+}
+
+// offerSourceLocked makes src the span source if it is of a newer version
+// than the current one (nil offers nothing); c.mu must be held.
+func (c *Consumer) offerSourceLocked(version uint64, src *vformat.SpanSource) {
+	if src != nil && version > c.sourceVersion {
+		c.source, c.sourceVersion = src, version
+	}
+}
+
+// ErrTimeout is returned by Next when no update arrives in time.
+var ErrTimeout = errors.New("remote: timed out waiting for a model update")
+
+// frameVersion extracts the version a link frame carries (0 if absent).
+func frameVersion(f *transport.Frame) uint64 {
+	v, _ := strconv.ParseUint(f.Meta["version"], 10, 64)
+	return v
+}
+
+// Next blocks until the next pushed model update, obtains the
+// checkpoint (the builder's parked build of the direct-link stream
+// first, KV staging backfill when the link lost it), installs it, and
+// returns it. Nothing is installed before its notification: a stream the
+// producer never announced (a cancelled publish) stays parked until a
+// newer announcement drops it. Notifications for versions at or below
+// the installed one (e.g. redelivered after a broker reconnect) are
+// ignored; notified versions that are unrecoverable on both paths are
+// skipped, since a newer update supersedes them.
+//
+// The returned checkpoint is shared and read-only: Active returns the same
+// object, and with reconciliation on the builder copies the chunks the
+// next version leaves unchanged straight out of its weights. Copy what
+// you need to change (nn.RestoreSnapshot copies into the serving model).
+func (c *Consumer) Next(timeout time.Duration) (*vformat.Checkpoint, error) {
+	return c.NextContext(c.lifeCtx, timeout)
+}
+
+// NextContext is Next bounded by a context: cancellation aborts the
+// wait for a notification or for the builder, and the staging backfill.
+func (c *Consumer) NextContext(ctx context.Context, timeout time.Duration) (*vformat.Checkpoint, error) {
+	deadline := c.clock.After(timeout)
+	for {
+		select {
+		case msg, ok := <-c.events:
+			if !ok {
+				return nil, errors.New("remote: subscription closed")
+			}
+			meta, err := core.DecodeMeta(msg.Payload)
+			if err != nil {
+				return nil, err
+			}
+			c.mu.Lock()
+			applied := c.applied
+			c.mu.Unlock()
+			if meta.Version <= applied {
+				c.n.StaleNotifications.Inc()
+				continue
+			}
+			ckpt, fill, err := c.fetch(ctx, meta)
+			if err != nil {
+				return nil, err
+			}
+			if ckpt == nil {
+				// Unrecoverable on both paths; wait for a newer one.
+				c.n.SkippedVersions.Inc()
+				continue
+			}
+			if err := c.install(ckpt, fill); err != nil {
+				return nil, err
+			}
+			return ckpt, nil
+		case <-deadline:
+			return nil, ErrTimeout
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+}
+
+// fetch obtains the checkpoint for meta from the builder, falling back
+// to the KV staging area, along with the records it leaves for the cache
+// filler. A nil checkpoint and nil error mean the version is lost on
+// both paths (superseded updates may legitimately be).
+func (c *Consumer) fetch(ctx context.Context, meta *core.ModelMeta) (*vformat.Checkpoint, *cacheFill, error) {
+	var timer <-chan time.Time // armed on the first wait: a prebuilt install needs none
+	for first := true; ; first = false {
+		b, lost, changed := c.claim(meta)
+		if b != nil {
+			if first {
+				prebuiltInstalls.Inc()
+			}
+			if b.delta {
+				c.n.DeltaLoads.Inc()
+			}
+			c.n.LinkLoads.Inc() // last: observers wait on it
+			inheritedChunks.Add(int64(b.inherited))
+			cacheDecodedChunks.Add(int64(b.reused))
+			return b.ckpt, &cacheFill{recs: b.recs, owned: true, header: b.header, weights: b.ckpt.Weights}, nil
+		}
+		if lost {
+			return c.fetchStaged(ctx, meta)
+		}
+		if timer == nil {
+			timer = c.clock.After(c.linkWait)
+		}
+		select {
+		case <-changed:
+		case <-timer:
+			return c.fetchStaged(ctx, meta)
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
+		case <-c.closed:
+			return nil, nil, errors.New("remote: consumer closed")
+		}
+	}
+}
+
+// claim matches the notification meta against the builder's state. It
+// returns the parked build for exactly that version and stream key, or
+// lost when the link will not deliver it (the stream was torn, never
+// opened, or the link is already past the version), or neither — the
+// build is still in progress or its stream has not begun — with the
+// channel that signals the builder's next change. Parked builds older
+// than the announced version were superseded before their own
+// notification was processed and are dropped.
+func (c *Consumer) claim(meta *core.ModelMeta) (b *build, lost bool, changed <-chan struct{}) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.parked) > 0 && c.parked[0].version < meta.Version {
+		c.drop(c.popParkedLocked())
+	}
+	if len(c.parked) > 0 && c.parked[0].version == meta.Version {
+		if b = c.popParkedLocked(); b.key == meta.Path {
+			return b, false, nil
+		}
+		c.drop(b)
+		return nil, true, nil
+	}
+	if c.building == meta.Version {
+		return nil, false, c.changed
+	}
+	return nil, c.linkVersion >= meta.Version, c.changed
+}
+
+// fetchStaged backfills a checkpoint from the KV staging area, where
+// the producer leaves the complete chunked blob. A copy the notification
+// announced as still being flushed (StagePending) is polled for on the
+// retry schedule for up to LinkWait — unless a newer notification is
+// already waiting, which supersedes this version anyway; without the
+// flag a missing copy is final.
+func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vformat.Checkpoint, *cacheFill, error) {
+	key := core.StagingKey(c.model, meta.Version)
+	raw, err := c.kv.GetBytes(key)
+	if meta.StagePending {
+		budget := c.clock.After(c.linkWait)
+		backoff := initialBackoff(c.policy)
+	poll:
+		for errors.Is(err, kvstore.ErrNotFound) && len(c.events) == 0 {
+			select {
+			case <-c.clock.After(backoff):
+			case <-budget:
+				break poll
+			case <-ctx.Done():
+				return nil, nil, ctx.Err()
+			case <-c.closed:
+				return nil, nil, errors.New("remote: consumer closed")
+			}
+			backoff = nextBackoff(c.policy, backoff)
+			raw, err = c.kv.GetBytes(key)
+		}
+	}
+	if errors.Is(err, kvstore.ErrNotFound) {
+		return nil, nil, nil // lost on both paths
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("remote: staged fetch: %w", err)
+	}
+	ckpt, err := vformat.DecodeAuto(ctx, raw, 0)
+	if err != nil {
+		return nil, nil, fmt.Errorf("remote: staged checkpoint: %w", err)
+	}
+	if ckpt.ModelName != c.model || ckpt.Version != meta.Version {
+		return nil, nil, fmt.Errorf("remote: staged checkpoint is %s/v%d, want %s/v%d",
+			ckpt.ModelName, ckpt.Version, c.model, meta.Version)
+	}
+	fill := &cacheFill{}
+	if c.cache != nil {
+		// The staged chunk records replenish the reconciliation cache,
+		// behind the install like a link stream's (best-effort: a blob that
+		// does not split into records leaves the cache as it is).
+		err := vformat.WalkChunkRecords(raw, func(rec []byte) error {
+			fill.recs = append(fill.recs, rec)
+			return nil
+		})
+		if err == nil {
+			fill.header, fill.weights = raw, ckpt.Weights
+		}
+	}
+	c.n.StagedLoads.Inc()
+	return ckpt, fill, nil
+}
+
+// install makes ckpt the active checkpoint and restores the serving
+// model; with reconciliation on it then hands fill to the cache filler,
+// which caches the version's records and advertises the cache back to the
+// sender behind the install, so the next version can travel as a delta.
+func (c *Consumer) install(ckpt *vformat.Checkpoint, fill *cacheFill) error {
+	c.mu.Lock()
+	c.active = ckpt
+	c.loads++
+	c.applied = ckpt.Version
+	if c.linkVersion < ckpt.Version {
+		// Installed from staging ahead of the link: a stream of this
+		// version arriving late is stale.
+		c.linkVersion = ckpt.Version
+	}
+	c.mu.Unlock()
+	consumerInstalls.Inc()
+	if c.serving != nil {
+		if err := nn.RestoreSnapshot(c.serving, ckpt.Weights); err != nil {
+			return fmt.Errorf("remote: restore: %w", err)
+		}
+	}
+	if c.cache != nil {
+		fill.version, fill.installed = ckpt.Version, c.clock.Now()
+		c.queueFill(fill)
+	}
+	return nil
+}
+
+// queueFill hands f to the cache filler, latest-wins: a fill still
+// waiting is superseded — its records are never hashed (they go back to
+// the pool), and the newer version's advertisement covers whatever the
+// cache holds by then.
+func (c *Consumer) queueFill(f *cacheFill) {
+	if old, _ := c.fills.put(f); old != nil {
+		fillSuperseded.Inc()
+		if old.owned {
+			c.releaseAll(old.recs)
+		}
+	}
+}
+
+// filler is the background cache filler: one fill at a time, never under
+// c.mu. Close abandons the fill in hand between two records and the one
+// waiting altogether; the cache dies with the consumer.
+func (c *Consumer) filler() {
+	c.fills.run(c.fill)
+}
+
+// fill hashes f's records into the cache and only then advertises the
+// cache, so a have-list never names a chunk the cache does not hold. The
+// consumer computes every key itself, from bytes its assembler verified.
+// A fill that ran to its end has the hash of every record the install was
+// decoded from, by position, and offers the install as the span source.
+// The advertisement is best-effort: a late or lost have-list only costs
+// one full stream. It stops short when the consumer closes under it.
+func (c *Consumer) fill(f *cacheFill) {
+	start := c.clock.Now()
+	hashes := make([]vformat.ChunkHash, len(f.recs))
+	for _, rec := range f.recs {
+		select {
+		case <-c.closed:
+			return
+		default:
+		}
+		h := vformat.HashChunkRecord(rec)
+		if i := transport.ChunkRecordIndex(rec); i >= 0 && i < len(hashes) {
+			hashes[i] = h
+		}
+		if !f.owned {
+			c.cache.Put(h, rec)
+		} else if !c.cache.Adopt(h, rec) {
+			c.pool.Release(rec) // cached already: the bytes are not needed twice
+		}
+	}
+	cacheFillMS.Observe(c.clock.Now().Sub(start).Milliseconds())
+	if f.header != nil {
+		// One record per chunk of a complete build means one per position;
+		// anything else (a duplicate frame) fails the count check and
+		// offers nothing — the next delta then reconciles from the cache.
+		if src, err := vformat.NewSpanSource(f.header, hashes, f.weights); err == nil {
+			c.mu.Lock()
+			c.offerSourceLocked(f.version, src)
+			c.mu.Unlock()
+		}
+	}
+	if hs := c.cache.Hashes(); len(hs) > 0 {
+		if c.link.Send(transport.NewHaveFrame(c.model, f.version, hs)) == nil {
+			haveListLagMS.Observe(c.clock.Now().Sub(f.installed).Milliseconds())
+		}
+	}
+}
+
+// Active returns the currently installed checkpoint (nil before the
+// first update). It is shared and read-only, like the one Next returned
+// (the same object).
+func (c *Consumer) Active() *vformat.Checkpoint {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.active
+}
+
+// Loads returns the number of applied updates.
+func (c *Consumer) Loads() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.loads
+}
+
+// Stats returns the consumer's delivery counters.
+func (c *Consumer) Stats() ConsumerStats { return metrics.View[ConsumerStats](&c.n) }
+
+// LatestMeta fetches the newest metadata from the KV store (pull path).
+func (c *Consumer) LatestMeta() (*core.ModelMeta, error) {
+	raw, err := c.kv.Get(core.MetaKey(c.model))
+	if err != nil {
+		return nil, err
+	}
+	return core.DecodeMeta(raw)
+}
+
+// Close cancels the lifecycle context, tears down all connections and
+// waits for the link reader, the builder and the cache filler to exit. It
+// is idempotent and safe to call concurrently: only the first call closes
+// the shutdown channel.
+func (c *Consumer) Close() {
+	c.lifeCancel()
+	c.closeOnce.Do(func() { close(c.closed) })
+	c.link.Close()
+	c.wg.Wait()
+	c.ps.Close()
+	c.kv.Close()
+}

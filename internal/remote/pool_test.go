@@ -125,9 +125,9 @@ func TestSupersededFillReleasesItsRecords(t *testing.T) {
 	snap2 := flatSnapshot(2, 4<<10)
 	v2frames, _ := s.stream(2, snap2)
 	v2 := s.deliver(2, snap2)
-	s.cons.mu.Lock()
-	waiting := s.cons.pendingFill.recs
-	s.cons.mu.Unlock()
+	s.cons.fills.mu.Lock()
+	waiting := s.cons.fills.pending.recs
+	s.cons.fills.mu.Unlock()
 	if len(waiting) != len(v2) || poisoned(waiting[0]) {
 		t.Fatalf("v2's fill waits with %d of its %d records (handed back already: %v)", len(waiting), len(v2), poisoned(waiting[0]))
 	}

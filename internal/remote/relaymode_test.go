@@ -143,9 +143,11 @@ func TestProducerRelayModeWire(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("producer skipped its own notification in relay mode")
 	}
-	if _, err := kv.Get(core.StagingKey("m", 1)); err != nil {
-		t.Fatalf("producer skipped its staging copy in relay mode: %v", err)
-	}
+	// The staging copy is flushed behind the notification.
+	waitFor(t, "the producer's staging copy in relay mode", func() bool {
+		_, err := kv.Get(core.StagingKey("m", 1))
+		return err == nil
+	})
 }
 
 func atoiOrZero(s string) int {

@@ -33,17 +33,14 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	return &Tensor{shape: cloneInts(shape), data: data}
 }
 
-// Full returns a tensor with every element set to v.
-func Full(v float64, shape ...int) *Tensor {
+// Ones returns a tensor of ones.
+func Ones(shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.data {
-		t.data[i] = v
+		t.data[i] = 1
 	}
 	return t
 }
-
-// Ones returns a tensor of ones.
-func Ones(shape ...int) *Tensor { return Full(1, shape...) }
 
 func checkShape(shape []int) int {
 	if len(shape) == 0 {
@@ -139,13 +136,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 func (t *Tensor) Zero() {
 	for i := range t.data {
 		t.data[i] = 0
-	}
-}
-
-// Fill sets every element to v in place.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
 	}
 }
 

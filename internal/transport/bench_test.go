@@ -33,24 +33,7 @@ func BenchmarkLinkSendRecv(b *testing.B) {
 }
 
 func BenchmarkTCPLinkRoundTrip(b *testing.B) {
-	addrCh := make(chan string, 1)
-	var server *TCPLink
-	var srvErr error
-	done := make(chan struct{})
-	go func() {
-		server, srvErr = ListenTCP("127.0.0.1:0", func(a string) { addrCh <- a })
-		close(done)
-	}()
-	client, err := DialTCP(<-addrCh)
-	if err != nil {
-		b.Fatal(err)
-	}
-	<-done
-	if srvErr != nil {
-		b.Fatal(srvErr)
-	}
-	defer client.Close()
-	defer server.Close()
+	client, server := tcpPair(b)
 	payload := make([]byte, 64<<10)
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()

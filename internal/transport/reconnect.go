@@ -2,6 +2,7 @@ package transport
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"viper/internal/retry"
 )
@@ -37,7 +38,8 @@ type ReconnectLink struct {
 	mu     sync.Mutex
 	cur    *TCPLink
 	closed bool
-	stats  ReconnectStats
+
+	connects, sendRetries, recvRetries atomic.Int64 // what Stats reports
 }
 
 // NewReconnectLink wraps connect with retry-bounded reconnection. No
@@ -82,7 +84,7 @@ func (r *ReconnectLink) acquire() (*TCPLink, error) {
 		return nil, retry.Permanent(ErrClosed)
 	}
 	r.cur = link
-	r.stats.Connects++
+	r.connects.Add(1)
 	return link, nil
 }
 
@@ -110,9 +112,7 @@ func (r *ReconnectLink) Send(f Frame) error {
 	first := true
 	return r.policy.Do(func(int) error {
 		if !first {
-			r.mu.Lock()
-			r.stats.SendRetries++
-			r.mu.Unlock()
+			r.sendRetries.Add(1)
 		}
 		first = false
 		link, err := r.acquire()
@@ -134,9 +134,7 @@ func (r *ReconnectLink) Recv() (Frame, error) {
 	first := true
 	err := r.policy.Do(func(int) error {
 		if !first {
-			r.mu.Lock()
-			r.stats.RecvRetries++
-			r.mu.Unlock()
+			r.recvRetries.Add(1)
 		}
 		first = false
 		link, err := r.acquire()
@@ -167,9 +165,7 @@ func (r *ReconnectLink) Close() error {
 	return nil
 }
 
-// Stats returns a snapshot of the recovery counters.
+// Stats returns the recovery counters.
 func (r *ReconnectLink) Stats() ReconnectStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
+	return ReconnectStats{Connects: r.connects.Load(), SendRetries: r.sendRetries.Load(), RecvRetries: r.recvRetries.Load()}
 }

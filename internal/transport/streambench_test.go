@@ -47,26 +47,7 @@ var benchSizes = []struct {
 }
 
 func benchTCPPair(b *testing.B) (server, client *TCPLink) {
-	b.Helper()
-	addrCh := make(chan string, 1)
-	done := make(chan struct{})
-	var srvErr error
-	go func() {
-		defer close(done)
-		server, srvErr = ListenTCP("127.0.0.1:0", func(a string) { addrCh <- a })
-	}()
-	client, err := DialTCP(<-addrCh)
-	if err != nil {
-		b.Fatal(err)
-	}
-	<-done
-	if srvErr != nil {
-		b.Fatal(srvErr)
-	}
-	b.Cleanup(func() {
-		client.Close()
-		server.Close()
-	})
+	client, server = tcpPair(b)
 	return server, client
 }
 

@@ -45,17 +45,15 @@ var registry = metrics.NewRegistry("transport")
 // cmd/viper-top and snapshot-tested by the link suite).
 func Metrics() *metrics.Registry { return registry }
 
-// The link_* instruments aggregate over every Link in the process. A
-// Link records into them under l.mu, beside the Stats field each one
-// mirrors, so the registry never lags a link.
+// The link_* instruments aggregate over every Link in the process: a
+// Link's own counters (Stats) are parented to the four of them it reports.
 var (
-	linkFramesSent    = registry.Counter("link_frames_sent")
-	linkBytesSent     = registry.Counter("link_bytes_sent")
-	linkFramesDropped = registry.Counter("link_frames_dropped")
-	linkBytesDropped  = registry.Counter("link_bytes_dropped")
-	linkSendWaits     = registry.Counter("link_send_waits")
-	linkQueueDepth    = registry.Gauge("link_queue_depth")
+	linkSendWaits  = registry.Counter("link_send_waits")
+	linkQueueDepth = registry.Gauge("link_queue_depth")
 )
+
+// The registry lists every counter from start-up.
+func init() { metrics.Bind[Stats](registry, new(linkCounters)) }
 
 var tcpFramesSent = registry.Counter("tcp_frames_sent")
 var tcpBytesSent = registry.Counter("tcp_bytes_sent")
@@ -147,24 +145,32 @@ const (
 	MetaVersion = "version"
 )
 
-// Stats counts link activity. Two invariants hold at every quiescent
-// point (no send or recv in flight):
+// Stats counts link activity: a view of the link's own counters, which
+// also feed the registry's link_* sums, plus BusyTime. Two invariants hold
+// at every quiescent point (no send or recv in flight):
 //
 //	FramesSent == frames delivered to the consumer + FramesDropped
 //	BytesSent  == bytes  delivered to the consumer + BytesDropped
 type Stats struct {
 	// FramesSent counts frames accepted for delivery, including frames
 	// SendLatest later evicted before a consumer received them.
-	FramesSent int64
+	FramesSent int64 `metric:"link_frames_sent"`
 	// FramesDropped counts superseded frames evicted by SendLatest.
-	FramesDropped int64
+	FramesDropped int64 `metric:"link_frames_dropped"`
 	// BytesSent accumulates the accounted sizes of FramesSent.
-	BytesSent int64
+	BytesSent int64 `metric:"link_bytes_sent"`
 	// BytesDropped accumulates the accounted sizes of FramesDropped, so
 	// BytesSent-BytesDropped is what a draining consumer receives.
-	BytesDropped int64
-	// BusyTime is the modelled time spent transferring.
+	BytesDropped int64 `metric:"link_bytes_dropped"`
+	// BusyTime is the modelled time spent transferring: state of the
+	// link's clock model, kept under its lock.
 	BusyTime time.Duration
+}
+
+// linkCounters are one Link's event counters, named field for field after
+// the tagged fields of Stats (metrics.Bind).
+type linkCounters struct {
+	FramesSent, FramesDropped, BytesSent, BytesDropped metrics.Counter
 }
 
 // Link is an in-process bandwidth-modelled connection: a depth-bounded
@@ -183,7 +189,8 @@ type Link struct {
 	recvable sync.Cond // frame enqueued, or link closed
 	queue    []Frame
 	down     bool
-	stats    Stats
+	busy     time.Duration
+	n        linkCounters
 
 	closed chan struct{}
 	once   sync.Once
@@ -199,11 +206,9 @@ func NewLink(spec LinkSpec, clock simclock.Clock, depth int) *Link {
 	l := &Link{spec: spec, clock: clock, depth: depth, closed: make(chan struct{})}
 	l.sendable.L = &l.mu
 	l.recvable.L = &l.mu
+	metrics.Bind[Stats](registry, &l.n)
 	return l
 }
-
-// TransferTime reports the modelled duration for size bytes.
-func (l *Link) TransferTime(size int64) time.Duration { return l.spec.Model.Time(size) }
 
 // cloneFrame deep-copies a frame's payload and metadata, isolating the
 // enqueued frame from later mutation by the sender.
@@ -303,11 +308,9 @@ func (l *Link) send(f Frame, latest bool) error {
 		return ErrClosed
 	}
 	l.queue = append(l.queue, f)
-	l.stats.FramesSent++
-	l.stats.BytesSent += size
-	l.stats.BusyTime += cost
-	linkFramesSent.Inc()
-	linkBytesSent.Add(size)
+	l.busy += cost
+	l.n.BytesSent.Add(size)
+	l.n.FramesSent.Inc()
 	linkQueueDepth.Add(1)
 	l.recvable.Signal()
 	return nil
@@ -331,11 +334,8 @@ func (l *Link) evictSupersededLocked(incoming string) bool {
 			l.queue[kept] = f
 			continue
 		}
-		size := f.accountedSize()
-		l.stats.FramesDropped++
-		l.stats.BytesDropped += size
-		linkFramesDropped.Inc()
-		linkBytesDropped.Add(size)
+		l.n.BytesDropped.Add(f.accountedSize())
+		l.n.FramesDropped.Inc()
 	}
 	if kept == 0 {
 		return false
@@ -399,11 +399,13 @@ func (l *Link) Close() error {
 	return nil
 }
 
-// Stats returns a snapshot of the link counters.
+// Stats returns the link's counters and its modelled busy time.
 func (l *Link) Stats() Stats {
+	st := metrics.View[Stats](&l.n)
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stats
+	st.BusyTime = l.busy
+	l.mu.Unlock()
+	return st
 }
 
 // TCPLink is a Conn over a real TCP connection. A frame on the wire is
@@ -500,24 +502,6 @@ func (l *Listener) Accept() (*TCPLink, error) {
 
 // Close stops the listener; a blocked Accept returns an error.
 func (l *Listener) Close() error { return l.ln.Close() }
-
-// ListenTCP accepts one peer connection on addr, invoking ready with the
-// bound address before blocking in Accept.
-func ListenTCP(addr string, ready func(boundAddr string)) (*TCPLink, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
-	}
-	defer ln.Close()
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-	conn, err := ln.Accept()
-	if err != nil {
-		return nil, fmt.Errorf("transport: accept: %w", err)
-	}
-	return WrapTCP(conn), nil
-}
 
 // eagerFieldBytes is the largest frame field Recv allocates on the
 // strength of its length prefix alone. It sits above a default chunk

@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -64,7 +63,7 @@ func TestLinkTransferTimeOrdering(t *testing.T) {
 	gpu := NewLink(GPUDirectSpec, clock, 1)
 	host := NewLink(HostIBSpec, clock, 1)
 	size := int64(4 << 30)
-	if !(gpu.TransferTime(size) < host.TransferTime(size)) {
+	if !(gpu.spec.Model.Time(size) < host.spec.Model.Time(size)) {
 		t.Fatal("GPUDirect must be faster than host IB")
 	}
 }
@@ -104,26 +103,22 @@ func TestLinkTryRecv(t *testing.T) {
 	}
 }
 
-func tcpPair(t *testing.T) (*TCPLink, *TCPLink) {
-	t.Helper()
-	addrCh := make(chan string, 1)
-	var server *TCPLink
-	var serverErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		server, serverErr = ListenTCP("127.0.0.1:0", func(a string) { addrCh <- a })
-	}()
-	client, err := DialTCP(<-addrCh)
+// tcpPair connects a client and a server link over loopback and closes
+// both with the test.
+func tcpPair(tb testing.TB) (client, server *TCPLink) {
+	tb.Helper()
+	ln, err := Listen("127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	wg.Wait()
-	if serverErr != nil {
-		t.Fatal(serverErr)
+	defer ln.Close()
+	if client, err = DialTCP(ln.Addr()); err != nil {
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { client.Close(); server.Close() })
+	if server, err = ln.Accept(); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { client.Close(); server.Close() })
 	return client, server
 }
 

@@ -578,9 +578,6 @@ func (a *ManifestAssembler) addPacked(tail []byte) error {
 	return nil
 }
 
-// Manifest returns the parsed manifest.
-func (a *ManifestAssembler) Manifest() *ChunkManifest { return a.man }
-
 // Reused returns how many chunks were decoded from cached records.
 func (a *ManifestAssembler) Reused() int {
 	a.mu.Lock()
