@@ -38,7 +38,10 @@ go test -race ./...
 
 # The leakcheck-gated packages rerun uncached: a cached 'ok' would skip
 # the TestMain goroutine-leak check entirely, so -count=1 forces the
-# binaries to actually execute.
+# binaries to actually execute. The allocation budgets (TestAllocBudget,
+# TestAllocBudgetColdJoin) and the count gates (Test*CountGate) of remote
+# and relay rerun here with them: the buffer pool is a deterministic free
+# list, so the budgets hold under the race detector as they do without it.
 echo "==> leakcheck packages (-race -count=1)"
 go test -race -count=1 \
     ./internal/transport/ ./internal/pubsub/ ./internal/remote/ \
@@ -51,21 +54,10 @@ go test -race -count=1 \
 # (interleavings_test.go: function values, so a renamed or deleted test
 # stops compiling) and it runs five more times here. It skips itself in
 # every other pass. Every one of these packages' tests runs with the buffer
-# pools' ownership contract armed (internal/poolcheck).
+# pool's ownership contract armed (internal/bufpool).
 echo "==> interleaving reruns (-race -count=5)"
 go test -race -count=5 -run '^TestInterleavings$' \
     ./internal/remote/ ./internal/relay/ ./internal/chunkstore/ ./internal/transport/
-
-# The allocation budgets — publish path (ISSUE 13) and cold join (ISSUE
-# 18) — rerun uncached and WITHOUT the race detector: under -race
-# sync.Pool drops buffers at random, so the publish-path test skips itself
-# there, and a cached 'ok' from the plain run would not prove the budgets
-# hold on this tree. The count gates ride along: records hashed per steady
-# delta publish == chunks that moved and cached records decoded per steady
-# delta install == 0, exactly (ISSUE 19); bytes through the frame CRC per
-# full-stream Publish → Next, both sides, < 1 % of the payload (ISSUE 22).
-echo "==> alloc budget + count gates (-count=1, no -race)"
-go test -count=1 -run 'AllocBudget|CountGate' ./internal/remote/ ./internal/relay/
 
 # The socket- and disk-fed parsers are fuzzed on every run: no panic, no
 # allocation out of proportion to the input, only sound results. Seeds,

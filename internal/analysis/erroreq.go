@@ -1,5 +1,5 @@
-// erroreq guards the wrapped-error taxonomy PR 5 introduced
-// (ErrOverloaded and friends are wrapped with %w and matched with
+// erroreq guards the wrapped-error taxonomy (transport.ErrCorruptFrame,
+// chunkstore.ErrFailed and friends are wrapped with %w and matched with
 // errors.Is): direct ==/!= comparison against a sentinel error variable
 // silently stops matching the moment anyone wraps the error, and
 // fmt.Errorf passing an error through a non-%w verb severs the chain

@@ -54,6 +54,7 @@ func TestGoldenLayering(t *testing.T) {
 	runGolden(t, Layering, "testdata/src/layering/mathbad", "viper/internal/tensor")
 	runGolden(t, Layering, "testdata/src/layering/simclockbad", "viper/internal/simclock")
 	runGolden(t, Layering, "testdata/src/layering/metricsbad", "viper/internal/metrics")
+	runGolden(t, Layering, "testdata/src/layering/bufpoolbad", "viper/internal/bufpool")
 	runGolden(t, Layering, "testdata/src/layering/corebad", "viper/internal/vformat")
 	runGolden(t, Layering, "testdata/src/layering/storebad", "viper/internal/chunkstore")
 	// The same clean fixture is legal both as a whitelisted core importer

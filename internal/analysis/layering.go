@@ -11,6 +11,8 @@
 //     its instruments there, so an internal import from metrics would be
 //     one hop from a cycle and would couple the observability surface to
 //     the code it observes;
+//   - bufpool is a leaf too: every package that moves bytes draws its
+//     buffers there;
 //   - chunkstore is the durable storage leaf: relay, remote, and core
 //     all persist through it, so an import of any delivery-layer package
 //     from chunkstore would cycle the DAG and drag networking into every
@@ -30,7 +32,7 @@ import (
 // Layering reports imports that violate the repository's layer rules.
 var Layering = &Analyzer{
 	Name: "layering",
-	Doc:  "import violates the repo's layer DAG (math layer -> delivery layer, simclock leaf, core leaf-only)",
+	Doc:  "import violates the repo's layer DAG (math layer -> delivery layer, simclock/metrics/bufpool leaves, core leaf-only)",
 	Run:  runLayering,
 }
 
@@ -44,6 +46,13 @@ var mathLayer = map[string]bool{
 var deliveryLayer = map[string]bool{
 	"transport": true, "kvstore": true, "pubsub": true, "remote": true,
 	"relay": true,
+}
+
+// leaves import nothing from the repository; the value is the reason.
+var leaves = map[string]string{
+	"simclock": "it is the virtual-time root every layer depends on",
+	"metrics":  "it is the observability leaf every subsystem registers into",
+	"bufpool":  "it is the buffer leaf every byte-moving package draws from",
 }
 
 // coreImporters are the only internal packages allowed to import core.
@@ -62,12 +71,8 @@ func runLayering(pass *Pass) {
 			if err != nil {
 				continue
 			}
-			if self == "simclock" && strings.HasPrefix(path, "viper/") {
-				pass.Reportf(imp.Pos(), "simclock must not import %s: it is the virtual-time root every layer depends on", path)
-				continue
-			}
-			if self == "metrics" && strings.HasPrefix(path, "viper/") {
-				pass.Reportf(imp.Pos(), "metrics must not import %s: it is the observability leaf every subsystem registers into", path)
+			if why, leaf := leaves[self]; leaf && strings.HasPrefix(path, "viper/") {
+				pass.Reportf(imp.Pos(), "%s must not import %s: %s", self, path, why)
 				continue
 			}
 			target := strings.TrimPrefix(path, internalPrefix)

@@ -5,7 +5,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // findImport locates a (transitive) dependency of pkg by import path.
@@ -136,14 +135,6 @@ func identVar(info *types.Info, e ast.Expr) *types.Var {
 		v, _ = info.Defs[id].(*types.Var)
 	}
 	return v
-}
-
-// lastPathElem returns the final element of an import path.
-func lastPathElem(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }
 
 // terminates reports whether a statement list cannot fall through to the

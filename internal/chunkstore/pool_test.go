@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"viper/internal/poolcheck"
+	"viper/internal/bufpool"
 )
 
 // TestScratchPoolContract runs the scratch pool's contract (DESIGN.md §8;
@@ -19,7 +19,7 @@ func TestScratchPoolContract(t *testing.T) {
 	b = append(b, "an entry being assembled"...)
 	kept := b
 	putBuf(b)
-	if !bytes.Equal(kept[:cap(kept)], bytes.Repeat([]byte{poolcheck.Poison}, cap(kept))) {
+	if !bytes.Equal(kept[:cap(kept)], bytes.Repeat([]byte{bufpool.Poison}, cap(kept))) {
 		t.Fatal("a scratch buffer still reads as what it held after putBuf")
 	}
 

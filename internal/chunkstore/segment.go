@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"sync"
 
-	"viper/internal/poolcheck"
+	"viper/internal/bufpool"
 )
 
 // On-disk layout.
@@ -45,24 +44,18 @@ const (
 	maxEntryBody = 1 << 30
 )
 
-// bufPool recycles scratch buffers for entry assembly and compaction
-// reads. Ownership is the contract all three pools share (DESIGN.md §8):
-// a buffer from getBuf or growBuf is its holder's, to hand back with
-// putBuf at most once after its last read, or to let go; a second
-// hand-back and a read after it are the only two bugs, and test binaries
-// run with both checked (poolcheck).
-var bufPool = sync.Pool{New: func() interface{} { return make([]byte, 0, 64<<10) }}
+// scratch recycles buffers for entry assembly and compaction reads.
+// Ownership is the pool's contract (bufpool; DESIGN.md §8): a buffer from
+// getBuf or growBuf is its holder's, to hand back with putBuf at most once
+// after its last read, or to let go.
+var scratch bufpool.Pool
+
+// minScratch is the least capacity getBuf asks for, so a run of small
+// entries of creeping sizes shares one buffer.
+const minScratch = 64 << 10
 
 // getBuf returns a zero-length scratch buffer with at least n capacity.
-func getBuf(n int) []byte {
-	b := bufPool.Get().([]byte)
-	poolcheck.Drawn(b)
-	if cap(b) < n {
-		putBuf(b)
-		return make([]byte, 0, n)
-	}
-	return b[:0]
-}
+func getBuf(n int) []byte { return scratch.Get(max(n, minScratch))[:0] }
 
 // growBuf returns a scratch buffer with at least n capacity, handing b
 // back when it is too small: the caller holds the result, and no longer b.
@@ -75,10 +68,7 @@ func growBuf(b []byte, n int) []byte {
 }
 
 // putBuf hands a buffer acquired by getBuf back to the pool.
-func putBuf(b []byte) {
-	poolcheck.HandBack(b)
-	bufPool.Put(b[:0]) //nolint:staticcheck // []byte header alloc is fine here
-}
+func putBuf(b []byte) { scratch.Put(b) }
 
 // appendEntry appends one encoded envelope to b and returns it.
 func appendEntry(b []byte, kind byte, body []byte) []byte {

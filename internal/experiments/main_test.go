@@ -4,14 +4,14 @@ import (
 	"os"
 	"testing"
 
-	"viper/internal/poolcheck"
+	"viper/internal/bufpool"
 )
 
 // TestMain runs every test with the pools' ownership contract armed
-// (poolcheck): a pooled buffer that is handed back is overwritten, so a
+// (bufpool.Arm): a pooled buffer that is handed back is overwritten, so a
 // read after it fails a CRC or a bit-identity assertion, and a second
 // hand-back panics.
 func TestMain(m *testing.M) {
-	poolcheck.Enable()
+	bufpool.Arm()
 	os.Exit(m.Run())
 }

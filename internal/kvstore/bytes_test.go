@@ -146,18 +146,14 @@ func TestLargeValueBuffersAreRecycled(t *testing.T) {
 	}
 
 	// Overwriting retires the old buffer too; a small value never takes
-	// (and so never wastes) the large spare.
-	spareCap := func() int {
-		store.mu.RLock()
-		defer store.mu.RUnlock()
-		return cap(store.spare)
-	}
+	// (and so never wastes) a large retired buffer.
+	overwritten := backing("v5")
 	mustSet("v5", 6)
-	spare := spareCap()
 	if err := c.Set("meta", "small"); err != nil {
 		t.Fatal(err)
 	}
-	if spare < size || spareCap() != spare {
-		t.Fatalf("spare is %d bytes after a small SET, was %d", spareCap(), spare)
+	mustSet("v6", 7)
+	if backing("v6") != overwritten {
+		t.Fatal("the buffer an overwrite retired did not outlast a small SET to serve the next large one")
 	}
 }

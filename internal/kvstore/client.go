@@ -324,7 +324,7 @@ func (c *Client) readBulk() ([]byte, error) {
 	if err := checkValueLen(n); err != nil {
 		return nil, err
 	}
-	return readValue(c.r, make([]byte, eagerLen(n)), n)
+	return readValue(c.r, nil, n)
 }
 
 func (c *Client) readInt() (int64, error) {

@@ -139,10 +139,10 @@ func (s *Server) dispatch(line string, r *bufio.Reader, w *bufio.Writer) error {
 			fmt.Fprint(w, "-ERR value too large\r\n")
 			return err
 		}
-		// The value is read into a buffer of the store's choosing — the
-		// last large one it retired, when that fits — and the store keeps
-		// it. A value that fails to arrive whole just drops the buffer.
-		value, err := readValue(r, s.store.buffer(n), n)
+		// A large value is read into a buffer the store retired, when one
+		// fits, and the store keeps it. A value that fails to arrive whole
+		// just drops the buffer.
+		value, err := readValue(r, s.store.retired.Draw(n), n)
 		if err != nil {
 			if errors.Is(err, errBadTerminator) {
 				fmt.Fprint(w, "-ERR protocol: value not terminated by CRLF\r\n")

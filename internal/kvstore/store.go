@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 
+	"viper/internal/bufpool"
 	"viper/internal/metrics"
 )
 
@@ -53,18 +54,18 @@ const recycleMin = 64 << 10
 // stored, so a checkpoint-sized value costs no copy on its way in
 // (setBytes) or out (pin).
 //
-// The buffer of a large value that was deleted or overwritten is kept as
-// the one spare and handed to the next large value on its way in
-// (buffer): a producer that stages a checkpoint per version and trims the
-// oldest copy behind it makes the server fill the same few buffers in
-// turn, instead of allocating and zeroing a checkpoint-sized one per
-// version. A buffer a reply is still being written from is pinned and
-// becomes the spare only when the last pin drops.
+// The buffer of a large value that was deleted or overwritten is retired
+// to a pool, and the server reads the next large value of its size class
+// into it (dispatch): a producer that stages a checkpoint per version and
+// trims the oldest copy behind it makes the server fill the same few
+// buffers in turn, instead of allocating and zeroing a checkpoint-sized
+// one per version. A buffer a reply is still being written from is pinned
+// and retired only when the last pin drops.
 type Store struct {
 	mu      sync.RWMutex
 	data    map[string]*entry
-	version uint64 // bumps on every mutation, for cheap change detection
-	spare   []byte // nil, or a retired buffer of at least recycleMin bytes
+	version uint64       // bumps on every mutation, for cheap change detection
+	retired bufpool.Pool // buffers of at least recycleMin bytes no value or reply holds
 }
 
 // entry is one stored value. pins and gone are guarded by Store.mu.
@@ -111,30 +112,12 @@ func (s *Store) retireLocked(e *entry) {
 	}
 }
 
-// recycleLocked keeps buf as the spare if it is large enough to be worth
-// it and larger than the spare already held.
+// recycleLocked retires buf, which nothing reads any more, if it is large
+// enough to be worth it.
 func (s *Store) recycleLocked(buf []byte) {
-	if cap(buf) >= recycleMin && cap(buf) > cap(s.spare) {
-		s.spare = buf[:0]
+	if cap(buf) >= recycleMin {
+		s.retired.Put(buf)
 	}
-}
-
-// buffer returns the buffer a value of n bytes on its way into setBytes
-// starts in (readValue): the spare, n bytes of it, when it fits without
-// wasting more than half of itself; otherwise a fresh one of at most
-// eagerValueBytes, for readValue to grow. The contents are unspecified;
-// the caller overwrites them or drops the buffer.
-func (s *Store) buffer(n int) []byte {
-	if n >= recycleMin {
-		s.mu.Lock()
-		if b := s.spare; cap(b) >= n && cap(b)/2 <= n {
-			s.spare = nil
-			s.mu.Unlock()
-			return b[:n]
-		}
-		s.mu.Unlock()
-	}
-	return make([]byte, eagerLen(n))
 }
 
 // syncGaugesLocked refreshes the registry gauges from the store state.

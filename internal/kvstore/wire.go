@@ -7,6 +7,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"viper/internal/bufpool"
 )
 
 // Wire framing shared by Client and Server. A value travels as
@@ -21,23 +23,11 @@ import (
 const MaxValueBytes = 1 << 30
 
 // eagerValueBytes is the largest value a reader allocates on the strength
-// of its announced length alone — transport.TCPLink's bound and rule: a
-// larger one grows by doubling as its bytes arrive and ends exact-size, so
-// a peer cannot make the other side allocate more than a small multiple of
-// what it actually sent.
-const eagerValueBytes = 1 << 20
-
-// eagerLen is the size of the buffer an n-byte value starts in
-// (readValue): n when that is within eagerValueBytes, else n halved until
-// it is, so the doubling steps land on n exactly — a checkpoint a header's
-// length over a power of two is not copied once more when all but that
-// header has arrived.
-func eagerLen(n int) int {
-	for n > eagerValueBytes {
-		n = (n + 1) / 2
-	}
-	return n
-}
+// of its announced length alone (bufpool.ReadAnnounced — transport.TCPLink's
+// bound and rule): a larger one grows as its bytes arrive, so a peer cannot
+// make the other side allocate more than a small multiple of what it
+// actually sent.
+const eagerValueBytes = bufpool.EagerBytes
 
 // maxLineBytes caps one protocol line (a command, a length line, a
 // reply): the server answers a longer one "-ERR line too long" and closes,
@@ -92,22 +82,13 @@ func checkValueLen(n int) error {
 	return nil
 }
 
-// readValue reads an n-byte value and consumes its CRLF terminator. It
-// starts in buf, which the caller picked: a buffer of n bytes is simply
-// filled; a shorter one (eagerLen(n) bytes: no more than eagerValueBytes
-// is allocated for a claim) grows by doubling as the bytes arrive, never
-// past n, so the finished buffer is exact-size.
+// readValue reads an n-byte value (bufpool.ReadAnnounced: into buf, n
+// bytes the caller already owns, or when buf is nil into a buffer that
+// grows as the bytes arrive) and consumes its CRLF terminator.
 func readValue(r *bufio.Reader, buf []byte, n int) ([]byte, error) {
-	for filled := 0; ; {
-		if _, err := io.ReadFull(r, buf[filled:]); err != nil {
-			return nil, err
-		}
-		if len(buf) == n {
-			break
-		}
-		grown := make([]byte, min(n, 2*len(buf)))
-		filled = copy(grown, buf)
-		buf = grown
+	buf, err := bufpool.ReadAnnounced(r, n, buf)
+	if err != nil {
+		return nil, err
 	}
 	var term [2]byte
 	if _, err := io.ReadFull(r, term[:]); err != nil {

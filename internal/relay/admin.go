@@ -2,7 +2,6 @@ package relay
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"viper/internal/metrics"
@@ -21,9 +20,10 @@ const InventoryKey = "viper/relay/inventory"
 // FetchMetrics).
 const MetricsKey = "viper/relay/metrics"
 
-// RejectKey is the frame key of rejection notices, sent off-stream. The
-// frame's "reason" Meta entry travels into the error RejectionError
-// returns.
+// RejectKey is the frame key of rejection notices, sent off-stream with
+// a "reason" Meta entry. The relay admits every session and every push —
+// overload control is TCP back-pressure plus latest-wins (DESIGN §10) — so
+// the one reason it sends is "resend".
 const RejectKey = "viper/relay/reject"
 
 // rejectReasonResend marks records the consumer is waiting for and the
@@ -34,26 +34,11 @@ const RejectKey = "viper/relay/reject"
 // that will never come.
 const rejectReasonResend = "resend"
 
-// ErrOverloaded is the error every rejection notice maps to. The relay
-// admits every session and every push — overload control is TCP
-// back-pressure plus latest-wins (DESIGN §10) — so the one reason it
-// sends is "resend".
-var ErrOverloaded = errors.New("relay: overloaded")
-
 // rejectFrame builds the wire notice for a refusal.
 func rejectFrame(reason, model, version string) transport.Frame {
 	return transport.Frame{Key: RejectKey, Meta: map[string]string{
 		"reason": reason, "model": model, "version": version,
 	}}
-}
-
-// RejectionError turns a relay rejection notice into an error wrapping
-// ErrOverloaded. It returns nil when f is not a rejection frame.
-func RejectionError(f transport.Frame) error {
-	if f.Key != RejectKey {
-		return nil
-	}
-	return fmt.Errorf("%w: reason %q", ErrOverloaded, f.Meta["reason"])
 }
 
 // VersionInfo is one cached version's inventory entry.
@@ -101,9 +86,6 @@ func fetch[T any](addr, key, what string) (out T, err error) {
 	f, err := link.Recv()
 	if err != nil {
 		return out, fmt.Errorf("relay: %s reply: %w", what, err)
-	}
-	if err := RejectionError(f); err != nil {
-		return out, err
 	}
 	if f.Key != key {
 		return out, fmt.Errorf("relay: unexpected %s reply key %q", what, f.Key)

@@ -110,6 +110,9 @@ func TestCorruptionDrillRelayHops(t *testing.T) {
 			if !flip.Fired() {
 				t.Fatal("the drill never flipped its byte")
 			}
+			// A commit counts itself last, after the insert that wakes the
+			// sessions: a consumer can have installed the version by then.
+			waitFor(t, 5*time.Second, func() bool { s := r.Stats(); return s.CachedVersions == s.StoredVersions }, "the last commit counted")
 			rs := r.Stats()
 			var staged int64
 			for _, c := range consumers {

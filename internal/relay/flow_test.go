@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -288,18 +286,5 @@ func TestFetchMetricsRoundTrip(t *testing.T) {
 		if s.Get("ingest_frames").Value < 1 {
 			t.Fatalf("relay ingest_frames = %+v, want >= 1", s.Get("ingest_frames"))
 		}
-	}
-}
-
-// TestRejectionErrorClassification: only RejectKey frames classify, and
-// unknown reasons still land inside the ErrOverloaded family.
-func TestRejectionErrorClassification(t *testing.T) {
-	if err := RejectionError(transport.Frame{Key: "other"}); err != nil {
-		t.Fatalf("non-rejection frame classified as %v", err)
-	}
-	f := rejectFrame("unforeseen", "m", strconv.FormatUint(42, 10))
-	err := RejectionError(f)
-	if !errors.Is(err, ErrOverloaded) || !strings.Contains(err.Error(), "unforeseen") {
-		t.Fatalf("unknown reason classified as %v, want ErrOverloaded naming the reason", err)
 	}
 }

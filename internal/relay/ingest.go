@@ -161,11 +161,14 @@ func (r *Relay) handleFrame(link *transport.TCPLink, f transport.Frame, pending 
 		r.n.StrayFrames.Inc()
 		return
 	}
-	vnum, _ := strconv.ParseUint(f.Meta["version"], 10, 64)
 	switch {
 	case transport.IsChunkHeader(f) || transport.IsManifestHeader(f):
 		want, err := strconv.Atoi(f.Meta[transport.MetaChunkCount])
-		if err != nil || want < 0 {
+		// Versions count from 1: a session is served what is above the last
+		// version it was sent, so one catalogued as 0 — the tag absent or
+		// unparsable — would take a retained slot no session could be served.
+		vnum, verr := strconv.ParseUint(f.Meta["version"], 10, 64)
+		if err != nil || want < 0 || verr != nil || vnum == 0 {
 			r.n.StrayFrames.Inc()
 			return
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"viper/internal/chunkstore"
 	"viper/internal/core"
 	"viper/internal/kvstore"
 	"viper/internal/nn"
@@ -157,34 +158,54 @@ func TestIngestCacheAndInventory(t *testing.T) {
 
 // TestMonolithicFrameCached: a plain (non-chunked) frame with
 // model/version tags opens no stream, so it is a counted stray and
-// nothing is cached for it.
+// nothing is cached for it. Nor does a stream whose header carries no
+// usable version — absent, unparsable or 0, which no session could ever be
+// served (a catalogue serves versions above the last one sent, from 0):
+// the header and the records behind it are strays, and nothing is built,
+// stored or announced.
 func TestMonolithicFrameCached(t *testing.T) {
-	r := testRelay(t, 4)
-	link, err := transport.DialTCP(r.IngestAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer link.Close()
-
 	ckpt := &vformat.Checkpoint{ModelName: "m", Version: 1, Weights: nn.TakeSnapshot(testModel(2))}
-	payload, err := ckpt.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = link.Send(transport.Frame{
-		Key: "m/v00000001", Payload: payload,
-		Meta: map[string]string{"model": "m", "version": "1"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, func() bool { return r.Stats().StrayFrames == 1 }, "stray frame counted")
-	inv, err := FetchInventory(r.IngestAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := r.Stats(); len(inv) != 0 || st.CachedVersions != 0 {
-		t.Fatalf("plain frame was cached: inventory %+v, stats %+v", inv, st)
+	for name, tags := range map[string]map[string]string{
+		"plain frame":        {"model": "m", "version": "1"},
+		"version absent":     {"model": "m"},
+		"version unparsable": {"model": "m", "version": "v1"},
+		"version 0":          {"model": "m", "version": "0"},
+	} {
+		r := storeRelay(t, t.TempDir(), 4, chunkstore.Retention{})
+		link, err := transport.DialTCP(r.IngestAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer link.Close()
+		strays := int64(1)
+		if name == "plain frame" {
+			payload, err := ckpt.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = link.Send(transport.Frame{Key: "m/v00000001", Payload: payload, Meta: tags})
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			enc, err := vformat.NewChunkEncoder(ckpt, vformat.ChunkOptions{ChunkBytes: 128})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer enc.Release()
+			if err := transport.SendChunked(context.Background(), transport.WithMeta(link, tags), "m/v00000000", enc, 0); err != nil {
+				t.Fatal(err)
+			}
+			strays += int64(enc.NumChunks())
+		}
+		waitFor(t, 5*time.Second, func() bool { return r.Stats().StrayFrames == strays }, name+": stray frames counted")
+		inv, err := FetchInventory(r.IngestAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Stats(); len(inv) != 0 || st.CachedVersions != 0 || st.StoredVersions != 0 || len(r.store.Versions("m")) != 0 {
+			t.Fatalf("%s was cached: inventory %+v, stored %v, stats %+v", name, inv, r.store.Versions("m"), st)
+		}
 	}
 }
 

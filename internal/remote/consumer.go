@@ -833,6 +833,7 @@ func (c *Consumer) Close() {
 	c.closeOnce.Do(func() { close(c.closed) })
 	c.link.Close()
 	c.wg.Wait()
+	c.pool.Drop()
 	c.ps.Close()
 	c.kv.Close()
 }

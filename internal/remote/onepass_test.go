@@ -520,6 +520,53 @@ func TestPublishErrorPathsBalanceTheBlob(t *testing.T) {
 	})
 }
 
+// TestCloseDropsTheBlobPool: the blobs a producer handed back are whole
+// checkpoints, and how many the pool lists depends on how its publishes
+// and flushes overlapped. Close empties the pool, so a process that goes
+// on without the producer (a relay reopened to serve, the benchmark's
+// cold join) does not carry them as live heap. The probe is an encode of
+// a slightly smaller checkpoint: it draws a listed blob when there is one
+// and allocates its own when there is not.
+func TestCloseDropsTheBlobPool(t *testing.T) {
+	metaAddr, notifyAddr := testServices(t)
+	prod, peer := startProducerWithPeer(t, metaAddr, notifyAddr, 64<<10, nil)
+	defer peer.Close()
+	drainPeer(peer)
+	probe := func() *byte {
+		ckpt := &vformat.Checkpoint{ModelName: "m", Version: 9, Weights: flatSnapshot(3, 150<<10)}
+		blob, err := vformat.EncodeChunked(context.Background(), ckpt, vformat.ChunkOptions{ChunkBytes: 64 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vformat.ReleaseBuffer(blob)
+		return &blob[0]
+	}
+
+	// The arrays are held by their first bytes for the whole test, so none
+	// can be collected and its address given to a fresh allocation.
+	var arrays [2]*byte
+	var first *retainedBlob
+	for v := range arrays {
+		if _, err := prod.Publish(flatSnapshot(int64(v), 160<<10), uint64(v+1), 0.5); err != nil {
+			t.Fatal(err)
+		}
+		r, _ := prod.retained()
+		arrays[v] = &r.buf[0]
+		if v == 0 {
+			first = r
+		}
+	}
+	waitFor(t, "v1's blob to go back to the pool", func() bool { return prod.released(first) })
+	if got := probe(); got != arrays[0] {
+		t.Fatal("with v1's blob listed the probe did not draw it: it cannot tell a hit from a miss")
+	}
+	prod.Close()
+	if got := probe(); got == arrays[0] || got == arrays[1] {
+		t.Fatal("after Close the probe drew a blob of the closed producer: the pool still lists a checkpoint")
+	}
+	vformat.DropBuffers() // the probe's own blob
+}
+
 // allocPerPayloadByte runs ops publish→install round trips and returns
 // the process's TotalAlloc per payload byte delivered. next prepares
 // the snapshot for each op.
@@ -577,9 +624,6 @@ func allocPerPayloadByte(t *testing.T, prod *Producer, cons *Consumer, snap nn.S
 // before the one-pass work spent 6.6 / 8.5). (The cold-join path has
 // its own case beside the relay: TestAllocBudgetColdJoin.)
 func TestAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop buffers; ci.sh reruns this gate without -race")
-	}
 	const (
 		elems     = 512 << 10 // 4 MiB of float64
 		chunkSize = 256 << 10 // → 16 chunks

@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"viper/internal/bufpool"
 	"viper/internal/faults"
 	"viper/internal/nn"
-	"viper/internal/poolcheck"
 	"viper/internal/transport"
 )
 
@@ -36,7 +36,7 @@ func bothKinds(t *testing.T, body func(t *testing.T, s *script, kept bool)) {
 }
 
 func poisoned(b []byte) bool {
-	return len(b) > 0 && bytes.Count(b, []byte{poolcheck.Poison}) == len(b)
+	return len(b) > 0 && bytes.Count(b, []byte{bufpool.Poison}) == len(b)
 }
 
 // TestDroppedBuildReleasesItsRecordsOnly: a build a newer stream's header

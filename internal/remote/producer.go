@@ -646,7 +646,10 @@ func (p *Producer) Stats() ProducerStats { return metrics.View[ProducerStats](&p
 
 // Close cancels the lifecycle context and tears down the link, waits for
 // the reader pump (if any) and for the stage flusher to finish the write
-// it has in hand or waiting, then closes the service connections.
+// it has in hand or waiting, then closes the service connections. The
+// blob pool is dropped with the last blob: how many checkpoint-sized
+// buffers it lists is an accident of how publisher and flusher overlapped,
+// and must not outlive the publisher as live heap.
 func (p *Producer) Close() {
 	p.lifeCancel()
 	p.closeOnce.Do(func() {
@@ -662,6 +665,7 @@ func (p *Producer) Close() {
 	p.unrefLocked(p.lastBlob)
 	p.lastBlob = nil
 	p.mu.Unlock()
+	vformat.DropBuffers()
 	p.ps.Close()
 	p.kv.Close()
 	p.stageKV.Close()

@@ -104,9 +104,7 @@ func dialedLink(addr string, dial func(string) (net.Conn, error), pol retry.Poli
 			return nil, err
 		}
 		link := transport.WrapTCP(conn)
-		if pool != nil {
-			link.SetRecvPool(pool)
-		}
+		link.SetRecvPool(pool)
 		return link, nil
 	}, pol)
 }

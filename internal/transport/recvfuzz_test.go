@@ -114,6 +114,25 @@ func TestTCPRecvAllocationBoundedByInput(t *testing.T) {
 	}
 }
 
+// TestLargePayloadLandsWithoutAFinalRecopy: a payload a header's length
+// over a power of two — a 16 MiB record plus its 1.7 KiB of framing, what
+// `viper-producer -chunk 16777216` sends — used to start at 1 MiB, double
+// to 16 MiB and then be copied whole once more for its last bytes: 2.9 n
+// allocated. The doubling steps land on n, so it costs about 2 n.
+func TestLargePayloadLandsWithoutAFinalRecopy(t *testing.T) {
+	const n = 16<<20 + 1700
+	wire := wireBytes(t, Frame{Key: "m/v1", Meta: map[string]string{MetaChunkRole: ChunkRoleChunk}, Payload: make([]byte, n)})
+	var f Frame
+	var err error
+	alloc := mutate.Allocated(func() { f, err = WrapTCP(mutate.NewConn(wire)).Recv() })
+	if err != nil || len(f.Payload) != n || cap(f.Payload) != n {
+		t.Fatalf("Recv: %v (len %d cap %d, want %d exact)", err, len(f.Payload), cap(f.Payload), n)
+	}
+	if limit := uint64(21*n/10 + 64<<10); alloc > limit {
+		t.Fatalf("Recv allocated %d bytes (%.2f n) for a payload of %d, limit %d", alloc, float64(alloc)/n, n, limit)
+	}
+}
+
 // fuzzRecvSeeds returns one wire frame of each kind a delivery path
 // sends: a stream header, a chunk record, a have-list and a delta
 // manifest.

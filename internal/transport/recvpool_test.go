@@ -7,8 +7,8 @@ import (
 	"net"
 	"testing"
 
+	"viper/internal/bufpool"
 	"viper/internal/mutate"
-	"viper/internal/poolcheck"
 	"viper/internal/vformat"
 )
 
@@ -40,24 +40,6 @@ func recordFrame(t *testing.T, size int) (Frame, []byte) {
 // sameArray reports whether a and b share a backing array.
 func sameArray(a, b []byte) bool { return &a[:1][0] == &b[:1][0] }
 
-// recycle releases b and draws buffers of n bytes, releasing each, until
-// one drawn was released before — sync.Pool may drop a Put (it does at
-// random under the race detector), but not every one. It returns that
-// buffer, which the caller owns again.
-func recycle(t *testing.T, pool *RecvPool, b []byte, n int) []byte {
-	t.Helper()
-	released := make(map[*byte]bool)
-	for try := 0; try < 64; try++ {
-		released[&b[:1][0]] = true
-		pool.Release(b)
-		if b = pool.get(n); released[&b[0]] {
-			return b
-		}
-	}
-	t.Fatal("no released buffer ever came back from the pool")
-	return nil
-}
-
 // TestRecvPoolContract is RecvPool's contract as code: a released buffer
 // comes back for a record of the same class and is dropped for one it does
 // not fit; with the test switch on, release overwrites the bytes (so a read
@@ -65,23 +47,27 @@ func recycle(t *testing.T, pool *RecvPool, b []byte, n int) []byte {
 // buffer of a size the pool does not serve passes through untouched.
 func TestRecvPoolContract(t *testing.T) {
 	pool := NewRecvPool()
-	first := pool.get(1000)
+	first := pool.list.Get(1000)
 	if len(first) != 1000 || cap(first) != 1000 {
 		t.Fatalf("a miss allocated len %d cap %d, want the exact size", len(first), cap(first))
 	}
-	again := recycle(t, pool, first, 900) // same class (512, 1024], and it fits
-	if len(again) != 900 || cap(again) > 1000 {
-		t.Fatalf("a recycled buffer has len %d cap %d, want 900 of at most 1000", len(again), cap(again))
+	pool.Release(first)
+	again := pool.list.Get(900) // same class (512, 1024], and it fits
+	if !sameArray(again, first) || len(again) != 900 {
+		t.Fatalf("a released buffer did not serve the next record of its class (len %d cap %d)", len(again), cap(again))
 	}
 	pool.Release(again)
-	if b := pool.get(1024); cap(b) != 1024 {
+	if b := pool.list.Get(1024); cap(b) != 1024 {
 		t.Fatalf("a 1000-byte buffer was issued for a 1024-byte record (cap %d)", cap(b))
 	}
+	if b := pool.list.Draw(900); b != nil {
+		t.Fatal("a buffer drawn and found too short stayed in the pool to miss again")
+	}
 
-	rec := pool.get(300)
+	rec := pool.list.Get(300)
 	copy(rec, "VCHK-some-record-bytes")
 	pool.Release(rec)
-	if !bytes.Equal(rec, bytes.Repeat([]byte{poolcheck.Poison}, 300)) {
+	if !bytes.Equal(rec, bytes.Repeat([]byte{bufpool.Poison}, 300)) {
 		t.Fatalf("a released buffer still reads %q…", rec[:8])
 	}
 	func() {
@@ -98,9 +84,13 @@ func TestRecvPoolContract(t *testing.T) {
 	for _, n := range []int{0, minPooledBytes - 1, eagerFieldBytes + 1} {
 		odd := bytes.Repeat([]byte{1}, n)
 		pool.Release(odd)
-		if bytes.IndexByte(odd, poolcheck.Poison) >= 0 {
+		if bytes.IndexByte(odd, bufpool.Poison) >= 0 {
 			t.Fatalf("a %d-byte buffer, outside the pooled sizes, was taken by the pool", n)
 		}
+	}
+	pool.Drop()
+	if b := pool.list.Draw(300); b != nil {
+		t.Fatal("a dropped pool still issued a buffer")
 	}
 }
 
@@ -112,35 +102,25 @@ func TestPooledRecvDrawsRecordsOnly(t *testing.T) {
 	rec, wire := recordFrame(t, 2<<10)
 	other := wireBytes(t, NewHaveFrame("m", 1, make([]vformat.ChunkHash, 40)))
 	pool := NewRecvPool()
-	// Sixty-two more records: sync.Pool may drop a Put (it does at random
-	// under the race detector), never that many in a row.
-	link := WrapTCP(mutate.NewConn(append(append(append([]byte(nil), wire...), other...), bytes.Repeat(wire, 62)...)))
+	link := WrapTCP(mutate.NewConn(append(append(append([]byte(nil), wire...), other...), wire...)))
 	link.SetRecvPool(pool)
 	first, err := link.Recv()
 	if err != nil || !bytes.Equal(first.Payload, rec.Payload) {
 		t.Fatalf("record frame: %v", err)
 	}
-	have, err := link.Recv()
-	if err != nil || !IsHaveFrame(have) {
-		t.Fatalf("have-list: %v", err)
-	}
+	pool.Release(first.Payload)
 	// The have-list is the receiver's like any payload, and the pool would
 	// take it if asked; what matters is that Recv did not draw it from there.
-	released := map[*byte]bool{&first.Payload[0]: true}
-	pool.Release(first.Payload)
-	for try := 0; ; try++ {
-		again, err := link.Recv()
-		if err != nil {
-			t.Fatalf("no released record buffer ever served a later record in %d tries", try)
-		}
-		if !bytes.Equal(again.Payload, rec.Payload) {
-			t.Fatal("a record read into a recycled buffer differs from what was sent")
-		}
-		if released[&again.Payload[0]] {
-			break
-		}
-		released[&again.Payload[0]] = true
-		pool.Release(again.Payload)
+	have, err := link.Recv()
+	if err != nil || !IsHaveFrame(have) || sameArray(have.Payload, first.Payload) {
+		t.Fatalf("have-list (drawn from the pool: %v): %v", err == nil && sameArray(have.Payload, first.Payload), err)
+	}
+	again, err := link.Recv()
+	if err != nil || !bytes.Equal(again.Payload, rec.Payload) {
+		t.Fatalf("a record read into a recycled buffer differs from what was sent: %v", err)
+	}
+	if !sameArray(again.Payload, first.Payload) {
+		t.Fatal("the released record buffer did not serve the next record")
 	}
 }
 
@@ -148,31 +128,27 @@ func TestPooledRecvDrawsRecordsOnly(t *testing.T) {
 // whose frame CRC does not match, costs the pool nothing — the buffer Recv
 // drew for it is back before the error is.
 func TestRecvErrorPathsReturnTheBuffer(t *testing.T) {
-	_, wire := recordFrame(t, 2<<10)
+	rec, wire := recordFrame(t, 2<<10)
 	badSum := append([]byte(nil), wire...)
 	badSum[len(badSum)-1] ^= 0xFF
 	for name, input := range map[string][]byte{"short payload": wire[:len(wire)-100], "short trailer": wire[:len(wire)-2], "bad frame CRC": badSum} {
 		pool := NewRecvPool()
-		drawn := 0
-		for try := 0; try < 64 && drawn == 0; try++ { // a dropped Put (race detector) is retried
-			link := WrapTCP(mutate.NewConn(input))
-			link.SetRecvPool(pool)
-			if _, err := link.Recv(); err == nil {
-				t.Fatalf("%s: Recv accepted the frame", name)
-			} else if short := errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF); short == errors.Is(err, ErrCorruptFrame) || short == (name == "bad frame CRC") {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for i := range pool.classes {
-				if v := pool.classes[i].Get(); v != nil {
-					drawn++
-					if b := v.([]byte)[:8]; !bytes.Equal(b, bytes.Repeat([]byte{poolcheck.Poison}, 8)) {
-						t.Fatalf("%s: the pool holds a buffer that was not released through Release: %q", name, b)
-					}
-				}
-			}
+		drawn := pool.list.Get(len(rec.Payload))
+		pool.Release(drawn)
+		link := WrapTCP(mutate.NewConn(input))
+		link.SetRecvPool(pool)
+		if _, err := link.Recv(); err == nil {
+			t.Fatalf("%s: Recv accepted the frame", name)
+		} else if short := errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF); short == errors.Is(err, ErrCorruptFrame) || short == (name == "bad frame CRC") {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if drawn != 1 {
-			t.Fatalf("%s: the pool holds %d buffers after the failed Recv, want the one it drew", name, drawn)
+		if b := pool.list.Draw(len(rec.Payload)); b == nil || !sameArray(b, drawn) {
+			t.Fatalf("%s: the buffer the failed Recv drew is not back in the pool", name)
+		} else if !bytes.Equal(b, bytes.Repeat([]byte{bufpool.Poison}, len(b))) {
+			t.Fatalf("%s: the pool holds a buffer that was not released through Release: %q", name, b[:8])
+		}
+		if b := pool.list.Draw(len(rec.Payload)); b != nil {
+			t.Fatalf("%s: the pool holds a second buffer after the failed Recv", name)
 		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"viper/internal/bufpool"
 	"viper/internal/memsim"
 	"viper/internal/metrics"
 	"viper/internal/simclock"
@@ -427,7 +428,7 @@ type TCPLink struct {
 	conn net.Conn
 
 	readMu sync.Mutex
-	r      *bufio.Reader // serves frame headers and CRC trailers only
+	r      *bufio.Reader // buffers frame headers and CRC trailers; payload reads pass through it
 	pool   *RecvPool     // nil: every payload is an exact-size allocation
 
 	writeMu sync.Mutex // serialises one conn's frames
@@ -504,12 +505,9 @@ func (l *Listener) Accept() (*TCPLink, error) {
 func (l *Listener) Close() error { return l.ln.Close() }
 
 // eagerFieldBytes is the largest frame field Recv allocates on the
-// strength of its length prefix alone. It sits above a default chunk
-// record (vformat.DefaultChunkBytes plus its header), so every frame of
-// a default stream still costs one exact-size allocation (or one pooled
-// buffer); a larger field grows as its bytes arrive, so a peer cannot make
-// Recv allocate more than a small multiple of what it actually sent.
-const eagerFieldBytes = 1 << 20
+// strength of its length prefix alone; a larger field grows as its bytes
+// arrive (bufpool.ReadAnnounced).
+const eagerFieldBytes = bufpool.EagerBytes
 
 const (
 	maxHeaderField = 1 << 20 // key, meta key, meta value
@@ -623,45 +621,26 @@ func (h *frameHeader) str() (string, error) {
 	return string(b), nil
 }
 
-// readFull fills dst with the next len(dst) bytes of the stream: first
-// what the buffered reader already pulled in behind the header, then the
-// rest from the conn itself, with no staging copy in between.
-func (t *TCPLink) readFull(dst []byte) error {
-	if n := min(len(dst), t.r.Buffered()); n > 0 {
-		if _, err := io.ReadFull(t.r, dst[:n]); err != nil {
-			return err
-		}
-		dst = dst[n:]
-	}
-	_, err := io.ReadFull(t.conn, dst)
-	return err
-}
-
-// readPayload reads a payload of n bytes. Nothing is sized by n beyond
-// eagerFieldBytes before the bytes arrive: a larger payload grows by
-// doubling as it lands and ends exact-size. A chunk record that fits a
-// size class comes from the link's pool, if it has one, and the buffer is
-// back there if the read fails.
+// readPayload reads a payload of n announced bytes (bufpool.ReadAnnounced:
+// nothing is sized by n beyond eagerFieldBytes before the bytes arrive).
+// What the buffered reader pulled in behind the header is copied out of
+// it; the rest it reads from the conn straight into the payload's buffer
+// (bufio passes a read larger than its buffer through). A chunk record
+// that fits a size class is read into a buffer of the link's pool, if it
+// has one and the pool lists one, and the buffer is back there if the
+// read fails.
 func (t *TCPLink) readPayload(n uint64, record bool) ([]byte, error) {
 	var buf []byte
 	if t.pool != nil && record && n >= minPooledBytes && n <= eagerFieldBytes {
-		buf = t.pool.get(int(n))
-	} else {
-		buf = make([]byte, min(n, eagerFieldBytes))
-	}
-	for filled := 0; ; {
-		if err := t.readFull(buf[filled:]); err != nil {
-			t.pool.Release(buf)
-			return nil, err
+		if buf = t.pool.list.Draw(int(n)); buf != nil {
+			recvPoolReused.Inc()
 		}
-		if uint64(len(buf)) == n {
-			return buf, nil
-		}
-		// Double, but never past n: the finished field is exact-size.
-		grown := make([]byte, min(n, 2*uint64(len(buf))))
-		filled = copy(grown, buf)
-		buf = grown
 	}
+	payload, err := bufpool.ReadAnnounced(t.r, int(n), buf)
+	if err != nil {
+		t.pool.Release(buf)
+	}
+	return payload, err
 }
 
 // Recv implements Conn. The link keeps no reference to the returned

@@ -597,7 +597,7 @@ func NewChunkEncoder(ckpt *Checkpoint, opts ChunkOptions) (*ChunkEncoder, error)
 	}
 	layout := planLayout(ckpt.Weights, opts)
 	header := encodeChunkHeader(ckpt, layout)
-	blob := getBuf(layout.encodedSize(len(header)))
+	blob := blobs.Get(layout.encodedSize(len(header)))
 	copy(blob, header)
 	offs := make([]int, layout.NumChunks)
 	off := len(header)
@@ -908,7 +908,7 @@ func (e *ChunkEncoder) Detach() ([]byte, error) {
 // blob, and every emitted record become invalid.
 func (e *ChunkEncoder) Release() {
 	if e.blob != nil {
-		putBuf(e.blob)
+		ReleaseBuffer(e.blob)
 		e.blob, e.header = nil, nil
 	}
 }

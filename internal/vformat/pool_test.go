@@ -5,7 +5,7 @@ import (
 	"context"
 	"testing"
 
-	"viper/internal/poolcheck"
+	"viper/internal/bufpool"
 )
 
 // The blob pool's contract, run (DESIGN.md §8). Every test of this package
@@ -37,7 +37,7 @@ func TestDetachedBlobReleasedTwice(t *testing.T) {
 	}
 	enc.Release()
 	enc.Release()
-	if blob[0] == poolcheck.Poison {
+	if blob[0] == bufpool.Poison {
 		t.Fatal("the encoder's Release took a blob it had detached")
 	}
 	ReleaseBuffer(blob)
@@ -69,7 +69,7 @@ func TestBlobReadAfterRelease(t *testing.T) {
 	if _, err := enc.Blob(); err == nil {
 		t.Fatal("Blob after Release returned a blob")
 	}
-	if !bytes.Equal(blob, bytes.Repeat([]byte{poolcheck.Poison}, len(blob))) {
+	if !bytes.Equal(blob, bytes.Repeat([]byte{bufpool.Poison}, len(blob))) {
 		t.Fatal("a released blob still reads as the checkpoint it held")
 	}
 	if _, err := DecodeAuto(context.Background(), blob, 1); err == nil {
