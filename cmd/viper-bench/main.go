@@ -8,55 +8,34 @@
 //	viper-bench -exp fig10 -quick # reduced inference counts / epochs
 //
 // Experiments: fig5, fig6, fig8, fig9, fig10, table1, ablations,
-// slowconsumer, all.
-//
-// The slowconsumer experiment compares the blind drop-oldest shedding
-// baseline against credit-based flow control with whole-group shedding
-// on a mixed fast/slow consumer fleet (the exact-arithmetic model in
-// internal/coupled, whose tests assert what the table shows).
+// deltadedup, storerecovery, all.
 //
 // The deltadedup experiment measures content-addressed delta
 // distribution: a steady-state training run is replayed through the
 // remote producer → consumer pair over real TCP with reconciliation
-// off and on, and the two phases' wire bytes give the dedup ratio;
-// with -json it emits the comparison ci.sh records as BENCH_7.json (the
-// table then goes to stderr).
+// off and on, and the two phases' wire bytes give the dedup ratio.
 //
 // The storerecovery experiment measures the durable chunk store: a
 // 64-version warm-restart recovery, a cache-served vs. disk-served
 // late-joiner install through a store-backed relay, and a fault-injected
-// chaos loop with post-crash verification; with -json it emits the
-// document ci.sh records as BENCH_8.json.
+// chaos loop with post-crash verification. The floors both must hold are
+// TestGateDeltaDedup and TestGateStoreRecovery in internal/experiments.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
-	"viper/internal/coupled"
 	"viper/internal/experiments"
 )
 
-var jsonOut *bool
-
-// human is where tables and timing banners go: stdout, or — with -json,
-// when stdout is the machine-readable document — stderr, so one run
-// yields both.
-var human io.Writer = os.Stdout
-
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig5|fig6|fig8|fig9|fig10|table1|ablations|slowconsumer|deltadedup|storerecovery|all")
+	exp := flag.String("exp", "all", "experiment to run: fig5|fig6|fig8|fig9|fig10|table1|ablations|deltadedup|storerecovery|all")
 	quick := flag.Bool("quick", false, "run reduced-scale configurations")
-	jsonOut = flag.Bool("json", false, "emit machine-readable JSON (deltadedup and storerecovery only)")
 	flag.Parse()
-	if *jsonOut {
-		human = os.Stderr
-	}
 
 	runners := map[string]func(bool) error{
 		"fig5":          runFig5,
@@ -66,11 +45,10 @@ func main() {
 		"fig10":         runFig10,
 		"table1":        runTable1,
 		"ablations":     runAblations,
-		"slowconsumer":  runSlowConsumer,
 		"deltadedup":    runDeltaDedup,
 		"storerecovery": runStoreRecovery,
 	}
-	order := []string{"fig5", "fig6", "fig8", "fig9", "fig10", "table1", "ablations", "slowconsumer", "deltadedup", "storerecovery"}
+	order := []string{"fig5", "fig6", "fig8", "fig9", "fig10", "table1", "ablations", "deltadedup", "storerecovery"}
 
 	run := func(name string) {
 		start := time.Now()
@@ -78,7 +56,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "viper-bench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(human, "[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
 	if *exp == "all" {
@@ -200,27 +178,6 @@ func runAblations(quick bool) error {
 	return nil
 }
 
-func runSlowConsumer(quick bool) error {
-	cfg := coupled.DefaultSlowConsumerConfig()
-	if quick {
-		cfg.Versions = 16
-	}
-	fmt.Printf("slow-consumer fleet: %d versions x %d frames, publish %v, wire %v/frame, depth %d, window %d\n",
-		cfg.Versions, cfg.Frames, cfg.PublishEvery, cfg.FrameTime, cfg.Depth, cfg.Window)
-	for _, policy := range []coupled.Policy{coupled.PolicyDropOldest, coupled.PolicyCreditGroup} {
-		res, err := coupled.RunSlowConsumer(cfg, policy)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  policy %s:\n", res.Policy)
-		for _, o := range res.Outcomes {
-			fmt.Printf("    %-6s torn=%-4d completed=%-4d final=v%-4d p50=%-10v p99=%v\n",
-				o.Name, o.TornStreams, o.Completed, o.FinalVersion, o.P50, o.P99)
-		}
-	}
-	return nil
-}
-
 func runDeltaDedup(quick bool) error {
 	cfg := experiments.DefaultDeltaDedupConfig()
 	if quick {
@@ -231,20 +188,13 @@ func runDeltaDedup(quick bool) error {
 	if err != nil {
 		return err
 	}
-	if *jsonOut {
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(blob))
-	}
-	fmt.Fprintf(human, "delta dedup: %d steady-state versions of a %.1f MiB / %d-chunk model (eps %g)\n",
+	fmt.Printf("delta dedup: %d steady-state versions of a %.1f MiB / %d-chunk model (eps %g)\n",
 		res.Versions, float64(res.ModelBytes)/(1<<20), res.Chunks, cfg.DeltaEps)
-	fmt.Fprintf(human, "  full snapshots : %10d wire bytes\n", res.FullWireBytes)
-	fmt.Fprintf(human, "  delta streams  : %10d wire bytes  (%.1fx reduction)\n", res.DeltaWireBytes, res.Reduction)
-	fmt.Fprintf(human, "  chunks sent=%d deduped=%d bytes_saved=%d delta_sends=%d\n",
+	fmt.Printf("  full snapshots : %10d wire bytes\n", res.FullWireBytes)
+	fmt.Printf("  delta streams  : %10d wire bytes  (%.1fx reduction)\n", res.DeltaWireBytes, res.Reduction)
+	fmt.Printf("  chunks sent=%d deduped=%d bytes_saved=%d delta_sends=%d\n",
 		res.ChunksSent, res.ChunksDeduped, res.BytesSaved, res.DeltaSends)
-	fmt.Fprintf(human, "  torn=%d identical=%v max_suppression_err=%.3g\n",
+	fmt.Printf("  torn=%d identical=%v max_suppression_err=%.3g\n",
 		res.TornStreams, res.Identical, res.MaxSuppressionErr)
 	return nil
 }
@@ -266,18 +216,11 @@ func runStoreRecovery(quick bool) error {
 	if err != nil {
 		return err
 	}
-	if *jsonOut {
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(blob))
-	}
-	fmt.Fprintf(human, "store recovery: %d versions / %d unique chunks / %d bytes recovered in %v\n",
+	fmt.Printf("store recovery: %d versions / %d unique chunks / %d bytes recovered in %v\n",
 		res.Versions, res.Chunks, res.StoreBytes, time.Duration(res.RecoveryNS))
-	fmt.Fprintf(human, "  late joiner  : cache %v, disk %v  (%.2fx, identical=%v)\n",
+	fmt.Printf("  late joiner  : cache %v, disk %v  (%.2fx, identical=%v)\n",
 		time.Duration(res.CacheNS), time.Duration(res.DiskNS), res.DiskOverCache, res.Identical)
-	fmt.Fprintf(human, "  chaos        : %d/%d ops failed, %d crashes, %d versions survived, %d loads verified, corrupt=%d\n",
+	fmt.Printf("  chaos        : %d/%d ops failed, %d crashes, %d versions survived, %d loads verified, corrupt=%d\n",
 		res.FaultsInjected, res.FaultOps, res.Crashes, res.ChaosVersions, res.VerifiedLoads, res.CorruptChunks)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -177,6 +178,43 @@ func TestListAndAnalyzerSelection(t *testing.T) {
 	// Skipping the only violated analyzer turns the dirty package clean.
 	if code, _, _ := runVet(t, "-skip", "lockedsend", "-pkgs", "dirty"); code != 0 {
 		t.Fatal("-skip lockedsend must silence the dirty package")
+	}
+}
+
+// listedNames checks that the first column of -list output is exactly the
+// names in want, one a line.
+func listedNames(list, want string) error {
+	var got strings.Builder
+	for _, line := range strings.Split(strings.TrimSpace(list), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		got.WriteString(name + "\n")
+	}
+	if got.String() != want {
+		return fmt.Errorf("viper-vet -list names\n%swant analyzers.txt\n%s", got.String(), want)
+	}
+	return nil
+}
+
+// TestListIsAnalyzersTxt: the registered analyzers are exactly the
+// checked-in list. A refactor that silently drops one from All() would
+// otherwise pass viper-vet forever; retiring one on purpose is a reviewed
+// one-line diff to analyzers.txt.
+func TestListIsAnalyzersTxt(t *testing.T) {
+	want, err := os.ReadFile("analyzers.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, _ := runVet(t, "-list")
+	if code != 0 {
+		t.Fatalf("-list: exit %d", code)
+	}
+	if err := listedNames(stdout, string(want)); err != nil {
+		t.Fatal(err)
+	}
+	for _, red := range []string{"chanlife\n", string(want) + "poolown\n"} {
+		if listedNames(stdout, red) == nil {
+			t.Errorf("-list passed against %q", red)
+		}
 	}
 }
 

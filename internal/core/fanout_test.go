@@ -273,7 +273,7 @@ func TestBroadcastSharesOnePayload(t *testing.T) {
 // a Save as extra consumers are added. The virtual clock auto-advances,
 // so modelled wire time is free here and the measurement isolates real
 // CPU work: encode + per-link handoff. With SendShared the cost must
-// stay ~flat from 1 to 32 consumers; ci.sh's BENCH_5 gate checks the
+// stay ~flat from 1 to 32 consumers; relay's TestGateFanOutFlat checks the
 // relay-tier analogue of the same claim over real TCP.
 func BenchmarkBroadcastEncodeOnce(b *testing.B) {
 	for _, consumers := range []int{1, 8, 32} {

@@ -19,9 +19,13 @@
 // polls the actual runtime scheduler, which only advances in real time.
 // (The package imports neither simclock nor anything else from the
 // repo, so the simclockpurity analyzer's scope never includes it.)
+//
+// Only test files import this package, so it also holds the one rule by
+// which a test runs only when named (OnlyWhenNamed).
 package leakcheck
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -49,6 +53,17 @@ func IgnoreFunc(substr string) Option {
 // (default 5s).
 func Deadline(d time.Duration) Option {
 	return func(c *config) { c.deadline = d }
+}
+
+// OnlyWhenNamed skips t unless the -run pattern contains word: the
+// interleaving reruns (word "TestInterleavings") and the runtime gates
+// (word "TestGate") cost seconds and repeat or time what the plain pass
+// already ran, so `go test ./...` skips them and ci.sh names them.
+func OnlyWhenNamed(t testing.TB, word string) {
+	t.Helper()
+	if f := flag.Lookup("test.run"); f == nil || !strings.Contains(f.Value.String(), word) {
+		t.Skipf("runs when named: go test -run %s", word)
+	}
 }
 
 // Main runs m and then verifies no test-spawned goroutine survived.

@@ -15,7 +15,7 @@ import (
 )
 
 // benchSnapshot is a ~16 MiB single-tensor model state: 2M float64
-// elements, the scale ISSUE 5's fan-out claim is stated at.
+// elements, the scale the fan-out claim is stated at.
 func benchSnapshot() nn.Snapshot {
 	data := make([]float64, 2<<20)
 	for i := range data {
@@ -27,12 +27,12 @@ func benchSnapshot() nn.Snapshot {
 // benchFrames encodes one chunked version into the frame sequence a
 // relay-mode producer puts on the wire. The frames alias the encoder's
 // pooled blob — callers must finish sending before enc.Release().
-func benchFrames(b *testing.B, version uint64, snap nn.Snapshot) (*vformat.ChunkEncoder, []transport.Frame) {
-	b.Helper()
+func benchFrames(tb testing.TB, version uint64, snap nn.Snapshot) (*vformat.ChunkEncoder, []transport.Frame) {
+	tb.Helper()
 	ckpt := &vformat.Checkpoint{ModelName: "bench", Version: version, Weights: snap}
 	enc, err := vformat.NewChunkEncoder(ckpt, vformat.ChunkOptions{ChunkBytes: 1 << 20})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	key := fmt.Sprintf("bench/v%08d", version)
 	vtag := strconv.FormatUint(version, 10)
@@ -51,14 +51,14 @@ func benchFrames(b *testing.B, version uint64, snap nn.Snapshot) (*vformat.Chunk
 		return nil
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return enc, frames
 }
 
 // drainConsumer reads raw bytes off conn into the void, counting them,
-// until the conn closes. The counter lets the benchmark wait (off the
-// timer) for full delivery without participating in framing.
+// until the conn closes. The counter lets the measurement wait (outside
+// the timed region) for full delivery without participating in framing.
 func drainConsumer(conn net.Conn, counter *int64) {
 	buf := make([]byte, 256<<10)
 	for {
@@ -70,136 +70,136 @@ func drainConsumer(conn net.Conn, counter *int64) {
 	}
 }
 
-// waitDelivered blocks (off the benchmark timer) until every counter
+// waitDelivered blocks (outside the timed region) until every counter
 // has grown by at least want bytes since the before snapshot.
-func waitDelivered(b *testing.B, counters []*int64, before []int64, want int64) {
-	b.Helper()
+func waitDelivered(tb testing.TB, counters []*int64, before []int64, want int64) {
+	tb.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for i, c := range counters {
 		for atomic.LoadInt64(c)-before[i] < want {
 			if time.Now().After(deadline) {
-				b.Fatalf("consumer %d received %d of %d bytes", i, atomic.LoadInt64(c)-before[i], want)
+				tb.Fatalf("consumer %d received %d of %d bytes", i, atomic.LoadInt64(c)-before[i], want)
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}
 }
 
-// BenchmarkFanOutDirect measures the serial-broadcast baseline: the
-// producer encodes once but pushes the full frame sequence over its own
-// NIC once per consumer, so the timed producer-side cost grows linearly
-// in the consumer count.
-func BenchmarkFanOutDirect(b *testing.B) {
+// timePublishes publishes n versions of snap and returns the mean
+// producer-side cost of one: the encode plus push putting the frames on
+// the wire. The wait for every consumer to hold the version is outside
+// the timed region.
+func timePublishes(tb testing.TB, n int, snap nn.Snapshot, counters []*int64, push func([]transport.Frame)) time.Duration {
+	tb.Helper()
+	before := make([]int64, len(counters))
+	var timed time.Duration
+	for v := 1; v <= n; v++ {
+		for i, c := range counters {
+			before[i] = atomic.LoadInt64(c)
+		}
+		start := time.Now()
+		enc, frames := benchFrames(tb, uint64(v), snap)
+		push(frames)
+		timed += time.Since(start)
+		waitDelivered(tb, counters, before, int64(enc.EncodedSize()))
+		enc.Release()
+	}
+	return timed / time.Duration(n)
+}
+
+// fanOutDirect measures the serial-broadcast baseline: the producer
+// encodes once but pushes the full frame sequence over its own NIC once
+// per consumer, so the producer-side cost of a publish grows linearly in
+// the consumer count.
+func fanOutDirect(tb testing.TB, consumers, n int, snap nn.Snapshot) time.Duration {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer ln.Close()
+
+	links := make([]*transport.TCPLink, consumers)
+	counters := make([]*int64, consumers)
+	accepted := make(chan *transport.TCPLink, consumers)
+	go func() {
+		for i := 0; i < consumers; i++ {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- transport.WrapTCP(c)
+		}
+	}()
+	for i := 0; i < consumers; i++ {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		defer conn.Close()
+		counters[i] = new(int64)
+		go drainConsumer(conn, counters[i])
+		links[i] = <-accepted
+		defer links[i].Close()
+	}
+	return timePublishes(tb, n, snap, counters, func(frames []transport.Frame) {
+		for _, link := range links {
+			for _, f := range frames {
+				if err := link.Send(f); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
+// fanOutRelay measures the relay path: the producer pushes the frame
+// sequence to the relay exactly once regardless of consumer count and the
+// relay's cache serves every consumer, so the producer-side cost of a
+// publish stays ~flat from 1 to 32 consumers (TestGateFanOutFlat).
+func fanOutRelay(tb testing.TB, consumers, n int, snap nn.Snapshot) time.Duration {
+	tb.Helper()
+	r, err := New(Config{IngestAddr: "127.0.0.1:0", ServeAddr: "127.0.0.1:0", Retained: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer r.Close()
+
+	counters := make([]*int64, consumers)
+	for i := 0; i < consumers; i++ {
+		conn, err := net.Dial("tcp", r.ServeAddr())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		defer conn.Close()
+		counters[i] = new(int64)
+		go drainConsumer(conn, counters[i])
+	}
+
+	up, err := transport.DialTCP(r.IngestAddr())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer up.Close()
+	return timePublishes(tb, n, snap, counters, func(frames []transport.Frame) {
+		for _, f := range frames {
+			if err := up.Send(f); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	})
+}
+
+// benchFanOut reports measure's producer-side publish cost as ns/op at 1,
+// 8 and 32 consumers.
+func benchFanOut(b *testing.B, measure func(tb testing.TB, consumers, n int, snap nn.Snapshot) time.Duration) {
 	snap := benchSnapshot()
 	for _, consumers := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("consumers=%d", consumers), func(b *testing.B) {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer ln.Close()
-
-			links := make([]*transport.TCPLink, consumers)
-			counters := make([]*int64, consumers)
-			accepted := make(chan *transport.TCPLink, consumers)
-			go func() {
-				for i := 0; i < consumers; i++ {
-					c, err := ln.Accept()
-					if err != nil {
-						return
-					}
-					accepted <- transport.WrapTCP(c)
-				}
-			}()
-			for i := 0; i < consumers; i++ {
-				conn, err := net.Dial("tcp", ln.Addr().String())
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer conn.Close()
-				counters[i] = new(int64)
-				go drainConsumer(conn, counters[i])
-				links[i] = <-accepted
-				defer links[i].Close()
-			}
-
-			before := make([]int64, consumers)
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				for i, c := range counters {
-					before[i] = atomic.LoadInt64(c)
-				}
-				enc, frames := benchFrames(b, uint64(n+1), snap)
-				want := int64(enc.EncodedSize())
-				// Timed region: the producer's serial broadcast — every
-				// frame sent once per consumer from the producer's NIC.
-				for _, link := range links {
-					for _, f := range frames {
-						if err := link.Send(f); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				b.StopTimer()
-				waitDelivered(b, counters, before, want)
-				enc.Release()
-				b.StartTimer()
-			}
+			b.ReportMetric(float64(measure(b, consumers, b.N, snap)), "ns/op")
 		})
 	}
 }
 
-// BenchmarkFanOutRelay measures the relay path: the producer pushes the
-// frame sequence to the relay exactly once regardless of consumer
-// count; the relay's cache serves every consumer. The timed
-// producer-side cost must stay ~flat from 1 to 32 consumers — ci.sh
-// gates a >10% regression of relay-at-32 over relay-at-1.
-func BenchmarkFanOutRelay(b *testing.B) {
-	snap := benchSnapshot()
-	for _, consumers := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("consumers=%d", consumers), func(b *testing.B) {
-			r, err := New(Config{IngestAddr: "127.0.0.1:0", ServeAddr: "127.0.0.1:0", Retained: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer r.Close()
-
-			counters := make([]*int64, consumers)
-			for i := 0; i < consumers; i++ {
-				conn, err := net.Dial("tcp", r.ServeAddr())
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer conn.Close()
-				counters[i] = new(int64)
-				go drainConsumer(conn, counters[i])
-			}
-
-			up, err := transport.DialTCP(r.IngestAddr())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer up.Close()
-
-			before := make([]int64, consumers)
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				for i, c := range counters {
-					before[i] = atomic.LoadInt64(c)
-				}
-				enc, frames := benchFrames(b, uint64(n+1), snap)
-				want := int64(enc.EncodedSize())
-				// Timed region: the producer's single push to the relay.
-				for _, f := range frames {
-					if err := up.Send(f); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				waitDelivered(b, counters, before, want)
-				enc.Release()
-				b.StartTimer()
-			}
-		})
-	}
-}
+func BenchmarkFanOutDirect(b *testing.B) { benchFanOut(b, fanOutDirect) }
+func BenchmarkFanOutRelay(b *testing.B)  { benchFanOut(b, fanOutRelay) }

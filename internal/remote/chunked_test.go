@@ -175,7 +175,10 @@ func TestChunkedDegradesToStaging(t *testing.T) {
 // TestPlainLinkFrameBackfillsFromStaging: the link carries chunk streams
 // only. A frame addressed to the notified version that opens no stream —
 // here a well-formed v1 encoding of that very version — is unusable, and
-// the version installs from the staging copy like any torn stream.
+// the version installs from the staging copy like any torn stream. The
+// staging area is no way in for the format either: the same encoding
+// planted at the notified version's staging key fails Next and is never
+// installed.
 func TestPlainLinkFrameBackfillsFromStaging(t *testing.T) {
 	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: 64, linkWait: 100 * time.Millisecond})
 	snap := nn.TakeSnapshot(testModel(53))
@@ -199,6 +202,15 @@ func TestPlainLinkFrameBackfillsFromStaging(t *testing.T) {
 	}
 	if s := cons.Stats(); s.StagedLoads != 1 || s.LinkLoads != 0 || !snapshotsEqual(ckpt.Weights, snap) {
 		t.Fatalf("stats = %+v, want one bit-identical staged install and no link load", s)
+	}
+
+	s := startScript(t)
+	s.send(stray(1)) // the link reaches v1 without a stream for it
+	s.stage(1, v1)
+	res := s.next()
+	s.notify(1, false)
+	if r := <-res; r.err == nil || s.cons.Loads() != 0 {
+		t.Fatalf("a v1 blob at the staging key: Next = %+v after %d installs, want an error and none", r, s.cons.Loads())
 	}
 }
 

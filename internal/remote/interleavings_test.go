@@ -1,11 +1,12 @@
 package remote
 
 import (
-	"flag"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+
+	"viper/internal/leakcheck"
 )
 
 // interleaved lists the tests ordered by notifications, gates and
@@ -47,9 +48,7 @@ var interleaved = []func(*testing.T){
 // other pass each listed test has already run once on its own, so it
 // skips itself. A listed test that is renamed or deleted stops compiling.
 func TestInterleavings(t *testing.T) {
-	if f := flag.Lookup("test.run"); f == nil || !strings.Contains(f.Value.String(), "TestInterleavings") {
-		t.Skip("runs when named: ci.sh reruns it -race -count=5")
-	}
+	leakcheck.OnlyWhenNamed(t, "TestInterleavings")
 	for _, test := range interleaved {
 		name := runtime.FuncForPC(reflect.ValueOf(test).Pointer()).Name()
 		t.Run(name[strings.LastIndex(name, ".")+1:], test)

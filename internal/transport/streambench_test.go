@@ -10,11 +10,9 @@ import (
 	"viper/internal/vformat"
 )
 
-// Transfer benchmarks: monolithic (legacy encode → one frame → decode)
-// vs chunked pipelined (ISSUE 4 tentpole) over a real TCP loopback
-// connection, measuring the full producer-to-installed-weights wall
-// time. ci.sh runs these and records the ratio in BENCH_4.json; the
-// 16 MiB case gates the ≥1.5× acceptance criterion.
+// The transfer benchmark: the chunked pipeline over a real TCP loopback
+// connection, producer encode to installed weights. ci.sh smoke-runs it;
+// its time is held by the direct_full_16m workload of BENCHMARK.json.
 
 func benchCheckpoint(bytes int) *vformat.Checkpoint {
 	rng := rand.New(rand.NewSource(7))
@@ -49,46 +47,6 @@ var benchSizes = []struct {
 func benchTCPPair(b *testing.B) (server, client *TCPLink) {
 	client, server = tcpPair(b)
 	return server, client
-}
-
-// BenchmarkTransferMonolithic measures the legacy path: serialize the
-// whole checkpoint into one blob (bytes.Buffer churn and all), ship it
-// as a single frame, then decode it on the consumer side.
-func BenchmarkTransferMonolithic(b *testing.B) {
-	for _, size := range benchSizes {
-		b.Run(size.name, func(b *testing.B) {
-			server, client := benchTCPPair(b)
-			ckpt := benchCheckpoint(size.bytes)
-			ack := make(chan error, 1)
-			go func() {
-				for i := 0; i < b.N; i++ {
-					f, err := server.Recv()
-					if err == nil {
-						_, err = vformat.Decode(f.Payload)
-					}
-					ack <- err
-					if err != nil {
-						return
-					}
-				}
-			}()
-			b.SetBytes(int64(size.bytes))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				blob, err := ckpt.Encode()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := client.Send(Frame{Key: "bench/v1", Payload: blob}); err != nil {
-					b.Fatal(err)
-				}
-				if err := <-ack; err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkTransferChunked measures the pipelined path: pooled

@@ -1,19 +1,17 @@
-package experiments
+package viper
 
 import (
 	"os"
 	"testing"
 
 	"viper/internal/bufpool"
-	"viper/internal/leakcheck"
 )
 
 // TestMain runs every test with the pools' ownership contract armed
 // (bufpool.Arm): a pooled buffer that is handed back is overwritten, so a
 // read after it fails a CRC or a bit-identity assertion, and a second
-// hand-back panics. The gates start relays, producers and consumers over
-// live TCP, so the package is also held to goroutine hygiene.
+// hand-back panics.
 func TestMain(m *testing.M) {
 	bufpool.Arm()
-	os.Exit(leakcheck.Main(m))
+	os.Exit(m.Run())
 }
