@@ -97,10 +97,11 @@ type Options struct {
 	// ops "chunkstore/append", "chunkstore/commit", and
 	// "chunkstore/gc". An injected failure simulates the process dying
 	// mid-write: a torn prefix of the entry lands on disk and the store
-	// fails (ErrFailed) until reopened. ReadChunk consults it with
-	// "chunkstore/read" between pinning the segment and reading it: an
-	// injected failure is a read error (the store stays usable), an
-	// injected delay holds the read — and its pin — in flight.
+	// fails (ErrFailed) until reopened. ReadChunk and LoadVersion consult
+	// it with "chunkstore/read" between pinning a record's segment and
+	// reading the record: an injected failure is a read error (the store
+	// stays usable), an injected delay holds the read — and its pins — in
+	// flight.
 	Injector *faults.Injector
 }
 
@@ -847,28 +848,34 @@ func (s *Store) ReadChunk(h vformat.ChunkHash, buf []byte) ([]byte, error) {
 		buf = make([]byte, size)
 	}
 	buf = buf[:size]
-	err := s.inj.Op("chunkstore/read")
-	if err == nil {
-		_, err = seg.f.ReadAt(buf, off)
-	}
-	switch {
-	case err != nil:
-		err = fmt.Errorf("chunkstore: read %s: %w", h, err)
-	case !vformat.VerifyChunkRecord(buf):
-		err = fmt.Errorf("%w: %s", ErrCorrupt, h)
-	}
+	err := s.readPinned(seg, off, buf, h)
 
 	s.mu.Lock()
 	seg.pins--
 	s.mu.Unlock()
 	if err != nil {
-		if errors.Is(err, ErrCorrupt) {
-			s.n.CorruptChunks.Inc()
-		}
 		return nil, err
 	}
 	s.n.FallthroughHits.Inc()
 	return buf, nil
+}
+
+// readPinned reads the entry body at off of seg into buf and verifies the
+// record's checksum. The caller has pinned seg and does not hold the
+// store's lock; the "chunkstore/read" fault tap sits before the read.
+func (s *Store) readPinned(seg *segmentFile, off int64, buf []byte, h vformat.ChunkHash) error {
+	err := s.inj.Op("chunkstore/read")
+	if err == nil {
+		_, err = seg.f.ReadAt(buf, off)
+	}
+	if err != nil {
+		return fmt.Errorf("chunkstore: read %s: %w", h, err)
+	}
+	if !vformat.VerifyChunkRecord(buf) {
+		s.n.CorruptChunks.Inc()
+		return fmt.Errorf("%w: %s", ErrCorrupt, h)
+	}
+	return nil
 }
 
 // Contains reports whether h is on disk (live or resurrectable).
@@ -880,34 +887,58 @@ func (s *Store) Contains(h vformat.ChunkHash) bool {
 }
 
 // LoadVersion reassembles the stored payload for model/version: the
-// v2 header followed by every chunk record in manifest order. Each
-// chunk is checksum-verified on the way out.
+// v2 header followed by every chunk record in manifest order, in one
+// allocation of the version's size. Like ReadChunk it resolves the
+// version's entries under the store's lock, pinning their segments, and
+// reads and checksum-verifies each outside it through the same fault tap,
+// so a whole-version load delays no writer and no other reader; the pins
+// drop before it returns on every path. A record that cannot be read or
+// fails its checksum fails the load: a short or damaged blob is never
+// returned.
 func (s *Store) LoadVersion(model string, version uint64) ([]byte, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil, ErrClosed
 	}
 	vr := s.findLocked(model, version)
 	if vr == nil {
+		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s v%d", ErrNotFound, model, version)
 	}
-	out := make([]byte, 0, vr.bytes)
-	out = append(out, vr.header...)
+	locs := make([]chunkLoc, 0, len(vr.hashes)) // copies: seg, off and size as of now
+	var err error
 	for _, h := range vr.hashes {
 		loc, ok := s.index[h]
 		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrMissingChunk, h)
+			err = fmt.Errorf("%w: %s", ErrMissingChunk, h)
+			break
 		}
-		n := len(out)
-		out = append(out, make([]byte, loc.size)...)
-		if _, err := loc.seg.f.ReadAt(out[n:], loc.off); err != nil {
-			return nil, fmt.Errorf("chunkstore: %w", err)
+		loc.seg.pins++
+		locs = append(locs, *loc)
+	}
+	s.mu.Unlock()
+
+	var out []byte
+	if err == nil {
+		out = make([]byte, 0, vr.bytes)
+		out = append(out, vr.header...)
+		for i, loc := range locs {
+			n := len(out)
+			out = append(out, make([]byte, loc.size)...)
+			if err = s.readPinned(loc.seg, loc.off, out[n:], vr.hashes[i]); err != nil {
+				break
+			}
 		}
-		if !vformat.VerifyChunkRecord(out[n:]) {
-			s.n.CorruptChunks.Inc()
-			return nil, fmt.Errorf("%w: %s", ErrCorrupt, h)
-		}
+	}
+
+	s.mu.Lock()
+	for _, loc := range locs {
+		loc.seg.pins--
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 	s.n.FallthroughHits.Inc()
 	return out, nil

@@ -14,6 +14,7 @@ import (
 var interleaved = []func(*testing.T){
 	TestWriterModel,
 	TestReadChunkHoldsNoLockAcrossTheRead,
+	TestLoadVersionHoldsNoLockAcrossItsReads,
 	TestScratchPoolContract,
 	TestPutBlobLeavesNoWriterOpen,
 }

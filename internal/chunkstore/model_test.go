@@ -118,6 +118,9 @@ type modelRun struct {
 	// reads counts ReadChunk outcomes: hits, misses, and held reads that
 	// returned after the version holding their record was gone.
 	hits, misses, outlived int
+	// loadFaults counts LoadVersion calls that failed on an injected read
+	// fault and returned nothing.
+	loadFaults int
 }
 
 // heldRead is one ReadChunk parked at the gate.
@@ -269,6 +272,10 @@ func (m *modelRun) check(when string) {
 	for model, versions := range m.ref {
 		for v, want := range versions {
 			got, err := m.s.LoadVersion(model, v)
+			for errors.Is(err, faults.ErrInjected) { // a read fault: no blob, and the store stays usable
+				m.loadFaults++
+				got, err = m.s.LoadVersion(model, v)
+			}
 			if err != nil {
 				m.t.Fatalf("%s: LoadVersion %s v%d: %v", when, model, v, err)
 			}
@@ -444,10 +451,12 @@ func (m *modelRun) step() {
 // between the writes, some parked between their pin and their pread while
 // the schedule goes on: a read returns the exact stored bytes, a miss of
 // a record nothing references, or an injected fault — and a parked read's
-// segment is neither deleted nor compacted until it returns.
+// segment is neither deleted nor compacted until it returns. The version
+// check itself loads through the read tap: a faulted load returns nothing
+// and is repeated.
 func TestWriterModel(t *testing.T) {
 	recs, hashes := recordPool(t, 10)
-	totalCrashes, hits, misses, outlived := 0, 0, 0, 0
+	totalCrashes, hits, misses, outlived, loadFaults := 0, 0, 0, 0, 0
 	for seed := int64(1); seed <= 12; seed++ {
 		m := &modelRun{
 			t: t, rng: rand.New(rand.NewSource(seed)), dir: t.TempDir(),
@@ -483,6 +492,7 @@ func TestWriterModel(t *testing.T) {
 		m.s.mu.Unlock()
 		totalCrashes += m.crashes
 		hits, misses, outlived = hits+m.hits, misses+m.misses, outlived+m.outlived
+		loadFaults += m.loadFaults
 
 		// With every handle finished, one fault-free put seals the last
 		// segment and a GC reclaims: nothing dead may be left behind.
@@ -512,6 +522,9 @@ func TestWriterModel(t *testing.T) {
 	}
 	if hits == 0 || misses == 0 || outlived == 0 {
 		t.Fatalf("reads: %d hits, %d misses, %d parked reads that outlived their record's last reference; the schedule must exercise all three", hits, misses, outlived)
+	}
+	if loadFaults == 0 {
+		t.Fatal("no LoadVersion ever hit a read fault: its unpin-on-error path was not exercised")
 	}
 }
 
@@ -613,6 +626,84 @@ func TestReadChunkHoldsNoLockAcrossTheRead(t *testing.T) {
 	}
 	if s.Contains(hashes[0]) {
 		t.Fatal("the record survived a reclaim pass after its last reader returned")
+	}
+}
+
+// TestLoadVersionHoldsNoLockAcrossItsReads parks a LoadVersion between
+// pinning the version's segments and its first pread and runs an Append and
+// a Commit on another handle, a Contains and a retire + reclaim of the very
+// version being loaded to completion beside it: none may wait for the
+// parked load, and the load still returns the whole version. A read fault
+// at any record's tap is an error — never a blob, short or otherwise — and
+// neither outcome leaves a pin behind.
+func TestLoadVersionHoldsNoLockAcrossItsReads(t *testing.T) {
+	recs, hashes := recordPool(t, 3)
+	gate := newOpGate()
+	s := mustOpen(t, t.TempDir(), Options{
+		SegmentBytes: 512,
+		Injector:     faults.New(gate.gated(faults.Config{})),
+	})
+	defer s.Close()
+	w := s.Begin()
+	for i := range recs[:2] {
+		if err := w.Append(hashes[i], recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit("m", 1, "k", []byte("hdr"), hashes[:2]); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]byte("hdr"), recs[0]...), recs[1]...)
+
+	var got []byte
+	var err error
+	release := gate.hold(func() { got, err = s.LoadVersion("m", 1) })
+	other := s.Begin()
+	if aerr := other.Append(hashes[2], recs[2]); aerr != nil {
+		t.Fatalf("an Append beside the parked load: %v", aerr)
+	}
+	if cerr := other.Commit("other", 1, "k", []byte("hdr"), hashes[2:]); cerr != nil {
+		t.Fatalf("a Commit beside the parked load: %v", cerr)
+	}
+	if rerr := s.Retire("m", 1); rerr != nil {
+		t.Fatalf("retiring the version being loaded: %v", rerr)
+	}
+	if !s.Contains(hashes[0]) || !s.Contains(hashes[1]) {
+		t.Fatal("a segment the load had pinned was reclaimed under it")
+	}
+	release()
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the parked load: err = %v, exact bytes = %v", err, bytes.Equal(got, want))
+	}
+	if gerr := s.GC(); gerr != nil {
+		t.Fatal(gerr)
+	}
+	if s.Contains(hashes[0]) || s.Contains(hashes[1]) {
+		t.Fatal("the version's records survived a reclaim pass after its last reader returned: a pin was left behind")
+	}
+
+	// The read fault: the first load's first tap passes and its second
+	// fails, mid-blob; the second load fails at its first.
+	blob := testBlob(t, 860, 512, 1)
+	dir := t.TempDir()
+	clean := mustOpen(t, dir, Options{})
+	if err := clean.PutBlob("m", 1, "k", blob); err != nil {
+		t.Fatal(err)
+	}
+	clean.Close()
+	faulty := mustOpen(t, dir, Options{Injector: faults.New(faults.Config{Seed: 1, FailRate: 1, SkipFirst: 1})})
+	defer faulty.Close()
+	for range 2 {
+		if got, err := faulty.LoadVersion("m", 1); !errors.Is(err, faults.ErrInjected) || got != nil {
+			t.Fatalf("a load with a faulted read returned %d bytes, err = %v; want no blob and the injected error", len(got), err)
+		}
+	}
+	faulty.mu.Lock()
+	defer faulty.mu.Unlock()
+	for _, seg := range faulty.segs {
+		if seg.pins != 0 {
+			t.Errorf("segment %d keeps %d pins after a faulted load", seg.id, seg.pins)
+		}
 	}
 }
 

@@ -352,13 +352,21 @@ func TestPublishContextCancelled(t *testing.T) {
 // TestNextContextCancelled: cancelling the context unblocks a waiting
 // consumer immediately.
 func TestNextContextCancelled(t *testing.T) {
-	_, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: 64})
+	s := startScript(t)
 	ctx, cancel := context.WithCancel(context.Background())
+	res := make(chan error, 1)
 	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
+		_, err := s.cons.NextContext(ctx, scriptTimeout)
+		res <- err
 	}()
-	if _, err := cons.NextContext(ctx, time.Minute); !errors.Is(err, context.Canceled) {
-		t.Fatalf("NextContext = %v, want context.Canceled", err)
+	s.clock.waitAfter(t, scriptTimeout) // Next has armed its timeout: it is waiting
+	cancel()
+	select {
+	case err := <-res:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("NextContext = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("NextContext did not unblock on cancel")
 	}
 }

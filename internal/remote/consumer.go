@@ -98,12 +98,21 @@ type ConsumerStats struct {
 	// streams reconciled against the chunk cache (a subset of
 	// LinkLoads).
 	DeltaLoads int64 `metric:"consumer_delta_loads"`
+	// PreparedInstalls counts delta loads that were assembled in the
+	// prepared back buffer: nothing model-sized allocated and no span
+	// copied between the manifest and the park (a subset of DeltaLoads).
+	PreparedInstalls int64 `metric:"consumer_prepared_installs"`
+	// PreparedDiscards counts back buffers that were let go unused or
+	// torn: the build patching one did not park, the span source moved on
+	// before a manifest came, or the consumer closed holding one.
+	PreparedDiscards int64 `metric:"consumer_prepared_discards"`
 }
 
 // consumerCounters are one consumer's event counters, named field for
 // field after ConsumerStats (metrics.Bind); each also feeds the registry.
 type consumerCounters struct {
 	LinkLoads, StagedLoads, SkippedVersions, StaleNotifications, DiscardedFrames, DeltaLoads metrics.Counter
+	PreparedInstalls, PreparedDiscards                                                       metrics.Counter
 }
 
 // parkedBudget bounds, in bytes, the complete builds kept for
@@ -112,8 +121,9 @@ type consumerCounters struct {
 // they hold for the cache filler. It is what a consumer that stopped
 // calling Next can pin; older builds are dropped first and their
 // versions come from staging or are skipped as superseded. Beyond active
-// and parked the consumer pins at most one more checkpoint: the span
-// source, when the build it came from has since been dropped or replaced.
+// and parked the consumer pins at most two more checkpoints: the span
+// source, when the build it came from has since been dropped or replaced,
+// and the back buffer prepared from it.
 const parkedBudget = 64 << 20
 
 // build is one link stream assembled by the builder.
@@ -121,6 +131,7 @@ type build struct {
 	key     string
 	version uint64
 	delta   bool  // arrived as a manifest delta stream
+	inPlace bool  // a delta assembled in the prepared back buffer
 	frames  int64 // link frames the stream took
 	bytes   int64 // decoded weights plus recs, once complete
 	ckpt    *vformat.Checkpoint
@@ -132,8 +143,8 @@ type build struct {
 	// under, kept with them so the hashes can become a span source.
 	recs   [][]byte
 	header []byte
-	// inherited and reused count a delta build's positions copied from the
-	// span source and decoded from cached records.
+	// inherited and reused count a delta build's positions the span source
+	// covered without a record and those decoded from cached records.
 	inherited, reused int
 }
 
@@ -186,7 +197,7 @@ type Consumer struct {
 	frames    chan transport.Frame // link reader → builder
 	closed    chan struct{}
 	closeOnce sync.Once
-	wg        sync.WaitGroup // reader + builder + cache filler
+	wg        sync.WaitGroup // reader + builder + cache filler + back-buffer clone
 	// fills hands installs to the cache filler (at most one waits: a
 	// newer install supersedes it).
 	fills *latest[cacheFill]
@@ -221,6 +232,20 @@ type Consumer struct {
 	// Next hands out, hence the read-only contract there.
 	source        *vformat.SpanSource
 	sourceVersion uint64
+	// back is the builder's back buffer: a private clone of source's
+	// weights, started the moment a delta build became the source, that
+	// the next manifest is assembled into. Non-nil, it is always source's
+	// clone, being made or ready (a source that moves on drops it); the
+	// builder takes it out before it writes a byte, so the copy is
+	// reachable from nowhere else until the build that patched it parks.
+	back *backSlot
+}
+
+// backSlot is one clone of the span source: buf is written once, before
+// ready is closed, and read only after it.
+type backSlot struct {
+	ready chan struct{}
+	buf   *vformat.BackBuffer
 }
 
 // NewConsumer connects to all services and subscribes to the model's
@@ -431,6 +456,7 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 		}
 		handed = nil
 	}
+	var back *vformat.BackBuffer // taken for this build; torn unless it parks in place
 	recv := func() (transport.Frame, error) {
 		settle()
 		for {
@@ -461,14 +487,17 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 		err = errors.New("remote: manifest stream with reconciliation disabled")
 	default:
 		// Positions the span source holds decoded under the same hash are
-		// copied from it, other advertised chunks are decoded from the
-		// cache, the missing records arrive from the link, and a chunk the
-		// cache lost since advertising is need-listed back to the sender.
-		c.mu.Lock()
-		from := c.source
-		c.mu.Unlock()
+		// already in place in the back buffer (or, without one, copied from
+		// the source), other advertised chunks are decoded from the cache,
+		// the missing records arrive from the link, and a chunk the cache
+		// lost since advertising is need-listed back to the sender.
+		var from *vformat.SpanSource
 		var asm *vformat.ManifestAssembler
-		if asm, err = vformat.NewManifestAssembler(header.Payload, c.cache, from); err == nil {
+		if from, back, err = c.takeSource(); err == nil {
+			asm, err = vformat.NewManifestAssemblerInto(header.Payload, c.cache, from, back)
+		}
+		if err == nil {
+			b.inPlace = asm.InPlace()
 			b.ckpt, next, err = transport.CollectChunkedDeltaInto(c.lifeCtx, header, asm, recv, c.link.Send)
 		}
 		if err == nil {
@@ -483,6 +512,9 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 	if err == nil && (b.ckpt.ModelName != c.model || b.ckpt.Version != v) {
 		err = fmt.Errorf("remote: stream %q assembled %s/v%d", b.key, b.ckpt.ModelName, b.ckpt.Version)
 	}
+	if back != nil && (err != nil || !b.inPlace) {
+		c.n.PreparedDiscards.Inc()
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.building = 0
@@ -495,7 +527,9 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 		}
 		c.parked = append(c.parked, b)
 		c.parkedBytes += b.bytes
-		c.offerSourceLocked(b.version, source)
+		if c.offerSourceLocked(b.version, source) {
+			c.prepareLocked(source) // only a manifest's build offers one here
+		}
 		for len(c.parked) > 1 && c.parkedBytes > parkedBudget {
 			c.drop(c.popParkedLocked())
 		}
@@ -505,10 +539,61 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 }
 
 // offerSourceLocked makes src the span source if it is of a newer version
-// than the current one (nil offers nothing); c.mu must be held.
-func (c *Consumer) offerSourceLocked(version uint64, src *vformat.SpanSource) {
-	if src != nil && version > c.sourceVersion {
-		c.source, c.sourceVersion = src, version
+// than the current one (nil offers nothing) and reports whether it did. A
+// back buffer cloned from the old source is of no use against the new one
+// and is let go. c.mu must be held.
+func (c *Consumer) offerSourceLocked(version uint64, src *vformat.SpanSource) bool {
+	if src == nil || version <= c.sourceVersion {
+		return false
+	}
+	c.source, c.sourceVersion = src, version
+	c.dropBackLocked()
+	return true
+}
+
+// dropBackLocked lets the back buffer go unused, if there is one (a clone
+// still being made finishes into garbage); c.mu must be held.
+func (c *Consumer) dropBackLocked() {
+	if c.back != nil {
+		c.back = nil
+		c.n.PreparedDiscards.Inc()
+	}
+}
+
+// prepareLocked starts cloning src, which has just become the span source,
+// into the back buffer: one model-sized allocation and one copy, made
+// between two versions instead of between a manifest and its park. It only
+// reads src, like everyone else. c.mu must be held.
+func (c *Consumer) prepareLocked(src *vformat.SpanSource) {
+	slot := &backSlot{ready: make(chan struct{})}
+	c.back = slot
+	c.wg.Add(1) // from the builder, which Close is still waiting for
+	go func() {
+		defer c.wg.Done()
+		slot.buf = src.Clone()
+		close(slot.ready)
+	}()
+}
+
+// takeSource returns the span source for the manifest the builder is about
+// to assemble and, when one was prepared, its back buffer, now the
+// builder's alone. A clone still being made is waited for rather than
+// allocated a second time: the wait is no longer than the allocate-and-copy
+// it replaces, and Close ends it.
+func (c *Consumer) takeSource() (*vformat.SpanSource, *vformat.BackBuffer, error) {
+	c.mu.Lock()
+	from, slot := c.source, c.back
+	c.back = nil
+	c.mu.Unlock()
+	if slot == nil {
+		return from, nil, nil
+	}
+	select {
+	case <-slot.ready:
+		return from, slot.buf, nil
+	case <-c.closed:
+		c.n.PreparedDiscards.Inc()
+		return nil, nil, errors.New("remote: consumer closed")
 	}
 }
 
@@ -532,9 +617,11 @@ func frameVersion(f *transport.Frame) uint64 {
 // skipped, since a newer update supersedes them.
 //
 // The returned checkpoint is shared and read-only: Active returns the same
-// object, and with reconciliation on the builder copies the chunks the
-// next version leaves unchanged straight out of its weights. Copy what
-// you need to change (nn.RestoreSnapshot copies into the serving model).
+// object, and with reconciliation on it is the span source the next
+// version's unchanged chunks come from — copied out of its weights, or
+// cloned whole into the builder's back buffer. Nobody writes a snapshot
+// once its build has parked; copy what you need to change
+// (nn.RestoreSnapshot copies into the serving model).
 func (c *Consumer) Next(timeout time.Duration) (*vformat.Checkpoint, error) {
 	return c.NextContext(c.lifeCtx, timeout)
 }
@@ -595,6 +682,9 @@ func (c *Consumer) fetch(ctx context.Context, meta *core.ModelMeta) (*vformat.Ch
 			}
 			if b.delta {
 				c.n.DeltaLoads.Inc()
+			}
+			if b.inPlace {
+				c.n.PreparedInstalls.Inc()
 			}
 			c.n.LinkLoads.Inc() // last: observers wait on it
 			inheritedChunks.Add(int64(b.inherited))
@@ -794,6 +884,19 @@ func (c *Consumer) fill(f *cacheFill) {
 			c.mu.Unlock()
 		}
 	}
+	// The advertisement invites the next delta, so it goes out behind the
+	// clone that delta is patched into: a sender pacing itself on
+	// have-lists never has its encode share the cores with the copy.
+	c.mu.Lock()
+	slot := c.back
+	c.mu.Unlock()
+	if slot != nil {
+		select {
+		case <-slot.ready:
+		case <-c.closed:
+			return
+		}
+	}
 	if hs := c.cache.Hashes(); len(hs) > 0 {
 		if c.link.Send(transport.NewHaveFrame(c.model, f.version, hs)) == nil {
 			haveListLagMS.Observe(c.clock.Now().Sub(f.installed).Milliseconds())
@@ -838,6 +941,9 @@ func (c *Consumer) Close() {
 	c.closeOnce.Do(func() { close(c.closed) })
 	c.link.Close()
 	c.wg.Wait()
+	c.mu.Lock()
+	c.dropBackLocked()
+	c.mu.Unlock()
 	c.pool.Drop()
 	c.ps.Close()
 	c.kv.Close()

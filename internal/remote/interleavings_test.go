@@ -13,7 +13,8 @@ import (
 // snapshots, not by one goroutine's program order: the consumer's builder
 // and the producer's stage flusher, the cache filler, the span source —
 // who offers it, who reads it while a serving thread holds the same
-// checkpoint, what still takes the need-list — the buffer pools' hand-back
+// checkpoint, what still takes the need-list — the back buffer cloned from
+// it and the builds lost while patching one, the buffer pools' hand-back
 // points, and the per-hop corruption drill.
 var interleaved = []func(*testing.T){
 	TestParkedBuildWaitsForItsNotification,
@@ -36,6 +37,8 @@ var interleaved = []func(*testing.T){
 	TestABADrillKeepsTheNeedListPath,
 	TestSupersededFillOffersNoSource,
 	TestReaderHoldsActiveWhileBuilderInherits,
+	TestLostDeltaDiscardsTheBackBuffer,
+	TestManifestWaitsForItsClone,
 	TestDroppedBuildReleasesItsRecordsOnly,
 	TestStaleFramesAreReleased,
 	TestSupersededFillReleasesItsRecords,

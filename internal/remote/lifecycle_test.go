@@ -64,17 +64,16 @@ func TestBaseContextCancelAbortsPublish(t *testing.T) {
 // cancelled instead of sleeping out its full timeout.
 func TestBaseContextCancelUnblocksNext(t *testing.T) {
 	base, cancel := context.WithCancel(context.Background())
-	_, cons := startPairBase(t, base)
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	if _, err := cons.Next(time.Minute); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Next after base cancel = %v, want context.Canceled", err)
-	}
-	if time.Since(start) > 10*time.Second {
-		t.Fatal("Next did not unblock promptly on base-context cancel")
+	s := startScriptWith(t, func(cfg *ConsumerConfig) { cfg.BaseContext = base })
+	res := s.next() // returns once Next has armed its timeout: it is waiting
+	cancel()
+	select {
+	case r := <-res:
+		if !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("Next after base cancel = %v, want context.Canceled", r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Next did not unblock on base-context cancel")
 	}
 }
 

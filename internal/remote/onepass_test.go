@@ -691,9 +691,16 @@ func TestAllocBudget(t *testing.T) {
 // The first delta has nothing to inherit from on the producer — the
 // seeding publish streamed whole and hashed nothing — so from the second
 // delta on, every publish hashes exactly the one record that moved and
-// inherits the other 15 hashes, and every install copies exactly 15
+// inherits the other 15 hashes, and every install covers exactly 15
 // positions from the span source and CRC-decodes no cached record. The
-// counts are exact: they do not depend on timing.
+// first delta copies those 15 spans into a fresh snapshot; it is also the
+// first build to arrive as a manifest, so its clone is started behind it,
+// and from the second delta on every install is a prepared one — patched
+// into that clone, which is what copies no span and allocates nothing
+// model-sized between manifest and park (pinned where it is decided:
+// vformat's TestBackBufferIsGoodForOneAssemblyOfItsSource) — and no clone
+// is ever discarded but the last, at Close. The counts are exact: they do
+// not depend on timing (a manifest waits for a clone still being made).
 func TestDeltaCountGate(t *testing.T) {
 	const (
 		elems     = 16 << 10 // 128 KiB of float64
@@ -702,8 +709,9 @@ func TestDeltaCountGate(t *testing.T) {
 	)
 	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: chunkSize, deltaEps: eps, frameBuf: 64})
 	snap := flatSnapshot(9, elems)
-	counters := []string{"producer_hashed_chunks", "producer_inherited_hashes", "consumer_inherited_chunks", "consumer_cache_decoded_chunks"}
-	sample := func() (v [4]int64) {
+	counters := []string{"producer_hashed_chunks", "producer_inherited_hashes", "consumer_inherited_chunks", "consumer_cache_decoded_chunks",
+		"consumer_prepared_installs", "consumer_prepared_discards"}
+	sample := func() (v [6]int64) {
 		for i, name := range counters {
 			v[i] = Metrics().Counter(name).Value()
 		}
@@ -733,23 +741,24 @@ func TestDeltaCountGate(t *testing.T) {
 		}
 		waitFor(t, "the have-list", func() bool { return prod.Stats().HaveLists >= int64(op) })
 		after := sample()
-		var got [4]int64
+		var got [6]int64
 		for i := range got {
 			got[i] = after[i] - before[i]
 		}
-		want := [4]int64{1, 15, 15, 0}
+		want := [6]int64{1, 15, 15, 0, 1, 0}
 		switch op {
 		case 1: // the seeding version: a full stream, no hashes, no manifest
-			want = [4]int64{0, 0, 0, 0}
-		case 2: // the first delta: the producer has no lineage yet
-			want = [4]int64{16, 0, 15, 0}
+			want = [6]int64{}
+		case 2: // the first delta: the producer has no lineage yet, the consumer no clone
+			want = [6]int64{16, 0, 15, 0, 0, 0}
 		}
 		if got != want {
 			t.Fatalf("op %d: %v = %v, want %v", op, counters, got, want)
 		}
 	}
-	if s := cons.Stats(); s.DeltaLoads != 7 || s.StagedLoads != 0 {
-		t.Fatalf("consumer stats %+v, want seven delta loads from the link", s)
+	cons.Close()
+	if s := cons.Stats(); s.DeltaLoads != 7 || s.StagedLoads != 0 || s.PreparedInstalls != 6 || s.PreparedDiscards != 1 {
+		t.Fatalf("consumer stats %+v, want seven delta loads from the link, six of them prepared, and the last clone let go at Close", s)
 	}
 }
 

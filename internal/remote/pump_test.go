@@ -16,11 +16,12 @@ import (
 // backoff on c.clock before noticing c.closed, leaving a goroutine
 // behind for leakcheck to flag.
 func TestPumpBackoffInterruptedByClose(t *testing.T) {
+	clock := &signalClock{Virtual: simclock.NewVirtualManual(), afters: make(chan time.Duration, 16)}
 	pol := retry.Policy{
 		MaxAttempts: 1, // Recv fails fast; all waiting happens in pump
 		BaseDelay:   30 * time.Second,
 		MaxDelay:    30 * time.Second,
-		Clock:       simclock.NewWall(),
+		Clock:       clock, // nobody advances it: the backoff ends only by Close
 	}
 	c := &Consumer{
 		model:  "m",
@@ -35,8 +36,7 @@ func TestPumpBackoffInterruptedByClose(t *testing.T) {
 		c.pump()
 		close(done)
 	}()
-	// Let the pump fail its first Recv and enter the 30s backoff wait.
-	time.Sleep(50 * time.Millisecond)
+	clock.waitAfter(t, 30*time.Second) // the first Recv failed; the pump is in its backoff wait
 	close(c.closed)
 	c.link.Close()
 	select {

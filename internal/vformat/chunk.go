@@ -953,12 +953,31 @@ type ChunkAssembler struct {
 // assembly target — the one place a header parse leads to a model-sized
 // allocation.
 func NewChunkAssembler(header []byte) (*ChunkAssembler, error) {
+	return newChunkAssembler(header, nil)
+}
+
+// newChunkAssembler is NewChunkAssembler decoding into target's arrays when
+// it is given one: a snapshot nobody else reads or writes, one array per
+// tensor of the header's directory, each of that tensor's length. Whatever
+// the arrays hold stays at every position until a record is decoded over it
+// or the caller marks it as already in place. A nil target is allocated.
+func newChunkAssembler(header []byte, target nn.Snapshot) (*ChunkAssembler, error) {
 	layout, ckpt, headerLen, err := ParseChunkHeader(header)
 	if err != nil {
 		return nil, err
 	}
+	if target != nil && len(target) != len(layout.Tensors) {
+		return nil, fmt.Errorf("vformat: target holds %d tensors, the header lists %d", len(target), len(layout.Tensors))
+	}
 	for i := range ckpt.Weights {
-		ckpt.Weights[i].Data = make([]float64, layout.Tensors[i].Elems)
+		if target == nil {
+			ckpt.Weights[i].Data = make([]float64, layout.Tensors[i].Elems)
+			continue
+		}
+		if int64(len(target[i].Data)) != layout.Tensors[i].Elems {
+			return nil, fmt.Errorf("vformat: target tensor %d holds %d elements, the header says %d", i, len(target[i].Data), layout.Tensors[i].Elems)
+		}
+		ckpt.Weights[i].Data = target[i].Data
 	}
 	return &ChunkAssembler{
 		layout: layout, ckpt: ckpt, headerLen: headerLen,

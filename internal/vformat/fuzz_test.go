@@ -1,12 +1,14 @@
 package vformat
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -113,7 +115,10 @@ func manifestFuzzInput(manifest []byte, recs ...[]byte) []byte {
 // accepted, a checksum of the input choosing which positions keep their
 // hash and which get one that matches nothing — and must inherit exactly
 // the positions whose hash the manifest shares, within the same allocation
-// bound, to the same bits.
+// bound, to the same bits. Last, the differential property of the back
+// buffer (checkCloneAssembly): that assembly again, twice side by side over
+// equally seeded caches — once copying from the source, once into a clone of
+// it — must agree on every count, need-list, bit and offered source.
 func FuzzManifestAssembler(f *testing.F) {
 	for _, seed := range manifestFuzzSeeds(f) {
 		f.Add(seed)
@@ -129,8 +134,9 @@ func TestMutatedManifestAssembler(t *testing.T) {
 }
 
 // manifestFuzzSeeds returns delta streams as a receiver is fed them: whole,
-// reversed, one record short, with repeats and a foreign record, bare, and
-// cut short.
+// reversed, one record short, with repeats and a foreign record, whole with
+// a foreign record landing last (complete, one position uncovered: no
+// source to offer), bare, and cut short.
 func manifestFuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	ckpt := chunkTestCheckpoint(3, 300)
@@ -161,6 +167,7 @@ func manifestFuzzSeeds(tb testing.TB) [][]byte {
 		manifestFuzzInput(manifest, reversed...),
 		manifestFuzzInput(manifest, recs[:len(recs)-1]...),
 		manifestFuzzInput(manifest, append([][]byte{recs[1], foreign[1], recs[1]}, recs...)...),
+		manifestFuzzInput(manifest, append(append([][]byte(nil), recs...), foreign[2])...),
 		manifestFuzzInput(manifest),
 		whole[:len(whole)-3],
 		whole[:len(manifest)/2],
@@ -272,6 +279,90 @@ func checkManifestAssembler(t *testing.T, in []byte) {
 		t.Fatalf("the assembly over a source did not complete: %v", err)
 	}
 	sameBits("the cache-only assembly", got2, got)
+	checkCloneAssembly(t, in, man, src, accepted, mask)
+}
+
+// checkCloneAssembly replays in's Add sequence into two assemblers of its
+// manifest over src — one copying from it (nil target), one patching a clone
+// of it — each with a cache holding the accepted records mask picks. Seeded,
+// at a cut mask picks mid-stream, and at the end they must report the same
+// Inherited, Reused, Complete and MissingHashes and offer the same Source
+// (nil when a stray uncovered a position); every record is accepted by both
+// or neither; complete, they hold the same bits; and src's weights are
+// never written.
+func checkCloneAssembly(t *testing.T, in []byte, man *ChunkManifest, src *SpanSource, accepted [][]byte, mask uint32) {
+	frozen := src.weights.Clone()
+	seeded := func() *ChunkCache {
+		c := NewChunkCache(0)
+		for i, rec := range accepted {
+			if mask>>((i+11)%32)&1 == 1 {
+				c.Put(HashChunkRecord(rec), rec)
+			}
+		}
+		return c
+	}
+	copied, err := NewManifestAssembler(in[:man.Len], seeded(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched, err := NewManifestAssemblerInto(in[:man.Len], seeded(), src, src.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if copied.InPlace() || !patched.InPlace() {
+		t.Fatalf("in place: %v with a nil target, %v with a clone of the source", copied.InPlace(), patched.InPlace())
+	}
+	agree := func(when string) {
+		if copied.Inherited() != patched.Inherited() || copied.Reused() != patched.Reused() || copied.Complete() != patched.Complete() {
+			t.Fatalf("%s: copied inherits %d, reuses %d, complete %v; patched %d, %d, %v", when,
+				copied.Inherited(), copied.Reused(), copied.Complete(), patched.Inherited(), patched.Reused(), patched.Complete())
+		}
+		if a, b := copied.MissingHashes(), patched.MissingHashes(); !slices.Equal(a, b) {
+			t.Fatalf("%s: copied misses %v, patched misses %v", when, a, b)
+		}
+		a, b := copied.Source(), patched.Source()
+		if (a == nil) != (b == nil) {
+			t.Fatalf("%s: copied offers a source: %v, patched: %v", when, a != nil, b != nil)
+		}
+		if a != nil && (!slices.Equal(a.hashes, b.hashes) || !a.layout.equal(b.layout)) {
+			t.Fatalf("%s: the two offered sources differ in hashes or layout", when)
+		}
+	}
+	agree("seeded")
+	var recs [][]byte
+	for tail := in[man.Len:]; len(tail) >= 4; {
+		n := min(int(binary.LittleEndian.Uint32(tail)), len(tail)-4)
+		recs = append(recs, tail[4:4+n])
+		tail = tail[4+n:]
+	}
+	cut := int(mask>>8) % (len(recs) + 1)
+	for i, rec := range recs {
+		if i == cut {
+			agree("mid-stream")
+		}
+		_, errC := copied.Add(rec)
+		_, errP := patched.Add(rec)
+		if (errC == nil) != (errP == nil) {
+			t.Fatalf("record %d of the sequence: copied err = %v, patched err = %v", i, errC, errP)
+		}
+	}
+	agree("at the end")
+	a, err := copied.Checkpoint()
+	if err != nil {
+		t.Fatalf("the replay over a source did not complete: %v", err)
+	}
+	b, err := patched.Checkpoint()
+	if err != nil {
+		t.Fatalf("the replay into a clone did not complete: %v", err)
+	}
+	for i := range a.Weights {
+		if !bytes.Equal(f64bytes(a.Weights[i].Data), f64bytes(b.Weights[i].Data)) {
+			t.Fatalf("tensor %d: patched into a clone differs from copied out of the source", i)
+		}
+		if !bytes.Equal(f64bytes(frozen[i].Data), f64bytes(src.weights[i].Data)) {
+			t.Fatalf("tensor %d of the source was written", i)
+		}
+	}
 }
 
 // TestDuplicateRecordHasOneWriter is the race TestMutatedDecodeAuto used

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"runtime"
+	"slices"
 	"sync"
 
 	"viper/internal/nn"
@@ -434,10 +435,11 @@ func (c *ChunkCache) PutAll(blob []byte) error {
 }
 
 // SpanSource is a complete decoded checkpoint whose record hashes are
-// known position by position: what a ManifestAssembler copies unchanged
-// chunks out of instead of fetching, checking and decoding their records
-// again. Weights and hashes are shared, not copied, and must not change
-// once the source exists.
+// known position by position: what a ManifestAssembler takes unchanged
+// chunks from — copied out of it, or already in place in a clone of it —
+// instead of fetching, checking and decoding their records again. Weights
+// and hashes are shared, not copied, and must not change once the source
+// exists.
 type SpanSource struct {
 	layout  *ChunkLayout
 	hashes  []ChunkHash
@@ -468,12 +470,34 @@ func NewSpanSource(header []byte, hashes []ChunkHash, weights nn.Snapshot) (*Spa
 	return &SpanSource{layout: layout, hashes: hashes, weights: weights}, nil
 }
 
+// BackBuffer is a private copy of a span source's decoded weights: what the
+// next manifest is assembled into instead of a fresh allocation. It is good
+// for one assembly (NewManifestAssemblerInto takes the weights out of it)
+// and only against the source it was cloned from. Until an assembly into it
+// completes, nobody but that assembler reads or writes the copy; a copy an
+// abandoned assembly wrote into is torn and can only be let go. Not safe for
+// concurrent use.
+type BackBuffer struct {
+	of      *SpanSource
+	weights nn.Snapshot // nil once an assembler took them
+}
+
+// Clone copies s's decoded weights — one allocation and one copy per
+// tensor, reading s only — into a back buffer for the next manifest.
+func (s *SpanSource) Clone() *BackBuffer {
+	w := make(nn.Snapshot, len(s.weights))
+	for i, nt := range s.weights {
+		w[i].Data = slices.Clone(nt.Data)
+	}
+	return &BackBuffer{of: s, weights: w}
+}
+
 // ManifestAssembler reconciles one manifest against what is held locally:
-// positions a span source already holds decoded are copied from it, cached
-// records are decoded immediately, wire records are added as they arrive,
-// and the set of hashes still outstanding is reported so the receiver can
-// ask the sender to re-send chunks it advertised but no longer holds. Add
-// may be called concurrently.
+// positions a span source already holds decoded are copied from it (or left
+// as they are in its clone), cached records are decoded immediately, wire
+// records are added as they arrive, and the set of hashes still outstanding
+// is reported so the receiver can ask the sender to re-send chunks it
+// advertised but no longer holds. Add may be called concurrently.
 type ManifestAssembler struct {
 	man   *ChunkManifest
 	asm   *ChunkAssembler
@@ -485,6 +509,7 @@ type ManifestAssembler struct {
 	covered   []bool
 	inherited int
 	reused    int
+	inPlace   bool // assembling into a back buffer
 }
 
 // NewManifestAssembler parses the manifest section of blob (a bare
@@ -499,25 +524,47 @@ type ManifestAssembler struct {
 // cache (nil = no local chunks) and decoded through the per-record checks;
 // records carried by the blob itself are added too.
 func NewManifestAssembler(blob []byte, cache *ChunkCache, src *SpanSource) (*ManifestAssembler, error) {
+	return NewManifestAssemblerInto(blob, cache, src, nil)
+}
+
+// NewManifestAssemblerInto is NewManifestAssembler assembling into back, a
+// clone of src: an inherited position already holds its span there and is
+// only marked, and every other position is decoded over the stale bytes
+// through the same per-record checks — nothing model-sized is allocated and
+// no span is copied. InPlace reports whether back was taken; it is left
+// alone, and the assembly allocates and copies as with a nil back, when it
+// is not a clone of src, was taken before, or src inherits nothing (nil, or
+// laid out differently from the manifest).
+func NewManifestAssemblerInto(blob []byte, cache *ChunkCache, src *SpanSource, back *BackBuffer) (*ManifestAssembler, error) {
 	man, err := ParseManifest(blob)
 	if err != nil {
 		return nil, err
 	}
-	asm, err := NewChunkAssembler(man.Header)
+	inherits := src != nil && src.layout.equal(man.Layout)
+	var target nn.Snapshot
+	if inherits && back != nil && back.of == src {
+		target, back.weights = back.weights, nil
+	}
+	asm, err := newChunkAssembler(man.Header, target)
 	if err != nil {
 		return nil, err
 	}
 	a := &ManifestAssembler{
 		man: man, asm: asm, cache: cache,
 		covered: make([]bool, man.Layout.NumChunks),
+		inPlace: target != nil,
 	}
-	if src != nil && src.layout.equal(man.Layout) {
+	if inherits {
 		var touched []ChunkHash
 		for i, h := range man.Hashes {
 			if h != src.hashes[i] {
 				continue
 			}
-			asm.inherit(i, src.weights)
+			if a.inPlace {
+				asm.mark(i)
+			} else {
+				asm.inherit(i, src.weights)
+			}
 			a.covered[i] = true
 			a.inherited++
 			touched = append(touched, h)
@@ -585,8 +632,12 @@ func (a *ManifestAssembler) Reused() int {
 	return a.reused
 }
 
-// Inherited returns how many positions were copied from the span source.
+// Inherited returns how many positions the span source covered without a
+// record: copied from it, or already in place in its clone.
 func (a *ManifestAssembler) Inherited() int { return a.inherited }
+
+// InPlace reports whether the assembly is patching a back buffer.
+func (a *ManifestAssembler) InPlace() bool { return a.inPlace }
 
 // Add verifies and decodes one wire record, caching it for future
 // reconciliations, and reports whether assembly is now complete. Only a

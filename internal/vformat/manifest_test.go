@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"viper/internal/nn"
@@ -105,8 +106,9 @@ func TestDecodeAutoManifestBlob(t *testing.T) {
 // TestReconcileProperty sweeps chunk size × precision × edit distance
 // and asserts the reconciled checkpoint is byte-identical to the full
 // decode of the same version — the tentpole's correctness invariant —
-// whether the unchanged chunks were decoded from cached records or
-// inherited from a span source, down a chain of versions.
+// whether the unchanged chunks were decoded from cached records, copied
+// from a span source or already in place in a clone of it, down a chain of
+// versions.
 func TestReconcileProperty(t *testing.T) {
 	for _, chunkBytes := range []int{512, 4 << 10, 64 << 10} {
 		for _, prec := range []Precision{PrecFloat64, PrecFloat32, PrecFloat16} {
@@ -192,6 +194,26 @@ func TestReconcileProperty(t *testing.T) {
 					}
 					assertSameBits(t, "inherited v2 vs cache-only v2", rec.Weights, inherited.Weights)
 
+					// And once more into a clone of the source: the same counts,
+					// the same bits, v1 as decoded left alone.
+					patched, err := NewManifestAssemblerInto(delta, NewChunkCache(0), src, src.Clone())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !patched.InPlace() || patched.Inherited() != asm.Inherited() || patched.Reused() != 0 || !patched.Complete() {
+						t.Fatalf("into a clone: in place %v, inherited %d, cache-decoded %d, complete %v; want true, %d, 0, true",
+							patched.InPlace(), patched.Inherited(), patched.Reused(), patched.Complete(), asm.Inherited())
+					}
+					inPlace, err := patched.Checkpoint()
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameBits(t, "v2 patched into a clone vs copied from the source", inherited.Weights, inPlace.Weights)
+					if inPlace.Version != v2.Version || inPlace.Iteration != v2.Iteration {
+						t.Fatalf("metadata mismatch in place: %+v", inPlace)
+					}
+					assertSameBits(t, "the source after a clone of it was patched", full1.Weights, src.weights)
+
 					// Down the chain: v3 over the source the v2 assembly leaves.
 					v3 := &Checkpoint{
 						ModelName: v1.ModelName, Version: v2.Version + 1,
@@ -226,6 +248,26 @@ func TestReconcileProperty(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertSameBits(t, "v3 inherited from v2's assembly vs full decode", full3.Weights, got3.Weights)
+
+					// The in-place chain: v3 patched into a clone of the source
+					// the in-place v2 assembly leaves.
+					chained := patched.Source()
+					if chained == nil {
+						t.Fatal("a complete in-place assembly offers no source")
+					}
+					patched3, err := NewManifestAssemblerInto(delta3, nil, chained, chained.Clone())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !patched3.InPlace() || patched3.Inherited() != asm3.Inherited() {
+						t.Fatalf("v3 in place %v, inherited %d positions, want true, %d", patched3.InPlace(), patched3.Inherited(), asm3.Inherited())
+					}
+					inPlace3, err := patched3.Checkpoint()
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameBits(t, "v3 patched down the in-place chain vs full decode", full3.Weights, inPlace3.Weights)
+					assertSameBits(t, "in-place v2 after a clone of it became v3", inherited.Weights, inPlace.Weights)
 				})
 			}
 		}
@@ -245,12 +287,28 @@ func assertSameBits(t *testing.T, what string, want, got nn.Snapshot) {
 	}
 }
 
+// decodedSource decodes ckpt's encoding under o into a span source.
+func decodedSource(t *testing.T, ckpt *Checkpoint, o ChunkOptions) *SpanSource {
+	t.Helper()
+	blob, hashes := encodeFull(t, ckpt, o)
+	dec, err := DecodeChunked(context.Background(), blob, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewSpanSource(blob, hashes, dec.Weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
 // TestSpanSourceFallsBack: a source the manifest cannot be matched against
 // — none, another precision, another chunk size, another tensor directory
 // — inherits nothing, and one whose hash differs at a position inherits
 // all but that position; what is not inherited comes from the cache as it
 // always did, and the assembly is bit-identical either way. A source
-// never completes a position by itself being wrong: hashes decide.
+// never completes a position by itself being wrong: hashes decide. A clone
+// of the source is assembled into exactly when the source inherits.
 func TestSpanSourceFallsBack(t *testing.T) {
 	opts := ChunkOptions{Precision: PrecFloat32, ChunkBytes: 1 << 10}
 	v1 := chunkTestCheckpoint(8, 5_000)
@@ -271,20 +329,7 @@ func TestSpanSourceFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// sourceOf decodes ckpt's encoding under o into a span source.
-	sourceOf := func(ckpt *Checkpoint, o ChunkOptions) *SpanSource {
-		t.Helper()
-		blob, hashes := encodeFull(t, ckpt, o)
-		dec, err := DecodeChunked(context.Background(), blob, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := NewSpanSource(blob, hashes, dec.Weights)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return src
-	}
+	sourceOf := func(ckpt *Checkpoint, o ChunkOptions) *SpanSource { return decodedSource(t, ckpt, o) }
 	renamed := &Checkpoint{ModelName: v1.ModelName, Version: v1.Version, Weights: v1.Weights.Clone()}
 	renamed.Weights[2].Name = "other"
 	reshaped := &Checkpoint{ModelName: v1.ModelName, Version: v1.Version, Weights: v1.Weights.Clone()}
@@ -301,14 +346,15 @@ func TestSpanSourceFallsBack(t *testing.T) {
 		name      string
 		src       *SpanSource
 		inherited int
+		inPlace   bool // a clone of src can take the assembly
 	}{
-		{"matching source", sourceOf(v1, opts), elided},
-		{"nil source", nil, 0},
-		{"other precision", sourceOf(v1, ChunkOptions{Precision: PrecFloat64, ChunkBytes: 2 << 10}), 0},
-		{"other chunk size", sourceOf(v1, ChunkOptions{Precision: PrecFloat32, ChunkBytes: 2 << 10}), 0},
-		{"tensor renamed", sourceOf(renamed, opts), 0},
-		{"tensor reshaped", sourceOf(reshaped, opts), 0},
-		{"hash differs at one position", offByOne, elided - 1},
+		{"matching source", sourceOf(v1, opts), elided, true},
+		{"nil source", nil, 0, false},
+		{"other precision", sourceOf(v1, ChunkOptions{Precision: PrecFloat64, ChunkBytes: 2 << 10}), 0, false},
+		{"other chunk size", sourceOf(v1, ChunkOptions{Precision: PrecFloat32, ChunkBytes: 2 << 10}), 0, false},
+		{"tensor renamed", sourceOf(renamed, opts), 0, false},
+		{"tensor reshaped", sourceOf(reshaped, opts), 0, false},
+		{"hash differs at one position", offByOne, elided - 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cache := NewChunkCache(0)
@@ -339,6 +385,33 @@ func TestSpanSourceFallsBack(t *testing.T) {
 					t.Fatalf("chunk %d of v2 is not among the cache's %d most recent entries", i, len(hashes2))
 				}
 			}
+
+			// The same assembly offered a back buffer: taken exactly when the
+			// source inherits, and a clone that is not taken stays whole.
+			var back *BackBuffer
+			if tc.src != nil {
+				back = tc.src.Clone()
+			}
+			cache2 := NewChunkCache(0)
+			if err := cache2.PutAll(blob1); err != nil {
+				t.Fatal(err)
+			}
+			patched, err := NewManifestAssemblerInto(delta, cache2, tc.src, back)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if patched.InPlace() != tc.inPlace || patched.Inherited() != tc.inherited || patched.Reused() != elided-tc.inherited || !patched.Complete() {
+				t.Fatalf("offered a clone: in place %v, inherited %d, cache-decoded %d, complete %v; want %v, %d, %d, true",
+					patched.InPlace(), patched.Inherited(), patched.Reused(), patched.Complete(), tc.inPlace, tc.inherited, elided-tc.inherited)
+			}
+			got2, err := patched.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameBits(t, tc.name+", offered a clone", want.Weights, got2.Weights)
+			if back != nil && (back.weights == nil) != tc.inPlace {
+				t.Fatalf("the clone's weights taken: %v, want %v", back.weights == nil, tc.inPlace)
+			}
 		})
 	}
 
@@ -347,6 +420,111 @@ func TestSpanSourceFallsBack(t *testing.T) {
 	}
 	if _, err := NewSpanSource(blob1, hashes1, want.Weights[1:]); err == nil {
 		t.Fatal("a source with a tensor short was accepted")
+	}
+}
+
+// TestBackBufferIsGoodForOneAssemblyOfItsSource: a clone shares no array
+// with its source; assembling into it allocates nothing model-sized, copies
+// no span (the test overwrites its own source behind the clone: nothing of
+// that reaches the assembly) and hands out the clone's own arrays; a clone
+// that was taken once, or that was made from another source, is not written
+// by a later assembly, which allocates and copies as if it had been offered
+// none.
+func TestBackBufferIsGoodForOneAssemblyOfItsSource(t *testing.T) {
+	opts := ChunkOptions{ChunkBytes: 4 << 10}
+	v1 := chunkTestCheckpoint(12, 40_000)
+	_, hashes1 := encodeFull(t, v1, opts)
+	v2 := &Checkpoint{ModelName: v1.ModelName, Version: v1.Version + 1, Weights: mutateElems(v1.Weights, 2, 7)}
+	blob2, _ := encodeFull(t, v2, opts)
+	held := map[ChunkHash]bool{}
+	for _, h := range hashes1 {
+		held[h] = true
+	}
+	delta, _, _, _, err := BuildManifestBlob(blob2, func(h ChunkHash) bool { return held[h] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeChunked(context.Background(), blob2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := decodedSource(t, v1, opts)
+	back := src.Clone()
+	arrays := make([]*float64, len(back.weights))
+	for i, nt := range back.weights {
+		if len(nt.Data) == 0 {
+			continue
+		}
+		if arrays[i] = &nt.Data[0]; arrays[i] == &src.weights[i].Data[0] {
+			t.Fatalf("tensor %d of the clone is the source's own array", i)
+		}
+	}
+	assertSameBits(t, "a fresh clone vs its source", src.weights, back.weights)
+
+	// From here on the source's weights are junk. An in-place assembly reads
+	// the source's hashes only, so it cannot tell; one that copied would.
+	pristine := src.weights.Clone()
+	for _, nt := range src.weights {
+		for j := range nt.Data {
+			nt.Data[j] = -1
+		}
+	}
+
+	model := uint64(want.Weights.NumBytes())
+	allocated := func(assemble func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		assemble()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var asm *ManifestAssembler
+	if grew := allocated(func() { asm, err = NewManifestAssemblerInto(delta, nil, src, back) }); err != nil || grew > model/8 {
+		t.Fatalf("assembling into the clone: err = %v, %d bytes allocated for a %d-byte model", err, grew, model)
+	}
+	got, err := asm.Checkpoint()
+	if err != nil || !asm.InPlace() {
+		t.Fatalf("in place %v, err = %v", asm.InPlace(), err)
+	}
+	assertSameBits(t, "patched clone vs full decode", want.Weights, got.Weights)
+	for i, nt := range got.Weights {
+		if len(nt.Data) > 0 && &nt.Data[0] != arrays[i] {
+			t.Fatalf("tensor %d of the assembled checkpoint is not the clone's array", i)
+		}
+	}
+
+	for i := range pristine {
+		copy(src.weights[i].Data, pristine[i].Data)
+	}
+
+	// Taken once: the same clone again is not written.
+	var again *ManifestAssembler
+	if grew := allocated(func() { again, err = NewManifestAssemblerInto(delta, nil, src, back) }); err != nil || grew < model {
+		t.Fatalf("a second assembly offered the taken clone: err = %v, %d bytes allocated; it must allocate its own %d-byte model", err, grew, model)
+	}
+	if again.InPlace() {
+		t.Fatal("a clone was taken twice")
+	}
+	got2, err := again.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameBits(t, "the second assembly vs full decode", want.Weights, got2.Weights)
+	assertSameBits(t, "the first assembly after the second", want.Weights, got.Weights)
+
+	// Another source's clone, however equal its bytes, is not this source's.
+	twin := decodedSource(t, v1, opts)
+	foreign := twin.Clone()
+	other, err := NewManifestAssemblerInto(delta, nil, src, foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.InPlace() || foreign.weights == nil {
+		t.Fatal("an assembly over one source took the clone of another")
+	}
+	assertSameBits(t, "the clone that was not taken", twin.weights, foreign.weights)
+	if own, err := NewManifestAssemblerInto(delta, nil, twin, foreign); err != nil || !own.InPlace() {
+		t.Fatalf("the clone is still good against its own source: in place %v, err = %v", own != nil && own.InPlace(), err)
 	}
 }
 
