@@ -3,6 +3,7 @@ package remote
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"runtime"
@@ -38,18 +39,25 @@ func flatSnapshot(seed int64, elems int) nn.Snapshot {
 // can script the have-lists and need-lists the producer sees.
 func startProducerWithPeer(t *testing.T, metaAddr, notifyAddr string, chunkSize int, linkWrap func(net.Conn) net.Conn) (*Producer, *transport.TCPLink) {
 	t.Helper()
+	return startProducerWithPeerConfig(t, ProducerConfig{
+		Model: "m", MetaAddr: metaAddr, NotifyAddr: notifyAddr,
+		Retry: chaosPolicy(31), ChunkSize: chunkSize, LinkWrap: linkWrap,
+	})
+}
+
+// startProducerWithPeerConfig is startProducerWithPeer for any producer
+// configuration; the listen address and hook are its own.
+func startProducerWithPeerConfig(t *testing.T, cfg ProducerConfig) (*Producer, *transport.TCPLink) {
+	t.Helper()
 	linkAddr := make(chan string, 1)
+	cfg.ListenAddr, cfg.OnListen = "127.0.0.1:0", func(a string) { linkAddr <- a }
 	var prod *Producer
 	var prodErr error
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		prod, prodErr = NewProducer(ProducerConfig{
-			Model: "m", MetaAddr: metaAddr, NotifyAddr: notifyAddr,
-			ListenAddr: "127.0.0.1:0", OnListen: func(a string) { linkAddr <- a },
-			Retry: chaosPolicy(31), ChunkSize: chunkSize, LinkWrap: linkWrap,
-		})
+		prod, prodErr = NewProducer(cfg)
 	}()
 	peer, err := transport.DialTCP(<-linkAddr)
 	if err != nil {
@@ -109,29 +117,61 @@ func drainPeer(peer *transport.TCPLink) {
 // is superseded) the next publish all at once. Every chunk record that
 // arrives under a version's key must be an intact record of exactly
 // that version; under -race the detector additionally sees any encoder
-// write into a buffer a need answer or the flusher still reads.
+// write into a buffer a need answer or the flusher still reads. With a base
+// kept (DeltaEps > 0) each version moves a few chunks of the last, and the
+// blob whose last holder lets go is retired and written over in place by a
+// later publish: the reference count alone must keep that write off every
+// blob a need answer, the flusher or lastBlob still holds.
 func TestNeedAnswerRacesNextPublish(t *testing.T) {
+	for _, eps := range []float64{0, 1e-3} {
+		t.Run(fmt.Sprintf("eps=%g", eps), func(t *testing.T) { needAnswerRacesNextPublish(t, eps) })
+	}
+}
+
+func needAnswerRacesNextPublish(t *testing.T, eps float64) {
 	const (
 		chunkSize = 1 << 10
 		elems     = 8 << 10 // 64 KiB model → 64 records per version
 		versions  = 24
 	)
 	metaAddr, notifyAddr := testServices(t)
-	prod, peer := startProducerWithPeer(t, metaAddr, notifyAddr, chunkSize, nil)
+	prod, peer := startProducerWithPeerConfig(t, ProducerConfig{
+		Model: "m", MetaAddr: metaAddr, NotifyAddr: notifyAddr,
+		Retry: chaosPolicy(31), ChunkSize: chunkSize, DeltaEps: eps,
+	})
 	gate := newConnGate()
 	swapStageKV(t, prod, metaAddr, gate.wrap)
 
 	// What each version's records must hash to: the producer's encode of
-	// a snapshot is deterministic (no base suppression here), and record
-	// bytes do not depend on the version number.
+	// a snapshot is deterministic — against a base that evolves exactly as
+	// ref does, when it keeps one — and record bytes do not depend on the
+	// version number.
 	snaps := make([]nn.Snapshot, versions+1)
 	expect := make(map[string]map[vformat.ChunkHash]bool) // stream key → record hashes
 	hashesOf := make([][]vformat.ChunkHash, versions+1)
+	var ref nn.Snapshot
 	for v := 1; v <= versions; v++ {
-		snaps[v] = flatSnapshot(int64(v), elems)
+		opts := vformat.ChunkOptions{ChunkBytes: chunkSize}
+		switch {
+		case eps == 0:
+			snaps[v] = flatSnapshot(int64(v), elems)
+		case v == 1:
+			snaps[v] = flatSnapshot(1, elems)
+			ref = snaps[v].Clone()
+		default:
+			snaps[v] = snaps[v-1].Clone()
+			for _, c := range []int{7 * v % 64, (13*v + 5) % 64} { // two chunks move
+				i, a, b := c*chunkSize/8, snaps[v][0].Data, snaps[v][1].Data
+				if i < len(a) {
+					a[i] += 1
+				} else {
+					b[i-len(a)] += 1
+				}
+			}
+			opts.Base, opts.BaseEps = ref, eps
+		}
 		blob, err := vformat.EncodeChunked(context.Background(),
-			&vformat.Checkpoint{ModelName: "m", Version: uint64(v), Weights: snaps[v]},
-			vformat.ChunkOptions{ChunkBytes: chunkSize})
+			&vformat.Checkpoint{ModelName: "m", Version: uint64(v), Weights: snaps[v]}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,10 +261,15 @@ func TestNeedAnswerRacesNextPublish(t *testing.T) {
 		}
 	}
 	gate.release()
+	if s := prod.Stats(); eps > 0 && s.InPlacePublishes == 0 {
+		t.Fatalf("producer stats %+v: no publish encoded in place, the retired blob went unexercised", s)
+	}
 	last, _ := prod.retained()
 	prod.Close()
-	peer.Close()
+	// The producer closed its end: the reader drains what is still in flight
+	// and stops at EOF. Closing the peer first would cut that short.
 	<-readerDone
+	peer.Close()
 	if bad != 0 {
 		t.Fatalf("%d of %d chunk records were torn or belonged to another version", bad, records)
 	}
@@ -699,8 +744,15 @@ func TestAllocBudget(t *testing.T) {
 // into that clone, which is what copies no span and allocates nothing
 // model-sized between manifest and park (pinned where it is decided:
 // vformat's TestBackBufferIsGoodForOneAssemblyOfItsSource) — and no clone
-// is ever discarded but the last, at Close. The counts are exact: they do
-// not depend on timing (a manifest waits for a clone still being made).
+// is ever discarded but the last, at Close. On the producer, a version's
+// blob is retired once the next one is retained and its own staging copy
+// written; the first retired blob written against the base is the first
+// delta's, so from the third delta on every publish encodes in place into
+// the blob of the version two back: it rewrites chunk 9 — which moved in
+// the version between and moves again — and leaves the other 15 records
+// as they are. The counts are exact: they do not depend on timing (a
+// manifest waits for a clone still being made, and each op waits for its
+// staging copy before the next publish).
 func TestDeltaCountGate(t *testing.T) {
 	const (
 		elems     = 16 << 10 // 128 KiB of float64
@@ -710,8 +762,8 @@ func TestDeltaCountGate(t *testing.T) {
 	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: chunkSize, deltaEps: eps, frameBuf: 64})
 	snap := flatSnapshot(9, elems)
 	counters := []string{"producer_hashed_chunks", "producer_inherited_hashes", "consumer_inherited_chunks", "consumer_cache_decoded_chunks",
-		"consumer_prepared_installs", "consumer_prepared_discards"}
-	sample := func() (v [6]int64) {
+		"consumer_prepared_installs", "consumer_prepared_discards", "producer_inplace_publishes", "producer_reused_records"}
+	sample := func() (v [8]int64) {
 		for i, name := range counters {
 			v[i] = Metrics().Counter(name).Value()
 		}
@@ -740,17 +792,20 @@ func TestDeltaCountGate(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitFor(t, "the have-list", func() bool { return prod.Stats().HaveLists >= int64(op) })
+		waitFor(t, "the staging copy", func() bool { return prod.Stats().Staged >= int64(op) })
 		after := sample()
-		var got [6]int64
+		var got [8]int64
 		for i := range got {
 			got[i] = after[i] - before[i]
 		}
-		want := [6]int64{1, 15, 15, 0, 1, 0}
+		want := [8]int64{1, 15, 15, 0, 1, 0, 1, 15}
 		switch op {
 		case 1: // the seeding version: a full stream, no hashes, no manifest
-			want = [6]int64{}
+			want = [8]int64{}
 		case 2: // the first delta: the producer has no lineage yet, the consumer no clone
-			want = [6]int64{16, 0, 15, 0, 0, 0}
+			want = [8]int64{16, 0, 15, 0, 0, 0, 0, 0}
+		case 3: // the retired blob is the seeding version's, written before the base existed
+			want = [8]int64{1, 15, 15, 0, 1, 0, 0, 0}
 		}
 		if got != want {
 			t.Fatalf("op %d: %v = %v, want %v", op, counters, got, want)

@@ -105,12 +105,17 @@ type ProducerStats struct {
 	// DeltaSends counts publishes that left as manifest delta streams
 	// rather than full chunk streams (a subset of LinkSends).
 	DeltaSends int64 `metric:"producer_delta_sends"`
+	// InPlacePublishes counts encodes written into the retired blob of an
+	// earlier version rather than a pool blob (DeltaEps > 0 only).
+	InPlacePublishes int64 `metric:"producer_inplace_publishes"`
+	// ReusedRecords counts the records those encodes left in place.
+	ReusedRecords int64 `metric:"producer_reused_records"`
 }
 
 // producerCounters are one producer's event counters, named field for
 // field after ProducerStats (metrics.Bind); each also feeds the registry.
 type producerCounters struct {
-	LinkSends, LinkFailures, Staged, HaveLists, DeltaSends metrics.Counter
+	LinkSends, LinkFailures, Staged, HaveLists, DeltaSends, InPlacePublishes, ReusedRecords metrics.Counter
 }
 
 // Producer publishes checkpoints to a remote consumer.
@@ -158,12 +163,18 @@ type Producer struct {
 	// ignored (latest-wins; the receiver's build is superseded moments
 	// later anyway).
 	lastBlob *retainedBlob
+	// retired is, when the producer keeps a base, the newest published
+	// blob nobody holds any more: the producer's until the next publish
+	// hands it to lineage — whose encode writes into it in place — or Close.
+	retired *retainedBlob
 	// lastSnap is the previous publish's wire values, the comparison
 	// base for DeltaEps suppression. putElemsBase mutates it in place
 	// to each new version's wire values, keeping producer-side
 	// comparisons aligned with what receivers actually hold. lineage
 	// travels with it into every encode, so a delta publish hashes only
-	// the records of chunks that moved (vformat.BaseLineage).
+	// the records of chunks that moved and rewrites only those records of
+	// the retired blob (vformat.BaseLineage). Publishes use both
+	// sequentially, outside mu.
 	lastSnap nn.Snapshot
 	lineage  vformat.BaseLineage
 	// stagedVersions lists the versions whose staging copy is in the KV
@@ -279,30 +290,38 @@ func (p *Producer) pump() {
 }
 
 // retainedBlob is a published chunked blob — the encoder's pooled buffer
-// itself (ChunkEncoder.Detach), not a copy. refs counts every holder: the
-// publish that encoded it (until it returns), Producer.lastBlob while it
-// is the answerable latest version (delta mode), a need answer walking
-// it, and the stage flusher from hand-off until its staging write has
-// returned. Whoever drops it to zero returns buf to the pool, so the
-// buffer can never be re-issued under a reader. refs and buf's lifetime
-// are guarded by Producer.mu.
+// itself (ChunkEncoder.Detach), not a copy — with the content hash of each
+// record when the publish computed them (nil otherwise). refs counts every
+// holder: the publish that encoded it (until it returns), Producer.lastBlob
+// while it is the answerable latest version (delta mode), a need answer
+// walking it, and the stage flusher from hand-off until its staging write
+// has returned. Whoever drops it to zero retires it (a producer that keeps
+// a base) or returns buf to the pool, so the buffer is never written or
+// re-issued under a reader. refs and buf's lifetime are guarded by
+// Producer.mu.
 type retainedBlob struct {
-	buf  []byte
-	key  string
-	tags map[string]string
-	refs int
+	buf     []byte
+	hashes  []vformat.ChunkHash
+	key     string
+	version uint64
+	tags    map[string]string
+	refs    int
 }
 
-// retainBlob takes over enc's finished blob. The returned blob carries
-// one reference for the caller (the publish), to be dropped with unref;
-// in delta mode it also becomes the answerable latest version,
-// superseding the previous one.
-func (p *Producer) retainBlob(enc *vformat.ChunkEncoder, key string, tags map[string]string) (*retainedBlob, error) {
+// retainBlob takes over enc's finished blob, hashes being its records'
+// (or nil). The returned blob carries one reference for the caller (the
+// publish), to be dropped with unref; in delta mode it also becomes the
+// answerable latest version, superseding the previous one.
+func (p *Producer) retainBlob(enc *vformat.ChunkEncoder, hashes []vformat.ChunkHash, ckpt *vformat.Checkpoint, key string, tags map[string]string) (*retainedBlob, error) {
 	buf, err := enc.Detach()
 	if err != nil {
 		return nil, err
 	}
-	r := &retainedBlob{buf: buf, key: key, tags: tags, refs: 1}
+	if enc.InPlace() {
+		p.n.InPlacePublishes.Inc()
+		p.n.ReusedRecords.Add(int64(enc.ReusedRecords()))
+	}
+	r := &retainedBlob{buf: buf, hashes: hashes, key: key, version: ckpt.Version, tags: tags, refs: 1}
 	if p.recon {
 		p.mu.Lock()
 		r.refs++
@@ -321,22 +340,41 @@ func (p *Producer) unref(r *retainedBlob) {
 	p.mu.Unlock()
 }
 
-// unrefLocked drops one reference to r (nil is a no-op), returning the
-// buffer to the pool with the last one; p.mu must be held.
+// unrefLocked drops one reference to r (nil is a no-op); p.mu must be held.
+// With the last one a producer that keeps a base retires the blob when it
+// is newer than the one retired already, and the other goes back to the
+// pool.
 func (p *Producer) unrefLocked(r *retainedBlob) {
 	if r == nil {
 		return
 	}
-	if r.refs--; r.refs == 0 {
+	if r.refs--; r.refs != 0 {
+		return
+	}
+	if p.keepsBase() && (p.retired == nil || p.retired.version < r.version) {
+		r, p.retired = p.retired, r
+	}
+	p.releaseLocked(r)
+}
+
+// releaseLocked returns r's buffer (if r is not nil) to the pool; p.mu
+// must be held.
+func (p *Producer) releaseLocked(r *retainedBlob) {
+	if r != nil {
 		vformat.ReleaseBuffer(r.buf)
 		r.buf = nil
 	}
 }
 
+// keepsBase reports whether publishes encode against lastSnap.
+func (p *Producer) keepsBase() bool { return p.recon && p.deltaEps > 0 }
+
 // answerNeed re-sends the requested chunk records of the latest
 // published version, holding a reference to its blob for the whole walk
-// so a concurrent publish or Close cannot return it to the pool under
-// the sends. Requests for anything else are dropped: the receiver's
+// so a concurrent publish or Close cannot retire it or return it to the
+// pool under the sends. Records are picked by the hashes the publish kept,
+// index for index; only a blob published without them (a full stream) is
+// hashed here. Requests for anything else are dropped: the receiver's
 // partial build is about to be superseded by a newer push.
 func (p *Producer) answerNeed(f transport.Frame) {
 	key, hashes, err := transport.ParseNeedFrame(f)
@@ -357,8 +395,16 @@ func (p *Producer) answerNeed(f transport.Frame) {
 		need[h] = true
 	}
 	conn := transport.WithMeta(p.link, r.tags)
+	idx := 0
 	_ = vformat.WalkChunkRecords(r.buf, func(rec []byte) error {
-		if need[vformat.HashChunkRecord(rec)] {
+		var h vformat.ChunkHash
+		if r.hashes != nil {
+			h = r.hashes[idx]
+		} else {
+			h = vformat.HashChunkRecord(rec)
+		}
+		idx++
+		if need[h] {
 			return conn.Send(transport.ChunkRecordFrame(key, rec, 0))
 		}
 		return nil
@@ -446,7 +492,7 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 	// every chunked publish once delta mode is on, not just delta
 	// sends: the first full stream seeds the hashes later deltas elide
 	// against.
-	if p.recon && p.deltaEps > 0 {
+	if p.keepsBase() {
 		opts.Lineage = &p.lineage
 		if base != nil && vformat.SameStructure(base, ckpt.Weights) {
 			opts.Base, opts.BaseEps = base, p.deltaEps
@@ -455,6 +501,17 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 			p.mu.Lock()
 			p.lastSnap = base
 			p.mu.Unlock()
+		}
+		// The retired blob goes to the lineage, which lets this encode write
+		// into it if it still belongs to this base and layout.
+		var retired []byte
+		p.mu.Lock()
+		if r := p.retired; r != nil {
+			retired, r.buf, p.retired = r.buf, nil, nil
+		}
+		p.mu.Unlock()
+		if retired != nil {
+			p.lineage.Retire(retired)
 		}
 	}
 	enc, err := vformat.NewChunkEncoder(ckpt, opts)
@@ -484,7 +541,7 @@ func (p *Producer) publishChunked(ctx context.Context, ckpt *vformat.Checkpoint,
 			return nil, err
 		}
 	}
-	r, err := p.retainBlob(enc, key, tags)
+	r, err := p.retainBlob(enc, nil, ckpt, key, tags)
 	if err != nil {
 		return nil, err
 	}
@@ -519,7 +576,7 @@ func (p *Producer) publishDelta(ctx context.Context, enc *vformat.ChunkEncoder, 
 	}
 	// Retain before sending: the receiver's need-list can arrive while
 	// the tail of this stream is still leaving.
-	r, err := p.retainBlob(enc, key, tags)
+	r, err := p.retainBlob(enc, hashes, ckpt, key, tags)
 	if err != nil {
 		return nil, err
 	}
@@ -647,9 +704,9 @@ func (p *Producer) Stats() ProducerStats { return metrics.View[ProducerStats](&p
 // Close cancels the lifecycle context and tears down the link, waits for
 // the reader pump (if any) and for the stage flusher to finish the write
 // it has in hand or waiting, then closes the service connections. The
-// blob pool is dropped with the last blob: how many checkpoint-sized
-// buffers it lists is an accident of how publisher and flusher overlapped,
-// and must not outlive the publisher as live heap.
+// blob pool is dropped with the last blob and the retired one: how many
+// checkpoint-sized buffers it lists is an accident of how publisher and
+// flusher overlapped, and must not outlive the publisher as live heap.
 func (p *Producer) Close() {
 	p.lifeCancel()
 	p.closeOnce.Do(func() {
@@ -664,6 +721,8 @@ func (p *Producer) Close() {
 	p.mu.Lock()
 	p.unrefLocked(p.lastBlob)
 	p.lastBlob = nil
+	p.releaseLocked(p.retired)
+	p.retired = nil
 	p.mu.Unlock()
 	vformat.DropBuffers()
 	p.ps.Close()

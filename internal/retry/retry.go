@@ -109,7 +109,8 @@ func IsPermanent(err error) bool {
 // Do runs op until it succeeds, returns a permanent error, or the
 // attempt budget is exhausted (in which case the result is an
 // *ExhaustedError wrapping the last failure). The attempt argument
-// starts at 1.
+// starts at 1. A first attempt that settles it costs nothing beyond op:
+// the jitter source is seeded only once a retry needs it.
 func (p Policy) Do(op func(attempt int) error) error {
 	attempts := p.MaxAttempts
 	if attempts < 1 {
@@ -121,9 +122,6 @@ func (p Policy) Do(op func(attempt int) error) error {
 		mult = 2
 	}
 	var rng *rand.Rand
-	if p.Jitter > 0 {
-		rng = rand.New(rand.NewSource(p.Seed))
-	}
 	delay := p.BaseDelay
 	for attempt := 1; ; attempt++ {
 		err := op(attempt)
@@ -134,7 +132,10 @@ func (p Policy) Do(op func(attempt int) error) error {
 			return &ExhaustedError{Attempts: attempt, Last: err}
 		}
 		d := delay
-		if rng != nil && d > 0 {
+		if p.Jitter > 0 && d > 0 {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(p.Seed))
+			}
 			// Spread the delay across ±Jitter/2 around its nominal value.
 			d += time.Duration((rng.Float64() - 0.5) * p.Jitter * float64(d))
 		}

@@ -2,6 +2,7 @@ package retry
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -127,6 +128,29 @@ func TestJitterIsBoundedAndDeterministic(t *testing.T) {
 	}
 	if !sawJitter {
 		t.Fatal("jitter never perturbed any delay")
+	}
+}
+
+// TestFirstAttemptSuccessIsFree: every link frame and KV round trip goes
+// through Do, so an attempt that succeeds at once must not pay for the
+// jitter source a retry would need — and seeding it lazily must leave a
+// failing op's delays exactly what they were when it was seeded up front.
+func TestFirstAttemptSuccessIsFree(t *testing.T) {
+	p := Default(simclock.NewVirtual())
+	p.Seed = 7
+	op := func(int) error { return nil }
+	if n := testing.AllocsPerRun(100, func() { _ = p.Do(op) }); n != 0 {
+		t.Fatalf("a first-attempt success allocated %v times per call, want 0", n)
+	}
+
+	var delays []time.Duration
+	p.MaxAttempts = 8
+	p.OnRetry = func(_ int, _ error, d time.Duration) { delays = append(delays, d) }
+	_ = p.Do(func(int) error { return errors.New("x") })
+	// The schedule of the source seeded before the first attempt.
+	want := []time.Duration{10837784, 18926029, 37931101, 86584994, 166343537, 297353981, 621339482}
+	if !slices.Equal(delays, want) {
+		t.Fatalf("delays %v, want %v", delays, want)
 	}
 }
 

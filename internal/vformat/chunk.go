@@ -87,7 +87,9 @@ type ChunkOptions struct {
 	// Lineage, when non-nil, is the value the caller keeps beside Base and
 	// passes with every encode against it: it lets Hashes inherit the hash
 	// of each chunk this encode left untouched instead of hashing the
-	// record again (see BaseLineage). Without it every record is hashed.
+	// record again, and the encoder write into a blob the caller retired
+	// rewriting only what moved (see BaseLineage). Without it every record
+	// is hashed and written.
 	Lineage *BaseLineage
 }
 
@@ -264,7 +266,7 @@ func putElemsBase(dst []byte, p Precision, vals, base []float64, eps float64) (m
 	switch p {
 	case PrecFloat32:
 		for i, v := range vals {
-			if d := v - base[i]; d > eps || d < -eps {
+			if moves(v, base[i], eps) {
 				base[i] = float64(float32(v))
 				moved = true
 			}
@@ -272,7 +274,7 @@ func putElemsBase(dst []byte, p Precision, vals, base []float64, eps float64) (m
 		}
 	case PrecFloat16:
 		for i, v := range vals {
-			if d := v - base[i]; d > eps || d < -eps {
+			if moves(v, base[i], eps) {
 				base[i] = Float16ToFloat64(Float16FromFloat64(v))
 				moved = true
 			}
@@ -280,7 +282,7 @@ func putElemsBase(dst []byte, p Precision, vals, base []float64, eps float64) (m
 		}
 	default:
 		for i, v := range vals {
-			if d := v - base[i]; d > eps || d < -eps {
+			if moves(v, base[i], eps) {
 				base[i] = v
 				moved = true
 			}
@@ -288,6 +290,25 @@ func putElemsBase(dst []byte, p Precision, vals, base []float64, eps float64) (m
 		}
 	}
 	return moved
+}
+
+// moves is putElemsBase's movement test, the same at every precision: v
+// moves its base b when they are further apart than eps (d > eps or
+// d < -eps, one compare). A NaN on either side never moves.
+func moves(v, b, eps float64) bool {
+	return math.Abs(v-b) > eps
+}
+
+// anyMoves reports whether putElemsBase would move some element of vals
+// off base, without writing anything.
+func anyMoves(vals, base []float64, eps float64) bool {
+	base = base[:len(vals)]
+	for i, v := range vals {
+		if moves(v, base[i], eps) {
+			return true
+		}
+	}
+	return false
 }
 
 // getElems decodes src at precision p into dst, re-expanding to float64.
@@ -334,6 +355,15 @@ func (l *ChunkLayout) encodeChunkInto(dst []byte, weights, base nn.Snapshot, eps
 	})
 	binary.LittleEndian.PutUint32(dst[off:], crc32.ChecksumIEEE(dst[:off]))
 	return dirty
+}
+
+// chunkMoves reports whether encodeChunkInto against base would find chunk
+// idx dirty, reading weights and base only.
+func (l *ChunkLayout) chunkMoves(weights, base nn.Snapshot, eps float64, idx int) (moved bool) {
+	l.walkChunk(idx, func(ti int, lo, n int64) {
+		moved = moved || anyMoves(weights[ti].Data[lo:lo+n], base[ti].Data[lo:lo+n], eps)
+	})
+	return moved
 }
 
 // verifyChunk checks rec against the layout — framing, index, span,
@@ -571,7 +601,7 @@ type ChunkEncoder struct {
 	opts   ChunkOptions
 	layout *ChunkLayout
 	header []byte
-	blob   []byte      // header + records, pool-owned
+	blob   []byte      // header + records, drawn from the pool or the lineage
 	offs   []int       // record offsets within blob
 	hashes []ChunkHash // nil until the first Hashes call
 	done   bool
@@ -584,9 +614,20 @@ type ChunkEncoder struct {
 	inherited []ChunkHash
 	gen       uint64
 	hashed    int
+	// Encoding in place (opts.Lineage): from is the ticket of the completed
+	// encode that wrote blob when it is a retired blob the lineage handed
+	// out (0: a pool blob). keep[i], set by EncodeStream from the lineage,
+	// says record i already encodes the base's current values and is left
+	// as it is unless chunk i moves now; encodeRecord clears it when it
+	// rewrites the record. Nil: every record is written.
+	from uint64
+	keep []bool
 }
 
-// NewChunkEncoder plans the chunk layout for ckpt.
+// NewChunkEncoder plans the chunk layout for ckpt. With a lineage that
+// holds a retired blob of this base and layout, the blob is that one and
+// EncodeStream encodes into it in place (see BaseLineage.Retire); anything
+// else draws from the pool.
 func NewChunkEncoder(ckpt *Checkpoint, opts ChunkOptions) (*ChunkEncoder, error) {
 	opts, err := opts.normalized()
 	if err != nil {
@@ -597,7 +638,15 @@ func NewChunkEncoder(ckpt *Checkpoint, opts ChunkOptions) (*ChunkEncoder, error)
 	}
 	layout := planLayout(ckpt.Weights, opts)
 	header := encodeChunkHeader(ckpt, layout)
-	blob := blobs.Get(layout.encodedSize(len(header)))
+	size := layout.encodedSize(len(header))
+	var blob []byte
+	var from uint64
+	if opts.Lineage != nil {
+		blob, from = opts.Lineage.draw(opts.Base, layout, size)
+	}
+	if blob == nil {
+		blob = blobs.Get(size)
+	}
 	copy(blob, header)
 	offs := make([]int, layout.NumChunks)
 	off := len(header)
@@ -608,7 +657,7 @@ func NewChunkEncoder(ckpt *Checkpoint, opts ChunkOptions) (*ChunkEncoder, error)
 	return &ChunkEncoder{
 		ckpt: ckpt, opts: opts, layout: layout,
 		header: blob[:len(header)], blob: blob, offs: offs,
-		dirty: make([]bool, layout.NumChunks),
+		dirty: make([]bool, layout.NumChunks), from: from,
 	}, nil
 }
 
@@ -645,10 +694,18 @@ func (e *ChunkEncoder) record(idx int) []byte {
 	return e.blob[e.offs[idx] : e.offs[idx]+e.layout.recordSize(idx)]
 }
 
-// encodeRecord encodes chunk idx into its slot of the blob. Distinct
-// chunks touch disjoint blob and base slots, so workers run it
+// encodeRecord encodes chunk idx into its slot of the blob — or, in place,
+// leaves a kept record as it is when no element of the chunk moves: its
+// bytes and CRC are already what encodeChunkInto would write. Distinct
+// chunks touch disjoint blob, base and keep slots, so workers run it
 // concurrently.
 func (e *ChunkEncoder) encodeRecord(idx int) {
+	if e.keep != nil && e.keep[idx] {
+		if !e.layout.chunkMoves(e.ckpt.Weights, e.opts.Base, e.opts.BaseEps, idx) {
+			return
+		}
+		e.keep[idx] = false
+	}
 	if e.layout.encodeChunkInto(e.record(idx), e.ckpt.Weights, e.opts.Base, e.opts.BaseEps, idx) {
 		e.dirty[idx] = true
 	}
@@ -666,10 +723,13 @@ func (e *ChunkEncoder) EncodeStream(ctx context.Context, emit func(idx int, reco
 	if e.blob == nil {
 		return errors.New("vformat: encoder already released")
 	}
-	if e.opts.Lineage != nil {
+	e.done = false // until this pass completes: it may write over any record
+	if l := e.opts.Lineage; l != nil {
 		// Before the first element of the base can move: from here on the
-		// lineage is empty until Hashes refills it.
-		e.inherited, e.gen = e.opts.Lineage.take(e.opts.Base, e.layout)
+		// lineage holds no hashes until Hashes refills it, and whatever this
+		// pass moves — cancelled or not — is recorded when it returns.
+		e.inherited, e.gen, e.keep = l.take(e.opts.Base, e.layout, e.blob, e.from)
+		defer l.settle(e)
 	}
 	n := e.layout.NumChunks
 	workers := e.opts.Parallelism
@@ -782,7 +842,7 @@ func (e *ChunkEncoder) Hashes() ([]ChunkHash, error) {
 	hashRecords(hashes, recs, e.opts.Parallelism)
 	e.hashes = hashes
 	if e.opts.Lineage != nil && e.opts.Base != nil {
-		e.opts.Lineage.put(e.gen, e.opts.Base, e.layout, hashes)
+		e.opts.Lineage.put(e.gen, hashes)
 	}
 	return hashes, nil
 }
@@ -790,6 +850,25 @@ func (e *ChunkEncoder) Hashes() ([]ChunkHash, error) {
 // HashedRecords returns how many records Hashes hashed itself; it
 // inherited the others (0 before Hashes).
 func (e *ChunkEncoder) HashedRecords() int { return e.hashed }
+
+// InPlace reports whether EncodeStream encoded into a retired blob the
+// lineage vouched for, rewriting only what moved since it was written.
+func (e *ChunkEncoder) InPlace() bool { return e.keep != nil }
+
+// ReusedRecords returns how many records a successful in-place encode left
+// as they were (0 for any other encode).
+func (e *ChunkEncoder) ReusedRecords() int {
+	if !e.done {
+		return 0
+	}
+	n := 0
+	for _, k := range e.keep {
+		if k {
+			n++
+		}
+	}
+	return n
+}
 
 // hashRecords fills hashes[i] with the content hash of every non-nil
 // recs[i], on up to workers goroutines (the caller is one of them).
@@ -817,49 +896,160 @@ func hashRecords(hashes []ChunkHash, recs [][]byte, workers int) {
 	wg.Wait()
 }
 
-// BaseLineage carries one fact from an encode to the next encode against
-// the same Base: the content hash of every record the earlier one
-// produced. A chunk none of whose elements moved re-encodes the base's
-// values — the very bytes the previous encode against that base wrote for
-// it — so its hash is the previous one and Hashes does not compute it
-// again. The caller keeps one BaseLineage beside each base snapshot it
-// keeps and passes both with every encode against that base
-// (ChunkOptions.Base, ChunkOptions.Lineage); the zero value is ready.
+// BaseLineage carries what one encode against a Base knows to the next
+// encode against it. A chunk none of whose elements moved re-encodes the
+// base's values — the very bytes every earlier encode against that base
+// wrote for it since the chunk last moved — so the next encode neither
+// hashes its record again (Hashes inherits the previous encode's hash) nor,
+// given a blob such an encode wrote, writes it again (Retire). The caller
+// keeps one BaseLineage beside each base snapshot it keeps and passes both
+// with every encode against that base (ChunkOptions.Base,
+// ChunkOptions.Lineage); the zero value is ready.
 //
-// Beyond that pairing, validity does not rest on the caller. EncodeStream
-// takes the hashes out before it touches the base and only Hashes puts a
-// set back — and only if no other encode has started on the lineage since
-// — so an encode that was cancelled, failed or never asked for hashes
-// leaves nothing for the next one to inherit. What is put back is bound to
-// the base's backing arrays and to the chunk layout: a base that was
-// replaced (even by an equal clone), a reshaped tensor, another precision
-// or chunk size inherit nothing. Not safe for concurrent use — encodes
-// against one base mutate it and are sequential anyway.
+// Beyond that pairing, validity does not rest on the caller. The lineage
+// hands out a ticket to every EncodeStream pass before it touches the base,
+// and records per chunk the ticket of the last pass that moved it —
+// cancelled and failed passes included, since the encoder's dirty bits are
+// exact per chunk whatever stops it. Hashes are taken out by that pass and
+// only its Hashes call puts a set back, and only if no other pass has begun
+// since, so a pass that was cancelled, failed or never asked for hashes
+// leaves none to inherit. A blob is bound to the ticket of the completed
+// pass that wrote it. Both are bound to the base's backing arrays and the
+// chunk layout: a pass against a base that was replaced (even by an equal
+// clone), a reshaped tensor, another precision or chunk size starts the
+// lineage over, and nothing from before is inherited or drawn. Not safe for
+// concurrent use — encodes against one base mutate it and are sequential
+// anyway.
 type BaseLineage struct {
-	gen    uint64 // bumped by every take: put honours only the latest ticket
+	gen uint64 // bumped by every take: put honours only the latest ticket
+	// The base arrays and layout of every pass since ticket epoch; moved is
+	// per chunk the ticket of the last of them that moved it (0: none).
 	base   nn.Snapshot
 	layout *ChunkLayout
-	hashes []ChunkHash
+	epoch  uint64
+	moved  []uint64
+	hashes []ChunkHash // every record's, as pass gen wrote them
+	// wrote lists blobs completed passes since epoch wrote, by first byte,
+	// oldest first; retired is the blob Retire accepted, written by pass
+	// retiredGen, until the next NewChunkEncoder draws it.
+	wrote      [4]writtenBlob
+	retired    []byte
+	retiredGen uint64
 }
 
-// take empties the lineage and returns what it held if that describes an
-// encode against this very base under an equal layout, with the ticket
-// put must present.
-func (l *BaseLineage) take(base nn.Snapshot, layout *ChunkLayout) ([]ChunkHash, uint64) {
-	hashes := l.hashes
-	if hashes != nil && !(sameArrays(l.base, base) && l.layout.equal(layout)) {
-		hashes = nil
+// writtenBlob is a blob a completed pass wrote.
+type writtenBlob struct {
+	at  *byte
+	gen uint64
+}
+
+// Retire hands the lineage a blob that an encode against it completed,
+// once nothing reads it any more: the caller gives up the blob exactly as
+// with ReleaseBuffer. The next NewChunkEncoder with this lineage encodes
+// into it in place — every record of a chunk that moved since the blob was
+// written, or moves now, is rewritten, every other record and its CRC left
+// as they are — provided the blob still belongs to the base and layout of
+// that encode. Anything else goes to the pool: a blob no completed pass of
+// the current base and layout wrote, the older of two retired blobs, and a
+// retired blob the next encoder does not draw.
+func (l *BaseLineage) Retire(blob []byte) {
+	gen, ok := l.written(blob)
+	switch {
+	case !ok:
+	case l.retired == nil:
+		l.retired, l.retiredGen = blob, gen
+		return
+	case l.retiredGen < gen:
+		l.retired, blob, l.retiredGen = blob, l.retired, gen
 	}
-	l.gen++
-	l.base, l.layout, l.hashes = nil, nil, nil
-	return hashes, l.gen
+	ReleaseBuffer(blob)
 }
 
-// put records hashes as those of the encode that took ticket gen, unless
-// a later encode has begun — the base has moved on from these records.
-func (l *BaseLineage) put(gen uint64, base nn.Snapshot, layout *ChunkLayout, hashes []ChunkHash) {
+// written removes blob from the completed writes and returns the ticket of
+// the pass that wrote it.
+func (l *BaseLineage) written(blob []byte) (uint64, bool) {
+	if len(blob) == 0 {
+		return 0, false
+	}
+	for i, w := range l.wrote {
+		if w.at == &blob[0] {
+			l.wrote[i] = writtenBlob{}
+			return w.gen, true
+		}
+	}
+	return 0, false
+}
+
+// draw hands out the retired blob when it is size bytes written against
+// base under layout, with the ticket of the pass that wrote it; otherwise it
+// returns any retired blob to the pool and nil.
+func (l *BaseLineage) draw(base nn.Snapshot, layout *ChunkLayout, size int) ([]byte, uint64) {
+	blob, gen := l.retired, l.retiredGen
+	l.retired = nil
+	if blob == nil {
+		return nil, 0
+	}
+	if base == nil || !l.tracks(base, layout) || len(blob) != size {
+		ReleaseBuffer(blob)
+		return nil, 0
+	}
+	return blob, gen
+}
+
+// tracks reports whether the lineage is about encodes against base under
+// layout.
+func (l *BaseLineage) tracks(base nn.Snapshot, layout *ChunkLayout) bool {
+	return l.layout != nil && sameArrays(l.base, base) && l.layout.equal(layout)
+}
+
+// take hands a pass about to write blob its ticket, with the hashes of the
+// pass before it when that one hashed this base under an equal layout, and
+// — when blob was written by pass from of the current base and layout —
+// which records still encode the base's values. A pass against another base
+// or layout starts the lineage over.
+func (l *BaseLineage) take(base nn.Snapshot, layout *ChunkLayout, blob []byte, from uint64) (hashes []ChunkHash, gen uint64, keep []bool) {
+	hashes, l.hashes = l.hashes, nil
+	l.gen++
+	l.written(blob) // about to be written over: no longer a completed write
+	if base == nil {
+		return nil, l.gen, nil // moves nothing, and its blob is bound to nothing
+	}
+	if !l.tracks(base, layout) {
+		ReleaseBuffer(l.retired)
+		*l = BaseLineage{gen: l.gen, base: base, layout: layout, epoch: l.gen, moved: make([]uint64, layout.NumChunks)}
+		return nil, l.gen, nil
+	}
+	if from >= l.epoch {
+		keep = make([]bool, len(l.moved))
+		for i, m := range l.moved {
+			keep[i] = m <= from
+		}
+	}
+	return hashes, l.gen, keep
+}
+
+// settle records what e's pass moved, and its blob once the encode is
+// complete.
+func (l *BaseLineage) settle(e *ChunkEncoder) {
+	if e.opts.Base == nil || !l.tracks(e.opts.Base, e.layout) {
+		return
+	}
+	for i, d := range e.dirty {
+		if d {
+			l.moved[i] = e.gen
+		}
+	}
+	if e.done {
+		copy(l.wrote[:], l.wrote[1:])
+		l.wrote[len(l.wrote)-1] = writtenBlob{&e.blob[0], e.gen}
+	}
+}
+
+// put records hashes as those of the pass that took ticket gen, unless a
+// later pass has begun — the base has moved on from these records.
+func (l *BaseLineage) put(gen uint64, hashes []ChunkHash) {
 	if gen == l.gen {
-		l.base, l.layout, l.hashes = base, layout, hashes
+		l.hashes = hashes
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 	"viper/internal/mutate"
 )
 
-// fuzzSeeds returns one blob per format DecodeAuto accepts: lean v1,
-// chunked v2 and a manifest-bearing blob carrying every record.
+// fuzzSeeds returns one blob per format DecodeAuto accepts — lean v1,
+// chunked v2 and a manifest-bearing blob carrying every record — and a v2
+// blob the encoder wrote in place over a retired one (inPlaceSeed).
 func fuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	ckpt := chunkTestCheckpoint(3, 300)
@@ -33,7 +34,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return [][]byte{v1, v2, manifest}
+	return [][]byte{v1, v2, manifest, inPlaceSeed(tb)}
 }
 
 // FuzzDecodeAuto feeds arbitrary bytes to the dispatcher every staged

@@ -102,11 +102,16 @@ func TestHashOncePlanProperty(t *testing.T) {
 // between two encodes — an encode that hashes, one that does not, one
 // cancelled mid-stream, one whose Hashes call comes only after a later
 // encode, the base replaced by an equal clone, a tensor reshaped, the
-// precision or chunk size changed, elements put exactly on ±eps — and
-// checks after every Hashes call that the result is ChunkHashesOf(blob)
-// hash for hash, and that the encoder hashed exactly the dirty chunks
-// whenever the previous completed, hashed encode was against the same
-// base object under the same layout (and every chunk otherwise).
+// precision or chunk size changed, elements put exactly on ±eps, and the
+// blobs of earlier encodes — completed or cancelled, of this base and
+// layout or another — retired to the lineage in any order — and checks:
+//   - after every Hashes call, that the result is ChunkHashesOf(blob) hash
+//     for hash, and that the encoder hashed exactly the dirty chunks
+//     whenever the previous completed, hashed encode was against the same
+//     base object under the same layout (and every chunk otherwise);
+//   - after every completed in-place encode, that its blob is byte for
+//     byte a fresh pool-blob encode of the same snapshot against a clone
+//     of the base as it was before, and that the two left equal bases.
 func lineageWalk(t *testing.T, prec Precision, chunkBytes, workers int, eps float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(prec)<<40 ^ int64(chunkBytes)<<8 ^ int64(workers)<<1 ^ int64(math.Float64bits(eps)>>52)))
@@ -177,22 +182,76 @@ func lineageWalk(t *testing.T, prec Precision, chunkBytes, workers int, eps floa
 			}
 		}
 	}
+	// held are the blobs of completed encodes, detached, oldest first;
+	// retire hands the lineage one of them — or two, the newer winning.
+	var held [][]byte
+	inPlace := 0
+	retire := func() {
+		for k := 1 + rng.Intn(2); k > 0 && len(held) > 0; k-- {
+			i := rng.Intn(len(held))
+			lineage.Retire(held[i])
+			held = slices.Delete(held, i, i+1)
+		}
+	}
+	// finish lets go of a completed encoder's blob: kept for a later
+	// retire, or back to the pool.
+	finish := func(enc *ChunkEncoder) {
+		if rng.Intn(4) == 0 {
+			enc.Release()
+			return
+		}
+		blob, err := enc.Detach()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if held = append(held, blob); len(held) > 3 {
+			ReleaseBuffer(held[0])
+			held = held[1:]
+		}
+	}
 	type pending struct {
 		enc    *ChunkEncoder
 		hashed int // records its Hashes call must hash
 	}
-	// encode runs one whole encode and returns it with the oracle's count.
+	// encode runs one whole encode and returns it with the oracle's count,
+	// after holding an in-place encode's blob and the base it left against
+	// a fresh encode.
 	encode := func() pending {
 		want := dirtyChunks()
 		if !inheritable || inheritedKey != key() {
 			want = -1 // every chunk; the count is known once the layout is
 		}
+		pre := base.Clone()
 		enc, err := NewChunkEncoder(ckpt, opts())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := enc.EncodeStream(context.Background(), nil); err != nil {
 			t.Fatal(err)
+		}
+		if enc.InPlace() {
+			inPlace++
+			fresh, err := EncodeChunked(context.Background(), ckpt, ChunkOptions{
+				Precision: prec, ChunkBytes: chunkBytes, Parallelism: 1, Base: pre, BaseEps: eps,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := enc.Blob()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(blob, fresh) {
+				t.Fatalf("eps %g: an in-place encode (%d records reused) differs from a fresh one against the same base", eps, enc.ReusedRecords())
+			}
+			ReleaseBuffer(fresh)
+			for ti := range base {
+				for i, v := range base[ti].Data {
+					if math.Float64bits(v) != math.Float64bits(pre[ti].Data[i]) {
+						t.Fatalf("eps %g: tensor %d of the base differs from the one a fresh encode left", eps, ti)
+					}
+				}
+			}
 		}
 		if want < 0 {
 			want = enc.NumChunks()
@@ -224,14 +283,17 @@ func lineageWalk(t *testing.T, prec Precision, chunkBytes, workers int, eps floa
 
 	for i := 0; i < 40; i++ {
 		step()
+		if rng.Intn(3) > 0 {
+			retire()
+		}
 		switch op := rng.Intn(10); op {
 		default: // encode + Hashes, the steady state
 			p := encode()
 			check("encode+Hashes", p)
-			p.enc.Release()
+			finish(p.enc)
 			inheritable, inheritedKey = true, key()
 		case 3: // encode without Hashes (a full stream in delta mode)
-			encode().enc.Release()
+			finish(encode().enc)
 		case 4: // encode cancelled mid-stream: part of the base has moved
 			ctx, cancel := context.WithCancel(context.Background())
 			enc, err := NewChunkEncoder(ckpt, opts())
@@ -250,6 +312,11 @@ func lineageWalk(t *testing.T, prec Precision, chunkBytes, workers int, eps floa
 				t.Fatalf("cancelled encode returned %v", err)
 			}
 			cancel()
+			if errors.Is(err, context.Canceled) && rng.Intn(2) == 0 {
+				// A torn blob offered for retirement must be refused.
+				lineage.Retire(enc.blob)
+				enc.blob = nil
+			}
 			enc.Release()
 			inheritable = false
 		case 5: // Hashes asked only after a later encode has come and gone
@@ -257,10 +324,10 @@ func lineageWalk(t *testing.T, prec Precision, chunkBytes, workers int, eps floa
 			step()
 			p := encode()
 			check("encode+Hashes after an unhashed one", p)
-			p.enc.Release()
+			finish(p.enc)
 			inheritable, inheritedKey = true, key()
 			check("late Hashes", late) // right for its own blob, and not put back
-			late.enc.Release()
+			finish(late.enc)
 		case 6: // base replaced by an equal clone
 			base = base.Clone()
 			inheritable = false
@@ -278,8 +345,14 @@ func lineageWalk(t *testing.T, prec Precision, chunkBytes, workers int, eps floa
 			}
 		}
 	}
+	for _, blob := range held {
+		ReleaseBuffer(blob)
+	}
 	if onEps == 0 {
 		t.Fatalf("eps %g: no element ever sat exactly on ±eps", eps)
+	}
+	if inPlace == 0 {
+		t.Fatalf("eps %g: no encode ever drew a retired blob", eps)
 	}
 }
 
