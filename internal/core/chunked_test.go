@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"viper/internal/chunkstore"
 	"viper/internal/nn"
+	"viper/internal/tensor"
 	"viper/internal/vformat"
 )
 
@@ -113,189 +117,183 @@ func TestSaveChunkedQuantized(t *testing.T) {
 	}
 }
 
-// TestSaveChunkedIncremental: between full refreshes the chunked
-// pipeline ships manifest-bearing "vrecon" blobs carrying only the
-// chunks that changed, and the consumer reconciles the rest from the
-// chunk cache seeded by the full install.
-func TestSaveChunkedIncremental(t *testing.T) {
-	_, h, c := chunkedHandlerConsumer(t, HandlerConfig{
-		Model:       "tc1",
-		Strategy:    Strategy{Route: RouteHost, Mode: ModeSync},
-		ChunkSize:   256, // 32 elems/chunk: the 212-param model spans 7 chunks
-		Incremental: true,
-		FullEvery:   4,
-	})
-	sub := c.Subscribe()
-	defer sub.Close()
-	model := testModel(3)
-	wantFormats := []string{"vchunk", "vrecon", "vrecon"}
-	for i, want := range wantFormats {
-		// Nudge one parameter so each delta is small but non-empty.
-		params := model.Params()
-		params[0].Value.Data()[i] += 0.125
-		snap := nn.TakeSnapshot(model)
-		rep, err := h.Save(snap, uint64(i), 0.5)
-		if err != nil {
-			t.Fatalf("save %d: %v", i, err)
-		}
-		if rep.Meta.Format != want {
-			t.Fatalf("save %d format = %q, want %q", i, rep.Meta.Format, want)
-		}
-		if _, err := c.HandleNotification(<-sub.C); err != nil {
-			t.Fatalf("load %d: %v", i, err)
-		}
-		got := c.ActiveModel()
-		for ti := range snap {
-			for tj := range snap[ti].Data {
-				if got.Weights[ti].Data[tj] != snap[ti].Data[tj] {
-					t.Fatalf("after save %d weights differ at %d/%d", i, ti, tj)
-				}
+// requireWeights fails unless cons serves exactly snap.
+func requireWeights(t *testing.T, cons *Consumer, snap nn.Snapshot) {
+	t.Helper()
+	got := cons.ActiveModel()
+	for ti := range snap {
+		for tj := range snap[ti].Data {
+			if got.Weights[ti].Data[tj] != snap[ti].Data[tj] {
+				t.Fatalf("weights differ at %d/%d", ti, tj)
 			}
 		}
 	}
 }
 
-// TestChunkedReconFullRefreshCadence: the vrecon chain re-anchors with
-// a full vchunk checkpoint every FullEvery versions, and the consumer
-// tracks the whole sequence byte-identically.
-func TestChunkedReconFullRefreshCadence(t *testing.T) {
-	_, h, c := chunkedHandlerConsumer(t, HandlerConfig{
-		Model:       "tc1",
-		Strategy:    Strategy{Route: RouteHost, Mode: ModeSync},
-		ChunkSize:   256,
-		Incremental: true,
-		FullEvery:   3,
+// TestLateJoinerInstallsNewest: every frame is a whole checkpoint and
+// delivery is latest-wins, so a consumer that joins after v1 and finds v2
+// and v3 queued installs v3, bit-identical, from its first load.
+func TestLateJoinerInstallsNewest(t *testing.T) {
+	env, h, c := chunkedHandlerConsumer(t, HandlerConfig{
+		Model:     "tc1",
+		Strategy:  Strategy{Route: RouteHost, Mode: ModeSync},
+		ChunkSize: 256, // 32 elems/chunk: the 212-param model spans 7 chunks
 	})
-	sub := c.Subscribe()
-	defer sub.Close()
-	model := testModel(6)
-	want := []string{"vchunk", "vrecon", "vrecon", "vchunk", "vrecon", "vrecon", "vchunk"}
-	for i, wantFormat := range want {
-		params := model.Params()
-		params[0].Value.Data()[i] += 0.25
-		snap := nn.TakeSnapshot(model)
-		rep, err := h.Save(snap, uint64(i), 0.5)
-		if err != nil {
-			t.Fatalf("save %d: %v", i, err)
-		}
-		if rep.Meta.Format != wantFormat {
-			t.Fatalf("save %d format = %q, want %q", i, rep.Meta.Format, wantFormat)
-		}
-		if _, err := c.HandleNotification(<-sub.C); err != nil {
-			t.Fatalf("load %d: %v", i, err)
-		}
-		got := c.ActiveModel()
-		for ti := range snap {
-			for tj := range snap[ti].Data {
-				if got.Weights[ti].Data[tj] != snap[ti].Data[tj] {
-					t.Fatalf("after save %d weights differ at %d/%d", i, ti, tj)
-				}
-			}
-		}
-	}
-}
-
-// TestChunkedReconAccountedSize: a one-chunk change between versions
-// shrinks the accounted transfer to a fraction of the virtual size.
-func TestChunkedReconAccountedSize(t *testing.T) {
-	const virtual = int64(1 << 30)
-	_, h, c := chunkedHandlerConsumer(t, HandlerConfig{
-		Model:       "tc1",
-		Strategy:    Strategy{Route: RouteHost, Mode: ModeSync},
-		ChunkSize:   256,
-		Incremental: true,
-		VirtualSize: virtual,
-	})
-	sub := c.Subscribe()
-	defer sub.Close()
-	model := testModel(7)
-	rep1, err := h.Save(nn.TakeSnapshot(model), 1, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep1.Meta.Size != virtual {
-		t.Fatalf("full size = %d, want %d", rep1.Meta.Size, virtual)
-	}
-	if _, err := c.HandleNotification(<-sub.C); err != nil {
-		t.Fatal(err)
-	}
-	model.Params()[0].Value.Data()[0] += 1
-	rep2, err := h.Save(nn.TakeSnapshot(model), 2, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Meta.Format != "vrecon" {
-		t.Fatalf("second format = %q, want vrecon", rep2.Meta.Format)
-	}
-	if rep2.Meta.Size >= virtual/2 {
-		t.Fatalf("recon accounted size = %d, want well under the virtual %d", rep2.Meta.Size, virtual)
-	}
-}
-
-// TestChunkedReconColdCacheErrors: a consumer that joins mid-chain has
-// no chunks to reconcile against — the vrecon load fails loudly (like a
-// broken vdelta chain) and the next scheduled full refresh repairs it.
-func TestChunkedReconColdCacheErrors(t *testing.T) {
-	env, h, c1 := chunkedHandlerConsumer(t, HandlerConfig{
-		Model:       "tc1",
-		Strategy:    Strategy{Route: RouteHost, Mode: ModeSync},
-		ChunkSize:   256,
-		Incremental: true,
-		FullEvery:   2,
-	})
-	sub1 := c1.Subscribe()
-	defer sub1.Close()
 	model := testModel(8)
 	if _, err := h.Save(nn.TakeSnapshot(model), 1, 0.9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.HandleNotification(<-sub1.C); err != nil {
-		t.Fatal(err)
+	if _, ok, err := pollViaMeta(c); err != nil || !ok {
+		t.Fatalf("v1 load: %v %v", ok, err)
 	}
-
-	// A late joiner with its own links misses v1 entirely.
-	c2, err := NewConsumerOpts(env, "tc1", ConsumerOptions{ExtraLinks: true})
+	late, err := NewConsumerOpts(env, "tc1", ConsumerOptions{ExtraLinks: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub2 := c2.Subscribe()
-	defer sub2.Close()
-
-	model.Params()[0].Value.Data()[0] += 1
-	rep, err := h.Save(nn.TakeSnapshot(model), 2, 0.8)
-	if err != nil {
+	params := model.Params()
+	params[0].Value.Data()[0] += 1
+	if _, err := h.Save(nn.TakeSnapshot(model), 2, 0.8); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Meta.Format != "vrecon" {
-		t.Fatalf("format = %q, want vrecon", rep.Meta.Format)
-	}
-	msg := <-sub2.C
-	if _, err := c2.HandleNotification(msg); !errors.Is(err, vformat.ErrMissingChunk) {
-		t.Fatalf("cold-cache load = %v, want ErrMissingChunk", err)
-	}
-	if _, err := c1.HandleNotification(<-sub1.C); err != nil {
-		t.Fatalf("warm consumer must follow the chain: %v", err)
-	}
-
-	// v3 is the scheduled full refresh; the cold consumer catches up.
+	last := params[len(params)-1].Value.Data()
+	last[len(last)-1] += 0.5
 	snap3 := nn.TakeSnapshot(model)
-	rep3, err := h.Save(snap3, 3, 0.7)
+	if _, err := h.Save(snap3, 3, 0.7); err != nil {
+		t.Fatal(err)
+	}
+	for i, cons := range []*Consumer{c, late} {
+		if rep, ok, err := pollViaMeta(cons); err != nil || !ok || rep.Meta.Version != 3 {
+			t.Fatalf("consumer %d: load = %+v, %v, %v; want v3", i, rep, ok, err)
+		}
+		requireWeights(t, cons, snap3)
+	}
+}
+
+// TestDroppedFrameInstallsNext: delivery is latest-wins and every frame is
+// whole, so a consumer whose v2 frame was lost behind its back installs
+// v3 — which moves only the last chunk — bit-identical from the next load.
+func TestDroppedFrameInstallsNext(t *testing.T) {
+	env, h, c := chunkedHandlerConsumer(t, HandlerConfig{
+		Model:     "tc1",
+		Strategy:  Strategy{Route: RouteHost, Mode: ModeSync},
+		ChunkSize: 256,
+	})
+	model := testModel(8)
+	if _, err := h.Save(nn.TakeSnapshot(model), 1, 0.9); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := pollViaMeta(c); err != nil || !ok {
+		t.Fatalf("v1 load: %v %v", ok, err)
+	}
+	params := model.Params()
+	params[0].Value.Data()[0] += 1
+	if _, err := h.Save(nn.TakeSnapshot(model), 2, 0.8); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := env.HostLink.TryRecv(); !ok {
+		t.Fatal("expected the v2 frame queued")
+	}
+	last := params[len(params)-1].Value.Data()
+	last[len(last)-1] += 0.5
+	snap3 := nn.TakeSnapshot(model)
+	if _, err := h.Save(snap3, 3, 0.7); err != nil {
+		t.Fatal(err)
+	}
+	if rep, ok, err := pollViaMeta(c); err != nil || !ok || rep.Meta.Version != 3 {
+		t.Fatalf("load = %+v, %v, %v; want v3", rep, ok, err)
+	}
+	requireWeights(t, c, snap3)
+}
+
+func TestQuantizedTransferFloat32(t *testing.T) {
+	env, _ := newTestEnv()
+	src := testModel(20)
+	dst := testModel(21)
+	h, err := NewWeightsHandler(env, HandlerConfig{
+		Model:     "m",
+		Strategy:  Strategy{Route: RouteGPU, Mode: ModeSync},
+		Precision: vformat.PrecFloat32,
+		ChunkSize: 64,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep3.Meta.Format != "vchunk" {
-		t.Fatalf("refresh format = %q, want vchunk", rep3.Meta.Format)
+	cons, err := NewConsumerOpts(env, "m", ConsumerOptions{Serving: dst})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c2.HandleNotification(<-sub2.C); err != nil {
-		t.Fatalf("full refresh must repair the cold consumer: %v", err)
+	rep, err := h.Save(nn.TakeSnapshot(src), 1, 0.5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := c2.ActiveModel()
-	for ti := range snap3 {
-		for tj := range snap3[ti].Data {
-			if got.Weights[ti].Data[tj] != snap3[ti].Data[tj] {
-				t.Fatalf("repaired weights differ at %d/%d", ti, tj)
-			}
+	if rep.Meta.Format != "vchunk" {
+		t.Fatalf("format = %q", rep.Meta.Format)
+	}
+	if _, _, err := pollViaMeta(cons); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(22))
+	x := tensor.RandNormal(rng, 0, 1, 4, 8)
+	if !src.Predict(x).AllClose(dst.Predict(x), 1e-5) {
+		t.Fatal("float32 transfer must preserve predictions to ~1e-6")
+	}
+}
+
+func TestQuantizedHalvesAccountedSize(t *testing.T) {
+	const full = 1 << 30
+	mk := func(p vformat.Precision) int64 {
+		env, _ := newTestEnv()
+		h, err := NewWeightsHandler(env, HandlerConfig{
+			Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync},
+			Precision: p, VirtualSize: full, ChunkSize: 64,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		rep, err := h.Save(nn.TakeSnapshot(testModel(30)), 1, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Meta.Size
+	}
+	s64 := mk(vformat.PrecFloat64)
+	s32 := mk(vformat.PrecFloat32)
+	s16 := mk(vformat.PrecFloat16)
+	if !(s16 < s32 && s32 < s64) {
+		t.Fatalf("accounted sizes %d/%d/%d must shrink with precision", s64, s32, s16)
+	}
+	if s32 != full/2 || s16 != full/4 {
+		t.Fatalf("accounted sizes %d/%d, want exactly half and a quarter of %d", s32, s16, full)
+	}
+}
+
+// TestHandlerConfigRejectsConflictingModes: precision and the store live
+// in the chunked encoding, so asking for one on a whole-file baseline (v1
+// at ChunkSize 0, or h5) is a construction error that names the missing
+// setting.
+func TestHandlerConfigRejectsConflictingModes(t *testing.T) {
+	env, _ := newTestEnv()
+	store, err := chunkstore.Open(t.TempDir(), chunkstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	memory := Strategy{Route: RouteGPU, Mode: ModeSync}
+	for name, cfg := range map[string]HandlerConfig{
+		"quantized, unchunked": {Strategy: memory, Precision: vformat.PrecFloat32},
+		"store, unchunked":     {Strategy: memory, Store: store},
+		"quantized, baseline":  {Strategy: Strategy{Route: RoutePFS, Baseline: true}, Precision: vformat.PrecFloat32, ChunkSize: 64},
+		"store, baseline":      {Strategy: Strategy{Route: RoutePFS, Baseline: true}, Store: store, ChunkSize: 64},
+	} {
+		cfg.Model = "m"
+		if _, err := NewWeightsHandler(env, cfg); err == nil || !strings.Contains(err.Error(), "ChunkSize") {
+			t.Fatalf("%s: err = %v, want a construction error naming ChunkSize", name, err)
+		}
+	}
+	if _, err := NewWeightsHandler(env, HandlerConfig{
+		Model: "m", Strategy: memory, Precision: vformat.Precision(7),
+	}); err == nil {
+		t.Fatal("unknown precision must be rejected")
 	}
 }
 

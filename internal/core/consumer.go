@@ -82,12 +82,6 @@ type Consumer struct {
 	serving   nn.Model
 	servingMu sync.Mutex
 
-	// cache retains chunk records from installed incremental chunked
-	// checkpoints so "vrecon" manifest blobs — which carry only the
-	// records that changed — can be reconciled locally (nil when delta
-	// reconciliation is disabled).
-	cache *vformat.ChunkCache
-
 	// base backs the context-free API forms (Poll, Load,
 	// HandleNotification); never nil.
 	base context.Context
@@ -112,13 +106,6 @@ type ConsumerOptions struct {
 	// bound every implicit fetch/decode to an application lifetime
 	// without threading a context through each call site.
 	BaseContext context.Context
-	// DisableDeltaReconcile drops the consumer's chunk cache: "vrecon"
-	// payloads then fail to decode unless self-contained, and the
-	// producer should be configured for full streams.
-	DisableDeltaReconcile bool
-	// ChunkHashCache bounds the chunk cache entries (0 = a default
-	// sized for a few snapshots at the default chunk size).
-	ChunkHashCache int
 }
 
 // NewConsumerOpts constructs a consumer for the named model with the
@@ -137,9 +124,6 @@ func NewConsumerOpts(env *Env, model string, o ConsumerOptions) (*Consumer, erro
 		env: env, model: model, buf: NewDoubleBuffer(), serving: o.Serving,
 		gpuLink: env.GPULink, hostLink: env.HostLink,
 		base: o.BaseContext,
-	}
-	if !o.DisableDeltaReconcile {
-		c.cache = vformat.NewChunkCache(o.ChunkHashCache)
 	}
 	if o.ExtraLinks {
 		c.gpuLink, c.hostLink = env.AddConsumerLinks()
@@ -340,17 +324,17 @@ func (c *Consumer) LoadContext(ctx context.Context, meta *ModelMeta) (*LoadRepor
 }
 
 // ErrNoRecoverableCheckpoint is returned by RecoverFromPFS when the PFS
-// flush history holds no self-contained checkpoint for the model.
+// flush history holds no checkpoint for the model.
 var ErrNoRecoverableCheckpoint = errors.New("core: no recoverable checkpoint on the PFS")
 
-// RecoverFromPFS installs the newest self-contained checkpoint from the
-// PFS flush history, bypassing the memory links entirely — the
+// RecoverFromPFS installs the newest checkpoint from the PFS flush
+// history, bypassing the memory links entirely — the
 // fault-tolerance path enabled by the producer's FlushHistory option.
 // Use it when a consumer (re)starts after the memory-resident copies and
 // queued frames are gone.
 func (c *Consumer) RecoverFromPFS() (*LoadReport, error) {
 	// Walk the per-version metadata records newest-first and pick the
-	// first whose payload is a self-contained format present on the PFS.
+	// first whose payload is present on the PFS.
 	keys := c.env.Meta.Keys(MetaKey(c.model) + "/v")
 	for i := len(keys) - 1; i >= 0; i-- {
 		raw, err := c.env.Meta.Get(keys[i])
@@ -361,7 +345,7 @@ func (c *Consumer) RecoverFromPFS() (*LoadReport, error) {
 		if err != nil {
 			continue
 		}
-		if meta.Format == "vrecon" || !c.env.Cluster.PFS.Has(meta.Path) {
+		if !c.env.Cluster.PFS.Has(meta.Path) {
 			continue
 		}
 		recovered := *meta
@@ -380,27 +364,22 @@ func (c *Consumer) RecoverFromPFS() (*LoadReport, error) {
 
 // recvVia receives the checkpoint frame from the link (the wire time was
 // charged by the sender), drains any additionally queued frames down to
-// the newest (checkpoint keys sort by version), lands it in the local
-// tier at no extra charge (RDMA semantics), then charges the tier read
-// that moves it into the serving buffer.
+// the newest (every frame is a whole checkpoint and keys sort by
+// version), lands it in the local tier at no extra charge (RDMA
+// semantics), then charges the tier read that moves it into the serving
+// buffer.
 func (c *Consumer) recvVia(link *transport.Link, local *memsim.Device, meta *ModelMeta) ([]byte, error) {
 	frame, err := link.Recv()
 	if err != nil {
 		return nil, fmt.Errorf("core: link recv: %w", err)
 	}
-	// Incremental producers emit ordered chains (full refreshes and the
-	// deltas between them) that must be consumed one frame per
-	// notification; otherwise full checkpoints are superseding, so drain
-	// to the newest.
-	if !meta.Incremental {
-		for {
-			next, ok := link.TryRecv()
-			if !ok {
-				break
-			}
-			if next.Key > frame.Key {
-				frame = next
-			}
+	for {
+		next, ok := link.TryRecv()
+		if !ok {
+			break
+		}
+		if next.Key > frame.Key {
+			frame = next
 		}
 	}
 	if frame.Key < meta.Path {
@@ -418,8 +397,8 @@ func (c *Consumer) recvVia(link *transport.Link, local *memsim.Device, meta *Mod
 }
 
 // decodePayload parses a checkpoint in the format its metadata names:
-// chunked v2 ("vchunk", or its manifest form "vrecon"), or one of the
-// whole-file reference baselines ("vformat", "h5").
+// chunked v2 ("vchunk"), or one of the whole-file reference baselines
+// ("vformat", "h5").
 func (c *Consumer) decodePayload(ctx context.Context, meta *ModelMeta, payload []byte) (*vformat.Checkpoint, error) {
 	switch meta.Format {
 	case "vformat":
@@ -427,23 +406,8 @@ func (c *Consumer) decodePayload(ctx context.Context, meta *ModelMeta, payload [
 	case "vchunk":
 		// Chunked v2 blob: per-chunk CRC verification and decode fan out
 		// over the worker pool, writing straight into the preallocated
-		// snapshot. Incremental chains seed the chunk cache so the
-		// "vrecon" versions that follow can reconcile against it.
-		if meta.Incremental && c.cache != nil {
-			_ = c.cache.PutAll(payload)
-		}
+		// snapshot.
 		return vformat.DecodeChunked(ctx, payload, 0)
-	case "vrecon":
-		// Manifest-bearing chunked blob: the records the producer elided
-		// are pulled from the cache seeded by earlier installs (which
-		// ReconcileBlob also keeps current with the records carried
-		// here). A cold cache — restarted consumer mid-chain — is an
-		// error; the next scheduled full refresh repairs it.
-		ckpt, _, err := vformat.ReconcileBlob(ctx, payload, c.cache)
-		if err != nil {
-			return nil, fmt.Errorf("core: reconciling chunked delta v%d: %w", meta.Version, err)
-		}
-		return ckpt, nil
 	case "h5":
 		return decodeH5(meta, payload)
 	default:

@@ -10,6 +10,7 @@ import (
 	"viper/internal/nn"
 	"viper/internal/simclock"
 	"viper/internal/tensor"
+	"viper/internal/trace"
 )
 
 func testModel(seed int64) *nn.Sequential {
@@ -24,6 +25,31 @@ func testModel(seed int64) *nn.Sequential {
 func newTestEnv() (*Env, *simclock.Virtual) {
 	clock := simclock.NewVirtual()
 	return NewEnv(clock), clock
+}
+
+// perturb nudges a fraction of the model's weights in place.
+func perturb(m nn.Model, rng *rand.Rand, fraction, scale float64) {
+	for _, p := range m.Params() {
+		d := p.Value.Data()
+		for i := range d {
+			if rng.Float64() < fraction {
+				d[i] += scale * rng.NormFloat64()
+			}
+		}
+	}
+}
+
+// pollViaMeta loads the latest metadata directly (bypassing pub/sub).
+func pollViaMeta(c *Consumer) (*LoadReport, bool, error) {
+	meta, err := c.LatestMeta()
+	if err != nil {
+		return nil, false, err
+	}
+	rep, err := c.Load(meta)
+	if err != nil {
+		return nil, false, err
+	}
+	return rep, rep != nil, nil
 }
 
 func TestStrategyString(t *testing.T) {
@@ -413,5 +439,25 @@ func TestCheckpointKeyFormat(t *testing.T) {
 	// Lexicographic order must match version order (eviction relies on it).
 	if !(CheckpointKey("m", 9) < CheckpointKey("m", 10)) {
 		t.Fatal("checkpoint keys must sort by version")
+	}
+}
+
+func TestTraceRecordsTimeline(t *testing.T) {
+	env, _ := newTestEnv()
+	rec := trace.NewRecorder(0)
+	env.Trace = rec
+	h, _ := NewWeightsHandler(env, HandlerConfig{Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync}})
+	cons, _ := NewConsumerOpts(env, "m", ConsumerOptions{})
+	if _, err := h.Save(nn.TakeSnapshot(testModel(40)), 1, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := pollViaMeta(cons); err != nil {
+		t.Fatal(err)
+	}
+	s := rec.Summarize()
+	for _, kind := range []trace.Kind{"save", "stall", "load", "swap"} {
+		if s.Counts[kind] != 1 {
+			t.Fatalf("trace %s count = %d, want 1 (summary: %v)", kind, s.Counts[kind], s.Counts)
+		}
 	}
 }

@@ -126,48 +126,6 @@ func TestRecoverFromPFSAfterConsumerRestart(t *testing.T) {
 	}
 }
 
-func TestRecoverFromPFSSkipsDeltas(t *testing.T) {
-	env, _ := newTestEnv()
-	src := testModel(250)
-	h, err := NewWeightsHandler(env, HandlerConfig{
-		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync},
-		FlushHistory: true, Incremental: true, FullEvery: 10, ChunkSize: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := NewConsumerOpts(env, "m", ConsumerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(251))
-	// v1 full (flushed), v2/v3 deltas (not flushed).
-	for v := 1; v <= 3; v++ {
-		perturb(src, rng, 0.05, 0.1)
-		if _, err := h.Save(nn.TakeSnapshot(src), uint64(v), 0.5); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := pollViaMeta(live); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if env.Cluster.PFS.Has(CheckpointKey("m", 2)) || env.Cluster.PFS.Has(CheckpointKey("m", 3)) {
-		t.Fatal("delta checkpoints must not be flushed to the PFS")
-	}
-	fresh, err := NewConsumerOpts(env, "m", ConsumerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := fresh.RecoverFromPFS()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The newest recoverable state is the full v1.
-	if rep.Meta.Version != 1 {
-		t.Fatalf("recovered version = %d, want 1 (the newest full)", rep.Meta.Version)
-	}
-}
-
 func TestRecoverFromPFSWithoutHistory(t *testing.T) {
 	env, _ := newTestEnv()
 	h, err := NewWeightsHandler(env, HandlerConfig{Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync}})
@@ -190,7 +148,7 @@ func TestProducerResumeFrom(t *testing.T) {
 	env, _ := newTestEnv()
 	src := testModel(270)
 	h1, err := NewWeightsHandler(env, HandlerConfig{
-		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync}, Incremental: true, ChunkSize: 64,
+		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync}, ChunkSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,10 +167,9 @@ func TestProducerResumeFrom(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Restarted producer resumes the version sequence; its first save is
-	// full (no delta base survives).
+	// Restarted producer resumes the version sequence.
 	h2, err := NewWeightsHandler(env, HandlerConfig{
-		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync}, Incremental: true, ChunkSize: 64,
+		Model: "m", Strategy: Strategy{Route: RouteGPU, Mode: ModeSync}, ChunkSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,9 +183,6 @@ func TestProducerResumeFrom(t *testing.T) {
 	if rep.Meta.Version != 3 {
 		t.Fatalf("resumed version = %d, want 3", rep.Meta.Version)
 	}
-	if rep.Meta.Format != "vchunk" {
-		t.Fatalf("first post-restart save format = %q, want full", rep.Meta.Format)
-	}
 	if _, ok, err := pollViaMeta(cons); err != nil || !ok {
 		t.Fatalf("post-restart load: %v %v", ok, err)
 	}
@@ -237,7 +191,7 @@ func TestProducerResumeFrom(t *testing.T) {
 // TestBroadcastSharesOnePayload pins the encode-once fix: after a Save
 // the frames sitting on the primary link and every extra link must
 // alias ONE payload backing array — the handler encodes the checkpoint
-// once and hands the same bytes to each link via SendShared, so
+// once and hands the same bytes to each link via SendLatestShared, so
 // producer-side CPU/allocation is flat in the consumer count (only the
 // modelled wire time grows).
 func TestBroadcastSharesOnePayload(t *testing.T) {
@@ -272,7 +226,7 @@ func TestBroadcastSharesOnePayload(t *testing.T) {
 // BenchmarkBroadcastEncodeOnce measures the producer-side wall cost of
 // a Save as extra consumers are added. The virtual clock auto-advances,
 // so modelled wire time is free here and the measurement isolates real
-// CPU work: encode + per-link handoff. With SendShared the cost must
+// CPU work: encode + per-link handoff. With SendLatestShared the cost must
 // stay ~flat from 1 to 32 consumers; relay's TestGateFanOutFlat checks the
 // relay-tier analogue of the same claim over real TCP.
 func BenchmarkBroadcastEncodeOnce(b *testing.B) {

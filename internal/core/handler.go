@@ -140,36 +140,17 @@ type WeightsHandler struct {
 	// checkpoint to the PFS via a background thread.
 	flushHistory bool
 	precision    vformat.Precision
-	incremental  bool
-	deltaEps     float64
-	fullEvery    int
 	chunkSize    int
 	parallelism  int
-	// store is the optional time-travel store: every self-contained
-	// save is written through, so older versions remain reloadable
-	// (LoadVersion) and the lineage can be rewound (Rollback). The
-	// store is caller-owned; the handler never closes it.
+	// store is the optional time-travel store: every save is written
+	// through, so older versions remain reloadable (LoadVersion) and the
+	// lineage can be rewound (Rollback). The store is caller-owned; the
+	// handler never closes it.
 	store *chunkstore.Store
 
 	mu      sync.Mutex
 	version uint64
 	stats   HandlerStats
-	// lastSent holds the previous published version's wire values, the
-	// comparison base for DeltaEps suppression (incremental mode). lineage
-	// is passed with it into every encode, so only the records of chunks
-	// that moved are hashed again (vformat.BaseLineage); unlike lastHashes
-	// it follows the base object, not what was published.
-	lastSent nn.Snapshot
-	lineage  vformat.BaseLineage
-	// lastHashes are the per-chunk content hashes of the last published
-	// checkpoint — the set a "vrecon" manifest may elide against
-	// (incremental mode).
-	lastHashes []vformat.ChunkHash
-	// pendingBase/pendingHashes stage the incremental state computed by
-	// encodeChunked until SaveContext commits the save; a failed save
-	// leaves lastSent/lastHashes at the last published version.
-	pendingBase   nn.Snapshot
-	pendingHashes []vformat.ChunkHash
 }
 
 // HandlerConfig configures a WeightsHandler.
@@ -179,43 +160,28 @@ type HandlerConfig struct {
 	// Strategy selects route/mode/baseline.
 	Strategy Strategy
 	// VirtualSize is the accounted checkpoint size in bytes (e.g.
-	// models.SizeTC1); 0 accounts the real payload size. Reconciled and
-	// quantized transfers scale it by their actual payload ratio.
+	// models.SizeTC1); 0 accounts the real payload size. Quantized
+	// transfers scale it by their wire stride.
 	VirtualSize int64
 	// FlushHistory enables background PFS flushes of every checkpoint.
 	FlushHistory bool
 	// Precision selects the wire precision (PrecFloat64 = lossless
 	// default); the conversion is folded into the chunk encoding, so
-	// anything else requires ChunkSize. Mutually exclusive with
-	// Incremental.
+	// anything else requires ChunkSize.
 	Precision vformat.Precision
-	// Incremental enables delta checkpointing (Check-N-Run style) at
-	// chunk granularity: between full refreshes (every FullEvery
-	// versions) a checkpoint ships as a manifest plus only the chunks
-	// whose content changed ("vrecon"). Requires ChunkSize. Incremental
-	// transfers use ordered (non-dropping) delivery, so the consumer must
-	// keep up.
-	Incremental bool
-	// DeltaEps suppresses element changes with |Δ| <= eps (0 = exact).
-	DeltaEps float64
-	// FullEvery is the full-refresh cadence for incremental mode
-	// (default 10).
-	FullEvery int
 	// ChunkSize selects Viper's one encoding, chunked v2: checkpoints
 	// are split into ChunkSize-byte chunks encoded by a worker pool into
 	// one pooled blob. 0 is the simulator's reference baseline — the lean
-	// v1 format Figure 8 compares against h5 — and carries none of
-	// Precision, Incremental or Store; the functional-options public API
-	// defaults to vformat.DefaultChunkBytes. Ignored for the baseline
-	// strategy.
+	// v1 format Figure 8 compares against h5 — and carries neither
+	// Precision nor Store; the functional-options public API defaults to
+	// vformat.DefaultChunkBytes. Ignored for the baseline strategy.
 	ChunkSize int
 	// Parallelism bounds the encode worker pool (0 = GOMAXPROCS).
 	Parallelism int
 	// Store, when non-nil, attaches a durable time-travel store: every
-	// self-contained checkpoint (not "vrecon" increments, which cannot
-	// replay alone) is written through at save time. The store holds
-	// chunk records only, so it requires ChunkSize. The caller owns the
-	// store's lifecycle.
+	// checkpoint is written through at save time. The store holds chunk
+	// records only, so it requires ChunkSize. The caller owns the store's
+	// lifecycle.
 	Store *chunkstore.Store
 }
 
@@ -238,27 +204,17 @@ func NewWeightsHandler(env *Env, cfg HandlerConfig) (*WeightsHandler, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown precision %d", cfg.Precision)
 	}
-	if cfg.Incremental && cfg.Precision != vformat.PrecFloat64 {
-		return nil, errors.New("core: incremental and quantized transfer are mutually exclusive")
-	}
 	if (cfg.ChunkSize == 0 || cfg.Strategy.Baseline) &&
-		(cfg.Incremental || cfg.Precision != vformat.PrecFloat64 || cfg.Store != nil) {
-		// The v1 and h5 baselines are whole-file references: precision,
-		// deltas and the chunk store live in the chunked encoding only.
-		return nil, errors.New("core: Incremental, Precision and Store need the chunked encoding: set ChunkSize > 0 on a non-baseline strategy")
-	}
-	if cfg.DeltaEps < 0 {
-		return nil, fmt.Errorf("core: negative delta threshold %v", cfg.DeltaEps)
+		(cfg.Precision != vformat.PrecFloat64 || cfg.Store != nil) {
+		// The v1 and h5 baselines are whole-file references: precision
+		// and the chunk store live in the chunked encoding only.
+		return nil, errors.New("core: Precision and Store need the chunked encoding: set ChunkSize > 0 on a non-baseline strategy")
 	}
 	if cfg.ChunkSize < 0 {
 		return nil, fmt.Errorf("core: negative chunk size %d", cfg.ChunkSize)
 	}
 	if cfg.Parallelism < 0 {
 		return nil, fmt.Errorf("core: negative parallelism %d", cfg.Parallelism)
-	}
-	fullEvery := cfg.FullEvery
-	if fullEvery <= 0 {
-		fullEvery = 10
 	}
 	return &WeightsHandler{
 		env:          env,
@@ -267,9 +223,6 @@ func NewWeightsHandler(env *Env, cfg HandlerConfig) (*WeightsHandler, error) {
 		virtualSize:  cfg.VirtualSize,
 		flushHistory: cfg.FlushHistory,
 		precision:    cfg.Precision,
-		incremental:  cfg.Incremental,
-		deltaEps:     cfg.DeltaEps,
-		fullEvery:    fullEvery,
 		chunkSize:    cfg.ChunkSize,
 		parallelism:  cfg.Parallelism,
 		store:        cfg.Store,
@@ -294,17 +247,12 @@ func (h *WeightsHandler) Version() uint64 {
 }
 
 // ResumeFrom continues the version sequence after a producer restart:
-// subsequent saves are numbered from version+1. In incremental mode the
-// first post-restart save is a full checkpoint (no base survives a
-// crash).
+// subsequent saves are numbered from version+1.
 func (h *WeightsHandler) ResumeFrom(version uint64) {
 	h.mu.Lock()
 	if version > h.version {
 		h.version = version
 	}
-	h.lastSent = nil
-	h.lastHashes = nil
-	h.pendingBase, h.pendingHashes = nil, nil
 	h.mu.Unlock()
 }
 
@@ -332,9 +280,7 @@ func (h *WeightsHandler) StoredVersions() []uint64 {
 
 // Rollback rewinds the lineage to an older stored version: the
 // checkpoint is reloaded from the store, every newer stored version is
-// retired, and the next save continues from version+1. The incremental
-// bases are reset, so a delta-mode handler's next save is a full
-// refresh (its chain would otherwise reference the abandoned branch).
+// retired, and the next save continues from version+1.
 func (h *WeightsHandler) Rollback(ctx context.Context, version uint64) (*vformat.Checkpoint, error) {
 	ckpt, err := h.LoadVersion(ctx, version)
 	if err != nil {
@@ -352,8 +298,6 @@ func (h *WeightsHandler) Rollback(ctx context.Context, version uint64) (*vformat
 	}
 	h.mu.Lock()
 	h.version = version
-	h.lastSent, h.lastHashes = nil, nil
-	h.pendingBase, h.pendingHashes = nil, nil
 	h.mu.Unlock()
 	return ckpt, nil
 }
@@ -390,114 +334,27 @@ func (h *WeightsHandler) encode(ctx context.Context, ckpt *vformat.Checkpoint) (
 	return full, "vformat", size, nil
 }
 
-// encodeChunked is the chunked-pipeline encode: full checkpoints become
-// one wire-format-v2 blob built by the worker pool in a single pass over
-// the weights (precision conversion folded in). In incremental mode the
-// per-chunk content hashes are read off the encoder (hashed at most once, on
-// its worker pool; a chunk that did not move since the previous encode
-// inherits its hash) and the versions between full refreshes are encoded against the previous version's wire values
-// (ChunkOptions.Base), so a chunk whose elements all stayed within
-// DeltaEps re-encodes byte-identically and its content hash matches the
-// previous version's; the payload is then a manifest-bearing "vrecon"
-// blob carrying only the records the consumer cannot already hold, and
-// the consumer reconciles the elided ones from its chunk cache.
+// encodeChunked is the chunked-pipeline encode: the checkpoint becomes
+// one self-contained wire-format-v2 blob built by the worker pool in a
+// single pass over the weights (precision conversion folded in).
 // In-process routes ship the blob as one frame to preserve the links'
-// latest-wins queue semantics; multi-frame streaming lives in the
-// remote transport.
+// latest-wins queue semantics; multi-frame streaming and chunk-level
+// deltas live in the remote transport.
 func (h *WeightsHandler) encodeChunked(ctx context.Context, ckpt *vformat.Checkpoint) ([]byte, string, int64, error) {
-	// The payload-equivalent of a lean full encode (8 bytes/element),
-	// the reference for virtual-size scaling — computed without actually
-	// doing a monolithic encode.
-	physFull := ckpt.Weights.NumBytes()
-	if physFull < 1 {
-		physFull = 1
-	}
-	baseSize := h.virtualSize
-	if baseSize <= 0 {
-		baseSize = physFull
-	}
-	opts := vformat.ChunkOptions{
+	// The blob's ownership transfers to the storage tiers/links below, so
+	// it is never returned to the buffer pool here.
+	blob, err := vformat.EncodeChunked(ctx, ckpt, vformat.ChunkOptions{
 		Precision:   h.precision,
 		ChunkBytes:  h.chunkSize,
 		Parallelism: h.parallelism,
-	}
-	h.mu.Lock()
-	base, prev := h.lastSent, h.lastHashes
-	h.mu.Unlock()
-	// Full refresh on the first version and every fullEvery-th one,
-	// bounding how long a restarted consumer can be stuck reconciling
-	// against chunks it never cached.
-	recon := h.incremental && base != nil && len(prev) > 0 &&
-		(ckpt.Version-1)%uint64(h.fullEvery) != 0 && vformat.SameStructure(base, ckpt.Weights)
-	if recon {
-		opts.Base, opts.BaseEps = base, h.deltaEps
-	}
-	if h.incremental {
-		opts.Lineage = &h.lineage
-	}
-	enc, err := vformat.NewChunkEncoder(ckpt, opts)
+	})
 	if err != nil {
 		return nil, "", 0, fmt.Errorf("core: chunked encode: %w", err)
 	}
-	// Returns the pooled blob on every path but the last, where Detach
-	// hands it to the caller first.
-	defer enc.Release()
-	if err := enc.EncodeStream(ctx, nil); err != nil {
-		return nil, "", 0, fmt.Errorf("core: chunked encode: %w", err)
-	}
-	blob, err := enc.Blob()
-	if err != nil {
-		return nil, "", 0, err
-	}
-	var hashes []vformat.ChunkHash
-	if h.incremental {
-		if hashes, err = enc.Hashes(); err != nil {
-			return nil, "", 0, err
-		}
-		h.mu.Lock()
-		h.pendingHashes = hashes
-		if recon {
-			// putElemsBase updated base in place to this version's wire
-			// values; keep it as the next encode's comparison base.
-			h.pendingBase = base
-		} else {
-			h.pendingBase = ckpt.Weights.Clone()
-		}
-		h.mu.Unlock()
-	}
-	if recon {
-		have := make(map[vformat.ChunkHash]bool, len(prev))
-		for _, ch := range prev {
-			have[ch] = true
-		}
-		delta, _, elided, err := vformat.BuildManifestBlobHashed(blob, hashes, func(ch vformat.ChunkHash) bool { return have[ch] })
-		if err != nil {
-			return nil, "", 0, fmt.Errorf("core: building manifest blob: %w", err)
-		}
-		if elided > 0 && len(delta) < len(blob) {
-			// The manifest blob is freshly allocated, so the pooled full
-			// blob goes back (the hashes outlive it by contract).
-			size := int64(float64(baseSize) * float64(len(delta)) / float64(physFull))
-			if size < 1 {
-				size = 1
-			}
-			return delta, "vrecon", size, nil
-		}
-	}
-	// The blob's ownership transfers to the storage tiers/links below, so
-	// it is never returned to the buffer pool here.
-	size := baseSize
+	size := int64(len(blob))
 	if h.virtualSize > 0 {
 		// Reduced precision shrinks the wire payload proportionally.
-		size = baseSize * int64(h.precision.BytesPerElement()) / 8
-		if size < 1 {
-			size = 1
-		}
-	} else {
-		size = int64(len(blob))
-	}
-	if blob, err = enc.Detach(); err != nil {
-		return nil, "", 0, err
+		size = max(h.virtualSize*int64(h.precision.BytesPerElement())/8, 1)
 	}
 	return blob, "vchunk", size, nil
 }
@@ -580,10 +437,7 @@ func (h *WeightsHandler) SaveContext(ctx context.Context, snapshot nn.Snapshot, 
 		}
 		// Fault-tolerance flush to PFS in the background: it consumes
 		// PFS time but does not stall training; account it separately.
-		// Reconciled chunk subsets are not flushed — a recovery cannot
-		// replay a chain — so the PFS history holds only self-contained
-		// checkpoints.
-		if h.flushHistory && location != RoutePFS && format != "vrecon" {
+		if h.flushHistory && location != RoutePFS {
 			if err := h.env.Cluster.PFS.Put(key, payload, size); err == nil {
 				flushTime = h.env.Cluster.PFS.WriteTime(size)
 				h.mu.Lock()
@@ -598,16 +452,15 @@ func (h *WeightsHandler) SaveContext(ctx context.Context, snapshot nn.Snapshot, 
 
 	end := clock.Now()
 	meta := ModelMeta{
-		Name:        h.model,
-		Version:     version,
-		Iteration:   iteration,
-		TrainLoss:   loss,
-		Location:    location,
-		Path:        key,
-		Size:        size,
-		Format:      format,
-		Incremental: h.incremental,
-		SavedAt:     end,
+		Name:      h.model,
+		Version:   version,
+		Iteration: iteration,
+		TrainLoss: loss,
+		Location:  location,
+		Path:      key,
+		Size:      size,
+		Format:    format,
+		SavedAt:   end,
 	}
 	encoded, err := meta.Encode()
 	if err != nil {
@@ -621,10 +474,8 @@ func (h *WeightsHandler) SaveContext(ctx context.Context, snapshot nn.Snapshot, 
 		h.env.Notify.Publish(UpdateChannel(h.model), encoded)
 	}
 
-	// Time-travel write-through: reconciled subsets are skipped for the
-	// same reason the PFS flush skips them — a replay cannot reconstruct
-	// a chain — so the store holds only self-contained versions.
-	if h.store != nil && format != "vrecon" {
+	// Time-travel write-through.
+	if h.store != nil {
 		err := h.store.PutBlob(h.model, version, key, payload)
 		h.mu.Lock()
 		if err == nil {
@@ -643,12 +494,6 @@ func (h *WeightsHandler) SaveContext(ctx context.Context, snapshot nn.Snapshot, 
 	h.mu.Lock()
 	h.stats.Saves++
 	h.stats.TotalStall += stall
-	if h.incremental {
-		// encodeChunked staged this version's wire-value base and chunk
-		// hashes; commit them only now that the save landed.
-		h.lastSent, h.lastHashes = h.pendingBase, h.pendingHashes
-		h.pendingBase, h.pendingHashes = nil, nil
-	}
 	h.mu.Unlock()
 	h.env.Trace.Record(trace.Event{
 		At: start, Kind: trace.KindSave, Model: h.model, Version: version,
@@ -733,19 +578,11 @@ func (h *WeightsHandler) sendFrame(key string, payload []byte, size int64, locat
 	// cost (encode + copies) stays flat in the consumer count — only the
 	// modelled wire time grows. Sharing is safe because the payload's
 	// ownership transferred to the delivery tiers: nothing mutates it
-	// after this point, and consumers only read it.
+	// after this point, and consumers only read it. Delivery is
+	// latest-wins: if a consumer lags, superseded frames are evicted
+	// rather than stalling training.
 	for _, link := range links {
-		var err error
-		if h.incremental {
-			// Delta chains must arrive complete and in order: use
-			// ordered delivery (consumers are expected to keep up).
-			err = link.SendShared(frame)
-		} else {
-			// Latest-wins semantics: if a consumer lags, superseded
-			// frames are evicted rather than stalling training.
-			err = link.SendLatestShared(frame)
-		}
-		if err != nil {
+		if err := link.SendLatestShared(frame); err != nil {
 			return fmt.Errorf("core: link send: %w", err)
 		}
 	}

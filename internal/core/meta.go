@@ -107,13 +107,9 @@ type ModelMeta struct {
 	// Size is the accounted (virtual) checkpoint size in bytes.
 	Size int64 `json:"size"`
 	// Format is the serialization: "vchunk" (chunked v2, Viper's one
-	// encoding) or its manifest form "vrecon"; "vformat" (lean v1) and
-	// "h5" appear only on the in-process simulator's reference baselines.
+	// encoding); "vformat" (lean v1) and "h5" appear only on the
+	// in-process simulator's reference baselines.
 	Format string `json:"format"`
-	// Incremental marks checkpoints from an incremental (delta-chain)
-	// producer: consumers must consume frames strictly in order instead
-	// of draining to the newest.
-	Incremental bool `json:"incremental,omitempty"`
 	// Relay is the serve address of the relay node caching this version
 	// (Location == "relay" only; filled in by the relay itself, empty in
 	// the producer's optimistic pre-send copy).

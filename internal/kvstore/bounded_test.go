@@ -98,11 +98,11 @@ func TestLineTooLong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pingErr error
-	if alloc := mutate.Allocated(func() { pingErr = c.Ping() }); alloc > 8*maxLineBytes {
+	var getErr error
+	if alloc := mutate.Allocated(func() { _, getErr = c.Get("k") }); alloc > 8*maxLineBytes {
 		t.Fatalf("the client allocated %d bytes reading a line capped at %d", alloc, maxLineBytes)
 	}
-	if pingErr == nil {
+	if getErr == nil {
 		t.Fatal("the client accepted an 8 MiB reply line")
 	}
 }

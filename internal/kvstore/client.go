@@ -140,24 +140,6 @@ func (c *Client) Close() error {
 	return err
 }
 
-// Ping checks liveness.
-func (c *Client) Ping() error {
-	return c.do(true, func() error {
-		fmt.Fprint(c.w, "PING\r\n")
-		if err := c.w.Flush(); err != nil {
-			return err
-		}
-		line, err := c.readLine()
-		if err != nil {
-			return err
-		}
-		if line != "+PONG" {
-			return fmt.Errorf("kvstore: unexpected ping reply %q", line)
-		}
-		return nil
-	})
-}
-
 // Set assigns value to key on the server.
 func (c *Client) Set(key, value string) error {
 	// The string's bytes are viewed, not copied: SetBytes only reads them.

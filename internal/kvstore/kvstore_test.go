@@ -122,13 +122,6 @@ func newServerClient(t *testing.T) (*Store, *Client) {
 	return store, client
 }
 
-func TestClientPing(t *testing.T) {
-	_, c := newServerClient(t)
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestClientSetGetRoundTrip(t *testing.T) {
 	_, c := newServerClient(t)
 	value := "with spaces\nand newlines\r\nand unicode ✓"

@@ -83,7 +83,7 @@ func TestMutatedStreamsServer(t *testing.T) {
 
 func TestMutatedStreamsClient(t *testing.T) {
 	seeds := append(append(claims("$%d\r\n"), claims("*%d\r\n")...),
-		[]byte("+PONG\r\n+OK\r\n$5\r\nhello\r\n"),
+		[]byte("+OK\r\n$5\r\nhello\r\n"),
 		[]byte("*2\r\n$1\r\na\r\n$2\r\nbc\r\n:1\r\n:7\r\n"),
 		[]byte("$-1\r\n-ERR value too large\r\n-ERR value is not an integer\r\n"),
 		[]byte("$3\r\nabcXX"),
@@ -99,7 +99,6 @@ func TestMutatedStreamsClient(t *testing.T) {
 				t.Fatal(err)
 			}
 			ops := []func() error{
-				c.Ping,
 				func() error { return c.Set("k", "v") },
 				func() error { _, err := c.GetBytes("k"); return err },
 				func() error { _, err := c.Keys(""); return err },

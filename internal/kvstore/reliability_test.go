@@ -188,7 +188,7 @@ func TestClientCloseIsSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	if err := c.Ping(); !errors.Is(err, ErrClientClosed) {
-		t.Fatalf("Ping after close = %v, want ErrClientClosed", err)
+	if _, err := c.Get("k"); !errors.Is(err, ErrClientClosed) {
+		t.Fatalf("Get after close = %v, want ErrClientClosed", err)
 	}
 }

@@ -187,16 +187,23 @@ func TestOversizeMsgDropsTheConnection(t *testing.T) {
 		if len(c.replies) != 0 {
 			t.Fatalf("MSG announcing %d bytes: the client read on past it", n)
 		}
-		if err := c.Ping(); err == nil {
-			t.Fatal("Ping on a dropped connection succeeded")
+		if _, err := c.Publish("m", "x"); err == nil {
+			t.Fatal("Publish on a dropped connection succeeded")
 		}
 	}
-	pub, _ := newServerPair(t)
+	pub, sub := newServerPair(t)
+	ch, err := sub.Subscribe("m")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := pub.Publish("m", strings.Repeat("x", MaxPayloadBytes+1)); err == nil {
 		t.Fatal("Publish sent a payload over the cap")
 	}
-	if err := pub.Ping(); err != nil {
-		t.Fatalf("after the refused Publish: %v", err)
+	if n, err := pub.Publish("m", "after"); err != nil || n != 1 {
+		t.Fatalf("after the refused Publish: %d receivers, %v", n, err)
+	}
+	if msg := <-ch; msg.Payload != "after" {
+		t.Fatalf("after the refused Publish the subscriber got %q", msg.Payload)
 	}
 }
 

@@ -131,9 +131,6 @@ func newServerPair(t *testing.T) (*Client, *Client) {
 
 func TestTCPPubSubRoundTrip(t *testing.T) {
 	pub, subC := newServerPair(t)
-	if err := subC.Ping(); err != nil {
-		t.Fatal(err)
-	}
 	ch, err := subC.Subscribe("model-updates")
 	if err != nil {
 		t.Fatal(err)

@@ -307,18 +307,6 @@ func (c *Client) request(format string, args ...interface{}) (string, error) {
 	}
 }
 
-// Ping checks liveness.
-func (c *Client) Ping() error {
-	line, err := c.request("PING\r\n")
-	if err != nil {
-		return err
-	}
-	if line != "+PONG" {
-		return fmt.Errorf("pubsub: unexpected ping reply %q", line)
-	}
-	return nil
-}
-
 // Subscribe registers for a channel; pushed messages arrive on the
 // returned Go channel (buffered; drops if the local consumer lags).
 func (c *Client) Subscribe(channel string) (<-chan Message, error) {

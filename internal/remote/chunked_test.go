@@ -176,9 +176,9 @@ func TestChunkedDegradesToStaging(t *testing.T) {
 // only. A frame addressed to the notified version that opens no stream —
 // here a well-formed v1 encoding of that very version — is unusable, and
 // the version installs from the staging copy like any torn stream. The
-// staging area is no way in for the format either: the same encoding
-// planted at the notified version's staging key fails Next and is never
-// installed.
+// staging area is no way in for another format either: the same encoding,
+// or a complete manifest-bearing blob of the version, planted at the
+// notified version's staging key fails Next and is never installed.
 func TestPlainLinkFrameBackfillsFromStaging(t *testing.T) {
 	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: 64, linkWait: 100 * time.Millisecond})
 	snap := nn.TakeSnapshot(testModel(53))
@@ -211,6 +211,19 @@ func TestPlainLinkFrameBackfillsFromStaging(t *testing.T) {
 	s.notify(1, false)
 	if r := <-res; r.err == nil || s.cons.Loads() != 0 {
 		t.Fatalf("a v1 blob at the staging key: Next = %+v after %d installs, want an error and none", r, s.cons.Loads())
+	}
+
+	_, blob := s.stream(2, snap)
+	full, _, _, _, err := vformat.BuildManifestBlob(blob, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.send(stray(2))
+	s.stage(2, full)
+	res = s.next()
+	s.notify(2, false)
+	if r := <-res; r.err == nil || s.cons.Loads() != 0 {
+		t.Fatalf("a manifest-bearing blob at the staging key: Next = %+v after %d installs, want an error and none", r, s.cons.Loads())
 	}
 }
 

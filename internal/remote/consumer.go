@@ -769,10 +769,10 @@ func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vfor
 	if err != nil {
 		return nil, nil, fmt.Errorf("remote: staged fetch: %w", err)
 	}
-	// Producers stage chunk streams and manifest-bearing blobs only; the
-	// lean v1 format DecodeAuto also reads is the simulator's.
-	if !vformat.IsChunked(raw) && !vformat.IsManifest(raw) {
-		return nil, nil, fmt.Errorf("remote: staged blob %s is neither a chunk stream nor manifest-bearing", key)
+	// Producers stage their complete chunk stream and nothing else; the
+	// other formats DecodeAuto reads are the simulator's and the store's.
+	if !vformat.IsChunked(raw) {
+		return nil, nil, fmt.Errorf("remote: staged blob %s is not a chunk stream", key)
 	}
 	ckpt, err := vformat.DecodeAuto(ctx, raw, 0)
 	if err != nil {

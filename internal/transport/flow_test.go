@@ -123,12 +123,16 @@ func TestSendLatestByteAccountingReconciles(t *testing.T) {
 // used to be a bare clock.Sleep, so closing the link left senders stuck
 // for the full modelled duration. Close must abort the charge.
 func TestCloseInterruptsModeledTransfer(t *testing.T) {
-	// 1 B/s: this frame's modelled transfer takes 30s of wall time.
+	// 1 B/s: this frame's modelled transfer takes 30s on a clock nobody
+	// advances, so only Close can end it.
 	spec := LinkSpec{Name: "slow", Model: memsim.BandwidthModel{BytesPerSec: 1}}
-	l := NewLink(spec, simclock.NewWall(), 1)
+	clock := simclock.NewVirtualManual()
+	l := NewLink(spec, clock, 1)
 	done := make(chan error, 1)
 	go func() { done <- l.Send(Frame{Key: "k", Payload: make([]byte, 30)}) }()
-	time.Sleep(30 * time.Millisecond)
+	for clock.Pending() != 1 { // the send is inside its modelled transfer
+		runtime.Gosched()
+	}
 	l.Close()
 	select {
 	case err := <-done:

@@ -233,16 +233,6 @@ func (l *Link) Send(f Frame) error {
 	return l.send(cloneFrame(f), false)
 }
 
-// SendShared is Send without the defensive deep copy: the enqueued
-// frame aliases f's payload and metadata, so the caller must not mutate
-// either after the call. It exists for the broadcast path — encoding a
-// checkpoint once and fanning the same frame out to every consumer link
-// costs one encode regardless of link count, where per-link Send would
-// deep-copy (and so re-touch) the full payload per consumer.
-func (l *Link) SendShared(f Frame) error {
-	return l.send(f, false)
-}
-
 // SendLatest behaves like Send, but with latest-wins semantics whose
 // unit is the frame: when the queue is full it evicts every queued frame
 // that a later frame of the same model (MetaModel; queued, or the one
@@ -255,8 +245,13 @@ func (l *Link) SendLatest(f Frame) error {
 	return l.send(cloneFrame(f), true)
 }
 
-// SendLatestShared is SendLatest without the defensive deep copy; the
-// same aliasing contract as SendShared applies.
+// SendLatestShared is SendLatest without the defensive deep copy: the
+// enqueued frame aliases f's payload and metadata, so the caller must not
+// mutate either after the call. It exists for the broadcast path —
+// encoding a checkpoint once and fanning the same frame out to every
+// consumer link costs one encode regardless of link count, where per-link
+// SendLatest would deep-copy (and so re-touch) the full payload per
+// consumer.
 func (l *Link) SendLatestShared(f Frame) error {
 	return l.send(f, true)
 }

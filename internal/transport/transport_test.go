@@ -234,61 +234,39 @@ func TestPropTCPRoundTripArbitraryPayload(t *testing.T) {
 	}
 }
 
-// TestSendSharedAliasesPayload pins the encode-once/send-many contract:
-// SendShared must put the caller's exact payload backing array on every
-// link (zero copies — what core's broadcast loop relies on), while the
-// plain Send keeps its defensive deep copy.
-func TestSendSharedAliasesPayload(t *testing.T) {
+// TestSendLatestSharedAliasesPayload pins the encode-once/send-many
+// contract: SendLatestShared must put the caller's exact payload backing
+// array on every link (zero copies — what core's broadcast loop relies
+// on), while SendLatest and Send keep their defensive deep copy.
+func TestSendLatestSharedAliasesPayload(t *testing.T) {
 	clock := simclock.NewVirtual()
 	a := NewLink(GPUDirectSpec, clock, 4)
 	b := NewLink(GPUDirectSpec, clock, 4)
 	payload := []byte{1, 2, 3, 4}
 	f := Frame{Key: "k", Payload: payload, Meta: map[string]string{"model": "m"}}
-
-	if err := a.SendShared(f); err != nil {
-		t.Fatal(err)
+	for _, l := range []*Link{a, b} {
+		if err := l.SendLatestShared(f); err != nil {
+			t.Fatal(err)
+		}
+		g, ok := l.TryRecv()
+		if !ok {
+			t.Fatal("no frame after SendLatestShared")
+		}
+		if &g.Payload[0] != &payload[0] {
+			t.Fatal("SendLatestShared copied the payload; every link must alias the caller's array")
+		}
 	}
-	if err := b.SendShared(f); err != nil {
-		t.Fatal(err)
-	}
-	ga, ok := a.TryRecv()
-	if !ok {
-		t.Fatal("no frame on link a")
-	}
-	gb, ok := b.TryRecv()
-	if !ok {
-		t.Fatal("no frame on link b")
-	}
-	if &ga.Payload[0] != &payload[0] || &gb.Payload[0] != &payload[0] {
-		t.Fatal("SendShared copied the payload; both links must alias the caller's array")
-	}
-
-	if err := a.Send(f); err != nil {
-		t.Fatal(err)
-	}
-	gc, ok := a.TryRecv()
-	if !ok {
-		t.Fatal("no frame after Send")
-	}
-	if &gc.Payload[0] == &payload[0] {
-		t.Fatal("Send must deep-copy the payload (callers may mutate after it returns)")
-	}
-}
-
-// TestSendLatestSharedAliasesPayload covers the latest-wins variant the
-// broadcast loop uses for RouteRelay/latest-mode consumers.
-func TestSendLatestSharedAliasesPayload(t *testing.T) {
-	l := NewLink(GPUDirectSpec, simclock.NewVirtual(), 4)
-	payload := []byte{9, 8, 7}
-	if err := l.SendLatestShared(Frame{Key: "k", Payload: payload}); err != nil {
-		t.Fatal(err)
-	}
-	g, ok := l.TryRecv()
-	if !ok {
-		t.Fatal("no frame")
-	}
-	if &g.Payload[0] != &payload[0] {
-		t.Fatal("SendLatestShared copied the payload")
+	for name, send := range map[string]func(Frame) error{"Send": a.Send, "SendLatest": a.SendLatest} {
+		if err := send(f); err != nil {
+			t.Fatal(err)
+		}
+		g, ok := a.TryRecv()
+		if !ok {
+			t.Fatalf("no frame after %s", name)
+		}
+		if &g.Payload[0] == &payload[0] {
+			t.Fatalf("%s must deep-copy the payload (callers may mutate after it returns)", name)
+		}
 	}
 }
 

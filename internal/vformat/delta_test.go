@@ -67,7 +67,7 @@ func shipDelta(t *testing.T, base, next nn.Snapshot, eps float64) shippedDelta {
 	opts.Base, opts.BaseEps = base.Clone(), eps
 	ckpt := &Checkpoint{ModelName: "m", Version: 9, Iteration: 1234, TrainLoss: 0.077, Weights: next}
 	full, hashes2 := encodeFull(t, ckpt, opts)
-	wire, carried, _, err := BuildManifestBlobHashed(full, hashes2, func(h ChunkHash) bool { return held[h] })
+	wire, _, carried, _, err := BuildManifestBlob(full, func(h ChunkHash) bool { return held[h] })
 	if err != nil {
 		t.Fatal(err)
 	}

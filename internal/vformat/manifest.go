@@ -218,22 +218,9 @@ func PlanDeltaHashed(blob []byte, hashes []ChunkHash, have func(ChunkHash) bool)
 // (a full, self-contained blob). It returns the blob, the per-chunk
 // hashes, the number of records carried, and the bytes elided.
 func BuildManifestBlob(blob []byte, have func(ChunkHash) bool) (delta []byte, hashes []ChunkHash, carried int, elided int64, err error) {
-	if hashes, err = ChunkHashesOf(blob); err != nil {
-		return nil, nil, 0, 0, err
-	}
-	delta, carried, elided, err = BuildManifestBlobHashed(blob, hashes, have)
+	manifest, keep, hashes, elided, err := PlanDelta(blob, have)
 	if err != nil {
 		return nil, nil, 0, 0, err
-	}
-	return delta, hashes, carried, elided, nil
-}
-
-// BuildManifestBlobHashed is BuildManifestBlob over hashes the caller
-// already holds (see PlanDeltaHashed).
-func BuildManifestBlobHashed(blob []byte, hashes []ChunkHash, have func(ChunkHash) bool) (delta []byte, carried int, elided int64, err error) {
-	manifest, keep, elided, err := PlanDeltaHashed(blob, hashes, have)
-	if err != nil {
-		return nil, 0, 0, err
 	}
 	size := len(manifest)
 	for _, rec := range keep {
@@ -244,7 +231,7 @@ func BuildManifestBlobHashed(blob []byte, hashes []ChunkHash, have func(ChunkHas
 	for _, rec := range keep {
 		delta = append(delta, rec...)
 	}
-	return delta, len(keep), elided, nil
+	return delta, hashes, len(keep), elided, nil
 }
 
 // WalkChunkRecords walks the packed chunk records of a plain chunked

@@ -8,7 +8,6 @@ import (
 
 	"viper/internal/models"
 	"viper/internal/nn"
-	"viper/internal/vformat"
 )
 
 // optionsPair builds a producer through the functional-options API and
@@ -55,9 +54,8 @@ func TestOptionsDefaultIsChunked(t *testing.T) {
 func TestOptionsChunkSizeZeroIsMonolithic(t *testing.T) {
 	env := NewEnv(NewVirtualClock())
 	for name, opt := range map[string]Option{
-		"WithPrecision":   WithPrecision(PrecFloat16),
-		"WithIncremental": WithIncremental(0, 0),
-		"WithTimeTravel":  WithTimeTravel(t.TempDir(), 0),
+		"WithPrecision":  WithPrecision(PrecFloat16),
+		"WithTimeTravel": WithTimeTravel(t.TempDir(), 0),
 	} {
 		if _, err := NewProducer(env, "nt3", WithChunkSize(0), opt); err == nil {
 			t.Fatalf("WithChunkSize(0) + %s must be a construction error", name)
@@ -80,13 +78,10 @@ func TestOptionsChunkSizeZeroIsMonolithic(t *testing.T) {
 	}
 }
 
-// TestOptionsCompose: the options land on the handler configuration
-// (incremental excludes precision by core's own validation, so that
-// pairing is covered separately).
+// TestOptionsCompose: the options land on the handler configuration.
 func TestOptionsCompose(t *testing.T) {
 	prod, cons := optionsPair(t,
 		WithStrategy(Strategy{Route: RouteHost, Mode: ModeSync}),
-		WithIncremental(1e-9, 3),
 		WithVirtualSize(1<<30),
 		WithFlushHistory(),
 		WithChunkSize(2<<10),
@@ -99,32 +94,17 @@ func TestOptionsCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first incremental save is a full chunked refresh at the
-	// accounted virtual size.
-	if rep.Meta.Format != "vchunk" {
-		t.Fatalf("format = %q, want vchunk", rep.Meta.Format)
+	if rep.Meta.Format != "vchunk" || rep.Meta.Location != RouteHost {
+		t.Fatalf("meta = %+v, want vchunk over the host route", rep.Meta)
 	}
 	if want := int64(1 << 30); rep.Meta.Size != want {
 		t.Fatalf("accounted size = %d, want %d", rep.Meta.Size, want)
 	}
-	if _, err := cons.HandleNotification(<-sub.C); err != nil {
-		t.Fatal(err)
-	}
-	// Second save rides the chunk-reconciliation chain: a manifest plus
-	// only the chunks that changed.
-	m.Params()[0].Value.Data()[0] += 1
-	rep2, err := prod.SaveWeights(nn.TakeSnapshot(m), 2, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Meta.Format != "vrecon" {
-		t.Fatalf("second format = %q, want vrecon", rep2.Meta.Format)
-	}
-	if rep2.Meta.Size >= int64(1<<30) {
-		t.Fatalf("recon accounted size = %d, want under the full virtual size", rep2.Meta.Size)
+	if rep.FlushTime <= 0 {
+		t.Fatal("WithFlushHistory did not flush the checkpoint")
 	}
 	if _, err := cons.HandleNotification(<-sub.C); err != nil {
-		t.Fatalf("reconciled load: %v", err)
+		t.Fatal(err)
 	}
 }
 
@@ -169,59 +149,6 @@ func TestSaveWeightsContextCancelled(t *testing.T) {
 	}
 }
 
-// TestConsumerOptionsDeltaReconcileOff: a consumer built with
-// WithDeltaReconcile(false) has no chunk cache, so a "vrecon" payload
-// that elided chunks fails loudly instead of reconciling, while a
-// default consumer on the same chain follows it.
-func TestConsumerOptionsDeltaReconcileOff(t *testing.T) {
-	env := NewEnv(NewVirtualClock())
-	prod, err := NewProducer(env, "nt3",
-		WithIncremental(0, 8),
-		WithChunkSize(2<<10),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := NewConsumer(env, "nt3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := NewConsumer(env, "nt3", WithExtra(), WithDeltaReconcile(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmSub := warm.Subscribe()
-	defer warmSub.Close()
-	coldSub := cold.Subscribe()
-	defer coldSub.Close()
-
-	m := models.NT3(rand.New(rand.NewSource(11)), 32)
-	if _, err := prod.SaveWeights(nn.TakeSnapshot(m), 1, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := warm.HandleNotification(<-warmSub.C); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cold.HandleNotification(<-coldSub.C); err != nil {
-		t.Fatal(err)
-	}
-
-	m.Params()[0].Value.Data()[0] += 1
-	rep, err := prod.SaveWeights(nn.TakeSnapshot(m), 2, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Meta.Format != "vrecon" {
-		t.Fatalf("format = %q, want vrecon", rep.Meta.Format)
-	}
-	if _, err := warm.HandleNotification(<-warmSub.C); err != nil {
-		t.Fatalf("reconciling consumer: %v", err)
-	}
-	if _, err := cold.HandleNotification(<-coldSub.C); !errors.Is(err, vformat.ErrMissingChunk) {
-		t.Fatalf("cache-less consumer load = %v, want ErrMissingChunk", err)
-	}
-}
-
 // TestConsumerOptionsBaseContext: WithBaseContext bounds the
 // context-free API forms — a cancelled base context aborts
 // HandleNotification before anything is installed.
@@ -232,7 +159,7 @@ func TestConsumerOptionsBaseContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cons, err := NewConsumer(env, "nt3", WithBaseContext(ctx), WithChunkHashCache(64))
+	cons, err := NewConsumer(env, "nt3", WithBaseContext(ctx))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,11 +27,14 @@
 //
 // Producers ship checkpoints in Viper's one encoding, the chunked v2
 // format (fixed-size chunks, per-chunk CRC and content hash, pooled
-// buffers); precision conversion (WithPrecision), chunk-level deltas
-// (WithIncremental) and the durable store (WithTimeTravel) all live
-// inside it. WithChunkSize(0) selects the lean v1 format instead, which
-// survives only as the simulator's Figure-8 reference baseline and
-// supports none of the three.
+// buffers); precision conversion (WithPrecision) and the durable store
+// (WithTimeTravel) live inside it. WithChunkSize(0) selects the lean v1
+// format instead, which survives only as the simulator's Figure-8
+// reference baseline and supports neither. Every checkpoint ships whole
+// and delivery is latest-wins: a consumer that lags skips to the newest
+// version. Chunk-level deltas are the TCP stack's (internal/remote: a
+// consumer's have-list and the producer's DeltaEps), not this in-process
+// API's.
 package viper
 
 import (
@@ -127,17 +130,9 @@ type ProducerConfig struct {
 	FlushHistory bool
 	// Precision selects the wire precision (default lossless float64).
 	Precision Precision
-	// Incremental enables Check-N-Run-style chunk-granular delta
-	// checkpoints with a full refresh every FullEvery versions; DeltaEps
-	// suppresses element changes below the threshold (0 = exact).
-	Incremental bool
-	// DeltaEps is the delta suppression threshold.
-	DeltaEps float64
-	// FullEvery is the incremental full-refresh cadence (default 10).
-	FullEvery int
 	// ChunkSize is the chunk granularity in bytes (NewProducer defaults
 	// it to DefaultChunkSize). Zero selects the lean v1 reference
-	// baseline, which carries no Precision, Incremental or TimeTravelDir.
+	// baseline, which carries neither Precision nor TimeTravelDir.
 	ChunkSize int
 	// Parallelism bounds the chunk-encode/decode worker pool
 	// (0 = GOMAXPROCS).
@@ -168,20 +163,6 @@ func WithPrecision(p Precision) Option {
 	return func(c *ProducerConfig) { c.Precision = p }
 }
 
-// WithIncremental enables Check-N-Run-style delta checkpoints at chunk
-// granularity: element changes below eps are suppressed (0 = exact), a
-// version ships as a manifest plus only the chunks whose content
-// changed, and a self-contained full refresh is forced every fullEvery
-// versions (0 = the default cadence). Delivery is ordered rather than
-// latest-wins. Cannot be combined with WithChunkSize(0).
-func WithIncremental(eps float64, fullEvery int) Option {
-	return func(c *ProducerConfig) {
-		c.Incremental = true
-		c.DeltaEps = eps
-		c.FullEvery = fullEvery
-	}
-}
-
 // WithVirtualSize makes transfer-time accounting charge for a
 // checkpoint of the given size in bytes instead of the real payload
 // (paper-scale simulations on small stand-in models).
@@ -198,7 +179,7 @@ func WithFlushHistory() Option {
 // WithChunkSize sets the chunk granularity in bytes; unset, NewProducer
 // uses DefaultChunkSize. Zero selects the lean v1 format — the
 // simulator's reference baseline only: NewProducer rejects it together
-// with WithPrecision, WithIncremental or WithTimeTravel.
+// with WithPrecision or WithTimeTravel.
 func WithChunkSize(bytes int) Option {
 	return func(c *ProducerConfig) { c.ChunkSize = bytes }
 }
@@ -259,9 +240,6 @@ func NewProducer(env *Env, model string, opts ...Option) (*Producer, error) {
 		VirtualSize:  cfg.VirtualSize,
 		FlushHistory: cfg.FlushHistory,
 		Precision:    cfg.Precision,
-		Incremental:  cfg.Incremental,
-		DeltaEps:     cfg.DeltaEps,
-		FullEvery:    cfg.FullEvery,
 		ChunkSize:    cfg.ChunkSize,
 		Parallelism:  cfg.Parallelism,
 		Store:        store,
@@ -358,26 +336,9 @@ func WithBaseContext(ctx context.Context) ConsumerOption {
 	return func(o *core.ConsumerOptions) { o.BaseContext = ctx }
 }
 
-// WithDeltaReconcile toggles chunk-level delta reconciliation (default
-// on): the consumer caches the chunk records of installed checkpoints
-// so an incremental chunked producer can ship only the chunks that
-// changed ("vrecon") and the rest reconcile locally. Turning it off
-// drops the cache; pair it with a producer configured for full
-// streams.
-func WithDeltaReconcile(on bool) ConsumerOption {
-	return func(o *core.ConsumerOptions) { o.DisableDeltaReconcile = !on }
-}
-
-// WithChunkHashCache bounds the consumer's chunk cache to n records
-// (0 = a default sized for a few snapshots at DefaultChunkSize).
-func WithChunkHashCache(n int) ConsumerOption {
-	return func(o *core.ConsumerOptions) { o.ChunkHashCache = n }
-}
-
 // NewConsumer constructs the inference-side runtime — the paper's
 // load_weights(model). Without options it shares the environment's
-// primary links, serves no live model instance, and reconciles chunk
-// deltas against a default-sized cache.
+// primary links and serves no live model instance.
 func NewConsumer(env *Env, model string, opts ...ConsumerOption) (*Consumer, error) {
 	var o core.ConsumerOptions
 	for _, opt := range opts {
