@@ -1,6 +1,6 @@
 // Command viper-inspect dumps the contents of a serialized Viper
 // checkpoint file: chunked v2 (vchunk), its manifest-bearing
-// chunk-reconciliation form (vrecon), or one of the simulator's
+// chunk-reconciliation form (manifest), or one of the simulator's
 // reference baselines — the lean v1 vformat and the h5lite container.
 // It auto-detects the format from the file's magic.
 //
@@ -12,11 +12,12 @@
 //	viper-inspect -relay 127.0.0.1:7464  # live relay cache inventory
 //	viper-inspect -store /var/viper      # durable chunk-store inventory
 //
-// With -json, output is one JSON object per line (the same NDJSON
-// convention as viper-vet -json): a "checkpoint" summary object first,
-// then one "tensor" object per tensor, and — for chunked v2 files — one
-// "chunk" object per chunk record describing the container layout
-// (offset, size, element span, CRC status).
+// With -json, output is one JSON object per line (NDJSON): a
+// "checkpoint" summary object first, then one "tensor" object per
+// tensor, and — for chunked v2 and manifest files — one "chunk" object
+// per chunk record describing the container layout (offset, size,
+// element span, CRC status; for a manifest, hash and whether it is
+// elided).
 //
 // With -relay, instead of reading a file the tool queries a running
 // viper-relay node (its ingest address) and dumps the cached version
@@ -110,7 +111,7 @@ type jsonSummary struct {
 	ChunkElems int    `json:"chunk_elems,omitempty"`
 	TotalElems int64  `json:"total_elems,omitempty"`
 	NumChunks  int    `json:"num_chunks,omitempty"`
-	// Reconciliation fields (format "vrecon" only): how many chunk
+	// Reconciliation fields (format "manifest" only): how many chunk
 	// records the blob carries vs. elides as deduplicated against a
 	// previously published version.
 	CarriedChunks int `json:"carried_chunks,omitempty"`
@@ -142,7 +143,7 @@ type jsonChunk struct {
 	// Hash is the chunk record's truncated-SHA-256 content hash (hex) —
 	// the key content-addressed dedup collapses identical chunks under.
 	Hash string `json:"hash,omitempty"`
-	// Elided marks a chunk a vrecon blob does not carry (the receiver
+	// Elided marks a chunk a manifest blob does not carry (the receiver
 	// reconciles it from a previously published version).
 	Elided bool `json:"elided,omitempty"`
 }
@@ -386,7 +387,7 @@ func (e *emitter) chunked(blob []byte) error {
 	return nil
 }
 
-// manifest reports a manifest-bearing vrecon blob: the embedded header,
+// manifest reports a manifest-bearing blob: the embedded header,
 // the per-chunk content hashes, and which records the blob carries vs.
 // elides as deduplicated against a previously published version. The
 // weights themselves cannot be decoded from the file alone — the elided
@@ -413,7 +414,7 @@ func (e *emitter) manifest(blob []byte) error {
 	carried := man.Layout.NumChunks - len(elided)
 	if e.json {
 		e.enc.Encode(jsonSummary{
-			Kind: "checkpoint", Format: "vrecon",
+			Kind: "checkpoint", Format: "manifest",
 			Model: hdr.ModelName, Version: hdr.Version,
 			Iteration: hdr.Iteration, Loss: hdr.TrainLoss,
 			Bytes:      int64(len(blob)),
@@ -430,7 +431,7 @@ func (e *emitter) manifest(blob []byte) error {
 		}
 		return nil
 	}
-	fmt.Printf("format:    vrecon (manifest-bearing chunk reconciliation, wire precision %s)\n", man.Layout.Precision)
+	fmt.Printf("format:    manifest (manifest-bearing chunk reconciliation, wire precision %s)\n", man.Layout.Precision)
 	fmt.Printf("model:     %s\n", hdr.ModelName)
 	fmt.Printf("version:   %d\n", hdr.Version)
 	fmt.Printf("iteration: %d\n", hdr.Iteration)

@@ -2,7 +2,12 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -47,6 +52,64 @@ func TestInspectCorruptChunkedRejected(t *testing.T) {
 	blob[len(blob)-3] ^= 0xFF // inside the last chunk's payload/CRC area
 	if err := inspect(blob, false, false); err == nil {
 		t.Fatal("inspect accepted a corrupt chunked blob")
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	ferr := fn()
+	os.Stdout = saved
+	w.Close()
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return string(<-out)
+}
+
+// TestInspectManifest dumps a manifest-bearing blob that elides its first
+// chunk, in both output modes: it is labeled "manifest", and the carried
+// and elided counts add up to the chunk count.
+func TestInspectManifest(t *testing.T) {
+	blob := testBlob(t)
+	hashes, err := vformat.ChunkHashesOf(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, _, carried, _, err := vformat.BuildManifestBlob(blob, func(h vformat.ChunkHash) bool { return h == hashes[0] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if carried != len(hashes)-1 {
+		t.Fatalf("manifest carries %d of %d chunks, want all but the first", carried, len(hashes))
+	}
+
+	text := captureStdout(t, func() error { return inspect(man, false, false) })
+	wantCounts := fmt.Sprintf("%d carried, 1 deduplicated", carried)
+	if !strings.HasPrefix(text, "format:    manifest (") || !strings.Contains(text, wantCounts) {
+		t.Fatalf("text dump lacks the manifest label or %q:\n%s", wantCounts, text)
+	}
+
+	lines := strings.Split(strings.TrimSpace(captureStdout(t, func() error { return inspect(man, false, true) })), "\n")
+	var sum jsonSummary
+	if err := json.Unmarshal([]byte(lines[0]), &sum); err != nil {
+		t.Fatal(err)
+	}
+	if sum.Format != "manifest" || sum.CarriedChunks != carried || sum.ElidedChunks != 1 || len(lines) != 1+len(hashes) {
+		t.Fatalf("JSON dump: summary %+v and %d lines, want format manifest, %d carried, 1 elided, then %d chunk lines",
+			sum, len(lines), carried, len(hashes))
 	}
 }
 

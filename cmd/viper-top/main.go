@@ -30,7 +30,7 @@
 // With -json, each tick emits one NDJSON object per registry
 // ({"kind":"metrics","registry":...,"points":[...]}) followed by one
 // {"kind":"inventory",...} summary object — the same one-object-per-line
-// convention as viper-inspect and viper-vet.
+// convention as viper-inspect.
 package main
 
 import (

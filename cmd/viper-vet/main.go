@@ -1,35 +1,24 @@
 // Command viper-vet runs the project's static-analysis suite
-// (internal/analysis) over the given package patterns and exits
-// non-zero on any finding. It is the first gate in ci.sh.
+// (internal/analysis) over the given package patterns. It is the first
+// gate in ci.sh.
 //
 // Usage:
 //
-//	viper-vet [-only a,b] [-skip a,b] [-pkgs p1,p2] [-json] [-timing] [patterns...]
+//	viper-vet [patterns...]
 //
 // Patterns default to ./... and accept plain directories or Go-style
-// "dir/..." wildcards, resolved within the enclosing module.
-// Alternatively -pkgs takes a comma-separated package list (import
-// paths like viper/internal/core, or module-relative like
-// internal/core) and scopes the run to exactly those packages — the
-// changed-packages mode CI uses to vet a diff without reloading the
-// whole module. Findings print as "file:line: [analyzer] message".
-// Individual lines can be waived with a reviewed suppression comment:
+// "dir/..." wildcards, resolved within the enclosing module. Findings
+// print as "file:line: [analyzer] message"; -h prints the analyzer
+// catalog. Individual lines can be waived with a reviewed suppression
+// comment:
 //
 //	//lint:ignore analyzer reason
 //
-// With -json, every finding — including waived ones — prints as one
-// JSON object per line ({file, line, analyzer, message, suppressed}),
-// the format ci.sh archives as an artifact. The exit code still reflects
-// only unsuppressed findings, so a waiver keeps the gate green while the
-// artifact records what was waived.
-//
-// With -timing, a per-analyzer wall-time breakdown follows the findings:
-// an aligned text table by default, or one {timing, analyzer, ms} object
-// per analyzer under -json.
+// The exit code is 0 when nothing is found, 1 on any finding, and 2 on a
+// usage or load error (a pattern that matches no package included).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -40,193 +29,50 @@ import (
 	"viper/internal/analysis"
 )
 
-// jsonFinding is the -json wire form of one diagnostic, one per line.
-type jsonFinding struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Analyzer   string `json:"analyzer"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-}
-
-// jsonTiming is the -json -timing wire form of one analyzer's wall
-// time; Timing is always true so consumers can split the two record
-// kinds in the shared output stream.
-type jsonTiming struct {
-	Timing   bool    `json:"timing"`
-	Analyzer string  `json:"analyzer"`
-	Millis   float64 `json:"ms"`
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the whole CLI behind an exit code, testable in-process. dir
-// "." semantics (module discovery, pattern resolution) come from the
-// process working directory.
+// run is the whole CLI behind an exit code, testable in-process. Module
+// discovery and pattern resolution start from the process working
+// directory.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("viper-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	only := fs.String("only", "", "comma-separated analyzers to run (default: all)")
-	skip := fs.String("skip", "", "comma-separated analyzers to skip")
-	pkgsFlag := fs.String("pkgs", "", "comma-separated packages to analyze (import paths or module-relative; overrides patterns)")
-	list := fs.Bool("list", false, "list available analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit one JSON object per finding (including suppressed ones)")
-	timing := fs.Bool("timing", false, "print a per-analyzer wall-time breakdown after the findings")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: viper-vet [-only a,b] [-skip a,b] [-pkgs p1,p2] [patterns...]\n\nanalyzers:\n")
+		fmt.Fprintf(stderr, "usage: viper-vet [patterns...]\n\nanalyzers:\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(stderr, "  %-15s %s\n", a.Name, a.Doc)
 		}
-		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	if *list {
-		for _, a := range analysis.All() {
-			fmt.Fprintf(stdout, "%-15s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-
-	analyzers, err := selectAnalyzers(*only, *skip)
-	if err != nil {
-		fmt.Fprintf(stderr, "viper-vet: %v\n", err)
-		return 2
-	}
-
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		fmt.Fprintf(stderr, "viper-vet: %v\n", err)
-		return 2
-	}
-	loader.Warn = stderr
 	patterns := fs.Args()
-	if *pkgsFlag != "" {
-		if len(patterns) > 0 {
-			fmt.Fprintf(stderr, "viper-vet: -pkgs and positional patterns are mutually exclusive\n")
-			return 2
-		}
-		patterns, err = pkgDirs(loader, *pkgsFlag)
-		if err != nil {
-			fmt.Fprintf(stderr, "viper-vet: %v\n", err)
-			return 2
-		}
-	}
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := loader.Load(patterns...)
+	loader, err := analysis.NewLoader(".")
+	var pkgs []*analysis.Package
+	if err == nil {
+		pkgs, err = loader.Load(patterns...)
+	}
 	if err != nil {
 		fmt.Fprintf(stderr, "viper-vet: %v\n", err)
 		return 2
 	}
 
-	diags, timings := analysis.RunAllTimed(pkgs, analyzers)
+	diags := analysis.Run(pkgs, analysis.All())
 	cwd, _ := os.Getwd()
-	enc := json.NewEncoder(stdout)
-	unsuppressed := 0
 	for _, d := range diags {
-		if !d.Suppressed {
-			unsuppressed++
+		if rel, err := filepath.Rel(cwd, d.Pos.Filename); cwd != "" && err == nil && !strings.HasPrefix(rel, "..") {
+			d.Pos.Filename = rel
 		}
-		name := d.Pos.Filename
-		if cwd != "" {
-			if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
-				name = rel
-			}
-		}
-		switch {
-		case *jsonOut:
-			enc.Encode(jsonFinding{
-				File:       name,
-				Line:       d.Pos.Line,
-				Analyzer:   d.Analyzer,
-				Message:    d.Message,
-				Suppressed: d.Suppressed,
-			})
-		case !d.Suppressed:
-			fmt.Fprintf(stdout, "%s:%d: [%s] %s\n", name, d.Pos.Line, d.Analyzer, d.Message)
-		}
+		fmt.Fprintln(stdout, d)
 	}
-	if *timing {
-		for _, tm := range timings {
-			if *jsonOut {
-				enc.Encode(jsonTiming{Timing: true, Analyzer: tm.Analyzer, Millis: float64(tm.Elapsed.Microseconds()) / 1000})
-			} else {
-				fmt.Fprintf(stdout, "%-15s %8.2fms\n", tm.Analyzer, float64(tm.Elapsed.Microseconds())/1000)
-			}
-		}
-	}
-	if unsuppressed > 0 {
-		fmt.Fprintf(stderr, "viper-vet: %d finding(s) in %d package(s)\n", unsuppressed, len(pkgs))
+	if len(diags) > 0 {
+		fmt.Fprintf(stderr, "viper-vet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		return 1
 	}
 	return 0
-}
-
-// pkgDirs resolves a comma-separated -pkgs list to package directories
-// inside the loader's module. Entries may be full import paths
-// ("viper/internal/core"), module-relative slash paths
-// ("internal/core"), or the module path itself.
-func pkgDirs(loader *analysis.Loader, pkgs string) ([]string, error) {
-	var dirs []string
-	for _, entry := range strings.Split(pkgs, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		rel := entry
-		if entry == loader.ModulePath() {
-			rel = "."
-		} else if rest, ok := strings.CutPrefix(entry, loader.ModulePath()+"/"); ok {
-			rel = rest
-		}
-		if filepath.IsAbs(rel) || strings.HasPrefix(rel, "..") {
-			return nil, fmt.Errorf("package %q is outside module %s", entry, loader.ModulePath())
-		}
-		dir := filepath.Join(loader.ModuleRoot(), filepath.FromSlash(rel))
-		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
-			return nil, fmt.Errorf("package %q: no directory %s in module %s", entry, dir, loader.ModulePath())
-		}
-		dirs = append(dirs, dir)
-	}
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("-pkgs given but no packages listed")
-	}
-	return dirs, nil
-}
-
-func selectAnalyzers(only, skip string) ([]*analysis.Analyzer, error) {
-	selected := analysis.All()
-	if only != "" {
-		selected = nil
-		for _, name := range strings.Split(only, ",") {
-			a := analysis.ByName(strings.TrimSpace(name))
-			if a == nil {
-				return nil, fmt.Errorf("unknown analyzer %q", name)
-			}
-			selected = append(selected, a)
-		}
-	}
-	if skip == "" {
-		return selected, nil
-	}
-	skipped := make(map[string]bool)
-	for _, name := range strings.Split(skip, ",") {
-		if analysis.ByName(strings.TrimSpace(name)) == nil {
-			return nil, fmt.Errorf("unknown analyzer %q", name)
-		}
-		skipped[strings.TrimSpace(name)] = true
-	}
-	var kept []*analysis.Analyzer
-	for _, a := range selected {
-		if !skipped[a.Name] {
-			kept = append(kept, a)
-		}
-	}
-	return kept, nil
 }

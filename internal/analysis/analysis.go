@@ -16,7 +16,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"time"
 )
 
 // Diagnostic is one finding, resolved to a file position.
@@ -28,10 +27,6 @@ type Diagnostic struct {
 	Analyzer string
 	// Message describes the violation.
 	Message string
-	// Suppressed marks a finding covered by a well-formed lint:ignore
-	// waiver. Run drops suppressed findings; RunAll keeps them (marked)
-	// so viper-vet -json can archive waived findings alongside live ones.
-	Suppressed bool
 }
 
 // String renders the canonical "file:line: [analyzer] message" form.
@@ -53,8 +48,7 @@ type Pass struct {
 	// to probe path-scoped analyzers).
 	ImportPath string
 	// Prog is the batch-wide inter-procedural index (call graph and
-	// lock summaries, DESIGN §7). Nil in direct single-analyzer harnesses;
-	// analyzers must degrade to intra-procedural behavior without it.
+	// lock summaries, DESIGN §7).
 	Prog *Program
 
 	analyzer string
@@ -78,8 +72,8 @@ func (p *Pass) Dep(path string) *types.Package {
 
 // Analyzer is one named check.
 type Analyzer struct {
-	// Name is the identifier used in diagnostics, -only/-skip flags, and
-	// lint:ignore directives.
+	// Name is the identifier used in diagnostics and lint:ignore
+	// directives.
 	Name string
 	// Doc is a one-line description of the guarded invariant.
 	Doc string
@@ -115,53 +109,20 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// Run applies analyzers to pkgs, resolves lint:ignore suppressions, and
-// returns the surviving diagnostics sorted by position. Packages that
-// failed to type-check contribute "typecheck" diagnostics (analyzers
+// Run applies analyzers to pkgs, drops the findings lint:ignore
+// directives waive, and returns the rest sorted by position. Packages
+// that failed to type-check contribute "typecheck" diagnostics (analyzers
 // still run on them with whatever partial information survived, and are
 // written to tolerate incomplete type info).
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	var kept []Diagnostic
-	for _, d := range RunAll(pkgs, analyzers) {
-		if !d.Suppressed {
-			kept = append(kept, d)
-		}
-	}
-	return kept
-}
-
-// RunAll is Run without the suppression filter: waived findings come
-// back marked Suppressed instead of dropped, so callers (viper-vet
-// -json) can archive the full picture.
-func RunAll(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunAllTimed(pkgs, analyzers)
-	return diags
-}
-
-// AnalyzerTiming is one analyzer's wall time summed over every package
-// of a RunAllTimed batch.
-type AnalyzerTiming struct {
-	Analyzer string
-	Elapsed  time.Duration
-}
-
-// RunAllTimed is RunAll plus a per-analyzer wall-time breakdown, in the
-// analyzers' given order. Shared inter-procedural work (the Program's
-// call graph and summaries) is built lazily by whichever analyzer asks
-// first and lands in that analyzer's bucket.
-func RunAllTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTiming) {
 	var diags []Diagnostic
-	timings := make([]AnalyzerTiming, len(analyzers))
-	for i, a := range analyzers {
-		timings[i].Analyzer = a.Name
-	}
 	prog := newProgram(pkgs)
 	for _, pkg := range pkgs {
 		for _, err := range pkg.TypeErrors {
 			diags = append(diags, typeErrorDiagnostic(err))
 		}
-		for i, a := range analyzers {
-			pass := &Pass{
+		for _, a := range analyzers {
+			a.Run(&Pass{
 				Fset:       pkg.Fset,
 				Files:      pkg.Files,
 				Pkg:        pkg.Pkg,
@@ -169,11 +130,8 @@ func RunAllTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Analyz
 				ImportPath: pkg.ImportPath,
 				Prog:       prog,
 				analyzer:   a.Name,
-			}
-			pass.report = func(d Diagnostic) { diags = append(diags, d) }
-			start := time.Now()
-			a.Run(pass)
-			timings[i].Elapsed += time.Since(start)
+				report:     func(d Diagnostic) { diags = append(diags, d) },
+			})
 		}
 	}
 	diags = applySuppressions(diags, pkgs)
@@ -190,7 +148,7 @@ func RunAllTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Analyz
 		}
 		return a.Message < b.Message
 	})
-	return diags, timings
+	return diags
 }
 
 func typeErrorDiagnostic(err error) Diagnostic {

@@ -1,9 +1,11 @@
-// Intra-procedural control-flow graph construction for the flow-
-// sensitive analyzers (chanlife's close states, lockorder's held sets).
-// The CFG is deliberately small: basic blocks hold statements (and the
-// condition expressions evaluated on the way out) in source order, and
-// an edge says only that control may pass — no analyzer refines state
-// along a branch condition.
+// Intra-procedural control-flow graph construction and the one dataflow
+// solver over it, shared by the flow-sensitive analyzers (chanlife's
+// close states, lockedsend's and lockorder's held sets). The CFG is
+// deliberately small: basic blocks hold statements (and the condition
+// expressions evaluated on the way out) in source order, and an edge says
+// only that control may pass — no analyzer refines state along a branch
+// condition. A select statement is itself a node of the block it starts
+// in, ahead of its arms; each comm statement opens its arm's block.
 //
 // Constructs the builder cannot model soundly (goto) mark the graph
 // unsupported; clients must then skip the function entirely rather than
@@ -58,6 +60,55 @@ func buildCFG(body *ast.BlockStmt) *funcCFG {
 	end := b.stmts(body.List, b.g.entry)
 	_ = end // falling off the end is an implicit return; no edge needed
 	return b.g
+}
+
+// solveFlow is the suite's one dataflow solver: a forward flow over
+// body's CFG from entry to a silent fixpoint, then one replay of every
+// reachable block with report set, so each node is judged once against
+// the settled state. step applies a node to the state in place; join
+// merges src into dst and says whether dst changed. It returns false,
+// having replayed nothing, for a body with goto or a flow that does not
+// converge.
+func solveFlow[S any](body *ast.BlockStmt, entry S, clone func(S) S, join func(dst, src S) (S, bool), step func(n ast.Node, st S, report bool)) bool {
+	g := buildCFG(body)
+	if g.unsupported {
+		return false
+	}
+	in := make([]S, len(g.blocks))
+	reached := make([]bool, len(g.blocks))
+	in[g.entry.index], reached[g.entry.index] = entry, true
+	work := []*cfgBlock{g.entry}
+	for iters := 0; len(work) > 0; iters++ {
+		if iters > (len(g.blocks)+4)*32 {
+			return false
+		}
+		blk := work[len(work)-1]
+		work = work[:len(work)-1]
+		st := clone(in[blk.index])
+		for _, n := range blk.nodes {
+			step(n, st, false)
+		}
+		for _, to := range blk.succs {
+			if !reached[to.index] {
+				in[to.index], reached[to.index] = clone(st), true
+			} else if next, changed := join(in[to.index], st); changed {
+				in[to.index] = next
+			} else {
+				continue
+			}
+			work = append(work, to)
+		}
+	}
+	for _, blk := range g.blocks {
+		if !reached[blk.index] {
+			continue
+		}
+		st := clone(in[blk.index])
+		for _, n := range blk.nodes {
+			step(n, st, true)
+		}
+	}
+	return true
 }
 
 func (b *cfgBuilder) newBlock() *cfgBlock {
@@ -184,6 +235,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *cfgBlock) *cfgBlock {
 
 	case *ast.SelectStmt:
 		label := b.takeLabel()
+		cur.nodes = append(cur.nodes, s)
 		after := b.newBlock()
 		b.loops = append(b.loops, loopCtx{label: label, breakTo: after})
 		for _, c := range s.Body.List {

@@ -144,9 +144,9 @@ func (s *chanFlowState) clone() *chanFlowState {
 	return c
 }
 
-// joinFrom merges o into s (must: intersection, may: union), reporting
+// join merges o into s (must: intersection, may: union), reporting
 // whether s changed.
-func (s *chanFlowState) joinFrom(o *chanFlowState) bool {
+func (s *chanFlowState) join(o *chanFlowState) (*chanFlowState, bool) {
 	changed := false
 	for k := range s.must {
 		if _, ok := o.must[k]; !ok {
@@ -160,50 +160,27 @@ func (s *chanFlowState) joinFrom(o *chanFlowState) bool {
 			changed = true
 		}
 	}
-	return changed
+	return s, changed
 }
 
 // invalidate drops a reassigned key and everything reached through it
 // ("s" invalidates "s.done"; "s.done" invalidates itself).
 func (s *chanFlowState) invalidate(key string, deferClosed map[string]token.Pos) {
-	drop := func(m map[string]token.Pos) {
+	for _, m := range []map[string]token.Pos{s.must, s.may, deferClosed} {
 		for k := range m {
 			if k == key || strings.HasPrefix(k, key+".") {
 				delete(m, k)
 			}
 		}
 	}
-	drop(s.must)
-	drop(s.may)
-	if deferClosed != nil {
-		drop(deferClosed)
-	}
 }
 
 func runChanFlow(pass *Pass, body *ast.BlockStmt) {
-	g := buildCFG(body)
-	if g.unsupported {
-		return // goto: skip rather than analyze a wrong graph
-	}
 	// deferClosed records `defer close(ch)` registrations during the
 	// replay pass; close/defer-close of an already-registered key is the
 	// deferred-double-close shape.
-	var deferClosed map[string]token.Pos
-	reporting := false
-
-	applyClose := func(key string, pos token.Pos, st *chanFlowState) {
-		if reporting {
-			if prior, ok := st.must[key]; ok {
-				pass.Reportf(pos, "%s is closed twice on this path (already closed at line %d): the second close panics", key, pass.Fset.Position(prior).Line)
-			} else if prior, ok := deferClosed[key]; ok {
-				pass.Reportf(pos, "%s is closed here and again by the deferred close at line %d: the deferred close panics at return", key, pass.Fset.Position(prior).Line)
-			}
-		}
-		st.must[key] = pos
-		st.may[key] = pos
-	}
-
-	step := func(n ast.Node, st *chanFlowState) {
+	deferClosed := map[string]token.Pos{}
+	step := func(n ast.Node, st *chanFlowState, reporting bool) {
 		switch n := n.(type) {
 		case *ast.DeferStmt:
 			key, ok := closeCallKey(pass.Info, n.Call)
@@ -234,11 +211,21 @@ func runChanFlow(pass *Pass, body *ast.BlockStmt) {
 				}
 			}
 		case *ast.ExprStmt:
-			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
-				if key, ok := closeCallKey(pass.Info, call); ok {
-					applyClose(key, call.Pos(), st)
-				}
+			call, ok := ast.Unparen(n.X).(*ast.CallExpr)
+			if !ok {
+				return
 			}
+			key, ok := closeCallKey(pass.Info, call)
+			if !ok {
+				return
+			}
+			if prior, ok := st.must[key]; ok && reporting {
+				pass.Reportf(call.Pos(), "%s is closed twice on this path (already closed at line %d): the second close panics", key, pass.Fset.Position(prior).Line)
+			} else if prior, ok := deferClosed[key]; ok && reporting {
+				pass.Reportf(call.Pos(), "%s is closed here and again by the deferred close at line %d: the deferred close panics at return", key, pass.Fset.Position(prior).Line)
+			}
+			st.must[key] = call.Pos()
+			st.may[key] = call.Pos()
 		case *ast.DeclStmt:
 			if gd, ok := n.Decl.(*ast.GenDecl); ok {
 				for _, spec := range gd.Specs {
@@ -252,40 +239,7 @@ func runChanFlow(pass *Pass, body *ast.BlockStmt) {
 		}
 	}
 
-	in := make([]*chanFlowState, len(g.blocks))
-	in[g.entry.index] = newChanFlowState()
-	work := []*cfgBlock{g.entry}
-	iters, iterCap := 0, (len(g.blocks)+4)*32
-	for len(work) > 0 {
-		if iters++; iters > iterCap {
-			return // non-converging: no reports
-		}
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		st := in[blk.index].clone()
-		for _, n := range blk.nodes {
-			step(n, st)
-		}
-		for _, next := range blk.succs {
-			if in[next.index] == nil {
-				in[next.index] = st.clone()
-				work = append(work, next)
-			} else if in[next.index].joinFrom(st) {
-				work = append(work, next)
-			}
-		}
-	}
-	reporting = true
-	deferClosed = map[string]token.Pos{}
-	for _, blk := range g.blocks {
-		if in[blk.index] == nil {
-			continue // unreachable
-		}
-		st := in[blk.index].clone()
-		for _, n := range blk.nodes {
-			step(n, st)
-		}
-	}
+	solveFlow(body, newChanFlowState(), (*chanFlowState).clone, (*chanFlowState).join, step)
 }
 
 // --- AST pattern checks ------------------------------------------------

@@ -14,7 +14,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,10 +43,6 @@ type Package struct {
 type Loader struct {
 	// Fset is shared by every package this loader touches.
 	Fset *token.FileSet
-	// Warn, when non-nil, receives loader warnings (e.g. a package that
-	// was explicitly requested but holds only test files). The CLI wires
-	// it to stderr; library users stay silent by default.
-	Warn io.Writer
 
 	modRoot string
 	modPath string
@@ -178,17 +173,7 @@ func (l *Loader) check(dir, importPath string) (*Package, error) {
 		return nil, err
 	}
 	if len(names) == 0 {
-		// A directory holding only test files is still a real package to
-		// a human who listed it explicitly (-pkgs): warn and analyze its
-		// in-package tests rather than silently skipping the request.
-		names, err = testOnlyFileNames(l.Fset, dir)
-		if err != nil {
-			return nil, err
-		}
-		if len(names) == 0 {
-			return nil, fmt.Errorf("analysis: no non-test Go files in %s", dir)
-		}
-		l.warnf("analysis: %s has only test files; analyzing its in-package tests", importPath)
+		return nil, fmt.Errorf("analysis: no non-test Go files in %s", dir)
 	}
 	var files []*ast.File
 	for _, name := range names {
@@ -217,36 +202,6 @@ func (l *Loader) check(dir, importPath string) (*Package, error) {
 	// Check never returns a nil package; errors are collected above.
 	pkg.Pkg, _ = conf.Check(importPath, l.Fset, files, pkg.Info)
 	return pkg, nil
-}
-
-// warnf emits a loader warning when a Warn writer is configured.
-func (l *Loader) warnf(format string, args ...any) {
-	if l.Warn != nil {
-		fmt.Fprintf(l.Warn, format+"\n", args...)
-	}
-}
-
-// testOnlyFileNames lists dir's in-package _test.go files (package foo,
-// not the external foo_test variant, which cannot share a type-check).
-func testOnlyFileNames(fset *token.FileSet, dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.PackageClauseOnly)
-		if err != nil || f.Name == nil || strings.HasSuffix(f.Name.Name, "_test") {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
 }
 
 // goFileNames lists the buildable non-test .go files of dir, sorted.
@@ -351,12 +306,7 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 			return nil, fmt.Errorf("analysis: pattern %q: %w", pat, err)
 		}
 		if len(names) == 0 {
-			// Explicitly named directories get the test-only fallback;
-			// check() emits the warning when it loads them.
-			testNames, err := testOnlyFileNames(l.Fset, filepath.Clean(pat))
-			if err != nil || len(testNames) == 0 {
-				return nil, fmt.Errorf("analysis: pattern %q matched no Go files", pat)
-			}
+			return nil, fmt.Errorf("analysis: pattern %q matched no Go files", pat)
 		}
 		add(filepath.Clean(pat))
 	}

@@ -24,8 +24,8 @@ var LockOrder = &Analyzer{
 }
 
 func runLockOrder(pass *Pass) {
-	if pass.Prog == nil || !lockorderScope[pass.ImportPath] {
-		return // inter-procedural only: no Program, no graph
+	if !lockorderScope[pass.ImportPath] {
+		return
 	}
 	for _, e := range pass.Prog.lockGraphInfo().cycleEdges {
 		if e.pkgPath != pass.ImportPath {

@@ -18,11 +18,10 @@
 // instance-crossed acquisition (lock a.mu then b.mu of the same type)
 // is itself the classic AB-BA hazard.
 //
-// Held sets flow over the CFG in cfg.go with intersection joins
-// (must-held: silence over noise), a silent fixpoint, and a single
-// recording replay. Bodies the CFG cannot model (goto)
-// fall back to a flow-free scan that keeps the acquire set sound but
-// records no edges.
+// Held sets flow through solveFlow (cfg.go) with intersection joins
+// (must-held: silence over noise); edges are recorded in its one replay.
+// Bodies the CFG cannot model (goto) fall back to a flow-free scan that
+// keeps the acquire set sound but records no edges.
 
 package analysis
 
@@ -30,7 +29,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // lockEdge is one held→acquired nesting fact.
@@ -130,9 +128,9 @@ func namedOf(t types.Type) *types.Named {
 	return named
 }
 
-// mutexOpCall classifies call as a Lock/RLock/Unlock/RUnlock on a
-// sync.Mutex or sync.RWMutex, returning the receiver expression and
-// "lock", "unlock", or "".
+// mutexOpCall is the suite's one Lock/Unlock recognizer: it classifies
+// call as a Lock/RLock/Unlock/RUnlock on a sync.Mutex or sync.RWMutex,
+// returning the receiver expression and "lock", "unlock", or "".
 func mutexOpCall(info *types.Info, call *ast.CallExpr) (ast.Expr, string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -154,6 +152,28 @@ func mutexOpCall(info *types.Info, call *ast.CallExpr) (ast.Expr, string) {
 	return sel.X, op
 }
 
+// copyHeld and intersectHeld are the held-set state of solveFlow for
+// lockedsend and lockorder: a set maps a lock to the position that
+// acquired it, and the join keeps a lock only where every incoming path
+// holds it (must-held), reporting whether dst lost one.
+func copyHeld(m map[string]token.Pos) map[string]token.Pos {
+	out := make(map[string]token.Pos, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
+}
+
+func intersectHeld(dst, src map[string]token.Pos) (map[string]token.Pos, bool) {
+	out := make(map[string]token.Pos, len(dst))
+	for k, v := range dst {
+		if _, ok := src[k]; ok {
+			out[k] = v
+		}
+	}
+	return out, len(out) != len(dst)
+}
+
 // lockFlowRun computes one function's inferred acquire set and nesting
 // edges, consuming the already-computed sets of its callees.
 func lockFlowRun(pf *progFunc, acquires map[*types.Func]map[string]bool) (map[string]bool, []lockEdge) {
@@ -164,8 +184,11 @@ func lockFlowRun(pf *progFunc, acquires map[*types.Func]map[string]bool) (map[st
 	// step applies one CFG node to the held set; when record is true it
 	// also emits nesting edges (the single replay pass).
 	step := func(n ast.Node, held map[string]token.Pos, record bool) {
-		if rng, ok := n.(*ast.RangeStmt); ok {
-			n = rng.X // the body lives in its own blocks
+		switch s := n.(type) {
+		case *ast.RangeStmt:
+			n = s.X // the body lives in its own blocks
+		case *ast.SelectStmt:
+			return // the comms and arms live in their own blocks
 		}
 		ast.Inspect(n, func(m ast.Node) bool {
 			switch m := m.(type) {
@@ -239,44 +262,9 @@ func lockFlowRun(pf *progFunc, acquires map[*types.Func]map[string]bool) (map[st
 		})
 	}
 
-	g := buildCFG(pf.decl.Body)
-	if g.unsupported {
+	if !solveFlow(pf.decl.Body, map[string]token.Pos{}, copyHeld, intersectHeld, step) {
 		scanOnly()
 		return acq, nil
-	}
-	in := make([]map[string]token.Pos, len(g.blocks))
-	in[g.entry.index] = map[string]token.Pos{}
-	work := []*cfgBlock{g.entry}
-	iters, iterCap := 0, (len(g.blocks)+4)*32
-	for len(work) > 0 {
-		if iters++; iters > iterCap {
-			scanOnly()
-			return acq, nil
-		}
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		st := copyHeld(in[blk.index])
-		for _, n := range blk.nodes {
-			step(n, st, false)
-		}
-		for _, to := range blk.succs {
-			if in[to.index] == nil {
-				in[to.index] = copyHeld(st)
-				work = append(work, to)
-			} else if next := intersectHeld(in[to.index], st); len(next) != len(in[to.index]) {
-				in[to.index] = next
-				work = append(work, to)
-			}
-		}
-	}
-	for _, blk := range g.blocks {
-		if in[blk.index] == nil {
-			continue // unreachable
-		}
-		st := copyHeld(in[blk.index])
-		for _, n := range blk.nodes {
-			step(n, st, true)
-		}
 	}
 	return acq, edges
 }
@@ -284,76 +272,21 @@ func lockFlowRun(pf *progFunc, acquires map[*types.Func]map[string]bool) (map[st
 // findCycles marks every edge inside a strongly connected component of
 // the identity graph (including self-loops) as a potential deadlock.
 func (g *lockGraph) findCycles() {
-	adj := make(map[string]map[string]bool)
-	node := func(id string) {
-		if adj[id] == nil {
-			adj[id] = make(map[string]bool)
+	adj := make(map[string][]string)
+	var ids []string
+	for _, e := range g.edges {
+		adj[e.from] = append(adj[e.from], e.to)
+		ids = append(ids, e.from)
+	}
+	comps := sccs(ids, func(id string) []string { return adj[id] })
+	compOf := make(map[string]int)
+	for i, comp := range comps {
+		for _, id := range comp {
+			compOf[id] = i
 		}
 	}
 	for _, e := range g.edges {
-		node(e.from)
-		node(e.to)
-		adj[e.from][e.to] = true
-	}
-	ids := make([]string, 0, len(adj))
-	for id := range adj {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	succsOf := func(id string) []string {
-		out := make([]string, 0, len(adj[id]))
-		for s := range adj[id] {
-			out = append(out, s)
-		}
-		sort.Strings(out)
-		return out
-	}
-
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	sccOf := make(map[string]int)
-	sccSize := make(map[int]int)
-	var stack []string
-	next, sccs := 0, 0
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range succsOf(v) {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				sccOf[w] = sccs
-				sccSize[sccs]++
-				if w == v {
-					break
-				}
-			}
-			sccs++
-		}
-	}
-	for _, id := range ids {
-		if _, seen := index[id]; !seen {
-			strongconnect(id)
-		}
-	}
-	for _, e := range g.edges {
-		if e.from == e.to || (sccOf[e.from] == sccOf[e.to] && sccSize[sccOf[e.from]] > 1) {
+		if c := compOf[e.from]; e.from == e.to || (c == compOf[e.to] && len(comps[c]) > 1) {
 			g.cycleEdges = append(g.cycleEdges, e)
 		}
 	}

@@ -7,10 +7,10 @@
 // other's sets only as far as source order allows — false negatives
 // over false positives, as everywhere else in the suite.
 //
-// The Program is built lazily: RunAll attaches one to every Pass, but
-// the function index and SCC order are only computed the first time an
-// analyzer asks, so `viper-vet -only lockedsend` style runs stay as
-// cheap as they were before the inter-procedural layer existed.
+// The Program is built lazily: Run attaches one to every Pass, but the
+// function index and SCC order are only computed the first time an
+// analyzer asks, so a batch with nothing in lockorder's scope (a golden
+// fixture of another analyzer) never pays for them.
 
 package analysis
 
@@ -28,10 +28,10 @@ type progFunc struct {
 	// callees are the module-local functions called from decl's body,
 	// excluding calls made inside nested function literals (a literal's
 	// body does not run when this function is called).
-	callees []*types.Func
+	callees []*progFunc
 }
 
-// Program spans every package of one RunAll batch.
+// Program spans every package of one Run batch.
 type Program struct {
 	pkgs []*Package
 
@@ -80,23 +80,20 @@ func (prog *Program) build() {
 
 // calleesOf collects the module-local functions pf's body calls
 // directly, skipping nested function literals.
-func (prog *Program) calleesOf(pf *progFunc) []*types.Func {
-	seen := make(map[*types.Func]bool)
-	var out []*types.Func
+func (prog *Program) calleesOf(pf *progFunc) []*progFunc {
+	seen := make(map[*progFunc]bool)
+	var out []*progFunc
 	walkFuncBody(pf.decl.Body, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return
 		}
-		fn := calleeFunc(pf.pkg.Info, call)
-		if fn == nil || seen[fn] {
+		callee := prog.fns[calleeFunc(pf.pkg.Info, call)]
+		if callee == nil || seen[callee] {
 			return
 		}
-		if _, inBatch := prog.fns[fn]; !inBatch {
-			return
-		}
-		seen[fn] = true
-		out = append(out, fn)
+		seen[callee] = true
+		out = append(out, callee)
 	})
 	return out
 }
@@ -115,10 +112,9 @@ func walkFuncBody(body *ast.BlockStmt, visit func(ast.Node)) {
 	})
 }
 
-// computeSCCs runs Tarjan's algorithm over the call graph. Tarjan emits
-// each SCC only after every SCC it reaches has been emitted, so the
-// emission order is exactly the bottom-up (callees-first) order the
-// summary layers need.
+// computeSCCs orders the call graph bottom-up. Tarjan emits each SCC
+// only after every SCC it reaches, so the emission order is exactly the
+// callees-first order the summary layers need.
 func (prog *Program) computeSCCs() {
 	// Deterministic iteration: sort roots by position so the order (and
 	// any diagnostics derived from it) is stable across runs.
@@ -127,39 +123,38 @@ func (prog *Program) computeSCCs() {
 		roots = append(roots, pf)
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].decl.Pos() < roots[j].decl.Pos() })
+	for _, scc := range sccs(roots, func(pf *progFunc) []*progFunc { return pf.callees }) {
+		// Within one SCC, keep source order for determinism.
+		sort.Slice(scc, func(i, j int) bool { return scc[i].decl.Pos() < scc[j].decl.Pos() })
+		prog.order = append(prog.order, scc...)
+	}
+}
 
-	index := make(map[*progFunc]int)
-	low := make(map[*progFunc]int)
-	onStack := make(map[*progFunc]bool)
-	var stack []*progFunc
-	next := 0
-
-	var strongconnect func(v *progFunc)
-	strongconnect = func(v *progFunc) {
-		index[v] = next
-		low[v] = next
-		next++
+// sccs is the suite's one Tarjan: the strongly connected components of
+// the graph reachable from roots, each emitted after every component it
+// reaches. It serves the call graph and the lock-order graph.
+func sccs[N comparable](roots []N, succs func(N) []N) [][]N {
+	index := make(map[N]int)
+	low := make(map[N]int)
+	onStack := make(map[N]bool)
+	var stack []N
+	var out [][]N
+	var strongconnect func(v N)
+	strongconnect = func(v N) {
+		index[v] = len(index)
+		low[v] = index[v]
 		stack = append(stack, v)
 		onStack[v] = true
-		for _, calleeFn := range v.callees {
-			w := prog.fns[calleeFn]
-			if w == nil {
-				continue
-			}
-			if w == v {
-				continue
-			}
+		for _, w := range succs(v) {
 			if _, seen := index[w]; !seen {
 				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
 			}
 		}
 		if low[v] == index[v] {
-			var scc []*progFunc
+			var scc []N
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -169,14 +164,13 @@ func (prog *Program) computeSCCs() {
 					break
 				}
 			}
-			// Within one SCC, keep source order for determinism.
-			sort.Slice(scc, func(i, j int) bool { return scc[i].decl.Pos() < scc[j].decl.Pos() })
-			prog.order = append(prog.order, scc...)
+			out = append(out, scc)
 		}
 	}
-	for _, pf := range roots {
-		if _, seen := index[pf]; !seen {
-			strongconnect(pf)
+	for _, v := range roots {
+		if _, seen := index[v]; !seen {
+			strongconnect(v)
 		}
 	}
+	return out
 }

@@ -21,12 +21,11 @@ type ignoreDirective struct {
 	analyzers map[string]bool // nil means "all"
 }
 
-// applySuppressions marks diagnostics covered by well-formed lint:ignore
-// directives as Suppressed and appends a "lint" diagnostic for each
-// malformed one. Dropping suppressed findings is Run's job, so that
-// RunAll can expose the waived ones too.
+// applySuppressions drops diagnostics covered by well-formed lint:ignore
+// directives and appends a "lint" diagnostic for each malformed one.
 func applySuppressions(diags []Diagnostic, pkgs []*Package) []Diagnostic {
 	byFile := make(map[string][]ignoreDirective)
+	var malformed []Diagnostic
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, group := range file.Comments {
@@ -38,7 +37,7 @@ func applySuppressions(diags []Diagnostic, pkgs []*Package) []Diagnostic {
 					pos := pkg.Fset.Position(c.Pos())
 					dir, errMsg := parseIgnore(text)
 					if errMsg != "" {
-						diags = append(diags, Diagnostic{Pos: pos, Analyzer: "lint", Message: errMsg})
+						malformed = append(malformed, Diagnostic{Pos: pos, Analyzer: "lint", Message: errMsg})
 						continue
 					}
 					dir.pos = pos
@@ -47,13 +46,13 @@ func applySuppressions(diags []Diagnostic, pkgs []*Package) []Diagnostic {
 			}
 		}
 	}
-	for i := range diags {
-		d := &diags[i]
-		if d.Analyzer != "lint" && suppressed(*d, byFile[d.Pos.Filename]) {
-			d.Suppressed = true
+	kept := diags[:0]
+	for _, d := range diags {
+		if !suppressed(d, byFile[d.Pos.Filename]) {
+			kept = append(kept, d)
 		}
 	}
-	return diags
+	return append(kept, malformed...)
 }
 
 // directiveText extracts the payload of a "//lint:ignore" comment.

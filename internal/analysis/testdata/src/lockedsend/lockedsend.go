@@ -140,3 +140,108 @@ func (b *broker) suppressedSend(v int) int {
 	b.mu.Unlock()
 	return <-ch
 }
+
+// --- shapes where the control-flow graph decides ------------------------
+
+// relockLoop re-takes the lock at the end of every iteration: the back
+// edge carries it to the loop head, so every send runs under it.
+func (b *broker) relockLoop(ch chan int, n int) {
+	b.mu.Lock()
+	for i := 0; i < n; i++ {
+		ch <- i // want "blocking channel send on ch while holding b\.mu"
+		b.mu.Unlock()
+		b.mu.Lock()
+	}
+	b.mu.Unlock()
+}
+
+// unlockedLoopBody releases around each send: the back edge brings the
+// lock back to the loop head, never to the send.
+func (b *broker) unlockedLoopBody(v int) {
+	b.mu.Lock()
+	for _, ch := range b.subs {
+		b.mu.Unlock()
+		ch <- v
+		b.mu.Lock()
+	}
+	b.mu.Unlock()
+}
+
+// selectArms: the blocking select is reported once, at its head. Its
+// comms are the select's own operations; a send in an arm body is an
+// ordinary one.
+func (b *broker) selectArms(in, out chan int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	select { // want "blocking select \(no default case\) while holding b\.mu"
+	case v := <-in:
+		out <- v // want "blocking channel send on out while holding b\.mu"
+	case out <- 0:
+	}
+}
+
+// selectArmsUnlock releases in every arm, so nothing is held after the
+// select; the default makes its receive non-blocking.
+func (b *broker) selectArmsUnlock(ch chan int, v int) {
+	b.mu.Lock()
+	select {
+	case <-ch:
+		b.mu.Unlock()
+	default:
+		b.mu.Unlock()
+	}
+	ch <- v
+}
+
+// gotoSend is a body with goto, which the graph does not model: the whole
+// body is skipped, so this send under the lock goes unreported (silence
+// over noise).
+func (b *broker) gotoSend(ch chan int, v int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if v < 0 {
+		goto done
+	}
+	ch <- v
+done:
+}
+
+// --- WaitGroup.Wait under a lock ----------------------------------------
+
+type pool struct {
+	mu sync.Mutex
+	wg sync.WaitGroup
+}
+
+// waitUnderLock deadlocks when the waited goroutines need p.mu.
+func (p *pool) waitUnderLock() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.wg.Wait() // want "WaitGroup\.Wait on p\.wg while holding p\.mu"
+}
+
+// waitUnderExplicitLock is the same bug without defer.
+func (p *pool) waitUnderExplicitLock() {
+	p.mu.Lock()
+	p.wg.Wait() // want "WaitGroup\.Wait on p\.wg while holding p\.mu"
+	p.mu.Unlock()
+}
+
+// unlockThenWait is the fix: release the lock, then join.
+func (p *pool) unlockThenWait() {
+	p.mu.Lock()
+	p.mu.Unlock()
+	p.wg.Wait()
+}
+
+// waitAfterBranchUnlock: both branches unlock before the Wait, so the
+// intersection join clears the lock set.
+func (p *pool) waitAfterBranchUnlock(flag bool) {
+	p.mu.Lock()
+	if flag {
+		p.mu.Unlock()
+	} else {
+		p.mu.Unlock()
+	}
+	p.wg.Wait()
+}

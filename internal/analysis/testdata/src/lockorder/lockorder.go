@@ -124,6 +124,20 @@ func handoff(c *Conn, p *Pool) {
 	p.mu.Unlock()
 }
 
+// pickOne takes regMu in one arm and statsMu in another: the arms of a
+// select are alternatives, so the two never nest (an order between them
+// here would close the regMu/statsMu cycle above a second time).
+func pickOne(a, b chan int) {
+	select {
+	case <-a:
+		regMu.Lock()
+		defer regMu.Unlock()
+	case <-b:
+		statsMu.Lock()
+		defer statsMu.Unlock()
+	}
+}
+
 // Gauge locks through an embedded mutex's promoted method; the identity
 // is the embedding type, and with no opposing order it stays clean.
 type Gauge struct {

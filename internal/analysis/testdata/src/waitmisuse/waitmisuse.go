@@ -1,12 +1,12 @@
 // Package waitmisusefix holds golden cases for the waitmisuse analyzer:
-// the three WaitGroup disciplines — Add before the launch (with the
-// hierarchical exemption), deferred Done, Wait outside locks.
+// the two WaitGroup placement disciplines — Add before the launch (with
+// the hierarchical exemption) and deferred Done. Wait under a lock is
+// lockedsend's (its fixture holds those cases).
 package waitmisusefix
 
 import "sync"
 
 type pool struct {
-	mu sync.Mutex
 	wg sync.WaitGroup
 }
 
@@ -57,37 +57,4 @@ func deferredDone(wg *sync.WaitGroup, work func()) {
 		defer wg.Done()
 		work()
 	}()
-}
-
-// waitUnderLock deadlocks when the waited goroutines need p.mu.
-func (p *pool) waitUnderLock() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.wg.Wait() // want "WaitGroup\.Wait on p\.wg while holding p\.mu"
-}
-
-// waitUnderExplicitLock is the same bug without defer.
-func (p *pool) waitUnderExplicitLock() {
-	p.mu.Lock()
-	p.wg.Wait() // want "WaitGroup\.Wait on p\.wg while holding p\.mu"
-	p.mu.Unlock()
-}
-
-// unlockThenWait is the fix: release the lock, then join.
-func (p *pool) unlockThenWait() {
-	p.mu.Lock()
-	p.mu.Unlock()
-	p.wg.Wait()
-}
-
-// waitAfterBranchUnlock: both branches unlock before the Wait, so the
-// intersection merge clears the lock set.
-func (p *pool) waitAfterBranchUnlock(flag bool) {
-	p.mu.Lock()
-	if flag {
-		p.mu.Unlock()
-	} else {
-		p.mu.Unlock()
-	}
-	p.wg.Wait()
 }
