@@ -28,8 +28,9 @@ go test -race ./...
 
 # The leakcheck-gated packages rerun uncached: a cached 'ok' would skip
 # the TestMain goroutine-leak check entirely, so -count=1 forces the
-# binaries to actually execute. The allocation budgets (TestAllocBudget,
-# TestAllocBudgetColdJoin) and the count gates (Test*CountGate) of remote
+# binaries to actually execute. The allocation and held budgets
+# (TestAllocBudget, TestAllocBudgetColdJoin, TestHeldBudget) and the count
+# gates (Test*CountGate) of remote
 # and relay rerun here with them: the buffer pool is a deterministic free
 # list, so the budgets hold under the race detector as they do without it.
 echo "==> leakcheck packages (-race -count=1)"

@@ -33,7 +33,6 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-update wait timeout")
 	seed := flag.Int64("seed", 1, "inference-data seed")
 	noDelta := flag.Bool("no-delta", false, "disable chunk-delta reconciliation (always pull full streams)")
-	chunkCache := flag.Int("chunk-cache", 0, "chunk hash cache entries (0 = default)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and a /metrics JSON dump of every registry on this address (empty = off)")
 	flag.Parse()
 
@@ -45,7 +44,7 @@ func main() {
 	if dbg != nil {
 		fmt.Printf("viper-consumer: debug endpoint on http://%s/debug/pprof/\n", dbg.Addr())
 	}
-	err = run(*metaAddr, *notifyAddr, *producerAddr, *updates, *timeout, *seed, *noDelta, *chunkCache)
+	err = run(*metaAddr, *notifyAddr, *producerAddr, *updates, *timeout, *seed, *noDelta)
 	dbg.Close()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "viper-consumer: %v\n", err)
@@ -53,7 +52,7 @@ func main() {
 	}
 }
 
-func run(metaAddr, notifyAddr, producerAddr string, updates int, timeout time.Duration, seed int64, noDelta bool, chunkCache int) error {
+func run(metaAddr, notifyAddr, producerAddr string, updates int, timeout time.Duration, seed int64, noDelta bool) error {
 	rng := rand.New(rand.NewSource(seed + 100))
 	serving := models.TC1(rng, 32)
 	data, err := dataset.SynthesizeClassification(dataset.ClassificationConfig{
@@ -69,7 +68,6 @@ func run(metaAddr, notifyAddr, producerAddr string, updates int, timeout time.Du
 		ProducerAddr:          producerAddr,
 		Serving:               serving,
 		DisableDeltaReconcile: noDelta,
-		ChunkHashCache:        chunkCache,
 	})
 	if err != nil {
 		return err

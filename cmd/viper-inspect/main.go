@@ -391,7 +391,7 @@ func (e *emitter) chunked(blob []byte) error {
 // the per-chunk content hashes, and which records the blob carries vs.
 // elides as deduplicated against a previously published version. The
 // weights themselves cannot be decoded from the file alone — the elided
-// records live in the receiver's chunk cache.
+// chunks live in the version the receiver holds.
 func (e *emitter) manifest(blob []byte) error {
 	man, err := vformat.ParseManifest(blob)
 	if err != nil {
@@ -401,8 +401,8 @@ func (e *emitter) manifest(blob []byte) error {
 	if err != nil {
 		return err
 	}
-	// Assemble against an empty cache: whatever stays missing is exactly
-	// the elided (deduplicated) chunk set.
+	// Assemble with no span source: whatever stays missing is exactly the
+	// elided (deduplicated) chunk set.
 	asm, err := vformat.NewManifestAssembler(blob, nil, nil)
 	if err != nil {
 		return err

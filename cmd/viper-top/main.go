@@ -8,14 +8,14 @@
 // carries the delivery-path counters of every producer and consumer in
 // the process, the stage flusher's (producer_stage_flushes,
 // producer_stage_superseded, producer_stage_flush_ms), the builder's
-// (consumer_prebuilt_installs, consumer_abandoned_builds) and the cache
-// filler's (consumer_cache_fill_ms, consumer_have_list_lag_ms,
+// (consumer_prebuilt_installs, consumer_abandoned_builds) and the
+// filler's, which hashes each install into the span source
+// (consumer_cache_fill_ms, consumer_have_list_lag_ms,
 // consumer_fill_superseded) and the delta path's work counts (records
 // hashed against hashes inherited per publish: producer_hashed_chunks,
 // producer_inherited_hashes; positions the span source covered without a
-// record against cached records decoded per install:
-// consumer_inherited_chunks, consumer_cache_decoded_chunks; delta installs
-// patched into the prepared back buffer against buffers let go:
+// record per install: consumer_inherited_chunks; delta installs patched
+// into the prepared back buffer against buffers let go:
 // consumer_prepared_installs, consumer_prepared_discards) among them; the relay panel carries the
 // streamed read-through's (read_through_first_byte_ms, and
 // read_ahead_waits — the send loop waited for the disk, not the link).

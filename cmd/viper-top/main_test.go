@@ -76,8 +76,8 @@ func TestRenderText(t *testing.T) {
 }
 
 // TestRenderRemotePanel: a node with internal/remote linked in renders
-// the [remote] registry, including the stage-flusher, builder, cache
-// filler and hash/span inheritance instruments.
+// the [remote] registry, including the stage-flusher, builder, filler
+// and hash/span inheritance instruments.
 func TestRenderRemotePanel(t *testing.T) {
 	r := liveRelay(t)
 	var buf bytes.Buffer
@@ -91,7 +91,7 @@ func TestRenderRemotePanel(t *testing.T) {
 		"consumer_prebuilt_installs", "consumer_abandoned_builds",
 		"consumer_cache_fill_ms", "consumer_have_list_lag_ms", "consumer_fill_superseded",
 		"producer_hashed_chunks", "producer_inherited_hashes",
-		"consumer_inherited_chunks", "consumer_cache_decoded_chunks",
+		"consumer_inherited_chunks",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text output missing %q:\n%s", want, out)

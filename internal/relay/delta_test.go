@@ -3,6 +3,7 @@ package relay
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -285,9 +286,10 @@ func TestDeltaIngestNeedResend(t *testing.T) {
 }
 
 // TestDeltaFanoutToAdvertisingConsumer: a consumer that advertises its
-// chunk cache is served manifest+missing deltas; a cache gap is
-// recovered via need-list from the relay's store; an unsatisfiable
-// need-list is refused off-stream so the consumer can tear cleanly.
+// span source is served manifest+missing deltas; a position its source
+// moved on from since is recovered via need-list from the relay's store;
+// an unsatisfiable need-list is refused off-stream so the consumer can
+// tear cleanly.
 func TestDeltaFanoutToAdvertisingConsumer(t *testing.T) {
 	r := testRelay(t, 4)
 	link, err := transport.DialTCP(r.IngestAddr())
@@ -298,8 +300,12 @@ func TestDeltaFanoutToAdvertisingConsumer(t *testing.T) {
 
 	snap := nn.TakeSnapshot(testModel(11))
 	blob, hashes := encodeVersion(t, "m", 1, snap, 128)
-	cache := vformat.NewChunkCache(0)
-	if err := cache.PutAll(blob); err != nil {
+	dec, err := vformat.DecodeChunked(context.Background(), blob, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := vformat.NewSpanSource(blob, hashes, dec.Weights)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -308,7 +314,7 @@ func TestDeltaFanoutToAdvertisingConsumer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cons.Close()
-	if err := cons.Send(transport.NewHaveFrame("m", 0, cache.Hashes())); err != nil {
+	if err := cons.Send(transport.NewHaveFrame("m", 0, src.Hashes())); err != nil {
 		t.Fatal(err)
 	}
 	waitSessionHave(t, r, len(hashes))
@@ -321,7 +327,7 @@ func TestDeltaFanoutToAdvertisingConsumer(t *testing.T) {
 	if !transport.IsManifestHeader(mf) {
 		t.Fatalf("advertising consumer got %q meta %v, want a manifest header", mf.Key, mf.Meta)
 	}
-	asm, err := vformat.NewManifestAssembler(mf.Payload, cache, nil)
+	asm, err := vformat.NewManifestAssembler(mf.Payload, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,15 +335,20 @@ func TestDeltaFanoutToAdvertisingConsumer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reused := asm.Reused(); reused != len(hashes) || ckpt.Version != 1 || !snapshotsEqual(ckpt.Weights, snap) {
-		t.Fatalf("delta fan-out reused %d/%d, version %d", reused, len(hashes), ckpt.Version)
+	if inherited := asm.Inherited(); inherited != len(hashes) || ckpt.Version != 1 || !snapshotsEqual(ckpt.Weights, snap) {
+		t.Fatalf("delta fan-out inherited %d/%d, version %d", inherited, len(hashes), ckpt.Version)
 	}
 	waitFor(t, 5*time.Second, func() bool { return r.Stats().DeltaFanouts == 1 }, "delta fan-out counted")
 
-	// Chaos: the consumer's cache lost a chunk it advertised. The next
-	// delta omits it, so the collect must need-list it back from the
-	// relay's store and still finish bit-exact.
-	cache.Drop(hashes[0])
+	// Chaos: the consumer's source moved on at chunk 0 since it advertised
+	// it. The next delta omits the chunk, so the collect must need-list it
+	// back from the relay's store and still finish bit-exact.
+	moved := slices.Clone(hashes)
+	moved[0] = vformat.ChunkHash{0xee}
+	src2, err := vformat.NewSpanSource(blob, moved, dec.Weights)
+	if err != nil {
+		t.Fatal(err)
+	}
 	snap2 := nn.TakeSnapshot(testModel(11))
 	pushChunked(t, link, "m", 2, snap2, 128)
 	mf2, err := cons.Recv()
@@ -347,7 +358,7 @@ func TestDeltaFanoutToAdvertisingConsumer(t *testing.T) {
 	if !transport.IsManifestHeader(mf2) {
 		t.Fatalf("second fan-out got %q meta %v, want a manifest header", mf2.Key, mf2.Meta)
 	}
-	asm2, err := vformat.NewManifestAssembler(mf2.Payload, cache, nil)
+	asm2, err := vformat.NewManifestAssembler(mf2.Payload, src2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -465,7 +465,8 @@ func TestMixedResidentAndDiskRecordsServeInOrder(t *testing.T) {
 // directory holding one 4 MiB / 16-chunk version, and reconcile-on
 // consumers join, install it and leave, one at a time. Relay and consumer
 // together may allocate at most 2.4 bytes per payload byte — the receive
-// buffers (which the consumer's cache would adopt) and the decoded
+// buffers (every join is a fresh consumer with an empty receive pool; its
+// filler hands them back once it has hashed them) and the decoded
 // weights, nothing payload-sized on the relay. The tree before the
 // streamed read-through spent 4.16: a fresh buffer per store read and a
 // cache copy of every record on top.

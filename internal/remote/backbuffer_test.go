@@ -29,7 +29,7 @@ func deltaBase(t *testing.T, s *script) (held *vformat.Checkpoint, snap2 nn.Snap
 	t.Helper()
 	snap1 := flatSnapshot(1, 2<<10)
 	v1 := s.deliver(1, snap1)
-	s.recvHave(v1) // v1 is hashed: it is the span source
+	s.haveIs(1, v1) // v1 is hashed: it is the span source
 	snap2 = bump(snap1, 0, 0)
 	s.deliverDelta(2, snap2)
 	if got := s.cons.Stats(); got.DeltaLoads != 1 || got.PreparedInstalls != 0 || got.PreparedDiscards != 0 {
@@ -38,11 +38,11 @@ func deltaBase(t *testing.T, s *script) (held *vformat.Checkpoint, snap2 nn.Snap
 	return s.cons.Active(), snap2
 }
 
-// deltaOver scripts the delta stream of version against everything the
-// consumer's cache holds now.
+// deltaOver scripts the delta stream of version against the consumer's
+// span source now.
 func (s *script) deltaOver(version uint64, snap nn.Snapshot) []transport.Frame {
 	s.t.Helper()
-	return s.deltaFrames(version, snap, s.cons.cache.Hashes())
+	return s.deltaFrames(version, snap, sourceHashes(s.cons))
 }
 
 // deliverDelta streams version as a delta, announces it, waits for Next to
@@ -135,13 +135,13 @@ func TestLostDeltaDiscardsTheBackBuffer(t *testing.T) {
 			if !snapshotsEqual(held.Weights, snap2) {
 				t.Fatal("the checkpoint Next returned for v2 changed while v3 was being patched beside it")
 			}
-			before := sampleDeltaCounters()
+			before := inheritedNow()
 			res := s.next()
 			s.notify(4, true)
 			s.install(res, 4, snap4)
 			s.recvHave()
-			if got, want := sampleDeltaCounters().since(before), (deltaCounters{inherited: 15}); got != want {
-				t.Fatalf("v4 over the v2 source: %+v, want %+v", got, want)
+			if got := inheritedNow() - before; got != 15 {
+				t.Fatalf("v4 over the v2 source inherited %d positions, want 15", got)
 			}
 			if got := s.cons.Stats(); got.PreparedInstalls != 0 || got.DeltaLoads != 2 || got.StagedLoads != 0 {
 				t.Fatalf("after v4: %+v, want a second delta load from the link, assembled by copying", got)
@@ -167,7 +167,7 @@ func TestNewerSourceDropsTheBackBuffer(t *testing.T) {
 	s := startScript(t)
 	deltaBase(t, s)
 	snap3 := flatSnapshot(3, 2<<10)
-	s.recvHave(s.deliver(3, snap3))
+	s.haveIs(3, s.deliver(3, snap3))
 	if got := sourceVersion(s.cons); got != 3 || heldSlot(s.cons) != nil {
 		t.Fatalf("with v3 hashed: source v%d, back buffer held: %v; want v3 and none", got, heldSlot(s.cons) != nil)
 	}
@@ -227,7 +227,7 @@ func TestHaveListFollowsTheClone(t *testing.T) {
 		s := startScript(t)
 		deltaBase(t, s)
 		finish := s.slowClone()
-		s.cons.queueFill(&cacheFill{version: 2})
+		s.cons.queueFill(&sourceFill{version: 2})
 		finish()
 		if v, _ := s.recvHave(); v != 2 {
 			t.Fatalf("have-list of v%d, want v2's second one", v)
@@ -237,7 +237,7 @@ func TestHaveListFollowsTheClone(t *testing.T) {
 		s := startScript(t)
 		deltaBase(t, s)
 		s.slowClone()
-		s.cons.queueFill(&cacheFill{version: 2})
+		s.cons.queueFill(&sourceFill{version: 2})
 		waitFor(t, "the filler to take the fill", func() bool {
 			s.cons.fills.mu.Lock()
 			defer s.cons.fills.mu.Unlock()

@@ -52,18 +52,15 @@ type ConsumerConfig struct {
 	// MetaDial, if set, replaces the metadata client dial.
 	MetaDial func(addr string) (net.Conn, error)
 	// DisableDeltaReconcile turns off chunk-level delta reconciliation.
-	// By default the consumer keeps a content-addressed cache of the
-	// chunk records it has installed, advertises it to the sender behind
-	// every install (transport.HaveKey), and accepts manifest delta streams
-	// that ship only the chunks that changed — recovering
-	// advertised-but-evicted chunks with a need-list, and falling back
-	// to the staging path rather than ever assembling a torn
-	// checkpoint. Disabling restores the always-full streams.
+	// By default the consumer knows the record hash of every position of
+	// the newest version it holds (its span source), advertises them to
+	// the sender behind every install (transport.HaveKey), and accepts
+	// manifest delta streams that ship only the chunks that changed —
+	// recovering, with a need-list, chunks its source no longer holds
+	// where the manifest names them, and falling back to the staging path
+	// rather than ever assembling a torn checkpoint. Disabling restores
+	// the always-full streams.
 	DisableDeltaReconcile bool
-	// ChunkHashCache bounds the reconciliation chunk cache, in entries
-	// (0 selects the vformat default). Only meaningful while delta
-	// reconciliation is enabled.
-	ChunkHashCache int
 	// FrameBuffer is the depth, in frames, of the hand-off between the
 	// link reader and the builder that assembles streams as they land
 	// (default 32). The builder drains it without waiting for Next, so a
@@ -95,7 +92,7 @@ type ConsumerStats struct {
 	// superseded before their notification.
 	DiscardedFrames int64 `metric:"consumer_discarded_frames"`
 	// DeltaLoads counts link loads that arrived as manifest delta
-	// streams reconciled against the chunk cache (a subset of
+	// streams reconciled against the span source (a subset of
 	// LinkLoads).
 	DeltaLoads int64 `metric:"consumer_delta_loads"`
 	// PreparedInstalls counts delta loads that were assembled in the
@@ -117,13 +114,14 @@ type consumerCounters struct {
 
 // parkedBudget bounds, in bytes, the complete builds kept for
 // notifications Next has not processed yet (the newest build is always
-// kept, whatever its size): their decoded weights plus the wire records
-// they hold for the cache filler. It is what a consumer that stopped
-// calling Next can pin; older builds are dropped first and their
-// versions come from staging or are skipped as superseded. Beyond active
-// and parked the consumer pins at most two more checkpoints: the span
-// source, when the build it came from has since been dropped or replaced,
-// and the back buffer prepared from it.
+// kept, whatever its size): their decoded weights plus the pooled wire
+// records a full stream holds until the filler has hashed them and handed
+// them back. It is what a consumer that stopped calling Next can pin;
+// older builds are dropped first and their versions come from staging or
+// are skipped as superseded. Beyond active and parked the consumer pins at
+// most two more checkpoints — the span source, when the build it came from
+// has since been dropped or replaced, and the back buffer prepared from
+// it — and no chunk record.
 const parkedBudget = 64 << 20
 
 // build is one link stream assembled by the builder.
@@ -136,30 +134,30 @@ type build struct {
 	bytes   int64 // decoded weights plus recs, once complete
 	ckpt    *vformat.Checkpoint
 	// recs are a full stream's wire records, kept — with reconciliation on
-	// — for the cache filler to hash once the build is installed. They
-	// are the link's pooled payloads (transport.RecvPool): the consumer
-	// owns them, the cache adopts them without a copy, and a build that is
-	// dropped hands them back. header is the stream header they arrived
-	// under, kept with them so the hashes can become a span source.
+	// — for the filler to hash once the build is installed. They are the
+	// link's pooled payloads (transport.RecvPool): the consumer owns them,
+	// and the filler, once it has hashed them, or a build that is dropped
+	// hands them back. header is the stream header they arrived under, kept
+	// with them so the hashes can become a span source.
 	recs   [][]byte
 	header []byte
-	// inherited and reused count a delta build's positions the span source
-	// covered without a record and those decoded from cached records.
-	inherited, reused int
+	// inherited counts a delta build's positions the span source covered
+	// without a record.
+	inherited int
 }
 
-// cacheFill is what one install leaves for the cache filler: the records
-// that came with the version and are not in the cache yet, and the
+// sourceFill is what one install leaves for the filler: the records that
+// came with the version, to be hashed into its span source, and the
 // version to advertise once they are.
-type cacheFill struct {
+type sourceFill struct {
 	version   uint64
 	installed time.Time
 	// recs passed the assembler's per-record check. A delta stream has
-	// none: its records were cached as they were added.
+	// none: its build became the span source when it parked.
 	recs [][]byte
 	// owned marks recs as buffers nobody else holds (a parked build's
-	// pooled payloads), which the cache adopts and the filler otherwise
-	// hands back to the pool; sub-slices of a staged blob are copied in.
+	// pooled payloads), which go back to the pool once hashed; sub-slices
+	// of a staged blob are simply let go.
 	owned bool
 	// header (the v2 stream header recs belong to; a plain chunked blob
 	// serves) and weights (what they were decoded into) let a finished
@@ -178,9 +176,9 @@ type Consumer struct {
 	// owns every payload the link delivers and hands each back at most once,
 	// when nothing can read it any more: a record that is not kept, as soon
 	// as the assembler has decoded it; a kept build's records when the build
-	// is dropped or the filler finds them cached already; a frame the builder
-	// discards. The records the cache adopts leave the pool for good, and
-	// whatever is simply let go (Close with frames in flight) is collected.
+	// is dropped, its fill superseded, or the filler has hashed them; a frame
+	// the builder discards. No payload is given away, and whatever is simply
+	// let go (Close with frames in flight) is collected.
 	pool     *transport.RecvPool
 	events   <-chan pubsub.Message
 	serving  nn.Model
@@ -188,19 +186,16 @@ type Consumer struct {
 	policy   retry.Policy
 	clock    simclock.Clock
 	n        consumerCounters
-	// cache is the content-addressed record cache delta reconciliation
-	// runs against (nil when disabled). Its own lock makes it safe to
-	// read and fill from the builder (delta streams) while the filler
-	// fills and snapshots it.
-	cache *vformat.ChunkCache
+	// reconcile: delta reconciliation is on (ConsumerConfig).
+	reconcile bool
 
 	frames    chan transport.Frame // link reader → builder
 	closed    chan struct{}
 	closeOnce sync.Once
-	wg        sync.WaitGroup // reader + builder + cache filler + back-buffer clone
-	// fills hands installs to the cache filler (at most one waits: a
-	// newer install supersedes it).
-	fills *latest[cacheFill]
+	wg        sync.WaitGroup // reader + builder + filler + back-buffer clone
+	// fills hands installs to the filler (at most one waits: a newer
+	// install supersedes it).
+	fills *latest[sourceFill]
 
 	// lifeCtx is the lifecycle context minted from
 	// ConsumerConfig.BaseContext; lifeCancel fires in Close.
@@ -228,8 +223,9 @@ type Consumer struct {
 	// assembler: the newest complete build, parked or installed, whose
 	// per-position hashes are known — a delta build's as soon as it is
 	// parked (the manifest's), a full-stream or staged install's once the
-	// filler has hashed its records. It shares the weights of a checkpoint
-	// Next hands out, hence the read-only contract there.
+	// filler has hashed its records. Its hashes are the have-list. It shares
+	// the weights of a checkpoint Next hands out, hence the read-only
+	// contract there.
 	source        *vformat.SpanSource
 	sourceVersion uint64
 	// back is the builder's back buffer: a private clone of source's
@@ -288,16 +284,15 @@ func NewConsumer(cfg ConsumerConfig) (*Consumer, error) {
 	c := &Consumer{
 		model: cfg.Model, kv: kv, ps: ps, link: link, pool: pool,
 		events: events, serving: cfg.Serving,
-		linkWait: linkWait, policy: pol, clock: pol.ClockOrWall(),
+		linkWait: linkWait, policy: pol, clock: pol.ClockOrWall(), reconcile: !cfg.DisableDeltaReconcile,
 		frames:  make(chan transport.Frame, frameBuf),
 		closed:  make(chan struct{}),
 		changed: make(chan struct{}),
 		lifeCtx: lifeCtx, lifeCancel: lifeCancel,
 	}
-	c.fills = newLatest[cacheFill](c.closed)
+	c.fills = newLatest[sourceFill](c.closed)
 	metrics.Bind[ConsumerStats](registry, &c.n)
-	if !cfg.DisableDeltaReconcile {
-		c.cache = vformat.NewChunkCache(cfg.ChunkHashCache)
+	if c.reconcile {
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
@@ -431,14 +426,14 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 	// One timer per LinkWait period, not per frame: when it fires the
 	// stream is abandoned only if no frame arrived since it was armed.
 	stall, progressed := c.clock.After(c.linkWait), false
-	keep := c.cache != nil && !b.delta
+	keep := c.reconcile && !b.delta
 	if keep {
 		b.header = header.Payload
 	}
 	// handed is the payload of the frame the collector was given last. It
 	// asks for the next frame only when it is done with that one — decoded
 	// by the assembler (which keeps no reference to a record), or failed —
-	// and that is when the payload is settled: kept for the cache filler, or
+	// and that is when the payload is settled: kept for the filler, or
 	// handed straight back to the pool. A frame the collector returns as
 	// foreign is not this stream's and is never settled here.
 	//
@@ -481,27 +476,27 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 	switch {
 	case !b.delta:
 		b.ckpt, next, err = transport.CollectChunked(c.lifeCtx, header, recv)
-	case c.cache == nil:
+	case !c.reconcile:
 		// Reconciliation disabled: nothing advertised, so a manifest
 		// stream is unexpected; let the staging path carry the version.
 		err = errors.New("remote: manifest stream with reconciliation disabled")
 	default:
 		// Positions the span source holds decoded under the same hash are
 		// already in place in the back buffer (or, without one, copied from
-		// the source), other advertised chunks are decoded from the cache,
-		// the missing records arrive from the link, and a chunk the cache
-		// lost since advertising is need-listed back to the sender.
+		// the source), the missing records arrive from the link, and a chunk
+		// the source no longer holds where the manifest names it (it moved
+		// on since it was advertised) is need-listed back to the sender.
 		var from *vformat.SpanSource
 		var asm *vformat.ManifestAssembler
 		if from, back, err = c.takeSource(); err == nil {
-			asm, err = vformat.NewManifestAssemblerInto(header.Payload, c.cache, from, back)
+			asm, err = vformat.NewManifestAssembler(header.Payload, from, back)
 		}
 		if err == nil {
 			b.inPlace = asm.InPlace()
 			b.ckpt, next, err = transport.CollectChunkedDeltaInto(c.lifeCtx, header, asm, recv, c.link.Send)
 		}
 		if err == nil {
-			source, b.inherited, b.reused = asm.Source(), asm.Inherited(), asm.Reused()
+			source, b.inherited = asm.Source(), asm.Inherited()
 		}
 	}
 	if next != nil {
@@ -669,10 +664,10 @@ func (c *Consumer) NextContext(ctx context.Context, timeout time.Duration) (*vfo
 }
 
 // fetch obtains the checkpoint for meta from the builder, falling back
-// to the KV staging area, along with the records it leaves for the cache
+// to the KV staging area, along with the records it leaves for the
 // filler. A nil checkpoint and nil error mean the version is lost on
 // both paths (superseded updates may legitimately be).
-func (c *Consumer) fetch(ctx context.Context, meta *core.ModelMeta) (*vformat.Checkpoint, *cacheFill, error) {
+func (c *Consumer) fetch(ctx context.Context, meta *core.ModelMeta) (*vformat.Checkpoint, *sourceFill, error) {
 	var timer <-chan time.Time // armed on the first wait: a prebuilt install needs none
 	for first := true; ; first = false {
 		b, lost, changed := c.claim(meta)
@@ -688,8 +683,7 @@ func (c *Consumer) fetch(ctx context.Context, meta *core.ModelMeta) (*vformat.Ch
 			}
 			c.n.LinkLoads.Inc() // last: observers wait on it
 			inheritedChunks.Add(int64(b.inherited))
-			cacheDecodedChunks.Add(int64(b.reused))
-			return b.ckpt, &cacheFill{recs: b.recs, owned: true, header: b.header, weights: b.ckpt.Weights}, nil
+			return b.ckpt, &sourceFill{recs: b.recs, owned: true, header: b.header, weights: b.ckpt.Weights}, nil
 		}
 		if lost {
 			return c.fetchStaged(ctx, meta)
@@ -742,7 +736,7 @@ func (c *Consumer) claim(meta *core.ModelMeta) (b *build, lost bool, changed <-c
 // retry schedule for up to LinkWait — unless a newer notification is
 // already waiting, which supersedes this version anyway; without the
 // flag a missing copy is final.
-func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vformat.Checkpoint, *cacheFill, error) {
+func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vformat.Checkpoint, *sourceFill, error) {
 	key := core.StagingKey(c.model, meta.Version)
 	raw, err := c.kv.GetBytes(key)
 	if meta.StagePending {
@@ -782,11 +776,10 @@ func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vfor
 		return nil, nil, fmt.Errorf("remote: staged checkpoint is %s/v%d, want %s/v%d",
 			ckpt.ModelName, ckpt.Version, c.model, meta.Version)
 	}
-	fill := &cacheFill{}
-	if c.cache != nil {
-		// The staged chunk records replenish the reconciliation cache,
-		// behind the install like a link stream's (best-effort: a blob that
-		// does not split into records leaves the cache as it is).
+	fill := &sourceFill{}
+	if c.reconcile {
+		// The staged chunk records are hashed into the span source behind
+		// the install, like a link stream's.
 		err := vformat.WalkChunkRecords(raw, func(rec []byte) error {
 			fill.recs = append(fill.recs, rec)
 			return nil
@@ -800,10 +793,11 @@ func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vfor
 }
 
 // install makes ckpt the active checkpoint and restores the serving
-// model; with reconciliation on it then hands fill to the cache filler,
-// which caches the version's records and advertises the cache back to the
-// sender behind the install, so the next version can travel as a delta.
-func (c *Consumer) install(ckpt *vformat.Checkpoint, fill *cacheFill) error {
+// model; with reconciliation on it then hands fill to the filler, which
+// hashes the version's records into its span source and advertises the
+// source back to the sender behind the install, so the next version can
+// travel as a delta.
+func (c *Consumer) install(ckpt *vformat.Checkpoint, fill *sourceFill) error {
 	c.mu.Lock()
 	c.active = ckpt
 	c.loads++
@@ -820,18 +814,18 @@ func (c *Consumer) install(ckpt *vformat.Checkpoint, fill *cacheFill) error {
 			return fmt.Errorf("remote: restore: %w", err)
 		}
 	}
-	if c.cache != nil {
+	if c.reconcile {
 		fill.version, fill.installed = ckpt.Version, c.clock.Now()
 		c.queueFill(fill)
 	}
 	return nil
 }
 
-// queueFill hands f to the cache filler, latest-wins: a fill still
-// waiting is superseded — its records are never hashed (they go back to
-// the pool), and the newer version's advertisement covers whatever the
-// cache holds by then.
-func (c *Consumer) queueFill(f *cacheFill) {
+// queueFill hands f to the filler, latest-wins: a fill still waiting is
+// superseded — its records are never hashed (they go back to the pool),
+// and the newer version's advertisement names whatever the source is by
+// then.
+func (c *Consumer) queueFill(f *sourceFill) {
 	if old, _ := c.fills.put(f); old != nil {
 		fillSuperseded.Inc()
 		if old.owned {
@@ -840,21 +834,22 @@ func (c *Consumer) queueFill(f *cacheFill) {
 	}
 }
 
-// filler is the background cache filler: one fill at a time, never under
-// c.mu. Close abandons the fill in hand between two records and the one
-// waiting altogether; the cache dies with the consumer.
+// filler is the background filler: one fill at a time, never under c.mu.
+// Close abandons the fill in hand between two records and the one waiting
+// altogether.
 func (c *Consumer) filler() {
 	c.fills.run(c.fill)
 }
 
-// fill hashes f's records into the cache and only then advertises the
-// cache, so a have-list never names a chunk the cache does not hold. The
-// consumer computes every key itself, from bytes its assembler verified.
-// A fill that ran to its end has the hash of every record the install was
-// decoded from, by position, and offers the install as the span source.
+// fill hashes f's records, by position, into a span source for the install
+// and hands them back to the pool, then advertises the span source's
+// hashes: the have-list is exactly what the next manifest can inherit. The
+// consumer computes every hash itself, from bytes its assembler verified.
+// A fill that ran to its end offers the install as the span source; a delta
+// install has nothing to hash, its build became the source when it parked.
 // The advertisement is best-effort: a late or lost have-list only costs
 // one full stream. It stops short when the consumer closes under it.
-func (c *Consumer) fill(f *cacheFill) {
+func (c *Consumer) fill(f *sourceFill) {
 	start := c.clock.Now()
 	hashes := make([]vformat.ChunkHash, len(f.recs))
 	for _, rec := range f.recs {
@@ -863,21 +858,18 @@ func (c *Consumer) fill(f *cacheFill) {
 			return
 		default:
 		}
-		h := vformat.HashChunkRecord(rec)
 		if i := transport.ChunkRecordIndex(rec); i >= 0 && i < len(hashes) {
-			hashes[i] = h
+			hashes[i] = vformat.HashChunkRecord(rec)
 		}
-		if !f.owned {
-			c.cache.Put(h, rec)
-		} else if !c.cache.Adopt(h, rec) {
-			c.pool.Release(rec) // cached already: the bytes are not needed twice
-		}
+	}
+	if f.owned {
+		c.releaseAll(f.recs)
 	}
 	cacheFillMS.Observe(c.clock.Now().Sub(start).Milliseconds())
 	if f.header != nil {
 		// One record per chunk of a complete build means one per position;
 		// anything else (a duplicate frame) fails the count check and
-		// offers nothing — the next delta then reconciles from the cache.
+		// offers nothing — the source stays the version before.
 		if src, err := vformat.NewSpanSource(f.header, hashes, f.weights); err == nil {
 			c.mu.Lock()
 			c.offerSourceLocked(f.version, src)
@@ -897,8 +889,11 @@ func (c *Consumer) fill(f *cacheFill) {
 			return
 		}
 	}
-	if hs := c.cache.Hashes(); len(hs) > 0 {
-		if c.link.Send(transport.NewHaveFrame(c.model, f.version, hs)) == nil {
+	c.mu.Lock()
+	src := c.source
+	c.mu.Unlock()
+	if src != nil {
+		if c.link.Send(transport.NewHaveFrame(c.model, f.version, src.Hashes())) == nil {
 			haveListLagMS.Observe(c.clock.Now().Sub(f.installed).Milliseconds())
 		}
 	}
@@ -933,7 +928,7 @@ func (c *Consumer) LatestMeta() (*core.ModelMeta, error) {
 }
 
 // Close cancels the lifecycle context, tears down all connections and
-// waits for the link reader, the builder and the cache filler to exit. It
+// waits for the link reader, the builder and the filler to exit. It
 // is idempotent and safe to call concurrently: only the first call closes
 // the shutdown channel.
 func (c *Consumer) Close() {

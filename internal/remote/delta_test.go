@@ -21,7 +21,7 @@ func waitPeerHave(t *testing.T, prod *Producer, n int) {
 }
 
 // TestPublishDeltaAndReceive: after the consumer installs v1 and
-// advertises its chunk cache, v2 — one drifted element — travels the
+// advertises its hashes, v2 — one drifted element — travels the
 // link as a manifest plus only the changed chunks, and still installs
 // byte-identically.
 func TestPublishDeltaAndReceive(t *testing.T) {
@@ -88,58 +88,63 @@ func TestDeltaDisabledKeepsFullStreams(t *testing.T) {
 	}
 }
 
-// TestDeltaCacheEvictionRecovers is the chaos drill at the remote
-// layer: the consumer advertises its cache, then loses every entry
-// before the delta arrives. The unchanged chunks need no record — the
-// builder copies them out of the version it installed, whose hashes it
-// knows position by position — so the version installs byte-identically
-// with no need-list and no re-send: the consumer's side of the link is
-// held shut throughout, and a need-list would have parked the build there.
-// (A chunk the installed version does not hold either still takes the
-// need-list path: TestABADrillKeepsTheNeedListPath.)
-func TestDeltaCacheEvictionRecovers(t *testing.T) {
+// TestSourceMovedOnTakesTheNeedList is the chaos drill at the remote
+// layer, with a real producer: the span source moves on between the
+// advertisement the producer plans against and the manifest. Chunk 0 holds
+// A in v1 and v3 and B in v2. v2's have-list is held up on the consumer's
+// side of the link, so the producer plans v3 against v1's and elides every
+// record — but the source is v2 by then, which holds B at chunk 0. That
+// position is need-listed once the link opens, answered from the
+// producer's retained blob, and v3 installs bit for bit as a delta with
+// every other position inherited and nothing from staging.
+func TestSourceMovedOnTakesTheNeedList(t *testing.T) {
+	const chunkSize = 64
 	gate := newConnGate()
 	defer gate.release() // before the pair's cleanup: Close joins a filler that may be parked there
-	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: 64, linkDial: gate.dial})
-	snap1 := nn.TakeSnapshot(testModel(91))
-	if _, err := prod.Publish(snap1, 1, 0.9); err != nil {
-		t.Fatal(err)
+	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: chunkSize, linkDial: gate.dial})
+	a := nn.TakeSnapshot(testModel(93))
+	b := a.Clone()
+	b[0].Data[0] += 1 // element 0 lives in chunk 0
+	chunks := int64((a.NumBytes() + chunkSize - 1) / chunkSize)
+	publish := func(version uint64, snap nn.Snapshot) {
+		t.Helper()
+		if _, err := prod.Publish(snap, version, 0.5); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := cons.Next(5 * time.Second); err != nil {
-		t.Fatal(err)
+	install := func(version uint64, snap nn.Snapshot) {
+		t.Helper()
+		ckpt, err := cons.Next(5 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ckpt.Version != version || !snapshotsEqual(ckpt.Weights, snap) {
+			t.Fatalf("installed v%d (equal=%v), want bit-identical v%d", ckpt.Version, snapshotsEqual(ckpt.Weights, snap), version)
+		}
 	}
-	waitPeerHave(t, prod, 2)
+	publish(1, a)
+	install(1, a)
+	waitFor(t, "v1's have-list", func() bool { return prod.Stats().HaveLists == 1 })
 
-	// Evict everything the consumer just advertised.
-	advertised := cons.cache.Hashes()
-	for _, h := range advertised {
-		cons.cache.Drop(h)
-	}
 	gate.hold()
-	written := gate.passed.Load()
-	before := sampleDeltaCounters()
-
-	snap2 := nn.TakeSnapshot(testModel(91))
-	snap2[0].Data[0] += 1
-	if _, err := prod.Publish(snap2, 2, 0.8); err != nil {
-		t.Fatal(err)
+	publish(2, b)
+	install(2, b)
+	gate.waitBlocked(t) // v2 is the source; its have-list is stuck in the gate
+	sentBefore, before := transport.Metrics().Counter("chunks_sent_total").Value(), inheritedNow()
+	publish(3, a)
+	if d := transport.Metrics().Counter("chunks_sent_total").Value() - sentBefore; d != 0 {
+		t.Fatalf("v3's stream shipped %d records; it was planned against v1's have-list, which names them all", d)
 	}
-	ckpt, err := cons.Next(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
+	gate.release()
+	install(3, a)
+	// Nothing shipped and chunk 0 not in the source, and yet installed bit
+	// for bit without the staging copy: only a need-list answered from the
+	// producer's retained blob can have supplied it.
+	if got := inheritedNow() - before; got != chunks-1 {
+		t.Fatalf("v3 inherited %d positions, want %d", got, chunks-1)
 	}
-	if ckpt.Version != 2 || !snapshotsEqual(ckpt.Weights, snap2) {
-		t.Fatalf("recovered install delivered v%d (equal=%v), want byte-identical v2",
-			ckpt.Version, snapshotsEqual(ckpt.Weights, snap2))
-	}
-	if s := cons.Stats(); s.DeltaLoads != 1 || s.StagedLoads != 0 {
-		t.Fatalf("stats = %+v, want the recovery to finish as a delta load", s)
-	}
-	if n := gate.passed.Load() - written; n != 0 {
-		t.Fatalf("the consumer wrote %d bytes on the link before v2 installed: a need-list went out", n)
-	}
-	if got, want := sampleDeltaCounters().since(before), (deltaCounters{inherited: int64(len(advertised) - 1)}); got != want {
-		t.Fatalf("v2: %+v, want %+v — every unchanged chunk inherited, no cached record decoded", got, want)
+	if s := cons.Stats(); s.DeltaLoads != 2 || s.StagedLoads != 0 || s.LinkLoads != 3 {
+		t.Fatalf("consumer stats %+v, want v2 and v3 as deltas from the link and nothing from staging", s)
 	}
 }
 

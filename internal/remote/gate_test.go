@@ -13,7 +13,7 @@ import (
 
 // connGate holds the writes of the connections it wraps while it is
 // held, so a test can park the producer's stage flusher inside a staging
-// write — or the consumer's cache filler inside a have-list write — and
+// write — or the consumer's filler inside a have-list write — and
 // script what happens around it.
 type connGate struct {
 	mu      sync.Mutex

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -16,7 +17,7 @@ import (
 // The tests below cover the span source: which build the consumer's
 // builder copies unchanged chunks out of, when it knows that build's
 // hashes, and that whatever it cannot vouch for still goes through the
-// chunk cache and, failing that, the need-list.
+// need-list.
 
 // sourceVersion reads the version of the consumer's span source (0 =
 // none).
@@ -26,93 +27,63 @@ func sourceVersion(c *Consumer) uint64 {
 	return c.sourceVersion
 }
 
-// deltaCounters samples the consumer-side delta work counters.
-type deltaCounters struct{ inherited, decoded int64 }
-
-func sampleDeltaCounters() deltaCounters {
-	return deltaCounters{
-		inherited: Metrics().Counter("consumer_inherited_chunks").Value(),
-		decoded:   Metrics().Counter("consumer_cache_decoded_chunks").Value(),
+// sourceHashes reads the hashes of the consumer's span source (nil =
+// none): what its next have-list names.
+func sourceHashes(c *Consumer) []vformat.ChunkHash {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.source == nil {
+		return nil
 	}
+	return c.source.Hashes()
 }
 
-func (a deltaCounters) since(b deltaCounters) deltaCounters {
-	return deltaCounters{a.inherited - b.inherited, a.decoded - b.decoded}
-}
+// inheritedNow samples consumer_inherited_chunks.
+func inheritedNow() int64 { return Metrics().Counter("consumer_inherited_chunks").Value() }
 
-// TestABADrillKeepsTheNeedListPath: chunk 0 holds content A in v1, B in
-// v2 and A again in v3 and v5. The span source is always the previous
-// version, which holds the other content at that position, so chunk 0 is
-// the one position that cannot be inherited. While the cache still holds
-// A's record (v3) it is decoded from there; once the cache has lost it
-// (v5) — after advertising it, so the producer elides it — the position
-// is need-listed back, re-sent from the producer's retained blob and the
-// version installs bit for bit as a delta, never from staging. Every
-// other position is inherited throughout.
+// TestABADrillKeepsTheNeedListPath: chunk 0 holds content A in v1 and v3
+// and B in v2. The scripted sender ships v3 against everything the consumer
+// has advertised — v1's have-list and v2's — so it elides chunk 0, whose
+// record v1's list named. The span source is v2, which holds B there: the
+// position is the one that cannot be inherited, so it is need-listed, the
+// sender re-sends the record, and v3 installs bit for bit as a delta,
+// patched into v2's clone, never from staging. Every other position is
+// inherited.
 func TestABADrillKeepsTheNeedListPath(t *testing.T) {
-	const chunkSize = 64
-	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: chunkSize})
-	a := nn.TakeSnapshot(testModel(93))
-	b := a.Clone()
-	b[0].Data[0] += 1 // element 0 lives in chunk 0
-	chunks := int64((a.NumBytes() + chunkSize - 1) / chunkSize)
-	publish := func(version uint64, snap nn.Snapshot) deltaCounters {
-		t.Helper()
-		before := sampleDeltaCounters()
-		if _, err := prod.Publish(snap, version, 0.5); err != nil {
-			t.Fatal(err)
+	s := startScript(t)
+	a := flatSnapshot(1, 2<<10)
+	b := bump(a, 0, 0) // element 0 lives in chunk 0
+	v1 := s.deliver(1, a)
+	s.haveIs(1, v1)
+	s.deliverDelta(2, b)
+	v3 := s.deltaFrames(3, a, append(sourceHashes(s.cons), v1...))
+	if len(v3) != 1 {
+		t.Fatalf("set-up: v3 is %d frames, want a bare manifest", len(v3))
+	}
+	before := inheritedNow()
+	s.send(v3...)
+	f, err := s.peer.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, need, err := transport.ParseNeedFrame(f)
+	if err != nil || key != core.CheckpointKey("m", 3) || !slices.Equal(need, v1[:1]) {
+		t.Fatalf("the consumer wrote %q for %q naming %d hashes (%v); want the need-list of v3's chunk 0", f.Key, key, len(need), err)
+	}
+	full, _ := s.stream(3, a)
+	for _, rf := range full[1:] {
+		if vformat.HashChunkRecord(rf.Payload) == need[0] {
+			s.send(rf) // the re-send
 		}
-		ckpt, err := cons.Next(5 * time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ckpt.Version != version || !snapshotsEqual(ckpt.Weights, snap) {
-			t.Fatalf("installed v%d (equal=%v), want bit-identical v%d", ckpt.Version, snapshotsEqual(ckpt.Weights, snap), version)
-		}
-		// The next publish plans against this install's advertisement.
-		waitFor(t, "the have-list of v"+strconv.FormatUint(version, 10), func() bool { return prod.Stats().HaveLists >= int64(version) })
-		return sampleDeltaCounters().since(before)
 	}
-	publish(1, a) // whole; the filler's hashes make it the source
-	if got := publish(2, b); got != (deltaCounters{inherited: chunks - 1}) {
-		t.Fatalf("v2 (chunk 0 shipped): %+v, want the other %d positions inherited", got, chunks-1)
+	res := s.next()
+	s.notify(3, true)
+	s.install(res, 3, a)
+	if got, want := inheritedNow()-before, int64(len(v1)-1); got != want {
+		t.Fatalf("v3 inherited %d positions, want %d", got, want)
 	}
-	if got := publish(3, a); got != (deltaCounters{inherited: chunks - 1, decoded: 1}) {
-		t.Fatalf("v3 (back to A, its record still cached): %+v, want chunk 0 decoded from the cache", got)
-	}
-	publish(4, b)
-
-	// Lose A's chunk 0 between the advertisement and the delivery.
-	var hashA vformat.ChunkHash
-	func() {
-		blob, err := vformat.EncodeChunked(context.Background(), &vformat.Checkpoint{ModelName: "m", Weights: a}, vformat.ChunkOptions{ChunkBytes: chunkSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer vformat.ReleaseBuffer(blob)
-		hashes, err := vformat.ChunkHashesOf(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hashA = hashes[0]
-	}()
-	if _, ok := cons.cache.Get(hashA); !ok {
-		t.Fatal("set-up: the cache does not hold A's chunk 0")
-	}
-	cons.cache.Drop(hashA)
-	sentBefore := transport.Metrics().Counter("chunks_sent_total").Value()
-	loads := cons.Stats()
-	if got := publish(5, a); got != (deltaCounters{inherited: chunks - 1}) {
-		t.Fatalf("v5 (back to A, its record lost): %+v, want chunk 0 neither inherited nor found cached", got)
-	}
-	if d := transport.Metrics().Counter("chunks_sent_total").Value() - sentBefore; d != 0 {
-		t.Fatalf("the producer's stream shipped %d records; it was told the consumer holds them all", d)
-	}
-	// Nothing shipped, not in the source, not in the cache, and yet
-	// installed bit for bit without the staging copy: only a need-list
-	// answered from the producer's retained blob can have supplied it.
-	if s := cons.Stats(); s.DeltaLoads != loads.DeltaLoads+1 || s.StagedLoads != 0 || s.LinkLoads != loads.LinkLoads+1 {
-		t.Fatalf("stats %+v (before v5: %+v), want one more delta load and nothing from staging", s, loads)
+	if got := s.cons.Stats(); got.DeltaLoads != 2 || got.PreparedInstalls != 1 || got.StagedLoads != 0 {
+		t.Fatalf("consumer stats %+v, want v3 patched into v2's clone as a delta from the link", got)
 	}
 }
 
@@ -156,11 +127,11 @@ func TestSupersededFillOffersNoSource(t *testing.T) {
 	snap1 := flatSnapshot(1, 2<<10)
 	gate.hold()
 	v1 := s.deliver(1, snap1)
-	gate.waitBlocked(t) // v1 cached and offered; its have-list is stuck in the gate
+	gate.waitBlocked(t) // v1 hashed and offered; its have-list is stuck in the gate
 	if got := sourceVersion(s.cons); got != 1 {
 		t.Fatalf("with v1 hashed the span source is v%d, want v1", got)
 	}
-	v2 := s.deliver(2, flatSnapshot(2, 2<<10))
+	s.deliver(2, flatSnapshot(2, 2<<10))
 	s.deliver(3, flatSnapshot(3, 2<<10))
 	if d := superseded.Value() - supersededBefore; d != 1 {
 		t.Fatalf("consumer_fill_superseded moved by %d, want v2's fill superseded by v3's", d)
@@ -171,22 +142,19 @@ func TestSupersededFillOffersNoSource(t *testing.T) {
 
 	snap4 := snap1.Clone()
 	snap4[1].Data[5] += 1
-	before := sampleDeltaCounters()
+	before := inheritedNow()
 	s.send(s.deltaFrames(4, snap4, v1)...)
 	res := s.next()
 	s.notify(4, true)
 	s.install(res, 4, snap4)
-	if got, want := sampleDeltaCounters().since(before), (deltaCounters{inherited: int64(len(v1) - 1)}); got != want {
-		t.Fatalf("v4 over the v1 source: %+v, want %+v", got, want)
+	if got, want := inheritedNow()-before, int64(len(v1)-1); got != want {
+		t.Fatalf("v4 over the v1 source inherited %d positions, want %d", got, want)
 	}
 	if got := s.cons.Stats(); got.DeltaLoads != 1 || got.StagedLoads != 0 {
 		t.Fatalf("consumer stats %+v, want v4 installed as a delta from the link", got)
 	}
 	if got := sourceVersion(s.cons); got != 4 {
 		t.Fatalf("the span source is v%d, want the delta build v4 (its manifest names every hash)", got)
-	}
-	if n := s.cachedOf(v2); n != 0 {
-		t.Fatalf("%d records of the superseded v2 were hashed into the cache", n)
 	}
 }
 
@@ -220,7 +188,7 @@ func TestReaderHoldsActiveWhileBuilderInherits(t *testing.T) {
 			}
 		}
 	}()
-	before := sampleDeltaCounters()
+	before := inheritedNow()
 	const versions = 12
 	for v := uint64(1); v <= versions; v++ {
 		snap[1].Data[int(v)*700%len(snap[1].Data)] += 1
@@ -242,7 +210,7 @@ func TestReaderHoldsActiveWhileBuilderInherits(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	chunks := int64(snap.NumBytes() / chunkSize)
-	if got, want := sampleDeltaCounters().since(before), (deltaCounters{inherited: (versions - 1) * (chunks - 1)}); got != want {
-		t.Fatalf("%d deltas of one changed chunk: %+v, want %+v", versions-1, got, want)
+	if got, want := inheritedNow()-before, (versions-1)*(chunks-1); got != want {
+		t.Fatalf("%d deltas of one changed chunk inherited %d positions, want %d", versions-1, got, want)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // interleaved lists the tests ordered by notifications, gates and
 // snapshots, not by one goroutine's program order: the consumer's builder
-// and the producer's stage flusher, the cache filler, the span source —
+// and the producer's stage flusher, the filler, the span source —
 // who offers it, who reads it while a serving thread holds the same
 // checkpoint, what still takes the need-list — the back buffer cloned from
 // it and the builds lost while patching one, the buffer pools' hand-back
@@ -31,9 +31,9 @@ var interleaved = []func(*testing.T){
 	TestCloseAbandonsTheFill,
 	TestStagedInstallFillsBehind,
 	TestLateHaveListCostsOneFullStream,
-	TestOnlyVerifiedRecordsAreCached,
+	TestOnlyVerifiedRecordsAreHashed,
 	TestParkedBudgetCountsWireRecords,
-	TestDeltaCacheEvictionRecovers,
+	TestSourceMovedOnTakesTheNeedList,
 	TestABADrillKeepsTheNeedListPath,
 	TestSupersededFillOffersNoSource,
 	TestReaderHoldsActiveWhileBuilderInherits,

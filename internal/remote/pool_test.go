@@ -15,8 +15,8 @@ import (
 // contract (transport.RecvPool; DESIGN.md §8): every link payload goes back
 // at most once, and only when nothing can read it any more. TestMain arms
 // the pools' check for the whole package, so a payload handed back too
-// early reads 0xDB wherever it is still used — a record CRC, a cached
-// record, a header — and one handed back twice panics; here each hand-back
+// early reads 0xDB wherever it is still used — a record CRC, a record
+// being hashed, a header — and one handed back twice panics; here each hand-back
 // point is driven on purpose and counted.
 
 var (
@@ -25,7 +25,7 @@ var (
 )
 
 // bothKinds runs body on a consumer that keeps a full stream's records for
-// its chunk cache and on one that does not (reconciliation off).
+// its filler to hash and on one that does not (reconciliation off).
 func bothKinds(t *testing.T, body func(t *testing.T, s *script, kept bool)) {
 	for _, kept := range []bool{true, false} {
 		name := map[bool]string{true: "records kept", false: "records not kept"}[kept]
@@ -66,6 +66,9 @@ func TestDroppedBuildReleasesItsRecordsOnly(t *testing.T) {
 		res := s.next()
 		s.notify(2, true)
 		s.install(res, 2, snaps[2]) // from the link: the interrupting header was intact
+		if kept {
+			s.haveIs(2, recordHashes(v2)) // v2's fill has handed its records back
+		}
 
 		// v3 is interrupted by a record of a stream that never opened.
 		before = poolReleased.Value()
@@ -114,16 +117,14 @@ func TestStaleFramesAreReleased(t *testing.T) {
 
 // TestSupersededFillReleasesItsRecords: the records of an install whose
 // fill a newer install replaces before the filler reached it go back to
-// the pool unhashed; the records the filler did adopt stay the cache's —
-// the bytes it serves are the ones that were sent, whatever the pool has
-// recycled since — and a record that is cached already (the same version
-// delivered again under a higher number) is handed back, not held twice.
+// the pool unhashed, and a fill that runs hands back every record once it
+// has hashed them — no payload leaves the pool — while the checkpoint
+// decoded from them stays what was published, whatever the pool recycles.
 func TestSupersededFillReleasesItsRecords(t *testing.T) {
 	gate := newConnGate()
 	s := startScriptDial(t, gate.dial)
 	s.parkFiller(gate, 1)
 	snap2 := flatSnapshot(2, 4<<10)
-	v2frames, _ := s.stream(2, snap2)
 	v2 := s.deliver(2, snap2)
 	s.cons.fills.mu.Lock()
 	waiting := s.cons.fills.pending.recs
@@ -133,8 +134,8 @@ func TestSupersededFillReleasesItsRecords(t *testing.T) {
 	}
 	before := poolReleased.Value()
 	snap3 := flatSnapshot(3, 4<<10)
-	v3frames, _ := s.stream(3, snap3)
 	v3 := s.deliver(3, snap3)
+	held := s.cons.Active()
 	if got := poolReleased.Value() - before; got != int64(len(v2)) {
 		t.Fatalf("superseding v2's fill handed %d payloads back, want its %d records", got, len(v2))
 	}
@@ -143,32 +144,22 @@ func TestSupersededFillReleasesItsRecords(t *testing.T) {
 			t.Fatalf("record %d of the superseded fill was not handed back", i)
 		}
 	}
+	before = poolReleased.Value()
 	gate.release()
 	s.recvHave()
-	if v, covers := s.recvHave(v2, v3); v != 3 || covers[0] || !covers[1] {
-		t.Fatalf("have-list after v3: version %d, names v2 %v, v3 %v", v, covers[0], covers[1])
+	s.haveIs(3, v3)
+	if got := poolReleased.Value() - before; got != int64(len(v3)) {
+		t.Fatalf("v3's fill handed %d payloads back, want all %d records it hashed", got, len(v3))
 	}
-	// Traffic to churn the pool: v2 again, as v4. Its records are not cached
-	// (v2's fill never ran), so the filler adopts them.
-	snap4 := flatSnapshot(2, 4<<10)
-	s.deliver(4, snap4)
-	s.recvHave()
-	for i, f := range v3frames[1:] {
-		if got, ok := s.cons.cache.Get(v3[i]); !ok || !bytes.Equal(got, f.Payload) {
-			t.Fatalf("the cache's copy of v3 record %d is not the bytes that were sent (cached: %v)", i, ok)
-		}
-	}
-	// And once more, as v5: now every record is cached already.
+	// Traffic to churn the pool: v2 again, as v4, into the buffers v3's
+	// records came in.
 	before = poolReleased.Value()
-	s.deliver(5, snap4)
-	s.recvHave()
+	s.haveIs(4, s.deliver(4, snap2))
 	if got := poolReleased.Value() - before; got != int64(len(v2)) {
-		t.Fatalf("a fill of %d records the cache already holds handed %d back", len(v2), got)
+		t.Fatalf("v4's fill handed %d payloads back, want all %d", got, len(v2))
 	}
-	for i, f := range v2frames[1:] {
-		if got, ok := s.cons.cache.Get(v2[i]); !ok || !bytes.Equal(got, f.Payload) {
-			t.Fatalf("the cache's copy of v2 record %d is not the bytes that were sent (cached: %v)", i, ok)
-		}
+	if !snapshotsEqual(held.Weights, snap3) {
+		t.Fatal("the v3 checkpoint changed once the pool recycled the buffers it was decoded from")
 	}
 }
 

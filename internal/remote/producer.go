@@ -68,7 +68,7 @@ type ProducerConfig struct {
 	// DisableDeltaReconcile turns off chunk-level delta publishing. By
 	// default the producer reads have-lists the receiver sends back,
 	// ships subsequent versions as manifest+missing delta streams, and
-	// answers need-lists for chunks the receiver advertised but lost.
+	// answers need-lists for advertised chunks the receiver no longer holds.
 	// Disabling restores the always-full chunked streams (and the
 	// producer never reads its link).
 	DisableDeltaReconcile bool

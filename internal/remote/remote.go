@@ -51,11 +51,10 @@ var (
 	haveListLagMS    = registry.Histogram("consumer_have_list_lag_ms") // install → its have-list written
 	// Per delta publish: records the encoder hashed, and hashes it
 	// inherited from the previous encode. Per delta install: positions
-	// copied from the span source, and cached records CRC-checked and decoded.
-	hashedChunks       = registry.Counter("producer_hashed_chunks")
-	inheritedHashes    = registry.Counter("producer_inherited_hashes")
-	inheritedChunks    = registry.Counter("consumer_inherited_chunks")
-	cacheDecodedChunks = registry.Counter("consumer_cache_decoded_chunks")
+	// covered by the span source without a record.
+	hashedChunks    = registry.Counter("producer_hashed_chunks")
+	inheritedHashes = registry.Counter("producer_inherited_hashes")
+	inheritedChunks = registry.Counter("consumer_inherited_chunks")
 )
 
 // The registry lists every counter from start-up.
@@ -168,8 +167,7 @@ func nextBackoff(p retry.Policy, cur time.Duration) time.Duration {
 
 // latest is a latest-wins hand-off to one background worker: one item
 // runs, at most one waits, and a newer one supersedes the one waiting.
-// The producer's stage flusher and the consumer's cache filler are both
-// this.
+// The producer's stage flusher and the consumer's filler are both this.
 type latest[T any] struct {
 	closed <-chan struct{} // the owner's shutdown channel
 	wake   chan struct{}   // nudges the worker after pending is set

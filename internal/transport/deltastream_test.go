@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -35,17 +36,30 @@ func encodeStreamBlob(t *testing.T, ckpt *vformat.Checkpoint, opts vformat.Chunk
 	return cp, append([]vformat.ChunkHash(nil), hashes...)
 }
 
+// spanSourceOf decodes blob into the span source of a receiver that
+// installed it, naming hashes at its positions.
+func spanSourceOf(t *testing.T, blob []byte, hashes []vformat.ChunkHash) *vformat.SpanSource {
+	t.Helper()
+	dec, err := vformat.DecodeChunked(context.Background(), blob, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := vformat.NewSpanSource(blob, hashes, dec.Weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
 // TestSendCollectChunkedDelta: a delta stream over the in-process Link
-// reconciles against the receiver's cache, ships only changed chunks,
-// and the result matches a full decode byte-for-byte.
+// reconciles against the receiver's span source (the previous version),
+// ships only changed chunks, and the result matches a full decode
+// byte-for-byte.
 func TestSendCollectChunkedDelta(t *testing.T) {
 	opts := vformat.ChunkOptions{ChunkBytes: 16 << 10, Parallelism: 2}
 	v1 := streamTestCheckpoint(1, 256<<10)
-	blob1, _ := encodeStreamBlob(t, v1, opts)
-	cache := vformat.NewChunkCache(0)
-	if err := cache.PutAll(blob1); err != nil {
-		t.Fatal(err)
-	}
+	blob1, hashes1 := encodeStreamBlob(t, v1, opts)
+	src := spanSourceOf(t, blob1, hashes1)
 
 	v2 := streamTestCheckpoint(1, 256<<10)
 	v2.Version = 4
@@ -53,7 +67,7 @@ func TestSendCollectChunkedDelta(t *testing.T) {
 	blob2, hashes2 := encodeStreamBlob(t, v2, opts)
 
 	held := map[vformat.ChunkHash]bool{}
-	for _, h := range cache.Hashes() {
+	for _, h := range hashes1 {
 		held[h] = true
 	}
 	manifest, records, _, _, err := vformat.PlanDelta(blob2, func(h vformat.ChunkHash) bool { return held[h] })
@@ -72,7 +86,7 @@ func TestSendCollectChunkedDelta(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var got *vformat.Checkpoint
-	var reused int
+	var inherited int
 	var recvErr error
 	go func() {
 		defer wg.Done()
@@ -81,13 +95,13 @@ func TestSendCollectChunkedDelta(t *testing.T) {
 			recvErr = err
 			return
 		}
-		asm, err := vformat.NewManifestAssembler(mf.Payload, cache, nil)
+		asm, err := vformat.NewManifestAssembler(mf.Payload, src, nil)
 		if err != nil {
 			recvErr = err
 			return
 		}
 		got, _, recvErr = CollectChunkedDeltaInto(context.Background(), mf, asm, link.Recv, nil)
-		reused = asm.Reused()
+		inherited = asm.Inherited()
 	}()
 	if err := SendChunkedDelta(context.Background(), link, "stream/v4", manifest, records, len(hashes2), len(blob2), 0); err != nil {
 		t.Fatalf("SendChunkedDelta: %v", err)
@@ -96,8 +110,8 @@ func TestSendCollectChunkedDelta(t *testing.T) {
 	if recvErr != nil {
 		t.Fatalf("CollectChunkedDeltaInto: %v", recvErr)
 	}
-	if reused != len(hashes2)-len(records) {
-		t.Fatalf("reused %d chunks, want %d", reused, len(hashes2)-len(records))
+	if inherited != len(hashes2)-len(records) {
+		t.Fatalf("inherited %d chunks, want %d", inherited, len(hashes2)-len(records))
 	}
 	full, err := vformat.DecodeChunked(context.Background(), blob2, 0)
 	if err != nil {
@@ -114,47 +128,40 @@ func TestSendCollectChunkedDelta(t *testing.T) {
 }
 
 // TestCollectChunkedDeltaNeedResend: the chaos drill at the transport
-// layer. The receiver's cache lost a chunk it advertised; the collect
-// must send a need-list and finish from the re-sent record — and must
-// hard-fail (never assemble torn) when there is no backchannel.
+// layer. The receiver's span source moved on at a position the sender
+// elided; the collect must send a need-list and finish from the re-sent
+// record — and must hard-fail (never assemble torn) when there is no
+// backchannel.
 func TestCollectChunkedDeltaNeedResend(t *testing.T) {
 	opts := vformat.ChunkOptions{ChunkBytes: 8 << 10}
 	v1 := streamTestCheckpoint(2, 128<<10)
-	blob1, _ := encodeStreamBlob(t, v1, opts)
-	cache := vformat.NewChunkCache(0)
-	if err := cache.PutAll(blob1); err != nil {
-		t.Fatal(err)
-	}
+	blob1, hashes1 := encodeStreamBlob(t, v1, opts)
 	v2 := streamTestCheckpoint(2, 128<<10)
 	v2.Version = 4
 	v2.Weights[1].Data[3] += 1
 	blob2, hashes2 := encodeStreamBlob(t, v2, opts)
 
 	held := map[vformat.ChunkHash]bool{}
-	for _, h := range cache.Hashes() {
+	for _, h := range hashes1 {
 		held[h] = true
 	}
 	manifest, records, _, _, err := vformat.PlanDelta(blob2, func(h vformat.ChunkHash) bool { return held[h] })
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Evict one advertised (reused) chunk after the sender planned.
+	// The source holds another record at one elided position.
 	var evicted vformat.ChunkHash
-	for _, h := range hashes2 {
+	moved := slices.Clone(hashes1)
+	for i, h := range hashes2 {
 		if held[h] {
-			evicted = h
-			cache.Drop(h)
+			evicted, moved[i] = h, vformat.ChunkHash{0xee}
 			break
 		}
 	}
+	src := spanSourceOf(t, blob1, moved)
 
 	// No backchannel: must fail with ErrMissingChunk, not assemble torn.
 	{
-		c2 := vformat.NewChunkCache(0)
-		if err := c2.PutAll(blob1); err != nil {
-			t.Fatal(err)
-		}
-		c2.Drop(evicted)
 		link := NewLink(HostIBSpec, simclock.NewVirtual(), len(records)+1)
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -166,7 +173,7 @@ func TestCollectChunkedDeltaNeedResend(t *testing.T) {
 				recvErr = err
 				return
 			}
-			asm, err := vformat.NewManifestAssembler(mf.Payload, c2, nil)
+			asm, err := vformat.NewManifestAssembler(mf.Payload, src, nil)
 			if err != nil {
 				recvErr = err
 				return
@@ -199,7 +206,7 @@ func TestCollectChunkedDeltaNeedResend(t *testing.T) {
 			recvErr = err
 			return
 		}
-		asm, err := vformat.NewManifestAssembler(mf.Payload, cache, nil)
+		asm, err := vformat.NewManifestAssembler(mf.Payload, src, nil)
 		if err != nil {
 			recvErr = err
 			return
@@ -217,7 +224,7 @@ func TestCollectChunkedDeltaNeedResend(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(needHashes) != 1 || needHashes[0] != evicted {
-		t.Fatalf("need-list = %v, want the evicted hash", needHashes)
+		t.Fatalf("need-list = %v, want the moved position's hash", needHashes)
 	}
 	needSet := map[vformat.ChunkHash]bool{evicted: true}
 	err = vformat.WalkChunkRecords(blob2, func(rec []byte) error {

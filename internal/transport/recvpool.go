@@ -6,9 +6,9 @@ import "viper/internal/bufpool"
 // attached to (TCPLink.SetRecvPool) reads every chunk-record payload of
 // minPooledBytes..eagerFieldBytes into a buffer drawn from it, and the
 // receiver of that frame then owns the payload under the pool's contract
-// (bufpool; DESIGN.md §8): it may hand the payload back with Release, at
-// most once, after its last read of the bytes; or keep it for good, or
-// give it away (vformat.ChunkCache.Adopt).
+// (bufpool; DESIGN.md §8): it hands the payload back with Release, at most
+// once, after its last read of the bytes, or simply lets it go. It never
+// gives a payload away.
 //
 // One pool serves every incarnation of a reconnecting link. It holds what
 // its receiver had in flight and released, until the receiver Drops it.
@@ -24,7 +24,7 @@ const minPooledBytes = 1 << 6
 // The pools' traffic, over every RecvPool in the process: payloads handed
 // back, and payloads read into a buffer that had been. On a stream whose
 // records are not kept the two track tcp_frames_recv; a gap is buffers the
-// receiver kept, or let go.
+// receiver still holds, or let go.
 var (
 	recvPoolReleased = registry.Counter("tcp_recv_pool_released")
 	recvPoolReused   = registry.Counter("tcp_recv_pool_reused")

@@ -49,9 +49,9 @@ const (
 	// the chunk content hashes it holds, so the next send can elide
 	// them. Meta carries the model and last installed version.
 	HaveKey = "viper/chunk-have"
-	// NeedKey is the frame key of a need-list: a receiver that
-	// advertised chunks it has since evicted asks the sender to re-send
-	// them mid-stream. Meta carries the stream key being reconciled.
+	// NeedKey is the frame key of a need-list: a receiver that no longer
+	// holds chunks it advertised asks the sender to re-send them
+	// mid-stream. Meta carries the stream key being reconciled.
 	NeedKey = "viper/chunk-need"
 	// MetaHaveModel and MetaHaveVersion annotate a have-list.
 	MetaHaveModel   = "have-model"
@@ -310,17 +310,17 @@ func CollectChunked(ctx context.Context, header Frame, recv func() (Frame, error
 }
 
 // CollectChunkedDeltaInto finishes asm — the assembler the caller seeded
-// from manifest's payload, its chunk cache and, if it has one, a span
-// source — over the delta stream manifest opens: chunks already held
-// locally were placed when asm was built, missing-chunk frames are
-// collected from recv, and — if the stream ends with gaps because this
-// receiver advertised chunks it has since evicted — a need-list is sent
+// from manifest's payload and, if it has one, a span source — over the
+// delta stream manifest opens: chunks already held locally were placed
+// when asm was built, missing-chunk frames are collected from recv, and —
+// if the stream ends with gaps because this receiver's source moved on
+// since it advertised its hashes — a need-list is sent
 // back through send and assembly continues with the re-sent records. The
 // checkpoint is only ever returned complete and CRC-verified: a stream
 // that cannot be finished fails with ErrTornStream or ErrMissingChunk,
 // never a torn install. send may be nil when the link has no backchannel;
-// evicted chunks then fail the collect and the caller falls back to a
-// full fetch.
+// chunks no longer held then fail the collect and the caller falls back
+// to a full fetch.
 func CollectChunkedDeltaInto(ctx context.Context, manifest Frame, asm *vformat.ManifestAssembler, recv func() (Frame, error), send func(Frame) error) (*vformat.Checkpoint, *Frame, error) {
 	if !IsManifestHeader(manifest) {
 		return nil, nil, fmt.Errorf("transport: frame %q is not a delta-stream manifest", manifest.Key)
@@ -340,7 +340,7 @@ func CollectChunkedDeltaInto(ctx context.Context, manifest Frame, asm *vformat.M
 			// Ask for a re-send rather than assembling torn.
 			missing := asm.MissingHashes()
 			if send == nil {
-				return nil, nil, fmt.Errorf("%w: %d chunks evicted since advertisement and no backchannel",
+				return nil, nil, fmt.Errorf("%w: %d chunks no longer held since advertisement and no backchannel",
 					vformat.ErrMissingChunk, len(missing))
 			}
 			if err := send(NewNeedFrame(manifest.Key, missing)); err != nil {

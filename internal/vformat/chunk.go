@@ -1358,12 +1358,11 @@ func IsChunked(blob []byte) bool {
 // the simulator's baseline), chunked v2 (VPRC), or a manifest-bearing
 // blob (VPRM) that carries its full record set — dispatching on the
 // magic; anything else is rejected. A manifest-bearing blob missing
-// records (a wire delta that
-// needs a chunk cache) fails with ErrMissingChunk rather than decoding
-// a torn checkpoint. The VPRM case is what keeps KV-staged recovery
-// working when delta distribution is on: producers stage the full
-// manifest-bearing blob and a consumer backfilling after a relay death
-// full-decodes it here with no cache at all.
+// records (a wire delta that needs the receiver's previous version) fails
+// with ErrMissingChunk rather than decoding a torn checkpoint. The VPRM
+// case is what keeps KV-staged recovery working when delta distribution
+// is on: producers stage the full manifest-bearing blob and a consumer
+// backfilling after a relay death full-decodes it here with nothing else.
 func DecodeAuto(ctx context.Context, blob []byte, parallelism int) (*Checkpoint, error) {
 	if len(blob) < 8 {
 		return nil, fmt.Errorf("vformat: blob too short (%d bytes)", len(blob))

@@ -46,7 +46,7 @@ type shippedDelta struct {
 	wire    []byte      // the manifest-bearing blob that travelled
 	carried int         // chunk records on the wire
 	chunks  int         // chunk records in next
-	cache   *ChunkCache // the receiver's cache (holds base, then next)
+	cache   *ChunkCache // the receiver's cache (holds base)
 }
 
 // shipDelta publishes base as a full version and next as a delta against
@@ -145,7 +145,7 @@ func TestDeltaEncodeDecodeRoundTrip(t *testing.T) {
 	if g := d.got; g.ModelName != "m" || g.Version != 9 || g.Iteration != 1234 || g.TrainLoss != 0.077 {
 		t.Fatalf("metadata = %+v", g)
 	}
-	// The receiver's cache now holds next: replaying the wire blob, or
+	// The receiver's cache still holds base: replaying the wire blob, or
 	// decoding the full one, yields the same weights.
 	again, _, err := ReconcileBlob(context.Background(), d.wire, d.cache)
 	if err != nil {

@@ -117,9 +117,9 @@ func manifestFuzzInput(manifest []byte, recs ...[]byte) []byte {
 // hash and which get one that matches nothing — and must inherit exactly
 // the positions whose hash the manifest shares, within the same allocation
 // bound, to the same bits. Last, the differential property of the back
-// buffer (checkCloneAssembly): that assembly again, twice side by side over
-// equally seeded caches — once copying from the source, once into a clone of
-// it — must agree on every count, need-list, bit and offered source.
+// buffer (checkCloneAssembly): that assembly again, twice side by side —
+// once copying from the source, once into a clone of it — must agree on
+// every count, need-list, bit and offered source.
 func FuzzManifestAssembler(f *testing.F) {
 	for _, seed := range manifestFuzzSeeds(f) {
 		f.Add(seed)
@@ -185,7 +185,7 @@ func checkManifestAssembler(t *testing.T, in []byte) {
 	if man.Layout.TotalElems > 1<<16 {
 		return // the assembler allocates the model its header declares
 	}
-	asm, err := NewManifestAssembler(in[:man.Len], NewChunkCache(0), nil)
+	asm, err := NewManifestAssembler(in[:man.Len], nil, nil)
 	if err != nil {
 		t.Fatalf("a manifest ParseManifest accepts failed to seed an assembler: %v", err)
 	}
@@ -259,7 +259,7 @@ func checkManifestAssembler(t *testing.T, in []byte) {
 		t.Fatalf("the assembled weights do not fit their own header: %v", err)
 	}
 	runtime.ReadMemStats(&before)
-	asm2, err := NewManifestAssembler(in[:man.Len], NewChunkCache(0), src)
+	asm2, err := NewManifestAssembler(in[:man.Len], src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,34 +279,24 @@ func checkManifestAssembler(t *testing.T, in []byte) {
 	if err != nil {
 		t.Fatalf("the assembly over a source did not complete: %v", err)
 	}
-	sameBits("the cache-only assembly", got2, got)
-	checkCloneAssembly(t, in, man, src, accepted, mask)
+	sameBits("the assembly without a source", got2, got)
+	checkCloneAssembly(t, in, man, src, mask)
 }
 
 // checkCloneAssembly replays in's Add sequence into two assemblers of its
 // manifest over src — one copying from it (nil target), one patching a clone
-// of it — each with a cache holding the accepted records mask picks. Seeded,
-// at a cut mask picks mid-stream, and at the end they must report the same
-// Inherited, Reused, Complete and MissingHashes and offer the same Source
-// (nil when a stray uncovered a position); every record is accepted by both
-// or neither; complete, they hold the same bits; and src's weights are
-// never written.
-func checkCloneAssembly(t *testing.T, in []byte, man *ChunkManifest, src *SpanSource, accepted [][]byte, mask uint32) {
+// of it. Seeded, at a cut mask picks mid-stream, and at the end they must
+// report the same Inherited, Complete and MissingHashes and offer the same
+// Source (nil when a stray uncovered a position); every record is accepted
+// by both or neither; complete, they hold the same bits; and src's weights
+// are never written.
+func checkCloneAssembly(t *testing.T, in []byte, man *ChunkManifest, src *SpanSource, mask uint32) {
 	frozen := src.weights.Clone()
-	seeded := func() *ChunkCache {
-		c := NewChunkCache(0)
-		for i, rec := range accepted {
-			if mask>>((i+11)%32)&1 == 1 {
-				c.Put(HashChunkRecord(rec), rec)
-			}
-		}
-		return c
-	}
-	copied, err := NewManifestAssembler(in[:man.Len], seeded(), src)
+	copied, err := NewManifestAssembler(in[:man.Len], src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched, err := NewManifestAssemblerInto(in[:man.Len], seeded(), src, src.Clone())
+	patched, err := NewManifestAssembler(in[:man.Len], src, src.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,9 +304,9 @@ func checkCloneAssembly(t *testing.T, in []byte, man *ChunkManifest, src *SpanSo
 		t.Fatalf("in place: %v with a nil target, %v with a clone of the source", copied.InPlace(), patched.InPlace())
 	}
 	agree := func(when string) {
-		if copied.Inherited() != patched.Inherited() || copied.Reused() != patched.Reused() || copied.Complete() != patched.Complete() {
-			t.Fatalf("%s: copied inherits %d, reuses %d, complete %v; patched %d, %d, %v", when,
-				copied.Inherited(), copied.Reused(), copied.Complete(), patched.Inherited(), patched.Reused(), patched.Complete())
+		if copied.Inherited() != patched.Inherited() || copied.Complete() != patched.Complete() {
+			t.Fatalf("%s: copied inherits %d, complete %v; patched %d, %v", when,
+				copied.Inherited(), copied.Complete(), patched.Inherited(), patched.Complete())
 		}
 		if a, b := copied.MissingHashes(), patched.MissingHashes(); !slices.Equal(a, b) {
 			t.Fatalf("%s: copied misses %v, patched misses %v", when, a, b)

@@ -1,7 +1,6 @@
 package vformat
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -22,10 +21,10 @@ import (
 // adjacent checkpoint versions can be recognized, stored, and shipped
 // once. A manifest pairs the v2 stream header with the ordered hash
 // list of its chunks; a manifest-bearing blob appends any subset of the
-// records behind it. A receiver that still holds records from the
-// previous version reconciles the new checkpoint locally: cached
-// records fill the gaps, only changed chunks travel on the wire
-// (rsync's algorithm specialized to fixed chunk boundaries).
+// records behind it. A receiver that still holds the previous version
+// reconciles the new checkpoint locally: its unchanged chunks fill the
+// gaps, only changed chunks travel on the wire (rsync's algorithm
+// specialized to fixed chunk boundaries).
 //
 // Manifest-bearing blob layout:
 //
@@ -50,7 +49,7 @@ const (
 )
 
 // ErrMissingChunk is returned when a manifest references a chunk that
-// is neither carried by the blob nor available from the local cache.
+// is neither carried by the blob nor held locally.
 var ErrMissingChunk = errors.New("vformat: manifest references a chunk not held locally")
 
 // ChunkHash is the truncated SHA-256 content hash of one encoded chunk
@@ -290,21 +289,14 @@ func ChunkHashesOf(blob []byte) ([]ChunkHash, error) {
 	return hashes, nil
 }
 
-// ChunkCache retains recently seen chunk records keyed by content hash,
-// the consumer-side half of delta reconciliation. Entries are evicted
-// least-recently-used by entry count. Bytes enter by copy (Put, PutAll)
-// or by ownership transfer (Adopt); either way the cache is their only
-// writer afterwards. All methods are safe for concurrent use.
+// ChunkCache holds chunk records keyed by content hash: the records
+// ReconcileBlob may take a manifest's elided chunks from. It holds at most
+// the entry count it was built with; once full, Put leaves it as it is.
+// Records enter by copy and are never written afterwards. Not safe for
+// concurrent use.
 type ChunkCache struct {
-	mu  sync.Mutex
 	max int
-	m   map[ChunkHash]*list.Element
-	ll  *list.List // front = most recently used
-}
-
-type chunkCacheEntry struct {
-	hash ChunkHash
-	rec  []byte
+	m   map[ChunkHash][]byte
 }
 
 // NewChunkCache builds a cache bounded to max entries (<=0 selects the
@@ -313,107 +305,26 @@ func NewChunkCache(max int) *ChunkCache {
 	if max <= 0 {
 		max = defaultChunkCacheEntries
 	}
-	return &ChunkCache{max: max, m: make(map[ChunkHash]*list.Element), ll: list.New()}
+	return &ChunkCache{max: max, m: make(map[ChunkHash][]byte)}
 }
 
-// Put copies rec into the cache under its content hash. It is the insert
-// for borrowed bytes: a sub-slice of a blob, or a payload whose buffer
-// the sender will reuse (an in-process transport.Link frame aliases the
-// producer's pooled blob).
-func (c *ChunkCache) Put(h ChunkHash, rec []byte) { c.insert(h, rec, true) }
-
-// Adopt caches rec itself under its content hash and reports whether it
-// did. On true, ownership of the slice has passed to the cache for good:
-// the caller must neither write to it, nor hand it to anyone who will,
-// nor return it to a pool it came from — for a transport.RecvPool payload
-// this is the one place a buffer leaves its pool. On false the hash was
-// already cached and rec is still the caller's, to release or drop. Only
-// a buffer nobody else holds qualifies — a transport.TCPLink.Recv
-// payload, which the receiver owns. Everything else goes through Put.
-func (c *ChunkCache) Adopt(h ChunkHash, rec []byte) bool { return c.insert(h, rec, false) }
-
-// insert reports whether rec (or its copy) entered the cache.
-func (c *ChunkCache) insert(h ChunkHash, rec []byte, copyIn bool) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[h]; ok {
-		c.ll.MoveToFront(el)
-		return false
+// Put copies rec into the cache under its content hash, unless the hash is
+// cached already or the cache is full.
+func (c *ChunkCache) Put(h ChunkHash, rec []byte) {
+	if _, ok := c.m[h]; !ok && len(c.m) < c.max {
+		c.m[h] = slices.Clone(rec)
 	}
-	if copyIn {
-		cp := make([]byte, len(rec))
-		copy(cp, rec)
-		rec = cp
-	}
-	c.m[h] = c.ll.PushFront(&chunkCacheEntry{hash: h, rec: rec})
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*chunkCacheEntry).hash)
-	}
-	return true
 }
 
-// Get returns the cached record for h, refreshing its recency. The
-// returned bytes are owned by the cache: callers must not mutate them.
+// Get returns the cached record for h. The returned bytes are owned by the
+// cache: callers must not mutate them.
 func (c *ChunkCache) Get(h ChunkHash) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[h]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*chunkCacheEntry).rec, true
+	rec, ok := c.m[h]
+	return rec, ok
 }
 
-// Touch refreshes the recency of every hash in hashes the cache holds, in
-// order, under one lock acquisition and without reading a record: how a
-// reconciliation that did not need the bytes still tells the LRU — and so
-// the next have-list — that the chunks are in use.
-func (c *ChunkCache) Touch(hashes []ChunkHash) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, h := range hashes {
-		if el, ok := c.m[h]; ok {
-			c.ll.MoveToFront(el)
-		}
-	}
-}
-
-// Drop removes h from the cache if present (chaos drills use this to
-// simulate eviction between advertisement and delivery).
-func (c *ChunkCache) Drop(h ChunkHash) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[h]; ok {
-		c.ll.Remove(el)
-		delete(c.m, h)
-	}
-}
-
-// Len returns the number of cached records.
-func (c *ChunkCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Hashes returns the cached hashes, most recently used first — the
-// have-list a consumer advertises upstream.
-func (c *ChunkCache) Hashes() []ChunkHash {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	hashes := make([]ChunkHash, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		hashes = append(hashes, el.Value.(*chunkCacheEntry).hash)
-	}
-	return hashes
-}
-
-// PutAll hashes and caches every record of a plain chunked blob — how a
-// consumer seeds its cache from a full-snapshot install. The records are
-// sub-slices of blob, so they are copied in (Put).
+// PutAll hashes and caches every record of a plain chunked blob. The
+// records are sub-slices of blob, so they are copied in (Put).
 func (c *ChunkCache) PutAll(blob []byte) error {
 	return WalkChunkRecords(blob, func(rec []byte) error {
 		c.Put(HashChunkRecord(rec), rec)
@@ -457,9 +368,14 @@ func NewSpanSource(header []byte, hashes []ChunkHash, weights nn.Snapshot) (*Spa
 	return &SpanSource{layout: layout, hashes: hashes, weights: weights}, nil
 }
 
+// Hashes returns the record hash of every position, by chunk index: all a
+// manifest can inherit from s, since a record hash embeds its index. The
+// slice is s's own and must not be written.
+func (s *SpanSource) Hashes() []ChunkHash { return s.hashes }
+
 // BackBuffer is a private copy of a span source's decoded weights: what the
 // next manifest is assembled into instead of a fresh allocation. It is good
-// for one assembly (NewManifestAssemblerInto takes the weights out of it)
+// for one assembly (NewManifestAssembler takes the weights out of it)
 // and only against the source it was cloned from. Until an assembly into it
 // completes, nobody but that assembler reads or writes the copy; a copy an
 // abandoned assembly wrote into is torn and can only be let go. Not safe for
@@ -481,48 +397,41 @@ func (s *SpanSource) Clone() *BackBuffer {
 
 // ManifestAssembler reconciles one manifest against what is held locally:
 // positions a span source already holds decoded are copied from it (or left
-// as they are in its clone), cached records are decoded immediately, wire
-// records are added as they arrive, and the set of hashes still outstanding
-// is reported so the receiver can ask the sender to re-send chunks it
-// advertised but no longer holds. Add may be called concurrently.
+// as they are in its clone), wire records are added as they arrive, and the
+// set of hashes still outstanding is reported so the receiver can ask the
+// sender to re-send chunks the source no longer holds where the manifest
+// names them. Add may be called concurrently.
 type ManifestAssembler struct {
-	man   *ChunkManifest
-	asm   *ChunkAssembler
-	cache *ChunkCache
+	man *ChunkManifest
+	asm *ChunkAssembler
 
 	mu sync.Mutex
 	// covered[i]: position i holds the record the manifest names there
 	// (record bytes embed the index, so a hash belongs to one position).
 	covered   []bool
 	inherited int
-	reused    int
 	inPlace   bool // assembling into a back buffer
 }
 
 // NewManifestAssembler parses the manifest section of blob (a bare
 // manifest payload or a manifest-bearing blob) and seeds the assembly
-// from what is held locally. Every position whose hash equals src's at the
+// from the span source src. Every position whose hash equals src's at the
 // same index under an equal layout is inherited: its element span is
 // copied out of src's decoded weights and no record is read — hash
 // equality at the index plus layout equality stand in for the record's
 // framing and CRC checks, which ran when the span being copied was decoded
 // (or inherited, inductively, from one that was). A nil src, or one laid
-// out differently, inherits nothing. Every other position is looked up in
-// cache (nil = no local chunks) and decoded through the per-record checks;
-// records carried by the blob itself are added too.
-func NewManifestAssembler(blob []byte, cache *ChunkCache, src *SpanSource) (*ManifestAssembler, error) {
-	return NewManifestAssemblerInto(blob, cache, src, nil)
-}
-
-// NewManifestAssemblerInto is NewManifestAssembler assembling into back, a
-// clone of src: an inherited position already holds its span there and is
-// only marked, and every other position is decoded over the stale bytes
-// through the same per-record checks — nothing model-sized is allocated and
-// no span is copied. InPlace reports whether back was taken; it is left
-// alone, and the assembly allocates and copies as with a nil back, when it
-// is not a clone of src, was taken before, or src inherits nothing (nil, or
-// laid out differently from the manifest).
-func NewManifestAssemblerInto(blob []byte, cache *ChunkCache, src *SpanSource, back *BackBuffer) (*ManifestAssembler, error) {
+// out differently, inherits nothing. Records carried by the blob itself
+// are added through the per-record checks.
+//
+// back, if not nil, is a clone of src to assemble into: an inherited
+// position already holds its span there and is only marked, and every other
+// position is decoded over the stale bytes — nothing model-sized is
+// allocated and no span is copied. InPlace reports whether back was taken;
+// it is left alone, and the assembly allocates and copies as with a nil
+// back, when it is not a clone of src, was taken before, or src inherits
+// nothing.
+func NewManifestAssembler(blob []byte, src *SpanSource, back *BackBuffer) (*ManifestAssembler, error) {
 	man, err := ParseManifest(blob)
 	if err != nil {
 		return nil, err
@@ -537,12 +446,11 @@ func NewManifestAssemblerInto(blob []byte, cache *ChunkCache, src *SpanSource, b
 		return nil, err
 	}
 	a := &ManifestAssembler{
-		man: man, asm: asm, cache: cache,
+		man: man, asm: asm,
 		covered: make([]bool, man.Layout.NumChunks),
 		inPlace: target != nil,
 	}
 	if inherits {
-		var touched []ChunkHash
 		for i, h := range man.Hashes {
 			if h != src.hashes[i] {
 				continue
@@ -554,36 +462,8 @@ func NewManifestAssemblerInto(blob []byte, cache *ChunkCache, src *SpanSource, b
 			}
 			a.covered[i] = true
 			a.inherited++
-			touched = append(touched, h)
-		}
-		if cache != nil {
-			// An inherited position needs no record, but the cache must see
-			// the use or the next have-list would stop naming the chunk.
-			cache.Touch(touched)
 		}
 	}
-	// Cached chunks next: decode straight into the target snapshot.
-	if cache != nil {
-		for i, h := range man.Hashes {
-			if a.covered[i] {
-				continue
-			}
-			rec, ok := cache.Get(h)
-			if !ok {
-				continue
-			}
-			idx, _, _, err := asm.add(rec)
-			if err != nil {
-				// A cached record that no longer verifies is treated as
-				// absent: the wire copy (or a re-send) will cover it.
-				cache.Drop(h)
-				continue
-			}
-			a.place(idx, h)
-			a.reused++
-		}
-	}
-	// Then any records the blob carries inline.
 	if err := a.addPacked(blob[man.Len:]); err != nil {
 		return nil, err
 	}
@@ -612,13 +492,6 @@ func (a *ManifestAssembler) addPacked(tail []byte) error {
 	return nil
 }
 
-// Reused returns how many chunks were decoded from cached records.
-func (a *ManifestAssembler) Reused() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.reused
-}
-
 // Inherited returns how many positions the span source covered without a
 // record: copied from it, or already in place in its clone.
 func (a *ManifestAssembler) Inherited() int { return a.inherited }
@@ -626,34 +499,26 @@ func (a *ManifestAssembler) Inherited() int { return a.inherited }
 // InPlace reports whether the assembly is patching a back buffer.
 func (a *ManifestAssembler) InPlace() bool { return a.inPlace }
 
-// Add verifies and decodes one wire record, caching it for future
-// reconciliations, and reports whether assembly is now complete. Only a
-// record that verified is hashed and cached, and it is cached by copy
-// (Put): rec may be a sub-slice of a manifest-bearing blob (addPacked) or
-// of a buffer its sender still owns. A record that arrives while another
-// goroutine is decoding the same chunk was not written and is not noted.
+// Add verifies and decodes one wire record and reports whether assembly is
+// now complete. Only a record that verified is hashed, and the assembler
+// keeps no reference to rec. A record that arrives while another goroutine
+// is decoding the same chunk was not written and is not noted.
 func (a *ManifestAssembler) Add(rec []byte) (complete bool, err error) {
 	idx, wrote, done, err := a.asm.add(rec)
-	if err != nil || !wrote {
-		return done, err
+	if err == nil && wrote {
+		a.cover(idx, HashChunkRecord(rec))
 	}
-	h := HashChunkRecord(rec)
-	a.mu.Lock()
-	a.place(idx, h)
-	a.mu.Unlock()
-	if a.cache != nil {
-		a.cache.Put(h, rec)
-	}
-	return done, nil
+	return done, err
 }
 
-// place notes that the record hashing to h was decoded at position idx.
+// cover notes that the record hashing to h was decoded at position idx.
 // covered is assigned, not only set: a record other than the manifest's
 // landing on a covered position uncovers it, so MissingHashes and Source
-// describe what the weights hold now. a.mu must be held (or a still
-// private to its constructor).
-func (a *ManifestAssembler) place(idx int, h ChunkHash) {
+// describe what the weights hold now.
+func (a *ManifestAssembler) cover(idx int, h ChunkHash) {
+	a.mu.Lock()
 	a.covered[idx] = h == a.man.Hashes[idx]
+	a.mu.Unlock()
 }
 
 // Source returns the finished assembly as a span source for the next
@@ -678,8 +543,8 @@ func (a *ManifestAssembler) Source() *SpanSource {
 func (a *ManifestAssembler) Complete() bool { return a.asm.Complete() }
 
 // MissingHashes returns the content hashes still outstanding — the
-// need-list the receiver sends when an advertised chunk turned out to
-// be gone locally.
+// need-list the receiver sends when the sender elided a chunk its span
+// source does not hold at that position.
 func (a *ManifestAssembler) MissingHashes() []ChunkHash {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -699,23 +564,39 @@ func (a *ManifestAssembler) Checkpoint() (*Checkpoint, error) { return a.asm.Che
 // ReconcileBlob decodes a manifest-bearing blob, pulling records the
 // blob does not carry from cache (nil cache = the blob must be full).
 // It returns the checkpoint and how many chunks came from the cache; a
-// gap neither source covers is ErrMissingChunk.
+// gap neither source covers is ErrMissingChunk. A cached record is
+// checked and decoded like a wire one, but not hashed: its key is its hash.
 func ReconcileBlob(ctx context.Context, blob []byte, cache *ChunkCache) (*Checkpoint, int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	a, err := NewManifestAssembler(blob, cache, nil)
+	a, err := NewManifestAssembler(blob, nil, nil)
 	if err != nil {
 		return nil, 0, err
 	}
+	reused := 0
+	for i, h := range a.man.Hashes {
+		if cache == nil || a.covered[i] {
+			continue
+		}
+		rec, ok := cache.Get(h)
+		if !ok {
+			continue
+		}
+		// A cached record that does not verify is treated as absent.
+		if idx, _, _, err := a.asm.add(rec); err == nil {
+			a.cover(idx, h)
+			reused++
+		}
+	}
 	if !a.Complete() {
 		missing := a.MissingHashes()
-		return nil, a.Reused(), fmt.Errorf("%w: %d of %d chunks unavailable (first %s)",
+		return nil, reused, fmt.Errorf("%w: %d of %d chunks unavailable (first %s)",
 			ErrMissingChunk, len(missing), a.man.Layout.NumChunks, missing[0])
 	}
 	ckpt, err := a.Checkpoint()
 	if err != nil {
-		return nil, a.Reused(), err
+		return nil, reused, err
 	}
-	return ckpt, a.Reused(), nil
+	return ckpt, reused, nil
 }

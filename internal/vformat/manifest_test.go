@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"viper/internal/nn"
@@ -106,9 +107,9 @@ func TestDecodeAutoManifestBlob(t *testing.T) {
 // TestReconcileProperty sweeps chunk size × precision × edit distance
 // and asserts the reconciled checkpoint is byte-identical to the full
 // decode of the same version — the tentpole's correctness invariant —
-// whether the unchanged chunks were decoded from cached records, copied
-// from a span source or already in place in a clone of it, down a chain of
-// versions.
+// whether the unchanged chunks were decoded from cached records
+// (ReconcileBlob), copied from a span source or already in place in a clone
+// of it, down a chain of versions.
 func TestReconcileProperty(t *testing.T) {
 	for _, chunkBytes := range []int{512, 4 << 10, 64 << 10} {
 		for _, prec := range []Precision{PrecFloat64, PrecFloat32, PrecFloat16} {
@@ -117,7 +118,7 @@ func TestReconcileProperty(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					opts := ChunkOptions{Precision: prec, ChunkBytes: chunkBytes}
 					v1 := chunkTestCheckpoint(2, 9_001)
-					blob1, _ := encodeFull(t, v1, opts)
+					blob1, hashes1 := encodeFull(t, v1, opts)
 
 					cache := NewChunkCache(0)
 					if err := cache.PutAll(blob1); err != nil {
@@ -132,7 +133,7 @@ func TestReconcileProperty(t *testing.T) {
 					blob2, hashes2 := encodeFull(t, v2, opts)
 
 					held := map[ChunkHash]bool{}
-					for _, h := range cache.Hashes() {
+					for _, h := range hashes1 {
 						held[h] = true
 					}
 					delta, _, carried, elided, err := BuildManifestBlob(blob2, func(h ChunkHash) bool { return held[h] })
@@ -166,13 +167,9 @@ func TestReconcileProperty(t *testing.T) {
 					}
 
 					// The same delta over a span source — v1 as decoded, under
-					// its record hashes — and a cache that has lost every
-					// record: each elided position is inherited, none decoded.
+					// its record hashes — and no cache: each elided position is
+					// inherited.
 					full1, err := DecodeChunked(context.Background(), blob1, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					hashes1, err := ChunkHashesOf(blob1)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -180,13 +177,13 @@ func TestReconcileProperty(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					asm, err := NewManifestAssembler(delta, NewChunkCache(0), src)
+					asm, err := NewManifestAssembler(delta, src, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if asm.Inherited() != len(hashes2)-carried || asm.Reused() != 0 || !asm.Complete() {
-						t.Fatalf("over a source: inherited %d, cache-decoded %d, complete %v; want %d, 0, true",
-							asm.Inherited(), asm.Reused(), asm.Complete(), len(hashes2)-carried)
+					if asm.Inherited() != len(hashes2)-carried || !asm.Complete() {
+						t.Fatalf("over a source: inherited %d, complete %v; want %d, true",
+							asm.Inherited(), asm.Complete(), len(hashes2)-carried)
 					}
 					inherited, err := asm.Checkpoint()
 					if err != nil {
@@ -196,13 +193,13 @@ func TestReconcileProperty(t *testing.T) {
 
 					// And once more into a clone of the source: the same counts,
 					// the same bits, v1 as decoded left alone.
-					patched, err := NewManifestAssemblerInto(delta, NewChunkCache(0), src, src.Clone())
+					patched, err := NewManifestAssembler(delta, src, src.Clone())
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !patched.InPlace() || patched.Inherited() != asm.Inherited() || patched.Reused() != 0 || !patched.Complete() {
-						t.Fatalf("into a clone: in place %v, inherited %d, cache-decoded %d, complete %v; want true, %d, 0, true",
-							patched.InPlace(), patched.Inherited(), patched.Reused(), patched.Complete(), asm.Inherited())
+					if !patched.InPlace() || patched.Inherited() != asm.Inherited() || !patched.Complete() {
+						t.Fatalf("into a clone: in place %v, inherited %d, complete %v; want true, %d, true",
+							patched.InPlace(), patched.Inherited(), patched.Complete(), asm.Inherited())
 					}
 					inPlace, err := patched.Checkpoint()
 					if err != nil {
@@ -232,7 +229,7 @@ func TestReconcileProperty(t *testing.T) {
 					if src2 == nil {
 						t.Fatal("a complete assembly of the manifest's own records offers no source")
 					}
-					asm3, err := NewManifestAssembler(delta3, nil, src2)
+					asm3, err := NewManifestAssembler(delta3, src2, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -255,7 +252,7 @@ func TestReconcileProperty(t *testing.T) {
 					if chained == nil {
 						t.Fatal("a complete in-place assembly offers no source")
 					}
-					patched3, err := NewManifestAssemblerInto(delta3, nil, chained, chained.Clone())
+					patched3, err := NewManifestAssembler(delta3, chained, chained.Clone())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -305,8 +302,8 @@ func decodedSource(t *testing.T, ckpt *Checkpoint, o ChunkOptions) *SpanSource {
 // TestSpanSourceFallsBack: a source the manifest cannot be matched against
 // — none, another precision, another chunk size, another tensor directory
 // — inherits nothing, and one whose hash differs at a position inherits
-// all but that position; what is not inherited comes from the cache as it
-// always did, and the assembly is bit-identical either way. A source
+// all but that position; what is not inherited is on the need-list, and
+// once it is re-sent the assembly is bit-identical either way. A source
 // never completes a position by itself being wrong: hashes decide. A clone
 // of the source is assembled into exactly when the source inherits.
 func TestSpanSourceFallsBack(t *testing.T) {
@@ -341,6 +338,34 @@ func TestSpanSourceFallsBack(t *testing.T) {
 	if hashes2[0] != hashes1[0] {
 		t.Fatal("set-up: chunk 0 was meant to be unchanged")
 	}
+	// assemble checks what a misses against what it should and re-sends it
+	// from v2's blob, as a sender answering the need-list would.
+	assemble := func(t *testing.T, a *ManifestAssembler, inherited int) *Checkpoint {
+		t.Helper()
+		missing := a.MissingHashes()
+		if a.Inherited() != inherited || len(missing) != elided-inherited {
+			t.Fatalf("inherited %d, %d on the need-list; want %d, %d", a.Inherited(), len(missing), inherited, elided-inherited)
+		}
+		need := map[ChunkHash]bool{}
+		for _, h := range missing {
+			need[h] = true
+		}
+		err := WalkChunkRecords(blob2, func(rec []byte) error {
+			if need[HashChunkRecord(rec)] {
+				_, err := a.Add(rec)
+				return err
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
 
 	for _, tc := range []struct {
 		name      string
@@ -357,34 +382,11 @@ func TestSpanSourceFallsBack(t *testing.T) {
 		{"hash differs at one position", offByOne, elided - 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cache := NewChunkCache(0)
-			if err := cache.PutAll(blob1); err != nil {
-				t.Fatal(err)
-			}
-			asm, err := NewManifestAssembler(delta, cache, tc.src)
+			asm, err := NewManifestAssembler(delta, tc.src, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if asm.Inherited() != tc.inherited || asm.Reused() != elided-tc.inherited || !asm.Complete() {
-				t.Fatalf("inherited %d, cache-decoded %d, complete %v; want %d, %d, true",
-					asm.Inherited(), asm.Reused(), asm.Complete(), tc.inherited, elided-tc.inherited)
-			}
-			got, err := asm.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameBits(t, tc.name, want.Weights, got.Weights)
-			// Inherited or decoded, the cache saw every chunk of v2 used:
-			// they are the most recent entries, whatever the order among them.
-			recent := map[ChunkHash]bool{}
-			for _, h := range cache.Hashes()[:len(hashes2)] {
-				recent[h] = true
-			}
-			for i, h := range hashes2 {
-				if !recent[h] {
-					t.Fatalf("chunk %d of v2 is not among the cache's %d most recent entries", i, len(hashes2))
-				}
-			}
+			assertSameBits(t, tc.name, want.Weights, assemble(t, asm, tc.inherited).Weights)
 
 			// The same assembly offered a back buffer: taken exactly when the
 			// source inherits, and a clone that is not taken stays whole.
@@ -392,23 +394,14 @@ func TestSpanSourceFallsBack(t *testing.T) {
 			if tc.src != nil {
 				back = tc.src.Clone()
 			}
-			cache2 := NewChunkCache(0)
-			if err := cache2.PutAll(blob1); err != nil {
-				t.Fatal(err)
-			}
-			patched, err := NewManifestAssemblerInto(delta, cache2, tc.src, back)
+			patched, err := NewManifestAssembler(delta, tc.src, back)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if patched.InPlace() != tc.inPlace || patched.Inherited() != tc.inherited || patched.Reused() != elided-tc.inherited || !patched.Complete() {
-				t.Fatalf("offered a clone: in place %v, inherited %d, cache-decoded %d, complete %v; want %v, %d, %d, true",
-					patched.InPlace(), patched.Inherited(), patched.Reused(), patched.Complete(), tc.inPlace, tc.inherited, elided-tc.inherited)
+			if patched.InPlace() != tc.inPlace {
+				t.Fatalf("offered a clone: in place %v, want %v", patched.InPlace(), tc.inPlace)
 			}
-			got2, err := patched.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameBits(t, tc.name+", offered a clone", want.Weights, got2.Weights)
+			assertSameBits(t, tc.name+", offered a clone", want.Weights, assemble(t, patched, tc.inherited).Weights)
 			if back != nil && (back.weights == nil) != tc.inPlace {
 				t.Fatalf("the clone's weights taken: %v, want %v", back.weights == nil, tc.inPlace)
 			}
@@ -479,7 +472,7 @@ func TestBackBufferIsGoodForOneAssemblyOfItsSource(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	var asm *ManifestAssembler
-	if grew := allocated(func() { asm, err = NewManifestAssemblerInto(delta, nil, src, back) }); err != nil || grew > model/8 {
+	if grew := allocated(func() { asm, err = NewManifestAssembler(delta, src, back) }); err != nil || grew > model/8 {
 		t.Fatalf("assembling into the clone: err = %v, %d bytes allocated for a %d-byte model", err, grew, model)
 	}
 	got, err := asm.Checkpoint()
@@ -499,7 +492,7 @@ func TestBackBufferIsGoodForOneAssemblyOfItsSource(t *testing.T) {
 
 	// Taken once: the same clone again is not written.
 	var again *ManifestAssembler
-	if grew := allocated(func() { again, err = NewManifestAssemblerInto(delta, nil, src, back) }); err != nil || grew < model {
+	if grew := allocated(func() { again, err = NewManifestAssembler(delta, src, back) }); err != nil || grew < model {
 		t.Fatalf("a second assembly offered the taken clone: err = %v, %d bytes allocated; it must allocate its own %d-byte model", err, grew, model)
 	}
 	if again.InPlace() {
@@ -515,7 +508,7 @@ func TestBackBufferIsGoodForOneAssemblyOfItsSource(t *testing.T) {
 	// Another source's clone, however equal its bytes, is not this source's.
 	twin := decodedSource(t, v1, opts)
 	foreign := twin.Clone()
-	other, err := NewManifestAssemblerInto(delta, nil, src, foreign)
+	other, err := NewManifestAssembler(delta, src, foreign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +516,7 @@ func TestBackBufferIsGoodForOneAssemblyOfItsSource(t *testing.T) {
 		t.Fatal("an assembly over one source took the clone of another")
 	}
 	assertSameBits(t, "the clone that was not taken", twin.weights, foreign.weights)
-	if own, err := NewManifestAssemblerInto(delta, nil, twin, foreign); err != nil || !own.InPlace() {
+	if own, err := NewManifestAssembler(delta, twin, foreign); err != nil || !own.InPlace() {
 		t.Fatalf("the clone is still good against its own source: in place %v, err = %v", own != nil && own.InPlace(), err)
 	}
 }
@@ -643,19 +636,16 @@ func TestBaseSuppressionStabilizesChunks(t *testing.T) {
 	}
 }
 
-// TestManifestAssemblerChaosResend: the chaos drill. A receiver
-// advertised chunks it since evicted; the manifest-based assembly must
-// surface exactly the missing hashes as a need-list and complete once
-// they are re-sent — never assemble a torn checkpoint.
+// TestManifestAssemblerChaosResend: the chaos drill. The sender elided
+// chunks the receiver's span source no longer holds where the manifest
+// names them (the source moved on at two positions since it was
+// advertised); the assembly must surface exactly those hashes as a
+// need-list and complete once they are re-sent — never assemble a torn
+// checkpoint.
 func TestManifestAssemblerChaosResend(t *testing.T) {
 	opts := ChunkOptions{Precision: PrecFloat64, ChunkBytes: 2 << 10}
 	v1 := chunkTestCheckpoint(6, 12_000)
 	blob1, hashes1 := encodeFull(t, v1, opts)
-	cache := NewChunkCache(0)
-	if err := cache.PutAll(blob1); err != nil {
-		t.Fatal(err)
-	}
-
 	v2 := &Checkpoint{ModelName: v1.ModelName, Version: v1.Version + 1,
 		Weights: mutateElems(v1.Weights, 5, 11)}
 	blob2, hashes2 := encodeFull(t, v2, opts)
@@ -668,27 +658,36 @@ func TestManifestAssemblerChaosResend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Evict two advertised chunks between advertisement and delivery.
+	// The source holds other records at two elided positions.
+	dec, err := DecodeChunked(context.Background(), blob1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := slices.Clone(hashes1)
 	evicted := []ChunkHash{}
-	for _, h := range hashes2 {
+	for i, h := range hashes2 {
 		if held[h] {
 			evicted = append(evicted, h)
-			cache.Drop(h)
+			moved[i] = ChunkHash{0xee, byte(i)}
 			if len(evicted) == 2 {
 				break
 			}
 		}
 	}
 	if len(evicted) != 2 {
-		t.Skip("not enough reused chunks to evict")
+		t.Skip("not enough elided chunks to move")
+	}
+	src, err := NewSpanSource(blob1, moved, dec.Weights)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	asm, err := NewManifestAssembler(delta, cache, nil)
+	asm, err := NewManifestAssembler(delta, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if asm.Complete() {
-		t.Fatal("assembly completed despite evicted chunks")
+		t.Fatal("assembly completed despite the moved positions")
 	}
 	if _, err := asm.Checkpoint(); !errors.Is(err, ErrIncompleteStream) {
 		t.Fatalf("Checkpoint on torn assembly = %v, want ErrIncompleteStream", err)
@@ -703,7 +702,7 @@ func TestManifestAssemblerChaosResend(t *testing.T) {
 	}
 	for _, h := range evicted {
 		if !needSet[h] {
-			t.Fatalf("evicted hash %s not in need-list", h)
+			t.Fatalf("moved hash %s not in need-list", h)
 		}
 	}
 
@@ -734,45 +733,6 @@ func TestManifestAssemblerChaosResend(t *testing.T) {
 		if !bytes.Equal(f64bytes(full.Weights[i].Data), f64bytes(rec.Weights[i].Data)) {
 			t.Fatalf("tensor %s differs after chaos re-send", full.Weights[i].Name)
 		}
-	}
-}
-
-// TestChunkCacheLRU: the cache holds at most max entries, evicting the
-// least recently used.
-func TestChunkCacheLRU(t *testing.T) {
-	c := NewChunkCache(2)
-	recs := [][]byte{{1}, {2}, {3}}
-	var hs []ChunkHash
-	for _, r := range recs {
-		h := HashChunkRecord(r)
-		hs = append(hs, h)
-		c.Put(h, r)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
-	}
-	if _, ok := c.Get(hs[0]); ok {
-		t.Fatal("oldest entry survived eviction")
-	}
-	if _, ok := c.Get(hs[1]); !ok {
-		t.Fatal("recent entry evicted")
-	}
-	// Refresh hs[1], insert a fourth: hs[2] must go, not hs[1].
-	c.Put(HashChunkRecord([]byte{4}), []byte{4})
-	if _, ok := c.Get(hs[1]); !ok {
-		t.Fatal("refreshed entry evicted")
-	}
-	if _, ok := c.Get(hs[2]); ok {
-		t.Fatal("stale entry survived")
-	}
-	// Cached bytes are copies, not aliases.
-	src := []byte{9, 9}
-	h := HashChunkRecord(src)
-	c.Put(h, src)
-	src[0] = 0
-	got, _ := c.Get(h)
-	if got[0] != 9 {
-		t.Fatal("cache aliased caller bytes")
 	}
 }
 
