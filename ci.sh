@@ -62,13 +62,16 @@ go test -race -count=3 ./internal/vformat
 # testdata/fuzz regressions and a few thousand deterministic mutants per
 # target (internal/mutate, TestMutated*) already ran in the test pass above;
 # this adds one budget of the native engine, shared by the targets (failures
-# land in testdata/fuzz). The parsers with no native target — kvstore and
-# pubsub wire protocols, the store's segment scan and log replay — are
-# covered by their mutant passes alone.
-echo "==> fuzz DecodeAuto + ManifestAssembler + TCPLinkRecv (20s in all)"
-go test -run '^$' -fuzz FuzzDecodeAuto -fuzztime 7s ./internal/vformat
-go test -run '^$' -fuzz FuzzManifestAssembler -fuzztime 6s ./internal/vformat
-go test -run '^$' -fuzz FuzzTCPLinkRecv -fuzztime 7s ./internal/transport
+# land in testdata/fuzz). The store's segment scan opens real files, a
+# millisecond an input, so its minimization of a new input is capped in
+# runs rather than left to take the whole budget. The parsers with no
+# native target — kvstore and pubsub wire protocols, the store's log
+# replay — are covered by their mutant passes alone.
+echo "==> fuzz DecodeAuto + ManifestAssembler + TCPLinkRecv + SegmentScan (20s in all)"
+go test -run '^$' -fuzz FuzzDecodeAuto -fuzztime 5s ./internal/vformat
+go test -run '^$' -fuzz FuzzManifestAssembler -fuzztime 5s ./internal/vformat
+go test -run '^$' -fuzz FuzzTCPLinkRecv -fuzztime 5s ./internal/transport
+go test -run '^$' -fuzz FuzzSegmentScan -fuzztime 5s -fuzzminimizetime 200x ./internal/chunkstore
 
 echo "==> bench smoke (every micro-benchmark of six packages runs 1x so none rots; nothing recorded)"
 go test -run '^$' -bench . -benchtime 1x \
@@ -76,11 +79,12 @@ go test -run '^$' -bench . -benchtime 1x \
     ./internal/relay/ ./internal/metrics/ ./internal/chunkstore/
 
 # The runtime gates (DESIGN.md §7): delta dedup and store recovery over live
-# TCP (internal/experiments), fan-out flatness (internal/relay), the analysis
-# suite's wall budget (internal/analysis). Each skips itself in every other
-# pass, states its floors beside the measurement and fails with its own
-# message; `go test -run TestGateDeltaDedup -v ./internal/experiments` runs
-# one and prints what it measured.
+# TCP (internal/experiments), fan-out flatness and the records ingest hashes
+# (internal/relay), the analysis suite's wall budget (internal/analysis).
+# Each skips itself in every other pass, states its floors beside the
+# measurement and fails with its own message; `go test -run
+# TestGateDeltaDedup -v ./internal/experiments` runs one and prints what it
+# measured.
 echo "==> gates (go test -run '^TestGate')"
 go test -count=1 -run '^TestGate' ./...
 

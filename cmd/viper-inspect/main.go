@@ -193,9 +193,10 @@ type jsonRelayVersion struct {
 	Chunks  int    `json:"chunks"`
 	Bytes   int64  `json:"bytes"`
 	// Deduped counts chunks that were already resident in the relay's
-	// content-addressed store when this version arrived; Delta marks a
-	// version ingested as a manifest+missing stream rather than a full
-	// push; Hashes are the per-chunk content hashes (hex, chunk order).
+	// chunk table when this version arrived; Delta marks a version
+	// ingested as a manifest+missing stream rather than a full push;
+	// Hashes are the per-chunk keys (hex, chunk order) — content hashes
+	// unless the push was untagged (relay.VersionInfo).
 	Deduped int      `json:"deduped,omitempty"`
 	Delta   bool     `json:"delta,omitempty"`
 	Hashes  []string `json:"hashes,omitempty"`

@@ -12,7 +12,7 @@
 //	    -ingest 127.0.0.1:7464 -serve 127.0.0.1:7465 -retain 4
 //
 // With -store, the relay also persists every ingested version to a
-// durable content-addressed chunk store in the given directory and
+// durable keyed chunk store in the given directory and
 // recovers its full inventory from it on restart, so late joiners can
 // be served history that predates the process. -store-keep,
 // -store-bytes, and -store-age bound the on-disk history (zero means

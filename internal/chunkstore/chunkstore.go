@@ -1,13 +1,17 @@
-// Package chunkstore persists content-addressed chunk records in
-// append-only segment files with a manifest log mapping model/version
-// to an ordered hash list, giving the in-memory distribution stack a
-// crash-consistent disk tier: a relay restart rehydrates its whole
-// inventory instead of waking with an empty cache, and retained
-// historical versions stay loadable for time-travel.
+// Package chunkstore persists keyed chunk records in append-only segment
+// files with a manifest log mapping model/version to an ordered key
+// list, giving the in-memory distribution stack a crash-consistent disk
+// tier: a relay restart rehydrates its whole inventory instead of waking
+// with an empty cache, and retained historical versions stay loadable
+// for time-travel.
 //
-// Chunk bodies are stored verbatim in v2 wire form (on-disk layout ==
-// on-wire layout), so ingest and serve are io.Copy-shaped with no
-// re-encode. Durability uses two fsync barriers per commit: dirty
+// A key names one record's bytes: the writer chooses it — the record's
+// content hash (vformat.HashChunkRecord) wherever records are to dedup,
+// as PutBlob's are, or any key unique to those bytes — and the store
+// keeps it beside the record, so Open indexes without hashing. Equal
+// keys dedup. Chunk bodies are stored verbatim in v2 wire form (on-disk
+// layout == on-wire layout), so ingest and serve are io.Copy-shaped with
+// no re-encode. Durability uses two fsync barriers per commit: dirty
 // segments first, then the commit record in the manifest log — a
 // version is visible after reopen iff its commit record and every
 // chunk it references survived. Torn tails in either file fail their
@@ -114,7 +118,8 @@ type VersionMeta struct {
 	Key string
 	// Header is the v2 stream header.
 	Header []byte
-	// Hashes is the ordered chunk hash list.
+	// Hashes is the ordered list of the version's chunk keys (content
+	// hashes where the writer keyed by content).
 	Hashes []vformat.ChunkHash
 	// Bytes is the reassembled payload size.
 	Bytes int64
@@ -190,8 +195,7 @@ type versionRec struct {
 	hashes  []vformat.ChunkHash
 }
 
-// Store is a durable content-addressed chunk store rooted at one
-// directory.
+// Store is a durable keyed chunk store rooted at one directory.
 type Store struct {
 	dir   string
 	opts  Options
@@ -319,18 +323,27 @@ func (s *Store) recoverSegment(id uint64) error {
 		return nil
 	}
 	valid, err := scanEntries(f, size, func(kind byte, bodyOff int64, body []byte) error {
+		var h vformat.ChunkHash
 		switch {
 		case kind == entryBlob:
 			// Reserved kind: an older store's opaque payload. Dead weight
 			// for the reclaimer, never indexed — and never a reason to
 			// truncate the valid chunk entries behind it.
-		case kind != entryChunk || !vformat.VerifyChunkRecord(body):
-			return errors.New("stop") // wrong file type entry: treat as torn
+			seg.total += int64(len(body))
+			return nil
+		case kind == entryKeyed && len(body) > len(h) && vformat.VerifyChunkRecord(body[len(h):]):
+			h = vformat.ChunkHash(body[:len(h)])
+			body, bodyOff = body[len(h):], bodyOff+int64(len(h))
+		case kind == entryChunk && vformat.VerifyChunkRecord(body):
+			// Legacy kind: the key is the content hash.
+			h = vformat.HashChunkRecord(body)
 		default:
-			h := vformat.HashChunkRecord(body)
-			if _, dup := s.index[h]; !dup {
-				s.index[h] = &chunkLoc{seg: seg, off: bodyOff, size: len(body)}
-			}
+			// A kind of the other file, or a record that fails its own
+			// checksum: treat as torn.
+			return errors.New("stop")
+		}
+		if _, dup := s.index[h]; !dup {
+			s.index[h] = &chunkLoc{seg: seg, off: bodyOff, size: len(body)}
 		}
 		// Duplicates (crash mid-compaction) count as dead weight here.
 		seg.total += int64(len(body))
@@ -539,17 +552,19 @@ func (s *Store) ensureActiveLocked(need int64) (*segmentFile, error) {
 	return seg, nil
 }
 
-// appendBodyLocked appends one envelope to the active segment. When
-// the injector fires, a torn prefix lands on disk and the store fails,
+// appendRecordLocked appends one keyed entry — h, then the record — to
+// the active segment and returns where the record landed. When the
+// injector fires, a torn prefix lands on disk and the store fails,
 // simulating a crash mid-append.
-func (s *Store) appendBodyLocked(body []byte, op string) (*chunkLoc, error) {
-	seg, err := s.ensureActiveLocked(int64(entryOverhead) + int64(len(body)))
+func (s *Store) appendRecordLocked(h vformat.ChunkHash, rec []byte, op string) (*chunkLoc, error) {
+	n := entryOverhead + len(h) + len(rec)
+	seg, err := s.ensureActiveLocked(int64(n))
 	if err != nil {
 		return nil, err
 	}
-	buf := getBuf(entryOverhead + len(body))
+	buf := getBuf(n)
 	defer func() { putBuf(buf) }()
-	buf = appendEntry(buf, entryChunk, body)
+	buf = appendEntry(buf, entryKeyed, h[:], rec)
 	if s.inj != nil {
 		if ferr := s.inj.Op(op); ferr != nil {
 			if tear := len(buf) / 2; tear > 0 {
@@ -563,9 +578,9 @@ func (s *Store) appendBodyLocked(body []byte, op string) (*chunkLoc, error) {
 		s.failed = true
 		return nil, fmt.Errorf("chunkstore: %w", err)
 	}
-	loc := &chunkLoc{seg: seg, off: seg.size + entryHeaderLen, size: len(body)}
+	loc := &chunkLoc{seg: seg, off: seg.size + int64(entryHeaderLen+len(h)), size: len(rec)}
 	seg.size += int64(len(buf))
-	seg.total += int64(len(body))
+	seg.total += int64(len(rec))
 	seg.dirty = true
 	return loc, nil
 }
@@ -637,13 +652,14 @@ func (s *Store) Begin() *Writer {
 	return &Writer{s: s}
 }
 
-// Append stores one v2 chunk record under its content hash h,
-// deduplicating against what the index already holds, and pins the
-// entry for this handle. h must be HashChunkRecord(rec): the caller has
-// just computed it from the same bytes in the same process, and the
-// store uses it only as the index key. A record that will be written is
-// checksum-verified first, so corrupt input never reaches disk. The
-// record is durable (and referenced) only after Commit.
+// Append stores one v2 chunk record under the key h, deduplicating
+// against what the index already holds, and pins the entry for this
+// handle. h names rec: every Append of h, by any writer, carries the same
+// bytes — a content hash (HashChunkRecord) does, and so does a key no
+// other record is ever given. The store writes h beside the record and
+// never derives it. A record that will be written is checksum-verified
+// first, so corrupt input never reaches disk. The record is durable (and
+// referenced) only after Commit.
 func (w *Writer) Append(h vformat.ChunkHash, rec []byte) error {
 	s := w.s
 	s.mu.Lock()
@@ -662,7 +678,7 @@ func (w *Writer) Append(h vformat.ChunkHash, rec []byte) error {
 			return fmt.Errorf("%w: refusing corrupt input record", ErrCorrupt)
 		}
 		var err error
-		if loc, err = s.appendBodyLocked(rec, "chunkstore/append"); err != nil {
+		if loc, err = s.appendRecordLocked(h, rec, "chunkstore/append"); err != nil {
 			return err
 		}
 		s.index[h] = loc
@@ -1164,8 +1180,9 @@ func (s *Store) deleteSegmentLocked(seg *segmentFile) error {
 }
 
 // compactSegmentLocked copies the live entries of a mostly-dead
-// segment into the active one, then deletes it. A crash mid-copy
-// leaves duplicates that recovery counts as dead weight.
+// segment into the active one, each under its key (a legacy entry is
+// rewritten keyed), then deletes it. A crash mid-copy leaves duplicates
+// that recovery counts as dead weight.
 func (s *Store) compactSegmentLocked(seg *segmentFile) error {
 	type move struct {
 		h   vformat.ChunkHash
@@ -1185,12 +1202,12 @@ func (s *Store) compactSegmentLocked(seg *segmentFile) error {
 	defer func() { putBuf(buf) }()
 	for _, m := range moves {
 		buf = growBuf(buf, m.loc.size)
-		body := buf[:m.loc.size]
-		if _, err := seg.f.ReadAt(body, m.loc.off); err != nil {
+		rec := buf[:m.loc.size]
+		if _, err := seg.f.ReadAt(rec, m.loc.off); err != nil {
 			s.failed = true
 			return fmt.Errorf("chunkstore: %w", err)
 		}
-		newLoc, err := s.appendBodyLocked(body, "chunkstore/gc")
+		newLoc, err := s.appendRecordLocked(m.h, rec, "chunkstore/gc")
 		if err != nil {
 			return err
 		}

@@ -38,7 +38,7 @@ func testCheckpoint(seed int64, elems int, version uint64) *vformat.Checkpoint {
 
 // testBlob encodes a chunked v2 blob with small chunks so even modest
 // checkpoints span many records.
-func testBlob(t *testing.T, seed int64, elems int, version uint64) []byte {
+func testBlob(t testing.TB, seed int64, elems int, version uint64) []byte {
 	t.Helper()
 	blob, err := vformat.EncodeChunked(context.Background(), testCheckpoint(seed, elems, version),
 		vformat.ChunkOptions{ChunkBytes: 1024})
@@ -48,7 +48,7 @@ func testBlob(t *testing.T, seed int64, elems int, version uint64) []byte {
 	return blob
 }
 
-func mustOpen(t *testing.T, dir string, opts Options) *Store {
+func mustOpen(t testing.TB, dir string, opts Options) *Store {
 	t.Helper()
 	s, err := Open(dir, opts)
 	if err != nil {
@@ -191,6 +191,231 @@ func TestReservedBlobEntriesOpenSafely(t *testing.T) {
 			t.Fatalf("v%d not bit-identical after compaction and reopen (err=%v)", vn, err)
 		}
 	}
+}
+
+// otherKey is a record key unrelated to the record's bytes, unique per
+// (tag, i).
+func otherKey(tag string, i int) vformat.ChunkHash {
+	var k vformat.ChunkHash
+	copy(k[:], fmt.Sprintf("%s/%d", tag, i))
+	return k
+}
+
+// records splits a chunked blob into its header and records.
+func records(t testing.TB, blob []byte) (header []byte, recs [][]byte) {
+	t.Helper()
+	_, _, headerLen, err := vformat.ParseChunkHeader(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = vformat.WalkChunkRecords(blob, func(rec []byte) error { recs = append(recs, rec); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob[:headerLen], recs
+}
+
+// putKeyed commits blob as model/version with every record appended
+// under otherKey(tag, i), and returns the keys.
+func putKeyed(t testing.TB, s *Store, model string, version uint64, tag string, blob []byte) []vformat.ChunkHash {
+	t.Helper()
+	header, recs := records(t, blob)
+	keys := make([]vformat.ChunkHash, len(recs))
+	w := s.Begin()
+	for i, rec := range recs {
+		keys[i] = otherKey(tag, i)
+		if err := w.Append(keys[i], rec); err != nil {
+			w.Abort()
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	if err := w.Commit(model, version, "k", header, keys); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	return keys
+}
+
+// TestKeyedEntriesReopen: versions whose writers keyed their records by
+// something other than content reopen whole — every version listed,
+// loading bit for bit, every record read back by its key — with nothing
+// truncated and no content hash indexed: Open takes each entry's key from
+// the disk.
+func TestKeyedEntriesReopen(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 2048} // several segments
+	s := mustOpen(t, dir, opts)
+	blobs := map[uint64][]byte{1: testBlob(t, 60, 1024, 1), 2: testBlob(t, 61, 1024, 2)}
+	keys := map[uint64][]vformat.ChunkHash{}
+	for v, blob := range blobs {
+		keys[v] = putKeyed(t, s, "m", v, fmt.Sprintf("v%d", v), blob)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = mustOpen(t, dir, opts)
+	defer s.Close()
+	if st := s.Stats(); st.TruncatedTails != 0 || st.Versions != 2 || st.DeadBytes != 0 {
+		t.Fatalf("reopen stats %+v, want both versions, nothing truncated and nothing dead", st)
+	}
+	for v, blob := range blobs {
+		if got, err := s.LoadVersion("m", v); err != nil || !bytes.Equal(got, blob) {
+			t.Fatalf("v%d after reopen: err %v, bit-identical %v", v, err, bytes.Equal(got, blob))
+		}
+		_, recs := records(t, blob)
+		for i, k := range keys[v] {
+			if got, err := s.ReadChunk(k, nil); err != nil || !bytes.Equal(got, recs[i]) {
+				t.Fatalf("v%d record %d by its key: err %v", v, i, err)
+			}
+			if s.Contains(vformat.HashChunkRecord(recs[i])) {
+				t.Fatalf("v%d record %d is indexed under its content hash too", v, i)
+			}
+		}
+	}
+}
+
+// TestLegacyChunkEntriesIndexByContent opens a segment of kind-1 entries,
+// which carry no key, written by hand as an older store wrote them: each
+// is indexed under its record's content hash, counted live like a keyed
+// entry's record, and the version they make loads bit for bit beside one
+// written since — before and after a reopen.
+func TestLegacyChunkEntriesIndexByContent(t *testing.T) {
+	dir := t.TempDir()
+	blob := testBlob(t, 62, 512, 1)
+	header, recs := records(t, blob)
+	seg := []byte(segMagic)
+	var hashes []vformat.ChunkHash
+	var live int64
+	for _, rec := range recs {
+		seg = appendEntry(seg, entryChunk, rec)
+		hashes = append(hashes, vformat.HashChunkRecord(rec))
+		live += int64(len(rec))
+	}
+	log := appendEntry([]byte(logMagic), entryCommit, encodeCommit("m", &versionRec{version: 1, key: "k", header: header, hashes: hashes}))
+	for name, data := range map[string][]byte{segName(0): seg, "manifest.log": log} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := mustOpen(t, dir, Options{})
+	if st := s.Stats(); st.TruncatedTails != 0 || st.Chunks != len(recs) || st.LiveBytes != live || st.DeadBytes != 0 {
+		t.Fatalf("open stats %+v, want %d chunks, %d live bytes, nothing truncated or dead", st, len(recs), live)
+	}
+	for i, h := range hashes {
+		if got, err := s.ReadChunk(h, nil); err != nil || !bytes.Equal(got, recs[i]) {
+			t.Fatalf("legacy record %d by its content hash: err %v", i, err)
+		}
+	}
+	blob2 := testBlob(t, 63, 512, 2)
+	putKeyed(t, s, "m", 2, "v2", blob2)
+	s.Close()
+	s = mustOpen(t, dir, Options{})
+	defer s.Close()
+	for v, want := range map[uint64][]byte{1: blob, 2: blob2} {
+		if got, err := s.LoadVersion("m", v); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("v%d beside the other kind after reopen: err %v", v, err)
+		}
+	}
+}
+
+// TestTornKeyedTailTruncated: a keyed entry cut short, one whose body is
+// too short to hold a key, and one whose record fails its own checksum
+// under a valid envelope are each a torn tail — truncated on Open, the
+// committed version before it intact.
+func TestTornKeyedTailTruncated(t *testing.T) {
+	blob := testBlob(t, 64, 512, 1)
+	_, recs := records(t, blob)
+	key := otherKey("tail", 0)
+	bad := append([]byte(nil), recs[0]...)
+	bad[len(bad)/2] ^= 0xff
+	whole := appendEntry(nil, entryKeyed, key[:], recs[0])
+	for name, tail := range map[string][]byte{
+		"cut short":                 whole[:len(whole)-7],
+		"body shorter than a key":   appendEntry(nil, entryKeyed, key[:8]),
+		"record fails its checksum": appendEntry(nil, entryKeyed, key[:], bad),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir, Options{})
+			putKeyed(t, s, "m", 1, "v1", blob)
+			s.Close()
+			path := filepath.Join(dir, segName(0))
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(tail); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			s = mustOpen(t, dir, Options{})
+			defer s.Close()
+			if st := s.Stats(); st.TruncatedTails != 1 || st.Chunks != len(recs) {
+				t.Fatalf("open stats %+v, want one truncated tail and v1's %d chunks", st, len(recs))
+			}
+			if after, err := os.Stat(path); err != nil || after.Size() != fi.Size() {
+				t.Fatalf("segment is %v bytes after Open (err %v), want the %d before the tail", after.Size(), err, fi.Size())
+			}
+			if got, err := s.LoadVersion("m", 1); err != nil || !bytes.Equal(got, blob) {
+				t.Fatalf("v1 after the truncation: err %v", err)
+			}
+		})
+	}
+}
+
+// TestCompactionKeepsKeys: compacting a mostly-dead segment copies its
+// live keyed entries forward under the keys they were appended with, so
+// the surviving version reads back by them, and loads bit for bit, before
+// and after a reopen.
+func TestCompactionKeepsKeys(t *testing.T) {
+	dir := t.TempDir()
+	// 1 KiB records in 4 KiB segments: v1's one record and v2's two share
+	// segment 0, and v3 rotates to segment 1.
+	opts := Options{SegmentBytes: 4096}
+	s := mustOpen(t, dir, opts)
+	blob1, blob2, blob3 := testBlob(t, 65, 128, 1), testBlob(t, 66, 256, 2), testBlob(t, 67, 256, 3)
+	keys1 := putKeyed(t, s, "m", 1, "v1", blob1)
+	keys2 := putKeyed(t, s, "m", 2, "v2", blob2)
+	putKeyed(t, s, "m", 3, "v3", blob3)
+	if st := s.Stats(); st.Segments != 2 || len(keys1) != 1 || len(keys2) != 2 {
+		t.Fatalf("set-up: %d segments, v1 %d records, v2 %d; want 2, 1, 2", st.Segments, len(keys1), len(keys2))
+	}
+	if err := s.Retire("m", 2); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.ReclaimedBytes == 0 || st.DeadBytes != 0 {
+		t.Fatalf("stats %+v after retiring v2: segment 0 was not compacted", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, segName(0))); !os.IsNotExist(err) {
+		t.Fatalf("segment 0 survived its compaction (stat err %v)", err)
+	}
+	_, recs1 := records(t, blob1)
+	check := func(s *Store, when string) {
+		t.Helper()
+		if got, err := s.ReadChunk(keys1[0], nil); err != nil || !bytes.Equal(got, recs1[0]) {
+			t.Fatalf("%s: v1's record by its key: err %v", when, err)
+		}
+		if s.Contains(keys2[0]) || s.Contains(vformat.HashChunkRecord(recs1[0])) {
+			t.Fatalf("%s: a retired key or a content hash is indexed", when)
+		}
+		for v, want := range map[uint64][]byte{1: blob1, 3: blob3} {
+			if got, err := s.LoadVersion("m", v); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: v%d: err %v", when, v, err)
+			}
+		}
+	}
+	check(s, "after compaction")
+	s.Close()
+	s = mustOpen(t, dir, opts)
+	defer s.Close()
+	check(s, "after reopen")
 }
 
 func TestDedupAcrossVersions(t *testing.T) {

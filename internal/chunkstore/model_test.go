@@ -68,14 +68,20 @@ func (g *opGate) gated(cfg faults.Config) faults.Config {
 
 // recordPool returns n distinct valid chunk records (each over 1 KiB, so
 // with 512-byte segments every record rotates into a segment of its own)
-// and their content hashes.
+// and the keys to append them under: the content hash of every even one,
+// a key unrelated to the bytes for every odd one — the store indexes the
+// key it was given, at append and after any reopen, and never derives one.
 func recordPool(t *testing.T, n int) (recs [][]byte, hashes []vformat.ChunkHash) {
 	t.Helper()
 	for seed := int64(500); len(recs) < n; seed++ {
 		err := vformat.WalkChunkRecords(testBlob(t, seed, 512, 1), func(rec []byte) error {
 			if len(recs) < n {
+				h := vformat.HashChunkRecord(rec)
+				if len(recs)%2 == 1 {
+					h = otherKey("pool", len(recs))
+				}
 				recs = append(recs, append([]byte(nil), rec...))
-				hashes = append(hashes, vformat.HashChunkRecord(rec))
+				hashes = append(hashes, h)
 			}
 			return nil
 		})

@@ -21,20 +21,26 @@ import (
 //	kind u8 | bodyLen u32 LE | body | crc u32 LE
 //
 // with the CRC (IEEE) covering kind, bodyLen, and body. A segment
-// entry's body is the exact v2 wire record (VCHK…), so serving it back
-// is an io.Copy of the body span with no re-encode, and every read
-// re-verifies the record's own checksum. The manifest log carries
-// commit and retire records binding model/version to an ordered hash
-// list. Both files are append-only between compactions; a torn final
-// write fails its CRC and is truncated away on Open.
+// entry's body is the record's 16-byte key followed by the exact v2 wire
+// record (VCHK…), so serving it back is an io.Copy of the record span
+// with no re-encode, every read re-verifies the record's own checksum,
+// and Open indexes the entry under the stored key without hashing it.
+// The manifest log carries commit and retire records binding
+// model/version to an ordered key list. Both files are append-only
+// between compactions; a torn final write fails its CRC and is truncated
+// away on Open.
+//
+// The keyed kind is one-way: a store that predates it reads a keyed
+// entry as a garbage tail and truncates its segment there.
 const (
 	segMagic = "VSEG0001"
 	logMagic = "VLOG0001"
 
-	entryChunk  = 1 // segment: verbatim v2 chunk record
+	entryChunk  = 1 // segment: legacy — a verbatim v2 chunk record, indexed under its content hash; no longer written
 	entryBlob   = 2 // segment: reserved — an older store's opaque payload; never written, dead bytes on scan
 	entryCommit = 3 // manifest log: version commit record
 	entryRetire = 4 // manifest log: version retire tombstone
+	entryKeyed  = 5 // segment: key | verbatim v2 chunk record (the highest kind)
 
 	entryHeaderLen = 1 + 4
 	entryOverhead  = entryHeaderLen + 4
@@ -70,12 +76,19 @@ func growBuf(b []byte, n int) []byte {
 // putBuf hands a buffer acquired by getBuf back to the pool.
 func putBuf(b []byte) { scratch.Put(b) }
 
-// appendEntry appends one encoded envelope to b and returns it.
-func appendEntry(b []byte, kind byte, body []byte) []byte {
+// appendEntry appends one encoded envelope, whose body is the parts in
+// order, to b and returns it.
+func appendEntry(b []byte, kind byte, parts ...[]byte) []byte {
+	start, n := len(b), 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	b = append(b, kind)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(body)))
-	b = append(b, body...)
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[len(b)-entryHeaderLen-len(body):]))
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
 // scanEntries walks the envelope sequence of f starting after the
@@ -98,7 +111,7 @@ func scanEntries(f *os.File, size int64, fn func(kind byte, bodyOff int64, body 
 		}
 		kind := hdr[0]
 		n := int(binary.LittleEndian.Uint32(hdr[1:]))
-		if kind == 0 || kind > entryRetire || n > maxEntryBody {
+		if kind == 0 || kind > entryKeyed || n > maxEntryBody {
 			return off, nil // garbage tail
 		}
 		if off+int64(entryOverhead)+int64(n) > size {
@@ -129,9 +142,11 @@ type segmentFile struct {
 	f    *os.File
 	// size is the append offset (current file length).
 	size int64
-	// total is the body bytes of every entry in the file, dead or live.
+	// total is the record bytes of every entry in the file, dead or live:
+	// a chunk entry counts its record and not its key (append and recovery
+	// alike), a reserved entry its body.
 	total int64
-	// live is the body bytes of entries referenced by at least one
+	// live is the record bytes of entries referenced by at least one
 	// retained version.
 	live int64
 	// dirty marks bytes written since the last fsync.

@@ -55,14 +55,15 @@ type VersionInfo struct {
 	// fan-out of this version ships).
 	Bytes int64 `json:"bytes"`
 	// Deduped is how many of the version's chunks were already resident
-	// in the content-addressed store when it arrived (cross-version
-	// dedup).
+	// under their keys when it arrived (cross-version dedup; always 0 for
+	// a version pushed without the reconcile tag).
 	Deduped int `json:"deduped"`
 	// Delta reports whether the version was ingested as a
 	// manifest+missing delta stream rather than a full push.
 	Delta bool `json:"delta"`
-	// Hashes lists the version's per-chunk content hashes (hex, chunk
-	// order).
+	// Hashes lists the keys the version's chunks are filed under (hex,
+	// chunk order): their content hashes when the push carried the
+	// reconcile tag, keys unique to the push otherwise.
 	Hashes []string `json:"hashes,omitempty"`
 	// Stored reports whether the version is persisted in the relay's
 	// durable chunk store (and so survives a relay restart).

@@ -11,7 +11,7 @@ import (
 
 // chunkEntry is one resident chunk record: the encoded record bytes
 // (index, span, payload, CRC — exactly as a producer sent them) and how
-// often the versions of the resident window list its hash. payload is a
+// often the versions of the resident window list its key. payload is a
 // GC-owned slice, immutable from the moment it is entered, so whoever
 // copied the slice header out under the lock may keep reading it after the
 // entry is gone. listed is written by enterWindow and leaveWindow and
@@ -22,7 +22,8 @@ type chunkEntry struct {
 }
 
 // version is one catalogued (model, version): its header frame plus the
-// ordered content hashes of its records. It is an immutable value: the
+// ordered keys of its records — their content hashes when the version is
+// keyed by content (reconcile; recordKey). It is an immutable value: the
 // build that gathered it fills every field before insert enters it into
 // the catalogue, and nothing is written afterwards — eviction, demotion
 // and same-vnum replacement move or remove the catalogue's pointer and
@@ -40,7 +41,7 @@ type version struct {
 	bytes     int64 // logical payload size (header + every record)
 	deduped   int   // chunks that were already resident when it entered the window
 	delta     bool  // ingested as manifest+missing rather than a full stream
-	reconcile bool  // sender is delta-capable: advertise hashes back
+	reconcile bool  // sender is delta-capable: keyed by content, hashes advertised back (false on a hydrated shell)
 	stored    bool  // persisted in (or hydrated from) the attached chunkstore
 	meta      *core.ModelMeta
 }

@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -12,17 +13,20 @@ import (
 
 // check recomputes, under c.mu, what the chunk table must be from the
 // catalogue alone and compares: every chunk's count is the number of
-// times the resident windows' versions list its hash (so no chunk sits at
-// zero and no listed hash is absent), each payload still hashes to its
-// key, cacheBytes is the resident payloads plus every catalogued header,
-// every window fits retained, and only store-backed versions sit below
-// one. It holds whenever c.mu is free — a session frozen mid-fan-out or a
-// build half arrived changes nothing it reads — so tests call it at any
-// point, on a live relay's catalogue and on a bare one.
+// times the resident windows' versions list its key (so no chunk sits at
+// zero and no listed key is absent), a key some content-keyed version
+// lists still hashes to its payload and any other key is listed exactly
+// once (an untagged build's keys are its own), cacheBytes is the resident
+// payloads plus every catalogued header, every window fits retained, and
+// only store-backed versions sit below one. It holds whenever c.mu is
+// free — a session frozen mid-fan-out or a build half arrived changes
+// nothing it reads — so tests call it at any point, on a live relay's
+// catalogue and on a bare one.
 func (c *catalogue) check(hasStore bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	listed := make(map[vformat.ChunkHash]int)
+	byContent := make(map[vformat.ChunkHash]bool)
 	var bytes int64
 	for model, mc := range c.models {
 		if mc.lo < 0 || mc.lo > len(mc.versions) || len(mc.versions)-mc.lo > c.retained {
@@ -37,6 +41,7 @@ func (c *catalogue) check(hasStore bool) error {
 			case i >= mc.lo:
 				for _, h := range v.hashes {
 					listed[h]++
+					byContent[h] = byContent[h] || v.reconcile
 				}
 			case !v.stored || !hasStore:
 				return fmt.Errorf("model %q: v%d is below the window but not in a store", model, v.vnum)
@@ -47,8 +52,11 @@ func (c *catalogue) check(hasStore bool) error {
 		if e.listed != listed[h] || e.listed == 0 {
 			return fmt.Errorf("chunk %s: count %d, the windows list it %d times", h, e.listed, listed[h])
 		}
-		if vformat.HashChunkRecord(e.payload) != h {
-			return fmt.Errorf("chunk %s: resident payload no longer hashes to its key", h)
+		switch {
+		case byContent[h] && vformat.HashChunkRecord(e.payload) != h:
+			return fmt.Errorf("chunk %s: resident payload does not hash to its content key", h)
+		case !byContent[h] && e.listed != 1:
+			return fmt.Errorf("chunk %s: no content-keyed version lists it, and %d positions do", h, e.listed)
 		}
 		bytes += int64(len(e.payload))
 	}
@@ -75,14 +83,15 @@ func (c *catalogue) residentChunks() int {
 type catalogueModel struct {
 	t        *testing.T
 	c        *catalogue
+	keys     Relay // names the records of untagged pushes (recordKey)
 	rng      *rand.Rand
 	stored   bool // versions are store-backed; the store keeps the newest storeKeeps
 	recs     [][]byte
 	pushed   map[uint64]bool // every vnum pushed so far
 	nextVnum uint64
-	// borrowed is a snapshot a "session" took with next and still reads.
-	borrowedWant []vformat.ChunkHash
-	borrowedRecs [][]byte
+	// borrowedRecs is a snapshot a "session" took with next and still
+	// reads; borrowedCopy the bytes it held when taken.
+	borrowedRecs, borrowedCopy [][]byte
 }
 
 const storeKeeps = 4
@@ -106,7 +115,9 @@ func (m *catalogueModel) storeHas() map[uint64]bool {
 }
 
 // push inserts vnum with records that mostly repeat the previous push's
-// (so versions share chunks) and checks what insert reports.
+// (so versions share chunks), keyed as ingest keys them — by content
+// when the push is tagged, by build otherwise — and checks what insert
+// reports.
 func (m *catalogueModel) push(vnum uint64) {
 	recs := make([][]byte, len(m.recs))
 	copy(recs, m.recs)
@@ -116,17 +127,19 @@ func (m *catalogueModel) push(vnum uint64) {
 		recs[m.rng.Intn(len(recs))] = rec
 	}
 	m.recs = recs
+	v := &version{
+		model: "m", vnum: vnum, stored: m.stored, reconcile: m.rng.Intn(2) == 0,
+		head: transport.Frame{Payload: make([]byte, 8+m.rng.Intn(8))},
+	}
+	b := &building{v: v}
 	hashes := make([]vformat.ChunkHash, len(recs))
 	for i, rec := range recs {
-		hashes[i] = vformat.HashChunkRecord(rec)
+		hashes[i] = m.keys.recordKey(b, i, rec)
 	}
+	v.hashes = hashes
 	before := m.c.resolve(hashes)
 	wasNewest := m.c.newestVnum("m")
 	m.pushed[vnum] = true
-	v := &version{
-		model: "m", vnum: vnum, hashes: hashes, stored: m.stored,
-		head: transport.Frame{Payload: make([]byte, 8+m.rng.Intn(8))},
-	}
 	deduped, _, _, newest := m.c.insert(v, recs, m.storeHas())
 	want := 0
 	seen := make(map[vformat.ChunkHash]bool)
@@ -136,8 +149,8 @@ func (m *catalogueModel) push(vnum uint64) {
 		}
 		seen[h] = true
 	}
-	if deduped != want || v.deduped != want {
-		m.t.Fatalf("v%d: insert counted %d deduped chunks, %d were resident", vnum, deduped, want)
+	if deduped != want || v.deduped != want || (!v.reconcile && deduped != 0) {
+		m.t.Fatalf("v%d (tagged %v): insert counted %d deduped chunks, %d were resident", vnum, v.reconcile, deduped, want)
 	}
 	if newest != (vnum >= wasNewest) {
 		m.t.Fatalf("v%d inserted over newest v%d: newest=%v", vnum, wasNewest, newest)
@@ -159,16 +172,17 @@ func (m *catalogueModel) step() {
 	case op == 6:
 		// A session picks the newest version; what it borrowed stays
 		// readable whatever is inserted next.
-		v, want, recs, _ := m.c.next(map[string]uint64{}, nil)
+		v, _, recs, _ := m.c.next(map[string]uint64{}, nil)
 		if v == nil || v.vnum != m.c.newestVnum("m") {
 			m.t.Fatalf("next picked %v, newest is v%d", v, m.c.newestVnum("m"))
 		}
+		m.borrowedRecs, m.borrowedCopy = recs, make([][]byte, len(recs))
 		for i, rec := range recs {
 			if rec == nil {
 				m.t.Fatalf("newest v%d: record %d is not resident", v.vnum, i)
 			}
+			m.borrowedCopy[i] = bytes.Clone(rec)
 		}
-		m.borrowedWant, m.borrowedRecs = want, recs
 	default:
 		// A caught-up session parks: it gets the channel the next insert
 		// closes.
@@ -182,7 +196,7 @@ func (m *catalogueModel) step() {
 		}
 	}
 	for i, rec := range m.borrowedRecs {
-		if vformat.HashChunkRecord(rec) != m.borrowedWant[i] {
+		if !bytes.Equal(rec, m.borrowedCopy[i]) {
 			m.t.Fatalf("borrowed record %d changed under the session", i)
 		}
 	}

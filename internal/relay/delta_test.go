@@ -286,7 +286,8 @@ func TestDeltaIngestNeedResend(t *testing.T) {
 }
 
 // TestDeltaFanoutToAdvertisingConsumer: a consumer that advertises its
-// span source is served manifest+missing deltas; a position its source
+// span source is served manifest+missing deltas of the versions a
+// reconciling producer pushed (keyed by content); a position its source
 // moved on from since is recovered via need-list from the relay's store;
 // an unsatisfiable need-list is refused off-stream so the consumer can
 // tear cleanly.
@@ -319,7 +320,7 @@ func TestDeltaFanoutToAdvertisingConsumer(t *testing.T) {
 	}
 	waitSessionHave(t, r, len(hashes))
 
-	pushChunked(t, link, "m", 1, snap, 128)
+	pushReconcile(t, link, "m", 1, snap, 128)
 	mf, err := cons.Recv()
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +351,7 @@ func TestDeltaFanoutToAdvertisingConsumer(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap2 := nn.TakeSnapshot(testModel(11))
-	pushChunked(t, link, "m", 2, snap2, 128)
+	pushReconcile(t, link, "m", 2, snap2, 128)
 	mf2, err := cons.Recv()
 	if err != nil {
 		t.Fatal(err)
@@ -383,6 +384,48 @@ func TestDeltaFanoutToAdvertisingConsumer(t *testing.T) {
 	}
 	if rej.Key != RejectKey || rej.Meta["reason"] != rejectReasonResend {
 		t.Fatalf("unsatisfiable need answered with %q meta %v, want a resend refusal", rej.Key, rej.Meta)
+	}
+}
+
+// TestUntaggedVersionFansOutWhole: a version pushed without the reconcile
+// tag is keyed per build, not by content, so a consumer that advertises
+// exactly the version's chunks still receives it as a full stream — the
+// trade an untagged push makes for an ingest that hashes nothing.
+func TestUntaggedVersionFansOutWhole(t *testing.T) {
+	r := testRelay(t, 4)
+	link, err := transport.DialTCP(r.IngestAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+
+	snap := nn.TakeSnapshot(testModel(12))
+	_, hashes := encodeVersion(t, "m", 1, snap, 128)
+	cons, err := transport.DialTCP(r.ServeAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cons.Close()
+	if err := cons.Send(transport.NewHaveFrame("m", 0, hashes)); err != nil {
+		t.Fatal(err)
+	}
+	waitSessionHave(t, r, len(hashes))
+
+	pushChunked(t, link, "m", 1, snap, 128)
+	hf, err := cons.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !transport.IsChunkHeader(hf) {
+		t.Fatalf("advertising consumer got %q meta %v for an untagged version, want a plain chunk header", hf.Key, hf.Meta)
+	}
+	ckpt, _, err := transport.CollectChunked(context.Background(), hf, cons.Recv)
+	if err != nil || ckpt.Version != 1 || !snapshotsEqual(ckpt.Weights, snap) {
+		t.Fatalf("untagged version assembled as v%d (err %v), want v1 bit for bit", ckpt.Version, err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return r.Stats().ServedVersions == 1 }, "the fan-out counted")
+	if st := r.Stats(); st.DeltaFanouts != 0 {
+		t.Fatalf("untagged version served as a delta: %+v", st)
 	}
 }
 

@@ -196,10 +196,10 @@ func frozenFanoutAcrossRetention(t *testing.T, dir string) {
 
 // TestEvictionReleasesUnpinnedVersions: retention churn frees the
 // evicted versions' storage immediately, and the cache-bytes gauge
-// tracks what is actually resident — with content-addressed chunk
-// storage, identical chunks shared by the retained versions are charged
-// once, so residency lands strictly below the logical inventory total
-// by exactly the deduped record bytes.
+// tracks what is actually resident — with a reconciling producer's
+// versions keyed by content, identical chunks shared by the retained
+// versions are charged once, so residency lands strictly below the
+// logical inventory total by exactly the deduped record bytes.
 func TestEvictionReleasesUnpinnedVersions(t *testing.T) {
 	r := testRelay(t, 2)
 	prod, err := transport.DialTCP(r.IngestAddr())
@@ -209,7 +209,7 @@ func TestEvictionReleasesUnpinnedVersions(t *testing.T) {
 	defer prod.Close()
 	snap := nn.TakeSnapshot(testModel(72))
 	for v := uint64(1); v <= 5; v++ {
-		pushChunked(t, prod, "m", v, snap, 128)
+		pushReconcile(t, prod, "m", v, snap, 128)
 	}
 	waitFor(t, 5*time.Second, func() bool { return r.Stats().CachedVersions == 5 }, "5 versions cached")
 	st := r.Stats()

@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"strconv"
 
@@ -11,11 +12,46 @@ import (
 	"viper/internal/vformat"
 )
 
-// record is one verified chunk record in a build: its content hash
-// (computed once, on arrival) and the bytes.
+// record is one verified chunk record in a build: the key it is filed
+// under (recordKey, chosen once, on arrival) and the bytes.
 type record struct {
-	hash    vformat.ChunkHash
+	key     vformat.ChunkHash
 	payload []byte
+}
+
+// hashedRecords counts the records the ingest goroutines content-hashed:
+// one per record of a tagged full stream or a delta stream, none on an
+// untagged stream (TestGateUntaggedIngestHashesNothing).
+var hashedRecords = registry.Counter("ingest_hashed_records")
+
+// hashRecord is the one content hash the ingest side computes per record
+// it keys by content.
+func hashRecord(rec []byte) vformat.ChunkHash {
+	hashedRecords.Inc()
+	return vformat.HashChunkRecord(rec)
+}
+
+// recordKey names the record at pos of a full stream's build b: by its
+// content hash on a tagged stream — its keys dedup, are advertised
+// upstream and are what a delta stream or a consumer's have-list names —
+// and, on an untagged one, by the relay's salt, the build's number and
+// pos. No SHA-256 is computed for those: the stream's sender never
+// reconciles, so nothing would ever compare its hashes. The key is unique
+// to the build, never just to (model, version, pos): a version is
+// re-pushed with new bytes under its own number, entered before the one
+// it replaces leaves, and must not dedup against it.
+func (r *Relay) recordKey(b *building, pos int, rec []byte) vformat.ChunkHash {
+	if b.v.reconcile {
+		return hashRecord(rec)
+	}
+	for b.build == 0 {
+		b.build = r.builds.Add(1)
+	}
+	var k vformat.ChunkHash
+	copy(k[:], r.keySalt[:])
+	binary.LittleEndian.PutUint32(k[8:], b.build)
+	binary.LittleEndian.PutUint32(k[12:], uint32(pos))
+	return k
 }
 
 // building is one in-progress stream assembly on an ingest connection.
@@ -38,6 +74,9 @@ type building struct {
 	recs     map[int]record            // covered positions
 	missing  map[vformat.ChunkHash]int // uncovered positions by hash (delta)
 	needSent bool
+	// build numbers an untagged build's record keys, drawn at its first
+	// record (recordKey); 0 until then and on a build keyed by content.
+	build uint32
 	// w is the build's store write handle: records are appended as they
 	// arrive, so commit is only the barrier. Nil without a store, and
 	// after the first failed append (the version then serves from memory
@@ -82,7 +121,7 @@ func (r *Relay) acceptIngest() {
 
 // ingestDepth is how many received frames may wait between an ingest
 // connection's reader and its handler: enough for the socket read of the
-// next few frames to overlap the verify/hash/append of this one
+// next few frames to overlap the verify/key/append of this one
 // (8 frames = 2 MiB at the default 256 KiB chunk size), small enough
 // that a slow handler still closes the producer's TCP window.
 const ingestDepth = 8
@@ -107,7 +146,7 @@ func (r *Relay) readIngest(link *transport.TCPLink, frames chan<- transport.Fram
 }
 
 // handleIngest is the second ingest stage of one producer connection: it
-// assembles version streams frame by frame — verify, hash, store append —
+// assembles version streams frame by frame — verify, key, store append —
 // and commits them to the catalogue as they complete. All per-connection
 // state, the builds' records included, lives on this goroutine, which
 // takes the catalogue's lock once per version (insert) and for a delta
@@ -271,18 +310,20 @@ func (r *Relay) startDeltaBuild(link *transport.TCPLink, f transport.Frame, mode
 	}
 }
 
-// addRecord folds one verified chunk record into its build — hashing it
-// once and appending it to the durable store; the catalogue lock is not
-// taken — and commits the version once every position is covered. A
-// full-stream record whose index is past the announced count, or already
-// covered, is a stray. On a delta build that received every announced
-// record and still has gaps, the missing hashes are requested from the
-// producer (the relay evicted them after advertising).
+// addRecord folds one verified chunk record into its build — keying it
+// once (a delta record by its content hash, which the manifest names; a
+// full stream's by recordKey) and appending it to the durable store; the
+// catalogue lock is not taken — and commits the version once every
+// position is covered. A full-stream record whose index is past the
+// announced count, or already covered, is a stray. On a delta build that
+// received every announced record and still has gaps, the missing hashes
+// are requested from the producer (the relay evicted them after
+// advertising).
 func (r *Relay) addRecord(link *transport.TCPLink, f transport.Frame, b *building, pending map[string]*building) {
 	var h vformat.ChunkHash
 	var pos int
 	if b.v.delta {
-		h = vformat.HashChunkRecord(f.Payload)
+		h = hashRecord(f.Payload)
 		p, ok := b.missing[h]
 		if !ok {
 			// A record the manifest does not miss (duplicate or stale):
@@ -300,7 +341,7 @@ func (r *Relay) addRecord(link *transport.TCPLink, f transport.Frame, b *buildin
 			r.n.StrayFrames.Inc()
 			return
 		}
-		h = vformat.HashChunkRecord(f.Payload)
+		h = r.recordKey(b, pos, f.Payload)
 	}
 	b.got++
 	b.recs[pos] = record{h, f.Payload}
@@ -352,7 +393,7 @@ func (r *Relay) commit(link *transport.TCPLink, b *building) {
 	}
 	v.bytes = int64(len(v.head.Payload))
 	for pos, rc := range b.recs {
-		recs[pos], v.hashes[pos] = rc.payload, rc.hash
+		recs[pos], v.hashes[pos] = rc.payload, rc.key
 		v.bytes += int64(len(rc.payload))
 	}
 	v.manifest = vformat.EncodeManifest(v.head.Payload, v.hashes)

@@ -190,9 +190,16 @@ func (q *sequence) committed(vnum uint64, snap nn.Snapshot) {
 	}
 }
 
+// fullPush pushes a whole version, tagged (keyed by content, so later
+// delta pushes can elide its chunks) or untagged (keyed by build) at
+// random.
 func (q *sequence) fullPush(vnum uint64) {
 	snap := q.drift()
-	pushChunked(q.t, q.link, "m", vnum, snap, 128)
+	push := pushChunked
+	if q.rng.Intn(2) == 0 {
+		push = pushReconcile
+	}
+	push(q.t, q.link, "m", vnum, snap, 128)
 	q.committed(vnum, snap)
 }
 

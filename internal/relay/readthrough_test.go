@@ -30,10 +30,11 @@ import (
 // relay stores what a producer link pushes and is closed, a second one
 // opens the same directory and hydrates shells.
 
-// seedStore pushes the versions of model "m" (version numbers 1…) through
-// a store-backed relay announcing to metaAddr/notifyAddr (either may be
-// empty), waits until they are stored, and closes it.
-func seedStore(t *testing.T, dir, metaAddr, notifyAddr string, snaps ...nn.Snapshot) {
+// seedStore pushes the versions of model "m" (version numbers 1…) with
+// push (pushChunked, or pushReconcile for versions keyed by content)
+// through a store-backed relay announcing to metaAddr/notifyAddr (either
+// may be empty), waits until they are stored, and closes it.
+func seedStore(t *testing.T, dir, metaAddr, notifyAddr string, push func(*testing.T, *transport.TCPLink, string, uint64, nn.Snapshot, int), snaps ...nn.Snapshot) {
 	t.Helper()
 	r, err := New(Config{
 		IngestAddr: "127.0.0.1:0", ServeAddr: "127.0.0.1:0",
@@ -50,7 +51,7 @@ func seedStore(t *testing.T, dir, metaAddr, notifyAddr string, snaps ...nn.Snaps
 	}
 	defer link.Close()
 	for i, snap := range snaps {
-		pushChunked(t, link, "m", uint64(i+1), snap, 128)
+		push(t, link, "m", uint64(i+1), snap, 128)
 	}
 	waitFor(t, 10*time.Second, func() bool { return r.Stats().StoredVersions == int64(len(snaps)) }, "the seed versions stored")
 }
@@ -135,7 +136,7 @@ func TestStoreReadFailsMidStream(t *testing.T) {
 			metaAddr, notifyAddr := testServices(t)
 			dir := t.TempDir()
 			stored, staged, next := wideSnapshot(80), wideSnapshot(81), wideSnapshot(82)
-			seedStore(t, dir, metaAddr, notifyAddr, stored)
+			seedStore(t, dir, metaAddr, notifyAddr, pushChunked, stored)
 			_, recs, _ := streamFrames(t, "m", 1, stored)
 			if len(recs) < k+3 {
 				t.Fatalf("only %d records: the failure must land mid-stream", len(recs))
@@ -220,18 +221,18 @@ func (c countingConn) Write(p []byte) (int, error) {
 // commit.
 func TestChunkInNeitherTierRefusedBeforeFirstFrame(t *testing.T) {
 	dir := t.TempDir()
-	seedStore(t, dir, "", "", wideSnapshot(83))
+	seedStore(t, dir, "", "", pushChunked, wideSnapshot(83))
 	var written atomic.Int64
 	r := reopenRelay(t, Config{StoreDir: dir, ServeWrap: func(c net.Conn) net.Conn {
 		return countingConn{c, &written}
 	}})
 	// The store forgets v1 behind the catalog's back (the catalog learns
 	// at its next commit).
+	keys := storedKeys(t, r, "m", 1)
 	if err := r.store.Retire("m", 1); err != nil {
 		t.Fatal(err)
 	}
-	_, _, hashes := streamFrames(t, "m", 1, wideSnapshot(83))
-	if r.store.Contains(hashes[0]) {
+	if r.store.Contains(keys[0]) {
 		t.Fatal("set-up: v1's first record is still on disk")
 	}
 
@@ -275,7 +276,7 @@ func TestChunkInNeitherTierRefusedBeforeFirstFrame(t *testing.T) {
 func TestNewerCommitAbortsReadThrough(t *testing.T) {
 	dir := t.TempDir()
 	snap1, snap2 := wideSnapshot(86), wideSnapshot(87)
-	seedStore(t, dir, "", "", snap1)
+	seedStore(t, dir, "", "", pushChunked, snap1)
 	gate := &gatedConn{release: make(chan struct{})}
 	r := reopenRelay(t, Config{StoreDir: dir, ServeWrap: func(c net.Conn) net.Conn {
 		gate.Conn = c
@@ -330,11 +331,11 @@ func TestNewerCommitAbortsReadThrough(t *testing.T) {
 		t.Fatalf("relay stats %+v, want v1 abandoned, v2 served, no store error", st)
 	}
 
-	_, _, hashes1 := streamFrames(t, "m", 1, snap1)
+	keys1 := storedKeys(t, r, "m", 1)
 	if err := r.store.Retire("m", 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, h := range hashes1[:2] { // the record sent at the thaw and the one read ahead of it
+	for _, h := range keys1[:2] { // the record sent at the thaw and the one read ahead of it
 		if r.store.Contains(h) {
 			t.Fatalf("record %s of the retired v1 survived the reclaim pass: a read still pins its segment", h)
 		}
@@ -348,7 +349,7 @@ func TestConcurrentJoinersReadThrough(t *testing.T) {
 	metaAddr, notifyAddr := testServices(t)
 	dir := t.TempDir()
 	snap := wideSnapshot(88)
-	seedStore(t, dir, metaAddr, notifyAddr, snap)
+	seedStore(t, dir, metaAddr, notifyAddr, pushChunked, snap)
 	r := reopenRelay(t, Config{StoreDir: dir})
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -390,13 +391,14 @@ func TestConcurrentJoinersReadThrough(t *testing.T) {
 
 // TestMixedResidentAndDiskRecordsServeInOrder: model "m" is a hydrated
 // shell; model "n" is pushed afterwards with the same weights but for two
-// elements, so most of m's records are resident (n interned them) and the
-// rest are on disk only. The session serves m in manifest order, bit for
-// bit, taking each record from the tier that has it.
+// elements, both by a reconciling producer (so keyed by content): most of
+// m's records are resident (n interned them) and the rest are on disk
+// only. The session serves m in manifest order, bit for bit, taking each
+// record from the tier that has it.
 func TestMixedResidentAndDiskRecordsServeInOrder(t *testing.T) {
 	dir := t.TempDir()
 	snapM := wideSnapshot(89)
-	seedStore(t, dir, "", "", snapM)
+	seedStore(t, dir, "", "", pushReconcile, snapM)
 	r := reopenRelay(t, Config{StoreDir: dir})
 	snapN := wideSnapshot(89)
 	snapN[0].Data[0] += 1
@@ -406,8 +408,10 @@ func TestMixedResidentAndDiskRecordsServeInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer link.Close()
-	pushChunked(t, link, "n", 1, snapN, 128)
-	waitFor(t, 10*time.Second, func() bool { return r.Stats().StoredVersions == 1 }, "n stored")
+	pushReconcile(t, link, "n", 1, snapN, 128)
+	// CachedVersions, not StoredVersions: the store commits before the
+	// catalogue lists n's records.
+	waitFor(t, 10*time.Second, func() bool { return r.Stats().CachedVersions == 1 }, "n catalogued")
 	_, _, hashesM := streamFrames(t, "m", 1, snapM)
 	onDisk := 0
 	for _, rec := range r.cat.resolve(hashesM) {
@@ -419,8 +423,8 @@ func TestMixedResidentAndDiskRecordsServeInOrder(t *testing.T) {
 		t.Fatalf("set-up: %d of m's %d records are on disk only, want a mix", onDisk, len(hashesM))
 	}
 
-	reads := chunkstore.Metrics().Counter("fallthrough_hits")
-	before := reads.Value()
+	// Reads are counted on this relay's own store, not process-wide.
+	before := r.store.Stats().FallthroughHits
 	cons, err := transport.DialTCP(r.ServeAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +459,7 @@ func TestMixedResidentAndDiskRecordsServeInOrder(t *testing.T) {
 	if err != nil || !snapshotsEqual(ckpt.Weights, snapM) {
 		t.Fatalf("m assembled from both tiers: err %v", err)
 	}
-	if got := reads.Value() - before; got != int64(onDisk) {
+	if got := r.store.Stats().FallthroughHits - before; got != int64(onDisk) {
 		t.Fatalf("%d store reads served m, want exactly the %d records that are on disk only", got, onDisk)
 	}
 }
@@ -567,7 +571,7 @@ func (g *nthOp) Sleep(time.Duration) {
 func TestReadThroughInstruments(t *testing.T) {
 	dir := t.TempDir()
 	snap := wideSnapshot(90)
-	seedStore(t, dir, "", "", snap)
+	seedStore(t, dir, "", "", pushChunked, snap)
 	r := reopenRelay(t, Config{StoreDir: dir})
 	gate := &nthOp{Clock: simclock.NewWall(), n: 2, parked: make(chan struct{}), resume: make(chan struct{})}
 	r.life.Lock() // no session exists yet; see TestStoreReadFailsMidStream

@@ -5,7 +5,7 @@
 //
 // The producer pushes each version's chunked v2 stream to the relay
 // exactly once (remote.ProducerConfig.RelayAddr); the relay caches the
-// encoded chunk records in a content-addressed store — it never decodes
+// encoded chunk records in a chunk table and store — it never decodes
 // checkpoint payloads — and fans them out to every connected consumer
 // over the unchanged consumer wire protocol, so remote.Consumer works
 // against a relay serve address exactly as it does against a producer's
@@ -17,14 +17,18 @@
 // bounded number of versions is retained per model (oldest evicted
 // first).
 //
-// Storage is keyed by chunk content hash (vformat.ChunkHash): a chunk
-// shared by several cached versions is resident once. Nothing in it is
-// balanced by hand. A committed version is an immutable value that
-// sessions read without a lock; an ingest build owns its records until
-// commit; and the chunk table is a function of the catalogue — it counts,
-// per hash, how often the versions of the resident window list it, and
-// only a version entering or leaving that window moves a count (DESIGN
-// §9). The same hashes drive delta distribution in both directions. Upstream,
+// Storage is keyed per record (vformat.ChunkHash). A stream whose sender
+// reconciles (the transport.MetaReconcile tag) and every delta stream are
+// keyed by content hash, so a chunk shared by several cached versions is
+// resident once; an untagged stream's records get keys unique to their
+// build and are never hashed, so they never dedup and always fan out
+// whole. Nothing in it is balanced by hand. A committed version is an
+// immutable value that sessions read without a lock; an ingest build owns
+// its records until commit; and the chunk table is a function of the
+// catalogue — it counts, per key, how often the versions of the resident
+// window list it, and only a version entering or leaving that window
+// moves a count (DESIGN §9). The content hashes drive delta distribution
+// in both directions. Upstream,
 // the relay advertises a committed version's hashes to the producer
 // (transport.HaveKey), which then pushes the next version as a manifest
 // frame plus only the records the relay lacks; advertised-but-evicted
@@ -47,10 +51,12 @@
 package relay
 
 import (
+	"crypto/rand"
 	"fmt"
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"viper/internal/chunkstore"
 	"viper/internal/core"
@@ -224,6 +230,14 @@ type Relay struct {
 	life     sync.Mutex
 	ingests  map[*transport.TCPLink]struct{}
 	sessions map[*session]struct{}
+
+	// keySalt and builds name the records of untagged builds (recordKey):
+	// a salt drawn at random when the relay starts, so no two relays — one
+	// and the next started on its store directory included — name records
+	// alike, and a count of this relay's untagged builds, whose keys do not
+	// repeat before 2^32 of them.
+	keySalt [8]byte
+	builds  atomic.Uint32
 }
 
 // New binds the ingest and serve listeners, connects to the metadata
@@ -243,6 +257,9 @@ func New(cfg Config) (*Relay, error) {
 		closed:   make(chan struct{}),
 		ingests:  make(map[*transport.TCPLink]struct{}),
 		sessions: make(map[*session]struct{}),
+	}
+	if _, err := rand.Read(r.keySalt[:]); err != nil {
+		return nil, fmt.Errorf("relay: key salt: %w", err)
 	}
 	metrics.Bind[Stats](registry, &r.n)
 	if cfg.MetaAddr != "" {

@@ -162,8 +162,9 @@ func TestStoreRetentionDelegation(t *testing.T) {
 
 // TestEvictedVersionServedFromDisk is the regression drill for the
 // cache-evicted-but-disk-served late joiner: a consumer need-list for
-// chunks that left memory (the referencing version was demoted) must
-// be answered from the store, not refused with a resend notice.
+// chunks that left memory (the referencing version, pushed by a
+// reconciling producer and so keyed by content, was demoted) must be
+// answered from the store, not refused with a resend notice.
 func TestEvictedVersionServedFromDisk(t *testing.T) {
 	r := storeRelay(t, t.TempDir(), 1, chunkstore.Retention{})
 	link, err := transport.DialTCP(r.IngestAddr())
@@ -175,9 +176,9 @@ func TestEvictedVersionServedFromDisk(t *testing.T) {
 	snap1 := nn.TakeSnapshot(testModel(31))
 	snap2 := nn.TakeSnapshot(testModel(32))
 	blob1, hashes1 := encodeVersion(t, "m", 1, snap1, 128)
-	pushChunked(t, link, "m", 1, snap1, 128)
+	pushReconcile(t, link, "m", 1, snap1, 128)
 	waitFor(t, 5*time.Second, func() bool { return r.Stats().StoredVersions == 1 }, "v1 stored")
-	pushChunked(t, link, "m", 2, snap2, 128)
+	pushReconcile(t, link, "m", 2, snap2, 128)
 	waitFor(t, 5*time.Second, func() bool { return r.Stats().DemotedVersions == 1 }, "v1 demoted")
 
 	// v1's chunks are disjoint from v2's and gone from memory now.
@@ -229,6 +230,41 @@ func TestEvictedVersionServedFromDisk(t *testing.T) {
 		if !bytes.Equal(rec, want[h]) {
 			t.Fatalf("disk-served record %s differs from the ingested bytes", h)
 		}
+	}
+}
+
+// TestUntaggedRePushServesTheNewBytes: an untagged push of a version the
+// relay already holds, with other bytes in the same layout, replaces it —
+// and the new bytes are what is served, from memory and, after a
+// restart, from the store. The new version enters the chunk table and the
+// store while the one it replaces is still listed, so keys that named
+// only (model, version, position) would dedup against the old bytes.
+func TestUntaggedRePushServesTheNewBytes(t *testing.T) {
+	dir := t.TempDir()
+	r1 := storeRelay(t, dir, 4, chunkstore.Retention{})
+	link, err := transport.DialTCP(r1.IngestAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, repushed := wideSnapshot(33), wideSnapshot(34)
+	pushChunked(t, link, "m", 1, old, 128)
+	waitFor(t, 5*time.Second, func() bool { return r1.Stats().CachedVersions == 1 }, "v1 cached")
+	pushChunked(t, link, "m", 1, repushed, 128)
+	waitFor(t, 5*time.Second, func() bool { return r1.Stats().CachedVersions == 2 }, "v1 re-pushed")
+	if st := r1.Stats(); st.DedupedChunks != 0 || st.StoredVersions != 2 || st.ReleasedVersions != 1 {
+		t.Fatalf("relay stats %+v, want nothing deduped, two stores and the old v1 released", st)
+	}
+	if ckpt := collectVersion(t, r1); ckpt.Version != 1 || !snapshotsEqual(ckpt.Weights, repushed) {
+		t.Fatalf("served v%d (re-pushed bytes: %v, old bytes: %v), want the re-push bit for bit",
+			ckpt.Version, snapshotsEqual(ckpt.Weights, repushed), snapshotsEqual(ckpt.Weights, old))
+	}
+	link.Close()
+	r1.Close()
+
+	r2 := storeRelay(t, dir, 4, chunkstore.Retention{})
+	if ckpt := collectVersion(t, r2); ckpt.Version != 1 || !snapshotsEqual(ckpt.Weights, repushed) {
+		t.Fatalf("served v%d from the store after a restart (re-pushed bytes: %v, old bytes: %v), want the re-push bit for bit",
+			ckpt.Version, snapshotsEqual(ckpt.Weights, repushed), snapshotsEqual(ckpt.Weights, old))
 	}
 }
 

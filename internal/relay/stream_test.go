@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -63,17 +64,24 @@ func sendFrames(t *testing.T, link *transport.TCPLink, frames ...transport.Frame
 	}
 }
 
-// waitOnDisk polls until the relay's store holds every hash.
-func waitOnDisk(t *testing.T, r *Relay, hashes []vformat.ChunkHash) {
+// waitOnDisk polls until the relay's store indexes n records. An
+// untagged build's keys are its own and known to nobody outside it, so a
+// build still arriving is watched by count, on a store that held nothing
+// before it.
+func waitOnDisk(t *testing.T, r *Relay, n int) {
 	t.Helper()
-	waitFor(t, 10*time.Second, func() bool {
-		for _, h := range hashes {
-			if !r.store.Contains(h) {
-				return false
-			}
-		}
-		return true
-	}, fmt.Sprintf("%d records on disk", len(hashes)))
+	waitFor(t, 10*time.Second, func() bool { return r.store.Stats().Chunks == n }, fmt.Sprintf("%d records on disk", n))
+}
+
+// storedKeys returns the keys the store lists for model/version — the
+// version's own, whatever it was keyed by.
+func storedKeys(t *testing.T, r *Relay, model string, version uint64) []vformat.ChunkHash {
+	t.Helper()
+	m, ok := r.store.Meta(model, version)
+	if !ok {
+		t.Fatalf("the store holds no %s v%d", model, version)
+	}
+	return m.Hashes
 }
 
 // collectVersion dials the serve address and assembles the first
@@ -114,14 +122,14 @@ func TestStreamingWriteAheadOfCommit(t *testing.T) {
 	defer link.Close()
 
 	snap := wideSnapshot(61)
-	head, recs, hashes := streamFrames(t, "m", 1, snap)
+	head, recs, _ := streamFrames(t, "m", 1, snap)
 	if len(recs) < 16 {
 		t.Fatalf("model too small: %d records", len(recs))
 	}
 	last := len(recs) - 1
 	sendFrames(t, link, head)
 	sendFrames(t, link, recs[:last]...)
-	waitOnDisk(t, r, hashes[:last])
+	waitOnDisk(t, r, last)
 	if vs := r.store.Versions("m"); len(vs) != 0 {
 		t.Fatalf("store already holds versions %v with one record outstanding", vs)
 	}
@@ -136,6 +144,17 @@ func TestStreamingWriteAheadOfCommit(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool { return r.Stats().StoredVersions == 1 }, "v1 stored")
 	if st := r.Stats(); st.StoreErrors != 0 {
 		t.Fatalf("StoreErrors = %d", st.StoreErrors)
+	}
+	// The records on disk before the commit are the version's: it lists
+	// them, and the last one beside them.
+	keys := storedKeys(t, r, "m", 1)
+	if n := r.store.Stats().Chunks; n != len(keys) || len(keys) != len(recs) {
+		t.Fatalf("the store indexes %d records, v1 lists %d keys, the stream had %d records", n, len(keys), len(recs))
+	}
+	for i, k := range keys {
+		if got, err := r.store.ReadChunk(k, nil); err != nil || !bytes.Equal(got, recs[i].Payload) {
+			t.Fatalf("record %d under v1's key %s: err %v, want the pushed bytes", i, k, err)
+		}
 	}
 	ckpt := collectVersion(t, r)
 	if ckpt.Version != 1 || !snapshotsEqual(ckpt.Weights, snap) {
@@ -159,11 +178,11 @@ func TestProducerDiesMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, recs, hashes := streamFrames(t, "m", 1, wideSnapshot(62))
+	head, recs, _ := streamFrames(t, "m", 1, wideSnapshot(62))
 	const k = 5
 	sendFrames(t, link, head)
 	sendFrames(t, link, recs[:k]...)
-	waitOnDisk(t, r, hashes[:k])
+	waitOnDisk(t, r, k)
 	link.Close()
 	waitFor(t, 10*time.Second, func() bool { return r.Stats().AbandonedBuilds == 1 }, "build abandoned")
 	if inv := r.Inventory(); len(inv) != 0 {
@@ -181,10 +200,8 @@ func TestProducerDiesMidStream(t *testing.T) {
 	snap2 := wideSnapshot(63)
 	pushChunked(t, link2, "m", 2, snap2, 128)
 	waitFor(t, 10*time.Second, func() bool { return r.Stats().StoredVersions == 1 }, "v2 stored")
-	for _, h := range hashes[:k] {
-		if r.store.Contains(h) {
-			t.Fatalf("orphaned record %s survived v2's reclaim pass: the dead connection's handle still pins it", h)
-		}
+	if n, keys := r.store.Stats().Chunks, storedKeys(t, r, "m", 2); n != len(keys) {
+		t.Fatalf("the store indexes %d records, v2 lists %d: the dead connection's %d orphans survived v2's reclaim pass — its handle still pins them", n, len(keys), n-len(keys))
 	}
 	ckpt := collectVersion(t, r)
 	if ckpt.Version != 2 || !snapshotsEqual(ckpt.Weights, snap2) {
