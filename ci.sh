@@ -49,7 +49,8 @@ go test -race -count=1 \
 # pool's ownership contract armed (internal/bufpool).
 echo "==> interleaving reruns (-race -count=5)"
 go test -race -count=5 -run '^TestInterleavings$' \
-    ./internal/remote/ ./internal/relay/ ./internal/chunkstore/ ./internal/transport/
+    ./internal/remote/ ./internal/relay/ ./internal/chunkstore/ ./internal/transport/ \
+    ./internal/core/
 
 # The decoder's one concurrent path three times over: a blob that carries
 # one chunk index at two positions once had two workers decoding into the

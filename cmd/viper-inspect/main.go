@@ -1,8 +1,9 @@
 // Command viper-inspect dumps the contents of a serialized Viper
 // checkpoint file: chunked v2 (vchunk), its manifest-bearing
-// chunk-reconciliation form (manifest), or one of the simulator's
-// reference baselines — the lean v1 vformat and the h5lite container.
-// It auto-detects the format from the file's magic.
+// chunk-reconciliation form (manifest), or the lean v1 vformat. It
+// auto-detects the format from the file's magic; anything else — an
+// h5lite container, which only the simulator's in-memory PFS ever holds,
+// included — is reported as an unknown magic.
 //
 // Usage:
 //
@@ -44,7 +45,6 @@ import (
 	"os"
 
 	"viper/internal/chunkstore"
-	"viper/internal/h5lite"
 	"viper/internal/relay"
 	"viper/internal/vformat"
 )
@@ -167,17 +167,6 @@ func inspect(blob []byte, stats, jsonOut bool) error {
 		return e.chunked(blob)
 	case "VPRM0001":
 		return e.manifest(blob)
-	case "H5LT0001":
-		f, err := h5lite.Decode(blob)
-		if err != nil {
-			return err
-		}
-		if e.json {
-			e.enc.Encode(jsonSummary{Kind: "checkpoint", Format: "h5"})
-		} else {
-			fmt.Printf("format:    h5lite (baseline container)\n")
-		}
-		e.group(f.Root(), "")
 	default:
 		return fmt.Errorf("unknown magic %q", blob[:8])
 	}
@@ -487,35 +476,6 @@ func (e *emitter) tensor(name string, shape []int, data []float64) {
 			name, shape, mn, mx, mean, std)
 	default:
 		fmt.Printf("  %-32s %v (%d elements)\n", name, shape, len(data))
-	}
-}
-
-func (e *emitter) group(g *h5lite.Group, indent string) {
-	for k, v := range g.Attrs {
-		if !e.json {
-			fmt.Printf("%s@%s = %q\n", indent, k, v)
-		}
-	}
-	for _, name := range g.Datasets() {
-		ds, _ := g.Dataset(name)
-		if e.json {
-			e.tensor(name, ds.Shape, ds.Data)
-			continue
-		}
-		if e.stats {
-			mn, mx, mean, std := tensorStats(ds.Data)
-			fmt.Printf("%s%-32s %-12v min=%+.4g max=%+.4g mean=%+.4g std=%.4g\n",
-				indent, name, ds.Shape, mn, mx, mean, std)
-		} else {
-			fmt.Printf("%s%-32s %v (%d elements)\n", indent, name, ds.Shape, ds.NumElems())
-		}
-	}
-	for _, name := range g.Groups() {
-		child, _ := g.Group(name)
-		if !e.json {
-			fmt.Printf("%s%s/\n", indent, name)
-		}
-		e.group(child, indent+"  ")
 	}
 }
 

@@ -120,6 +120,15 @@ func TestInspectTooShort(t *testing.T) {
 	}
 }
 
+// TestInspectH5IsUnknown: the inspector reads only what the real stack
+// writes, so an h5lite container is an unknown magic.
+func TestInspectH5IsUnknown(t *testing.T) {
+	err := inspect([]byte("H5LT0001\x00\x00\x00\x00"), false, false)
+	if err == nil || !strings.Contains(err.Error(), "unknown magic") {
+		t.Fatalf("inspect(h5lite) = %v, want an unknown-magic error", err)
+	}
+}
+
 // TestInspectRelay pushes one chunked version into a live relay and
 // dumps its inventory in both output modes; an unreachable relay must
 // surface as an error.

@@ -18,9 +18,13 @@
 //     from chunkstore would cycle the DAG and drag networking into every
 //     process that only wants local durability;
 //   - core is the in-process composition root and stays leaf-only: only
-//     the top-level composition layers (coupled, experiments, remote)
-//     may import it, keeping "depends on core" equivalent to "is a
-//     deployment harness".
+//     the top-level composition layers (coupled, experiments, remote,
+//     relay) may import it, keeping "depends on core" equivalent to "is a
+//     deployment harness";
+//   - the real stack (transport, remote, relay, chunkstore, vformat,
+//     kvstore, pubsub) imports neither memsim nor h5lite: the simulator's
+//     tiers, modelled links and h5py baseline model the system, they are
+//     not a layer of it.
 
 package analysis
 
@@ -32,7 +36,7 @@ import (
 // Layering reports imports that violate the repository's layer rules.
 var Layering = &Analyzer{
 	Name: "layering",
-	Doc:  "import violates the repo's layer DAG (math layer -> delivery layer, simclock/metrics/bufpool leaves, core leaf-only)",
+	Doc:  "import violates the repo's layer DAG (math layer -> delivery layer, simclock/metrics/bufpool leaves, core leaf-only, simulator out of the real stack)",
 	Run:  runLayering,
 }
 
@@ -60,6 +64,16 @@ var coreImporters = map[string]bool{
 	"coupled": true, "experiments": true, "remote": true, "relay": true,
 }
 
+// realStack are the packages the deployed system runs on; simulator are
+// the packages that only model it.
+var (
+	realStack = map[string]bool{
+		"transport": true, "remote": true, "relay": true, "chunkstore": true,
+		"vformat": true, "kvstore": true, "pubsub": true,
+	}
+	simulator = map[string]bool{"memsim": true, "h5lite": true}
+)
+
 func runLayering(pass *Pass) {
 	if !strings.HasPrefix(pass.ImportPath, internalPrefix) {
 		return // cmd/, examples/, and the root package may compose freely
@@ -86,7 +100,10 @@ func runLayering(pass *Pass) {
 				pass.Reportf(imp.Pos(), "chunkstore is the storage leaf under the delivery layer and must not import %s; the delivery layers persist through chunkstore, never the reverse", target)
 			}
 			if target == "core" && !coreImporters[self] {
-				pass.Reportf(imp.Pos(), "core is leaf-only: only coupled, experiments, and remote may import it, not %s", self)
+				pass.Reportf(imp.Pos(), "core is leaf-only: only coupled, experiments, remote, and relay may import it, not %s", self)
+			}
+			if realStack[self] && simulator[target] {
+				pass.Reportf(imp.Pos(), "%s is part of the real stack and must not import the simulator package %s", self, target)
 			}
 		}
 	}

@@ -9,7 +9,7 @@
 //
 // A lock identity abstracts instances into "which mutex in the source":
 // a struct-field mutex is pkgpath.Type.field (via the receiver's static
-// type, so every Link shares viper/internal/transport.Link.mu), a
+// type, so every Link shares viper/internal/core.Link.mu), a
 // package-level mutex is pkgpath.var, and an embedded mutex locked
 // through its promoted method is pkgpath.Type.Mutex. Local sync.Mutex
 // values have no cross-function identity and are ignored. Identifying
@@ -54,6 +54,7 @@ type lockGraph struct {
 
 // lockorderScope names the packages whose mutex nesting joins the graph.
 var lockorderScope = map[string]bool{
+	"viper/internal/core":      true,
 	"viper/internal/transport": true,
 	"viper/internal/relay":     true,
 	"viper/internal/pubsub":    true,

@@ -4,7 +4,7 @@
 package vformat
 
 import (
-	"viper/internal/core" // want "core is leaf-only: only coupled, experiments, and remote may import it, not vformat"
+	"viper/internal/core" // want "core is leaf-only: only coupled, experiments, remote, and relay may import it, not vformat"
 )
 
 var _ = core.NewDoubleBuffer

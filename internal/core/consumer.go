@@ -14,7 +14,6 @@ import (
 	"viper/internal/nn"
 	"viper/internal/pubsub"
 	"viper/internal/trace"
-	"viper/internal/transport"
 	"viper/internal/vformat"
 )
 
@@ -75,7 +74,7 @@ type Consumer struct {
 	// gpuLink and hostLink are this consumer's receive links (the
 	// environment's primary pair by default; dedicated links for extra
 	// consumers in the multi-consumer pattern).
-	gpuLink, hostLink *transport.Link
+	gpuLink, hostLink *Link
 
 	// serving is an optional live model instance kept in sync with the
 	// buffer so inference can run real forward passes.
@@ -368,7 +367,7 @@ func (c *Consumer) RecoverFromPFS() (*LoadReport, error) {
 // version), lands it in the local tier at no extra charge (RDMA
 // semantics), then charges the tier read that moves it into the serving
 // buffer.
-func (c *Consumer) recvVia(link *transport.Link, local *memsim.Device, meta *ModelMeta) ([]byte, error) {
+func (c *Consumer) recvVia(link *Link, local *memsim.Device, meta *ModelMeta) ([]byte, error) {
 	frame, err := link.Recv()
 	if err != nil {
 		return nil, fmt.Errorf("core: link recv: %w", err)

@@ -8,7 +8,6 @@ import (
 
 	"viper/internal/nn"
 	"viper/internal/tensor"
-	"viper/internal/transport"
 )
 
 func TestMultiConsumerBroadcast(t *testing.T) {
@@ -191,8 +190,8 @@ func TestProducerResumeFrom(t *testing.T) {
 // TestBroadcastSharesOnePayload pins the encode-once fix: after a Save
 // the frames sitting on the primary link and every extra link must
 // alias ONE payload backing array — the handler encodes the checkpoint
-// once and hands the same bytes to each link via SendLatestShared, so
-// producer-side CPU/allocation is flat in the consumer count (only the
+// once and hands the same bytes to each link (SendLatest aliases them),
+// so producer-side CPU/allocation is flat in the consumer count (only the
 // modelled wire time grows).
 func TestBroadcastSharesOnePayload(t *testing.T) {
 	env, _ := newTestEnv()
@@ -205,7 +204,7 @@ func TestBroadcastSharesOnePayload(t *testing.T) {
 	if _, err := h.Save(nn.TakeSnapshot(testModel(260)), 1, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	links := []*transport.Link{env.GPULink, g1, g2}
+	links := []*Link{env.GPULink, g1, g2}
 	var first *byte
 	for i, l := range links {
 		f, ok := l.TryRecv()
@@ -226,9 +225,10 @@ func TestBroadcastSharesOnePayload(t *testing.T) {
 // BenchmarkBroadcastEncodeOnce measures the producer-side wall cost of
 // a Save as extra consumers are added. The virtual clock auto-advances,
 // so modelled wire time is free here and the measurement isolates real
-// CPU work: encode + per-link handoff. With SendLatestShared the cost must
-// stay ~flat from 1 to 32 consumers; relay's TestGateFanOutFlat checks the
-// relay-tier analogue of the same claim over real TCP.
+// CPU work: encode + per-link handoff. SendLatest aliases the payload, so
+// the cost must stay ~flat from 1 to 32 consumers; relay's
+// TestGateFanOutFlat checks the relay-tier analogue of the same claim over
+// real TCP.
 func BenchmarkBroadcastEncodeOnce(b *testing.B) {
 	for _, consumers := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("consumers=%d", consumers), func(b *testing.B) {
@@ -246,7 +246,7 @@ func BenchmarkBroadcastEncodeOnce(b *testing.B) {
 			model := nn.NewSequential("m", nn.NewDense("d", 512, 512, rng))
 			snap := nn.TakeSnapshot(model)
 			drain := func() {
-				for _, l := range append([]*transport.Link{env.GPULink}, env.ExtraGPULinks...) {
+				for _, l := range append([]*Link{env.GPULink}, env.ExtraGPULinks...) {
 					for {
 						if _, ok := l.TryRecv(); !ok {
 							break

@@ -15,7 +15,6 @@ import (
 	"viper/internal/pubsub"
 	"viper/internal/simclock"
 	"viper/internal/trace"
-	"viper/internal/transport"
 	"viper/internal/vformat"
 )
 
@@ -39,9 +38,9 @@ type Env struct {
 	// Cluster is the two-node + shared-PFS topology.
 	Cluster *memsim.Cluster
 	// GPULink is the producer→consumer GPUDirect-style link.
-	GPULink *transport.Link
+	GPULink *Link
 	// HostLink is the producer→consumer host-RDMA-style link.
-	HostLink *transport.Link
+	HostLink *Link
 	// Meta is the shared metadata store (the paper's Redis).
 	Meta *kvstore.Store
 	// Notify is the notification module (the paper's pub/sub).
@@ -53,8 +52,8 @@ type Env struct {
 	// the primary pair — the paper's future-work multi-consumer pattern.
 	// Saves broadcast to the primary link plus all extras; each extra
 	// consumer reads its own links (see AddConsumerLinks).
-	ExtraGPULinks  []*transport.Link
-	ExtraHostLinks []*transport.Link
+	ExtraGPULinks  []*Link
+	ExtraHostLinks []*Link
 }
 
 // NewEnv builds a default environment on the given clock.
@@ -62,8 +61,8 @@ func NewEnv(clock simclock.Clock) *Env {
 	return &Env{
 		Clock:    clock,
 		Cluster:  memsim.NewCluster(clock),
-		GPULink:  transport.NewLink(transport.GPUDirectSpec, clock, 64),
-		HostLink: transport.NewLink(transport.HostIBSpec, clock, 64),
+		GPULink:  NewLink(gpuDirectModel, clock, 64),
+		HostLink: NewLink(hostIBModel, clock, 64),
 		Meta:     kvstore.NewStore(),
 		Notify:   pubsub.NewBroker(128),
 	}
@@ -71,9 +70,9 @@ func NewEnv(clock simclock.Clock) *Env {
 
 // AddConsumerLinks provisions a dedicated link pair for one additional
 // consumer and registers it for broadcast.
-func (e *Env) AddConsumerLinks() (gpu, host *transport.Link) {
-	gpu = transport.NewLink(transport.GPUDirectSpec, e.Clock, 64)
-	host = transport.NewLink(transport.HostIBSpec, e.Clock, 64)
+func (e *Env) AddConsumerLinks() (gpu, host *Link) {
+	gpu = NewLink(gpuDirectModel, e.Clock, 64)
+	host = NewLink(hostIBModel, e.Clock, 64)
 	e.ExtraGPULinks = append(e.ExtraGPULinks, gpu)
 	e.ExtraHostLinks = append(e.ExtraHostLinks, host)
 	return gpu, host
@@ -561,28 +560,23 @@ func (h *WeightsHandler) sendFrame(key string, payload []byte, size int64, locat
 	if location == RoutePFS {
 		return nil
 	}
-	links := append([]*transport.Link{h.env.HostLink}, h.env.ExtraHostLinks...)
+	links := append([]*Link{h.env.HostLink}, h.env.ExtraHostLinks...)
 	if location == RouteGPU {
-		links = append([]*transport.Link{h.env.GPULink}, h.env.ExtraGPULinks...)
+		links = append([]*Link{h.env.GPULink}, h.env.ExtraGPULinks...)
 	}
-	frame := transport.Frame{
-		Key:         key,
-		Payload:     payload,
-		VirtualSize: size,
-		Meta:        map[string]string{"model": h.model},
-	}
+	frame := LinkFrame{Key: key, Model: h.model, Payload: payload, Size: size}
 	// Broadcast: the primary consumer plus any extras, serialized on the
 	// producer's NIC (each send charges its own modelled transfer time).
 	// The checkpoint was encoded exactly once above; every link enqueues
-	// the same frame via the shared-send path, so the producer-side CPU
-	// cost (encode + copies) stays flat in the consumer count — only the
-	// modelled wire time grows. Sharing is safe because the payload's
+	// the same frame (SendLatest aliases the payload), so the producer-side
+	// CPU cost (encode + copies) stays flat in the consumer count — only
+	// the modelled wire time grows. Sharing is safe because the payload's
 	// ownership transferred to the delivery tiers: nothing mutates it
 	// after this point, and consumers only read it. Delivery is
 	// latest-wins: if a consumer lags, superseded frames are evicted
 	// rather than stalling training.
 	for _, link := range links {
-		if err := link.SendLatestShared(frame); err != nil {
+		if err := link.SendLatest(frame); err != nil {
 			return fmt.Errorf("core: link send: %w", err)
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +117,24 @@ func TestFig6TimesPositiveAndBulkStable(t *testing.T) {
 func TestFig6RejectsBadConfig(t *testing.T) {
 	if _, err := RunFig6(Fig6Config{Iterations: 1, Inferences: 10}); err == nil {
 		t.Fatal("must reject too-few iterations")
+	}
+}
+
+// TestFig8Golden pins Figure 8 to the byte: the table `viper-bench -exp
+// fig8` prints, minus its "[… completed in …]" footer. Every number in it
+// is charged on the virtual clock, so any change to the modelled link, the
+// tiers or the encoders that moves a latency shows up here.
+func TestFig8Golden(t *testing.T) {
+	res, err := RunFig8()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/fig8.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Format() + "\n"; got != string(want) {
+		t.Fatalf("Figure 8 drifted from testdata/fig8.golden:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -2,8 +2,8 @@ package metrics
 
 import "testing"
 
-// The record path is what transport.Link pays per frame; it must stay a
-// handful of nanoseconds (ci.sh smoke-runs these).
+// The record path is what a TCPLink pays per frame; it must stay a handful
+// of nanoseconds (ci.sh smoke-runs these).
 
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry("bench").Counter("ops")

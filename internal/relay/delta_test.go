@@ -152,7 +152,7 @@ func TestDeltaIngestUpstreamHaveAndDedup(t *testing.T) {
 	}
 	tags := ingestTags(t, "m", 2, int64(len(blob2)), true)
 	key := "m/v00000002"
-	if err := transport.SendChunkedDelta(context.Background(), transport.WithMeta(link, tags), key, manifest, records, len(hashes2), len(blob2), 0); err != nil {
+	if err := transport.SendChunkedDelta(context.Background(), transport.WithMeta(link, tags), key, manifest, records, len(hashes2), len(blob2)); err != nil {
 		t.Fatal(err)
 	}
 	elided := len(hashes2) - len(records)
@@ -231,7 +231,7 @@ func TestDeltaIngestNeedResend(t *testing.T) {
 	tags := ingestTags(t, "m", 1, int64(len(blob)), true)
 	key := "m/v00000001"
 	conn := transport.WithMeta(link, tags)
-	if err := transport.SendChunkedDelta(context.Background(), conn, key, manifest, records, len(hashes), len(blob), 0); err != nil {
+	if err := transport.SendChunkedDelta(context.Background(), conn, key, manifest, records, len(hashes), len(blob)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -255,7 +255,7 @@ func TestDeltaIngestNeedResend(t *testing.T) {
 	}
 	err = vformat.WalkChunkRecords(blob, func(rec []byte) error {
 		if vformat.HashChunkRecord(rec) == stale {
-			return conn.Send(transport.ChunkRecordFrame(key, rec, 0))
+			return conn.Send(transport.ChunkRecordFrame(key, rec))
 		}
 		return nil
 	})
@@ -479,7 +479,7 @@ func TestChunkStoreRefcountOnEvictAndSupersede(t *testing.T) {
 			return nil
 		}
 		sent++
-		return conn3.Send(transport.ChunkRecordFrame(key3, rec, 0))
+		return conn3.Send(transport.ChunkRecordFrame(key3, rec))
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -218,7 +218,7 @@ func (q *sequence) deltaPush() {
 		q.t.Fatal(err)
 	}
 	conn := transport.WithMeta(q.link, ingestTags(q.t, "m", vnum, int64(len(blob)), true))
-	if err := transport.SendChunkedDelta(context.Background(), conn, fmt.Sprintf("m/v%08d", vnum), manifest, records, len(hashes), len(blob), 0); err != nil {
+	if err := transport.SendChunkedDelta(context.Background(), conn, fmt.Sprintf("m/v%08d", vnum), manifest, records, len(hashes), len(blob)); err != nil {
 		q.t.Fatal(err)
 	}
 	q.committed(vnum, snap)

@@ -14,7 +14,7 @@ import (
 // producer would have sent, with the stream identity (model, version,
 // relay metadata) copied from the version's header frame.
 func chunkFrame(head transport.Frame, rec []byte) transport.Frame {
-	f := transport.ChunkRecordFrame(head.Key, rec, 0)
+	f := transport.ChunkRecordFrame(head.Key, rec)
 	if m := head.Meta["model"]; m != "" {
 		f.Meta["model"] = m
 	}
@@ -216,7 +216,7 @@ func (s *session) answerNeed(nf transport.Frame) bool {
 		return s.link.Send(rejectFrame(rejectReasonResend, "", "")) == nil
 	}
 	for _, rec := range recs {
-		if s.link.Send(transport.ChunkRecordFrame(key, rec, 0)) != nil {
+		if s.link.Send(transport.ChunkRecordFrame(key, rec)) != nil {
 			return false
 		}
 	}

@@ -309,7 +309,7 @@ func TestDeltaAfterRestartPrefillsFromStore(t *testing.T) {
 	}
 	defer link2.Close()
 	tags := ingestTags(t, "m", 2, int64(len(blob2)), true)
-	if err := transport.SendChunkedDelta(context.Background(), transport.WithMeta(link2, tags), "m/v00000002", manifest, records, len(hashes2), len(blob2), 0); err != nil {
+	if err := transport.SendChunkedDelta(context.Background(), transport.WithMeta(link2, tags), "m/v00000002", manifest, records, len(hashes2), len(blob2)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, func() bool {

@@ -46,7 +46,7 @@ func streamFrames(t *testing.T, model string, version uint64, snap nn.Snapshot) 
 		transport.MetaChunkCount: strconv.Itoa(len(hashes)),
 	}})
 	err = vformat.WalkChunkRecords(blob, func(rec []byte) error {
-		recs = append(recs, tag(transport.ChunkRecordFrame(key, rec, 0)))
+		recs = append(recs, tag(transport.ChunkRecordFrame(key, rec)))
 		return nil
 	})
 	if err != nil {

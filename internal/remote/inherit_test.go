@@ -103,7 +103,7 @@ func (s *script) deltaFrames(version uint64, snap nn.Snapshot, have []vformat.Ch
 	}
 	var sink frameSink
 	tags := map[string]string{"model": "m", "version": strconv.FormatUint(version, 10)}
-	if err := transport.SendChunkedDelta(context.Background(), transport.WithMeta(&sink, tags), core.CheckpointKey("m", version), manifest, records, len(hashes), len(blob), 0); err != nil {
+	if err := transport.SendChunkedDelta(context.Background(), transport.WithMeta(&sink, tags), core.CheckpointKey("m", version), manifest, records, len(hashes), len(blob)); err != nil {
 		s.t.Fatal(err)
 	}
 	return sink.frames

@@ -405,7 +405,7 @@ func (p *Producer) answerNeed(f transport.Frame) {
 		}
 		idx++
 		if need[h] {
-			return conn.Send(transport.ChunkRecordFrame(key, rec, 0))
+			return conn.Send(transport.ChunkRecordFrame(key, rec))
 		}
 		return nil
 	})
@@ -582,7 +582,7 @@ func (p *Producer) publishDelta(ctx context.Context, enc *vformat.ChunkEncoder, 
 	}
 	defer p.unref(r)
 	p.n.DeltaSends.Inc()
-	sendErr := transport.SendChunkedDelta(ctx, transport.WithMeta(p.link, tags), key, manifest, records, len(hashes), len(blob), 0)
+	sendErr := transport.SendChunkedDelta(ctx, transport.WithMeta(p.link, tags), key, manifest, records, len(hashes), len(blob))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"viper/internal/simclock"
 	"viper/internal/vformat"
 )
 
@@ -51,7 +50,7 @@ func spanSourceOf(t *testing.T, blob []byte, hashes []vformat.ChunkHash) *vforma
 	return src
 }
 
-// TestSendCollectChunkedDelta: a delta stream over the in-process Link
+// TestSendCollectChunkedDelta: a delta stream over an in-memory chanConn
 // reconciles against the receiver's span source (the previous version),
 // ships only changed chunks, and the result matches a full decode
 // byte-for-byte.
@@ -81,7 +80,7 @@ func TestSendCollectChunkedDelta(t *testing.T) {
 	sentBefore := Metrics().Counter("chunks_sent_total").Value()
 	dedupBefore := Metrics().Counter("chunks_deduped_total").Value()
 
-	link := NewLink(HostIBSpec, simclock.NewVirtual(), len(records)+1)
+	link := make(chanConn, len(records)+1)
 	defer link.Close()
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -103,7 +102,7 @@ func TestSendCollectChunkedDelta(t *testing.T) {
 		got, _, recvErr = CollectChunkedDeltaInto(context.Background(), mf, asm, link.Recv, nil)
 		inherited = asm.Inherited()
 	}()
-	if err := SendChunkedDelta(context.Background(), link, "stream/v4", manifest, records, len(hashes2), len(blob2), 0); err != nil {
+	if err := SendChunkedDelta(context.Background(), link, "stream/v4", manifest, records, len(hashes2), len(blob2)); err != nil {
 		t.Fatalf("SendChunkedDelta: %v", err)
 	}
 	wg.Wait()
@@ -162,7 +161,7 @@ func TestCollectChunkedDeltaNeedResend(t *testing.T) {
 
 	// No backchannel: must fail with ErrMissingChunk, not assemble torn.
 	{
-		link := NewLink(HostIBSpec, simclock.NewVirtual(), len(records)+1)
+		link := make(chanConn, len(records)+1)
 		var wg sync.WaitGroup
 		wg.Add(1)
 		var recvErr error
@@ -180,7 +179,7 @@ func TestCollectChunkedDeltaNeedResend(t *testing.T) {
 			}
 			_, _, recvErr = CollectChunkedDeltaInto(context.Background(), mf, asm, link.Recv, nil)
 		}()
-		if err := SendChunkedDelta(context.Background(), link, "k", manifest, records, len(hashes2), len(blob2), 0); err != nil {
+		if err := SendChunkedDelta(context.Background(), link, "k", manifest, records, len(hashes2), len(blob2)); err != nil {
 			t.Fatal(err)
 		}
 		wg.Wait()
@@ -192,7 +191,7 @@ func TestCollectChunkedDeltaNeedResend(t *testing.T) {
 
 	// With a backchannel: need-list goes back, the sender re-sends, the
 	// checkpoint completes bit-exact.
-	down := NewLink(HostIBSpec, simclock.NewVirtual(), len(records)+4)
+	down := make(chanConn, len(records)+4)
 	defer down.Close()
 	needC := make(chan Frame, 1)
 	var wg sync.WaitGroup
@@ -214,7 +213,7 @@ func TestCollectChunkedDeltaNeedResend(t *testing.T) {
 		send := func(f Frame) error { needC <- f; return nil }
 		got, _, recvErr = CollectChunkedDeltaInto(context.Background(), mf, asm, down.Recv, send)
 	}()
-	if err := SendChunkedDelta(context.Background(), down, "k", manifest, records, len(hashes2), len(blob2), 0); err != nil {
+	if err := SendChunkedDelta(context.Background(), down, "k", manifest, records, len(hashes2), len(blob2)); err != nil {
 		t.Fatal(err)
 	}
 	// Sender side: answer the need-list from the full blob.
@@ -229,7 +228,7 @@ func TestCollectChunkedDeltaNeedResend(t *testing.T) {
 	needSet := map[vformat.ChunkHash]bool{evicted: true}
 	err = vformat.WalkChunkRecords(blob2, func(rec []byte) error {
 		if needSet[vformat.HashChunkRecord(rec)] {
-			return down.Send(ChunkRecordFrame("k", rec, 0))
+			return down.Send(ChunkRecordFrame("k", rec))
 		}
 		return nil
 	})

@@ -53,15 +53,14 @@ func recvAllocLimit(input []byte) uint64 {
 	return uint64(4*len(input)) + eagerFieldBytes + 64<<10
 }
 
-// claim builds a frame prefix: key, then (when metaCount is zero) the
-// virtual size and a payload length field claiming payloadLen bytes.
+// claim builds a frame prefix: key, then (when metaCount is zero) a
+// payload length field claiming payloadLen bytes.
 func claim(key string, metaCount, payloadLen uint64) []byte {
 	le := binary.LittleEndian
 	b := le.AppendUint64(nil, uint64(len(key)))
 	b = append(b, key...)
 	b = le.AppendUint64(b, metaCount)
 	if metaCount == 0 {
-		b = le.AppendUint64(b, 0) // virtual size
 		b = le.AppendUint64(b, payloadLen)
 	}
 	return b
@@ -145,7 +144,7 @@ func fuzzRecvSeeds(tb testing.TB) [][]byte {
 	}
 	defer enc.Release()
 	conn := mutate.NewConn(nil)
-	if err := SendChunked(context.Background(), WrapTCP(conn), "m/v1", enc, 1<<30); err != nil {
+	if err := SendChunked(context.Background(), WrapTCP(conn), "m/v1", enc, 0); err != nil {
 		tb.Fatal(err)
 	}
 	stream := conn.Out.Bytes()
@@ -168,7 +167,7 @@ func fuzzRecvSeeds(tb testing.TB) [][]byte {
 		stream[header : header+chunk],
 		wireBytes(tb, NewHaveFrame("m", 1, hashes)),
 		wireBytes(tb, Frame{Key: "m/v2", Payload: manifest, Meta: map[string]string{MetaChunkRole: ChunkRoleManifest, MetaChunkCount: "1"}}),
-		wireBytes(tb, ChunkRecordFrame("m/v2", records[0], 0)),
+		wireBytes(tb, ChunkRecordFrame("m/v2", records[0])),
 	}
 }
 

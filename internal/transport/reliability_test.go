@@ -4,167 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"viper/internal/faults"
 	"viper/internal/retry"
-	"viper/internal/simclock"
 	"viper/internal/vformat"
 )
-
-// Regression for the SendLatest busy-spin: with a racing consumer
-// draining the queue between the producer's send attempt and its
-// eviction attempt, the old implementation looped through two
-// non-blocking selects with no yield. The rewritten loop blocks in its
-// retry arm, so this adversarial interleaving must terminate promptly
-// with exact accounting and the final frame always delivered last.
-func TestSendLatestRacingConsumerTerminatesWithExactAccounting(t *testing.T) {
-	l := NewLink(LinkSpec{Name: "t"}, simclock.NewVirtual(), 2)
-	defer l.Close()
-	const n = 5000
-	received := make(chan Frame, n)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for f := range received {
-			_ = f
-		}
-	}()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < n; i++ {
-			// Varied payload sizes make the byte invariant meaningful.
-			if err := l.SendLatest(Frame{Key: fmt.Sprintf("f%d", i), Payload: make([]byte, 8+i%13)}); err != nil {
-				t.Errorf("SendLatest %d: %v", i, err)
-				return
-			}
-		}
-	}()
-	// Drain concurrently and adversarially: sometimes immediately,
-	// sometimes after letting the queue fill.
-	var last Frame
-	drained := 0
-	var drainedBytes int64
-	for {
-		f, ok := l.TryRecv()
-		if ok {
-			last = f
-			drained++
-			drainedBytes += int64(len(f.Payload))
-			continue
-		}
-		select {
-		case <-done:
-			// Producer finished; drain the residue.
-			for {
-				f, ok := l.TryRecv()
-				if !ok {
-					goto out
-				}
-				last = f
-				drained++
-				drainedBytes += int64(len(f.Payload))
-			}
-		default:
-		}
-	}
-out:
-	close(received)
-	wg.Wait()
-	s := l.Stats()
-	if int(s.FramesSent) != drained+int(s.FramesDropped) {
-		t.Fatalf("accounting: sent %d != drained %d + dropped %d", s.FramesSent, drained, s.FramesDropped)
-	}
-	// The same invariant must hold for bytes: evicted frames may not
-	// stay counted as delivered throughput.
-	if s.BytesSent != drainedBytes+s.BytesDropped {
-		t.Fatalf("byte accounting: sent %d != drained %d + dropped %d", s.BytesSent, drainedBytes, s.BytesDropped)
-	}
-	// The newest frame can never be evicted (nothing supersedes it),
-	// so the consumer's last observation must be the final send.
-	if want := fmt.Sprintf("f%d", n-1); last.Key != want {
-		t.Fatalf("last frame = %q, want %q", last.Key, want)
-	}
-}
-
-func TestSendLatestBlocksInsteadOfSpinningWhenEvictRaces(t *testing.T) {
-	l := NewLink(LinkSpec{Name: "t"}, simclock.NewVirtual(), 1)
-	defer l.Close()
-	if err := l.SendLatest(Frame{Key: "old"}); err != nil {
-		t.Fatal(err)
-	}
-	// Queue full. SendLatest must complete by evicting the oldest even
-	// with no consumer at all.
-	doneA := make(chan error, 1)
-	go func() { doneA <- l.SendLatest(Frame{Key: "new"}) }()
-	select {
-	case err := <-doneA:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("SendLatest stuck on a full queue")
-	}
-	f, ok := l.TryRecv()
-	if !ok || f.Key != "new" {
-		t.Fatalf("queue holds %+v, want the superseding frame", f)
-	}
-	if l.Stats().FramesDropped != 1 {
-		t.Fatalf("dropped = %d, want 1", l.Stats().FramesDropped)
-	}
-}
-
-// Close/teardown races: concurrent Close against Send, SendLatest and
-// Recv must neither deadlock nor corrupt state (run under -race).
-func TestLinkCloseRaces(t *testing.T) {
-	for round := 0; round < 50; round++ {
-		l := NewLink(LinkSpec{Name: "t"}, simclock.NewVirtual(), 1)
-		var wg sync.WaitGroup
-		wg.Add(4)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				if err := l.Send(Frame{Key: "s"}); err != nil {
-					return
-				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				if err := l.SendLatest(Frame{Key: "sl"}); err != nil {
-					return
-				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for {
-				if _, err := l.Recv(); err != nil {
-					return
-				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			l.Close()
-		}()
-		doneCh := make(chan struct{})
-		go func() { wg.Wait(); close(doneCh) }()
-		select {
-		case <-doneCh:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("round %d: close race deadlocked", round)
-		}
-		if err := l.Send(Frame{Key: "after"}); !errors.Is(err, ErrClosed) {
-			t.Fatalf("Send after close = %v", err)
-		}
-	}
-}
 
 // acceptedPair spawns a listener, accepts one link, and dials the raw
 // client side, registering shutdown for all three via t.Cleanup: these
@@ -222,6 +68,9 @@ func TestTCPRecvNeverDeliversCorruptedBytes(t *testing.T) {
 			faulty := WrapTCP(faults.WrapConn(conn, inj))
 			t.Cleanup(func() { faulty.Close() })
 			if err := faulty.Send(Frame{Key: "k", Payload: payload}); err == nil {
+				// A flip in a length field claims bytes that never come:
+				// the sender hangs up so Recv meets EOF, not a wait.
+				faulty.Close()
 				if got, err := server.Recv(); err == nil {
 					t.Fatalf("seed %d: corrupted frame delivered: %+v", seed, got)
 				}

@@ -147,30 +147,17 @@ func ParseNeedFrame(f Frame) (streamKey string, hashes []vformat.ChunkHash, err 
 	return f.Meta[MetaNeedFor], hashes, nil
 }
 
-// splitVirtual apportions a whole-checkpoint virtual size across a
-// stream's frames in proportion to their physical sizes, so the
-// bandwidth-modelled Link charges the same total transfer time as a
-// single monolithic frame would. virtualSize <= 0 disables scaling.
-func splitVirtual(virtualSize int64, physTotal, physFrame int) int64 {
-	if virtualSize <= 0 || physTotal <= 0 {
-		return 0
-	}
-	return virtualSize * int64(physFrame) / int64(physTotal)
-}
-
 // SendChunked streams enc's checkpoint over conn as a header frame plus
 // one frame per chunk, pipelining: while Send blocks on chunk N, the
 // encoder's workers keep encoding chunks N+1…. Frames alias the
-// encoder's blob, which is safe because every Conn implementation copies
-// or fully writes the payload before Send returns. The caller retains
-// ownership of enc (and must Release it).
-func SendChunked(ctx context.Context, conn Conn, key string, enc *vformat.ChunkEncoder, virtualSize int64) error {
-	total := enc.EncodedSize()
-	header := enc.Header()
+// encoder's blob, which is safe because every Conn fully writes the
+// payload before Send returns. The caller retains ownership of enc (and
+// must Release it). The last argument is ignored; it stays until the
+// benchmark harness stops passing it.
+func SendChunked(ctx context.Context, conn Conn, key string, enc *vformat.ChunkEncoder, _ int64) error {
 	hf := Frame{
-		Key:         key,
-		Payload:     header,
-		VirtualSize: splitVirtual(virtualSize, total, len(header)),
+		Key:     key,
+		Payload: enc.Header(),
 		Meta: map[string]string{
 			MetaChunkRole:  ChunkRoleHeader,
 			MetaChunkCount: strconv.Itoa(enc.NumChunks()),
@@ -182,17 +169,9 @@ func SendChunked(ctx context.Context, conn Conn, key string, enc *vformat.ChunkE
 	if err := conn.Send(hf); err != nil {
 		return fmt.Errorf("transport: chunk stream header: %w", err)
 	}
-	return enc.EncodeStream(ctx, func(idx int, rec []byte) error {
+	return enc.EncodeStream(ctx, func(_ int, rec []byte) error {
 		chunksSent.Inc()
-		return conn.Send(Frame{
-			Key:         key,
-			Payload:     rec,
-			VirtualSize: splitVirtual(virtualSize, total, len(rec)),
-			Meta: map[string]string{
-				MetaChunkRole:  ChunkRoleChunk,
-				MetaChunkIndex: strconv.Itoa(idx),
-			},
-		})
+		return conn.Send(ChunkRecordFrame(key, rec))
 	})
 }
 
@@ -200,19 +179,16 @@ func SendChunked(ctx context.Context, conn Conn, key string, enc *vformat.ChunkE
 // records the receiver's have-list did not cover. records must already
 // be encoded (delta sends trade the encode/send overlap for the
 // manifest, which needs every hash up front — steady-state deltas are
-// small, so the trade wins). fullSize is the full blob's byte size:
-// virtual sizing stays proportional to it, so a delta charges the
-// bandwidth model only for the bytes it actually ships. totalChunks is
-// the version's chunk count; the difference against len(records) is
-// what the dedup counters record.
-func SendChunkedDelta(ctx context.Context, conn Conn, key string, manifest []byte, records [][]byte, totalChunks, fullSize int, virtualSize int64) error {
+// small, so the trade wins). totalChunks is the version's chunk count and
+// fullSize the full blob's byte size; their differences against what
+// ships are what the dedup counters record.
+func SendChunkedDelta(ctx context.Context, conn Conn, key string, manifest []byte, records [][]byte, totalChunks, fullSize int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	mf := Frame{
-		Key:         key,
-		Payload:     manifest,
-		VirtualSize: splitVirtual(virtualSize, fullSize, len(manifest)),
+		Key:     key,
+		Payload: manifest,
 		Meta: map[string]string{
 			MetaChunkRole:  ChunkRoleManifest,
 			MetaChunkCount: strconv.Itoa(len(records)),
@@ -227,7 +203,7 @@ func SendChunkedDelta(ctx context.Context, conn Conn, key string, manifest []byt
 			return err
 		}
 		chunksSent.Inc()
-		if err := conn.Send(ChunkRecordFrame(key, rec, splitVirtual(virtualSize, fullSize, len(rec)))); err != nil {
+		if err := conn.Send(ChunkRecordFrame(key, rec)); err != nil {
 			return err
 		}
 	}
@@ -256,13 +232,12 @@ func ChunkRecordIndex(rec []byte) int {
 }
 
 // ChunkRecordFrame wraps one encoded chunk record as a stream frame,
-// reading the chunk index out of the record bytes. The relay uses it to
-// rebuild record frames from its content-addressed chunk store.
-func ChunkRecordFrame(key string, rec []byte, virtual int64) Frame {
+// reading the chunk index out of the record bytes: the one builder of a
+// record frame, for SendChunked, delta sends and the relay's fan-out.
+func ChunkRecordFrame(key string, rec []byte) Frame {
 	return Frame{
-		Key:         key,
-		Payload:     rec,
-		VirtualSize: virtual,
+		Key:     key,
+		Payload: rec,
 		Meta: map[string]string{
 			MetaChunkRole:  ChunkRoleChunk,
 			MetaChunkIndex: strconv.Itoa(max(ChunkRecordIndex(rec), 0)),

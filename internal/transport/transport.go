@@ -1,23 +1,13 @@
-// Package transport implements Viper's point-to-point model transfer
-// channels. Two implementations share one interface:
+// Package transport carries Viper's frames over TCP: TCPLink is a real
+// connection carrying single frames and the multi-frame chunk streams of
+// stream.go, used by the relay and the multi-process producer/consumer.
+// Flow control for those streams is TCP back-pressure plus whole-group
+// drops at the receivers (DESIGN.md §10), not anything in this package. A
+// received byte is touched once: read from the socket into the buffer it
+// is delivered in (a pooled one, for a receiver that attached a RecvPool)
+// and checksummed by whoever verifies the record it belongs to.
 //
-//   - Link: an in-process, bandwidth-modelled channel whose transfer time
-//     is charged against a pluggable clock. It stands in for the paper's
-//     MPI_Send/MPI_Recv over GPUDirect RDMA (GPU-to-GPU) or InfiniBand
-//     host memory (Host-to-Host); see the calibrated specs below. It is a
-//     depth-bounded queue that carries one whole checkpoint per frame,
-//     with blocking sends and latest-wins sends whose unit is the frame.
-//   - TCPLink: a real TCP connection carrying the same frames — and the
-//     multi-frame chunk streams of stream.go — used by the relay and the
-//     multi-process producer/consumer. Flow control for those streams is
-//     TCP back-pressure plus whole-group drops at the receivers
-//     (DESIGN.md §10), not anything in this package. A received byte is
-//     touched once: read from the socket into the buffer it is delivered
-//     in (a pooled one, for a receiver that attached a RecvPool) and
-//     checksummed by whoever verifies the record it belongs to.
-//
-// Frames carry a key, opaque payload, a virtual payload size (so scaled
-// experiments can account full checkpoint sizes) and a small metadata map.
+// Frames carry a key, an opaque payload and a small metadata map.
 package transport
 
 import (
@@ -29,32 +19,19 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 
 	"viper/internal/bufpool"
-	"viper/internal/memsim"
 	"viper/internal/metrics"
-	"viper/internal/simclock"
 )
 
-// registry is the package's metrics surface: every Link and TCPLink
-// feeds these aggregate instruments (see DESIGN.md §10 for the naming
-// scheme). Instrument pointers are resolved once here.
+// registry is the package's metrics surface: every TCPLink feeds these
+// aggregate instruments (see DESIGN.md §10 for the naming scheme).
+// Instrument pointers are resolved once here.
 var registry = metrics.NewRegistry("transport")
 
 // Metrics returns the package's metrics registry (rendered by
 // cmd/viper-top and snapshot-tested by the link suite).
 func Metrics() *metrics.Registry { return registry }
-
-// The link_* instruments aggregate over every Link in the process: a
-// Link's own counters (Stats) are parented to the four of them it reports.
-var (
-	linkSendWaits  = registry.Counter("link_send_waits")
-	linkQueueDepth = registry.Gauge("link_queue_depth")
-)
-
-// The registry lists every counter from start-up.
-func init() { metrics.Bind[Stats](registry, new(linkCounters)) }
 
 var tcpFramesSent = registry.Counter("tcp_frames_sent")
 var tcpBytesSent = registry.Counter("tcp_bytes_sent")
@@ -72,25 +49,15 @@ var tcpChecksumBytes = registry.Counter("tcp_checksum_bytes")
 type Frame struct {
 	// Key identifies the payload (e.g. "tc1/v7").
 	Key string
-	// Payload is the physical data.
+	// Payload is the data.
 	Payload []byte
-	// VirtualSize is the accounted size in bytes (len(Payload) if 0).
-	VirtualSize int64
 	// Meta carries small string metadata.
 	Meta map[string]string
 }
 
-func (f *Frame) accountedSize() int64 {
-	if f.VirtualSize > 0 {
-		return f.VirtualSize
-	}
-	return int64(len(f.Payload))
-}
-
 // Conn is a point-to-point channel for frames.
 type Conn interface {
-	// Send transfers a frame to the peer, blocking for the modelled (or
-	// real) transfer duration.
+	// Send transfers a frame to the peer, blocking until it is written.
 	Send(f Frame) error
 	// Recv blocks until a frame arrives or the connection closes.
 	Recv() (Frame, error)
@@ -109,36 +76,10 @@ var ErrClosed = errors.New("transport: connection closed")
 // ReconnectLink does this automatically.
 var ErrCorruptFrame = errors.New("transport: corrupt frame")
 
-// Calibrated link specs (ratios matching the paper's Figure 8; see
-// DESIGN.md §1).
-var (
-	// GPUDirectSpec models GPUDirect RDMA over NVLink/Slingshot: the
-	// GPU-to-GPU path that gives the paper its ≈9× speedup.
-	GPUDirectSpec = LinkSpec{
-		Name:  "gpudirect",
-		Model: memsim.BandwidthModel{Latency: 5 * time.Microsecond, BytesPerSec: 8.5 * float64(1<<30)},
-	}
-	// HostIBSpec models host-to-host RDMA over InfiniBand, the fallback
-	// when direct GPU-to-GPU links are unavailable (≈3× speedup).
-	HostIBSpec = LinkSpec{
-		Name:  "ib-host",
-		Model: memsim.BandwidthModel{Latency: 10 * time.Microsecond, BytesPerSec: 5.5 * float64(1<<30)},
-	}
-)
-
-// LinkSpec names a link and its timing model.
-type LinkSpec struct {
-	// Name identifies the link type.
-	Name string
-	// Model converts sizes to transfer durations.
-	Model memsim.BandwidthModel
-}
-
 // Meta keys tagging a frame with the model version it carries. Producers
 // that stream versioned updates stamp these (WithMeta does it for whole
 // chunk streams) so receivers can order, stash and discard frames
-// uniformly; SendLatest reads MetaModel to tell one model's frames from
-// another's.
+// uniformly.
 const (
 	// MetaModel names the model a frame belongs to.
 	MetaModel = "model"
@@ -146,267 +87,9 @@ const (
 	MetaVersion = "version"
 )
 
-// Stats counts link activity: a view of the link's own counters, which
-// also feed the registry's link_* sums, plus BusyTime. Two invariants hold
-// at every quiescent point (no send or recv in flight):
-//
-//	FramesSent == frames delivered to the consumer + FramesDropped
-//	BytesSent  == bytes  delivered to the consumer + BytesDropped
-type Stats struct {
-	// FramesSent counts frames accepted for delivery, including frames
-	// SendLatest later evicted before a consumer received them.
-	FramesSent int64 `metric:"link_frames_sent"`
-	// FramesDropped counts superseded frames evicted by SendLatest.
-	FramesDropped int64 `metric:"link_frames_dropped"`
-	// BytesSent accumulates the accounted sizes of FramesSent.
-	BytesSent int64 `metric:"link_bytes_sent"`
-	// BytesDropped accumulates the accounted sizes of FramesDropped, so
-	// BytesSent-BytesDropped is what a draining consumer receives.
-	BytesDropped int64 `metric:"link_bytes_dropped"`
-	// BusyTime is the modelled time spent transferring: state of the
-	// link's clock model, kept under its lock.
-	BusyTime time.Duration
-}
-
-// linkCounters are one Link's event counters, named field for field after
-// the tagged fields of Stats (metrics.Bind).
-type linkCounters struct {
-	FramesSent, FramesDropped, BytesSent, BytesDropped metrics.Counter
-}
-
-// Link is an in-process bandwidth-modelled connection: a depth-bounded
-// queue of frames whose sender first pays the modelled transfer time.
-// Both endpoints share the Link; the producer calls Send or SendLatest,
-// the consumer Recv. It carries what the simulator sends over it — one
-// whole checkpoint per frame — and nothing else: flow control for
-// multi-frame streams lives on the TCP path (DESIGN.md §10).
-type Link struct {
-	spec  LinkSpec
-	clock simclock.Clock
-	depth int
-
-	mu       sync.Mutex
-	sendable sync.Cond // space freed, or link closed
-	recvable sync.Cond // frame enqueued, or link closed
-	queue    []Frame
-	down     bool
-	busy     time.Duration
-	n        linkCounters
-
-	closed chan struct{}
-	once   sync.Once
-}
-
-// NewLink builds a link with the given spec and clock. depth bounds the
-// number of in-flight frames (sends beyond it block after their modelled
-// transfer time).
-func NewLink(spec LinkSpec, clock simclock.Clock, depth int) *Link {
-	if depth < 1 {
-		depth = 1
-	}
-	l := &Link{spec: spec, clock: clock, depth: depth, closed: make(chan struct{})}
-	l.sendable.L = &l.mu
-	l.recvable.L = &l.mu
-	metrics.Bind[Stats](registry, &l.n)
-	return l
-}
-
-// cloneFrame deep-copies a frame's payload and metadata, isolating the
-// enqueued frame from later mutation by the sender.
-func cloneFrame(f Frame) Frame {
-	cp := Frame{Key: f.Key, VirtualSize: f.VirtualSize, Payload: make([]byte, len(f.Payload))}
-	copy(cp.Payload, f.Payload)
-	if f.Meta != nil {
-		cp.Meta = make(map[string]string, len(f.Meta))
-		for k, v := range f.Meta {
-			cp.Meta[k] = v
-		}
-	}
-	return cp
-}
-
-// Send implements Conn: it sleeps for the modelled transfer time, then
-// enqueues a deep copy of the frame, blocking while the queue is full.
-// Send drops nothing, so an ordered multi-frame stream sent with it alone
-// (SendChunked) arrives whole.
-func (l *Link) Send(f Frame) error {
-	return l.send(cloneFrame(f), false)
-}
-
-// SendLatest behaves like Send, but with latest-wins semantics whose
-// unit is the frame: when the queue is full it evicts every queued frame
-// that a later frame of the same model (MetaModel; queued, or the one
-// arriving) supersedes, and blocks only when nothing can go. It is meant
-// for frames that each carry a whole version — a slow consumer then
-// observes skipped versions, mirroring the paper's "only buffer the
-// latest model" policy. A multi-frame stream must use Send: SendLatest
-// would evict its earlier frames.
-func (l *Link) SendLatest(f Frame) error {
-	return l.send(cloneFrame(f), true)
-}
-
-// SendLatestShared is SendLatest without the defensive deep copy: the
-// enqueued frame aliases f's payload and metadata, so the caller must not
-// mutate either after the call. It exists for the broadcast path —
-// encoding a checkpoint once and fanning the same frame out to every
-// consumer link costs one encode regardless of link count, where per-link
-// SendLatest would deep-copy (and so re-touch) the full payload per
-// consumer.
-func (l *Link) SendLatestShared(f Frame) error {
-	return l.send(f, true)
-}
-
-// charge spends the modelled transfer time for size bytes. The wait is
-// interruptible: closing the link aborts it with ErrClosed instead of
-// leaving the sender stuck inside an unbounded modelled sleep.
-func (l *Link) charge(size int64) (time.Duration, error) {
-	select {
-	case <-l.closed:
-		return 0, ErrClosed
-	default:
-	}
-	cost := l.spec.Model.Time(size)
-	if cost <= 0 {
-		return 0, nil
-	}
-	select {
-	case <-l.clock.After(cost):
-		return cost, nil
-	case <-l.closed:
-		return 0, ErrClosed
-	}
-}
-
-// send charges the modelled transfer time and enqueues f as given. A
-// full queue blocks the sender until the consumer drains or the link
-// closes; with latest set, superseded frames are evicted first and the
-// sender blocks only when none is left to evict.
-func (l *Link) send(f Frame, latest bool) error {
-	size := f.accountedSize()
-	cost, err := l.charge(size)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	waited := false
-	for !l.down && len(l.queue) >= l.depth {
-		if latest && l.evictSupersededLocked(f.Meta[MetaModel]) {
-			continue
-		}
-		if !waited {
-			waited = true
-			linkSendWaits.Inc()
-		}
-		l.sendable.Wait()
-	}
-	if l.down {
-		return ErrClosed
-	}
-	l.queue = append(l.queue, f)
-	l.busy += cost
-	l.n.BytesSent.Add(size)
-	l.n.FramesSent.Inc()
-	linkQueueDepth.Add(1)
-	l.recvable.Signal()
-	return nil
-}
-
-// evictSupersededLocked drops every queued frame that a later frame of
-// the same model supersedes — later in the queue, or the incoming frame
-// of model incoming — and reports whether anything was freed. Each
-// model's newest queued frame survives unless the incoming frame is of
-// that model. Caller holds l.mu.
-func (l *Link) evictSupersededLocked(incoming string) bool {
-	seen := map[string]bool{incoming: true}
-	// Walk newest to oldest so a frame's successors are seen before it,
-	// packing the survivors against the tail.
-	kept := len(l.queue)
-	for i := len(l.queue) - 1; i >= 0; i-- {
-		f := l.queue[i]
-		if model := f.Meta[MetaModel]; !seen[model] {
-			seen[model] = true
-			kept--
-			l.queue[kept] = f
-			continue
-		}
-		l.n.BytesDropped.Add(f.accountedSize())
-		l.n.FramesDropped.Inc()
-	}
-	if kept == 0 {
-		return false
-	}
-	n := copy(l.queue, l.queue[kept:])
-	for i := n; i < len(l.queue); i++ {
-		l.queue[i] = Frame{} // drop the payload reference
-	}
-	l.queue = l.queue[:n]
-	linkQueueDepth.Add(-int64(kept))
-	l.sendable.Broadcast() // freed slots may unblock other senders
-	return true
-}
-
-// dequeueLocked pops the head frame. Caller holds l.mu and has verified
-// the queue is non-empty.
-func (l *Link) dequeueLocked() Frame {
-	f := l.queue[0]
-	copy(l.queue, l.queue[1:])
-	l.queue[len(l.queue)-1] = Frame{} // drop the payload reference
-	l.queue = l.queue[:len(l.queue)-1]
-	linkQueueDepth.Add(-1)
-	l.sendable.Signal()
-	return f
-}
-
-// Recv implements Conn. After Close it keeps returning queued frames
-// until the link drains, then ErrClosed.
-func (l *Link) Recv() (Frame, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for len(l.queue) == 0 && !l.down {
-		l.recvable.Wait()
-	}
-	if len(l.queue) == 0 {
-		return Frame{}, ErrClosed
-	}
-	return l.dequeueLocked(), nil
-}
-
-// TryRecv returns a pending frame without blocking.
-func (l *Link) TryRecv() (Frame, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.queue) == 0 {
-		return Frame{}, false
-	}
-	return l.dequeueLocked(), true
-}
-
-// Close implements Conn.
-func (l *Link) Close() error {
-	l.once.Do(func() {
-		close(l.closed)
-		l.mu.Lock()
-		l.down = true
-		l.sendable.Broadcast()
-		l.recvable.Broadcast()
-		l.mu.Unlock()
-	})
-	return nil
-}
-
-// Stats returns the link's counters and its modelled busy time.
-func (l *Link) Stats() Stats {
-	st := metrics.View[Stats](&l.n)
-	l.mu.Lock()
-	st.BusyTime = l.busy
-	l.mu.Unlock()
-	return st
-}
-
 // TCPLink is a Conn over a real TCP connection. A frame on the wire is
 //
-//	key | meta count | (k, v)* | virtual size | payload length | payload | CRC-32
+//	key | meta count | (k, v)* | payload length | payload | CRC-32
 //
 // with every string and the payload behind a u64 length (DESIGN.md, "Wire
 // format v2 framing"). The CRC-32 (IEEE) trailer covers the frame header
@@ -533,7 +216,6 @@ func (t *TCPLink) Send(f Frame) error {
 	for k, v := range f.Meta {
 		hdr = appendField(appendField(hdr, k), v)
 	}
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(f.VirtualSize))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(f.Payload)))
 	sum, summed := crc32.ChecksumIEEE(hdr), len(hdr)
 	if !IsChunkFrame(f) { // a record's payload is its own CRC's to vouch for
@@ -561,7 +243,7 @@ func (t *TCPLink) Send(f Frame) error {
 		return err
 	}
 	tcpFramesSent.Inc()
-	tcpBytesSent.Add(f.accountedSize())
+	tcpBytesSent.Add(int64(len(f.Payload)))
 	return nil
 }
 
@@ -647,7 +329,7 @@ func (t *TCPLink) readPayload(n uint64, record bool) ([]byte, error) {
 //
 // A frame whose CRC does not match fails with ErrCorruptFrame and is never
 // delivered. The CRC vouches for the header of every frame — key, every
-// meta tag, both sizes — and for the payload of every frame but a
+// meta tag, the payload length — and for the payload of every frame but a
 // chunk-record frame, whose payload is delivered as it arrived: the
 // receiver's per-record check (vformat.VerifyChunkRecord, or the
 // assembler's) is what rejects a damaged one.
@@ -681,10 +363,6 @@ func (t *TCPLink) Recv() (Frame, error) {
 			meta[k] = v
 		}
 	}
-	virtual, err := h.u64()
-	if err != nil {
-		return Frame{}, err
-	}
 	size, err := h.u64()
 	if err != nil {
 		return Frame{}, err
@@ -712,10 +390,9 @@ func (t *TCPLink) Recv() (Frame, error) {
 		t.pool.Release(payload)
 		return Frame{}, err
 	}
-	f := Frame{Key: key, Payload: payload, VirtualSize: int64(virtual), Meta: meta}
 	tcpFramesRecv.Inc()
-	tcpBytesRecv.Add(f.accountedSize())
-	return f, nil
+	tcpBytesRecv.Add(int64(len(payload)))
+	return Frame{Key: key, Payload: payload, Meta: meta}, nil
 }
 
 // Close implements Conn.
