@@ -39,6 +39,10 @@ var armed atomic.Bool
 // process.
 func Arm() { armed.Store(true) }
 
+// Armed reports whether Arm was called: a holder that recycles buffers of
+// its own, outside any Pool, poisons them on the same switch.
+func Armed() bool { return armed.Load() }
+
 // Pool is a free list of byte arrays filed by capacity class, one class
 // per doubling. It has no size setting and no count cap: it holds what its
 // holders once had out and handed back, until a draw takes it or Drop
@@ -94,7 +98,7 @@ func (p *Pool) Put(b []byte) {
 	b = b[:cap(b)]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if armed.Load() {
+	if Armed() {
 		for _, list := range p.free {
 			for _, listed := range list {
 				if &listed[0] == &b[0] {

@@ -253,6 +253,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.recovery = clock.Now().Sub(start)
 	recoveryNS.Observe(s.recovery.Nanoseconds())
 	s.syncGaugesLocked()
+	openStores.Add(1)
 	return s, nil
 }
 
@@ -1312,7 +1313,8 @@ func (s *Store) syncGaugesLocked() {
 // Metrics returns the package metrics registry (for tests and tools).
 func Metrics() *metrics.Registry { return registry }
 
-// Close flushes and closes every file. The store is unusable after.
+// Close flushes and closes every file. The store is unusable after. The
+// last open store to close drops the scratch pool.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1320,6 +1322,9 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	if openStores.Add(-1) == 0 {
+		scratch.Drop()
+	}
 	var first error
 	if !s.failed {
 		for _, seg := range s.segs {

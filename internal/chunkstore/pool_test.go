@@ -41,3 +41,34 @@ func TestScratchPoolContract(t *testing.T) {
 		t.Fatal("a stale deferred putBuf after growBuf handed one array back twice, unnoticed")
 	}
 }
+
+// TestLastCloseDropsTheScratchPool: the scratch pool lists the entry
+// buffers the stores of the process handed back, up to their high-water
+// mark. When the last open store closes, the list is dropped, so a process
+// that goes on without a store does not carry them as live heap. The probe
+// is a record-sized getBuf: it draws a listed buffer when there is one and
+// allocates its own when there is not.
+func TestLastCloseDropsTheScratchPool(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := func() *byte {
+		b := getBuf(256 << 10)
+		first := &b[:1][0]
+		putBuf(b)
+		return first
+	}
+	// The array is held by its first byte for the whole test, so it cannot
+	// be collected and its address given to a fresh allocation.
+	listed := probe()
+	if probe() != listed {
+		t.Fatal("with a buffer listed the probe did not draw it: it cannot tell a hit from a miss")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if probe() == listed {
+		t.Fatal("after the only open store closed the probe drew a listed buffer: the scratch pool was not dropped")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"sync/atomic"
 
 	"viper/internal/bufpool"
 )
@@ -53,8 +54,13 @@ const (
 // scratch recycles buffers for entry assembly and compaction reads.
 // Ownership is the pool's contract (bufpool; DESIGN.md §8): a buffer from
 // getBuf or growBuf is its holder's, to hand back with putBuf at most once
-// after its last read, or to let go.
+// after its last read, or to let go. It is shared by every open store and
+// dropped when the last of them closes (openStores), so a process that goes
+// on without a store does not keep its high-water of entry buffers.
 var scratch bufpool.Pool
+
+// openStores counts the stores Open returned that are not closed yet.
+var openStores atomic.Int64
 
 // minScratch is the least capacity getBuf asks for, so a run of small
 // entries of creeping sizes shares one buffer.

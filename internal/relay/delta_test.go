@@ -192,7 +192,7 @@ func TestDeltaIngestUpstreamHaveAndDedup(t *testing.T) {
 	if !transport.IsChunkHeader(f) {
 		t.Fatalf("fresh consumer got %q meta %v, want a plain chunk header", f.Key, f.Meta)
 	}
-	ckpt, _, err := transport.CollectChunked(context.Background(), f, cons.Recv)
+	ckpt, _, err := transport.CollectChunked(context.Background(), f, nil, cons.Recv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestDeltaIngestNeedResend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt, _, err := transport.CollectChunked(context.Background(), hf, cons.Recv)
+	ckpt, _, err := transport.CollectChunked(context.Background(), hf, nil, cons.Recv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestUntaggedVersionFansOutWhole(t *testing.T) {
 	if !transport.IsChunkHeader(hf) {
 		t.Fatalf("advertising consumer got %q meta %v for an untagged version, want a plain chunk header", hf.Key, hf.Meta)
 	}
-	ckpt, _, err := transport.CollectChunked(context.Background(), hf, cons.Recv)
+	ckpt, _, err := transport.CollectChunked(context.Background(), hf, nil, cons.Recv)
 	if err != nil || ckpt.Version != 1 || !snapshotsEqual(ckpt.Weights, snap) {
 		t.Fatalf("untagged version assembled as v%d (err %v), want v1 bit for bit", ckpt.Version, err)
 	}

@@ -95,7 +95,7 @@ func collectNext(t *testing.T, cons *transport.TCPLink, first *transport.Frame) 
 	if !transport.IsChunkHeader(*first) {
 		t.Fatalf("stream opens with %q, not a chunk header", first.Key)
 	}
-	return transport.CollectChunked(context.Background(), *first, cons.Recv)
+	return transport.CollectChunked(context.Background(), *first, nil, cons.Recv)
 }
 
 // TestFrozenFanoutSurvivesSameVnumReplacement is the regression for the

@@ -260,7 +260,7 @@ func TestChunkInNeitherTierRefusedBeforeFirstFrame(t *testing.T) {
 	if err != nil || !transport.IsChunkHeader(head) || head.Meta["version"] != "2" {
 		t.Fatalf("first frame after the refusal: %+v, err %v; want v2's header", head.Meta, err)
 	}
-	ckpt, _, err := transport.CollectChunked(context.Background(), head, cons.Recv)
+	ckpt, _, err := transport.CollectChunked(context.Background(), head, nil, cons.Recv)
 	if err != nil || !snapshotsEqual(ckpt.Weights, snap) {
 		t.Fatalf("v2 after the refusal: err %v", err)
 	}
@@ -315,7 +315,7 @@ func TestNewerCommitAbortsReadThrough(t *testing.T) {
 		if !transport.IsChunkHeader(f) {
 			t.Fatalf("first v2 frame is %v, want its header", f.Meta)
 		}
-		ckpt, _, err := transport.CollectChunked(context.Background(), f, cons.Recv)
+		ckpt, _, err := transport.CollectChunked(context.Background(), f, nil, cons.Recv)
 		if err != nil || ckpt.Version != 2 || !snapshotsEqual(ckpt.Weights, snap2) {
 			t.Fatalf("v2 after the aborted read-through: err %v", err)
 		}
@@ -452,7 +452,7 @@ func TestMixedResidentAndDiskRecordsServeInOrder(t *testing.T) {
 		}
 	}
 	next := 0
-	ckpt, _, err := transport.CollectChunked(context.Background(), head, func() (transport.Frame, error) {
+	ckpt, _, err := transport.CollectChunked(context.Background(), head, nil, func() (transport.Frame, error) {
 		next++
 		return recs[next-1], nil
 	})
@@ -602,7 +602,7 @@ func TestReadThroughInstruments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt, _, err := transport.CollectChunked(context.Background(), head, cons.Recv)
+	ckpt, _, err := transport.CollectChunked(context.Background(), head, nil, cons.Recv)
 	if err != nil || !snapshotsEqual(ckpt.Weights, snap) {
 		t.Fatalf("the served version: err %v", err)
 	}

@@ -291,7 +291,7 @@ func TestCatchUpSendsNewestOnly(t *testing.T) {
 	if !transport.IsChunkHeader(f) || f.Meta["version"] != "3" {
 		t.Fatalf("catch-up started with %q meta %v, want the v3 header", f.Key, f.Meta)
 	}
-	ckpt, _, err := transport.CollectChunked(context.Background(), f, cons.Recv)
+	ckpt, _, err := transport.CollectChunked(context.Background(), f, nil, cons.Recv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -340,7 +340,7 @@ func TestDeltaAfterRestartPrefillsFromStore(t *testing.T) {
 			break
 		}
 	}
-	ckpt, _, err := transport.CollectChunked(context.Background(), hf, cons.Recv)
+	ckpt, _, err := transport.CollectChunked(context.Background(), hf, nil, cons.Recv)
 	if err != nil {
 		t.Fatal(err)
 	}

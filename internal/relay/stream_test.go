@@ -101,7 +101,7 @@ func collectVersion(t *testing.T, r *Relay) *vformat.Checkpoint {
 		if !transport.IsChunkHeader(f) {
 			continue
 		}
-		ckpt, _, err := transport.CollectChunked(context.Background(), f, cons.Recv)
+		ckpt, _, err := transport.CollectChunked(context.Background(), f, nil, cons.Recv)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
+	"viper/internal/bufpool"
 	"viper/internal/core"
 	"viper/internal/kvstore"
 	"viper/internal/metrics"
@@ -119,9 +122,9 @@ type consumerCounters struct {
 // them back. It is what a consumer that stopped calling Next can pin;
 // older builds are dropped first and their versions come from staging or
 // are skipped as superseded. Beyond active and parked the consumer pins at
-// most two more checkpoints — the span source, when the build it came from
-// has since been dropped or replaced, and the back buffer prepared from
-// it — and no chunk record.
+// most three more checkpoints — the span source, when the build it came from
+// has since been dropped or replaced, the back buffer prepared from it, and
+// the spare — and no chunk record.
 const parkedBudget = 64 << 20
 
 // build is one link stream assembled by the builder.
@@ -235,13 +238,26 @@ type Consumer struct {
 	// builder takes it out before it writes a byte, so the copy is
 	// reachable from nowhere else until the build that patched it parks.
 	back *backSlot
+	// clones are the back-buffer clones started and perhaps still copying:
+	// the snapshots they read from cannot become the spare until they are
+	// done.
+	clones []*backSlot
+	// spare is the double buffer's other half: the arrays of a checkpoint
+	// nothing else can reach any more (recycleLocked), which the next
+	// model-sized target the builder needs — a full stream's assembly or a
+	// back-buffer clone — is written into instead of a fresh allocation.
+	spare nn.Snapshot
 }
 
 // backSlot is one clone of the span source: buf is written once, before
-// ready is closed, and read only after it.
+// ready is closed, and read only after it. from is the source's weights,
+// which the clone reads until ready is closed; target is the spare the
+// clone was written into (nil: it allocated its own).
 type backSlot struct {
-	ready chan struct{}
-	buf   *vformat.BackBuffer
+	ready  chan struct{}
+	buf    *vformat.BackBuffer
+	from   nn.Snapshot
+	target nn.Snapshot
 }
 
 // NewConsumer connects to all services and subscribes to the model's
@@ -385,14 +401,97 @@ func (c *Consumer) signalLocked() {
 	c.changed = make(chan struct{})
 }
 
-// drop accounts a build that will never be installed and hands the
-// records it kept back to the pool. The build is the caller's alone by
-// then, so no lock is needed.
-func (c *Consumer) drop(b *build) {
+// drop accounts a build that will never be installed, hands the records
+// it kept back to the pool and offers w, the arrays it was decoded into,
+// as the spare: a build that is dropped was never handed out. c.mu must be
+// held.
+func (c *Consumer) drop(b *build, w nn.Snapshot) {
 	c.n.DiscardedFrames.Add(b.frames)
 	abandonedBuilds.Inc()
 	c.releaseAll(b.recs)
 	b.recs = nil
+	c.recycleLocked(w)
+}
+
+// poisonWeight is bufpool.Poison in every byte of a float64.
+var poisonWeight = math.Float64frombits(0x0101010101010101 * bufpool.Poison)
+
+// recycleLocked makes w the spare if the slot is empty and nothing but the
+// caller can reach w's arrays — not active, not the span source, not
+// parked, not read by a clone still copying — and otherwise lets it go.
+// Every caller holds w because it has just been superseded by an install,
+// dropped unclaimed or failed: nothing can hand it out again. In a binary
+// that armed the buffer pools' check the arrays are poisoned on the spot,
+// so a read past the contract fails bit-identity instead of passing by
+// luck. c.mu must be held.
+func (c *Consumer) recycleLocked(w nn.Snapshot) {
+	if c.spare != nil || w.NumBytes() == 0 || c.reachableLocked(w) {
+		return
+	}
+	if bufpool.Armed() {
+		for _, nt := range w {
+			for i := range nt.Data {
+				nt.Data[i] = poisonWeight
+			}
+		}
+	}
+	c.spare = w
+}
+
+// reachableLocked reports whether the consumer itself can still read w's
+// arrays; c.mu must be held.
+func (c *Consumer) reachableLocked(w nn.Snapshot) bool {
+	if c.active != nil && sameArrays(w, c.active.Weights) ||
+		c.source != nil && sameArrays(w, c.source.Weights()) {
+		return true
+	}
+	for _, b := range c.parked {
+		if sameArrays(w, b.ckpt.Weights) {
+			return true
+		}
+	}
+	for _, slot := range c.clones {
+		if !cloned(slot) && sameArrays(w, slot.from) {
+			return true
+		}
+	}
+	return false
+}
+
+// sameArrays reports whether a and b are views of the same arrays: the
+// identity of a checkpoint's weights, whichever Snapshot value holds them.
+func sameArrays(a, b nn.Snapshot) bool {
+	for i := range a {
+		if len(a[i].Data) > 0 {
+			return i < len(b) && len(b[i].Data) > 0 && &a[i].Data[0] == &b[i].Data[0]
+		}
+	}
+	return false
+}
+
+// takeSpareLocked empties the spare slot and returns what it held if l
+// fits it: the target of a build or a clone, whose alone it is from now on.
+// A spare of another shape is let go; nil means allocate. c.mu must be
+// held.
+func (c *Consumer) takeSpareLocked(l *vformat.ChunkLayout) nn.Snapshot {
+	spare := c.spare
+	c.spare = nil
+	if !l.Fits(spare) {
+		return nil
+	}
+	recycledSnapshots.Inc()
+	return spare
+}
+
+// spareFor takes the spare for the full stream header opens, if it fits.
+func (c *Consumer) spareFor(header []byte) nn.Snapshot {
+	layout, _, _, err := vformat.ParseChunkHeader(header)
+	if err != nil {
+		return nil // the collector reports it
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.takeSpareLocked(layout)
 }
 
 // releaseAll hands link payloads nothing reads any more back to the pool.
@@ -451,7 +550,11 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 		}
 		handed = nil
 	}
-	var back *vformat.BackBuffer // taken for this build; torn unless it parks in place
+	// target is what this build decodes into when the consumer chose it: the
+	// spare, or the clone in the back-buffer slot it took (torn unless the
+	// build parks in place).
+	var target nn.Snapshot
+	var slot *backSlot
 	recv := func() (transport.Frame, error) {
 		settle()
 		for {
@@ -475,7 +578,8 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 	var source *vformat.SpanSource // what this build offers the next one
 	switch {
 	case !b.delta:
-		b.ckpt, next, err = transport.CollectChunked(c.lifeCtx, header, recv)
+		target = c.spareFor(header.Payload)
+		b.ckpt, next, err = transport.CollectChunked(c.lifeCtx, header, target, recv)
 	case !c.reconcile:
 		// Reconciliation disabled: nothing advertised, so a manifest
 		// stream is unexpected; let the staging path carry the version.
@@ -487,8 +591,12 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 		// the source no longer holds where the manifest names it (it moved
 		// on since it was advertised) is need-listed back to the sender.
 		var from *vformat.SpanSource
+		var back *vformat.BackBuffer
 		var asm *vformat.ManifestAssembler
-		if from, back, err = c.takeSource(); err == nil {
+		if from, slot, err = c.takeSource(); err == nil {
+			if slot != nil {
+				back, target = slot.buf, slot.target
+			}
 			asm, err = vformat.NewManifestAssembler(header.Payload, from, back)
 		}
 		if err == nil {
@@ -507,14 +615,14 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 	if err == nil && (b.ckpt.ModelName != c.model || b.ckpt.Version != v) {
 		err = fmt.Errorf("remote: stream %q assembled %s/v%d", b.key, b.ckpt.ModelName, b.ckpt.Version)
 	}
-	if back != nil && (err != nil || !b.inPlace) {
+	if slot != nil && (err != nil || !b.inPlace) {
 		c.n.PreparedDiscards.Inc()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.building = 0
 	if err != nil {
-		c.drop(b)
+		c.drop(b, target)
 	} else {
 		b.bytes = b.ckpt.Weights.NumBytes()
 		for _, rec := range b.recs {
@@ -526,7 +634,8 @@ func (c *Consumer) assemble(header transport.Frame, v uint64) (next *transport.F
 			c.prepareLocked(source) // only a manifest's build offers one here
 		}
 		for len(c.parked) > 1 && c.parkedBytes > parkedBudget {
-			c.drop(c.popParkedLocked())
+			old := c.popParkedLocked()
+			c.drop(old, old.ckpt.Weights)
 		}
 	}
 	c.signalLocked()
@@ -556,26 +665,38 @@ func (c *Consumer) dropBackLocked() {
 }
 
 // prepareLocked starts cloning src, which has just become the span source,
-// into the back buffer: one model-sized allocation and one copy, made
-// between two versions instead of between a manifest and its park. It only
-// reads src, like everyone else. c.mu must be held.
+// into the back buffer: one copy into the spare (or, with none, a
+// model-sized allocation), made between two versions instead of between a
+// manifest and its park. It only reads src, like everyone else. c.mu must
+// be held.
 func (c *Consumer) prepareLocked(src *vformat.SpanSource) {
-	slot := &backSlot{ready: make(chan struct{})}
+	slot := &backSlot{ready: make(chan struct{}), from: src.Weights(), target: c.takeSpareLocked(src.Layout())}
 	c.back = slot
+	c.clones = append(slices.DeleteFunc(c.clones, cloned), slot)
 	c.wg.Add(1) // from the builder, which Close is still waiting for
 	go func() {
 		defer c.wg.Done()
-		slot.buf = src.Clone()
+		slot.buf = src.Clone(slot.target)
 		close(slot.ready)
 	}()
 }
 
+// cloned reports whether slot's clone is made.
+func cloned(slot *backSlot) bool {
+	select {
+	case <-slot.ready:
+		return true
+	default:
+		return false
+	}
+}
+
 // takeSource returns the span source for the manifest the builder is about
-// to assemble and, when one was prepared, its back buffer, now the
-// builder's alone. A clone still being made is waited for rather than
-// allocated a second time: the wait is no longer than the allocate-and-copy
-// it replaces, and Close ends it.
-func (c *Consumer) takeSource() (*vformat.SpanSource, *vformat.BackBuffer, error) {
+// to assemble and, when one was prepared, the slot holding its back buffer,
+// now the builder's alone and ready. A clone still being made is waited for
+// rather than allocated a second time: the wait is no longer than the
+// allocate-and-copy it replaces, and Close ends it.
+func (c *Consumer) takeSource() (*vformat.SpanSource, *backSlot, error) {
 	c.mu.Lock()
 	from, slot := c.source, c.back
 	c.back = nil
@@ -585,7 +706,7 @@ func (c *Consumer) takeSource() (*vformat.SpanSource, *vformat.BackBuffer, error
 	}
 	select {
 	case <-slot.ready:
-		return from, slot.buf, nil
+		return from, slot, nil
 	case <-c.closed:
 		c.n.PreparedDiscards.Inc()
 		return nil, nil, errors.New("remote: consumer closed")
@@ -611,12 +732,15 @@ func frameVersion(f *transport.Frame) uint64 {
 // ignored; notified versions that are unrecoverable on both paths are
 // skipped, since a newer update supersedes them.
 //
-// The returned checkpoint is shared and read-only: Active returns the same
-// object, and with reconciliation on it is the span source the next
-// version's unchanged chunks come from — copied out of its weights, or
-// cloned whole into the builder's back buffer. Nobody writes a snapshot
-// once its build has parked; copy what you need to change
-// (nn.RestoreSnapshot copies into the serving model).
+// The returned checkpoint is valid until the next Next returns, and
+// read-only: Active returns the same object, and with reconciliation on it
+// is the span source the next version's unchanged chunks come from —
+// copied out of its weights, or cloned whole into the builder's back
+// buffer. Once a later Next has superseded it, its arrays are the
+// consumer's again, and a later version is decoded into them: the paper's
+// double buffer, with no model-sized allocation per version. Copy what you
+// keep longer or need to change (nn.RestoreSnapshot copies into the
+// serving model).
 func (c *Consumer) Next(timeout time.Duration) (*vformat.Checkpoint, error) {
 	return c.NextContext(c.lifeCtx, timeout)
 }
@@ -715,13 +839,14 @@ func (c *Consumer) claim(meta *core.ModelMeta) (b *build, lost bool, changed <-c
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(c.parked) > 0 && c.parked[0].version < meta.Version {
-		c.drop(c.popParkedLocked())
+		old := c.popParkedLocked()
+		c.drop(old, old.ckpt.Weights)
 	}
 	if len(c.parked) > 0 && c.parked[0].version == meta.Version {
 		if b = c.popParkedLocked(); b.key == meta.Path {
 			return b, false, nil
 		}
-		c.drop(b)
+		c.drop(b, b.ckpt.Weights)
 		return nil, true, nil
 	}
 	if c.building == meta.Version {
@@ -799,6 +924,7 @@ func (c *Consumer) fetchStaged(ctx context.Context, meta *core.ModelMeta) (*vfor
 // travel as a delta.
 func (c *Consumer) install(ckpt *vformat.Checkpoint, fill *sourceFill) error {
 	c.mu.Lock()
+	prev := c.active
 	c.active = ckpt
 	c.loads++
 	c.applied = ckpt.Version
@@ -806,6 +932,12 @@ func (c *Consumer) install(ckpt *vformat.Checkpoint, fill *sourceFill) error {
 		// Installed from staging ahead of the link: a stream of this
 		// version arriving late is stale.
 		c.linkVersion = ckpt.Version
+	}
+	// The checkpoint Next returned before is superseded: the caller's hold
+	// on it ends here. A fill of its records may still offer it as the span
+	// source until the source is at least as new.
+	if prev != nil && (!c.reconcile || c.sourceVersion >= prev.Version) {
+		c.recycleLocked(prev.Weights)
 	}
 	c.mu.Unlock()
 	consumerInstalls.Inc()
@@ -900,8 +1032,8 @@ func (c *Consumer) fill(f *sourceFill) {
 }
 
 // Active returns the currently installed checkpoint (nil before the
-// first update). It is shared and read-only, like the one Next returned
-// (the same object).
+// first update): the object Next returned last, under the same contract —
+// read-only, and valid until the next Next returns.
 func (c *Consumer) Active() *vformat.Checkpoint {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -938,6 +1070,7 @@ func (c *Consumer) Close() {
 	c.wg.Wait()
 	c.mu.Lock()
 	c.dropBackLocked()
+	c.spare = nil
 	c.mu.Unlock()
 	c.pool.Drop()
 	c.ps.Close()

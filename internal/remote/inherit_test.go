@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
@@ -159,42 +158,30 @@ func TestSupersededFillOffersNoSource(t *testing.T) {
 }
 
 // TestReaderHoldsActiveWhileBuilderInherits (run under -race): a serving
-// thread keeps reading the checkpoint Active returns — the contract is
-// read-only — while the builder copies the unchanged chunks of the next
-// version out of the very same weights. Both only read; every install is
-// bit for bit.
+// thread keeps reading the checkpoint Active returns — read-only, and valid
+// until the next Next returns — while the next version is published and the
+// builder assembles it against the span source that shares those weights,
+// or patches the clone made of them. The thread stops before Next is
+// called; every walk reads the version it expects, and every install is bit
+// for bit.
 func TestReaderHoldsActiveWhileBuilderInherits(t *testing.T) {
 	const chunkSize = 1 << 10
 	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: chunkSize})
 	snap := flatSnapshot(5, 8<<10)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var sum float64
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if ckpt := cons.Active(); ckpt != nil {
-				for _, nt := range ckpt.Weights {
-					for _, v := range nt.Data {
-						sum += v
-					}
-				}
-			}
-		}
-	}()
 	before := inheritedNow()
 	const versions = 12
+	walks := 0
 	for v := uint64(1); v <= versions; v++ {
+		stop := readActive(cons, snap.Clone())
 		snap[1].Data[int(v)*700%len(snap[1].Data)] += 1
 		if _, err := prod.Publish(snap, v, 0.5); err != nil {
 			t.Fatal(err)
 		}
+		n, ok := stop()
+		if !ok {
+			t.Fatalf("a serving thread saw v%d change while v%d was published", v-1, v)
+		}
+		walks += n
 		ckpt, err := cons.Next(10 * time.Second)
 		if err != nil {
 			t.Fatal(err)
@@ -207,8 +194,9 @@ func TestReaderHoldsActiveWhileBuilderInherits(t *testing.T) {
 		}
 		waitFor(t, "the have-list", func() bool { return prod.Stats().HaveLists >= int64(v) })
 	}
-	close(stop)
-	wg.Wait()
+	if walks == 0 {
+		t.Fatal("the serving thread never read a checkpoint")
+	}
 	chunks := int64(snap.NumBytes() / chunkSize)
 	if got, want := inheritedNow()-before, (versions-1)*(chunks-1); got != want {
 		t.Fatalf("%d deltas of one changed chunk inherited %d positions, want %d", versions-1, got, want)

@@ -14,8 +14,9 @@ import (
 // and the producer's stage flusher, the filler, the span source —
 // who offers it, who reads it while a serving thread holds the same
 // checkpoint, what still takes the need-list — the back buffer cloned from
-// it and the builds lost while patching one, the buffer pools' hand-back
-// points, and the per-hop corruption drill.
+// it and the builds lost while patching one, the spare the builder writes
+// while a serving thread reads the active checkpoint, the buffer pools'
+// hand-back points, and the per-hop corruption drill.
 var interleaved = []func(*testing.T){
 	TestParkedBuildWaitsForItsNotification,
 	TestInterruptedStreamNeverInstalls,
@@ -37,6 +38,9 @@ var interleaved = []func(*testing.T){
 	TestABADrillKeepsTheNeedListPath,
 	TestSupersededFillOffersNoSource,
 	TestReaderHoldsActiveWhileBuilderInherits,
+	TestNextRecyclesOnlyTheCheckpointBeforeLast,
+	TestUnclaimedBuildsRefillTheSpare,
+	TestUnofferedInstallIsNotRecycled,
 	TestLostDeltaDiscardsTheBackBuffer,
 	TestManifestWaitsForItsClone,
 	TestDroppedBuildReleasesItsRecordsOnly,

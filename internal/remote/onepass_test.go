@@ -660,16 +660,17 @@ func allocPerPayloadByte(t *testing.T, prod *Producer, cons *Consumer, snap nn.S
 // TestAllocBudget is the in-tree gate on the publish path's copies: a
 // 4 MiB / 16-chunk model goes Publish → Next over loopback TCP with
 // staging on, and the whole process (producer, consumer, KV server) may
-// allocate at most 1.5 bytes per payload byte on the full-stream path
-// and 1.6 in delta steady state. The tree measures ~1.01–1.05 on both:
-// one payload-sized allocation per op — a full stream's installed weights,
-// or the clone of the last install a delta is patched into — and no
-// received frames: a full stream's records land in the consumer's receive
-// pool and go back once decoded or hashed (delta steady was ~1.07 while
-// the consumer also copied the one moved record per op into a chunk cache;
-// the budget was 2.6 while every record was a fresh slice; the tree
-// before the one-pass work spent 6.6 / 8.5). (The cold-join path has
-// its own case beside the relay: TestAllocBudgetColdJoin.)
+// allocate at most 0.25 bytes per payload byte on the full-stream path
+// and in delta steady state. The tree measures 0.003–0.05 on both: nothing
+// payload-sized per op. A full stream is decoded into, and a delta's back
+// buffer cloned into, the arrays of the checkpoint before the active one
+// (the consumer's spare); the producer's blobs and the KV server's staging
+// values circulate through their pools; a full stream's records land in
+// the consumer's receive pool and go back once decoded or hashed. (Each op
+// allocated the installed weights or the clone, ≈ 1.01–1.05, under budgets
+// of 1.5 and 1.6; the budget was 2.6 while every record was a fresh slice,
+// and the tree before the one-pass work spent 6.6 / 8.5.) The cold-join
+// path has its own case beside the relay: TestAllocBudgetColdJoin.
 func TestAllocBudget(t *testing.T) {
 	const (
 		elems     = 512 << 10 // 4 MiB of float64
@@ -683,14 +684,8 @@ func TestAllocBudget(t *testing.T) {
 		budget float64
 		next   func(snap nn.Snapshot, op int)
 	}{
-		{"full_stream", false, 1.5, func(snap nn.Snapshot, op int) {
-			for _, nt := range snap { // every element changes
-				for i := range nt.Data {
-					nt.Data[i] += 0.5
-				}
-			}
-		}},
-		{"delta_steady", true, 1.6, func(snap nn.Snapshot, op int) { deltaSteady(snap, op, chunkSize, eps) }},
+		{"full_stream", false, 0.25, func(snap nn.Snapshot, op int) { denseStep(snap) }},
+		{"delta_steady", true, 0.25, func(snap nn.Snapshot, op int) { deltaSteady(snap, op, chunkSize, eps) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := chunkedPairConfig{
@@ -703,9 +698,9 @@ func TestAllocBudget(t *testing.T) {
 			prod, cons := startChunkedPair(t, nil, cfg)
 			snap := flatSnapshot(9, elems)
 			got := allocPerPayloadByte(t, prod, cons, snap, ops, func(op int) { tc.next(snap, op) })
-			t.Logf("%s: %.3f allocated bytes per payload byte (budget %.1f)", tc.name, got, tc.budget)
+			t.Logf("%s: %.3f allocated bytes per payload byte (budget %.2f)", tc.name, got, tc.budget)
 			if got > tc.budget {
-				t.Errorf("%s allocates %.3f bytes per payload byte, budget %.1f", tc.name, got, tc.budget)
+				t.Errorf("%s allocates %.3f bytes per payload byte, budget %.2f", tc.name, got, tc.budget)
 			}
 			if tc.delta {
 				if s := cons.Stats(); s.DeltaLoads < ops {
@@ -713,6 +708,15 @@ func TestAllocBudget(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// denseStep moves every element of snap: the full-stream shape.
+func denseStep(snap nn.Snapshot) {
+	for _, nt := range snap {
+		for i := range nt.Data {
+			nt.Data[i] += 0.5
+		}
 	}
 }
 
@@ -738,55 +742,80 @@ func deltaSteady(snap nn.Snapshot, op, chunkSize int, eps float64) {
 }
 
 // TestHeldBudget is the consumer's bytes-held gate, beside the allocation
-// budget: TestAllocBudget's delta_steady shape over loopback TCP, a model of
-// M = 4 MiB in 16 chunks. The process's live heap, read after a collection
+// budget: TestAllocBudget's two shapes over loopback TCP, a model of M =
+// 4 MiB in 16 chunks. The process's live heap, read after a collection
 // once after op 8 and once after op 40, may grow by at most M/4 between the
 // two. What the consumer holds — the active version, the span source, the
-// back buffer and the parked builds — is a fixed number of models whatever
-// the op count; a cache that kept a copy of the one record that moved per op
-// grew by 2 M over those 32 ops.
+// back buffer, the spare and the parked builds — is a fixed number of
+// models whatever the op count: the spare is one slot, not a list, and a
+// cache that kept a copy of the one record that moved per op grew by 2 M
+// over those 32 ops.
 func TestHeldBudget(t *testing.T) {
 	const (
 		elems     = 512 << 10 // 4 MiB of float64
 		chunkSize = 256 << 10 // → 16 chunks
 		eps       = 1e-3
 	)
-	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: chunkSize, deltaEps: eps, frameBuf: 64})
-	snap := flatSnapshot(9, elems)
-	model := snap.NumBytes()
-	live := func() int64 {
-		var m runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m)
-		return int64(m.HeapAlloc)
-	}
-	var grew int64 // read inside the loop, where snap is still live
-	for op := 1; op <= 40; op++ {
-		deltaSteady(snap, op, chunkSize, eps)
-		if _, err := prod.Publish(snap, uint64(op), 0.5); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cons.Next(10 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		// The have-list is sent once the filler is done, and the flusher lets
-		// the blob go once the older staging copies are trimmed.
-		waitFor(t, "the have-list", func() bool { return prod.Stats().HaveLists >= int64(op) })
-		r, _ := prod.retained()
-		waitFor(t, "the staging copy", func() bool { return prod.refsOf(r) == 1 })
-		switch op {
-		case 8:
-			grew = -live()
-		case 40:
-			grew += live()
-		}
-	}
-	t.Logf("live heap grew %d bytes from op 8 to op 40 (%.3f M, budget 0.25 M)", grew, float64(grew)/float64(model))
-	if grew > model/4 {
-		t.Errorf("live heap grew %d bytes from op 8 to op 40, more than M/4 = %d", grew, model/4)
-	}
-	if s := cons.Stats(); s.DeltaLoads != 39 || s.StagedLoads != 0 {
-		t.Errorf("consumer stats %+v, want every op after the first a delta from the link", s)
+	for _, delta := range []bool{false, true} {
+		name := map[bool]string{false: "full_stream", true: "delta_steady"}[delta]
+		t.Run(name, func(t *testing.T) {
+			cfg := chunkedPairConfig{chunkSize: chunkSize, noDelta: !delta, frameBuf: 64}
+			if delta {
+				cfg.deltaEps = eps
+			}
+			prod, cons := startChunkedPair(t, nil, cfg)
+			snap := flatSnapshot(9, elems)
+			model := snap.NumBytes()
+			live := func() int64 {
+				var m runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&m)
+				return int64(m.HeapAlloc)
+			}
+			var grew int64 // read inside the loop, where snap is still live
+			flushed := stageFlushes.Value()
+			for op := 1; op <= 40; op++ {
+				if delta {
+					deltaSteady(snap, op, chunkSize, eps)
+				} else {
+					denseStep(snap)
+				}
+				if _, err := prod.Publish(snap, uint64(op), 0.5); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cons.Next(10 * time.Second); err != nil {
+					t.Fatal(err)
+				}
+				if delta {
+					// The have-list is sent once the filler is done, and the
+					// flusher lets the blob go once the older staging copies are
+					// trimmed.
+					waitFor(t, "the have-list", func() bool { return prod.Stats().HaveLists >= int64(op) })
+					r, _ := prod.retained()
+					waitFor(t, "the staging copy", func() bool { return prod.refsOf(r) == 1 })
+				} else {
+					// The flush counts once the older staging copies are trimmed.
+					waitFor(t, "the staging copy", func() bool { return stageFlushes.Value()-flushed >= int64(op) })
+				}
+				switch op {
+				case 8:
+					grew = -live()
+				case 40:
+					grew += live()
+				}
+			}
+			t.Logf("live heap grew %d bytes from op 8 to op 40 (%.3f M, budget 0.25 M)", grew, float64(grew)/float64(model))
+			if grew > model/4 {
+				t.Errorf("live heap grew %d bytes from op 8 to op 40, more than M/4 = %d", grew, model/4)
+			}
+			want := ConsumerStats{LinkLoads: 40}
+			if delta {
+				want = ConsumerStats{LinkLoads: 40, DeltaLoads: 39, PreparedInstalls: 38}
+			}
+			if s := cons.Stats(); s.LinkLoads != want.LinkLoads || s.DeltaLoads != want.DeltaLoads || s.StagedLoads != 0 {
+				t.Errorf("consumer stats %+v, want every op from the link, and every op after the first a delta when deltas are on", s)
+			}
+		})
 	}
 }
 
@@ -805,7 +834,10 @@ func TestHeldBudget(t *testing.T) {
 // into that clone, which is what copies no span and allocates nothing
 // model-sized between manifest and park (pinned where it is decided:
 // vformat's TestBackBufferIsGoodForOneAssemblyOfItsSource) — and no clone
-// is ever discarded but the last, at Close. On the producer, a version's
+// is ever discarded but the last, at Close. Each clone but the first two is
+// made into the spare (consumer_recycled_snapshots): the arrays of the
+// checkpoint Next handed back when it returned the one before — the seeding
+// version's when the second delta parks. On the producer, a version's
 // blob is retired once the next one is retained and its own staging copy
 // written; the first retired blob written against the base is the first
 // delta's, so from the third delta on every publish encodes in place into
@@ -823,8 +855,9 @@ func TestDeltaCountGate(t *testing.T) {
 	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: chunkSize, deltaEps: eps, frameBuf: 64})
 	snap := flatSnapshot(9, elems)
 	counters := []string{"producer_hashed_chunks", "producer_inherited_hashes", "consumer_inherited_chunks",
-		"consumer_prepared_installs", "consumer_prepared_discards", "producer_inplace_publishes", "producer_reused_records"}
-	sample := func() (v [7]int64) {
+		"consumer_prepared_installs", "consumer_prepared_discards", "producer_inplace_publishes", "producer_reused_records",
+		"consumer_recycled_snapshots"}
+	sample := func() (v [8]int64) {
 		for i, name := range counters {
 			v[i] = Metrics().Counter(name).Value()
 		}
@@ -842,18 +875,18 @@ func TestDeltaCountGate(t *testing.T) {
 		waitFor(t, "the have-list", func() bool { return prod.Stats().HaveLists >= int64(op) })
 		waitFor(t, "the staging copy", func() bool { return prod.Stats().Staged >= int64(op) })
 		after := sample()
-		var got [7]int64
+		var got [8]int64
 		for i := range got {
 			got[i] = after[i] - before[i]
 		}
-		want := [7]int64{1, 15, 15, 1, 0, 1, 15}
+		want := [8]int64{1, 15, 15, 1, 0, 1, 15, 1}
 		switch op {
 		case 1: // the seeding version: a full stream, no hashes, no manifest
-			want = [7]int64{}
-		case 2: // the first delta: the producer has no lineage yet, the consumer no clone
-			want = [7]int64{16, 0, 15, 0, 0, 0, 0}
+			want = [8]int64{}
+		case 2: // the first delta: the producer has no lineage yet, the consumer no clone and no spare
+			want = [8]int64{16, 0, 15, 0, 0, 0, 0, 0}
 		case 3: // the retired blob is the seeding version's, written before the base existed
-			want = [7]int64{1, 15, 15, 1, 0, 0, 0}
+			want = [8]int64{1, 15, 15, 1, 0, 0, 0, 1}
 		}
 		if got != want {
 			t.Fatalf("op %d: %v = %v, want %v", op, counters, got, want)
@@ -868,6 +901,47 @@ func TestDeltaCountGate(t *testing.T) {
 	cons.Close()
 	if s := cons.Stats(); s.DeltaLoads != 7 || s.StagedLoads != 0 || s.PreparedInstalls != 6 || s.PreparedDiscards != 1 {
 		t.Fatalf("consumer stats %+v, want seven delta loads from the link, six of them prepared, and the last clone let go at Close", s)
+	}
+}
+
+// TestFullStreamCountGate is the full-stream count gate beside
+// TestDeltaCountGate: TestAllocBudget's full_stream shape (every element
+// moves, reconciliation off) over loopback TCP, counted by the program's own
+// registry. The first two streams are assembled into fresh snapshots —
+// there is nothing to recycle yet — and from the third on each is assembled
+// into the spare: exactly one per op, the arrays of the checkpoint Next
+// returned two versions back, which the previous Next handed back. The
+// count is exact: ops are closed-loop, so the spare is there before the
+// next stream's header arrives.
+func TestFullStreamCountGate(t *testing.T) {
+	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: 8 << 10, noDelta: true, frameBuf: 64})
+	recycled := Metrics().Counter("consumer_recycled_snapshots")
+	snap := flatSnapshot(9, 16<<10)
+	var installed []*float64 // the first array of every install, by op
+	for op := 1; op <= 8; op++ {
+		denseStep(snap)
+		before := recycled.Value()
+		if _, err := prod.Publish(snap, uint64(op), 0.5); err != nil {
+			t.Fatal(err)
+		}
+		ckpt, err := cons.Next(10 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !snapshotsEqual(ckpt.Weights, snap) || cons.Stats().StagedLoads != 0 {
+			t.Fatalf("op %d: not a bit-identical install from the link (%+v)", op, cons.Stats())
+		}
+		installed = append(installed, &ckpt.Weights[0].Data[0])
+		want := int64(1)
+		if op <= 2 {
+			want = 0
+		}
+		if got := recycled.Value() - before; got != want {
+			t.Fatalf("op %d: consumer_recycled_snapshots moved by %d, want %d", op, got, want)
+		}
+		if op > 2 && installed[op-1] != installed[op-3] {
+			t.Fatalf("op %d was not assembled in the arrays of op %d", op, op-2)
+		}
 	}
 }
 
@@ -890,11 +964,7 @@ func TestChecksumCountGate(t *testing.T) {
 	snap := flatSnapshot(9, elems)
 	var perOp int64
 	for op := 1; op <= 6; op++ {
-		for _, nt := range snap {
-			for i := range nt.Data {
-				nt.Data[i] += 0.5
-			}
-		}
+		denseStep(snap)
 		before := summed.Value()
 		if _, err := prod.Publish(snap, uint64(op), 0.5); err != nil {
 			t.Fatal(err)

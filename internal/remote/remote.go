@@ -49,6 +49,9 @@ var (
 	fillSuperseded   = registry.Counter("consumer_fill_superseded")
 	cacheFillMS      = registry.Histogram("consumer_cache_fill_ms")
 	haveListLagMS    = registry.Histogram("consumer_have_list_lag_ms") // install → its have-list written
+	// Model-sized targets — a full stream's assembly, a back-buffer clone —
+	// written into the consumer's spare instead of a fresh allocation.
+	recycledSnapshots = registry.Counter("consumer_recycled_snapshots")
 	// Per delta publish: records the encoder hashed, and hashes it
 	// inherited from the previous encode. Per delta install: positions
 	// covered by the span source without a record.

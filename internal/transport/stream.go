@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"viper/internal/nn"
 	"viper/internal/vformat"
 )
 
@@ -247,16 +248,19 @@ func ChunkRecordFrame(key string, rec []byte) Frame {
 
 // CollectChunked assembles the chunk stream opened by header, calling
 // recv for successive frames until the checkpoint is complete. Chunks
-// are verified and decoded as they arrive. If a frame not belonging to
+// are verified and decoded as they arrive, into target's arrays when it
+// is not nil (vformat.NewChunkAssembler: the header's layout must fit it,
+// and its contents mean nothing unless the collect succeeds) and into a
+// fresh snapshot otherwise. If a frame not belonging to
 // the stream arrives first, assembly aborts with ErrTornStream and the
 // foreign frame is returned so the caller can process it (typically the
 // header of a newer version). Cancelling ctx aborts between frames; a
 // blocked recv is unblocked by closing the underlying conn.
-func CollectChunked(ctx context.Context, header Frame, recv func() (Frame, error)) (*vformat.Checkpoint, *Frame, error) {
+func CollectChunked(ctx context.Context, header Frame, target nn.Snapshot, recv func() (Frame, error)) (*vformat.Checkpoint, *Frame, error) {
 	if !IsChunkHeader(header) {
 		return nil, nil, fmt.Errorf("transport: frame %q is not a chunk-stream header", header.Key)
 	}
-	asm, err := vformat.NewChunkAssembler(header.Payload)
+	asm, err := vformat.NewChunkAssembler(header.Payload, target)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -72,7 +72,7 @@ func TestSendCollectChunkedLink(t *testing.T) {
 			recvErr = err
 			return
 		}
-		got, _, recvErr = CollectChunked(context.Background(), header, link.Recv)
+		got, _, recvErr = CollectChunked(context.Background(), header, nil, link.Recv)
 	}()
 	if err := SendChunked(context.Background(), link, "stream/v3", enc, 0); err != nil {
 		t.Fatalf("SendChunked: %v", err)
@@ -107,7 +107,7 @@ func TestSendCollectChunkedTCP(t *testing.T) {
 			recvErr = err
 			return
 		}
-		got, _, recvErr = CollectChunked(context.Background(), header, server.Recv)
+		got, _, recvErr = CollectChunked(context.Background(), header, nil, server.Recv)
 	}()
 	if err := SendChunked(context.Background(), client, "stream/v3", enc, 0); err != nil {
 		t.Fatalf("SendChunked: %v", err)
@@ -146,7 +146,7 @@ func TestCollectChunkedTornStream(t *testing.T) {
 		}
 		return link.Recv()
 	}
-	_, foreign, err := CollectChunked(context.Background(), header, recv)
+	_, foreign, err := CollectChunked(context.Background(), header, nil, recv)
 	if !errors.Is(err, ErrTornStream) {
 		t.Fatalf("CollectChunked = %v, want ErrTornStream", err)
 	}
@@ -182,7 +182,7 @@ func TestCollectChunkedCorruptChunk(t *testing.T) {
 		}
 		return f, err
 	}
-	if _, _, err := CollectChunked(context.Background(), header, recv); !errors.Is(err, vformat.ErrCorruptChunk) {
+	if _, _, err := CollectChunked(context.Background(), header, nil, recv); !errors.Is(err, vformat.ErrCorruptChunk) {
 		t.Fatalf("CollectChunked = %v, want ErrCorruptChunk", err)
 	}
 }

@@ -62,7 +62,7 @@ func BenchmarkTransferChunked(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					header, err := server.Recv()
 					if err == nil {
-						_, _, err = CollectChunked(context.Background(), header, server.Recv)
+						_, _, err = CollectChunked(context.Background(), header, nil, server.Recv)
 					}
 					ack <- err
 					if err != nil {

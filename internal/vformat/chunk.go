@@ -136,6 +136,21 @@ type ChunkLayout struct {
 	Tensors []ChunkTensor
 }
 
+// Fits reports whether s has one array per tensor of the directory, each
+// of that tensor's length: the shape of a snapshot decoded under l. A nil s
+// fits nothing.
+func (l *ChunkLayout) Fits(s nn.Snapshot) bool {
+	if s == nil || len(s) != len(l.Tensors) {
+		return false
+	}
+	for i, t := range l.Tensors {
+		if int64(len(s[i].Data)) != t.Elems {
+			return false
+		}
+	}
+	return true
+}
+
 // planLayout computes the chunk layout for a snapshot.
 func planLayout(weights nn.Snapshot, opts ChunkOptions) *ChunkLayout {
 	l := &ChunkLayout{Precision: opts.Precision, Tensors: make([]ChunkTensor, len(weights))}
@@ -1139,35 +1154,28 @@ type ChunkAssembler struct {
 	remaining int
 }
 
-// NewChunkAssembler parses the v2 stream header and allocates the
-// assembly target — the one place a header parse leads to a model-sized
-// allocation.
-func NewChunkAssembler(header []byte) (*ChunkAssembler, error) {
-	return newChunkAssembler(header, nil)
-}
-
-// newChunkAssembler is NewChunkAssembler decoding into target's arrays when
-// it is given one: a snapshot nobody else reads or writes, one array per
-// tensor of the header's directory, each of that tensor's length. Whatever
+// NewChunkAssembler parses the v2 stream header and seeds the assembly
+// target. A nil target is allocated — the one place a header parse leads to
+// a model-sized allocation. Otherwise the records are decoded into target's
+// arrays: a snapshot nobody else reads or writes until the assembly is
+// complete, which the header's layout must fit (ChunkLayout.Fits). Whatever
 // the arrays hold stays at every position until a record is decoded over it
-// or the caller marks it as already in place. A nil target is allocated.
-func newChunkAssembler(header []byte, target nn.Snapshot) (*ChunkAssembler, error) {
+// (or, under a ManifestAssembler, it is marked as already in place), so
+// only a complete assembly says anything about their contents.
+func NewChunkAssembler(header []byte, target nn.Snapshot) (*ChunkAssembler, error) {
 	layout, ckpt, headerLen, err := ParseChunkHeader(header)
 	if err != nil {
 		return nil, err
 	}
-	if target != nil && len(target) != len(layout.Tensors) {
-		return nil, fmt.Errorf("vformat: target holds %d tensors, the header lists %d", len(target), len(layout.Tensors))
+	if target != nil && !layout.Fits(target) {
+		return nil, fmt.Errorf("vformat: the target's %d tensors do not fit the header's %d", len(target), len(layout.Tensors))
 	}
 	for i := range ckpt.Weights {
 		if target == nil {
 			ckpt.Weights[i].Data = make([]float64, layout.Tensors[i].Elems)
-			continue
+		} else {
+			ckpt.Weights[i].Data = target[i].Data
 		}
-		if int64(len(target[i].Data)) != layout.Tensors[i].Elems {
-			return nil, fmt.Errorf("vformat: target tensor %d holds %d elements, the header says %d", i, len(target[i].Data), layout.Tensors[i].Elems)
-		}
-		ckpt.Weights[i].Data = target[i].Data
 	}
 	return &ChunkAssembler{
 		layout: layout, ckpt: ckpt, headerLen: headerLen,
@@ -1285,7 +1293,7 @@ func splitRecords(l *ChunkLayout, blob []byte, headerLen int, fn func(rec []byte
 // concatenating a streamed header and its records), decoding chunks with
 // a bounded worker pool. parallelism <= 0 selects GOMAXPROCS.
 func DecodeChunked(ctx context.Context, blob []byte, parallelism int) (*Checkpoint, error) {
-	asm, err := NewChunkAssembler(blob)
+	asm, err := NewChunkAssembler(blob, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -198,7 +198,7 @@ func TestChunkStreamAssembly(t *testing.T) {
 	if len(recs) != enc.NumChunks() {
 		t.Fatalf("emitted %d records, want %d", len(recs), enc.NumChunks())
 	}
-	asm, err := NewChunkAssembler(enc.Header())
+	asm, err := NewChunkAssembler(enc.Header(), nil)
 	if err != nil {
 		t.Fatalf("NewChunkAssembler: %v", err)
 	}
@@ -259,7 +259,7 @@ func TestChunkedCorruptionRejected(t *testing.T) {
 		}
 	}
 	// A corrupt record fed to the assembler must return ErrCorruptChunk.
-	asm, err := NewChunkAssembler(blob)
+	asm, err := NewChunkAssembler(blob, nil)
 	if err != nil {
 		t.Fatalf("NewChunkAssembler: %v", err)
 	}

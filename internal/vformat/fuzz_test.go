@@ -296,7 +296,7 @@ func checkCloneAssembly(t *testing.T, in []byte, man *ChunkManifest, src *SpanSo
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched, err := NewManifestAssembler(in[:man.Len], src, src.Clone())
+	patched, err := NewManifestAssembler(in[:man.Len], src, src.Clone(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestDuplicateRecordHasOneWriter(t *testing.T) {
 	if err := WalkChunkRecords(blob, func(rec []byte) error { recs = append(recs, rec); return nil }); err != nil || len(recs) < 2 {
 		t.Fatalf("%d records, err %v; want at least 2", len(recs), err)
 	}
-	asm, err := NewChunkAssembler(blob)
+	asm, err := NewChunkAssembler(blob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -373,6 +373,12 @@ func NewSpanSource(header []byte, hashes []ChunkHash, weights nn.Snapshot) (*Spa
 // slice is s's own and must not be written.
 func (s *SpanSource) Hashes() []ChunkHash { return s.hashes }
 
+// Weights returns the decoded weights s shares, which must not be written.
+func (s *SpanSource) Weights() nn.Snapshot { return s.weights }
+
+// Layout returns the chunk layout s's weights were decoded under.
+func (s *SpanSource) Layout() *ChunkLayout { return s.layout }
+
 // BackBuffer is a private copy of a span source's decoded weights: what the
 // next manifest is assembled into instead of a fresh allocation. It is good
 // for one assembly (NewManifestAssembler takes the weights out of it)
@@ -385,12 +391,20 @@ type BackBuffer struct {
 	weights nn.Snapshot // nil once an assembler took them
 }
 
-// Clone copies s's decoded weights — one allocation and one copy per
-// tensor, reading s only — into a back buffer for the next manifest.
-func (s *SpanSource) Clone() *BackBuffer {
+// Clone copies s's decoded weights, reading s only, into a back buffer for
+// the next manifest: into target's arrays when s's layout fits them — a
+// snapshot nobody else reads or writes, whatever it held — and otherwise
+// (nil included) into one fresh allocation per tensor.
+func (s *SpanSource) Clone(target nn.Snapshot) *BackBuffer {
+	fits := s.layout.Fits(target)
 	w := make(nn.Snapshot, len(s.weights))
 	for i, nt := range s.weights {
-		w[i].Data = slices.Clone(nt.Data)
+		if fits {
+			w[i].Data = target[i].Data
+			copy(w[i].Data, nt.Data)
+		} else {
+			w[i].Data = slices.Clone(nt.Data)
+		}
 	}
 	return &BackBuffer{of: s, weights: w}
 }
@@ -441,7 +455,7 @@ func NewManifestAssembler(blob []byte, src *SpanSource, back *BackBuffer) (*Mani
 	if inherits && back != nil && back.of == src {
 		target, back.weights = back.weights, nil
 	}
-	asm, err := newChunkAssembler(man.Header, target)
+	asm, err := NewChunkAssembler(man.Header, target)
 	if err != nil {
 		return nil, err
 	}

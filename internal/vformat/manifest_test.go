@@ -193,7 +193,7 @@ func TestReconcileProperty(t *testing.T) {
 
 					// And once more into a clone of the source: the same counts,
 					// the same bits, v1 as decoded left alone.
-					patched, err := NewManifestAssembler(delta, src, src.Clone())
+					patched, err := NewManifestAssembler(delta, src, src.Clone(nil))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -252,7 +252,7 @@ func TestReconcileProperty(t *testing.T) {
 					if chained == nil {
 						t.Fatal("a complete in-place assembly offers no source")
 					}
-					patched3, err := NewManifestAssembler(delta3, chained, chained.Clone())
+					patched3, err := NewManifestAssembler(delta3, chained, chained.Clone(nil))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -392,7 +392,7 @@ func TestSpanSourceFallsBack(t *testing.T) {
 			// source inherits, and a clone that is not taken stays whole.
 			var back *BackBuffer
 			if tc.src != nil {
-				back = tc.src.Clone()
+				back = tc.src.Clone(nil)
 			}
 			patched, err := NewManifestAssembler(delta, tc.src, back)
 			if err != nil {
@@ -442,7 +442,7 @@ func TestBackBufferIsGoodForOneAssemblyOfItsSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := decodedSource(t, v1, opts)
-	back := src.Clone()
+	back := src.Clone(nil)
 	arrays := make([]*float64, len(back.weights))
 	for i, nt := range back.weights {
 		if len(nt.Data) == 0 {
@@ -507,7 +507,7 @@ func TestBackBufferIsGoodForOneAssemblyOfItsSource(t *testing.T) {
 
 	// Another source's clone, however equal its bytes, is not this source's.
 	twin := decodedSource(t, v1, opts)
-	foreign := twin.Clone()
+	foreign := twin.Clone(nil)
 	other, err := NewManifestAssembler(delta, src, foreign)
 	if err != nil {
 		t.Fatal(err)
@@ -518,6 +518,70 @@ func TestBackBufferIsGoodForOneAssemblyOfItsSource(t *testing.T) {
 	assertSameBits(t, "the clone that was not taken", twin.weights, foreign.weights)
 	if own, err := NewManifestAssembler(delta, twin, foreign); err != nil || !own.InPlace() {
 		t.Fatalf("the clone is still good against its own source: in place %v, err = %v", own != nil && own.InPlace(), err)
+	}
+}
+
+// TestTargetsAreWrittenInPlace: a clone or a full assembly given a target
+// the layout fits writes the target's own arrays, whatever they held, and
+// allocates nothing model-sized; a clone offered a target of another shape
+// allocates its own, and an assembler refuses one.
+func TestTargetsAreWrittenInPlace(t *testing.T) {
+	opts := ChunkOptions{ChunkBytes: 4 << 10}
+	v1 := chunkTestCheckpoint(12, 40_000)
+	blob1, _ := encodeFull(t, v1, opts)
+	src := decodedSource(t, v1, opts)
+	model := uint64(v1.Weights.NumBytes())
+	junk := func() nn.Snapshot {
+		s := src.weights.Clone()
+		for _, nt := range s {
+			for j := range nt.Data {
+				nt.Data[j] = -7
+			}
+		}
+		return s
+	}
+	sameArrays := func(a, b nn.Snapshot) bool {
+		for i := range a {
+			if len(a[i].Data) > 0 && &a[i].Data[0] != &b[i].Data[0] {
+				return false
+			}
+		}
+		return true
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	target := junk()
+	var back *BackBuffer
+	if grew := allocated(func() { back = src.Clone(target) }); grew > model/8 || !sameArrays(back.weights, target) {
+		t.Fatalf("a clone into a fitting target allocated %d bytes (model %d), in its arrays: %v", grew, model, sameArrays(back.weights, target))
+	}
+	assertSameBits(t, "the clone in the target vs its source", src.weights, back.weights)
+	if misfit := src.Clone(target[1:]); sameArrays(misfit.weights[1:], target[1:]) {
+		t.Fatal("a clone wrote a target its source's layout does not fit")
+	}
+
+	target = junk()
+	var asm *ChunkAssembler
+	var err error
+	if grew := allocated(func() { asm, err = NewChunkAssembler(blob1, target) }); err != nil || grew > model/8 {
+		t.Fatalf("seeding an assembler with a target: err = %v, %d bytes allocated (model %d)", err, grew, model)
+	}
+	if err := splitRecords(asm.layout, blob1, asm.headerLen, func(rec []byte) error { _, err := asm.Add(rec); return err }); err != nil {
+		t.Fatal(err)
+	}
+	got, err := asm.Checkpoint()
+	if err != nil || !sameArrays(got.Weights, target) {
+		t.Fatalf("the assembly: err = %v, decoded into the target's arrays: %v", err, err == nil && sameArrays(got.Weights, target))
+	}
+	assertSameBits(t, "the assembly in the target vs a fresh decode", src.weights, got.Weights)
+	if _, err := NewChunkAssembler(blob1, target[:1]); err == nil {
+		t.Fatal("an assembler took a target the header's layout does not fit")
 	}
 }
 
