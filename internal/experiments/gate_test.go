@@ -36,8 +36,9 @@ func deltaDedupFloors(r *DeltaDedupResult) error {
 // replay, so the bound rejects O(history²) recovery without flaking on a
 // loaded runner. Late joiner: an install served from demoted disk shells
 // costs at most 10 ms over one served from the resident cache (minima
-// across trials) — a difference, not a ratio, so a speed-up of the shared
-// path cannot fail the gate on what read-through adds. Chaos: at least ten
+// across trials, the two kinds of join taken by turns) — a difference, not
+// a ratio, so a speed-up of the shared path cannot fail the gate on what
+// read-through adds. Chaos: at least ten
 // injected faults, and across every post-crash reopen zero corrupt chunks,
 // exactly.
 func storeRecoveryFloors(r *StoreRecoveryResult) error {

@@ -2,9 +2,9 @@
 // phases. Warm restart: a deep per-model history is committed,
 // the store is closed, and reopening replays the manifest log against
 // the segment files — the recovery time is what a restarting relay or
-// producer pays before it can serve. Late joiner: a store-backed relay
-// serves a fresh consumer once from the resident cache and once after a
-// relay restart, when every version is a demoted shell whose chunks
+// producer pays before it can serve. Late joiner: fresh consumers join,
+// by turns, a store-backed relay serving from its resident cache and a
+// restarted one, where every version is a demoted shell whose chunks
 // must be read back from segment files; the difference of the two install
 // times is the price of durability on the serve path. Chaos: publishes
 // run under an injector that fails a configurable fraction of store
@@ -18,6 +18,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"time"
 
 	"viper/internal/chunkstore"
@@ -45,8 +47,8 @@ type StoreRecoveryConfig struct {
 	// RelayVersions, RelayElems, and Trials shape the late-joiner
 	// phase: the relay holds RelayVersions versions of a RelayElems
 	// checkpoint (sized so the TCP transfer, not dial jitter, dominates
-	// the install) and each serving mode is timed Trials times (the
-	// minimum is reported, shedding scheduler noise).
+	// the install) and each serving mode is timed Trials times, the two
+	// modes by turns (the minimum is reported, shedding scheduler noise).
 	RelayVersions int
 	RelayElems    int
 	Trials        int
@@ -200,8 +202,11 @@ func runWarmRestart(ctx context.Context, cfg StoreRecoveryConfig, res *StoreReco
 }
 
 // runLateJoiner times a fresh consumer's connect-to-install against a
-// store-backed relay, first with the versions resident in the cache and
-// then after a relay restart, when every chunk is read back from disk.
+// store-backed relay with the versions resident in its cache, and against
+// a restart of that relay, where every chunk is read back from disk. The
+// restart opens a copy of the store directory, so both relays serve at
+// once and their joins alternate: whatever else the machine runs weighs on
+// both minima alike, not on whichever phase it happened to overlap.
 func runLateJoiner(cfg StoreRecoveryConfig, res *StoreRecoveryResult) error {
 	kvSrv := kvstore.NewServer(kvstore.NewStore())
 	metaAddr, err := kvSrv.Listen("127.0.0.1:0")
@@ -259,18 +264,19 @@ func runLateJoiner(cfg StoreRecoveryConfig, res *StoreRecoveryResult) error {
 		return err
 	}
 	prod.Close()
+	defer r1.Close()
 
-	cacheNS, err := timeJoins(cfg, metaAddr, notifyAddr, r1.ServeAddr(), want, res)
-	r1.Close()
-	if err != nil {
+	// The restart: the hydrated versions are demoted shells and every
+	// served chunk is a segment-file read. r1 writes nothing more once its
+	// versions are stored (closing would only sync), so the copy holds what
+	// a restart on dir would open.
+	restarted := cfg.Dir + "/relay-restarted"
+	if err := copyFiles(dir, restarted); err != nil {
 		return err
 	}
-
-	// Restart on the same directory: the hydrated versions are demoted
-	// shells and every served chunk is a segment-file read.
 	r2, err := relay.New(relay.Config{
 		IngestAddr: "127.0.0.1:0", ServeAddr: "127.0.0.1:0",
-		MetaAddr: metaAddr, NotifyAddr: notifyAddr, StoreDir: dir,
+		MetaAddr: metaAddr, NotifyAddr: notifyAddr, StoreDir: restarted,
 	})
 	if err != nil {
 		return err
@@ -279,7 +285,7 @@ func runLateJoiner(cfg StoreRecoveryConfig, res *StoreRecoveryResult) error {
 	if st := r2.Stats(); st.HydratedVersions != int64(cfg.RelayVersions) {
 		return fmt.Errorf("hydrated %d versions, want %d", st.HydratedVersions, cfg.RelayVersions)
 	}
-	diskNS, err := timeJoins(cfg, metaAddr, notifyAddr, r2.ServeAddr(), want, res)
+	cacheNS, diskNS, err := timeJoins(cfg, metaAddr, notifyAddr, r1.ServeAddr(), r2.ServeAddr(), want, res)
 	if err != nil {
 		return err
 	}
@@ -290,36 +296,77 @@ func runLateJoiner(cfg StoreRecoveryConfig, res *StoreRecoveryResult) error {
 	return nil
 }
 
-// timeJoins measures connect-to-install for cfg.Trials fresh consumers
-// against serveAddr and returns the minimum, verifying every install
-// against want.
-func timeJoins(cfg StoreRecoveryConfig, metaAddr, notifyAddr, serveAddr string, want nn.Snapshot, res *StoreRecoveryResult) (int64, error) {
-	best := int64(0)
-	for trial := 0; trial < cfg.Trials; trial++ {
-		//lint:ignore simclockpurity the phase times a live TCP install end to end; wall clock is the measurement
-		start := time.Now()
-		cons, err := remote.NewConsumer(remote.ConsumerConfig{
-			Model: "bench8", MetaAddr: metaAddr, NotifyAddr: notifyAddr,
-			ProducerAddr: serveAddr, LinkWait: 2 * time.Second,
-		})
+// copyFiles copies the regular files of directory src into a new
+// directory dst.
+func copyFiles(src, dst string) error {
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	if err := os.Mkdir(dst, 0o755); err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
 		if err != nil {
-			return 0, err
+			return err
 		}
-		ckpt, err := cons.Next(30 * time.Second)
-		//lint:ignore simclockpurity same: end of the wall-clock measurement window
-		elapsed := time.Since(start).Nanoseconds()
-		cons.Close()
-		if err != nil {
-			return 0, err
-		}
-		if !weightsEqual(ckpt.Weights, want) {
-			res.Identical = false
-		}
-		if best == 0 || elapsed < best {
-			best = elapsed
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			return err
 		}
 	}
-	return best, nil
+	return nil
+}
+
+// timeJoins measures connect-to-install for cfg.Trials fresh consumers
+// against each of cacheAddr and diskAddr, taking the two by turns (which
+// goes first alternates too), and returns each one's minimum, verifying
+// every install against want.
+func timeJoins(cfg StoreRecoveryConfig, metaAddr, notifyAddr, cacheAddr, diskAddr string, want nn.Snapshot, res *StoreRecoveryResult) (cacheNS, diskNS int64, err error) {
+	for trial := 0; trial < cfg.Trials; trial++ {
+		for turn := 0; turn < 2; turn++ {
+			addr, best := cacheAddr, &cacheNS
+			if (trial+turn)%2 == 1 {
+				addr, best = diskAddr, &diskNS
+			}
+			elapsed, err := timeJoin(metaAddr, notifyAddr, addr, want, res)
+			if err != nil {
+				return 0, 0, err
+			}
+			if *best == 0 || elapsed < *best {
+				*best = elapsed
+			}
+		}
+	}
+	return cacheNS, diskNS, nil
+}
+
+// timeJoin measures connect-to-install for one fresh consumer against
+// serveAddr and checks the install against want.
+func timeJoin(metaAddr, notifyAddr, serveAddr string, want nn.Snapshot, res *StoreRecoveryResult) (int64, error) {
+	//lint:ignore simclockpurity the phase times a live TCP install end to end; wall clock is the measurement
+	start := time.Now()
+	cons, err := remote.NewConsumer(remote.ConsumerConfig{
+		Model: "bench8", MetaAddr: metaAddr, NotifyAddr: notifyAddr,
+		ProducerAddr: serveAddr, LinkWait: 2 * time.Second,
+	})
+	if err != nil {
+		return 0, err
+	}
+	ckpt, err := cons.Next(30 * time.Second)
+	//lint:ignore simclockpurity same: end of the wall-clock measurement window
+	elapsed := time.Since(start).Nanoseconds()
+	cons.Close()
+	if err != nil {
+		return 0, err
+	}
+	if !weightsEqual(ckpt.Weights, want) {
+		res.Identical = false
+	}
+	return elapsed, nil
 }
 
 // weightsEqual compares two snapshots bit for bit.

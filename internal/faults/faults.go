@@ -19,6 +19,7 @@ package faults
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -219,6 +220,13 @@ type Flipper struct {
 // NewFlipper builds a Flipper for marker and offset.
 func NewFlipper(marker string, offset int) *Flipper {
 	return &Flipper{marker: []byte(marker), offset: offset}
+}
+
+// WireField is s as a TCP frame carries a key, a meta key or a meta value:
+// its u64 little-endian length, then s. A drill aims a Flipper at one tag
+// value with it (the value's first byte is at offset 8).
+func WireField(s string) string {
+	return string(binary.LittleEndian.AppendUint64(nil, uint64(len(s)))) + s
 }
 
 // Fired reports whether the byte has been flipped.

@@ -45,8 +45,7 @@ func benchFrames(tb testing.TB, version uint64, snap nn.Snapshot) (*vformat.Chun
 	err = enc.EncodeStream(context.Background(), func(idx int, rec []byte) error {
 		frames = append(frames, transport.Frame{Key: key, Payload: rec, Meta: map[string]string{
 			"model": "bench", "version": vtag,
-			transport.MetaChunkRole:  transport.ChunkRoleChunk,
-			transport.MetaChunkIndex: strconv.Itoa(idx),
+			transport.MetaChunkRole: transport.ChunkRoleChunk,
 		}})
 		return nil
 	})

@@ -24,7 +24,9 @@ import (
 //	    build as a group. No connection is torn down.
 //	(b) inside a meta tag, which the frame CRC covers (nothing did before):
 //	    Recv fails with ErrCorruptFrame, tcp_corrupt_frames moves by one and
-//	    the link is redialled.
+//	    the link is redialled. The byte flipped is the third of the role
+//	    value of the first record frame of v1, a frame in the middle of its
+//	    stream; no other frame carries that value.
 //
 // Either way every consumer converges and every install is bit-identical
 // to a published version.
@@ -39,9 +41,9 @@ func TestCorruptionDrillRelayHops(t *testing.T) {
 		frameCRC bool
 	}{
 		{"producer to relay, record payload", true, "VCHK", 60, false},
-		{"producer to relay, meta tag", true, transport.MetaChunkIndex, 3, true},
+		{"producer to relay, meta tag", true, faults.WireField(transport.ChunkRoleChunk), 10, true},
 		{"relay to consumer, record payload", false, "VCHK", 60, false},
-		{"relay to consumer, meta tag", false, transport.MetaChunkIndex, 3, true},
+		{"relay to consumer, meta tag", false, faults.WireField(transport.ChunkRoleChunk), 10, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			metaAddr, notifyAddr := testServices(t)

@@ -119,15 +119,9 @@ func (r *Relay) acceptIngest() {
 	}
 }
 
-// ingestDepth is how many received frames may wait between an ingest
-// connection's reader and its handler: enough for the socket read of the
-// next few frames to overlap the verify/key/append of this one
-// (8 frames = 2 MiB at the default 256 KiB chunk size), small enough
-// that a slow handler still closes the producer's TCP window.
-const ingestDepth = 8
-
 // readIngest is the first ingest stage: it pulls frames off the link
-// (socket read, allocation, frame CRC) and queues them for handleIngest.
+// (socket read, allocation, frame CRC) and queues them for handleIngest,
+// at most transport.ReadAhead ahead of it.
 // It exits — closing frames — when the link fails or the relay closes.
 func (r *Relay) readIngest(link *transport.TCPLink, frames chan<- transport.Frame) {
 	defer r.wg.Done()
@@ -154,7 +148,7 @@ func (r *Relay) readIngest(link *transport.TCPLink, frames chan<- transport.Fram
 // connection (the producer's staging fallback covers the loss).
 func (r *Relay) handleIngest(link *transport.TCPLink) {
 	defer r.wg.Done()
-	frames := make(chan transport.Frame, ingestDepth)
+	frames := make(chan transport.Frame, transport.ReadAhead)
 	r.wg.Add(1)
 	go r.readIngest(link, frames)
 	pending := make(map[string]*building)

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -447,8 +446,8 @@ func TestMixedResidentAndDiskRecordsServeInOrder(t *testing.T) {
 		}
 	}
 	for i, f := range recs {
-		if f.Meta[transport.MetaChunkIndex] != strconv.Itoa(i) || vformat.HashChunkRecord(f.Payload) != hashesM[i] {
-			t.Fatalf("frame %d carries chunk %s: not the manifest's record at that position", i, f.Meta[transport.MetaChunkIndex])
+		if got := transport.ChunkRecordIndex(f.Payload); got != i || vformat.HashChunkRecord(f.Payload) != hashesM[i] {
+			t.Fatalf("frame %d carries chunk %d: not the manifest's record at that position", i, got)
 		}
 	}
 	next := 0
@@ -512,7 +511,6 @@ func TestAllocBudgetColdJoin(t *testing.T) {
 		cons, err := remote.NewConsumer(remote.ConsumerConfig{
 			Model: "m", MetaAddr: metaAddr, NotifyAddr: notifyAddr,
 			ProducerAddr: r.ServeAddr(), Retry: quickPolicy(int64(op)),
-			FrameBuffer: 64, // the whole 17-frame stream fits
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -246,10 +246,7 @@ func TestCorruptChunkDropsVersion(t *testing.T) {
 			payload[len(payload)/2] ^= 0xFF
 		}
 		sent++
-		return conn.Send(transport.Frame{Key: key, Payload: payload, Meta: map[string]string{
-			transport.MetaChunkRole:  transport.ChunkRoleChunk,
-			transport.MetaChunkIndex: strconv.Itoa(idx),
-		}})
+		return conn.Send(transport.ChunkRecordFrame(key, payload))
 	})
 	if err != nil {
 		t.Fatal(err)

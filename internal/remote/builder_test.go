@@ -502,11 +502,12 @@ func TestStagePendingWindow(t *testing.T) {
 	})
 }
 
-// TestDefaultConsumerBuildsBigStreams: with the default FrameBuffer (32)
-// a stream of 65 frames that is complete before Next is first called
-// still installs from the link. The reader used to shed the oldest
-// buffered frame when nobody was draining, so any stream longer than the
-// buffer was torn and re-fetched whole from staging.
+// TestDefaultConsumerBuildsBigStreams: a stream of 65 frames, 8 times
+// longer than the read-ahead (transport.ReadAhead), that is complete
+// before Next is first called still installs from the link: the builder
+// drains the hand-off without waiting for Next. The reader used to shed
+// the oldest buffered frame when nobody was draining, so any stream longer
+// than the buffer was torn and re-fetched whole from staging.
 func TestDefaultConsumerBuildsBigStreams(t *testing.T) {
 	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: 1 << 10})
 	snap := flatSnapshot(5, 8<<10) // 64 KiB → 64 records + the header

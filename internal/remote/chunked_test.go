@@ -23,7 +23,6 @@ type chunkedPairConfig struct {
 	linkWait  time.Duration
 	noDelta   bool    // disable delta reconciliation on both ends
 	deltaEps  float64 // producer-side base-suppression threshold
-	frameBuf  int     // consumer FrameBuffer (0 = default)
 }
 
 // startChunkedPair wires a chunked-pipeline producer and a consumer
@@ -55,7 +54,6 @@ func startChunkedPair(t *testing.T, serving nn.Model, cfg chunkedPairConfig) (*P
 		LinkWait:              cfg.linkWait,
 		LinkDial:              cfg.linkDial,
 		DisableDeltaReconcile: cfg.noDelta,
-		FrameBuffer:           cfg.frameBuf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -64,10 +64,10 @@ type ConsumerConfig struct {
 	// rather than ever assembling a torn checkpoint. Disabling restores
 	// the always-full streams.
 	DisableDeltaReconcile bool
-	// FrameBuffer is the depth, in frames, of the hand-off between the
-	// link reader and the builder that assembles streams as they land
-	// (default 32). The builder drains it without waiting for Next, so a
-	// full hand-off is plain TCP back-pressure, never a shed stream.
+	// FrameBuffer is ignored: the hand-off between the link reader and
+	// the builder is transport.ReadAhead frames deep.
+	//
+	// Deprecated: ignored.
 	FrameBuffer int
 	// BaseContext is the root of the consumer's lifecycle context: the
 	// context-free Next runs under it, and Close cancels it, so a
@@ -293,15 +293,11 @@ func NewConsumer(cfg ConsumerConfig) (*Consumer, error) {
 		cfg.BaseContext = context.Background()
 	}
 	lifeCtx, lifeCancel := context.WithCancel(cfg.BaseContext)
-	frameBuf := cfg.FrameBuffer
-	if frameBuf <= 0 {
-		frameBuf = 32
-	}
 	c := &Consumer{
 		model: cfg.Model, kv: kv, ps: ps, link: link, pool: pool,
 		events: events, serving: cfg.Serving,
 		linkWait: linkWait, policy: pol, clock: pol.ClockOrWall(), reconcile: !cfg.DisableDeltaReconcile,
-		frames:  make(chan transport.Frame, frameBuf),
+		frames:  make(chan transport.Frame, transport.ReadAhead),
 		closed:  make(chan struct{}),
 		changed: make(chan struct{}),
 		lifeCtx: lifeCtx, lifeCancel: lifeCancel,
@@ -329,10 +325,11 @@ func NewConsumer(cfg ConsumerConfig) (*Consumer, error) {
 
 // pump moves frames from the (reconnecting) link to the builder until
 // the consumer closes (recvLoop); deliveries continue through the staging
-// fallback while the link is down. The hand-off may block: the builder
-// drains it without ever waiting for Next, so a full channel is
-// back-pressure on the sender, and the Recv loop — which is also what
-// drives link reconnection — is never parked for long.
+// fallback while the link is down. The hand-off is transport.ReadAhead
+// frames deep and may block: the builder drains it without ever waiting
+// for Next, so a full channel is back-pressure on the sender, and the Recv
+// loop — which is also what drives link reconnection — is never parked
+// for long.
 func (c *Consumer) pump() {
 	recvLoop(c.link, c.policy, c.clock, c.closed, func(f transport.Frame) bool {
 		select {

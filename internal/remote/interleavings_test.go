@@ -16,7 +16,8 @@ import (
 // checkpoint, what still takes the need-list — the back buffer cloned from
 // it and the builds lost while patching one, the spare the builder writes
 // while a serving thread reads the active checkpoint, the buffer pools'
-// hand-back points, and the per-hop corruption drill.
+// hand-back points, the read-ahead that bounds the receive buffers, and
+// the per-hop corruption drill.
 var interleaved = []func(*testing.T){
 	TestParkedBuildWaitsForItsNotification,
 	TestInterruptedStreamNeverInstalls,
@@ -48,6 +49,7 @@ var interleaved = []func(*testing.T){
 	TestSupersededFillReleasesItsRecords,
 	TestCloseWithFramesInFlight,
 	TestCorruptionDrillDirectLink,
+	TestReadAheadBoundsReceiveBuffers,
 }
 
 // TestInterleavings reruns the tests above as subtests. ci.sh runs it

@@ -688,10 +688,7 @@ func TestAllocBudget(t *testing.T) {
 		{"delta_steady", true, 0.25, func(snap nn.Snapshot, op int) { deltaSteady(snap, op, chunkSize, eps) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := chunkedPairConfig{
-				chunkSize: chunkSize, noDelta: !tc.delta,
-				frameBuf: 64, // a whole 17-frame stream fits: nothing sheds to staging
-			}
+			cfg := chunkedPairConfig{chunkSize: chunkSize, noDelta: !tc.delta}
 			if tc.delta {
 				cfg.deltaEps = eps
 			}
@@ -759,7 +756,7 @@ func TestHeldBudget(t *testing.T) {
 	for _, delta := range []bool{false, true} {
 		name := map[bool]string{false: "full_stream", true: "delta_steady"}[delta]
 		t.Run(name, func(t *testing.T) {
-			cfg := chunkedPairConfig{chunkSize: chunkSize, noDelta: !delta, frameBuf: 64}
+			cfg := chunkedPairConfig{chunkSize: chunkSize, noDelta: !delta}
 			if delta {
 				cfg.deltaEps = eps
 			}
@@ -852,7 +849,7 @@ func TestDeltaCountGate(t *testing.T) {
 		chunkSize = 8 << 10  // → 16 chunks
 		eps       = 1e-3
 	)
-	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: chunkSize, deltaEps: eps, frameBuf: 64})
+	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: chunkSize, deltaEps: eps})
 	snap := flatSnapshot(9, elems)
 	counters := []string{"producer_hashed_chunks", "producer_inherited_hashes", "consumer_inherited_chunks",
 		"consumer_prepared_installs", "consumer_prepared_discards", "producer_inplace_publishes", "producer_reused_records",
@@ -914,7 +911,7 @@ func TestDeltaCountGate(t *testing.T) {
 // count is exact: ops are closed-loop, so the spare is there before the
 // next stream's header arrives.
 func TestFullStreamCountGate(t *testing.T) {
-	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: 8 << 10, noDelta: true, frameBuf: 64})
+	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: 8 << 10, noDelta: true})
 	recycled := Metrics().Counter("consumer_recycled_snapshots")
 	snap := flatSnapshot(9, 16<<10)
 	var installed []*float64 // the first array of every install, by op
@@ -959,7 +956,7 @@ func TestChecksumCountGate(t *testing.T) {
 		elems     = 512 << 10 // 4 MiB of float64
 		chunkSize = 256 << 10 // → 16 chunks
 	)
-	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: chunkSize, noDelta: true, frameBuf: 64})
+	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: chunkSize, noDelta: true})
 	summed := transport.Metrics().Counter("tcp_checksum_bytes")
 	snap := flatSnapshot(9, elems)
 	var perOp int64

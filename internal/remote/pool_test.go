@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 
@@ -74,7 +75,7 @@ func TestDroppedBuildReleasesItsRecordsOnly(t *testing.T) {
 		before = poolReleased.Value()
 		s.send(v3[:3]...)
 		foreign := v1[len(v1)-1]
-		foreign.Meta = map[string]string{"model": "m", "version": "4", transport.MetaChunkRole: transport.ChunkRoleChunk, transport.MetaChunkIndex: "0"}
+		foreign.Meta = map[string]string{"model": "m", "version": "4", transport.MetaChunkRole: transport.ChunkRoleChunk}
 		foreign.Key = "m/v4"
 		s.send(foreign)
 		s.waitBuilder("v3 torn by the stray record", func(c *Consumer) bool { return c.linkVersion == 4 && c.building == 0 })
@@ -206,8 +207,10 @@ func TestCloseWithFramesInFlight(t *testing.T) {
 // leaves to the record's own — the link delivers the frame, the assembler
 // refuses the record, the build is dropped as a group and the version
 // comes from staging at its notification, without waiting out LinkWait and
-// without the link being torn down; (b) inside a meta tag, which the frame
-// CRC covers (nothing did before) — Recv fails with ErrCorruptFrame, the
+// without the link being torn down; (b) inside a meta tag — the third byte
+// of the role value of v1's first record frame, in the middle of its
+// stream; no other frame carries that value — which the frame
+// CRC covers (nothing did before): Recv fails with ErrCorruptFrame, the
 // link is redialled, and the version comes from staging once its build has
 // stalled for LinkWait. Either way what
 // is installed is bit-identical to what was published, and the next
@@ -221,7 +224,7 @@ func TestCorruptionDrillDirectLink(t *testing.T) {
 		frameCRC bool // the flip is one the frame CRC catches
 	}{
 		{"record payload", "VCHK", 1000, false},
-		{"meta tag", transport.MetaChunkIndex, 3, true},
+		{"meta tag", faults.WireField(transport.ChunkRoleChunk), 10, true},
 	} {
 		for _, noDelta := range []bool{false, true} {
 			t.Run(tc.name+map[bool]string{false: ", records kept", true: ", records not kept"}[noDelta], func(t *testing.T) {
@@ -272,5 +275,51 @@ func TestCorruptionDrillDirectLink(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReadAheadBoundsReceiveBuffers: however far the builder falls behind,
+// the pump reads at most transport.ReadAhead frames ahead of it, so a
+// stream draws no more fresh receive buffers than that plus readAheadSlack,
+// the frame the pump holds while the hand-off is full and the one the
+// builder is decoding; TCP back-pressure holds the rest of the stream. The
+// builder is frozen (c.mu held) before a 64-record stream's header
+// arrives and released once the hand-off is full. The consumer has the
+// default read-ahead and reconciliation off, so each record goes back to
+// the pool as it is decoded and the next read draws it. A hand-off 32
+// deep draws a fresh buffer for each frame it buffers: 32 or more.
+func TestReadAheadBoundsReceiveBuffers(t *testing.T) {
+	const (
+		records        = 64
+		readAheadSlack = 2
+	)
+	prod, cons := startChunkedPair(t, nil, chunkedPairConfig{chunkSize: 1 << 10, noDelta: true})
+	reused := transport.Metrics().Counter("tcp_recv_pool_reused")
+	snap := flatSnapshot(11, records<<7) // 128 float64 = 1 KiB a record
+
+	unfreeze := sync.OnceFunc(cons.mu.Unlock)
+	cons.mu.Lock()
+	defer unfreeze()
+	before := reused.Value()
+	published := make(chan error, 1)
+	go func() {
+		_, err := prod.Publish(snap, 1, 0.5)
+		published <- err
+	}()
+	waitFor(t, "the hand-off full behind the frozen builder", func() bool { return len(cons.frames) == cap(cons.frames) })
+	unfreeze()
+	if err := <-published; err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := cons.Next(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !snapshotsEqual(ckpt.Weights, snap) || cons.Stats() != (ConsumerStats{LinkLoads: 1}) {
+		t.Fatalf("not a bit-identical install from the link (%+v)", cons.Stats())
+	}
+	if fresh := records - (reused.Value() - before); fresh > transport.ReadAhead+readAheadSlack {
+		t.Fatalf("the stream's %d records drew %d fresh receive buffers, want at most %d (read-ahead %d + %d)",
+			records, fresh, transport.ReadAhead+readAheadSlack, transport.ReadAhead, readAheadSlack)
 	}
 }

@@ -24,7 +24,6 @@ import (
 //
 //	vchunk:       "header" or "chunk"
 //	vchunk-count: total number of chunk frames to follow (header only)
-//	vchunk-idx:   this frame's chunk index (chunk frames only)
 
 // Chunk-stream Meta keys and roles.
 const (
@@ -32,8 +31,6 @@ const (
 	MetaChunkRole = "vchunk"
 	// MetaChunkCount carries the chunk count on the header frame.
 	MetaChunkCount = "vchunk-count"
-	// MetaChunkIndex carries the chunk index on chunk frames.
-	MetaChunkIndex = "vchunk-idx"
 	// ChunkRoleHeader is the MetaChunkRole value of a stream header frame.
 	ChunkRoleHeader = "header"
 	// ChunkRoleChunk is the MetaChunkRole value of a chunk frame.
@@ -232,18 +229,11 @@ func ChunkRecordIndex(rec []byte) int {
 	return int(binary.LittleEndian.Uint32(rec[4:]))
 }
 
-// ChunkRecordFrame wraps one encoded chunk record as a stream frame,
-// reading the chunk index out of the record bytes: the one builder of a
-// record frame, for SendChunked, delta sends and the relay's fan-out.
+// ChunkRecordFrame wraps one encoded chunk record, which states its own
+// index (ChunkRecordIndex), as a stream frame: the one builder of a record
+// frame, for SendChunked, delta sends and the relay's fan-out.
 func ChunkRecordFrame(key string, rec []byte) Frame {
-	return Frame{
-		Key:     key,
-		Payload: rec,
-		Meta: map[string]string{
-			MetaChunkRole:  ChunkRoleChunk,
-			MetaChunkIndex: strconv.Itoa(max(ChunkRecordIndex(rec), 0)),
-		},
-	}
+	return Frame{Key: key, Payload: rec, Meta: map[string]string{MetaChunkRole: ChunkRoleChunk}}
 }
 
 // CollectChunked assembles the chunk stream opened by header, calling

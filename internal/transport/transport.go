@@ -65,6 +65,14 @@ type Conn interface {
 	Close() error
 }
 
+// ReadAhead is how many received frames may wait between a link's reader
+// and the stage that assembles them (the relay's ingest, a consumer's
+// builder): enough for the next frames' socket reads to overlap this one's
+// verify and decode (2 MiB at the default 256 KiB chunk size), few enough
+// that a slow assembler closes the sender's TCP window, and a constant so
+// that the receive buffers a receiver holds are one too (DESIGN.md §8).
+const ReadAhead = 8
+
 // ErrClosed is returned by operations on a closed connection.
 var ErrClosed = errors.New("transport: connection closed")
 
