@@ -74,14 +74,16 @@ go test -run '^$' -fuzz FuzzManifestAssembler -fuzztime 5s ./internal/vformat
 go test -run '^$' -fuzz FuzzTCPLinkRecv -fuzztime 5s ./internal/transport
 go test -run '^$' -fuzz FuzzSegmentScan -fuzztime 5s -fuzzminimizetime 200x ./internal/chunkstore
 
-echo "==> bench smoke (every micro-benchmark of six packages runs 1x so none rots; nothing recorded)"
+echo "==> bench smoke (every micro-benchmark of seven packages runs 1x so none rots; nothing recorded)"
 go test -run '^$' -bench . -benchtime 1x \
     ./internal/transport/ ./internal/pubsub/ ./internal/kvstore/ \
-    ./internal/relay/ ./internal/metrics/ ./internal/chunkstore/
+    ./internal/relay/ ./internal/metrics/ ./internal/chunkstore/ \
+    ./internal/vformat/
 
 # The runtime gates (DESIGN.md §7): delta dedup and store recovery over live
 # TCP (internal/experiments), fan-out flatness and the records ingest hashes
-# (internal/relay), the analysis suite's wall budget (internal/analysis).
+# (internal/relay), the analysis suite's wall budget (internal/analysis),
+# the fp64 record copy against the portable loop (internal/vformat).
 # Each skips itself in every other pass, states its floors beside the
 # measurement and fails with its own message; `go test -run
 # TestGateDeltaDedup -v ./internal/experiments` runs one and prints what it

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"viper/internal/nn"
 )
@@ -261,9 +262,49 @@ func putElems(dst []byte, p Precision, vals []float64) {
 			binary.LittleEndian.PutUint16(dst[2*i:], Float16FromFloat64(v))
 		}
 	default:
-		for i, v := range vals {
-			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
-		}
+		putFloat64s(dst, vals)
+	}
+}
+
+// nativeLE holds on a host that lays a float64 out as a record does
+// (little-endian): an fp64 record body is then the weights' own bytes.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// float64Bytes views vals' array as its bytes. Never view a record body as
+// []float64 instead: it starts 20 bytes into the record, not 8-aligned.
+func float64Bytes(vals []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 8*len(vals))
+}
+
+// putFloat64s writes vals into dst as little-endian float64s.
+func putFloat64s(dst []byte, vals []float64) {
+	if nativeLE {
+		copy(dst, float64Bytes(vals))
+		return
+	}
+	putFloat64sLoop(dst, vals)
+}
+
+// putFloat64sLoop is putFloat64s on any host, element by element.
+func putFloat64sLoop(dst []byte, vals []float64) {
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+	}
+}
+
+// getFloat64s reads len(dst) little-endian float64s from src into dst.
+func getFloat64s(dst []float64, src []byte) {
+	if nativeLE {
+		copy(float64Bytes(dst), src)
+		return
+	}
+	getFloat64sLoop(dst, src)
+}
+
+// getFloat64sLoop is getFloat64s on any host, element by element.
+func getFloat64sLoop(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
 }
 
@@ -301,8 +342,8 @@ func putElemsBase(dst []byte, p Precision, vals, base []float64, eps float64) (m
 				base[i] = v
 				moved = true
 			}
-			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(base[i]))
 		}
+		putFloat64s(dst, base[:len(vals)])
 	}
 	return moved
 }
@@ -338,9 +379,7 @@ func getElems(dst []float64, p Precision, src []byte) {
 			dst[i] = Float16ToFloat64(binary.LittleEndian.Uint16(src[2*i:]))
 		}
 	default:
-		for i := range dst {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-		}
+		getFloat64s(dst, src)
 	}
 }
 

@@ -17,8 +17,9 @@ import (
 )
 
 // fuzzSeeds returns one blob per format DecodeAuto accepts — lean v1,
-// chunked v2 and a manifest-bearing blob carrying every record — and a v2
-// blob the encoder wrote in place over a retired one (inPlaceSeed).
+// chunked v2 and a manifest-bearing blob carrying every record — a v2
+// blob the encoder wrote in place over a retired one (inPlaceSeed), and an
+// fp64 v2 blob of specialSnapshot's NaNs, zeros, infinities and subnormals.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	ckpt := chunkTestCheckpoint(3, 300)
@@ -34,7 +35,11 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return [][]byte{v1, v2, manifest, inPlaceSeed(tb)}
+	special, err := EncodeChunked(context.Background(), &Checkpoint{ModelName: "special", Weights: specialSnapshot()}, specialChunkOptions(PrecFloat64))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return [][]byte{v1, v2, manifest, inPlaceSeed(tb), special}
 }
 
 // FuzzDecodeAuto feeds arbitrary bytes to the dispatcher every staged
