@@ -181,8 +181,8 @@ type jsonRelayVersion struct {
 	Key     string `json:"key"`
 	Chunks  int    `json:"chunks"`
 	Bytes   int64  `json:"bytes"`
-	// Deduped counts chunks that were already resident in the relay's
-	// chunk table when this version arrived; Delta marks a version
+	// Deduped counts the positions whose key the model's previous newest
+	// version held when this version arrived; Delta marks a version
 	// ingested as a manifest+missing stream rather than a full push;
 	// Hashes are the per-chunk keys (hex, chunk order) — content hashes
 	// unless the push was untagged (relay.VersionInfo).

@@ -1,23 +1,24 @@
 // Command viper-relay runs Viper's caching fan-out tier as a standalone
 // process: it accepts one producer's version pushes on the ingest port,
-// caches the encoded chunk frames per (model, version), and fans every
-// complete version out to any number of consumers connected on the
-// serve port — late joiners included, served straight from the cache.
+// keeps each model's newest version's encoded chunk records in memory,
+// and fans every complete version out to any number of consumers
+// connected on the serve port — late joiners included, served straight
+// from the relay.
 // Point a relay-mode viper-producer (-relay) at the ingest address and
 // any number of viper-consumer processes at the serve address.
 //
 // Usage:
 //
 //	viper-relay -meta 127.0.0.1:7461 -notify 127.0.0.1:7462 \
-//	    -ingest 127.0.0.1:7464 -serve 127.0.0.1:7465 -retain 4
+//	    -ingest 127.0.0.1:7464 -serve 127.0.0.1:7465 -store /var/lib/viper-relay
 //
-// With -store, the relay also persists every ingested version to a
-// durable keyed chunk store in the given directory and
-// recovers its full inventory from it on restart, so late joiners can
-// be served history that predates the process. -store-keep,
-// -store-bytes, and -store-age bound the on-disk history (zero means
-// unbounded); memory eviction then merely demotes versions to disk
-// instead of dropping them.
+// Without -store the relay keeps only each model's newest version. With
+// -store, it also persists every ingested version to a durable keyed
+// chunk store in the given directory and recovers its full inventory
+// from it on restart, so late joiners can be served history that
+// predates the process; a superseded version is demoted to a disk shell
+// instead of dropped. -store-keep, -store-bytes, and -store-age bound the
+// on-disk history (zero means unbounded).
 package main
 
 import (
@@ -37,7 +38,6 @@ func main() {
 	notifyAddr := flag.String("notify", "127.0.0.1:7462", "notification broker address (empty disables relay republishing)")
 	ingestAddr := flag.String("ingest", "127.0.0.1:7464", "address to accept the producer's version pushes on")
 	serveAddr := flag.String("serve", "127.0.0.1:7465", "address to accept consumer links on")
-	retain := flag.Int("retain", relay.DefaultRetained, "cached versions kept per model (oldest demoted or evicted first)")
 	storeDir := flag.String("store", "", "directory for the durable chunk store (empty disables persistence)")
 	storeKeep := flag.Int("store-keep", 0, "stored versions kept per model (0 = unbounded; requires -store)")
 	storeBytes := flag.Int64("store-bytes", 0, "stored payload bytes kept per model (0 = unbounded; requires -store)")
@@ -50,7 +50,6 @@ func main() {
 		ServeAddr:  *serveAddr,
 		MetaAddr:   *metaAddr,
 		NotifyAddr: *notifyAddr,
-		Retained:   *retain,
 		StoreDir:   *storeDir,
 		StoreRetention: chunkstore.Retention{
 			MaxVersions: *storeKeep,
@@ -71,8 +70,7 @@ func main() {
 	}
 	defer dbg.Close()
 
-	fmt.Printf("viper-relay: ingest on %s, serving consumers on %s (retaining %d versions/model)\n",
-		r.IngestAddr(), r.ServeAddr(), *retain)
+	fmt.Printf("viper-relay: ingest on %s, serving consumers on %s\n", r.IngestAddr(), r.ServeAddr())
 	if *storeDir != "" {
 		st := r.Stats()
 		fmt.Printf("viper-relay: durable store at %s (%d versions recovered)\n",

@@ -11,6 +11,6 @@ import (
 )
 
 var (
-	_ = relay.DefaultRetained
+	_ = relay.InventoryKey
 	_ = memsim.NewCluster
 )

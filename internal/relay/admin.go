@@ -54,9 +54,10 @@ type VersionInfo struct {
 	// Bytes is the logical payload size across all frames (what a full
 	// fan-out of this version ships).
 	Bytes int64 `json:"bytes"`
-	// Deduped is how many of the version's chunks were already resident
-	// under their keys when it arrived (cross-version dedup; always 0 for
-	// a version pushed without the reconcile tag).
+	// Deduped is how many of the version's positions carry the key the
+	// model's previous newest version held there when it arrived
+	// (cross-version dedup; always 0 for a version pushed without the
+	// reconcile tag).
 	Deduped int `json:"deduped"`
 	// Delta reports whether the version was ingested as a
 	// manifest+missing delta stream rather than a full push.

@@ -158,7 +158,7 @@ func fanOutDirect(tb testing.TB, consumers, n int, snap nn.Snapshot) time.Durati
 // publish stays ~flat from 1 to 32 consumers (TestGateFanOutFlat).
 func fanOutRelay(tb testing.TB, consumers, n int, snap nn.Snapshot) time.Duration {
 	tb.Helper()
-	r, err := New(Config{IngestAddr: "127.0.0.1:0", ServeAddr: "127.0.0.1:0", Retained: 2})
+	r, err := New(Config{IngestAddr: "127.0.0.1:0", ServeAddr: "127.0.0.1:0"})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -11,26 +11,21 @@ import (
 	"viper/internal/vformat"
 )
 
-// check recomputes, under c.mu, what the chunk table must be from the
-// catalogue alone and compares: every chunk's count is the number of
-// times the resident windows' versions list its key (so no chunk sits at
-// zero and no listed key is absent), a key some content-keyed version
-// lists still hashes to its payload and any other key is listed exactly
-// once (an untagged build's keys are its own), cacheBytes is the resident
-// payloads plus every catalogued header, every window fits retained, and
-// only store-backed versions sit below one. It holds whenever c.mu is
-// free — a session frozen mid-fan-out or a build half arrived changes
-// nothing it reads — so tests call it at any point, on a live relay's
-// catalogue and on a bare one.
+// check recomputes, under c.mu, what the catalogue must be and
+// compares: every model's versions ascend; only a model's newest version
+// holds records, one per position; a content-keyed version's records hash
+// to their keys; every other version — and a newest one without records —
+// is a store-backed shell; and cacheBytes is the records held plus every
+// catalogued header. It holds whenever c.mu is free — a session frozen
+// mid-fan-out or a build half arrived changes nothing it reads — so tests
+// call it at any point, on a live relay's catalogue and on a bare one.
 func (c *catalogue) check(hasStore bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	listed := make(map[vformat.ChunkHash]int)
-	byContent := make(map[vformat.ChunkHash]bool)
 	var bytes int64
 	for model, mc := range c.models {
-		if mc.lo < 0 || mc.lo > len(mc.versions) || len(mc.versions)-mc.lo > c.retained {
-			return fmt.Errorf("model %q: window [%d:%d] with Retained %d", model, mc.lo, len(mc.versions), c.retained)
+		if len(mc.versions) == 0 {
+			return fmt.Errorf("model %q: catalogued without a version", model)
 		}
 		for i, v := range mc.versions {
 			if i > 0 && mc.versions[i-1].vnum >= v.vnum {
@@ -38,42 +33,72 @@ func (c *catalogue) check(hasStore bool) error {
 			}
 			bytes += int64(len(v.head.Payload))
 			switch {
-			case i >= mc.lo:
-				for _, h := range v.hashes {
-					listed[h]++
-					byContent[h] = byContent[h] || v.reconcile
+			case v.recs == nil:
+				if !v.stored || !hasStore {
+					return fmt.Errorf("model %q: v%d holds no records and is not in a store", model, v.vnum)
 				}
-			case !v.stored || !hasStore:
-				return fmt.Errorf("model %q: v%d is below the window but not in a store", model, v.vnum)
+				continue
+			case v != mc.newest():
+				return fmt.Errorf("model %q: v%d holds records below the newest, v%d", model, v.vnum, mc.newest().vnum)
+			case len(v.recs) != len(v.hashes):
+				return fmt.Errorf("model %q: v%d holds %d records for %d positions", model, v.vnum, len(v.recs), len(v.hashes))
+			}
+			for j, rec := range v.recs {
+				switch {
+				case rec == nil:
+					return fmt.Errorf("model %q: v%d holds no record at position %d", model, v.vnum, j)
+				case v.reconcile && vformat.HashChunkRecord(rec) != v.hashes[j]:
+					return fmt.Errorf("model %q: v%d's record %d does not hash to its content key", model, v.vnum, j)
+				}
+				bytes += int64(len(rec))
 			}
 		}
 	}
-	for h, e := range c.chunks {
-		if e.listed != listed[h] || e.listed == 0 {
-			return fmt.Errorf("chunk %s: count %d, the windows list it %d times", h, e.listed, listed[h])
-		}
-		switch {
-		case byContent[h] && vformat.HashChunkRecord(e.payload) != h:
-			return fmt.Errorf("chunk %s: resident payload does not hash to its content key", h)
-		case !byContent[h] && e.listed != 1:
-			return fmt.Errorf("chunk %s: no content-keyed version lists it, and %d positions do", h, e.listed)
-		}
-		bytes += int64(len(e.payload))
-	}
-	if len(c.chunks) != len(listed) {
-		return fmt.Errorf("%d chunks resident, the windows list %d distinct hashes", len(c.chunks), len(listed))
-	}
 	if c.cacheBytes != bytes {
-		return fmt.Errorf("cacheBytes %d, resident payloads + catalogued headers are %d", c.cacheBytes, bytes)
+		return fmt.Errorf("cacheBytes %d, records held + catalogued headers are %d", c.cacheBytes, bytes)
 	}
 	return nil
 }
 
-// residentChunks is the size of the chunk table.
+// residentChunks is the number of records the catalogue holds.
 func (c *catalogue) residentChunks() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.chunks)
+	n := 0
+	for _, mc := range c.models {
+		n += len(mc.newest().recs)
+	}
+	return n
+}
+
+// residentOf counts the keys of hashes under which a catalogued version
+// holds a record.
+func (c *catalogue) residentOf(hashes []vformat.ChunkHash) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	held := make(map[vformat.ChunkHash]bool)
+	for _, mc := range c.models {
+		v := mc.newest()
+		for i := range v.recs {
+			held[v.hashes[i]] = true
+		}
+	}
+	n := 0
+	for _, h := range hashes {
+		if held[h] {
+			n++
+		}
+	}
+	return n
+}
+
+// newestVnum is the number of model's newest catalogued version (0 if
+// none).
+func (c *catalogue) newestVnum(model string) uint64 {
+	if v := c.newest(model); v != nil {
+		return v.vnum
+	}
+	return 0
 }
 
 // catalogueModel drives a bare catalogue — no sockets, no store, no
@@ -89,8 +114,8 @@ type catalogueModel struct {
 	recs     [][]byte
 	pushed   map[uint64]bool // every vnum pushed so far
 	nextVnum uint64
-	// borrowedRecs is a snapshot a "session" took with next and still
-	// reads; borrowedCopy the bytes it held when taken.
+	// borrowedRecs are the records of the version a "session" picked with
+	// next and still reads; borrowedCopy the bytes they held when picked.
 	borrowedRecs, borrowedCopy [][]byte
 }
 
@@ -130,27 +155,29 @@ func (m *catalogueModel) push(vnum uint64) {
 	v := &version{
 		model: "m", vnum: vnum, stored: m.stored, reconcile: m.rng.Intn(2) == 0,
 		head: transport.Frame{Payload: make([]byte, 8+m.rng.Intn(8))},
+		recs: recs,
 	}
+	v.bytes = int64(len(v.head.Payload))
 	b := &building{v: v}
 	hashes := make([]vformat.ChunkHash, len(recs))
 	for i, rec := range recs {
 		hashes[i] = m.keys.recordKey(b, i, rec)
+		v.bytes += int64(len(rec))
 	}
 	v.hashes = hashes
-	before := m.c.resolve(hashes)
+	want := 0
+	if prev := m.c.newest("m"); prev != nil {
+		for i, h := range hashes {
+			if prev.hashes[i] == h {
+				want++
+			}
+		}
+	}
 	wasNewest := m.c.newestVnum("m")
 	m.pushed[vnum] = true
-	deduped, _, _, newest := m.c.insert(v, recs, m.storeHas())
-	want := 0
-	seen := make(map[vformat.ChunkHash]bool)
-	for i, h := range hashes {
-		if before[i] != nil || seen[h] {
-			want++
-		}
-		seen[h] = true
-	}
+	deduped, _, _, newest := m.c.insert(v, m.storeHas())
 	if deduped != want || v.deduped != want || (!v.reconcile && deduped != 0) {
-		m.t.Fatalf("v%d (tagged %v): insert counted %d deduped chunks, %d were resident", vnum, v.reconcile, deduped, want)
+		m.t.Fatalf("v%d (tagged %v): insert counted %d deduped positions, the previous newest held %d", vnum, v.reconcile, deduped, want)
 	}
 	if newest != (vnum >= wasNewest) {
 		m.t.Fatalf("v%d inserted over newest v%d: newest=%v", vnum, wasNewest, newest)
@@ -170,23 +197,20 @@ func (m *catalogueModel) step() {
 		m.nextVnum += 2 // a gap: versions skipped by latest-wins
 		m.push(m.nextVnum - 1)
 	case op == 6:
-		// A session picks the newest version; what it borrowed stays
-		// readable whatever is inserted next.
-		v, _, recs, _ := m.c.next(map[string]uint64{}, nil)
-		if v == nil || v.vnum != m.c.newestVnum("m") {
-			m.t.Fatalf("next picked %v, newest is v%d", v, m.c.newestVnum("m"))
+		// A session picks the newest version, which holds its records;
+		// they stay readable whatever is inserted next.
+		v, _ := m.c.next(map[string]*version{})
+		if v == nil || v.vnum != m.c.newestVnum("m") || v.recs == nil {
+			m.t.Fatalf("next picked %v, newest is v%d with its records", v, m.c.newestVnum("m"))
 		}
-		m.borrowedRecs, m.borrowedCopy = recs, make([][]byte, len(recs))
-		for i, rec := range recs {
-			if rec == nil {
-				m.t.Fatalf("newest v%d: record %d is not resident", v.vnum, i)
-			}
+		m.borrowedRecs, m.borrowedCopy = v.recs, make([][]byte, len(v.recs))
+		for i, rec := range v.recs {
 			m.borrowedCopy[i] = bytes.Clone(rec)
 		}
 	default:
 		// A caught-up session parks: it gets the channel the next insert
 		// closes.
-		_, _, _, wake := m.c.next(map[string]uint64{"m": m.c.newestVnum("m")}, nil)
+		_, wake := m.c.next(map[string]*version{"m": m.c.newest("m")})
 		m.push(m.nextVnum)
 		m.nextVnum++
 		select {
@@ -209,7 +233,7 @@ func TestCatalogueModel(t *testing.T) {
 		for seed := int64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("store=%v/seed=%d", stored, seed), func(t *testing.T) {
 				m := &catalogueModel{
-					t: t, c: newCatalogue(2), rng: rand.New(rand.NewSource(seed)),
+					t: t, c: newCatalogue(), rng: rand.New(rand.NewSource(seed)),
 					stored: stored, pushed: make(map[uint64]bool), nextVnum: 1,
 					recs: make([][]byte, 8),
 				}
@@ -226,8 +250,8 @@ func TestCatalogueModel(t *testing.T) {
 				if newest := m.c.newestVnum("m"); len(inv) == 0 || inv[len(inv)-1].Version != newest {
 					t.Fatalf("inventory ends at %+v, newest is v%d", inv[len(inv)-1], newest)
 				}
-				if !stored && len(inv) > 2 {
-					t.Fatalf("%d versions catalogued without a store, Retained is 2", len(inv))
+				if !stored && len(inv) != 1 {
+					t.Fatalf("%d versions catalogued without a store, want only the newest", len(inv))
 				}
 				if stored && len(inv) > storeKeeps {
 					t.Fatalf("%d versions catalogued, the store keeps %d", len(inv), storeKeeps)

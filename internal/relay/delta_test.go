@@ -121,7 +121,7 @@ func waitSessionHave(t *testing.T, r *Relay, n int) {
 // content-addressed store, commits a byte-complete version, and a fresh
 // consumer can fetch it whole.
 func TestDeltaIngestUpstreamHaveAndDedup(t *testing.T) {
-	r := testRelay(t, 4)
+	r := testRelay(t)
 	link, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestDeltaIngestUpstreamHaveAndDedup(t *testing.T) {
 // must ask for the gap with a need-list and commit only once the
 // re-sent record lands — whole or not at all.
 func TestDeltaIngestNeedResend(t *testing.T) {
-	r := testRelay(t, 4)
+	r := testRelay(t)
 	link, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestDeltaIngestNeedResend(t *testing.T) {
 // an unsatisfiable need-list is refused off-stream so the consumer can
 // tear cleanly.
 func TestDeltaFanoutToAdvertisingConsumer(t *testing.T) {
-	r := testRelay(t, 4)
+	r := testRelay(t)
 	link, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +392,7 @@ func TestDeltaFanoutToAdvertisingConsumer(t *testing.T) {
 // exactly the version's chunks still receives it as a full stream — the
 // trade an untagged push makes for an ingest that hashes nothing.
 func TestUntaggedVersionFansOutWhole(t *testing.T) {
-	r := testRelay(t, 4)
+	r := testRelay(t)
 	link, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -430,10 +430,10 @@ func TestUntaggedVersionFansOutWhole(t *testing.T) {
 }
 
 // TestChunkStoreRefcountOnEvictAndSupersede: evicting a version takes
-// its chunks out of the table and a superseded half-built one never put
-// any in; the table's size converges to exactly the live version.
+// its records out of memory and a superseded half-built one never put
+// any in; what the relay holds converges to exactly the live version.
 func TestChunkStoreRefcountOnEvictAndSupersede(t *testing.T) {
-	r := testRelay(t, 1)
+	r := testRelay(t)
 	link, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -449,8 +449,8 @@ func TestChunkStoreRefcountOnEvictAndSupersede(t *testing.T) {
 			Metrics().Gauge("cache_bytes").Value() == int64(len(blobA))
 	}, "store holds exactly v1")
 
-	// Retained=1: committing v2 evicts v1, whose chunks share nothing
-	// with v2's — every one must leave the store.
+	// Committing v2 evicts v1, whose chunks share nothing with v2's —
+	// every one must leave memory.
 	snapB := nn.TakeSnapshot(testModel(21))
 	blobB, hashesB := encodeVersion(t, "m", 2, snapB, 128)
 	pushChunked(t, link, "m", 2, snapB, 128)

@@ -55,7 +55,7 @@ func freezeFanout(t *testing.T, dir string, snap nn.Snapshot) (r *Relay, gate *g
 	gate = &gatedConn{release: make(chan struct{})}
 	r, err := New(Config{
 		IngestAddr: "127.0.0.1:0", ServeAddr: "127.0.0.1:0",
-		Retained: 1, Retry: quickPolicy(7), StoreDir: dir,
+		Retry: quickPolicy(7), StoreDir: dir,
 		ServeWrap: func(c net.Conn) net.Conn {
 			gate.Conn = c
 			return gate
@@ -141,9 +141,9 @@ func TestFrozenFanoutSurvivesSameVnumReplacement(t *testing.T) {
 }
 
 // TestFrozenFanoutAcrossEviction and ...AcrossDemotion freeze a fan-out
-// of v1 and commit Retained newer versions behind it: without a store v1
-// is evicted — gone from the catalogue, its chunks out of the table — and
-// with one it is demoted to a disk shell. After the thaw the consumer
+// of v1 and commit two newer versions behind it: without a store v1 is
+// evicted — gone from the catalogue, its records with it — and with one
+// it is demoted to a disk shell. After the thaw the consumer
 // sees either v1 whole or a torn v1 stream (latest-wins cuts it at the
 // next record) followed by the newest version whole; never a mix, never a
 // short install.
@@ -195,13 +195,13 @@ func frozenFanoutAcrossRetention(t *testing.T, dir string) {
 }
 
 // TestEvictionReleasesUnpinnedVersions: retention churn frees the
-// evicted versions' storage immediately, and the cache-bytes gauge
-// tracks what is actually resident — with a reconciling producer's
-// versions keyed by content, identical chunks shared by the retained
-// versions are charged once, so residency lands strictly below the
-// logical inventory total by exactly the deduped record bytes.
+// evicted versions' storage immediately — without a store each commit
+// releases the version it supersedes — and the cache gauges track what is
+// actually held: the newest version's records and header. With a
+// reconciling producer's versions keyed by content, the same snapshot
+// pushed again dedups every position against the previous newest.
 func TestEvictionReleasesUnpinnedVersions(t *testing.T) {
-	r := testRelay(t, 2)
+	r := testRelay(t)
 	prod, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -213,25 +213,20 @@ func TestEvictionReleasesUnpinnedVersions(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, func() bool { return r.Stats().CachedVersions == 5 }, "5 versions cached")
 	st := r.Stats()
-	if st.ReleasedVersions != 3 {
+	if st.ReleasedVersions != 4 {
 		t.Fatalf("eviction accounting: %+v", st)
 	}
 	inv, err := FetchInventory(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retained int64
-	uniqueHashes := map[string]bool{}
-	for _, vi := range inv {
-		retained += vi.Bytes
-		// The same snapshot pushed under every version: the second
-		// retained version must have deduped every one of its chunks.
-		if vi.Version == 5 && vi.Deduped != vi.Chunks {
-			t.Fatalf("v%d deduped %d of %d chunks, want all", vi.Version, vi.Deduped, vi.Chunks)
-		}
-		for _, h := range vi.Hashes {
-			uniqueHashes[h] = true
-		}
+	if len(inv) != 1 || inv[0].Version != 5 {
+		t.Fatalf("inventory %+v, want v5 alone", inv)
+	}
+	// The same snapshot pushed under every version: v5 must have deduped
+	// every one of its chunks.
+	if vi := inv[0]; vi.Deduped != vi.Chunks {
+		t.Fatalf("v%d deduped %d of %d chunks, want all", vi.Version, vi.Deduped, vi.Chunks)
 	}
 	snaps := metrics.AllSnapshots()
 	var cacheBytes, uniqueChunks int64
@@ -241,18 +236,18 @@ func TestEvictionReleasesUnpinnedVersions(t *testing.T) {
 			uniqueChunks = s.Get("unique_chunks").Value
 		}
 	}
-	if cacheBytes >= retained {
-		t.Fatalf("cache_bytes gauge %d should sit below logical inventory bytes %d (shared chunks charged once)", cacheBytes, retained)
+	if cacheBytes != inv[0].Bytes {
+		t.Fatalf("cache_bytes gauge %d, want v5's %d bytes", cacheBytes, inv[0].Bytes)
 	}
-	if int(uniqueChunks) != len(uniqueHashes) {
-		t.Fatalf("unique_chunks gauge %d != %d distinct inventory hashes", uniqueChunks, len(uniqueHashes))
+	if int(uniqueChunks) != inv[0].Chunks {
+		t.Fatalf("unique_chunks gauge %d != v5's %d records", uniqueChunks, inv[0].Chunks)
 	}
 }
 
 // TestFetchMetricsRoundTrip: the MetricsKey exchange serves every
 // registry in the process, the relay's own counters current in it.
 func TestFetchMetricsRoundTrip(t *testing.T) {
-	r := testRelay(t, 2)
+	r := testRelay(t)
 	prod, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)

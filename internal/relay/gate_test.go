@@ -79,7 +79,7 @@ func TestGateUntaggedIngestHashesNothing(t *testing.T) {
 	if _, hashes := encodeVersion(t, "m", 1, snap, 128); len(hashes) != 16 {
 		t.Fatalf("set-up: the version has %d records, want 16", len(hashes))
 	}
-	r := testRelay(t, 4)
+	r := testRelay(t)
 	link, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)

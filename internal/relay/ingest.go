@@ -38,8 +38,8 @@ func hashRecord(rec []byte) vformat.ChunkHash {
 // pos. No SHA-256 is computed for those: the stream's sender never
 // reconciles, so nothing would ever compare its hashes. The key is unique
 // to the build, never just to (model, version, pos): a version is
-// re-pushed with new bytes under its own number, entered before the one
-// it replaces leaves, and must not dedup against it.
+// re-pushed with new bytes under its own number, and the store, which
+// dedups by key, must not take its records for the old ones.
 func (r *Relay) recordKey(b *building, pos int, rec []byte) vformat.ChunkHash {
 	if b.v.reconcile {
 		return hashRecord(rec)
@@ -197,9 +197,8 @@ func (r *Relay) handleFrame(link *transport.TCPLink, f transport.Frame, pending 
 	switch {
 	case transport.IsChunkHeader(f) || transport.IsManifestHeader(f):
 		want, err := strconv.Atoi(f.Meta[transport.MetaChunkCount])
-		// Versions count from 1: a session is served what is above the last
-		// version it was sent, so one catalogued as 0 — the tag absent or
-		// unparsable — would take a retained slot no session could be served.
+		// Versions count from 1, here as in every other layer: a header
+		// numbered 0 — the tag absent or unparsable — opens nothing.
 		vnum, verr := strconv.ParseUint(f.Meta["version"], 10, 64)
 		if err != nil || want < 0 || verr != nil || vnum == 0 {
 			r.n.StrayFrames.Inc()
@@ -252,14 +251,14 @@ func (r *Relay) handleFrame(link *transport.TCPLink, f transport.Frame, pending 
 
 // startDeltaBuild opens a build from a manifest frame: the version's
 // hash list comes from the manifest (so it is bounded by the payload),
-// positions whose chunks the relay already has are prefilled — the
-// resident slice looked up, or the record read through from the store —
-// and only the rest wait on record frames. Prefilled records go to the
-// build's store handle like received ones — dedupe hits there, which pin
-// the entries until the version commits. A manifest that prefills
-// completely commits on the spot; one whose sender will push nothing
-// (want == 0) but that still has gaps — the producer planned against a
-// have-list the relay has since evicted — asks for the gaps immediately.
+// positions whose chunks the relay already has are prefilled — from the
+// model's newest version, or read through from the store — and only the
+// rest wait on record frames. Prefilled records go to the build's store
+// handle like received ones — dedupe hits there, which pin the entries
+// until the version commits. A manifest that prefills completely commits
+// on the spot; one whose sender will push nothing (want == 0) but that
+// still has gaps — the producer planned against a have-list of a version
+// the relay no longer has — asks for the gaps immediately.
 func (r *Relay) startDeltaBuild(link *transport.TCPLink, f transport.Frame, model string, vnum uint64, want int, pending map[string]*building) {
 	man, err := vformat.ParseManifest(f.Payload)
 	if err != nil {
@@ -278,13 +277,13 @@ func (r *Relay) startDeltaBuild(link *transport.TCPLink, f transport.Frame, mode
 			delta:  true, reconcile: true,
 		},
 	}
-	// Whatever the relay already has covers its position now — resident
-	// chunks are looked up, demoted ones read through from the store — so a
-	// delta push right after a restart (or against a demoted shell)
-	// completes without a need-list round trip. A resident chunk that
-	// leaves the table before this build commits stays covered: the build
-	// has the slice.
-	recs, _ := r.resolve(man.Hashes)
+	// Whatever the relay already has covers its position now — the newest
+	// version's records taken, demoted ones read through from the store —
+	// so a delta push right after a restart (or against a demoted shell)
+	// completes without a need-list round trip. A record taken from the
+	// newest version stays covered when that version is demoted before
+	// this build commits: the build has the slice.
+	recs, _ := r.resolve(r.cat.newest(model), man.Hashes)
 	r.beginStore(b)
 	for i, h := range man.Hashes {
 		if recs[i] == nil {
@@ -311,7 +310,7 @@ func (r *Relay) startDeltaBuild(link *transport.TCPLink, f transport.Frame, mode
 // position is covered. A full-stream record whose index is past the
 // announced count, or already covered, is a stray. On a delta build that
 // received every announced record and still has gaps, the missing hashes
-// are requested from the producer (the relay evicted them after
+// are requested from the producer (the relay let them go after
 // advertising).
 func (r *Relay) addRecord(link *transport.TCPLink, f transport.Frame, b *building, pending map[string]*building) {
 	var h vformat.ChunkHash
@@ -381,16 +380,15 @@ func (r *Relay) commit(link *transport.TCPLink, b *building) {
 	// Every position is covered, so b.size records really arrived: this is
 	// the first allocation the announced count sizes. The version's logical
 	// size is the header plus every record.
-	recs := make([][]byte, b.size)
+	v.recs = make([][]byte, b.size)
 	if !v.delta {
 		v.hashes = make([]vformat.ChunkHash, b.size)
 	}
 	v.bytes = int64(len(v.head.Payload))
 	for pos, rc := range b.recs {
-		recs[pos], v.hashes[pos] = rc.payload, rc.key
+		v.recs[pos], v.hashes[pos] = rc.payload, rc.key
 		v.bytes += int64(len(rc.payload))
 	}
-	v.manifest = vformat.EncodeManifest(v.head.Payload, v.hashes)
 	v.meta = r.metaFor(v)
 	// Persist before the catalogue insert: once consumers can discover the
 	// version its durability status is already settled, and the store's
@@ -405,7 +403,7 @@ func (r *Relay) commit(link *transport.TCPLink, b *building) {
 	if b.w != nil {
 		r.persistVersion(v, b.w)
 	}
-	deduped, released, demoted, newest := r.cat.insert(v, recs, r.storeVersions(v.model))
+	deduped, released, demoted, newest := r.cat.insert(v, r.storeVersions(v.model))
 	r.n.DedupedChunks.Add(int64(deduped))
 	r.n.ReleasedVersions.Add(int64(released))
 	r.n.DemotedVersions.Add(int64(demoted))

@@ -20,7 +20,7 @@ var interleaved = []func(*testing.T){
 	TestChunkInNeitherTierRefusedBeforeFirstFrame,
 	TestNewerCommitAbortsReadThrough,
 	TestConcurrentJoinersReadThrough,
-	TestMixedResidentAndDiskRecordsServeInOrder,
+	TestDiskRecordsServeInOrder,
 	TestReadThroughInstruments,
 	TestFrozenFanoutSurvivesSameVnumReplacement,
 	TestFrozenFanoutAcrossEviction,

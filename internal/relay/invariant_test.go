@@ -51,7 +51,7 @@ func closeChecked(t *testing.T, r *Relay) {
 // invariant says so until the handle is finished; a push through the same
 // relay, handle begun, appended to and committed, leaves the count at 0.
 func TestDroppedStoreHandleFailsTheInvariant(t *testing.T) {
-	r := storeRelay(t, t.TempDir(), 2, chunkstore.Retention{})
+	r := storeRelay(t, t.TempDir(), chunkstore.Retention{})
 	link, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestDroppedStoreHandleFailsTheInvariant(t *testing.T) {
 func TestIngestHeaderCountBomb(t *testing.T) {
 	for _, claim := range []string{"2147483648", "1099511627776"} {
 		t.Run(claim, func(t *testing.T) {
-			r := testRelay(t, 2)
+			r := testRelay(t)
 			link, err := transport.DialTCP(r.IngestAddr())
 			if err != nil {
 				t.Fatal(err)
@@ -212,7 +212,7 @@ func (q *sequence) deltaPush() {
 	snap := q.drift()
 	blob, hashes := encodeVersion(q.t, "m", vnum, snap, 128)
 	manifest, records, _, _, err := vformat.PlanDelta(blob, func(h vformat.ChunkHash) bool {
-		return q.r.cat.resolve([]vformat.ChunkHash{h})[0] != nil || (q.r.store != nil && q.r.store.Contains(h))
+		return q.r.cat.residentOf([]vformat.ChunkHash{h}) == 1 || (q.r.store != nil && q.r.store.Contains(h))
 	})
 	if err != nil {
 		q.t.Fatal(err)
@@ -383,7 +383,7 @@ func TestSeededSequenceKeepsInvariants(t *testing.T) {
 			t.Run(fmt.Sprintf("store=%v/seed=%d", withStore, seed), func(t *testing.T) {
 				q := &sequence{t: t, rng: rand.New(rand.NewSource(seed)), nextVnum: 1, weights: wideSnapshot(seed)}
 				cfg := Config{
-					IngestAddr: "127.0.0.1:0", ServeAddr: "127.0.0.1:0", Retained: 2, Retry: quickPolicy(seed),
+					IngestAddr: "127.0.0.1:0", ServeAddr: "127.0.0.1:0", Retry: quickPolicy(seed),
 					ServeWrap: func(c net.Conn) net.Conn {
 						if g := q.arm.Swap(nil); g != nil {
 							g.Conn = c

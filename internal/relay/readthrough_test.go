@@ -388,38 +388,18 @@ func TestConcurrentJoinersReadThrough(t *testing.T) {
 	}
 }
 
-// TestMixedResidentAndDiskRecordsServeInOrder: model "m" is a hydrated
-// shell; model "n" is pushed afterwards with the same weights but for two
-// elements, both by a reconciling producer (so keyed by content): most of
-// m's records are resident (n interned them) and the rest are on disk
-// only. The session serves m in manifest order, bit for bit, taking each
-// record from the tier that has it.
-func TestMixedResidentAndDiskRecordsServeInOrder(t *testing.T) {
+// TestDiskRecordsServeInOrder: model "m" is a hydrated shell pushed by a
+// reconciling producer (so keyed by content), every record on disk only.
+// The session serves m in manifest order, bit for bit, reading each
+// record through from the store exactly once.
+func TestDiskRecordsServeInOrder(t *testing.T) {
 	dir := t.TempDir()
 	snapM := wideSnapshot(89)
 	seedStore(t, dir, "", "", pushReconcile, snapM)
 	r := reopenRelay(t, Config{StoreDir: dir})
-	snapN := wideSnapshot(89)
-	snapN[0].Data[0] += 1
-	snapN[len(snapN)-1].Data[0] += 1
-	link, err := transport.DialTCP(r.IngestAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer link.Close()
-	pushReconcile(t, link, "n", 1, snapN, 128)
-	// CachedVersions, not StoredVersions: the store commits before the
-	// catalogue lists n's records.
-	waitFor(t, 10*time.Second, func() bool { return r.Stats().CachedVersions == 1 }, "n catalogued")
 	_, _, hashesM := streamFrames(t, "m", 1, snapM)
-	onDisk := 0
-	for _, rec := range r.cat.resolve(hashesM) {
-		if rec == nil {
-			onDisk++
-		}
-	}
-	if onDisk == 0 || onDisk == len(hashesM) {
-		t.Fatalf("set-up: %d of m's %d records are on disk only, want a mix", onDisk, len(hashesM))
+	if held := r.cat.residentChunks(); held != 0 {
+		t.Fatalf("set-up: %d records held by a hydrated relay, want all of m's %d on disk only", held, len(hashesM))
 	}
 
 	// Reads are counted on this relay's own store, not process-wide.
@@ -429,21 +409,17 @@ func TestMixedResidentAndDiskRecordsServeInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cons.Close()
-	// The session serves both models; pick out m's stream.
-	var head transport.Frame
+	head, err := cons.Recv()
+	if err != nil || !transport.IsChunkHeader(head) {
+		t.Fatalf("stream opens with %q (err %v), not a chunk header", head.Key, err)
+	}
 	var recs []transport.Frame
 	for len(recs) < len(hashesM) {
 		f, err := cons.Recv()
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch {
-		case f.Meta["model"] != "m":
-		case transport.IsChunkHeader(f):
-			head = f
-		default:
-			recs = append(recs, f)
-		}
+		recs = append(recs, f)
 	}
 	for i, f := range recs {
 		if got := transport.ChunkRecordIndex(f.Payload); got != i || vformat.HashChunkRecord(f.Payload) != hashesM[i] {
@@ -456,10 +432,10 @@ func TestMixedResidentAndDiskRecordsServeInOrder(t *testing.T) {
 		return recs[next-1], nil
 	})
 	if err != nil || !snapshotsEqual(ckpt.Weights, snapM) {
-		t.Fatalf("m assembled from both tiers: err %v", err)
+		t.Fatalf("m assembled from the store: err %v", err)
 	}
-	if got := r.store.Stats().FallthroughHits - before; got != int64(onDisk) {
-		t.Fatalf("%d store reads served m, want exactly the %d records that are on disk only", got, onDisk)
+	if got := r.store.Stats().FallthroughHits - before; got != int64(len(hashesM)) {
+		t.Fatalf("%d store reads served m, want exactly its %d records", got, len(hashesM))
 	}
 }
 
@@ -506,7 +482,7 @@ func TestAllocBudgetColdJoin(t *testing.T) {
 	link.Close()
 	seed.Close()
 
-	r := storeRelay(t, dir, DefaultRetained, chunkstore.Retention{})
+	r := storeRelay(t, dir, chunkstore.Retention{})
 	join := func(op int) {
 		cons, err := remote.NewConsumer(remote.ConsumerConfig{
 			Model: "m", MetaAddr: metaAddr, NotifyAddr: notifyAddr,

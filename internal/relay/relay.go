@@ -4,39 +4,36 @@
 // multi-consumer broadcast, grown into a delivery layer of its own).
 //
 // The producer pushes each version's chunked v2 stream to the relay
-// exactly once (remote.ProducerConfig.RelayAddr); the relay caches the
-// encoded chunk records in a chunk table and store — it never decodes
-// checkpoint payloads — and fans them out to every connected consumer
-// over the unchanged consumer wire protocol, so remote.Consumer works
-// against a relay serve address exactly as it does against a producer's
-// direct-link address. Each consumer session has independent progress;
-// a newly completed version supersedes an in-flight fan-out of an older
-// one (latest-wins, the consumer's torn-stream machinery absorbs the
-// cut); and late joiners are served the newest complete version
-// straight from the chunk store, without any producer involvement. A
-// bounded number of versions is retained per model (oldest evicted
-// first).
+// exactly once (remote.ProducerConfig.RelayAddr); the relay keeps the
+// encoded chunk records — it never decodes checkpoint payloads — and fans
+// them out to every connected consumer over the unchanged consumer wire
+// protocol, so remote.Consumer works against a relay serve address
+// exactly as it does against a producer's direct-link address. Each
+// consumer session has independent progress; a newly completed version
+// supersedes an in-flight fan-out of an older one (latest-wins, the
+// consumer's torn-stream machinery absorbs the cut); and late joiners are
+// served the newest complete version straight from the relay, without any
+// producer involvement. Only each model's newest version is kept in
+// memory, records and all: a store-backed relay demotes the version it
+// supersedes to a disk shell, a memory-only one lets it go.
 //
-// Storage is keyed per record (vformat.ChunkHash). A stream whose sender
-// reconciles (the transport.MetaReconcile tag) and every delta stream are
-// keyed by content hash, so a chunk shared by several cached versions is
-// resident once; an untagged stream's records get keys unique to their
-// build and are never hashed, so they never dedup and always fan out
-// whole. Nothing in it is balanced by hand. A committed version is an
-// immutable value that sessions read without a lock; an ingest build owns
-// its records until commit; and the chunk table is a function of the
-// catalogue — it counts, per key, how often the versions of the resident
-// window list it, and only a version entering or leaving that window
-// moves a count (DESIGN §9). The content hashes drive delta distribution
-// in both directions. Upstream,
-// the relay advertises a committed version's hashes to the producer
+// Every record is filed under a key (vformat.ChunkHash). A stream whose
+// sender reconciles (the transport.MetaReconcile tag) and every delta
+// stream are keyed by content hash; an untagged stream's records get keys
+// unique to their build and are never hashed, so they never dedup and
+// always fan out whole. Nothing in it is balanced by hand: a committed
+// version is an immutable value that sessions read without a lock, and an
+// ingest build owns its records until commit (DESIGN §11). The content
+// hashes drive delta distribution in both directions. Upstream, the relay
+// advertises a committed version's hashes to the producer
 // (transport.HaveKey), which then pushes the next version as a manifest
-// frame plus only the records the relay lacks; advertised-but-evicted
-// chunks are recovered with a need-list (transport.NeedKey) back to the
-// producer, so an admitted delta stream always commits whole or not at
-// all. Downstream, a consumer session that advertised its own have-list
-// is served manifest+missing deltas the same way, and its need-lists
-// are answered from the chunk store.
+// frame plus only the records the relay lacks; the relay fills the rest
+// from the model's newest version or the store, and recovers what neither
+// has with a need-list (transport.NeedKey) back to the producer, so an
+// admitted delta stream always commits whole or not at all. Downstream, a
+// consumer session that advertised its own have-list is served
+// manifest+missing deltas the same way, and its need-lists are answered
+// from the version the session fanned out, then from the store.
 //
 // When a version's stream completes, the relay records relay-served
 // metadata in the KV store and republishes the model's update channel,
@@ -69,16 +66,13 @@ import (
 	"viper/internal/vformat"
 )
 
-// DefaultRetained is the default number of cached versions per model.
-const DefaultRetained = 4
-
 // registry is the package's metrics surface. Every Relay in the process
 // feeds its counters (a relay's own are parented to them, see Stats);
 // the gauges are set where the state they report changes, by whichever
 // node changed last. cache_bytes and unique_chunks describe the catalogue:
-// the chunks the resident window lists plus every catalogued header. A
-// build still arriving is its connection's own and shows in neither until
-// it commits.
+// the bytes of the records each model's newest version holds plus every
+// catalogued header, and the number of those records. A build still
+// arriving is its connection's own and shows in neither until it commits.
 var registry = metrics.NewRegistry("relay")
 
 // Metrics returns the package's metrics registry.
@@ -108,9 +102,6 @@ type Config struct {
 	// NotifyAddr is the pubsub server address; empty disables the
 	// relay's update republishing.
 	NotifyAddr string
-	// Retained bounds the cached versions per model (0 selects
-	// DefaultRetained). The oldest version is evicted first.
-	Retained int
 	// Retry bounds the metadata client's retries; its clock also stamps
 	// synthesized metadata. The zero value selects retry.Default over
 	// the wall clock.
@@ -121,11 +112,12 @@ type Config struct {
 	// ServeWrap, if set, decorates each accepted consumer connection.
 	ServeWrap func(net.Conn) net.Conn
 	// StoreDir, when set, attaches a durable chunkstore rooted at the
-	// directory: every committed version is persisted, cache misses on
-	// the serve path fall through to disk, and a restarted relay
-	// rehydrates its whole inventory instead of waking empty. With a
-	// store attached, Retained only bounds memory residency — history
-	// depth is governed by StoreRetention.
+	// directory: every committed version is persisted, a superseded
+	// version stays catalogued as a disk shell whose records read through
+	// from the store, and a restarted relay rehydrates its whole inventory
+	// instead of waking empty; history depth is governed by
+	// StoreRetention. Without a store the relay catalogues only each
+	// model's newest version.
 	StoreDir string
 	// StoreRetention bounds the attached store's on-disk history (zero
 	// values keep everything).
@@ -166,12 +158,13 @@ type Stats struct {
 	AbandonedFanouts int64 `metric:"abandoned_fanouts"`
 	// MetaErrors counts failed metadata writes / notifications.
 	MetaErrors int64 `metric:"meta_errors"`
-	// ReleasedVersions counts versions that left the catalogue: evicted,
-	// retired by the store's retention, or replaced by a re-push.
+	// ReleasedVersions counts versions that left the catalogue: superseded
+	// on a relay without a store, retired by the store's retention, or
+	// replaced by a re-push.
 	ReleasedVersions int64 `metric:"released_versions"`
-	// DedupedChunks counts chunks of committed versions that were already
-	// resident when their version entered the window (manifest prefills
-	// and identical records alike) and so cost no new storage.
+	// DedupedChunks counts positions of committed versions whose key the
+	// model's previous newest version held (manifest prefills and
+	// identical records alike).
 	DedupedChunks int64 `metric:"deduped_chunks"`
 	// DeltaVersions counts versions committed from a manifest (delta)
 	// ingest stream.
@@ -179,9 +172,9 @@ type Stats struct {
 	// DeltaFanouts counts fan-outs served as manifest+missing deltas
 	// against a consumer's advertised have-list.
 	DeltaFanouts int64 `metric:"delta_fanouts"`
-	// NeedResends counts need-lists exchanged to recover
-	// advertised-but-evicted chunks: requests the relay sent upstream
-	// plus requests it answered for consumers.
+	// NeedResends counts need-lists exchanged to recover chunks a
+	// have-list advertised but the holder no longer has: requests the
+	// relay sent upstream plus requests it answered for consumers.
 	NeedResends int64 `metric:"need_resends"`
 	// StoredVersions counts committed versions persisted to the
 	// attached chunkstore.
@@ -243,16 +236,12 @@ type Relay struct {
 // New binds the ingest and serve listeners, connects to the metadata
 // and notification services (when configured), and starts serving.
 func New(cfg Config) (*Relay, error) {
-	retained := cfg.Retained
-	if retained <= 0 {
-		retained = DefaultRetained
-	}
 	pol := cfg.Retry
 	if pol.MaxAttempts == 0 {
 		pol = retry.Default(nil)
 	}
 	r := &Relay{
-		cat:      newCatalogue(retained),
+		cat:      newCatalogue(),
 		clock:    pol.ClockOrWall(),
 		closed:   make(chan struct{}),
 		ingests:  make(map[*transport.TCPLink]struct{}),
@@ -386,7 +375,7 @@ func (r *Relay) hydrateFromStore() {
 }
 
 // versionFromStore builds the catalogue shell for a store-backed version:
-// only the header frame (and manifest) is resident.
+// only the header frame is resident.
 func (r *Relay) versionFromStore(m chunkstore.VersionMeta) *version {
 	head := transport.Frame{Key: m.Key, Payload: m.Header, Meta: map[string]string{
 		"model":                  m.Model,
@@ -397,9 +386,8 @@ func (r *Relay) versionFromStore(m chunkstore.VersionMeta) *version {
 	return &version{
 		model: m.Model, vnum: m.Version, key: m.Key,
 		bytes: m.Bytes, stored: true,
-		head:     head,
-		hashes:   m.Hashes,
-		manifest: vformat.EncodeManifest(m.Header, m.Hashes),
+		head:   head,
+		hashes: m.Hashes,
 		meta: &core.ModelMeta{
 			Name: m.Model, Version: m.Version, Path: m.Key,
 			Size: m.Bytes, Format: "vchunk", SavedAt: m.SavedAt,
@@ -458,21 +446,29 @@ func (r *Relay) storeVersions(model string) map[uint64]bool {
 	return has
 }
 
-// resolve returns the record bytes of hashes in order, whole: the
-// resident copy where the chunk table has one, else a read through the
-// durable store into a buffer of its own (the caller may keep it). A
-// chunk in neither tier — or one the store could not read back — leaves a
-// nil entry and counts as unresolved. This is the eager form, for the
-// handful of records a need-list or a delta prefill asks for; a version
-// fan-out streams its read-through instead (session.send).
-func (r *Relay) resolve(hashes []vformat.ChunkHash) (recs [][]byte, unresolved int) {
-	recs = r.cat.resolve(hashes)
-	for i, rec := range recs {
-		if rec != nil {
+// resolve returns the record bytes of hashes in order, whole: v's own
+// where v — a version the caller holds, nil for none — lists the key
+// (a record's bytes carry its index, so a content key can only match at
+// its own position), else a read through the durable store into a buffer
+// of its own (the caller may keep it). A chunk in neither — or one the
+// store could not read back — leaves a nil entry and counts as
+// unresolved. This is the eager form, for the handful of records a
+// need-list or a delta prefill asks for; a version fan-out streams its
+// read-through instead (session.send).
+func (r *Relay) resolve(v *version, hashes []vformat.ChunkHash) (recs [][]byte, unresolved int) {
+	held := make(map[vformat.ChunkHash][]byte, len(hashes))
+	if v != nil {
+		for i, rec := range v.recs {
+			held[v.hashes[i]] = rec
+		}
+	}
+	recs = make([][]byte, len(hashes))
+	for i, h := range hashes {
+		if recs[i] = held[h]; recs[i] != nil {
 			continue
 		}
 		if r.store != nil {
-			if got, err := r.store.ReadChunk(hashes[i], nil); err == nil {
+			if got, err := r.store.ReadChunk(h, nil); err == nil {
 				recs[i] = got
 				continue
 			}

@@ -70,11 +70,11 @@ func snapshotsEqual(a, b nn.Snapshot) bool {
 }
 
 // testRelay starts a relay without metadata/notification services.
-func testRelay(t *testing.T, retained int) *Relay {
+func testRelay(t *testing.T) *Relay {
 	t.Helper()
 	r, err := New(Config{
 		IngestAddr: "127.0.0.1:0", ServeAddr: "127.0.0.1:0",
-		Retained: retained, Retry: quickPolicy(1),
+		Retry: quickPolicy(1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,10 +122,10 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 }
 
 // TestIngestCacheAndInventory pushes chunked versions and checks the
-// cache content, the retained-version bound, and the inventory protocol
-// end to end.
+// cache content — without a store, only the newest version stays
+// catalogued — and the inventory protocol end to end.
 func TestIngestCacheAndInventory(t *testing.T) {
-	r := testRelay(t, 2)
+	r := testRelay(t)
 	link, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -138,13 +138,16 @@ func TestIngestCacheAndInventory(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, func() bool { return r.Stats().CachedVersions == 3 }, "3 cached versions")
 
-	// Retained=2: version 1 must be evicted.
+	// Versions 1 and 2 were superseded: only the newest is catalogued.
 	inv, err := FetchInventory(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inv) != 2 || inv[0].Version != 2 || inv[1].Version != 3 {
+	if len(inv) != 1 || inv[0].Version != 3 {
 		t.Fatalf("inventory after eviction: %+v", inv)
+	}
+	if st := r.Stats(); st.ReleasedVersions != 2 {
+		t.Fatalf("superseded versions not released: %+v", st)
 	}
 	for _, vi := range inv {
 		if vi.Model != "m" || vi.Chunks < 2 || vi.Bytes <= 0 {
@@ -159,9 +162,8 @@ func TestIngestCacheAndInventory(t *testing.T) {
 // TestMonolithicFrameCached: a plain (non-chunked) frame with
 // model/version tags opens no stream, so it is a counted stray and
 // nothing is cached for it. Nor does a stream whose header carries no
-// usable version — absent, unparsable or 0, which no session could ever be
-// served (a catalogue serves versions above the last one sent, from 0):
-// the header and the records behind it are strays, and nothing is built,
+// usable version — absent, unparsable or 0 (versions count from 1): the
+// header and the records behind it are strays, and nothing is built,
 // stored or announced.
 func TestMonolithicFrameCached(t *testing.T) {
 	ckpt := &vformat.Checkpoint{ModelName: "m", Version: 1, Weights: nn.TakeSnapshot(testModel(2))}
@@ -171,7 +173,7 @@ func TestMonolithicFrameCached(t *testing.T) {
 		"version unparsable": {"model": "m", "version": "v1"},
 		"version 0":          {"model": "m", "version": "0"},
 	} {
-		r := storeRelay(t, t.TempDir(), 4, chunkstore.Retention{})
+		r := storeRelay(t, t.TempDir(), chunkstore.Retention{})
 		link, err := transport.DialTCP(r.IngestAddr())
 		if err != nil {
 			t.Fatal(err)
@@ -213,7 +215,7 @@ func TestMonolithicFrameCached(t *testing.T) {
 // poisons the whole pending version — nothing is cached, and the
 // corruption is counted.
 func TestCorruptChunkDropsVersion(t *testing.T) {
-	r := testRelay(t, 4)
+	r := testRelay(t)
 	link, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +266,7 @@ func TestCorruptChunkDropsVersion(t *testing.T) {
 // versions is caught up with the newest complete version, not the whole
 // history (latest-wins applies to catch-up too).
 func TestCatchUpSendsNewestOnly(t *testing.T) {
-	r := testRelay(t, 4)
+	r := testRelay(t)
 	link, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)

@@ -46,7 +46,7 @@ func (r *Relay) acceptServe() {
 		if err != nil {
 			return
 		}
-		s := &session{r: r, link: link, done: make(chan struct{}), needs: make(chan transport.Frame, 4)}
+		s := &session{r: r, link: link, done: make(chan struct{}), needs: make(chan transport.Frame, 4), sent: make(map[string]*version)}
 		r.life.Lock()
 		select {
 		case <-r.closed:
@@ -79,6 +79,11 @@ type session struct {
 
 	mu   sync.Mutex
 	have map[vformat.ChunkHash]bool
+
+	// sent is the version last fanned out of each model — what the next
+	// pick must be ahead of, and where a need-list for its stream key is
+	// answered from. The writer goroutine (run) alone touches it.
+	sent map[string]*version
 
 	// readBufs are the read-through buffers of the fan-out in progress
 	// (see readAhead): two, so the store fills one while the link drains
@@ -146,22 +151,16 @@ func (s *session) watch() {
 }
 
 // run is the session's writer loop: catch the consumer up on the newest
-// complete version of every model (straight from the cache — no
-// producer involvement), then follow new commits as they land.
+// complete version of every model (straight from the relay — no producer
+// involvement), then follow new commits as they land.
 func (s *session) run() {
 	defer s.r.wg.Done()
 	defer s.close()
-	sent := make(map[string]uint64)
 	for {
 		if !s.drainNeeds() {
 			return
 		}
-		// The have-set is read before the catalogue lock is taken, never
-		// under it: s.mu and the catalogue's lock do not nest.
-		s.mu.Lock()
-		have := s.have
-		s.mu.Unlock()
-		v, want, recs, wake := s.r.cat.next(sent, have)
+		v, wake := s.r.cat.next(s.sent)
 		if v == nil {
 			select {
 			case nf := <-s.needs:
@@ -176,8 +175,8 @@ func (s *session) run() {
 			}
 			continue
 		}
-		sent[v.model] = v.vnum
-		if !s.send(v, want, recs) {
+		s.sent[v.model] = v
+		if !s.send(v) {
 			return
 		}
 	}
@@ -199,19 +198,26 @@ func (s *session) drainNeeds() bool {
 	}
 }
 
-// answerNeed re-sends requested records from the chunk store. When any
-// requested chunk has left the store (the consumer asked after the
-// referencing versions were evicted), the whole request is refused with
-// an off-stream notice — the consumer's collect tears cleanly and falls
-// back to a full fetch, never assembling a short checkpoint. Returns
-// false when the connection is gone.
+// answerNeed re-sends requested records from the version the session
+// fanned out under the request's stream key, then from the store. When
+// any requested chunk is in neither (the consumer asked about a version
+// the session never served and the store no longer holds), the whole
+// request is refused with an off-stream notice — the consumer's collect
+// tears cleanly and falls back to a full fetch, never assembling a short
+// checkpoint. Returns false when the connection is gone.
 func (s *session) answerNeed(nf transport.Frame) bool {
 	key, hashes, err := transport.ParseNeedFrame(nf)
 	if err != nil {
 		s.r.n.StrayFrames.Inc()
 		return true
 	}
-	recs, unresolved := s.r.resolve(hashes)
+	var served *version
+	for _, v := range s.sent {
+		if v.key == key {
+			served = v
+		}
+	}
+	recs, unresolved := s.r.resolve(served, hashes)
 	if unresolved > 0 {
 		return s.link.Send(rejectFrame(rejectReasonResend, "", "")) == nil
 	}
@@ -227,60 +233,65 @@ func (s *session) answerNeed(nf transport.Frame) bool {
 // fanout is the plan of one version's fan-out to one consumer, fixed
 // before the first frame leaves: the opening frame — the header, or a
 // manifest when the consumer advertised a have-set overlapping the
-// version — and the records to ship behind it, in order.
+// version — and the records to ship behind it, in order: recs when the
+// version holds its records, else disk, the keys of records that live only
+// in the store and are read through as the send loop reaches them.
 type fanout struct {
 	open  transport.Frame
 	delta bool
-	// recs holds each record's resident payload; nil marks a record that
-	// lives only in the store and is read through as the send loop
-	// reaches it. disk lists those records' hashes, in the same order.
-	recs [][]byte
-	disk []vformat.ChunkHash
+	recs  [][]byte
+	disk  []vformat.ChunkHash
 }
 
-// planFanout turns the snapshot next took of v — want, the records this
-// consumer lacks, and recs, their resident payloads — into the fan-out's
-// plan. It reports false when a record is in neither tier: the version is
-// then refused whole rather than opened as a stream that cannot finish.
-// No lock is taken: v is immutable, and the store's index is asked here,
-// outside the catalogue lock.
-func (s *session) planFanout(v *version, want []vformat.ChunkHash, recs [][]byte) (fanout, bool) {
-	p := fanout{open: v.head, delta: len(want) < len(v.hashes), recs: recs}
-	for i, rec := range recs {
-		if rec != nil {
-			continue
-		}
-		if s.r.store == nil || !s.r.store.Contains(want[i]) {
+// planFanout plans v's fan-out: the records whose keys the consumer's
+// advertised have-set lacks, taken from v or, on a shell, from the store.
+// It reports false when a record is in neither: the version is then
+// refused whole rather than opened as a stream that cannot finish. No lock
+// but the have-set's is taken: v is immutable, and the store's index is
+// asked here, outside the catalogue lock.
+func (s *session) planFanout(v *version) (fanout, bool) {
+	s.mu.Lock()
+	have := s.have
+	s.mu.Unlock()
+	var p fanout
+	for i, h := range v.hashes {
+		switch {
+		case have[h]:
+		case v.recs != nil:
+			p.recs = append(p.recs, v.recs[i])
+		case s.r.store == nil || !s.r.store.Contains(h):
 			return fanout{}, false
+		default:
+			p.disk = append(p.disk, h)
 		}
-		p.disk = append(p.disk, want[i])
 	}
+	want := len(p.recs) + len(p.disk)
+	p.open, p.delta = v.head, want < len(v.hashes)
 	if p.delta {
-		p.open = reopen(v.head, v.manifest, transport.ChunkRoleManifest, len(want))
+		p.open = reopen(v.head, vformat.EncodeManifest(v.head.Payload, v.hashes), transport.ChunkRoleManifest, want)
 	}
 	return p, true
 }
 
-// send fans one cached version out to the consumer under its plan
-// (planFanout). Resident records go out from the snapshot; records that
-// live only in the store are read through as the loop reaches them, one
-// record ahead (readAhead), so nothing waits for a whole version to come
-// off disk and nothing is added to the cache. A store read that fails
-// once frames have left cannot be taken back: the consumer gets the
-// off-stream notice (rejectReasonResend), drops its build as a group and
-// turns to the staging copy, never installing a short stream.
+// send fans one catalogued version out to the consumer under its plan
+// (planFanout). Records v holds go out from it; a shell's records are
+// read through as the loop reaches them, one record ahead (readAhead), so
+// nothing waits for a whole version to come off disk and nothing is added
+// to memory. A store read that fails once frames have left cannot be
+// taken back: the consumer gets the off-stream notice
+// (rejectReasonResend), drops its build as a group and turns to the
+// staging copy, never installing a short stream.
 //
-// The borrow is the snapshot: v is immutable and the snapshot holds the
-// resident payload slices themselves, so eviction, demotion or a
-// same-vnum replacement concurrent with the fan-out changes nothing the
-// loop reads — the consumer gets, bit for bit, the version that was
-// picked. A newer complete version superseding v mid-stream still aborts
-// the fan-out (latest-wins); the consumer's torn-stream handling copes
-// with the cut, and the outer loop immediately starts on the newer
-// version. Returns false when the connection is gone.
-func (s *session) send(v *version, want []vformat.ChunkHash, recs [][]byte) bool {
+// The borrow is v itself: it is immutable and holds its record slices, so
+// eviction, demotion or a same-vnum replacement concurrent with the
+// fan-out changes nothing the loop reads — the consumer gets, bit for
+// bit, the version that was picked. A newer complete version superseding
+// v mid-stream still aborts the fan-out (latest-wins); the consumer's
+// torn-stream handling copes with the cut, and the outer loop immediately
+// starts on the newer version. Returns false when the connection is gone.
+func (s *session) send(v *version) bool {
 	picked := s.r.clock.Now()
-	p, ok := s.planFanout(v, want, recs)
+	p, ok := s.planFanout(v)
 	if !ok {
 		// Abandon this fan-out; the session moves on to the next commit.
 		if v.stored && s.r.store != nil {
@@ -300,8 +311,8 @@ func (s *session) send(v *version, want []vformat.ChunkHash, recs [][]byte) bool
 	if ra != nil {
 		readFirstByteMS.Observe(s.r.clock.Now().Sub(picked).Milliseconds())
 	}
-	for _, rec := range p.recs {
-		if s.r.cat.newestVnum(v.model) > v.vnum {
+	for i := 0; i < len(p.recs)+len(p.disk); i++ {
+		if s.r.cat.newest(v.model).vnum > v.vnum {
 			s.r.n.AbandonedFanouts.Inc()
 			return true
 		}
@@ -312,7 +323,10 @@ func (s *session) send(v *version, want []vformat.ChunkHash, recs [][]byte) bool
 			return false
 		default:
 		}
-		if rec == nil {
+		var rec []byte
+		if ra == nil {
+			rec = p.recs[i]
+		} else {
 			var err error
 			if rec, err = ra.next(); err != nil {
 				s.r.n.StoreErrors.Inc()

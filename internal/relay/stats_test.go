@@ -46,7 +46,7 @@ func TestInstancesCountTheirOwnAndTheRegistryTheSum(t *testing.T) {
 	for _, model := range []string{"a", "b"} {
 		r, err := New(Config{
 			IngestAddr: "127.0.0.1:0", ServeAddr: "127.0.0.1:0", MetaAddr: metaAddr, NotifyAddr: notifyAddr,
-			Retained: 2, Retry: quickPolicy(1),
+			Retry: quickPolicy(1),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestInstancesCountTheirOwnAndTheRegistryTheSum(t *testing.T) {
 // a commit's CachedVersions — which moves last — never runs ahead of the
 // StoredVersions counted before it.
 func TestStatsReadDuringIngestAndFanout(t *testing.T) {
-	r := storeRelay(t, t.TempDir(), 2, chunkstore.Retention{})
+	r := storeRelay(t, t.TempDir(), chunkstore.Retention{})
 	cons, err := transport.DialTCP(r.ServeAddr())
 	if err != nil {
 		t.Fatal(err)

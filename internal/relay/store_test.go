@@ -15,11 +15,11 @@ import (
 )
 
 // storeRelay starts a relay with a durable chunk store attached.
-func storeRelay(t *testing.T, dir string, retained int, ret chunkstore.Retention) *Relay {
+func storeRelay(t *testing.T, dir string, ret chunkstore.Retention) *Relay {
 	t.Helper()
 	r, err := New(Config{
 		IngestAddr: "127.0.0.1:0", ServeAddr: "127.0.0.1:0",
-		Retained: retained, Retry: quickPolicy(1),
+		Retry:    quickPolicy(1),
 		StoreDir: dir, StoreRetention: ret,
 	})
 	if err != nil {
@@ -74,7 +74,7 @@ func TestRelayRestartServesFromStore(t *testing.T) {
 	prod.Close()
 	r1.Close()
 
-	r2 := storeRelay(t, dir, DefaultRetained, chunkstore.Retention{})
+	r2 := storeRelay(t, dir, chunkstore.Retention{})
 	if st := r2.Stats(); st.HydratedVersions != versions {
 		t.Fatalf("HydratedVersions = %d after restart, want %d", st.HydratedVersions, versions)
 	}
@@ -113,12 +113,12 @@ func TestRelayRestartServesFromStore(t *testing.T) {
 	}
 }
 
-// TestStoreRetentionDelegation: with a store attached, Retained bounds
-// only the fully resident window; history is governed by the store's
+// TestStoreRetentionDelegation: with a store attached, only the newest
+// version holds its records; history is governed by the store's
 // retention. Versions the store still holds stay in the catalog as
 // demoted shells, versions the store retired leave entirely.
 func TestStoreRetentionDelegation(t *testing.T) {
-	r := storeRelay(t, t.TempDir(), 1, chunkstore.Retention{MaxVersions: 2})
+	r := storeRelay(t, t.TempDir(), chunkstore.Retention{MaxVersions: 2})
 	link, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -149,14 +149,14 @@ func TestStoreRetentionDelegation(t *testing.T) {
 		t.Fatalf("no version was demoted to a disk-backed shell: %+v", st)
 	}
 
-	// v3 is a disk shell: catalogued below the resident window, which
-	// holds v4 alone.
+	// v3 is a disk shell: catalogued without records, which v4 alone
+	// holds.
 	r.cat.mu.Lock()
 	mc := r.cat.models["m"]
-	lo, below := mc.lo, mc.versions[0].vnum
+	shell, top := mc.versions[0], mc.versions[1]
 	r.cat.mu.Unlock()
-	if lo != 1 || below != 3 {
-		t.Fatalf("window starts at %d above v%d, want v3 as the one shell below it", lo, below)
+	if shell.vnum != 3 || shell.recs != nil || top.recs == nil {
+		t.Fatalf("v%d holds %d records and v%d %d, want v3 as a shell below v4", shell.vnum, len(shell.recs), top.vnum, len(top.recs))
 	}
 }
 
@@ -166,7 +166,7 @@ func TestStoreRetentionDelegation(t *testing.T) {
 // reconciling producer and so keyed by content, was demoted) must be
 // answered from the store, not refused with a resend notice.
 func TestEvictedVersionServedFromDisk(t *testing.T) {
-	r := storeRelay(t, t.TempDir(), 1, chunkstore.Retention{})
+	r := storeRelay(t, t.TempDir(), chunkstore.Retention{})
 	link, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -182,13 +182,7 @@ func TestEvictedVersionServedFromDisk(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return r.Stats().DemotedVersions == 1 }, "v1 demoted")
 
 	// v1's chunks are disjoint from v2's and gone from memory now.
-	inMemory := 0
-	for _, rec := range r.cat.resolve(hashes1) {
-		if rec != nil {
-			inMemory++
-		}
-	}
-	if inMemory != 0 {
+	if inMemory := r.cat.residentOf(hashes1); inMemory != 0 {
 		t.Fatalf("%d of v1's chunks still resident, want all on disk only", inMemory)
 	}
 
@@ -236,12 +230,12 @@ func TestEvictedVersionServedFromDisk(t *testing.T) {
 // TestUntaggedRePushServesTheNewBytes: an untagged push of a version the
 // relay already holds, with other bytes in the same layout, replaces it —
 // and the new bytes are what is served, from memory and, after a
-// restart, from the store. The new version enters the chunk table and the
-// store while the one it replaces is still listed, so keys that named
-// only (model, version, position) would dedup against the old bytes.
+// restart, from the store. The new version enters the store while the
+// one it replaces is still there, so keys that named only (model,
+// version, position) would dedup against the old bytes.
 func TestUntaggedRePushServesTheNewBytes(t *testing.T) {
 	dir := t.TempDir()
-	r1 := storeRelay(t, dir, 4, chunkstore.Retention{})
+	r1 := storeRelay(t, dir, chunkstore.Retention{})
 	link, err := transport.DialTCP(r1.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +255,7 @@ func TestUntaggedRePushServesTheNewBytes(t *testing.T) {
 	link.Close()
 	r1.Close()
 
-	r2 := storeRelay(t, dir, 4, chunkstore.Retention{})
+	r2 := storeRelay(t, dir, chunkstore.Retention{})
 	if ckpt := collectVersion(t, r2); ckpt.Version != 1 || !snapshotsEqual(ckpt.Weights, repushed) {
 		t.Fatalf("served v%d from the store after a restart (re-pushed bytes: %v, old bytes: %v), want the re-push bit for bit",
 			ckpt.Version, snapshotsEqual(ckpt.Weights, repushed), snapshotsEqual(ckpt.Weights, old))
@@ -274,7 +268,7 @@ func TestUntaggedRePushServesTheNewBytes(t *testing.T) {
 // the new build, with no need-list round trip.
 func TestDeltaAfterRestartPrefillsFromStore(t *testing.T) {
 	dir := t.TempDir()
-	r1 := storeRelay(t, dir, 4, chunkstore.Retention{})
+	r1 := storeRelay(t, dir, chunkstore.Retention{})
 	link, err := transport.DialTCP(r1.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +279,7 @@ func TestDeltaAfterRestartPrefillsFromStore(t *testing.T) {
 	link.Close()
 	r1.Close()
 
-	r2 := storeRelay(t, dir, 4, chunkstore.Retention{})
+	r2 := storeRelay(t, dir, chunkstore.Retention{})
 	if r2.Stats().HydratedVersions != 1 {
 		t.Fatalf("v1 not hydrated: %+v", r2.Stats())
 	}
@@ -355,7 +349,7 @@ func TestDeltaAfterRestartPrefillsFromStore(t *testing.T) {
 // a restart on the same directory hydrates nothing and serves nothing.
 func TestMonolithicRestartReload(t *testing.T) {
 	dir := t.TempDir()
-	r1 := storeRelay(t, dir, 4, chunkstore.Retention{})
+	r1 := storeRelay(t, dir, chunkstore.Retention{})
 	link, err := transport.DialTCP(r1.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +373,7 @@ func TestMonolithicRestartReload(t *testing.T) {
 	link.Close()
 	r1.Close()
 
-	r2 := storeRelay(t, dir, 4, chunkstore.Retention{})
+	r2 := storeRelay(t, dir, chunkstore.Retention{})
 	inv, err := FetchInventory(r2.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +389,7 @@ func TestMonolithicRestartReload(t *testing.T) {
 // does not bring it back.
 func TestHeaderOnlyVersionStaysMemoryOnly(t *testing.T) {
 	dir := t.TempDir()
-	r1 := storeRelay(t, dir, 4, chunkstore.Retention{})
+	r1 := storeRelay(t, dir, chunkstore.Retention{})
 	link, err := transport.DialTCP(r1.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +411,7 @@ func TestHeaderOnlyVersionStaysMemoryOnly(t *testing.T) {
 	link.Close()
 	r1.Close()
 
-	if r2 := storeRelay(t, dir, 4, chunkstore.Retention{}); r2.Stats().HydratedVersions != 0 {
+	if r2 := storeRelay(t, dir, chunkstore.Retention{}); r2.Stats().HydratedVersions != 0 {
 		t.Fatalf("header-only version survived the restart: %+v", r2.Stats())
 	}
 }

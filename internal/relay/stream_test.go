@@ -114,7 +114,7 @@ func collectVersion(t *testing.T, r *Relay) *vformat.Checkpoint {
 // the version exists anywhere a consumer or a restart could see it — so
 // the last record leaves only the commit barrier.
 func TestStreamingWriteAheadOfCommit(t *testing.T) {
-	r := storeRelay(t, t.TempDir(), 4, chunkstore.Retention{})
+	r := storeRelay(t, t.TempDir(), chunkstore.Retention{})
 	link, err := transport.DialTCP(r.IngestAddr())
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestProducerDiesMidStream(t *testing.T) {
 // remaining record; nothing partial is visible after a restart.
 func TestStoreFaultMidBuildServesFromMemory(t *testing.T) {
 	dir := t.TempDir()
-	r := storeRelay(t, dir, 4, chunkstore.Retention{})
+	r := storeRelay(t, dir, chunkstore.Retention{})
 	// Swap in a store that consults an injector, before any connection
 	// exists (under r.life, which orders the write before every ingest
 	// goroutine the accept loop goes on to start).

@@ -148,8 +148,8 @@ func WrapTCP(conn net.Conn) *TCPLink {
 // their ownership to the receiver under RecvPool's contract. It must be
 // called before the first Recv. A link without a pool — the default —
 // allocates every payload at its exact size and the garbage collector owns
-// it, which suits a receiver that keeps what it receives (the relay's
-// chunk table) or receives little (a back-channel).
+// it, which suits a receiver that keeps what it receives (a relay's
+// versions) or receives little (a back-channel).
 func (t *TCPLink) SetRecvPool(pool *RecvPool) { t.pool = pool }
 
 // Listener accepts successive peer connections on one bound address,
