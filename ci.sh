@@ -67,10 +67,14 @@ go test -race -count=3 ./internal/vformat
 # millisecond an input, so its minimization of a new input is capped in
 # runs rather than left to take the whole budget. The parsers with no
 # native target — kvstore and pubsub wire protocols, the store's log
-# replay — are covered by their mutant passes alone.
-echo "==> fuzz DecodeAuto + ManifestAssembler + TCPLinkRecv + SegmentScan (20s in all)"
+# replay — are covered by their mutant passes alone. Beside the parsers, the
+# codec's round trip is fuzzed: a consumer advertises the hashes of the
+# records its installed weights re-encode to, so a precision whose
+# decode-then-encode is not exact would silently cost every delta.
+echo "==> fuzz DecodeAuto + ManifestAssembler + HashDecoded + TCPLinkRecv + SegmentScan (25s in all)"
 go test -run '^$' -fuzz FuzzDecodeAuto -fuzztime 5s ./internal/vformat
 go test -run '^$' -fuzz FuzzManifestAssembler -fuzztime 5s ./internal/vformat
+go test -run '^$' -fuzz FuzzHashDecoded -fuzztime 5s ./internal/vformat
 go test -run '^$' -fuzz FuzzTCPLinkRecv -fuzztime 5s ./internal/transport
 go test -run '^$' -fuzz FuzzSegmentScan -fuzztime 5s -fuzzminimizetime 200x ./internal/chunkstore
 

@@ -443,19 +443,22 @@ func TestDiskRecordsServeInOrder(t *testing.T) {
 // beside remote.TestAllocBudget: a store-backed relay is reopened on a
 // directory holding one 4 MiB / 16-chunk version, and reconcile-on
 // consumers join, install it and leave, one at a time. Relay and consumer
-// together may allocate at most 2.4 bytes per payload byte — the receive
-// buffers (every join is a fresh consumer with an empty receive pool; its
-// filler hands them back once it has hashed them) and the decoded
-// weights, nothing payload-sized on the relay. The tree before the
-// streamed read-through spent 4.16: a fresh buffer per store read and a
-// cache copy of every record on top.
+// together may allocate at most 2.0 bytes per payload byte — the decoded
+// weights and the receive buffers (every join is a fresh consumer with an
+// empty receive pool; each record goes back to it as soon as it is decoded,
+// so a join draws about a read-ahead's worth of fresh ones), nothing
+// payload-sized on the relay. The tree before the streamed read-through
+// spent 4.16: a fresh buffer per store read and a cache copy of every
+// record on top; while the filler hashed a full stream's records instead of
+// the installed weights, every join held a whole model of receive buffers
+// (2.18, under a budget of 2.4).
 func TestAllocBudgetColdJoin(t *testing.T) {
 	const (
 		elems  = 512 << 10 // 4 MiB of float64
 		chunk  = 256 << 10
 		warmup = 3
 		ops    = 24
-		budget = 2.4
+		budget = 2.0
 	)
 	metaAddr, notifyAddr := testServices(t)
 	dir := t.TempDir()

@@ -92,8 +92,8 @@ func (s *script) noMoreFrames() {
 // TestFillRunsBehindTheInstall: Next returns a verified full-stream
 // install while not one of its records has been hashed and no have-list
 // has reached the wire; once the filler moves, exactly one have-list per
-// install names that version's records and nothing else, every one of
-// them keyed by the hash of the bytes the assembler verified.
+// install names that version's records and nothing else: the hash of the
+// record each chunk of the installed weights was decoded from.
 func TestFillRunsBehindTheInstall(t *testing.T) {
 	gate := newConnGate()
 	s := startScriptDial(t, gate.dial)
@@ -103,7 +103,7 @@ func TestFillRunsBehindTheInstall(t *testing.T) {
 
 	v2 := s.deliver(2, flatSnapshot(2, 2<<10))
 	if got := sourceVersion(s.cons); got != 1 {
-		t.Fatalf("Next returned v2 with the span source at v%d: its records were hashed first", got)
+		t.Fatalf("Next returned v2 with the span source at v%d: its weights were hashed first", got)
 	}
 	if n := gate.passed.Load(); n != 0 {
 		t.Fatalf("%d bytes of reconciliation traffic reached the wire before the gate opened", n)
@@ -193,8 +193,9 @@ func TestCloseAbandonsTheFill(t *testing.T) {
 }
 
 // TestStagedInstallFillsBehind: a version that installs from its staging
-// copy is returned before any of its records is hashed; the filler hashes
-// them — sub-slices of the staged blob — and advertises them afterwards.
+// copy is returned before any of its chunks is hashed; the filler hashes the
+// installed weights — it keeps the stream header, not the staged blob — and
+// advertises them afterwards.
 func TestStagedInstallFillsBehind(t *testing.T) {
 	gate := newConnGate()
 	s := startScriptDial(t, gate.dial)
@@ -257,14 +258,14 @@ func TestLateHaveListCostsOneFullStream(t *testing.T) {
 	}
 }
 
-// TestParkedBudgetCountsWireRecords: a parked full-stream build pins its
-// wire records (for the filler) as well as its decoded weights, and the
-// 64 MiB budget bounds both — three unannounced versions of just under
-// 16 MiB are 93 MiB parked, so the oldest is dropped (counting weights
-// alone, all three would stay).
-func TestParkedBudgetCountsWireRecords(t *testing.T) {
+// TestParkedBudgetCountsWeights: the 64 MiB budget bounds the decoded
+// weights of the parked builds, the only model-sized thing a parked build
+// holds (its records went back to the pool as they were decoded) — three
+// unannounced versions of 24 MiB are 72 MiB parked, so the oldest is
+// dropped and the other two, 48 MiB, stay.
+func TestParkedBudgetCountsWeights(t *testing.T) {
 	s := startScript(t)
-	const elems = 2<<20 - 64<<10 // 15.5 MiB of float64
+	const elems = 3 << 20 // 24 MiB of float64
 	for v := uint64(1); v <= 3; v++ {
 		frames, _ := s.streamChunks(v, flatSnapshot(int64(v), elems), 256<<10)
 		s.send(frames...)
@@ -275,8 +276,8 @@ func TestParkedBudgetCountsWireRecords(t *testing.T) {
 	s.cons.mu.Lock()
 	parked, bytes := parkedVersions(s.cons), s.cons.parkedBytes
 	s.cons.mu.Unlock()
-	if len(parked) != 2 || parked[0] != 2 || bytes > parkedBudget || bytes < 4*8*elems {
-		t.Fatalf("parked %v holding %d bytes; want v2 and v3, weights and wire records both counted, within %d", parked, bytes, parkedBudget)
+	if len(parked) != 2 || parked[0] != 2 || bytes != 2*8*elems {
+		t.Fatalf("parked %v holding %d bytes; want v2 and v3, their weights alone (%d), within %d", parked, bytes, 2*8*elems, parkedBudget)
 	}
 }
 
@@ -291,7 +292,7 @@ func corrupted(f transport.Frame) transport.Frame {
 
 // TestOnlyVerifiedRecordsAreHashed: a record that fails the assembler's
 // check never reaches the span source, on either kind of stream — a full
-// stream's records are hashed after the install (and the torn build never
+// stream's weights are hashed after the install (and the torn build never
 // gets one), a delta build offers its manifest's hashes only once every
 // record verified.
 func TestOnlyVerifiedRecordsAreHashed(t *testing.T) {

@@ -34,7 +34,7 @@ var interleaved = []func(*testing.T){
 	TestStagedInstallFillsBehind,
 	TestLateHaveListCostsOneFullStream,
 	TestOnlyVerifiedRecordsAreHashed,
-	TestParkedBudgetCountsWireRecords,
+	TestParkedBudgetCountsWeights,
 	TestSourceMovedOnTakesTheNeedList,
 	TestABADrillKeepsTheNeedListPath,
 	TestSupersededFillOffersNoSource,
@@ -46,7 +46,6 @@ var interleaved = []func(*testing.T){
 	TestManifestWaitsForItsClone,
 	TestDroppedBuildReleasesItsRecordsOnly,
 	TestStaleFramesAreReleased,
-	TestSupersededFillReleasesItsRecords,
 	TestCloseWithFramesInFlight,
 	TestCorruptionDrillDirectLink,
 	TestReadAheadBoundsReceiveBuffers,

@@ -666,7 +666,7 @@ func allocPerPayloadByte(t *testing.T, prod *Producer, cons *Consumer, snap nn.S
 // buffer cloned into, the arrays of the checkpoint before the active one
 // (the consumer's spare); the producer's blobs and the KV server's staging
 // values circulate through their pools; a full stream's records land in
-// the consumer's receive pool and go back once decoded or hashed. (Each op
+// the consumer's receive pool and go back as soon as they are decoded. (Each op
 // allocated the installed weights or the clone, ≈ 1.01–1.05, under budgets
 // of 1.5 and 1.6; the budget was 2.6 while every record was a fresh slice,
 // and the tree before the one-pass work spent 6.6 / 8.5.) The cold-join

@@ -17,21 +17,23 @@ import (
 // at most once, and only when nothing can read it any more. TestMain arms
 // the pools' check for the whole package, so a payload handed back too
 // early reads 0xDB wherever it is still used — a record CRC, a record
-// being hashed, a header — and one handed back twice panics; here each hand-back
-// point is driven on purpose and counted.
+// being decoded, a header — and one handed back twice panics; here each
+// hand-back point is driven on purpose and counted.
 
 var (
 	poolReleased = transport.Metrics().Counter("tcp_recv_pool_released")
 	abandoned    = Metrics().Counter("consumer_abandoned_builds")
 )
 
-// bothKinds runs body on a consumer that keeps a full stream's records for
-// its filler to hash and on one that does not (reconciliation off).
-func bothKinds(t *testing.T, body func(t *testing.T, s *script, kept bool)) {
-	for _, kept := range []bool{true, false} {
-		name := map[bool]string{true: "records kept", false: "records not kept"}[kept]
+// bothKinds runs body on a consumer with reconciliation on, whose filler
+// hashes each full-stream install behind it, and on one with it off. The
+// subtests keep the names they had while the first kind held a full
+// stream's records for its filler; neither holds a record now.
+func bothKinds(t *testing.T, body func(t *testing.T, s *script, reconcile bool)) {
+	for _, reconcile := range []bool{true, false} {
+		name := map[bool]string{true: "records kept", false: "records not kept"}[reconcile]
 		t.Run(name, func(t *testing.T) {
-			body(t, startScriptWith(t, func(cfg *ConsumerConfig) { cfg.DisableDeltaReconcile = !kept }), kept)
+			body(t, startScriptWith(t, func(cfg *ConsumerConfig) { cfg.DisableDeltaReconcile = !reconcile }), reconcile)
 		})
 	}
 }
@@ -43,11 +45,12 @@ func poisoned(b []byte) bool {
 // TestDroppedBuildReleasesItsRecordsOnly: a build a newer stream's header
 // interrupts hands back exactly the records it received — and not the
 // interrupting frame, which the collector had already passed through the
-// builder's hands (it sat in the dropped build's record list once) and
-// which still has to open the next build. A foreign record frame that
-// interrupts a build is handed back once, as the stale frame it is.
+// builder's hands and which still has to open the next build — and the
+// build that parks hands back its own as it decodes them, with
+// reconciliation on or off. A foreign record frame that interrupts a build
+// is handed back once, as the stale frame it is.
 func TestDroppedBuildReleasesItsRecordsOnly(t *testing.T) {
-	bothKinds(t, func(t *testing.T, s *script, kept bool) {
+	bothKinds(t, func(t *testing.T, s *script, reconcile bool) {
 		snaps := []nn.Snapshot{nil, flatSnapshot(1, 4<<10), flatSnapshot(2, 4<<10), flatSnapshot(3, 4<<10)}
 		v1, _ := s.stream(1, snaps[1])
 		v2, _ := s.stream(2, snaps[2])
@@ -57,18 +60,16 @@ func TestDroppedBuildReleasesItsRecordsOnly(t *testing.T) {
 		s.send(v1[:len(v1)-1]...) // all of v1 but its last record
 		s.send(v2...)             // v2's header interrupts it
 		s.waitBuilder("v2 parked over the torn v1", parkedAre(2))
-		records := int64(len(v1) - 2)
-		if !kept {
-			records += int64(len(v2) - 1) // v2's own went back as they were decoded
-		}
+		// v1's received records, and v2's own as they were decoded.
+		records := int64(len(v1)-2) + int64(len(v2)-1)
 		if got := poolReleased.Value() - before; got != records || abandoned.Value() != torn+1 {
-			t.Fatalf("the pool took %d payloads back (%d builds abandoned), want v1's %d records and nothing else", got, abandoned.Value()-torn, records)
+			t.Fatalf("the pool took %d payloads back (%d builds abandoned), want v1's and v2's %d records and nothing else", got, abandoned.Value()-torn, records)
 		}
 		res := s.next()
 		s.notify(2, true)
 		s.install(res, 2, snaps[2]) // from the link: the interrupting header was intact
-		if kept {
-			s.haveIs(2, recordHashes(v2)) // v2's fill has handed its records back
+		if reconcile {
+			s.haveIs(2, recordHashes(v2)) // hashed from the weights, the records long gone
 		}
 
 		// v3 is interrupted by a record of a stream that never opened.
@@ -93,7 +94,7 @@ func TestDroppedBuildReleasesItsRecordsOnly(t *testing.T) {
 // back as the builder discards them, once each, and cost the parked build
 // above them nothing.
 func TestStaleFramesAreReleased(t *testing.T) {
-	bothKinds(t, func(t *testing.T, s *script, kept bool) {
+	bothKinds(t, func(t *testing.T, s *script, reconcile bool) {
 		snap1, snap2 := flatSnapshot(1, 4<<10), flatSnapshot(2, 4<<10)
 		v1, _ := s.stream(1, snap1)
 		v2, _ := s.stream(2, snap2)
@@ -116,61 +117,13 @@ func TestStaleFramesAreReleased(t *testing.T) {
 	})
 }
 
-// TestSupersededFillReleasesItsRecords: the records of an install whose
-// fill a newer install replaces before the filler reached it go back to
-// the pool unhashed, and a fill that runs hands back every record once it
-// has hashed them — no payload leaves the pool — while the checkpoint
-// decoded from them stays what was published, whatever the pool recycles.
-func TestSupersededFillReleasesItsRecords(t *testing.T) {
-	gate := newConnGate()
-	s := startScriptDial(t, gate.dial)
-	s.parkFiller(gate, 1)
-	snap2 := flatSnapshot(2, 4<<10)
-	v2 := s.deliver(2, snap2)
-	s.cons.fills.mu.Lock()
-	waiting := s.cons.fills.pending.recs
-	s.cons.fills.mu.Unlock()
-	if len(waiting) != len(v2) || poisoned(waiting[0]) {
-		t.Fatalf("v2's fill waits with %d of its %d records (handed back already: %v)", len(waiting), len(v2), poisoned(waiting[0]))
-	}
-	before := poolReleased.Value()
-	snap3 := flatSnapshot(3, 4<<10)
-	v3 := s.deliver(3, snap3)
-	held := s.cons.Active()
-	if got := poolReleased.Value() - before; got != int64(len(v2)) {
-		t.Fatalf("superseding v2's fill handed %d payloads back, want its %d records", got, len(v2))
-	}
-	for i, rec := range waiting {
-		if !poisoned(rec) {
-			t.Fatalf("record %d of the superseded fill was not handed back", i)
-		}
-	}
-	before = poolReleased.Value()
-	gate.release()
-	s.recvHave()
-	s.haveIs(3, v3)
-	if got := poolReleased.Value() - before; got != int64(len(v3)) {
-		t.Fatalf("v3's fill handed %d payloads back, want all %d records it hashed", got, len(v3))
-	}
-	// Traffic to churn the pool: v2 again, as v4, into the buffers v3's
-	// records came in.
-	before = poolReleased.Value()
-	s.haveIs(4, s.deliver(4, snap2))
-	if got := poolReleased.Value() - before; got != int64(len(v2)) {
-		t.Fatalf("v4's fill handed %d payloads back, want all %d", got, len(v2))
-	}
-	if !snapshotsEqual(held.Weights, snap3) {
-		t.Fatal("the v3 checkpoint changed once the pool recycled the buffers it was decoded from")
-	}
-}
-
 // TestCloseWithFramesInFlight: Close while the link is mid-stream, a
-// complete build is parked with its records and a fill is waiting hands
+// complete build is parked and a fill is waiting hands
 // nothing back that something could still read: what the consumer
 // returned before stays bit-identical, and whatever was in flight is
 // simply let go — releasing is an optimisation, not a duty.
 func TestCloseWithFramesInFlight(t *testing.T) {
-	bothKinds(t, func(t *testing.T, s *script, kept bool) {
+	bothKinds(t, func(t *testing.T, s *script, reconcile bool) {
 		snaps := []nn.Snapshot{nil, flatSnapshot(1, 4<<10), flatSnapshot(2, 4<<10), flatSnapshot(3, 4<<10)}
 		v1, _ := s.stream(1, snaps[1])
 		s.send(v1...)
@@ -227,6 +180,7 @@ func TestCorruptionDrillDirectLink(t *testing.T) {
 		{"meta tag", faults.WireField(transport.ChunkRoleChunk), 10, true},
 	} {
 		for _, noDelta := range []bool{false, true} {
+			// Named as bothKinds names the reconcile-on and -off consumers.
 			t.Run(tc.name+map[bool]string{false: ", records kept", true: ", records not kept"}[noDelta], func(t *testing.T) {
 				flip := faults.NewFlipper(tc.marker, tc.offset)
 				// A damaged record must never make the consumer sit out LinkWait;

@@ -198,7 +198,7 @@ func TestUnclaimedBuildsRefillTheSpare(t *testing.T) {
 // TestUnofferedInstallIsNotRecycled: with reconciliation on, a full-stream
 // install whose fill has not offered it as the span source yet is kept when
 // the next install supersedes it — the filler may hold that fill already
-// and offer the install once its records are hashed. The filler is parked
+// and offer the install once its weights are hashed. The filler is parked
 // inside v1's have-list write, so v2's fill waits; v3's install supersedes
 // v2, and the test then plays a filler that had taken v2's fill before that
 // install: v2 becomes the source, and its weights are still v2's, never the
@@ -217,15 +217,11 @@ func TestUnofferedInstallIsNotRecycled(t *testing.T) {
 	held2 := s.cons.Active()
 	s.deliver(3, snap3)
 
-	recs := make([][]byte, 0, len(frames2)-1)
-	for _, f := range frames2[1:] {
-		recs = append(recs, f.Payload)
-	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // its have-list write waits at the gate too
 		defer wg.Done()
-		s.cons.fill(&sourceFill{version: 2, recs: recs, header: frames2[0].Payload, weights: held2.Weights})
+		s.cons.fill(&sourceFill{version: 2, header: frames2[0].Payload, weights: held2.Weights})
 	}()
 	waitFor(t, "v2 to become the span source", func() bool { return sourceVersion(s.cons) == 2 })
 	s.cons.mu.Lock()

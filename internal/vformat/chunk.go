@@ -460,6 +460,33 @@ func (l *ChunkLayout) decodeChunk(weights nn.Snapshot, idx int, rec []byte) {
 	})
 }
 
+// HashDecoded returns, by chunk index, the content hash of the record each
+// chunk of weights (a snapshot l fits) encodes to: the record's hash, for
+// weights decoded from it, whenever the encoder wrote it. A record is a
+// pure function of the layout, the weights and its index, and decoding
+// then encoding again gives back the record's bytes at every precision —
+// fp64 is a copy, and fp32 and fp16 come back to the value they were cut
+// to, NaNs included, since the encoder writes them quiet. A record crafted
+// elsewhere (an fp32 signalling NaN, say) hashes differently once decoded.
+// Each chunk is encoded into one pooled record-sized scratch buffer. A
+// closed stop ends it between two records, and then it returns nil.
+func (l *ChunkLayout) HashDecoded(weights nn.Snapshot, stop <-chan struct{}) []ChunkHash {
+	hashes := make([]ChunkHash, l.NumChunks)
+	scratch := blobs.Get(l.recordSize(0)) // the first chunk is the longest
+	defer ReleaseBuffer(scratch)
+	for idx := range hashes {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
+		rec := scratch[:l.recordSize(idx)]
+		l.encodeChunkInto(rec, weights, nil, 0, idx)
+		hashes[idx] = HashChunkRecord(rec)
+	}
+	return hashes
+}
+
 // encodeChunkHeader builds the v2 header bytes for ckpt under layout.
 func encodeChunkHeader(c *Checkpoint, l *ChunkLayout) []byte {
 	b := make([]byte, 0, 128+32*len(l.Tensors))

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"viper/internal/mutate"
+	"viper/internal/nn"
 )
 
 // fuzzSeeds returns one blob per format DecodeAuto accepts — lean v1,
@@ -130,6 +131,38 @@ func FuzzManifestAssembler(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(checkManifestAssembler)
+}
+
+// FuzzHashDecoded holds HashDecoded to the record hashes over arbitrary
+// float64 bit patterns: the input's bytes, eight at a time, cut into two
+// tensors at split and into chunks of 1–16 elements, are encoded at
+// precision prec, decoded, and hashed from the decoded weights, which must
+// give the hash of every record the encoder wrote (checkHashDecoded). A
+// codec whose round trip is not exact fails here instead of costing every
+// delta a re-shipped chunk.
+func FuzzHashDecoded(f *testing.F) {
+	var special []byte
+	for _, v := range hashDecodedValues() {
+		special = binary.LittleEndian.AppendUint64(special, math.Float64bits(v))
+	}
+	for prec := range uint8(3) {
+		f.Add(special, prec, uint8(5), uint8(8))
+		f.Add(special[:8*5], prec, uint8(5), uint8(3))
+		f.Add([]byte{}, prec, uint8(0), uint8(1))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, prec, split, chunk uint8) {
+		vals := make([]float64, min(len(raw)/8, 1<<12))
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		cut := int(split) % (len(vals) + 1)
+		weights := nn.Snapshot{
+			{Name: "a", Shape: []int{cut}, Data: vals[:cut]},
+			{Name: "b", Shape: []int{len(vals) - cut}, Data: vals[cut:]},
+		}
+		p := Precision(prec % 3)
+		checkHashDecoded(t, weights, ChunkOptions{Precision: p, ChunkBytes: (1 + int(chunk)%16) * p.BytesPerElement()})
+	})
 }
 
 // TestMutatedManifestAssembler is FuzzManifestAssembler's property over a

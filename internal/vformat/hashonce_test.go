@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"viper/internal/nn"
 )
 
 // TestHashOncePlanProperty pins the hash-once contract over precision ×
@@ -423,5 +425,89 @@ func TestHeaderParseDoesNotAllocateTheModel(t *testing.T) {
 	}
 	if got != nil {
 		assertWeightsMatch(t, PrecFloat64, ckpt.Weights, got.Weights)
+	}
+}
+
+// checkHashDecoded encodes weights under opts, decodes the blob, and
+// requires HashDecoded over the decoded weights to give back, position by
+// position, the hash of every record the encoder wrote: the hashes a
+// consumer advertises for an install without keeping its records.
+func checkHashDecoded(t *testing.T, weights nn.Snapshot, opts ChunkOptions) {
+	t.Helper()
+	blob, err := EncodeChunked(context.Background(), &Checkpoint{ModelName: "hashed", Version: 1, Weights: weights}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ReleaseBuffer(blob)
+	want, err := ChunkHashesOf(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeChunked(context.Background(), blob, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, _, _, err := ParseChunkHeader(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := layout.HashDecoded(dec.Weights, nil)
+	if got == nil || len(got) != len(want) {
+		t.Fatalf("HashDecoded gave %d hashes for %d records", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: chunk %d of %d hashes %s decoded, its record %s", opts.Precision, i, len(want), got[i], want[i])
+		}
+	}
+}
+
+// hashDecodedValues are specialValues plus what bends at a reduced
+// precision: fp32 subnormals and underflow, fp16 values that saturate,
+// round to even, carry into the exponent, land subnormal or underflow.
+func hashDecodedValues() []float64 {
+	return append(specialValues(),
+		1e-40, -1e-44, 1e-46, // fp32 subnormal, smallest, underflow
+		65504, 65519, 65520, -1e5, 1e300, // fp16 max, saturating
+		1+0x1p-11, 1+3*0x1p-11, 1-0x1p-12, 2047.5, // fp16 ties and a carry
+		0x1p-24, 3*0x1p-25, 6.1e-5, -0x1p-20, 1e-9, // fp16 subnormals, underflow
+		math.SmallestNonzeroFloat64, 0.1, -1.0/3,
+	)
+}
+
+// TestHashDecodedIsTheRecordHash: at every precision, over random values,
+// ±0, ±Inf, NaNs, subnormals and fp16 values that saturate or round, the
+// hashes HashDecoded computes from decoded weights are those of the records
+// the encoder wrote — with a tensor boundary inside a chunk, a short last
+// chunk, and no chunk at all — and a closed stop returns nil.
+func TestHashDecodedIsTheRecordHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	vals := hashDecodedValues()
+	for range 200 {
+		vals = append(vals, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(12)-6)))
+	}
+	split := 7 // a tensor boundary inside the first 8-element chunk
+	mixed := nn.Snapshot{
+		{Name: "a", Shape: []int{split}, Data: vals[:split]},
+		{Name: "empty", Shape: []int{0}},
+		{Name: "b", Shape: []int{len(vals) - split}, Data: vals[split:]},
+	}
+	if len(vals)%8 == 0 {
+		t.Fatal("set-up: the last chunk must be short")
+	}
+	for _, p := range []Precision{PrecFloat64, PrecFloat32, PrecFloat16} {
+		t.Run(p.String(), func(t *testing.T) {
+			opts := ChunkOptions{Precision: p, ChunkBytes: 8 * p.BytesPerElement()}
+			checkHashDecoded(t, mixed, opts)
+			checkHashDecoded(t, specialSnapshot(), specialChunkOptions(p))
+			checkHashDecoded(t, nn.Snapshot{{Name: "none", Shape: []int{0}}}, opts)
+			checkHashDecoded(t, mixed, ChunkOptions{Precision: p}) // one chunk, all of it
+		})
+	}
+	layout := planLayout(mixed, ChunkOptions{ChunkBytes: 64})
+	stop := make(chan struct{})
+	close(stop)
+	if got := layout.HashDecoded(mixed, stop); got != nil {
+		t.Fatalf("a closed stop returned %d hashes", len(got))
 	}
 }
